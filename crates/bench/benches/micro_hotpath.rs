@@ -13,15 +13,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mask_cache::SharedL2Cache;
 use mask_common::addr::LineAddr;
-use mask_common::config::{CacheConfig, DesignKind, GpuConfig};
+use mask_common::config::CacheConfig;
 use mask_common::ids::{Asid, CoreId};
 use mask_common::req::{MemRequest, ReqId, RequestClass};
-use mask_common::stats::AppStats;
-use mask_gpu::{
-    run_shard, DirectIssue, GpuCore, IssueSink, ShardOutput, ShardPool, TranslationUnit,
-};
 use mask_tlb::AssocArray;
-use mask_workloads::app_by_name;
 
 fn bench_assoc_probe(c: &mut Criterion) {
     // Shared-L2-TLB shape: 512 entries, 16-way.
@@ -112,132 +107,5 @@ fn bench_l2_path(c: &mut Criterion) {
     });
 }
 
-/// Builds the pieces of a sharded stage 1: `n` cores split across two
-/// apps, a matching translation unit, and per-shard output queues.
-fn frontend(n: usize, shards: usize) -> (Vec<GpuCore>, TranslationUnit, Vec<ShardOutput>) {
-    let mut cfg = GpuConfig::maxwell();
-    cfg.n_cores = n;
-    cfg.warps_per_core = 16;
-    let cons = app_by_name("CONS").expect("known app");
-    let lps = app_by_name("LPS").expect("known app");
-    let cores: Vec<GpuCore> = (0..n)
-        .map(|i| {
-            let app = u16::from(i >= n / 2);
-            GpuCore::new(
-                &cfg,
-                CoreId::new(i as u16),
-                Asid::new(app),
-                i % (n / 2),
-                if app == 0 { cons } else { lps },
-                7 ^ (u64::from(app)) << 32,
-                false,
-            )
-        })
-        .collect();
-    let xlat = TranslationUnit::new(&cfg, DesignKind::Mask.spec(), &[n / 2, n - n / 2]);
-    let outs = (0..shards).map(|_| ShardOutput::new(2)).collect();
-    (cores, xlat, outs)
-}
-
-/// Drains one shard's deferred output queues in merge order — the serial
-/// tail `GpuSim::issue_sharded` runs per shard.
-fn merge_tail(
-    out: &mut ShardOutput,
-    xlat: &mut TranslationUnit,
-    out_l2: &mut Vec<MemRequest>,
-    next_req_id: &mut u64,
-    stats: &mut [AppStats],
-    now: u64,
-) {
-    for x in out.xlat.drain(..) {
-        xlat.request(x.asid, x.vpn, x.requester, x.core_rank, now);
-    }
-    let mut sink = DirectIssue {
-        xlat,
-        out_l2,
-        next_req_id,
-    };
-    for m in out.misses.drain(..) {
-        sink.data_miss(m.core, m.asid, m.line, now);
-    }
-    for (app, delta) in out.stats.iter_mut().enumerate() {
-        stats[app].absorb(delta);
-        delta.reset();
-    }
-}
-
-fn bench_shard_merge(c: &mut Criterion) {
-    // Deferred issue + merge on one thread: the pure cost of routing
-    // stage 1 through ShardOutput queues instead of DirectIssue.
-    let (mut cores, mut xlat, mut outs) = frontend(8, 1);
-    let mut stats = vec![AppStats::default(); 2];
-    let mut out_l2 = Vec::new();
-    let mut next_req_id = 0u64;
-    let mut now = 0u64;
-    c.bench_function("shard_issue_merge_inline_8c", |b| {
-        b.iter(|| {
-            run_shard(&mut cores, now, &mut outs[0]);
-            merge_tail(
-                &mut outs[0],
-                &mut xlat,
-                &mut out_l2,
-                &mut next_req_id,
-                &mut stats,
-                now,
-            );
-            out_l2.clear();
-            now += 1;
-        });
-    });
-
-    // The same stage through a two-worker pool: adds the cross-thread
-    // handoff (publish job, wake, await, merge in shard order).
-    let (mut cores, mut xlat, mut outs) = frontend(8, 2);
-    let pool = ShardPool::new(2);
-    let mut stats = vec![AppStats::default(); 2];
-    let mut out_l2 = Vec::new();
-    let mut next_req_id = 0u64;
-    let mut pnow = 0u64;
-    c.bench_function("shard_issue_merge_pool2_8c", |b| {
-        b.iter(|| {
-            pool.run_issue(&mut cores, &mut outs, pnow);
-            for out in &mut outs {
-                merge_tail(
-                    out,
-                    &mut xlat,
-                    &mut out_l2,
-                    &mut next_req_id,
-                    &mut stats,
-                    pnow,
-                );
-            }
-            out_l2.clear();
-            pnow += 1;
-        });
-    });
-
-    // Serial reference: the unsharded stage-1 loop over the same cores.
-    let (mut cores, mut xlat, _) = frontend(8, 1);
-    let mut stats = vec![AppStats::default(); 2];
-    let mut out_l2 = Vec::new();
-    let mut next_req_id = 0u64;
-    let mut snow = 0u64;
-    c.bench_function("shard_issue_serial_8c", |b| {
-        b.iter(|| {
-            let mut sink = DirectIssue {
-                xlat: &mut xlat,
-                out_l2: &mut out_l2,
-                next_req_id: &mut next_req_id,
-            };
-            for core in &mut cores {
-                let app = core.asid.index();
-                core.issue(snow, &mut sink, &mut stats[app]);
-            }
-            out_l2.clear();
-            snow += 1;
-        });
-    });
-}
-
-criterion_group!(hotpath, bench_assoc_probe, bench_l2_path, bench_shard_merge);
+criterion_group!(hotpath, bench_assoc_probe, bench_l2_path);
 criterion_main!(hotpath);

@@ -3,12 +3,9 @@
 //! Unlike the figure/table harnesses, this target measures the simulator
 //! itself: it drives `GpuSim` directly (no job engine, equivalent to
 //! `MASK_JOBS=1`) on quickstart-scale workloads and reports how many
-//! simulated cycles the hot loop retires per second. It also sweeps the
-//! sharded SM frontend (`MASK_SM_SHARDS` ∈ {1, 2, 4, 8}) on the two-app
-//! workload and verifies the instruction checksum is identical at every
-//! shard count. Results are written to
-//! `target/mask-results/BENCH_pr7.json`; the committed `BENCH_pr7.json` at
-//! the repository root records the numbers for this PR.
+//! simulated cycles the hot loop retires per second. Results are written
+//! to `target/mask-results/BENCH_pr7.json`; the committed `BENCH_pr7.json`
+//! at the repository root records the reference numbers.
 //!
 //! ```text
 //! cargo bench -p mask-bench --bench throughput                  # measure
@@ -22,21 +19,14 @@
 //!
 //! * `MASK_BENCH_CYCLES` — simulated cycles per run (default 200 000);
 //! * `MASK_BENCH_REPS` — timed repetitions, best-of (default 3);
-//! * `MASK_BENCH_MIN_CPS` — override the serial `--check` floor;
-//! * `MASK_BENCH_MIN_CPS_SHARDED` — override the 4-shard `--check` floor;
-//! * `MASK_BENCH_FORCE_SWEEP` — set to `1` to time shard counts above the
-//!   machine's available parallelism anyway (skipped by default: timing an
-//!   oversubscribed frontend reports scheduler noise, not the engine).
+//! * `MASK_BENCH_MIN_CPS` — override the `--check` floor.
 //!
-//! `--check` fails (exit 1) when (a) the measured serial 2-app throughput
-//! drops below 70% of `cycles_per_sec_after` committed in `BENCH_pr7.json`,
+//! `--check` fails (exit 1) when (a) the measured 2-app throughput drops
+//! below 70% of `cycles_per_sec_after` committed in `BENCH_pr7.json`, or
 //! (b) it drops below 70% of the pre-PR `cycles_per_sec_after` committed
 //! in `BENCH_pr5.json` (so an obs build's disabled-tracing path is gated
-//! against the engine as it was before the hooks existed), (c) the 4-shard
-//! configuration drops below 70% of its committed reference, or (d) any
-//! shard count produces a different instruction checksum than the serial
-//! run — the determinism gate. Floors can be overridden for slow runners
-//! via the environment variables above.
+//! against the engine as it was before the hooks existed). The floor can
+//! be overridden for slow runners via the environment variable above.
 
 use mask_common::config::{DesignKind, SimConfig};
 use mask_gpu::{AppSpec, GpuSim};
@@ -64,10 +54,8 @@ const WORKLOADS: &[Workload] = &[
     },
 ];
 
-fn build(w: &Workload, cycles: u64, shards: usize) -> GpuSim {
-    let mut cfg = SimConfig::new(DesignKind::Mask)
-        .with_max_cycles(cycles)
-        .with_sm_shards(shards);
+fn build(w: &Workload, cycles: u64) -> GpuSim {
+    let mut cfg = SimConfig::new(DesignKind::Mask).with_max_cycles(cycles);
     cfg.gpu.n_cores = w.apps.iter().map(|(_, c)| c).sum();
     let specs: Vec<AppSpec> = w
         .apps
@@ -80,15 +68,14 @@ fn build(w: &Workload, cycles: u64, shards: usize) -> GpuSim {
     GpuSim::new(&cfg, &specs)
 }
 
-/// Best-of-`reps` cycles/sec for one workload at one shard count, plus a
-/// checksum of the final instruction counts (so the timed loop cannot be
-/// optimized away and runs are comparable across engine versions and
-/// shard counts).
-fn measure(w: &Workload, cycles: u64, reps: usize, shards: usize) -> (f64, u64) {
+/// Best-of-`reps` cycles/sec for one workload, plus a checksum of the
+/// final instruction counts (so the timed loop cannot be optimized away
+/// and runs are comparable across engine versions).
+fn measure(w: &Workload, cycles: u64, reps: usize) -> (f64, u64) {
     let mut best = 0.0f64;
     let mut checksum = 0u64;
     for _ in 0..reps {
-        let mut sim = build(w, cycles, shards);
+        let mut sim = build(w, cycles);
         let started = Instant::now();
         sim.run_to_completion();
         let secs = started.elapsed().as_secs_f64().max(1e-9);
@@ -145,39 +132,12 @@ fn main() {
     );
     let mut results = Vec::new();
     for w in WORKLOADS {
-        let (cps, checksum) = measure(w, cycles, reps, 1);
+        let (cps, checksum) = measure(w, cycles, reps);
         println!(
             "{:<20} {:>14.0} cycles/sec  (instr checksum {checksum})",
             w.name, cps
         );
         results.push((w.name, cps, checksum));
-    }
-
-    // Sharded-frontend sweep on the two-app workload. The checksum must
-    // not move: sharding is bit-identical by construction. Shard counts
-    // beyond the machine's available parallelism would time thread
-    // oversubscription rather than the frontend, so they are skipped
-    // (recorded as such in the JSON) unless explicitly forced.
-    let two_app = &WORKLOADS[1];
-    let avail = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let force = std::env::var("MASK_BENCH_FORCE_SWEEP").is_ok_and(|v| v == "1");
-    println!(
-        "\n=== sharded SM frontend — {} (available parallelism {avail}) ===\n",
-        two_app.name
-    );
-    let mut sweep: Vec<(usize, Option<(f64, u64)>)> = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        if shards > avail && !force {
-            println!(
-                "shards={shards}            skipped (exceeds available parallelism {avail}; \
-                 set MASK_BENCH_FORCE_SWEEP=1 to time it anyway)"
-            );
-            sweep.push((shards, None));
-            continue;
-        }
-        let (cps, checksum) = measure(two_app, cycles, reps, shards);
-        println!("shards={shards}            {cps:>14.0} cycles/sec  (instr checksum {checksum})");
-        sweep.push((shards, Some((cps, checksum))));
     }
 
     // Always archive the measurement.
@@ -186,47 +146,19 @@ fn main() {
         "  \"cycles_per_run\": {cycles},\n  \"obs_hooks_compiled\": {},\n  \"measured\": {{\n",
         mask_obs::is_enabled()
     ));
-    for (name, cps, checksum) in &results {
+    for (i, (name, cps, checksum)) in results.iter().enumerate() {
+        let comma = if i + 1 == results.len() { "" } else { "," };
         json.push_str(&format!(
-            "    \"{name}\": {{ \"cycles_per_sec\": {cps:.0}, \"instr_checksum\": {checksum} }},\n"
+            "    \"{name}\": {{ \"cycles_per_sec\": {cps:.0}, \"instr_checksum\": {checksum} }}{comma}\n"
         ));
     }
-    json.push_str("    \"shard_sweep_two_app_CONS_LPS\": {\n");
-    for (i, (shards, outcome)) in sweep.iter().enumerate() {
-        let comma = if i + 1 == sweep.len() { "" } else { "," };
-        match outcome {
-            Some((cps, checksum)) => json.push_str(&format!(
-                "      \"shards_{shards}\": {{ \"cycles_per_sec\": {cps:.0}, \"instr_checksum\": {checksum} }}{comma}\n"
-            )),
-            None => json.push_str(&format!(
-                "      \"shards_{shards}\": {{ \"skipped\": true, \"note\": \
-                 \"exceeds available parallelism ({avail})\" }}{comma}\n"
-            )),
-        }
-    }
-    json.push_str("    }\n  }\n}\n");
+    json.push_str("  }\n}\n");
     let out_dir = repo_root().join("target/mask-results");
     if std::fs::create_dir_all(&out_dir).is_ok() {
         let _ = std::fs::write(out_dir.join("BENCH_pr7.json"), &json);
     }
 
     if check {
-        // Determinism gate: every *measured* shard count reproduces the
-        // serial instruction checksum exactly (skipped entries carry no
-        // measurement to compare).
-        let serial_checksum = sweep[0].1.expect("serial frontend is always measured").1;
-        for (shards, outcome) in &sweep {
-            if let Some((_, checksum)) = outcome {
-                if *checksum != serial_checksum {
-                    eprintln!(
-                        "determinism violation: shards={shards} checksum {checksum} != serial {serial_checksum}"
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-        println!("\ncheck: instruction checksum identical across measured shard counts ({serial_checksum})");
-
         let committed = std::fs::read_to_string(repo_root().join("BENCH_pr7.json"))
             .expect("--check needs the committed BENCH_pr7.json at the repo root");
         let reference = std::env::var("MASK_BENCH_MIN_CPS")
@@ -277,37 +209,6 @@ fn main() {
             }
         }
 
-        // The 4-shard floor only applies when both sides exist: the entry
-        // may be skipped in this run (machine with < 4 hardware threads)
-        // or in the committed reference (recorded on such a machine).
-        let sharded_measured = sweep
-            .iter()
-            .find(|(s, _)| *s == 4)
-            .and_then(|(_, outcome)| outcome.map(|(cps, _)| cps));
-        let sharded_reference = std::env::var("MASK_BENCH_MIN_CPS_SHARDED")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .or_else(|| json_number(&committed, "shards_4", "cycles_per_sec"));
-        match (sharded_measured, sharded_reference) {
-            (Some(measured4), Some(reference4)) => {
-                let sharded_floor = reference4 * 0.7;
-                println!(
-                    "check: shards=4 measured {measured4:.0} cycles/sec vs floor {sharded_floor:.0} (70% of {reference4:.0})"
-                );
-                if measured4 < sharded_floor {
-                    eprintln!(
-                        "sharded throughput regression: {measured4:.0} < {sharded_floor:.0} cycles/sec"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            (None, _) => println!(
-                "check: shards=4 skipped on this machine (available parallelism {avail}); floor not applied"
-            ),
-            (Some(_), None) => println!(
-                "check: shards=4 has no committed reference (skipped when recorded); floor not applied"
-            ),
-        }
         println!("check: OK");
     }
 }

@@ -721,8 +721,6 @@ pub struct SimConfig {
     pub max_cycles: u64,
     /// Base PRNG seed (combined with app/core/warp ids).
     pub seed: u64,
-    /// How many shards the per-cycle SM frontend is split across.
-    pub sm_shards: ShardOptions,
 }
 
 impl SimConfig {
@@ -734,7 +732,6 @@ impl SimConfig {
             design: design.into(),
             max_cycles: default_max_cycles(),
             seed: 0xA55A_2018,
-            sm_shards: ShardOptions::default(),
         }
     }
 
@@ -753,12 +750,6 @@ impl SimConfig {
     /// Replaces the base seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Requests exactly `n` SM-frontend shards.
-    pub fn with_sm_shards(mut self, n: usize) -> Self {
-        self.sm_shards = ShardOptions::with_shards(n);
         self
     }
 }
@@ -802,96 +793,6 @@ impl JobOptions {
     }
 }
 
-/// SM-frontend shard request for `mask-gpu`'s sharded issue stage.
-///
-/// Pure configuration data, mirroring [`JobOptions`]: this type only
-/// *carries the request*. `GpuSim` resolves it at construction time
-/// (clamping to the core count; the `Ideal` design always runs serial),
-/// and stat results are bit-identical at every shard count by design.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct ShardOptions {
-    /// Explicit shard count (`Some(1)` = the serial issue loop). `None`
-    /// defers to the `MASK_SM_SHARDS` environment variable and, when that
-    /// is unset too, to 1 (serial).
-    pub shards: Option<usize>,
-}
-
-impl ShardOptions {
-    /// Run the issue stage serially (the PR 3 hot path).
-    #[must_use]
-    pub const fn serial() -> Self {
-        ShardOptions { shards: Some(1) }
-    }
-
-    /// Request exactly `n` shards.
-    #[must_use]
-    pub const fn with_shards(n: usize) -> Self {
-        ShardOptions { shards: Some(n) }
-    }
-
-    /// The requested shard count: the explicit setting when present, else
-    /// `MASK_SM_SHARDS`, else 1. Any request is clamped to at least 1.
-    #[must_use]
-    pub fn requested(self) -> usize {
-        self.shards
-            .or_else(|| {
-                std::env::var("MASK_SM_SHARDS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(1)
-            .max(1)
-    }
-}
-
-/// Speculative time-segment request for `mask-core`'s job engine.
-///
-/// Pure configuration data, mirroring [`ShardOptions`]: this type only
-/// *carries the request*. The engine resolves it when running a job's
-/// measured phase — a run of `E` epochs is cut into up to this many
-/// segments at epoch-safe snapshot points, segments 1.. start from
-/// *predicted* states, and every misprediction replays from the true
-/// state. Like worker and shard counts, the segment count is
-/// results-invariant: stats are bit-identical at every segment count, so
-/// it never participates in job dedup or prefix keys (the same reason
-/// `WarmupInfluence` declarations exclude it).
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct SpecOptions {
-    /// Explicit segment count (`Some(1)` = the plain serial run). `None`
-    /// defers to the `MASK_SPEC_SEGMENTS` environment variable and, when
-    /// that is unset too, to 1 (no speculation).
-    pub segments: Option<usize>,
-}
-
-impl SpecOptions {
-    /// Run the measured phase serially (no speculation).
-    #[must_use]
-    pub const fn serial() -> Self {
-        SpecOptions { segments: Some(1) }
-    }
-
-    /// Request exactly `n` time segments.
-    #[must_use]
-    pub const fn with_segments(n: usize) -> Self {
-        SpecOptions { segments: Some(n) }
-    }
-
-    /// The requested segment count: the explicit setting when present,
-    /// else `MASK_SPEC_SEGMENTS`, else 1. Any request is clamped to at
-    /// least 1.
-    #[must_use]
-    pub fn requested(self) -> usize {
-        self.segments
-            .or_else(|| {
-                std::env::var("MASK_SPEC_SEGMENTS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(1)
-            .max(1)
-    }
-}
-
 /// Default per-run cycle budget.
 ///
 /// Honors the `MASK_SIM_CYCLES` environment variable so the full experiment
@@ -928,14 +829,6 @@ mod tests {
         assert_eq!(JobOptions::with_workers(6).requested(), Some(6));
         // A nonsensical explicit request clamps to the serial minimum.
         assert_eq!(JobOptions::with_workers(0).requested(), Some(1));
-    }
-
-    #[test]
-    fn explicit_spec_options_win_over_environment() {
-        assert_eq!(SpecOptions::serial().requested(), 1);
-        assert_eq!(SpecOptions::with_segments(4).requested(), 4);
-        // A nonsensical explicit request clamps to the serial minimum.
-        assert_eq!(SpecOptions::with_segments(0).requested(), 1);
     }
 
     #[test]
@@ -1059,10 +952,6 @@ mod tests {
         assert_eq!(cfg.max_cycles, 1234);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.design, DesignKind::Mask.spec());
-        // Default is "defer to MASK_SM_SHARDS / serial".
-        assert_eq!(cfg.sm_shards, ShardOptions::default());
-        let cfg = cfg.with_sm_shards(4);
-        assert_eq!(cfg.sm_shards.shards, Some(4));
     }
 
     #[test]
@@ -1113,13 +1002,5 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), DesignKind::ALL.len());
-    }
-
-    #[test]
-    fn explicit_shard_options_win_over_environment() {
-        assert_eq!(ShardOptions::serial().requested(), 1);
-        assert_eq!(ShardOptions::with_shards(8).requested(), 8);
-        // A nonsensical explicit request clamps to the serial minimum.
-        assert_eq!(ShardOptions::with_shards(0).requested(), 1);
     }
 }

@@ -10,14 +10,14 @@
 //! objects). Restoring therefore always happens into a freshly constructed,
 //! configuration-identical instance: `restore` overwrites the dynamic
 //! fields and leaves the configured skeleton alone. This keeps `'static`
-//! workload profiles, scratch buffers, and worker pools out of the encoded
-//! bytes entirely.
+//! workload profiles and scratch buffers out of the encoded bytes
+//! entirely.
 //!
 //! Snapshots are only taken at *epoch-safe* points: a cycle that is a
 //! multiple of `epoch_cycles`, or any between-step cycle before the first
 //! epoch boundary. At such points every per-step scratch vector is empty,
-//! the sharded SM frontend has merged, and the cycle-skip machinery (which
-//! never skips past an epoch boundary) cannot straddle the cut.
+//! and the cycle-skip machinery (which never skips past an epoch boundary)
+//! cannot straddle the cut.
 //!
 //! # Wire format
 //!
@@ -272,28 +272,12 @@ impl SnapshotWriter {
 }
 
 /// Reads the payload checksum out of a sealed envelope without validating
-/// or hashing the payload.
-///
-/// This is the cheap first tier of [`snapshots_equal`]: two well-formed
-/// envelopes with different checksums cannot carry the same payload, so a
-/// speculation verifier can reject most mispredictions by comparing 8
-/// bytes instead of megabytes. Returns `None` when `bytes` is too short
-/// to even hold a header.
+/// or hashing the payload. Returns `None` when `bytes` is too short to
+/// even hold a header.
 #[must_use]
 pub fn envelope_checksum(bytes: &[u8]) -> Option<u64> {
     let field = bytes.get(24..32)?;
     Some(u64::from_le_bytes(field.try_into().expect("8 bytes")))
-}
-
-/// Reads the stored [`PrefixKey`] out of a sealed envelope without
-/// validating the payload. Returns `None` when `bytes` is shorter than a
-/// header.
-#[must_use]
-pub fn envelope_key(bytes: &[u8]) -> Option<PrefixKey> {
-    let field = bytes.get(8..16)?;
-    Some(PrefixKey(u64::from_le_bytes(
-        field.try_into().expect("8 bytes"),
-    )))
 }
 
 /// Validates an envelope end to end — magic, version, length, checksum —
@@ -304,41 +288,6 @@ pub fn envelope_key(bytes: &[u8]) -> Option<PrefixKey> {
 /// [`SnapshotReader::open`] would accept.
 pub fn validate_envelope(bytes: &[u8]) -> Result<PrefixKey, SnapshotError> {
     SnapshotReader::open(bytes).map(|(_, key)| key)
-}
-
-/// Whether two sealed snapshots are byte-identical, checksum first.
-///
-/// The speculation commit check: a predicted segment start state matches
-/// the true end state of its predecessor iff the sealed bytes agree
-/// exactly. The stored FNV-1a checksums are compared before the payloads
-/// so the common misprediction case costs one 8-byte read per side.
-#[must_use]
-pub fn snapshots_equal(a: &[u8], b: &[u8]) -> bool {
-    if envelope_checksum(a) != envelope_checksum(b) {
-        return false;
-    }
-    a == b
-}
-
-/// Byte offset of the first difference between two sealed snapshots, with
-/// the differing bytes, or `None` when they are identical.
-///
-/// Purely diagnostic: replay decisions key off [`snapshots_equal`]; this
-/// pinpoints *where* a speculated state diverged (offsets below the
-/// 32-byte header mean the envelopes themselves disagree — different key
-/// or payload length — rather than the state).
-#[must_use]
-pub fn first_divergence(a: &[u8], b: &[u8]) -> Option<(usize, Option<u8>, Option<u8>)> {
-    let common = a.len().min(b.len());
-    for i in 0..common {
-        if a[i] != b[i] {
-            return Some((i, Some(a[i]), Some(b[i])));
-        }
-    }
-    if a.len() != b.len() {
-        return Some((common, a.get(common).copied(), b.get(common).copied()));
-    }
-    None
 }
 
 /// Decodes the byte stream produced by [`SnapshotWriter`], validating the
@@ -857,8 +806,8 @@ impl SnapField for crate::req::MemRequest {
 /// FNV-1a digest over the canonicalized inputs that can influence the
 /// prefix: the design axes, workload specification, seed, GPU
 /// configuration fingerprint, and the warm-up length in cycles. Knobs
-/// that provably cannot affect the prefix — `max_cycles`, shard and job
-/// counts, and (for warm-ups shorter than one epoch) the
+/// that provably cannot affect the prefix — `max_cycles`, the job worker
+/// count, and (for warm-ups shorter than one epoch) the
 /// epoch-end-only MASK parameters — are deliberately excluded; every
 /// other knob is conservatively included.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -1093,11 +1042,9 @@ mod tests {
         let mut w = SnapshotWriter::new();
         sample_stats().snapshot(&mut w);
         let bytes = w.seal(PrefixKey(0xBEEF));
-        assert_eq!(envelope_key(&bytes), Some(PrefixKey(0xBEEF)));
         assert_eq!(envelope_checksum(&bytes), Some(fnv1a(&bytes[HEADER_LEN..])));
         assert_eq!(validate_envelope(&bytes), Ok(PrefixKey(0xBEEF)));
         // Peeks refuse sub-header inputs instead of panicking.
-        assert_eq!(envelope_key(&bytes[..10]), None);
         assert_eq!(envelope_checksum(&bytes[..31]), None);
         assert!(validate_envelope(&bytes[..31]).is_err());
         // validate_envelope rejects exactly what open rejects.
@@ -1108,39 +1055,6 @@ mod tests {
             validate_envelope(&bad),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn snapshot_equality_is_byte_exact() {
-        let mut w = SnapshotWriter::new();
-        sample_stats().snapshot(&mut w);
-        let a = w.seal(PrefixKey(7));
-        let mut w = SnapshotWriter::new();
-        sample_stats().snapshot(&mut w);
-        let b = w.seal(PrefixKey(7));
-        assert!(snapshots_equal(&a, &b));
-        assert_eq!(first_divergence(&a, &b), None);
-
-        // Same checksum field but different key: the byte comparison
-        // still catches it (divergence inside the header).
-        let mut keyed = a.clone();
-        keyed[8] ^= 1;
-        assert!(!snapshots_equal(&a, &keyed));
-        assert_eq!(first_divergence(&a, &keyed).map(|d| d.0), Some(8));
-
-        // Different payloads short-circuit on the checksum.
-        let mut w = SnapshotWriter::new();
-        w.u64(123);
-        let c = w.seal(PrefixKey(7));
-        assert_ne!(envelope_checksum(&a), envelope_checksum(&c));
-        assert!(!snapshots_equal(&a, &c));
-
-        // Prefix relationship: divergence reports the length mismatch.
-        let short = &a[..a.len() - 2];
-        assert_eq!(
-            first_divergence(&a, short),
-            Some((a.len() - 2, Some(a[a.len() - 2]), None))
-        );
     }
 
     #[test]

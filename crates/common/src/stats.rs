@@ -289,51 +289,6 @@ impl AppStats {
         self.l2_translation[level.index()].record(hit);
     }
 
-    /// Accumulates a per-shard delta into this counter set.
-    ///
-    /// Every field is an integer accumulated with `+=` (or `merge` for the
-    /// nested counter structs), except the two watermarks
-    /// (`walk_concurrency_max`, `stalled_warps_max`), which take the `max`
-    /// — merging maxima over disjoint observation sets. All operations are
-    /// order-insensitive, so absorbing shard deltas in any fixed order
-    /// reproduces the serial counters bit-for-bit. Snapshot fields
-    /// (`tokens_final`) carry 0 in a delta and are left unchanged.
-    pub fn absorb(&mut self, d: &AppStats) {
-        self.instructions += d.instructions;
-        self.mem_instructions += d.mem_instructions;
-        self.cycles += d.cycles;
-        self.stall_cycles += d.stall_cycles;
-        self.l1_tlb.merge(&d.l1_tlb);
-        self.l2_tlb.merge(&d.l2_tlb);
-        self.tlb_bypass_cache.merge(&d.tlb_bypass_cache);
-        self.pwc.merge(&d.pwc);
-        self.page_faults += d.page_faults;
-        self.walks_started += d.walks_started;
-        self.walks_completed += d.walks_completed;
-        self.walk_latency_sum += d.walk_latency_sum;
-        self.walk_cycles_integral += d.walk_cycles_integral;
-        self.walk_concurrency_max = self.walk_concurrency_max.max(d.walk_concurrency_max);
-        self.stalled_warps_sum += d.stalled_warps_sum;
-        self.stalled_warps_events += d.stalled_warps_events;
-        self.stalled_warps_max = self.stalled_warps_max.max(d.stalled_warps_max);
-        self.l1_data.merge(&d.l1_data);
-        self.l2_data.merge(&d.l2_data);
-        for (mine, theirs) in self.l2_translation.iter_mut().zip(&d.l2_translation) {
-            mine.merge(theirs);
-        }
-        self.l2_translation_bypassed += d.l2_translation_bypassed;
-        self.dram_data.merge(&d.dram_data);
-        self.dram_translation.merge(&d.dram_translation);
-        self.tokens_final += d.tokens_final;
-        self.fills_diverted += d.fills_diverted;
-    }
-
-    /// Zeroes every counter in place, keeping the allocation-free promise
-    /// of the hot loop (the struct is plain data; this is a re-init).
-    pub fn reset(&mut self) {
-        *self = AppStats::default();
-    }
-
     /// Counter difference `self - prev` for epoch-over-epoch streams
     /// (`mask-obs`). Accumulating counters subtract; watermarks
     /// (`walk_concurrency_max`, `stalled_warps_max`) and snapshots
@@ -529,55 +484,6 @@ mod tests {
         s.apps[0].dram_data.bus_busy_cycles = 300;
         s.apps[1].dram_data.bus_busy_cycles = 600;
         assert!((s.translation_bandwidth_share() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn absorb_matches_serial_accumulation() {
-        // Two "shard deltas" absorbed in order must equal one serially
-        // accumulated counter set.
-        let mut d0 = AppStats {
-            instructions: 10,
-            mem_instructions: 4,
-            stall_cycles: 2,
-            walk_concurrency_max: 3,
-            ..AppStats::default()
-        };
-        d0.l1_tlb.record(true);
-        d0.l1_tlb.record(false);
-        d0.l1_data.record(true);
-        let mut d1 = AppStats {
-            instructions: 7,
-            mem_instructions: 1,
-            walk_concurrency_max: 5,
-            stalled_warps_max: 2,
-            ..AppStats::default()
-        };
-        d1.l1_tlb.record(false);
-        d1.l1_data.record(false);
-        d1.record_l2_translation(WalkLevel::new(2), true);
-
-        let mut serial = AppStats {
-            instructions: 17,
-            mem_instructions: 5,
-            stall_cycles: 2,
-            walk_concurrency_max: 5,
-            stalled_warps_max: 2,
-            ..AppStats::default()
-        };
-        serial.l1_tlb.record(true);
-        serial.l1_tlb.record(false);
-        serial.l1_tlb.record(false);
-        serial.l1_data.record(true);
-        serial.l1_data.record(false);
-        serial.record_l2_translation(WalkLevel::new(2), true);
-
-        let mut merged = AppStats::default();
-        merged.absorb(&d0);
-        merged.absorb(&d1);
-        assert_eq!(merged, serial);
-
-        d1.reset();
-        assert_eq!(d1, AppStats::default());
     }
 
     #[test]

@@ -30,16 +30,14 @@
 //! primitives (`std::thread`, `Mutex`, atomics) — `cargo xtask lint`
 //! enforces the boundary with the `parallelism` rule.
 
-use mask_common::config::{
-    DesignKind, DesignSpec, GpuConfig, JobOptions, ShardOptions, SimConfig, SpecOptions,
-};
+use mask_common::config::{DesignKind, DesignSpec, GpuConfig, JobOptions, SimConfig};
 use mask_common::snapshot::{validate_envelope, PrefixHasher, PrefixKey, SnapshotReader};
 use mask_common::stats::SimStats;
-use mask_gpu::{run_speculative, AppSpec, GpuSim, SpecPlan};
+use mask_gpu::{AppSpec, GpuSim};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// One self-contained simulation: a design, an application placement, and
@@ -109,63 +107,28 @@ impl SimJob {
     }
 
     /// Runs the simulation to completion and snapshots its statistics,
-    /// measured after the warm-up window. The SM-frontend shard count
-    /// follows `MASK_SM_SHARDS` (unclamped — batch execution through a
-    /// [`JobPool`] budgets it against the pool's worker count instead).
+    /// measured after the warm-up window.
     #[must_use]
     pub fn run(&self) -> SimStats {
-        self.run_with_shards(None)
-    }
-
-    /// Like [`SimJob::run`], with an explicit SM-frontend shard count
-    /// (`None` defers to `MASK_SM_SHARDS`). Results are bit-identical at
-    /// every shard count.
-    #[must_use]
-    pub fn run_with_shards(&self, sm_shards: Option<usize>) -> SimStats {
-        self.run_with_spec(sm_shards, 1).0
-    }
-
-    /// Like [`SimJob::run_with_shards`], plus speculative epoch
-    /// parallelism of the measured phase when `segments > 1` (see
-    /// `mask_gpu::spec`). Returns the statistics together with the
-    /// speculation commit/replay tally — results are bit-identical at any
-    /// segment count, so the tally is pure telemetry.
-    #[must_use]
-    pub fn run_with_spec(&self, sm_shards: Option<usize>, segments: usize) -> (SimStats, u64, u64) {
-        let mut sim = self.build_sim(sm_shards);
+        let mut sim = self.build_sim();
         sim.run(self.warmup_eff());
-        self.finish_measured(sim, sm_shards, segments)
+        self.finish_measured(sim)
     }
 
-    /// Like [`SimJob::run_with_shards`], but with the warm-up phase served
-    /// from `prefix` when possible: the first job per [`PrefixKey`]
-    /// simulates its warm-up exactly once and publishes a sealed snapshot;
-    /// every later job restores from those bytes and runs only the
-    /// measured phase. Restore-then-run is bit-identical to the
-    /// straight-through simulation, so results cannot depend on whether a
-    /// snapshot was reused. Falls back to the plain path when the job has
-    /// no warm-up or its warm-up endpoint is not epoch-safe, and re-runs
-    /// from cycle zero if a (disk-loaded) snapshot fails to restore.
+    /// Like [`SimJob::run`], but with the warm-up phase served from
+    /// `prefix` when possible: the first job per [`PrefixKey`] simulates
+    /// its warm-up exactly once and publishes a sealed snapshot; every
+    /// later job restores from those bytes and runs only the measured
+    /// phase. Restore-then-run is bit-identical to the straight-through
+    /// simulation, so results cannot depend on whether a snapshot was
+    /// reused. Falls back to the plain path when the job has no warm-up or
+    /// its warm-up endpoint is not epoch-safe, and re-runs from cycle zero
+    /// if a (disk-loaded) snapshot fails to restore.
     #[must_use]
-    pub fn run_with_prefix(&self, sm_shards: Option<usize>, prefix: &PrefixCache) -> SimStats {
-        self.run_with_prefix_spec(sm_shards, 1, prefix).0
-    }
-
-    /// Like [`SimJob::run_with_prefix`], plus speculative epoch
-    /// parallelism of the measured phase when `segments > 1`; the
-    /// prefix-restored simulator is exactly the speculation's segment-0
-    /// seed. Returns the statistics together with the speculation
-    /// commit/replay tally.
-    #[must_use]
-    pub fn run_with_prefix_spec(
-        &self,
-        sm_shards: Option<usize>,
-        segments: usize,
-        prefix: &PrefixCache,
-    ) -> (SimStats, u64, u64) {
+    pub fn run_with_prefix(&self, prefix: &PrefixCache) -> SimStats {
         let warmup = self.warmup_eff();
         if warmup == 0 || !self.warmup_is_epoch_safe() {
-            return self.run_with_spec(sm_shards, segments);
+            return self.run();
         }
         let key = self.prefix_key();
         let cell = prefix.cell(key);
@@ -176,7 +139,7 @@ impl SimJob {
                 return Arc::new(bytes);
             }
             simulated = true;
-            let mut sim = self.build_sim(sm_shards);
+            let mut sim = self.build_sim();
             sim.run(warmup);
             let bytes = sim.encode_snapshot(key);
             prefix.store_disk(key, &bytes);
@@ -193,28 +156,28 @@ impl SimJob {
             // own snapshot would only re-derive the state it already has.
             Some(sim) => sim,
             None => {
-                let mut fresh = self.build_sim(sm_shards);
+                let mut fresh = self.build_sim();
                 match fresh.restore_snapshot(bytes, key) {
                     Ok(()) => fresh,
                     Err(_) => {
                         // A failed restore leaves `fresh` unusable; a
                         // damaged snapshot must only cost wall clock,
                         // never change results.
-                        let mut cold = self.build_sim(sm_shards);
+                        let mut cold = self.build_sim();
                         cold.run(warmup);
                         cold
                     }
                 }
             }
         };
-        self.finish_measured(sim, sm_shards, segments)
+        self.finish_measured(sim)
     }
 
     /// The canonical warm-up prefix key: an FNV-1a digest over everything
     /// that can influence the first `warmup` cycles — design axes, machine
     /// configuration, placement, seed, and the effective warm-up length —
-    /// and nothing that provably cannot (`max_cycles`, shard and worker
-    /// counts, and, when the warm-up ends before the first epoch boundary,
+    /// and nothing that provably cannot (`max_cycles`, the worker count,
+    /// and, when the warm-up ends before the first epoch boundary,
     /// the epoch-end-only MASK knobs). Jobs with equal keys reach
     /// bit-identical machine state at the end of warm-up.
     #[must_use]
@@ -258,7 +221,7 @@ impl SimJob {
 
     /// Builds the simulator this job describes (machine sized by the
     /// placement), at cycle zero.
-    fn build_sim(&self, sm_shards: Option<usize>) -> GpuSim {
+    fn build_sim(&self) -> GpuSim {
         let total: usize = self.specs.iter().map(|s| s.n_cores).sum();
         let mut gpu = self.gpu.clone();
         gpu.n_cores = total;
@@ -267,129 +230,28 @@ impl SimJob {
             design: self.design.spec(),
             max_cycles: self.max_cycles,
             seed: self.seed,
-            sm_shards: sm_shards.map_or_else(ShardOptions::default, ShardOptions::with_shards),
         };
         GpuSim::new(&cfg, &self.specs)
     }
 
     /// Runs the measured phase on a simulator positioned at the end of
-    /// warm-up and snapshots its statistics, speculatively across the time
-    /// axis when `segments > 1` (the segment runner falls back to the
-    /// plain serial loop whenever the span has no epoch-safe cut).
-    fn finish_measured(
-        &self,
-        mut sim: GpuSim,
-        sm_shards: Option<usize>,
-        segments: usize,
-    ) -> (SimStats, u64, u64) {
+    /// warm-up and snapshots its statistics.
+    fn finish_measured(&self, mut sim: GpuSim) -> SimStats {
         sim.reset_stats();
-        let measured = self.max_cycles - self.warmup_eff();
-        if segments > 1 {
-            let plan = SpecPlan::new(segments);
-            let (mut done, report) =
-                run_speculative(sim, measured, &plan, || self.build_sim(sm_shards));
-            done.sync_stats();
-            return (done.stats().clone(), report.commits, report.replays);
-        }
-        sim.run(measured);
+        sim.run(self.max_cycles - self.warmup_eff());
         sim.sync_stats();
-        (sim.stats().clone(), 0, 0)
-    }
-}
-
-/// Budgets a per-simulation shard request against the machine: with
-/// `workers` simulations running concurrently, `workers × shards` threads
-/// must not oversubscribe `avail` hardware threads. Returns the largest
-/// per-simulation shard count within budget (at least 1 — the serial
-/// frontend).
-fn clamp_shards(requested: usize, workers: usize, avail: usize) -> usize {
-    let requested = requested.max(1);
-    let workers = workers.max(1);
-    if requested * workers <= avail {
-        requested
-    } else {
-        (avail / workers).max(1)
-    }
-}
-
-/// Budgets the full three-way split: with `workers` simulations running
-/// concurrently, each sharding its frontend `shards` ways and speculating
-/// over `segments` time segments, `workers × shards × segments` threads
-/// must not oversubscribe `avail`. Shards win ties (they accelerate every
-/// cycle of every run; segments only pipeline the time axis), then
-/// segments take whatever budget remains. Both grants floor at 1.
-fn clamp_split(
-    shards_req: usize,
-    segments_req: usize,
-    workers: usize,
-    avail: usize,
-) -> (usize, usize) {
-    let workers = workers.max(1);
-    let shards = clamp_shards(shards_req, workers, avail);
-    let segments_req = segments_req.max(1);
-    let segments = if workers * shards * segments_req <= avail {
-        segments_req
-    } else {
-        (avail / (workers * shards)).max(1)
-    };
-    (shards, segments)
-}
-
-/// The oversubscription warning text, stating the resolved
-/// jobs×shards×segments split so readers can tell exactly what
-/// configuration actually ran.
-fn split_clamped_message(
-    shards_req: usize,
-    shards: usize,
-    segments_req: usize,
-    segments: usize,
-    workers: usize,
-    avail: usize,
-) -> String {
-    format!(
-        "[mask-core] MASK_JOBS ({workers}) x MASK_SM_SHARDS ({shards_req}) x \
-         MASK_SPEC_SEGMENTS ({segments_req}) exceeds available parallelism ({avail}); \
-         resolved split: {workers} job worker(s) x {shards} SM shard(s) x \
-         {segments} speculative segment(s) per simulation ({} thread(s) total; results \
-         are identical at any split)",
-        workers * shards * segments
-    )
-}
-
-/// Emits the oversubscription warning once per process.
-fn warn_split_clamped(
-    shards_req: usize,
-    shards: usize,
-    segments_req: usize,
-    segments: usize,
-    workers: usize,
-    avail: usize,
-) {
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    // Relaxed ordering: warn-once latch; the swap alone decides a unique
-    // winner and no other memory hangs off it.
-    if !WARNED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "{}",
-            split_clamped_message(shards_req, shards, segments_req, segments, workers, avail)
-        );
+        sim.stats().clone()
     }
 }
 
 /// Runs one job with an engine-timeline span around it (`mask-obs` job
 /// profiling; the span label and timing cost nothing unless tracing is
 /// live).
-fn run_one_timed(
-    job: &SimJob,
-    shards: usize,
-    segments: usize,
-    lane: u32,
-    prefix: Option<&PrefixCache>,
-) -> (SimStats, u64, u64) {
+fn run_one_timed(job: &SimJob, lane: u32, prefix: Option<&PrefixCache>) -> SimStats {
     let timer = mask_obs::profile::begin_job();
     let out = match prefix {
-        Some(cache) => job.run_with_prefix_spec(Some(shards), segments, cache),
-        None => job.run_with_spec(Some(shards), segments),
+        Some(cache) => job.run_with_prefix(cache),
+        None => job.run(),
     };
     if mask_obs::tracing_active() {
         timer.finish(&job_label(job), lane);
@@ -731,16 +593,8 @@ pub fn process_prefix_cache() -> Arc<PrefixCache> {
     Arc::clone(CACHE.get_or_init(PrefixCache::from_env))
 }
 
-/// One worker's locally collected results: submission index plus the
-/// job's statistics and speculation commit/replay tally.
-type WorkerResults = Vec<(usize, (SimStats, u64, u64))>;
-
-/// Cumulative speculation telemetry aggregated across a pool's batches.
-#[derive(Default)]
-struct SpecCounters {
-    commits: AtomicU64,
-    replays: AtomicU64,
-}
+/// One worker's locally collected results, tagged by work index.
+type WorkerResults = Vec<(usize, SimStats)>;
 
 /// Executes [`SimJob`] batches over a fixed number of worker threads.
 ///
@@ -751,8 +605,6 @@ pub struct JobPool {
     cache: Arc<BaselineCache>,
     prefix: Arc<PrefixCache>,
     reuse_prefix: bool,
-    spec: SpecOptions,
-    spec_counters: Arc<SpecCounters>,
 }
 
 impl fmt::Debug for JobPool {
@@ -762,7 +614,6 @@ impl fmt::Debug for JobPool {
             .field("cache", &self.cache.stats())
             .field("prefix", &self.prefix.stats())
             .field("reuse_prefix", &self.reuse_prefix)
-            .field("spec", &self.spec)
             .finish()
     }
 }
@@ -787,8 +638,6 @@ impl JobPool {
             cache: process_cache(),
             prefix: process_prefix_cache(),
             reuse_prefix: true,
-            spec: SpecOptions::default(),
-            spec_counters: Arc::default(),
         }
     }
 
@@ -825,29 +674,6 @@ impl JobPool {
         self
     }
 
-    /// Overrides the speculative segment request (default: follow
-    /// `MASK_SPEC_SEGMENTS`). Like the shard request, it is budgeted
-    /// against the machine at batch time — and like everything else about
-    /// the engine, results are bit-identical at any segment count.
-    #[must_use]
-    pub fn with_spec_segments(mut self, segments: usize) -> Self {
-        self.spec = SpecOptions::with_segments(segments);
-        self
-    }
-
-    /// Cumulative speculation tally across this pool's batches:
-    /// `(commits, replays)` — segments whose predicted start state
-    /// verified against truth, and segments replayed from the true state.
-    #[must_use]
-    pub fn spec_stats(&self) -> (u64, u64) {
-        // Relaxed ordering: independent telemetry counters, read after the
-        // batches of interest have returned on this thread.
-        (
-            self.spec_counters.commits.load(Ordering::Relaxed),
-            self.spec_counters.replays.load(Ordering::Relaxed),
-        )
-    }
-
     /// The worker count this pool fans out over.
     #[must_use]
     pub fn workers(&self) -> usize {
@@ -873,12 +699,10 @@ impl JobPool {
     pub fn completion_summary(&self) -> String {
         let b = self.cache.stats();
         let p = self.prefix.stats();
-        let (commits, replays) = self.spec_stats();
         format!(
             "[mask-core] job pool: {} worker(s); baseline cache: {} entries, \
              {} hit(s) / {} miss(es); prefix cache: {} snapshot(s), \
-             {} warm-up(s) reused / {} simulated; speculation: \
-             {commits} commit(s) / {replays} replay(s)",
+             {} warm-up(s) reused / {} simulated",
             self.workers, b.entries, b.hits, b.misses, p.entries, p.hits, p.misses
         )
     }
@@ -922,13 +746,8 @@ impl JobPool {
         // Execute: fan the unique jobs out; output is keyed by work index,
         // so worker scheduling cannot affect what callers observe.
         let outputs = self.execute(&work);
-        // Assemble: scatter each unique result to every submitting slot,
-        // and fold the per-job speculation tallies into the pool counters.
-        let mut spec_commits = 0u64;
-        let mut spec_replays = 0u64;
-        for ((job, idxs), (stats, commits, replays)) in work.iter().zip(outputs) {
-            spec_commits += commits;
-            spec_replays += replays;
+        // Assemble: scatter each unique result to every submitting slot.
+        for ((job, idxs), stats) in work.iter().zip(outputs) {
             if job.is_alone() {
                 self.cache.insert(job.key(), stats.clone());
             }
@@ -936,16 +755,6 @@ impl JobPool {
                 results[i] = Some(stats.clone());
             }
         }
-        // Relaxed ordering: independent telemetry counters; nothing else
-        // is published through them.
-        self.spec_counters
-            .commits
-            .fetch_add(spec_commits, Ordering::Relaxed);
-        // Relaxed ordering for the same reason: the replay tally is read
-        // only after the batch joins.
-        self.spec_counters
-            .replays
-            .fetch_add(spec_replays, Ordering::Relaxed);
         if let (Some(start), Some(before), Some(p_before)) =
             (batch_start, cache_before, prefix_before)
         {
@@ -959,8 +768,6 @@ impl JobPool {
                 after.misses.saturating_sub(before.misses),
                 p_after.hits.saturating_sub(p_before.hits),
                 p_after.misses.saturating_sub(p_before.misses),
-                spec_commits,
-                spec_replays,
                 start.elapsed().as_micros() as u64,
             );
         }
@@ -970,30 +777,13 @@ impl JobPool {
             .collect()
     }
 
-    fn execute(&self, work: &[(&SimJob, Vec<usize>)]) -> Vec<(SimStats, u64, u64)> {
+    fn execute(&self, work: &[(&SimJob, Vec<usize>)]) -> Vec<SimStats> {
         let n_workers = self.workers.min(work.len());
-        // Budget the per-simulation shard (MASK_SM_SHARDS) and speculative
-        // segment (MASK_SPEC_SEGMENTS) requests against the machine so
-        // `workers x shards x segments` never oversubscribes it.
-        let avail = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let shards_req = ShardOptions::default().requested();
-        let segments_req = self.spec.requested();
-        let (shards, segments) = clamp_split(shards_req, segments_req, n_workers.max(1), avail);
-        if shards < shards_req || segments < segments_req {
-            warn_split_clamped(
-                shards_req,
-                shards,
-                segments_req,
-                segments,
-                n_workers.max(1),
-                avail,
-            );
-        }
         let prefix = self.reuse_prefix.then(|| &*self.prefix);
         if n_workers <= 1 {
             return work
                 .iter()
-                .map(|(job, _)| run_one_timed(job, shards, segments, 0, prefix))
+                .map(|(job, _)| run_one_timed(job, 0, prefix))
                 .collect();
         }
         let next = AtomicUsize::new(0);
@@ -1012,10 +802,7 @@ impl JobPool {
                             if i >= work.len() {
                                 break;
                             }
-                            local.push((
-                                i,
-                                run_one_timed(work[i].0, shards, segments, lane, prefix),
-                            ));
+                            local.push((i, run_one_timed(work[i].0, lane, prefix)));
                         }
                         local
                     })
@@ -1031,7 +818,7 @@ impl JobPool {
                 })
                 .collect()
         });
-        let mut out: Vec<Option<(SimStats, u64, u64)>> = vec![None; work.len()];
+        let mut out: Vec<Option<SimStats>> = vec![None; work.len()];
         for (i, stats) in collected.into_iter().flatten() {
             out[i] = Some(stats);
         }
@@ -1066,61 +853,16 @@ mod tests {
     }
 
     #[test]
-    fn clamp_shards_budgets_against_available_parallelism() {
-        // Fits: granted as requested.
-        assert_eq!(clamp_shards(4, 2, 8), 4);
-        assert_eq!(clamp_shards(1, 8, 8), 1);
-        // Oversubscribed: split the machine across the workers.
-        assert_eq!(clamp_shards(8, 2, 8), 4);
-        assert_eq!(clamp_shards(4, 3, 8), 2);
-        // Never below the serial frontend, even on tiny machines.
-        assert_eq!(clamp_shards(8, 4, 1), 1);
-        assert_eq!(clamp_shards(0, 0, 1), 1);
-    }
-
-    #[test]
-    fn clamp_split_budgets_all_three_axes() {
-        // Everything fits: granted as requested.
-        assert_eq!(clamp_split(2, 4, 2, 16), (2, 4));
-        assert_eq!(clamp_split(1, 1, 4, 4), (1, 1));
-        // Shards win ties; segments take the remaining budget.
-        assert_eq!(clamp_split(4, 4, 2, 8), (4, 1));
-        assert_eq!(clamp_split(2, 8, 2, 16), (2, 4));
-        // Degenerate budget: a 1-CPU machine grants the serial frontend
-        // and serial time axis no matter what was requested.
-        assert_eq!(clamp_split(8, 8, 1, 1), (1, 1));
-        assert_eq!(clamp_split(1, 64, 1, 1), (1, 1));
-        // Zero-valued requests floor at 1 everywhere.
-        assert_eq!(clamp_split(0, 0, 0, 1), (1, 1));
-    }
-
-    #[test]
-    fn clamp_warning_states_the_resolved_split() {
-        let msg = split_clamped_message(8, 4, 4, 1, 2, 8);
-        assert!(
-            msg.contains("2 job worker(s) x 4 SM shard(s) x 1 speculative segment(s)"),
-            "message must state the resolved split, got: {msg}"
-        );
-        assert!(msg.contains("8 thread(s) total"), "got: {msg}");
-        assert!(
-            msg.contains("MASK_JOBS (2)")
-                && msg.contains("MASK_SM_SHARDS (8)")
-                && msg.contains("MASK_SPEC_SEGMENTS (4)"),
-            "message must echo the requested configuration, got: {msg}"
-        );
-    }
-
-    #[test]
-    fn run_with_shards_matches_serial_run() {
+    fn run_matches_a_one_job_batch() {
         let j = job(DesignKind::Mask, &[("GUP", 2), ("HISTO", 2)], 11);
-        let serial = j.run_with_shards(Some(1));
-        for shards in [2, 3] {
-            assert_eq!(
-                serial,
-                j.run_with_shards(Some(shards)),
-                "shards={shards} must be bit-identical to serial"
-            );
-        }
+        let pool = JobPool::with_workers(1)
+            .with_cache(BaselineCache::new())
+            .with_prefix_cache(PrefixCache::in_memory());
+        assert_eq!(
+            vec![j.run()],
+            pool.run_batch(std::slice::from_ref(&j)),
+            "the direct and pooled entry points run the same simulation"
+        );
     }
 
     #[test]
@@ -1265,10 +1007,7 @@ mod tests {
         j.max_cycles = 4_000;
         assert!(!j.warmup_is_epoch_safe());
         let prefix = PrefixCache::in_memory();
-        assert_eq!(
-            j.run_with_prefix(Some(1), &prefix),
-            j.run_with_shards(Some(1))
-        );
+        assert_eq!(j.run_with_prefix(&prefix), j.run());
         assert_eq!(prefix.stats(), PrefixCacheStats::default());
     }
 
@@ -1278,14 +1017,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let jobs = token_sweep(2);
         let first = PrefixCache::with_dir(Some(dir.clone()));
-        let a = jobs[0].run_with_prefix(Some(1), &first);
+        let a = jobs[0].run_with_prefix(&first);
         assert_eq!(first.stats().misses, 1);
         let file = dir.join(format!("{}.msnp", jobs[0].prefix_key()));
         assert!(file.exists(), "winner persists its sealed snapshot");
         // A fresh cache (a later sweep process) loads the snapshot instead
         // of re-simulating the warm-up.
         let second = PrefixCache::with_dir(Some(dir.clone()));
-        let b = jobs[1].run_with_prefix(Some(1), &second);
+        let b = jobs[1].run_with_prefix(&second);
         let stats = second.stats();
         assert_eq!((stats.hits, stats.misses), (1, 0), "served from disk");
         assert_eq!(a, jobs[0].run());
@@ -1296,88 +1035,10 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&file, &bytes).expect("snapshot writable");
         let third = PrefixCache::with_dir(Some(dir.clone()));
-        let c = jobs[0].run_with_prefix(Some(1), &third);
+        let c = jobs[0].run_with_prefix(&third);
         assert_eq!(c, a, "corruption costs wall clock, never correctness");
         assert_eq!(third.stats().misses, 1, "re-simulated the warm-up");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A job whose measured phase spans several MASK epochs, so the
-    /// speculative segment runner has cut points to work with.
-    fn spec_job() -> SimJob {
-        let mut j = job(DesignKind::Mask, &[("HISTO", 2), ("GUP", 2)], 13);
-        j.gpu.mask.epoch_cycles = 500;
-        j
-    }
-
-    #[test]
-    fn speculative_measured_phase_is_bit_identical() {
-        let j = spec_job();
-        let serial = j.run_with_shards(Some(1));
-        for segments in [2, 4] {
-            let (stats, commits, replays) = j.run_with_spec(Some(1), segments);
-            assert_eq!(serial, stats, "segments={segments} must be bit-identical");
-            assert_eq!(
-                commits + replays,
-                segments as u64 - 1,
-                "every internal cut is verified exactly once"
-            );
-        }
-    }
-
-    #[test]
-    fn speculation_composes_with_prefix_reuse() {
-        let j = spec_job();
-        let oracle = j.run();
-        let prefix = PrefixCache::in_memory();
-        let warm = j.run_with_prefix(Some(1), &prefix); // seeds the cache
-        assert_eq!(oracle, warm);
-        // The prefix-restored simulator is the speculation's segment-0
-        // seed; composing the two must not change results.
-        let (stats, _, _) = j.run_with_prefix_spec(Some(1), 3, &prefix);
-        assert_eq!(oracle, stats);
-        assert_eq!(prefix.stats().hits, 1, "warm-up served from the cache");
-    }
-
-    #[test]
-    fn epoch_unsafe_measure_start_degrades_to_serial_speculation() {
-        let mut j = job(DesignKind::Mask, &[("GUP", 2)], 5);
-        // Measured phase starts strictly between epoch boundaries: no
-        // start snapshot may be taken, so the segment runner must fall
-        // back to the plain serial loop.
-        j.gpu.mask.epoch_cycles = 1_000;
-        j.warmup_cycles = 1_500;
-        j.max_cycles = 4_000;
-        assert!(!j.warmup_is_epoch_safe());
-        let (stats, commits, replays) = j.run_with_spec(Some(1), 4);
-        assert_eq!(stats, j.run_with_shards(Some(1)));
-        assert_eq!((commits, replays), (0, 0), "fell back to serial");
-    }
-
-    #[test]
-    fn job_pool_speculation_preserves_batch_results() {
-        let jobs: Vec<SimJob> = (0..3)
-            .map(|i| {
-                let mut j = spec_job();
-                j.seed = 20 + i;
-                j
-            })
-            .collect();
-        let plain = JobPool::with_workers(2)
-            .with_cache(BaselineCache::new())
-            .with_prefix_cache(PrefixCache::in_memory())
-            .run_batch(&jobs);
-        let pool = JobPool::with_workers(2)
-            .with_cache(BaselineCache::new())
-            .with_prefix_cache(PrefixCache::in_memory())
-            .with_spec_segments(3);
-        let spec = pool.run_batch(&jobs);
-        assert_eq!(plain, spec, "speculation must not change batch results");
-        let (commits, replays) = pool.spec_stats();
-        // The effective segment count is budget-clamped, so the exact
-        // tally is machine-dependent: at most segments-1 verifications
-        // per unique job, each counted as a commit or a replay.
-        assert!(commits + replays <= jobs.len() as u64 * 2);
     }
 
     /// A minimal but fully sealed (magic/version/key/checksum) snapshot

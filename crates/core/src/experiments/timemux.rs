@@ -16,7 +16,7 @@
 use super::ExpOptions;
 use crate::engine::SimJob;
 use crate::table::Table;
-use mask_common::config::{DesignKind, ShardOptions, SimConfig};
+use mask_common::config::{DesignKind, SimConfig};
 use mask_gpu::{AppSpec, GpuSim};
 use mask_workloads::app_by_name;
 
@@ -61,7 +61,6 @@ pub fn run(opts: &ExpOptions) -> Table {
             design: DesignKind::SharedTlb.spec(),
             max_cycles: opts.cycles,
             seed: ropts.seed,
-            sm_shards: ShardOptions::default(),
         }
     };
 

@@ -49,10 +49,8 @@ pub mod prelude {
     pub use crate::metrics::{unfairness, weighted_speedup};
     pub use crate::runner::{PairOutcome, PairRunner, RunOptions};
     pub use crate::table::Table;
-    pub use mask_common::config::{
-        DesignKind, GpuConfig, JobOptions, ShardOptions, SimConfig, SpecOptions,
-    };
+    pub use mask_common::config::{DesignKind, GpuConfig, JobOptions, SimConfig};
     pub use mask_common::stats::{AppStats, SimStats};
-    pub use mask_gpu::{run_speculative, AppSpec, GpuSim, SpecPlan, SpecReport};
+    pub use mask_gpu::{AppSpec, GpuSim};
     pub use mask_workloads::{all_apps, app_by_name, paper_pairs, AppPair, HmrCategory};
 }

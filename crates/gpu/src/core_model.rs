@@ -21,33 +21,9 @@ use mask_tlb::L1Tlb;
 use mask_workloads::{AppProfile, WarpTrace};
 use std::collections::VecDeque;
 
-/// Where a core's issue stage sends its side effects.
-///
-/// The serial engine hands the core a [`DirectIssue`] that mutates the
-/// shared translation unit and allocates request ids on the spot (the PR 3
-/// hot path, unchanged). The sharded frontend hands it a
-/// `shard::DeferredIssue` that records the same calls, in the same order,
-/// into per-shard queues for the serial merge tail to replay — which is
-/// what keeps sharded results bit-identical to serial ones.
-pub trait IssueSink {
-    /// An L1 TLB miss: park `requester` in the shared translation unit.
-    fn xlat_request(
-        &mut self,
-        asid: Asid,
-        vpn: Vpn,
-        requester: GlobalWarpId,
-        core_rank: usize,
-        now: Cycle,
-    );
-
-    /// A primary L1 data miss: emit one L2-bound request for `line`.
-    fn data_miss(&mut self, core: CoreId, asid: Asid, line: LineAddr, now: Cycle);
-
-    /// Ideal-design synchronous translation (every access hits, §7).
-    fn functional_translate(&mut self, asid: Asid, vpn: Vpn) -> Ppn;
-}
-
-/// The serial [`IssueSink`]: side effects applied immediately.
+/// Where a core's issue stage sends its side effects: translation
+/// requests park in the shared translation unit and primary data misses
+/// become L2-bound requests, both applied on the spot.
 #[derive(Debug)]
 pub struct DirectIssue<'a> {
     /// The shared translation unit L1 TLB misses park in.
@@ -58,19 +34,8 @@ pub struct DirectIssue<'a> {
     pub next_req_id: &'a mut u64,
 }
 
-impl IssueSink for DirectIssue<'_> {
-    #[inline]
-    fn xlat_request(
-        &mut self,
-        asid: Asid,
-        vpn: Vpn,
-        requester: GlobalWarpId,
-        core_rank: usize,
-        now: Cycle,
-    ) {
-        self.xlat.request(asid, vpn, requester, core_rank, now);
-    }
-
+impl DirectIssue<'_> {
+    /// A primary L1 data miss: emit one L2-bound request for `line`.
     #[inline]
     fn data_miss(&mut self, core: CoreId, asid: Asid, line: LineAddr, now: Cycle) {
         let id = ReqId(*self.next_req_id);
@@ -86,11 +51,6 @@ impl IssueSink for DirectIssue<'_> {
             RequestClass::Data,
             now,
         ));
-    }
-
-    #[inline]
-    fn functional_translate(&mut self, asid: Asid, vpn: Vpn) -> Ppn {
-        self.xlat.functional_translate(asid, vpn)
     }
 }
 
@@ -233,7 +193,7 @@ impl GpuCore {
     }
 
     /// Issue stage: at most one instruction this cycle.
-    pub fn issue(&mut self, now: Cycle, sink: &mut impl IssueSink, stats: &mut AppStats) {
+    pub fn issue(&mut self, now: Cycle, sink: &mut DirectIssue<'_>, stats: &mut AppStats) {
         self.drain_retries(sink, now);
         let Some(w) = self.select_warp() else {
             stats.stall_cycles += 1;
@@ -274,7 +234,7 @@ impl GpuCore {
         &mut self,
         w: usize,
         now: Cycle,
-        sink: &mut impl IssueSink,
+        sink: &mut DirectIssue<'_>,
         stats: &mut AppStats,
     ) {
         let mut vpns = std::mem::take(&mut self.scratch_vpns);
@@ -291,7 +251,7 @@ impl GpuCore {
         for &vpn in &vpns {
             if self.ideal_tlb {
                 // Ideal design: "every single TLB access is a TLB hit" (§7).
-                let ppn = sink.functional_translate(self.asid, vpn);
+                let ppn = sink.xlat.functional_translate(self.asid, vpn);
                 stats.l1_tlb.record(true);
                 self.warps[w].xlat.push((vpn, ppn));
                 continue;
@@ -306,7 +266,7 @@ impl GpuCore {
                     stats.l1_tlb.record(false);
                     mask_obs::hooks::tlb_probe(mask_obs::TlbLevel::L1, self.asid.raw(), false);
                     let gw = GlobalWarpId::new(self.id, WarpId::new(w as u16));
-                    sink.xlat_request(self.asid, vpn, gw, self.core_rank, now);
+                    sink.xlat.request(self.asid, vpn, gw, self.core_rank, now);
                     pending += 1;
                 }
             }
@@ -330,7 +290,7 @@ impl GpuCore {
         &mut self,
         w: usize,
         now: Cycle,
-        sink: &mut impl IssueSink,
+        sink: &mut DirectIssue<'_>,
         stats: &mut AppStats,
     ) {
         let mut outstanding = 0u32;
@@ -375,7 +335,7 @@ impl GpuCore {
         }
     }
 
-    fn allocate_miss(&mut self, w: usize, line: LineAddr, sink: &mut impl IssueSink, now: Cycle) {
+    fn allocate_miss(&mut self, w: usize, line: LineAddr, sink: &mut DirectIssue<'_>, now: Cycle) {
         match self.l1mshr.allocate(line, w) {
             MshrAlloc::Primary => sink.data_miss(self.id, self.asid, line, now),
             MshrAlloc::Secondary => {}
@@ -383,97 +343,13 @@ impl GpuCore {
         }
     }
 
-    fn drain_retries(&mut self, sink: &mut impl IssueSink, now: Cycle) {
+    fn drain_retries(&mut self, sink: &mut DirectIssue<'_>, now: Cycle) {
         while let Some(&(w, line)) = self.retry.front() {
             if self.l1mshr.is_full() && !self.l1mshr.contains(line) {
                 break;
             }
             self.retry.pop_front();
             self.allocate_miss(w, line, sink, now);
-        }
-    }
-
-    /// Functional (timing-free) advance: retires up to `budget`
-    /// instructions from *ready* warps, completing memory operations
-    /// instantly through the page tables.
-    ///
-    /// This is the state predictor behind speculative epoch parallelism
-    /// (`crate::functional`), deliberately cheap and deliberately
-    /// approximate:
-    ///
-    /// * only issuable warps advance — warps parked in `XlatWait` /
-    ///   `DataWait` keep their registered waiters in the translation unit
-    ///   and L1 MSHR and are never woken here (waking them would trip the
-    ///   completion-path invariants and corrupt the detailed structures);
-    /// * translations go straight to [`TranslationUnit::functional_translate`]
-    ///   (allocating page-table frames exactly like the Ideal design's
-    ///   issue stage) and never touch the L1 TLB, L1 cache, or MSHRs, so
-    ///   no detailed timing state is perturbed;
-    /// * the budget models the core's peak of one instruction per cycle,
-    ///   with whole compute bursts retired in one step.
-    ///
-    /// Coarse counters (instructions, memory instructions, stalls) are
-    /// accrued so a predicted state carries plausible statistics.
-    pub(crate) fn functional_advance(
-        &mut self,
-        budget: u64,
-        xlat: &mut TranslationUnit,
-        stats: &mut AppStats,
-    ) {
-        let mut left = budget;
-        while left > 0 {
-            let Some(w) = self.select_warp() else {
-                // No issuable warp for the rest of the span: the detailed
-                // issue stage would count one stall per remaining cycle.
-                stats.stall_cycles += left;
-                return;
-            };
-            self.last = w;
-            if self.warps[w].state == WarpState::NeedOp {
-                let warp = &mut self.warps[w];
-                let compute = warp.trace.next_op_into(&mut warp.lines);
-                warp.xlat.clear();
-                warp.state = if compute > 0 {
-                    WarpState::Compute { left: compute }
-                } else {
-                    WarpState::MemReady
-                };
-            }
-            match self.warps[w].state {
-                WarpState::Compute { left: c } => {
-                    let burst = u64::from(c).min(left);
-                    stats.instructions += burst;
-                    left -= burst;
-                    self.warps[w].state = if u64::from(c) > burst {
-                        WarpState::Compute {
-                            left: c - burst as u32,
-                        }
-                    } else {
-                        WarpState::MemReady
-                    };
-                }
-                WarpState::MemReady => {
-                    stats.instructions += 1;
-                    stats.mem_instructions += 1;
-                    left -= 1;
-                    let mut vpns = std::mem::take(&mut self.scratch_vpns);
-                    vpns.clear();
-                    vpns.extend(
-                        self.warps[w]
-                            .lines
-                            .iter()
-                            .map(|va| va.vpn(self.page_size_log2)),
-                    );
-                    vpns.sort_unstable_by_key(|v| v.0);
-                    vpns.dedup();
-                    for &vpn in &vpns {
-                        let _ = xlat.functional_translate(self.asid, vpn);
-                    }
-                    self.scratch_vpns = vpns;
-                    self.warps[w].state = WarpState::NeedOp;
-                }
-                ref other => unreachable!("ready warp in non-issuable state {other:?}"),
-            }
         }
     }
 
@@ -484,7 +360,7 @@ impl GpuCore {
         ppn: Ppn,
         warps: &[WarpId],
         now: Cycle,
-        sink: &mut impl IssueSink,
+        sink: &mut DirectIssue<'_>,
         stats: &mut AppStats,
     ) {
         self.l1tlb.fill(self.asid, vpn, ppn);

@@ -10,19 +10,9 @@
 //!   page-walk cache (per design), the 64-slot page-table walker, the
 //!   translation MSHRs that merge duplicate walks and count stalled warps,
 //!   TLB-Fill Tokens;
-//! * [`shard`] — the sharded SM frontend: a persistent worker pool that
-//!   splits the per-cycle issue stage across threads (`MASK_SM_SHARDS`)
-//!   with a serial merge tail, bit-identical to the serial loop;
 //! * [`sim`] — the top-level [`sim::GpuSim`] cycle loop connecting cores,
 //!   translation, the banked shared L2, and DRAM, with epoch handling and
-//!   statistics collection;
-//! * [`functional`] — the timing-free functional fast-forward mode that
-//!   produces cheap *predicted* states for speculation;
-//! * [`spec`] — speculative epoch parallelism (`MASK_SPEC_SEGMENTS`): a
-//!   run's time axis is cut at epoch-safe snapshot points and the segments
-//!   execute concurrently from predicted start states, verified by
-//!   byte-exact snapshot comparison and replayed on mismatch, so results
-//!   stay bit-identical to the serial run at any segment count.
+//!   statistics collection.
 //!
 //! The simulator models *one clock domain* and advances all components one
 //! cycle at a time; every latency figure of Table 1 (1-cycle L1s, 10-cycle
@@ -30,15 +20,9 @@
 //! crates.
 
 pub mod core_model;
-pub mod functional;
-pub mod shard;
 pub mod sim;
-pub mod spec;
 pub mod translation;
 
-pub use core_model::{DirectIssue, GpuCore, IssueSink};
-pub use functional::FunctionalReport;
-pub use shard::{run_shard, DeferredIssue, DeferredMiss, DeferredXlat, ShardOutput, ShardPool};
+pub use core_model::{DirectIssue, GpuCore};
 pub use sim::{AppSpec, GpuSim, SampledRun};
-pub use spec::{run_speculative, SpecPlan, SpecReport};
 pub use translation::TranslationUnit;

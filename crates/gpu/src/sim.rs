@@ -1,7 +1,6 @@
 //! The top-level cycle loop: cores + translation + shared L2 + DRAM.
 
-use crate::core_model::{DirectIssue, GpuCore, IssueSink};
-use crate::shard::{ShardOutput, ShardPool};
+use crate::core_model::{DirectIssue, GpuCore};
 use crate::translation::{ResolvedTranslation, TranslationUnit};
 use mask_cache::l2::{L2Outcome, L2Response};
 use mask_cache::SharedL2Cache;
@@ -32,7 +31,7 @@ pub struct AppSpec {
 /// * [`ComputePolicy::AllSms`] interleaves applications round-robin across
 ///   the whole GPU (MPS-style `NoIsolation`), honoring the per-app core
 ///   counts; with a single application the two layouts coincide.
-pub(crate) fn core_layout(policy: ComputePolicy, cores_per_app: &[usize]) -> Vec<usize> {
+fn core_layout(policy: ComputePolicy, cores_per_app: &[usize]) -> Vec<usize> {
     let total: usize = cores_per_app.iter().sum();
     let mut layout = Vec::with_capacity(total);
     match policy {
@@ -76,15 +75,15 @@ pub struct SampledRun {
 /// The assembled GPU simulator.
 #[derive(Debug)]
 pub struct GpuSim {
-    pub(crate) cfg: SimConfig,
-    pub(crate) cores: Vec<GpuCore>,
-    pub(crate) xlat: TranslationUnit,
-    pub(crate) l2: SharedL2Cache,
-    pub(crate) dram: Dram,
-    pub(crate) stats: SimStats,
-    pub(crate) now: Cycle,
-    pub(crate) next_req_id: u64,
-    pub(crate) n_apps: usize,
+    cfg: SimConfig,
+    cores: Vec<GpuCore>,
+    xlat: TranslationUnit,
+    l2: SharedL2Cache,
+    dram: Dram,
+    stats: SimStats,
+    now: Cycle,
+    next_req_id: u64,
+    n_apps: usize,
     /// Reusable scratch buffer for L2-bound requests.
     scratch_l2: Vec<MemRequest>,
     scratch_pwc: Vec<(Asid, bool)>,
@@ -102,20 +101,11 @@ pub struct GpuSim {
     /// order (preserves the legacy wake ordering bit-for-bit).
     bucket_touched: Vec<usize>,
     /// Whether `run` may fast-forward over provably idle cycles.
-    pub(crate) skip_enabled: bool,
+    skip_enabled: bool,
     /// Sanitizer accounting session (0 when the sanitizer is disabled).
     san_session: u64,
     /// Sanitizer instance id for cycle-monotonicity tracking.
     san_id: u64,
-    /// Resolved SM-frontend shard count (1 = the serial issue loop).
-    sm_shards: usize,
-    /// Worker pool for the sharded issue stage, spawned on first use so
-    /// never-stepped (and cloned) simulators carry no threads.
-    pool: Option<ShardPool>,
-    /// Per-shard output queues (empty when running serial).
-    shard_outs: Vec<ShardOutput>,
-    /// SM-set-aligned shard cut points (`shard_cuts`; empty when serial).
-    shard_cuts: Vec<usize>,
     /// Per-epoch metrics tracker (zero-sized and inert unless the `obs`
     /// feature is compiled in and `MASK_TRACE` is live).
     obs: mask_obs::metrics::EpochTracker,
@@ -177,37 +167,6 @@ impl GpuSim {
                 ideal_xlat,
             ));
         }
-        // The Ideal design translates synchronously inside the issue stage
-        // (mutating page-table frame allocation), so it always runs serial.
-        // More shards than cores would leave trailing shards permanently
-        // empty; clamp rather than spin idle workers.
-        let sm_shards = if ideal_xlat {
-            1
-        } else {
-            cfg.sm_shards.requested().min(cfg.gpu.n_cores).max(1)
-        };
-        let mut shard_outs = Vec::new();
-        let mut shard_cuts = Vec::new();
-        if sm_shards > 1 {
-            shard_outs.reserve_exact(sm_shards);
-            for _ in 0..sm_shards {
-                shard_outs.push(ShardOutput::new(n_apps));
-            }
-            // Align shard boundaries to SM-set edges so one application's
-            // cores straddle shards only when shards outnumber SM sets;
-            // interleaved layouts have no edges to respect.
-            let app_starts: Vec<usize> = match design.compute {
-                ComputePolicy::SmSets => cores_per_app
-                    .iter()
-                    .scan(0usize, |acc, &n| {
-                        *acc += n;
-                        Some(*acc)
-                    })
-                    .collect(),
-                ComputePolicy::AllSms => Vec::new(),
-            };
-            shard_cuts = crate::shard::shard_cuts(cfg.gpu.n_cores, sm_shards, &app_starts);
-        }
         GpuSim {
             cfg: cfg.clone(),
             cores,
@@ -229,17 +188,8 @@ impl GpuSim {
             skip_enabled: true,
             san_session,
             san_id: mask_sanitizer::register_component("gpu"),
-            sm_shards,
-            pool: None,
-            shard_outs,
-            shard_cuts,
             obs: mask_obs::metrics::EpochTracker::new(),
         }
-    }
-
-    /// The resolved SM-frontend shard count (1 = serial issue loop).
-    pub fn sm_shards(&self) -> usize {
-        self.sm_shards
     }
 
     /// Current simulation time.
@@ -324,74 +274,22 @@ impl GpuSim {
         }
     }
 
-    /// Stage 1 of `step` on the sharded frontend: fan the cores out over
-    /// the worker pool, then merge the per-shard outputs serially in
-    /// ascending shard (= ascending core) order. See `crate::shard` for
-    /// the determinism argument.
-    fn issue_sharded(&mut self, now: Cycle) {
-        // All-idle cycles reduce to one stall count per core in the serial
-        // loop (`is_idle` ⇒ no retries to drain, no warp to select); take
-        // the equivalent cheap path instead of a cross-thread handshake.
-        if self.cores.iter().all(GpuCore::is_idle) {
-            for c in &self.cores {
-                self.stats.apps[c.asid.index()].stall_cycles += 1;
-            }
-            return;
-        }
-        let pool = self
-            .pool
-            .get_or_insert_with(|| ShardPool::new(self.sm_shards));
-        pool.run_issue(&mut self.cores, &mut self.shard_outs, &self.shard_cuts, now);
-        for s in 0..self.shard_outs.len() {
-            let out = &mut self.shard_outs[s];
-            // Worker-side sanitizer events first: they were observed while
-            // the shard's cores mutated their tables.
-            mask_sanitizer::replay(&mut out.san);
-            // Translation requests and data misses are independent streams
-            // within a cycle (requests allocate no ids and touch only the
-            // translation unit), so draining one then the other reproduces
-            // the serial per-core interleaving's end state and id order.
-            for x in out.xlat.drain(..) {
-                self.xlat
-                    .request(x.asid, x.vpn, x.requester, x.core_rank, now);
-            }
-            let mut sink = DirectIssue {
-                xlat: &mut self.xlat,
-                out_l2: &mut self.scratch_l2,
-                next_req_id: &mut self.next_req_id,
-            };
-            for m in out.misses.drain(..) {
-                sink.data_miss(m.core, m.asid, m.line, now);
-            }
-            for (app, delta) in out.stats.iter_mut().enumerate() {
-                self.stats.apps[app].absorb(delta);
-                delta.reset();
-            }
-        }
-    }
-
     /// Advances the simulation one cycle.
     pub fn step(&mut self) {
         mask_sanitizer::enter_session(self.san_session);
         let now = self.now;
         mask_sanitizer::cycle(self.san_id, "gpu", now);
         mask_obs::hooks::set_cycle(now);
-        // 1. Core issue stage: serial loop (the PR 3 hot path) or the
-        // sharded frontend + serial merge tail (bit-identical, see
-        // `crate::shard`).
+        // 1. Core issue stage.
         let timing = mask_obs::profile::stage(SimStage::Issue, now);
-        if self.sm_shards > 1 {
-            self.issue_sharded(now);
-        } else {
-            let mut sink = DirectIssue {
-                xlat: &mut self.xlat,
-                out_l2: &mut self.scratch_l2,
-                next_req_id: &mut self.next_req_id,
-            };
-            for i in 0..self.cores.len() {
-                let app = self.cores[i].asid.index();
-                self.cores[i].issue(now, &mut sink, &mut self.stats.apps[app]);
-            }
+        let mut sink = DirectIssue {
+            xlat: &mut self.xlat,
+            out_l2: &mut self.scratch_l2,
+            next_req_id: &mut self.next_req_id,
+        };
+        for i in 0..self.cores.len() {
+            let app = self.cores[i].asid.index();
+            self.cores[i].issue(now, &mut sink, &mut self.stats.apps[app]);
         }
         drop(timing);
         // 2. Translation unit: L2 TLB pipeline + walker activation. The
@@ -532,7 +430,7 @@ impl GpuSim {
     /// counters in the snapshot are current; it writes pure functions of
     /// simulator state that nothing reads back, so traced runs stay
     /// bit-identical to untraced ones.
-    pub(crate) fn emit_epoch_metrics(&mut self) {
+    fn emit_epoch_metrics(&mut self) {
         if mask_obs::tracing_active() {
             self.sync_stats();
             self.obs.on_epoch(self.now, &self.stats);
@@ -579,7 +477,7 @@ impl GpuSim {
     /// no-op, and the translation unit only accrues its epoch integral.
     /// The skip is also capped at the next epoch boundary so epoch-end
     /// work fires on exactly the same cycle as in step-by-step execution.
-    pub(crate) fn idle_horizon(&self, end: Cycle) -> Option<Cycle> {
+    fn idle_horizon(&self, end: Cycle) -> Option<Cycle> {
         if !self.skip_enabled {
             return None;
         }
@@ -610,7 +508,7 @@ impl GpuSim {
     /// Advances `delta` fully idle cycles at once, applying exactly the
     /// state changes `delta` calls to `step()` would have made under the
     /// `idle_horizon` preconditions.
-    pub(crate) fn fast_forward(&mut self, delta: u64) {
+    fn fast_forward(&mut self, delta: u64) {
         debug_assert!(delta > 0);
         // Each idle core's issue stage counts one stall per cycle.
         for c in &self.cores {
@@ -839,53 +737,6 @@ impl GpuSim {
         let mut r = mask_common::snapshot::SnapshotReader::open_keyed(bytes, key)?;
         self.restore(&mut r)?;
         r.finish()
-    }
-
-    /// Field-by-field clone of all simulation state. The worker pool is
-    /// *not* cloned — the copy lazily spawns its own on first sharded
-    /// step — and the per-shard queues start fresh (they are empty between
-    /// cycles anyway).
-    fn new_clone(&self) -> Self {
-        let mut shard_outs = Vec::new();
-        if self.sm_shards > 1 {
-            shard_outs.reserve_exact(self.sm_shards);
-            for _ in 0..self.sm_shards {
-                shard_outs.push(ShardOutput::new(self.n_apps));
-            }
-        }
-        GpuSim {
-            cfg: self.cfg.clone(),
-            cores: self.cores.clone(),
-            xlat: self.xlat.clone(),
-            l2: self.l2.clone(),
-            dram: self.dram.clone(),
-            stats: self.stats.clone(),
-            now: self.now,
-            next_req_id: self.next_req_id,
-            n_apps: self.n_apps,
-            scratch_l2: self.scratch_l2.clone(),
-            scratch_pwc: self.scratch_pwc.clone(),
-            scratch_resolved: self.scratch_resolved.clone(),
-            scratch_dram: self.scratch_dram.clone(),
-            scratch_compl: self.scratch_compl.clone(),
-            scratch_resp: self.scratch_resp.clone(),
-            bucket_warps: self.bucket_warps.clone(),
-            bucket_touched: self.bucket_touched.clone(),
-            skip_enabled: self.skip_enabled,
-            san_session: self.san_session,
-            san_id: self.san_id,
-            sm_shards: self.sm_shards,
-            pool: None,
-            shard_outs,
-            shard_cuts: self.shard_cuts.clone(),
-            obs: self.obs.clone(),
-        }
-    }
-}
-
-impl Clone for GpuSim {
-    fn clone(&self) -> Self {
-        self.new_clone()
     }
 }
 

@@ -1,9 +1,9 @@
 //! `maskd`: simulation-as-a-service for the MASK engine.
 //!
-//! The job engine (PR 2), warm-up prefix cache (PR 8), and speculative
-//! segment runner (PR 9) made thousands of deterministic simulations cheap
-//! — but the [`JobPool`](mask_core::JobPool) and its caches still live and
-//! die with one process. `maskd` is the long-running farm around them: a
+//! The job engine (PR 2) and warm-up prefix cache (PR 8) made thousands of
+//! deterministic simulations cheap — but the
+//! [`JobPool`](mask_core::JobPool) and its caches still live and die with
+//! one process. `maskd` is the long-running farm around them: a
 //! daemon that serves simulation jobs to many concurrent tenants over a
 //! hand-rolled HTTP/1.1 + JSON API (zero new dependencies; the repo is
 //! offline-vendored), fairly multiplexing one warm [`JobPool`] the way
@@ -12,8 +12,8 @@
 //! ```text
 //! client ──POST /jobs──▶ acceptor ─▶ admission ─▶ DRR fair queue
 //!                            │           │              │ batches
-//!                            │       ResultStore ◀── JobPool (MASK_JOBS ×
-//!                            │        (hit: no sim)     SM shards × spec segs)
+//!                            │       ResultStore ◀── JobPool (MASK_JOBS
+//!                            │        (hit: no sim)     workers)
 //!                            ▼                            │
 //!                  GET /jobs/{id}/events ◀─ lifecycle + epoch frames
 //! ```

@@ -67,7 +67,7 @@ fn served_results_are_bit_identical_to_local_runs() {
         let reply = client.wait(submitted.id).expect("wait");
         let served = reply.result.expect("done job carries its result");
         // The oracle: the same job, run directly in this process. The
-        // engine guarantees pool/shard/segment counts cannot change
+        // engine guarantees the pool's worker count cannot change
         // results, so `==` on the all-integer stats is exact.
         let local = spec.to_sim_job().run();
         assert_eq!(served, local, "served result must be bit-identical");

@@ -78,33 +78,6 @@ impl QueueKind {
     }
 }
 
-/// Lifecycle stage of one speculative time segment (PR 9's speculative
-/// epoch parallelism: predict → verify → commit-or-replay).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SpecPhase {
-    /// The functional predictor produced the segment's start state.
-    Predict,
-    /// The predicted start state was compared to the true one.
-    Verify,
-    /// The prediction matched: the segment's detailed work committed.
-    Commit,
-    /// The prediction mismatched: the segment replayed from truth.
-    Replay,
-}
-
-impl SpecPhase {
-    /// Short lowercase name (trace/JSON labels).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SpecPhase::Predict => "spec_predict",
-            SpecPhase::Verify => "spec_verify",
-            SpecPhase::Commit => "spec_commit",
-            SpecPhase::Replay => "spec_replay",
-        }
-    }
-}
-
 /// One traced micro-architectural event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Event {
@@ -180,14 +153,6 @@ pub enum Event {
         /// Tokens granted for the next epoch.
         tokens: u64,
     },
-    /// A speculative time segment changed lifecycle phase.
-    SpecSegment {
-        /// Segment index within the speculative run (0 = the segment
-        /// executing from the true start state).
-        segment: u32,
-        /// Which lifecycle stage it reached.
-        phase: SpecPhase,
-    },
 }
 
 impl Event {
@@ -205,7 +170,6 @@ impl Event {
             Event::QueueDepth { queue, .. } => queue.name(),
             Event::Bypass { .. } => "l2_bypass",
             Event::TokenEpoch { .. } => "token_epoch",
-            Event::SpecSegment { phase, .. } => phase.name(),
         }
     }
 
@@ -224,7 +188,6 @@ impl Event {
                 QueueKind::Walker => "walker",
             },
             Event::Bypass { .. } => "l2",
-            Event::SpecSegment { .. } => "spec",
         }
     }
 }
@@ -262,12 +225,6 @@ mod tests {
             "walker",
             "walker lifecycle events share one family"
         );
-        let s = Event::SpecSegment {
-            segment: 2,
-            phase: SpecPhase::Replay,
-        };
-        assert_eq!(s.name(), "spec_replay");
-        assert_eq!(s.family(), "spec");
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //!
 //! * `trace.json` — a `{"traceEvents": [...]}` document loadable in
 //!   Perfetto / `chrome://tracing`. Process 1 is the simulation timeline
-//!   (1 µs = 1 simulated cycle; tid = shard lane, walker slots as
+//!   (1 µs = 1 simulated cycle; tid = lane, walker slots as
 //!   `tid = 1000 + slot` spans); process 2 is the engine's wall-clock
 //!   timeline (job spans per worker lane).
 //! * `metrics.jsonl` — one JSON object per line: per-epoch `epoch` frames,
-//!   engine `job_pool` frames, a `shard_merge` summary, and `stage_profile`
-//!   cycle-bucket timings.
+//!   engine `job_pool` frames, and `stage_profile` cycle-bucket timings.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -22,7 +21,7 @@ use crate::profile::Span;
 /// Everything drained from the collection sink at export time.
 #[derive(Debug, Default)]
 pub struct TraceData {
-    /// Ring events with their lane (shard / worker thread) tag.
+    /// Ring events with their lane tag.
     pub events: Vec<(u32, Record)>,
     /// Prebuilt JSONL metrics frames (epoch + `job_pool`).
     pub frames: Vec<String>,
@@ -30,10 +29,6 @@ pub struct TraceData {
     pub spans: Vec<Span>,
     /// (stage name, cycle bucket) → (total nanoseconds, samples).
     pub stages: BTreeMap<(&'static str, u64), (u64, u64)>,
-    /// Number of shard merge-tail waits observed.
-    pub merge_waits: u64,
-    /// Total merge-tail wait time in nanoseconds.
-    pub merge_wait_nanos: u64,
     /// Ring records lost to overwrite (raise `MASK_TRACE_BUF` if nonzero).
     pub dropped: u64,
 }
@@ -53,8 +48,6 @@ pub struct TraceSummary {
     pub spans: usize,
     /// Ring records lost to overwrite.
     pub dropped: u64,
-    /// Shard merge-tail waits observed.
-    pub merge_waits: u64,
     /// Counter families present in the metrics stream.
     pub families: Vec<String>,
 }
@@ -99,7 +92,6 @@ pub fn write_to(dir: &Path) -> std::io::Result<TraceSummary> {
             frames: jsonl.lines().count(),
             spans: data.spans.len(),
             dropped: data.dropped,
-            merge_waits: data.merge_waits,
             families,
         })
     }
@@ -233,13 +225,6 @@ pub fn render(data: &TraceData) -> (String, String, Vec<String>) {
                      \"ts\":{cycle},\"pid\":1,\"tid\":{lane},\"args\":{{\"tokens\":{tokens}}}}}"
                 );
             }
-            Event::SpecSegment { segment, .. } => {
-                let _ = write!(
-                    ev,
-                    "{{\"name\":\"{name}\",\"cat\":\"{fam}\",\"ph\":\"i\",\"ts\":{cycle},\
-                     \"pid\":1,\"tid\":{lane},\"s\":\"t\",\"args\":{{\"segment\":{segment}}}}}"
-                );
-            }
         }
     }
     for span in &data.spans {
@@ -268,11 +253,6 @@ pub fn render(data: &TraceData) -> (String, String, Vec<String>) {
         jsonl.push_str(frame);
         jsonl.push('\n');
     }
-    let _ = writeln!(
-        jsonl,
-        "{{\"type\":\"shard_merge\",\"waits\":{},\"wait_ns_total\":{}}}",
-        data.merge_waits, data.merge_wait_nanos
-    );
     for (&(stage, bucket), &(nanos, samples)) in &data.stages {
         let _ = writeln!(
             jsonl,
@@ -281,7 +261,7 @@ pub fn render(data: &TraceData) -> (String, String, Vec<String>) {
         );
     }
 
-    let families = ["tlb", "walker", "l2", "dram", "shard_merge", "job_pool"]
+    let families = ["tlb", "walker", "l2", "dram", "job_pool"]
         .iter()
         .filter(|fam| jsonl.contains(&format!("\"{fam}\"")))
         .map(|fam| (*fam).to_owned())
@@ -342,12 +322,8 @@ mod tests {
             "zero-length spans clamp to 1us"
         );
         assert!(trace.contains("stage_issue_ns"));
-        assert!(jsonl.contains("\"type\":\"shard_merge\""));
         assert!(jsonl.contains("\"type\":\"stage_profile\""));
-        assert_eq!(
-            families,
-            ["tlb", "walker", "l2", "dram", "shard_merge", "job_pool"]
-        );
+        assert_eq!(families, ["tlb", "walker", "l2", "dram", "job_pool"]);
     }
 
     #[test]

@@ -12,15 +12,14 @@
 //! rings of [`crate::ring`] (the parallelism-allowlisted module), which
 //! this file only calls into.
 
-use crate::event::{QueueKind, SpecPhase, StallKind, TlbLevel};
+use crate::event::{QueueKind, StallKind, TlbLevel};
 
 #[cfg(feature = "enabled")]
 use crate::event::Event;
 
 /// Stamps subsequent events recorded on this thread with cycle `now`.
 ///
-/// Called once per cycle from `GpuSim::step` (main thread) and once per
-/// shard slice from `run_shard` (worker threads), so hook sites themselves
+/// Called once per cycle from `GpuSim::step`, so hook sites themselves
 /// never need a cycle argument.
 #[inline(always)]
 pub fn set_cycle(now: u64) {
@@ -125,19 +124,8 @@ pub fn token_epoch(asid: u16, tokens: u64) {
     let _ = (asid, tokens);
 }
 
-/// A speculative time segment reached lifecycle stage `phase`
-/// (predict/verify/commit/replay, see `mask-gpu`'s segment runner).
-#[inline(always)]
-pub fn spec_phase(segment: u32, phase: SpecPhase) {
-    #[cfg(feature = "enabled")]
-    crate::ring::record(Event::SpecSegment { segment, phase });
-    #[cfg(not(feature = "enabled"))]
-    let _ = (segment, phase);
-}
-
 /// Drains this thread's ring into the process-wide sink, tagged with
-/// `lane` (shard index on worker threads, 0 on the main thread). Called at
-/// the end of a shard's cycle slice and of `GpuSim::step`.
+/// `lane`. Called at the end of `GpuSim::step`.
 #[inline(always)]
 pub fn flush_events(lane: u32) {
     #[cfg(feature = "enabled")]

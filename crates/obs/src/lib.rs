@@ -9,17 +9,17 @@
 //!    micro-architectural moments (warp stall transitions, TLB probes and
 //!    MSHR merges, walker slot lifecycle, L2/DRAM queue depths, bypass
 //!    decisions, token grants). Records land in a fixed-capacity
-//!    **per-thread ring buffer** (overwrite-oldest, drop-counted), so the
-//!    sharded SM frontend traces without any cross-thread synchronization
-//!    on the per-cycle path; rings are drained into a process-wide sink at
+//!    **per-thread ring buffer** (overwrite-oldest, drop-counted), so
+//!    `JobPool` workers trace without any cross-thread synchronization on
+//!    the per-cycle path; rings are drained into a process-wide sink at
 //!    coarse flush points only.
 //! 2. **Metrics stream** ([`metrics`]) — per-epoch snapshots of the
 //!    `AppStats` counters, diffed against the previous epoch and emitted as
 //!    JSONL frames (counter families: `tlb`, `walker`, `l2`, `dram`, plus
-//!    engine-side `shard_merge` and `job_pool` frames).
+//!    engine-side `job_pool` frames).
 //! 3. **Self-profiling** ([`profile`]) — cycle-bucketed wall-clock timings
-//!    of the `GpuSim::step` stages, shard merge-tail wait time, and job
-//!    engine spans, so jobs×shards tuning is data-driven.
+//!    of the `GpuSim::step` stages and job engine spans, so `MASK_JOBS`
+//!    tuning is data-driven.
 //!
 //! [`export`] turns the collected data into Chrome/Perfetto `trace_event`
 //! JSON plus the metrics JSONL (see `cargo run --example trace_viewer`).
@@ -44,7 +44,7 @@ pub mod metrics;
 pub mod profile;
 pub mod ring;
 
-pub use event::{Event, QueueKind, Record, SpecPhase, StallKind, TlbLevel};
+pub use event::{Event, QueueKind, Record, StallKind, TlbLevel};
 
 /// Whether trace hooks are compiled in (the `enabled` feature).
 #[must_use]

@@ -6,19 +6,18 @@
 //! frame per application per epoch. Frames carry the counter families the
 //! paper's time-resolved analysis needs: `tlb`, `walker`, `l2`, and `dram`
 //! (Figs. 4–9). The engine side contributes `job_pool` frames
-//! ([`job_pool_frame`]) and a `shard_merge` summary (emitted at export
-//! from the merge-wait aggregate), for six families total.
+//! ([`job_pool_frame`]), for five families total.
 //!
 //! Everything here is read-only with respect to the simulation and
 //! inert unless tracing is compiled in **and** runtime-enabled.
 
 use mask_common::stats::SimStats;
 
-/// Per-simulation epoch metrics tracker. Held by `GpuSim` (cloned with it)
-/// and driven from the epoch-boundary stage of `step`/`fast_forward`.
+/// Per-simulation epoch metrics tracker. Held by `GpuSim` and driven from
+/// the epoch-boundary stage of `step`/`fast_forward`.
 ///
 /// Zero-sized and inert unless the `enabled` feature is on.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct EpochTracker {
     #[cfg(feature = "enabled")]
     prev: Vec<mask_common::stats::AppStats>,
@@ -107,7 +106,7 @@ impl EpochTracker {
 }
 
 /// Emits one `job_pool` frame: pool occupancy plus baseline-/prefix-cache
-/// and speculation counters for a completed engine batch. Called by
+/// counters for a completed engine batch. Called by
 /// `mask-core`'s `JobPool` after `run_batch`; no-op unless tracing is
 /// live.
 #[allow(clippy::too_many_arguments)]
@@ -119,8 +118,6 @@ pub fn job_pool_frame(
     cache_misses: u64,
     prefix_hits: u64,
     prefix_misses: u64,
-    spec_commits: u64,
-    spec_replays: u64,
     wall_us: u64,
 ) {
     #[cfg(feature = "enabled")]
@@ -133,9 +130,7 @@ pub fn job_pool_frame(
              \"unique_jobs\":{unique_jobs},\"baseline_cache_hits\":{cache_hits},\
              \"baseline_cache_misses\":{cache_misses},\
              \"prefix_cache_hits\":{prefix_hits},\
-             \"prefix_cache_misses\":{prefix_misses},\
-             \"spec_commits\":{spec_commits},\
-             \"spec_replays\":{spec_replays},\"wall_us\":{wall_us}}}"
+             \"prefix_cache_misses\":{prefix_misses},\"wall_us\":{wall_us}}}"
         ));
     }
     #[cfg(not(feature = "enabled"))]
@@ -147,8 +142,6 @@ pub fn job_pool_frame(
         cache_misses,
         prefix_hits,
         prefix_misses,
-        spec_commits,
-        spec_replays,
         wall_us,
     );
 }

@@ -1,12 +1,10 @@
 //! Engine self-profiling: wall-clock timings of the simulator's moving
-//! parts, so jobs×shards tuning is data-driven.
+//! parts, so `MASK_JOBS` tuning is data-driven.
 //!
-//! Three instruments:
+//! Two instruments:
 //!
 //! * [`stage`] — RAII guard timing one `GpuSim::step` stage, accumulated
 //!   into (stage, cycle-bucket) cells of [`STAGE_BUCKET_CYCLES`] cycles.
-//! * [`begin_merge_wait`] — times the serial merge tail's spin/park wait
-//!   for shard workers (`ShardPool::run_issue`).
 //! * [`begin_job`] — times one job execution in the `JobPool`, recorded as
 //!   a named span on the worker's lane for the Perfetto engine timeline.
 //!
@@ -21,7 +19,7 @@ pub const STAGE_BUCKET_CYCLES: u64 = 100_000;
 /// The `GpuSim::step` stages measured by [`stage`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SimStage {
-    /// Stage 1: warp issue across SMs (serial or sharded + merge tail).
+    /// Stage 1: warp issue across SMs.
     Issue,
     /// Stage 2: TLB/translation unit tick and resolution delivery.
     Translation,
@@ -105,38 +103,6 @@ impl Drop for StageGuard {
     }
 }
 
-/// One-shot timer for the shard merge-tail wait.
-#[must_use = "call finish() to record the wait"]
-pub struct MergeWait {
-    #[cfg(feature = "enabled")]
-    start: Option<std::time::Instant>,
-}
-
-/// Starts timing the merge tail's wait for shard-worker completion.
-#[inline(always)]
-pub fn begin_merge_wait() -> MergeWait {
-    #[cfg(feature = "enabled")]
-    {
-        let start = crate::ring::runtime_enabled().then(std::time::Instant::now); // lint: allow(nondeterminism) -- profiling only
-        MergeWait { start }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        MergeWait {}
-    }
-}
-
-impl MergeWait {
-    /// Records the elapsed wait into the merge-tail aggregate.
-    #[inline(always)]
-    pub fn finish(self) {
-        #[cfg(feature = "enabled")]
-        if let Some(start) = self.start {
-            crate::ring::add_merge_wait(start.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
 /// One-shot timer for a `JobPool` job execution.
 #[must_use = "call finish() to record the span"]
 pub struct JobTimer {
@@ -191,7 +157,6 @@ mod tests {
         // constructible and droppable with no side effects.
         let g = stage(SimStage::Dram, 12345);
         drop(g);
-        begin_merge_wait().finish();
         begin_job().finish("noop", 0);
     }
 }

@@ -2,13 +2,13 @@
 //! `MASK_TRACE` runtime gate.
 //!
 //! This module is the **only** place in `mask-obs` (and, outside the job
-//! engine / shard pool / bench crate, the only place in the workspace) that
+//! engine / `maskd` / bench crate, the only place in the workspace) that
 //! may hold thread primitives — the `parallelism` rule of `cargo xtask
 //! lint` allowlists exactly this file. The hook functions in
 //! [`crate::hooks`] stay lock-free on the recording path: each thread
 //! writes into its own fixed-capacity ring (overwrite-oldest, with a
 //! dropped-record counter) and only [`flush_events`] — called at coarse
-//! points such as the end of a shard's cycle slice — takes the sink lock.
+//! points such as the end of `GpuSim::step` — takes the sink lock.
 //!
 //! Capacity defaults to [`DEFAULT_CAPACITY`] records per thread and can be
 //! overridden with the `MASK_TRACE_BUF` environment variable.
@@ -18,8 +18,8 @@ pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 #[cfg(feature = "enabled")]
 pub(crate) use active::{
-    add_merge_wait, add_stage, flush_events, push_frame, push_span, record, record_depth, reset,
-    runtime_enabled, set_cycle, set_runtime, take_frames, take_snapshot,
+    add_stage, flush_events, push_frame, push_span, record, record_depth, reset, runtime_enabled,
+    set_cycle, set_runtime, take_frames, take_snapshot,
 };
 
 #[cfg(feature = "enabled")]
@@ -181,8 +181,6 @@ mod active {
         spans: Vec<Span>,
         /// (stage name, cycle bucket) → (total nanoseconds, samples).
         stages: BTreeMap<(&'static str, u64), (u64, u64)>,
-        merge_waits: u64,
-        merge_wait_nanos: u64,
         dropped: u64,
     }
 
@@ -191,8 +189,6 @@ mod active {
         frames: Vec::new(),
         spans: Vec::new(),
         stages: BTreeMap::new(),
-        merge_waits: 0,
-        merge_wait_nanos: 0,
         dropped: 0,
     });
 
@@ -205,8 +201,7 @@ mod active {
         }
     }
 
-    /// Drains this thread's ring into the sink, tagging records with `lane`
-    /// (shard index for worker threads, 0 for the main thread).
+    /// Drains this thread's ring into the sink, tagging records with `lane`.
     pub(crate) fn flush_events(lane: u32) {
         if !runtime_enabled() {
             return;
@@ -248,13 +243,6 @@ mod active {
         cell.1 += 1;
     }
 
-    /// Accumulates one shard merge-tail wait.
-    pub(crate) fn add_merge_wait(nanos: u64) {
-        let mut s = sink();
-        s.merge_waits += 1;
-        s.merge_wait_nanos += nanos;
-    }
-
     /// Flushes the calling thread's ring and drains the whole sink.
     pub(crate) fn take_snapshot() -> TraceData {
         flush_events(0);
@@ -264,8 +252,6 @@ mod active {
             frames: std::mem::take(&mut s.frames),
             spans: std::mem::take(&mut s.spans),
             stages: std::mem::take(&mut s.stages),
-            merge_waits: std::mem::replace(&mut s.merge_waits, 0),
-            merge_wait_nanos: std::mem::replace(&mut s.merge_wait_nanos, 0),
             dropped: std::mem::replace(&mut s.dropped, 0),
         }
     }

@@ -64,21 +64,6 @@
 //! worker closure — and violations in a job panic the worker, which the
 //! engine re-raises on the caller with the original `[mask-sanitizer]`
 //! message intact.
-//!
-//! ## Capture and replay (sharded SM frontend)
-//!
-//! `mask-gpu`'s sharded issue stage (`MASK_SM_SHARDS`) runs slices of one
-//! simulation's cores on shard worker threads *within* a cycle. Hooks
-//! fired there must not dispatch into the worker's (empty) thread-local
-//! session, and must be observed in the same order as a serial run. The
-//! capture API provides exactly that: a shard calls [`capture_begin`]
-//! before issuing, every hook fired on that thread is appended to the
-//! buffer instead of dispatched, and [`capture_end`] hands the buffer
-//! back. The simulation's owning thread then calls [`replay`] on each
-//! shard's buffer in ascending shard order, dispatching the events into
-//! the live session as if the cores had issued serially. Violations
-//! therefore panic on the owning thread, deterministically, with the same
-//! diagnostics at any shard count.
 
 mod invariant;
 
@@ -241,57 +226,9 @@ pub trait SimSanitizer {
     fn check_quiescent(&self) {}
 }
 
-/// One hook invocation, recorded verbatim for later replay.
-#[cfg(feature = "enabled")]
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum CapturedEvent {
-    /// [`issue`]
-    Issue(IssueEvent),
-    /// [`retire`]
-    Retire(RetireEvent),
-    /// [`mshr_fill`] / [`array_fill`]
-    Fill(FillEvent),
-    /// [`cycle`]
-    Cycle(CycleEvent),
-    /// [`mshr_alloc`]
-    MshrAlloc(MshrAllocEvent),
-    /// [`walk_activate`] / [`walk_advance`] / [`walk_retire`]
-    Walk(WalkEvent),
-    /// [`token_epoch`]
-    TokenEpoch(TokenEpochEvent),
-    /// [`check`]
-    Check {
-        /// Reporting component.
-        component: &'static str,
-        /// Whether the self-check passed.
-        ok: bool,
-        /// What was checked.
-        what: &'static str,
-    },
-}
-
-/// A buffer of hook events captured on one thread, replayable on another.
-///
-/// Without the `enabled` feature this is an empty type and every capture
-/// operation is a no-op, so the sharded frontend pays nothing in
-/// unsanitized builds.
-#[derive(Debug, Default)]
-pub struct EventBuffer {
-    #[cfg(feature = "enabled")]
-    events: Vec<CapturedEvent>,
-}
-
-impl EventBuffer {
-    /// Creates an empty buffer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 #[cfg(feature = "enabled")]
 mod active {
-    use super::{CapturedEvent, EventBuffer, InvariantSanitizer, SimSanitizer};
+    use super::{InvariantSanitizer, SimSanitizer};
     use std::cell::RefCell;
 
     struct Ctx {
@@ -304,7 +241,6 @@ mod active {
     thread_local! {
         static CTX: RefCell<Ctx> =
             const { RefCell::new(Ctx { session: 0, next_session: 1, next_table: 1, sanitizer: None }) };
-        static CAPTURE: RefCell<Option<Vec<CapturedEvent>>> = const { RefCell::new(None) };
     }
 
     pub(super) fn dispatch(f: impl FnOnce(&mut dyn SimSanitizer)) {
@@ -315,65 +251,6 @@ mod active {
                 .get_or_insert_with(|| Box::new(InvariantSanitizer::new()));
             f(san.as_mut());
         });
-    }
-
-    fn apply(s: &mut dyn SimSanitizer, ev: CapturedEvent) {
-        match ev {
-            CapturedEvent::Issue(e) => s.on_issue(e),
-            CapturedEvent::Retire(e) => s.on_retire(e),
-            CapturedEvent::Fill(e) => s.on_fill(e),
-            CapturedEvent::Cycle(e) => s.on_cycle(e),
-            CapturedEvent::MshrAlloc(e) => s.on_mshr_alloc(e),
-            CapturedEvent::Walk(e) => s.on_walk(e),
-            CapturedEvent::TokenEpoch(e) => s.on_token_epoch(e),
-            CapturedEvent::Check {
-                component,
-                ok,
-                what,
-            } => s.on_check(component, ok, what),
-        }
-    }
-
-    /// Routes `ev`: appended to the active capture buffer (if any) or
-    /// dispatched into the thread's sanitizer immediately.
-    pub(super) fn emit(ev: CapturedEvent) {
-        let captured = CAPTURE.with(|cap| {
-            if let Some(buf) = cap.borrow_mut().as_mut() {
-                buf.push(ev);
-                true
-            } else {
-                false
-            }
-        });
-        if !captured {
-            dispatch(|s| apply(s, ev));
-        }
-    }
-
-    pub(super) fn capture_begin(buf: EventBuffer) {
-        CAPTURE.with(|cap| {
-            let mut cap = cap.borrow_mut();
-            assert!(
-                cap.is_none(),
-                "[mask-sanitizer] capture_begin while a capture is already active"
-            );
-            *cap = Some(buf.events);
-        });
-    }
-
-    pub(super) fn capture_end() -> EventBuffer {
-        let events = CAPTURE.with(|cap| {
-            cap.borrow_mut()
-                .take()
-                .expect("[mask-sanitizer] capture_end without a matching capture_begin")
-        });
-        EventBuffer { events }
-    }
-
-    pub(super) fn replay(buf: &mut EventBuffer) {
-        for ev in buf.events.drain(..) {
-            emit(ev);
-        }
     }
 
     pub(super) fn new_session() -> u64 {
@@ -490,7 +367,7 @@ pub fn reset() {
 #[inline(always)]
 pub fn issue(domain: &'static str, id: u64) {
     #[cfg(feature = "enabled")]
-    active::emit(CapturedEvent::Issue(IssueEvent { domain, id }));
+    active::dispatch(|s| s.on_issue(IssueEvent { domain, id }));
     #[cfg(not(feature = "enabled"))]
     let _ = (domain, id);
 }
@@ -499,7 +376,7 @@ pub fn issue(domain: &'static str, id: u64) {
 #[inline(always)]
 pub fn retire(domain: &'static str, id: u64) {
     #[cfg(feature = "enabled")]
-    active::emit(CapturedEvent::Retire(RetireEvent { domain, id }));
+    active::dispatch(|s| s.on_retire(RetireEvent { domain, id }));
     #[cfg(not(feature = "enabled"))]
     let _ = (domain, id);
 }
@@ -508,13 +385,15 @@ pub fn retire(domain: &'static str, id: u64) {
 #[inline(always)]
 pub fn mshr_alloc(table: u64, line: u64, outcome: MshrOutcome, len: usize, capacity: usize) {
     #[cfg(feature = "enabled")]
-    active::emit(CapturedEvent::MshrAlloc(MshrAllocEvent {
-        table,
-        line,
-        outcome,
-        len,
-        capacity,
-    }));
+    active::dispatch(|s| {
+        s.on_mshr_alloc(MshrAllocEvent {
+            table,
+            line,
+            outcome,
+            len,
+            capacity,
+        });
+    });
     #[cfg(not(feature = "enabled"))]
     let _ = (table, line, outcome, len, capacity);
 }
@@ -523,12 +402,14 @@ pub fn mshr_alloc(table: u64, line: u64, outcome: MshrOutcome, len: usize, capac
 #[inline(always)]
 pub fn mshr_fill(table: u64, line: u64, waiters: usize, found: bool) {
     #[cfg(feature = "enabled")]
-    active::emit(CapturedEvent::Fill(FillEvent::Mshr {
-        table,
-        line,
-        waiters,
-        found,
-    }));
+    active::dispatch(|s| {
+        s.on_fill(FillEvent::Mshr {
+            table,
+            line,
+            waiters,
+            found,
+        });
+    });
     #[cfg(not(feature = "enabled"))]
     let _ = (table, line, waiters, found);
 }
@@ -537,11 +418,13 @@ pub fn mshr_fill(table: u64, line: u64, waiters: usize, found: bool) {
 #[inline(always)]
 pub fn array_fill(component: &'static str, len: usize, capacity: usize) {
     #[cfg(feature = "enabled")]
-    active::emit(CapturedEvent::Fill(FillEvent::Array {
-        component,
-        len,
-        capacity,
-    }));
+    active::dispatch(|s| {
+        s.on_fill(FillEvent::Array {
+            component,
+            len,
+            capacity,
+        });
+    });
     #[cfg(not(feature = "enabled"))]
     let _ = (component, len, capacity);
 }
@@ -567,11 +450,13 @@ pub fn register_component(component: &'static str) -> u64 {
 #[inline(always)]
 pub fn cycle(instance: u64, component: &'static str, now: u64) {
     #[cfg(feature = "enabled")]
-    active::emit(CapturedEvent::Cycle(CycleEvent {
-        instance,
-        component,
-        now,
-    }));
+    active::dispatch(|s| {
+        s.on_cycle(CycleEvent {
+            instance,
+            component,
+            now,
+        });
+    });
     #[cfg(not(feature = "enabled"))]
     let _ = (instance, component, now);
 }
@@ -580,7 +465,7 @@ pub fn cycle(instance: u64, component: &'static str, now: u64) {
 #[inline(always)]
 pub fn walk_activate(slot: u32, level: u8) {
     #[cfg(feature = "enabled")]
-    active::emit(CapturedEvent::Walk(WalkEvent::Activate { slot, level }));
+    active::dispatch(|s| s.on_walk(WalkEvent::Activate { slot, level }));
     #[cfg(not(feature = "enabled"))]
     let _ = (slot, level);
 }
@@ -589,7 +474,7 @@ pub fn walk_activate(slot: u32, level: u8) {
 #[inline(always)]
 pub fn walk_advance(slot: u32, level: u8) {
     #[cfg(feature = "enabled")]
-    active::emit(CapturedEvent::Walk(WalkEvent::Advance { slot, level }));
+    active::dispatch(|s| s.on_walk(WalkEvent::Advance { slot, level }));
     #[cfg(not(feature = "enabled"))]
     let _ = (slot, level);
 }
@@ -598,7 +483,7 @@ pub fn walk_advance(slot: u32, level: u8) {
 #[inline(always)]
 pub fn walk_retire(slot: u32) {
     #[cfg(feature = "enabled")]
-    active::emit(CapturedEvent::Walk(WalkEvent::Retire { slot }));
+    active::dispatch(|s| s.on_walk(WalkEvent::Retire { slot }));
     #[cfg(not(feature = "enabled"))]
     let _ = slot;
 }
@@ -608,11 +493,7 @@ pub fn walk_retire(slot: u32) {
 #[inline(always)]
 pub fn check(ok: bool, component: &'static str, what: &'static str) {
     #[cfg(feature = "enabled")]
-    active::emit(CapturedEvent::Check {
-        component,
-        ok,
-        what,
-    });
+    active::dispatch(|s| s.on_check(component, ok, what));
     #[cfg(not(feature = "enabled"))]
     let _ = (ok, component, what);
 }
@@ -621,58 +502,15 @@ pub fn check(ok: bool, component: &'static str, what: &'static str) {
 #[inline(always)]
 pub fn token_epoch(asid: u16, tokens: u64, total_warps: u64) {
     #[cfg(feature = "enabled")]
-    active::emit(CapturedEvent::TokenEpoch(TokenEpochEvent {
-        asid,
-        tokens,
-        total_warps,
-    }));
+    active::dispatch(|s| {
+        s.on_token_epoch(TokenEpochEvent {
+            asid,
+            tokens,
+            total_warps,
+        });
+    });
     #[cfg(not(feature = "enabled"))]
     let _ = (asid, tokens, total_warps);
-}
-
-/// Begins capturing hook events on this thread into `buf`.
-///
-/// Until the matching [`capture_end`], every event-firing hook on this
-/// thread ([`issue`], [`retire`], [`mshr_alloc`], [`mshr_fill`],
-/// [`array_fill`], [`cycle`], [`walk_activate`], [`walk_advance`],
-/// [`walk_retire`], [`check`], [`token_epoch`]) is appended to the buffer
-/// instead of dispatched. Panics if a capture is already active. Passing a
-/// previously drained buffer reuses its allocation.
-#[inline(always)]
-// By-value is the real API contract: the buffer is stored when `enabled` is on.
-#[cfg_attr(not(feature = "enabled"), allow(clippy::needless_pass_by_value))]
-pub fn capture_begin(buf: EventBuffer) {
-    #[cfg(feature = "enabled")]
-    active::capture_begin(buf);
-    #[cfg(not(feature = "enabled"))]
-    let _ = buf;
-}
-
-/// Ends the active capture on this thread and returns the filled buffer.
-///
-/// Panics if no capture is active.
-#[inline(always)]
-#[must_use]
-pub fn capture_end() -> EventBuffer {
-    #[cfg(feature = "enabled")]
-    {
-        active::capture_end()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        EventBuffer::new()
-    }
-}
-
-/// Dispatches every event in `buf` into this thread's current session, in
-/// capture order, draining the buffer (its allocation is kept for reuse via
-/// [`capture_begin`]).
-#[inline(always)]
-pub fn replay(buf: &mut EventBuffer) {
-    #[cfg(feature = "enabled")]
-    active::replay(buf);
-    #[cfg(not(feature = "enabled"))]
-    let _ = buf;
 }
 
 /// Panics if anything is still in flight in the current session: un-retired
@@ -682,82 +520,4 @@ pub fn replay(buf: &mut EventBuffer) {
 pub fn assert_quiescent() {
     #[cfg(feature = "enabled")]
     active::dispatch(|s| s.check_quiescent());
-}
-
-#[cfg(all(test, feature = "enabled"))]
-mod capture_tests {
-    use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    /// Records the order of observed events as compact tags.
-    struct Recorder(Rc<RefCell<Vec<String>>>);
-
-    impl SimSanitizer for Recorder {
-        fn on_issue(&mut self, ev: IssueEvent) {
-            self.0
-                .borrow_mut()
-                .push(format!("issue:{}:{}", ev.domain, ev.id));
-        }
-        fn on_fill(&mut self, ev: FillEvent) {
-            let tag = match ev {
-                FillEvent::Mshr { line, waiters, .. } => format!("mshr-fill:{line}:{waiters}"),
-                FillEvent::Array { component, len, .. } => format!("array-fill:{component}:{len}"),
-            };
-            self.0.borrow_mut().push(tag);
-        }
-        fn on_retire(&mut self, ev: RetireEvent) {
-            self.0
-                .borrow_mut()
-                .push(format!("retire:{}:{}", ev.domain, ev.id));
-        }
-        fn on_cycle(&mut self, ev: CycleEvent) {
-            self.0
-                .borrow_mut()
-                .push(format!("cycle:{}:{}", ev.component, ev.now));
-        }
-        fn on_mshr_alloc(&mut self, ev: MshrAllocEvent) {
-            self.0
-                .borrow_mut()
-                .push(format!("mshr-alloc:{}:{}", ev.table, ev.line));
-        }
-        fn on_check(&mut self, component: &'static str, ok: bool, what: &'static str) {
-            self.0
-                .borrow_mut()
-                .push(format!("check:{component}:{ok}:{what}"));
-        }
-    }
-
-    #[test]
-    fn capture_defers_and_replay_dispatches_in_order() {
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        install(Box::new(Recorder(Rc::clone(&seen))));
-
-        issue("t-live", 1);
-        capture_begin(EventBuffer::new());
-        issue("t-cap", 2);
-        mshr_alloc(7, 0x40, MshrOutcome::Primary, 1, 4);
-        check(true, "t-comp", "probe");
-        let mut buf = capture_end();
-        // Nothing beyond the live event reached the sanitizer yet.
-        assert_eq!(seen.borrow().as_slice(), ["issue:t-live:1"]);
-
-        retire("t-live", 1);
-        replay(&mut buf);
-        assert_eq!(
-            seen.borrow().as_slice(),
-            [
-                "issue:t-live:1",
-                "retire:t-live:1",
-                "issue:t-cap:2",
-                "mshr-alloc:7:64",
-                "check:t-comp:true:probe",
-            ]
-        );
-
-        // The drained buffer is reusable and empty.
-        replay(&mut buf);
-        assert_eq!(seen.borrow().len(), 5);
-        reset();
-    }
 }

@@ -4,8 +4,8 @@
 //!
 //! Tenants: a graph-analytics job (MUM), a reduction kernel (RED), a
 //! physics stencil (HS), and a streaming histogram (HISTO). Compares
-//! static hardware partitioning (NVIDIA GRID / AMD FirePro style) against
-//! the SharedTLB baseline and MASK, reporting both throughput and
+//! static hardware partitioning (NVIDIA GRID / AMD `FirePro` style) against
+//! the `SharedTLB` baseline and MASK, reporting both throughput and
 //! fairness — the two properties a cloud operator has to balance.
 //!
 //! ```text

@@ -1,7 +1,7 @@
 //! Quickstart: share a GPU between two applications and compare designs.
 //!
 //! Runs the `CONS_LPS` workload (a TLB-thrashing scatter kernel next to a
-//! TLB-friendly stencil kernel) under the SharedTLB baseline, full MASK,
+//! TLB-friendly stencil kernel) under the `SharedTLB` baseline, full MASK,
 //! and the Ideal TLB, then prints weighted speedup, per-app IPC, and
 //! unfairness for each.
 //!

@@ -2,7 +2,7 @@
 //! hardware thrashing control stops mattering?
 //!
 //! Sweeps the shared L2 TLB from 64 to 8192 entries for the `CONS_LPS`
-//! workload and prints SharedTLB vs MASK weighted speedup at each size —
+//! workload and prints `SharedTLB` vs MASK weighted speedup at each size —
 //! the §7.3 sensitivity study. The crossover (MASK's advantage vanishing
 //! once the combined working set fits) is the paper's 8192-entry result.
 //!

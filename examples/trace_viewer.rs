@@ -27,7 +27,7 @@ fn main() {
 mod traced {
     use mask_core::prelude::*;
 
-    pub fn run() {
+    pub(crate) fn run() {
         // Force the runtime gate on so the example works without MASK_TRACE
         // in the environment (setting it is still honoured for real runs).
         mask_obs::set_runtime(Some(true));
@@ -65,8 +65,8 @@ mod traced {
         println!("trace   : {}", summary.trace_path.display());
         println!("metrics : {}", summary.metrics_path.display());
         println!(
-            "{} events, {} frames, {} engine spans, {} merge waits, {} dropped",
-            summary.events, summary.frames, summary.spans, summary.merge_waits, summary.dropped
+            "{} events, {} frames, {} engine spans, {} dropped",
+            summary.events, summary.frames, summary.spans, summary.dropped
         );
         println!("counter families: {}", summary.families.join(", "));
         println!();

@@ -1,6 +1,6 @@
 //! Walk inspector: profile one application's address-translation pressure.
 //!
-//! Runs a single benchmark alone on the SharedTLB baseline and prints the
+//! Runs a single benchmark alone on the `SharedTLB` baseline and prints the
 //! full translation profile the paper's §4 analysis is built on: TLB miss
 //! rates, concurrent page walks (Fig. 5), warps stalled per miss (Fig. 6),
 //! per-walk-level L2 cache hit rates (§4.3), and DRAM behaviour by request

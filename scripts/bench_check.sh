@@ -6,15 +6,10 @@
 #   MASK_BENCH_FULL=1 scripts/bench_check.sh   # full-size measurements
 #
 # Gates, in order:
-#   1. throughput        — serial + sharded cycles/sec vs BENCH_pr7/pr5,
-#                          shard-sweep checksum equality
+#   1. throughput        — cycles/sec vs BENCH_pr7/pr5
 #   2. throughput (obs)  — tracing-disabled hook overhead vs BENCH_pr7
 #   3. prefix_reuse      — warm-up reuse speedup vs BENCH_pr8, reuse-mode
 #                          checksum equality
-#   4. speculation       — serial/cold/seeded final-state identity, seeded
-#                          commit completeness, seeded speedup vs BENCH_pr9
-#                          (speedup gate auto-skips on 1-CPU hosts with an
-#                          honest note)
 #
 # Every gate exits non-zero on regression; the script stops at the first
 # failure (set -e) so CI logs point straight at the broken gate.
@@ -27,20 +22,16 @@ if [[ "${MASK_BENCH_FULL:-0}" != "1" ]]; then
   # scale-invariant (speedups) or re-derived at this size by the benches.
   export MASK_BENCH_CYCLES="${MASK_BENCH_CYCLES:-50000}"
   export MASK_BENCH_PREFIX_CYCLES="${MASK_BENCH_PREFIX_CYCLES:-60000}"
-  export MASK_BENCH_SPEC_CYCLES="${MASK_BENCH_SPEC_CYCLES:-200000}"
   export MASK_BENCH_REPS="${MASK_BENCH_REPS:-2}"
 fi
 
-echo "== gate 1/4: throughput (regression + shard determinism) =="
+echo "== gate 1/3: throughput (regression) =="
 cargo bench -p mask-bench --bench throughput -- --check
 
-echo "== gate 2/4: throughput with obs hooks compiled (tracing-off overhead) =="
+echo "== gate 2/3: throughput with obs hooks compiled (tracing-off overhead) =="
 cargo bench -p mask-bench --features obs --bench throughput -- --check
 
-echo "== gate 3/4: prefix reuse (speedup + reuse-mode checksums) =="
+echo "== gate 3/3: prefix reuse (speedup + reuse-mode checksums) =="
 cargo bench -p mask-bench --bench prefix_reuse -- --check
-
-echo "== gate 4/4: speculation (serial/cold/seeded identity + seeded speedup) =="
-cargo bench -p mask-bench --bench speculation -- --check
 
 echo "bench_check: all gates passed"

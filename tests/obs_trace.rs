@@ -4,10 +4,10 @@
 //! tests pin the bit-identity contract: with the `obs` feature compiled in
 //! and tracing switched **on** at runtime, every statistic — including raw
 //! instruction checksums — is byte-identical to the same run with tracing
-//! **off**, across job-engine worker counts and SM shard counts (the
-//! `MASK_JOBS` × `MASK_SM_SHARDS` matrix). A second test drives a traced
-//! batch end-to-end through the exporter and checks the Perfetto document
-//! and the metrics JSONL stream are well-formed and carry every counter
+//! **off**, across job-engine worker counts (`MASK_JOBS`) and on the
+//! direct `SimJob::run` path. A second test drives a traced batch
+//! end-to-end through the exporter and checks the Perfetto document and
+//! the metrics JSONL stream are well-formed and carry every counter
 //! family.
 
 #![cfg(feature = "obs")]
@@ -61,19 +61,14 @@ fn checksum(stats: &SimStats) -> u64 {
         })
 }
 
-/// Runs `jobs` across the worker × shard matrix: through the job engine at
-/// 1 and 2 workers, then directly at 1/2/3 SM shards.
+/// Runs `jobs` through the job engine at 1 and 2 workers, then directly.
 fn run_matrix(jobs: &[SimJob]) -> Vec<SimStats> {
     let mut out = Vec::new();
     for workers in [1, 2] {
         let pool = JobPool::with_workers(workers).with_cache(BaselineCache::new());
         out.extend(pool.run_batch(jobs));
     }
-    for shards in [1, 2, 3] {
-        for j in jobs {
-            out.push(j.run_with_shards(Some(shards)));
-        }
-    }
+    out.extend(jobs.iter().map(SimJob::run));
     out
 }
 
@@ -82,7 +77,7 @@ proptest! {
 
     /// The contract itself: tracing on vs. off, same bits everywhere.
     #[test]
-    fn tracing_is_bit_identical_across_workers_and_shards(seed in 0u64..500) {
+    fn tracing_is_bit_identical_across_workers(seed in 0u64..500) {
         let _gate = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let jobs = [
             job(seed, &[("HISTO", 2), ("GUP", 2)], 5_000),
@@ -102,7 +97,7 @@ proptest! {
 }
 
 /// End-to-end: a traced batch exports a balanced Perfetto document plus a
-/// metrics JSONL stream carrying all six counter families.
+/// metrics JSONL stream carrying all five counter families.
 #[test]
 fn traced_batch_exports_all_counter_families() {
     let _gate = GATE
@@ -143,7 +138,7 @@ fn traced_batch_exports_all_counter_families() {
 
     let jsonl = std::fs::read_to_string(&summary.metrics_path).expect("metrics.jsonl written");
     assert!(jsonl.lines().count() >= 2);
-    for family in ["tlb", "walker", "l2", "dram", "shard_merge", "job_pool"] {
+    for family in ["tlb", "walker", "l2", "dram", "job_pool"] {
         assert!(
             summary.families.iter().any(|f| f == family),
             "family {family} missing; got {:?}\njsonl head:\n{}",

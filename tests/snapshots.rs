@@ -6,10 +6,10 @@
 //! the contract behind the engine's warm-up `PrefixCache`: for every
 //! design preset, `snapshot → codec round-trip → restore → run(k)` is
 //! **byte-identical** to the straight-through `run(n + k)` — same
-//! `SimStats`, same re-encoded snapshot bytes — at every shard count and
-//! with the observability hooks on or off. Damaged envelopes (corrupted,
-//! truncated, version-bumped, or wrong-keyed bytes) are rejected with an
-//! error, never silently restored.
+//! `SimStats`, same re-encoded snapshot bytes — with the observability
+//! hooks on or off. Damaged envelopes (corrupted, truncated,
+//! version-bumped, or wrong-keyed bytes) are rejected with an error, never
+//! silently restored.
 
 use mask_common::snapshot::{PrefixKey, SnapshotError};
 use mask_core::prelude::*;
@@ -19,10 +19,8 @@ use proptest::prelude::*;
 const EPOCH: u64 = 2_000;
 
 /// Builds a small two-app simulation (4 cores, 16 warps/core).
-fn build(design: DesignKind, seed: u64, cycles: u64, shards: usize) -> GpuSim {
-    let mut cfg = SimConfig::new(design)
-        .with_max_cycles(cycles)
-        .with_sm_shards(shards);
+fn build(design: DesignKind, seed: u64, cycles: u64) -> GpuSim {
+    let mut cfg = SimConfig::new(design).with_max_cycles(cycles);
     cfg.seed = seed;
     cfg.gpu.n_cores = 4;
     cfg.gpu.warps_per_core = 16;
@@ -40,19 +38,19 @@ fn build(design: DesignKind, seed: u64, cycles: u64, shards: usize) -> GpuSim {
 /// The round-trip property for one configuration: run the prefix, seal,
 /// restore into a fresh machine, run the suffix, and compare everything
 /// against the straight-through oracle.
-fn assert_round_trip(design: DesignKind, seed: u64, prefix: u64, suffix: u64, shards: usize) {
+fn assert_round_trip(design: DesignKind, seed: u64, prefix: u64, suffix: u64) {
     let key = PrefixKey(seed ^ 0xA5A5);
     let total = prefix + suffix;
 
-    let mut oracle = build(design, seed, total, shards);
+    let mut oracle = build(design, seed, total);
     oracle.run(total);
     oracle.sync_stats();
 
-    let mut warm = build(design, seed, total, shards);
+    let mut warm = build(design, seed, total);
     warm.run(prefix);
     let bytes = warm.encode_snapshot(key);
 
-    let mut resumed = build(design, seed, total, shards);
+    let mut resumed = build(design, seed, total);
     resumed
         .restore_snapshot(&bytes, key)
         .expect("round-tripped snapshot restores");
@@ -62,7 +60,7 @@ fn assert_round_trip(design: DesignKind, seed: u64, prefix: u64, suffix: u64, sh
     assert_eq!(
         oracle.stats(),
         resumed.stats(),
-        "{design} seed={seed} shards={shards}: restore→run({suffix}) diverged from run({total})"
+        "{design} seed={seed}: restore→run({suffix}) diverged from run({total})"
     );
     // Byte-level witness: the *entire machine state*, not just the
     // counters, is identical (both endpoints are epoch-safe by choice of
@@ -70,27 +68,25 @@ fn assert_round_trip(design: DesignKind, seed: u64, prefix: u64, suffix: u64, sh
     assert_eq!(
         oracle.encode_snapshot(key),
         resumed.encode_snapshot(key),
-        "{design} seed={seed} shards={shards}: final machine states differ"
+        "{design} seed={seed}: final machine states differ"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The core property, across every design preset, at the serial and a
-    /// sharded frontend, with the obs hooks' runtime gate off and on
-    /// (tracing reads simulation state but must never influence it; in
-    /// builds without the `obs` feature the gate is inert).
+    /// The core property, across every design preset, with the obs hooks'
+    /// runtime gate off and on (tracing reads simulation state but must
+    /// never influence it; in builds without the `obs` feature the gate is
+    /// inert).
     #[test]
     fn restore_then_run_is_byte_identical(seed in 0u64..1_000) {
         for obs in [false, true] {
             mask_obs::set_runtime(Some(obs));
             for design in DesignKind::ALL {
-                for shards in [1usize, 4] {
-                    // prefix = one epoch, suffix to the next boundary:
-                    // both snapshot points are epoch-safe.
-                    assert_round_trip(design, seed, EPOCH, EPOCH, shards);
-                }
+                // prefix = one epoch, suffix to the next boundary: both
+                // snapshot points are epoch-safe.
+                assert_round_trip(design, seed, EPOCH, EPOCH);
             }
         }
         mask_obs::set_runtime(Some(false));
@@ -101,19 +97,19 @@ proptest! {
     /// epoch alignment of the cut.
     #[test]
     fn early_cuts_round_trip(cut in 1u64..EPOCH) {
-        assert_round_trip(DesignKind::Mask, 11, cut, 2 * EPOCH - cut, 1);
+        assert_round_trip(DesignKind::Mask, 11, cut, 2 * EPOCH - cut);
     }
 }
 
 #[test]
 fn damaged_envelopes_are_rejected() {
     let key = PrefixKey(99);
-    let mut sim = build(DesignKind::Mask, 5, 2 * EPOCH, 1);
+    let mut sim = build(DesignKind::Mask, 5, 2 * EPOCH);
     sim.run(EPOCH);
     let bytes = sim.encode_snapshot(key);
 
     // Wrong key: sealed under `key`, opened expecting another.
-    let mut fresh = build(DesignKind::Mask, 5, 2 * EPOCH, 1);
+    let mut fresh = build(DesignKind::Mask, 5, 2 * EPOCH);
     assert!(matches!(
         fresh.restore_snapshot(&bytes, PrefixKey(100)),
         Err(SnapshotError::KeyMismatch { .. })
@@ -121,7 +117,7 @@ fn damaged_envelopes_are_rejected() {
 
     // Truncation, anywhere: header-only and mid-payload cuts.
     for cut in [bytes.len() / 2, 16, 0] {
-        let mut fresh = build(DesignKind::Mask, 5, 2 * EPOCH, 1);
+        let mut fresh = build(DesignKind::Mask, 5, 2 * EPOCH);
         assert!(
             fresh.restore_snapshot(&bytes[..cut], key).is_err(),
             "truncation to {cut} bytes must be rejected"
@@ -132,7 +128,7 @@ fn damaged_envelopes_are_rejected() {
     let mut corrupt = bytes.clone();
     let mid = 32 + (corrupt.len() - 32) / 2;
     corrupt[mid] ^= 0x01;
-    let mut fresh = build(DesignKind::Mask, 5, 2 * EPOCH, 1);
+    let mut fresh = build(DesignKind::Mask, 5, 2 * EPOCH);
     assert!(matches!(
         fresh.restore_snapshot(&corrupt, key),
         Err(SnapshotError::ChecksumMismatch { .. })
@@ -142,7 +138,7 @@ fn damaged_envelopes_are_rejected() {
     // little-endian codec version).
     let mut vbump = bytes.clone();
     vbump[4] = vbump[4].wrapping_add(1);
-    let mut fresh = build(DesignKind::Mask, 5, 2 * EPOCH, 1);
+    let mut fresh = build(DesignKind::Mask, 5, 2 * EPOCH);
     assert!(matches!(
         fresh.restore_snapshot(&vbump, key),
         Err(SnapshotError::BadVersion { .. })
@@ -151,7 +147,7 @@ fn damaged_envelopes_are_rejected() {
     // A scribbled magic is not a snapshot at all.
     let mut garbage = bytes;
     garbage[0] = b'X';
-    let mut fresh = build(DesignKind::Mask, 5, 2 * EPOCH, 1);
+    let mut fresh = build(DesignKind::Mask, 5, 2 * EPOCH);
     assert!(matches!(
         fresh.restore_snapshot(&garbage, key),
         Err(SnapshotError::BadMagic(_))
@@ -163,11 +159,11 @@ fn damaged_envelopes_are_rejected() {
 /// the tight accuracy property lives in `mask-gpu`'s unit tests.
 #[test]
 fn sampled_mode_reports_plausible_bands() {
-    let mut sampled = build(DesignKind::Mask, 21, 40_000, 1);
+    let mut sampled = build(DesignKind::Mask, 21, 40_000);
     let out = sampled.run_sampled(40_000, 2_000, 2_000);
     assert_eq!(out.detailed_cycles + out.skipped_cycles, 40_000);
     assert!(out.windows >= 10);
-    let mut oracle = build(DesignKind::Mask, 21, 40_000, 1);
+    let mut oracle = build(DesignKind::Mask, 21, 40_000);
     oracle.run(40_000);
     oracle.sync_stats();
     for app in 0..oracle.n_apps() {

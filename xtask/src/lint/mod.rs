@@ -21,14 +21,11 @@
 //! |                   | (mechanically fixable with `--fix`)                          |
 //! | `unwrap`          | no `.unwrap()` / bare `panic!` in library code               |
 //! | `parallelism`     | thread primitives only in the parallelism islands:           |
-//! |                   | `crates/core/src/engine*`, `crates/gpu/src/shard.rs`,        |
-//! |                   | `crates/gpu/src/spec.rs`, `crates/obs/src/ring.rs`,          |
+//! |                   | `crates/core/src/engine*`, `crates/obs/src/ring.rs`,         |
 //! |                   | `crates/maskd` (a threaded network daemon), and              |
 //! |                   | `crates/bench`                                               |
 //! | `hotpath`         | no heap traffic (`vec![`, `Vec::new()`, `.clone()`,          |
 //! |                   | `.collect`) in the per-cycle hot files outside constructors  |
-//! | `unsafe-audit`    | `unsafe` only inside the parallelism islands, and every use  |
-//! |                   | carries a `// SAFETY:` (or `# Safety` doc) justification     |
 //! | `atomic-ordering` | every `Ordering::*` use carries an ordering-justification    |
 //! |                   | comment; `SeqCst` in a hot file must be justified by name    |
 //! | `stale-allow`     | a `// lint: allow(R)` that no longer suppresses anything is  |
@@ -178,15 +175,8 @@ impl Sink<'_> {
 /// *not* registered here: checkpoint encoding/decoding runs only at
 /// epoch-boundary snapshot points, never inside the per-cycle loop, so
 /// it may allocate freely (the fixture tests pin this decision down).
-///
-/// The speculative segment runner (`crates/gpu/src/spec.rs`) *is*
-/// registered: its commit/verify loop sits between detailed segment runs
-/// and executes once per segment boundary per run, so a stray allocation
-/// there multiplies by the segment count on every speculative batch job.
-pub(crate) const HOTPATH_FILES: [&str; 7] = [
+pub(crate) const HOTPATH_FILES: [&str; 5] = [
     "crates/gpu/src/sim.rs",
-    "crates/gpu/src/shard.rs",
-    "crates/gpu/src/spec.rs",
     "crates/gpu/src/translation.rs",
     "crates/cache/src/l2.rs",
     "crates/dram/src/queues.rs",
@@ -372,8 +362,6 @@ pub(crate) fn lint_source(path: &Path, contents: &str) -> Vec<Violation> {
         // per-connection handlers, dispatcher, condvar-held event
         // streams): the whole crate is a declared island.
         || krate == "maskd"
-        || norm.ends_with("crates/gpu/src/shard.rs")
-        || norm.ends_with("crates/gpu/src/spec.rs")
         || norm.ends_with("crates/obs/src/ring.rs");
     let env_entry = krate == "bench" || ENV_ENTRY_FILES.iter().any(|f| norm.ends_with(f));
     let ctx = FileCtx {

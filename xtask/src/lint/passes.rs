@@ -5,8 +5,8 @@
 //! layers the allow/test-mask machinery (plus the engine-implemented
 //! `stale-allow` rule) on top. Passes search the lexer's code view, so a
 //! token inside a string literal or comment can never fire a rule, and
-//! consult the comment view for justification comments (`SAFETY:`,
-//! ordering rationales).
+//! consult the comment view for justification comments (ordering
+//! rationales).
 
 use super::lexer::Line;
 use super::{find_word, FileCtx, Fix, Sink, HOTPATH_FILES};
@@ -22,7 +22,7 @@ pub(crate) struct RuleInfo {
 }
 
 /// Every rule the engine knows, in stable order (SARIF `ruleIndex`).
-pub(crate) const RULES: [RuleInfo; 12] = [
+pub(crate) const RULES: [RuleInfo; 11] = [
     RuleInfo {
         id: "collections",
         short: "HashMap/HashSet in a simulator crate",
@@ -61,8 +61,7 @@ pub(crate) const RULES: [RuleInfo; 12] = [
         id: "parallelism",
         short: "thread primitive outside the parallelism islands",
         help: "std::thread/Mutex/RwLock/Condvar/mpsc/atomics stay inside \
-               crates/core/src/engine*, crates/gpu/src/shard.rs, \
-               crates/gpu/src/spec.rs, crates/obs/src/ring.rs, \
+               crates/core/src/engine*, crates/obs/src/ring.rs, \
                crates/maskd (a threaded network daemon), and crates/bench \
                so the rest of the simulator remains single-threaded.",
     },
@@ -72,14 +71,6 @@ pub(crate) const RULES: [RuleInfo; 12] = [
         help: "vec!/Vec::new()/.clone()/.collect outside constructors in \
                the per-cycle hot files; the cycle loop must stay \
                allocation-free in steady state.",
-    },
-    RuleInfo {
-        id: "unsafe-audit",
-        short: "unaudited or out-of-island `unsafe`",
-        help: "unsafe is only permitted in the declared parallelism \
-               islands, and every unsafe block/fn/impl needs a `// SAFETY:` \
-               comment (or a `# Safety` doc section) stating the invariant \
-               that makes it sound.",
     },
     RuleInfo {
         id: "atomic-ordering",
@@ -121,7 +112,7 @@ pub(crate) const RULES: [RuleInfo; 12] = [
 
 /// The pass functions, run in order over every file. (`stale-allow` is
 /// implemented by the engine itself, from the allow-usage ledger.)
-pub(crate) const PASSES: [fn(&FileCtx<'_>, &mut Sink<'_>); 11] = [
+pub(crate) const PASSES: [fn(&FileCtx<'_>, &mut Sink<'_>); 10] = [
     pass_collections,
     pass_nondeterminism,
     pass_parallelism,
@@ -129,7 +120,6 @@ pub(crate) const PASSES: [fn(&FileCtx<'_>, &mut Sink<'_>); 11] = [
     pass_float_accum,
     pass_unwrap,
     pass_debug_derive,
-    pass_unsafe_audit,
     pass_atomic_ordering,
     pass_design_predicates,
     pass_env_determinism,
@@ -202,8 +192,7 @@ fn pass_parallelism(ctx: &FileCtx<'_>, sink: &mut Sink<'_>) {
                     "parallelism",
                     format!(
                         "`{prim}` outside the job engine; only \
-                         crates/core/src/engine*, crates/gpu/src/shard.rs, \
-                         crates/gpu/src/spec.rs, crates/obs/src/ring.rs (and \
+                         crates/core/src/engine*, crates/obs/src/ring.rs (and \
                          crates/bench) may spawn threads or share mutable \
                          state across them"
                     ),
@@ -315,41 +304,6 @@ fn pass_debug_derive(ctx: &FileCtx<'_>, sink: &mut Sink<'_>) {
                  diagnostics can print requests"
                     .into(),
                 Some(Fix::InsertAbove(format!("{indent}#[derive(Debug)]"))),
-            );
-        }
-    }
-}
-
-fn pass_unsafe_audit(ctx: &FileCtx<'_>, sink: &mut Sink<'_>) {
-    for (i, l) in ctx.lines.iter().enumerate() {
-        let Some(c) = find_word(&l.code, "unsafe") else {
-            continue;
-        };
-        if !ctx.island {
-            sink.report(
-                i,
-                c,
-                "unsafe-audit",
-                "`unsafe` outside the declared parallelism islands \
-                 (crates/core/src/engine*, crates/gpu/src/shard.rs, \
-                 crates/gpu/src/spec.rs, crates/obs/src/ring.rs, \
-                 crates/bench); the simulator model itself must stay in \
-                 safe Rust"
-                    .into(),
-                None,
-            );
-        } else if !justification(ctx.lines, i)
-            .is_some_and(|t| t.contains("SAFETY:") || t.contains("# Safety"))
-        {
-            sink.report(
-                i,
-                c,
-                "unsafe-audit",
-                "`unsafe` without a `// SAFETY:` comment (or `# Safety` doc \
-                 section) on the statement or directly above it; state the \
-                 invariant that makes this sound"
-                    .into(),
-                None,
             );
         }
     }
@@ -512,7 +466,7 @@ mod tests {
 
     #[test]
     fn rules_table_matches_pass_count() {
-        // 11 pass functions + the engine-implemented stale-allow.
+        // 10 pass functions + the engine-implemented stale-allow.
         assert_eq!(RULES.len(), PASSES.len() + 1);
         let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
         assert!(ids.contains(&"stale-allow"));
@@ -526,11 +480,7 @@ mod tests {
     #[test]
     fn hot_file_predicate_matches_suffixes() {
         assert!(is_hot_file("/repo/crates/gpu/src/sim.rs"));
-        // The speculative segment runner's verify/commit loop is hot.
-        assert!(is_hot_file("/repo/crates/gpu/src/spec.rs"));
         assert!(!is_hot_file("/repo/crates/gpu/src/core_model.rs"));
-        // Functional fast-forward runs in epoch-sized chunks, not per cycle.
-        assert!(!is_hot_file("/repo/crates/gpu/src/functional.rs"));
         // The snapshot codec runs at epoch boundaries, not per cycle.
         assert!(!is_hot_file("/repo/crates/common/src/snapshot.rs"));
     }

@@ -1,7 +1,7 @@
 //! Engine and rule tests: one red-fixture test per rule (proving each
 //! rule fires), one clean fixture per rule, the v1 regression cases
 //! (`//` inside strings, brace-in-string `#[cfg(test)]` spans), and a
-//! self-check that the repository itself is lint-clean under all 12 rules.
+//! self-check that the repository itself is lint-clean under all 11 rules.
 
 use super::*;
 
@@ -109,55 +109,7 @@ fn red_hotpath_catches_turbofish_collect() {
     assert_eq!(rules(&v), ["hotpath"]);
 }
 
-// The four mask-lint v2 passes: red + clean fixtures per rule.
-
-#[test]
-fn red_unsafe_audit_flags_unsafe_outside_islands() {
-    let v = lint(
-        "crates/tlb/src/l1.rs",
-        "pub fn f(p: *const u32) -> u32 {\n    unsafe { *p }\n}\n",
-    );
-    assert_eq!(rules(&v), ["unsafe-audit"]);
-    assert!(v[0].message.contains("islands"), "{}", v[0].message);
-}
-
-#[test]
-fn red_unsafe_audit_flags_missing_safety_comment_inside_island() {
-    let v = lint(
-        "crates/gpu/src/shard.rs",
-        "fn g(p: *mut u32) {\n    let r = unsafe { &mut *p };\n    *r = 1;\n}\n",
-    );
-    assert_eq!(rules(&v), ["unsafe-audit"]);
-    assert!(v[0].message.contains("SAFETY"), "{}", v[0].message);
-}
-
-#[test]
-fn clean_unsafe_audit_accepts_safety_comment_and_doc_section() {
-    let src = "\
-/// Does a thing.
-///
-/// # Safety
-///
-/// `p` must be valid and exclusively owned for the call.
-unsafe fn g(p: *mut u32) {
-    // SAFETY: the caller guarantees `p` is valid and unaliased.
-    let r = unsafe { &mut *p };
-    *r = 1;
-}
-";
-    assert!(lint("crates/gpu/src/shard.rs", src).is_empty());
-}
-
-#[test]
-fn clean_unsafe_audit_safety_comment_covers_multiline_statement() {
-    let src = "\
-// SAFETY: disjoint shard ranges; single writer per slot.
-let cores = unsafe {
-    std::slice::from_raw_parts_mut(base.add(start), len)
-};
-";
-    assert!(lint("crates/gpu/src/shard.rs", src).is_empty());
-}
+// The three mask-lint v2 passes: red + clean fixtures per rule.
 
 #[test]
 fn red_atomic_ordering_flags_uncommented_ordering() {
@@ -189,7 +141,7 @@ if shared.epoch.load(Ordering::SeqCst) != seen
     return;
 }
 ";
-    assert!(lint("crates/gpu/src/shard.rs", src).is_empty());
+    assert!(lint("crates/gpu/src/sim.rs", src).is_empty());
 }
 
 #[test]
@@ -200,7 +152,7 @@ fn red_atomic_ordering_seqcst_smell_in_hot_file_needs_naming() {
 // This ordering keeps the flag in sync.
 flag.store(true, Ordering::SeqCst);
 ";
-    let v = lint("crates/gpu/src/shard.rs", src);
+    let v = lint("crates/gpu/src/sim.rs", src);
     assert_eq!(rules(&v), ["atomic-ordering"]);
     assert!(v[0].message.contains("smell"), "{}", v[0].message);
     // Outside a hot file the generic justification suffices.
@@ -210,7 +162,7 @@ flag.store(true, Ordering::SeqCst);
 // SeqCst: the park/unpark handshake needs total order with the bump.
 flag.store(true, Ordering::SeqCst);
 ";
-    assert!(lint("crates/gpu/src/shard.rs", named).is_empty());
+    assert!(lint("crates/gpu/src/sim.rs", named).is_empty());
 }
 
 #[test]
@@ -321,17 +273,6 @@ fn maskd_is_a_parallelism_island_but_not_an_env_free_for_all() {
         rules(&lint("crates/maskd/src/server.rs", env)),
         ["env-determinism"]
     );
-}
-
-#[test]
-fn maskd_unsafe_still_needs_a_safety_comment() {
-    // Being an island admits `unsafe`, but the audit half of the rule
-    // still applies: without a SAFETY justification it fires.
-    let v = lint(
-        "crates/maskd/src/http.rs",
-        "pub fn f(p: *const u32) -> u32 {\n    unsafe { *p }\n}\n",
-    );
-    assert_eq!(rules(&v), ["unsafe-audit"]);
 }
 
 #[test]
@@ -590,55 +531,8 @@ fn engine_and_bench_may_use_thread_primitives() {
 }
 
 #[test]
-fn shard_pool_may_use_thread_primitives_but_stays_hotpath_clean() {
-    // The SM-frontend shard pool is the second parallelism island…
-    let threads = "use std::sync::Mutex;\nstd::thread::scope(|s| {});\n";
-    assert!(lint("crates/gpu/src/shard.rs", threads).is_empty());
-    // …but only shard.rs: the rest of mask-gpu stays single-threaded.
-    assert!(!lint("crates/gpu/src/sim.rs", threads).is_empty());
-    // And the hotpath rule still fires inside shard.rs — the per-cycle
-    // shard/merge code must not allocate in steady state.
-    let alloc = "pub fn run_shard(&mut self) {\n    let v = Vec::new();\n}\n";
-    let v = lint("crates/gpu/src/shard.rs", alloc);
-    assert_eq!(rules(&v), ["hotpath"]);
-}
-
-#[test]
-fn spec_runner_may_use_thread_primitives_but_stays_hotpath_clean() {
-    // The speculative segment runner is a declared parallelism island…
-    let threads = "use std::sync::Mutex;\nstd::thread::scope(|s| {});\n";
-    assert!(lint("crates/gpu/src/spec.rs", threads).is_empty());
-    // …but the functional fast-forward mode it drives is not: predictions
-    // run on plain single-threaded replicas.
-    assert!(!lint("crates/gpu/src/functional.rs", threads).is_empty());
-    // And the hotpath rule still fires inside spec.rs — the per-boundary
-    // verify/commit loop must not allocate in steady state.
-    let alloc = "pub fn verify_segment(&mut self) {\n    let v = Vec::new();\n}\n";
-    assert_eq!(rules(&lint("crates/gpu/src/spec.rs", alloc)), ["hotpath"]);
-}
-
-#[test]
-fn red_env_determinism_functional_mode_must_not_read_env() {
-    // Functional fast-forward feeds speculative predictions; an env read
-    // there would let MASK_* settings fork replica behavior mid-run and
-    // silently change which segments commit.
-    let v = lint(
-        "crates/gpu/src/functional.rs",
-        "let n = std::env::var(\"MASK_SPEC_SEGMENTS\").ok();\n",
-    );
-    assert_eq!(rules(&v), ["env-determinism"]);
-    // The segment runner itself is no env entry point either: segment
-    // counts arrive resolved through SpecPlan.
-    let v = lint(
-        "crates/gpu/src/spec.rs",
-        "let n = std::env::var(\"MASK_SPEC_SEGMENTS\").ok();\n",
-    );
-    assert_eq!(rules(&v), ["env-determinism"]);
-}
-
-#[test]
 fn obs_ring_may_use_thread_primitives_but_hooks_stay_hotpath_clean() {
-    // The tracer's ring-buffer module is the third parallelism island…
+    // The tracer's ring-buffer module is a parallelism island…
     let threads = "use std::sync::Mutex;\nstatic GATE: AtomicU8 = AtomicU8::new(0);\n";
     assert!(lint("crates/obs/src/ring.rs", threads).is_empty());
     // …and only ring.rs: the rest of mask-obs stays primitive-free.
