@@ -22,18 +22,20 @@ use mask_core::table::Table;
 /// always wins when set).
 pub fn options(default_pair_cap: usize) -> ExpOptions {
     let mut opts = ExpOptions::default();
-    if std::env::var("MASK_PAIR_LIMIT").is_err() {
+    if mask_common::config::pair_limit_override().is_none() {
         opts.pair_limit = opts.pair_limit.min(default_pair_cap);
     }
     opts
 }
 
 /// Prints a table and archives it as CSV plus machine-readable JSON under
-/// `target/mask-results/` (`<slug>.csv` / `<slug>.json`).
+/// the workspace's `target/mask-results/` (`<slug>.csv` / `<slug>.json`).
 pub fn emit(table: &Table) {
     println!("{table}");
     println!();
-    let dir = std::path::Path::new("target/mask-results");
+    // `cargo bench` runs a target with its package directory as cwd; anchor
+    // on the manifest so tables land in the workspace `target/` regardless.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/mask-results");
     let slug: String = table
         .title
         .chars()

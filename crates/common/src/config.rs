@@ -806,17 +806,20 @@ pub fn default_max_cycles() -> u64 {
         .unwrap_or(300_000)
 }
 
-/// Default number of paper workload pairs an experiment simulates.
-///
-/// Honors the `MASK_PAIR_LIMIT` environment variable (the paper evaluates
-/// all 35 two-app pairs; capping the count keeps smoke runs fast). This is
-/// the designated entry point for that variable — experiment code takes
-/// the resolved value, never the environment.
-pub fn default_pair_limit() -> usize {
+/// The `MASK_PAIR_LIMIT` environment variable, when set to a number. This
+/// is the one read site for that variable — experiment and harness code
+/// takes the resolved value, never the environment.
+pub fn pair_limit_override() -> Option<usize> {
     std::env::var("MASK_PAIR_LIMIT")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(35)
+}
+
+/// Default number of paper workload pairs an experiment simulates: the
+/// [`pair_limit_override`] when present (capping the count keeps smoke
+/// runs fast), else all 35 two-app pairs the paper evaluates.
+pub fn default_pair_limit() -> usize {
+    pair_limit_override().unwrap_or(35)
 }
 
 #[cfg(test)]

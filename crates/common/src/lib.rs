@@ -9,7 +9,9 @@
 //!   of the paper ([`config`]),
 //! * simulation statistics counters ([`stats`]),
 //! * a small deterministic PRNG so that every experiment is bit-reproducible
-//!   without external dependencies ([`rng`]).
+//!   without external dependencies ([`rng`]),
+//! * the versioned MSNP snapshot codec ([`snapshot`]) and the on-disk
+//!   directory store of sealed envelopes built on it ([`store`]).
 //!
 //! # Example
 //!
@@ -31,6 +33,7 @@ pub mod req;
 pub mod rng;
 pub mod snapshot;
 pub mod stats;
+pub mod store;
 
 pub use addr::{LineAddr, PhysAddr, Ppn, VirtAddr, Vpn};
 // lint: allow(design-predicates) -- crate-root re-export, not a policy decision

@@ -31,12 +31,13 @@
 //! enforces the boundary with the `parallelism` rule.
 
 use mask_common::config::{DesignKind, DesignSpec, GpuConfig, JobOptions, SimConfig};
-use mask_common::snapshot::{validate_envelope, PrefixHasher, PrefixKey, SnapshotReader};
+use mask_common::snapshot::{PrefixHasher, PrefixKey};
 use mask_common::stats::SimStats;
+use mask_common::store::EnvelopeStore;
 use mask_gpu::{AppSpec, GpuSim};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -135,14 +136,18 @@ impl SimJob {
         let mut warmed: Option<GpuSim> = None;
         let mut simulated = false;
         let bytes = cell.get_or_init(|| {
-            if let Some(bytes) = prefix.load_disk(key) {
+            // A stored snapshot that fails envelope validation degrades to
+            // re-simulation instead of poisoning the in-memory cell.
+            if let Some(bytes) = prefix.disk.as_ref().and_then(|d| d.load(key)) {
                 return Arc::new(bytes);
             }
             simulated = true;
             let mut sim = self.build_sim();
             sim.run(warmup);
             let bytes = sim.encode_snapshot(key);
-            prefix.store_disk(key, &bytes);
+            if let Some(disk) = &prefix.disk {
+                disk.store(key, &bytes);
+            }
             warmed = Some(sim);
             Arc::new(bytes)
         });
@@ -376,44 +381,28 @@ struct PrefixInner {
 /// cache makes each unique warm-up prefix run exactly once — concurrent
 /// jobs with the same key block on one `OnceLock` cell, the winner
 /// simulates and seals the snapshot, everyone else restores from the
-/// bytes. With `MASK_SNAPSHOT_DIR` set, snapshots are also persisted as
-/// `<key>.msnp` files and reloaded by later processes, amortizing warm-up
+/// bytes. With `MASK_SNAPSHOT_DIR` set, snapshots are also persisted in an
+/// [`EnvelopeStore`] and reloaded by later processes, amortizing warm-up
 /// across whole sweep invocations.
 pub struct PrefixCache {
     inner: Mutex<PrefixInner>,
-    dir: Option<PathBuf>,
-    /// Maximum number of snapshots kept on disk (`MASK_SNAPSHOT_CAP`);
-    /// `None` = unbounded. Enforced LRU-wise after every store.
-    cap: Option<usize>,
+    disk: Option<EnvelopeStore>,
 }
 
 impl PrefixCache {
-    /// An in-memory cache with the on-disk store at `dir` (see
-    /// `MASK_SNAPSHOT_DIR`), behind the shared handle [`JobPool`] expects.
-    /// Equivalent to [`PrefixCache::with_store`] without a size cap.
-    #[must_use]
-    pub fn with_dir(dir: Option<PathBuf>) -> Arc<Self> {
-        Self::with_store(dir, None)
-    }
-
-    /// An in-memory cache with the on-disk store at `dir`, keeping at most
-    /// `cap` snapshots on disk (least-recently-used evicted first; `None`
-    /// = unbounded). Construction sweeps the store once: snapshots whose
-    /// envelope fails validation (truncated, stale format, checksum
-    /// mismatch) and orphaned recency sidecars are deleted.
+    /// An in-memory cache backed by the on-disk store at `dir` (`None`:
+    /// in-memory only), keeping at most `cap` snapshots on disk
+    /// (least-recently-used evicted first; `None` = unbounded), behind the
+    /// shared handle [`JobPool`] expects.
     #[must_use]
     pub fn with_store(dir: Option<PathBuf>, cap: Option<usize>) -> Arc<Self> {
-        if let Some(dir) = dir.as_deref() {
-            cleanup_store(dir);
-        }
         Arc::new(PrefixCache {
             inner: Mutex::new(PrefixInner {
                 map: BTreeMap::new(),
                 hits: 0,
                 misses: 0,
             }),
-            dir,
-            cap,
+            disk: dir.map(|dir| EnvelopeStore::open(dir, cap)),
         })
     }
 
@@ -421,7 +410,7 @@ impl PrefixCache {
     /// exact warm-up counts attach via [`JobPool::with_prefix_cache`].
     #[must_use]
     pub fn in_memory() -> Arc<Self> {
-        Self::with_dir(None)
+        Self::with_store(None, None)
     }
 
     /// A cache whose on-disk store follows the `MASK_SNAPSHOT_DIR`
@@ -467,121 +456,6 @@ impl PrefixCache {
             .lock()
             .expect("prefix cache lock poisoned")
             .misses += 1;
-    }
-
-    /// Loads `key`'s snapshot from the on-disk store, if it exists and
-    /// passes full envelope validation (magic, version, key, checksum) —
-    /// a truncated or stale file degrades to re-simulation instead of
-    /// poisoning the in-memory cell. A successful load refreshes the
-    /// snapshot's recency, protecting hot prefixes from eviction.
-    fn load_disk(&self, key: PrefixKey) -> Option<Vec<u8>> {
-        let dir = self.dir.as_ref()?;
-        let bytes = std::fs::read(dir.join(format!("{key}.msnp"))).ok()?;
-        SnapshotReader::open_keyed(&bytes, key).ok()?;
-        touch_store(dir, key);
-        Some(bytes)
-    }
-
-    /// Persists `key`'s sealed snapshot, best-effort: the store is a pure
-    /// accelerator, so every I/O failure is swallowed. Written via a
-    /// process-unique temp file and rename so concurrent sweeps never
-    /// observe a torn file. Enforces the snapshot cap afterwards, evicting
-    /// least-recently-used entries.
-    fn store_disk(&self, key: PrefixKey, bytes: &[u8]) {
-        let Some(dir) = self.dir.as_ref() else {
-            return;
-        };
-        let _ = std::fs::create_dir_all(dir);
-        let tmp = dir.join(format!("{key}.msnp.{}.tmp", std::process::id()));
-        if std::fs::write(&tmp, bytes).is_ok()
-            && std::fs::rename(&tmp, dir.join(format!("{key}.msnp"))).is_err()
-        {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        touch_store(dir, key);
-        if let Some(cap) = self.cap {
-            evict_store(dir, cap);
-        }
-    }
-}
-
-/// Lists the store's snapshots as `(recency, file stem, path)` triples.
-/// Recency comes from the `<key>.lru` sidecar (0 when absent), stems break
-/// ties, so eviction order is fully deterministic.
-fn list_store(dir: &Path) -> Vec<(u64, String, PathBuf)> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().is_some_and(|e| e == "msnp") {
-            let stem = path
-                .file_stem()
-                .map_or_else(String::new, |s| s.to_string_lossy().into_owned());
-            let seq = std::fs::read_to_string(path.with_extension("lru"))
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .unwrap_or(0);
-            out.push((seq, stem, path));
-        }
-    }
-    out.sort();
-    out
-}
-
-/// Stamps `key` as the store's most recently used snapshot: its `.lru`
-/// sidecar receives a sequence number above every existing one. The
-/// counter is derived from the store itself (not process state), so
-/// recency survives across sweep invocations.
-fn touch_store(dir: &Path, key: PrefixKey) {
-    let next = list_store(dir)
-        .iter()
-        .map(|(seq, _, _)| *seq)
-        .max()
-        .unwrap_or(0)
-        .saturating_add(1);
-    let _ = std::fs::write(dir.join(format!("{key}.lru")), format!("{next}\n"));
-}
-
-/// Deletes least-recently-used snapshots (and their sidecars) until at
-/// most `cap` remain. Best-effort, like every other store operation.
-fn evict_store(dir: &Path, cap: usize) {
-    let listed = list_store(dir);
-    for (_, _, path) in listed.iter().take(listed.len().saturating_sub(cap.max(1))) {
-        let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_file(path.with_extension("lru"));
-    }
-}
-
-/// Startup hygiene sweep: deletes snapshots whose envelope fails full
-/// validation (truncated writes, stale codec versions, checksum damage),
-/// their sidecars, leftover temp files, and orphaned sidecars whose
-/// snapshot is gone.
-fn cleanup_store(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let ext = path.extension().map(|e| e.to_string_lossy().into_owned());
-        match ext.as_deref() {
-            Some("msnp") => {
-                let valid =
-                    std::fs::read(&path).is_ok_and(|bytes| validate_envelope(&bytes).is_ok());
-                if !valid {
-                    let _ = std::fs::remove_file(&path);
-                    let _ = std::fs::remove_file(path.with_extension("lru"));
-                }
-            }
-            Some("lru") if !path.with_extension("msnp").exists() => {
-                let _ = std::fs::remove_file(&path);
-            }
-            Some("tmp") => {
-                let _ = std::fs::remove_file(&path);
-            }
-            _ => {}
-        }
     }
 }
 
@@ -1016,86 +890,29 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mask-snap-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let jobs = token_sweep(2);
-        let first = PrefixCache::with_dir(Some(dir.clone()));
+        let first = PrefixCache::with_store(Some(dir.clone()), None);
         let a = jobs[0].run_with_prefix(&first);
         assert_eq!(first.stats().misses, 1);
         let file = dir.join(format!("{}.msnp", jobs[0].prefix_key()));
         assert!(file.exists(), "winner persists its sealed snapshot");
         // A fresh cache (a later sweep process) loads the snapshot instead
         // of re-simulating the warm-up.
-        let second = PrefixCache::with_dir(Some(dir.clone()));
+        let second = PrefixCache::with_store(Some(dir.clone()), None);
         let b = jobs[1].run_with_prefix(&second);
         let stats = second.stats();
         assert_eq!((stats.hits, stats.misses), (1, 0), "served from disk");
         assert_eq!(a, jobs[0].run());
         assert_eq!(b, jobs[1].run());
-        // A corrupted file degrades to re-simulation with correct results.
+        // A file corrupted under a live cache (past the opening sweep)
+        // degrades to re-simulation with correct results.
+        let third = PrefixCache::with_store(Some(dir.clone()), None);
         let mut bytes = std::fs::read(&file).expect("snapshot readable");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&file, &bytes).expect("snapshot writable");
-        let third = PrefixCache::with_dir(Some(dir.clone()));
         let c = jobs[0].run_with_prefix(&third);
         assert_eq!(c, a, "corruption costs wall clock, never correctness");
         assert_eq!(third.stats().misses, 1, "re-simulated the warm-up");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A minimal but fully sealed (magic/version/key/checksum) snapshot
-    /// for exercising the on-disk store without running a simulation.
-    fn sealed(key: PrefixKey) -> Vec<u8> {
-        use mask_common::snapshot::SnapshotWriter;
-        let mut w = SnapshotWriter::new();
-        w.section("test");
-        w.u64(key.0);
-        w.seal(key)
-    }
-
-    #[test]
-    fn snapshot_store_evicts_least_recently_used() {
-        let dir = std::env::temp_dir().join(format!("mask-lru-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = PrefixCache::with_store(Some(dir.clone()), Some(2));
-        for k in [1u64, 2, 3] {
-            cache.store_disk(PrefixKey(k), &sealed(PrefixKey(k)));
-        }
-        // Cap 2: storing key 3 evicted the least recently used (key 1).
-        assert!(!dir.join(format!("{}.msnp", PrefixKey(1))).exists());
-        assert!(dir.join(format!("{}.msnp", PrefixKey(2))).exists());
-        assert!(dir.join(format!("{}.msnp", PrefixKey(3))).exists());
-        // A load refreshes recency: key 2 survives the next store and the
-        // now-least-recently-used key 3 is evicted instead.
-        assert!(cache.load_disk(PrefixKey(2)).is_some());
-        cache.store_disk(PrefixKey(4), &sealed(PrefixKey(4)));
-        assert!(dir.join(format!("{}.msnp", PrefixKey(2))).exists());
-        assert!(!dir.join(format!("{}.msnp", PrefixKey(3))).exists());
-        assert!(dir.join(format!("{}.msnp", PrefixKey(4))).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn store_startup_cleanup_removes_invalid_entries() {
-        let dir = std::env::temp_dir().join(format!("mask-clean-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("store dir");
-        let key = PrefixKey(7);
-        std::fs::write(dir.join(format!("{key}.msnp")), sealed(key)).expect("valid snapshot");
-        std::fs::write(dir.join(format!("{key}.lru")), "1\n").expect("sidecar");
-        std::fs::write(dir.join("stale.msnp"), b"not a snapshot").expect("stale file");
-        std::fs::write(dir.join("orphan.lru"), "5\n").expect("orphan sidecar");
-        std::fs::write(dir.join("leftover.msnp.123.tmp"), b"partial").expect("temp file");
-        let _ = PrefixCache::with_store(Some(dir.clone()), None);
-        assert!(
-            dir.join(format!("{key}.msnp")).exists(),
-            "valid snapshot kept"
-        );
-        assert!(dir.join(format!("{key}.lru")).exists(), "its sidecar kept");
-        assert!(!dir.join("stale.msnp").exists(), "invalid envelope removed");
-        assert!(!dir.join("orphan.lru").exists(), "orphan sidecar removed");
-        assert!(
-            !dir.join("leftover.msnp.123.tmp").exists(),
-            "leftover temp file removed"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

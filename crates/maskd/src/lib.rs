@@ -30,8 +30,8 @@
 //!   (`Content-Length` and chunked bodies) over `std::net`.
 //! * [`store`] — the persistent content-addressed [`ResultStore`]:
 //!   final statistics keyed by the job's canonical dedup key, sealed in
-//!   the versioned MSNP snapshot codec with the same atomic-rename +
-//!   `.lru` sidecar + startup-cleanup hygiene as `MASK_SNAPSHOT_DIR`.
+//!   the versioned MSNP snapshot codec and kept on disk by the same
+//!   `mask_common::store::EnvelopeStore` as `MASK_SNAPSHOT_DIR`.
 //! * [`queue`] — the admission controller's deficit-round-robin fair
 //!   queue across tenant ids.
 //! * [`server`] — the daemon itself: thread-per-connection acceptor,

@@ -8,28 +8,22 @@
 //! and full `GpuConfig` rendering — is answered from the store without
 //! simulating at all, across daemon restarts.
 //!
-//! On disk each result is one `<key>.msnp` file sealed by the versioned
-//! MSNP snapshot codec (`mask_common::snapshot`): magic, codec version,
-//! key echo, length, and FNV-1a checksum guard every byte, so a corrupt
-//! or torn file can never round-trip into a wrong answer — it fails
-//! validation and is deleted. The store borrows the full hygiene
-//! discipline of the engine's `MASK_SNAPSHOT_DIR` warm-up store:
-//!
-//! * writes go to `<key>.msnp.<pid>.tmp` and are atomically renamed in;
-//! * every use stamps a `.lru` sidecar whose sequence number is derived
-//!   from the store itself, so recency survives restarts;
-//! * `MASKD_STORE_CAP` evicts least-recently-used entries;
-//! * construction sweeps the directory, deleting files that fail envelope
-//!   validation, orphaned sidecars, and leftover temp files — the
-//!   crash-recovery contract of DESIGN.md §15.
+//! On disk each result is one sealed MSNP envelope in an
+//! [`EnvelopeStore`] — the same directory store, with the same atomic
+//! writes, `MASKD_STORE_CAP` LRU eviction and delete-what-fails-validation
+//! hygiene, that holds the engine's `MASK_SNAPSHOT_DIR` warm-up snapshots
+//! (DESIGN.md §13). This module adds only what is about *results*: the
+//! content address, the `SimStats` payload, the in-memory map and the
+//! counters.
 
 use mask_common::snapshot::{
-    validate_envelope, Fnv1a, PrefixKey, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
+    Fnv1a, PrefixKey, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use mask_common::stats::SimStats;
+use mask_common::store::EnvelopeStore;
 use mask_core::SimJob;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 /// The content address of a job: FNV-1a over the canonical rendering of
@@ -72,8 +66,7 @@ struct Inner {
 /// optional persistence. All methods are `&self`; the store is shared
 /// between the daemon's connection threads and its dispatcher.
 pub struct ResultStore {
-    dir: Option<PathBuf>,
-    cap: Option<usize>,
+    disk: Option<EnvelopeStore>,
     inner: Mutex<Inner>,
 }
 
@@ -82,23 +75,18 @@ impl ResultStore {
     #[must_use]
     pub fn in_memory() -> Self {
         ResultStore {
-            dir: None,
-            cap: None,
+            disk: None,
             inner: Mutex::new(Inner::default()),
         }
     }
 
     /// A store persisting under `dir` (created if missing), keeping at
-    /// most `cap` results on disk (LRU). Construction runs the hygiene
-    /// sweep: corrupt envelopes, orphaned `.lru` sidecars, and leftover
-    /// temp files from interrupted writes are deleted, never trusted.
+    /// most `cap` results on disk (LRU); see [`EnvelopeStore::open`] for
+    /// the hygiene sweep construction runs.
     #[must_use]
     pub fn with_dir(dir: PathBuf, cap: Option<usize>) -> Self {
-        let _ = std::fs::create_dir_all(&dir);
-        cleanup_store(&dir);
         ResultStore {
-            dir: Some(dir),
-            cap,
+            disk: Some(EnvelopeStore::open(dir, cap)),
             inner: Mutex::new(Inner::default()),
         }
     }
@@ -122,7 +110,8 @@ impl ResultStore {
     }
 
     /// Looks up a result, falling back to disk on a memory miss. A disk
-    /// hit is promoted into memory and re-stamped as most recently used.
+    /// hit is promoted into memory; either kind of hit re-stamps the
+    /// on-disk entry as most recently used.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<SimStats> {
         let mut inner = self.lock();
@@ -130,23 +119,27 @@ impl ResultStore {
             let stats = stats.clone();
             inner.hits += 1;
             drop(inner);
-            if let Some(dir) = &self.dir {
-                touch_store(dir, PrefixKey(key));
+            if let Some(disk) = &self.disk {
+                disk.touch(PrefixKey(key));
             }
             return Some(stats);
         }
-        if let Some(dir) = &self.dir {
-            if let Some(stats) = load_result(dir, key) {
+        // A sound envelope whose payload is not a `SimStats` is a miss; the
+        // re-simulated result's `insert` then replaces the file.
+        let loaded = self
+            .disk
+            .as_ref()
+            .and_then(|disk| disk.load(PrefixKey(key)))
+            .and_then(|bytes| decode_result(&bytes, key).ok());
+        match &loaded {
+            Some(stats) => {
                 inner.hits += 1;
                 inner.disk_loads += 1;
                 inner.mem.insert(key, stats.clone());
-                drop(inner);
-                touch_store(dir, PrefixKey(key));
-                return Some(stats);
             }
+            None => inner.misses += 1,
         }
-        inner.misses += 1;
-        None
+        loaded
     }
 
     /// Records a freshly simulated result under `key`, persisting it (and
@@ -156,20 +149,8 @@ impl ResultStore {
         inner.inserts += 1;
         inner.mem.insert(key, stats.clone());
         drop(inner);
-        let Some(dir) = &self.dir else { return };
-        let mut w = SnapshotWriter::new();
-        stats.snapshot(&mut w);
-        let bytes = w.seal(PrefixKey(key));
-        let name = format!("{}.msnp", PrefixKey(key));
-        let tmp = dir.join(format!("{name}.{}.tmp", std::process::id()));
-        let wrote = std::fs::write(&tmp, &bytes).is_ok();
-        if wrote && std::fs::rename(&tmp, dir.join(&name)).is_ok() {
-            touch_store(dir, PrefixKey(key));
-            if let Some(cap) = self.cap {
-                evict_store(dir, cap);
-            }
-        } else {
-            let _ = std::fs::remove_file(&tmp);
+        if let Some(disk) = &self.disk {
+            disk.store(PrefixKey(key), &seal_result(key, stats));
         }
     }
 
@@ -189,8 +170,15 @@ impl ResultStore {
     /// Results currently on disk (0 for in-memory stores).
     #[must_use]
     pub fn disk_entries(&self) -> usize {
-        self.dir.as_deref().map_or(0, |d| list_store(d).len())
+        self.disk.as_ref().map_or(0, EnvelopeStore::len)
     }
+}
+
+/// The sealed envelope `stats` is stored as under `key`.
+fn seal_result(key: u64, stats: &SimStats) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    stats.snapshot(&mut w);
+    w.seal(PrefixKey(key))
 }
 
 fn decode_result(bytes: &[u8], key: u64) -> Result<SimStats, SnapshotError> {
@@ -207,104 +195,11 @@ fn decode_result(bytes: &[u8], key: u64) -> Result<SimStats, SnapshotError> {
     Ok(stats)
 }
 
-fn load_result(dir: &Path, key: u64) -> Option<SimStats> {
-    let path = dir.join(format!("{}.msnp", PrefixKey(key)));
-    let bytes = std::fs::read(&path).ok()?;
-    match decode_result(&bytes, key) {
-        Ok(stats) => Some(stats),
-        Err(_) => {
-            // Same policy as the engine's snapshot store: a file that
-            // fails validation is deleted, never trusted.
-            let _ = std::fs::remove_file(&path);
-            let _ = std::fs::remove_file(path.with_extension("lru"));
-            None
-        }
-    }
-}
-
-/// Store listing sorted by `(lru seq, stem)` — eviction order.
-fn list_store(dir: &Path) -> Vec<(u64, String, PathBuf)> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().is_some_and(|e| e == "msnp") {
-            let stem = path
-                .file_stem()
-                .map_or_else(String::new, |s| s.to_string_lossy().into_owned());
-            let seq = std::fs::read_to_string(path.with_extension("lru"))
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .unwrap_or(0);
-            out.push((seq, stem, path));
-        }
-    }
-    out.sort();
-    out
-}
-
-/// Stamps `key` as most recently used: its `.lru` sidecar receives a
-/// sequence number above every existing one. Derived from the store
-/// itself, not process state, so recency survives restarts.
-fn touch_store(dir: &Path, key: PrefixKey) {
-    let next = list_store(dir)
-        .iter()
-        .map(|(seq, _, _)| *seq)
-        .max()
-        .unwrap_or(0)
-        .saturating_add(1);
-    let _ = std::fs::write(dir.join(format!("{key}.lru")), format!("{next}\n"));
-}
-
-/// Deletes least-recently-used results until at most `cap` remain.
-fn evict_store(dir: &Path, cap: usize) {
-    let listed = list_store(dir);
-    for (_, _, path) in listed.iter().take(listed.len().saturating_sub(cap.max(1))) {
-        let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_file(path.with_extension("lru"));
-    }
-}
-
-/// Startup hygiene sweep: deletes results whose envelope fails full
-/// validation (truncated writes, stale codec versions, checksum damage),
-/// orphaned sidecars, and leftover temp files.
-fn cleanup_store(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let ext = path.extension().map(|e| e.to_string_lossy().into_owned());
-        match ext.as_deref() {
-            Some("msnp") => {
-                let valid =
-                    std::fs::read(&path).is_ok_and(|bytes| validate_envelope(&bytes).is_ok());
-                if !valid {
-                    let _ = std::fs::remove_file(&path);
-                    let _ = std::fs::remove_file(path.with_extension("lru"));
-                }
-            }
-            Some("lru") if !path.with_extension("msnp").exists() => {
-                let _ = std::fs::remove_file(&path);
-            }
-            Some("tmp") => {
-                let _ = std::fs::remove_file(&path);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// The sealed-envelope checksum a stored result would carry — exposed so
 /// job events can report it without re-reading the file.
 #[must_use]
 pub fn result_checksum(key: u64, stats: &SimStats) -> u64 {
-    let mut w = SnapshotWriter::new();
-    stats.snapshot(&mut w);
-    let bytes = w.seal(PrefixKey(key));
-    mask_common::snapshot::envelope_checksum(&bytes).unwrap_or(0)
+    mask_common::snapshot::envelope_checksum(&seal_result(key, stats)).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -361,38 +256,6 @@ mod tests {
         let store = ResultStore::with_dir(dir.clone(), None);
         assert_eq!(store.get(7), None);
         assert!(!path.exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cleanup_drops_tmp_orphan_and_corrupt_files() {
-        let dir = temp_dir("cleanup");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        std::fs::write(dir.join("dead.msnp.123.tmp"), b"partial").expect("write");
-        std::fs::write(dir.join(format!("{}.lru", PrefixKey(5))), b"3\n").expect("write");
-        std::fs::write(dir.join(format!("{}.msnp", PrefixKey(6))), b"garbage").expect("write");
-        let store = ResultStore::with_dir(dir.clone(), None);
-        assert_eq!(store.disk_entries(), 0);
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .expect("readdir")
-            .flatten()
-            .collect();
-        assert!(leftovers.is_empty(), "hygiene sweep must empty the dir");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lru_cap_evicts_oldest() {
-        let dir = temp_dir("lru");
-        let store = ResultStore::with_dir(dir.clone(), Some(2));
-        for key in 1..=3u64 {
-            store.insert(key, &sample_stats(key));
-        }
-        assert_eq!(store.disk_entries(), 2);
-        // Key 1 was least recently used; a fresh store can't load it.
-        let fresh = ResultStore::with_dir(dir.clone(), Some(2));
-        assert_eq!(fresh.get(1), None);
-        assert!(fresh.get(3).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

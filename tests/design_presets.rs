@@ -18,16 +18,6 @@
 
 use mask_core::prelude::*;
 
-/// FNV-1a over the canonical `Debug` rendering of the final statistics.
-/// Cheap, dependency-free, and sensitive to any field changing anywhere.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn placement(apps: &[(&str, usize)]) -> Vec<AppSpec> {
     apps.iter()
         .map(|&(name, n_cores)| AppSpec {
@@ -53,7 +43,11 @@ fn checksum(design: DesignKind) -> u64 {
     let mut sim = GpuSim::new(&cfg, &specs);
     sim.run_to_completion();
     sim.sync_stats();
-    fnv1a(format!("{:?}", sim.stats()).as_bytes())
+    // FNV-1a over the canonical `Debug` rendering of the final statistics:
+    // sensitive to any field changing anywhere.
+    let mut h = mask_common::snapshot::Fnv1a::new();
+    h.write(format!("{:?}", sim.stats()).as_bytes());
+    h.finish()
 }
 
 /// Checksums recorded on the pre-refactor tree (predicate methods still in

@@ -14,16 +14,15 @@
 //! |                   | is seeded per process, which breaks run-to-run determinism;  |
 //! |                   | use `BTreeMap`/`BTreeSet`)                                   |
 //! | `nondeterminism`  | no wall clock / OS entropy (`Instant::now`, `SystemTime`,    |
-//! |                   | `thread_rng`) outside `crates/bench`                         |
+//! |                   | `thread_rng`)                                                |
 //! | `float-accum`     | float accumulation in `stats.rs` files goes through          |
 //! |                   | `CompensatedSum` (or is an annotated integer sum)            |
 //! | `debug-derive`    | `pub struct`s in `mask-common`'s `req.rs` derive `Debug`     |
 //! |                   | (mechanically fixable with `--fix`)                          |
 //! | `unwrap`          | no `.unwrap()` / bare `panic!` in library code               |
 //! | `parallelism`     | thread primitives only in the parallelism islands:           |
-//! |                   | `crates/core/src/engine*`, `crates/obs/src/ring.rs`,         |
-//! |                   | `crates/maskd` (a threaded network daemon), and              |
-//! |                   | `crates/bench`                                               |
+//! |                   | `crates/core/src/engine*`, `crates/obs/src/ring.rs`, and     |
+//! |                   | `crates/maskd` (a threaded network daemon)                   |
 //! | `hotpath`         | no heap traffic (`vec![`, `Vec::new()`, `.clone()`,          |
 //! |                   | `.collect`) in the per-cycle hot files outside constructors  |
 //! | `atomic-ordering` | every `Ordering::*` use carries an ordering-justification    |
@@ -189,7 +188,6 @@ pub(crate) const HOTPATH_FILES: [&str; 5] = [
 /// cache is built), and the daemon's config module (which resolves every
 /// `MASKD_*` knob once at boot — the server/queue/store layers must take
 /// a `DaemonConfig`, never read the environment themselves).
-/// `crates/bench` is exempt as a whole (wall-clock-facing harness code).
 pub(crate) const ENV_ENTRY_FILES: [&str; 5] = [
     "crates/common/src/config.rs",
     "crates/obs/src/ring.rs",
@@ -356,14 +354,13 @@ pub(crate) fn lint_source(path: &Path, contents: &str) -> Vec<Violation> {
         Vec::new()
     };
     let engine_file = krate == "core" && norm.contains("src/engine");
-    let island = krate == "bench"
-        || engine_file
+    let island = engine_file
         // The daemon is a threaded network server end to end (acceptor,
         // per-connection handlers, dispatcher, condvar-held event
         // streams): the whole crate is a declared island.
         || krate == "maskd"
         || norm.ends_with("crates/obs/src/ring.rs");
-    let env_entry = krate == "bench" || ENV_ENTRY_FILES.iter().any(|f| norm.ends_with(f));
+    let env_entry = ENV_ENTRY_FILES.iter().any(|f| norm.ends_with(f));
     let ctx = FileCtx {
         krate,
         file_name: path

@@ -32,10 +32,10 @@ pub(crate) const RULES: [RuleInfo; 11] = [
     },
     RuleInfo {
         id: "nondeterminism",
-        short: "wall clock or OS entropy outside crates/bench",
+        short: "wall clock or OS entropy",
         help: "Instant::now/SystemTime/thread_rng inject wall-clock or OS \
-               state into the simulation; only crates/bench may measure \
-               real time.",
+               state into the simulation; real time is measured outside the \
+               workspace, in benchmark/.",
     },
     RuleInfo {
         id: "float-accum",
@@ -61,9 +61,9 @@ pub(crate) const RULES: [RuleInfo; 11] = [
         id: "parallelism",
         short: "thread primitive outside the parallelism islands",
         help: "std::thread/Mutex/RwLock/Condvar/mpsc/atomics stay inside \
-               crates/core/src/engine*, crates/obs/src/ring.rs, \
-               crates/maskd (a threaded network daemon), and crates/bench \
-               so the rest of the simulator remains single-threaded.",
+               crates/core/src/engine*, crates/obs/src/ring.rs, and \
+               crates/maskd (a threaded network daemon) so the rest of the \
+               simulator remains single-threaded.",
     },
     RuleInfo {
         id: "hotpath",
@@ -104,9 +104,9 @@ pub(crate) const RULES: [RuleInfo; 11] = [
         help: "std::env::var reads (MASK_* / MASKD_* or otherwise) are only \
                permitted in crates/common/src/config.rs, \
                crates/obs/src/ring.rs, crates/obs/src/export.rs, \
-               crates/core/src/engine.rs, crates/maskd/src/config.rs, and \
-               crates/bench; anywhere else a stage of the cycle loop could \
-               silently fork behavior on the environment.",
+               crates/core/src/engine.rs, and crates/maskd/src/config.rs; \
+               anywhere else a stage of the cycle loop could silently fork \
+               behavior on the environment.",
     },
 ];
 
@@ -151,9 +151,6 @@ fn pass_collections(ctx: &FileCtx<'_>, sink: &mut Sink<'_>) {
 }
 
 fn pass_nondeterminism(ctx: &FileCtx<'_>, sink: &mut Sink<'_>) {
-    if ctx.krate == "bench" {
-        return;
-    }
     for (i, l) in ctx.lines.iter().enumerate() {
         for src in ["Instant::now", "SystemTime", "thread_rng"] {
             if let Some(c) = l.code.find(src) {
@@ -163,7 +160,7 @@ fn pass_nondeterminism(ctx: &FileCtx<'_>, sink: &mut Sink<'_>) {
                     "nondeterminism",
                     format!(
                         "`{src}` injects wall-clock/OS state into the simulation; \
-                         only crates/bench may measure real time"
+                         real time is measured outside the workspace, in benchmark/"
                     ),
                     None,
                 );
@@ -192,8 +189,8 @@ fn pass_parallelism(ctx: &FileCtx<'_>, sink: &mut Sink<'_>) {
                     "parallelism",
                     format!(
                         "`{prim}` outside the job engine; only \
-                         crates/core/src/engine*, crates/obs/src/ring.rs (and \
-                         crates/bench) may spawn threads or share mutable \
+                         crates/core/src/engine*, crates/obs/src/ring.rs and \
+                         crates/maskd may spawn threads or share mutable \
                          state across them"
                     ),
                     None,
@@ -392,9 +389,9 @@ fn pass_env_determinism(ctx: &FileCtx<'_>, sink: &mut Sink<'_>) {
                 "environment read outside the designated config entry points \
                  (crates/common/src/config.rs, crates/obs/src/ring.rs, \
                  crates/obs/src/export.rs, crates/core/src/engine.rs, \
-                 crates/bench); resolve MASK_* settings once at configuration \
-                 time so no stage of the cycle loop can fork behavior on the \
-                 environment"
+                 crates/maskd/src/config.rs); resolve MASK_* settings once at \
+                 configuration time so no stage of the cycle loop can fork \
+                 behavior on the environment"
                     .into(),
                 None,
             );

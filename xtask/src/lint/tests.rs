@@ -255,7 +255,6 @@ fn clean_env_determinism_entry_points_may_read() {
     assert!(lint("crates/common/src/config.rs", src).is_empty());
     assert!(lint("crates/obs/src/ring.rs", src).is_empty());
     assert!(lint("crates/obs/src/export.rs", src).is_empty());
-    assert!(lint("crates/bench/src/lib.rs", src).is_empty());
 }
 
 #[test]
@@ -522,10 +521,9 @@ fn commented_out_code_is_exempt() {
 }
 
 #[test]
-fn engine_and_bench_may_use_thread_primitives() {
+fn engine_may_use_thread_primitives() {
     let src = "use std::sync::Mutex;\nstd::thread::scope(|s| {});\n";
     assert!(lint("crates/core/src/engine.rs", src).is_empty());
-    assert!(lint("crates/bench/src/lib.rs", src).is_empty());
     // The exemption is for engine files only, not all of mask-core.
     assert!(!lint("crates/core/src/metrics.rs", src).is_empty());
 }
@@ -548,15 +546,6 @@ fn obs_ring_may_use_thread_primitives_but_hooks_stay_hotpath_clean() {
     // The hotpath rule is scoped to hooks.rs, not the whole crate —
     // the exporter may allocate freely.
     assert!(lint("crates/obs/src/export.rs", alloc).is_empty());
-}
-
-#[test]
-fn bench_crate_may_use_wall_clock() {
-    let v = lint(
-        "crates/bench/src/lib.rs",
-        "let t = std::time::Instant::now();\n",
-    );
-    assert!(v.is_empty());
 }
 
 #[test]
