@@ -14,26 +14,6 @@
 use mask_common::addr::LineAddr;
 use mask_common::ids::Asid;
 
-#[derive(Clone, Copy, Debug)]
-struct Way {
-    line: LineAddr,
-    last_used: u64,
-    valid: bool,
-    /// Filling ASID (isolation bookkeeping for the colored designs).
-    owner: u16,
-}
-
-impl Default for Way {
-    fn default() -> Self {
-        Way {
-            line: LineAddr(0),
-            last_used: 0,
-            valid: false,
-            owner: 0,
-        }
-    }
-}
-
 /// Splits `total` resources among `n_apps` deterministically: everyone gets
 /// `total / n_apps`, and the *last* application absorbs the remainder (so a
 /// 16-way cache over 3 apps yields ranges of 5, 5, and 6 ways). Shared by
@@ -47,13 +27,24 @@ fn split_ranges(total: usize, n_apps: usize) -> Vec<(usize, usize)> {
             let end = if i == n_apps - 1 { total } else { start + per };
             (start, end)
         })
-        .collect()
+        .collect() // lint: allow(hotpath) -- partitioning runs once, at construction
 }
 
 /// A set-associative cache over physical lines.
+///
+/// Way `w` of set `s` lives at index `s * assoc + w` of four parallel
+/// vectors, tags apart from LRU stamps: a probe reads one set's tags and
+/// valid bits and nothing else until it has found its way.
 #[derive(Clone, Debug)]
 pub struct DataCache {
-    sets: Vec<Box<[Way]>>,
+    /// Line tag per way (stale, not cleared, in an invalid way).
+    lines: Vec<u64>,
+    valid: Vec<bool>,
+    /// `last_used` stamp per way.
+    stamps: Vec<u64>,
+    /// Filling ASID per way (isolation bookkeeping for the colored designs).
+    owner: Vec<u16>,
+    n_sets: usize,
     assoc: usize,
     stamp: u64,
     /// Way-range restriction per ASID (Static design); `None` = shared.
@@ -75,9 +66,11 @@ impl DataCache {
         let n_sets = (lines as usize / assoc).max(1);
         assert!(assoc > 0 && lines > 0, "cache must have capacity");
         DataCache {
-            sets: (0..n_sets)
-                .map(|_| vec![Way::default(); assoc].into_boxed_slice())
-                .collect(),
+            lines: vec![0; n_sets * assoc],
+            valid: vec![false; n_sets * assoc],
+            stamps: vec![0; n_sets * assoc],
+            owner: vec![0; n_sets * assoc],
+            n_sets,
             assoc,
             stamp: 0,
             partition: None,
@@ -112,7 +105,7 @@ impl DataCache {
     ///
     /// Panics if `n_apps` is zero or exceeds the set count.
     pub fn partition_sets(&mut self, n_apps: usize) {
-        let n_sets = self.sets.len();
+        let n_sets = self.n_sets;
         assert!(
             n_apps > 0 && n_apps <= n_sets,
             "cannot color {n_sets} sets for {n_apps} apps"
@@ -121,7 +114,7 @@ impl DataCache {
             split_ranges(n_sets, n_apps)
                 .into_iter()
                 .map(|(start, end)| (start, end - start))
-                .collect(),
+                .collect(), // lint: allow(hotpath) -- runs once, at construction
         );
     }
 
@@ -134,12 +127,12 @@ impl DataCache {
 
     /// Total line capacity.
     pub fn capacity_lines(&self) -> usize {
-        self.sets.len() * self.assoc
+        self.lines.len()
     }
 
     /// Number of sets.
     pub fn n_sets(&self) -> usize {
-        self.sets.len()
+        self.n_sets
     }
 
     fn set_index(&self, line: LineAddr, asid: Asid) -> usize {
@@ -155,7 +148,7 @@ impl DataCache {
             let (start, len) = colors[asid.index() % colors.len()];
             return start + (folded % len as u64) as usize;
         }
-        let n = self.sets.len() as u64;
+        let n = self.n_sets as u64;
         if n.is_power_of_two() {
             (folded & (n - 1)) as usize
         } else {
@@ -163,26 +156,39 @@ impl DataCache {
         }
     }
 
+    /// The index of the valid way holding `line` in the set starting at
+    /// `base`.
+    fn find(&self, base: usize, line: LineAddr) -> Option<usize> {
+        let tags = &self.lines[base..base + self.assoc];
+        let valid = &self.valid[base..base + self.assoc];
+        tags.iter()
+            .zip(valid)
+            .position(|(tag, valid)| *tag == line.0 && *valid)
+            .map(|way| base + way)
+    }
+
     /// Probes for `line` on behalf of `asid`, updating LRU on hit.
     pub fn probe(&mut self, line: LineAddr, asid: Asid) -> bool {
         self.stamp += 1;
-        let stamp = self.stamp;
-        let set = self.set_index(line, asid);
-        if let Some(w) = self.sets[set]
-            .iter_mut()
-            .find(|w| w.valid && w.line == line)
-        {
-            w.last_used = stamp;
-            true
-        } else {
-            false
+        let base = self.set_index(line, asid) * self.assoc;
+        match self.find(base, line) {
+            Some(i) => {
+                self.stamps[i] = self.stamp;
+                true
+            }
+            None => false,
         }
+    }
+
+    /// Advances the LRU clock by one — all a probe that misses does.
+    pub fn advance_clock(&mut self) {
+        self.stamp += 1;
     }
 
     /// Checks residency without perturbing LRU.
     pub fn peek(&self, line: LineAddr, asid: Asid) -> bool {
-        let set = self.set_index(line, asid);
-        self.sets[set].iter().any(|w| w.valid && w.line == line)
+        let base = self.set_index(line, asid) * self.assoc;
+        self.find(base, line).is_some()
     }
 
     /// Fills `line` on behalf of `asid`, evicting the LRU way within the
@@ -190,30 +196,29 @@ impl DataCache {
     pub fn fill(&mut self, line: LineAddr, asid: Asid) -> Option<LineAddr> {
         self.stamp += 1;
         let stamp = self.stamp;
-        let set = self.set_index(line, asid);
+        let base = self.set_index(line, asid) * self.assoc;
         let (lo, hi) = match &self.partition {
             Some(ranges) => *ranges.get(asid.index()).unwrap_or(&(0, self.assoc)),
             None => (0, self.assoc),
         };
-        let ways = &mut self.sets[set];
         // Already resident (raced fills): refresh.
-        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.line == line) {
-            w.last_used = stamp;
+        if let Some(i) = self.find(base, line) {
+            self.stamps[i] = stamp;
             return None;
         }
-        let victim_idx = (lo..hi)
-            .min_by_key(|&i| if ways[i].valid { ways[i].last_used } else { 0 })
+        let victim = (base + lo..base + hi)
+            .min_by_key(|&i| if self.valid[i] { self.stamps[i] } else { 0 })
             .expect("way range is non-empty");
-        let victim = &mut ways[victim_idx];
-        let evicted = victim.valid.then_some(victim.line);
-        *victim = Way {
-            line,
-            last_used: stamp,
-            valid: true,
-            owner: asid.raw(),
-        };
+        let evicted = self.valid[victim].then_some(LineAddr(self.lines[victim]));
+        self.lines[victim] = line.0;
+        self.stamps[victim] = stamp;
+        self.valid[victim] = true;
+        self.owner[victim] = asid.raw();
         if mask_sanitizer::is_enabled() {
-            let resident = ways.iter().filter(|w| w.valid && w.line == line).count();
+            let ways = || base..base + self.assoc;
+            let resident = ways()
+                .filter(|&i| self.valid[i] && self.lines[i] == line.0)
+                .count();
             mask_sanitizer::check(
                 resident == 1,
                 "l2-data-array",
@@ -222,7 +227,7 @@ impl DataCache {
             if self.set_colors.is_some() {
                 // Partitioned-design isolation: a colored set only ever
                 // holds lines filled by its owning application.
-                let foreign = ways.iter().any(|w| w.valid && w.owner != asid.raw());
+                let foreign = ways().any(|i| self.valid[i] && self.owner[i] != asid.raw());
                 mask_sanitizer::check(
                     !foreign,
                     "l2-set-color",
@@ -235,20 +240,12 @@ impl DataCache {
 
     /// Invalidates every line (context switch / flush experiments).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for w in set.iter_mut() {
-                w.valid = false;
-            }
-        }
+        self.valid.fill(false);
     }
 
     /// Number of valid lines.
     pub fn len(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .filter(|w| w.valid)
-            .count()
+        self.valid.iter().filter(|&&v| v).count()
     }
 
     /// Whether no lines are valid.
@@ -263,14 +260,12 @@ impl mask_common::snapshot::Snapshot for DataCache {
     /// Partitioning and set coloring are config-derived and not captured.
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
         w.u64(self.stamp);
-        w.seq(self.sets.len());
-        for set in &self.sets {
-            for way in set {
-                w.u64(way.line.0);
-                w.u64(way.last_used);
-                w.bool(way.valid);
-                w.u16(way.owner);
-            }
+        w.seq(self.n_sets);
+        for i in 0..self.lines.len() {
+            w.u64(self.lines[i]);
+            w.u64(self.stamps[i]);
+            w.bool(self.valid[i]);
+            w.u16(self.owner[i]);
         }
     }
 
@@ -279,14 +274,12 @@ impl mask_common::snapshot::Snapshot for DataCache {
         r: &mut mask_common::snapshot::SnapshotReader<'_>,
     ) -> Result<(), mask_common::snapshot::SnapshotError> {
         self.stamp = r.u64()?;
-        r.seq_exact(self.sets.len())?;
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                way.line = LineAddr(r.u64()?);
-                way.last_used = r.u64()?;
-                way.valid = r.bool()?;
-                way.owner = r.u16()?;
-            }
+        r.seq_exact(self.n_sets)?;
+        for i in 0..self.lines.len() {
+            self.lines[i] = r.u64()?;
+            self.stamps[i] = r.u64()?;
+            self.valid[i] = r.bool()?;
+            self.owner[i] = r.u16()?;
         }
         Ok(())
     }

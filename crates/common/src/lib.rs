@@ -10,6 +10,7 @@
 //! * simulation statistics counters ([`stats`]),
 //! * a small deterministic PRNG so that every experiment is bit-reproducible
 //!   without external dependencies ([`rng`]),
+//! * the pinned set-index hash of the associative arrays ([`siphash`]),
 //! * the versioned MSNP snapshot codec ([`snapshot`]) and the on-disk
 //!   directory store of sealed envelopes built on it ([`store`]).
 //!
@@ -31,6 +32,7 @@ pub mod config;
 pub mod ids;
 pub mod req;
 pub mod rng;
+pub mod siphash;
 pub mod snapshot;
 pub mod stats;
 pub mod store;

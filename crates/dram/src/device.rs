@@ -6,6 +6,7 @@ use mask_common::config::{DramConfig, DramPolicy, MemSchedKind, RowPolicy};
 use mask_common::ids::Asid;
 use mask_common::req::MemRequest;
 use mask_common::Cycle;
+use std::collections::VecDeque;
 
 /// How an access interacted with its bank's row buffer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,8 +52,14 @@ enum ChannelQueue {
 struct Channel {
     banks: Vec<BankState>,
     queue: ChannelQueue,
+    /// Queued requests per bank, whichever queue holds them.
+    queued_per_bank: Vec<u32>,
+    /// Bit `b` set iff `queued_per_bank[b] > 0`.
+    banks_queued: u64,
     bus_free_at: Cycle,
-    in_flight: Vec<DramCompletion>,
+    /// Issued accesses in issue order, which is finish order: each `finish`
+    /// is the previous one (`bus_free_at`) plus at least a burst.
+    in_flight: VecDeque<DramCompletion>,
 }
 
 impl Channel {
@@ -60,6 +67,25 @@ impl Channel {
         match &self.queue {
             ChannelQueue::Baseline(q, _) => q.len(),
             ChannelQueue::Mask(m) => m.len(),
+        }
+    }
+
+    fn for_each_queued(&self, mut f: impl FnMut(&QueueEntry)) {
+        match &self.queue {
+            ChannelQueue::Baseline(q, _) => q.iter().for_each(f),
+            ChannelQueue::Mask(m) => m.for_each_entry(&mut f),
+        }
+    }
+
+    fn note_queued(&mut self, bank: usize) {
+        self.queued_per_bank[bank] += 1;
+        self.banks_queued |= 1 << bank;
+    }
+
+    fn note_issued(&mut self, bank: usize) {
+        self.queued_per_bank[bank] -= 1;
+        if self.queued_per_bank[bank] == 0 {
+            self.banks_queued &= !(1 << bank);
         }
     }
 }
@@ -84,6 +110,10 @@ impl Dram {
     /// [`DramPolicy::BankColored`] colors banks within shared channels
     /// (Partitioned baseline). Partitioning is a no-op for a single app.
     pub fn new(cfg: &DramConfig, n_apps: usize, policy: DramPolicy) -> Self {
+        assert!(
+            cfg.banks_per_channel <= u64::BITS as usize,
+            "a channel's banks must fit one 64-bit mask"
+        );
         let mask_sched = policy == DramPolicy::MaskQueues;
         let partition = match policy {
             DramPolicy::ChannelPartitioned if n_apps > 1 => {
@@ -118,8 +148,10 @@ impl Dram {
                         })
                         .collect(),
                     queue: make_queue(),
+                    queued_per_bank: vec![0; cfg.banks_per_channel],
+                    banks_queued: 0,
                     bus_free_at: 0,
-                    in_flight: Vec::new(),
+                    in_flight: VecDeque::new(),
                 })
                 .collect(),
             partition,
@@ -148,7 +180,9 @@ impl Dram {
             decoded,
             arrival: now,
         };
-        match &mut self.channels[decoded.channel].queue {
+        let ch = &mut self.channels[decoded.channel];
+        ch.note_queued(decoded.bank);
+        match &mut ch.queue {
             ChannelQueue::Baseline(q, _) => q.push(entry),
             ChannelQueue::Mask(m) => m.enqueue(entry),
         }
@@ -156,11 +190,26 @@ impl Dram {
 
     /// Advances one cycle: each channel may issue one request to a free
     /// bank according to its scheduling policy.
+    ///
+    /// A channel none of whose free banks has a queued request is skipped
+    /// without consulting its scheduler: every policy picks only among
+    /// entries whose bank is free, and changes no state when it finds none.
     pub fn tick(&mut self, now: Cycle) {
         mask_sanitizer::cycle(self.san_id, "dram", now);
         for ch in &mut self.channels {
+            if ch.banks_queued == 0 {
+                continue;
+            }
             let banks = &ch.banks;
-            let bank_free = |b: usize| banks[b].busy_until <= now;
+            let free = banks
+                .iter()
+                .enumerate()
+                .filter(|(_, bank)| bank.busy_until <= now)
+                .fold(0u64, |mask, (b, _)| mask | 1 << b);
+            if free & ch.banks_queued == 0 {
+                continue;
+            }
+            let bank_free = |b: usize| free >> b & 1 != 0;
             let open_row = |b: usize| banks[b].open_row;
             let picked: Option<QueueEntry> = match &mut ch.queue {
                 ChannelQueue::Baseline(q, batch) => {
@@ -174,6 +223,7 @@ impl Dram {
             };
             let Some(entry) = picked else { continue };
             let Decoded { bank, row, .. } = entry.decoded;
+            ch.note_issued(bank);
             let bank_state = &mut ch.banks[bank];
             let (outcome, access_lat) = match (self.cfg.row_policy, bank_state.open_row) {
                 (RowPolicy::Open, Some(open)) if open == row => (RowOutcome::Hit, self.cfg.t_cas),
@@ -201,7 +251,16 @@ impl Dram {
             // subsequent CAS commands to the open row pipeline behind the
             // shared data bus (which `bus_free_at` serializes).
             bank_state.busy_until = data_ready;
-            ch.in_flight.push(DramCompletion {
+            let in_order = ch.in_flight.back().is_none_or(|c| c.finish < finish);
+            debug_assert!(in_order, "channel finish times must strictly increase");
+            if mask_sanitizer::is_enabled() {
+                mask_sanitizer::check(
+                    in_order,
+                    "dram-in-flight-order",
+                    "a channel's accesses must finish in the order they issue",
+                );
+            }
+            ch.in_flight.push_back(DramCompletion {
                 req: entry.req,
                 outcome,
                 arrival: entry.arrival,
@@ -216,6 +275,7 @@ impl Dram {
     /// Allocating wrapper around [`Dram::drain_completions_into`] for tests
     /// and cold paths.
     pub fn take_completions(&mut self, now: Cycle) -> Vec<DramCompletion> {
+        // lint: allow(hotpath) -- allocating wrapper for tests/cold paths.
         let mut out = Vec::new();
         self.drain_completions_into(now, &mut out);
         out
@@ -226,13 +286,8 @@ impl Dram {
     pub fn drain_completions_into(&mut self, now: Cycle, out: &mut Vec<DramCompletion>) {
         let start = out.len();
         for ch in &mut self.channels {
-            let mut i = 0;
-            while i < ch.in_flight.len() {
-                if ch.in_flight[i].finish <= now {
-                    out.push(ch.in_flight.swap_remove(i));
-                } else {
-                    i += 1;
-                }
+            while let Some(done) = ch.in_flight.pop_front_if(|c| c.finish <= now) {
+                out.push(done);
             }
         }
         if mask_sanitizer::is_enabled() {
@@ -247,12 +302,12 @@ impl Dram {
     /// bank/bus state, so we conservatively call it busy every cycle), the
     /// earliest in-flight finish otherwise, and `None` when fully drained.
     pub fn next_event(&self) -> Option<Cycle> {
-        if self.channels.iter().any(|ch| ch.queue_len() > 0) {
+        if self.channels.iter().any(|ch| ch.banks_queued != 0) {
             return Some(0);
         }
         self.channels
             .iter()
-            .flat_map(|ch| ch.in_flight.iter().map(|c| c.finish))
+            .filter_map(|ch| ch.in_flight.front().map(|c| c.finish))
             .min()
     }
 
@@ -286,14 +341,7 @@ impl Dram {
     /// uncompleted request is visited exactly once.
     pub fn for_each_in_flight(&self, mut f: impl FnMut(&MemRequest)) {
         for ch in &self.channels {
-            match &ch.queue {
-                ChannelQueue::Baseline(q, _) => {
-                    for e in q {
-                        f(&e.req);
-                    }
-                }
-                ChannelQueue::Mask(m) => m.for_each_entry(|e| f(&e.req)),
-            }
+            ch.for_each_queued(|e| f(&e.req));
             for c in &ch.in_flight {
                 f(&c.req);
             }
@@ -374,6 +422,25 @@ impl mask_common::snapshot::Snapshot for Dram {
                 }
                 ChannelQueue::Mask(m) => m.restore(r)?,
             }
+            // The per-bank counts are derived from the queues just read.
+            // lint: allow(hotpath) -- restore runs at snapshot points.
+            let mut queued_per_bank = vec![0u32; ch.banks.len()];
+            let mut banks_queued = 0u64;
+            let mut bank_in_range = true;
+            ch.for_each_queued(|e| match queued_per_bank.get_mut(e.decoded.bank) {
+                Some(n) => {
+                    *n += 1;
+                    banks_queued |= 1 << e.decoded.bank;
+                }
+                None => bank_in_range = false,
+            });
+            if !bank_in_range {
+                return Err(SnapshotError::Malformed(
+                    "queued request names unknown bank",
+                ));
+            }
+            ch.queued_per_bank = queued_per_bank;
+            ch.banks_queued = banks_queued;
             ch.bus_free_at = r.u64()?;
             let n = r.seq()?;
             ch.in_flight.clear();
@@ -385,7 +452,7 @@ impl mask_common::snapshot::Snapshot for Dram {
                     2 => RowOutcome::Conflict,
                     _ => return Err(SnapshotError::Malformed("unknown row outcome")),
                 };
-                ch.in_flight.push(DramCompletion {
+                ch.in_flight.push_back(DramCompletion {
                     req,
                     outcome,
                     arrival: r.u64()?,
@@ -393,22 +460,22 @@ impl mask_common::snapshot::Snapshot for Dram {
                     bus_cycles: r.u64()?,
                 });
             }
+            // Envelopes written before the in-flight list became a FIFO hold
+            // it in `swap_remove` order; finish order is the FIFO's.
+            let in_flight = ch.in_flight.make_contiguous();
+            in_flight.sort_by_key(|c| c.finish);
+            if in_flight.windows(2).any(|w| w[0].finish == w[1].finish) {
+                return Err(SnapshotError::Malformed(
+                    "two in-flight accesses of one channel finish together",
+                ));
+            }
         }
         // Re-open the device's conservation domain: every queued or
         // in-flight request was accepted before the snapshot and has yet to
         // complete. (MaskQueues re-opens its own `dram-queues` domain.)
         if mask_sanitizer::is_enabled() {
             for ch in &self.channels {
-                match &ch.queue {
-                    ChannelQueue::Baseline(q, _) => {
-                        for e in q {
-                            mask_sanitizer::issue("dram", e.req.id.0);
-                        }
-                    }
-                    ChannelQueue::Mask(m) => {
-                        m.for_each_entry(|e| mask_sanitizer::issue("dram", e.req.id.0));
-                    }
-                }
+                ch.for_each_queued(|e| mask_sanitizer::issue("dram", e.req.id.0));
                 for c in &ch.in_flight {
                     mask_sanitizer::issue("dram", c.req.id.0);
                 }
@@ -642,6 +709,94 @@ mod tests {
             done.iter().all(|c| c.finish == first),
             "independent channels don't serialize"
         );
+    }
+
+    fn sealed(d: &Dram) -> Vec<u8> {
+        use mask_common::snapshot::{PrefixKey, Snapshot, SnapshotWriter};
+        let mut w = SnapshotWriter::new();
+        d.snapshot(&mut w);
+        w.seal(PrefixKey(0))
+    }
+
+    fn restored(bytes: &[u8]) -> Result<Dram, mask_common::snapshot::SnapshotError> {
+        use mask_common::snapshot::{Snapshot, SnapshotReader};
+        // A restored device re-issues what it holds: as in `GpuSim`, it
+        // gets a sanitizer session of its own.
+        mask_sanitizer::enter_session(mask_sanitizer::new_session());
+        let mut d = Dram::new(&cfg(), 1, DramPolicy::Shared);
+        let (mut r, _) = SnapshotReader::open(bytes)?;
+        d.restore(&mut r)?;
+        r.finish()?;
+        Ok(d)
+    }
+
+    /// Four accesses in flight on channel 0 and two still queued behind
+    /// them, all to one bank.
+    fn busy_channel() -> Dram {
+        let mut d = Dram::new(&cfg(), 1, DramPolicy::Shared);
+        for i in 0..6u64 {
+            d.enqueue(req(i, i, RequestClass::Data), 0);
+        }
+        let mut now = 0;
+        while d.in_flight() < 4 {
+            d.tick(now);
+            now += 1;
+        }
+        assert_eq!(d.queued(), 2);
+        d
+    }
+
+    #[test]
+    fn envelopes_listing_in_flight_accesses_out_of_order_still_restore() {
+        // Before the in-flight list became a FIFO, completions left it by
+        // `swap_remove`, so a stored envelope lists a channel's accesses in
+        // no particular order. Permute one the way two such removals would.
+        let d = busy_channel();
+        let mut written_before = d.clone();
+        let list = &mut written_before.channels[0].in_flight;
+        list.swap(0, 3);
+        list.swap(1, 2);
+        assert_ne!(sealed(&written_before), sealed(&d));
+
+        let mut back = restored(&sealed(&written_before)).expect("restores");
+        assert_eq!(
+            sealed(&back),
+            sealed(&d),
+            "restore puts the list in finish order"
+        );
+        assert_eq!(
+            back.channels[0].queued_per_bank,
+            d.channels[0].queued_per_bank
+        );
+        assert_eq!(back.channels[0].banks_queued, d.channels[0].banks_queued);
+        let done = run(&mut back, 0, 400);
+        let finishes: Vec<Cycle> = done.iter().map(|c| c.finish).collect();
+        assert_eq!(finishes.len(), 6);
+        assert!(finishes.windows(2).all(|w| w[0] < w[1]), "{finishes:?}");
+    }
+
+    #[test]
+    fn two_accesses_of_a_channel_finishing_together_are_malformed() {
+        let mut d = busy_channel();
+        let list = &mut d.channels[0].in_flight;
+        list[2].finish = list[1].finish;
+        assert!(matches!(
+            restored(&sealed(&d)),
+            Err(mask_common::snapshot::SnapshotError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn a_queued_request_naming_an_unknown_bank_is_malformed() {
+        let mut d = busy_channel();
+        let ChannelQueue::Baseline(q, _) = &mut d.channels[0].queue else {
+            panic!("shared policy uses the baseline queue");
+        };
+        q[0].decoded.bank = cfg().banks_per_channel;
+        assert!(matches!(
+            restored(&sealed(&d)),
+            Err(mask_common::snapshot::SnapshotError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -704,6 +704,7 @@ impl mask_common::snapshot::Snapshot for TranslationUnit {
         }
         self.walker.restore(r)?;
         self.tables.restore(r)?;
+        self.walker.bind_nodes(&self.tables)?;
         if let Some(tokens) = &mut self.tokens {
             tokens.restore(r)?;
         }

@@ -150,9 +150,53 @@ impl PageTable {
             assert!(child != NO_CHILD, "walk_line on unmapped vpn {vpn:?}");
             node = child as usize;
         }
+        self.pte_line(node as u32, vpn, level)
+    }
+
+    /// The line of `vpn`'s PTE slot in `node`, the node its walk reads at
+    /// `level`.
+    fn pte_line(&self, node: u32, vpn: Vpn, level: WalkLevel) -> LineAddr {
         let idx = vpn.level_index(level.raw(), self.page_size_log2);
-        let byte = (self.nodes[node].frame << 12) + idx * PTE_BYTES;
+        let byte = (self.nodes[node as usize].frame << 12) + idx * PTE_BYTES;
         mask_common::addr::PhysAddr::new(byte).line()
+    }
+
+    /// The node a walk of `vpn` reads at `level` (the root is node 0), or
+    /// `None` if the tree does not reach that deep for `vpn`.
+    pub fn walk_node(&self, vpn: Vpn, level: WalkLevel) -> Option<u32> {
+        if level.raw() > self.levels {
+            return None;
+        }
+        let mut node = 0u32;
+        for l in 1..level.raw() {
+            node = self.child(node, vpn, l)?;
+        }
+        Some(node)
+    }
+
+    fn child(&self, node: u32, vpn: Vpn, level: u8) -> Option<u32> {
+        let idx = vpn.level_index(level, self.page_size_log2) as usize;
+        let child = self.nodes.get(node as usize)?.children[idx];
+        (child != NO_CHILD).then_some(child)
+    }
+
+    /// One radix hop of a walk of `vpn`: from `node`, read at the level
+    /// above `next`, to the node read at `next` and the PTE line touched
+    /// there — the line [`PageTable::walk_line`] reaches from the root.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vpn` is not mapped, or if `next` is the root level or
+    /// exceeds the walk depth.
+    pub fn walk_hop(&self, node: u32, vpn: Vpn, next: WalkLevel) -> (u32, LineAddr) {
+        assert!(
+            (2..=self.levels).contains(&next.raw()),
+            "hop to a level outside the walk"
+        );
+        let child = self
+            .child(node, vpn, next.raw() - 1)
+            .expect("walk_hop on an unmapped vpn, or from a node the walk never reached");
+        (child, self.pte_line(child, vpn, next))
     }
 }
 
@@ -228,6 +272,17 @@ impl PageTables {
     /// The physical line touched at `level` of a walk of `(asid, vpn)`.
     pub fn walk_line(&self, asid: Asid, vpn: Vpn, level: WalkLevel) -> LineAddr {
         self.tables[asid.index()].walk_line(vpn, level)
+    }
+
+    /// The node a walk of `(asid, vpn)` reads at `level`; see
+    /// [`PageTable::walk_node`].
+    pub fn walk_node(&self, asid: Asid, vpn: Vpn, level: WalkLevel) -> Option<u32> {
+        self.tables.get(asid.index())?.walk_node(vpn, level)
+    }
+
+    /// One radix hop of a walk of `(asid, vpn)`; see [`PageTable::walk_hop`].
+    pub fn walk_hop(&self, asid: Asid, node: u32, vpn: Vpn, next: WalkLevel) -> (u32, LineAddr) {
+        self.tables[asid.index()].walk_hop(node, vpn, next)
     }
 
     /// Walk depth (same for all address spaces).
@@ -400,6 +455,35 @@ mod tests {
             pts.walk_line(Asid::new(0), vpn, WalkLevel::new(4))
         }));
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn hops_reach_the_lines_a_walk_from_the_root_does() {
+        for page_size_log2 in [PAGE_SIZE_4K_LOG2, PAGE_SIZE_2M_LOG2] {
+            let mut pts = PageTables::new(2, page_size_log2);
+            for i in 0..300u64 {
+                let (asid, vpn) = (Asid::new((i % 2) as u16), Vpn(i * 0x1_0101 + (i << 30)));
+                pts.ensure_mapped(asid, vpn);
+                let mut node = 0;
+                let mut level = WalkLevel::ROOT;
+                assert_eq!(pts.walk_node(asid, vpn, level), Some(0));
+                while let Some(next) = level.next(pts.levels()) {
+                    let (child, line) = pts.walk_hop(asid, node, vpn, next);
+                    assert_eq!(line, pts.walk_line(asid, vpn, next));
+                    assert_eq!(pts.walk_node(asid, vpn, next), Some(child));
+                    (node, level) = (child, next);
+                }
+                assert_eq!(level.raw(), pts.levels());
+            }
+            // Below an unmapped subtree, and past the leaf, there is no node.
+            assert_eq!(
+                pts.walk_node(Asid::new(0), Vpn(0x7fff_ffff), WalkLevel::new(3)),
+                None
+            );
+            if pts.levels() == 3 {
+                assert_eq!(pts.walk_node(Asid::new(0), Vpn(0), WalkLevel::new(4)), None);
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! cache. Data caches live in `mask-cache` and add MSHRs and banking on
 //! top of the same structure.
 
+use mask_common::siphash::SipHasher13;
 use mask_common::snapshot::{SnapField, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::hash::{Hash, Hasher};
 
@@ -12,21 +13,25 @@ use std::hash::{Hash, Hasher};
 ///
 /// Keys are hashed to pick a set; within a set, lookup is a linear scan
 /// (associativities here are ≤ 64, so this is both simple and fast).
+///
+/// Storage is one flat allocation per field: set `s` owns the slots
+/// `s * assoc .. s * assoc + lens[s]`, keys apart from values and LRU
+/// stamps so that a probe reads nothing but keys until it has found its
+/// way. Within a set the order of entries is behavioural (see the
+/// [`Snapshot`] impl) and is the order a `Vec` per set would have: new
+/// entries go to the end, removal moves the last entry into the hole.
 #[derive(Clone, Debug)]
 pub struct AssocArray<K, V> {
-    sets: Vec<Vec<Entry<K, V>>>,
+    keys: Vec<K>,
+    /// `(value, last_used)` of the key at the same index.
+    slots: Vec<(V, u64)>,
+    /// Occupied ways per set.
+    lens: Vec<usize>,
     assoc: usize,
     stamp: u64,
 }
 
-#[derive(Clone, Debug)]
-struct Entry<K, V> {
-    key: K,
-    value: V,
-    last_used: u64,
-}
-
-impl<K: Eq + Hash + Copy, V: Copy> AssocArray<K, V> {
+impl<K: Eq + Hash + Copy + Default, V: Copy + Default> AssocArray<K, V> {
     /// Creates an array with `entries` total capacity and `assoc` ways.
     ///
     /// When `entries` is not a multiple of `assoc`, the set count is rounded
@@ -46,7 +51,9 @@ impl<K: Eq + Hash + Copy, V: Copy> AssocArray<K, V> {
         let assoc = assoc.min(entries);
         let n_sets = entries.div_ceil(assoc);
         AssocArray {
-            sets: (0..n_sets).map(|_| Vec::with_capacity(assoc)).collect(),
+            keys: vec![K::default(); n_sets * assoc],
+            slots: vec![(V::default(), 0); n_sets * assoc],
+            lens: vec![0; n_sets],
             assoc,
             stamp: 0,
         }
@@ -54,7 +61,7 @@ impl<K: Eq + Hash + Copy, V: Copy> AssocArray<K, V> {
 
     /// Total entry capacity.
     pub fn capacity(&self) -> usize {
-        self.sets.len() * self.assoc
+        self.keys.len()
     }
 
     /// Number of ways per set.
@@ -64,28 +71,28 @@ impl<K: Eq + Hash + Copy, V: Copy> AssocArray<K, V> {
 
     /// Number of sets.
     pub fn n_sets(&self) -> usize {
-        self.sets.len()
+        self.lens.len()
     }
 
     /// Number of valid entries currently resident.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lens.iter().sum()
     }
 
     /// Whether the array holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
+        self.lens.iter().all(|&n| n == 0)
     }
 
     fn set_index(&self, key: &K) -> usize {
-        if self.sets.len() == 1 {
+        let n = self.lens.len();
+        if n == 1 {
             return 0;
         }
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = SipHasher13::new();
         key.hash(&mut h);
         // Same residue as `%` for the power-of-two set counts every shipped
         // geometry uses, without the 64-bit divide on each probe.
-        let n = self.sets.len();
         if n.is_power_of_two() {
             (h.finish() as usize) & (n - 1)
         } else {
@@ -93,23 +100,39 @@ impl<K: Eq + Hash + Copy, V: Copy> AssocArray<K, V> {
         }
     }
 
+    /// The slot holding `key`, if resident.
+    fn find(&self, key: &K) -> Option<usize> {
+        let set = self.set_index(key);
+        let base = set * self.assoc;
+        self.keys[base..base + self.lens[set]]
+            .iter()
+            .position(|k| k == key)
+            .map(|way| base + way)
+    }
+
+    /// Removes the entry in `slot` of `set` by moving the set's last entry
+    /// into it (`swap_remove`), returning what was there.
+    fn remove_slot(&mut self, set: usize, slot: usize) -> (K, V) {
+        let last = set * self.assoc + self.lens[set] - 1;
+        let removed = (self.keys[slot], self.slots[slot].0);
+        self.keys[slot] = self.keys[last];
+        self.slots[slot] = self.slots[last];
+        self.lens[set] -= 1;
+        removed
+    }
+
     /// Looks up `key`, updating LRU state on a hit.
     pub fn probe(&mut self, key: &K) -> Option<V> {
         self.stamp += 1;
-        let stamp = self.stamp;
-        let set = self.set_index(key);
-        let entry = self.sets[set].iter_mut().find(|e| e.key == *key)?;
-        entry.last_used = stamp;
-        Some(entry.value)
+        let found = self.find(key)?;
+        let slot = &mut self.slots[found];
+        slot.1 = self.stamp;
+        Some(slot.0)
     }
 
     /// Looks up `key` without perturbing LRU state (for monitors/tests).
     pub fn peek(&self, key: &K) -> Option<V> {
-        let set = self.set_index(key);
-        self.sets[set]
-            .iter()
-            .find(|e| e.key == *key)
-            .map(|e| e.value)
+        self.find(key).map(|slot| self.slots[slot].0)
     }
 
     /// Inserts `key -> value`, evicting the set's LRU entry if full.
@@ -119,96 +142,103 @@ impl<K: Eq + Hash + Copy, V: Copy> AssocArray<K, V> {
     pub fn fill(&mut self, key: K, value: V) -> Option<(K, V)> {
         self.stamp += 1;
         let stamp = self.stamp;
-        let set_idx = self.set_index(&key);
-        let assoc = self.assoc;
-        let set = &mut self.sets[set_idx];
-        if let Some(entry) = set.iter_mut().find(|e| e.key == key) {
-            entry.value = value;
-            entry.last_used = stamp;
+        let set = self.set_index(&key);
+        let base = set * self.assoc;
+        let len = self.lens[set];
+        if let Some(way) = self.keys[base..base + len].iter().position(|k| *k == key) {
+            self.slots[base + way] = (value, stamp);
             return None;
         }
         let mut evicted = None;
-        if set.len() >= assoc {
-            let victim = set
+        if len >= self.assoc {
+            let victim = self.slots[base..base + len]
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
+                .min_by_key(|(_, slot)| slot.1)
+                .map(|(way, _)| way)
                 .expect("set is non-empty");
-            let e = set.swap_remove(victim);
-            evicted = Some((e.key, e.value));
+            evicted = Some(self.remove_slot(set, base + victim));
         }
-        set.push(Entry {
-            key,
-            value,
-            last_used: stamp,
-        });
+        let end = base + self.lens[set];
+        self.keys[end] = key;
+        self.slots[end] = (value, stamp);
+        self.lens[set] += 1;
         evicted
     }
 
     /// Removes `key` if present, returning its value.
     pub fn invalidate(&mut self, key: &K) -> Option<V> {
-        let set = self.set_index(key);
-        let pos = self.sets[set].iter().position(|e| e.key == *key)?;
-        Some(self.sets[set].swap_remove(pos).value)
+        let slot = self.find(key)?;
+        Some(self.remove_slot(slot / self.assoc, slot).1)
     }
 
-    /// Removes all entries matching a predicate (e.g. per-ASID flush).
+    /// Removes all entries matching a predicate (e.g. per-ASID flush),
+    /// keeping the survivors of each set in order.
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
-        for set in &mut self.sets {
-            set.retain(|e| keep(&e.key, &e.value));
+        for (set, len) in self.lens.iter_mut().enumerate() {
+            let base = set * self.assoc;
+            let mut kept = 0;
+            for way in 0..*len {
+                if keep(&self.keys[base + way], &self.slots[base + way].0) {
+                    self.keys[base + kept] = self.keys[base + way];
+                    self.slots[base + kept] = self.slots[base + way];
+                    kept += 1;
+                }
+            }
+            *len = kept;
         }
     }
 
     /// Removes every entry.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.lens.fill(0);
     }
 
     /// Iterates over resident `(key, value)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().map(|e| (&e.key, &e.value)))
+        self.lens.iter().enumerate().flat_map(move |(set, &len)| {
+            let base = set * self.assoc;
+            (base..base + len).map(move |i| (&self.keys[i], &self.slots[i].0))
+        })
     }
 }
 
-impl<K: SnapField + Eq + Hash + Copy, V: SnapField + Copy> Snapshot for AssocArray<K, V> {
+impl<K: SnapField + Eq + Hash + Copy + Default, V: SnapField + Copy + Default> Snapshot
+    for AssocArray<K, V>
+{
     /// Captures the stamp and every set's entries *in stored order*:
     /// eviction picks the positionally-first minimum `last_used` and
     /// removal uses `swap_remove`, so both the order and the exact LRU
     /// stamps are behaviorally significant.
     fn snapshot(&self, w: &mut SnapshotWriter) {
         w.u64(self.stamp);
-        w.seq(self.sets.len());
-        for set in &self.sets {
-            w.seq(set.len());
-            for e in set {
-                e.key.write(w);
-                e.value.write(w);
-                w.u64(e.last_used);
+        w.seq(self.lens.len());
+        for (set, &len) in self.lens.iter().enumerate() {
+            let base = set * self.assoc;
+            w.seq(len);
+            for i in base..base + len {
+                self.keys[i].write(w);
+                self.slots[i].0.write(w);
+                w.u64(self.slots[i].1);
             }
         }
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.stamp = r.u64()?;
-        r.seq_exact(self.sets.len())?;
-        for set in &mut self.sets {
-            set.clear();
+        r.seq_exact(self.lens.len())?;
+        for set in 0..self.lens.len() {
+            let base = set * self.assoc;
+            self.lens[set] = 0;
             let n = r.seq()?;
             if n > self.assoc {
                 return Err(SnapshotError::Malformed("set holds more than assoc"));
             }
-            for _ in 0..n {
-                set.push(Entry {
-                    key: K::read(r)?,
-                    value: V::read(r)?,
-                    last_used: r.u64()?,
-                });
+            for i in base..base + n {
+                self.keys[i] = K::read(r)?;
+                self.slots[i] = (V::read(r)?, r.u64()?);
             }
+            self.lens[set] = n;
         }
         Ok(())
     }

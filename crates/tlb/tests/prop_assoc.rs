@@ -1,9 +1,12 @@
 //! Property tests: the set-associative array behaves like a reference
 //! model (per-set LRU map) under arbitrary operation sequences.
 
-use mask_tlb::AssocArray;
+use mask_common::snapshot::{SnapField, SnapshotWriter};
+use mask_common::{Asid, Ppn, Snapshot, Vpn};
+use mask_tlb::{AssocArray, TlbKey};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Reference model: an unbounded map plus per-key access stamps; evictions
 /// are checked only through the invariant that a *recently touched* subset
@@ -77,6 +80,223 @@ proptest! {
         if newcomer != mru {
             arr.fill(newcomer, newcomer);
             prop_assert!(arr.peek(&mru).is_some(), "MRU key {} evicted", mru);
+        }
+    }
+}
+
+// Differential test against the layout this array replaced: one `Vec` of
+// `{key, value, last_used}` per set, scanned linearly. Everything
+// positional is behaviour (the victim is the positionally first minimum
+// stamp, removal is `swap_remove`, insertion is `push`) and reaches the
+// snapshot encoding, so the flat array must match it byte for byte.
+
+struct Entry {
+    key: TlbKey,
+    value: Ppn,
+    last_used: u64,
+}
+
+struct VecOfVecs {
+    sets: Vec<Vec<Entry>>,
+    assoc: usize,
+    stamp: u64,
+}
+
+impl VecOfVecs {
+    fn new(entries: usize, assoc: usize) -> Self {
+        let assoc = assoc.min(entries);
+        VecOfVecs {
+            sets: (0..entries.div_ceil(assoc)).map(|_| Vec::new()).collect(),
+            assoc,
+            stamp: 0,
+        }
+    }
+
+    fn set_index(&self, key: &TlbKey) -> usize {
+        if self.sets.len() == 1 {
+            return 0;
+        }
+        // std's default hasher, as the replaced code had it: on this
+        // toolchain the pinned `mask_common::siphash` is the same
+        // function (its own tests say what to do when that ends).
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        key.hash(&mut h);
+        (h.finish() as usize) % self.sets.len()
+    }
+
+    fn probe(&mut self, key: &TlbKey) -> Option<Ppn> {
+        self.stamp += 1;
+        let set = self.set_index(key);
+        let e = self.sets[set].iter_mut().find(|e| e.key == *key)?;
+        e.last_used = self.stamp;
+        Some(e.value)
+    }
+
+    fn peek(&self, key: &TlbKey) -> Option<Ppn> {
+        let set = self.set_index(key);
+        self.sets[set]
+            .iter()
+            .find(|e| e.key == *key)
+            .map(|e| e.value)
+    }
+
+    fn fill(&mut self, key: TlbKey, value: Ppn) -> Option<(TlbKey, Ppn)> {
+        self.stamp += 1;
+        let last_used = self.stamp;
+        let idx = self.set_index(&key);
+        let assoc = self.assoc;
+        let set = &mut self.sets[idx];
+        if let Some(e) = set.iter_mut().find(|e| e.key == key) {
+            e.value = value;
+            e.last_used = last_used;
+            return None;
+        }
+        let mut evicted = None;
+        if set.len() >= assoc {
+            let mut victim = 0;
+            for (i, e) in set.iter().enumerate() {
+                if e.last_used < set[victim].last_used {
+                    victim = i;
+                }
+            }
+            let e = set.swap_remove(victim);
+            evicted = Some((e.key, e.value));
+        }
+        set.push(Entry {
+            key,
+            value,
+            last_used,
+        });
+        evicted
+    }
+
+    fn invalidate(&mut self, key: &TlbKey) -> Option<Ppn> {
+        let set = self.set_index(key);
+        let pos = self.sets[set].iter().position(|e| e.key == *key)?;
+        Some(self.sets[set].swap_remove(pos).value)
+    }
+
+    fn retain(&mut self, keep: impl Fn(&TlbKey) -> bool) {
+        for set in &mut self.sets {
+            set.retain(|e| keep(&e.key));
+        }
+    }
+
+    fn flush(&mut self) {
+        self.sets.iter_mut().for_each(Vec::clear);
+    }
+
+    fn len(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+
+    fn pairs(&self) -> Vec<(TlbKey, Ppn)> {
+        self.sets
+            .iter()
+            .flatten()
+            .map(|e| (e.key, e.value))
+            .collect()
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.u64(self.stamp);
+        w.seq(self.sets.len());
+        for set in &self.sets {
+            w.seq(set.len());
+            for e in set {
+                e.key.write(&mut w);
+                e.value.write(&mut w);
+                w.u64(e.last_used);
+            }
+        }
+        w.seal(mask_common::PrefixKey(0))
+    }
+}
+
+#[derive(Debug, Clone)]
+enum TlbOp {
+    Probe(u16, u64),
+    Peek(u16, u64),
+    Fill(u16, u64, u64),
+    Invalidate(u16, u64),
+    FlushAsid(u16),
+    Flush,
+    /// Snapshot, restore into a fresh array, carry on with that one.
+    RoundTrip,
+}
+
+fn tlb_ops() -> impl Strategy<Value = Vec<TlbOp>> {
+    let key = || (0u16..3, 0u64..48);
+    proptest::collection::vec(
+        prop_oneof![
+            key().prop_map(|(a, v)| TlbOp::Probe(a, v)),
+            key().prop_map(|(a, v)| TlbOp::Probe(a, v)),
+            key().prop_map(|(a, v)| TlbOp::Peek(a, v)),
+            (key(), any::<u64>()).prop_map(|((a, v), p)| TlbOp::Fill(a, v, p)),
+            (key(), any::<u64>()).prop_map(|((a, v), p)| TlbOp::Fill(a, v, p)),
+            (key(), any::<u64>()).prop_map(|((a, v), p)| TlbOp::Fill(a, v, p)),
+            key().prop_map(|(a, v)| TlbOp::Invalidate(a, v)),
+            (0u16..3).prop_map(TlbOp::FlushAsid),
+            (0u8..40).prop_map(|n| if n == 0 {
+                TlbOp::Flush
+            } else {
+                TlbOp::RoundTrip
+            }),
+        ],
+        0..400,
+    )
+}
+
+fn encode<T: Snapshot>(t: &T) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    t.snapshot(&mut w);
+    w.seal(mask_common::PrefixKey(0))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Equal return values and a byte-identical snapshot after every
+    /// operation, for a power-of-two set count, an odd one, and one set.
+    #[test]
+    fn flat_array_equals_the_vec_of_vecs_it_replaced(ops in tlb_ops(), geometry in 0usize..3) {
+        let (entries, assoc) = [(32, 4), (12, 4), (8, 8)][geometry];
+        let mut arr: AssocArray<TlbKey, Ppn> = AssocArray::new(entries, assoc);
+        let mut model = VecOfVecs::new(entries, assoc);
+        let key = |a: u16, v: u64| TlbKey::new(Asid::new(a), Vpn(v));
+        for op in ops {
+            match op {
+                TlbOp::Probe(a, v) => prop_assert_eq!(arr.probe(&key(a, v)), model.probe(&key(a, v))),
+                TlbOp::Peek(a, v) => prop_assert_eq!(arr.peek(&key(a, v)), model.peek(&key(a, v))),
+                TlbOp::Fill(a, v, p) => {
+                    prop_assert_eq!(arr.fill(key(a, v), Ppn(p)), model.fill(key(a, v), Ppn(p)));
+                }
+                TlbOp::Invalidate(a, v) => {
+                    prop_assert_eq!(arr.invalidate(&key(a, v)), model.invalidate(&key(a, v)));
+                }
+                TlbOp::FlushAsid(a) => {
+                    arr.retain(|k, _| k.asid != Asid::new(a));
+                    model.retain(|k| k.asid != Asid::new(a));
+                }
+                TlbOp::Flush => {
+                    arr.flush();
+                    model.flush();
+                }
+                TlbOp::RoundTrip => {
+                    let bytes = encode(&arr);
+                    let mut fresh: AssocArray<TlbKey, Ppn> = AssocArray::new(entries, assoc);
+                    let (mut r, _) = mask_common::SnapshotReader::open(&bytes).expect("sealed above");
+                    fresh.restore(&mut r).expect("own encoding restores");
+                    r.finish().expect("restore consumes the payload");
+                    arr = fresh;
+                }
+            }
+            prop_assert_eq!(arr.len(), model.len());
+            prop_assert_eq!(arr.is_empty(), model.len() == 0);
+            let pairs: Vec<(TlbKey, Ppn)> = arr.iter().map(|(k, v)| (*k, *v)).collect();
+            prop_assert_eq!(pairs, model.pairs());
+            prop_assert_eq!(encode(&arr), model.encode());
         }
     }
 }

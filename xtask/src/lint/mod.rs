@@ -174,11 +174,16 @@ impl Sink<'_> {
 /// *not* registered here: checkpoint encoding/decoding runs only at
 /// epoch-boundary snapshot points, never inside the per-cycle loop, so
 /// it may allocate freely (the fixture tests pin this decision down).
-pub(crate) const HOTPATH_FILES: [&str; 5] = [
+pub(crate) const HOTPATH_FILES: [&str; 10] = [
     "crates/gpu/src/sim.rs",
     "crates/gpu/src/translation.rs",
     "crates/cache/src/l2.rs",
+    "crates/cache/src/mshr.rs",
+    "crates/cache/src/data.rs",
+    "crates/dram/src/device.rs",
     "crates/dram/src/queues.rs",
+    "crates/tlb/src/assoc.rs",
+    "crates/pagetable/src/walker.rs",
     "crates/obs/src/hooks.rs",
 ];
 

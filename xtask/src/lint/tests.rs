@@ -429,8 +429,30 @@ pub fn with_bypass(n: usize) -> Self {
 #[test]
 fn hotpath_rule_is_scoped_to_hot_files() {
     let src = "pub fn tick(&mut self) {\n    let v = Vec::new();\n}\n";
-    assert!(lint("crates/cache/src/mshr.rs", src).is_empty());
+    assert!(lint("crates/cache/src/bypass.rs", src).is_empty());
     assert!(lint("crates/gpu/src/core_model.rs", src).is_empty());
+}
+
+#[test]
+fn red_hotpath_covers_the_per_cycle_memory_structures() {
+    // The DRAM device, the MSHRs, the data and TLB arrays and the walker
+    // are scanned or probed every cycle: a per-call allocation in any of
+    // them is as hot as one in `GpuSim::step`.
+    let src = "pub fn complete_into(&mut self) {\n    let mut out = Vec::new();\n}\n";
+    for file in [
+        "crates/dram/src/device.rs",
+        "crates/cache/src/mshr.rs",
+        "crates/cache/src/data.rs",
+        "crates/tlb/src/assoc.rs",
+        "crates/pagetable/src/walker.rs",
+    ] {
+        assert_eq!(rules(&lint(file, src)), ["hotpath"], "in {file}");
+    }
+    // Their cold allocating wrappers carry an annotation instead.
+    let wrapper = "pub fn complete(&mut self) -> Vec<u32> {\n    \
+         // lint: allow(hotpath) -- allocating wrapper for tests/cold paths.\n    \
+         let mut out = Vec::new();\n    out\n}\n";
+    assert!(lint("crates/cache/src/mshr.rs", wrapper).is_empty());
 }
 
 #[test]
