@@ -12,23 +12,7 @@
 //! of two applications (an invariant the sanitizer enforces on every fill).
 
 use mask_common::addr::LineAddr;
-use mask_common::ids::Asid;
-
-/// Splits `total` resources among `n_apps` deterministically: everyone gets
-/// `total / n_apps`, and the *last* application absorbs the remainder (so a
-/// 16-way cache over 3 apps yields ranges of 5, 5, and 6 ways). Shared by
-/// way partitioning and set coloring; `mask-dram`'s channel/bank splits use
-/// the same rule.
-fn split_ranges(total: usize, n_apps: usize) -> Vec<(usize, usize)> {
-    let per = total / n_apps;
-    (0..n_apps)
-        .map(|i| {
-            let start = i * per;
-            let end = if i == n_apps - 1 { total } else { start + per };
-            (start, end)
-        })
-        .collect() // lint: allow(hotpath) -- partitioning runs once, at construction
-}
+use mask_common::ids::{split_ranges, Asid};
 
 /// A set-associative cache over physical lines.
 ///
@@ -47,7 +31,8 @@ pub struct DataCache {
     n_sets: usize,
     assoc: usize,
     stamp: u64,
-    /// Way-range restriction per ASID (Static design); `None` = shared.
+    /// Way-range restriction `(start, end)` per ASID (Static design);
+    /// `None` = shared.
     partition: Option<Vec<(usize, usize)>>,
     /// Set-range restriction per ASID (Partitioned design); `None` =
     /// shared indexing. `(start, len)` per ASID.
@@ -92,7 +77,12 @@ impl DataCache {
             "cannot partition {} ways {n_apps} ways",
             self.assoc
         );
-        self.partition = Some(split_ranges(self.assoc, n_apps));
+        self.partition = Some(
+            split_ranges(self.assoc, n_apps)
+                .into_iter()
+                .map(|(start, len)| (start, start + len))
+                .collect(), // lint: allow(hotpath) -- runs once, at construction
+        );
     }
 
     /// Colors the sets among `n_apps` address spaces (the `Partitioned`
@@ -110,12 +100,7 @@ impl DataCache {
             n_apps > 0 && n_apps <= n_sets,
             "cannot color {n_sets} sets for {n_apps} apps"
         );
-        self.set_colors = Some(
-            split_ranges(n_sets, n_apps)
-                .into_iter()
-                .map(|(start, end)| (start, end - start))
-                .collect(), // lint: allow(hotpath) -- runs once, at construction
-        );
+        self.set_colors = Some(split_ranges(n_sets, n_apps));
     }
 
     /// The colored set range `(start, len)` an ASID indexes into, when set

@@ -9,28 +9,7 @@
 //! `Partitioned` and MPS-style `NoIsolation` brackets.
 
 use crate::addr::PAGE_SIZE_4K_LOG2;
-use crate::snapshot::PrefixHasher;
-
-/// Declared influence of a tuning knob or design axis on a warm-up prefix
-/// (the canonicalization input of `PrefixKey`, see `mask-common::snapshot`).
-///
-/// The conservative default for every knob is [`AffectsPrefix`]: it is
-/// hashed into the prefix key, so jobs differing in it never share a
-/// checkpoint. A knob may be declared [`EpochEndOnly`] only when it is
-/// provably read *exclusively* by end-of-epoch bookkeeping — such a knob
-/// cannot influence any state produced before the first epoch boundary,
-/// so it is excluded from the key of prefixes shorter than one epoch.
-///
-/// [`AffectsPrefix`]: WarmupInfluence::AffectsPrefix
-/// [`EpochEndOnly`]: WarmupInfluence::EpochEndOnly
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WarmupInfluence {
-    /// Varying the knob can change simulator state from cycle 0.
-    AffectsPrefix,
-    /// The knob is only consumed by end-of-epoch bookkeeping; it cannot
-    /// affect state before the first epoch boundary.
-    EpochEndOnly,
-}
+use std::path::PathBuf;
 
 /// How L1-TLB misses reach a translation (the Fig. 2 / Fig. 10 choice).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -127,35 +106,6 @@ pub struct DesignSpec {
     pub compute: ComputePolicy,
     /// Physical frame allocation policy.
     pub alloc: AllocPolicy,
-}
-
-impl DesignSpec {
-    /// Warm-up-influence declaration for each policy axis, consulted by
-    /// the prefix-key canonicalization. Every axis is a structural choice
-    /// consumed by its layer at construction time, so all six
-    /// conservatively (and correctly) affect the prefix.
-    pub const AXIS_INFLUENCE: [(&'static str, WarmupInfluence); 6] = [
-        ("translation", WarmupInfluence::AffectsPrefix),
-        ("tokens", WarmupInfluence::AffectsPrefix),
-        ("l2", WarmupInfluence::AffectsPrefix),
-        ("dram", WarmupInfluence::AffectsPrefix),
-        ("compute", WarmupInfluence::AffectsPrefix),
-        ("alloc", WarmupInfluence::AffectsPrefix),
-    ];
-
-    /// Absorbs the prefix-relevant content of this design point into a
-    /// prefix-key hasher. All six axes are [`WarmupInfluence::AffectsPrefix`]
-    /// (see [`DesignSpec::AXIS_INFLUENCE`]), so all six are hashed
-    /// unconditionally.
-    pub fn prefix_hash(&self, h: &mut PrefixHasher) {
-        h.tag("design");
-        h.u64(self.translation as u64);
-        h.u64(self.tokens as u64);
-        h.u64(self.l2 as u64);
-        h.u64(self.dram as u64);
-        h.u64(self.compute as u64);
-        h.u64(self.alloc as u64);
-    }
 }
 
 /// The `SharedTlb` baseline: everything shared, no MASK mechanisms.
@@ -510,41 +460,22 @@ pub struct MaskParams {
 }
 
 impl MaskParams {
-    /// Warm-up-influence declaration for each MASK knob, consulted by the
-    /// prefix-key canonicalization. `epoch_cycles` shapes the prefix
-    /// itself (it places the epoch boundaries), so it always affects the
-    /// key. The other five knobs are consumed exclusively by
-    /// end-of-epoch bookkeeping — `TokenAllocator::end_epoch` and
-    /// `BypassMonitor::end_epoch` — and therefore cannot influence any
-    /// state produced before the first epoch boundary.
-    pub const KNOB_INFLUENCE: [(&'static str, WarmupInfluence); 6] = [
-        ("epoch_cycles", WarmupInfluence::AffectsPrefix),
-        ("initial_tokens_frac", WarmupInfluence::EpochEndOnly),
-        ("miss_rate_delta", WarmupInfluence::EpochEndOnly),
-        ("token_step_frac", WarmupInfluence::EpochEndOnly),
-        ("token_policy", WarmupInfluence::EpochEndOnly),
-        ("bypass_margin", WarmupInfluence::EpochEndOnly),
-    ];
-
-    /// Absorbs the prefix-relevant MASK knobs into a prefix-key hasher.
-    ///
-    /// `crosses_epoch` says whether the warm-up prefix reaches the first
-    /// epoch boundary. When it does, the epoch-end-only knobs have been
-    /// applied inside the prefix and must be part of its identity; when
-    /// it does not, they are excluded per [`MaskParams::KNOB_INFLUENCE`],
-    /// which is what lets a single-axis sweep over them share one warm
-    /// checkpoint.
-    pub fn prefix_hash(&self, h: &mut PrefixHasher, crosses_epoch: bool) {
-        h.tag("mask");
-        h.u64(self.epoch_cycles);
-        h.bool(crosses_epoch);
-        if crosses_epoch {
-            h.f64(self.initial_tokens_frac);
-            h.f64(self.miss_rate_delta);
-            h.f64(self.token_step_frac);
-            h.u64(self.token_policy as u64);
-            h.f64(self.bypass_margin);
-        }
+    /// Resets to their defaults the five knobs that only end-of-epoch
+    /// bookkeeping reads (`TokenAllocator::end_epoch`,
+    /// `BypassMonitor::end_epoch`), and which therefore cannot influence
+    /// any state produced before the first epoch boundary. The warm-up
+    /// prefix key calls this for a warm-up that ends before that boundary,
+    /// which is what lets a sweep over one of them share a warm checkpoint.
+    /// `epoch_cycles` places the boundaries and is never reset; a knob
+    /// added to this struct is kept (and so splits the key) until it is
+    /// named here.
+    pub fn reset_epoch_end_only(&mut self) {
+        let default = MaskParams::default();
+        self.initial_tokens_frac = default.initial_tokens_frac;
+        self.miss_rate_delta = default.miss_rate_delta;
+        self.token_step_frac = default.token_step_frac;
+        self.token_policy = default.token_policy;
+        self.bypass_margin = default.bypass_margin;
     }
 }
 
@@ -648,58 +579,6 @@ impl GpuConfig {
     /// Maximum number of radix levels a page walk traverses for this config.
     pub fn walk_levels(&self) -> u8 {
         crate::addr::levels_for_page_size(self.page_size_log2)
-    }
-
-    /// Absorbs the full machine configuration into a prefix-key hasher.
-    /// Every structural parameter affects simulation from cycle 0, so
-    /// everything is hashed except the MASK knobs, which delegate to
-    /// [`MaskParams::prefix_hash`] for their per-knob declarations.
-    pub fn prefix_hash(&self, h: &mut PrefixHasher, crosses_epoch: bool) {
-        h.tag("gpu");
-        h.usize(self.n_cores);
-        h.usize(self.warps_per_core);
-        h.usize(self.warp_size);
-        h.u64(u64::from(self.page_size_log2));
-        h.tag("tlb");
-        h.usize(self.tlb.l1_entries);
-        h.u64(self.tlb.l1_latency);
-        h.usize(self.tlb.l2_entries);
-        h.usize(self.tlb.l2_assoc);
-        h.u64(self.tlb.l2_latency);
-        h.usize(self.tlb.l2_ports);
-        h.usize(self.tlb.bypass_cache_entries);
-        h.tag("pwc");
-        h.usize(self.pwc.bytes);
-        h.usize(self.pwc.assoc);
-        h.u64(self.pwc.latency);
-        for (tag, c) in [("l1c", &self.l1_cache), ("l2c", &self.l2_cache)] {
-            h.tag(tag);
-            h.usize(c.bytes);
-            h.usize(c.assoc);
-            h.u64(c.latency);
-            h.usize(c.banks);
-            h.usize(c.ports_per_bank);
-            h.usize(c.mshrs);
-        }
-        h.tag("dram");
-        h.usize(self.dram.channels);
-        h.usize(self.dram.banks_per_channel);
-        h.u64(u64::from(self.dram.row_size_log2));
-        h.u64(self.dram.t_cas);
-        h.u64(self.dram.t_rcd);
-        h.u64(self.dram.t_rp);
-        h.u64(self.dram.burst_cycles);
-        h.usize(self.dram.queue_capacity);
-        h.u64(self.dram.row_policy as u64);
-        h.u64(self.dram.sched as u64);
-        h.usize(self.dram.golden_capacity);
-        h.usize(self.dram.silver_capacity);
-        h.usize(self.dram.normal_capacity);
-        h.u64(self.dram.thresh_max);
-        h.tag("walker");
-        h.usize(self.walker_slots);
-        h.u64(self.page_fault_latency);
-        self.mask.prefix_hash(h, crosses_epoch);
     }
 }
 
@@ -811,6 +690,21 @@ pub fn default_max_cycles() -> u64 {
 /// takes the resolved value, never the environment.
 pub fn pair_limit_override() -> Option<usize> {
     std::env::var("MASK_PAIR_LIMIT")
+        .ok()
+        .and_then(|v| v.parse().ok())
+}
+
+/// The `MASK_SNAPSHOT_DIR` environment variable: where the process-wide
+/// warm-up prefix cache persists its snapshots (unset: in memory only).
+pub fn snapshot_dir_override() -> Option<PathBuf> {
+    std::env::var_os("MASK_SNAPSHOT_DIR").map(PathBuf::from)
+}
+
+/// The `MASK_SNAPSHOT_CAP` environment variable, when set to a number: the
+/// most snapshots kept under [`snapshot_dir_override`] (unset or
+/// unparsable: unbounded).
+pub fn snapshot_cap_override() -> Option<usize> {
+    std::env::var("MASK_SNAPSHOT_CAP")
         .ok()
         .and_then(|v| v.parse().ok())
 }
@@ -958,52 +852,22 @@ mod tests {
     }
 
     #[test]
-    fn epoch_end_knobs_excluded_from_short_prefix_keys() {
-        let base = GpuConfig::maxwell();
-        let mut tweaked = base.clone();
-        tweaked.mask.initial_tokens_frac = 0.5;
-        tweaked.mask.bypass_margin = 0.2;
-        let key = |cfg: &GpuConfig, crosses: bool| {
-            let mut h = PrefixHasher::new();
-            cfg.prefix_hash(&mut h, crosses);
-            h.finish()
+    fn reset_touches_exactly_the_epoch_end_only_knobs() {
+        let mut p = MaskParams {
+            epoch_cycles: 777,
+            initial_tokens_frac: 0.1,
+            miss_rate_delta: 0.2,
+            token_step_frac: 0.3,
+            token_policy: TokenPolicyKind::Literal,
+            bypass_margin: 0.4,
         };
-        // Short warm-up (no epoch boundary): epoch-end-only knobs are
-        // declared invariant and must not split the key.
-        assert_eq!(key(&base, false), key(&tweaked, false));
-        // Once the prefix crosses an epoch boundary they apply.
-        assert_ne!(key(&base, true), key(&tweaked, true));
-        // Structural knobs always split the key.
-        let mut other = base.clone();
-        other.mask.epoch_cycles = 50_000;
-        assert_ne!(key(&base, false), key(&other, false));
-        let mut other = base.clone();
-        other.walker_slots = 32;
-        assert_ne!(key(&base, false), key(&other, false));
-        // The declaration tables match the hashing behaviour: exactly the
-        // EpochEndOnly knobs are conditional.
-        let conditional = MaskParams::KNOB_INFLUENCE
-            .iter()
-            .filter(|(_, i)| *i == WarmupInfluence::EpochEndOnly)
-            .count();
-        assert_eq!(conditional, 5);
-        assert!(DesignSpec::AXIS_INFLUENCE
-            .iter()
-            .all(|(_, i)| *i == WarmupInfluence::AffectsPrefix));
-    }
-
-    #[test]
-    fn design_axes_split_prefix_keys() {
-        let mut keys: Vec<u64> = DesignKind::ALL
-            .iter()
-            .map(|d| {
-                let mut h = PrefixHasher::new();
-                d.spec().prefix_hash(&mut h);
-                h.finish().0
-            })
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys.len(), DesignKind::ALL.len());
+        p.reset_epoch_end_only();
+        assert_eq!(
+            p,
+            MaskParams {
+                epoch_cycles: 777,
+                ..MaskParams::default()
+            }
+        );
     }
 }

@@ -183,9 +183,42 @@ impl GlobalWarpId {
     }
 }
 
+/// Splits `total` resources (cache ways or sets, DRAM channels or banks)
+/// among `n_apps` address spaces as `(start, len)` ranges: everyone gets
+/// `total / n_apps` and the *last* application absorbs the remainder, so
+/// 16 ways over 3 apps yield 5, 5 and 6, and 8 channels yield 2, 2 and 4.
+/// The one remainder rule every partitioned design uses.
+///
+/// # Panics
+///
+/// Panics if `n_apps` is zero or exceeds `total`.
+#[must_use]
+pub fn split_ranges(total: usize, n_apps: usize) -> Vec<(usize, usize)> {
+    assert!(
+        n_apps > 0 && n_apps <= total,
+        "cannot split {total} resources {n_apps} ways"
+    );
+    let per = total / n_apps;
+    (0..n_apps)
+        .map(|i| {
+            let start = i * per;
+            let len = if i == n_apps - 1 { total - start } else { per };
+            (start, len)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn split_ranges_gives_the_remainder_to_the_last_app() {
+        assert_eq!(split_ranges(16, 3), [(0, 5), (5, 5), (10, 6)]);
+        assert_eq!(split_ranges(8, 3), [(0, 2), (2, 2), (4, 4)]);
+        assert_eq!(split_ranges(4, 4), [(0, 1), (1, 1), (2, 1), (3, 1)]);
+        assert_eq!(split_ranges(7, 1), [(0, 7)]);
+    }
 
     #[test]
     fn app_maps_to_matching_asid() {

@@ -1,8 +1,11 @@
-//! The hand-rolled JSON layer of the daemon's wire protocol.
+//! The workspace's one JSON module: the value type, parser and canonical
+//! serializer of the daemon's wire protocol, plus the string escaper
+//! ([`escape`]) and number predicate ([`is_number`]) the format-string
+//! emitters (`Table::to_json`, the obs exporter, `xtask`'s reports) share.
 //!
-//! Zero-dependency by construction (the repo is offline-vendored) and
-//! deliberately narrower than full JSON: **numbers are unsigned 64-bit
-//! integers only**. Every value the daemon ships — job specs, `SimStats`
+//! Zero-dependency by construction (the repo is offline-vendored) and,
+//! for [`Value`], deliberately narrower than full JSON: **numbers are
+//! unsigned 64-bit integers only**. Every value the daemon ships — job specs, `SimStats`
 //! counters, queue/store telemetry — is an integer, a string, a bool, or a
 //! composite of those, so refusing floats and negative numbers makes the
 //! round trip *exact*: `parse(serialize(v)) == v` bit for bit, with none of
@@ -13,8 +16,8 @@
 //! (they live in a `BTreeMap`) with no insignificant whitespace, so equal
 //! values serialize to equal byte strings. The grammar accepted by
 //! [`parse`] is standard RFC 8259 JSON minus the number restriction;
-//! `tests/json_wire.rs` cross-validates the output against the in-tree
-//! JSON syntax checker that gates the xtask SARIF emitter.
+//! `tests/json.rs` cross-validates the output against an independently
+//! written syntax checker.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -134,8 +137,23 @@ fn write_value(v: &Value, out: &mut String) {
 }
 
 fn write_string(s: &str, out: &mut String) {
-    use fmt::Write;
     out.push('"');
+    escape_into(s, out);
+    out.push('"');
+}
+
+/// `s` escaped for the inside of a JSON string literal (no surrounding
+/// quotes): `"` and `\` are backslash-escaped, control characters become
+/// `\n`/`\r`/`\t` or `\u00XX`, everything else passes through.
+#[must_use]
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(s, &mut out);
+    out
+}
+
+fn escape_into(s: &str, out: &mut String) {
+    use fmt::Write;
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -149,7 +167,28 @@ fn write_string(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-    out.push('"');
+}
+
+/// Whether `s` is exactly one number of the RFC 8259 grammar
+/// (`-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`). Unlike
+/// [`Value`] this admits fractions, exponents and negatives: it decides
+/// whether an emitter may write a preformatted cell bare.
+#[must_use]
+pub fn is_number(s: &str) -> bool {
+    let digits = |d: &str| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit());
+    let unsigned = s.strip_prefix('-').unwrap_or(s);
+    let (mantissa, exp) = match unsigned.split_once(['e', 'E']) {
+        Some((mantissa, exp)) => (mantissa, Some(exp)),
+        None => (unsigned, None),
+    };
+    let (int, frac) = match mantissa.split_once('.') {
+        Some((int, frac)) => (int, Some(frac)),
+        None => (mantissa, None),
+    };
+    digits(int)
+        && (int == "0" || !int.starts_with('0'))
+        && frac.is_none_or(digits)
+        && exp.is_none_or(|e| digits(e.strip_prefix(['+', '-']).unwrap_or(e)))
 }
 
 /// A parse failure: byte offset plus what the parser expected there.
@@ -455,6 +494,31 @@ mod tests {
             "18446744073709551616",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn number_predicate_follows_rfc_8259() {
+        for ok in [
+            "0", "-0", "12", "-1.5e3", "0.5", "1E+9", "1e-9", "10.25", "2.000",
+        ] {
+            assert!(is_number(ok), "{ok:?} is a JSON number");
+        }
+        for bad in [
+            "", "-", "+3", ".5", "5.", "007", "-01", "1e", "1e+", "1.e3", "0x10", "NaN", "inf",
+            "1 ", " 1", "3DS", "1.5.2", "--1", "1e5e5", "1e+-5",
+        ] {
+            assert!(!is_number(bad), "{bad:?} is not a JSON number");
+        }
+    }
+
+    #[test]
+    fn escape_covers_every_control_character() {
+        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(escape("\n\r\t\u{1}\u{1f}é"), "\\n\\r\\t\\u0001\\u001fé");
+        for c in (0u32..0x20).filter_map(char::from_u32) {
+            let doc = format!("\"{}\"", escape(&c.to_string()));
+            assert_eq!(parse(&doc), Ok(Value::Str(c.to_string())), "{doc}");
         }
     }
 }

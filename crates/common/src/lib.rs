@@ -12,7 +12,9 @@
 //!   without external dependencies ([`rng`]),
 //! * the pinned set-index hash of the associative arrays ([`siphash`]),
 //! * the versioned MSNP snapshot codec ([`snapshot`]) and the on-disk
-//!   directory store of sealed envelopes built on it ([`store`]).
+//!   directory store of sealed envelopes built on it ([`store`]),
+//! * the one JSON value type, parser and string escaper every emitter in
+//!   the workspace uses ([`json`]).
 //!
 //! # Example
 //!
@@ -30,6 +32,7 @@
 pub mod addr;
 pub mod config;
 pub mod ids;
+pub mod json;
 pub mod req;
 pub mod rng;
 pub mod siphash;

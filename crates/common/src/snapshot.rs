@@ -33,6 +33,7 @@
 //! Corruption, truncation, and version skew are all hard errors: a
 //! snapshot either restores exactly or not at all.
 
+use crate::stats::{AppStats, DramClassStats, Field, FieldMut, FieldRef, HitStats, SimStats};
 use std::fmt;
 
 /// First four bytes of every encoded snapshot.
@@ -491,15 +492,44 @@ impl Snapshot for crate::rng::Pcg32 {
     }
 }
 
-impl Snapshot for crate::stats::HitStats {
+/// Writes every `u64` leaf under `fields`, in table order.
+fn write_fields<'a>(
+    fields: impl Iterator<Item = (&'static str, FieldRef<'a>)>,
+    w: &mut SnapshotWriter,
+) {
+    for (_, field) in fields {
+        match field {
+            Field::Counter(v) | Field::Level(v) => w.u64(*v),
+            Field::Hit(h) => h.snapshot(w),
+            Field::Dram(d) => d.snapshot(w),
+            Field::HitLevels(levels) => levels.iter().for_each(|h| h.snapshot(w)),
+        }
+    }
+}
+
+/// Inverse of [`write_fields`].
+fn read_fields<'a>(
+    fields: impl Iterator<Item = (&'static str, FieldMut<'a>)>,
+    r: &mut SnapshotReader<'_>,
+) -> Result<(), SnapshotError> {
+    for (_, field) in fields {
+        match field {
+            Field::Counter(v) | Field::Level(v) => *v = r.u64()?,
+            Field::Hit(h) => h.restore(r)?,
+            Field::Dram(d) => d.restore(r)?,
+            Field::HitLevels(levels) => levels.iter_mut().try_for_each(|h| h.restore(r))?,
+        }
+    }
+    Ok(())
+}
+
+impl Snapshot for HitStats {
     fn snapshot(&self, w: &mut SnapshotWriter) {
-        w.u64(self.accesses);
-        w.u64(self.hits);
+        write_fields(self.fields(), w);
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.accesses = r.u64()?;
-        self.hits = r.u64()?;
+        read_fields(self.fields_mut(), r)?;
         if self.hits > self.accesses {
             return Err(SnapshotError::Malformed("hits exceed accesses"));
         }
@@ -507,91 +537,27 @@ impl Snapshot for crate::stats::HitStats {
     }
 }
 
-impl Snapshot for crate::stats::DramClassStats {
+impl Snapshot for DramClassStats {
     fn snapshot(&self, w: &mut SnapshotWriter) {
-        w.u64(self.requests);
-        w.u64(self.latency_sum);
-        w.u64(self.bus_busy_cycles);
-        w.u64(self.row_hits);
-        w.u64(self.row_misses);
-        w.u64(self.row_conflicts);
+        write_fields(self.fields(), w);
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.requests = r.u64()?;
-        self.latency_sum = r.u64()?;
-        self.bus_busy_cycles = r.u64()?;
-        self.row_hits = r.u64()?;
-        self.row_misses = r.u64()?;
-        self.row_conflicts = r.u64()?;
-        Ok(())
+        read_fields(self.fields_mut(), r)
     }
 }
 
-impl Snapshot for crate::stats::AppStats {
+impl Snapshot for AppStats {
     fn snapshot(&self, w: &mut SnapshotWriter) {
-        w.u64(self.instructions);
-        w.u64(self.mem_instructions);
-        w.u64(self.cycles);
-        w.u64(self.stall_cycles);
-        self.l1_tlb.snapshot(w);
-        self.l2_tlb.snapshot(w);
-        self.tlb_bypass_cache.snapshot(w);
-        self.pwc.snapshot(w);
-        w.u64(self.page_faults);
-        w.u64(self.walks_started);
-        w.u64(self.walks_completed);
-        w.u64(self.walk_latency_sum);
-        w.u64(self.walk_cycles_integral);
-        w.u64(self.walk_concurrency_max);
-        w.u64(self.stalled_warps_sum);
-        w.u64(self.stalled_warps_events);
-        w.u64(self.stalled_warps_max);
-        self.l1_data.snapshot(w);
-        self.l2_data.snapshot(w);
-        for h in &self.l2_translation {
-            h.snapshot(w);
-        }
-        w.u64(self.l2_translation_bypassed);
-        self.dram_data.snapshot(w);
-        self.dram_translation.snapshot(w);
-        w.u64(self.tokens_final);
-        w.u64(self.fills_diverted);
+        write_fields(self.fields(), w);
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.instructions = r.u64()?;
-        self.mem_instructions = r.u64()?;
-        self.cycles = r.u64()?;
-        self.stall_cycles = r.u64()?;
-        self.l1_tlb.restore(r)?;
-        self.l2_tlb.restore(r)?;
-        self.tlb_bypass_cache.restore(r)?;
-        self.pwc.restore(r)?;
-        self.page_faults = r.u64()?;
-        self.walks_started = r.u64()?;
-        self.walks_completed = r.u64()?;
-        self.walk_latency_sum = r.u64()?;
-        self.walk_cycles_integral = r.u64()?;
-        self.walk_concurrency_max = r.u64()?;
-        self.stalled_warps_sum = r.u64()?;
-        self.stalled_warps_events = r.u64()?;
-        self.stalled_warps_max = r.u64()?;
-        self.l1_data.restore(r)?;
-        self.l2_data.restore(r)?;
-        for h in &mut self.l2_translation {
-            h.restore(r)?;
-        }
-        self.l2_translation_bypassed = r.u64()?;
-        self.dram_data.restore(r)?;
-        self.dram_translation.restore(r)?;
-        self.tokens_final = r.u64()?;
-        self.fills_diverted = r.u64()?;
-        Ok(())
+        read_fields(self.fields_mut(), r)
     }
 }
 
-impl Snapshot for crate::stats::SimStats {
+impl Snapshot for SimStats {
     fn snapshot(&self, w: &mut SnapshotWriter) {
         w.section("stats");
         w.seq(self.apps.len());
@@ -802,14 +768,11 @@ impl SnapField for crate::req::MemRequest {
 /// Content-addressed identity of a warm-up prefix.
 ///
 /// Two jobs share a key exactly when running their first `warm-up` cycles
-/// is guaranteed to produce bit-identical simulator state. The key is an
-/// FNV-1a digest over the canonicalized inputs that can influence the
-/// prefix: the design axes, workload specification, seed, GPU
-/// configuration fingerprint, and the warm-up length in cycles. Knobs
-/// that provably cannot affect the prefix — `max_cycles`, the job worker
-/// count, and (for warm-ups shorter than one epoch) the
-/// epoch-end-only MASK parameters — are deliberately excluded; every
-/// other knob is conservatively included.
+/// is guaranteed to produce bit-identical simulator state. The job engine
+/// derives it (`SimJob::prefix_key` in `mask-core`) as the FNV-1a digest
+/// of the job's canonical key with everything that provably cannot affect
+/// the prefix normalised away; the same newtype addresses every sealed
+/// envelope in an [`EnvelopeStore`](crate::store::EnvelopeStore).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PrefixKey(pub u64);
 
@@ -819,64 +782,9 @@ impl fmt::Display for PrefixKey {
     }
 }
 
-/// Canonicalizing hasher that [`PrefixKey`]s are built with. Every field
-/// is length- or tag-delimited so distinct input sequences cannot collide
-/// by concatenation.
-#[derive(Clone, Debug, Default)]
-pub struct PrefixHasher {
-    inner: Fnv1a,
-}
-
-impl PrefixHasher {
-    /// A fresh hasher.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorbs a domain-separating tag.
-    pub fn tag(&mut self, tag: &'static str) {
-        self.inner.write_u64(tag.len() as u64);
-        self.inner.write(tag.as_bytes());
-    }
-
-    /// Absorbs a `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.inner.write_u64(v);
-    }
-
-    /// Absorbs a `usize`.
-    pub fn usize(&mut self, v: usize) {
-        self.inner.write_u64(v as u64);
-    }
-
-    /// Absorbs a `bool`.
-    pub fn bool(&mut self, v: bool) {
-        self.inner.write(&[u8::from(v)]);
-    }
-
-    /// Absorbs an `f64` by bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.inner.write_u64(v.to_bits());
-    }
-
-    /// Absorbs a string with length framing.
-    pub fn str(&mut self, s: &str) {
-        self.inner.write_u64(s.len() as u64);
-        self.inner.write(s.as_bytes());
-    }
-
-    /// The finished key.
-    #[must_use]
-    pub fn finish(&self) -> PrefixKey {
-        PrefixKey(self.inner.finish())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{AppStats, SimStats};
 
     fn sample_stats() -> SimStats {
         let mut s = SimStats::new(2, 8);
@@ -1005,7 +913,7 @@ mod tests {
         w.u64(2);
         let bytes = w.seal(PrefixKey(0));
         let (mut r, _) = SnapshotReader::open(&bytes).unwrap();
-        let mut h = crate::stats::HitStats::default();
+        let mut h = HitStats::default();
         assert!(h.restore(&mut r).is_err());
 
         // even PCG increment
@@ -1016,25 +924,6 @@ mod tests {
         let (mut r, _) = SnapshotReader::open(&bytes).unwrap();
         let mut rng = crate::rng::Pcg32::new(1, 1);
         assert!(rng.restore(&mut r).is_err());
-    }
-
-    #[test]
-    fn prefix_hasher_is_order_and_framing_sensitive() {
-        let mut a = PrefixHasher::new();
-        a.str("ab");
-        a.str("c");
-        let mut b = PrefixHasher::new();
-        b.str("a");
-        b.str("bc");
-        assert_ne!(a.finish(), b.finish());
-
-        let mut c = PrefixHasher::new();
-        c.tag("design");
-        c.u64(1);
-        let mut d = PrefixHasher::new();
-        d.tag("design");
-        d.u64(2);
-        assert_ne!(c.finish(), d.finish());
     }
 
     #[test]

@@ -56,21 +56,119 @@ impl CompensatedSum {
     }
 }
 
-/// Counters for one request class (data vs. translation) at the DRAM.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DramClassStats {
-    /// Requests serviced.
-    pub requests: u64,
-    /// Sum over requests of (completion - arrival at controller), in cycles.
-    pub latency_sum: u64,
-    /// Cycles the channel data bus spent transferring this class.
-    pub bus_busy_cycles: u64,
-    /// Row-buffer hits.
-    pub row_hits: u64,
-    /// Row-buffer misses (closed row).
-    pub row_misses: u64,
-    /// Row-buffer conflicts (wrong row open).
-    pub row_conflicts: u64,
+/// One entry of a counter struct's field table, as [`AppStats::fields`]
+/// (`U = &u64`, ...) and [`AppStats::fields_mut`] (`U = &mut u64`, ...)
+/// hand it out — and likewise for [`HitStats`] and [`DramClassStats`],
+/// whose fields are all `Counter`s.
+///
+/// The table is the single written-down list of the counters: the MSNP
+/// codec, the wire JSON, the epoch deltas and the test generators all walk
+/// it, so a counter added to a struct below is encoded, shipped, diffed
+/// and fuzzed without another edit.
+#[derive(Debug)]
+pub enum Field<U, H, D, L> {
+    /// A `u64` that only accumulates; deltas subtract it.
+    Counter(U),
+    /// A `u64` watermark or end-of-run level; deltas carry the current
+    /// value, since "difference" has no meaning for it within a window.
+    Level(U),
+    /// A hit/access pair.
+    Hit(H),
+    /// One DRAM request class.
+    Dram(D),
+    /// One hit/access pair per page-walk level.
+    HitLevels(L),
+}
+
+/// A [`Field`] borrowed for reading.
+pub type FieldRef<'a> = Field<&'a u64, &'a HitStats, &'a DramClassStats, &'a [HitStats; 4]>;
+/// A [`Field`] borrowed for writing.
+pub type FieldMut<'a> =
+    Field<&'a mut u64, &'a mut HitStats, &'a mut DramClassStats, &'a mut [HitStats; 4]>;
+
+/// Declares a counter struct together with its field table. Each field is
+/// written `pub name: Type = Kind`, `Kind` being the [`Field`] variant that
+/// carries a reference to `Type`.
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* pub $field:ident: $ty:ty = $kind:ident,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// The field table: `(name, field)` for every field, in struct
+            /// order (which is also MSNP payload order).
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, FieldRef<'_>)> {
+                [$((stringify!($field), Field::$kind(&self.$field)),)*].into_iter()
+            }
+
+            /// [`Self::fields`], borrowed for writing.
+            pub fn fields_mut(&mut self) -> impl Iterator<Item = (&'static str, FieldMut<'_>)> {
+                [$((stringify!($field), Field::$kind(&mut self.$field)),)*].into_iter()
+            }
+        }
+    };
+}
+
+/// `cur -= prev`, field by field: counters subtract (they are monotonic;
+/// saturating defensively so a mismatched snapshot cannot panic), levels
+/// keep the current value.
+fn subtract<'a, 'b>(
+    cur: impl Iterator<Item = (&'static str, FieldMut<'a>)>,
+    prev: impl Iterator<Item = (&'static str, FieldRef<'b>)>,
+) {
+    for ((_, cur), (_, prev)) in cur.zip(prev) {
+        match (cur, prev) {
+            (Field::Counter(c), Field::Counter(p)) => *c = c.saturating_sub(*p),
+            (Field::Level(_), Field::Level(_)) => {}
+            (Field::Hit(c), Field::Hit(p)) => *c = c.delta(p),
+            (Field::Dram(c), Field::Dram(p)) => *c = c.delta(p),
+            (Field::HitLevels(c), Field::HitLevels(p)) => {
+                for (c, p) in c.iter_mut().zip(p) {
+                    *c = c.delta(p);
+                }
+            }
+            _ => unreachable!("both sides walk the same table"),
+        }
+    }
+}
+
+/// `into += from` for a struct whose fields are all counters.
+fn add_counters<'a, 'b>(
+    into: impl Iterator<Item = (&'static str, FieldMut<'a>)>,
+    from: impl Iterator<Item = (&'static str, FieldRef<'b>)>,
+) {
+    for ((_, into), (_, from)) in into.zip(from) {
+        let (Field::Counter(a), Field::Counter(b)) = (into, from) else {
+            unreachable!("only all-counter structs merge");
+        };
+        *a += *b;
+    }
+}
+
+counters! {
+    /// Counters for one request class (data vs. translation) at the DRAM.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct DramClassStats {
+        /// Requests serviced.
+        pub requests: u64 = Counter,
+        /// Sum over requests of (completion - arrival at controller), in cycles.
+        pub latency_sum: u64 = Counter,
+        /// Cycles the channel data bus spent transferring this class.
+        pub bus_busy_cycles: u64 = Counter,
+        /// Row-buffer hits.
+        pub row_hits: u64 = Counter,
+        /// Row-buffer misses (closed row).
+        pub row_misses: u64 = Counter,
+        /// Row-buffer conflicts (wrong row open).
+        pub row_conflicts: u64 = Counter,
+    }
 }
 
 impl DramClassStats {
@@ -97,34 +195,26 @@ impl DramClassStats {
     /// saturates defensively so a mismatched snapshot cannot panic).
     #[must_use]
     pub fn delta(&self, prev: &DramClassStats) -> DramClassStats {
-        DramClassStats {
-            requests: self.requests.saturating_sub(prev.requests),
-            latency_sum: self.latency_sum.saturating_sub(prev.latency_sum),
-            bus_busy_cycles: self.bus_busy_cycles.saturating_sub(prev.bus_busy_cycles),
-            row_hits: self.row_hits.saturating_sub(prev.row_hits),
-            row_misses: self.row_misses.saturating_sub(prev.row_misses),
-            row_conflicts: self.row_conflicts.saturating_sub(prev.row_conflicts),
-        }
+        let mut out = self.clone();
+        subtract(out.fields_mut(), prev.fields());
+        out
     }
 
     /// Accumulates another counter set into this one.
     pub fn merge(&mut self, other: &DramClassStats) {
-        self.requests += other.requests;
-        self.latency_sum += other.latency_sum;
-        self.bus_busy_cycles += other.bus_busy_cycles;
-        self.row_hits += other.row_hits;
-        self.row_misses += other.row_misses;
-        self.row_conflicts += other.row_conflicts;
+        add_counters(self.fields_mut(), other.fields());
     }
 }
 
-/// Hit/access counter pair.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HitStats {
-    /// Total accesses.
-    pub accesses: u64,
-    /// Accesses that hit.
-    pub hits: u64,
+counters! {
+    /// Hit/access counter pair.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct HitStats {
+        /// Total accesses.
+        pub accesses: u64 = Counter,
+        /// Accesses that hit.
+        pub hits: u64 = Counter,
+    }
 }
 
 impl HitStats {
@@ -164,8 +254,7 @@ impl HitStats {
     /// Accumulates another counter pair into this one.
     #[inline]
     pub fn merge(&mut self, other: &HitStats) {
-        self.accesses += other.accesses;
-        self.hits += other.hits;
+        add_counters(self.fields_mut(), other.fields());
     }
 
     /// Component-wise difference `self - prev` (counters are monotonic;
@@ -173,73 +262,74 @@ impl HitStats {
     #[inline]
     #[must_use]
     pub fn delta(&self, prev: &HitStats) -> HitStats {
-        HitStats {
-            accesses: self.accesses.saturating_sub(prev.accesses),
-            hits: self.hits.saturating_sub(prev.hits),
-        }
+        let mut out = *self;
+        subtract(out.fields_mut(), prev.fields());
+        out
     }
 }
 
-/// Per-application counters.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct AppStats {
-    /// Instructions issued (IPC numerator).
-    pub instructions: u64,
-    /// Memory instructions issued.
-    pub mem_instructions: u64,
-    /// Cycles this app's cores were simulated (IPC denominator).
-    pub cycles: u64,
-    /// Cycles during which *no* warp on a core of this app could issue.
-    pub stall_cycles: u64,
+counters! {
+    /// Per-application counters.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct AppStats {
+        /// Instructions issued (IPC numerator).
+        pub instructions: u64 = Counter,
+        /// Memory instructions issued.
+        pub mem_instructions: u64 = Counter,
+        /// Cycles this app's cores were simulated (IPC denominator).
+        pub cycles: u64 = Counter,
+        /// Cycles during which *no* warp on a core of this app could issue.
+        pub stall_cycles: u64 = Counter,
 
-    /// Per-core L1 TLB probes.
-    pub l1_tlb: HitStats,
-    /// Shared L2 TLB probes (only the apps' own probes).
-    pub l2_tlb: HitStats,
-    /// MASK TLB-bypass-cache probes (§5.2).
-    pub tlb_bypass_cache: HitStats,
-    /// Page-walk-cache probes (`PWCache` design only).
-    pub pwc: HitStats,
+        /// Per-core L1 TLB probes.
+        pub l1_tlb: HitStats = Hit,
+        /// Shared L2 TLB probes (only the apps' own probes).
+        pub l2_tlb: HitStats = Hit,
+        /// MASK TLB-bypass-cache probes (§5.2).
+        pub tlb_bypass_cache: HitStats = Hit,
+        /// Page-walk-cache probes (`PWCache` design only).
+        pub pwc: HitStats = Hit,
 
-    /// Demand-paging faults taken (first touches, when fault latency > 0).
-    pub page_faults: u64,
-    /// Page walks started.
-    pub walks_started: u64,
-    /// Page walks completed.
-    pub walks_completed: u64,
-    /// Sum of completed-walk latencies in cycles.
-    pub walk_latency_sum: u64,
-    /// Integral over time of in-flight walks (divide by `cycles` to get the
-    /// average number of concurrent page walks, Fig. 5).
-    pub walk_cycles_integral: u64,
-    /// Maximum concurrent walks observed.
-    pub walk_concurrency_max: u64,
-    /// Sum over resolved L2-TLB misses of the number of warps that were
-    /// stalled waiting for that miss (Fig. 6 numerator).
-    pub stalled_warps_sum: u64,
-    /// Number of resolved L2-TLB misses (Fig. 6 denominator).
-    pub stalled_warps_events: u64,
-    /// Maximum warps stalled behind one miss.
-    pub stalled_warps_max: u64,
+        /// Demand-paging faults taken (first touches, when fault latency > 0).
+        pub page_faults: u64 = Counter,
+        /// Page walks started.
+        pub walks_started: u64 = Counter,
+        /// Page walks completed.
+        pub walks_completed: u64 = Counter,
+        /// Sum of completed-walk latencies in cycles.
+        pub walk_latency_sum: u64 = Counter,
+        /// Integral over time of in-flight walks (divide by `cycles` to get the
+        /// average number of concurrent page walks, Fig. 5).
+        pub walk_cycles_integral: u64 = Counter,
+        /// Maximum concurrent walks observed.
+        pub walk_concurrency_max: u64 = Level,
+        /// Sum over resolved L2-TLB misses of the number of warps that were
+        /// stalled waiting for that miss (Fig. 6 numerator).
+        pub stalled_warps_sum: u64 = Counter,
+        /// Number of resolved L2-TLB misses (Fig. 6 denominator).
+        pub stalled_warps_events: u64 = Counter,
+        /// Maximum warps stalled behind one miss.
+        pub stalled_warps_max: u64 = Level,
 
-    /// L1 data-cache probes.
-    pub l1_data: HitStats,
-    /// Shared-L2 probes by data demand requests.
-    pub l2_data: HitStats,
-    /// Shared-L2 probes by translation requests, split by walk level.
-    pub l2_translation: [HitStats; 4],
-    /// Translation requests that bypassed the shared L2 entirely (§5.3).
-    pub l2_translation_bypassed: u64,
+        /// L1 data-cache probes.
+        pub l1_data: HitStats = Hit,
+        /// Shared-L2 probes by data demand requests.
+        pub l2_data: HitStats = Hit,
+        /// Shared-L2 probes by translation requests, split by walk level.
+        pub l2_translation: [HitStats; 4] = HitLevels,
+        /// Translation requests that bypassed the shared L2 entirely (§5.3).
+        pub l2_translation_bypassed: u64 = Counter,
 
-    /// DRAM behaviour of this app's data demand requests.
-    pub dram_data: DramClassStats,
-    /// DRAM behaviour of this app's translation requests.
-    pub dram_translation: DramClassStats,
+        /// DRAM behaviour of this app's data demand requests.
+        pub dram_data: DramClassStats = Dram,
+        /// DRAM behaviour of this app's translation requests.
+        pub dram_translation: DramClassStats = Dram,
 
-    /// Tokens held at the end of the run (MASK designs).
-    pub tokens_final: u64,
-    /// Shared-L2-TLB fills that were diverted to the bypass cache.
-    pub fills_diverted: u64,
+        /// Tokens held at the end of the run (MASK designs).
+        pub tokens_final: u64 = Level,
+        /// Shared-L2-TLB fills that were diverted to the bypass cache.
+        pub fills_diverted: u64 = Counter,
+    }
 }
 
 impl AppStats {
@@ -296,48 +386,9 @@ impl AppStats {
     /// meaning for them within an epoch window.
     #[must_use]
     pub fn delta_since(&self, prev: &AppStats) -> AppStats {
-        let mut l2_translation = [HitStats::default(); 4];
-        for (out, (cur, old)) in l2_translation
-            .iter_mut()
-            .zip(self.l2_translation.iter().zip(&prev.l2_translation))
-        {
-            *out = cur.delta(old);
-        }
-        AppStats {
-            instructions: self.instructions.saturating_sub(prev.instructions),
-            mem_instructions: self.mem_instructions.saturating_sub(prev.mem_instructions),
-            cycles: self.cycles.saturating_sub(prev.cycles),
-            stall_cycles: self.stall_cycles.saturating_sub(prev.stall_cycles),
-            l1_tlb: self.l1_tlb.delta(&prev.l1_tlb),
-            l2_tlb: self.l2_tlb.delta(&prev.l2_tlb),
-            tlb_bypass_cache: self.tlb_bypass_cache.delta(&prev.tlb_bypass_cache),
-            pwc: self.pwc.delta(&prev.pwc),
-            page_faults: self.page_faults.saturating_sub(prev.page_faults),
-            walks_started: self.walks_started.saturating_sub(prev.walks_started),
-            walks_completed: self.walks_completed.saturating_sub(prev.walks_completed),
-            walk_latency_sum: self.walk_latency_sum.saturating_sub(prev.walk_latency_sum),
-            walk_cycles_integral: self
-                .walk_cycles_integral
-                .saturating_sub(prev.walk_cycles_integral),
-            walk_concurrency_max: self.walk_concurrency_max,
-            stalled_warps_sum: self
-                .stalled_warps_sum
-                .saturating_sub(prev.stalled_warps_sum),
-            stalled_warps_events: self
-                .stalled_warps_events
-                .saturating_sub(prev.stalled_warps_events),
-            stalled_warps_max: self.stalled_warps_max,
-            l1_data: self.l1_data.delta(&prev.l1_data),
-            l2_data: self.l2_data.delta(&prev.l2_data),
-            l2_translation,
-            l2_translation_bypassed: self
-                .l2_translation_bypassed
-                .saturating_sub(prev.l2_translation_bypassed),
-            dram_data: self.dram_data.delta(&prev.dram_data),
-            dram_translation: self.dram_translation.delta(&prev.dram_translation),
-            tokens_final: self.tokens_final,
-            fills_diverted: self.fills_diverted.saturating_sub(prev.fills_diverted),
-        }
+        let mut out = self.clone();
+        subtract(out.fields_mut(), prev.fields());
+        out
     }
 }
 

@@ -30,8 +30,11 @@
 //! primitives (`std::thread`, `Mutex`, atomics) — `cargo xtask lint`
 //! enforces the boundary with the `parallelism` rule.
 
-use mask_common::config::{DesignKind, DesignSpec, GpuConfig, JobOptions, SimConfig};
-use mask_common::snapshot::{PrefixHasher, PrefixKey};
+use mask_common::config::{
+    snapshot_cap_override, snapshot_dir_override, DesignKind, DesignSpec, GpuConfig, JobOptions,
+    SimConfig,
+};
+use mask_common::snapshot::{Fnv1a, PrefixKey};
 use mask_common::stats::SimStats;
 use mask_common::store::EnvelopeStore;
 use mask_gpu::{AppSpec, GpuSim};
@@ -86,6 +89,12 @@ impl SimJob {
     /// The job's canonical deduplication key.
     #[must_use]
     pub fn key(&self) -> JobKey {
+        self.key_with(self.max_cycles, self.warmup_cycles, &self.gpu)
+    }
+
+    /// The key of this design, placement and seed under the given cycle
+    /// budgets and machine ([`SimJob::key`], or a view of it).
+    fn key_with(&self, max_cycles: u64, warmup_cycles: u64, gpu: &GpuConfig) -> JobKey {
         JobKey {
             design: self.design.spec(),
             apps: self
@@ -93,10 +102,10 @@ impl SimJob {
                 .iter()
                 .map(|s| (s.profile.name, s.n_cores))
                 .collect(),
-            max_cycles: self.max_cycles,
-            warmup_cycles: self.warmup_cycles,
+            max_cycles,
+            warmup_cycles,
             seed: self.seed,
-            gpu: format!("{:?}", self.gpu),
+            gpu: format!("{gpu:?}"),
         }
     }
 
@@ -178,34 +187,28 @@ impl SimJob {
         self.finish_measured(sim)
     }
 
-    /// The canonical warm-up prefix key: an FNV-1a digest over everything
-    /// that can influence the first `warmup` cycles — design axes, machine
-    /// configuration, placement, seed, and the effective warm-up length —
-    /// and nothing that provably cannot (`max_cycles`, the worker count,
-    /// and, when the warm-up ends before the first epoch boundary,
-    /// the epoch-end-only MASK knobs). Jobs with equal keys reach
-    /// bit-identical machine state at the end of warm-up.
+    /// The warm-up prefix key: FNV-1a over the `Debug` rendering of the
+    /// *warm-up view* of [`SimJob::key`] — the same canonical description
+    /// of the job, with everything that provably cannot influence the first
+    /// `warmup` cycles normalised away: `max_cycles` is dropped, the warm-up
+    /// length is the effective one, the machine is sized by the placement
+    /// as [`SimJob::build_sim`] sizes it, and, when the warm-up ends before
+    /// the first epoch boundary, the epoch-end-only MASK knobs are reset
+    /// ([`MaskParams::reset_epoch_end_only`](mask_common::config::MaskParams::reset_epoch_end_only)).
+    /// Everything else — any field `GpuConfig` has or gains — is in the key
+    /// by construction. Jobs with equal keys reach bit-identical machine
+    /// state at the end of warm-up.
     #[must_use]
     pub fn prefix_key(&self) -> PrefixKey {
         let warmup = self.warmup_eff();
-        let epoch = self.gpu.mask.epoch_cycles;
-        let crosses_epoch = epoch != 0 && warmup >= epoch;
-        let mut h = PrefixHasher::new();
-        h.tag("mask-prefix");
-        self.design.spec().prefix_hash(&mut h);
-        let mut gpu = self.gpu.clone();
-        gpu.n_cores = self.specs.iter().map(|s| s.n_cores).sum();
-        gpu.prefix_hash(&mut h, crosses_epoch);
-        h.tag("apps");
-        h.usize(self.specs.len());
-        for spec in &self.specs {
-            h.str(spec.profile.name);
-            h.usize(spec.n_cores);
+        let mut gpu = self.sized_gpu();
+        if gpu.mask.epoch_cycles == 0 || warmup < gpu.mask.epoch_cycles {
+            gpu.mask.reset_epoch_end_only();
         }
-        h.tag("run");
-        h.u64(self.seed);
-        h.u64(warmup);
-        h.finish()
+        let view = self.key_with(0, warmup, &gpu);
+        let mut h = Fnv1a::new();
+        h.write(format!("{view:?}").as_bytes());
+        PrefixKey(h.finish())
     }
 
     /// Whether the end of the warm-up phase lands on an epoch-safe
@@ -224,14 +227,18 @@ impl SimJob {
         self.warmup_cycles.min(self.max_cycles / 2)
     }
 
-    /// Builds the simulator this job describes (machine sized by the
-    /// placement), at cycle zero.
-    fn build_sim(&self) -> GpuSim {
-        let total: usize = self.specs.iter().map(|s| s.n_cores).sum();
+    /// The machine this job simulates: the template with `n_cores`
+    /// overridden by the placement's total.
+    fn sized_gpu(&self) -> GpuConfig {
         let mut gpu = self.gpu.clone();
-        gpu.n_cores = total;
+        gpu.n_cores = self.specs.iter().map(|s| s.n_cores).sum();
+        gpu
+    }
+
+    /// Builds the simulator this job describes, at cycle zero.
+    fn build_sim(&self) -> GpuSim {
         let cfg = SimConfig {
-            gpu,
+            gpu: self.sized_gpu(),
             design: self.design.spec(),
             max_cycles: self.max_cycles,
             seed: self.seed,
@@ -418,12 +425,7 @@ impl PrefixCache {
     /// `MASK_SNAPSHOT_CAP` snapshots (unset or unparsable: unbounded).
     #[must_use]
     pub fn from_env() -> Arc<Self> {
-        Self::with_store(
-            std::env::var_os("MASK_SNAPSHOT_DIR").map(PathBuf::from),
-            std::env::var("MASK_SNAPSHOT_CAP")
-                .ok()
-                .and_then(|v| v.parse().ok()),
-        )
+        Self::with_store(snapshot_dir_override(), snapshot_cap_override())
     }
 
     /// Hit/miss/occupancy counters.
@@ -838,6 +840,31 @@ mod tests {
         let mut b = a.clone();
         b.gpu.mask.initial_tokens_frac = 0.9;
         assert_ne!(a.prefix_key(), b.prefix_key());
+    }
+
+    #[test]
+    fn prefix_keys_split_on_any_machine_leaf_but_not_the_template_core_count() {
+        let base = token_sweep(1).remove(0);
+        // One leaf per `GpuConfig` sub-struct.
+        let tweaks: [fn(&mut GpuConfig); 6] = [
+            |g| g.tlb.l2_ports += 1,
+            |g| g.pwc.latency += 1,
+            |g| g.l1_cache.mshrs += 1,
+            |g| g.dram.t_rp += 1,
+            |g| g.dram.sched = mask_common::config::MemSchedKind::GpuBatch,
+            |g| g.page_fault_latency += 1,
+        ];
+        for (i, tweak) in tweaks.into_iter().enumerate() {
+            let mut other = base.clone();
+            tweak(&mut other.gpu);
+            assert_ne!(base.prefix_key(), other.prefix_key(), "tweak {i}");
+        }
+        // The placement sizes the machine: the template's own `n_cores`
+        // never reaches the simulator, so it is not in the prefix key.
+        let mut resized = base.clone();
+        resized.gpu.n_cores += 7;
+        assert_eq!(base.prefix_key(), resized.prefix_key());
+        assert_ne!(base.key(), resized.key());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! Every experiment harness produces a [`Table`]; `cargo bench` prints them
 //! in the paper's row/column layout and EXPERIMENTS.md archives them.
 
+use mask_common::json;
 use std::fmt;
 
 /// A labelled table of numeric or textual cells.
@@ -77,39 +78,33 @@ impl Table {
 
     /// Renders as a machine-readable JSON object: the title plus one object
     /// per row keyed by the row label, with cells keyed by column header.
-    /// Numeric-looking cells are emitted as JSON numbers, everything else
-    /// as strings.
+    /// Cells that are JSON numbers (RFC 8259 grammar) are emitted bare,
+    /// everything else as strings.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         fn cell_json(s: &str) -> String {
-            // A cell parseable as a finite f64 round-trips as a number.
-            match s.parse::<f64>() {
-                Ok(v) if v.is_finite() => s.to_string(),
-                _ => format!("\"{}\"", esc(s)),
+            if json::is_number(s) {
+                s.to_string()
+            } else {
+                format!("\"{}\"", json::escape(s))
             }
         }
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"title\": \"{}\",\n", esc(&self.title)));
+        out.push_str(&format!(
+            "  \"title\": \"{}\",\n",
+            json::escape(&self.title)
+        ));
         out.push_str("  \"rows\": {\n");
         for (r, (label, cells)) in self.rows.iter().enumerate() {
-            out.push_str(&format!("    \"{}\": {{ ", esc(label)));
+            out.push_str(&format!("    \"{}\": {{ ", json::escape(label)));
             for (i, (header, cell)) in self.headers[1..].iter().zip(cells).enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("\"{}\": {}", esc(header), cell_json(cell)));
+                out.push_str(&format!(
+                    "\"{}\": {}",
+                    json::escape(header),
+                    cell_json(cell)
+                ));
             }
             out.push_str(if r + 1 == self.rows.len() {
                 " }\n"
@@ -251,6 +246,28 @@ mod tests {
         assert!(j.contains("Quote \\\" and \\\\ slash"));
         assert!(j.contains("\"a\\nb\""));
         assert!(j.contains("x\\\"y"));
+    }
+
+    #[test]
+    fn json_numbers_follow_the_json_grammar_not_rusts() {
+        // Rust's `f64` parser accepts `+3`, `.5`, `5.` and `007`; JSON's
+        // number grammar does not, so they must go out quoted.
+        let mut t = Table::new("N", &["r", "a", "b", "c", "d"]);
+        t.row(
+            "rust",
+            vec!["+3".into(), ".5".into(), "5.".into(), "007".into()],
+        );
+        t.row(
+            "json",
+            vec!["-1.5e3".into(), "12".into(), "NaN".into(), "3DS".into()],
+        );
+        assert_eq!(
+            t.to_json(),
+            "{\n  \"title\": \"N\",\n  \"rows\": {\n    \
+             \"rust\": { \"a\": \"+3\", \"b\": \".5\", \"c\": \"5.\", \"d\": \"007\" },\n    \
+             \"json\": { \"a\": -1.5e3, \"b\": 12, \"c\": \"NaN\", \"d\": \"3DS\" }\n  \
+             }\n}\n"
+        );
     }
 
     #[test]

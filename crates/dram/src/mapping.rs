@@ -8,7 +8,7 @@
 
 use mask_common::addr::LineAddr;
 use mask_common::config::DramConfig;
-use mask_common::ids::Asid;
+use mask_common::ids::{split_ranges, Asid};
 
 /// A decoded DRAM coordinate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -34,24 +34,6 @@ pub struct ChannelPartition {
     bank_ranges: Vec<(usize, usize)>,
 }
 
-/// Splits `total` resources among `n_apps`: everyone gets `total / n_apps`
-/// and the *last* app absorbs the remainder, so an uneven split such as
-/// 8 ÷ 3 yields 2, 2, 4 deterministically.
-fn split_ranges(total: usize, n_apps: usize, what: &str) -> Vec<(usize, usize)> {
-    assert!(
-        n_apps > 0 && n_apps <= total,
-        "cannot split {total} {what} {n_apps} ways"
-    );
-    let per = total / n_apps;
-    (0..n_apps)
-        .map(|i| {
-            let start = i * per;
-            let n = if i == n_apps - 1 { total - start } else { per };
-            (start, n)
-        })
-        .collect()
-}
-
 impl ChannelPartition {
     /// No partitioning: all apps use all channels and banks.
     pub fn shared() -> Self {
@@ -65,7 +47,7 @@ impl ChannelPartition {
     /// Panics if `n_apps` is 0 or exceeds the channel count.
     pub fn split(channels: usize, n_apps: usize) -> Self {
         ChannelPartition {
-            ranges: split_ranges(channels, n_apps, "channels"),
+            ranges: split_ranges(channels, n_apps),
             bank_ranges: Vec::new(),
         }
     }
@@ -80,7 +62,7 @@ impl ChannelPartition {
     pub fn bank_colored(banks: usize, n_apps: usize) -> Self {
         ChannelPartition {
             ranges: Vec::new(),
-            bank_ranges: split_ranges(banks, n_apps, "banks"),
+            bank_ranges: split_ranges(banks, n_apps),
         }
     }
 

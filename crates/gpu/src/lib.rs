@@ -24,5 +24,5 @@ pub mod sim;
 pub mod translation;
 
 pub use core_model::{DirectIssue, GpuCore};
-pub use sim::{AppSpec, GpuSim, SampledRun};
+pub use sim::{AppSpec, GpuSim};
 pub use translation::TranslationUnit;

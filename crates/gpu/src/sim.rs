@@ -55,23 +55,6 @@ fn core_layout(policy: ComputePolicy, cores_per_app: &[usize]) -> Vec<usize> {
     layout
 }
 
-/// Result of a [`GpuSim::run_sampled`] span: extrapolated per-app
-/// instruction counts with an explicit uncertainty band.
-#[derive(Clone, Debug)]
-pub struct SampledRun {
-    /// Cycles simulated in detail (the sampled windows).
-    pub detailed_cycles: u64,
-    /// Cycles statistically skipped (the gaps).
-    pub skipped_cycles: u64,
-    /// Number of detailed windows taken.
-    pub windows: usize,
-    /// Per-app instruction estimate for the whole span.
-    pub est_instructions: Vec<f64>,
-    /// Per-app ± error band: two standard errors of the window IPC,
-    /// scaled to the span.
-    pub error_band: Vec<f64>,
-}
-
 /// The assembled GPU simulator.
 #[derive(Debug)]
 pub struct GpuSim {
@@ -536,98 +519,6 @@ impl GpuSim {
         }
     }
 
-    /// Runs `cycles` further cycles in sampled mode: `window`-cycle
-    /// detailed bursts separated by `gap`-cycle statistical skips, in the
-    /// spirit of interval sampling. Detailed windows execute exactly like
-    /// [`GpuSim::run`]; gaps advance the clock (and fire epoch-boundary
-    /// bookkeeping on schedule) without simulating, so in-flight work
-    /// simply resumes at the next window.
-    ///
-    /// Sampled numbers are *estimates*, not bit-exact results — that is
-    /// why the returned [`SampledRun`] carries an explicit error band
-    /// (±2 standard errors of the per-window IPC) next to every
-    /// extrapolated instruction count. The serial, snapshot-free run
-    /// remains the oracle sampled numbers are judged against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn run_sampled(&mut self, cycles: u64, window: u64, gap: u64) -> SampledRun {
-        assert!(window > 0, "sampled mode needs a non-empty detailed window");
-        let end = self.now + cycles;
-        // lint: allow(hotpath) -- per-window bookkeeping, not per-cycle.
-        let mut window_ipc: Vec<Vec<f64>> = vec![Vec::new(); self.n_apps];
-        let mut detailed_cycles = 0u64;
-        let mut skipped_cycles = 0u64;
-        let mut windows = 0usize;
-        while self.now < end {
-            let w = window.min(end - self.now);
-            let before: Vec<u64> = self.stats.apps.iter().map(|a| a.instructions).collect(); // lint: allow(hotpath) -- once per detailed window.
-            self.run(w);
-            detailed_cycles += w;
-            windows += 1;
-            for (app, b) in before.into_iter().enumerate() {
-                let delta = self.stats.apps[app].instructions - b;
-                window_ipc[app].push(delta as f64 / w as f64);
-            }
-            let g = gap.min(end - self.now);
-            if g > 0 {
-                self.statistical_skip(g);
-                skipped_cycles += g;
-            }
-        }
-        let span = cycles as f64;
-        let mut est_instructions = Vec::with_capacity(self.n_apps);
-        let mut error_band = Vec::with_capacity(self.n_apps);
-        for ipcs in &window_ipc {
-            let n = ipcs.len() as f64;
-            let mean = ipcs.iter().sum::<f64>() / n;
-            let var = if ipcs.len() > 1 {
-                ipcs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0)
-            } else {
-                0.0
-            };
-            let stderr = (var / n).sqrt();
-            est_instructions.push(mean * span);
-            error_band.push(2.0 * stderr * span);
-        }
-        SampledRun {
-            detailed_cycles,
-            skipped_cycles,
-            windows,
-            est_instructions,
-            error_band,
-        }
-    }
-
-    /// Advances the clock by `delta` cycles without simulating, firing
-    /// epoch-boundary bookkeeping on its usual schedule. Unlike
-    /// [`GpuSim::fast_forward`] this needs no idleness proof — it is the
-    /// deliberate approximation behind [`GpuSim::run_sampled`], never used
-    /// on the bit-exact paths.
-    fn statistical_skip(&mut self, delta: u64) {
-        let epoch = self.cfg.gpu.mask.epoch_cycles;
-        let mut left = delta;
-        while left > 0 {
-            let step = if epoch == 0 {
-                left
-            } else {
-                left.min(epoch - self.now % epoch)
-            };
-            self.now += step;
-            self.stats.cycles += step;
-            for app in 0..self.n_apps {
-                self.stats.apps[app].cycles += step;
-            }
-            left -= step;
-            if epoch != 0 && self.now.is_multiple_of(epoch) {
-                let pressure = self.xlat.end_epoch(epoch);
-                self.dram.update_pressure(&pressure);
-                self.l2.end_epoch();
-            }
-        }
-    }
-
     /// Performs a TLB shootdown for one address space (§5.5): every core
     /// assigned to the address space flushes its L1 TLB, and the shared L2
     /// TLB (plus bypass cache) drops the matching entries. In-flight walks
@@ -980,27 +871,6 @@ mod tests {
         assert!(fresh
             .restore_snapshot(&bytes[..bytes.len() / 2], PrefixKey(1))
             .is_err());
-    }
-
-    #[test]
-    fn sampled_run_brackets_the_serial_oracle() {
-        let apps: &[(&str, usize)] = &[("HISTO", 2), ("GUP", 2)];
-        let mut oracle = sim(DesignKind::SharedTlb, apps, 40_000);
-        oracle.run(40_000);
-
-        let mut sampled = sim(DesignKind::SharedTlb, apps, 40_000);
-        let report = sampled.run_sampled(40_000, 2_000, 2_000);
-        assert_eq!(report.detailed_cycles + report.skipped_cycles, 40_000);
-        assert!(report.windows >= 10);
-        for app in 0..2 {
-            let exact = oracle.instructions(app) as f64;
-            let est = report.est_instructions[app];
-            let band = report.error_band[app].max(exact * 0.05);
-            assert!(
-                (est - exact).abs() <= band.max(exact * 0.25),
-                "app {app}: est {est:.0} vs oracle {exact:.0} outside band {band:.0}"
-            );
-        }
     }
 
     #[test]

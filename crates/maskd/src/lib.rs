@@ -21,7 +21,8 @@
 //! The layers, one module each:
 //!
 //! * [`json`] — the integer-only JSON value type of the wire protocol,
-//!   with canonical (sorted-key, no-whitespace) serialization.
+//!   with canonical (sorted-key, no-whitespace) serialization
+//!   (`mask_common::json`, re-exported).
 //! * [`wire`] — job specs and [`SimStats`](mask_common::stats::SimStats)
 //!   as JSON documents. Every statistic counter is an integer, so the
 //!   mapping is *exact* and a served result can be compared bit-for-bit
@@ -60,7 +61,6 @@
 pub mod client;
 pub mod config;
 pub mod http;
-pub mod json;
 pub mod queue;
 pub mod server;
 pub mod store;
@@ -68,5 +68,6 @@ pub mod wire;
 
 pub use client::{Client, ClientError, JobReply, SubmitReply};
 pub use config::DaemonConfig;
+pub use mask_common::json;
 pub use server::{Daemon, DaemonHandle};
 pub use store::{result_key, ResultStore, StoreStats};

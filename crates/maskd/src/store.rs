@@ -2,8 +2,9 @@
 //!
 //! Results are keyed by the job's canonical dedup key
 //! ([`SimJob::key`](mask_core::SimJob::key)) folded through FNV-1a — the
-//! same content addressing the engine's `BaselineCache`/`PrefixCache` use,
-//! extended to *every* job shape (not just alone baselines) and to disk.
+//! one description of a job that also keys the engine's `BaselineCache`
+//! (as is) and `PrefixCache` (its warm-up view, DESIGN.md §13), extended
+//! to *every* job shape (not just alone baselines) and to disk.
 //! A repeat submission — same design spec, placement, cycle budget, seed,
 //! and full `GpuConfig` rendering — is answered from the store without
 //! simulating at all, across daemon restarts.

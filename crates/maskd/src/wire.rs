@@ -28,7 +28,7 @@
 
 use crate::json::Value;
 use mask_common::config::{DesignKind, GpuConfig};
-use mask_common::stats::{AppStats, DramClassStats, HitStats, SimStats};
+use mask_common::stats::{AppStats, Field, FieldMut, FieldRef, SimStats};
 use mask_core::SimJob;
 use mask_workloads::app_by_name;
 use std::fmt;
@@ -326,116 +326,51 @@ impl JobSpec {
     }
 }
 
-fn hit_to_value(h: &HitStats) -> Value {
-    Value::obj([
-        ("accesses", Value::Num(h.accesses)),
-        ("hits", Value::Num(h.hits)),
-    ])
+/// One counter struct as a wire object: a member per entry of its field
+/// table (`mask_common::stats`), nested structs as nested objects.
+fn fields_to_value<'a>(fields: impl Iterator<Item = (&'static str, FieldRef<'a>)>) -> Value {
+    let member = |field: FieldRef<'a>| match field {
+        Field::Counter(v) | Field::Level(v) => Value::Num(*v),
+        Field::Hit(h) => fields_to_value(h.fields()),
+        Field::Dram(d) => fields_to_value(d.fields()),
+        Field::HitLevels(levels) => {
+            Value::Array(levels.iter().map(|h| fields_to_value(h.fields())).collect())
+        }
+    };
+    Value::Object(
+        fields
+            .map(|(name, field)| (name.to_owned(), member(field)))
+            .collect(),
+    )
 }
 
-fn hit_from_value(v: &Value) -> Result<HitStats, WireError> {
-    Ok(HitStats {
-        accesses: req_u64(v, "accesses")?,
-        hits: req_u64(v, "hits")?,
-    })
-}
-
-fn dram_to_value(d: &DramClassStats) -> Value {
-    Value::obj([
-        ("requests", Value::Num(d.requests)),
-        ("latency_sum", Value::Num(d.latency_sum)),
-        ("bus_busy_cycles", Value::Num(d.bus_busy_cycles)),
-        ("row_hits", Value::Num(d.row_hits)),
-        ("row_misses", Value::Num(d.row_misses)),
-        ("row_conflicts", Value::Num(d.row_conflicts)),
-    ])
-}
-
-fn dram_from_value(v: &Value) -> Result<DramClassStats, WireError> {
-    Ok(DramClassStats {
-        requests: req_u64(v, "requests")?,
-        latency_sum: req_u64(v, "latency_sum")?,
-        bus_busy_cycles: req_u64(v, "bus_busy_cycles")?,
-        row_hits: req_u64(v, "row_hits")?,
-        row_misses: req_u64(v, "row_misses")?,
-        row_conflicts: req_u64(v, "row_conflicts")?,
-    })
-}
-
-fn app_to_value(a: &AppStats) -> Value {
-    Value::obj([
-        ("instructions", Value::Num(a.instructions)),
-        ("mem_instructions", Value::Num(a.mem_instructions)),
-        ("cycles", Value::Num(a.cycles)),
-        ("stall_cycles", Value::Num(a.stall_cycles)),
-        ("l1_tlb", hit_to_value(&a.l1_tlb)),
-        ("l2_tlb", hit_to_value(&a.l2_tlb)),
-        ("tlb_bypass_cache", hit_to_value(&a.tlb_bypass_cache)),
-        ("pwc", hit_to_value(&a.pwc)),
-        ("page_faults", Value::Num(a.page_faults)),
-        ("walks_started", Value::Num(a.walks_started)),
-        ("walks_completed", Value::Num(a.walks_completed)),
-        ("walk_latency_sum", Value::Num(a.walk_latency_sum)),
-        ("walk_cycles_integral", Value::Num(a.walk_cycles_integral)),
-        ("walk_concurrency_max", Value::Num(a.walk_concurrency_max)),
-        ("stalled_warps_sum", Value::Num(a.stalled_warps_sum)),
-        ("stalled_warps_events", Value::Num(a.stalled_warps_events)),
-        ("stalled_warps_max", Value::Num(a.stalled_warps_max)),
-        ("l1_data", hit_to_value(&a.l1_data)),
-        ("l2_data", hit_to_value(&a.l2_data)),
-        (
-            "l2_translation",
-            Value::Array(a.l2_translation.iter().map(hit_to_value).collect()),
-        ),
-        (
-            "l2_translation_bypassed",
-            Value::Num(a.l2_translation_bypassed),
-        ),
-        ("dram_data", dram_to_value(&a.dram_data)),
-        ("dram_translation", dram_to_value(&a.dram_translation)),
-        ("tokens_final", Value::Num(a.tokens_final)),
-        ("fills_diverted", Value::Num(a.fills_diverted)),
-    ])
-}
-
-fn app_from_value(v: &Value) -> Result<AppStats, WireError> {
-    let levels = req(v, "l2_translation")?
-        .as_array()
-        .ok_or_else(|| WireError::new("field `l2_translation` must be an array"))?;
-    if levels.len() != 4 {
-        return Err(WireError::new("field `l2_translation` must have 4 levels"));
+/// Inverse of [`fields_to_value`]: fills every field of the table from `v`.
+fn fields_from_value<'a>(
+    fields: impl Iterator<Item = (&'static str, FieldMut<'a>)>,
+    v: &Value,
+) -> Result<(), WireError> {
+    for (name, field) in fields {
+        match field {
+            Field::Counter(x) | Field::Level(x) => *x = req_u64(v, name)?,
+            Field::Hit(h) => fields_from_value(h.fields_mut(), req(v, name)?)?,
+            Field::Dram(d) => fields_from_value(d.fields_mut(), req(v, name)?)?,
+            Field::HitLevels(levels) => {
+                let docs = req(v, name)?
+                    .as_array()
+                    .ok_or_else(|| WireError::new(format!("field `{name}` must be an array")))?;
+                if docs.len() != levels.len() {
+                    return Err(WireError::new(format!(
+                        "field `{name}` must have {} levels",
+                        levels.len()
+                    )));
+                }
+                for (h, doc) in levels.iter_mut().zip(docs) {
+                    fields_from_value(h.fields_mut(), doc)?;
+                }
+            }
+        }
     }
-    let mut l2_translation = [HitStats::default(); 4];
-    for (slot, lv) in l2_translation.iter_mut().zip(levels) {
-        *slot = hit_from_value(lv)?;
-    }
-    Ok(AppStats {
-        instructions: req_u64(v, "instructions")?,
-        mem_instructions: req_u64(v, "mem_instructions")?,
-        cycles: req_u64(v, "cycles")?,
-        stall_cycles: req_u64(v, "stall_cycles")?,
-        l1_tlb: hit_from_value(req(v, "l1_tlb")?)?,
-        l2_tlb: hit_from_value(req(v, "l2_tlb")?)?,
-        tlb_bypass_cache: hit_from_value(req(v, "tlb_bypass_cache")?)?,
-        pwc: hit_from_value(req(v, "pwc")?)?,
-        page_faults: req_u64(v, "page_faults")?,
-        walks_started: req_u64(v, "walks_started")?,
-        walks_completed: req_u64(v, "walks_completed")?,
-        walk_latency_sum: req_u64(v, "walk_latency_sum")?,
-        walk_cycles_integral: req_u64(v, "walk_cycles_integral")?,
-        walk_concurrency_max: req_u64(v, "walk_concurrency_max")?,
-        stalled_warps_sum: req_u64(v, "stalled_warps_sum")?,
-        stalled_warps_events: req_u64(v, "stalled_warps_events")?,
-        stalled_warps_max: req_u64(v, "stalled_warps_max")?,
-        l1_data: hit_from_value(req(v, "l1_data")?)?,
-        l2_data: hit_from_value(req(v, "l2_data")?)?,
-        l2_translation,
-        l2_translation_bypassed: req_u64(v, "l2_translation_bypassed")?,
-        dram_data: dram_from_value(req(v, "dram_data")?)?,
-        dram_translation: dram_from_value(req(v, "dram_translation")?)?,
-        tokens_final: req_u64(v, "tokens_final")?,
-        fills_diverted: req_u64(v, "fills_diverted")?,
-    })
+    Ok(())
 }
 
 /// Serializes a complete result. Exact: every counter is an integer.
@@ -444,7 +379,7 @@ pub fn stats_to_value(s: &SimStats) -> Value {
     Value::obj([
         (
             "apps",
-            Value::Array(s.apps.iter().map(app_to_value).collect()),
+            Value::Array(s.apps.iter().map(|a| fields_to_value(a.fields())).collect()),
         ),
         ("cycles", Value::Num(s.cycles)),
         ("dram_bus_busy", Value::Num(s.dram_bus_busy)),
@@ -458,8 +393,10 @@ pub fn stats_from_value(v: &Value) -> Result<SimStats, WireError> {
         .as_array()
         .ok_or_else(|| WireError::new("field `apps` must be an array"))?;
     let mut apps = Vec::with_capacity(apps_v.len());
-    for a in apps_v {
-        apps.push(app_from_value(a)?);
+    for doc in apps_v {
+        let mut app = AppStats::default();
+        fields_from_value(app.fields_mut(), doc)?;
+        apps.push(app);
     }
     Ok(SimStats {
         apps,

@@ -4,66 +4,24 @@
 //! list or the job key is *written down* cannot move what is stored on disk
 //! or sent over the network.
 
+#[path = "../../common/tests/support/stats_gen.rs"]
+mod stats_gen;
+
 use mask_common::snapshot::{Fnv1a, PrefixKey, Snapshot, SnapshotWriter};
 use mask_common::stats::SimStats;
-use maskd::wire::{stats_to_value, GpuOverrides, JobSpec};
+use maskd::wire::{stats_to_value, JobSpec};
 
 /// A two-app result whose `u64` leaf *i*, counted in struct order, holds
-/// `seed + i` (wrapping).
+/// `seed + i` (wrapping). Built through the field table; the commit that
+/// introduced these goldens wrote the same assignment out by hand.
 fn golden_stats(seed: u64) -> SimStats {
-    let mut s = SimStats::new(2, 0);
     let mut n = seed;
     let mut next = || {
         let v = n;
         n = n.wrapping_add(1);
         v
     };
-    for a in &mut s.apps {
-        a.instructions = next();
-        a.mem_instructions = next();
-        a.cycles = next();
-        a.stall_cycles = next();
-        for h in [
-            &mut a.l1_tlb,
-            &mut a.l2_tlb,
-            &mut a.tlb_bypass_cache,
-            &mut a.pwc,
-        ] {
-            h.accesses = next();
-            h.hits = next();
-        }
-        a.page_faults = next();
-        a.walks_started = next();
-        a.walks_completed = next();
-        a.walk_latency_sum = next();
-        a.walk_cycles_integral = next();
-        a.walk_concurrency_max = next();
-        a.stalled_warps_sum = next();
-        a.stalled_warps_events = next();
-        a.stalled_warps_max = next();
-        for h in [&mut a.l1_data, &mut a.l2_data]
-            .into_iter()
-            .chain(&mut a.l2_translation)
-        {
-            h.accesses = next();
-            h.hits = next();
-        }
-        a.l2_translation_bypassed = next();
-        for d in [&mut a.dram_data, &mut a.dram_translation] {
-            d.requests = next();
-            d.latency_sum = next();
-            d.bus_busy_cycles = next();
-            d.row_hits = next();
-            d.row_misses = next();
-            d.row_conflicts = next();
-        }
-        a.tokens_final = next();
-        a.fills_diverted = next();
-    }
-    s.cycles = next();
-    s.dram_bus_busy = next();
-    s.dram_channels = next() as usize;
-    s
+    stats_gen::fill_stats(2, &mut next, false)
 }
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -100,20 +58,11 @@ fn stats_encodings_are_pinned() {
 
 #[test]
 fn result_key_of_a_fixed_job_is_pinned() {
-    let spec = JobSpec {
-        tenant: "golden".to_owned(),
-        design: mask_common::config::DesignKind::Mask,
-        apps: vec![("HS".to_owned(), 4), ("MUM".to_owned(), 4)],
-        max_cycles: 4000,
-        warmup_cycles: 1000,
-        seed: 7,
-        gpu: "maxwell".to_owned(),
-        overrides: GpuOverrides {
-            epoch_cycles: Some(500),
-            warps_per_core: None,
-            l2_tlb_entries: Some(256),
-        },
-    };
+    let doc = r#"{"tenant":"golden","design":"MASK","gpu":"maxwell","seed":7,
+        "apps":[{"app":"HS","cores":4},{"app":"MUM","cores":4}],
+        "max_cycles":4000,"warmup_cycles":1000,
+        "overrides":{"epoch_cycles":500,"l2_tlb_entries":256}}"#;
+    let spec = JobSpec::from_value(&maskd::json::parse(doc).expect("json")).expect("spec");
     assert_eq!(
         maskd::store::result_key(&spec.to_sim_job()),
         0xa1b2_42c2_8c4d_0c6f

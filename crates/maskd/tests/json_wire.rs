@@ -1,92 +1,32 @@
-//! Property tests for the hand-rolled JSON wire layer.
+//! Property tests for the daemon's wire vocabulary.
 //!
-//! Three layers of assurance, per the PR's satellite checklist:
-//!
-//! 1. **Round-trip exactness** — `parse(serialize(v))` is the identity on
-//!    arbitrary wire values, job specs, and full results, and
-//!    serialization is a fixed point (canonical form re-serializes to the
-//!    same bytes).
-//! 2. **Cross-validation** — everything the daemon would emit also passes
-//!    an independently written JSON syntax checker (vendored below from
-//!    the one that gates the xtask SARIF emitter, `xtask/src/lint/output.rs`
-//!    — xtask is a binary crate, so the checker cannot be imported).
-//! 3. **Malformed-request rejection** — over a real socket: bad method,
+//! 1. **Round-trip exactness** — job specs and full results (every leaf of
+//!    the field table set) survive `to_value → serialize → parse →
+//!    from_value` bit for bit. (`Value` itself is cross-validated against
+//!    the independent syntax checker in `crates/common/tests/json.rs`.)
+//! 2. **Malformed-request rejection** — over a real socket: bad method,
 //!    oversized body, truncated chunked body.
 
+#[path = "../../common/tests/support/stats_gen.rs"]
+mod stats_gen;
+
 use mask_common::config::DesignKind;
+use mask_common::rng::Pcg32;
 use mask_common::stats::SimStats;
 use mask_core::JobPool;
 use mask_workloads::all_apps;
-use maskd::json::{parse, Value};
+use maskd::json::parse;
 use maskd::wire::{stats_from_value, stats_to_value, GpuOverrides, JobSpec};
 use maskd::{Client, Daemon, DaemonConfig};
 use proptest::prelude::*;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 
-// ---------------------------------------------------------------------
 // Deterministic builders: a u64 seed fans out into arbitrary structures
-// through a splitmix-style generator, so each proptest case is a pure
-// function of the drawn seed.
-// ---------------------------------------------------------------------
+// through the repo's PRNG, so each proptest case is a pure function of the
+// drawn seed.
 
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        // splitmix64: full-period, well-mixed, and trivially portable.
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-fn build_value(g: &mut Gen, depth: usize) -> Value {
-    let pick = if depth == 0 { g.below(4) } else { g.below(6) };
-    match pick {
-        0 => Value::Null,
-        1 => Value::Bool(g.next() & 1 == 1),
-        2 => Value::Num(g.next()),
-        3 => {
-            let len = g.below(8) as usize;
-            let s: String = (0..len)
-                .map(|_| {
-                    // Bias toward characters that exercise escaping.
-                    match g.below(8) {
-                        0 => '"',
-                        1 => '\\',
-                        2 => '\n',
-                        3 => '\u{1}',
-                        4 => 'é',
-                        5 => '😀',
-                        _ => char::from(b'a' + (g.below(26) as u8)),
-                    }
-                })
-                .collect();
-            Value::Str(s)
-        }
-        4 => {
-            let len = g.below(4) as usize;
-            Value::Array((0..len).map(|_| build_value(g, depth - 1)).collect())
-        }
-        _ => {
-            let len = g.below(4) as usize;
-            Value::Object(
-                (0..len)
-                    .map(|i| (format!("k{}{}", i, g.below(100)), build_value(g, depth - 1)))
-                    .collect(),
-            )
-        }
-    }
-}
-
-fn build_spec(g: &mut Gen) -> JobSpec {
+fn build_spec(g: &mut Pcg32) -> JobSpec {
     let designs = DesignKind::ALL;
     let apps = all_apps();
     let n_apps = 1 + g.below(3) as usize;
@@ -103,71 +43,27 @@ fn build_spec(g: &mut Gen) -> JobSpec {
             .collect(),
         max_cycles: 1 + g.below(1_000_000),
         warmup_cycles: g.below(100_000),
-        seed: g.next(),
+        seed: g.next_u64(),
         gpu: ["maxwell", "fermi", "integrated"][g.below(3) as usize].to_owned(),
         overrides: GpuOverrides {
-            epoch_cycles: (g.next() & 1 == 1).then(|| 1 + g.below(100_000)),
-            warps_per_core: (g.next() & 1 == 1).then(|| 1 + g.below(64) as usize),
-            l2_tlb_entries: (g.next() & 1 == 1).then(|| 1 + g.below(4096) as usize),
+            epoch_cycles: (g.next_u64() & 1 == 1).then(|| 1 + g.below(100_000)),
+            warps_per_core: (g.next_u64() & 1 == 1).then(|| 1 + g.below(64) as usize),
+            l2_tlb_entries: (g.next_u64() & 1 == 1).then(|| 1 + g.below(4096) as usize),
         },
     }
 }
 
-fn build_stats(g: &mut Gen) -> SimStats {
-    let mut s = SimStats::new(1 + g.below(4) as usize, g.below(16) as usize);
-    s.cycles = g.next();
-    s.dram_bus_busy = g.next();
-    for app in &mut s.apps {
-        app.instructions = g.next();
-        app.mem_instructions = g.next();
-        app.cycles = g.next();
-        app.stall_cycles = g.next();
-        app.l1_tlb.accesses = g.next();
-        app.l1_tlb.hits = g.next();
-        app.l2_tlb.accesses = g.next();
-        app.pwc.hits = g.next();
-        app.page_faults = g.next();
-        app.walks_started = g.next();
-        app.walk_latency_sum = g.next();
-        app.walk_concurrency_max = g.next();
-        app.stalled_warps_sum = g.next();
-        app.stalled_warps_max = g.next();
-        app.l1_data.accesses = g.next();
-        app.l2_data.hits = g.next();
-        for level in &mut app.l2_translation {
-            level.accesses = g.next();
-            level.hits = g.next();
-        }
-        app.l2_translation_bypassed = g.next();
-        app.dram_data.requests = g.next();
-        app.dram_data.latency_sum = g.next();
-        app.dram_data.row_conflicts = g.next();
-        app.dram_translation.bus_busy_cycles = g.next();
-        app.tokens_final = g.next();
-        app.fills_diverted = g.next();
-    }
-    s
+fn build_stats(g: &mut Pcg32) -> SimStats {
+    let n_apps = 1 + g.below(4) as usize;
+    stats_gen::fill_stats(n_apps, &mut || g.next_u64(), true)
 }
 
 proptest! {
-    /// serialize → parse → serialize is the identity on arbitrary values,
-    /// and the serialized form passes the independent syntax checker.
-    #[test]
-    fn value_round_trip_is_exact(seed in any::<u64>()) {
-        let v = build_value(&mut Gen(seed), 3);
-        let doc = v.serialize();
-        check_json(&doc);
-        let back = parse(&doc).expect("own output must parse");
-        prop_assert_eq!(&back, &v);
-        prop_assert_eq!(back.serialize(), doc, "canonical form is a fixed point");
-    }
-
     /// Job specs survive the wire bit-for-bit.
     #[test]
     fn job_spec_round_trip(seed in any::<u64>()) {
-        let spec = build_spec(&mut Gen(seed));
+        let spec = build_spec(&mut Pcg32::new(seed, 0));
         let doc = spec.to_value().serialize();
-        check_json(&doc);
         let back = JobSpec::from_value(&parse(&doc).expect("parses")).expect("valid spec");
         prop_assert_eq!(back, spec);
     }
@@ -176,9 +72,8 @@ proptest! {
     /// survive the wire bit-for-bit.
     #[test]
     fn stats_round_trip(seed in any::<u64>()) {
-        let stats = build_stats(&mut Gen(seed));
+        let stats = build_stats(&mut Pcg32::new(seed, 0));
         let doc = stats_to_value(&stats).serialize();
-        check_json(&doc);
         let back = stats_from_value(&parse(&doc).expect("parses")).expect("valid stats");
         prop_assert_eq!(back, stats);
     }
@@ -240,110 +135,4 @@ fn socket_level_malformed_requests_get_clean_errors() {
     let client = Client::new(addr);
     assert!(client.healthz().expect("healthz"));
     daemon.shutdown();
-}
-
-// ---------------------------------------------------------------------
-// Independent JSON syntax checker, vendored from the test module of
-// xtask/src/lint/output.rs (xtask is a binary crate; its test helpers
-// cannot be imported, so the checker is duplicated here by design —
-// keeping it independent of crate::json is exactly the point).
-// ---------------------------------------------------------------------
-
-fn check_json(s: &str) {
-    let b = s.as_bytes();
-    let end = value(b, skip_ws(b, 0));
-    assert_eq!(
-        skip_ws(b, end),
-        b.len(),
-        "trailing garbage after JSON value"
-    );
-}
-
-fn skip_ws(b: &[u8], mut i: usize) -> usize {
-    while i < b.len() && (b[i] as char).is_ascii_whitespace() {
-        i += 1;
-    }
-    i
-}
-
-fn value(b: &[u8], i: usize) -> usize {
-    match b.get(i) {
-        Some(b'{') => object(b, i),
-        Some(b'[') => array(b, i),
-        Some(b'"') => string(b, i),
-        Some(b't') => lit(b, i, "true"),
-        Some(b'f') => lit(b, i, "false"),
-        Some(b'n') => lit(b, i, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-        other => panic!("unexpected token {other:?} at byte {i}"),
-    }
-}
-
-fn lit(b: &[u8], i: usize, word: &str) -> usize {
-    assert_eq!(&b[i..i + word.len()], word.as_bytes());
-    i + word.len()
-}
-
-fn number(b: &[u8], mut i: usize) -> usize {
-    if b[i] == b'-' {
-        i += 1;
-    }
-    let start = i;
-    while i < b.len() && (b[i].is_ascii_digit() || matches!(b[i], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        i += 1;
-    }
-    assert!(i > start, "empty number at byte {i}");
-    i
-}
-
-fn string(b: &[u8], mut i: usize) -> usize {
-    assert_eq!(b[i], b'"');
-    i += 1;
-    while i < b.len() {
-        match b[i] {
-            b'"' => return i + 1,
-            b'\\' => i += 2,
-            c => {
-                assert!(c >= 0x20, "unescaped control char in string");
-                i += 1;
-            }
-        }
-    }
-    panic!("unterminated string");
-}
-
-fn object(b: &[u8], mut i: usize) -> usize {
-    assert_eq!(b[i], b'{');
-    i = skip_ws(b, i + 1);
-    if b[i] == b'}' {
-        return i + 1;
-    }
-    loop {
-        i = string(b, skip_ws(b, i));
-        i = skip_ws(b, i);
-        assert_eq!(b[i], b':');
-        i = skip_ws(b, value(b, skip_ws(b, i + 1)));
-        match b[i] {
-            b',' => i = skip_ws(b, i + 1),
-            b'}' => return i + 1,
-            c => panic!("unexpected {:?} in object", c as char),
-        }
-    }
-}
-
-fn array(b: &[u8], mut i: usize) -> usize {
-    assert_eq!(b[i], b'[');
-    i = skip_ws(b, i + 1);
-    if b[i] == b']' {
-        return i + 1;
-    }
-    loop {
-        i = skip_ws(b, value(b, i));
-        match b[i] {
-            b',' => i = skip_ws(b, i + 1),
-            b']' => return i + 1,
-            c => panic!("unexpected {:?} in array", c as char),
-        }
-    }
 }

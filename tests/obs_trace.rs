@@ -46,19 +46,13 @@ fn job(seed: u64, apps: &[(&str, usize)], cycles: u64) -> SimJob {
 /// Order-sensitive checksum over the raw instruction counters, so even a
 /// reordering that leaves totals intact would be caught.
 fn checksum(stats: &SimStats) -> u64 {
-    stats
-        .apps
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |acc: u64, a| {
-            acc.wrapping_mul(0x0100_0000_01b3)
-                .wrapping_add(a.instructions)
-                .wrapping_mul(0x0100_0000_01b3)
-                .wrapping_add(a.mem_instructions)
-                .wrapping_mul(0x0100_0000_01b3)
-                .wrapping_add(a.cycles)
-                .wrapping_mul(0x0100_0000_01b3)
-                .wrapping_add(a.stall_cycles)
-        })
+    let mut h = mask_common::snapshot::Fnv1a::new();
+    for a in &stats.apps {
+        for v in [a.instructions, a.mem_instructions, a.cycles, a.stall_cycles] {
+            h.write_u64(v);
+        }
+    }
+    h.finish()
 }
 
 /// Runs `jobs` through the job engine at 1 and 2 workers, then directly.
@@ -96,7 +90,7 @@ proptest! {
     }
 }
 
-/// End-to-end: a traced batch exports a balanced Perfetto document plus a
+/// End-to-end: a traced batch exports a well-formed Perfetto document plus a
 /// metrics JSONL stream carrying all five counter families.
 #[test]
 fn traced_batch_exports_all_counter_families() {
@@ -121,20 +115,8 @@ fn traced_batch_exports_all_counter_families() {
     assert!(summary.frames > 0, "no metrics frames");
 
     let trace = std::fs::read_to_string(&summary.trace_path).expect("trace.json written");
-    let balance = |open: char, close: char| {
-        trace.chars().fold(0i64, |d, c| {
-            if c == open {
-                d + 1
-            } else if c == close {
-                d - 1
-            } else {
-                d
-            }
-        })
-    };
-    assert_eq!(balance('{', '}'), 0, "unbalanced braces in trace.json");
-    assert_eq!(balance('[', ']'), 0, "unbalanced brackets in trace.json");
-    assert!(trace.contains("\"traceEvents\""));
+    let doc = mask_common::json::parse(&trace).expect("trace.json is well-formed JSON");
+    assert!(doc.get("traceEvents").is_some());
 
     let jsonl = std::fs::read_to_string(&summary.metrics_path).expect("metrics.jsonl written");
     assert!(jsonl.lines().count() >= 2);
@@ -165,4 +147,32 @@ fn empty_export_is_well_formed() {
     let trace = std::fs::read_to_string(&summary.trace_path).expect("written");
     assert!(trace.contains("\"traceEvents\""));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A span name is free text (job labels); whatever it holds, `trace.json`
+/// must stay one well-formed document.
+#[test]
+fn control_characters_in_span_names_are_escaped() {
+    let data = mask_obs::export::TraceData {
+        spans: vec![mask_obs::profile::Span {
+            name: "line\nbreak\ttab\u{1}ctl \"q\" \\".to_owned(),
+            lane: 0,
+            start_us: 1,
+            dur_us: 2,
+        }],
+        ..Default::default()
+    };
+    let (trace, _, _) = mask_obs::export::render(&data);
+    let doc = mask_common::json::parse(&trace).expect("trace.json is well-formed JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(|e| e.as_array())
+        .expect("event list");
+    assert_eq!(
+        events
+            .last()
+            .and_then(|e| e.get("name"))
+            .and_then(|n| n.as_str()),
+        Some("line\nbreak\ttab\u{1}ctl \"q\" \\")
+    );
 }

@@ -153,26 +153,3 @@ fn damaged_envelopes_are_rejected() {
         Err(SnapshotError::BadMagic(_))
     ));
 }
-
-/// The sampled-run mode reports an error band that brackets (or at least
-/// stays close to) the serial oracle — a smoke check at workspace level;
-/// the tight accuracy property lives in `mask-gpu`'s unit tests.
-#[test]
-fn sampled_mode_reports_plausible_bands() {
-    let mut sampled = build(DesignKind::Mask, 21, 40_000);
-    let out = sampled.run_sampled(40_000, 2_000, 2_000);
-    assert_eq!(out.detailed_cycles + out.skipped_cycles, 40_000);
-    assert!(out.windows >= 10);
-    let mut oracle = build(DesignKind::Mask, 21, 40_000);
-    oracle.run(40_000);
-    oracle.sync_stats();
-    for app in 0..oracle.n_apps() {
-        let exact = oracle.instructions(app) as f64;
-        let est = out.est_instructions[app];
-        let band = out.error_band[app].max(exact * 0.05);
-        assert!(
-            (est - exact).abs() <= band.max(exact * 0.25),
-            "app {app}: estimate {est:.0} ± {band:.0} too far from oracle {exact:.0}"
-        );
-    }
-}

@@ -188,16 +188,15 @@ pub(crate) const HOTPATH_FILES: [&str; 10] = [
 ];
 
 /// Designated environment-read entry points (the `env-determinism` rule):
-/// the shared config module, the tracer's gate/exporter, the job engine
-/// (which resolves `MASK_SNAPSHOT_DIR` once when the process-wide prefix
-/// cache is built), and the daemon's config module (which resolves every
-/// `MASKD_*` knob once at boot — the server/queue/store layers must take
-/// a `DaemonConfig`, never read the environment themselves).
-pub(crate) const ENV_ENTRY_FILES: [&str; 5] = [
+/// the shared config module (every `MASK_*` knob of the simulator and the
+/// job engine, `MASK_SNAPSHOT_DIR` included), the tracer's gate/exporter,
+/// and the daemon's config module (which resolves every `MASKD_*` knob
+/// once at boot — the server/queue/store layers must take a
+/// `DaemonConfig`, never read the environment themselves).
+pub(crate) const ENV_ENTRY_FILES: [&str; 4] = [
     "crates/common/src/config.rs",
     "crates/obs/src/ring.rs",
     "crates/obs/src/export.rs",
-    "crates/core/src/engine.rs",
     "crates/maskd/src/config.rs",
 ];
 

@@ -6,29 +6,14 @@
 //! short/full descriptions, default level), and one `result` per violation
 //! with a `physicalLocation` whose `artifactLocation.uri` is
 //! repo-relative (`uriBaseId: %SRCROOT%`), so CI can upload the file
-//! directly and GitHub renders inline annotations. Everything is emitted
-//! by hand — the linter stays zero-dependency.
+//! directly and GitHub renders inline annotations. The documents are
+//! format strings; string escaping (and, in the tests, parsing) is
+//! `mask_common::json`, the workspace's one JSON module.
 
 use super::passes::RULES;
 use super::Violation;
+use mask_common::json::escape;
 use std::path::Path;
-
-/// Escapes `s` for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// `path` relative to `root`, with forward slashes (a SARIF/JSON URI).
 fn rel_uri(root: &Path, path: &Path) -> String {
@@ -58,11 +43,11 @@ pub(crate) fn json(root: &Path, violations: &[Violation]) -> String {
         out.push_str(&format!(
             "\n    {{\"path\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \
              \"message\": \"{}\", \"fixable\": {}}}",
-            esc(&rel_uri(root, &v.path)),
+            escape(&rel_uri(root, &v.path)),
             v.line,
             v.col,
-            esc(v.rule),
-            esc(&v.message),
+            escape(v.rule),
+            escape(&v.message),
             v.fix.is_some()
         ));
     }
@@ -83,9 +68,9 @@ pub(crate) fn sarif(root: &Path, violations: &[Violation]) -> String {
             "\n            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \
              \"fullDescription\": {{\"text\": \"{}\"}}, \
              \"defaultConfiguration\": {{\"level\": \"error\"}}}}",
-            esc(r.id),
-            esc(r.short),
-            esc(r.help)
+            escape(r.id),
+            escape(r.short),
+            escape(r.help)
         ));
     }
     out.push_str("\n          ]\n        }\n      },\n      \"results\": [");
@@ -98,10 +83,10 @@ pub(crate) fn sarif(root: &Path, violations: &[Violation]) -> String {
              \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\"physicalLocation\": \
              {{\"artifactLocation\": {{\"uri\": \"{}\", \"uriBaseId\": \"%SRCROOT%\"}}, \
              \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}",
-            esc(v.rule),
+            escape(v.rule),
             rule_index(v.rule),
-            esc(&v.message),
-            esc(&rel_uri(root, &v.path)),
+            escape(&v.message),
+            escape(&rel_uri(root, &v.path)),
             v.line,
             v.col
         ));
@@ -115,106 +100,11 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    /// A minimal JSON syntax checker: consumes one value, panicking on any
-    /// malformed construct. Enough to prove the hand-rolled emitters
-    /// produce well-formed documents without pulling in a JSON dependency.
+    /// Both reports hold only strings, integers and booleans, so the
+    /// integer-only wire parser is a complete well-formedness check.
     fn check_json(s: &str) {
-        let b = s.as_bytes();
-        let end = value(b, skip_ws(b, 0));
-        assert_eq!(
-            skip_ws(b, end),
-            b.len(),
-            "trailing garbage after JSON value"
-        );
-    }
-
-    fn skip_ws(b: &[u8], mut i: usize) -> usize {
-        while i < b.len() && (b[i] as char).is_ascii_whitespace() {
-            i += 1;
-        }
-        i
-    }
-
-    fn value(b: &[u8], i: usize) -> usize {
-        match b.get(i) {
-            Some(b'{') => object(b, i),
-            Some(b'[') => array(b, i),
-            Some(b'"') => string(b, i),
-            Some(b't') => lit(b, i, "true"),
-            Some(b'f') => lit(b, i, "false"),
-            Some(b'n') => lit(b, i, "null"),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-            other => panic!("unexpected token {other:?} at byte {i}"),
-        }
-    }
-
-    fn lit(b: &[u8], i: usize, word: &str) -> usize {
-        assert_eq!(&b[i..i + word.len()], word.as_bytes());
-        i + word.len()
-    }
-
-    fn number(b: &[u8], mut i: usize) -> usize {
-        if b[i] == b'-' {
-            i += 1;
-        }
-        let start = i;
-        while i < b.len()
-            && (b[i].is_ascii_digit() || matches!(b[i], b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            i += 1;
-        }
-        assert!(i > start, "empty number at byte {i}");
-        i
-    }
-
-    fn string(b: &[u8], mut i: usize) -> usize {
-        assert_eq!(b[i], b'"');
-        i += 1;
-        while i < b.len() {
-            match b[i] {
-                b'"' => return i + 1,
-                b'\\' => i += 2,
-                c => {
-                    assert!(c >= 0x20, "unescaped control char in string");
-                    i += 1;
-                }
-            }
-        }
-        panic!("unterminated string");
-    }
-
-    fn object(b: &[u8], mut i: usize) -> usize {
-        assert_eq!(b[i], b'{');
-        i = skip_ws(b, i + 1);
-        if b[i] == b'}' {
-            return i + 1;
-        }
-        loop {
-            i = string(b, skip_ws(b, i));
-            i = skip_ws(b, i);
-            assert_eq!(b[i], b':');
-            i = skip_ws(b, value(b, skip_ws(b, i + 1)));
-            match b[i] {
-                b',' => i = skip_ws(b, i + 1),
-                b'}' => return i + 1,
-                c => panic!("unexpected {:?} in object", c as char),
-            }
-        }
-    }
-
-    fn array(b: &[u8], mut i: usize) -> usize {
-        assert_eq!(b[i], b'[');
-        i = skip_ws(b, i + 1);
-        if b[i] == b']' {
-            return i + 1;
-        }
-        loop {
-            i = skip_ws(b, value(b, i));
-            match b[i] {
-                b',' => i = skip_ws(b, i + 1),
-                b']' => return i + 1,
-                c => panic!("unexpected {:?} in array", c as char),
-            }
+        if let Err(e) = mask_common::json::parse(s) {
+            panic!("{e} in:\n{s}");
         }
     }
 

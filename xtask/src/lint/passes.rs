@@ -103,8 +103,8 @@ pub(crate) const RULES: [RuleInfo; 11] = [
         short: "environment read outside the config entry points",
         help: "std::env::var reads (MASK_* / MASKD_* or otherwise) are only \
                permitted in crates/common/src/config.rs, \
-               crates/obs/src/ring.rs, crates/obs/src/export.rs, \
-               crates/core/src/engine.rs, and crates/maskd/src/config.rs; \
+               crates/obs/src/ring.rs, crates/obs/src/export.rs, and \
+               crates/maskd/src/config.rs; \
                anywhere else a stage of the cycle loop could silently fork \
                behavior on the environment.",
     },
@@ -388,8 +388,8 @@ fn pass_env_determinism(ctx: &FileCtx<'_>, sink: &mut Sink<'_>) {
                 "env-determinism",
                 "environment read outside the designated config entry points \
                  (crates/common/src/config.rs, crates/obs/src/ring.rs, \
-                 crates/obs/src/export.rs, crates/core/src/engine.rs, \
-                 crates/maskd/src/config.rs); resolve MASK_* settings once at \
+                 crates/obs/src/export.rs, crates/maskd/src/config.rs); \
+                 resolve MASK_* settings once at \
                  configuration time so no stage of the cycle loop can fork \
                  behavior on the environment"
                     .into(),
