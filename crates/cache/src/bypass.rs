@@ -143,11 +143,6 @@ impl BypassMonitor {
     pub fn level_hit_rate(&self, asid: Asid, level: WalkLevel) -> f64 {
         self.apps[asid.index().min(self.apps.len() - 1)].level_rate[level.index()]
     }
-
-    /// The latched data hit-rate estimate for `asid`.
-    pub fn data_hit_rate(&self, asid: Asid) -> f64 {
-        self.apps[asid.index().min(self.apps.len() - 1)].data_rate
-    }
 }
 
 impl mask_common::snapshot::Snapshot for BypassMonitor {

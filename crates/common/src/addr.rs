@@ -148,12 +148,6 @@ impl Vpn {
         (self.0 >> shift) & ((1 << BITS_PER_LEVEL) - 1)
     }
 
-    /// The offset index used by doctests/examples (low 9 bits).
-    #[inline]
-    pub fn offset_index(self, level_from_leaf: u32) -> u64 {
-        (self.0 >> (BITS_PER_LEVEL * level_from_leaf)) & ((1 << BITS_PER_LEVEL) - 1)
-    }
-
     /// Reconstructs the base virtual address of this page.
     #[inline]
     pub const fn base(self, page_size_log2: u32) -> VirtAddr {

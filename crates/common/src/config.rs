@@ -477,6 +477,17 @@ impl MaskParams {
         self.token_policy = default.token_policy;
         self.bypass_margin = default.bypass_margin;
     }
+
+    /// Whether `cycle` is a safe snapshot point: an epoch boundary, or any
+    /// cycle before the first one (where no end-of-epoch bookkeeping has
+    /// run yet). Only there is the simulator's state independent of the
+    /// knobs [`MaskParams::reset_epoch_end_only`] drops from the warm-up
+    /// prefix key.
+    pub fn is_epoch_safe(&self, cycle: u64) -> bool {
+        self.epoch_cycles == 0
+            || cycle < self.epoch_cycles
+            || cycle.is_multiple_of(self.epoch_cycles)
+    }
 }
 
 impl Default for MaskParams {
@@ -612,12 +623,6 @@ impl SimConfig {
             max_cycles: default_max_cycles(),
             seed: 0xA55A_2018,
         }
-    }
-
-    /// Replaces the machine configuration.
-    pub fn with_gpu(mut self, gpu: GpuConfig) -> Self {
-        self.gpu = gpu;
-        self
     }
 
     /// Replaces the simulated cycle budget.

@@ -417,11 +417,6 @@ impl SimStats {
         }
     }
 
-    /// Aggregate IPC across all applications ("IPC throughput", §7.1).
-    pub fn total_ipc(&self) -> f64 {
-        CompensatedSum::total(self.apps.iter().map(AppStats::ipc))
-    }
-
     /// Fraction of theoretical DRAM data-bus cycles actually used.
     pub fn dram_bandwidth_utilization(&self) -> f64 {
         if self.cycles == 0 || self.dram_channels == 0 {

@@ -5,97 +5,105 @@
 //! These ablations quantify each choice on translation-heavy workloads.
 
 use super::ExpOptions;
+use crate::engine::SimJob;
 use crate::metrics::mean;
-use crate::runner::{PairRunner, RunOptions};
+use crate::runner::PairRunner;
 use crate::table::Table;
 use mask_common::config::{DesignKind, GpuConfig, TokenPolicyKind};
 
-fn runner_with(opts: &ExpOptions, tweak: impl FnOnce(&mut GpuConfig)) -> PairRunner {
-    let mut gpu = GpuConfig::maxwell();
-    gpu.warps_per_core = opts.warps_per_core;
-    tweak(&mut gpu);
-    PairRunner::new(RunOptions {
-        n_cores: opts.n_cores,
-        max_cycles: opts.cycles,
-        seed: opts.seed,
-        warmup_cycles: 100_000,
-        gpu,
-        jobs: opts.jobs,
-    })
-}
-
-/// Average weighted speedup over the pressured pairs, submitted as one
-/// job batch.
-fn avg_ws(runner: &PairRunner, opts: &ExpOptions, design: DesignKind) -> f64 {
-    mean(
-        runner
-            .run_pairs(&opts.pressured_pairs(), &[design])
-            .iter()
-            .map(|o| o.weighted_speedup),
-    )
+/// One ablation table: a row per `(label, value)` of `rows` (labels under
+/// `column`), holding the average weighted speedup of `design` over the
+/// pressured pairs on Maxwell with `tweak(gpu, value)` applied.
+///
+/// All rows ride one job batch. Submitting together is how jobs declare
+/// that they may share a warm-up, and rows that differ only in an
+/// epoch-end-only knob do share it whenever the warm-up ends before the
+/// first epoch boundary (runs shorter than two epochs).
+fn ablate<L: ToString, T: Copy>(
+    title: &str,
+    column: &str,
+    opts: &ExpOptions,
+    design: DesignKind,
+    rows: &[(L, T)],
+    tweak: impl Fn(&mut GpuConfig, T),
+) -> Table {
+    let base = PairRunner::new(opts.run_options());
+    let placements = base.pair_placements(&opts.pressured_pairs());
+    let plans: Vec<Vec<SimJob>> = rows
+        .iter()
+        .map(|&(_, value)| {
+            let mut run = opts.run_options();
+            tweak(&mut run.gpu, value);
+            PairRunner::new(run).plan_batch(&placements, &[design])
+        })
+        .collect();
+    let mut stats = base.pool().run_batch(&plans.concat()).into_iter();
+    let mut t = Table::new(title, &[column, design.label()]);
+    for ((label, _), plan) in rows.iter().zip(&plans) {
+        let row = stats.by_ref().take(plan.len()).collect();
+        let outcomes = PairRunner::assemble_batch(&placements, &[design], row);
+        let ws = mean(outcomes.iter().map(|o| o.weighted_speedup));
+        t.row_f64(label.to_string(), &[ws]);
+    }
+    t
 }
 
 /// Token-controller policy: §5.2's literal rule vs §7.4's direction-
 /// register hill climbing (see `mask-tlb::tokens`).
 pub fn token_policy(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    ablate(
         "Ablation: token adjustment policy (avg weighted speedup, MASK-TLB)",
-        &["policy", "MASK-TLB"],
-    );
-    for (label, policy) in [
-        ("literal (Sec. 5.2)", TokenPolicyKind::Literal),
-        ("hill-climb (Sec. 7.4)", TokenPolicyKind::HillClimb),
-    ] {
-        let r = runner_with(opts, |g| g.mask.token_policy = policy);
-        t.row_f64(label, &[avg_ws(&r, opts, DesignKind::MaskTlb)]);
-    }
-    t
+        "policy",
+        opts,
+        DesignKind::MaskTlb,
+        &[
+            ("literal (Sec. 5.2)", TokenPolicyKind::Literal),
+            ("hill-climb (Sec. 7.4)", TokenPolicyKind::HillClimb),
+        ],
+        |g, policy| g.mask.token_policy = policy,
+    )
 }
 
 /// Bypass hysteresis margin: 0.0 is the paper's literal `level < data`
 /// comparison; larger margins skip marginal (lossy) bypasses.
 pub fn bypass_margin(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    ablate(
         "Ablation: L2-bypass hysteresis margin (avg weighted speedup, MASK-Cache)",
-        &["margin", "MASK-Cache"],
-    );
-    for margin in [0.0, 0.05, 0.15] {
-        let r = runner_with(opts, |g| g.mask.bypass_margin = margin);
-        t.row_f64(
-            format!("{margin:.2}"),
-            &[avg_ws(&r, opts, DesignKind::MaskCache)],
-        );
-    }
-    t
+        "margin",
+        opts,
+        DesignKind::MaskCache,
+        &[0.0, 0.05, 0.15].map(|margin| (format!("{margin:.2}"), margin)),
+        |g, margin| g.mask.bypass_margin = margin,
+    )
 }
 
 /// Golden-queue capacity (the paper uses a 16-entry FIFO per channel).
 pub fn golden_capacity(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    ablate(
         "Ablation: Golden queue capacity (avg weighted speedup, MASK-DRAM)",
-        &["entries", "MASK-DRAM"],
-    );
-    for cap in [4usize, 16, 64] {
-        let r = runner_with(opts, |g| g.dram.golden_capacity = cap);
-        t.row_f64(cap.to_string(), &[avg_ws(&r, opts, DesignKind::MaskDram)]);
-    }
-    t
+        "entries",
+        opts,
+        DesignKind::MaskDram,
+        &[4usize, 16, 64].map(|cap| (cap, cap)),
+        |g, cap| g.dram.golden_capacity = cap,
+    )
 }
 
 /// Epoch length (the paper empirically selects 100K cycles, §5.2).
 pub fn epoch_length(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    let epochs: Vec<(u64, u64)> = [50_000u64, 100_000, 200_000]
+        .into_iter()
+        .filter(|epoch| epoch * 2 <= opts.cycles)
+        .map(|epoch| (epoch, epoch))
+        .collect();
+    ablate(
         "Ablation: epoch length (avg weighted speedup, full MASK)",
-        &["epoch_cycles", "MASK"],
-    );
-    for epoch in [50_000u64, 100_000, 200_000] {
-        if epoch * 2 > opts.cycles {
-            continue;
-        }
-        let r = runner_with(opts, |g| g.mask.epoch_cycles = epoch);
-        t.row_f64(epoch.to_string(), &[avg_ws(&r, opts, DesignKind::Mask)]);
-    }
-    t
+        "epoch_cycles",
+        opts,
+        DesignKind::Mask,
+        &epochs,
+        |g, epoch| g.mask.epoch_cycles = epoch,
+    )
 }
 
 #[cfg(test)]

@@ -200,7 +200,20 @@ impl PairRunner {
         placements: &[Vec<AppSpec>],
         designs: &[DesignKind],
     ) -> Vec<PairOutcome> {
-        // Plan: one shared job plus per-app alone jobs per placement × design.
+        // Execute: the pool dedups equal jobs and fans out over workers.
+        let stats = self.pool.run_batch(&self.plan_batch(placements, designs));
+        Self::assemble_batch(placements, designs, stats)
+    }
+
+    /// The plan half of [`PairRunner::run_batch`]: one shared job plus
+    /// per-app alone jobs per placement × design. Harnesses whose rows
+    /// differ in machine configuration concatenate several runners' plans
+    /// into one [`JobPool::run_batch`] call.
+    pub(crate) fn plan_batch(
+        &self,
+        placements: &[Vec<AppSpec>],
+        designs: &[DesignKind],
+    ) -> Vec<SimJob> {
         let mut jobs = Vec::new();
         for placement in placements {
             assert!(!placement.is_empty(), "need at least one application");
@@ -211,9 +224,16 @@ impl PairRunner {
                 }
             }
         }
-        // Execute: the pool dedups equal jobs and fans out over workers.
-        let stats = self.pool.run_batch(&jobs);
-        // Assemble: walk the results in the exact order they were planned.
+        jobs
+    }
+
+    /// The assemble half of [`PairRunner::run_batch`]: walks `stats` in the
+    /// exact order [`PairRunner::plan_batch`] planned the jobs.
+    pub(crate) fn assemble_batch(
+        placements: &[Vec<AppSpec>],
+        designs: &[DesignKind],
+        stats: Vec<SimStats>,
+    ) -> Vec<PairOutcome> {
         let mut out = Vec::with_capacity(placements.len() * designs.len());
         let mut cursor = stats.into_iter();
         for placement in placements {
@@ -239,24 +259,28 @@ impl PairRunner {
     /// `designs.len()` to group per pair).
     #[must_use]
     pub fn run_pairs(&self, pairs: &[AppPair], designs: &[DesignKind]) -> Vec<PairOutcome> {
-        let ca = self.opts.n_cores / 2;
-        let cb = self.opts.n_cores - ca;
-        let placements: Vec<Vec<AppSpec>> = pairs
+        self.run_batch(&self.pair_placements(pairs), designs)
+    }
+
+    /// The even-split placement of each pair.
+    pub(crate) fn pair_placements(&self, pairs: &[AppPair]) -> Vec<Vec<AppSpec>> {
+        let mixes: Vec<_> = pairs.iter().map(|p| vec![p.a, p.b]).collect();
+        self.even_placements(&mixes)
+    }
+
+    /// The even-split placement of each mix.
+    fn even_placements(&self, mixes: &[Vec<&'static AppProfile>]) -> Vec<Vec<AppSpec>> {
+        mixes
             .iter()
-            .map(|p| {
-                vec![
-                    AppSpec {
-                        profile: p.a,
-                        n_cores: ca,
-                    },
-                    AppSpec {
-                        profile: p.b,
-                        n_cores: cb,
-                    },
-                ]
+            .map(|mix| {
+                assert!(!mix.is_empty(), "need at least one application");
+                let split = self.even_split(mix.len());
+                mix.iter()
+                    .zip(split)
+                    .map(|(&profile, n_cores)| AppSpec { profile, n_cores })
+                    .collect()
             })
-            .collect();
-        self.run_batch(&placements, designs)
+            .collect()
     }
 
     /// Runs every mix × design combination with even core splits in one
@@ -271,18 +295,7 @@ impl PairRunner {
         mixes: &[Vec<&'static AppProfile>],
         designs: &[DesignKind],
     ) -> Vec<PairOutcome> {
-        let placements: Vec<Vec<AppSpec>> = mixes
-            .iter()
-            .map(|mix| {
-                assert!(!mix.is_empty(), "need at least one application");
-                let split = self.even_split(mix.len());
-                mix.iter()
-                    .zip(split)
-                    .map(|(&profile, n_cores)| AppSpec { profile, n_cores })
-                    .collect()
-            })
-            .collect();
-        self.run_batch(&placements, designs)
+        self.run_batch(&self.even_placements(mixes), designs)
     }
 
     /// Runs a two-application workload with an even core split.

@@ -160,11 +160,6 @@ impl GpuCore {
         }
     }
 
-    /// Whether any warp can issue this cycle.
-    pub fn has_ready_warp(&self) -> bool {
-        self.ready != 0
-    }
-
     /// Whether an `issue` call this cycle would do nothing but count a
     /// stall: no warp can issue and no deferred MSHR retry is queued.
     /// External events (translation/data completions) are what wake an

@@ -579,14 +579,10 @@ impl GpuSim {
         &self.cfg
     }
 
-    /// Whether the current cycle is a safe snapshot point: an epoch
-    /// boundary, or any between-step cycle before the first boundary
-    /// (where no epoch-end bookkeeping has run yet). Only at such points
-    /// is the encoded state independent of the epoch-end-only MASK knobs
-    /// excluded from [`mask_common::snapshot::PrefixKey`] derivation.
+    /// Whether the current cycle is a safe snapshot point
+    /// ([`MaskParams::is_epoch_safe`](mask_common::config::MaskParams::is_epoch_safe)).
     pub fn at_epoch_safe_point(&self) -> bool {
-        let epoch = self.cfg.gpu.mask.epoch_cycles;
-        epoch == 0 || self.now.is_multiple_of(epoch) || self.now < epoch
+        self.cfg.gpu.mask.is_epoch_safe(self.now)
     }
 
     /// Encodes the full dynamic simulator state into a sealed snapshot

@@ -598,26 +598,6 @@ impl TranslationUnit {
     pub fn tables(&self) -> &PageTables {
         &self.tables
     }
-
-    /// Outstanding walker accesses in the L2/DRAM, in issue order. The
-    /// simulator's restore path uses this to re-balance conservation
-    /// accounting; the count doubles as a cross-check in tests.
-    pub fn outstanding_walk_requests(&self) -> usize {
-        self.walk_of_req.len()
-    }
-
-    /// The physical line a data access to `(asid, va_line)` maps to,
-    /// mapping the page on demand.
-    pub fn data_line(
-        &mut self,
-        asid: Asid,
-        va: mask_common::addr::VirtAddr,
-        page_size_log2: u32,
-    ) -> LineAddr {
-        let vpn = va.vpn(page_size_log2);
-        let ppn = self.tables.ensure_mapped(asid, vpn);
-        ppn.translate(va, page_size_log2).line()
-    }
 }
 
 impl mask_common::snapshot::Snapshot for TranslationUnit {

@@ -115,16 +115,6 @@ impl FrameAllocator {
         assert!(n < NODE_REGION_FRAMES, "page-table node region exhausted");
         NODE_REGION_BASE + (n.wrapping_mul(STRIDE) % NODE_REGION_FRAMES)
     }
-
-    /// Number of data frames handed out to `asid` so far.
-    pub fn data_frames(&self, asid: Asid) -> u64 {
-        self.data_next.get(asid.index()).copied().unwrap_or(0)
-    }
-
-    /// Number of page-table nodes handed out so far.
-    pub fn node_frames(&self) -> u64 {
-        self.node_next
-    }
 }
 
 impl mask_common::snapshot::Snapshot for FrameAllocator {

@@ -73,11 +73,6 @@ impl PageTable {
         self.levels
     }
 
-    /// Number of mapped pages.
-    pub fn mapped_pages(&self) -> usize {
-        self.mapped
-    }
-
     /// Functionally translates `vpn`, without modelling any latency.
     ///
     /// Walks the radix tree directly: three or four dependent array loads,

@@ -60,11 +60,6 @@ impl SharedL2Tlb {
         }
     }
 
-    /// Whether a bypass cache is attached.
-    pub fn has_bypass_cache(&self) -> bool {
-        self.bypass.is_some()
-    }
-
     /// Probes main array and bypass cache in parallel (§5.2).
     pub fn probe(&mut self, asid: Asid, vpn: Vpn) -> L2TlbProbe {
         let key = TlbKey::new(asid, vpn);

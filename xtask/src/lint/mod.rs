@@ -21,8 +21,9 @@
 //! |                   | (mechanically fixable with `--fix`)                          |
 //! | `unwrap`          | no `.unwrap()` / bare `panic!` in library code               |
 //! | `parallelism`     | thread primitives only in the parallelism islands:           |
-//! |                   | `crates/core/src/engine*`, `crates/obs/src/ring.rs`, and     |
-//! |                   | `crates/maskd` (a threaded network daemon)                   |
+//! |                   | `crates/core/src/engine/{pool,cache}.rs`,                    |
+//! |                   | `crates/obs/src/ring.rs`, and `crates/maskd` (a threaded     |
+//! |                   | network daemon)                                              |
 //! | `hotpath`         | no heap traffic (`vec![`, `Vec::new()`, `.clone()`,          |
 //! |                   | `.collect`) in the per-cycle hot files outside constructors  |
 //! | `atomic-ordering` | every `Ordering::*` use carries an ordering-justification    |
@@ -357,7 +358,11 @@ pub(crate) fn lint_source(path: &Path, contents: &str) -> Vec<Violation> {
     } else {
         Vec::new()
     };
-    let engine_file = krate == "core" && norm.contains("src/engine");
+    // Of the job engine, only the pool (workers, ticket counter) and the
+    // caches (shared behind locks) touch threads; job identity does not.
+    let engine_file = ["pool.rs", "cache.rs"]
+        .iter()
+        .any(|f| norm.ends_with(&format!("crates/core/src/engine/{f}")));
     let island = engine_file
         // The daemon is a threaded network server end to end (acceptor,
         // per-connection handlers, dispatcher, condvar-held event

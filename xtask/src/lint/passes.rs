@@ -61,9 +61,9 @@ pub(crate) const RULES: [RuleInfo; 11] = [
         id: "parallelism",
         short: "thread primitive outside the parallelism islands",
         help: "std::thread/Mutex/RwLock/Condvar/mpsc/atomics stay inside \
-               crates/core/src/engine*, crates/obs/src/ring.rs, and \
-               crates/maskd (a threaded network daemon) so the rest of the \
-               simulator remains single-threaded.",
+               crates/core/src/engine/{pool,cache}.rs, crates/obs/src/ring.rs, \
+               and crates/maskd (a threaded network daemon) so the rest of \
+               the simulator remains single-threaded.",
     },
     RuleInfo {
         id: "hotpath",
@@ -189,9 +189,9 @@ fn pass_parallelism(ctx: &FileCtx<'_>, sink: &mut Sink<'_>) {
                     "parallelism",
                     format!(
                         "`{prim}` outside the job engine; only \
-                         crates/core/src/engine*, crates/obs/src/ring.rs and \
-                         crates/maskd may spawn threads or share mutable \
-                         state across them"
+                         crates/core/src/engine/{{pool,cache}}.rs, \
+                         crates/obs/src/ring.rs and crates/maskd may spawn \
+                         threads or share mutable state across them"
                     ),
                     None,
                 );

@@ -114,7 +114,7 @@ fn red_hotpath_catches_turbofish_collect() {
 #[test]
 fn red_atomic_ordering_flags_uncommented_ordering() {
     let v = lint(
-        "crates/core/src/engine.rs",
+        "crates/core/src/engine/pool.rs",
         "let e = self.epoch.load(Ordering::Acquire);\n",
     );
     assert_eq!(rules(&v), ["atomic-ordering"]);
@@ -128,7 +128,7 @@ fn clean_atomic_ordering_accepts_justification_comments() {
 let e = self.epoch.load(Ordering::Acquire);
 let n = counter.fetch_add(1, Ordering::Relaxed); // Relaxed: counter only, nothing synchronizes on it
 ";
-    assert!(lint("crates/core/src/engine.rs", src).is_empty());
+    assert!(lint("crates/core/src/engine/pool.rs", src).is_empty());
 }
 
 #[test]
@@ -156,7 +156,7 @@ flag.store(true, Ordering::SeqCst);
     assert_eq!(rules(&v), ["atomic-ordering"]);
     assert!(v[0].message.contains("smell"), "{}", v[0].message);
     // Outside a hot file the generic justification suffices.
-    assert!(lint("crates/core/src/engine.rs", src).is_empty());
+    assert!(lint("crates/core/src/engine/pool.rs", src).is_empty());
     // Naming SeqCst satisfies the hot-file smell check too.
     let named = "\
 // SeqCst: the park/unpark handshake needs total order with the bump.
@@ -224,7 +224,7 @@ fn clean_design_predicates_config_harnesses_and_tests_are_exempt() {
     assert!(lint("crates/common/src/config.rs", src).is_empty());
     // Experiment harnesses and the job vocabulary.
     assert!(lint("crates/core/src/experiments/multiprog.rs", src).is_empty());
-    assert!(lint("crates/core/src/engine.rs", src).is_empty());
+    assert!(lint("crates/core/src/engine/job.rs", src).is_empty());
     assert!(lint("crates/bench/src/lib.rs", src).is_empty());
     // Test code is masked like every other rule.
     let guarded = "#[cfg(test)]\nmod tests {\n    use mask_common::DesignKind;\n}\n";
@@ -280,7 +280,10 @@ fn red_env_determinism_engine_takes_snapshot_dir_from_config() {
     // engine, like the rest of mask-core, never reads the environment.
     let src = "let d = std::env::var_os(\"MASK_SNAPSHOT_DIR\");\n";
     assert!(lint("crates/common/src/config.rs", src).is_empty());
-    for file in ["crates/core/src/engine.rs", "crates/core/src/runner.rs"] {
+    for file in [
+        "crates/core/src/engine/pool.rs",
+        "crates/core/src/runner.rs",
+    ] {
         assert_eq!(rules(&lint(file, src)), ["env-determinism"]);
     }
 }
@@ -543,9 +546,18 @@ fn commented_out_code_is_exempt() {
 #[test]
 fn engine_may_use_thread_primitives() {
     let src = "use std::sync::Mutex;\nstd::thread::scope(|s| {});\n";
-    assert!(lint("crates/core/src/engine.rs", src).is_empty());
+    assert!(lint("crates/core/src/engine/pool.rs", src).is_empty());
+    assert!(lint("crates/core/src/engine/cache.rs", src).is_empty());
     // The exemption is for engine files only, not all of mask-core.
     assert!(!lint("crates/core/src/metrics.rs", src).is_empty());
+}
+
+#[test]
+fn red_parallelism_job_identity_stays_single_threaded() {
+    // Of the engine's files only the pool and the caches are islands.
+    let v = lint("crates/core/src/engine/job.rs", "use std::sync::Mutex;\n");
+    assert_eq!(rules(&v), ["parallelism"]);
+    assert!(!lint("crates/core/src/engine/mod.rs", "use std::sync::Mutex;\n").is_empty());
 }
 
 #[test]
