@@ -1,0 +1,158 @@
+//! Whole-machine state, pinned against the tree that recorded it.
+//!
+//! `tests/snapshots.rs` proves that round trips agree with each other;
+//! `tests/design_presets.rs` pins end-of-run statistics. Neither notices a
+//! change that moves what a snapshot holds, or what `stats()` reads, at a
+//! cycle in the middle of a run — which is where a simulator that stops
+//! visiting every core on every cycle could differ. For four designs on the
+//! issue-bound pair (NW+HS) and the translation-bound pair (SCAN+CONS) this
+//! pins the FNV-1a of
+//!
+//! * the sealed snapshot at cycle 1 237 (before the first epoch boundary,
+//!   cores in the middle of compute bursts),
+//! * `format!("{:?}", stats())` at cycle 3 001, reached by a second `run`
+//!   call that starts and stops mid-burst,
+//! * the sealed snapshot at cycle 100 000 (the first epoch boundary).
+//!
+//! The constants were recorded on the tree before the wake schedule existed
+//! (every core, every L2 bank, every cycle). A change that claims to be
+//! bit-identical may not edit them.
+
+use mask_common::snapshot::{Fnv1a, PrefixKey};
+use mask_core::prelude::*;
+
+const EARLY_CUT: u64 = 1_237;
+const MID_BURST: u64 = 3_001;
+const EPOCH_CUT: u64 = 100_000;
+
+fn build(design: DesignKind, apps: [&str; 2]) -> GpuSim {
+    let mut cfg = SimConfig::new(design).with_max_cycles(EPOCH_CUT);
+    cfg.seed = 21;
+    cfg.gpu.n_cores = 4;
+    cfg.gpu.warps_per_core = 16;
+    let specs: Vec<AppSpec> = apps
+        .iter()
+        .map(|name| AppSpec {
+            profile: app_by_name(name).expect("known app"),
+            n_cores: 2,
+        })
+        .collect();
+    GpuSim::new(&cfg, &specs)
+}
+
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// `[snapshot @ 1 237, stats @ 3 001, snapshot @ 100 000]`.
+fn digests(design: DesignKind, apps: [&str; 2]) -> [u64; 3] {
+    let key = PrefixKey(0x601d);
+    let mut sim = build(design, apps);
+    sim.run(EARLY_CUT);
+    let early = fnv(&sim.encode_snapshot(key));
+    sim.run(MID_BURST - EARLY_CUT);
+    let stats = fnv(format!("{:?}", sim.stats()).as_bytes());
+    sim.run(EPOCH_CUT - MID_BURST);
+    let epoch = fnv(&sim.encode_snapshot(key));
+    [early, stats, epoch]
+}
+
+const NW_HS: [&str; 2] = ["NW", "HS"];
+const SCAN_CONS: [&str; 2] = ["SCAN", "CONS"];
+
+const GOLDEN: [(DesignKind, [&str; 2], [u64; 3]); 8] = [
+    (
+        DesignKind::Mask,
+        NW_HS,
+        [
+            0xfe88_3ae3_7660_68ce,
+            0xecbc_aacb_57e8_62cb,
+            0x46d4_614c_cf24_d3d1,
+        ],
+    ),
+    (
+        DesignKind::Mask,
+        SCAN_CONS,
+        [
+            0x5799_85b3_0f25_6159,
+            0x2ee9_0703_0035_5692,
+            0xc38d_1ed0_4a1a_acc6,
+        ],
+    ),
+    (
+        DesignKind::SharedTlb,
+        NW_HS,
+        [
+            0x37ea_c5e8_686f_daa0,
+            0xecbc_aacb_57e8_62cb,
+            0xfc8e_0e84_dffe_a146,
+        ],
+    ),
+    (
+        DesignKind::SharedTlb,
+        SCAN_CONS,
+        [
+            0x9233_21fe_9517_be53,
+            0xb09e_eeb4_9e80_d041,
+            0xcfa2_927c_bcb1_82b7,
+        ],
+    ),
+    (
+        DesignKind::PwCache,
+        NW_HS,
+        [
+            0x1cb5_f0a0_4cd2_e58a,
+            0x904b_81d5_21fe_d2e2,
+            0xaf9a_2395_b172_075f,
+        ],
+    ),
+    (
+        DesignKind::PwCache,
+        SCAN_CONS,
+        [
+            0x38b1_4702_d305_3b54,
+            0x2613_bf1b_4699_0312,
+            0xbd6a_83b2_bfb4_72e8,
+        ],
+    ),
+    (
+        DesignKind::Ideal,
+        NW_HS,
+        [
+            0x26dd_bdb0_302c_501a,
+            0x8bcd_f5e8_7189_21fd,
+            0xc177_0e5e_a22d_4cc6,
+        ],
+    ),
+    (
+        DesignKind::Ideal,
+        SCAN_CONS,
+        [
+            0xf203_d45f_9e1b_15e2,
+            0xdfec_5a6d_519c_c786,
+            0x48b2_d2b3_25b9_7d8d,
+        ],
+    ),
+];
+
+#[test]
+fn machine_state_matches_the_recording_tree() {
+    let mut wrong = Vec::new();
+    for (design, apps, want) in GOLDEN {
+        let got = digests(design, apps);
+        if got != want {
+            wrong.push(format!(
+                "{design} {}+{}: got [{:#018x}, {:#018x}, {:#018x}]",
+                apps[0], apps[1], got[0], got[1], got[2]
+            ));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "machine state moved (snapshot @ {EARLY_CUT}, stats @ {MID_BURST}, \
+         snapshot @ {EPOCH_CUT}):\n{}",
+        wrong.join("\n")
+    );
+}
