@@ -54,11 +54,27 @@ struct Bank {
     head_stalled: bool,
 }
 
+impl Bank {
+    /// The cycle the queue head becomes serviceable; `Cycle::MAX` when the
+    /// queue is empty.
+    fn head_ready(&self) -> Cycle {
+        self.queue.front().map_or(Cycle::MAX, |&(_, ready)| ready)
+    }
+}
+
 /// The shared L2 cache.
 #[derive(Clone, Debug)]
 pub struct SharedL2Cache {
     array: DataCache,
     banks: Vec<Bank>,
+    /// Per bank, dense beside `banks`: the cycle its queue head becomes
+    /// serviceable, `Cycle::MAX` when the queue is empty. Queues are FIFO
+    /// with a constant latency, so the head is each bank's earliest entry
+    /// and `tick` skips a bank whose value lies in the future. A stalled
+    /// head keeps its value (≤ `now`), so it is still visited every cycle.
+    /// Derived state: maintained where a queue is pushed or popped,
+    /// re-derived by `restore`, not encoded.
+    head_ready: Vec<Cycle>,
     monitor: BypassMonitor,
     bypass_enabled: bool,
     latency: u64,
@@ -110,6 +126,7 @@ impl SharedL2Cache {
                     head_stalled: false,
                 })
                 .collect(),
+            head_ready: vec![Cycle::MAX; cfg.banks],
             monitor: BypassMonitor::with_margin(n_asids, margin),
             bypass_enabled: matches!(policy, L2Policy::SharedBypass),
             latency: cfg.latency,
@@ -163,8 +180,7 @@ impl SharedL2Cache {
                         MshrAlloc::Full => {
                             // Fall back to the banked path under extreme
                             // pressure rather than dropping the request.
-                            let bank = self.bank_index(req.line);
-                            self.banks[bank].queue.push_back((req, now + self.latency));
+                            self.push_banked(req, now);
                             return;
                         }
                     }
@@ -172,14 +188,44 @@ impl SharedL2Cache {
                 }
             }
         }
-        let bank = self.bank_index(req.line);
-        self.banks[bank].queue.push_back((req, now + self.latency));
+        self.push_banked(req, now);
     }
 
-    /// Advances one cycle: each bank services up to `ports` ready requests.
+    /// Queues `req` at its bank, serviceable after the pipeline latency.
+    fn push_banked(&mut self, req: MemRequest, now: Cycle) {
+        let bank = self.bank_index(req.line);
+        let ready = now + self.latency;
+        if self.banks[bank].queue.is_empty() {
+            self.head_ready[bank] = ready;
+        }
+        self.banks[bank].queue.push_back((req, ready));
+    }
+
+    /// Pops bank `b`'s head and re-reads the new head's ready cycle.
+    fn pop_head(&mut self, b: usize) {
+        self.banks[b].queue.pop_front();
+        self.head_ready[b] = self.banks[b].head_ready();
+    }
+
+    /// Advances one cycle: each bank whose head is serviceable services up
+    /// to `ports` ready requests, in ascending bank order (the order the
+    /// LRU stamps, `responses` and `to_dram` depend on).
     pub fn tick(&mut self, now: Cycle) {
         mask_sanitizer::cycle(self.san_id, "l2-cache", now);
+        if mask_sanitizer::is_enabled() {
+            mask_sanitizer::check(
+                self.head_ready
+                    .iter()
+                    .copied()
+                    .eq(self.banks.iter().map(Bank::head_ready)),
+                "l2-head-ready",
+                "a bank's head-ready cycle must be its queue head's (MAX when empty)",
+            );
+        }
         for b in 0..self.banks.len() {
+            if self.head_ready[b] > now {
+                continue;
+            }
             if self.banks[b].head_stalled {
                 // A stalled head's retry is a probe that misses (one LRU
                 // clock step, one recorded miss) and an allocation that
@@ -200,17 +246,15 @@ impl SharedL2Cache {
                 continue;
             }
             for _ in 0..self.ports {
-                let Some(&(req, ready)) = self.banks[b].queue.front() else {
-                    break;
-                };
-                if ready > now {
+                if self.head_ready[b] > now {
                     break;
                 }
+                let &(req, _) = self.banks[b].queue.front().expect("ready head");
                 // Probe the array.
                 let hit = self.array.probe(req.line, req.asid);
                 self.monitor.record(req.asid, req.class, hit);
                 if hit {
-                    self.banks[b].queue.pop_front();
+                    self.pop_head(b);
                     self.responses.push(L2Response {
                         req,
                         outcome: L2Outcome::Hit,
@@ -218,14 +262,12 @@ impl SharedL2Cache {
                 } else {
                     match self.banks[b].mshr.allocate(req.line, req) {
                         MshrAlloc::Primary => {
-                            self.banks[b].queue.pop_front();
+                            self.pop_head(b);
                             let mut fwd = req;
                             fwd.issued_at = now;
                             self.to_dram.push(fwd);
                         }
-                        MshrAlloc::Secondary => {
-                            self.banks[b].queue.pop_front();
-                        }
+                        MshrAlloc::Secondary => self.pop_head(b),
                         MshrAlloc::Full => {
                             // Head-of-line stall until a banked fill.
                             self.banks[b].head_stalled = true;
@@ -310,12 +352,11 @@ impl SharedL2Cache {
         if !self.to_dram.is_empty() || !self.responses.is_empty() {
             return Some(0);
         }
-        // Bank queues are FIFO with a constant latency offset, so the front
-        // entry is each bank's earliest ready cycle.
-        self.banks
+        self.head_ready
             .iter()
-            .filter_map(|b| b.queue.front().map(|&(_, ready)| ready))
+            .copied()
             .min()
+            .filter(|&ready| ready != Cycle::MAX)
     }
 
     /// Ends a monitoring epoch (latches new bypass decisions).
@@ -418,6 +459,7 @@ impl mask_common::snapshot::Snapshot for SharedL2Cache {
                 let ready = r.u64()?;
                 self.banks[b].queue.push_back((req, ready));
             }
+            self.head_ready[b] = self.banks[b].head_ready();
             self.banks[b].mshr.restore(r)?;
             self.banks[b].head_stalled = false;
         }
@@ -718,6 +760,43 @@ mod tests {
         assert_eq!(long.monitor().level_hit_rate(Asid::new(0), level), 0.0);
         let (.., short) = stall_run(2, MidStall::Nothing, false);
         assert_eq!(short.monitor().level_hit_rate(Asid::new(0), level), 1.0);
+    }
+
+    #[test]
+    fn tick_visits_only_banks_whose_head_is_ready() {
+        let mut l2 = SharedL2Cache::new(&cfg(), L2Policy::Shared, 1);
+        assert_eq!(l2.next_event(), None);
+        assert!(l2.head_ready.iter().all(|&ready| ready == Cycle::MAX));
+        // Lines 0 and 4 share bank 0 of 4; line 1 goes to bank 1.
+        l2.enqueue(req(1, 0, RequestClass::Data), 3);
+        l2.enqueue(req(2, 4, RequestClass::Data), 5);
+        l2.enqueue(req(3, 1, RequestClass::Data), 7);
+        assert_eq!(l2.head_ready, [13, 17, Cycle::MAX, Cycle::MAX]);
+        assert_eq!(l2.next_event(), Some(13));
+        l2.tick(12);
+        assert_eq!(l2.queued(), 3, "nothing is ready at cycle 12");
+        l2.tick(13);
+        // The popped head hands over to the request queued behind it.
+        assert_eq!(l2.head_ready, [15, 17, Cycle::MAX, Cycle::MAX]);
+        l2.tick(15);
+        assert_eq!(l2.head_ready, [Cycle::MAX, 17, Cycle::MAX, Cycle::MAX]);
+        l2.tick(17);
+        assert_eq!(l2.next_event(), Some(0), "three misses wait for DRAM");
+        assert_eq!(l2.take_dram_requests().len(), 3);
+        assert_eq!(l2.next_event(), None);
+    }
+
+    /// Red test for the `l2-head-ready` premise check: a bank whose
+    /// head-ready cycle went stale would be skipped with work queued.
+    #[cfg(feature = "sanitize")]
+    #[test]
+    #[should_panic(expected = "a bank's head-ready cycle must be its queue head's")]
+    fn stale_head_ready_cycle_trips_the_sanitizer() {
+        mask_sanitizer::enter_session(mask_sanitizer::new_session());
+        let mut l2 = SharedL2Cache::new(&cfg(), L2Policy::Shared, 1);
+        l2.enqueue(req(1, 0, RequestClass::Data), 0);
+        l2.head_ready[0] = Cycle::MAX;
+        l2.tick(10);
     }
 
     #[test]

@@ -97,6 +97,15 @@ pub struct Dram {
     channels: Vec<Channel>,
     partition: ChannelPartition,
     n_apps: usize,
+    /// Requests queued in any channel. At zero `tick` has nothing to
+    /// schedule and touches no channel.
+    n_queued: usize,
+    /// Earliest `finish` among all channels' in-flight accesses
+    /// (`Cycle::MAX` when none): before it `drain_completions_into` has
+    /// nothing to pop. Both gates are derived state, re-derived by
+    /// `restore` and, under the sanitizer, checked against the channels
+    /// every cycle (`dram-idle-gate`).
+    next_finish: Cycle,
     /// Sanitizer instance id for cycle-monotonicity tracking.
     san_id: u64,
 }
@@ -156,6 +165,8 @@ impl Dram {
                 .collect(),
             partition,
             n_apps: n_apps.max(1),
+            n_queued: 0,
+            next_finish: Cycle::MAX,
             san_id: mask_sanitizer::register_component("dram"),
         }
     }
@@ -180,6 +191,7 @@ impl Dram {
             decoded,
             arrival: now,
         };
+        self.n_queued += 1;
         let ch = &mut self.channels[decoded.channel];
         ch.note_queued(decoded.bank);
         match &mut ch.queue {
@@ -196,6 +208,16 @@ impl Dram {
     /// entries whose bank is free, and changes no state when it finds none.
     pub fn tick(&mut self, now: Cycle) {
         mask_sanitizer::cycle(self.san_id, "dram", now);
+        if mask_sanitizer::is_enabled() {
+            mask_sanitizer::check(
+                self.n_queued == self.queued() && self.next_finish == self.earliest_finish(),
+                "dram-idle-gate",
+                "the queued count and the earliest finish must match the channels",
+            );
+        }
+        if self.n_queued == 0 {
+            return;
+        }
         for ch in &mut self.channels {
             if ch.banks_queued == 0 {
                 continue;
@@ -224,6 +246,7 @@ impl Dram {
             let Some(entry) = picked else { continue };
             let Decoded { bank, row, .. } = entry.decoded;
             ch.note_issued(bank);
+            self.n_queued -= 1;
             let bank_state = &mut ch.banks[bank];
             let (outcome, access_lat) = match (self.cfg.row_policy, bank_state.open_row) {
                 (RowPolicy::Open, Some(open)) if open == row => (RowOutcome::Hit, self.cfg.t_cas),
@@ -260,6 +283,7 @@ impl Dram {
                     "a channel's accesses must finish in the order they issue",
                 );
             }
+            self.next_finish = self.next_finish.min(finish);
             ch.in_flight.push_back(DramCompletion {
                 req: entry.req,
                 outcome,
@@ -268,6 +292,15 @@ impl Dram {
                 bus_cycles: self.cfg.burst_cycles,
             });
         }
+    }
+
+    /// Earliest `finish` among the channels' in-flight fronts.
+    fn earliest_finish(&self) -> Cycle {
+        self.channels
+            .iter()
+            .filter_map(|ch| ch.in_flight.front().map(|c| c.finish))
+            .min()
+            .unwrap_or(Cycle::MAX)
     }
 
     /// Drains accesses whose data transfer has finished by `now`.
@@ -284,12 +317,16 @@ impl Dram {
     /// Moves accesses whose data transfer has finished by `now` into `out`
     /// (not cleared).
     pub fn drain_completions_into(&mut self, now: Cycle, out: &mut Vec<DramCompletion>) {
+        if now < self.next_finish {
+            return;
+        }
         let start = out.len();
         for ch in &mut self.channels {
             while let Some(done) = ch.in_flight.pop_front_if(|c| c.finish <= now) {
                 out.push(done);
             }
         }
+        self.next_finish = self.earliest_finish();
         if mask_sanitizer::is_enabled() {
             for c in &out[start..] {
                 mask_sanitizer::retire("dram", c.req.id.0);
@@ -302,13 +339,10 @@ impl Dram {
     /// bank/bus state, so we conservatively call it busy every cycle), the
     /// earliest in-flight finish otherwise, and `None` when fully drained.
     pub fn next_event(&self) -> Option<Cycle> {
-        if self.channels.iter().any(|ch| ch.banks_queued != 0) {
+        if self.n_queued != 0 {
             return Some(0);
         }
-        self.channels
-            .iter()
-            .filter_map(|ch| ch.in_flight.front().map(|c| c.finish))
-            .min()
+        (self.next_finish != Cycle::MAX).then_some(self.next_finish)
     }
 
     /// Pushes fresh per-app pressure products (`ConPTW_i * WarpsStalled_i`)
@@ -470,6 +504,8 @@ impl mask_common::snapshot::Snapshot for Dram {
                 ));
             }
         }
+        self.n_queued = self.queued();
+        self.next_finish = self.earliest_finish();
         // Re-open the device's conservation domain: every queued or
         // in-flight request was accepted before the snapshot and has yet to
         // complete. (MaskQueues re-opens its own `dram-queues` domain.)
@@ -744,6 +780,46 @@ mod tests {
         }
         assert_eq!(d.queued(), 2);
         d
+    }
+
+    #[test]
+    fn idle_gates_follow_the_channels() {
+        let mut d = Dram::new(&cfg(), 1, DramPolicy::Shared);
+        assert_eq!((d.n_queued, d.next_finish), (0, Cycle::MAX));
+        assert_eq!(d.next_event(), None);
+        d.enqueue(req(1, 0, RequestClass::Data), 0);
+        d.enqueue(req(2, 1, RequestClass::Data), 0);
+        assert_eq!(d.n_queued, 2);
+        assert_eq!(d.next_event(), Some(0));
+        let mut done = Vec::new();
+        let mut now = 0;
+        while done.len() < 2 {
+            d.tick(now);
+            assert_eq!(d.n_queued, d.queued());
+            assert_eq!(d.next_finish, d.earliest_finish());
+            d.drain_completions_into(now, &mut done);
+            assert_eq!(d.next_finish, d.earliest_finish());
+            now += 1;
+        }
+        assert_eq!((d.n_queued, d.next_finish), (0, Cycle::MAX));
+        // A restored device re-derives both from what it holds.
+        let busy = busy_channel();
+        let back = restored(&sealed(&busy)).expect("restores");
+        assert_eq!(back.n_queued, 2);
+        assert_eq!(back.next_finish, busy.next_finish);
+    }
+
+    /// Red test for the `dram-idle-gate` premise check: a queued count
+    /// stuck at zero would leave a request unscheduled forever.
+    #[cfg(feature = "sanitize")]
+    #[test]
+    #[should_panic(expected = "the queued count and the earliest finish must match the channels")]
+    fn stale_idle_gate_trips_the_sanitizer() {
+        mask_sanitizer::enter_session(mask_sanitizer::new_session());
+        let mut d = Dram::new(&cfg(), 1, DramPolicy::Shared);
+        d.enqueue(req(1, 0, RequestClass::Data), 0);
+        d.n_queued = 0;
+        d.tick(0);
     }
 
     #[test]

@@ -79,6 +79,9 @@ struct WarpCtx {
     xlat: Vec<(Vpn, Ppn)>,
 }
 
+/// [`GpuCore::burst_end`] when no compute burst is sleeping.
+const NO_BURST: Cycle = Cycle::MAX;
+
 /// One GPU shader core.
 #[derive(Clone, Debug)]
 pub struct GpuCore {
@@ -92,6 +95,13 @@ pub struct GpuCore {
     /// Bitmask of issuable warps.
     ready: u128,
     last: usize,
+    /// While a compute burst sleeps, the cycle at which warp `last` issues
+    /// its memory instruction; [`NO_BURST`] otherwise. During the sleep
+    /// `warps[last].state` is stale: the state a core stepped every cycle
+    /// would hold at cycle `c` is `Compute { left: burst_end - c }`
+    /// (`MemReady` at `burst_end`), which is what [`GpuCore::issue`]
+    /// materialises on entry and [`GpuCore::snapshot_at`] writes.
+    burst_end: Cycle,
     l1tlb: L1Tlb,
     l1cache: DataCache,
     l1mshr: MshrTable<usize>,
@@ -148,6 +158,7 @@ impl GpuCore {
             warps,
             ready,
             last: 0,
+            burst_end: NO_BURST,
             l1tlb: L1Tlb::new(cfg.tlb.l1_entries),
             l1cache: DataCache::new(cfg.l1_cache.bytes, cfg.l1_cache.assoc),
             l1mshr: MshrTable::new(cfg.l1_cache.mshrs),
@@ -187,12 +198,68 @@ impl GpuCore {
         Some(self.ready.trailing_zeros() as usize)
     }
 
-    /// Issue stage: at most one instruction this cycle.
-    pub fn issue(&mut self, now: Cycle, sink: &mut DirectIssue<'_>, stats: &mut AppStats) {
+    /// The state warp `last` would hold at cycle `now` had the sleeping
+    /// burst been stepped every cycle.
+    fn burst_state(&self, now: Cycle) -> WarpState {
+        let left = self
+            .burst_end
+            .checked_sub(now)
+            .expect("a sleeping burst is visited no later than its end");
+        if left == 0 {
+            WarpState::MemReady
+        } else {
+            WarpState::Compute { left: left as u32 }
+        }
+    }
+
+    /// Whether a compute burst sleeps through cycle `now`: the greedy warp
+    /// is still ready, nothing waits for an MSHR, and the burst ends later.
+    /// The premise under which a caller may skip [`GpuCore::issue`] at
+    /// `now` and credit one instruction instead.
+    pub fn burst_sleeps(&self, now: Cycle) -> bool {
+        self.burst_end != NO_BURST
+            && now < self.burst_end
+            && self.retry.is_empty()
+            && self.ready & (1 << self.last) != 0
+    }
+
+    /// Whether a deferred MSHR allocation is queued: `drain_retries` must
+    /// then run at the top of the next cycle, sleeping burst or not.
+    pub fn has_retries(&self) -> bool {
+        !self.retry.is_empty()
+    }
+
+    /// Issue stage: at most one instruction this cycle. Returns the next
+    /// cycle at which this stage has anything to decide:
+    ///
+    /// * `now + left` after issuing from the greedy warp in
+    ///   `Compute { left }` with no retry queued — the burst *sleeps*. GTO
+    ///   keeps selecting that warp while it is ready and wake-ups only set
+    ///   other warps' ready bits, so the cycles in between each issue one
+    ///   compute instruction (the caller credits them) and the memory
+    ///   instruction issues at the returned cycle. Only a
+    ///   [`GpuCore::translation_done`] that leaves a retry queued ends the
+    ///   sleep early ([`GpuCore::has_retries`]).
+    /// * `Cycle::MAX` when no warp is ready and no retry is queued — the
+    ///   core is *parked* and counts one stall per cycle (the caller
+    ///   credits them) until a completion makes [`GpuCore::is_idle`] false.
+    /// * `now + 1` otherwise.
+    ///
+    /// Calling it earlier than it asked for is always correct: a call that
+    /// arrives mid-burst first materialises the warp's state.
+    pub fn issue(&mut self, now: Cycle, sink: &mut DirectIssue<'_>, stats: &mut AppStats) -> Cycle {
+        if self.burst_end != NO_BURST {
+            self.warps[self.last].state = self.burst_state(now);
+            self.burst_end = NO_BURST;
+        }
         self.drain_retries(sink, now);
         let Some(w) = self.select_warp() else {
             stats.stall_cycles += 1;
-            return;
+            return if self.retry.is_empty() {
+                Cycle::MAX
+            } else {
+                now + 1
+            };
         };
         self.last = w;
         // Fetch a fresh op if needed (free, part of this issue slot). The
@@ -210,11 +277,15 @@ impl GpuCore {
         match self.warps[w].state {
             WarpState::Compute { left } => {
                 stats.instructions += 1;
-                self.warps[w].state = if left > 1 {
-                    WarpState::Compute { left: left - 1 }
+                if left > 1 {
+                    self.warps[w].state = WarpState::Compute { left: left - 1 };
+                    if self.retry.is_empty() {
+                        self.burst_end = now + Cycle::from(left);
+                        return self.burst_end;
+                    }
                 } else {
-                    WarpState::MemReady
-                };
+                    self.warps[w].state = WarpState::MemReady;
+                }
             }
             WarpState::MemReady => {
                 stats.instructions += 1;
@@ -223,6 +294,7 @@ impl GpuCore {
             }
             ref other => unreachable!("ready warp in non-issuable state {other:?}"),
         }
+        now + 1
     }
 
     fn issue_memory(
@@ -240,7 +312,11 @@ impl GpuCore {
                 .iter()
                 .map(|va| va.vpn(self.page_size_log2)),
         );
-        vpns.sort_unstable_by_key(|v| v.0);
+        // Lines of one page, or pages in ascending order, are the common
+        // case: `dedup` alone then gives what sort + `dedup` gives.
+        if !vpns.is_sorted_by_key(|v| v.0) {
+            vpns.sort_unstable_by_key(|v| v.0);
+        }
         vpns.dedup();
         let mut pending = 0u32;
         for &vpn in &vpns {
@@ -293,18 +369,27 @@ impl GpuCore {
         phys.clear();
         {
             let warp = &self.warps[w];
+            // Consecutive lines are nearly always of one page: look the
+            // translation up once per run of equal pages, not per line.
+            let mut page = None;
             for va in &warp.lines {
                 let vpn = va.vpn(self.page_size_log2);
-                let ppn = warp
-                    .xlat
-                    .iter()
-                    .find(|(v, _)| *v == vpn)
-                    .map(|(_, p)| *p)
-                    .expect("translation resolved before dispatch");
+                let ppn = match page {
+                    Some((v, ppn)) if v == vpn => ppn,
+                    _ => warp
+                        .xlat
+                        .iter()
+                        .find(|(v, _)| *v == vpn)
+                        .map(|(_, p)| *p)
+                        .expect("translation resolved before dispatch"),
+                };
+                page = Some((vpn, ppn));
                 phys.push(ppn.translate(*va, self.page_size_log2).line());
             }
         }
-        phys.sort_unstable_by_key(|l| l.0);
+        if !phys.is_sorted_by_key(|l| l.0) {
+            phys.sort_unstable_by_key(|l| l.0);
+        }
         phys.dedup();
         for &line in &phys {
             let hit = self.l1cache.probe(line, self.asid);
@@ -458,13 +543,21 @@ impl WarpState {
     }
 }
 
-impl mask_common::snapshot::Snapshot for GpuCore {
-    fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
-        use mask_common::snapshot::SnapField;
+impl GpuCore {
+    /// Encodes the core as it stands at the start of cycle `now`. A warp
+    /// whose compute burst sleeps is written in the state a core stepped
+    /// every cycle would hold, so the bytes do not depend on who skipped
+    /// what; the burst marker itself is derived state and is not encoded.
+    pub fn snapshot_at(&self, now: Cycle, w: &mut mask_common::snapshot::SnapshotWriter) {
+        use mask_common::snapshot::{SnapField, Snapshot as _};
         w.seq(self.warps.len());
-        for warp in &self.warps {
+        for (i, warp) in self.warps.iter().enumerate() {
             warp.trace.snapshot(w);
-            warp.state.snapshot(w);
+            if self.burst_end != NO_BURST && i == self.last {
+                self.burst_state(now).snapshot(w);
+            } else {
+                warp.state.snapshot(w);
+            }
             w.seq(warp.lines.len());
             for va in &warp.lines {
                 va.write(w);
@@ -487,12 +580,19 @@ impl mask_common::snapshot::Snapshot for GpuCore {
         }
     }
 
-    fn restore(
+    /// Restores what [`GpuCore::snapshot_at`] wrote; no burst sleeps in a
+    /// restored core.
+    ///
+    /// # Errors
+    ///
+    /// A payload that is truncated or holds out-of-range warp indices.
+    pub fn restore(
         &mut self,
         r: &mut mask_common::snapshot::SnapshotReader<'_>,
     ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::{SnapField, SnapshotError};
+        use mask_common::snapshot::{SnapField, Snapshot as _, SnapshotError};
         let n_warps = self.warps.len();
+        self.burst_end = NO_BURST;
         r.seq_exact(n_warps)?;
         for warp in &mut self.warps {
             warp.trace.restore(r)?;

@@ -55,6 +55,92 @@ fn core_layout(policy: ComputePolicy, cores_per_app: &[usize]) -> Vec<usize> {
     layout
 }
 
+/// How far ahead the wake schedule's wheel reaches. A burst that ends
+/// later is visited once mid-burst, which [`GpuCore::issue`] allows.
+const WAKE_HORIZON: u64 = 64;
+
+/// The wake schedule: per core, the next cycle at which its issue stage
+/// has anything to decide ([`GpuCore::issue`]'s return value). Stage 1 of
+/// `step` visits only the cores due this cycle and credits the rest in
+/// bulk: one instruction to a core whose compute burst sleeps (due at a
+/// later cycle), one stall to a parked core (`Cycle::MAX`). Only
+/// [`GpuSim::rouse`] — after a translation or a data line is delivered —
+/// makes a core due earlier than it asked.
+///
+/// Derived state: a snapshot does not encode it, and a restored simulator
+/// makes every core due at once (a parked core re-parks on that visit).
+#[derive(Debug)]
+struct WakeSchedule {
+    /// Per core, the cycle it is due; `Cycle::MAX` while parked.
+    at: Vec<Cycle>,
+    /// 64-core words per mask.
+    words: usize,
+    /// The cores due at cycle `c`, word `w`:
+    /// `wheel[(c % WAKE_HORIZON) * words + w]`. Every finite `at` lies less
+    /// than `WAKE_HORIZON` cycles ahead, so a slot holds one cycle's cores.
+    wheel: Vec<u64>,
+    /// The parked cores, one mask per word.
+    parked: Vec<u64>,
+}
+
+impl WakeSchedule {
+    /// Every core due at cycle 0.
+    fn new(n_cores: usize) -> Self {
+        let words = n_cores.div_ceil(64);
+        let mut wheel = vec![0; WAKE_HORIZON as usize * words];
+        for core in 0..n_cores {
+            wheel[core / 64] |= 1u64 << (core % 64);
+        }
+        WakeSchedule {
+            at: vec![0; n_cores],
+            words,
+            wheel,
+            parked: vec![0; words],
+        }
+    }
+
+    fn slot(&self, cycle: Cycle, core: usize) -> usize {
+        (cycle % WAKE_HORIZON) as usize * self.words + core / 64
+    }
+
+    /// Makes `core` due at cycle `at` (`Cycle::MAX` parks it), seen from
+    /// cycle `now`.
+    fn set(&mut self, core: usize, at: Cycle, now: Cycle) {
+        let (word, bit) = (core / 64, 1u64 << (core % 64));
+        match self.at[core] {
+            Cycle::MAX => self.parked[word] &= !bit,
+            old => {
+                let slot = self.slot(old, core);
+                self.wheel[slot] &= !bit;
+            }
+        }
+        if at == Cycle::MAX {
+            self.parked[word] |= bit;
+            self.at[core] = Cycle::MAX;
+        } else {
+            self.at[core] = at.min(now + WAKE_HORIZON - 1);
+            let slot = self.slot(self.at[core], core);
+            self.wheel[slot] |= bit;
+        }
+    }
+
+    /// Makes every core due at cycle `now`.
+    fn all_due(&mut self, now: Cycle) {
+        for core in 0..self.at.len() {
+            self.set(core, now, now);
+        }
+    }
+
+    /// The cores of `word` due at cycle `now`.
+    fn due(&self, now: Cycle, word: usize) -> u64 {
+        self.wheel[self.slot(now, word * 64)]
+    }
+
+    fn all_parked(&self) -> bool {
+        self.at.iter().all(|&at| at == Cycle::MAX)
+    }
+}
+
 /// The assembled GPU simulator.
 #[derive(Debug)]
 pub struct GpuSim {
@@ -67,6 +153,16 @@ pub struct GpuSim {
     now: Cycle,
     next_req_id: u64,
     n_apps: usize,
+    /// When each core's issue stage is next visited; see [`WakeSchedule`].
+    /// `reset_stats`, `flush_volatile`, `tlb_shootdown` and
+    /// `pte_update_flush` change no warp's readiness and no retry queue,
+    /// so they do not touch it.
+    wake: WakeSchedule,
+    /// Which cores each application owns, as bit masks over 64-core words:
+    /// word `w` of application `a` is `app_cores[a * wake.words + w]`. The
+    /// bulk credit is a population count per application, not an add per
+    /// core.
+    app_cores: Vec<u64>,
     /// Reusable scratch buffer for L2-bound requests.
     scratch_l2: Vec<MemRequest>,
     scratch_pwc: Vec<(Asid, bool)>,
@@ -137,7 +233,10 @@ impl GpuSim {
         let layout = core_layout(design.compute, &cores_per_app);
         let mut cores = Vec::with_capacity(cfg.gpu.n_cores);
         let mut ranks = vec![0usize; n_apps];
+        let words = cfg.gpu.n_cores.div_ceil(64);
+        let mut app_cores = vec![0u64; n_apps * words];
         for (core_idx, &app_idx) in layout.iter().enumerate() {
+            app_cores[app_idx * words + core_idx / 64] |= 1 << (core_idx % 64);
             let rank = ranks[app_idx];
             ranks[app_idx] += 1;
             cores.push(GpuCore::new(
@@ -160,6 +259,8 @@ impl GpuSim {
             now: 0,
             next_req_id: 0,
             n_apps,
+            wake: WakeSchedule::new(cfg.gpu.n_cores),
+            app_cores,
             scratch_l2: Vec::new(),
             scratch_pwc: Vec::new(),
             scratch_resolved: Vec::new(),
@@ -250,10 +351,25 @@ impl GpuSim {
                 &mut sink,
                 stats,
             );
+            self.rouse(c);
         }
         for i in 0..self.bucket_touched.len() {
             let c = self.bucket_touched[i];
             self.bucket_warps[c].clear();
+        }
+    }
+
+    /// Makes core `c` due at the next cycle if what was just delivered to
+    /// it (after stage 1 of this cycle, which has already been credited)
+    /// gave its issue stage something to decide: a queued retry ends even
+    /// a sleeping burst, because `drain_retries` must run at the top of
+    /// the very next cycle and decides request ids; a ready warp ends a
+    /// park. A sleeping burst is otherwise left alone — completions only
+    /// set other warps' ready bits and free MSHR entries nobody retries for.
+    fn rouse(&mut self, c: usize) {
+        let core = &self.cores[c];
+        if core.has_retries() || (self.wake.at[c] == Cycle::MAX && !core.is_idle()) {
+            self.wake.set(c, self.now + 1, self.now);
         }
     }
 
@@ -270,9 +386,41 @@ impl GpuSim {
             out_l2: &mut self.scratch_l2,
             next_req_id: &mut self.next_req_id,
         };
-        for i in 0..self.cores.len() {
-            let app = self.cores[i].asid.index();
-            self.cores[i].issue(now, &mut sink, &mut self.stats.apps[app]);
+        let words = self.wake.words;
+        for word in 0..words {
+            let mut due = self.wake.due(now, word);
+            let parked = self.wake.parked[word];
+            // The cores not visited: one stall for a parked core, one
+            // instruction for a core inside a sleeping burst.
+            for (app, stats) in self.stats.apps.iter_mut().enumerate() {
+                let own = self.app_cores[app * words + word];
+                stats.instructions += u64::from((own & !(due | parked)).count_ones());
+                stats.stall_cycles += u64::from((own & parked).count_ones());
+            }
+            if mask_sanitizer::is_enabled() {
+                for (bit, core) in self.cores[word * 64..].iter().take(64).enumerate() {
+                    if due >> bit & 1 == 0 {
+                        mask_sanitizer::check(
+                            if parked >> bit & 1 != 0 {
+                                core.is_idle()
+                            } else {
+                                core.burst_sleeps(now)
+                            },
+                            "core-wake",
+                            "a skipped core must be idle (parked) or inside a compute burst (sleeping)",
+                        );
+                    }
+                }
+            }
+            // Ascending core order: request ids are allocated in it.
+            while due != 0 {
+                let i = word * 64 + due.trailing_zeros() as usize;
+                due &= due - 1;
+                let core = &mut self.cores[i];
+                let stats = &mut self.stats.apps[core.asid.index()];
+                let next = core.issue(now, &mut sink, stats);
+                self.wake.set(i, next, now);
+            }
         }
         drop(timing);
         // 2. Translation unit: L2 TLB pipeline + walker activation. The
@@ -344,7 +492,9 @@ impl GpuSim {
                     self.stats.apps[app]
                         .l2_data
                         .record(resp.outcome == L2Outcome::Hit);
-                    self.cores[resp.req.core.index()].line_done(resp.req.line);
+                    let c = resp.req.core.index();
+                    self.cores[c].line_done(resp.req.line);
+                    self.rouse(c);
                 }
                 RequestClass::Translation(level) => {
                     match resp.outcome {
@@ -452,7 +602,7 @@ impl GpuSim {
     /// The earliest future cycle (≤ `end`) at which anything can happen,
     /// or `None` if the next cycle must be simulated in full.
     ///
-    /// A span may be skipped only when every core is idle (no issuable
+    /// A span may be skipped only when every core is parked (no issuable
     /// warp, no deferred MSHR retry) and no component reports an event at
     /// or before `now`. Under those conditions `step()` provably changes
     /// nothing but the per-cycle counters that `fast_forward` replays in
@@ -464,7 +614,9 @@ impl GpuSim {
         if !self.skip_enabled {
             return None;
         }
-        if self.cores.iter().any(|c| !c.is_idle()) {
+        // Parked implies idle; a core that is idle but still due (fresh
+        // from `restore`) parks on its next visit.
+        if !self.wake.all_parked() {
             return None;
         }
         let mut target = end;
@@ -493,9 +645,11 @@ impl GpuSim {
     /// `idle_horizon` preconditions.
     fn fast_forward(&mut self, delta: u64) {
         debug_assert!(delta > 0);
-        // Each idle core's issue stage counts one stall per cycle.
-        for c in &self.cores {
-            self.stats.apps[c.asid.index()].stall_cycles += delta;
+        // Each parked core's issue stage counts one stall per cycle.
+        let owned = self.app_cores.chunks(self.wake.words);
+        for (stats, own) in self.stats.apps.iter_mut().zip(owned) {
+            let n_cores: u32 = own.iter().map(|w| w.count_ones()).sum();
+            stats.stall_cycles += delta * u64::from(n_cores);
         }
         // The translation unit's per-tick epoch integral.
         self.xlat.fast_forward(delta);
@@ -635,7 +789,7 @@ impl mask_common::snapshot::Snapshot for GpuSim {
         self.stats.snapshot(w);
         w.seq(self.cores.len());
         for core in &self.cores {
-            core.snapshot(w);
+            core.snapshot_at(self.now, w);
         }
         self.xlat.snapshot(w);
         self.l2.snapshot(w);
@@ -658,6 +812,7 @@ impl mask_common::snapshot::Snapshot for GpuSim {
         for core in &mut self.cores {
             core.restore(r)?;
         }
+        self.wake.all_due(self.now);
         self.xlat.restore(r)?;
         self.l2.restore(r)?;
         self.dram.restore(r)?;
@@ -867,6 +1022,71 @@ mod tests {
         assert!(fresh
             .restore_snapshot(&bytes[..bytes.len() / 2], PrefixKey(1))
             .is_err());
+    }
+
+    #[test]
+    fn wake_schedule_moves_a_core_between_its_slots() {
+        let mut wake = WakeSchedule::new(70);
+        assert_eq!(wake.words, 2);
+        assert_eq!(wake.due(0, 0), u64::MAX);
+        assert_eq!(wake.due(0, 1), (1 << 6) - 1, "cores 64..70");
+        // Core 3 sleeps until cycle 9, core 65 parks, core 5 asks for more
+        // than the wheel reaches and is due at the horizon instead.
+        wake.set(3, 9, 0);
+        wake.set(65, Cycle::MAX, 0);
+        wake.set(5, 1_000, 0);
+        assert_eq!(wake.due(0, 0), !(1 << 3 | 1 << 5));
+        assert_eq!(wake.due(9, 0), 1 << 3);
+        assert_eq!(wake.at[5], WAKE_HORIZON - 1);
+        assert_eq!(wake.due(WAKE_HORIZON - 1, 0), 1 << 5);
+        assert_eq!((wake.parked[0], wake.parked[1]), (0, 1 << 1));
+        assert!(!wake.all_parked());
+        // Rousing the sleeper and the parked core makes both due next cycle.
+        wake.set(3, 5, 4);
+        wake.set(65, 5, 4);
+        assert_eq!((wake.due(9, 0), wake.due(5, 0)), (0, 1 << 3));
+        assert_eq!((wake.due(5, 1), wake.parked[1]), (1 << 1, 0));
+        for core in 0..70 {
+            wake.set(core, Cycle::MAX, 5);
+        }
+        assert!(wake.all_parked());
+        assert!(wake.wheel.iter().all(|&slot| slot == 0));
+        wake.all_due(77);
+        assert_eq!(wake.due(77, 1), (1 << 6) - 1);
+        assert!(wake.at.iter().all(|&at| at == 77));
+    }
+
+    #[test]
+    fn statistics_are_current_while_bursts_sleep() {
+        // One instruction per core per cycle while nothing stalls: were a
+        // sleeping burst credited at its end, a mid-burst read would lag.
+        let mut s = sim(DesignKind::Ideal, &[("NW", 2), ("HS", 2)], 1_000);
+        for cycle in 1..=40 {
+            s.step();
+            let st = s.stats();
+            let issued: u64 = st
+                .apps
+                .iter()
+                .map(|a| a.instructions + a.stall_cycles)
+                .sum();
+            assert_eq!(issued, 4 * cycle, "after cycle {cycle}");
+        }
+        assert!(
+            s.wake.at.iter().any(|&at| at > s.now + 1),
+            "NW and HS compute for 12+ cycles per memory instruction: some burst sleeps"
+        );
+    }
+
+    /// Red test for the `core-wake` premise check: a core with ready warps
+    /// marked as parked would count stalls while it should issue.
+    #[cfg(feature = "sanitize")]
+    #[test]
+    #[should_panic(expected = "a skipped core must be idle (parked)")]
+    fn parking_a_core_with_a_ready_warp_trips_the_sanitizer() {
+        let mut s = sim(DesignKind::SharedTlb, &[("HISTO", 4)], 1_000);
+        s.run(10);
+        s.wake.set(2, Cycle::MAX, s.now);
+        s.step();
     }
 
     #[test]

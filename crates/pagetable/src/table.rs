@@ -11,26 +11,66 @@ const NODE_ENTRIES: usize = 1 << BITS_PER_LEVEL;
 /// Bytes per page-table entry.
 const PTE_BYTES: u64 = 8;
 
-/// One interior node of the radix tree.
+/// One node of the radix tree. Its depth fixes what it holds — a node at
+/// the deepest level translations, any other node children — so only that
+/// array is allocated.
 #[derive(Clone, Debug)]
 struct Node {
     /// 4 KB frame number holding this node in physical memory.
     frame: u64,
-    /// Child node indices (into `PageTable::nodes`) for interior levels.
-    children: Box<[u32; NODE_ENTRIES]>,
-    /// Leaf translations (valid only at the deepest level).
-    leaves: Box<[u64; NODE_ENTRIES]>,
+    slots: Slots,
+}
+
+#[derive(Clone, Debug)]
+enum Slots {
+    /// Child node indices (into `PageTable::nodes`), `NO_CHILD` when absent.
+    Interior(Box<[u32; NODE_ENTRIES]>),
+    /// Leaf translations, `NO_LEAF` when unmapped.
+    Leaf(Box<[u64; NODE_ENTRIES]>),
 }
 
 const NO_CHILD: u32 = u32::MAX;
 const NO_LEAF: u64 = u64::MAX;
 
 impl Node {
-    fn new(frame: u64) -> Self {
+    fn interior(frame: u64) -> Self {
         Node {
             frame,
-            children: Box::new([NO_CHILD; NODE_ENTRIES]),
-            leaves: Box::new([NO_LEAF; NODE_ENTRIES]),
+            slots: Slots::Interior(Box::new([NO_CHILD; NODE_ENTRIES])),
+        }
+    }
+
+    fn leaf(frame: u64) -> Self {
+        Node {
+            frame,
+            slots: Slots::Leaf(Box::new([NO_LEAF; NODE_ENTRIES])),
+        }
+    }
+
+    /// A fresh node read at `level` of a `levels`-deep walk.
+    fn at_level(frame: u64, level: u8, levels: u8) -> Self {
+        if level == levels {
+            Node::leaf(frame)
+        } else {
+            Node::interior(frame)
+        }
+    }
+
+    /// The child behind slot `idx`; `NO_CHILD` for an empty slot and for
+    /// every slot of a leaf node.
+    fn child(&self, idx: usize) -> u32 {
+        match &self.slots {
+            Slots::Interior(children) => children[idx],
+            Slots::Leaf(_) => NO_CHILD,
+        }
+    }
+
+    /// The translation in slot `idx`; `NO_LEAF` for an unmapped slot and
+    /// for every slot of an interior node.
+    fn leaf_at(&self, idx: usize) -> u64 {
+        match &self.slots {
+            Slots::Leaf(leaves) => leaves[idx],
+            Slots::Interior(_) => NO_LEAF,
         }
     }
 }
@@ -53,11 +93,12 @@ impl PageTable {
     /// Creates an empty page table for `asid`, allocating its root node.
     pub fn new(asid: Asid, alloc: &mut FrameAllocator) -> Self {
         let page_size_log2 = alloc.page_size_log2();
-        let root = Node::new(alloc.alloc_node());
+        let levels = levels_for_page_size(page_size_log2);
+        let root = Node::at_level(alloc.alloc_node(), 1, levels);
         PageTable {
             asid,
             page_size_log2,
-            levels: levels_for_page_size(page_size_log2),
+            levels,
             nodes: vec![root],
             mapped: 0,
         }
@@ -83,14 +124,14 @@ impl PageTable {
         let mut node = 0usize;
         for level in 1..self.levels {
             let idx = vpn.level_index(level, self.page_size_log2) as usize;
-            let child = self.nodes[node].children[idx];
+            let child = self.nodes[node].child(idx);
             if child == NO_CHILD {
                 return None;
             }
             node = child as usize;
         }
         let leaf_idx = vpn.level_index(self.levels, self.page_size_log2) as usize;
-        let leaf = self.nodes[node].leaves[leaf_idx];
+        let leaf = self.nodes[node].leaf_at(leaf_idx);
         (leaf != NO_LEAF).then_some(Ppn(leaf))
     }
 
@@ -104,24 +145,30 @@ impl PageTable {
         let mut node = 0usize;
         for level in 1..self.levels {
             let idx = vpn.level_index(level, self.page_size_log2) as usize;
-            let child = self.nodes[node].children[idx];
+            let child = self.nodes[node].child(idx);
             node = if child == NO_CHILD {
                 let frame = alloc.alloc_node();
                 let new_idx = self.nodes.len() as u32;
-                self.nodes.push(Node::new(frame));
-                self.nodes[node].children[idx] = new_idx;
+                self.nodes
+                    .push(Node::at_level(frame, level + 1, self.levels));
+                let Slots::Interior(children) = &mut self.nodes[node].slots else {
+                    unreachable!("a node above the deepest level is interior");
+                };
+                children[idx] = new_idx;
                 new_idx as usize
             } else {
                 child as usize
             };
         }
         let leaf_idx = vpn.level_index(self.levels, self.page_size_log2) as usize;
-        let leaf = self.nodes[node].leaves[leaf_idx];
-        if leaf != NO_LEAF {
-            return Ppn(leaf);
+        let Slots::Leaf(leaves) = &mut self.nodes[node].slots else {
+            unreachable!("a node at the deepest level is a leaf");
+        };
+        if leaves[leaf_idx] != NO_LEAF {
+            return Ppn(leaves[leaf_idx]);
         }
         let ppn = alloc.alloc_data(self.asid);
-        self.nodes[node].leaves[leaf_idx] = ppn.0;
+        leaves[leaf_idx] = ppn.0;
         self.mapped += 1;
         ppn
     }
@@ -141,7 +188,7 @@ impl PageTable {
         let mut node = 0usize;
         for l in 1..level.raw() {
             let idx = vpn.level_index(l, self.page_size_log2) as usize;
-            let child = self.nodes[node].children[idx];
+            let child = self.nodes[node].child(idx);
             assert!(child != NO_CHILD, "walk_line on unmapped vpn {vpn:?}");
             node = child as usize;
         }
@@ -171,7 +218,7 @@ impl PageTable {
 
     fn child(&self, node: u32, vpn: Vpn, level: u8) -> Option<u32> {
         let idx = vpn.level_index(level, self.page_size_log2) as usize;
-        let child = self.nodes.get(node as usize)?.children[idx];
+        let child = self.nodes.get(node as usize)?.child(idx);
         (child != NO_CHILD).then_some(child)
     }
 
@@ -287,18 +334,23 @@ impl PageTables {
 }
 
 impl mask_common::snapshot::Snapshot for PageTable {
-    /// Serializes the radix nodes densely (frame, children, leaves) plus the
+    /// Serializes the radix nodes densely (frame, children, leaves — the
+    /// array a node does not hold written as all-absent) plus the
     /// mapped-page count; the ASID, page size, and level count are fixed at
     /// construction.
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
         w.seq(self.nodes.len());
         for node in &self.nodes {
             w.u64(node.frame);
-            for &c in node.children.iter() {
-                w.u32(c);
-            }
-            for &l in node.leaves.iter() {
-                w.u64(l);
+            match &node.slots {
+                Slots::Interior(children) => {
+                    children.iter().for_each(|&c| w.u32(c));
+                    (0..NODE_ENTRIES).for_each(|_| w.u64(NO_LEAF));
+                }
+                Slots::Leaf(leaves) => {
+                    (0..NODE_ENTRIES).for_each(|_| w.u32(NO_CHILD));
+                    leaves.iter().for_each(|&l| w.u64(l));
+                }
             }
         }
         w.usize(self.mapped);
@@ -308,21 +360,47 @@ impl mask_common::snapshot::Snapshot for PageTable {
         &mut self,
         r: &mut mask_common::snapshot::SnapshotReader<'_>,
     ) -> Result<(), mask_common::snapshot::SnapshotError> {
+        use mask_common::snapshot::SnapshotError::Malformed;
         let n = r.seq()?;
         if n == 0 {
-            return Err(mask_common::snapshot::SnapshotError::Malformed(
-                "page table without a root node",
-            ));
+            return Err(Malformed("page table without a root node"));
         }
+        // A node's level — which array it holds — is its parent's plus one,
+        // and a child always follows its parent in `nodes`, so every level
+        // is known by the time its node is read. 0 = no parent seen yet.
+        let mut level_of = vec![0u8; n];
+        level_of[0] = 1;
         self.nodes.clear();
-        for _ in 0..n {
+        for i in 0..n {
             let frame = r.u64()?;
-            let mut node = Node::new(frame);
-            for c in node.children.iter_mut() {
-                *c = r.u32()?;
+            let level = level_of[i];
+            if level == 0 {
+                return Err(Malformed("page-table node without a parent"));
             }
-            for l in node.leaves.iter_mut() {
-                *l = r.u64()?;
+            let mut node = Node::at_level(frame, level, self.levels);
+            for idx in 0..NODE_ENTRIES {
+                let child = r.u32()?;
+                if child == NO_CHILD {
+                    continue;
+                }
+                let Slots::Interior(children) = &mut node.slots else {
+                    return Err(Malformed("leaf page-table node with a child"));
+                };
+                match level_of.get_mut(child as usize) {
+                    Some(seen) if child as usize > i && *seen == 0 => *seen = level + 1,
+                    _ => return Err(Malformed("page-table child out of order")),
+                }
+                children[idx] = child;
+            }
+            for idx in 0..NODE_ENTRIES {
+                let leaf = r.u64()?;
+                if leaf == NO_LEAF {
+                    continue;
+                }
+                let Slots::Leaf(leaves) = &mut node.slots else {
+                    return Err(Malformed("interior page-table node with a translation"));
+                };
+                leaves[idx] = leaf;
             }
             self.nodes.push(node);
         }
@@ -477,6 +555,140 @@ mod tests {
             );
             if pts.levels() == 3 {
                 assert_eq!(pts.walk_node(Asid::new(0), Vpn(0), WalkLevel::new(4)), None);
+            }
+        }
+    }
+
+    /// A node as (frame, occupied child slots, occupied leaf slots).
+    type RawNode = (u64, Vec<(usize, u32)>, Vec<(usize, u64)>);
+
+    /// The node encoding the codec has always had: frame, 512 children,
+    /// 512 leaves, whichever of the two the node really holds.
+    fn dense(nodes: &[RawNode], mapped: usize) -> Vec<u8> {
+        use mask_common::snapshot::{PrefixKey, SnapshotWriter};
+        let mut w = SnapshotWriter::new();
+        w.seq(nodes.len());
+        for (frame, children, leaves) in nodes {
+            w.u64(*frame);
+            for idx in 0..NODE_ENTRIES {
+                let child = children.iter().find(|(i, _)| *i == idx);
+                w.u32(child.map_or(NO_CHILD, |&(_, c)| c));
+            }
+            for idx in 0..NODE_ENTRIES {
+                let leaf = leaves.iter().find(|(i, _)| *i == idx);
+                w.u64(leaf.map_or(NO_LEAF, |&(_, l)| l));
+            }
+        }
+        w.usize(mapped);
+        w.seal(PrefixKey(0))
+    }
+
+    fn restore_table(
+        page_size_log2: u32,
+        bytes: &[u8],
+    ) -> Result<PageTable, mask_common::snapshot::SnapshotError> {
+        use mask_common::snapshot::{Snapshot, SnapshotReader};
+        let mut alloc = FrameAllocator::new(page_size_log2);
+        let mut table = PageTable::new(Asid::new(0), &mut alloc);
+        let (mut r, _) = SnapshotReader::open(bytes)?;
+        table.restore(&mut r)?;
+        r.finish()?;
+        Ok(table)
+    }
+
+    #[test]
+    fn a_node_holds_one_array_and_the_encoding_stays_dense() {
+        use mask_common::snapshot::{PrefixKey, Snapshot, SnapshotWriter};
+        for page_size_log2 in [PAGE_SIZE_4K_LOG2, PAGE_SIZE_2M_LOG2] {
+            let mut alloc = FrameAllocator::new(page_size_log2);
+            let mut table = PageTable::new(Asid::new(0), &mut alloc);
+            let vpns: Vec<Vpn> = (0..40u64).map(|i| Vpn(i * 0x4_0201 + (i << 27))).collect();
+            let ppns: Vec<Ppn> = vpns
+                .iter()
+                .map(|&v| table.ensure_mapped(v, &mut alloc))
+                .collect();
+            let levels = usize::from(table.levels());
+            assert!(table.nodes.len() > levels, "several subtrees");
+            assert!(matches!(table.nodes[0].slots, Slots::Interior(_)));
+            let n_leaf_nodes = table
+                .nodes
+                .iter()
+                .filter(|n| matches!(n.slots, Slots::Leaf(_)))
+                .count();
+            assert!(n_leaf_nodes > 1 && n_leaf_nodes < table.nodes.len());
+
+            let mut w = SnapshotWriter::new();
+            table.snapshot(&mut w);
+            let bytes = w.seal(PrefixKey(0));
+            // Both arrays of every node are in the payload, absent or not.
+            let per_node = 8 + NODE_ENTRIES * 4 + NODE_ENTRIES * 8;
+            assert_eq!(bytes.len(), 32 + 8 + table.nodes.len() * per_node + 8);
+
+            let back = restore_table(page_size_log2, &bytes).expect("own encoding restores");
+            for (&v, &p) in vpns.iter().zip(&ppns) {
+                assert_eq!(back.translate(v), Some(p));
+                assert_eq!(
+                    back.walk_line(v, WalkLevel::new(table.levels())),
+                    table.walk_line(v, WalkLevel::new(table.levels()))
+                );
+            }
+            let mut w = SnapshotWriter::new();
+            back.snapshot(&mut w);
+            assert!(
+                w.seal(PrefixKey(0)) == bytes,
+                "re-encoding is byte-identical"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_nodes_that_are_both_or_out_of_order() {
+        use mask_common::snapshot::SnapshotError::Malformed;
+        // A well-formed three-level chain (2 MB pages): root -> 1 -> 2 (leaf).
+        let chain = |leaf_children: Vec<(usize, u32)>, mid_leaves: Vec<(usize, u64)>| {
+            dense(
+                &[
+                    (10, vec![(0, 1)], vec![]),
+                    (11, vec![(5, 2)], mid_leaves),
+                    (12, leaf_children, vec![(7, 99)]),
+                ],
+                1,
+            )
+        };
+        let good = restore_table(PAGE_SIZE_2M_LOG2, &chain(vec![], vec![])).expect("well formed");
+        assert_eq!(good.translate(Vpn((5 << 9) | 7)), Some(Ppn(99)));
+        for (bytes, why) in [
+            (
+                chain(vec![(3, 1)], vec![]),
+                "leaf page-table node with a child",
+            ),
+            (
+                chain(vec![], vec![(3, 42)]),
+                "interior page-table node with a translation",
+            ),
+            (
+                dense(&[(10, vec![(0, 0)], vec![])], 0),
+                "page-table child out of order",
+            ),
+            (
+                dense(
+                    &[(10, vec![(0, 1), (1, 1)], vec![]), (11, vec![], vec![])],
+                    0,
+                ),
+                "page-table child out of order",
+            ),
+            (
+                dense(&[(10, vec![(0, 7)], vec![])], 0),
+                "page-table child out of order",
+            ),
+            (
+                dense(&[(10, vec![], vec![]), (11, vec![], vec![])], 0),
+                "page-table node without a parent",
+            ),
+        ] {
+            match restore_table(PAGE_SIZE_2M_LOG2, &bytes) {
+                Err(Malformed(got)) => assert_eq!(got, why),
+                other => panic!("expected Malformed({why:?}), got {:?}", other.map(|_| ())),
             }
         }
     }

@@ -29,7 +29,13 @@ pub struct AssocArray<K, V> {
     lens: Vec<usize>,
     assoc: usize,
     stamp: u64,
+    /// The slot the last probe hit or the last fill wrote; `NO_SLOT` after
+    /// any removal. Keys in a set are unique, so finding a key there first
+    /// answers what the scan would. Derived state: not encoded.
+    mru: usize,
 }
+
+const NO_SLOT: usize = usize::MAX;
 
 impl<K: Eq + Hash + Copy + Default, V: Copy + Default> AssocArray<K, V> {
     /// Creates an array with `entries` total capacity and `assoc` ways.
@@ -56,6 +62,7 @@ impl<K: Eq + Hash + Copy + Default, V: Copy + Default> AssocArray<K, V> {
             lens: vec![0; n_sets],
             assoc,
             stamp: 0,
+            mru: NO_SLOT,
         }
     }
 
@@ -102,6 +109,9 @@ impl<K: Eq + Hash + Copy + Default, V: Copy + Default> AssocArray<K, V> {
 
     /// The slot holding `key`, if resident.
     fn find(&self, key: &K) -> Option<usize> {
+        if self.keys.get(self.mru) == Some(key) {
+            return Some(self.mru);
+        }
         let set = self.set_index(key);
         let base = set * self.assoc;
         self.keys[base..base + self.lens[set]]
@@ -113,6 +123,7 @@ impl<K: Eq + Hash + Copy + Default, V: Copy + Default> AssocArray<K, V> {
     /// Removes the entry in `slot` of `set` by moving the set's last entry
     /// into it (`swap_remove`), returning what was there.
     fn remove_slot(&mut self, set: usize, slot: usize) -> (K, V) {
+        self.mru = NO_SLOT;
         let last = set * self.assoc + self.lens[set] - 1;
         let removed = (self.keys[slot], self.slots[slot].0);
         self.keys[slot] = self.keys[last];
@@ -125,6 +136,7 @@ impl<K: Eq + Hash + Copy + Default, V: Copy + Default> AssocArray<K, V> {
     pub fn probe(&mut self, key: &K) -> Option<V> {
         self.stamp += 1;
         let found = self.find(key)?;
+        self.mru = found;
         let slot = &mut self.slots[found];
         slot.1 = self.stamp;
         Some(slot.0)
@@ -147,22 +159,26 @@ impl<K: Eq + Hash + Copy + Default, V: Copy + Default> AssocArray<K, V> {
         let len = self.lens[set];
         if let Some(way) = self.keys[base..base + len].iter().position(|k| *k == key) {
             self.slots[base + way] = (value, stamp);
+            self.mru = base + way;
             return None;
         }
         let mut evicted = None;
         if len >= self.assoc {
-            let victim = self.slots[base..base + len]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, slot)| slot.1)
-                .map(|(way, _)| way)
-                .expect("set is non-empty");
+            // The positionally-first minimum stamp, as a compare-and-select
+            // the compiler keeps free of branches.
+            let (mut victim, mut oldest) = (0, u64::MAX);
+            for (way, slot) in self.slots[base..base + len].iter().enumerate() {
+                if slot.1 < oldest {
+                    (victim, oldest) = (way, slot.1);
+                }
+            }
             evicted = Some(self.remove_slot(set, base + victim));
         }
         let end = base + self.lens[set];
         self.keys[end] = key;
         self.slots[end] = (value, stamp);
         self.lens[set] += 1;
+        self.mru = end;
         evicted
     }
 
@@ -175,6 +191,7 @@ impl<K: Eq + Hash + Copy + Default, V: Copy + Default> AssocArray<K, V> {
     /// Removes all entries matching a predicate (e.g. per-ASID flush),
     /// keeping the survivors of each set in order.
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
+        self.mru = NO_SLOT;
         for (set, len) in self.lens.iter_mut().enumerate() {
             let base = set * self.assoc;
             let mut kept = 0;
@@ -191,6 +208,7 @@ impl<K: Eq + Hash + Copy + Default, V: Copy + Default> AssocArray<K, V> {
 
     /// Removes every entry.
     pub fn flush(&mut self) {
+        self.mru = NO_SLOT;
         self.lens.fill(0);
     }
 
@@ -225,6 +243,7 @@ impl<K: SnapField + Eq + Hash + Copy + Default, V: SnapField + Copy + Default> S
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.mru = NO_SLOT;
         self.stamp = r.u64()?;
         r.seq_exact(self.lens.len())?;
         for set in 0..self.lens.len() {

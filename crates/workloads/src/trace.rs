@@ -28,8 +28,14 @@ pub struct WarpTrace {
     profile: AppProfile,
     rng: Pcg32,
     page_size_log2: u32,
-    /// Global warp index (drives group assignment).
-    global_warp: u64,
+    /// `lines_per_page - 1`: lines per page is a power of two by
+    /// construction, so a line index is reduced with a mask, not a divide.
+    line_mask: u64,
+    /// Index of the warp's page-sharing group: the global warp index over
+    /// the pattern's `group` (1 for patterns without a stream).
+    group_id: u64,
+    /// Lines a memory instruction touches in each page it visits.
+    lines_per_visit: u64,
     /// Stream state: current step index and remaining burst count.
     step: u64,
     burst_left: u64,
@@ -53,11 +59,23 @@ impl WarpTrace {
             .name
             .bytes()
             .fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(u64::from(b)));
+        // Every quotient of profile constants an op needs is taken here,
+        // once, so generating an op never divides.
+        let (group, pages_per_instr) = match profile.pattern {
+            Pattern::Stream { group, .. } | Pattern::TiledHot { group, .. } => (group, 1),
+            Pattern::Random {
+                pages_per_instr, ..
+            } => (1, pages_per_instr),
+            Pattern::HotCold { .. } => (1, 1),
+        };
+        let lines_per_visit = (profile.lines_per_instr / pages_per_instr.max(1)).max(1);
         WarpTrace {
             profile: *profile,
             rng: Pcg32::new(seed ^ name_hash, global_warp + 1),
             page_size_log2,
-            global_warp,
+            line_mask: (1 << (page_size_log2 - LINE_SIZE_LOG2)) - 1,
+            group_id: global_warp / u64::from(group.max(1)),
+            lines_per_visit: u64::from(lines_per_visit),
             step: 0,
             burst_left: 0,
             recent: [(0, 0); 8],
@@ -67,15 +85,13 @@ impl WarpTrace {
     }
 
     fn lines_per_page(&self) -> u64 {
-        1 << (self.page_size_log2 - LINE_SIZE_LOG2)
+        self.line_mask + 1
     }
 
-    /// Virtual address of `line_idx` within `page`.
+    /// Virtual address of `line_idx` (wrapped into the page) within `page`.
     fn line_va(&self, page: u64, line_idx: u64) -> VirtAddr {
         VirtAddr::new(
-            DATA_BASE
-                + (page << self.page_size_log2)
-                + (line_idx % self.lines_per_page()) * LINE_SIZE,
+            DATA_BASE + (page << self.page_size_log2) + (line_idx & self.line_mask) * LINE_SIZE,
         )
     }
 
@@ -88,17 +104,22 @@ impl WarpTrace {
     /// GPU's global page access order is scattered even when each thread
     /// is sequential (this is what drives the paper's 1.0% leaf-level
     /// cache hit rate, §4.3).
-    fn stream_page(&mut self, pages: u64, burst: u64, group: u32) -> u64 {
+    fn stream_page(&mut self, pages: u64, burst: u64) -> u64 {
         if self.burst_left == 0 {
             self.step += 1;
             self.burst_left = burst.max(1);
         }
         self.burst_left -= 1;
-        let group_id = self.global_warp / u64::from(group.max(1));
-        (group_id
+        let pages = pages.max(1);
+        let at = self
+            .group_id
             .wrapping_mul(2654435761)
-            .wrapping_add(self.step.wrapping_mul(257)))
-            % pages.max(1)
+            .wrapping_add(self.step.wrapping_mul(257));
+        if pages.is_power_of_two() {
+            at & (pages - 1)
+        } else {
+            at % pages
+        }
     }
 
     /// Remembers a touched (page, line) pair for future locality hits.
@@ -144,18 +165,14 @@ impl WarpTrace {
         // miss are needed by more than one warp").
         let compute = p.compute_per_mem + self.rng.below(3) as u32;
         match p.pattern {
-            Pattern::Stream {
-                pages,
-                burst,
-                group,
-            } => {
+            Pattern::Stream { pages, burst, .. } => {
                 if let Some((page, line)) = self.recall() {
                     // Re-touch recent addresses (stencil-style reuse).
                     for i in 0..u64::from(p.lines_per_instr) {
                         lines.push(self.line_va(page, line + i));
                     }
                 } else {
-                    let page = self.stream_page(pages, burst, group);
+                    let page = self.stream_page(pages, burst);
                     // Consecutive lines within the page, advancing with the
                     // burst position so the burst covers the page.
                     let start = (burst.max(1) - 1 - self.burst_left) * u64::from(p.lines_per_instr);
@@ -179,7 +196,7 @@ impl WarpTrace {
                             (page, line)
                         }
                     };
-                    for i in 0..u64::from((p.lines_per_instr / pages_per_instr.max(1)).max(1)) {
+                    for i in 0..self.lines_per_visit {
                         lines.push(self.line_va(page, base_line + i));
                     }
                 }
@@ -207,7 +224,7 @@ impl WarpTrace {
                 p_hot,
                 stream_pages,
                 burst,
-                group,
+                ..
             } => {
                 if let Some((page, line)) = self.recall() {
                     for i in 0..u64::from(p.lines_per_instr) {
@@ -221,7 +238,7 @@ impl WarpTrace {
                         lines.push(self.line_va(page, line + i));
                     }
                 } else {
-                    let page = hot + self.stream_page(stream_pages, burst, group);
+                    let page = hot + self.stream_page(stream_pages, burst);
                     let start = self.rng.below(self.lines_per_page());
                     for i in 0..u64::from(p.lines_per_instr) {
                         lines.push(self.line_va(page, start + i));
@@ -399,6 +416,69 @@ mod tests {
         }
         let frac = hot_hits as f64 / f64::from(total);
         assert!(frac > 0.8, "hot fraction {frac}");
+    }
+
+    #[test]
+    fn masks_and_hoisted_quotients_equal_the_division_formulas() {
+        use mask_common::addr::PAGE_SIZE_2M_LOG2;
+        for profile in crate::apps::all_apps() {
+            for page_size_log2 in [PAGE_SIZE_4K_LOG2, PAGE_SIZE_2M_LOG2] {
+                let (core, warp) = (3, 37);
+                let mut t = WarpTrace::new(profile, 5, core, warp, page_size_log2);
+                let lines_per_page = 1u64 << (page_size_log2 - LINE_SIZE_LOG2);
+                let (pages, burst, group, pages_per_instr) = match profile.pattern {
+                    Pattern::Stream {
+                        pages,
+                        burst,
+                        group,
+                    } => (pages, burst, group, 1),
+                    Pattern::TiledHot {
+                        stream_pages,
+                        burst,
+                        group,
+                        ..
+                    } => (stream_pages, burst, group, 1),
+                    Pattern::Random {
+                        pages,
+                        pages_per_instr,
+                    } => (pages, 1, 1, pages_per_instr),
+                    Pattern::HotCold { cold, .. } => (cold, 1, 1, 1),
+                };
+                assert_eq!(t.lines_per_page(), lines_per_page);
+                assert_eq!(
+                    t.lines_per_visit,
+                    u64::from((profile.lines_per_instr / pages_per_instr.max(1)).max(1)),
+                    "{}",
+                    profile.name
+                );
+                let group_id = (core * 4096 + warp) / u64::from(group.max(1));
+                let (mut step, mut burst_left) = (0u64, 0u64);
+                for op in 0..10_000u64 {
+                    // `stream_page` as written with `/` and `%`.
+                    if burst_left == 0 {
+                        step += 1;
+                        burst_left = burst.max(1);
+                    }
+                    burst_left -= 1;
+                    let want = group_id
+                        .wrapping_mul(2654435761)
+                        .wrapping_add(step.wrapping_mul(257))
+                        % pages.max(1);
+                    let page = t.stream_page(pages, burst);
+                    assert_eq!(page, want, "{} op {op}", profile.name);
+                    // Line indices run past the page end and wrap.
+                    let line_idx = op.wrapping_mul(0x9E37_79B9) >> 7;
+                    assert_eq!(
+                        t.line_va(page, line_idx).raw(),
+                        DATA_BASE
+                            + (page << page_size_log2)
+                            + (line_idx % lines_per_page) * LINE_SIZE,
+                        "{} op {op}",
+                        profile.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

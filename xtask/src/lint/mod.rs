@@ -175,9 +175,11 @@ impl Sink<'_> {
 /// *not* registered here: checkpoint encoding/decoding runs only at
 /// epoch-boundary snapshot points, never inside the per-cycle loop, so
 /// it may allocate freely (the fixture tests pin this decision down).
-pub(crate) const HOTPATH_FILES: [&str; 10] = [
+pub(crate) const HOTPATH_FILES: [&str; 12] = [
     "crates/gpu/src/sim.rs",
+    "crates/gpu/src/core_model.rs",
     "crates/gpu/src/translation.rs",
+    "crates/workloads/src/trace.rs",
     "crates/cache/src/l2.rs",
     "crates/cache/src/mshr.rs",
     "crates/cache/src/data.rs",

@@ -477,7 +477,9 @@ mod tests {
     #[test]
     fn hot_file_predicate_matches_suffixes() {
         assert!(is_hot_file("/repo/crates/gpu/src/sim.rs"));
-        assert!(!is_hot_file("/repo/crates/gpu/src/core_model.rs"));
+        assert!(is_hot_file("/repo/crates/gpu/src/core_model.rs"));
+        assert!(is_hot_file("/repo/crates/workloads/src/trace.rs"));
+        assert!(!is_hot_file("/repo/crates/workloads/src/profile.rs"));
         // The snapshot codec runs at epoch boundaries, not per cycle.
         assert!(!is_hot_file("/repo/crates/common/src/snapshot.rs"));
     }

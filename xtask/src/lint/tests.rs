@@ -431,7 +431,31 @@ pub fn with_bypass(n: usize) -> Self {
 fn hotpath_rule_is_scoped_to_hot_files() {
     let src = "pub fn tick(&mut self) {\n    let v = Vec::new();\n}\n";
     assert!(lint("crates/cache/src/bypass.rs", src).is_empty());
-    assert!(lint("crates/gpu/src/core_model.rs", src).is_empty());
+    assert!(lint("crates/workloads/src/profile.rs", src).is_empty());
+}
+
+#[test]
+fn red_hotpath_covers_the_front_end() {
+    // The issue stage and the trace generator behind it run once per
+    // memory instruction: `GpuCore::issue` reuses per-core scratch and
+    // `next_op_into` writes into the warp's own line buffer.
+    let issue = "fn issue_memory(&mut self, w: usize) {\n    \
+         let vpns: Vec<Vpn> = self.warps[w].lines.iter().map(vpn_of).collect();\n}\n";
+    assert_eq!(
+        rules(&lint("crates/gpu/src/core_model.rs", issue)),
+        ["hotpath"]
+    );
+    let next_op = "pub fn next_op_into(&mut self, lines: &mut Vec<VirtAddr>) -> u32 {\n    \
+         let recent = self.recent.clone();\n    0\n}\n";
+    assert_eq!(
+        rules(&lint("crates/workloads/src/trace.rs", next_op)),
+        ["hotpath"]
+    );
+    // Construction is cold in both.
+    let ctor = "pub fn new(cfg: &GpuConfig) -> Self {\n    \
+         let warps = (0..cfg.warps_per_core).map(WarpCtx::fresh).collect::<Vec<_>>();\n    \
+         GpuCore { warps }\n}\n";
+    assert!(lint("crates/gpu/src/core_model.rs", ctor).is_empty());
 }
 
 #[test]
