@@ -17,7 +17,18 @@
 //! The constants were recorded on the tree before the wake schedule existed
 //! (every core, every L2 bank, every cycle). A change that claims to be
 //! bit-identical may not edit them.
+//!
+//! `PATHS` adds, all on SCAN+CONS, the configurations whose code the eight
+//! design rows do not reach: channel- and bank-partitioned baseline DRAM
+//! queues with color-aware frames, the batch DRAM scheduler, three-level
+//! page tables, demand paging, and a shootdown and a full flush in the
+//! middle of the run. Its constants were recorded on the tree whose page
+//! tables were dense 512-slot nodes, whose `AssocArray` scanned stamps for
+//! its victim and whose DRAM schedulers scanned the queue entries.
 
+use mask_common::addr::PAGE_SIZE_2M_LOG2;
+use mask_common::config::MemSchedKind;
+use mask_common::ids::Asid;
 use mask_common::snapshot::{Fnv1a, PrefixKey};
 use mask_core::prelude::*;
 
@@ -25,11 +36,32 @@ const EARLY_CUT: u64 = 1_237;
 const MID_BURST: u64 = 3_001;
 const EPOCH_CUT: u64 = 100_000;
 
-fn build(design: DesignKind, apps: [&str; 2]) -> GpuSim {
+/// What a `PATHS` row changes about the run of a design row.
+#[derive(Clone, Copy, Debug)]
+enum Tweak {
+    None,
+    /// `dram.sched = GpuBatch`: the batch scheduler's per-application pass.
+    BatchSched,
+    /// 2 MB pages: three-level tables, the leaf one level up.
+    LargePages,
+    /// Demand paging with this fault service time.
+    FaultLatency(u64),
+    /// `tlb_shootdown(Asid 0)` after the cut at 1 237, `flush_volatile()`
+    /// after the one at 3 001.
+    Flushes,
+}
+
+fn build(design: DesignKind, apps: [&str; 2], tweak: Tweak) -> GpuSim {
     let mut cfg = SimConfig::new(design).with_max_cycles(EPOCH_CUT);
     cfg.seed = 21;
     cfg.gpu.n_cores = 4;
     cfg.gpu.warps_per_core = 16;
+    match tweak {
+        Tweak::None | Tweak::Flushes => {}
+        Tweak::BatchSched => cfg.gpu.dram.sched = MemSchedKind::GpuBatch,
+        Tweak::LargePages => cfg.gpu.page_size_log2 = PAGE_SIZE_2M_LOG2,
+        Tweak::FaultLatency(cycles) => cfg.gpu.page_fault_latency = cycles,
+    }
     let specs: Vec<AppSpec> = apps
         .iter()
         .map(|name| AppSpec {
@@ -47,13 +79,19 @@ fn fnv(bytes: &[u8]) -> u64 {
 }
 
 /// `[snapshot @ 1 237, stats @ 3 001, snapshot @ 100 000]`.
-fn digests(design: DesignKind, apps: [&str; 2]) -> [u64; 3] {
+fn digests(design: DesignKind, apps: [&str; 2], tweak: Tweak) -> [u64; 3] {
     let key = PrefixKey(0x601d);
-    let mut sim = build(design, apps);
+    let mut sim = build(design, apps, tweak);
     sim.run(EARLY_CUT);
     let early = fnv(&sim.encode_snapshot(key));
+    if matches!(tweak, Tweak::Flushes) {
+        sim.tlb_shootdown(Asid::new(0));
+    }
     sim.run(MID_BURST - EARLY_CUT);
     let stats = fnv(format!("{:?}", sim.stats()).as_bytes());
+    if matches!(tweak, Tweak::Flushes) {
+        sim.flush_volatile();
+    }
     sim.run(EPOCH_CUT - MID_BURST);
     let epoch = fnv(&sim.encode_snapshot(key));
     [early, stats, epoch]
@@ -137,14 +175,82 @@ const GOLDEN: [(DesignKind, [&str; 2], [u64; 3]); 8] = [
     ),
 ];
 
+const PATHS: [(DesignKind, Tweak, [u64; 3]); 7] = [
+    (
+        DesignKind::Static,
+        Tweak::None,
+        [
+            0x89d3_9bd4_f9b1_1274,
+            0x9276_bcff_8748_3556,
+            0x8f82_52f5_f905_fb2d,
+        ],
+    ),
+    (
+        DesignKind::Partitioned,
+        Tweak::None,
+        [
+            0x3d90_8d43_0490_f36b,
+            0xe42e_5097_4e50_d510,
+            0xf0c5_65cf_1776_2aa6,
+        ],
+    ),
+    (
+        DesignKind::SharedTlb,
+        Tweak::BatchSched,
+        [
+            0x070c_b08d_72c5_700b,
+            0x4733_6718_b6d4_94ff,
+            0xa5f0_c292_4115_4980,
+        ],
+    ),
+    (
+        DesignKind::Mask,
+        Tweak::LargePages,
+        [
+            0xd268_f422_59f7_76d3,
+            0x1b14_8d5d_89e0_3a30,
+            0xd834_b611_fc5f_d599,
+        ],
+    ),
+    (
+        DesignKind::PwCache,
+        Tweak::LargePages,
+        [
+            0xcce7_54fb_de71_361f,
+            0x4dae_bed0_a376_e7e7,
+            0x93f4_20d0_b621_4cfb,
+        ],
+    ),
+    (
+        DesignKind::SharedTlb,
+        Tweak::FaultLatency(400),
+        [
+            0x322e_947c_cbac_b251,
+            0x1b41_4998_8e0c_5dbd,
+            0xe3f8_115f_3254_35bd,
+        ],
+    ),
+    (
+        DesignKind::Mask,
+        Tweak::Flushes,
+        [
+            0x5799_85b3_0f25_6159,
+            0x5c67_3b39_d710_3687,
+            0xedd6_040f_2ad0_91d9,
+        ],
+    ),
+];
+
 #[test]
 fn machine_state_matches_the_recording_tree() {
+    let designs = GOLDEN.map(|(design, apps, want)| (design, apps, Tweak::None, want));
+    let paths = PATHS.map(|(design, tweak, want)| (design, SCAN_CONS, tweak, want));
     let mut wrong = Vec::new();
-    for (design, apps, want) in GOLDEN {
-        let got = digests(design, apps);
+    for (design, apps, tweak, want) in designs.into_iter().chain(paths) {
+        let got = digests(design, apps, tweak);
         if got != want {
             wrong.push(format!(
-                "{design} {}+{}: got [{:#018x}, {:#018x}, {:#018x}]",
+                "{design} {}+{} {tweak:?}: got [{:#018x}, {:#018x}, {:#018x}]",
                 apps[0], apps[1], got[0], got[1], got[2]
             ));
         }
