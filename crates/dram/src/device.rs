@@ -1,7 +1,7 @@
 //! The timed DRAM device: channels, banks, row buffers, and scheduling.
 
 use crate::mapping::{decode, ChannelPartition, Decoded};
-use crate::queues::{frfcfs_pick, BatchState, MaskQueues, QueueEntry};
+use crate::queues::{BatchState, MaskQueues, QueueEntry, ScanQueue};
 use mask_common::config::{DramConfig, DramPolicy, MemSchedKind, RowPolicy};
 use mask_common::ids::Asid;
 use mask_common::req::MemRequest;
@@ -43,7 +43,7 @@ struct BankState {
 #[derive(Clone, Debug)]
 enum ChannelQueue {
     /// Single request buffer with FR-FCFS or batch scheduling.
-    Baseline(Vec<QueueEntry>, Option<BatchState>),
+    Baseline(ScanQueue, Option<BatchState>),
     /// MASK's Golden/Silver/Normal queues.
     Mask(MaskQueues),
 }
@@ -65,14 +65,14 @@ struct Channel {
 impl Channel {
     fn queue_len(&self) -> usize {
         match &self.queue {
-            ChannelQueue::Baseline(q, _) => q.len(),
+            ChannelQueue::Baseline(q, _) => q.entries().len(),
             ChannelQueue::Mask(m) => m.len(),
         }
     }
 
     fn for_each_queued(&self, mut f: impl FnMut(&QueueEntry)) {
         match &self.queue {
-            ChannelQueue::Baseline(q, _) => q.iter().for_each(f),
+            ChannelQueue::Baseline(q, _) => q.entries().iter().for_each(f),
             ChannelQueue::Mask(m) => m.for_each_entry(&mut f),
         }
     }
@@ -143,7 +143,7 @@ impl Dram {
                 ))
             } else {
                 let batch = matches!(cfg.sched, MemSchedKind::GpuBatch).then(BatchState::default);
-                ChannelQueue::Baseline(Vec::new(), batch)
+                ChannelQueue::Baseline(ScanQueue::default(), batch)
             }
         };
         Dram {
@@ -223,12 +223,15 @@ impl Dram {
                 continue;
             }
             let banks = &ch.banks;
-            let free = banks
-                .iter()
-                .enumerate()
-                .filter(|(_, bank)| bank.busy_until <= now)
-                .fold(0u64, |mask, (b, _)| mask | 1 << b);
-            if free & ch.banks_queued == 0 {
+            // Only a bank with a queued request is ever asked about.
+            let mut free = 0u64;
+            let mut queued = ch.banks_queued;
+            while queued != 0 {
+                let b = queued.trailing_zeros();
+                queued &= queued - 1;
+                free |= u64::from(banks[b as usize].busy_until <= now) << b;
+            }
+            if free == 0 {
                 continue;
             }
             let bank_free = |b: usize| free >> b & 1 != 0;
@@ -237,7 +240,7 @@ impl Dram {
                 ChannelQueue::Baseline(q, batch) => {
                     let idx = match batch {
                         Some(state) => state.pick(q, self.n_apps, bank_free, open_row),
-                        None => frfcfs_pick(q, bank_free, open_row),
+                        None => q.pick(bank_free, open_row),
                     };
                     idx.map(|i| q.remove(i))
                 }
@@ -406,8 +409,8 @@ impl mask_common::snapshot::Snapshot for Dram {
             // The queue *variant* is config-derived; only contents are state.
             match &ch.queue {
                 ChannelQueue::Baseline(q, batch) => {
-                    w.seq(q.len());
-                    for e in q {
+                    w.seq(q.entries().len());
+                    for e in q.entries() {
                         e.write(w);
                     }
                     if let Some(b) = batch {
@@ -446,10 +449,7 @@ impl mask_common::snapshot::Snapshot for Dram {
             match &mut ch.queue {
                 ChannelQueue::Baseline(q, batch) => {
                     let n = r.seq()?;
-                    q.clear();
-                    for _ in 0..n {
-                        q.push(QueueEntry::read(r)?);
-                    }
+                    q.restore(r, n)?;
                     if let Some(b) = batch {
                         b.restore(r)?;
                     }
@@ -868,7 +868,9 @@ mod tests {
         let ChannelQueue::Baseline(q, _) = &mut d.channels[0].queue else {
             panic!("shared policy uses the baseline queue");
         };
-        q[0].decoded.bank = cfg().banks_per_channel;
+        let mut entry = q.remove(0);
+        entry.decoded.bank = cfg().banks_per_channel;
+        q.push(entry);
         assert!(matches!(
             restored(&sealed(&d)),
             Err(mask_common::snapshot::SnapshotError::Malformed(_))

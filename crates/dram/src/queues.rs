@@ -25,40 +25,113 @@ pub struct QueueEntry {
     pub arrival: Cycle,
 }
 
-/// Selects the FR-FCFS candidate among `queue` entries whose bank is free.
-///
-/// First-ready: among ready requests, a row-buffer hit wins; ties break by
-/// arrival order (index order, queues are push-ordered).
-pub fn frfcfs_pick(
-    queue: &[QueueEntry],
-    bank_free: impl Fn(usize) -> bool,
-    open_row: impl Fn(usize) -> Option<u64>,
-) -> Option<usize> {
-    frfcfs_pick_where(queue, bank_free, open_row, |_| true)
+/// Bits of a scan key below the row: the bank (a channel has at most 64).
+const BANK_BITS: u32 = 6;
+
+/// What an FR-FCFS scan reads of a queued entry, `row << 6 | bank`: eight
+/// bytes per entry where a [`QueueEntry`] is 64. `None` when the bank or the
+/// row does not fit, which no decoded line address does — a restored entry
+/// may.
+fn scan_key(decoded: &Decoded) -> Option<u64> {
+    let fits = decoded.bank < 1 << BANK_BITS && decoded.row >> (u64::BITS - BANK_BITS) == 0;
+    fits.then_some(decoded.row << BANK_BITS | decoded.bank as u64)
 }
 
-/// FR-FCFS restricted to entries satisfying `accept` — lets the batch
-/// scheduler run per-application passes over the shared queue without
-/// materializing filtered copies on the per-cycle path.
-fn frfcfs_pick_where(
-    queue: &[QueueEntry],
-    bank_free: impl Fn(usize) -> bool,
-    open_row: impl Fn(usize) -> Option<u64>,
-    accept: impl Fn(&QueueEntry) -> bool,
-) -> Option<usize> {
-    let mut oldest_ready: Option<usize> = None;
-    for (i, e) in queue.iter().enumerate() {
-        if !accept(e) || !bank_free(e.decoded.bank) {
-            continue;
-        }
-        if open_row(e.decoded.bank) == Some(e.decoded.row) {
-            return Some(i); // first ready row hit
-        }
-        if oldest_ready.is_none() {
-            oldest_ready = Some(i);
-        }
+/// A push-ordered request buffer and, in lock-step with its entries, the
+/// keys the FR-FCFS scans read in their place.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ScanQueue {
+    entries: Vec<QueueEntry>,
+    /// [`scan_key`] of the entry at the same index. Derived state.
+    keys: Vec<u64>,
+}
+
+impl ScanQueue {
+    pub(crate) fn push(&mut self, entry: QueueEntry) {
+        self.try_push(entry)
+            .expect("a decoded line address fits a scan key");
     }
-    oldest_ready
+
+    fn try_push(&mut self, entry: QueueEntry) -> Result<(), mask_common::snapshot::SnapshotError> {
+        let key =
+            scan_key(&entry.decoded).ok_or(mask_common::snapshot::SnapshotError::Malformed(
+                "queued request's bank or row does not fit a scan key",
+            ))?;
+        self.keys.push(key);
+        self.entries.push(entry);
+        Ok(())
+    }
+
+    pub(crate) fn remove(&mut self, i: usize) -> QueueEntry {
+        self.keys.remove(i);
+        self.entries.remove(i)
+    }
+
+    pub(crate) fn entries(&self) -> &[QueueEntry] {
+        &self.entries
+    }
+
+    /// Replaces the contents with `n` entries read from `r`.
+    pub(crate) fn restore(
+        &mut self,
+        r: &mut mask_common::snapshot::SnapshotReader<'_>,
+        n: usize,
+    ) -> Result<(), mask_common::snapshot::SnapshotError> {
+        use mask_common::snapshot::SnapField;
+        self.entries.clear();
+        self.keys.clear();
+        for _ in 0..n {
+            self.try_push(QueueEntry::read(r)?)?;
+        }
+        Ok(())
+    }
+
+    /// Selects the FR-FCFS candidate among the entries whose bank is free.
+    ///
+    /// First-ready: among ready requests, a row-buffer hit wins; ties break
+    /// by arrival order (index order, queues are push-ordered).
+    pub(crate) fn pick(
+        &self,
+        bank_free: impl Fn(usize) -> bool,
+        open_row: impl Fn(usize) -> Option<u64>,
+    ) -> Option<usize> {
+        self.pick_where(bank_free, open_row, |_| true)
+    }
+
+    /// FR-FCFS restricted to entries satisfying `accept` — lets the batch
+    /// scheduler run per-application passes over the shared queue without
+    /// materializing filtered copies on the per-cycle path. Bank and row
+    /// come from the keys; an entry is read only to ask `accept` about one
+    /// whose bank is free.
+    fn pick_where(
+        &self,
+        bank_free: impl Fn(usize) -> bool,
+        open_row: impl Fn(usize) -> Option<u64>,
+        accept: impl Fn(&QueueEntry) -> bool,
+    ) -> Option<usize> {
+        if mask_sanitizer::is_enabled() {
+            let keys = self.entries.iter().map(|e| scan_key(&e.decoded));
+            mask_sanitizer::check(
+                keys.eq(self.keys.iter().map(|&key| Some(key))),
+                "dram-queue-keys",
+                "every scan key must be its entry's decoded row and bank",
+            );
+        }
+        let mut oldest_ready: Option<usize> = None;
+        for (i, &key) in self.keys.iter().enumerate() {
+            let bank = (key & ((1 << BANK_BITS) - 1)) as usize;
+            if !bank_free(bank) || !accept(&self.entries[i]) {
+                continue;
+            }
+            if open_row(bank) == Some(key >> BANK_BITS) {
+                return Some(i); // first ready row hit
+            }
+            if oldest_ready.is_none() {
+                oldest_ready = Some(i);
+            }
+        }
+        oldest_ready
+    }
 }
 
 /// Batch-based application-aware scheduler state (the "state-of-the-art GPU
@@ -68,7 +141,7 @@ fn frfcfs_pick_where(
 /// application), switching after `BATCH` consecutive grants or when the
 /// current application has no ready requests.
 #[derive(Clone, Debug, Default)]
-pub struct BatchState {
+pub(crate) struct BatchState {
     current_app: usize,
     served: u32,
 }
@@ -78,19 +151,19 @@ const BATCH: u32 = 8;
 
 impl BatchState {
     /// Picks the next request under the batch policy.
-    pub fn pick(
+    pub(crate) fn pick(
         &mut self,
-        queue: &[QueueEntry],
+        queue: &ScanQueue,
         n_apps: usize,
         bank_free: impl Fn(usize) -> bool + Copy,
         open_row: impl Fn(usize) -> Option<u64> + Copy,
     ) -> Option<usize> {
         if n_apps == 0 {
-            return frfcfs_pick(queue, bank_free, open_row);
+            return queue.pick(bank_free, open_row);
         }
         for offset in 0..n_apps {
             let app = (self.current_app + offset) % n_apps;
-            let hit = frfcfs_pick_where(queue, bank_free, open_row, |e| e.req.asid.index() == app);
+            let hit = queue.pick_where(bank_free, open_row, |e| e.req.asid.index() == app);
             if let Some(picked) = hit {
                 if offset != 0 {
                     self.current_app = app;
@@ -112,8 +185,8 @@ impl BatchState {
 #[derive(Clone, Debug)]
 pub struct MaskQueues {
     golden: VecDeque<QueueEntry>,
-    silver: Vec<QueueEntry>,
-    normal: Vec<QueueEntry>,
+    silver: ScanQueue,
+    normal: ScanQueue,
     golden_cap: usize,
     silver_cap: usize,
     /// Current Silver-queue application and its remaining quota.
@@ -130,8 +203,8 @@ impl MaskQueues {
         let n_apps = n_apps.max(1);
         MaskQueues {
             golden: VecDeque::new(),
-            silver: Vec::new(),
-            normal: Vec::new(),
+            silver: ScanQueue::default(),
+            normal: ScanQueue::default(),
             golden_cap,
             silver_cap,
             silver_app: 0,
@@ -192,7 +265,10 @@ impl MaskQueues {
             return;
         }
         let app = entry.req.asid.index();
-        if app == self.silver_app && self.silver_left > 0 && self.silver.len() < self.silver_cap {
+        if app == self.silver_app
+            && self.silver_left > 0
+            && self.silver.entries().len() < self.silver_cap
+        {
             self.silver.push(entry);
             self.silver_left -= 1;
             if self.silver_left == 0 {
@@ -214,10 +290,11 @@ impl MaskQueues {
     ) -> Option<QueueEntry> {
         let picked = if let Some(i) = self.golden.iter().position(|e| bank_free(e.decoded.bank)) {
             self.golden.remove(i)
-        } else if let Some(i) = frfcfs_pick(&self.silver, bank_free, open_row) {
+        } else if let Some(i) = self.silver.pick(bank_free, open_row) {
             Some(self.silver.remove(i))
         } else {
-            frfcfs_pick(&self.normal, bank_free, open_row).map(|i| self.normal.remove(i))
+            let picked = self.normal.pick(bank_free, open_row);
+            picked.map(|i| self.normal.remove(i))
         };
         if let Some(e) = &picked {
             mask_sanitizer::retire("dram-queues", e.req.id.0);
@@ -227,7 +304,7 @@ impl MaskQueues {
 
     /// Total queued requests.
     pub fn len(&self) -> usize {
-        self.golden.len() + self.silver.len() + self.normal.len()
+        self.golden.len() + self.silver.entries().len() + self.normal.entries().len()
     }
 
     /// Whether all queues are empty.
@@ -246,15 +323,9 @@ impl MaskQueues {
     }
 
     /// Visits every queued entry across the three queues.
-    pub fn for_each_entry(&self, mut f: impl FnMut(&QueueEntry)) {
-        for e in self
-            .golden
-            .iter()
-            .chain(self.silver.iter())
-            .chain(self.normal.iter())
-        {
-            f(e);
-        }
+    pub fn for_each_entry(&self, f: impl FnMut(&QueueEntry)) {
+        let (silver, normal) = (self.silver.entries(), self.normal.entries());
+        self.golden.iter().chain(silver).chain(normal).for_each(f);
     }
 }
 
@@ -304,18 +375,11 @@ impl mask_common::snapshot::Snapshot for MaskQueues {
     /// `dram-queues` conservation domain for every queued entry.
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
         use mask_common::snapshot::SnapField;
-        for queue_len in [self.golden.len(), self.silver.len(), self.normal.len()] {
+        let (silver, normal) = (self.silver.entries(), self.normal.entries());
+        for queue_len in [self.golden.len(), silver.len(), normal.len()] {
             w.seq(queue_len);
         }
-        for e in &self.golden {
-            e.write(w);
-        }
-        for e in &self.silver {
-            e.write(w);
-        }
-        for e in &self.normal {
-            e.write(w);
-        }
+        self.for_each_entry(|e| e.write(w));
         w.usize(self.silver_app);
         w.u64(self.silver_left);
         w.seq(self.quotas.len());
@@ -333,17 +397,11 @@ impl mask_common::snapshot::Snapshot for MaskQueues {
         let n_silver = r.seq()?;
         let n_normal = r.seq()?;
         self.golden.clear();
-        self.silver.clear();
-        self.normal.clear();
         for _ in 0..n_golden {
             self.golden.push_back(QueueEntry::read(r)?);
         }
-        for _ in 0..n_silver {
-            self.silver.push(QueueEntry::read(r)?);
-        }
-        for _ in 0..n_normal {
-            self.normal.push(QueueEntry::read(r)?);
-        }
+        self.silver.restore(r, n_silver)?;
+        self.normal.restore(r, n_normal)?;
         self.silver_app = r.usize()?;
         self.silver_left = r.u64()?;
         r.seq_exact(self.quotas.len())?;
@@ -356,14 +414,7 @@ impl mask_common::snapshot::Snapshot for MaskQueues {
             ));
         }
         if mask_sanitizer::is_enabled() {
-            for e in self
-                .golden
-                .iter()
-                .chain(self.silver.iter())
-                .chain(self.normal.iter())
-            {
-                mask_sanitizer::issue("dram-queues", e.req.id.0);
-            }
+            self.for_each_entry(|e| mask_sanitizer::issue("dram-queues", e.req.id.0));
         }
         Ok(())
     }
@@ -402,28 +453,89 @@ mod tests {
         }
     }
 
+    fn scan_queue(entries: impl IntoIterator<Item = QueueEntry>) -> ScanQueue {
+        let mut q = ScanQueue::default();
+        entries.into_iter().for_each(|e| q.push(e));
+        q
+    }
+
     #[test]
     fn frfcfs_prefers_row_hits_over_older_requests() {
-        let q = vec![
+        let q = scan_queue([
             entry(1, 0, 0, 10, RequestClass::Data, 0), // older, row miss
             entry(2, 0, 1, 20, RequestClass::Data, 1), // younger, row hit
-        ];
-        let pick = frfcfs_pick(&q, |_| true, |b| if b == 1 { Some(20) } else { Some(99) });
+        ]);
+        let pick = q.pick(|_| true, |b| if b == 1 { Some(20) } else { Some(99) });
         assert_eq!(pick, Some(1));
     }
 
     #[test]
     fn frfcfs_falls_back_to_oldest_ready() {
-        let q = vec![
+        let q = scan_queue([
             entry(1, 0, 0, 10, RequestClass::Data, 0),
             entry(2, 0, 1, 20, RequestClass::Data, 1),
-        ];
+        ]);
         // No open rows match; bank 0 busy -> entry 2 is the oldest ready.
-        let pick = frfcfs_pick(&q, |b| b == 1, |_| None);
+        let pick = q.pick(|b| b == 1, |_| None);
         assert_eq!(pick, Some(1));
         // All banks free -> the oldest wins.
-        let pick = frfcfs_pick(&q, |_| true, |_| None);
+        let pick = q.pick(|_| true, |_| None);
         assert_eq!(pick, Some(0));
+    }
+
+    #[test]
+    fn keys_follow_their_entries_through_removal_and_restore() {
+        use mask_common::snapshot::{PrefixKey, SnapField, SnapshotReader, SnapshotWriter};
+        let key = |e: &QueueEntry| scan_key(&e.decoded).expect("fits");
+        // Bank 63 and a 58-bit row are the largest a key holds.
+        let top_row = (1 << 58) - 1;
+        let mut q = scan_queue([
+            entry(1, 0, 63, top_row, RequestClass::Data, 0),
+            entry(2, 1, 0, 0, RequestClass::Data, 1),
+            entry(3, 0, 5, 77, RequestClass::Data, 2),
+        ]);
+        assert_eq!(q.keys, [top_row << 6 | 63, 0, 77 << 6 | 5]);
+        assert_eq!(q.pick(|b| b == 63, |_| Some(top_row)), Some(0));
+        assert_eq!(q.remove(1).req.id, ReqId(2));
+        assert!(q.keys.iter().copied().eq(q.entries.iter().map(key)));
+        // The batch pass reads the application off the entry.
+        let mut batch = BatchState::default();
+        q.push(entry(4, 1, 5, 77, RequestClass::Data, 3));
+        batch.current_app = 1;
+        assert_eq!(batch.pick(&q, 2, |_| true, |_| Some(77)), Some(2));
+
+        let mut w = SnapshotWriter::new();
+        q.entries().iter().for_each(|e| e.write(&mut w));
+        // A row or a bank a key cannot hold is not a queue this device wrote.
+        let wide_row = entry(5, 0, 0, 1 << 58, RequestClass::Data, 4);
+        let wide_bank = entry(6, 0, 64, 0, RequestClass::Data, 5);
+        assert_eq!(
+            (scan_key(&wide_row.decoded), scan_key(&wide_bank.decoded)),
+            (None, None)
+        );
+        wide_row.write(&mut w);
+        let bytes = w.seal(PrefixKey(0));
+        let mut back = ScanQueue::default();
+        let (mut r, _) = SnapshotReader::open(&bytes).expect("sealed above");
+        back.restore(&mut r, 3).expect("three well-formed entries");
+        assert_eq!(back.keys, q.keys);
+        let (mut r, _) = SnapshotReader::open(&bytes).expect("sealed above");
+        assert!(matches!(
+            back.restore(&mut r, 4),
+            Err(mask_common::snapshot::SnapshotError::Malformed(_))
+        ));
+    }
+
+    /// Red test for the `dram-queue-keys` premise check: a key that names
+    /// another bank would let the scan issue to a busy one.
+    #[cfg(feature = "sanitize")]
+    #[test]
+    #[should_panic(expected = "every scan key must be its entry's decoded row and bank")]
+    fn a_key_that_left_its_entry_trips_the_sanitizer() {
+        mask_sanitizer::enter_session(mask_sanitizer::new_session());
+        let mut q = scan_queue([entry(1, 0, 0, 10, RequestClass::Data, 0)]);
+        q.keys[0] = 10 << 6 | 1;
+        q.pick(|_| true, |_| None);
     }
 
     fn mq() -> MaskQueues {

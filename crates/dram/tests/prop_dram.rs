@@ -112,21 +112,71 @@ proptest! {
     }
 }
 
-// Differential test of the device's gating and FIFOs. `ScanEverything` is
-// the device the obvious way: every cycle it asks every channel's scheduler
-// for a pick, reading each bank's `busy_until` per queue entry, and looks
-// at every in-flight access for one that has finished. It shares the
-// scheduling policies (`mask_dram::queues`) and the address mapping with
-// the real device; what it does not share is when they are consulted.
+// Differential test of the device's gating, FIFOs and scan keys.
+// `ScanEverything` is the device the obvious way: every cycle it asks every
+// channel's scheduler for a pick, reading each bank's `busy_until` and each
+// entry's decoded bank and row per queue entry, and looks at every in-flight
+// access for one that has finished. It shares `MaskQueues` and the address
+// mapping with the real device; the baseline FR-FCFS and batch schedulers
+// are written out here over the entries themselves, as the device had them
+// before it kept a key array beside its queues.
 mod scan_everything {
     use mask_common::config::{DramConfig, DramPolicy, MemSchedKind, RowPolicy};
     use mask_common::req::MemRequest;
     use mask_dram::mapping::{decode, ChannelPartition};
-    use mask_dram::queues::{frfcfs_pick, BatchState, MaskQueues, QueueEntry};
+    use mask_dram::queues::{MaskQueues, QueueEntry};
     use mask_dram::RowOutcome;
 
     /// `(request id, outcome, arrival, finish)` of a completed access.
     pub(crate) type Done = (u64, RowOutcome, u64, u64);
+
+    /// FR-FCFS over the entries `accept` admits: the first row hit among
+    /// those whose bank is free, else the oldest of them.
+    fn frfcfs_pick(
+        queue: &[QueueEntry],
+        bank_free: impl Fn(usize) -> bool,
+        open_row: impl Fn(usize) -> Option<u64>,
+        accept: impl Fn(&QueueEntry) -> bool,
+    ) -> Option<usize> {
+        let ready = |e: &&QueueEntry| accept(e) && bank_free(e.decoded.bank);
+        let hit = |e: &QueueEntry| ready(&e) && open_row(e.decoded.bank) == Some(e.decoded.row);
+        let first_hit = queue.iter().position(hit);
+        first_hit.or_else(|| queue.iter().position(|e| ready(&e)))
+    }
+
+    /// The batch scheduler: one application at a time, eight grants a turn.
+    #[derive(Default)]
+    struct BatchState {
+        current_app: usize,
+        served: u32,
+    }
+
+    impl BatchState {
+        fn pick(
+            &mut self,
+            queue: &[QueueEntry],
+            n_apps: usize,
+            bank_free: impl Fn(usize) -> bool + Copy,
+            open_row: impl Fn(usize) -> Option<u64> + Copy,
+        ) -> Option<usize> {
+            for offset in 0..n_apps {
+                let app = (self.current_app + offset) % n_apps;
+                let of_app = |e: &QueueEntry| e.req.asid.index() == app;
+                let Some(picked) = frfcfs_pick(queue, bank_free, open_row, of_app) else {
+                    continue;
+                };
+                if offset != 0 {
+                    (self.current_app, self.served) = (app, 0);
+                }
+                self.served += 1;
+                if self.served >= 8 {
+                    (self.current_app, self.served) = ((app + 1) % n_apps, 0);
+                }
+                return Some(picked);
+            }
+            None
+        }
+    }
 
     enum Queue {
         Baseline(Vec<QueueEntry>, Option<BatchState>),
@@ -238,7 +288,7 @@ mod scan_everything {
                     Queue::Baseline(q, batch) => {
                         let idx = match batch {
                             Some(state) => state.pick(q, self.n_apps, bank_free, open_row),
-                            None => frfcfs_pick(q, bank_free, open_row),
+                            None => frfcfs_pick(q, bank_free, open_row, |_| true),
                         };
                         idx.map(|i| q.remove(i))
                     }

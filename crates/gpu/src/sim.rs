@@ -55,6 +55,13 @@ fn core_layout(policy: ComputePolicy, cores_per_app: &[usize]) -> Vec<usize> {
     layout
 }
 
+/// The first multiple of `epoch` after `now`; `Cycle::MAX` when there are
+/// no epochs.
+fn epoch_after(now: Cycle, epoch: u64) -> Cycle {
+    now.checked_div(epoch)
+        .map_or(Cycle::MAX, |done| (done + 1).saturating_mul(epoch))
+}
+
 /// How far ahead the wake schedule's wheel reaches. A burst that ends
 /// later is visited once mid-burst, which [`GpuCore::issue`] allows.
 const WAKE_HORIZON: u64 = 64;
@@ -81,21 +88,26 @@ struct WakeSchedule {
     wheel: Vec<u64>,
     /// The parked cores, one mask per word.
     parked: Vec<u64>,
+    /// Every core, one mask per word: what `parked` is when all are.
+    cores: Vec<u64>,
 }
 
 impl WakeSchedule {
     /// Every core due at cycle 0.
     fn new(n_cores: usize) -> Self {
         let words = n_cores.div_ceil(64);
-        let mut wheel = vec![0; WAKE_HORIZON as usize * words];
+        let mut cores = vec![0; words];
         for core in 0..n_cores {
-            wheel[core / 64] |= 1u64 << (core % 64);
+            cores[core / 64] |= 1u64 << (core % 64);
         }
+        let mut wheel = vec![0; WAKE_HORIZON as usize * words];
+        wheel[..words].copy_from_slice(&cores);
         WakeSchedule {
             at: vec![0; n_cores],
             words,
             wheel,
             parked: vec![0; words],
+            cores,
         }
     }
 
@@ -137,7 +149,7 @@ impl WakeSchedule {
     }
 
     fn all_parked(&self) -> bool {
-        self.at.iter().all(|&at| at == Cycle::MAX)
+        self.parked == self.cores
     }
 }
 
@@ -151,6 +163,10 @@ pub struct GpuSim {
     dram: Dram,
     stats: SimStats,
     now: Cycle,
+    /// The next cycle end-of-epoch work is due: the first multiple of the
+    /// epoch length after `now`, `Cycle::MAX` without epochs. Kept so that
+    /// no cycle divides to find out. Derived state.
+    next_epoch: Cycle,
     next_req_id: u64,
     n_apps: usize,
     /// When each core's issue stage is next visited; see [`WakeSchedule`].
@@ -257,6 +273,7 @@ impl GpuSim {
             dram,
             stats: SimStats::new(n_apps, cfg.gpu.dram.channels),
             now: 0,
+            next_epoch: epoch_after(0, cfg.gpu.mask.epoch_cycles),
             next_req_id: 0,
             n_apps,
             wake: WakeSchedule::new(cfg.gpu.n_cores),
@@ -547,14 +564,22 @@ impl GpuSim {
         }
         self.stats.cycles += 1;
         self.now += 1;
-        // 9. Epoch boundary.
-        if self.now.is_multiple_of(self.cfg.gpu.mask.epoch_cycles) {
-            let pressure = self.xlat.end_epoch(self.cfg.gpu.mask.epoch_cycles);
-            self.dram.update_pressure(&pressure);
-            self.l2.end_epoch();
-            self.emit_epoch_metrics();
-        }
+        self.epoch_boundary();
         mask_obs::hooks::flush_events(0);
+    }
+
+    /// Stage 9 of `step`: end-of-epoch work, on the cycle `now` reaches a
+    /// multiple of the epoch length.
+    fn epoch_boundary(&mut self) {
+        if self.now != self.next_epoch {
+            return;
+        }
+        let epoch = self.cfg.gpu.mask.epoch_cycles;
+        self.next_epoch += epoch;
+        let pressure = self.xlat.end_epoch(epoch);
+        self.dram.update_pressure(&pressure);
+        self.l2.end_epoch();
+        self.emit_epoch_metrics();
     }
 
     /// Emits the per-epoch metrics frames when tracing is live.
@@ -633,10 +658,7 @@ impl GpuSim {
             }
             target = target.min(ev);
         }
-        let epoch = self.cfg.gpu.mask.epoch_cycles;
-        if let Some(done) = self.now.checked_div(epoch) {
-            target = target.min((done + 1) * epoch);
-        }
+        target = target.min(self.next_epoch);
         (target > self.now).then_some(target)
     }
 
@@ -663,14 +685,9 @@ impl GpuSim {
         }
         self.stats.cycles += delta;
         self.now += delta;
-        // Epoch boundary (stage 9) — `idle_horizon` caps the skip at the
-        // next boundary, so this fires on exactly the same cycles.
-        if self.now.is_multiple_of(self.cfg.gpu.mask.epoch_cycles) {
-            let pressure = self.xlat.end_epoch(self.cfg.gpu.mask.epoch_cycles);
-            self.dram.update_pressure(&pressure);
-            self.l2.end_epoch();
-            self.emit_epoch_metrics();
-        }
+        // `idle_horizon` caps the skip at the next boundary, so this fires
+        // on exactly the same cycles.
+        self.epoch_boundary();
     }
 
     /// Performs a TLB shootdown for one address space (§5.5): every core
@@ -806,6 +823,7 @@ impl mask_common::snapshot::Snapshot for GpuSim {
         mask_sanitizer::enter_session(self.san_session);
         r.section("gpu")?;
         self.now = r.u64()?;
+        self.next_epoch = epoch_after(self.now, self.cfg.gpu.mask.epoch_cycles);
         self.next_req_id = r.u64()?;
         self.stats.restore(r)?;
         r.seq_exact(self.cores.len())?;

@@ -11,67 +11,108 @@ const NODE_ENTRIES: usize = 1 << BITS_PER_LEVEL;
 /// Bytes per page-table entry.
 const PTE_BYTES: u64 = 8;
 
-/// One node of the radix tree. Its depth fixes what it holds — a node at
-/// the deepest level translations, any other node children — so only that
-/// array is allocated.
+/// 64-slot words in a node's presence map.
+const NODE_WORDS: usize = NODE_ENTRIES / 64;
+
+/// One node of the radix tree, holding only its present slots: GPGPU
+/// applications touch a handful of base pages per 2 MB region (Mosaic's
+/// observation), so a dense 512-slot array is 4 KB of host memory for some
+/// tens of bytes of payload. Its depth fixes what the slots are — at the
+/// deepest level translations, anywhere else children.
 #[derive(Clone, Debug)]
 struct Node {
     /// 4 KB frame number holding this node in physical memory.
     frame: u64,
+    /// Bit `i % 64` of word `i / 64` set iff slot `i` is present.
+    present: [u64; NODE_WORDS],
+    /// Present slots in the words before each word, so that a slot's rank
+    /// is one add and one population count whatever the node holds.
+    before: [u16; NODE_WORDS],
     slots: Slots,
 }
 
+/// The present slots of a node, packed in slot order.
 #[derive(Clone, Debug)]
 enum Slots {
-    /// Child node indices (into `PageTable::nodes`), `NO_CHILD` when absent.
-    Interior(Box<[u32; NODE_ENTRIES]>),
-    /// Leaf translations, `NO_LEAF` when unmapped.
-    Leaf(Box<[u64; NODE_ENTRIES]>),
+    /// Child node indices (into `PageTable::nodes`).
+    Interior(Vec<u32>),
+    /// Leaf translations.
+    Leaf(Vec<u64>),
 }
 
+/// What an absent slot reads as, here and in the snapshot encoding.
 const NO_CHILD: u32 = u32::MAX;
 const NO_LEAF: u64 = u64::MAX;
 
 impl Node {
-    fn interior(frame: u64) -> Self {
+    /// An empty node read at `level` of a `levels`-deep walk.
+    fn new(frame: u64, level: u8, levels: u8) -> Self {
         Node {
             frame,
-            slots: Slots::Interior(Box::new([NO_CHILD; NODE_ENTRIES])),
+            present: [0; NODE_WORDS],
+            before: [0; NODE_WORDS],
+            slots: if level == levels {
+                Slots::Leaf(Vec::new())
+            } else {
+                Slots::Interior(Vec::new())
+            },
         }
     }
 
-    fn leaf(frame: u64) -> Self {
-        Node {
-            frame,
-            slots: Slots::Leaf(Box::new([NO_LEAF; NODE_ENTRIES])),
-        }
+    /// Whether slot `idx` is present, and its rank among the present
+    /// slots: where it is in the packed array, or where it would go.
+    fn locate(&self, idx: usize) -> (bool, usize) {
+        let (word, bit) = (idx / 64, idx % 64);
+        let map = self.present[word];
+        let below = (map & ((1 << bit) - 1)).count_ones() as usize;
+        (map >> bit & 1 != 0, usize::from(self.before[word]) + below)
     }
 
-    /// A fresh node read at `level` of a `levels`-deep walk.
-    fn at_level(frame: u64, level: u8, levels: u8) -> Self {
-        if level == levels {
-            Node::leaf(frame)
-        } else {
-            Node::interior(frame)
+    /// Marks the absent slot `idx` present and returns its rank.
+    fn claim(&mut self, idx: usize) -> usize {
+        let (present, rank) = self.locate(idx);
+        debug_assert!(!present, "slot {idx} claimed twice");
+        self.present[idx / 64] |= 1 << (idx % 64);
+        for before in &mut self.before[idx / 64 + 1..] {
+            *before += 1;
         }
+        rank
     }
 
     /// The child behind slot `idx`; `NO_CHILD` for an empty slot and for
     /// every slot of a leaf node.
     fn child(&self, idx: usize) -> u32 {
-        match &self.slots {
-            Slots::Interior(children) => children[idx],
-            Slots::Leaf(_) => NO_CHILD,
+        match (&self.slots, self.locate(idx)) {
+            (Slots::Interior(children), (true, rank)) => children[rank],
+            _ => NO_CHILD,
         }
     }
 
     /// The translation in slot `idx`; `NO_LEAF` for an unmapped slot and
     /// for every slot of an interior node.
     fn leaf_at(&self, idx: usize) -> u64 {
-        match &self.slots {
-            Slots::Leaf(leaves) => leaves[idx],
-            Slots::Interior(_) => NO_LEAF,
+        match (&self.slots, self.locate(idx)) {
+            (Slots::Leaf(leaves), (true, rank)) => leaves[rank],
+            _ => NO_LEAF,
         }
+    }
+
+    /// Puts `child` behind the empty slot `idx` of an interior node.
+    fn set_child(&mut self, idx: usize, child: u32) {
+        let rank = self.claim(idx);
+        let Slots::Interior(children) = &mut self.slots else {
+            unreachable!("a node above the deepest level is interior");
+        };
+        children.insert(rank, child);
+    }
+
+    /// Puts the translation `leaf` in the unmapped slot `idx` of a leaf node.
+    fn set_leaf(&mut self, idx: usize, leaf: u64) {
+        let rank = self.claim(idx);
+        let Slots::Leaf(leaves) = &mut self.slots else {
+            unreachable!("a node at the deepest level is a leaf");
+        };
+        leaves.insert(rank, leaf);
     }
 }
 
@@ -94,7 +135,7 @@ impl PageTable {
     pub fn new(asid: Asid, alloc: &mut FrameAllocator) -> Self {
         let page_size_log2 = alloc.page_size_log2();
         let levels = levels_for_page_size(page_size_log2);
-        let root = Node::at_level(alloc.alloc_node(), 1, levels);
+        let root = Node::new(alloc.alloc_node(), 1, levels);
         PageTable {
             asid,
             page_size_log2,
@@ -116,10 +157,10 @@ impl PageTable {
 
     /// Functionally translates `vpn`, without modelling any latency.
     ///
-    /// Walks the radix tree directly: three or four dependent array loads,
+    /// Walks the radix tree directly: three or four dependent node reads,
     /// which beats a search-tree side index once a workload has mapped
     /// hundreds of thousands of pages (this runs on every issued memory
-    /// instruction and every completed walk).
+    /// instruction).
     pub fn translate(&self, vpn: Vpn) -> Option<Ppn> {
         let mut node = 0usize;
         for level in 1..self.levels {
@@ -136,12 +177,13 @@ impl PageTable {
     }
 
     /// Maps `vpn`, allocating intermediate nodes and a data frame on first
-    /// touch; returns the (possibly pre-existing) translation.
+    /// touch; returns the (possibly pre-existing) translation and whether
+    /// this call mapped it.
     ///
     /// The paper's experiments run with pre-faulted memory ("Address
     /// translation inevitably introduces page faults. ... We leave this as
     /// future work", §5.5), so mapping never fails and is not timed.
-    pub fn ensure_mapped(&mut self, vpn: Vpn, alloc: &mut FrameAllocator) -> Ppn {
+    pub fn ensure_mapped(&mut self, vpn: Vpn, alloc: &mut FrameAllocator) -> (Ppn, bool) {
         let mut node = 0usize;
         for level in 1..self.levels {
             let idx = vpn.level_index(level, self.page_size_log2) as usize;
@@ -149,28 +191,22 @@ impl PageTable {
             node = if child == NO_CHILD {
                 let frame = alloc.alloc_node();
                 let new_idx = self.nodes.len() as u32;
-                self.nodes
-                    .push(Node::at_level(frame, level + 1, self.levels));
-                let Slots::Interior(children) = &mut self.nodes[node].slots else {
-                    unreachable!("a node above the deepest level is interior");
-                };
-                children[idx] = new_idx;
+                self.nodes.push(Node::new(frame, level + 1, self.levels));
+                self.nodes[node].set_child(idx, new_idx);
                 new_idx as usize
             } else {
                 child as usize
             };
         }
         let leaf_idx = vpn.level_index(self.levels, self.page_size_log2) as usize;
-        let Slots::Leaf(leaves) = &mut self.nodes[node].slots else {
-            unreachable!("a node at the deepest level is a leaf");
-        };
-        if leaves[leaf_idx] != NO_LEAF {
-            return Ppn(leaves[leaf_idx]);
+        let leaf = self.nodes[node].leaf_at(leaf_idx);
+        if leaf != NO_LEAF {
+            return (Ppn(leaf), false);
         }
         let ppn = alloc.alloc_data(self.asid);
-        leaves[leaf_idx] = ppn.0;
+        self.nodes[node].set_leaf(leaf_idx, ppn.0);
         self.mapped += 1;
-        ppn
+        (ppn, true)
     }
 
     /// The physical line a walk of `vpn` touches at `level`.
@@ -293,17 +329,13 @@ impl PageTables {
 
     /// Maps `vpn` in `asid` on demand and returns its translation.
     pub fn ensure_mapped(&mut self, asid: Asid, vpn: Vpn) -> Ppn {
-        let idx = asid.index();
-        self.tables[idx].ensure_mapped(vpn, &mut self.alloc)
+        self.ensure_mapped_report(asid, vpn).0
     }
 
     /// Like [`PageTables::ensure_mapped`], additionally reporting whether
     /// the page was newly mapped (a demand-paging fault).
     pub fn ensure_mapped_report(&mut self, asid: Asid, vpn: Vpn) -> (Ppn, bool) {
-        if let Some(ppn) = self.translate(asid, vpn) {
-            return (ppn, false);
-        }
-        (self.ensure_mapped(asid, vpn), true)
+        self.tables[asid.index()].ensure_mapped(vpn, &mut self.alloc)
     }
 
     /// Functional translation (no latency modelling).
@@ -334,22 +366,24 @@ impl PageTables {
 }
 
 impl mask_common::snapshot::Snapshot for PageTable {
-    /// Serializes the radix nodes densely (frame, children, leaves — the
-    /// array a node does not hold written as all-absent) plus the
-    /// mapped-page count; the ASID, page size, and level count are fixed at
-    /// construction.
+    /// Serializes the radix nodes densely — frame, 512 children, 512 leaves,
+    /// an absent slot and the array a node does not hold written as
+    /// `NO_CHILD` / `NO_LEAF` — plus the mapped-page count; the ASID, page
+    /// size, and level count are fixed at construction. The encoding is the
+    /// one nodes with two 512-slot arrays had: what a snapshot holds is not
+    /// this type's to change.
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
         w.seq(self.nodes.len());
         for node in &self.nodes {
             w.u64(node.frame);
             match &node.slots {
                 Slots::Interior(children) => {
-                    children.iter().for_each(|&c| w.u32(c));
+                    spread(&node.present, children, NO_CHILD, |c| w.u32(c));
                     (0..NODE_ENTRIES).for_each(|_| w.u64(NO_LEAF));
                 }
                 Slots::Leaf(leaves) => {
                     (0..NODE_ENTRIES).for_each(|_| w.u32(NO_CHILD));
-                    leaves.iter().for_each(|&l| w.u64(l));
+                    spread(&node.present, leaves, NO_LEAF, |l| w.u64(l));
                 }
             }
         }
@@ -365,9 +399,10 @@ impl mask_common::snapshot::Snapshot for PageTable {
         if n == 0 {
             return Err(Malformed("page table without a root node"));
         }
-        // A node's level — which array it holds — is its parent's plus one,
+        // A node's level — what its slots are — is its parent's plus one,
         // and a child always follows its parent in `nodes`, so every level
         // is known by the time its node is read. 0 = no parent seen yet.
+        // lint: allow(hotpath) -- restore runs at snapshot points.
         let mut level_of = vec![0u8; n];
         level_of[0] = 1;
         self.nodes.clear();
@@ -377,35 +412,54 @@ impl mask_common::snapshot::Snapshot for PageTable {
             if level == 0 {
                 return Err(Malformed("page-table node without a parent"));
             }
-            let mut node = Node::at_level(frame, level, self.levels);
+            let mut node = Node::new(frame, level, self.levels);
+            let is_leaf = matches!(node.slots, Slots::Leaf(_));
+            // Slots arrive in index order, so each lands at the end of the
+            // packed array.
             for idx in 0..NODE_ENTRIES {
                 let child = r.u32()?;
                 if child == NO_CHILD {
                     continue;
                 }
-                let Slots::Interior(children) = &mut node.slots else {
+                if is_leaf {
                     return Err(Malformed("leaf page-table node with a child"));
-                };
+                }
                 match level_of.get_mut(child as usize) {
                     Some(seen) if child as usize > i && *seen == 0 => *seen = level + 1,
                     _ => return Err(Malformed("page-table child out of order")),
                 }
-                children[idx] = child;
+                node.set_child(idx, child);
             }
             for idx in 0..NODE_ENTRIES {
                 let leaf = r.u64()?;
                 if leaf == NO_LEAF {
                     continue;
                 }
-                let Slots::Leaf(leaves) = &mut node.slots else {
+                if !is_leaf {
                     return Err(Malformed("interior page-table node with a translation"));
-                };
-                leaves[idx] = leaf;
+                }
+                node.set_leaf(idx, leaf);
             }
             self.nodes.push(node);
         }
         self.mapped = r.usize()?;
         Ok(())
+    }
+}
+
+/// Feeds `put` all 512 slots of a node in index order: the next of `packed`
+/// for a slot `present` marks, `absent` for the others.
+fn spread<T: Copy>(present: &[u64; NODE_WORDS], packed: &[T], absent: T, mut put: impl FnMut(T)) {
+    let mut rank = 0;
+    for &map in present {
+        for bit in 0..64 {
+            if map >> bit & 1 == 0 {
+                put(absent);
+            } else {
+                put(packed[rank]);
+                rank += 1;
+            }
+        }
     }
 }
 
@@ -597,7 +651,47 @@ mod tests {
     }
 
     #[test]
-    fn a_node_holds_one_array_and_the_encoding_stays_dense() {
+    fn slots_pack_in_index_order_whatever_order_they_arrive_in() {
+        // Every word of the presence map, both of its ends, out of order.
+        let arrivals = [300usize, 0, 511, 64, 63, 1, 448, 447, 128, 255, 256, 65];
+        let mut leaf = Node::new(7, 4, 4);
+        let mut interior = Node::new(8, 1, 4);
+        for (n, &idx) in arrivals.iter().enumerate() {
+            assert_eq!(
+                (leaf.leaf_at(idx), interior.child(idx)),
+                (NO_LEAF, NO_CHILD)
+            );
+            leaf.set_leaf(idx, idx as u64 * 10);
+            interior.set_child(idx, idx as u32 + 1);
+            let Slots::Leaf(leaves) = &leaf.slots else {
+                panic!("a node at the deepest level is a leaf");
+            };
+            assert_eq!(leaves.len(), n + 1, "one packed slot per present slot");
+            assert!(leaves.is_sorted(), "packed in slot order: {leaves:?}");
+        }
+        for idx in 0..NODE_ENTRIES {
+            let present = arrivals.contains(&idx);
+            assert_eq!(leaf.locate(idx).0, present);
+            assert_eq!(
+                leaf.leaf_at(idx),
+                if present { idx as u64 * 10 } else { NO_LEAF }
+            );
+            assert_eq!(
+                interior.child(idx),
+                if present { idx as u32 + 1 } else { NO_CHILD }
+            );
+            // A node answers only for what its level holds.
+            assert_eq!(
+                (leaf.child(idx), interior.leaf_at(idx)),
+                (NO_CHILD, NO_LEAF)
+            );
+            let before = arrivals.iter().filter(|&&a| a < idx).count();
+            assert_eq!(leaf.locate(idx).1, before, "rank of slot {idx}");
+        }
+    }
+
+    #[test]
+    fn a_node_holds_its_present_slots_and_the_encoding_stays_dense() {
         use mask_common::snapshot::{PrefixKey, Snapshot, SnapshotWriter};
         for page_size_log2 in [PAGE_SIZE_4K_LOG2, PAGE_SIZE_2M_LOG2] {
             let mut alloc = FrameAllocator::new(page_size_log2);
@@ -605,7 +699,7 @@ mod tests {
             let vpns: Vec<Vpn> = (0..40u64).map(|i| Vpn(i * 0x4_0201 + (i << 27))).collect();
             let ppns: Vec<Ppn> = vpns
                 .iter()
-                .map(|&v| table.ensure_mapped(v, &mut alloc))
+                .map(|&v| table.ensure_mapped(v, &mut alloc).0)
                 .collect();
             let levels = usize::from(table.levels());
             assert!(table.nodes.len() > levels, "several subtrees");
@@ -616,6 +710,17 @@ mod tests {
                 .filter(|n| matches!(n.slots, Slots::Leaf(_)))
                 .count();
             assert!(n_leaf_nodes > 1 && n_leaf_nodes < table.nodes.len());
+            // Host memory follows what is mapped: one packed slot per child
+            // and per page, 512 per node only in the encoding.
+            let packed: usize = table
+                .nodes
+                .iter()
+                .map(|n| match &n.slots {
+                    Slots::Interior(children) => children.len(),
+                    Slots::Leaf(leaves) => leaves.len(),
+                })
+                .sum();
+            assert_eq!(packed, table.nodes.len() - 1 + vpns.len());
 
             let mut w = SnapshotWriter::new();
             table.snapshot(&mut w);

@@ -96,6 +96,17 @@ struct Entry {
     last_used: u64,
 }
 
+/// The positionally-first minimum stamp of `set` (0 for an empty one).
+fn oldest(set: &[Entry]) -> usize {
+    let mut victim = 0;
+    for (i, e) in set.iter().enumerate() {
+        if e.last_used < set[victim].last_used {
+            victim = i;
+        }
+    }
+    victim
+}
+
 struct VecOfVecs {
     sets: Vec<Vec<Entry>>,
     assoc: usize,
@@ -153,13 +164,7 @@ impl VecOfVecs {
         }
         let mut evicted = None;
         if set.len() >= assoc {
-            let mut victim = 0;
-            for (i, e) in set.iter().enumerate() {
-                if e.last_used < set[victim].last_used {
-                    victim = i;
-                }
-            }
-            let e = set.swap_remove(victim);
+            let e = set.swap_remove(oldest(set));
             evicted = Some((e.key, e.value));
         }
         set.push(Entry {
@@ -196,6 +201,22 @@ impl VecOfVecs {
             .flatten()
             .map(|e| (e.key, e.value))
             .collect()
+    }
+
+    /// Per non-empty set, keys nothing else uses that map to it (enough to
+    /// fill it and evict once) and its positionally-first minimum stamp.
+    fn victims(&self) -> Vec<(Vec<TlbKey>, TlbKey)> {
+        let mut out = Vec::new();
+        for (idx, set) in self.sets.iter().enumerate() {
+            if let Some(oldest) = set.get(oldest(set)) {
+                let fresh = (1_000u64..)
+                    .map(|v| TlbKey::new(Asid::new(7), Vpn(v)))
+                    .filter(|k| self.set_index(k) == idx)
+                    .take(self.assoc - set.len() + 1);
+                out.push((fresh.collect(), oldest.key));
+            }
+        }
+        out
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -258,7 +279,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Equal return values and a byte-identical snapshot after every
-    /// operation, for a power-of-two set count, an odd one, and one set.
+    /// operation, for a power-of-two set count, an odd one, and one set —
+    /// and after every operation, in every set, the head of the recency
+    /// list (what a copy of the array evicts once that set overflows) is
+    /// the positionally-first minimum stamp.
     #[test]
     fn flat_array_equals_the_vec_of_vecs_it_replaced(ops in tlb_ops(), geometry in 0usize..3) {
         let (entries, assoc) = [(32, 4), (12, 4), (8, 8)][geometry];
@@ -297,6 +321,44 @@ proptest! {
             let pairs: Vec<(TlbKey, Ppn)> = arr.iter().map(|(k, v)| (*k, *v)).collect();
             prop_assert_eq!(pairs, model.pairs());
             prop_assert_eq!(encode(&arr), model.encode());
+            for (fresh, oldest) in model.victims() {
+                let mut overflowed = arr.clone();
+                let evicted: Vec<TlbKey> =
+                    fresh.iter().filter_map(|&k| overflowed.fill(k, Ppn(0))).map(|(k, _)| k).collect();
+                prop_assert_eq!(evicted, vec![oldest]);
+            }
         }
     }
+}
+
+/// Every touch takes a fresh stamp, so no array writes a set with two equal
+/// stamps or a stamp ahead of its clock: there is no recency order to
+/// rebuild from either, and restore says so.
+#[test]
+fn restore_rejects_stamps_no_sequence_of_touches_leaves() {
+    let key = |v: u64| TlbKey::new(Asid::new(0), Vpn(v));
+    let restore = |model: &VecOfVecs| {
+        let mut arr: AssocArray<TlbKey, Ppn> = AssocArray::new(8, 8);
+        let bytes = model.encode();
+        let (mut r, _) = mask_common::SnapshotReader::open(&bytes).expect("sealed by encode");
+        arr.restore(&mut r).map(|()| arr)
+    };
+    let mut model = VecOfVecs::new(8, 8);
+    for v in 0..5 {
+        model.fill(key(v), Ppn(v));
+    }
+    let mut arr = restore(&model).expect("a model's encoding restores");
+    // Stamps 1..=5 in stored order: the first entry is the oldest.
+    model.probe(&key(0));
+    arr.probe(&key(0));
+    assert_eq!(encode(&arr), model.encode());
+
+    let malformed = |model: &VecOfVecs, why: &str| match restore(model) {
+        Err(mask_common::SnapshotError::Malformed(got)) => assert_eq!(got, why),
+        other => panic!("expected Malformed({why:?}), got {:?}", other.map(|_| ())),
+    };
+    model.sets[0][3].last_used = model.sets[0][1].last_used;
+    malformed(&model, "two entries of a set carry one stamp");
+    model.sets[0][3].last_used = model.stamp + 1;
+    malformed(&model, "entry stamped after the array's clock");
 }

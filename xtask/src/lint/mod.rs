@@ -175,7 +175,7 @@ impl Sink<'_> {
 /// *not* registered here: checkpoint encoding/decoding runs only at
 /// epoch-boundary snapshot points, never inside the per-cycle loop, so
 /// it may allocate freely (the fixture tests pin this decision down).
-pub(crate) const HOTPATH_FILES: [&str; 12] = [
+pub(crate) const HOTPATH_FILES: [&str; 13] = [
     "crates/gpu/src/sim.rs",
     "crates/gpu/src/core_model.rs",
     "crates/gpu/src/translation.rs",
@@ -187,6 +187,7 @@ pub(crate) const HOTPATH_FILES: [&str; 12] = [
     "crates/dram/src/queues.rs",
     "crates/tlb/src/assoc.rs",
     "crates/pagetable/src/walker.rs",
+    "crates/pagetable/src/table.rs",
     "crates/obs/src/hooks.rs",
 ];
 

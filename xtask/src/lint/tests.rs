@@ -460,9 +460,9 @@ fn red_hotpath_covers_the_front_end() {
 
 #[test]
 fn red_hotpath_covers_the_per_cycle_memory_structures() {
-    // The DRAM device, the MSHRs, the data and TLB arrays and the walker
-    // are scanned or probed every cycle: a per-call allocation in any of
-    // them is as hot as one in `GpuSim::step`.
+    // The DRAM device, the MSHRs, the data and TLB arrays, the walker and
+    // the page tables it maps into are scanned or probed every cycle: a
+    // per-call allocation in any of them is as hot as one in `GpuSim::step`.
     let src = "pub fn complete_into(&mut self) {\n    let mut out = Vec::new();\n}\n";
     for file in [
         "crates/dram/src/device.rs",
@@ -470,6 +470,7 @@ fn red_hotpath_covers_the_per_cycle_memory_structures() {
         "crates/cache/src/data.rs",
         "crates/tlb/src/assoc.rs",
         "crates/pagetable/src/walker.rs",
+        "crates/pagetable/src/table.rs",
     ] {
         assert_eq!(rules(&lint(file, src)), ["hotpath"], "in {file}");
     }
