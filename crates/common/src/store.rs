@@ -11,128 +11,249 @@
 //! * writes go to `<key>.msnp.<pid>.tmp` and are atomically renamed in, so
 //!   concurrent processes never observe a torn file;
 //! * every use stamps the sidecar with a sequence number above every
-//!   existing one — derived from the directory itself, not process state,
-//!   so recency survives restarts;
+//!   one the store knows — read from the directory once, at
+//!   [`EnvelopeStore::open`], and written back on every use, so recency
+//!   survives restarts: a reopened store holds exactly the live one's index;
 //! * a cap evicts least-recently-used entries (sequence number, then file
 //!   stem, so the order is fully deterministic);
 //! * a file that fails validation is deleted, never trusted: at
 //!   [`EnvelopeStore::open`] by a sweep of the whole directory, at
 //!   [`EnvelopeStore::load`] for the one file asked for.
+//!
+//! # What an operation costs
+//!
+//! The sweep is the only directory listing. It leaves an in-memory recency
+//! index — key → sequence number, and the `(sequence, key)` order — that
+//! every later operation keeps, so each costs the files it names and nothing
+//! that grows with the store: [`EnvelopeStore::touch`] one `stat` and one
+//! sidecar write, [`EnvelopeStore::load`] one envelope read on top of that,
+//! [`EnvelopeStore::store`] write + rename + stamp + the removal of exactly
+//! the victims the index names, [`EnvelopeStore::len`] a field read.
+//! [`EnvelopeStore::dir_scans`] counts the listings so that tests can hold
+//! it to 1.
+//!
+//! # Sharing
+//!
+//! The index is plain data behind `&mut self`; this crate takes no lock. An
+//! owner that shares a store across threads puts it behind the lock it
+//! already has, and one that moves large payloads does the payload half —
+//! [`EnvelopeFiles::read`] / [`EnvelopeFiles::write`] on a clone of
+//! [`EnvelopeStore::files`] — outside that lock and only the index half
+//! ([`EnvelopeStore::touch`], [`EnvelopeStore::enforce_cap`]) inside it.
+//!
+//! The directory stays the truth and the index is a cache of it, because
+//! other writers exist: a second process on the same `MASK_SNAPSHOT_DIR`, a
+//! directory filled by one handle and served by another. Every operation
+//! therefore checks the one file it names: a key the index does not hold is
+//! still looked for on disk and adopted at the sequence number its sidecar
+//! carries; a key whose file is gone or fails validation leaves the index
+//! when that is found; evicting a file someone already removed is not an
+//! error. What the index cannot see is what it was never asked about, so
+//! between two handles on one directory the cap bounds the entries *each
+//! handle has seen* (the next `open` sees them all), and two handles may
+//! issue equal sequence numbers — the file stem breaks the tie.
 
 use crate::snapshot::{validate_envelope, PrefixKey, SnapshotReader};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+
+/// The payload half of an [`EnvelopeStore`]: reads and writes envelope
+/// files and knows nothing of recency, so it needs no exclusive access.
+#[derive(Clone, Debug)]
+pub struct EnvelopeFiles {
+    dir: PathBuf,
+}
+
+impl EnvelopeFiles {
+    fn envelope(&self, key: PrefixKey) -> PathBuf {
+        self.dir.join(format!("{key}.msnp"))
+    }
+
+    fn sidecar(&self, key: PrefixKey) -> PathBuf {
+        self.dir.join(format!("{key}.lru"))
+    }
+
+    /// The sealed bytes stored under `key`, if the file exists and passes
+    /// keyed envelope validation (magic, version, key, length, checksum).
+    /// An invalid file is deleted together with its sidecar. The caller
+    /// owes the store a [`EnvelopeStore::touch`] either way.
+    #[must_use]
+    pub fn read(&self, key: PrefixKey) -> Option<Vec<u8>> {
+        let path = self.envelope(key);
+        let bytes = std::fs::read(&path).ok()?;
+        if SnapshotReader::open_keyed(&bytes, key).is_err() {
+            remove_entry(&path);
+            return None;
+        }
+        Some(bytes)
+    }
+
+    /// Persists `sealed` (the output of
+    /// [`SnapshotWriter::seal`](crate::snapshot::SnapshotWriter::seal) for
+    /// `key`) via a process-unique temp file and rename; `false`, with
+    /// nothing left behind, when either fails. After a `true` the caller
+    /// owes the store a [`EnvelopeStore::touch`] and an
+    /// [`EnvelopeStore::enforce_cap`].
+    #[must_use]
+    pub fn write(&self, key: PrefixKey, sealed: &[u8]) -> bool {
+        let tmp = self
+            .dir
+            .join(format!("{key}.msnp.{}.tmp", std::process::id()));
+        let done = std::fs::write(&tmp, sealed).is_ok()
+            && std::fs::rename(&tmp, self.envelope(key)).is_ok();
+        if !done {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        done
+    }
+}
 
 /// A directory of sealed envelopes with LRU eviction.
 #[derive(Debug)]
 pub struct EnvelopeStore {
-    dir: PathBuf,
+    files: EnvelopeFiles,
     /// Maximum number of envelopes kept; `None` = unbounded. Enforced
     /// after every successful [`EnvelopeStore::store`], never below one.
     cap: Option<usize>,
+    /// The sequence number each known envelope's sidecar carries (0: no
+    /// sidecar).
+    seqs: BTreeMap<PrefixKey, u64>,
+    /// The same pairs, least recently used first.
+    order: BTreeSet<(u64, PrefixKey)>,
+    dir_scans: u64,
+    evictions: u64,
 }
 
 impl EnvelopeStore {
     /// Opens the store at `dir` (created if missing), keeping at most
     /// `cap` envelopes. Runs the hygiene sweep: envelopes that fail full
     /// validation (truncated writes, stale codec versions, checksum
-    /// damage) and their sidecars, sidecars whose envelope is gone, and
-    /// temp files left by interrupted writes are deleted.
+    /// damage) or sit under another key's name, and their sidecars,
+    /// sidecars whose envelope is gone, and temp files left by interrupted
+    /// writes are deleted. What survives is the recency index.
     #[must_use]
     pub fn open(dir: PathBuf, cap: Option<usize>) -> Self {
         let _ = std::fs::create_dir_all(&dir);
-        let store = EnvelopeStore { dir, cap };
+        let mut store = EnvelopeStore {
+            files: EnvelopeFiles { dir },
+            cap,
+            seqs: BTreeMap::new(),
+            order: BTreeSet::new(),
+            dir_scans: 0,
+            evictions: 0,
+        };
         store.sweep();
         store
     }
 
-    /// The sealed bytes stored under `key`, if the file exists and passes
-    /// keyed envelope validation (magic, version, key, length, checksum).
-    /// A valid entry is re-stamped as most recently used; an invalid one
-    /// is deleted together with its sidecar.
+    /// The payload half, for an owner that keeps envelope I/O outside the
+    /// lock it holds this store under (clone it once).
     #[must_use]
-    pub fn load(&self, key: PrefixKey) -> Option<Vec<u8>> {
-        let path = self.dir.join(format!("{key}.msnp"));
-        let bytes = std::fs::read(&path).ok()?;
-        if SnapshotReader::open_keyed(&bytes, key).is_err() {
-            remove_entry(&path);
-            return None;
+    pub fn files(&self) -> &EnvelopeFiles {
+        &self.files
+    }
+
+    /// [`EnvelopeFiles::read`], then [`EnvelopeStore::touch`]: a valid
+    /// entry is re-stamped as most recently used, anything else leaves the
+    /// index.
+    #[must_use]
+    pub fn load(&mut self, key: PrefixKey) -> Option<Vec<u8>> {
+        let bytes = self.files.read(key);
+        self.touch(key);
+        bytes
+    }
+
+    /// [`EnvelopeFiles::write`]; only a completed rename is stamped and
+    /// counted against the cap. Returns the keys eviction removed.
+    pub fn store(&mut self, key: PrefixKey, sealed: &[u8]) -> Vec<PrefixKey> {
+        if !self.files.write(key, sealed) {
+            return Vec::new();
         }
         self.touch(key);
-        Some(bytes)
+        self.enforce_cap()
     }
 
-    /// Persists `sealed` (the output of
-    /// [`SnapshotWriter::seal`](crate::snapshot::SnapshotWriter::seal) for
-    /// `key`) via a process-unique temp file and rename. Only a completed
-    /// rename is stamped and counted against the cap; a failed write
-    /// leaves nothing behind.
-    pub fn store(&self, key: PrefixKey, sealed: &[u8]) {
-        let name = format!("{key}.msnp");
-        let tmp = self.dir.join(format!("{name}.{}.tmp", std::process::id()));
-        if std::fs::write(&tmp, sealed).is_ok()
-            && std::fs::rename(&tmp, self.dir.join(&name)).is_ok()
-        {
-            self.touch(key);
-            if let Some(cap) = self.cap {
-                self.evict(cap);
-            }
-        } else {
-            let _ = std::fs::remove_file(&tmp);
+    /// Stamps `key` as the most recently used entry, if its envelope is
+    /// there (`true`); one that is not gets no sidecar and leaves the index.
+    pub fn touch(&mut self, key: PrefixKey) -> bool {
+        if !self.files.envelope(key).exists() {
+            self.forget(key);
+            return false;
         }
+        let sidecar = self.files.sidecar(key);
+        // An entry another writer put there is adopted where its own
+        // sidecar places it.
+        let seen = match self.seqs.get(&key) {
+            Some(seq) => *seq,
+            None => read_seq(&sidecar),
+        };
+        let newest = self.order.last().map_or(0, |&(seq, _)| seq);
+        let next = newest.max(seen).saturating_add(1);
+        let stamped = std::fs::write(&sidecar, format!("{next}\n")).is_ok();
+        self.place(key, if stamped { next } else { seen });
+        true
     }
 
-    /// Stamps `key` as the most recently used entry.
-    pub fn touch(&self, key: PrefixKey) {
-        let next = self
-            .list()
-            .iter()
-            .map(|(seq, _, _)| *seq)
-            .max()
-            .unwrap_or(0)
-            .saturating_add(1);
-        let _ = std::fs::write(self.dir.join(format!("{key}.lru")), format!("{next}\n"));
+    /// Evicts least-recently-used entries until the cap holds and returns
+    /// their keys; [`EnvelopeStore::store`] ends with this.
+    pub fn enforce_cap(&mut self) -> Vec<PrefixKey> {
+        let mut evicted = Vec::new();
+        let Some(cap) = self.cap else {
+            return evicted;
+        };
+        while self.order.len() > cap.max(1) {
+            let Some((_, key)) = self.order.pop_first() else {
+                break;
+            };
+            self.seqs.remove(&key);
+            remove_entry(&self.files.envelope(key));
+            self.evictions += 1;
+            evicted.push(key);
+        }
+        evicted
     }
 
-    /// Number of envelopes currently in the directory.
+    /// Number of envelopes the store knows of.
     #[must_use]
     #[allow(clippy::len_without_is_empty)] // a count for telemetry, not a collection
     pub fn len(&self) -> usize {
-        self.list().len()
+        self.order.len()
     }
 
-    /// The envelopes as `(recency, file stem, path)`, least recently used
-    /// first. Recency is the sidecar's sequence number, 0 when absent.
-    fn list(&self) -> Vec<(u64, String, PathBuf)> {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().is_some_and(|e| e == "msnp") {
-                let stem = path
-                    .file_stem()
-                    .map_or_else(String::new, |s| s.to_string_lossy().into_owned());
-                let seq = std::fs::read_to_string(path.with_extension("lru"))
-                    .ok()
-                    .and_then(|s| s.trim().parse().ok())
-                    .unwrap_or(0);
-                out.push((seq, stem, path));
-            }
+    /// The index as `(sequence number, key)`, least recently used first —
+    /// the order eviction takes entries in.
+    pub fn recency(&self) -> impl Iterator<Item = (u64, PrefixKey)> + '_ {
+        self.order.iter().copied()
+    }
+
+    /// Directory listings made so far: one, by [`EnvelopeStore::open`].
+    #[must_use]
+    pub fn dir_scans(&self) -> u64 {
+        self.dir_scans
+    }
+
+    /// Entries the cap has evicted through this handle.
+    #[must_use]
+    pub fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
+    fn place(&mut self, key: PrefixKey, seq: u64) {
+        if let Some(old) = self.seqs.insert(key, seq) {
+            self.order.remove(&(old, key));
         }
-        out.sort();
-        out
+        self.order.insert((seq, key));
     }
 
-    fn evict(&self, cap: usize) {
-        let listed = self.list();
-        for (_, _, path) in listed.iter().take(listed.len().saturating_sub(cap.max(1))) {
-            remove_entry(path);
+    fn forget(&mut self, key: PrefixKey) {
+        if let Some(old) = self.seqs.remove(&key) {
+            self.order.remove(&(old, key));
         }
     }
 
-    fn sweep(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+    fn sweep(&mut self) {
+        self.dir_scans += 1;
+        let Ok(entries) = std::fs::read_dir(&self.files.dir) else {
             return;
         };
         for entry in entries.flatten() {
@@ -140,10 +261,14 @@ impl EnvelopeStore {
             let ext = path.extension().map(|e| e.to_string_lossy().into_owned());
             match ext.as_deref() {
                 Some("msnp") => {
-                    let valid =
-                        std::fs::read(&path).is_ok_and(|bytes| validate_envelope(&bytes).is_ok());
-                    if !valid {
-                        remove_entry(&path);
+                    // Kept only under the one name `load` would look for.
+                    let key = std::fs::read(&path)
+                        .ok()
+                        .and_then(|bytes| validate_envelope(&bytes).ok())
+                        .filter(|&key| path == self.files.envelope(key));
+                    match key {
+                        Some(key) => self.place(key, read_seq(&path.with_extension("lru"))),
+                        None => remove_entry(&path),
                     }
                 }
                 Some("lru") if !path.with_extension("msnp").exists() => {
@@ -156,6 +281,14 @@ impl EnvelopeStore {
             }
         }
     }
+}
+
+/// The sequence number in the sidecar at `path`, 0 when absent or unreadable.
+fn read_seq(path: &Path) -> u64 {
+    std::fs::read_to_string(path)
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
+        .unwrap_or(0)
 }
 
 /// Deletes the envelope at `path` together with its sidecar.
@@ -197,7 +330,7 @@ mod tests {
     #[test]
     fn round_trip_uses_the_documented_file_names() {
         let dir = temp_dir("names");
-        let store = EnvelopeStore::open(dir.clone(), None);
+        let mut store = EnvelopeStore::open(dir.clone(), None);
         assert!(dir.is_dir(), "open creates the directory");
         let key = PrefixKey(0xAB);
         assert_eq!(store.load(key), None);
@@ -211,7 +344,7 @@ mod tests {
             "1\n"
         );
         // A later process finds it; the load re-stamps it.
-        let reopened = EnvelopeStore::open(dir.clone(), None);
+        let mut reopened = EnvelopeStore::open(dir.clone(), None);
         assert_eq!(reopened.load(key), Some(sealed(key)));
         assert_eq!(
             std::fs::read_to_string(dir.join("00000000000000ab.lru")).expect("sidecar"),
@@ -224,7 +357,7 @@ mod tests {
     #[test]
     fn cap_evicts_least_recently_used() {
         let dir = temp_dir("lru");
-        let store = EnvelopeStore::open(dir.clone(), Some(2));
+        let mut store = EnvelopeStore::open(dir.clone(), Some(2));
         let file = |k: u64| dir.join(format!("{}.msnp", PrefixKey(k)));
         for k in [1u64, 2, 3] {
             store.store(PrefixKey(k), &sealed(PrefixKey(k)));
@@ -243,7 +376,7 @@ mod tests {
         store.store(PrefixKey(5), &sealed(PrefixKey(5)));
         assert!(file(2).exists() && !file(4).exists() && file(5).exists());
         // Recency is read from the directory, so it survives a reopen.
-        let reopened = EnvelopeStore::open(dir.clone(), Some(2));
+        let mut reopened = EnvelopeStore::open(dir.clone(), Some(2));
         assert_eq!(reopened.load(PrefixKey(1)), None);
         reopened.store(PrefixKey(6), &sealed(PrefixKey(6)));
         assert!(!file(2).exists() && file(5).exists() && file(6).exists());
@@ -274,7 +407,7 @@ mod tests {
     #[test]
     fn load_deletes_an_envelope_that_fails_keyed_validation() {
         let dir = temp_dir("corrupt");
-        let store = EnvelopeStore::open(dir.clone(), None);
+        let mut store = EnvelopeStore::open(dir.clone(), None);
         // Damaged after open, so the sweep cannot have caught it.
         let key = PrefixKey(3);
         store.store(key, &sealed(key));
@@ -297,12 +430,37 @@ mod tests {
     #[test]
     fn a_failed_rename_leaves_no_temp_file_and_no_sidecar() {
         let dir = temp_dir("rename");
-        let store = EnvelopeStore::open(dir.clone(), Some(1));
+        let mut store = EnvelopeStore::open(dir.clone(), Some(1));
         let key = PrefixKey(9);
         // A directory in the envelope's place makes the rename fail.
         std::fs::create_dir(dir.join(format!("{key}.msnp"))).expect("blocker");
         store.store(key, &sealed(key));
         assert_eq!(names(&dir), [format!("{key}.msnp")]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn touching_an_evicted_key_writes_no_orphan_sidecar() {
+        let dir = temp_dir("orphan");
+        let mut store = EnvelopeStore::open(dir.clone(), Some(2));
+        for k in [1u64, 2, 3] {
+            store.store(PrefixKey(k), &sealed(PrefixKey(k)));
+        }
+        // Key 1 was evicted; an owner that still remembers it touches it.
+        assert!(!store.touch(PrefixKey(1)));
+        assert_eq!(
+            names(&dir),
+            [
+                "0000000000000002.lru",
+                "0000000000000002.msnp",
+                "0000000000000003.lru",
+                "0000000000000003.msnp"
+            ]
+        );
+        assert_eq!(
+            (store.len(), store.evictions(), store.dir_scans()),
+            (2, 1, 1)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,11 +6,11 @@ use super::job::{JobKey, SimJob};
 use mask_common::config::{snapshot_cap_override, snapshot_dir_override};
 use mask_common::snapshot::PrefixKey;
 use mask_common::stats::SimStats;
-use mask_common::store::EnvelopeStore;
+use mask_common::store::{EnvelopeFiles, EnvelopeStore};
 use mask_gpu::GpuSim;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Counters describing one [`BaselineCache`]'s effectiveness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -114,7 +114,16 @@ pub struct PrefixCacheStats {
 /// Which warm-ups are shared in memory is decided per batch, by
 /// [`JobPool::run_batch`](super::JobPool::run_batch)'s plan.
 pub struct PrefixCache {
-    counters: Mutex<PrefixCacheStats>,
+    /// The counters and the store's recency index: small updates only.
+    inner: Mutex<PrefixInner>,
+    /// The store's payload half. Snapshots are tens of megabytes, so they
+    /// are read and written through this, outside the lock.
+    files: Option<EnvelopeFiles>,
+}
+
+#[derive(Default)]
+struct PrefixInner {
+    stats: PrefixCacheStats,
     disk: Option<EnvelopeStore>,
 }
 
@@ -125,9 +134,13 @@ impl PrefixCache {
     /// [`JobPool`](super::JobPool) expects.
     #[must_use]
     pub fn with_store(dir: Option<PathBuf>, cap: Option<usize>) -> Arc<Self> {
+        let disk = dir.map(|dir| EnvelopeStore::open(dir, cap));
         Arc::new(PrefixCache {
-            counters: Mutex::default(),
-            disk: dir.map(|dir| EnvelopeStore::open(dir, cap)),
+            files: disk.as_ref().map(|disk| disk.files().clone()),
+            inner: Mutex::new(PrefixInner {
+                stats: PrefixCacheStats::default(),
+                disk,
+            }),
         })
     }
 
@@ -153,10 +166,33 @@ impl PrefixCache {
         self.note(|c| *c)
     }
 
-    /// The counters are plain integers, valid at every step: a lock
-    /// poisoned by a panicking job is still good to read and count on.
+    /// The counters and the index are plain data, valid at every step: a
+    /// lock poisoned by a panicking job is still good to read and count on.
+    fn lock(&self) -> MutexGuard<'_, PrefixInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn note<T>(&self, f: impl FnOnce(&mut PrefixCacheStats) -> T) -> T {
-        f(&mut self.counters.lock().unwrap_or_else(PoisonError::into_inner))
+        f(&mut self.lock().stats)
+    }
+
+    /// The stored snapshot for `key`, re-stamped as most recently used.
+    fn disk_load(&self, key: PrefixKey) -> Option<Vec<u8>> {
+        let bytes = self.files.as_ref()?.read(key);
+        if let Some(disk) = &mut self.lock().disk {
+            disk.touch(key);
+        }
+        bytes
+    }
+
+    /// Persists `sealed` under `key` and lets the cap evict.
+    fn disk_store(&self, key: PrefixKey, sealed: &[u8]) {
+        if self.files.as_ref().is_some_and(|f| f.write(key, sealed)) {
+            if let Some(disk) = &mut self.lock().disk {
+                disk.touch(key);
+                disk.enforce_cap();
+            }
+        }
     }
 }
 
@@ -182,7 +218,7 @@ impl<'a> BatchSnapshots<'a> {
     /// batch will read, or any at all when `cache` has an on-disk store to
     /// feed and read (the user has said sharing outlives the batch).
     pub(super) fn plan(cache: &'a PrefixCache, keys: impl Iterator<Item = PrefixKey>) -> Self {
-        let min_readers = if cache.disk.is_some() { 1 } else { 2 };
+        let min_readers = if cache.files.is_some() { 1 } else { 2 };
         let mut readers: BTreeMap<PrefixKey, usize> = BTreeMap::new();
         for key in keys {
             *readers.entry(key).or_default() += 1;
@@ -199,17 +235,14 @@ impl<'a> BatchSnapshots<'a> {
     /// restore from the bytes. Restore-then-run is bit-identical to the
     /// straight-through simulation, so results cannot depend on who won.
     pub(super) fn warm_up(&self, job: &SimJob, key: PrefixKey) -> GpuSim {
-        let disk = self.cache.disk.as_ref();
         let mut warmed: Option<GpuSim> = None;
         if let Some(cell) = self.cells.get(&key) {
             let bytes = cell.get_or_init(|| {
                 // A stored snapshot that fails envelope validation degrades
                 // to re-simulation instead of poisoning the cell.
-                let bytes = disk.and_then(|d| d.load(key)).unwrap_or_else(|| {
+                let bytes = self.cache.disk_load(key).unwrap_or_else(|| {
                     let bytes = warmed.insert(job.warmed_sim()).encode_snapshot(key);
-                    if let Some(disk) = disk {
-                        disk.store(key, &bytes);
-                    }
+                    self.cache.disk_store(key, &bytes);
                     bytes
                 });
                 self.cache.note(|c| c.entries += 1);

@@ -37,8 +37,8 @@ pub struct DaemonConfig {
     /// Directory for the persistent result store (`MASKD_STORE_DIR`);
     /// `None` keeps results in memory only (they die with the process).
     pub store_dir: Option<PathBuf>,
-    /// Maximum results kept on disk, LRU-evicted (`MASKD_STORE_CAP`);
-    /// `None` = unbounded.
+    /// Maximum results kept, on disk and in memory, LRU-evicted
+    /// (`MASKD_STORE_CAP`); `None` = unbounded.
     pub store_cap: Option<usize>,
     /// Bound on jobs queued across all tenants; submissions beyond it get
     /// `503 Service Unavailable` (`MASKD_QUEUE_DEPTH`).

@@ -304,6 +304,8 @@ fn store_stats(shared: &Arc<Shared>) -> Value {
                     "disk_entries",
                     Value::Num(shared.store.disk_entries() as u64),
                 ),
+                ("dir_scans", Value::Num(s.dir_scans)),
+                ("disk_evictions", Value::Num(s.disk_evictions)),
             ]),
         ),
         ("scheduler", scheduler),
@@ -322,13 +324,17 @@ fn submit(req: &Request, shared: &Arc<Shared>) -> Result<Reply, Reply> {
     let job = spec.to_sim_job();
     let key = result_key(&job);
 
+    // Content-address lookup first: a known result never touches the
+    // queue, the pool, or the per-tenant budgets. The store's file I/O
+    // runs before the state lock is taken, so status queries and event
+    // streams never wait on it.
+    let stored = shared.store.get(key);
+
     let mut state = shared.lock_state();
     let id = state.next_id;
     state.next_id += 1;
 
-    // Content-address lookup first: a known result never touches the
-    // queue, the pool, or the per-tenant budgets.
-    if let Some(stats) = shared.store.get(key) {
+    if let Some(stats) = stored {
         state.store_hits += 1;
         let checksum = result_checksum(key, &stats);
         let mut entry = JobEntry {
@@ -573,9 +579,14 @@ fn run_batch(shared: &Arc<Shared>, batch: &[Dispatched]) {
     // batch granularity — every job in the batch sees the batch's frames.
     let frames = mask_obs::drain_frames();
 
+    // Results reach the store before the state lock is taken and before
+    // any job reads as done: a client that saw `done` and resubmits hits.
+    for (d, stats) in batch.iter().zip(&results) {
+        shared.store.insert(d.key, stats);
+    }
+
     let mut state = shared.lock_state();
     for (d, stats) in batch.iter().zip(results) {
-        shared.store.insert(d.key, &stats);
         let checksum = result_checksum(d.key, &stats);
         state.queue.job_done(&d.tenant);
         if let Some(entry) = state.jobs.get_mut(&d.id) {

@@ -52,11 +52,20 @@ pub struct StoreStats {
     pub inserts: u64,
     /// Results loaded from disk this process (subset of `hits`).
     pub disk_loads: u64,
+    /// Times the on-disk store listed its directory: 1, at open (0 for an
+    /// in-memory store).
+    pub dir_scans: u64,
+    /// Results `MASKD_STORE_CAP` evicted from disk (and memory) this process.
+    pub disk_evictions: u64,
 }
 
+/// Everything behind the store's one lock, the on-disk store's recency
+/// index included: results are a few kilobytes, so a file operation under
+/// the lock costs less than a second lock would.
 #[derive(Default)]
 struct Inner {
     mem: BTreeMap<u64, SimStats>,
+    disk: Option<EnvelopeStore>,
     hits: u64,
     misses: u64,
     inserts: u64,
@@ -67,7 +76,6 @@ struct Inner {
 /// optional persistence. All methods are `&self`; the store is shared
 /// between the daemon's connection threads and its dispatcher.
 pub struct ResultStore {
-    disk: Option<EnvelopeStore>,
     inner: Mutex<Inner>,
 }
 
@@ -76,19 +84,20 @@ impl ResultStore {
     #[must_use]
     pub fn in_memory() -> Self {
         ResultStore {
-            disk: None,
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::default(),
         }
     }
 
     /// A store persisting under `dir` (created if missing), keeping at
-    /// most `cap` results on disk (LRU); see [`EnvelopeStore::open`] for
-    /// the hygiene sweep construction runs.
+    /// most `cap` results on disk and in memory (LRU); see
+    /// [`EnvelopeStore::open`] for the hygiene sweep construction runs.
     #[must_use]
     pub fn with_dir(dir: PathBuf, cap: Option<usize>) -> Self {
         ResultStore {
-            disk: Some(EnvelopeStore::open(dir, cap)),
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner {
+                disk: Some(EnvelopeStore::open(dir, cap)),
+                ..Inner::default()
+            }),
         }
     }
 
@@ -115,21 +124,26 @@ impl ResultStore {
     /// on-disk entry as most recently used.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<SimStats> {
-        let mut inner = self.lock();
-        if let Some(stats) = inner.mem.get(&key) {
-            let stats = stats.clone();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        if let Some(stats) = inner.mem.get(&key).cloned() {
             inner.hits += 1;
-            drop(inner);
-            if let Some(disk) = &self.disk {
-                disk.touch(PrefixKey(key));
+            // Memory holds nothing the disk has lost: a result whose file
+            // someone removed answers this once more and is then forgotten.
+            if inner
+                .disk
+                .as_mut()
+                .is_some_and(|disk| !disk.touch(PrefixKey(key)))
+            {
+                inner.mem.remove(&key);
             }
             return Some(stats);
         }
         // A sound envelope whose payload is not a `SimStats` is a miss; the
         // re-simulated result's `insert` then replaces the file.
-        let loaded = self
+        let loaded = inner
             .disk
-            .as_ref()
+            .as_mut()
             .and_then(|disk| disk.load(PrefixKey(key)))
             .and_then(|bytes| decode_result(&bytes, key).ok());
         match &loaded {
@@ -143,15 +157,18 @@ impl ResultStore {
         loaded
     }
 
-    /// Records a freshly simulated result under `key`, persisting it (and
-    /// enforcing the LRU cap) when the store is disk-backed.
+    /// Records a freshly simulated result under `key`, persisting it when
+    /// the store is disk-backed; what the LRU cap then evicts from disk
+    /// leaves memory too.
     pub fn insert(&self, key: u64, stats: &SimStats) {
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         inner.inserts += 1;
         inner.mem.insert(key, stats.clone());
-        drop(inner);
-        if let Some(disk) = &self.disk {
-            disk.store(PrefixKey(key), &seal_result(key, stats));
+        if let Some(disk) = &mut inner.disk {
+            for evicted in disk.store(PrefixKey(key), &seal_result(key, stats)) {
+                inner.mem.remove(&evicted.0);
+            }
         }
     }
 
@@ -165,13 +182,15 @@ impl ResultStore {
             misses: inner.misses,
             inserts: inner.inserts,
             disk_loads: inner.disk_loads,
+            dir_scans: inner.disk.as_ref().map_or(0, EnvelopeStore::dir_scans),
+            disk_evictions: inner.disk.as_ref().map_or(0, EnvelopeStore::evictions),
         }
     }
 
     /// Results currently on disk (0 for in-memory stores).
     #[must_use]
     pub fn disk_entries(&self) -> usize {
-        self.disk.as_ref().map_or(0, EnvelopeStore::len)
+        self.lock().disk.as_ref().map_or(0, EnvelopeStore::len)
     }
 }
 
@@ -257,6 +276,33 @@ mod tests {
         let store = ResultStore::with_dir(dir.clone(), None);
         assert_eq!(store.get(7), None);
         assert!(!path.exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cap_bounds_memory_and_disk_together() {
+        let dir = temp_dir("cap");
+        let store = ResultStore::with_dir(dir.clone(), Some(8));
+        for k in 0..100u64 {
+            store.insert(k, &sample_stats(k));
+            // Keep result 0 the most recently used but one throughout.
+            assert_eq!(store.get(0), Some(sample_stats(0)));
+        }
+        let t = store.stats();
+        assert_eq!((t.entries, store.disk_entries()), (8, 8));
+        assert_eq!((t.dir_scans, t.disk_evictions), (1, 92));
+        // The eight most recently used survive, in memory and on disk.
+        for k in [0u64, 93, 94, 95, 96, 97, 98, 99] {
+            assert!(dir.join(format!("{}.msnp", PrefixKey(k))).exists());
+            assert_eq!(store.get(k), Some(sample_stats(k)));
+        }
+        assert_eq!(store.stats().disk_loads, 0, "all eight came from memory");
+        // An evicted key misses, and comes back by being inserted again.
+        assert_eq!(store.get(50), None);
+        assert_eq!(store.stats().misses, 1);
+        store.insert(50, &sample_stats(50));
+        assert_eq!(store.get(50), Some(sample_stats(50)));
+        assert_eq!((store.stats().entries, store.disk_entries()), (8, 8));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

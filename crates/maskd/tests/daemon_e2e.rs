@@ -6,6 +6,9 @@
 //! * **Persistence across restarts** — a second daemon over the same
 //!   store directory answers a resubmission from disk with *zero* jobs
 //!   dispatched into its pool.
+//! * **A hit costs one file, not the directory** — on a store of 84
+//!   results 200 resubmissions are all hits, the directory is listed once
+//!   (at boot), and a reboot finds the recency order the hits left.
 //! * **Fairness and backpressure** — three tenants under a full queue get
 //!   well-formed 429/503 rejections, and once dispatch resumes, the first
 //!   round of dispatch sequence numbers covers all three tenants.
@@ -135,6 +138,102 @@ fn result_store_survives_restart_with_zero_resimulation() {
     assert_eq!(scheduler.get("store_hits").and_then(Value::as_u64), Some(1));
     let store = stats.get("store").expect("store section");
     assert_eq!(store.get("disk_loads").and_then(Value::as_u64), Some(1));
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The named `store` counter of `GET /store/stats`.
+fn store_count(client: &Client, name: &str) -> Option<u64> {
+    let stats = client.store_stats().expect("store stats");
+    stats.get("store")?.get(name).and_then(Value::as_u64)
+}
+
+/// The store directory's keys, least recently used first, as its sidecars
+/// order them: `(sequence number, file stem)`.
+fn sidecar_order(dir: &std::path::Path) -> Vec<String> {
+    let mut entries: Vec<(u64, String)> = std::fs::read_dir(dir)
+        .expect("store dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "lru"))
+        .map(|p| {
+            let seq = std::fs::read_to_string(&p).expect("sidecar");
+            let stem = p.file_stem().expect("stem").to_string_lossy().into_owned();
+            (seq.trim().parse().expect("sequence number"), stem)
+        })
+        .collect();
+    entries.sort();
+    entries.into_iter().map(|(_, stem)| stem).collect()
+}
+
+#[test]
+fn a_store_hit_lists_nothing_and_recency_survives_a_reboot() {
+    const STORED: u64 = 64;
+    const JOBS: u64 = 20;
+    const HITS: u64 = 200;
+    let dir = temp_store("index");
+    let boot = || {
+        let cfg = DaemonConfig {
+            store_dir: Some(dir.clone()),
+            ..ephemeral_config()
+        };
+        Daemon::spawn_with_pool(cfg, JobPool::with_workers(2)).expect("boot")
+    };
+    // Another handle fills the directory before the daemon opens it.
+    let filler = spec("fill", DesignKind::Mask, 500).to_sim_job().run();
+    {
+        let store = maskd::ResultStore::with_dir(dir.clone(), None);
+        for key in 0..STORED {
+            store.insert(key, &filler);
+        }
+    }
+
+    let daemon = boot();
+    let client = Client::new(daemon.addr().to_string());
+    let specs: Vec<JobSpec> = (0..JOBS)
+        .map(|i| spec("index", DesignKind::SharedTlb, 501 + i))
+        .collect();
+    let local: Vec<_> = specs.iter().map(|s| s.to_sim_job().run()).collect();
+    for (spec, local) in specs.iter().zip(&local) {
+        let submitted = client.submit(spec).expect("submit");
+        assert!(!submitted.store_hit);
+        let served = client.wait(submitted.id).expect("wait").result;
+        assert_eq!(served.as_ref(), Some(local));
+    }
+    // Resubmissions in an order that is not the insertion order.
+    let mut last_hit = Vec::new();
+    for i in 0..HITS {
+        let which = (i * 7 % JOBS) as usize;
+        let submitted = client.submit(&specs[which]).expect("resubmit");
+        assert!(submitted.store_hit, "resubmission {i} must hit");
+        let served = client.wait(submitted.id).expect("wait").result;
+        assert_eq!(served.as_ref(), Some(&local[which]));
+        if i >= HITS - JOBS {
+            last_hit.push(which);
+        }
+    }
+    assert_eq!(store_count(&client, "hits"), Some(HITS));
+    assert_eq!(store_count(&client, "disk_entries"), Some(STORED + JOBS));
+    assert_eq!(store_count(&client, "disk_evictions"), Some(0));
+    assert_eq!(
+        store_count(&client, "dir_scans"),
+        Some(1),
+        "the sweep at open is the only directory listing"
+    );
+    daemon.shutdown();
+
+    // A reboot sweeps the directory and keeps every entry; the sidecars
+    // still order the jobs by their last hit, after every untouched one.
+    let daemon = boot();
+    let client = Client::new(daemon.addr().to_string());
+    assert_eq!(store_count(&client, "disk_entries"), Some(STORED + JOBS));
+    assert_eq!(store_count(&client, "dir_scans"), Some(1));
+    let order = sidecar_order(&dir);
+    let expected: Vec<String> = last_hit
+        .iter()
+        .map(|&which| format!("{:016x}", maskd::result_key(&specs[which].to_sim_job())))
+        .collect();
+    assert_eq!(order[STORED as usize..], expected);
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -586,6 +586,18 @@ fn red_parallelism_job_identity_stays_single_threaded() {
 }
 
 #[test]
+fn red_parallelism_store_index_takes_no_lock() {
+    // The envelope store's recency index is shared by ownership: whoever
+    // holds the store puts it behind the lock they already have.
+    let v = lint(
+        "crates/common/src/store.rs",
+        "pub struct EnvelopeStore {\n    index: std::sync::Mutex<Index>,\n}\n",
+    );
+    assert_eq!(rules(&v), ["parallelism"]);
+    assert_eq!(v[0].line, 2);
+}
+
+#[test]
 fn obs_ring_may_use_thread_primitives_but_hooks_stay_hotpath_clean() {
     // The tracer's ring-buffer module is a parallelism island…
     let threads = "use std::sync::Mutex;\nstatic GATE: AtomicU8 = AtomicU8::new(0);\n";
