@@ -1,12 +1,10 @@
 //! Figure 1: time-multiplexing overhead vs concurrent process count.
 
-use mask_bench::{banner, emit, options};
+use mask_bench::{banner, emit, options, timed};
 use mask_core::experiments::timemux;
 
 fn main() {
     let opts = options(35);
     banner("Figure 1: time multiplexing", &opts);
-    let t0 = std::time::Instant::now();
-    emit(&timemux::run(&opts));
-    println!("[fig01 done in {:?}]", t0.elapsed());
+    timed("fig01", || emit(&timemux::run(&opts)));
 }

@@ -1,12 +1,10 @@
 //! Figure 3: baseline designs (`PWCache`, `SharedTLB`) vs ideal performance.
 
-use mask_bench::{banner, emit, options};
+use mask_bench::{banner, emit, options, timed};
 use mask_core::experiments::baseline;
 
 fn main() {
     let opts = options(35);
     banner("Figure 3: baselines vs ideal", &opts);
-    let t0 = std::time::Instant::now();
-    emit(&baseline::run(&opts));
-    println!("[fig03 done in {:?}]", t0.elapsed());
+    timed("fig03", || emit(&baseline::run(&opts)));
 }

@@ -1,14 +1,14 @@
 //! Figures 5 and 6: single-application page-walk pressure.
 
-use mask_bench::{banner, emit, options};
+use mask_bench::{banner, emit, options, timed};
 use mask_core::experiments::single_app;
 
 fn main() {
     let opts = options(35);
     banner("Figures 5-6: single-app translation pressure", &opts);
-    let t0 = std::time::Instant::now();
-    let rows = single_app::measure(&opts);
-    emit(&single_app::fig05(&rows));
-    emit(&single_app::fig06(&rows));
-    println!("[fig05/06 done in {:?}]", t0.elapsed());
+    timed("fig05/06", || {
+        let rows = single_app::measure(&opts);
+        emit(&single_app::fig05(&rows));
+        emit(&single_app::fig06(&rows));
+    });
 }

@@ -1,14 +1,14 @@
 //! Figures 8 and 9: DRAM bandwidth and latency by request class.
 
-use mask_bench::{banner, emit, options};
+use mask_bench::{banner, emit, options, timed};
 use mask_core::experiments::dram_char;
 
 fn main() {
     let opts = options(35);
     banner("Figures 8-9: DRAM characterization", &opts);
-    let t0 = std::time::Instant::now();
-    let rows = dram_char::measure(&opts);
-    emit(&dram_char::fig08(&rows));
-    emit(&dram_char::fig09(&rows));
-    println!("[fig08/09 done in {:?}]", t0.elapsed());
+    timed("fig08/09", || {
+        let rows = dram_char::measure(&opts);
+        emit(&dram_char::fig08(&rows));
+        emit(&dram_char::fig09(&rows));
+    });
 }

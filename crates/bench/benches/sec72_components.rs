@@ -1,12 +1,10 @@
 //! Section 7.2: component-by-component analysis of MASK's mechanisms.
 
-use mask_bench::{banner, emit, options};
+use mask_bench::{banner, emit, options, timed};
 use mask_core::experiments::components;
 
 fn main() {
     let opts = options(8);
     banner("Sec. 7.2: component analysis", &opts);
-    let t0 = std::time::Instant::now();
-    emit(&components::run(&opts));
-    println!("[sec72 done in {:?}]", t0.elapsed());
+    timed("sec72", || emit(&components::run(&opts)));
 }

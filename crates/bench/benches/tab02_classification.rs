@@ -1,11 +1,9 @@
 //! Table 2: workload categorization by measured L1/L2 TLB miss rates.
 
-use mask_bench::emit;
+use mask_bench::{emit, timed};
 use mask_core::experiments::single_app;
 
 fn main() {
     println!("=== Table 2: workload classification ===\n");
-    let t0 = std::time::Instant::now();
-    emit(&single_app::tab02());
-    println!("[tab02 done in {:?}]", t0.elapsed());
+    timed("tab02", || emit(&single_app::tab02()));
 }

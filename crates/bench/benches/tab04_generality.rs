@@ -1,12 +1,10 @@
 //! Table 4: generality across Fermi / integrated-GPU architectures.
 
-use mask_bench::{banner, emit, options};
+use mask_bench::{banner, emit, options, timed};
 use mask_core::experiments::generality;
 
 fn main() {
     let opts = options(6);
     banner("Table 4: architecture generality", &opts);
-    let t0 = std::time::Instant::now();
-    emit(&generality::run(&opts));
-    println!("[tab04 done in {:?}]", t0.elapsed());
+    timed("tab04", || emit(&generality::run(&opts)));
 }

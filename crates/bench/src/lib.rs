@@ -56,6 +56,17 @@ pub fn emit(table: &Table) {
     let _ = table.write_json(dir.join(format!("{slug}.json")));
 }
 
+/// Runs one harness body and prints its wall time as `[<name> done in …]`.
+pub fn timed(name: &str, body: impl FnOnce()) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a harness reports its own wall time; no simulation reads it"
+    )]
+    let t0 = std::time::Instant::now();
+    body();
+    println!("[{name} done in {:?}]", t0.elapsed());
+}
+
 /// Prints the standard harness banner, including the engine's resolved
 /// worker count (from `MASK_JOBS`, else available parallelism).
 pub fn banner(name: &str, opts: &ExpOptions) {

@@ -6,7 +6,7 @@ use mask_common::config::{CacheConfig, L2Policy};
 use mask_common::ids::{Asid, CoreId};
 use mask_common::req::{MemRequest, ReqId, RequestClass};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 proptest! {
     /// Probe-after-fill always hits until capacity pressure can evict.
@@ -61,7 +61,7 @@ proptest! {
     fn l2_conserves_requests(lines in proptest::collection::vec(0u64..64, 1..80), translation_mask: u8) {
         let cfg = CacheConfig { bytes: 32 * 1024, assoc: 4, latency: 5, banks: 4, ports_per_bank: 2, mshrs: 8 };
         let mut l2 = SharedL2Cache::new(&cfg, if translation_mask.is_multiple_of(2) { L2Policy::SharedBypass } else { L2Policy::Shared }, 1);
-        let mut ids = HashSet::new();
+        let mut ids = BTreeSet::new();
         for (i, &l) in lines.iter().enumerate() {
             let class = if i % 3 == 0 {
                 RequestClass::Translation(mask_common::req::WalkLevel::new((i % 4 + 1) as u8))
@@ -74,7 +74,7 @@ proptest! {
             );
             ids.insert(ReqId(i as u64));
         }
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for now in 0..10_000u64 {
             l2.tick(now);
             for r in l2.take_dram_requests() {

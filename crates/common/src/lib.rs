@@ -29,6 +29,10 @@
 //! assert_eq!(asid.index(), 3);
 //! ```
 
+// Sanitizer and test diagnostics print the request vocabulary and the
+// counters: every public type here must be `Debug`.
+#![deny(missing_debug_implementations)]
+
 pub mod addr;
 pub mod config;
 pub mod ids;

@@ -8,54 +8,6 @@
 
 use crate::req::WalkLevel;
 
-/// Neumaier-compensated floating-point accumulator.
-///
-/// Derived metrics average per-app ratios whose magnitudes can differ by
-/// orders of magnitude between a token-throttled app and one running free;
-/// naive `f64` accumulation makes such sums depend on iteration order.
-/// All float accumulation in statistics code goes through this helper
-/// (enforced by `cargo xtask lint`).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CompensatedSum {
-    sum: f64,
-    compensation: f64,
-}
-
-impl CompensatedSum {
-    /// An empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one term.
-    pub fn add(&mut self, x: f64) {
-        let t = self.sum + x;
-        if self.sum.abs() >= x.abs() {
-            self.compensation += (self.sum - t) + x;
-        } else {
-            self.compensation += (x - t) + self.sum;
-        }
-        self.sum = t;
-    }
-
-    /// The compensated total.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        self.sum + self.compensation
-    }
-
-    /// Sums an iterator of terms with compensation.
-    #[must_use]
-    pub fn total(terms: impl IntoIterator<Item = f64>) -> f64 {
-        let mut acc = CompensatedSum::new();
-        for x in terms {
-            acc.add(x);
-        }
-        acc.value()
-    }
-}
-
 /// One entry of a counter struct's field table, as [`AppStats::fields`]
 /// (`U = &u64`, ...) and [`AppStats::fields_mut`] (`U = &mut u64`, ...)
 /// hand it out — and likewise for [`HitStats`] and [`DramClassStats`],
@@ -449,19 +401,6 @@ impl SimStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn compensated_sum_recovers_cancelled_terms() {
-        // Naive summation of (1e16 + 1 - 1e16) loses the 1.0 entirely.
-        let naive: f64 = [1e16, 1.0, -1e16].iter().sum();
-        assert_eq!(naive, 0.0);
-        assert_eq!(CompensatedSum::total([1e16, 1.0, -1e16]), 1.0);
-        let mut acc = CompensatedSum::new();
-        for x in [0.1; 10] {
-            acc.add(x);
-        }
-        assert!((acc.value() - 1.0).abs() < 1e-15);
-    }
 
     #[test]
     fn hit_stats_rates() {

@@ -167,7 +167,11 @@ impl JobPool {
         // Trace bookkeeping for the `job_pool` metrics frame (see
         // `mask-obs`); both values stay `None` unless tracing is live.
         let trace = mask_obs::tracing_active();
-        let batch_start = trace.then(std::time::Instant::now); // lint: allow(nondeterminism) -- profiling only, never read by the simulation
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "profiling only, never read by the simulation"
+        )]
+        let batch_start = trace.then(std::time::Instant::now);
         let cache_before = trace.then(|| self.cache.stats());
         let prefix_before = trace.then(|| self.prefix.stats());
         // Plan: collapse equal-keyed jobs, answer alone runs from cache,

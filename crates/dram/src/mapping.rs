@@ -137,7 +137,7 @@ mod tests {
     fn streams_cover_all_channels() {
         let cfg = cfg();
         let part = ChannelPartition::shared();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..(16 * 64) {
             seen.insert(decode(LineAddr(i), &cfg, &part, Asid::new(0)).channel);
         }
@@ -173,7 +173,7 @@ mod tests {
     fn bank_coloring_confines_apps_to_their_banks() {
         let cfg = cfg();
         let part = ChannelPartition::bank_colored(cfg.banks_per_channel, 2);
-        let mut ch0 = std::collections::HashSet::new();
+        let mut ch0 = std::collections::BTreeSet::new();
         for i in 0..4096u64 {
             let d0 = decode(LineAddr(i * 17), &cfg, &part, Asid::new(0));
             let d1 = decode(LineAddr(i * 17), &cfg, &part, Asid::new(1));
@@ -205,7 +205,7 @@ mod tests {
     fn banks_spread_strided_rows() {
         let cfg = cfg();
         let part = ChannelPartition::shared();
-        let mut banks = std::collections::HashSet::new();
+        let mut banks = std::collections::BTreeSet::new();
         // Stride of exactly one row within one channel.
         for r in 0..64u64 {
             let line = r * 16 * cfg.channels as u64;

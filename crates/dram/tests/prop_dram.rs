@@ -6,7 +6,7 @@ use mask_common::ids::{Asid, CoreId};
 use mask_common::req::{MemRequest, ReqId, RequestClass, WalkLevel};
 use mask_dram::Dram;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 fn request(i: usize, line: u64, asid: u16) -> MemRequest {
     let class = if i.is_multiple_of(4) {
@@ -59,7 +59,7 @@ proptest! {
         }
         let done = drain(&mut dram, lines.len());
         prop_assert_eq!(done.len(), lines.len(), "requests lost");
-        let ids: HashSet<u64> = done.iter().map(|c| c.req.id.0).collect();
+        let ids: BTreeSet<u64> = done.iter().map(|c| c.req.id.0).collect();
         prop_assert_eq!(ids.len(), lines.len(), "duplicate completions");
         prop_assert_eq!(dram.queued(), 0);
         prop_assert_eq!(dram.in_flight(), 0);

@@ -25,7 +25,7 @@ use mask_tlb::{
 };
 // FastMap below is keyed-access only (never iterated) with a fixed-seed
 // hasher, so iteration-order nondeterminism cannot reach simulation results.
-// lint: allow(collections) -- fixed hasher, never iterated.
+#[expect(clippy::disallowed_types, reason = "fixed hasher, never iterated")]
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 
@@ -54,7 +54,10 @@ impl std::hash::Hasher for FnvHasher {
     }
 }
 
-// lint: allow(collections) -- fixed hasher, never iterated; see above.
+#[expect(
+    clippy::disallowed_types,
+    reason = "fixed hasher, never iterated; see above"
+)]
 type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
 /// A translation that just resolved; the simulator wakes all waiters.

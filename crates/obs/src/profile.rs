@@ -63,7 +63,11 @@ fn now_us() -> u64 {
     use std::sync::OnceLock;
     use std::time::Instant;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now); // lint: allow(nondeterminism) -- profiling only, never read by the simulation
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "profiling only, never read by the simulation"
+    )]
+    let epoch = *EPOCH.get_or_init(Instant::now);
     epoch.elapsed().as_micros() as u64
 }
 
@@ -82,8 +86,9 @@ pub struct StageGuard {
 pub fn stage(stage: SimStage, now: u64) -> StageGuard {
     #[cfg(feature = "enabled")]
     {
+        #[expect(clippy::disallowed_methods, reason = "profiling only")]
         let armed = crate::ring::runtime_enabled()
-            .then(|| (stage, now / STAGE_BUCKET_CYCLES, std::time::Instant::now())); // lint: allow(nondeterminism) -- profiling only
+            .then(|| (stage, now / STAGE_BUCKET_CYCLES, std::time::Instant::now()));
         StageGuard { armed }
     }
     #[cfg(not(feature = "enabled"))]
@@ -115,7 +120,8 @@ pub struct JobTimer {
 pub fn begin_job() -> JobTimer {
     #[cfg(feature = "enabled")]
     {
-        let start = crate::ring::runtime_enabled().then(|| (now_us(), std::time::Instant::now())); // lint: allow(nondeterminism) -- profiling only
+        #[expect(clippy::disallowed_methods, reason = "profiling only")]
+        let start = crate::ring::runtime_enabled().then(|| (now_us(), std::time::Instant::now()));
         JobTimer { start }
     }
     #[cfg(not(feature = "enabled"))]

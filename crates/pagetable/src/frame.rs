@@ -146,12 +146,12 @@ impl mask_common::snapshot::Snapshot for FrameAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn data_frames_are_unique_within_and_across_asids() {
         let mut a = FrameAllocator::new(12);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for asid in 0..4u16 {
             for _ in 0..1000 {
                 let ppn = a.alloc_data(Asid::new(asid));
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn node_frames_unique_and_above_data_regions() {
         let mut a = FrameAllocator::new(12);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for _ in 0..10_000 {
             let f = a.alloc_node();
             assert!(f >= NODE_REGION_BASE);
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn colored_frames_are_unique_and_stride_by_color_count() {
         let mut a = FrameAllocator::with_colors(12, 4);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for asid in 0..4u16 {
             let f0 = a.alloc_data(Asid::new(asid));
             let f1 = a.alloc_data(Asid::new(asid));

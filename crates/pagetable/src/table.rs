@@ -491,7 +491,7 @@ impl mask_common::snapshot::Snapshot for PageTables {
 mod tests {
     use super::*;
     use mask_common::addr::{PAGE_SIZE_2M_LOG2, PAGE_SIZE_4K_LOG2};
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn tables() -> PageTables {
         PageTables::new(2, PAGE_SIZE_4K_LOG2)
@@ -537,11 +537,11 @@ mod tests {
         for &v in &vpns {
             pts.ensure_mapped(asid, v);
         }
-        let root_lines: HashSet<_> = vpns
+        let root_lines: BTreeSet<_> = vpns
             .iter()
             .map(|&v| pts.walk_line(asid, v, WalkLevel::new(1)))
             .collect();
-        let leaf_lines: HashSet<_> = vpns
+        let leaf_lines: BTreeSet<_> = vpns
             .iter()
             .map(|&v| pts.walk_line(asid, v, WalkLevel::new(4)))
             .collect();
@@ -564,7 +564,7 @@ mod tests {
         for i in 0..16u64 {
             pts.ensure_mapped(asid, Vpn(i));
         }
-        let lines: HashSet<_> = (0..16u64)
+        let lines: BTreeSet<_> = (0..16u64)
             .map(|i| pts.walk_line(asid, Vpn(i), WalkLevel::new(4)))
             .collect();
         assert_eq!(lines.len(), 1);
@@ -818,7 +818,7 @@ mod tests {
     fn distinct_mappings_get_distinct_frames() {
         let mut pts = tables();
         let asid = Asid::new(0);
-        let mut frames = HashSet::new();
+        let mut frames = BTreeSet::new();
         for i in 0..2000u64 {
             assert!(frames.insert(pts.ensure_mapped(asid, Vpn(i * 7))));
         }

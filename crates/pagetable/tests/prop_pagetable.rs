@@ -5,7 +5,7 @@ use mask_common::ids::Asid;
 use mask_common::req::WalkLevel;
 use mask_pagetable::{PageTables, PageWalker, WalkOutcome};
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 proptest! {
     /// Mapping is stable and injective: same VPN -> same PPN; distinct
@@ -13,8 +13,8 @@ proptest! {
     #[test]
     fn mapping_stable_and_injective(vpns in proptest::collection::vec((0u64..1u64<<30, 0u16..3), 1..200)) {
         let mut pts = PageTables::new(3, PAGE_SIZE_4K_LOG2);
-        let mut seen: HashMap<(u16, u64), u64> = HashMap::new();
-        let mut frames: HashSet<u64> = HashSet::new();
+        let mut seen: BTreeMap<(u16, u64), u64> = BTreeMap::new();
+        let mut frames: BTreeSet<u64> = BTreeSet::new();
         for &(v, a) in &vpns {
             let ppn = pts.ensure_mapped(Asid::new(a), Vpn(v));
             match seen.get(&(a, v)) {
@@ -38,7 +38,7 @@ proptest! {
         }
         // All small VPNs share the root node (level-1 top indices equal),
         // so root lines fall within one 4 KB node (32 lines).
-        let roots: HashSet<u64> =
+        let roots: BTreeSet<u64> =
             vpns.iter().map(|&v| pts.walk_line(Asid::new(0), Vpn(v), WalkLevel::ROOT).0).collect();
         prop_assert!(roots.len() <= 32, "root lines exceed one node");
     }

@@ -1,9 +1,6 @@
-//! The default sanitizer: panics on the first violated invariant.
+//! The checker behind every hook: panics on the first violated invariant.
 
-use crate::{
-    CycleEvent, FillEvent, IssueEvent, MshrAllocEvent, MshrOutcome, RetireEvent, SimSanitizer,
-    TokenEpochEvent, WalkEvent,
-};
+use crate::MshrOutcome;
 use std::collections::BTreeMap;
 
 /// The deepest level of a 4-level page walk.
@@ -12,6 +9,8 @@ const MAX_WALK_LEVEL: u8 = 4;
 /// Independent mirror of one MSHR table.
 #[derive(Debug)]
 struct TableMirror {
+    /// Session the table was registered in (quiescence is per session).
+    session: u64,
     component: &'static str,
     capacity: usize,
     /// Pending line → waiter count.
@@ -20,12 +19,16 @@ struct TableMirror {
 
 /// Enforces the crate-level invariants with immediate panics.
 ///
-/// All state is ordinary `BTreeMap`s so that diagnostics (and any future
-/// serialization of sanitizer state) are deterministic.
-#[derive(Debug, Default)]
-pub struct InvariantSanitizer {
+/// All state is ordinary `BTreeMap`s so that diagnostics are deterministic.
+#[derive(Debug)]
+pub(crate) struct InvariantSanitizer {
     /// Current accounting session (0 = ambient).
     session: u64,
+    /// Next id [`Self::new_session`] hands out.
+    next_session: u64,
+    /// Next id [`Self::register_table`] / [`Self::register_component`]
+    /// hands out (one shared counter).
+    next_id: u64,
     /// In-flight requests: (session, domain, id) → issue order.
     in_flight: BTreeMap<(u64, &'static str, u64), u64>,
     /// Total issues observed (gives each in-flight entry an issue order).
@@ -39,229 +42,250 @@ pub struct InvariantSanitizer {
 }
 
 impl InvariantSanitizer {
-    /// A sanitizer with no recorded state.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    /// A sanitizer with no recorded state, in the ambient session.
+    pub(crate) const fn new() -> Self {
+        Self {
+            session: 0,
+            next_session: 1,
+            next_id: 1,
+            in_flight: BTreeMap::new(),
+            issues: 0,
+            tables: BTreeMap::new(),
+            cycles: BTreeMap::new(),
+            walks: BTreeMap::new(),
+        }
     }
 
     #[track_caller]
+    #[expect(
+        clippy::panic,
+        reason = "a violated invariant must never be carried past the violating event"
+    )]
     fn fail(&self, msg: &str) -> ! {
-        // Aborting with a diagnostic is the sanitizer's contract: a violated
-        // simulation invariant must never be carried past the violating event.
-        panic!("[mask-sanitizer] session {}: {msg}", self.session); // lint: allow(unwrap)
+        panic!("[mask-sanitizer] session {}: {msg}", self.session);
     }
 
     fn table(&mut self, id: u64) -> &mut TableMirror {
-        // Tables created before the sanitizer was installed (or replayed
-        // from a clone) self-register on first sight with unbounded
-        // capacity; `on_register_table` tightens it.
+        // A table id never seen registered self-registers on first sight
+        // with unbounded capacity.
+        let session = self.session;
         self.tables.entry(id).or_insert_with(|| TableMirror {
+            session,
             component: "mshr",
             capacity: usize::MAX,
             lines: BTreeMap::new(),
         })
     }
-}
 
-impl SimSanitizer for InvariantSanitizer {
-    fn on_issue(&mut self, ev: IssueEvent) {
-        let key = (self.session, ev.domain, ev.id);
+    pub(crate) fn new_session(&mut self) -> u64 {
+        let id = self.next_session;
+        self.next_session += 1;
+        id
+    }
+
+    pub(crate) fn enter_session(&mut self, session: u64) {
+        self.session = session;
+    }
+
+    pub(crate) fn register_component(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+
+    pub(crate) fn register_table(&mut self, component: &'static str, capacity: usize) -> u64 {
+        let id = self.register_component();
+        self.tables.insert(
+            id,
+            TableMirror {
+                session: self.session,
+                component,
+                capacity,
+                lines: BTreeMap::new(),
+            },
+        );
+        id
+    }
+
+    pub(crate) fn issue(&mut self, domain: &'static str, id: u64) {
+        let key = (self.session, domain, id);
         self.issues += 1;
         let order = self.issues;
         if self.in_flight.insert(key, order).is_some() {
             self.fail(&format!(
-                "request conservation violated: id {} issued into domain `{}` while already in flight \
-                 (duplicate issue)",
-                ev.id, ev.domain
+                "request conservation violated: id {id} issued into domain `{domain}` while already in flight \
+                 (duplicate issue)"
             ));
         }
     }
 
-    fn on_retire(&mut self, ev: RetireEvent) {
-        let key = (self.session, ev.domain, ev.id);
+    pub(crate) fn retire(&mut self, domain: &'static str, id: u64) {
+        let key = (self.session, domain, id);
         if self.in_flight.remove(&key).is_none() {
             self.fail(&format!(
-                "request conservation violated: id {} retired from domain `{}` without a matching issue \
-                 (lost, duplicated, or foreign retire)",
-                ev.id, ev.domain
+                "request conservation violated: id {id} retired from domain `{domain}` without a matching issue \
+                 (lost, duplicated, or foreign retire)"
             ));
         }
     }
 
-    fn on_fill(&mut self, ev: FillEvent) {
-        match ev {
-            FillEvent::Mshr {
-                table,
-                line,
-                waiters,
-                found,
-            } => {
-                let mirror = self.table(table);
-                let (component, mirrored) = (mirror.component, mirror.lines.remove(&line));
-                match (found, mirrored) {
-                    (true, Some(n)) if n == waiters => {}
-                    (true, Some(n)) => self.fail(&format!(
-                        "MSHR accounting violated in `{component}` (table {table}): fill of line {line:#x} \
-                         released {waiters} waiters but the mirror attached {n}"
-                    )),
-                    (true, None) => self.fail(&format!(
-                        "MSHR accounting violated in `{component}` (table {table}): fill of line {line:#x} \
-                         completed an entry the mirror never saw allocated"
-                    )),
-                    (false, Some(n)) => self.fail(&format!(
-                        "MSHR accounting violated in `{component}` (table {table}): line {line:#x} with \
-                         {n} waiter(s) outlived its fill (table reported no entry)"
-                    )),
-                    (false, None) => {}
-                }
-            }
-            FillEvent::Array {
-                component,
-                len,
-                capacity,
-            } => {
-                if len > capacity {
-                    self.fail(&format!(
-                        "structure overflow in `{component}`: {len} resident entries exceed capacity \
-                         {capacity}"
-                    ));
-                }
-            }
+    pub(crate) fn mshr_fill(&mut self, table: u64, line: u64, waiters: usize, found: bool) {
+        let mirror = self.table(table);
+        let (component, mirrored) = (mirror.component, mirror.lines.remove(&line));
+        match (found, mirrored) {
+            (true, Some(n)) if n == waiters => {}
+            (true, Some(n)) => self.fail(&format!(
+                "MSHR accounting violated in `{component}` (table {table}): fill of line {line:#x} \
+                 released {waiters} waiters but the mirror attached {n}"
+            )),
+            (true, None) => self.fail(&format!(
+                "MSHR accounting violated in `{component}` (table {table}): fill of line {line:#x} \
+                 completed an entry the mirror never saw allocated"
+            )),
+            (false, Some(n)) => self.fail(&format!(
+                "MSHR accounting violated in `{component}` (table {table}): line {line:#x} with \
+                 {n} waiter(s) outlived its fill (table reported no entry)"
+            )),
+            (false, None) => {}
         }
     }
 
-    fn on_cycle(&mut self, ev: CycleEvent) {
-        let key = (self.session, ev.instance);
+    pub(crate) fn array_fill(&self, component: &'static str, len: usize, capacity: usize) {
+        if len > capacity {
+            self.fail(&format!(
+                "structure overflow in `{component}`: {len} resident entries exceed capacity \
+                 {capacity}"
+            ));
+        }
+    }
+
+    pub(crate) fn cycle(&mut self, instance: u64, component: &'static str, now: u64) {
+        let key = (self.session, instance);
         match self.cycles.get(&key) {
-            Some(&last) if ev.now < last => self.fail(&format!(
-                "cycle monotonicity violated in `{}`: ticked with cycle {} after observing {}",
-                ev.component, ev.now, last
+            Some(&last) if now < last => self.fail(&format!(
+                "cycle monotonicity violated in `{component}`: ticked with cycle {now} after observing {last}"
             )),
             _ => {
-                self.cycles.insert(key, ev.now);
+                self.cycles.insert(key, now);
             }
         }
     }
 
-    fn on_mshr_alloc(&mut self, ev: MshrAllocEvent) {
-        let mirror = self.table(ev.table);
+    pub(crate) fn mshr_alloc(
+        &mut self,
+        table: u64,
+        line: u64,
+        outcome: MshrOutcome,
+        len: usize,
+        capacity: usize,
+    ) {
+        let mirror = self.table(table);
         let component = mirror.component;
         let registered = mirror.capacity;
-        if registered != usize::MAX && registered != ev.capacity {
+        if registered != usize::MAX && registered != capacity {
             self.fail(&format!(
-                "MSHR accounting violated in `{component}` (table {}): allocation reports capacity {} \
-                 but the table registered capacity {registered}",
-                ev.table, ev.capacity
+                "MSHR accounting violated in `{component}` (table {table}): allocation reports capacity {capacity} \
+                 but the table registered capacity {registered}"
             ));
         }
-        let mirror = self.table(ev.table);
-        match ev.outcome {
+        let mirror = self.table(table);
+        match outcome {
             MshrOutcome::Primary => {
-                if let Some(n) = mirror.lines.insert(ev.line, 1) {
+                if let Some(n) = mirror.lines.insert(line, 1) {
                     self.fail(&format!(
-                        "MSHR accounting violated in `{component}` (table {}): Primary allocation for \
-                         line {:#x} which already has a mirror entry with {n} waiter(s) — misses were \
-                         not merged",
-                        ev.table, ev.line
+                        "MSHR accounting violated in `{component}` (table {table}): Primary allocation for \
+                         line {line:#x} which already has a mirror entry with {n} waiter(s) — misses were \
+                         not merged"
                     ));
                 }
-                let mirror = self.table(ev.table);
-                let occupancy = mirror.lines.len();
-                if occupancy > ev.capacity {
+                let occupancy = self.table(table).lines.len();
+                if occupancy > capacity {
                     self.fail(&format!(
-                        "MSHR accounting violated in `{component}` (table {}): {occupancy} entries \
-                         exceed capacity {}",
-                        ev.table, ev.capacity
+                        "MSHR accounting violated in `{component}` (table {table}): {occupancy} entries \
+                         exceed capacity {capacity}"
                     ));
                 }
-                if occupancy != ev.len {
+                if occupancy != len {
                     self.fail(&format!(
-                        "MSHR accounting violated in `{component}` (table {}): table reports {} entries \
-                         but mirror holds {occupancy} (shared or corrupted table state?)",
-                        ev.table, ev.len
+                        "MSHR accounting violated in `{component}` (table {table}): table reports {len} entries \
+                         but mirror holds {occupancy} (shared or corrupted table state?)"
                     ));
                 }
             }
             MshrOutcome::Secondary => {
-                let merged = mirror.lines.get_mut(&ev.line).map(|n| *n += 1).is_some();
+                let merged = mirror.lines.get_mut(&line).map(|n| *n += 1).is_some();
                 if !merged {
                     self.fail(&format!(
-                        "MSHR accounting violated in `{component}` (table {}): Secondary merge into \
-                         line {:#x} which has no pending entry",
-                        ev.table, ev.line
+                        "MSHR accounting violated in `{component}` (table {table}): Secondary merge into \
+                         line {line:#x} which has no pending entry"
                     ));
                 }
             }
             MshrOutcome::Full => {
                 let occupancy = mirror.lines.len();
-                let pending = mirror.lines.contains_key(&ev.line);
-                if pending || occupancy < ev.capacity {
+                let pending = mirror.lines.contains_key(&line);
+                if pending || occupancy < capacity {
                     self.fail(&format!(
-                        "MSHR accounting violated in `{component}` (table {}): Full reported for line \
-                         {:#x} but the table is not genuinely full ({occupancy}/{} entries, line \
-                         pending: {pending})",
-                        ev.table, ev.line, ev.capacity
+                        "MSHR accounting violated in `{component}` (table {table}): Full reported for line \
+                         {line:#x} but the table is not genuinely full ({occupancy}/{capacity} entries, line \
+                         pending: {pending})"
                     ));
                 }
             }
         }
     }
 
-    fn on_walk(&mut self, ev: WalkEvent) {
-        match ev {
-            WalkEvent::Activate { slot, level } => {
-                if level != 1 {
-                    self.fail(&format!(
-                        "walker lifecycle violated: slot {slot} activated at level {level} (walks start \
-                         at level 1)"
-                    ));
-                }
-                if let Some(prev) = self.walks.insert((self.session, slot), level) {
-                    self.fail(&format!(
-                        "walker lifecycle violated: slot {slot} activated while already walking at \
-                         level {prev} (WalkIds are single-use until freed)"
-                    ));
-                }
-            }
-            WalkEvent::Advance { slot, level } => {
-                let key = (self.session, slot);
-                match self.walks.get(&key).copied() {
-                    Some(prev) => {
-                        if level != prev + 1 || level > MAX_WALK_LEVEL {
-                            self.fail(&format!(
-                                "walker lifecycle violated: slot {slot} advanced from level {prev} to \
-                                 {level} (levels must strictly increase 1→{MAX_WALK_LEVEL})"
-                            ));
-                        }
-                        self.walks.insert(key, level);
-                    }
-                    None => self.fail(&format!(
-                        "walker lifecycle violated: slot {slot} advanced to level {level} while inactive"
-                    )),
-                }
-            }
-            WalkEvent::Retire { slot } => {
-                if self.walks.remove(&(self.session, slot)).is_none() {
-                    self.fail(&format!(
-                        "walker lifecycle violated: slot {slot} freed while not active (double free?)"
-                    ));
-                }
-            }
-        }
-    }
-
-    fn on_token_epoch(&mut self, ev: TokenEpochEvent) {
-        if ev.total_warps > 0 && !(1..=ev.total_warps).contains(&ev.tokens) {
+    pub(crate) fn walk_activate(&mut self, slot: u32, level: u8) {
+        if level != 1 {
             self.fail(&format!(
-                "token conservation violated: asid {} granted {} TLB-fill tokens for an epoch with {} \
-                 warps (must stay within 1..={})",
-                ev.asid, ev.tokens, ev.total_warps, ev.total_warps
+                "walker lifecycle violated: slot {slot} activated at level {level} (walks start \
+                 at level 1)"
+            ));
+        }
+        if let Some(prev) = self.walks.insert((self.session, slot), level) {
+            self.fail(&format!(
+                "walker lifecycle violated: slot {slot} activated while already walking at \
+                 level {prev} (WalkIds are single-use until freed)"
             ));
         }
     }
 
-    fn on_check(&mut self, component: &'static str, ok: bool, what: &'static str) {
+    pub(crate) fn walk_advance(&mut self, slot: u32, level: u8) {
+        let key = (self.session, slot);
+        match self.walks.get(&key).copied() {
+            Some(prev) => {
+                if level != prev + 1 || level > MAX_WALK_LEVEL {
+                    self.fail(&format!(
+                        "walker lifecycle violated: slot {slot} advanced from level {prev} to \
+                         {level} (levels must strictly increase 1→{MAX_WALK_LEVEL})"
+                    ));
+                }
+                self.walks.insert(key, level);
+            }
+            None => self.fail(&format!(
+                "walker lifecycle violated: slot {slot} advanced to level {level} while inactive"
+            )),
+        }
+    }
+
+    pub(crate) fn walk_retire(&mut self, slot: u32) {
+        if self.walks.remove(&(self.session, slot)).is_none() {
+            self.fail(&format!(
+                "walker lifecycle violated: slot {slot} freed while not active (double free?)"
+            ));
+        }
+    }
+
+    pub(crate) fn token_epoch(&self, asid: u16, tokens: u64, total_warps: u64) {
+        if total_warps > 0 && !(1..=total_warps).contains(&tokens) {
+            self.fail(&format!(
+                "token conservation violated: asid {asid} granted {tokens} TLB-fill tokens for an epoch with {total_warps} \
+                 warps (must stay within 1..={total_warps})"
+            ));
+        }
+    }
+
+    pub(crate) fn check(&self, ok: bool, component: &'static str, what: &'static str) {
         if !ok {
             self.fail(&format!(
                 "structural invariant violated in `{component}`: {what}"
@@ -269,22 +293,7 @@ impl SimSanitizer for InvariantSanitizer {
         }
     }
 
-    fn on_register_table(&mut self, table: u64, component: &'static str, capacity: usize) {
-        self.tables.insert(
-            table,
-            TableMirror {
-                component,
-                capacity,
-                lines: BTreeMap::new(),
-            },
-        );
-    }
-
-    fn on_session(&mut self, session: u64) {
-        self.session = session;
-    }
-
-    fn check_quiescent(&self) {
+    pub(crate) fn check_quiescent(&self) {
         let leaked: Vec<String> = self
             .in_flight
             .keys()
@@ -300,7 +309,7 @@ impl SimSanitizer for InvariantSanitizer {
             ));
         }
         for (id, t) in &self.tables {
-            if !t.lines.is_empty() {
+            if t.session == self.session && !t.lines.is_empty() {
                 let lines: Vec<String> = t
                     .lines
                     .iter()
@@ -340,14 +349,8 @@ mod tests {
     #[test]
     fn conservation_happy_path() {
         let mut s = san();
-        s.on_issue(IssueEvent {
-            domain: "dram",
-            id: 7,
-        });
-        s.on_retire(RetireEvent {
-            domain: "dram",
-            id: 7,
-        });
+        s.issue("dram", 7);
+        s.retire("dram", 7);
         s.check_quiescent();
     }
 
@@ -355,124 +358,84 @@ mod tests {
     #[should_panic(expected = "duplicate issue")]
     fn duplicate_issue_panics() {
         let mut s = san();
-        s.on_issue(IssueEvent {
-            domain: "dram",
-            id: 7,
-        });
-        s.on_issue(IssueEvent {
-            domain: "dram",
-            id: 7,
-        });
+        s.issue("dram", 7);
+        s.issue("dram", 7);
     }
 
     #[test]
     #[should_panic(expected = "without a matching issue")]
     fn duplicate_retire_panics() {
         let mut s = san();
-        s.on_issue(IssueEvent {
-            domain: "dram",
-            id: 7,
-        });
-        s.on_retire(RetireEvent {
-            domain: "dram",
-            id: 7,
-        });
-        s.on_retire(RetireEvent {
-            domain: "dram",
-            id: 7,
-        });
+        s.issue("dram", 7);
+        s.retire("dram", 7);
+        s.retire("dram", 7);
     }
 
     #[test]
     #[should_panic(expected = "never retired")]
     fn leaked_request_fails_quiescence() {
         let mut s = san();
-        s.on_issue(IssueEvent {
-            domain: "l2-cache",
-            id: 3,
-        });
+        s.issue("l2-cache", 3);
         s.check_quiescent();
     }
 
     #[test]
     fn sessions_isolate_request_ids() {
         let mut s = san();
-        s.on_session(1);
-        s.on_issue(IssueEvent {
-            domain: "dram",
-            id: 7,
-        });
-        s.on_session(2);
-        s.on_issue(IssueEvent {
-            domain: "dram",
-            id: 7,
-        });
-        s.on_retire(RetireEvent {
-            domain: "dram",
-            id: 7,
-        });
+        let (one, two) = (s.new_session(), s.new_session());
+        s.enter_session(one);
+        s.issue("dram", 7);
+        s.enter_session(two);
+        s.issue("dram", 7);
+        s.retire("dram", 7);
         s.check_quiescent(); // session 2 is clean; session 1's leak is not ours
+    }
+
+    #[test]
+    fn sessions_isolate_mshr_mirrors() {
+        let mut s = san();
+        let (one, two) = (s.new_session(), s.new_session());
+        s.enter_session(one);
+        let table = s.register_table("l2-bank", 4);
+        s.mshr_alloc(table, 9, MshrOutcome::Primary, 1, 4);
+        s.enter_session(two);
+        s.check_quiescent(); // session 2 is clean; session 1's pending entry is not ours
+    }
+
+    #[test]
+    #[should_panic(expected = "still holds entries")]
+    fn pending_mshr_entry_fails_quiescence() {
+        let mut s = san();
+        let table = s.register_table("l2-bank", 4);
+        s.mshr_alloc(table, 9, MshrOutcome::Primary, 1, 4);
+        s.check_quiescent();
     }
 
     #[test]
     #[should_panic(expected = "not genuinely full")]
     fn premature_full_panics() {
         let mut s = san();
-        s.on_register_table(1, "l2-bank", 4);
-        s.on_mshr_alloc(MshrAllocEvent {
-            table: 1,
-            line: 9,
-            outcome: MshrOutcome::Full,
-            len: 1,
-            capacity: 4,
-        });
+        let table = s.register_table("l2-bank", 4);
+        s.mshr_alloc(table, 9, MshrOutcome::Full, 1, 4);
     }
 
     #[test]
     #[should_panic(expected = "outlived its fill")]
     fn entry_outliving_fill_panics() {
         let mut s = san();
-        s.on_register_table(1, "l2-bank", 4);
-        s.on_mshr_alloc(MshrAllocEvent {
-            table: 1,
-            line: 9,
-            outcome: MshrOutcome::Primary,
-            len: 1,
-            capacity: 4,
-        });
+        let table = s.register_table("l2-bank", 4);
+        s.mshr_alloc(table, 9, MshrOutcome::Primary, 1, 4);
         // Table claims it had no entry for the line it was asked to fill.
-        s.on_fill(FillEvent::Mshr {
-            table: 1,
-            line: 9,
-            waiters: 0,
-            found: false,
-        });
+        s.mshr_fill(table, 9, 0, false);
     }
 
     #[test]
     fn mshr_merge_and_fill_roundtrip() {
         let mut s = san();
-        s.on_register_table(1, "l2-bank", 4);
-        s.on_mshr_alloc(MshrAllocEvent {
-            table: 1,
-            line: 9,
-            outcome: MshrOutcome::Primary,
-            len: 1,
-            capacity: 4,
-        });
-        s.on_mshr_alloc(MshrAllocEvent {
-            table: 1,
-            line: 9,
-            outcome: MshrOutcome::Secondary,
-            len: 1,
-            capacity: 4,
-        });
-        s.on_fill(FillEvent::Mshr {
-            table: 1,
-            line: 9,
-            waiters: 2,
-            found: true,
-        });
+        let table = s.register_table("l2-bank", 4);
+        s.mshr_alloc(table, 9, MshrOutcome::Primary, 1, 4);
+        s.mshr_alloc(table, 9, MshrOutcome::Secondary, 1, 4);
+        s.mshr_fill(table, 9, 2, true);
         s.check_quiescent();
     }
 
@@ -480,35 +443,35 @@ mod tests {
     #[should_panic(expected = "single-use")]
     fn walker_slot_reuse_panics() {
         let mut s = san();
-        s.on_walk(WalkEvent::Activate { slot: 3, level: 1 });
-        s.on_walk(WalkEvent::Activate { slot: 3, level: 1 });
+        s.walk_activate(3, 1);
+        s.walk_activate(3, 1);
     }
 
     #[test]
     #[should_panic(expected = "double free")]
     fn walker_double_free_panics() {
         let mut s = san();
-        s.on_walk(WalkEvent::Activate { slot: 3, level: 1 });
-        s.on_walk(WalkEvent::Retire { slot: 3 });
-        s.on_walk(WalkEvent::Retire { slot: 3 });
+        s.walk_activate(3, 1);
+        s.walk_retire(3);
+        s.walk_retire(3);
     }
 
     #[test]
     #[should_panic(expected = "strictly increase")]
     fn walker_level_skip_panics() {
         let mut s = san();
-        s.on_walk(WalkEvent::Activate { slot: 3, level: 1 });
-        s.on_walk(WalkEvent::Advance { slot: 3, level: 3 });
+        s.walk_activate(3, 1);
+        s.walk_advance(3, 3);
     }
 
     #[test]
     fn walker_full_walk_roundtrip() {
         let mut s = san();
-        s.on_walk(WalkEvent::Activate { slot: 0, level: 1 });
+        s.walk_activate(0, 1);
         for level in 2..=4 {
-            s.on_walk(WalkEvent::Advance { slot: 0, level });
+            s.walk_advance(0, level);
         }
-        s.on_walk(WalkEvent::Retire { slot: 0 });
+        s.walk_retire(0);
         s.check_quiescent();
     }
 
@@ -516,52 +479,36 @@ mod tests {
     #[should_panic(expected = "ticked with cycle")]
     fn backwards_clock_panics() {
         let mut s = san();
-        s.on_cycle(CycleEvent {
-            instance: 1,
-            component: "dram",
-            now: 10,
-        });
-        s.on_cycle(CycleEvent {
-            instance: 1,
-            component: "dram",
-            now: 9,
-        });
+        s.cycle(1, "dram", 10);
+        s.cycle(1, "dram", 9);
     }
 
     #[test]
     fn distinct_instances_have_independent_clocks() {
         let mut s = san();
-        s.on_cycle(CycleEvent {
-            instance: 1,
-            component: "dram",
-            now: 10,
-        });
-        s.on_cycle(CycleEvent {
-            instance: 2,
-            component: "dram",
-            now: 0,
-        });
+        s.cycle(1, "dram", 10);
+        s.cycle(2, "dram", 0);
     }
 
     #[test]
     #[should_panic(expected = "token conservation")]
     fn token_overgrant_panics() {
-        let mut s = san();
-        s.on_token_epoch(TokenEpochEvent {
-            asid: 0,
-            tokens: 65,
-            total_warps: 64,
-        });
+        san().token_epoch(0, 65, 64);
     }
 
     #[test]
     #[should_panic(expected = "structure overflow")]
     fn array_overflow_panics() {
-        let mut s = san();
-        s.on_fill(FillEvent::Array {
-            component: "l1-tlb",
-            len: 65,
-            capacity: 64,
-        });
+        san().array_fill("l1-tlb", 65, 64);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "structural invariant violated in `l2-cache`: bank heads out of order"
+    )]
+    fn failed_check_panics() {
+        let s = san();
+        s.check(true, "l2-cache", "bank heads out of order");
+        s.check(false, "l2-cache", "bank heads out of order");
     }
 }

@@ -33,6 +33,10 @@
 //! the component, the object, and the state transition that broke the
 //! invariant.
 //!
+//! There is one checker and it is not swappable: every hook calls one
+//! method of the thread's `InvariantSanitizer`, with no trait object or
+//! event struct in between.
+//!
 //! The same hook-point pattern — inline functions compiled to nothing
 //! unless a feature is on — carries the observability subsystem: `mask-obs`
 //! (workspace feature `obs`) places its tracing hooks alongside this
@@ -65,9 +69,8 @@
 //! engine re-raises on the caller with the original `[mask-sanitizer]`
 //! message intact.
 
+#[cfg(any(feature = "enabled", test))]
 mod invariant;
-
-pub use invariant::InvariantSanitizer;
 
 /// Outcome of an MSHR allocation, as reported by the instrumented table.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -80,225 +83,16 @@ pub enum MshrOutcome {
     Full,
 }
 
-/// A request entered an accounting domain (e.g. was sent downstream).
-#[derive(Clone, Copy, Debug)]
-pub struct IssueEvent {
-    /// Conservation domain, e.g. `"l2-cache"` or `"dram"`.
-    pub domain: &'static str,
-    /// Request id, unique while in flight within the domain.
-    pub id: u64,
-}
-
-/// A request left an accounting domain (response/completion consumed).
-#[derive(Clone, Copy, Debug)]
-pub struct RetireEvent {
-    /// Conservation domain the request was issued into.
-    pub domain: &'static str,
-    /// Request id.
-    pub id: u64,
-}
-
-/// A fill: an MSHR entry completing, or a TLB/cache array accepting a line.
-#[derive(Clone, Copy, Debug)]
-pub enum FillEvent {
-    /// An MSHR table completed `line`, releasing `waiters` waiters.
-    Mshr {
-        /// Table id from [`register_table`].
-        table: u64,
-        /// The filled line address.
-        line: u64,
-        /// Waiters the table reported releasing.
-        waiters: usize,
-        /// Whether the table held an entry for the line.
-        found: bool,
-    },
-    /// An associative structure (TLB level, bypass cache) filled an entry.
-    Array {
-        /// Component name, e.g. `"l1-tlb"`.
-        component: &'static str,
-        /// Occupancy after the fill.
-        len: usize,
-        /// Structure capacity.
-        capacity: usize,
-    },
-}
-
-/// A component observed the clock.
-#[derive(Clone, Copy, Debug)]
-pub struct CycleEvent {
-    /// Instance id from [`register_component`] (0 = anonymous).
-    pub instance: u64,
-    /// Component name, e.g. `"gpu"` or `"dram"`.
-    pub component: &'static str,
-    /// The cycle the component was ticked with.
-    pub now: u64,
-}
-
-/// An MSHR allocation attempt and the table's reported outcome/occupancy.
-#[derive(Clone, Copy, Debug)]
-pub struct MshrAllocEvent {
-    /// Table id from [`register_table`].
-    pub table: u64,
-    /// Line allocated against.
-    pub line: u64,
-    /// Reported outcome.
-    pub outcome: MshrOutcome,
-    /// Reported occupancy after the attempt.
-    pub len: usize,
-    /// Table capacity.
-    pub capacity: usize,
-}
-
-/// A page-walker slot state transition.
-#[derive(Clone, Copy, Debug)]
-pub enum WalkEvent {
-    /// A free slot began a walk at `level` (must be 1).
-    Activate {
-        /// Slot index (the `WalkId`).
-        slot: u32,
-        /// Starting level.
-        level: u8,
-    },
-    /// An active walk advanced to `level` (must be previous + 1, ≤ 4).
-    Advance {
-        /// Slot index.
-        slot: u32,
-        /// New level.
-        level: u8,
-    },
-    /// An active walk finished and its slot was freed.
-    Retire {
-        /// Slot index.
-        slot: u32,
-    },
-}
-
-/// An epoch-boundary token reallocation for one address space.
-#[derive(Clone, Copy, Debug)]
-pub struct TokenEpochEvent {
-    /// Address space the tokens belong to.
-    pub asid: u16,
-    /// Tokens granted for the next epoch.
-    pub tokens: u64,
-    /// Total warps of that address space (upper bound on tokens).
-    pub total_warps: u64,
-}
-
-/// Observer of simulation state transitions.
-///
-/// The default implementation, [`InvariantSanitizer`], enforces the
-/// invariants in the crate docs by panicking. Custom sanitizers (tracing,
-/// statistics, fuzz oracles) can be swapped in with [`install`].
-pub trait SimSanitizer {
-    /// A request entered a conservation domain.
-    fn on_issue(&mut self, ev: IssueEvent);
-    /// An MSHR or associative array filled.
-    fn on_fill(&mut self, ev: FillEvent);
-    /// A request left a conservation domain.
-    fn on_retire(&mut self, ev: RetireEvent);
-    /// A component observed the clock.
-    fn on_cycle(&mut self, ev: CycleEvent);
-    /// An MSHR allocation attempt was reported.
-    fn on_mshr_alloc(&mut self, ev: MshrAllocEvent) {
-        let _ = ev;
-    }
-    /// A walker slot changed state.
-    fn on_walk(&mut self, ev: WalkEvent) {
-        let _ = ev;
-    }
-    /// An epoch boundary reallocated TLB-fill tokens.
-    fn on_token_epoch(&mut self, ev: TokenEpochEvent) {
-        let _ = ev;
-    }
-    /// A component reported a structural self-check result.
-    fn on_check(&mut self, component: &'static str, ok: bool, what: &'static str) {
-        let _ = (component, ok, what);
-    }
-    /// A new MSHR table came into existence.
-    fn on_register_table(&mut self, table: u64, component: &'static str, capacity: usize) {
-        let _ = (table, component, capacity);
-    }
-    /// The current session changed.
-    fn on_session(&mut self, session: u64) {
-        let _ = session;
-    }
-    /// Asserts nothing is in flight (end-of-drain check; may panic).
-    fn check_quiescent(&self) {}
-}
-
 #[cfg(feature = "enabled")]
-mod active {
-    use super::{InvariantSanitizer, SimSanitizer};
-    use std::cell::RefCell;
+thread_local! {
+    static SANITIZER: std::cell::RefCell<invariant::InvariantSanitizer> =
+        const { std::cell::RefCell::new(invariant::InvariantSanitizer::new()) };
+}
 
-    struct Ctx {
-        session: u64,
-        next_session: u64,
-        next_table: u64,
-        sanitizer: Option<Box<dyn SimSanitizer>>,
-    }
-
-    thread_local! {
-        static CTX: RefCell<Ctx> =
-            const { RefCell::new(Ctx { session: 0, next_session: 1, next_table: 1, sanitizer: None }) };
-    }
-
-    pub(super) fn dispatch(f: impl FnOnce(&mut dyn SimSanitizer)) {
-        CTX.with(|ctx| {
-            let mut ctx = ctx.borrow_mut();
-            let san = ctx
-                .sanitizer
-                .get_or_insert_with(|| Box::new(InvariantSanitizer::new()));
-            f(san.as_mut());
-        });
-    }
-
-    pub(super) fn new_session() -> u64 {
-        let id = CTX.with(|ctx| {
-            let mut ctx = ctx.borrow_mut();
-            let id = ctx.next_session;
-            ctx.next_session += 1;
-            id
-        });
-        id
-    }
-
-    pub(super) fn enter_session(id: u64) {
-        CTX.with(|ctx| ctx.borrow_mut().session = id);
-        dispatch(|s| s.on_session(id));
-    }
-
-    pub(super) fn register_table(component: &'static str, capacity: usize) -> u64 {
-        let id = CTX.with(|ctx| {
-            let mut ctx = ctx.borrow_mut();
-            let id = ctx.next_table;
-            ctx.next_table += 1;
-            id
-        });
-        dispatch(|s| s.on_register_table(id, component, capacity));
-        id
-    }
-
-    pub(super) fn register_component() -> u64 {
-        CTX.with(|ctx| {
-            let mut ctx = ctx.borrow_mut();
-            let id = ctx.next_table;
-            ctx.next_table += 1;
-            id
-        })
-    }
-
-    pub(super) fn install(sanitizer: Box<dyn SimSanitizer>) {
-        CTX.with(|ctx| ctx.borrow_mut().sanitizer = Some(sanitizer));
-    }
-
-    pub(super) fn reset() {
-        CTX.with(|ctx| {
-            let mut ctx = ctx.borrow_mut();
-            ctx.sanitizer = None;
-            ctx.session = 0;
-        });
-    }
+/// Runs `f` on this thread's checker.
+#[cfg(feature = "enabled")]
+fn with<R>(f: impl FnOnce(&mut invariant::InvariantSanitizer) -> R) -> R {
+    SANITIZER.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// Whether sanitizer hooks are compiled in (the `enabled` feature).
@@ -313,7 +107,7 @@ pub const fn is_enabled() -> bool {
 pub fn new_session() -> u64 {
     #[cfg(feature = "enabled")]
     {
-        active::new_session()
+        with(invariant::InvariantSanitizer::new_session)
     }
     #[cfg(not(feature = "enabled"))]
     {
@@ -325,7 +119,7 @@ pub fn new_session() -> u64 {
 #[inline(always)]
 pub fn enter_session(id: u64) {
     #[cfg(feature = "enabled")]
-    active::enter_session(id);
+    with(|s| s.enter_session(id));
     #[cfg(not(feature = "enabled"))]
     let _ = id;
 }
@@ -336,7 +130,7 @@ pub fn enter_session(id: u64) {
 pub fn register_table(component: &'static str, capacity: usize) -> u64 {
     #[cfg(feature = "enabled")]
     {
-        active::register_table(component, capacity)
+        with(|s| s.register_table(component, capacity))
     }
     #[cfg(not(feature = "enabled"))]
     {
@@ -345,29 +139,11 @@ pub fn register_table(component: &'static str, capacity: usize) -> u64 {
     }
 }
 
-/// Replaces the thread's sanitizer (e.g. with a tracing implementation).
-#[inline(always)]
-// By-value is the real API contract: the box is stored when `enabled` is on.
-#[cfg_attr(not(feature = "enabled"), allow(clippy::needless_pass_by_value))]
-pub fn install(sanitizer: Box<dyn SimSanitizer>) {
-    #[cfg(feature = "enabled")]
-    active::install(sanitizer);
-    #[cfg(not(feature = "enabled"))]
-    let _ = sanitizer;
-}
-
-/// Clears all sanitizer state on this thread (test helper).
-#[inline(always)]
-pub fn reset() {
-    #[cfg(feature = "enabled")]
-    active::reset();
-}
-
 /// Records a request entering conservation domain `domain`.
 #[inline(always)]
 pub fn issue(domain: &'static str, id: u64) {
     #[cfg(feature = "enabled")]
-    active::dispatch(|s| s.on_issue(IssueEvent { domain, id }));
+    with(|s| s.issue(domain, id));
     #[cfg(not(feature = "enabled"))]
     let _ = (domain, id);
 }
@@ -376,7 +152,7 @@ pub fn issue(domain: &'static str, id: u64) {
 #[inline(always)]
 pub fn retire(domain: &'static str, id: u64) {
     #[cfg(feature = "enabled")]
-    active::dispatch(|s| s.on_retire(RetireEvent { domain, id }));
+    with(|s| s.retire(domain, id));
     #[cfg(not(feature = "enabled"))]
     let _ = (domain, id);
 }
@@ -385,15 +161,7 @@ pub fn retire(domain: &'static str, id: u64) {
 #[inline(always)]
 pub fn mshr_alloc(table: u64, line: u64, outcome: MshrOutcome, len: usize, capacity: usize) {
     #[cfg(feature = "enabled")]
-    active::dispatch(|s| {
-        s.on_mshr_alloc(MshrAllocEvent {
-            table,
-            line,
-            outcome,
-            len,
-            capacity,
-        });
-    });
+    with(|s| s.mshr_alloc(table, line, outcome, len, capacity));
     #[cfg(not(feature = "enabled"))]
     let _ = (table, line, outcome, len, capacity);
 }
@@ -402,14 +170,7 @@ pub fn mshr_alloc(table: u64, line: u64, outcome: MshrOutcome, len: usize, capac
 #[inline(always)]
 pub fn mshr_fill(table: u64, line: u64, waiters: usize, found: bool) {
     #[cfg(feature = "enabled")]
-    active::dispatch(|s| {
-        s.on_fill(FillEvent::Mshr {
-            table,
-            line,
-            waiters,
-            found,
-        });
-    });
+    with(|s| s.mshr_fill(table, line, waiters, found));
     #[cfg(not(feature = "enabled"))]
     let _ = (table, line, waiters, found);
 }
@@ -418,13 +179,7 @@ pub fn mshr_fill(table: u64, line: u64, waiters: usize, found: bool) {
 #[inline(always)]
 pub fn array_fill(component: &'static str, len: usize, capacity: usize) {
     #[cfg(feature = "enabled")]
-    active::dispatch(|s| {
-        s.on_fill(FillEvent::Array {
-            component,
-            len,
-            capacity,
-        });
-    });
+    with(|s| s.array_fill(component, len, capacity));
     #[cfg(not(feature = "enabled"))]
     let _ = (component, len, capacity);
 }
@@ -434,14 +189,13 @@ pub fn array_fill(component: &'static str, len: usize, capacity: usize) {
 #[inline(always)]
 #[must_use]
 pub fn register_component(component: &'static str) -> u64 {
+    let _ = component;
     #[cfg(feature = "enabled")]
     {
-        let _ = component;
-        active::register_component()
+        with(invariant::InvariantSanitizer::register_component)
     }
     #[cfg(not(feature = "enabled"))]
     {
-        let _ = component;
         0
     }
 }
@@ -450,13 +204,7 @@ pub fn register_component(component: &'static str) -> u64 {
 #[inline(always)]
 pub fn cycle(instance: u64, component: &'static str, now: u64) {
     #[cfg(feature = "enabled")]
-    active::dispatch(|s| {
-        s.on_cycle(CycleEvent {
-            instance,
-            component,
-            now,
-        });
-    });
+    with(|s| s.cycle(instance, component, now));
     #[cfg(not(feature = "enabled"))]
     let _ = (instance, component, now);
 }
@@ -465,7 +213,7 @@ pub fn cycle(instance: u64, component: &'static str, now: u64) {
 #[inline(always)]
 pub fn walk_activate(slot: u32, level: u8) {
     #[cfg(feature = "enabled")]
-    active::dispatch(|s| s.on_walk(WalkEvent::Activate { slot, level }));
+    with(|s| s.walk_activate(slot, level));
     #[cfg(not(feature = "enabled"))]
     let _ = (slot, level);
 }
@@ -474,7 +222,7 @@ pub fn walk_activate(slot: u32, level: u8) {
 #[inline(always)]
 pub fn walk_advance(slot: u32, level: u8) {
     #[cfg(feature = "enabled")]
-    active::dispatch(|s| s.on_walk(WalkEvent::Advance { slot, level }));
+    with(|s| s.walk_advance(slot, level));
     #[cfg(not(feature = "enabled"))]
     let _ = (slot, level);
 }
@@ -483,7 +231,7 @@ pub fn walk_advance(slot: u32, level: u8) {
 #[inline(always)]
 pub fn walk_retire(slot: u32) {
     #[cfg(feature = "enabled")]
-    active::dispatch(|s| s.on_walk(WalkEvent::Retire { slot }));
+    with(|s| s.walk_retire(slot));
     #[cfg(not(feature = "enabled"))]
     let _ = slot;
 }
@@ -493,7 +241,7 @@ pub fn walk_retire(slot: u32) {
 #[inline(always)]
 pub fn check(ok: bool, component: &'static str, what: &'static str) {
     #[cfg(feature = "enabled")]
-    active::dispatch(|s| s.on_check(component, ok, what));
+    with(|s| s.check(ok, component, what));
     #[cfg(not(feature = "enabled"))]
     let _ = (ok, component, what);
 }
@@ -502,13 +250,7 @@ pub fn check(ok: bool, component: &'static str, what: &'static str) {
 #[inline(always)]
 pub fn token_epoch(asid: u16, tokens: u64, total_warps: u64) {
     #[cfg(feature = "enabled")]
-    active::dispatch(|s| {
-        s.on_token_epoch(TokenEpochEvent {
-            asid,
-            tokens,
-            total_warps,
-        });
-    });
+    with(|s| s.token_epoch(asid, tokens, total_warps));
     #[cfg(not(feature = "enabled"))]
     let _ = (asid, tokens, total_warps);
 }
@@ -519,5 +261,5 @@ pub fn token_epoch(asid: u16, tokens: u64, total_warps: u64) {
 #[inline(always)]
 pub fn assert_quiescent() {
     #[cfg(feature = "enabled")]
-    active::dispatch(|s| s.check_quiescent());
+    with(|s| s.check_quiescent());
 }

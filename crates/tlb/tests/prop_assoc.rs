@@ -5,7 +5,7 @@ use mask_common::snapshot::{SnapField, SnapshotWriter};
 use mask_common::{Asid, Ppn, Snapshot, Vpn};
 use mask_tlb::{AssocArray, TlbKey};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 /// Reference model: an unbounded map plus per-key access stamps; evictions
@@ -34,7 +34,7 @@ proptest! {
     #[test]
     fn probes_return_latest_fill(ops in ops()) {
         let mut arr: AssocArray<u8, u8> = AssocArray::new(32, 4);
-        let mut latest: HashMap<u8, u8> = HashMap::new();
+        let mut latest: BTreeMap<u8, u8> = BTreeMap::new();
         for op in ops {
             match op {
                 Op::Fill(k, v) => {

@@ -132,11 +132,11 @@ pub fn app_by_name(name: &str) -> Option<&'static AppProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn thirty_unique_apps() {
-        let names: HashSet<_> = APPS.iter().map(|a| a.name).collect();
+        let names: BTreeSet<_> = APPS.iter().map(|a| a.name).collect();
         assert_eq!(names.len(), 30);
     }
 

@@ -125,8 +125,10 @@ pub fn paper_pairs() -> Vec<AppPair> {
         .map(|(a, b)| AppPair {
             // PAIR_NAMES is a static table cross-checked against APPS by the
             // tests below, so lookup failure is unreachable in a shipped build.
-            a: app_by_name(a).unwrap_or_else(|| panic!("unknown app {a}")), // lint: allow(unwrap)
-            b: app_by_name(b).unwrap_or_else(|| panic!("unknown app {b}")), // lint: allow(unwrap)
+            #[expect(clippy::panic, reason = "PAIR_NAMES is checked against APPS")]
+            a: app_by_name(a).unwrap_or_else(|| panic!("unknown app {a}")),
+            #[expect(clippy::panic, reason = "PAIR_NAMES is checked against APPS")]
+            b: app_by_name(b).unwrap_or_else(|| panic!("unknown app {b}")),
         })
         .collect()
 }

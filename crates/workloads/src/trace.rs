@@ -298,7 +298,7 @@ impl mask_common::snapshot::Snapshot for WarpTrace {
 mod tests {
     use super::*;
     use mask_common::addr::PAGE_SIZE_4K_LOG2;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn stream_profile() -> AppProfile {
         AppProfile {
@@ -336,7 +336,7 @@ mod tests {
         // Warps 0..3 are one group of 4: their page sequences coincide.
         let mut a = WarpTrace::new(&stream_profile(), 7, 0, 0, PAGE_SIZE_4K_LOG2);
         let mut b = WarpTrace::new(&stream_profile(), 7, 0, 1, PAGE_SIZE_4K_LOG2);
-        let pages = |t: &mut WarpTrace| -> HashSet<u64> {
+        let pages = |t: &mut WarpTrace| -> BTreeSet<u64> {
             (0..100)
                 .flat_map(|_| t.next_op().lines)
                 .map(|va| va.vpn(PAGE_SIZE_4K_LOG2).0)

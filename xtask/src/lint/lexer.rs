@@ -23,6 +23,7 @@
 #[derive(Debug, Clone)]
 pub(crate) struct Line {
     /// The original text, without the trailing newline.
+    #[cfg_attr(not(test), expect(dead_code, reason = "read by the lexer tests"))]
     pub raw: String,
     /// The code view: comments and the *contents* of string/char literals
     /// are blanked with spaces (delimiters kept), so token searches never
@@ -32,12 +33,13 @@ pub(crate) struct Line {
     /// `//` marker, or the interior of a `/* */`), concatenated in order.
     pub comment: String,
     /// Byte offset in `raw` where a `//`-style comment starts, when one
-    /// does. Used by `--fix` to strip stale `lint: allow` annotations.
+    /// does: the column a stale `lint: allow` annotation is reported at.
     pub comment_start: Option<usize>,
 }
 
 impl Line {
     /// True when the line carries no code (only whitespace and comments).
+    #[cfg_attr(not(test), expect(dead_code, reason = "read by the lexer tests"))]
     pub(crate) fn code_is_blank(&self) -> bool {
         self.code.trim().is_empty()
     }

@@ -8,34 +8,27 @@
 //! [`passes`] then search the code view and consult the comment view, so
 //! rules never fire inside strings and never miss code after one.
 //!
-//! | rule id           | what it enforces                                             |
-//! |-------------------|--------------------------------------------------------------|
-//! | `collections`     | no `HashMap`/`HashSet` in simulator crates (iteration order  |
-//! |                   | is seeded per process, which breaks run-to-run determinism;  |
-//! |                   | use `BTreeMap`/`BTreeSet`)                                   |
-//! | `nondeterminism`  | no wall clock / OS entropy (`Instant::now`, `SystemTime`,    |
-//! |                   | `thread_rng`)                                                |
-//! | `float-accum`     | float accumulation in `stats.rs` files goes through          |
-//! |                   | `CompensatedSum` (or is an annotated integer sum)            |
-//! | `debug-derive`    | `pub struct`s in `mask-common`'s `req.rs` derive `Debug`     |
-//! |                   | (mechanically fixable with `--fix`)                          |
-//! | `unwrap`          | no `.unwrap()` / bare `panic!` in library code               |
-//! | `parallelism`     | thread primitives only in the parallelism islands:           |
-//! |                   | `crates/core/src/engine/{pool,cache}.rs`,                    |
-//! |                   | `crates/obs/src/ring.rs`, and `crates/maskd` (a threaded     |
-//! |                   | network daemon)                                              |
-//! | `hotpath`         | no heap traffic (`vec![`, `Vec::new()`, `.clone()`,          |
-//! |                   | `.collect`) in the per-cycle hot files outside constructors  |
-//! | `atomic-ordering` | every `Ordering::*` use carries an ordering-justification    |
-//! |                   | comment; `SeqCst` in a hot file must be justified by name    |
-//! | `stale-allow`     | a `// lint: allow(R)` that no longer suppresses anything is  |
-//! |                   | itself an error (fixable with `--fix`)                       |
+//! | rule id             | what it enforces                                           |
+//! |---------------------|------------------------------------------------------------|
+//! | `parallelism`       | thread primitives only in the parallelism islands:         |
+//! |                     | `crates/core/src/engine/{pool,cache}.rs`,                  |
+//! |                     | `crates/obs/src/ring.rs`, and `crates/maskd` (a threaded   |
+//! |                     | network daemon)                                            |
+//! | `hotpath`           | no heap traffic (`vec![`, `Vec::new()`, `.clone()`,        |
+//! |                     | `.collect`) in per-cycle hot files outside constructors    |
+//! | `env-determinism`   | environment reads (`env::var*`) only in the designated     |
+//! |                     | config entry points, so no stage of the cycle loop can     |
+//! |                     | fork behavior on the environment mid-run                   |
 //! | `design-predicates` | `DesignKind` stays out of the simulator layers: presets    |
-//! |                   | live in `crates/common/src/config.rs` and the experiment /   |
-//! |                   | bench harnesses; layers consume `DesignSpec` axes            |
-//! | `env-determinism` | environment reads (`env::var*`) only in the designated       |
-//! |                   | config entry points, so no stage of the cycle loop can fork  |
-//! |                   | behavior on the environment mid-run                          |
+//! |                     | live in `crates/common/src/config.rs` and the experiment / |
+//! |                     | bench harnesses; layers consume `DesignSpec` axes          |
+//! | `stale-allow`       | a `// lint: allow(R)` that no longer suppresses anything   |
+//! |                     | is itself an error                                         |
+//!
+//! Hash collections, the wall clock, `unwrap`/`panic!` and missing `Debug`
+//! impls are clippy's and rustc's business (`crates/clippy.toml`, the
+//! workspace lints, `#![deny(missing_debug_implementations)]` on
+//! `mask-common`); see DESIGN.md §11.
 //!
 //! Test code is exempt: items guarded by `#[cfg(test)]` (including nested
 //! guarded items, guarded `use` statements, and spans containing braces
@@ -44,12 +37,10 @@
 //! the `stale-allow` pass guarantees those annotations cannot rot.
 
 pub(crate) mod lexer;
-pub(crate) mod output;
 pub(crate) mod passes;
 
 use lexer::Line;
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -66,8 +57,6 @@ pub(crate) struct Violation {
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
-    /// Mechanical fix, when the rule is auto-fixable (`--fix`).
-    pub fix: Option<Fix>,
 }
 
 impl fmt::Display for Violation {
@@ -84,18 +73,6 @@ impl fmt::Display for Violation {
     }
 }
 
-/// A mechanical edit that resolves a violation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Fix {
-    /// Delete the violation's whole line (a stale annotation on its own).
-    DeleteLine,
-    /// Truncate the line at this byte offset, right-trimmed (a stale
-    /// trailing annotation).
-    TruncateAt(usize),
-    /// Insert this text as a new line directly above the violation.
-    InsertAbove(String),
-}
-
 /// One `// lint: allow(rule)` annotation, tracked so unused ones rot into
 /// `stale-allow` violations instead of lingering silently.
 struct Allow {
@@ -109,7 +86,7 @@ struct Allow {
 pub(crate) struct FileCtx<'a> {
     /// Crate name (the `crates/<name>` component), or empty.
     pub krate: String,
-    /// File name (`stats.rs`, `req.rs` scoping).
+    /// File name (`config.rs` scoping).
     pub file_name: String,
     /// The scanned lines.
     pub lines: &'a [Line],
@@ -135,14 +112,7 @@ pub(crate) struct Sink<'a> {
 impl Sink<'_> {
     /// Reports one violation at 0-based `line`/`col`, unless the line is
     /// test-masked or an allow annotation covers it.
-    pub(crate) fn report(
-        &mut self,
-        line: usize,
-        col: usize,
-        rule: &'static str,
-        message: String,
-        fix: Option<Fix>,
-    ) {
+    pub(crate) fn report(&mut self, line: usize, col: usize, rule: &'static str, message: String) {
         if self.test_mask.get(line).copied().unwrap_or(false) {
             return;
         }
@@ -163,13 +133,12 @@ impl Sink<'_> {
             col: col + 1,
             rule,
             message,
-            fix,
         });
     }
 }
 
 /// Files whose per-cycle code must stay allocation-free (the `hotpath`
-/// rule) and where `SeqCst` is a smell. Matched as path suffixes.
+/// rule). Matched as path suffixes.
 ///
 /// The snapshot codec (`crates/common/src/snapshot.rs`) is deliberately
 /// *not* registered here: checkpoint encoding/decoding runs only at
@@ -405,24 +374,15 @@ pub(crate) fn lint_source(path: &Path, contents: &str) -> Vec<Violation> {
         if a.used.get() || mask[a.line] {
             continue;
         }
-        let l = &lines[a.line];
-        let fix = l.comment_start.map(|cs| {
-            if l.raw[..cs].trim().is_empty() {
-                Fix::DeleteLine
-            } else {
-                Fix::TruncateAt(cs)
-            }
-        });
         sink.report(
             a.line,
-            l.comment_start.unwrap_or(0),
+            lines[a.line].comment_start.unwrap_or(0),
             "stale-allow",
             format!(
                 "`lint: allow({})` no longer suppresses any violation; remove \
-                 the annotation (or fix its rule name) — `--fix` does this",
+                 the annotation (or fix its rule name)",
                 a.rule
             ),
-            fix,
         );
     }
     let mut out = sink.out;
@@ -469,70 +429,6 @@ fn lint_tree(dir: &Path, out: &mut Vec<Violation>) -> std::io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Applies every mechanical fix in `violations` to the files on disk.
-/// Returns one log line per applied fix.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from reading or rewriting a fixed file.
-pub(crate) fn apply_fixes(violations: &[Violation]) -> std::io::Result<Vec<String>> {
-    let mut by_file: BTreeMap<&PathBuf, Vec<&Violation>> = BTreeMap::new();
-    for v in violations {
-        if v.fix.is_some() {
-            by_file.entry(&v.path).or_default().push(v);
-        }
-    }
-    let mut log = Vec::new();
-    for (path, mut fixes) in by_file {
-        let contents = std::fs::read_to_string(path)?;
-        let had_final_newline = contents.ends_with('\n');
-        let mut lines: Vec<String> = contents.lines().map(str::to_string).collect();
-        // Bottom-up so earlier line numbers stay valid.
-        fixes.sort_by_key(|v| std::cmp::Reverse(v.line));
-        fixes.dedup_by_key(|v| v.line);
-        for v in fixes {
-            let idx = v.line - 1;
-            match v.fix.as_ref().expect("only fixable violations collected") {
-                Fix::DeleteLine => {
-                    lines.remove(idx);
-                    log.push(format!(
-                        "{}:{}: removed line ({})",
-                        path.display(),
-                        v.line,
-                        v.rule
-                    ));
-                }
-                Fix::TruncateAt(byte) => {
-                    let kept = lines[idx][..*byte].trim_end().to_string();
-                    lines[idx] = kept;
-                    log.push(format!(
-                        "{}:{}: stripped trailing annotation ({})",
-                        path.display(),
-                        v.line,
-                        v.rule
-                    ));
-                }
-                Fix::InsertAbove(text) => {
-                    lines.insert(idx, text.clone());
-                    log.push(format!(
-                        "{}:{}: inserted `{}` ({})",
-                        path.display(),
-                        v.line,
-                        text.trim(),
-                        v.rule
-                    ));
-                }
-            }
-        }
-        let mut rebuilt = lines.join("\n");
-        if had_final_newline {
-            rebuilt.push('\n');
-        }
-        std::fs::write(path, rebuilt)?;
-    }
-    Ok(log)
 }
 
 #[cfg(test)]

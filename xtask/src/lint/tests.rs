@@ -1,7 +1,7 @@
 //! Engine and rule tests: one red-fixture test per rule (proving each
 //! rule fires), one clean fixture per rule, the v1 regression cases
 //! (`//` inside strings, brace-in-string `#[cfg(test)]` spans), and a
-//! self-check that the repository itself is lint-clean under all 11 rules.
+//! self-check that the repository itself is lint-clean under all 5 rules.
 
 use super::*;
 
@@ -16,48 +16,6 @@ fn rules(v: &[Violation]) -> Vec<&'static str> {
 // One red test per rule: each proves the rule actually fires.
 
 #[test]
-fn red_collections_flags_hashmap() {
-    let v = lint(
-        "crates/tlb/src/l1.rs",
-        "use std::collections::HashMap;\nstruct S { m: HashMap<u32, u32> }\n",
-    );
-    assert_eq!(rules(&v), ["collections", "collections"]);
-    assert_eq!(v[0].line, 1);
-}
-
-#[test]
-fn red_nondeterminism_flags_wall_clock() {
-    let v = lint(
-        "crates/gpu/src/sim.rs",
-        "let t = std::time::Instant::now();\n",
-    );
-    assert_eq!(rules(&v), ["nondeterminism"]);
-    let v = lint("crates/dram/src/device.rs", "let r = rand::thread_rng();\n");
-    assert_eq!(rules(&v), ["nondeterminism"]);
-}
-
-#[test]
-fn red_float_accum_flags_naive_sum() {
-    let v = lint(
-        "crates/common/src/stats.rs",
-        "pub fn total(&self) -> f64 {\n    self.apps.iter().map(A::ipc).sum()\n}\n",
-    );
-    assert_eq!(rules(&v), ["float-accum"]);
-    assert_eq!(v[0].line, 2);
-}
-
-#[test]
-fn red_debug_derive_flags_missing_debug() {
-    let v = lint(
-        "crates/common/src/req.rs",
-        "#[derive(Clone, Copy)]\npub struct Raw {\n    pub bits: u64,\n}\n",
-    );
-    assert_eq!(rules(&v), ["debug-derive"]);
-    // The violation is mechanically fixable: insert a derive line above.
-    assert_eq!(v[0].fix, Some(Fix::InsertAbove("#[derive(Debug)]".into())));
-}
-
-#[test]
 fn red_parallelism_flags_thread_primitives_outside_engine() {
     let v = lint(
         "crates/gpu/src/sim.rs",
@@ -69,15 +27,6 @@ fn red_parallelism_flags_thread_primitives_outside_engine() {
         "use std::sync::atomic::AtomicUsize;\n",
     );
     assert_eq!(rules(&v), ["parallelism"]);
-}
-
-#[test]
-fn red_unwrap_flags_unwrap_and_panic() {
-    let v = lint(
-        "crates/cache/src/l2.rs",
-        "let x = m.get(&k).unwrap();\npanic!(\"boom\");\n",
-    );
-    assert_eq!(rules(&v), ["unwrap", "unwrap"]);
 }
 
 #[test]
@@ -109,62 +58,6 @@ fn red_hotpath_catches_turbofish_collect() {
     assert_eq!(rules(&v), ["hotpath"]);
 }
 
-// The three mask-lint v2 passes: red + clean fixtures per rule.
-
-#[test]
-fn red_atomic_ordering_flags_uncommented_ordering() {
-    let v = lint(
-        "crates/core/src/engine/pool.rs",
-        "let e = self.epoch.load(Ordering::Acquire);\n",
-    );
-    assert_eq!(rules(&v), ["atomic-ordering"]);
-}
-
-#[test]
-fn clean_atomic_ordering_accepts_justification_comments() {
-    let src = "\
-// Acquire: pairs with the publisher's release bump, making the job
-// visible before we execute it.
-let e = self.epoch.load(Ordering::Acquire);
-let n = counter.fetch_add(1, Ordering::Relaxed); // Relaxed: counter only, nothing synchronizes on it
-";
-    assert!(lint("crates/core/src/engine/pool.rs", src).is_empty());
-}
-
-#[test]
-fn clean_atomic_ordering_comment_above_covers_multiline_condition() {
-    let src = "\
-// SeqCst (both loads): the Dekker handshake re-check must not reorder.
-if shared.epoch.load(Ordering::SeqCst) != seen
-    || shared.shutdown.load(Ordering::SeqCst)
-{
-    return;
-}
-";
-    assert!(lint("crates/gpu/src/sim.rs", src).is_empty());
-}
-
-#[test]
-fn red_atomic_ordering_seqcst_smell_in_hot_file_needs_naming() {
-    // Justified generically ("ordering"), but SeqCst in a hot file must be
-    // justified by name.
-    let src = "\
-// This ordering keeps the flag in sync.
-flag.store(true, Ordering::SeqCst);
-";
-    let v = lint("crates/gpu/src/sim.rs", src);
-    assert_eq!(rules(&v), ["atomic-ordering"]);
-    assert!(v[0].message.contains("smell"), "{}", v[0].message);
-    // Outside a hot file the generic justification suffices.
-    assert!(lint("crates/core/src/engine/pool.rs", src).is_empty());
-    // Naming SeqCst satisfies the hot-file smell check too.
-    let named = "\
-// SeqCst: the park/unpark handshake needs total order with the bump.
-flag.store(true, Ordering::SeqCst);
-";
-    assert!(lint("crates/gpu/src/sim.rs", named).is_empty());
-}
-
 #[test]
 fn red_stale_allow_flags_suppressing_nothing() {
     let v = lint(
@@ -172,21 +65,20 @@ fn red_stale_allow_flags_suppressing_nothing() {
         "let x = well_behaved(); // lint: allow(unwrap)\n",
     );
     assert_eq!(rules(&v), ["stale-allow"]);
-    assert_eq!(v[0].fix, Some(Fix::TruncateAt(24)));
-    // An annotation alone on its line is removed wholesale.
+    assert_eq!(v[0].col, 25);
+    // An annotation alone on its line rots the same way.
     let v = lint(
         "crates/cache/src/mshr.rs",
         "// lint: allow(hotpath) -- obsolete\nlet x = well_behaved();\n",
     );
     assert_eq!(rules(&v), ["stale-allow"]);
-    assert_eq!(v[0].fix, Some(Fix::DeleteLine));
 }
 
 #[test]
 fn clean_stale_allow_used_annotations_survive() {
     let v = lint(
         "crates/cache/src/mshr.rs",
-        "let x = m.get(&k).unwrap(); // lint: allow(unwrap) -- checked above\n",
+        "let x = self.xs.clone(); // lint: allow(hotpath) -- debug API, off-cycle\n",
     );
     assert!(v.is_empty(), "{v:?}");
 }
@@ -197,9 +89,9 @@ fn stale_allow_catches_misspelled_rule_names() {
     // of silently masking the author's intent.
     let v = lint(
         "crates/cache/src/mshr.rs",
-        "let x = m.get(&k).unwrap(); // lint: allow(unwarp)\n",
+        "let x = self.xs.clone(); // lint: allow(hotpth)\n",
     );
-    assert_eq!(rules(&v), ["unwrap", "stale-allow"]);
+    assert_eq!(rules(&v), ["hotpath", "stale-allow"]);
 }
 
 #[test]
@@ -312,13 +204,13 @@ fn red_hotpath_snapshot_style_code_in_hot_files_still_fires() {
 #[test]
 fn regression_comment_slashes_inside_string_do_not_truncate_the_line() {
     // v1's `code_of` cut this line at the `//` inside the string literal,
-    // so the HashMap after it was never scanned. v2 lexes the string and
+    // so the Mutex after it was never scanned. v2 lexes the string and
     // sees the whole line.
     let v = lint(
         "crates/tlb/src/l1.rs",
-        "let note = \"// not a comment\"; let m: HashMap<u8, u8> = HashMap::new();\n",
+        "let note = \"// not a comment\"; let m = std::sync::Mutex::new(0);\n",
     );
-    assert_eq!(rules(&v), ["collections"]);
+    assert_eq!(rules(&v), ["parallelism"]);
     assert!(
         v[0].col > 20,
         "flagged after the string, not inside it: {v:?}"
@@ -347,8 +239,8 @@ mod tests {
 
     #[test]
     fn t() {
-        use std::collections::HashMap;
-        let m: HashMap<u8, u8> = HashMap::new();
+        use std::sync::Mutex;
+        let m = Mutex::new(0u8);
     }
 }
 ";
@@ -362,10 +254,10 @@ fn nested_cfg_test_items_are_masked() {
 mod tests {
     #[cfg(test)]
     mod inner {
-        use std::collections::HashMap;
+        use std::sync::Mutex;
     }
 
-    fn t() { let m = HashMap::new(); }
+    fn t() { let m = Mutex::new(0); }
 }
 ";
     assert!(lint("crates/tlb/src/l1.rs", src).is_empty());
@@ -375,17 +267,17 @@ mod tests {
 fn cfg_test_on_use_statements_is_masked() {
     let src = "\
 #[cfg(test)]
-use std::collections::HashMap;
+use std::sync::Mutex;
 
 #[cfg(test)]
-use std::sync::{Mutex, RwLock};
+use std::sync::{Condvar, RwLock};
 
 pub fn f() {
-    let x = Some(1).unwrap();
+    let m = std::sync::Mutex::new(0);
 }
 ";
     let v = lint("crates/tlb/src/l1.rs", src);
-    assert_eq!(rules(&v), ["unwrap"]);
+    assert_eq!(rules(&v), ["parallelism"]);
     assert_eq!(v[0].line, 8);
 }
 
@@ -394,19 +286,19 @@ fn cfg_test_conjunctions_are_masked_but_not_test_is_not() {
     let masked = "\
 #[cfg(all(test, feature = \"slow\"))]
 mod tests {
-    use std::collections::HashMap;
+    use std::sync::Mutex;
 }
 ";
     assert!(lint("crates/tlb/src/l1.rs", masked).is_empty());
     let not_test = "\
 #[cfg(not(test))]
 pub fn f() {
-    let m = std::collections::HashMap::new();
+    let m = std::sync::Mutex::new(0);
 }
 ";
     assert_eq!(
         rules(&lint("crates/tlb/src/l1.rs", not_test)),
-        ["collections"]
+        ["parallelism"]
     );
 }
 
@@ -495,9 +387,9 @@ fn hotpath_allow_annotation_works() {
 fn allow_annotation_suppresses_same_line_and_next_line() {
     let v = lint(
         "crates/cache/src/l2.rs",
-        "let x = m.get(&k).unwrap(); // lint: allow(unwrap)\n\
-         // lint: allow(unwrap) -- checked above\n\
-         let y = m.get(&k).unwrap();\n",
+        "let x = self.xs.clone(); // lint: allow(hotpath)\n\
+         // lint: allow(hotpath) -- off-cycle\n\
+         let y = self.ys.clone();\n",
     );
     assert!(v.is_empty(), "{v:?}");
 }
@@ -509,21 +401,21 @@ fn consecutive_same_line_allows_each_cover_their_own_line() {
     // be reported stale.
     let v = lint(
         "crates/cache/src/l2.rs",
-        "let x = m.get(&a).unwrap(); // lint: allow(unwrap)\n\
-         let y = m.get(&b).unwrap(); // lint: allow(unwrap)\n",
+        "let x = self.xs.clone(); // lint: allow(hotpath)\n\
+         let y = self.ys.clone(); // lint: allow(hotpath)\n",
     );
     assert!(v.is_empty(), "{v:?}");
 }
 
 #[test]
 fn allow_annotation_is_rule_specific_and_rots_when_mismatched() {
-    // The mismatched annotation does not suppress the unwrap — and, being
+    // The mismatched annotation does not suppress the clone — and, being
     // useless, is itself flagged as stale.
     let v = lint(
         "crates/cache/src/l2.rs",
-        "let x = m.get(&k).unwrap(); // lint: allow(collections)\n",
+        "let x = self.xs.clone(); // lint: allow(parallelism)\n",
     );
-    assert_eq!(rules(&v), ["unwrap", "stale-allow"]);
+    assert_eq!(rules(&v), ["hotpath", "stale-allow"]);
 }
 
 #[test]
@@ -533,12 +425,12 @@ pub fn lib() {}
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
+    use std::sync::Mutex;
 
     #[test]
     fn t() {
-        let m: HashMap<u8, u8> = HashMap::new();
-        assert!(m.is_empty() || panic!(\"x\"));
+        let m = Mutex::new(vec![0u8]);
+        assert!(m.lock().is_ok());
     }
 }
 ";
@@ -549,22 +441,22 @@ mod tests {
 fn cfg_test_single_item_is_exempt_but_rest_is_not() {
     let src = "\
 #[cfg(test)]
-use std::collections::HashMap;
+use std::sync::Mutex;
 
 pub fn f() {
-    let x = Some(1).unwrap();
+    let m = std::sync::Mutex::new(0);
 }
 ";
     let v = lint("crates/tlb/src/l1.rs", src);
-    assert_eq!(rules(&v), ["unwrap"]);
+    assert_eq!(rules(&v), ["parallelism"]);
     assert_eq!(v[0].line, 5);
 }
 
 #[test]
 fn commented_out_code_is_exempt() {
-    let v = lint("crates/tlb/src/l1.rs", "// let m = HashMap::new();\n");
+    let v = lint("crates/tlb/src/l1.rs", "// let m = Mutex::new(0);\n");
     assert!(v.is_empty());
-    let v = lint("crates/tlb/src/l1.rs", "/* let m = HashMap::new(); */\n");
+    let v = lint("crates/tlb/src/l1.rs", "/* let m = Mutex::new(0); */\n");
     assert!(v.is_empty());
 }
 
@@ -617,89 +509,7 @@ fn obs_ring_may_use_thread_primitives_but_hooks_stay_hotpath_clean() {
     assert!(lint("crates/obs/src/export.rs", alloc).is_empty());
 }
 
-#[test]
-fn integer_and_compensated_sums_are_exempt_in_stats() {
-    let src = "\
-let n: u64 = xs.iter().sum();
-let t = CompensatedSum::total(ys.iter().map(f));
-";
-    assert!(lint("crates/common/src/stats.rs", src).is_empty());
-}
-
-#[test]
-fn float_sum_outside_stats_rs_is_not_this_rules_business() {
-    let v = lint(
-        "crates/core/src/metrics.rs",
-        "let t: f64 = xs.iter().sum::<f64>();\n",
-    );
-    assert!(v.is_empty());
-}
-
-#[test]
-fn debug_derive_accepts_derive_with_doc_comments_between() {
-    let src = "\
-#[derive(Clone, Copy, Debug)]
-pub struct Tagged {
-    pub bits: u64,
-}
-";
-    assert!(lint("crates/common/src/req.rs", src).is_empty());
-}
-
-#[test]
-fn expect_with_message_is_allowed() {
-    let v = lint(
-        "crates/cache/src/l2.rs",
-        "let x = m.get(&k).expect(\"present\");\n",
-    );
-    assert!(v.is_empty());
-}
-
-// Fix application.
-
-#[test]
-fn apply_fixes_rewrites_stale_allows_and_missing_derives() {
-    let dir = std::env::temp_dir().join(format!("mask-lint-fix-{}", std::process::id()));
-    std::fs::create_dir_all(dir.join("crates/common/src")).unwrap();
-    let req = dir.join("crates/common/src/req.rs");
-    std::fs::write(
-        &req,
-        "// lint: allow(collections) -- long gone\n\
-         #[derive(Clone)]\n\
-         pub struct Raw {\n\
-         \x20   pub bits: u64, // lint: allow(unwrap)\n\
-         }\n",
-    )
-    .unwrap();
-    let contents = std::fs::read_to_string(&req).unwrap();
-    let violations = lint_source(&req, &contents);
-    assert_eq!(
-        rules(&violations),
-        ["stale-allow", "debug-derive", "stale-allow"]
-    );
-    let log = apply_fixes(&violations).unwrap();
-    assert_eq!(log.len(), 3, "{log:?}");
-    let fixed = std::fs::read_to_string(&req).unwrap();
-    // The derive is inserted directly above the struct line (a second
-    // derive attribute is valid Rust).
-    assert_eq!(
-        fixed,
-        "#[derive(Clone)]\n\
-         #[derive(Debug)]\n\
-         pub struct Raw {\n\
-         \x20   pub bits: u64,\n\
-         }\n"
-    );
-    // The fixed file is clean.
-    assert!(
-        lint_source(&req, &fixed).is_empty(),
-        "{:?}",
-        lint_source(&req, &fixed)
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-// Self-check: the repository itself must be clean under all 12 rules.
+// Self-check: the repository itself must be clean under all 5 rules.
 
 #[test]
 fn repo_is_lint_clean() {

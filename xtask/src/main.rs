@@ -1,14 +1,11 @@
 //! Workspace automation tasks (`cargo xtask <task>`).
 //!
 //! The only task today is `lint`, the mask-lint v2 static-analysis engine
-//! described in [`lint`]. It exits non-zero when any rule fires, so CI can
-//! gate on it:
+//! described in [`lint`]. It takes no flags, prints violations as text and
+//! exits non-zero when any rule fires, so CI can gate on it:
 //!
 //! ```text
-//! cargo xtask lint                   # scan crates/*/src, human-readable
-//! cargo xtask lint --format json     # machine-readable report on stdout
-//! cargo xtask lint --format sarif    # SARIF 2.1.0 for code-scanning upload
-//! cargo xtask lint --fix             # apply mechanical fixes, then re-lint
+//! cargo xtask lint                   # scan crates/*/src
 //! ```
 
 mod lint;
@@ -19,28 +16,21 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: cargo xtask <task>
 
 tasks:
-  lint [--format text|json|sarif] [--fix]
-        scan crates/*/src for simulator hygiene violations
-        --format json|sarif   machine-readable report on stdout
-        --fix                 apply mechanical fixes (stale allows,
-                              missing #[derive(Debug)]), then re-lint";
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+  lint    scan crates/*/src for simulator hygiene violations";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("lint") => run_lint(args),
-        Some("--help" | "-h" | "help") | None => {
+    match (args.next().as_deref(), args.next()) {
+        (Some("lint"), None) => run_lint(),
+        (Some("--help" | "-h" | "help") | None, _) => {
             eprintln!("{USAGE}");
             ExitCode::SUCCESS
         }
-        Some(other) => {
+        (Some("lint"), Some(flag)) => {
+            eprintln!("xtask lint: unknown flag `{flag}`\n\n{USAGE}");
+            ExitCode::FAILURE
+        }
+        (Some(other), _) => {
             eprintln!("unknown task `{other}` (try `cargo xtask help`)");
             ExitCode::FAILURE
         }
@@ -60,78 +50,22 @@ fn workspace_root() -> PathBuf {
     )
 }
 
-fn run_lint(args: impl Iterator<Item = String>) -> ExitCode {
-    let mut format = Format::Text;
-    let mut fix = false;
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fix" => fix = true,
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                other => {
-                    eprintln!("xtask lint: --format takes text|json|sarif, got {other:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("xtask lint: unknown flag `{other}`\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
+fn run_lint() -> ExitCode {
     let root = workspace_root();
-    let mut violations = match lint::lint_workspace(&root) {
+    let violations = match lint::lint_workspace(&root) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("xtask lint: cannot scan {}: {e}", root.display());
             return ExitCode::FAILURE;
         }
     };
-
-    if fix {
-        match lint::apply_fixes(&violations) {
-            Ok(log) => {
-                for line in &log {
-                    eprintln!("fixed: {line}");
-                }
-                if !log.is_empty() {
-                    // Re-lint: fixes shift line numbers and may clear
-                    // violations; report the post-fix state.
-                    violations = match lint::lint_workspace(&root) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            eprintln!("xtask lint: re-scan failed: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                }
-            }
-            Err(e) => {
-                eprintln!("xtask lint: cannot apply fixes: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    match format {
-        Format::Json => print!("{}", lint::output::json(&root, &violations)),
-        Format::Sarif => print!("{}", lint::output::sarif(&root, &violations)),
-        Format::Text => {}
-    }
     if violations.is_empty() {
         eprintln!("xtask lint: clean");
-        ExitCode::SUCCESS
-    } else {
-        if format == Format::Text {
-            for v in &violations {
-                eprintln!("{v}");
-            }
-        }
-        eprintln!("xtask lint: {} violation(s)", violations.len());
-        ExitCode::FAILURE
+        return ExitCode::SUCCESS;
     }
+    for v in &violations {
+        eprintln!("{v}");
+    }
+    eprintln!("xtask lint: {} violation(s)", violations.len());
+    ExitCode::FAILURE
 }
