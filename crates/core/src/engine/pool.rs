@@ -24,21 +24,22 @@ fn job_label(job: &SimJob) -> String {
 }
 
 /// Runs one job — its warm-up by way of `snapshots` when the plan gave it
-/// a `key` — with an engine-timeline span around it (`mask-obs` job
-/// profiling; label and timing cost nothing unless tracing is live).
+/// a `key` — with an engine-timeline span around it on `lane`, the lane
+/// its traced events carry too (`mask-obs` job profiling; label and timing
+/// cost nothing unless tracing is live).
 fn run_one(
     job: &SimJob,
     lane: u32,
     key: Option<PrefixKey>,
     snapshots: &BatchSnapshots<'_>,
 ) -> SimStats {
-    let timer = mask_obs::profile::begin_job();
+    let timer = mask_obs::profile::begin_job(lane);
     let out = match key {
         Some(key) => job.finish_measured(snapshots.warm_up(job, key)),
         None => job.run(),
     };
     if mask_obs::tracing_active() {
-        timer.finish(&job_label(job), lane);
+        timer.finish(&job_label(job));
     }
     out
 }

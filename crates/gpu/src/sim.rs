@@ -201,8 +201,7 @@ pub struct GpuSim {
     san_session: u64,
     /// Sanitizer instance id for cycle-monotonicity tracking.
     san_id: u64,
-    /// Per-epoch metrics tracker (zero-sized and inert unless the `obs`
-    /// feature is compiled in and `MASK_TRACE` is live).
+    /// Per-epoch metrics tracker (inert unless `MASK_TRACE` is live).
     obs: mask_obs::metrics::EpochTracker,
 }
 
@@ -214,6 +213,23 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<GpuSim>();
 };
+
+/// Writes `xlat`'s lifetime TLB/walker/token counters into `stats`.
+fn sync_lifetime_counters(xlat: &TranslationUnit, stats: &mut SimStats) {
+    for (app, s) in stats.apps.iter_mut().enumerate() {
+        let asid = Asid::new(app as u16);
+        s.l2_tlb = xlat.l2_tlb_stats(asid);
+        s.tokens_final = xlat.tokens_for(asid);
+        s.page_faults = xlat.fault_count(asid);
+        s.walks_started = s.walks_completed + xlat.concurrent_walks(asid) as u64;
+        if let Some(b) = xlat.bypass_cache_stats() {
+            s.tlb_bypass_cache = b;
+        }
+        if let Some(p) = xlat.pwc_stats() {
+            s.pwc = p;
+        }
+    }
+}
 
 impl GpuSim {
     /// Builds a simulator placing `apps` on consecutive core ranges.
@@ -302,20 +318,7 @@ impl GpuSim {
     /// block. Call after running (and before [`GpuSim::stats`]) so the
     /// snapshot reflects the structures' current state.
     pub fn sync_stats(&mut self) {
-        for app in 0..self.n_apps {
-            let asid = Asid::new(app as u16);
-            self.stats.apps[app].l2_tlb = self.xlat.l2_tlb_stats(asid);
-            self.stats.apps[app].tokens_final = self.xlat.tokens_for(asid);
-            self.stats.apps[app].page_faults = self.xlat.fault_count(asid);
-            self.stats.apps[app].walks_started =
-                self.stats.apps[app].walks_completed + self.xlat.concurrent_walks(asid) as u64;
-            if let Some(b) = self.xlat.bypass_cache_stats() {
-                self.stats.apps[app].tlb_bypass_cache = b;
-            }
-            if let Some(p) = self.xlat.pwc_stats() {
-                self.stats.apps[app].pwc = p;
-            }
-        }
+        sync_lifetime_counters(&self.xlat, &mut self.stats);
     }
 
     /// Simulation statistics collected so far. Per-cycle counters are always
@@ -395,9 +398,19 @@ impl GpuSim {
         mask_sanitizer::enter_session(self.san_session);
         let now = self.now;
         mask_sanitizer::cycle(self.san_id, "gpu", now);
-        mask_obs::hooks::set_cycle(now);
+        // One read of the trace gate guards this cycle's stage clock,
+        // queue-depth samples and event flush.
+        let traced = mask_obs::tracing_active();
+        if traced {
+            mask_obs::hooks::set_cycle(now);
+            mask_obs::profile::begin_cycle(now);
+        }
+        let end_stage = |stage| {
+            if traced {
+                mask_obs::profile::end_stage(stage);
+            }
+        };
         // 1. Core issue stage.
-        let timing = mask_obs::profile::stage(SimStage::Issue, now);
         let mut sink = DirectIssue {
             xlat: &mut self.xlat,
             out_l2: &mut self.scratch_l2,
@@ -439,11 +452,10 @@ impl GpuSim {
                 self.wake.set(i, next, now);
             }
         }
-        drop(timing);
+        end_stage(SimStage::Issue);
         // 2. Translation unit: L2 TLB pipeline + walker activation. The
         // resolved scratch is taken out of `self` because `deliver_one`
         // needs `&mut self`; it is put back below with its capacity intact.
-        let timing = mask_obs::profile::stage(SimStage::Translation, now);
         let mut pwc_hits = std::mem::take(&mut self.scratch_pwc);
         let mut resolved = std::mem::take(&mut self.scratch_resolved);
         self.xlat.tick(
@@ -457,10 +469,9 @@ impl GpuSim {
             self.deliver_one(r);
         }
         self.scratch_resolved = resolved;
-        drop(timing);
+        end_stage(SimStage::Translation);
         // 3. Push L2-bound requests (disjoint-field borrow: the drain
         // iterator holds `scratch_l2` while `enqueue` borrows `l2`).
-        let timing = mask_obs::profile::stage(SimStage::CacheL2, now);
         for req in self.scratch_l2.drain(..) {
             self.l2.enqueue(req, now);
         }
@@ -470,9 +481,8 @@ impl GpuSim {
         for req in self.scratch_dram.drain(..) {
             self.dram.enqueue(req, now);
         }
-        drop(timing);
+        end_stage(SimStage::CacheL2);
         // 5. DRAM.
-        let timing = mask_obs::profile::stage(SimStage::Dram, now);
         self.dram.tick(now);
         self.dram
             .drain_completions_into(now, &mut self.scratch_compl);
@@ -494,11 +504,10 @@ impl GpuSim {
             self.stats.dram_bus_busy += c.bus_cycles;
             self.l2.dram_fill(c.req.line, now);
         }
-        drop(timing);
+        end_stage(SimStage::Dram);
         // 6. L2 responses: data to cores, translations to the walker. The
         // response scratch is taken out because the loop body re-enters
         // `&mut self` (`deliver_one`), then put back.
-        let timing = mask_obs::profile::stage(SimStage::Responses, now);
         let mut resps = std::mem::take(&mut self.scratch_resp);
         self.l2.drain_responses_into(&mut resps);
         for resp in resps.drain(..) {
@@ -540,7 +549,7 @@ impl GpuSim {
         for req in self.scratch_l2.drain(..) {
             self.l2.enqueue(req, now);
         }
-        drop(timing);
+        end_stage(SimStage::Responses);
         // 7. PWC statistics.
         for (asid, hit) in pwc_hits.drain(..) {
             self.stats.apps[asid.index()].pwc.record(hit);
@@ -548,7 +557,7 @@ impl GpuSim {
         self.scratch_pwc = pwc_hits;
         // Queue-depth sampling (deduplicated per thread inside the hook);
         // the depth computations are skipped entirely when tracing is off.
-        if mask_obs::tracing_active() {
+        if traced {
             mask_obs::hooks::queue_depth(QueueKind::L2, self.l2.queued() as u32);
             mask_obs::hooks::queue_depth(QueueKind::Dram, self.dram.queued() as u32);
             mask_obs::hooks::queue_depth(QueueKind::DramInFlight, self.dram.in_flight() as u32);
@@ -565,7 +574,9 @@ impl GpuSim {
         self.stats.cycles += 1;
         self.now += 1;
         self.epoch_boundary();
-        mask_obs::hooks::flush_events(0);
+        if traced {
+            mask_obs::hooks::flush_events();
+        }
     }
 
     /// Stage 9 of `step`: end-of-epoch work, on the cycle `now` reaches a
@@ -582,17 +593,15 @@ impl GpuSim {
         self.emit_epoch_metrics();
     }
 
-    /// Emits the per-epoch metrics frames when tracing is live.
-    ///
-    /// `sync_stats` is re-run first so the lifetime TLB/walker/token
-    /// counters in the snapshot are current; it writes pure functions of
-    /// simulator state that nothing reads back, so traced runs stay
-    /// bit-identical to untraced ones.
+    /// Emits the per-epoch metrics frames when tracing is live, from a
+    /// copy of the statistics block with the lifetime counters synced. The
+    /// live block stays as an untraced run leaves it, so traced machine
+    /// state, snapshots included, is bit-identical to untraced.
     fn emit_epoch_metrics(&mut self) {
-        if mask_obs::tracing_active() {
-            self.sync_stats();
-            self.obs.on_epoch(self.now, &self.stats);
-        }
+        let xlat = &self.xlat;
+        self.obs.on_epoch(self.now, &self.stats, |stats| {
+            sync_lifetime_counters(xlat, stats);
+        });
     }
 
     /// Runs for `cycles` additional cycles, fast-forwarding over spans

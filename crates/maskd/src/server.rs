@@ -574,9 +574,9 @@ fn run_batch(shared: &Arc<Shared>, batch: &[Dispatched]) {
     // The simulation runs outside the state lock: submissions and status
     // queries stay responsive during a long batch.
     let results = shared.pool.run_batch(&jobs);
-    // Epoch-metrics frames collected during this batch (empty unless the
-    // obs feature is compiled in and MASK_TRACE is live). Attached at
-    // batch granularity — every job in the batch sees the batch's frames.
+    // Epoch-metrics frames collected during this batch (empty unless
+    // MASK_TRACE is live). Attached at batch granularity — every job in
+    // the batch sees the batch's frames.
     let frames = mask_obs::drain_frames();
 
     // Results reach the store before the state lock is taken and before

@@ -6,9 +6,9 @@
 //!
 //! * `trace.json` — a `{"traceEvents": [...]}` document loadable in
 //!   Perfetto / `chrome://tracing`. Process 1 is the simulation timeline
-//!   (1 µs = 1 simulated cycle; tid = lane, walker slots as
-//!   `tid = 1000 + slot` spans); process 2 is the engine's wall-clock
-//!   timeline (job spans per worker lane).
+//!   (1 µs = 1 simulated cycle; tid = lane, walker slots as spans on
+//!   `tid = 1000 × (lane + 1) + slot`); process 2 is the engine's
+//!   wall-clock timeline (job spans per worker lane).
 //! * `metrics.jsonl` — one JSON object per line: per-epoch `epoch` frames,
 //!   engine `job_pool` frames, and `stage_profile` cycle-bucket timings.
 
@@ -21,7 +21,7 @@ use crate::profile::Span;
 /// Everything drained from the collection sink at export time.
 #[derive(Debug, Default)]
 pub struct TraceData {
-    /// Ring events with their lane tag.
+    /// Sink events with their lane tag, oldest first.
     pub events: Vec<(u32, Record)>,
     /// Prebuilt JSONL metrics frames (epoch + `job_pool`).
     pub frames: Vec<String>,
@@ -29,7 +29,8 @@ pub struct TraceData {
     pub spans: Vec<Span>,
     /// (stage name, cycle bucket) → (total nanoseconds, samples).
     pub stages: BTreeMap<(&'static str, u64), (u64, u64)>,
-    /// Ring records lost to overwrite (raise `MASK_TRACE_BUF` if nonzero).
+    /// Events the sink overwrote (it keeps the newest
+    /// [`crate::ring::SINK_CAPACITY`]).
     pub dropped: u64,
 }
 
@@ -40,13 +41,13 @@ pub struct TraceSummary {
     pub trace_path: PathBuf,
     /// Path of the metrics JSONL stream.
     pub metrics_path: PathBuf,
-    /// Ring events exported.
+    /// Events exported.
     pub events: usize,
     /// Metrics frames exported (including synthesized summaries).
     pub frames: usize,
     /// Engine spans exported.
     pub spans: usize,
-    /// Ring records lost to overwrite.
+    /// Events the sink overwrote.
     pub dropped: u64,
     /// Counter families present in the metrics stream.
     pub families: Vec<String>,
@@ -63,8 +64,7 @@ pub fn out_dir() -> PathBuf {
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors; returns `ErrorKind::Unsupported` when the
-/// crate was built without the `enabled` feature (nothing was collected).
+/// Propagates filesystem errors.
 pub fn write_all() -> std::io::Result<TraceSummary> {
     write_to(&out_dir())
 }
@@ -73,37 +73,24 @@ pub fn write_all() -> std::io::Result<TraceSummary> {
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors; returns `ErrorKind::Unsupported` when the
-/// crate was built without the `enabled` feature.
+/// Propagates filesystem errors.
 pub fn write_to(dir: &Path) -> std::io::Result<TraceSummary> {
-    #[cfg(feature = "enabled")]
-    {
-        let data = crate::ring::take_snapshot();
-        let (trace, jsonl, families) = render(&data);
-        std::fs::create_dir_all(dir)?;
-        let trace_path = dir.join("trace.json");
-        let metrics_path = dir.join("metrics.jsonl");
-        std::fs::write(&trace_path, trace)?;
-        std::fs::write(&metrics_path, &jsonl)?;
-        Ok(TraceSummary {
-            trace_path,
-            metrics_path,
-            events: data.events.len(),
-            frames: jsonl.lines().count(),
-            spans: data.spans.len(),
-            dropped: data.dropped,
-            families,
-        })
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = dir;
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "mask-obs was built without the `enabled` feature; \
-             rebuild with `--features obs` to collect traces",
-        ))
-    }
+    let data = crate::ring::take_snapshot();
+    let (trace, jsonl, families) = render(&data);
+    std::fs::create_dir_all(dir)?;
+    let trace_path = dir.join("trace.json");
+    let metrics_path = dir.join("metrics.jsonl");
+    std::fs::write(&trace_path, trace)?;
+    std::fs::write(&metrics_path, &jsonl)?;
+    Ok(TraceSummary {
+        trace_path,
+        metrics_path,
+        events: data.events.len(),
+        frames: jsonl.lines().count(),
+        spans: data.spans.len(),
+        dropped: data.dropped,
+        families,
+    })
 }
 
 /// Renders a drained [`TraceData`] into (`trace.json` contents,
@@ -120,9 +107,11 @@ pub fn render(data: &TraceData) -> (String, String, Vec<String>) {
          \"args\":{\"name\":\"engine (wall clock)\"}}",
     );
 
-    // Walker slot occupancy renders as complete ("X") spans; everything
-    // else as instants ("i") or counters ("C") on the sim process.
-    let mut walk_start: BTreeMap<u32, u64> = BTreeMap::new();
+    // Walker slot occupancy renders as complete ("X") spans, one track per
+    // (lane, slot); everything else as instants ("i") or counters ("C") on
+    // the sim process.
+    let walker_tid = |lane: u32, slot: u32| 1000 * (u64::from(lane) + 1) + u64::from(slot);
+    let mut walk_start: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     for &(lane, rec) in &data.events {
         use crate::event::Event;
         let cycle = rec.cycle;
@@ -138,12 +127,12 @@ pub fn render(data: &TraceData) -> (String, String, Vec<String>) {
                 );
             }
             Event::WalkerAcquire { slot, .. } => {
-                walk_start.insert(slot, cycle);
+                walk_start.insert((lane, slot), cycle);
                 let _ = write!(
                     ev,
                     "{{\"name\":\"{name}\",\"cat\":\"{fam}\",\"ph\":\"i\",\"ts\":{cycle},\
                      \"pid\":1,\"tid\":{},\"s\":\"t\"}}",
-                    1000 + slot
+                    walker_tid(lane, slot)
                 );
             }
             Event::WalkerLevel { slot, level } => {
@@ -151,21 +140,23 @@ pub fn render(data: &TraceData) -> (String, String, Vec<String>) {
                     ev,
                     "{{\"name\":\"level {level}\",\"cat\":\"{fam}\",\"ph\":\"i\",\"ts\":{cycle},\
                      \"pid\":1,\"tid\":{},\"s\":\"t\"}}",
-                    1000 + slot
+                    walker_tid(lane, slot)
                 );
             }
             Event::WalkerRelease { slot } => {
-                // Slot numbers and cycle counters restart per simulation,
-                // so concurrent jobs can interleave acquire/release pairs;
-                // saturate rather than trusting the pairing.
-                let start = walk_start.remove(&slot).unwrap_or(cycle);
-                let dur = cycle.saturating_sub(start).max(1);
-                let start = start.min(cycle);
+                // A release whose acquire the sink overwrote, or one left
+                // over from an earlier job on the lane, starts at the
+                // release itself.
+                let start = walk_start
+                    .remove(&(lane, slot))
+                    .filter(|&s| s <= cycle)
+                    .unwrap_or(cycle);
+                let dur = (cycle - start).max(1);
                 let _ = write!(
                     ev,
                     "{{\"name\":\"walk\",\"cat\":\"{fam}\",\"ph\":\"X\",\"ts\":{start},\
                      \"dur\":{dur},\"pid\":1,\"tid\":{}}}",
-                    1000 + slot
+                    walker_tid(lane, slot)
                 );
             }
             Event::WarpStall { core, warp, kind } => {
@@ -265,7 +256,6 @@ pub fn render(data: &TraceData) -> (String, String, Vec<String>) {
 }
 
 #[cfg(test)]
-#[cfg(feature = "enabled")]
 mod tests {
     use super::*;
     use crate::event::{Event, QueueKind, Record};
@@ -280,6 +270,20 @@ mod tests {
             events: vec![
                 rec(10, Event::WalkerAcquire { slot: 3, level: 1 }),
                 rec(20, Event::WalkerLevel { slot: 3, level: 2 }),
+                (
+                    1,
+                    Record {
+                        cycle: 30,
+                        event: Event::WalkerAcquire { slot: 3, level: 1 },
+                    },
+                ),
+                (
+                    1,
+                    Record {
+                        cycle: 60,
+                        event: Event::WalkerRelease { slot: 3 },
+                    },
+                ),
                 rec(
                     90,
                     Event::QueueDepth {
@@ -306,10 +310,14 @@ mod tests {
         });
         data.stages.insert(("issue", 0), (1234, 10));
         let (trace, jsonl, families) = render(&data);
-        // The walker acquire/release pair becomes one complete span.
-        assert!(trace
-            .contains("\"name\":\"walk\",\"cat\":\"walker\",\"ph\":\"X\",\"ts\":10,\"dur\":90"));
-        assert!(trace.contains("\"tid\":1003"), "walker slot lane offset");
+        // Each lane's acquire/release pair becomes one complete span on
+        // that lane's track for the slot, however the pairs interleave.
+        assert!(trace.contains(
+            "\"name\":\"walk\",\"cat\":\"walker\",\"ph\":\"X\",\"ts\":10,\"dur\":90,\"pid\":1,\"tid\":1003"
+        ));
+        assert!(trace.contains(
+            "\"name\":\"walk\",\"cat\":\"walker\",\"ph\":\"X\",\"ts\":30,\"dur\":30,\"pid\":1,\"tid\":2003"
+        ));
         assert!(trace.contains("\"name\":\"dram_queue\""));
         assert!(trace.contains("\\\"quoted\\\""), "span names are escaped");
         assert!(

@@ -9,18 +9,15 @@
 //! ([`job_pool_frame`]), for five families total.
 //!
 //! Everything here is read-only with respect to the simulation and
-//! inert unless tracing is compiled in **and** runtime-enabled.
+//! inert unless tracing is live.
 
-use mask_common::stats::SimStats;
+use mask_common::stats::{AppStats, SimStats};
 
 /// Per-simulation epoch metrics tracker. Held by `GpuSim` and driven from
 /// the epoch-boundary stage of `step`/`fast_forward`.
-///
-/// Zero-sized and inert unless the `enabled` feature is on.
 #[derive(Debug, Default)]
 pub struct EpochTracker {
-    #[cfg(feature = "enabled")]
-    prev: Vec<mask_common::stats::AppStats>,
+    prev: Vec<AppStats>,
 }
 
 impl EpochTracker {
@@ -32,24 +29,20 @@ impl EpochTracker {
 
     /// Emits one frame per application for the epoch ending at `now`.
     ///
-    /// The caller passes its current counters; the tracker owns the
-    /// previous-epoch snapshot. No-op unless tracing is live.
+    /// The caller passes its current counters and a `sync` that completes
+    /// them; `sync` runs on the tracker's copy, so the caller's block is
+    /// never written. The tracker owns the previous-epoch snapshot. No-op
+    /// unless tracing is live.
     #[inline]
-    pub fn on_epoch(&mut self, now: u64, stats: &SimStats) {
-        #[cfg(feature = "enabled")]
-        {
-            if !crate::ring::runtime_enabled() {
-                return;
-            }
-            self.emit(now, stats);
+    pub fn on_epoch(&mut self, now: u64, stats: &SimStats, sync: impl FnOnce(&mut SimStats)) {
+        if crate::tracing_active() {
+            let mut synced = stats.clone();
+            sync(&mut synced);
+            self.emit(now, &synced);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = (now, stats);
     }
 
-    #[cfg(feature = "enabled")]
     fn emit(&mut self, now: u64, stats: &SimStats) {
-        use mask_common::stats::AppStats;
         if self.prev.len() != stats.apps.len() {
             self.prev = vec![AppStats::default(); stats.apps.len()];
         }
@@ -120,36 +113,21 @@ pub fn job_pool_frame(
     prefix_misses: u64,
     wall_us: u64,
 ) {
-    #[cfg(feature = "enabled")]
-    {
-        if !crate::ring::runtime_enabled() {
-            return;
-        }
-        crate::ring::push_frame(format!(
-            "{{\"type\":\"job_pool\",\"workers\":{workers},\"jobs\":{jobs},\
-             \"unique_jobs\":{unique_jobs},\"baseline_cache_hits\":{cache_hits},\
-             \"baseline_cache_misses\":{cache_misses},\
-             \"prefix_cache_hits\":{prefix_hits},\
-             \"prefix_cache_misses\":{prefix_misses},\"wall_us\":{wall_us}}}"
-        ));
+    if !crate::tracing_active() {
+        return;
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (
-        workers,
-        jobs,
-        unique_jobs,
-        cache_hits,
-        cache_misses,
-        prefix_hits,
-        prefix_misses,
-        wall_us,
-    );
+    crate::ring::push_frame(format!(
+        "{{\"type\":\"job_pool\",\"workers\":{workers},\"jobs\":{jobs},\
+         \"unique_jobs\":{unique_jobs},\"baseline_cache_hits\":{cache_hits},\
+         \"baseline_cache_misses\":{cache_misses},\
+         \"prefix_cache_hits\":{prefix_hits},\
+         \"prefix_cache_misses\":{prefix_misses},\"wall_us\":{wall_us}}}"
+    ));
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use mask_common::stats::SimStats;
 
     #[test]
     fn tracker_diffs_epochs() {

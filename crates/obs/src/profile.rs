@@ -3,20 +3,25 @@
 //!
 //! Two instruments:
 //!
-//! * [`stage`] — RAII guard timing one `GpuSim::step` stage, accumulated
-//!   into (stage, cycle-bucket) cells of [`STAGE_BUCKET_CYCLES`] cycles.
+//! * [`begin_cycle`] / [`end_stage`] — a per-thread lap clock over the
+//!   `GpuSim::step` stages, accumulated into (stage, cycle-bucket) cells of
+//!   [`STAGE_BUCKET_CYCLES`] cycles.
 //! * [`begin_job`] — times one job execution in the `JobPool`, recorded as
 //!   a named span on the worker's lane for the Perfetto engine timeline.
 //!
-//! This module is the only place in the workspace outside `crates/bench`
-//! that reads the wall clock; every read is annotated for the
-//! `nondeterminism` lint because timings are exported only — they are
-//! never fed back into simulation state, so traced runs stay bit-identical.
+//! Outside `crates/bench`, this module and the batch timer of `mask-core`'s
+//! `JobPool::run_batch` are the only wall-clock readers in `crates/`; each
+//! read carries an `#[expect(clippy::disallowed_methods)]` because the
+//! timings are exported only — they are never fed back into simulation
+//! state, so traced runs stay bit-identical.
+
+use std::cell::Cell;
+use std::time::Instant;
 
 /// Cycle-bucket width for stage timings (matches the default MASK epoch).
 pub const STAGE_BUCKET_CYCLES: u64 = 100_000;
 
-/// The `GpuSim::step` stages measured by [`stage`].
+/// The `GpuSim::step` stages measured by [`end_stage`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SimStage {
     /// Stage 1: warp issue across SMs.
@@ -58,10 +63,8 @@ pub struct Span {
     pub dur_us: u64,
 }
 
-#[cfg(feature = "enabled")]
 fn now_us() -> u64 {
     use std::sync::OnceLock;
-    use std::time::Instant;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     #[expect(
         clippy::disallowed_methods,
@@ -71,70 +74,59 @@ fn now_us() -> u64 {
     epoch.elapsed().as_micros() as u64
 }
 
-/// RAII guard returned by [`stage`]; records on drop.
-#[must_use = "the stage is timed until the guard drops"]
-pub struct StageGuard {
-    #[cfg(feature = "enabled")]
-    armed: Option<(SimStage, u64, std::time::Instant)>,
+thread_local! {
+    /// When this thread's current step stage began, and the cycle bucket
+    /// it is charged to.
+    static LAP: Cell<Option<(Instant, u64)>> = const { Cell::new(None) };
 }
 
-/// Starts timing `stage` for the cycle bucket containing `now`.
-///
-/// No-op (and no clock read) unless tracing is compiled in and
-/// runtime-enabled.
-#[inline(always)]
-pub fn stage(stage: SimStage, now: u64) -> StageGuard {
-    #[cfg(feature = "enabled")]
-    {
+/// Starts the stage clock for cycle `now` on this thread. Callers guard it
+/// with [`crate::tracing_active`], as `GpuSim::step` does once per cycle.
+#[cold]
+#[inline(never)]
+pub fn begin_cycle(now: u64) {
+    #[expect(clippy::disallowed_methods, reason = "profiling only")]
+    let start = Instant::now();
+    LAP.set(Some((start, now / STAGE_BUCKET_CYCLES)));
+}
+
+/// Charges the wall time since the previous stage ended (or the cycle
+/// began) to `stage`, and starts the next stage's lap.
+#[cold]
+#[inline(never)]
+pub fn end_stage(stage: SimStage) {
+    if let Some((start, bucket)) = LAP.get() {
         #[expect(clippy::disallowed_methods, reason = "profiling only")]
-        let armed = crate::ring::runtime_enabled()
-            .then(|| (stage, now / STAGE_BUCKET_CYCLES, std::time::Instant::now()));
-        StageGuard { armed }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (stage, now);
-        StageGuard {}
-    }
-}
-
-impl Drop for StageGuard {
-    fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
-        if let Some((stage, bucket, start)) = self.armed.take() {
-            let nanos = start.elapsed().as_nanos() as u64;
-            crate::ring::add_stage(stage.name(), bucket, nanos);
-        }
+        let end = Instant::now();
+        let nanos = (end - start).as_nanos() as u64;
+        crate::ring::add_stage(stage.name(), bucket, nanos);
+        LAP.set(Some((end, bucket)));
     }
 }
 
 /// One-shot timer for a `JobPool` job execution.
 #[must_use = "call finish() to record the span"]
 pub struct JobTimer {
-    #[cfg(feature = "enabled")]
-    start: Option<(u64, std::time::Instant)>,
+    start: Option<(u32, u64, Instant)>,
 }
 
-/// Starts timing one job.
-#[inline(always)]
-pub fn begin_job() -> JobTimer {
-    #[cfg(feature = "enabled")]
-    {
+/// Starts timing one job on worker `lane`; while tracing is live, the
+/// events this thread records until the next `begin_job` carry `lane`.
+#[inline]
+pub fn begin_job(lane: u32) -> JobTimer {
+    let start = crate::tracing_active().then(|| {
+        crate::ring::set_lane(lane);
         #[expect(clippy::disallowed_methods, reason = "profiling only")]
-        let start = crate::ring::runtime_enabled().then(|| (now_us(), std::time::Instant::now()));
-        JobTimer { start }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        JobTimer {}
-    }
+        let now = Instant::now();
+        (lane, now_us(), now)
+    });
+    JobTimer { start }
 }
 
 impl JobTimer {
-    /// Records the job as a named span on worker `lane`.
-    pub fn finish(self, name: &str, lane: u32) {
-        #[cfg(feature = "enabled")]
-        if let Some((start_us, start)) = self.start {
+    /// Records the job as a named span on its lane.
+    pub fn finish(self, name: &str) {
+        if let Some((lane, start_us, start)) = self.start {
             crate::ring::push_span(Span {
                 name: name.to_owned(),
                 lane,
@@ -142,8 +134,6 @@ impl JobTimer {
                 dur_us: start.elapsed().as_micros() as u64,
             });
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = (name, lane);
     }
 }
 
@@ -159,10 +149,9 @@ mod tests {
 
     #[test]
     fn disabled_guards_are_inert() {
-        // With tracing off (feature off, or runtime off) the guards must be
-        // constructible and droppable with no side effects.
-        let g = stage(SimStage::Dram, 12345);
-        drop(g);
-        begin_job().finish("noop", 0);
+        // A job timer taken with tracing off finishes without recording, and
+        // a stage that ends on a thread with no lap open charges nothing.
+        begin_job(0).finish("noop");
+        end_stage(SimStage::Dram);
     }
 }

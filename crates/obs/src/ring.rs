@@ -1,4 +1,4 @@
-//! Per-thread ring buffers, the process-wide collection sink, and the
+//! Per-thread event buffers, the process-wide collection sink, and the
 //! `MASK_TRACE` runtime gate.
 //!
 //! This module is the **only** place in `mask-obs` (and, outside the job
@@ -6,320 +6,289 @@
 //! may hold thread primitives — the `parallelism` rule of `cargo xtask
 //! lint` allowlists exactly this file. The hook functions in
 //! [`crate::hooks`] stay lock-free on the recording path: each thread
-//! writes into its own fixed-capacity ring (overwrite-oldest, with a
-//! dropped-record counter) and only [`flush_events`] — called at coarse
-//! points such as the end of `GpuSim::step` — takes the sink lock.
+//! appends to its own buffer, and only `flush_events` — called at the
+//! end of every traced `GpuSim::step` — takes the sink lock. The sink keeps
+//! the newest [`SINK_CAPACITY`] events, overwriting the oldest and counting
+//! what it drops.
 //!
-//! Capacity defaults to [`DEFAULT_CAPACITY`] records per thread and can be
-//! overridden with the `MASK_TRACE_BUF` environment variable.
+//! Everything past the gate check is `#[cold]` and out of line, so a hook
+//! inlined into the simulator costs one load and one test while tracing is
+//! off.
 
-/// Default per-thread ring capacity in records (`MASK_TRACE_BUF` overrides).
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+use crate::event::{Event, QueueKind, Record, N_QUEUE_KINDS};
+use crate::export::TraceData;
+use crate::profile::Span;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Mutex;
 
-#[cfg(feature = "enabled")]
-pub(crate) use active::{
-    add_stage, flush_events, push_frame, push_span, record, record_depth, reset, runtime_enabled,
-    set_cycle, set_runtime, take_frames, take_snapshot,
-};
+/// Events the sink holds before it overwrites the oldest (32 MiB of
+/// 32-byte lane-tagged records).
+pub const SINK_CAPACITY: usize = 1 << 20;
 
-#[cfg(feature = "enabled")]
-mod active {
-    use crate::event::{Event, QueueKind, Record, N_QUEUE_KINDS};
-    use crate::export::TraceData;
-    use crate::profile::Span;
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU8, Ordering};
-    use std::sync::Mutex;
+const OFF: u8 = 0;
+const ON: u8 = 1;
+/// `MASK_TRACE` not read yet, or re-armed by `set_runtime(None)`.
+const UNRESOLVED: u8 = 2;
 
-    /// Runtime gate: 0 = consult `MASK_TRACE`, 1 = forced off, 2 = forced
-    /// on, 3 = env said off (cached), 4 = env said on (cached).
-    static RUNTIME: AtomicU8 = AtomicU8::new(0);
+static GATE: AtomicU8 = AtomicU8::new(UNRESOLVED);
 
-    #[inline(always)]
-    pub(crate) fn runtime_enabled() -> bool {
-        // Relaxed ordering: the gate is a single flag with no associated
-        // data to publish; a racing thread at worst re-reads the env once.
-        match RUNTIME.load(Ordering::Relaxed) {
-            2 | 4 => true,
-            1 | 3 => false,
-            _ => {
-                let on = std::env::var("MASK_TRACE").is_ok_and(|v| !v.is_empty() && v != "0");
-                // Relaxed ordering: caching an idempotent env probe; every
-                // thread that races here computes the same value.
-                RUNTIME.store(if on { 4 } else { 3 }, Ordering::Relaxed);
-                on
-            }
-        }
-    }
+#[inline(always)]
+pub(crate) fn runtime_enabled() -> bool {
+    // Relaxed ordering: the gate is a single flag with no associated data
+    // to publish; a racing thread at worst re-reads the env once.
+    let gate = GATE.load(Ordering::Relaxed);
+    gate != OFF && (gate == ON || resolve_env())
+}
 
-    pub(crate) fn set_runtime(on: Option<bool>) {
-        let state = match on {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        };
-        // Relaxed ordering: the gate synchronizes nothing — rings observe
-        // the new state on their next probe, which is all callers need.
-        RUNTIME.store(state, Ordering::Relaxed);
-    }
+#[cold]
+#[inline(never)]
+fn resolve_env() -> bool {
+    let on = std::env::var("MASK_TRACE").is_ok_and(|v| !v.is_empty() && v != "0");
+    // Relaxed ordering: caching an idempotent env probe; every thread that
+    // races here computes the same value.
+    GATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
+    on
+}
 
-    fn ring_capacity() -> usize {
-        std::env::var("MASK_TRACE_BUF")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(super::DEFAULT_CAPACITY)
-    }
+pub(crate) fn set_runtime(on: Option<bool>) {
+    let state = match on {
+        None => UNRESOLVED,
+        Some(false) => OFF,
+        Some(true) => ON,
+    };
+    // Relaxed ordering: the gate synchronizes nothing — hooks observe the
+    // new state on their next probe, which is all callers need.
+    GATE.store(state, Ordering::Relaxed);
+}
 
-    /// One thread's fixed-capacity event buffer plus its per-thread trace
-    /// state (current cycle stamp, queue-depth dedup table).
-    struct Ring {
-        buf: Vec<Record>,
-        /// Fixed record capacity (`Vec::with_capacity` only promises "at
-        /// least", so the wrap point is tracked explicitly).
-        cap: usize,
-        /// Index of the oldest record once the buffer has wrapped.
-        start: usize,
-        dropped: u64,
-        cycle: u64,
-        /// Last emitted depth per [`QueueKind`]; `-1` = none yet.
-        last_depth: [i64; N_QUEUE_KINDS],
-    }
+/// One thread's events since its last flush, plus its trace state.
+struct Local {
+    buf: Vec<Record>,
+    /// Worker lane of the job running on this thread (`profile::begin_job`).
+    lane: u32,
+    cycle: u64,
+    /// Last emitted depth per [`QueueKind`]; `-1` = none yet.
+    last_depth: [i64; N_QUEUE_KINDS],
+}
 
-    impl Ring {
-        fn new() -> Self {
-            let cap = ring_capacity();
-            Ring {
-                buf: Vec::with_capacity(cap),
-                cap,
-                start: 0,
-                dropped: 0,
-                cycle: 0,
-                last_depth: [-1; N_QUEUE_KINDS],
-            }
-        }
+thread_local! {
+    static LOCAL: RefCell<Local> = const {
+        RefCell::new(Local {
+            buf: Vec::new(),
+            lane: 0,
+            cycle: 0,
+            last_depth: [-1; N_QUEUE_KINDS],
+        })
+    };
+}
 
-        #[inline]
-        fn push(&mut self, r: Record) {
-            if self.buf.len() < self.cap {
-                self.buf.push(r);
-            } else {
-                // Overwrite the oldest record; never reallocate.
-                self.buf[self.start] = r;
-                self.start = (self.start + 1) % self.cap;
-                self.dropped += 1;
-            }
-        }
+/// Stamps subsequent records on this thread with simulation cycle `now`.
+#[cold]
+#[inline(never)]
+pub(crate) fn set_cycle(now: u64) {
+    LOCAL.with_borrow_mut(|l| l.cycle = now);
+}
 
-        fn drain_into(&mut self, lane: u32, out: &mut Vec<(u32, Record)>) {
-            for r in &self.buf[self.start..] {
-                out.push((lane, *r));
-            }
-            for r in &self.buf[..self.start] {
-                out.push((lane, *r));
-            }
-            self.buf.clear();
-            self.start = 0;
-        }
-    }
+/// Tags this thread's records with worker `lane` from now on (records
+/// still buffered keep the lane they were recorded under).
+pub(crate) fn set_lane(lane: u32) {
+    flush_events();
+    LOCAL.with_borrow_mut(|l| l.lane = lane);
+}
 
-    thread_local! {
-        static RING: RefCell<Ring> = RefCell::new(Ring::new());
-    }
-
-    /// Stamps subsequent records on this thread with simulation cycle `now`.
-    #[inline]
-    pub(crate) fn set_cycle(now: u64) {
-        if !runtime_enabled() {
-            return;
-        }
-        RING.with(|r| r.borrow_mut().cycle = now);
-    }
-
-    /// Records one event into this thread's ring.
-    #[inline]
-    pub(crate) fn record(event: Event) {
-        if !runtime_enabled() {
-            return;
-        }
-        RING.with(|r| {
-            let mut ring = r.borrow_mut();
-            let cycle = ring.cycle;
-            ring.push(Record { cycle, event });
-        });
-    }
-
-    /// Records a queue-depth sample, deduplicated against the last sample
-    /// for the same queue on this thread (depths are polled every cycle but
-    /// only changes are interesting).
-    #[inline]
-    pub(crate) fn record_depth(queue: QueueKind, depth: u32) {
-        if !runtime_enabled() {
-            return;
-        }
-        RING.with(|r| {
-            let mut ring = r.borrow_mut();
-            let idx = queue as usize;
-            if ring.last_depth[idx] == i64::from(depth) {
-                return;
-            }
-            ring.last_depth[idx] = i64::from(depth);
-            let cycle = ring.cycle;
-            ring.push(Record {
-                cycle,
-                event: Event::QueueDepth { queue, depth },
-            });
-        });
-    }
-
-    /// The process-wide collection sink. Locked only at flush points and by
-    /// the engine-side (already off the per-cycle path) recorders.
-    struct Sink {
-        events: Vec<(u32, Record)>,
-        frames: Vec<String>,
-        spans: Vec<Span>,
-        /// (stage name, cycle bucket) → (total nanoseconds, samples).
-        stages: BTreeMap<(&'static str, u64), (u64, u64)>,
-        dropped: u64,
-    }
-
-    static SINK: Mutex<Sink> = Mutex::new(Sink {
-        events: Vec::new(),
-        frames: Vec::new(),
-        spans: Vec::new(),
-        stages: BTreeMap::new(),
-        dropped: 0,
+/// Records one event into this thread's buffer.
+#[cold]
+#[inline(never)]
+pub(crate) fn record(event: Event) {
+    LOCAL.with_borrow_mut(|l| {
+        let cycle = l.cycle;
+        l.buf.push(Record { cycle, event });
     });
+}
 
-    fn sink() -> std::sync::MutexGuard<'static, Sink> {
-        // A panic while holding the sink lock can only poison trace data,
-        // never simulation results; keep collecting what we can.
-        match SINK.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Drains this thread's ring into the sink, tagging records with `lane`.
-    pub(crate) fn flush_events(lane: u32) {
-        if !runtime_enabled() {
+/// Records a queue-depth sample, deduplicated against the last sample
+/// for the same queue on this thread (depths are polled every cycle but
+/// only changes are interesting).
+#[cold]
+#[inline(never)]
+pub(crate) fn record_depth(queue: QueueKind, depth: u32) {
+    LOCAL.with_borrow_mut(|l| {
+        let idx = queue as usize;
+        if l.last_depth[idx] == i64::from(depth) {
             return;
         }
-        RING.with(|r| {
-            let mut ring = r.borrow_mut();
-            if ring.buf.is_empty() && ring.dropped == 0 {
-                return;
-            }
-            let mut sink = sink();
-            sink.dropped += ring.dropped;
-            ring.dropped = 0;
-            ring.drain_into(lane, &mut sink.events);
+        l.last_depth[idx] = i64::from(depth);
+        let cycle = l.cycle;
+        l.buf.push(Record {
+            cycle,
+            event: Event::QueueDepth { queue, depth },
         });
-    }
+    });
+}
 
-    /// Appends one prebuilt JSONL metrics frame.
-    pub(crate) fn push_frame(frame: String) {
-        sink().frames.push(frame);
-    }
+/// The process-wide collection sink. Locked only at flush points and by
+/// the engine-side (already off the per-cycle path) recorders.
+struct Sink {
+    /// Lane-tagged events, oldest first, at most `cap` of them.
+    events: VecDeque<(u32, Record)>,
+    cap: usize,
+    frames: Vec<String>,
+    spans: Vec<Span>,
+    /// (stage name, cycle bucket) → (total nanoseconds, samples).
+    stages: BTreeMap<(&'static str, u64), (u64, u64)>,
+    /// Events overwritten since the last snapshot.
+    dropped: u64,
+}
 
-    /// Drains only the collected JSONL metrics frames, leaving events,
-    /// spans, and stage timings in place for a later full snapshot
-    /// (`maskd` streams frames to job watchers between batches).
-    pub(crate) fn take_frames() -> Vec<String> {
-        std::mem::take(&mut sink().frames)
-    }
-
-    /// Appends one completed wall-clock span (engine timeline).
-    pub(crate) fn push_span(span: Span) {
-        sink().spans.push(span);
-    }
-
-    /// Accumulates a stage timing into its (stage, cycle-bucket) cell.
-    pub(crate) fn add_stage(stage: &'static str, bucket: u64, nanos: u64) {
-        let mut s = sink();
-        let cell = s.stages.entry((stage, bucket)).or_insert((0, 0));
-        cell.0 += nanos;
-        cell.1 += 1;
-    }
-
-    /// Flushes the calling thread's ring and drains the whole sink.
-    pub(crate) fn take_snapshot() -> TraceData {
-        flush_events(0);
-        let mut s = sink();
-        TraceData {
-            events: std::mem::take(&mut s.events),
-            frames: std::mem::take(&mut s.frames),
-            spans: std::mem::take(&mut s.spans),
-            stages: std::mem::take(&mut s.stages),
-            dropped: std::mem::replace(&mut s.dropped, 0),
+impl Sink {
+    const fn new(cap: usize) -> Self {
+        Sink {
+            events: VecDeque::new(),
+            cap,
+            frames: Vec::new(),
+            spans: Vec::new(),
+            stages: BTreeMap::new(),
+            dropped: 0,
         }
     }
 
-    /// Discards everything collected so far (tests and repeated example
-    /// runs within one process).
-    pub(crate) fn reset() {
-        let _ = take_snapshot();
-        RING.with(|r| {
-            let mut ring = r.borrow_mut();
-            ring.last_depth = [-1; N_QUEUE_KINDS];
-            ring.cycle = 0;
-        });
+    fn push_event(&mut self, lane: u32, r: Record) {
+        if self.events.len() == self.cap {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back((lane, r));
+    }
+}
+
+static SINK: Mutex<Sink> = Mutex::new(Sink::new(SINK_CAPACITY));
+
+fn sink() -> std::sync::MutexGuard<'static, Sink> {
+    // A panic while holding the sink lock can only poison trace data,
+    // never simulation results; keep collecting what we can.
+    match SINK.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// Moves this thread's buffered events into the sink under its lane.
+#[cold]
+#[inline(never)]
+pub(crate) fn flush_events() {
+    LOCAL.with_borrow_mut(|l| {
+        if l.buf.is_empty() {
+            return;
+        }
+        let mut sink = sink();
+        for r in l.buf.drain(..) {
+            sink.push_event(l.lane, r);
+        }
+    });
+}
+
+/// Appends one prebuilt JSONL metrics frame.
+pub(crate) fn push_frame(frame: String) {
+    sink().frames.push(frame);
+}
+
+/// Drains only the collected JSONL metrics frames, leaving events,
+/// spans, and stage timings in place for a later full snapshot
+/// (`maskd` streams frames to job watchers between batches).
+pub(crate) fn take_frames() -> Vec<String> {
+    std::mem::take(&mut sink().frames)
+}
+
+/// Appends one completed wall-clock span (engine timeline).
+pub(crate) fn push_span(span: Span) {
+    sink().spans.push(span);
+}
+
+/// Accumulates a stage timing into its (stage, cycle-bucket) cell.
+pub(crate) fn add_stage(stage: &'static str, bucket: u64, nanos: u64) {
+    let mut s = sink();
+    let cell = s.stages.entry((stage, bucket)).or_insert((0, 0));
+    cell.0 += nanos;
+    cell.1 += 1;
+}
+
+/// Flushes the calling thread's buffer and drains the whole sink.
+pub(crate) fn take_snapshot() -> TraceData {
+    flush_events();
+    let mut s = sink();
+    TraceData {
+        events: std::mem::take(&mut s.events).into(),
+        frames: std::mem::take(&mut s.frames),
+        spans: std::mem::take(&mut s.spans),
+        stages: std::mem::take(&mut s.stages),
+        dropped: std::mem::replace(&mut s.dropped, 0),
+    }
+}
+
+/// Discards everything collected so far (tests and repeated example
+/// runs within one process).
+pub(crate) fn reset() {
+    let _ = take_snapshot();
+    LOCAL.with_borrow_mut(|l| {
+        l.last_depth = [-1; N_QUEUE_KINDS];
+        l.cycle = 0;
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event::TlbLevel;
+
+    fn probe(n: u64) -> Event {
+        Event::TlbProbe {
+            level: TlbLevel::L1,
+            asid: n as u16,
+            hit: n.is_multiple_of(2),
+        }
     }
 
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use crate::event::TlbLevel;
-
-        fn probe(n: u64) -> Event {
-            Event::TlbProbe {
-                level: TlbLevel::L1,
-                asid: n as u16,
-                hit: n.is_multiple_of(2),
-            }
-        }
-
-        #[test]
-        fn ring_overwrites_oldest_and_counts_drops() {
-            let mut ring = Ring {
-                buf: Vec::with_capacity(4),
-                cap: 4,
-                start: 0,
-                dropped: 0,
-                cycle: 0,
-                last_depth: [-1; N_QUEUE_KINDS],
-            };
-            for n in 0..6 {
-                ring.push(Record {
+    #[test]
+    fn sink_overwrites_oldest_and_counts_drops() {
+        let mut sink = Sink::new(4);
+        for n in 0..6 {
+            sink.push_event(
+                3,
+                Record {
                     cycle: n,
                     event: probe(n),
-                });
-            }
-            assert_eq!(ring.dropped, 2);
-            let mut out = Vec::new();
-            ring.drain_into(3, &mut out);
-            let cycles: Vec<u64> = out.iter().map(|(_, r)| r.cycle).collect();
-            assert_eq!(cycles, [2, 3, 4, 5], "oldest two overwritten, order kept");
-            assert!(out.iter().all(|&(lane, _)| lane == 3));
-            assert!(ring.buf.is_empty());
+                },
+            );
         }
+        assert_eq!(sink.dropped, 2);
+        assert_eq!(
+            std::mem::size_of::<(u32, Record)>(),
+            32,
+            "SINK_CAPACITY's byte size"
+        );
+        let cycles: Vec<u64> = sink.events.iter().map(|(_, r)| r.cycle).collect();
+        assert_eq!(cycles, [2, 3, 4, 5], "oldest two overwritten, order kept");
+        assert!(sink.events.iter().all(|&(lane, _)| lane == 3));
+    }
 
-        #[test]
-        fn runtime_override_wins_over_env() {
-            set_runtime(Some(true));
-            assert!(runtime_enabled());
-            set_runtime(Some(false));
-            assert!(!runtime_enabled());
-            set_runtime(Some(true));
-            reset();
-            record(probe(1));
-            record_depth(QueueKind::L2, 5);
-            record_depth(QueueKind::L2, 5); // deduplicated
-            record_depth(QueueKind::L2, 6);
-            let snap = take_snapshot();
-            assert_eq!(snap.events.len(), 3);
-            set_runtime(Some(false));
-        }
+    #[test]
+    fn runtime_override_wins_over_env() {
+        set_runtime(Some(true));
+        assert!(runtime_enabled());
+        set_runtime(Some(false));
+        assert!(!runtime_enabled());
+        set_runtime(Some(true));
+        reset();
+        record(probe(1));
+        record_depth(QueueKind::L2, 5);
+        record_depth(QueueKind::L2, 5); // deduplicated
+        set_lane(2);
+        record_depth(QueueKind::L2, 6);
+        let snap = take_snapshot();
+        let lanes: Vec<u32> = snap.events.iter().map(|&(lane, _)| lane).collect();
+        assert_eq!(lanes, [0, 0, 2], "records keep the lane they were made on");
+        set_runtime(Some(false));
     }
 }

@@ -22,11 +22,11 @@
 //!
 //! The hook functions ([`issue`], [`retire`], [`mshr_alloc`], [`cycle`], …)
 //! are called by the cache, TLB, page-table-walker, DRAM, and GPU crates at
-//! their state transitions. Without the `enabled` feature every hook is an
+//! their state transitions. Without the `sanitize` feature every hook is an
 //! empty `#[inline(always)]` function, so the instrumented simulator is
 //! byte-for-byte as fast as an uninstrumented one. Simulation crates expose
-//! the feature as `sanitize`; turning it on anywhere in the workspace turns
-//! it on everywhere (cargo feature unification), which is exactly the
+//! the feature under the same name; turning it on anywhere in the workspace
+//! turns it on everywhere (cargo feature unification), which is exactly the
 //! intended "sanitized build" semantics.
 //!
 //! Violations panic immediately with a `[mask-sanitizer]` diagnostic naming
@@ -37,13 +37,13 @@
 //! method of the thread's `InvariantSanitizer`, with no trait object or
 //! event struct in between.
 //!
-//! The same hook-point pattern — inline functions compiled to nothing
-//! unless a feature is on — carries the observability subsystem: `mask-obs`
-//! (workspace feature `obs`) places its tracing hooks alongside this
-//! crate's at the simulator's state transitions, but *records* events
-//! instead of checking them, and adds a second, runtime gate
-//! (`MASK_TRACE`). The two are independent and compose: a sanitized traced
-//! run checks invariants and collects the trace in one pass.
+//! The observability subsystem, `mask-obs`, places its tracing hooks
+//! alongside this crate's at the simulator's state transitions, but
+//! *records* events instead of checking them. Its hooks are always
+//! compiled in and gated at runtime only (`MASK_TRACE`): tracing is a
+//! switch on any build, while checking stays a build of its own. The two
+//! are independent and compose: a sanitized traced run checks invariants
+//! and collects the trace in one pass.
 //!
 //! # Sessions
 //!
@@ -69,7 +69,7 @@
 //! engine re-raises on the caller with the original `[mask-sanitizer]`
 //! message intact.
 
-#[cfg(any(feature = "enabled", test))]
+#[cfg(any(feature = "sanitize", test))]
 mod invariant;
 
 /// Outcome of an MSHR allocation, as reported by the instrumented table.
@@ -83,33 +83,33 @@ pub enum MshrOutcome {
     Full,
 }
 
-#[cfg(feature = "enabled")]
+#[cfg(feature = "sanitize")]
 thread_local! {
     static SANITIZER: std::cell::RefCell<invariant::InvariantSanitizer> =
         const { std::cell::RefCell::new(invariant::InvariantSanitizer::new()) };
 }
 
 /// Runs `f` on this thread's checker.
-#[cfg(feature = "enabled")]
+#[cfg(feature = "sanitize")]
 fn with<R>(f: impl FnOnce(&mut invariant::InvariantSanitizer) -> R) -> R {
     SANITIZER.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// Whether sanitizer hooks are compiled in (the `enabled` feature).
+/// Whether sanitizer hooks are compiled in (the `sanitize` feature).
 #[must_use]
 pub const fn is_enabled() -> bool {
-    cfg!(feature = "enabled")
+    cfg!(feature = "sanitize")
 }
 
 /// Allocates a fresh accounting session (returns 0 when disabled).
 #[inline(always)]
 #[must_use]
 pub fn new_session() -> u64 {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     {
         with(invariant::InvariantSanitizer::new_session)
     }
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     {
         0
     }
@@ -118,9 +118,9 @@ pub fn new_session() -> u64 {
 /// Makes `id` the current session for subsequent events on this thread.
 #[inline(always)]
 pub fn enter_session(id: u64) {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     with(|s| s.enter_session(id));
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     let _ = id;
 }
 
@@ -128,11 +128,11 @@ pub fn enter_session(id: u64) {
 #[inline(always)]
 #[must_use]
 pub fn register_table(component: &'static str, capacity: usize) -> u64 {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     {
         with(|s| s.register_table(component, capacity))
     }
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     {
         let _ = (component, capacity);
         0
@@ -142,45 +142,45 @@ pub fn register_table(component: &'static str, capacity: usize) -> u64 {
 /// Records a request entering conservation domain `domain`.
 #[inline(always)]
 pub fn issue(domain: &'static str, id: u64) {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     with(|s| s.issue(domain, id));
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     let _ = (domain, id);
 }
 
 /// Records a request leaving conservation domain `domain`.
 #[inline(always)]
 pub fn retire(domain: &'static str, id: u64) {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     with(|s| s.retire(domain, id));
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     let _ = (domain, id);
 }
 
 /// Records an MSHR allocation attempt (call after the table updated).
 #[inline(always)]
 pub fn mshr_alloc(table: u64, line: u64, outcome: MshrOutcome, len: usize, capacity: usize) {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     with(|s| s.mshr_alloc(table, line, outcome, len, capacity));
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     let _ = (table, line, outcome, len, capacity);
 }
 
 /// Records an MSHR fill (completion) releasing `waiters` waiters.
 #[inline(always)]
 pub fn mshr_fill(table: u64, line: u64, waiters: usize, found: bool) {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     with(|s| s.mshr_fill(table, line, waiters, found));
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     let _ = (table, line, waiters, found);
 }
 
 /// Records an associative-array fill (TLB level, bypass cache, cache array).
 #[inline(always)]
 pub fn array_fill(component: &'static str, len: usize, capacity: usize) {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     with(|s| s.array_fill(component, len, capacity));
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     let _ = (component, len, capacity);
 }
 
@@ -190,11 +190,11 @@ pub fn array_fill(component: &'static str, len: usize, capacity: usize) {
 #[must_use]
 pub fn register_component(component: &'static str) -> u64 {
     let _ = component;
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     {
         with(invariant::InvariantSanitizer::register_component)
     }
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     {
         0
     }
@@ -203,36 +203,36 @@ pub fn register_component(component: &'static str) -> u64 {
 /// Records a component instance observing cycle `now`.
 #[inline(always)]
 pub fn cycle(instance: u64, component: &'static str, now: u64) {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     with(|s| s.cycle(instance, component, now));
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     let _ = (instance, component, now);
 }
 
 /// Records a walker slot starting a walk at `level`.
 #[inline(always)]
 pub fn walk_activate(slot: u32, level: u8) {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     with(|s| s.walk_activate(slot, level));
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     let _ = (slot, level);
 }
 
 /// Records a walker slot advancing to `level`.
 #[inline(always)]
 pub fn walk_advance(slot: u32, level: u8) {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     with(|s| s.walk_advance(slot, level));
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     let _ = (slot, level);
 }
 
 /// Records a walker slot finishing its walk and being freed.
 #[inline(always)]
 pub fn walk_retire(slot: u32) {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     with(|s| s.walk_retire(slot));
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     let _ = slot;
 }
 
@@ -240,18 +240,18 @@ pub fn walk_retire(slot: u32) {
 /// by `what`.
 #[inline(always)]
 pub fn check(ok: bool, component: &'static str, what: &'static str) {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     with(|s| s.check(ok, component, what));
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     let _ = (ok, component, what);
 }
 
 /// Records an epoch-boundary token grant for one address space.
 #[inline(always)]
 pub fn token_epoch(asid: u16, tokens: u64, total_warps: u64) {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     with(|s| s.token_epoch(asid, tokens, total_warps));
-    #[cfg(not(feature = "enabled"))]
+    #[cfg(not(feature = "sanitize"))]
     let _ = (asid, tokens, total_warps);
 }
 
@@ -260,6 +260,6 @@ pub fn token_epoch(asid: u16, tokens: u64, total_warps: u64) {
 /// test has drained the simulated hierarchy.
 #[inline(always)]
 pub fn assert_quiescent() {
-    #[cfg(feature = "enabled")]
+    #[cfg(feature = "sanitize")]
     with(|s| s.check_quiescent());
 }

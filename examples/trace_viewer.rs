@@ -6,78 +6,62 @@
 //! to `MASK_TRACE_OUT` (default `target/mask-trace/`) and prints a summary.
 //!
 //! ```text
-//! cargo run --release --features obs --example trace_viewer
+//! cargo run --release --example trace_viewer
 //! ```
-//!
-//! Without `--features obs` the hooks are compiled out and this example
-//! only explains how to rebuild.
+
+use mask_core::prelude::*;
 
 fn main() {
-    #[cfg(feature = "obs")]
-    traced::run();
-    #[cfg(not(feature = "obs"))]
-    {
-        eprintln!("mask-obs is compiled out in this build.");
-        eprintln!("Rebuild with: cargo run --release --features obs --example trace_viewer");
-        std::process::exit(2);
+    // Force the runtime gate on so the example works without MASK_TRACE
+    // in the environment (setting it is still honoured for real runs).
+    mask_obs::set_runtime(Some(true));
+
+    // Short epochs so a few thousand cycles cross several epoch
+    // boundaries and the per-epoch metrics stream has content.
+    let mut gpu = GpuConfig::maxwell();
+    gpu.warps_per_core = 16;
+    gpu.mask.epoch_cycles = 2_000;
+    let job = |seed: u64, a: &str, b: &str| SimJob {
+        design: DesignKind::Mask,
+        specs: [a, b]
+            .iter()
+            .map(|name| AppSpec {
+                profile: app_by_name(name).expect("known app"),
+                n_cores: 2,
+            })
+            .collect(),
+        max_cycles: 10_000,
+        warmup_cycles: 2_000,
+        seed,
+        gpu: gpu.clone(),
+    };
+
+    println!("tracing two 4-core MASK workloads (CONS+LPS, HISTO+GUP)...");
+    let pool = JobPool::with_workers(2).with_cache(BaselineCache::new());
+    let stats = pool.run_batch(&[job(1, "CONS", "LPS"), job(2, "HISTO", "GUP")]);
+    for (s, name) in stats.iter().zip(["CONS_LPS", "HISTO_GUP"]) {
+        let ipc: f64 = s.apps.iter().map(mask_common::AppStats::ipc).sum();
+        println!("  {name}: aggregate IPC {ipc:.2}");
     }
-}
 
-#[cfg(feature = "obs")]
-mod traced {
-    use mask_core::prelude::*;
-
-    pub(crate) fn run() {
-        // Force the runtime gate on so the example works without MASK_TRACE
-        // in the environment (setting it is still honoured for real runs).
-        mask_obs::set_runtime(Some(true));
-
-        // Short epochs so a few thousand cycles cross several epoch
-        // boundaries and the per-epoch metrics stream has content.
-        let mut gpu = GpuConfig::maxwell();
-        gpu.warps_per_core = 16;
-        gpu.mask.epoch_cycles = 2_000;
-        let job = |seed: u64, a: &str, b: &str| SimJob {
-            design: DesignKind::Mask,
-            specs: [a, b]
-                .iter()
-                .map(|name| AppSpec {
-                    profile: app_by_name(name).expect("known app"),
-                    n_cores: 2,
-                })
-                .collect(),
-            max_cycles: 10_000,
-            warmup_cycles: 2_000,
-            seed,
-            gpu: gpu.clone(),
-        };
-
-        println!("tracing two 4-core MASK workloads (CONS+LPS, HISTO+GUP)...");
-        let pool = JobPool::with_workers(2).with_cache(BaselineCache::new());
-        let stats = pool.run_batch(&[job(1, "CONS", "LPS"), job(2, "HISTO", "GUP")]);
-        for (s, name) in stats.iter().zip(["CONS_LPS", "HISTO_GUP"]) {
-            let ipc: f64 = s.apps.iter().map(mask_common::AppStats::ipc).sum();
-            println!("  {name}: aggregate IPC {ipc:.2}");
-        }
-
-        let summary = mask_obs::export::write_all().expect("trace export");
-        println!();
-        println!("trace   : {}", summary.trace_path.display());
-        println!("metrics : {}", summary.metrics_path.display());
+    let summary = mask_obs::export::write_all().expect("trace export");
+    println!();
+    println!("trace   : {}", summary.trace_path.display());
+    println!("metrics : {}", summary.metrics_path.display());
+    println!(
+        "{} events, {} frames, {} engine spans, {} dropped",
+        summary.events, summary.frames, summary.spans, summary.dropped
+    );
+    println!("counter families: {}", summary.families.join(", "));
+    println!();
+    println!("open the trace at https://ui.perfetto.dev (process 1 is the");
+    println!("simulated timeline at 1us = 1 cycle; process 2 is engine wall");
+    println!("clock); each metrics.jsonl line is one counter frame.");
+    if summary.dropped > 0 {
         println!(
-            "{} events, {} frames, {} engine spans, {} dropped",
-            summary.events, summary.frames, summary.spans, summary.dropped
+            "note: the sink kept the newest {} events and overwrote {} older ones",
+            mask_obs::ring::SINK_CAPACITY,
+            summary.dropped
         );
-        println!("counter families: {}", summary.families.join(", "));
-        println!();
-        println!("open the trace at https://ui.perfetto.dev (process 1 is the");
-        println!("simulated timeline at 1us = 1 cycle; process 2 is engine wall");
-        println!("clock); each metrics.jsonl line is one counter frame.");
-        if summary.dropped > 0 {
-            println!(
-                "note: {} records overwritten; raise MASK_TRACE_BUF",
-                summary.dropped
-            );
-        }
     }
 }

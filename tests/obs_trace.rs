@@ -1,19 +1,19 @@
 //! Tracing must be invisible in the results.
 //!
 //! The `mask-obs` hooks observe the simulator; they never steer it. These
-//! tests pin the bit-identity contract: with the `obs` feature compiled in
-//! and tracing switched **on** at runtime, every statistic — including raw
-//! instruction checksums — is byte-identical to the same run with tracing
-//! **off**, across job-engine worker counts (`MASK_JOBS`) and on the
-//! direct `SimJob::run` path. A second test drives a traced batch
-//! end-to-end through the exporter and checks the Perfetto document and
-//! the metrics JSONL stream are well-formed and carry every counter
-//! family.
+//! tests pin the bit-identity contract: with tracing switched **on** at
+//! runtime, every statistic — including raw instruction checksums — is
+//! byte-identical to the same run with tracing **off**, across job-engine
+//! worker counts (`MASK_JOBS`) and on the direct `SimJob::run` path. The
+//! others drive batches end-to-end through the exporter: a traced batch
+//! yields a well-formed Perfetto document and a metrics JSONL stream with
+//! every counter family, its events on the lanes its jobs ran on, and an
+//! untraced batch yields nothing at all.
 
-#![cfg(feature = "obs")]
-
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
+use mask_common::snapshot::PrefixKey;
 use mask_core::prelude::*;
 use proptest::prelude::*;
 
@@ -90,6 +90,34 @@ proptest! {
     }
 }
 
+/// Hooks write nothing into the machine: a few epochs in, a traced
+/// simulator's snapshot is byte-identical to an untraced one's.
+#[test]
+fn tracing_leaves_machine_state_untouched() {
+    let _gate = GATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let snapshot = |traced: bool| {
+        mask_obs::set_runtime(Some(traced));
+        let mut cfg = SimConfig::new(DesignKind::Mask).with_max_cycles(6_000);
+        cfg.gpu.n_cores = 4;
+        cfg.gpu.warps_per_core = 16;
+        cfg.gpu.mask.epoch_cycles = 2_000;
+        let specs = [("CONS", 2), ("LPS", 2)].map(|(name, n_cores)| AppSpec {
+            profile: app_by_name(name).expect("known app"),
+            n_cores,
+        });
+        let mut sim = GpuSim::new(&cfg, &specs);
+        sim.run(6_000);
+        sim.encode_snapshot(PrefixKey(1))
+    };
+    let untraced = snapshot(false);
+    let traced = snapshot(true);
+    mask_obs::set_runtime(Some(false));
+    mask_obs::reset_collected();
+    assert!(untraced == traced, "tracing wrote into machine state");
+}
+
 /// End-to-end: a traced batch exports a well-formed Perfetto document plus a
 /// metrics JSONL stream carrying all five counter families.
 #[test]
@@ -113,6 +141,10 @@ fn traced_batch_exports_all_counter_families() {
     let summary = mask_obs::export::write_to(&dir).expect("export succeeds");
     assert!(summary.events > 0, "ring captured no events");
     assert!(summary.frames > 0, "no metrics frames");
+    assert_eq!(
+        summary.dropped, 0,
+        "the sink bound drops a test-sized trace"
+    );
 
     let trace = std::fs::read_to_string(&summary.trace_path).expect("trace.json written");
     let doc = mask_common::json::parse(&trace).expect("trace.json is well-formed JSON");
@@ -131,19 +163,76 @@ fn traced_batch_exports_all_counter_families() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Exporting with nothing collected still produces a loadable (empty)
-/// document rather than erroring.
+/// Each job's simulated events sit on the lane of the worker that ran it,
+/// and each lane's walker slots get tracks of their own.
 #[test]
-fn empty_export_is_well_formed() {
+fn traced_events_land_on_their_jobs_lanes() {
     let _gate = GATE
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     mask_obs::reset_collected();
+    mask_obs::set_runtime(Some(true));
+    let pool = JobPool::with_workers(2).with_cache(BaselineCache::new());
+    let _ = pool.run_batch(&[
+        job(21, &[("HISTO", 2), ("GUP", 2)], 6_000),
+        job(22, &[("CONS", 2), ("LPS", 2)], 6_000),
+    ]);
+    mask_obs::set_runtime(Some(false));
+
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("target/tmp")
+        .join(format!("obs_trace_lanes_{}", std::process::id()));
+    let summary = mask_obs::export::write_to(&dir).expect("export succeeds");
+    let trace = std::fs::read_to_string(&summary.trace_path).expect("trace.json written");
+    let _ = std::fs::remove_dir_all(&dir);
+    let doc = mask_common::json::parse(&trace).expect("trace.json is well-formed JSON");
+    let tids = |pid: u64| -> BTreeSet<u64> {
+        doc.get("traceEvents")
+            .and_then(|e| e.as_array())
+            .expect("event list")
+            .iter()
+            .filter(|e| e.get("pid").and_then(mask_common::json::Value::as_u64) == Some(pid))
+            .filter_map(|e| e.get("tid").and_then(mask_common::json::Value::as_u64))
+            .collect()
+    };
+    let lanes = tids(2);
+    // Which worker takes which job is up to the scheduler, so the lanes are
+    // compared as sets rather than counted.
+    assert!(!lanes.is_empty(), "no job spans recorded");
+    let sim = tids(1);
+    let sim_lanes: BTreeSet<u64> = sim.iter().copied().filter(|&t| t < 1000).collect();
+    assert_eq!(sim_lanes, lanes, "simulated events sit on their job's lane");
+    let walker_lanes: BTreeSet<u64> = sim
+        .iter()
+        .filter(|&&t| t >= 1000)
+        .map(|t| t / 1000 - 1)
+        .collect();
+    assert_eq!(walker_lanes, lanes, "walker tracks are per lane");
+}
+
+/// With tracing off, a batch collects nothing, and the export is still a
+/// loadable (empty) document rather than an error.
+#[test]
+fn untraced_batch_collects_nothing() {
+    let _gate = GATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    mask_obs::reset_collected();
+    mask_obs::set_runtime(Some(false));
+    let pool = JobPool::with_workers(2).with_cache(BaselineCache::new());
+    let _ = pool.run_batch(&[
+        job(31, &[("HISTO", 2), ("GUP", 2)], 4_000),
+        job(32, &[("CONS", 2), ("LPS", 2)], 4_000),
+    ]);
     let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("target/tmp")
         .join(format!("obs_trace_empty_{}", std::process::id()));
     let summary = mask_obs::export::write_to(&dir).expect("export succeeds");
-    assert_eq!(summary.events, 0);
+    assert_eq!(
+        (summary.events, summary.frames, summary.spans),
+        (0, 0, 0),
+        "an untraced batch collected trace data"
+    );
     let trace = std::fs::read_to_string(&summary.trace_path).expect("written");
     assert!(trace.contains("\"traceEvents\""));
     let _ = std::fs::remove_dir_all(&dir);

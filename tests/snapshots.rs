@@ -77,8 +77,7 @@ proptest! {
 
     /// The core property, across every design preset, with the obs hooks'
     /// runtime gate off and on (tracing reads simulation state but must
-    /// never influence it; in builds without the `obs` feature the gate is
-    /// inert).
+    /// never influence it).
     #[test]
     fn restore_then_run_is_byte_identical(seed in 0u64..1_000) {
         for obs in [false, true] {
