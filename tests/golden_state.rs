@@ -25,6 +25,12 @@
 //! middle of the run. Its constants were recorded on the tree whose page
 //! tables were dense 512-slot nodes, whose `AssocArray` scanned stamps for
 //! its victim and whose DRAM schedulers scanned the queue entries.
+//!
+//! Its three `RedAlone` rows are the case the cycle-skip suite called an
+//! idle tail: RED alone on four cores to 20 000 cycles. They were recorded
+//! on the tree whose `GpuSim::run` could fast-forward over cycles in which
+//! no core and no memory component had work; on these rows it found none,
+//! because RED never parks all four cores at once.
 
 use mask_common::addr::PAGE_SIZE_2M_LOG2;
 use mask_common::config::MemSchedKind;
@@ -49,7 +55,11 @@ enum Tweak {
     /// `tlb_shootdown(Asid 0)` after the cut at 1 237, `flush_volatile()`
     /// after the one at 3 001.
     Flushes,
+    /// RED alone on all four cores, cut at 20 000 instead of 100 000.
+    RedAlone,
 }
+
+const RED_ALONE_CUT: u64 = 20_000;
 
 fn build(design: DesignKind, apps: [&str; 2], tweak: Tweak) -> GpuSim {
     let mut cfg = SimConfig::new(design).with_max_cycles(EPOCH_CUT);
@@ -57,16 +67,20 @@ fn build(design: DesignKind, apps: [&str; 2], tweak: Tweak) -> GpuSim {
     cfg.gpu.n_cores = 4;
     cfg.gpu.warps_per_core = 16;
     match tweak {
-        Tweak::None | Tweak::Flushes => {}
+        Tweak::None | Tweak::Flushes | Tweak::RedAlone => {}
         Tweak::BatchSched => cfg.gpu.dram.sched = MemSchedKind::GpuBatch,
         Tweak::LargePages => cfg.gpu.page_size_log2 = PAGE_SIZE_2M_LOG2,
         Tweak::FaultLatency(cycles) => cfg.gpu.page_fault_latency = cycles,
     }
-    let specs: Vec<AppSpec> = apps
+    let placement: &[(&str, usize)] = match tweak {
+        Tweak::RedAlone => &[("RED", 4)],
+        _ => &[(apps[0], 2), (apps[1], 2)],
+    };
+    let specs: Vec<AppSpec> = placement
         .iter()
-        .map(|name| AppSpec {
+        .map(|&(name, n_cores)| AppSpec {
             profile: app_by_name(name).expect("known app"),
-            n_cores: 2,
+            n_cores,
         })
         .collect();
     GpuSim::new(&cfg, &specs)
@@ -78,7 +92,8 @@ fn fnv(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// `[snapshot @ 1 237, stats @ 3 001, snapshot @ 100 000]`.
+/// `[snapshot @ 1 237, stats @ 3 001, snapshot @ 100 000]` (the last at
+/// 20 000 for [`Tweak::RedAlone`]).
 fn digests(design: DesignKind, apps: [&str; 2], tweak: Tweak) -> [u64; 3] {
     let key = PrefixKey(0x601d);
     let mut sim = build(design, apps, tweak);
@@ -92,7 +107,11 @@ fn digests(design: DesignKind, apps: [&str; 2], tweak: Tweak) -> [u64; 3] {
     if matches!(tweak, Tweak::Flushes) {
         sim.flush_volatile();
     }
-    sim.run(EPOCH_CUT - MID_BURST);
+    let end = match tweak {
+        Tweak::RedAlone => RED_ALONE_CUT,
+        _ => EPOCH_CUT,
+    };
+    sim.run(end - MID_BURST);
     let epoch = fnv(&sim.encode_snapshot(key));
     [early, stats, epoch]
 }
@@ -175,7 +194,7 @@ const GOLDEN: [(DesignKind, [&str; 2], [u64; 3]); 8] = [
     ),
 ];
 
-const PATHS: [(DesignKind, Tweak, [u64; 3]); 7] = [
+const PATHS: [(DesignKind, Tweak, [u64; 3]); 10] = [
     (
         DesignKind::Static,
         Tweak::None,
@@ -237,6 +256,33 @@ const PATHS: [(DesignKind, Tweak, [u64; 3]); 7] = [
             0x5799_85b3_0f25_6159,
             0x5c67_3b39_d710_3687,
             0xedd6_040f_2ad0_91d9,
+        ],
+    ),
+    (
+        DesignKind::SharedTlb,
+        Tweak::RedAlone,
+        [
+            0x372e_9d62_0604_783a,
+            0xc63c_bc50_0fc6_bf09,
+            0x68b3_5786_345c_d002,
+        ],
+    ),
+    (
+        DesignKind::PwCache,
+        Tweak::RedAlone,
+        [
+            0x0131_c759_c742_f4b8,
+            0x12f7_8679_c8a1_52df,
+            0x4fc9_8028_c35f_177c,
+        ],
+    ),
+    (
+        DesignKind::Mask,
+        Tweak::RedAlone,
+        [
+            0x83ec_3d8b_1071_c399,
+            0x3937_28de_cf53_ff3e,
+            0x36d7_f987_980b_7f38,
         ],
     ),
 ];
