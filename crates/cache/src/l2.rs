@@ -344,21 +344,6 @@ impl SharedL2Cache {
         out.append(&mut self.responses);
     }
 
-    /// Earliest cycle at which this cache can make progress: `Some(0)` when
-    /// output buffers hold undelivered work, the earliest bank-queue ready
-    /// cycle otherwise, and `None` when fully drained (MSHR fills arrive
-    /// via `dram_fill`, so outstanding misses are DRAM events, not ours).
-    pub fn next_event(&self) -> Option<Cycle> {
-        if !self.to_dram.is_empty() || !self.responses.is_empty() {
-            return Some(0);
-        }
-        self.head_ready
-            .iter()
-            .copied()
-            .min()
-            .filter(|&ready| ready != Cycle::MAX)
-    }
-
     /// Ends a monitoring epoch (latches new bypass decisions).
     pub fn end_epoch(&mut self) {
         self.monitor.end_epoch();
@@ -765,14 +750,12 @@ mod tests {
     #[test]
     fn tick_visits_only_banks_whose_head_is_ready() {
         let mut l2 = SharedL2Cache::new(&cfg(), L2Policy::Shared, 1);
-        assert_eq!(l2.next_event(), None);
         assert!(l2.head_ready.iter().all(|&ready| ready == Cycle::MAX));
         // Lines 0 and 4 share bank 0 of 4; line 1 goes to bank 1.
         l2.enqueue(req(1, 0, RequestClass::Data), 3);
         l2.enqueue(req(2, 4, RequestClass::Data), 5);
         l2.enqueue(req(3, 1, RequestClass::Data), 7);
         assert_eq!(l2.head_ready, [13, 17, Cycle::MAX, Cycle::MAX]);
-        assert_eq!(l2.next_event(), Some(13));
         l2.tick(12);
         assert_eq!(l2.queued(), 3, "nothing is ready at cycle 12");
         l2.tick(13);
@@ -781,9 +764,8 @@ mod tests {
         l2.tick(15);
         assert_eq!(l2.head_ready, [Cycle::MAX, 17, Cycle::MAX, Cycle::MAX]);
         l2.tick(17);
-        assert_eq!(l2.next_event(), Some(0), "three misses wait for DRAM");
-        assert_eq!(l2.take_dram_requests().len(), 3);
-        assert_eq!(l2.next_event(), None);
+        assert_eq!(l2.take_dram_requests().len(), 3, "three misses go to DRAM");
+        assert_eq!(l2.queued(), 0);
     }
 
     /// Red test for the `l2-head-ready` premise check: a bank whose

@@ -9,7 +9,6 @@
 //! `Partitioned` and MPS-style `NoIsolation` brackets.
 
 use crate::addr::PAGE_SIZE_4K_LOG2;
-use std::path::PathBuf;
 
 /// How L1-TLB misses reach a translation (the Fig. 2 / Fig. 10 choice).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -695,21 +694,6 @@ pub fn default_max_cycles() -> u64 {
 /// takes the resolved value, never the environment.
 pub fn pair_limit_override() -> Option<usize> {
     std::env::var("MASK_PAIR_LIMIT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-}
-
-/// The `MASK_SNAPSHOT_DIR` environment variable: where the process-wide
-/// warm-up prefix cache persists its snapshots (unset: in memory only).
-pub fn snapshot_dir_override() -> Option<PathBuf> {
-    std::env::var_os("MASK_SNAPSHOT_DIR").map(PathBuf::from)
-}
-
-/// The `MASK_SNAPSHOT_CAP` environment variable, when set to a number: the
-/// most snapshots kept under [`snapshot_dir_override`] (unset or
-/// unparsable: unbounded).
-pub fn snapshot_cap_override() -> Option<usize> {
-    std::env::var("MASK_SNAPSHOT_CAP")
         .ok()
         .and_then(|v| v.parse().ok())
 }

@@ -15,9 +15,7 @@
 //!
 //! Snapshots are only taken at *epoch-safe* points: a cycle that is a
 //! multiple of `epoch_cycles`, or any between-step cycle before the first
-//! epoch boundary. At such points every per-step scratch vector is empty,
-//! and the cycle-skip machinery (which never skips past an epoch boundary)
-//! cannot straddle the cut.
+//! epoch boundary. At such points every per-step scratch vector is empty.
 //!
 //! # Wire format
 //!

@@ -2,9 +2,8 @@
 //!
 //! One directory of `<key>.msnp` files, each a sealed MSNP envelope
 //! ([`crate::snapshot`]: magic, codec version, key echo, length, FNV-1a
-//! checksum), each with a `<key>.lru` recency sidecar. The engine keeps
-//! warm-up snapshots in one (`MASK_SNAPSHOT_DIR`) and `maskd` keeps job
-//! results in another (`MASKD_STORE_DIR`); both are pure accelerators, so
+//! checksum), each with a `<key>.lru` recency sidecar. `maskd` keeps job
+//! results in one (`MASKD_STORE_DIR`). The store is a pure accelerator, so
 //! every operation is best-effort — an I/O failure costs a re-simulation,
 //! never a wrong answer — and nothing here returns an error:
 //!
@@ -36,13 +35,10 @@
 //!
 //! The index is plain data behind `&mut self`; this crate takes no lock. An
 //! owner that shares a store across threads puts it behind the lock it
-//! already has, and one that moves large payloads does the payload half —
-//! [`EnvelopeFiles::read`] / [`EnvelopeFiles::write`] on a clone of
-//! [`EnvelopeStore::files`] — outside that lock and only the index half
-//! ([`EnvelopeStore::touch`], [`EnvelopeStore::enforce_cap`]) inside it.
+//! already has.
 //!
 //! The directory stays the truth and the index is a cache of it, because
-//! other writers exist: a second process on the same `MASK_SNAPSHOT_DIR`, a
+//! other writers exist: a second process on the same directory, a
 //! directory filled by one handle and served by another. Every operation
 //! therefore checks the one file it names: a key the index does not hold is
 //! still looked for on disk and adopted at the sequence number its sidecar
@@ -57,61 +53,10 @@ use crate::snapshot::{validate_envelope, PrefixKey, SnapshotReader};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-/// The payload half of an [`EnvelopeStore`]: reads and writes envelope
-/// files and knows nothing of recency, so it needs no exclusive access.
-#[derive(Clone, Debug)]
-pub struct EnvelopeFiles {
-    dir: PathBuf,
-}
-
-impl EnvelopeFiles {
-    fn envelope(&self, key: PrefixKey) -> PathBuf {
-        self.dir.join(format!("{key}.msnp"))
-    }
-
-    fn sidecar(&self, key: PrefixKey) -> PathBuf {
-        self.dir.join(format!("{key}.lru"))
-    }
-
-    /// The sealed bytes stored under `key`, if the file exists and passes
-    /// keyed envelope validation (magic, version, key, length, checksum).
-    /// An invalid file is deleted together with its sidecar. The caller
-    /// owes the store a [`EnvelopeStore::touch`] either way.
-    #[must_use]
-    pub fn read(&self, key: PrefixKey) -> Option<Vec<u8>> {
-        let path = self.envelope(key);
-        let bytes = std::fs::read(&path).ok()?;
-        if SnapshotReader::open_keyed(&bytes, key).is_err() {
-            remove_entry(&path);
-            return None;
-        }
-        Some(bytes)
-    }
-
-    /// Persists `sealed` (the output of
-    /// [`SnapshotWriter::seal`](crate::snapshot::SnapshotWriter::seal) for
-    /// `key`) via a process-unique temp file and rename; `false`, with
-    /// nothing left behind, when either fails. After a `true` the caller
-    /// owes the store a [`EnvelopeStore::touch`] and an
-    /// [`EnvelopeStore::enforce_cap`].
-    #[must_use]
-    pub fn write(&self, key: PrefixKey, sealed: &[u8]) -> bool {
-        let tmp = self
-            .dir
-            .join(format!("{key}.msnp.{}.tmp", std::process::id()));
-        let done = std::fs::write(&tmp, sealed).is_ok()
-            && std::fs::rename(&tmp, self.envelope(key)).is_ok();
-        if !done {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        done
-    }
-}
-
 /// A directory of sealed envelopes with LRU eviction.
 #[derive(Debug)]
 pub struct EnvelopeStore {
-    files: EnvelopeFiles,
+    dir: PathBuf,
     /// Maximum number of envelopes kept; `None` = unbounded. Enforced
     /// after every successful [`EnvelopeStore::store`], never below one.
     cap: Option<usize>,
@@ -135,7 +80,7 @@ impl EnvelopeStore {
     pub fn open(dir: PathBuf, cap: Option<usize>) -> Self {
         let _ = std::fs::create_dir_all(&dir);
         let mut store = EnvelopeStore {
-            files: EnvelopeFiles { dir },
+            dir,
             cap,
             seqs: BTreeMap::new(),
             order: BTreeSet::new(),
@@ -146,27 +91,24 @@ impl EnvelopeStore {
         store
     }
 
-    /// The payload half, for an owner that keeps envelope I/O outside the
-    /// lock it holds this store under (clone it once).
-    #[must_use]
-    pub fn files(&self) -> &EnvelopeFiles {
-        &self.files
-    }
-
-    /// [`EnvelopeFiles::read`], then [`EnvelopeStore::touch`]: a valid
-    /// entry is re-stamped as most recently used, anything else leaves the
-    /// index.
+    /// The sealed bytes stored under `key`, if the file exists and passes
+    /// keyed envelope validation (magic, version, key, length, checksum),
+    /// re-stamped as most recently used. An invalid file is deleted
+    /// together with its sidecar, and anything but a valid entry leaves
+    /// the index.
     #[must_use]
     pub fn load(&mut self, key: PrefixKey) -> Option<Vec<u8>> {
-        let bytes = self.files.read(key);
+        let bytes = self.read(key);
         self.touch(key);
         bytes
     }
 
-    /// [`EnvelopeFiles::write`]; only a completed rename is stamped and
-    /// counted against the cap. Returns the keys eviction removed.
+    /// Persists `sealed` (the output of
+    /// [`SnapshotWriter::seal`](crate::snapshot::SnapshotWriter::seal) for
+    /// `key`); only a completed rename is stamped and counted against the
+    /// cap. Returns the keys eviction removed.
     pub fn store(&mut self, key: PrefixKey, sealed: &[u8]) -> Vec<PrefixKey> {
-        if !self.files.write(key, sealed) {
+        if !self.write(key, sealed) {
             return Vec::new();
         }
         self.touch(key);
@@ -176,11 +118,11 @@ impl EnvelopeStore {
     /// Stamps `key` as the most recently used entry, if its envelope is
     /// there (`true`); one that is not gets no sidecar and leaves the index.
     pub fn touch(&mut self, key: PrefixKey) -> bool {
-        if !self.files.envelope(key).exists() {
+        if !self.envelope(key).exists() {
             self.forget(key);
             return false;
         }
-        let sidecar = self.files.sidecar(key);
+        let sidecar = self.sidecar(key);
         // An entry another writer put there is adopted where its own
         // sidecar places it.
         let seen = match self.seqs.get(&key) {
@@ -195,8 +137,8 @@ impl EnvelopeStore {
     }
 
     /// Evicts least-recently-used entries until the cap holds and returns
-    /// their keys; [`EnvelopeStore::store`] ends with this.
-    pub fn enforce_cap(&mut self) -> Vec<PrefixKey> {
+    /// their keys.
+    fn enforce_cap(&mut self) -> Vec<PrefixKey> {
         let mut evicted = Vec::new();
         let Some(cap) = self.cap else {
             return evicted;
@@ -206,7 +148,7 @@ impl EnvelopeStore {
                 break;
             };
             self.seqs.remove(&key);
-            remove_entry(&self.files.envelope(key));
+            remove_entry(&self.envelope(key));
             self.evictions += 1;
             evicted.push(key);
         }
@@ -238,6 +180,40 @@ impl EnvelopeStore {
         self.evictions
     }
 
+    fn envelope(&self, key: PrefixKey) -> PathBuf {
+        self.dir.join(format!("{key}.msnp"))
+    }
+
+    fn sidecar(&self, key: PrefixKey) -> PathBuf {
+        self.dir.join(format!("{key}.lru"))
+    }
+
+    /// The bytes under `key` if they pass keyed validation; an invalid
+    /// file is deleted with its sidecar.
+    fn read(&self, key: PrefixKey) -> Option<Vec<u8>> {
+        let path = self.envelope(key);
+        let bytes = std::fs::read(&path).ok()?;
+        if SnapshotReader::open_keyed(&bytes, key).is_err() {
+            remove_entry(&path);
+            return None;
+        }
+        Some(bytes)
+    }
+
+    /// Writes `sealed` via a process-unique temp file and rename; `false`,
+    /// with nothing left behind, when either fails.
+    fn write(&self, key: PrefixKey, sealed: &[u8]) -> bool {
+        let tmp = self
+            .dir
+            .join(format!("{key}.msnp.{}.tmp", std::process::id()));
+        let done = std::fs::write(&tmp, sealed).is_ok()
+            && std::fs::rename(&tmp, self.envelope(key)).is_ok();
+        if !done {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        done
+    }
+
     fn place(&mut self, key: PrefixKey, seq: u64) {
         if let Some(old) = self.seqs.insert(key, seq) {
             self.order.remove(&(old, key));
@@ -253,7 +229,7 @@ impl EnvelopeStore {
 
     fn sweep(&mut self) {
         self.dir_scans += 1;
-        let Ok(entries) = std::fs::read_dir(&self.files.dir) else {
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return;
         };
         for entry in entries.flatten() {
@@ -265,7 +241,7 @@ impl EnvelopeStore {
                     let key = std::fs::read(&path)
                         .ok()
                         .and_then(|bytes| validate_envelope(&bytes).ok())
-                        .filter(|&key| path == self.files.envelope(key));
+                        .filter(|&key| path == self.envelope(key));
                     match key {
                         Some(key) => self.place(key, read_seq(&path.with_extension("lru"))),
                         None => remove_entry(&path),

@@ -1,5 +1,5 @@
 //! Job identity: what one simulation is ([`SimJob`]), when two are the same
-//! ([`JobKey`]) or share a warm-up ([`SimJob::prefix_key`]), how to run one.
+//! ([`JobKey`]), how to run one.
 
 use mask_common::config::{DesignKind, DesignSpec, GpuConfig, SimConfig};
 use mask_common::snapshot::{Fnv1a, PrefixKey};
@@ -83,7 +83,19 @@ impl SimJob {
     /// measured after the warm-up window.
     #[must_use]
     pub fn run(&self) -> SimStats {
-        self.finish_measured(self.warmed_sim())
+        let cfg = SimConfig {
+            gpu: self.sized_gpu(),
+            design: self.design.spec(),
+            max_cycles: self.max_cycles,
+            seed: self.seed,
+        };
+        let mut sim = GpuSim::new(&cfg, &self.specs);
+        let warmup = self.warmup_eff();
+        sim.run(warmup);
+        sim.reset_stats();
+        sim.run(self.max_cycles - warmup);
+        sim.sync_stats();
+        sim.stats().clone()
     }
 
     /// The warm-up prefix key: FNV-1a over the `Debug` rendering of the
@@ -97,6 +109,9 @@ impl SimJob {
     /// Everything else — any field `GpuConfig` has or gains — is in the key
     /// by construction. Jobs with equal keys reach bit-identical machine
     /// state at the end of warm-up.
+    ///
+    /// The engine no longer reads it: `benchmark/src/engine.rs` times it
+    /// as `core.prefix_key_us`, and ROADMAP 8(a) deletes it with that row.
     #[must_use]
     pub fn prefix_key(&self) -> PrefixKey {
         let warmup = self.warmup_eff();
@@ -108,14 +123,6 @@ impl SimJob {
         let mut h = Fnv1a::new();
         h.write(format!("{view:?}").as_bytes());
         PrefixKey(h.finish())
-    }
-
-    /// Whether this job has a warm-up another job could share through a
-    /// snapshot: a non-empty one that ends on an epoch-safe point
-    /// ([`MaskParams::is_epoch_safe`](mask_common::config::MaskParams::is_epoch_safe)).
-    pub(super) fn has_sharable_warmup(&self) -> bool {
-        let warmup = self.warmup_eff();
-        warmup > 0 && self.gpu.mask.is_epoch_safe(warmup)
     }
 
     /// The effective warm-up length: clamped to at most half of
@@ -130,33 +137,6 @@ impl SimJob {
         let mut gpu = self.gpu.clone();
         gpu.n_cores = self.specs.iter().map(|s| s.n_cores).sum();
         gpu
-    }
-
-    /// Builds the simulator this job describes, at cycle zero.
-    pub(super) fn build_sim(&self) -> GpuSim {
-        let cfg = SimConfig {
-            gpu: self.sized_gpu(),
-            design: self.design.spec(),
-            max_cycles: self.max_cycles,
-            seed: self.seed,
-        };
-        GpuSim::new(&cfg, &self.specs)
-    }
-
-    /// The simulator this job describes, simulated to the end of warm-up.
-    pub(super) fn warmed_sim(&self) -> GpuSim {
-        let mut sim = self.build_sim();
-        sim.run(self.warmup_eff());
-        sim
-    }
-
-    /// Runs the measured phase on a simulator positioned at the end of
-    /// warm-up and snapshots its statistics.
-    pub(super) fn finish_measured(&self, mut sim: GpuSim) -> SimStats {
-        sim.reset_stats();
-        sim.run(self.max_cycles - self.warmup_eff());
-        sim.sync_stats();
-        sim.stats().clone()
     }
 }
 
@@ -214,7 +194,6 @@ pub(super) mod tests {
     #[test]
     fn prefix_keys_share_across_epoch_end_only_knobs() {
         let jobs = token_sweep(3);
-        assert!(jobs[0].has_sharable_warmup());
         assert_eq!(jobs[0].prefix_key(), jobs[1].prefix_key());
         assert_eq!(jobs[0].prefix_key(), jobs[2].prefix_key());
         // ... but every JobKey stays distinct: no result deduplication.

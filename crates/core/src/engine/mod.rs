@@ -8,20 +8,15 @@
 //! 1. **plan** — callers (the [`PairRunner`](crate::runner::PairRunner)
 //!    batch entry points and the experiment harnesses) describe whole
 //!    workload sets as [`SimJob`] lists and submit them in one call. A
-//!    [`JobPool`] deduplicates jobs by their canonical [`JobKey`], resolves
-//!    alone-baseline jobs from a process-wide [`BaselineCache`], and groups
-//!    what is left by [`SimJob::prefix_key`]: only a warm-up that a second
-//!    job of the *same batch* will read (or an on-disk store will keep) is
-//!    sealed into a snapshot;
+//!    [`JobPool`] deduplicates jobs by their canonical [`JobKey`] and
+//!    resolves alone-baseline jobs from a process-wide [`BaselineCache`];
 //! 2. **execute** — the remaining unique jobs fan out over
-//!    `std::thread::scope` workers; a group's snapshot lives in a once-cell
-//!    the batch owns, and is dropped when the batch returns;
+//!    `std::thread::scope` workers, each job built, warmed up and measured
+//!    on the one worker that took it;
 //! 3. **assemble** — results come back indexed by submission order, so
 //!    the output of any batch is **byte-identical at every worker count**
 //!    (each job is a closed deterministic state machine; scheduling can
 //!    only reorder wall-clock execution, never results).
-//!
-//! Sharing a warm-up is therefore declared by submitting together.
 //!
 //! Worker count: an explicit `JobOptions` request, else the `MASK_JOBS`
 //! environment variable, else the machine's available parallelism. `1` runs
@@ -40,8 +35,6 @@ mod cache;
 mod job;
 mod pool;
 
-pub use cache::{
-    process_cache, process_prefix_cache, BaselineCache, CacheStats, PrefixCache, PrefixCacheStats,
-};
+pub use cache::{process_cache, BaselineCache, CacheStats, PrefixCache, PrefixCacheStats};
 pub use job::{JobKey, SimJob};
 pub use pool::JobPool;

@@ -1,12 +1,9 @@
-//! The pool: plans a batch (dedup, baseline cache, shared warm-ups), fans
-//! the unique jobs out over workers, scatters results in submission order.
+//! The pool: plans a batch (dedup, baseline cache), fans the unique jobs
+//! out over workers, scatters results in submission order.
 
-use super::cache::{
-    process_cache, process_prefix_cache, BaselineCache, BatchSnapshots, PrefixCache,
-};
+use super::cache::{process_cache, BaselineCache, PrefixCache};
 use super::job::{JobKey, SimJob};
 use mask_common::config::JobOptions;
-use mask_common::snapshot::PrefixKey;
 use mask_common::stats::SimStats;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -23,21 +20,13 @@ fn job_label(job: &SimJob) -> String {
     s
 }
 
-/// Runs one job — its warm-up by way of `snapshots` when the plan gave it
-/// a `key` — with an engine-timeline span around it on `lane`, the lane
-/// its traced events carry too (`mask-obs` job profiling; label and timing
-/// cost nothing unless tracing is live).
-fn run_one(
-    job: &SimJob,
-    lane: u32,
-    key: Option<PrefixKey>,
-    snapshots: &BatchSnapshots<'_>,
-) -> SimStats {
+/// Runs one job and counts it in `simulated`, with an engine-timeline span
+/// around it on `lane`, the lane its traced events carry too (`mask-obs`
+/// job profiling; label and timing cost nothing unless tracing is live).
+fn run_one(job: &SimJob, lane: u32, simulated: &PrefixCache) -> SimStats {
     let timer = mask_obs::profile::begin_job(lane);
-    let out = match key {
-        Some(key) => job.finish_measured(snapshots.warm_up(job, key)),
-        None => job.run(),
-    };
+    let out = job.run();
+    simulated.count_simulated();
     if mask_obs::tracing_active() {
         timer.finish(&job_label(job));
     }
@@ -51,8 +40,7 @@ fn run_one(
 pub struct JobPool {
     workers: usize,
     cache: Arc<BaselineCache>,
-    prefix: Arc<PrefixCache>,
-    reuse_prefix: bool,
+    simulated: Arc<PrefixCache>,
 }
 
 impl fmt::Debug for JobPool {
@@ -60,9 +48,7 @@ impl fmt::Debug for JobPool {
         f.debug_struct("JobPool")
             .field("workers", &self.workers)
             .field("cache", &self.cache.stats())
-            .field("prefix", &self.prefix.stats())
-            .field("reuse_prefix", &self.reuse_prefix)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -84,8 +70,7 @@ impl JobPool {
         JobPool {
             workers: workers.max(1),
             cache: process_cache(),
-            prefix: process_prefix_cache(),
-            reuse_prefix: true,
+            simulated: PrefixCache::in_memory(),
         }
     }
 
@@ -103,20 +88,18 @@ impl JobPool {
         self
     }
 
-    /// Replaces the prefix cache (e.g. with a private one in tests that
-    /// assert exact warm-up counts, or one bound to a snapshot directory).
+    /// Replaces the counter of jobs simulated. Called by
+    /// `benchmark/src/engine.rs`; ROADMAP 8(a) deletes it.
     #[must_use]
-    pub fn with_prefix_cache(mut self, prefix: Arc<PrefixCache>) -> Self {
-        self.prefix = prefix;
+    pub fn with_prefix_cache(mut self, simulated: Arc<PrefixCache>) -> Self {
+        self.simulated = simulated;
         self
     }
 
-    /// Enables or disables warm-up prefix reuse (default: enabled).
-    /// Results are bit-identical either way — disabled, no batch groups its
-    /// jobs by warm-up, which is what the reuse benchmark measures against.
+    /// Ignores its flag: there is no warm-up sharing left to switch off.
+    /// Called by `benchmark/src/engine.rs`; ROADMAP 8(a) deletes it.
     #[must_use]
-    pub fn with_prefix_reuse(mut self, reuse: bool) -> Self {
-        self.reuse_prefix = reuse;
+    pub fn with_prefix_reuse(self, _reuse: bool) -> Self {
         self
     }
 
@@ -132,32 +115,30 @@ impl JobPool {
         &self.cache
     }
 
-    /// The warm-up prefix cache this pool consults.
+    /// The counter of jobs this pool simulated. Read by
+    /// `benchmark/src/sweep.rs` and `benchmark/src/service.rs`; ROADMAP
+    /// 8(a) deletes it.
     #[must_use]
     pub fn prefix_cache(&self) -> &Arc<PrefixCache> {
-        &self.prefix
+        &self.simulated
     }
 
     /// One-line human-readable completion summary: worker count plus the
-    /// baseline- and prefix-cache counters, stating how many simulations
-    /// (whole alone runs, warm-up phases) the caches avoided.
+    /// baseline-cache counters, stating how many whole alone runs the
+    /// cache avoided.
     #[must_use]
     pub fn completion_summary(&self) -> String {
         let b = self.cache.stats();
-        let p = self.prefix.stats();
         format!(
             "[mask-core] job pool: {} worker(s); baseline cache: {} entries, \
-             {} hit(s) / {} miss(es); prefix cache: \
-             {} warm-up(s) reused / {} simulated",
-            self.workers, b.entries, b.hits, b.misses, p.hits, p.misses
+             {} hit(s) / {} miss(es)",
+            self.workers, b.entries, b.hits, b.misses
         )
     }
 
     /// Runs a batch and returns one [`SimStats`] per job, in submission
     /// order. Equal-keyed jobs are simulated once; alone-baseline jobs are
-    /// additionally served from (and recorded in) the baseline cache; jobs
-    /// with equal [`SimJob::prefix_key`]s simulate their warm-up once and
-    /// share its snapshot until the batch returns.
+    /// additionally served from (and recorded in) the baseline cache.
     ///
     /// # Panics
     ///
@@ -174,9 +155,7 @@ impl JobPool {
         )]
         let batch_start = trace.then(std::time::Instant::now);
         let cache_before = trace.then(|| self.cache.stats());
-        let prefix_before = trace.then(|| self.prefix.stats());
-        // Plan: collapse equal-keyed jobs, answer alone runs from cache,
-        // name the warm-ups that have a second reader.
+        // Plan: collapse equal-keyed jobs, answer alone runs from cache.
         let mut results: Vec<Option<SimStats>> = vec![None; jobs.len()];
         let mut unique: BTreeMap<JobKey, Vec<usize>> = BTreeMap::new();
         for (i, job) in jobs.iter().enumerate() {
@@ -196,14 +175,11 @@ impl JobPool {
             }
             work.push((job, idxs));
         }
-        let (keys, snapshots) = self.plan_warmups(work.iter().map(|(job, _)| *job));
         // Execute: fan the unique jobs out; output is keyed by work index,
-        // so worker scheduling cannot affect what callers observe. The
-        // snapshots die here, with the batch that planned them.
+        // so worker scheduling cannot affect what callers observe.
         let outputs = self.execute(work.len(), |i, lane| {
-            run_one(work[i].0, lane, keys[i], &snapshots)
+            run_one(work[i].0, lane, &self.simulated)
         });
-        drop(snapshots);
         // Assemble: scatter each unique result to every submitting slot.
         for ((job, idxs), stats) in work.iter().zip(outputs) {
             if job.is_alone() {
@@ -213,19 +189,14 @@ impl JobPool {
                 results[i] = Some(stats.clone());
             }
         }
-        if let (Some(start), Some(before), Some(p_before)) =
-            (batch_start, cache_before, prefix_before)
-        {
+        if let (Some(start), Some(before)) = (batch_start, cache_before) {
             let after = self.cache.stats();
-            let p_after = self.prefix.stats();
             mask_obs::metrics::job_pool_frame(
                 self.workers,
                 jobs.len(),
                 n_unique,
                 after.hits.saturating_sub(before.hits),
                 after.misses.saturating_sub(before.misses),
-                p_after.hits.saturating_sub(p_before.hits),
-                p_after.misses.saturating_sub(p_before.misses),
                 start.elapsed().as_micros() as u64,
             );
         }
@@ -233,22 +204,6 @@ impl JobPool {
             .into_iter()
             .map(|r| r.expect("every planned job resolves to a result"))
             .collect()
-    }
-
-    /// Names which of `jobs` share a warm-up — a pure function of the job
-    /// list and this pool's prefix settings; nothing is simulated. Per job,
-    /// the prefix key its warm-up is counted (and possibly shared) under:
-    /// `None` for no warm-up, one that ends off an epoch-safe point, or
-    /// prefix reuse switched off. Per key with a reader, a snapshot cell.
-    fn plan_warmups<'a>(
-        &self,
-        jobs: impl Iterator<Item = &'a SimJob>,
-    ) -> (Vec<Option<PrefixKey>>, BatchSnapshots<'_>) {
-        let keys: Vec<Option<PrefixKey>> = jobs
-            .map(|job| (self.reuse_prefix && job.has_sharable_warmup()).then(|| job.prefix_key()))
-            .collect();
-        let snapshots = BatchSnapshots::plan(&self.prefix, keys.iter().flatten().copied());
-        (keys, snapshots)
     }
 
     /// `run(i, lane)` for every work index `i < n`, over the workers.
@@ -305,35 +260,11 @@ mod tests {
     use super::super::job::tests::{job, token_sweep};
     use super::*;
     use mask_common::config::DesignKind;
-    use std::path::PathBuf;
-
-    fn private_pool(workers: usize, prefix: &Arc<PrefixCache>) -> JobPool {
-        JobPool::with_workers(workers)
-            .with_cache(BaselineCache::new())
-            .with_prefix_cache(Arc::clone(prefix))
-    }
-
-    /// A fresh snapshot directory private to one test.
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("mask-snap-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    /// A job whose warm-up ends strictly between the first and second
-    /// epoch boundaries: not epoch-safe, so no snapshot may be taken.
-    fn epoch_unsafe_job() -> SimJob {
-        let mut j = job(DesignKind::Mask, &[("GUP", 2)], 5);
-        j.gpu.mask.epoch_cycles = 1_000;
-        j.warmup_cycles = 1_500;
-        j.max_cycles = 4_000;
-        j
-    }
 
     #[test]
     fn run_matches_a_one_job_batch() {
         let j = job(DesignKind::Mask, &[("GUP", 2), ("HISTO", 2)], 11);
-        let pool = private_pool(1, &PrefixCache::in_memory());
+        let pool = JobPool::with_workers(1).with_cache(BaselineCache::new());
         assert_eq!(
             vec![j.run()],
             pool.run_batch(std::slice::from_ref(&j)),
@@ -385,160 +316,30 @@ mod tests {
     }
 
     #[test]
-    fn the_plan_groups_only_warmups_with_a_second_reader() {
-        let pool = private_pool(1, &PrefixCache::in_memory());
-        // Per job its key, and the keys that got a snapshot cell.
-        let plan = |pool: &JobPool, jobs: &[SimJob]| {
-            let (keys, snapshots) = pool.plan_warmups(jobs.iter());
-            (keys, snapshots.cells.keys().copied().collect::<Vec<_>>())
-        };
-        // N distinct keys: no group, every warm-up is the job's own.
-        let distinct: Vec<SimJob> = (0..4)
-            .map(|seed| job(DesignKind::Mask, &[("HISTO", 2), ("GUP", 2)], seed))
-            .collect();
-        let own: Vec<_> = distinct.iter().map(|j| Some(j.prefix_key())).collect();
-        assert_eq!(plan(&pool, &distinct), (own.clone(), vec![]));
-        // k equal keys: one group of k, wherever its members sit.
-        let mut mixed = token_sweep(3);
-        let key = Some(mixed[0].prefix_key());
-        mixed.insert(1, distinct[0].clone());
-        assert_eq!(
-            plan(&pool, &mixed),
-            (vec![key, own[0], key, key], vec![mixed[0].prefix_key()])
-        );
-        // No warm-up, or an epoch-unsafe one: in no group, even in pairs.
-        let mut cold = distinct[0].clone();
-        cold.warmup_cycles = 0;
-        let unshared = [cold.clone(), cold, epoch_unsafe_job(), epoch_unsafe_job()];
-        assert_eq!(plan(&pool, &unshared), (vec![None; 4], vec![]));
-        // Reuse off: never group.
-        let off = pool.clone().with_prefix_reuse(false);
-        assert_eq!(plan(&off, &mixed), (vec![None; 4], vec![]));
-        // An on-disk store to feed makes a singleton worth sealing.
-        let dir = temp_dir("plan");
-        let stored = private_pool(1, &PrefixCache::with_store(Some(dir.clone()), None));
-        assert_eq!(plan(&stored, &distinct).1.len(), 4);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn prefix_reuse_is_invisible_in_results_and_warms_up_once() {
-        let jobs = token_sweep(4);
-        let oracle: Vec<SimStats> = jobs.iter().map(SimJob::run).collect();
-        for workers in [1, 4] {
-            let prefix = PrefixCache::in_memory();
-            let reused = private_pool(workers, &prefix).run_batch(&jobs);
-            assert_eq!(oracle, reused, "prefix reuse must not change results");
-            let stats = prefix.stats();
-            assert_eq!(stats.entries, 0, "the snapshot went with its batch");
-            assert_eq!(stats.misses, 1, "warm-up simulated exactly once");
-            assert_eq!(stats.hits, jobs.len() as u64 - 1);
-        }
-    }
-
-    #[test]
-    fn a_mixed_batch_shares_what_it_can_and_carries_nothing_over() {
-        // One group of 3, 2 singletons, 1 job without a warm-up.
-        let mut jobs = token_sweep(3);
-        jobs.push(job(DesignKind::Mask, &[("HISTO", 2), ("GUP", 2)], 21));
-        jobs.push(job(DesignKind::SharedTlb, &[("HS", 2), ("MUM", 2)], 22));
+    fn the_pool_counts_each_job_it_simulates_once() {
+        let alone = job(DesignKind::SharedTlb, &[("GUP", 2)], 7);
         let mut cold = job(DesignKind::Mask, &[("HS", 2), ("GUP", 2)], 23);
         cold.warmup_cycles = 0;
-        jobs.push(cold);
+        // Two sweep jobs that once shared a warm-up, a duplicate of the
+        // first, the cached alone baseline and a job with no warm-up.
+        let mut jobs = token_sweep(2);
+        let duplicate = jobs[0].clone();
+        jobs.extend([duplicate, alone.clone(), cold]);
         let oracle: Vec<SimStats> = jobs.iter().map(SimJob::run).collect();
         for workers in [1, 4] {
-            let prefix = PrefixCache::in_memory();
-            let pool = private_pool(workers, &prefix);
-            // The second, identical batch finds nothing left by the first.
-            for batch in 1..=2 {
-                assert_eq!(pool.run_batch(&jobs), oracle);
-                assert_eq!(
-                    prefix.stats(),
-                    PrefixCacheStats {
-                        entries: 0,
-                        hits: 2 * batch,
-                        misses: 3 * batch,
-                    }
-                );
-            }
+            let pool = JobPool::with_workers(workers).with_cache(BaselineCache::new());
+            let _ = pool.run_batch(std::slice::from_ref(&alone));
+            assert_eq!(pool.run_batch(&jobs), oracle);
+            assert_eq!(
+                pool.prefix_cache().stats(),
+                PrefixCacheStats {
+                    entries: 0,
+                    hits: 0,
+                    // The alone run of the first batch, then the two sweep
+                    // jobs and the cold one.
+                    misses: 4,
+                }
+            );
         }
-    }
-
-    #[test]
-    fn prefix_reuse_can_be_disabled() {
-        let jobs = token_sweep(2);
-        let prefix = PrefixCache::in_memory();
-        let pool = private_pool(2, &prefix).with_prefix_reuse(false);
-        let off = pool.run_batch(&jobs);
-        assert_eq!(off, jobs.iter().map(SimJob::run).collect::<Vec<_>>());
-        assert_eq!(prefix.stats(), PrefixCacheStats::default());
-    }
-
-    #[test]
-    fn epoch_unsafe_warmups_fall_back_to_the_plain_path() {
-        let j = epoch_unsafe_job();
-        assert!(!j.has_sharable_warmup());
-        // Even with a store asking for every warm-up it can get.
-        let dir = temp_dir("unsafe");
-        let prefix = PrefixCache::with_store(Some(dir.clone()), None);
-        let served = private_pool(1, &prefix).run_batch(std::slice::from_ref(&j));
-        assert_eq!(served, vec![j.run()]);
-        assert_eq!(prefix.stats(), PrefixCacheStats::default());
-        assert_eq!(std::fs::read_dir(&dir).expect("store dir").count(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn snapshot_dir_round_trips_across_cache_instances() {
-        let dir = temp_dir("round-trip");
-        let jobs = token_sweep(2);
-        let run_alone = |prefix: &Arc<PrefixCache>, j: &SimJob| {
-            private_pool(1, prefix)
-                .run_batch(std::slice::from_ref(j))
-                .remove(0)
-        };
-        let first = PrefixCache::with_store(Some(dir.clone()), None);
-        let a = run_alone(&first, &jobs[0]);
-        assert_eq!((first.stats().entries, first.stats().misses), (0, 1));
-        let file = dir.join(format!("{}.msnp", jobs[0].prefix_key()));
-        assert!(file.exists(), "winner persists its sealed snapshot");
-        // A fresh cache (a later sweep process) loads the snapshot instead
-        // of re-simulating the warm-up.
-        let second = PrefixCache::with_store(Some(dir.clone()), None);
-        let b = run_alone(&second, &jobs[1]);
-        let stats = second.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 0), "served from disk");
-        assert_eq!(stats.entries, 0, "the loaded bytes went with the batch");
-        assert_eq!(a, jobs[0].run());
-        assert_eq!(b, jobs[1].run());
-        // A file corrupted under a live cache (past the opening sweep)
-        // degrades to re-simulation with correct results.
-        let third = PrefixCache::with_store(Some(dir.clone()), None);
-        let mut bytes = std::fs::read(&file).expect("snapshot readable");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&file, &bytes).expect("snapshot writable");
-        let c = run_alone(&third, &jobs[0]);
-        assert_eq!(c, a, "corruption costs wall clock, never correctness");
-        assert_eq!(third.stats().misses, 1, "re-simulated the warm-up");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_snapshot_that_fails_to_restore_is_a_miss_not_a_reuse() {
-        let dir = temp_dir("bad-payload");
-        let j = token_sweep(1).remove(0);
-        let prefix = PrefixCache::with_store(Some(dir.clone()), None);
-        // A sound envelope under the right key around a payload no
-        // simulator wrote: passes every check short of the restore itself.
-        let mut w = mask_common::snapshot::SnapshotWriter::new();
-        w.u64(0xBAD);
-        let sealed = w.seal(j.prefix_key());
-        std::fs::write(dir.join(format!("{}.msnp", j.prefix_key())), sealed).expect("plant");
-        let served = private_pool(1, &prefix).run_batch(std::slice::from_ref(&j));
-        assert_eq!(served, vec![j.run()]);
-        let stats = prefix.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 1));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

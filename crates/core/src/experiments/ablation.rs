@@ -15,10 +15,7 @@ use mask_common::config::{DesignKind, GpuConfig, TokenPolicyKind};
 /// `column`), holding the average weighted speedup of `design` over the
 /// pressured pairs on Maxwell with `tweak(gpu, value)` applied.
 ///
-/// All rows ride one job batch. Submitting together is how jobs declare
-/// that they may share a warm-up, and rows that differ only in an
-/// epoch-end-only knob do share it whenever the warm-up ends before the
-/// first epoch boundary (runs shorter than two epochs).
+/// All rows ride one job batch, so they fan out over the workers together.
 fn ablate<L: ToString, T: Copy>(
     title: &str,
     column: &str,

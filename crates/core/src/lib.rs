@@ -43,9 +43,7 @@ pub use table::Table;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::engine::{
-        BaselineCache, CacheStats, JobPool, PrefixCache, PrefixCacheStats, SimJob,
-    };
+    pub use crate::engine::{BaselineCache, CacheStats, JobPool, SimJob};
     pub use crate::metrics::{unfairness, weighted_speedup};
     pub use crate::runner::{PairOutcome, PairRunner, RunOptions};
     pub use crate::table::Table;

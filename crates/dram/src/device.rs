@@ -337,17 +337,6 @@ impl Dram {
         }
     }
 
-    /// Earliest cycle at which this device can make progress: `Some(0)`
-    /// while any channel still holds queued requests (scheduling depends on
-    /// bank/bus state, so we conservatively call it busy every cycle), the
-    /// earliest in-flight finish otherwise, and `None` when fully drained.
-    pub fn next_event(&self) -> Option<Cycle> {
-        if self.n_queued != 0 {
-            return Some(0);
-        }
-        (self.next_finish != Cycle::MAX).then_some(self.next_finish)
-    }
-
     /// Pushes fresh per-app pressure products (`ConPTW_i * WarpsStalled_i`)
     /// into every channel's MASK queues (no-op for baseline scheduling).
     pub fn update_pressure(&mut self, pressure: &[u64]) {
@@ -786,11 +775,9 @@ mod tests {
     fn idle_gates_follow_the_channels() {
         let mut d = Dram::new(&cfg(), 1, DramPolicy::Shared);
         assert_eq!((d.n_queued, d.next_finish), (0, Cycle::MAX));
-        assert_eq!(d.next_event(), None);
         d.enqueue(req(1, 0, RequestClass::Data), 0);
         d.enqueue(req(2, 1, RequestClass::Data), 0);
         assert_eq!(d.n_queued, 2);
-        assert_eq!(d.next_event(), Some(0));
         let mut done = Vec::new();
         let mut now = 0;
         while done.len() < 2 {

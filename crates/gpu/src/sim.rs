@@ -88,26 +88,21 @@ struct WakeSchedule {
     wheel: Vec<u64>,
     /// The parked cores, one mask per word.
     parked: Vec<u64>,
-    /// Every core, one mask per word: what `parked` is when all are.
-    cores: Vec<u64>,
 }
 
 impl WakeSchedule {
     /// Every core due at cycle 0.
     fn new(n_cores: usize) -> Self {
         let words = n_cores.div_ceil(64);
-        let mut cores = vec![0; words];
-        for core in 0..n_cores {
-            cores[core / 64] |= 1u64 << (core % 64);
-        }
         let mut wheel = vec![0; WAKE_HORIZON as usize * words];
-        wheel[..words].copy_from_slice(&cores);
+        for core in 0..n_cores {
+            wheel[core / 64] |= 1u64 << (core % 64);
+        }
         WakeSchedule {
             at: vec![0; n_cores],
             words,
             wheel,
             parked: vec![0; words],
-            cores,
         }
     }
 
@@ -146,10 +141,6 @@ impl WakeSchedule {
     /// The cores of `word` due at cycle `now`.
     fn due(&self, now: Cycle, word: usize) -> u64 {
         self.wheel[self.slot(now, word * 64)]
-    }
-
-    fn all_parked(&self) -> bool {
-        self.parked == self.cores
     }
 }
 
@@ -195,8 +186,6 @@ pub struct GpuSim {
     /// Cores touched by the current `deliver_one`, in first-appearance
     /// order (preserves the legacy wake ordering bit-for-bit).
     bucket_touched: Vec<usize>,
-    /// Whether `run` may fast-forward over provably idle cycles.
-    skip_enabled: bool,
     /// Sanitizer accounting session (0 when the sanitizer is disabled).
     san_session: u64,
     /// Sanitizer instance id for cycle-monotonicity tracking.
@@ -302,7 +291,6 @@ impl GpuSim {
             scratch_resp: Vec::new(),
             bucket_warps: vec![Vec::new(); cfg.gpu.n_cores],
             bucket_touched: Vec::new(),
-            skip_enabled: true,
             san_session,
             san_id: mask_sanitizer::register_component("gpu"),
             obs: mask_obs::metrics::EpochTracker::new(),
@@ -604,18 +592,11 @@ impl GpuSim {
         });
     }
 
-    /// Runs for `cycles` additional cycles, fast-forwarding over spans
-    /// where every core and component is provably idle. Results are
-    /// bit-identical to stepping cycle by cycle (see `idle_horizon`);
-    /// disable with [`GpuSim::set_cycle_skip`] to force the slow path.
+    /// Runs for `cycles` additional cycles.
     pub fn run(&mut self, cycles: u64) {
         let end = self.now + cycles;
         while self.now < end {
-            if let Some(target) = self.idle_horizon(end) {
-                self.fast_forward(target - self.now);
-            } else {
-                self.step();
-            }
+            self.step();
         }
     }
 
@@ -627,77 +608,10 @@ impl GpuSim {
         }
     }
 
-    /// Enables or disables idle cycle-skipping in [`GpuSim::run`]
-    /// (enabled by default; determinism tests compare both modes).
-    pub fn set_cycle_skip(&mut self, enabled: bool) {
-        self.skip_enabled = enabled;
-    }
-
-    /// The earliest future cycle (≤ `end`) at which anything can happen,
-    /// or `None` if the next cycle must be simulated in full.
-    ///
-    /// A span may be skipped only when every core is parked (no issuable
-    /// warp, no deferred MSHR retry) and no component reports an event at
-    /// or before `now`. Under those conditions `step()` provably changes
-    /// nothing but the per-cycle counters that `fast_forward` replays in
-    /// bulk: cores only count stall cycles, ticking a drained L2/DRAM is a
-    /// no-op, and the translation unit only accrues its epoch integral.
-    /// The skip is also capped at the next epoch boundary so epoch-end
-    /// work fires on exactly the same cycle as in step-by-step execution.
-    fn idle_horizon(&self, end: Cycle) -> Option<Cycle> {
-        if !self.skip_enabled {
-            return None;
-        }
-        // Parked implies idle; a core that is idle but still due (fresh
-        // from `restore`) parks on its next visit.
-        if !self.wake.all_parked() {
-            return None;
-        }
-        let mut target = end;
-        for ev in [
-            self.xlat.next_event(),
-            self.l2.next_event(),
-            self.dram.next_event(),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            if ev <= self.now {
-                return None;
-            }
-            target = target.min(ev);
-        }
-        target = target.min(self.next_epoch);
-        (target > self.now).then_some(target)
-    }
-
-    /// Advances `delta` fully idle cycles at once, applying exactly the
-    /// state changes `delta` calls to `step()` would have made under the
-    /// `idle_horizon` preconditions.
-    fn fast_forward(&mut self, delta: u64) {
-        debug_assert!(delta > 0);
-        // Each parked core's issue stage counts one stall per cycle.
-        let owned = self.app_cores.chunks(self.wake.words);
-        for (stats, own) in self.stats.apps.iter_mut().zip(owned) {
-            let n_cores: u32 = own.iter().map(|w| w.count_ones()).sum();
-            stats.stall_cycles += delta * u64::from(n_cores);
-        }
-        // The translation unit's per-tick epoch integral.
-        self.xlat.fast_forward(delta);
-        // Per-cycle sampling (stage 8 of `step`).
-        for app in 0..self.n_apps {
-            let walks = self.xlat.concurrent_walks(Asid::new(app as u16)) as u64;
-            self.stats.apps[app].walk_cycles_integral += walks * delta;
-            self.stats.apps[app].walk_concurrency_max =
-                self.stats.apps[app].walk_concurrency_max.max(walks);
-            self.stats.apps[app].cycles += delta;
-        }
-        self.stats.cycles += delta;
-        self.now += delta;
-        // `idle_horizon` caps the skip at the next boundary, so this fires
-        // on exactly the same cycles.
-        self.epoch_boundary();
-    }
+    /// Does nothing. It switched the whole-GPU idle fast-forward, which is
+    /// gone; the name stays only because `benchmark/src/gpu_layer.rs`
+    /// still calls it. ROADMAP 8(a) deletes it with that call.
+    pub fn set_cycle_skip(&mut self, _enabled: bool) {}
 
     /// Performs a TLB shootdown for one address space (§5.5): every core
     /// assigned to the address space flushes its L1 TLB, and the shared L2
@@ -1067,7 +981,6 @@ mod tests {
         assert_eq!(wake.at[5], WAKE_HORIZON - 1);
         assert_eq!(wake.due(WAKE_HORIZON - 1, 0), 1 << 5);
         assert_eq!((wake.parked[0], wake.parked[1]), (0, 1 << 1));
-        assert!(!wake.all_parked());
         // Rousing the sleeper and the parked core makes both due next cycle.
         wake.set(3, 5, 4);
         wake.set(65, 5, 4);
@@ -1076,7 +989,7 @@ mod tests {
         for core in 0..70 {
             wake.set(core, Cycle::MAX, 5);
         }
-        assert!(wake.all_parked());
+        assert_eq!(wake.parked, [u64::MAX, (1 << 6) - 1]);
         assert!(wake.wheel.iter().all(|&slot| slot == 0));
         wake.all_due(77);
         assert_eq!(wake.due(77, 1), (1 << 6) - 1);

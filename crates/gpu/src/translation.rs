@@ -410,46 +410,6 @@ impl TranslationUnit {
         self.waiter_pool.push(waiters);
     }
 
-    /// Earliest cycle at which `tick` can make progress: `Some(0)` when a
-    /// queued walk could enter a free slot this cycle, otherwise the
-    /// earliest deadline among the L2-TLB pipe, fault pipe, and PWC pipe.
-    ///
-    /// Walk accesses outstanding in the L2/DRAM are *their* events — they
-    /// re-enter through `memory_response`, so they are deliberately not
-    /// counted here. The per-cycle epoch integral (`walk_integral`) must be
-    /// replayed by [`TranslationUnit::fast_forward`] when cycles are
-    /// skipped.
-    pub fn next_event(&self) -> Option<Cycle> {
-        if self.walker.can_activate() {
-            return Some(0);
-        }
-        let mut ev: Option<Cycle> = None;
-        let mut fold = |c: Cycle| {
-            ev = Some(ev.map_or(c, |e| e.min(c)));
-        };
-        // The L2 TLB pipe is FIFO with a constant latency offset, so the
-        // front entry carries the earliest deadline.
-        if let Some(front) = self.l2tlb_pipe.front() {
-            fold(front.ready_at);
-        }
-        for &(c, ..) in &self.fault_pipe {
-            fold(c);
-        }
-        for &(c, _) in &self.pwc_pipe {
-            fold(c);
-        }
-        ev
-    }
-
-    /// Replays the per-cycle epoch-integral accrual for `delta` skipped
-    /// cycles, so fast-forwarding is observationally identical to ticking.
-    pub fn fast_forward(&mut self, delta: u64) {
-        for app in 0..self.n_apps {
-            self.epoch[app].walk_integral +=
-                self.walker.total_walks_for(Asid::new(app as u16)) as u64 * delta;
-        }
-    }
-
     /// Delivers an L2/DRAM completion for a walker access.
     ///
     /// Returns a resolved translation if this was the final level, and may

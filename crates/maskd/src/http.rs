@@ -199,7 +199,8 @@ fn read_chunked_body(stream: &mut impl BufRead, max_body: usize) -> Result<Vec<u
                 }
             }
         }
-        if body.len() + size > max_body {
+        // Cannot wrap: `body.len() <= max_body` holds here.
+        if size > max_body - body.len() {
             return Err(HttpError::new(413, "request body exceeds MASKD_MAX_BODY"));
         }
         let start = body.len();
@@ -329,6 +330,11 @@ mod tests {
         let overflow =
             b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nffff\r\nnope\r\n0\r\n\r\n";
         assert_eq!(parse(overflow).expect_err("over cap").status(), 413);
+
+        // A chunk size that would wrap `body.len() + size` after a
+        // non-empty chunk.
+        let wrap = b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n1\r\nx\r\nffffffffffffffff\r\n";
+        assert_eq!(parse(wrap).expect_err("wrapping size").status(), 413);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! `maskd`: simulation-as-a-service for the MASK engine.
 //!
-//! The job engine (PR 2) and warm-up prefix cache (PR 8) made thousands of
-//! deterministic simulations cheap — but the
-//! [`JobPool`](mask_core::JobPool) and its caches still live and die with
-//! one process. `maskd` is the long-running farm around them: a
+//! The job engine made thousands of deterministic simulations cheap — but
+//! the [`JobPool`](mask_core::JobPool) and its baseline cache still live
+//! and die with one process. `maskd` is the long-running farm around them: a
 //! daemon that serves simulation jobs to many concurrent tenants over a
 //! hand-rolled HTTP/1.1 + JSON API (zero new dependencies; the repo is
 //! offline-vendored), fairly multiplexing one warm [`JobPool`] the way
@@ -31,8 +30,8 @@
 //!   (`Content-Length` and chunked bodies) over `std::net`.
 //! * [`store`] — the persistent content-addressed [`ResultStore`]:
 //!   final statistics keyed by the job's canonical dedup key, sealed in
-//!   the versioned MSNP snapshot codec and kept on disk by the same
-//!   `mask_common::store::EnvelopeStore` as `MASK_SNAPSHOT_DIR`.
+//!   the versioned MSNP snapshot codec and kept on disk by
+//!   `mask_common::store::EnvelopeStore`.
 //! * [`queue`] — the admission controller's deficit-round-robin fair
 //!   queue across tenant ids.
 //! * [`server`] — the daemon itself: thread-per-connection acceptor,

@@ -2,17 +2,15 @@
 //!
 //! Results are keyed by the job's canonical dedup key
 //! ([`SimJob::key`](mask_core::SimJob::key)) folded through FNV-1a — the
-//! one description of a job that also keys the engine's `BaselineCache`
-//! (as is) and `PrefixCache` (its warm-up view, DESIGN.md §13), extended
-//! to *every* job shape (not just alone baselines) and to disk.
+//! one description of a job that also keys the engine's `BaselineCache`,
+//! extended to *every* job shape (not just alone baselines) and to disk.
 //! A repeat submission — same design spec, placement, cycle budget, seed,
 //! and full `GpuConfig` rendering — is answered from the store without
 //! simulating at all, across daemon restarts.
 //!
 //! On disk each result is one sealed MSNP envelope in an
-//! [`EnvelopeStore`] — the same directory store, with the same atomic
-//! writes, `MASKD_STORE_CAP` LRU eviction and delete-what-fails-validation
-//! hygiene, that holds the engine's `MASK_SNAPSHOT_DIR` warm-up snapshots
+//! [`EnvelopeStore`] (`mask-common`), which brings the atomic writes,
+//! `MASKD_STORE_CAP` LRU eviction and delete-what-fails-validation hygiene
 //! (DESIGN.md §13). This module adds only what is about *results*: the
 //! content address, the `SimStats` payload, the in-memory map and the
 //! counters.

@@ -17,12 +17,11 @@
 //! which the daemon holds open until the job completes.
 
 use mask_common::config::DesignKind;
-use mask_core::{JobPool, PrefixCache};
+use mask_core::JobPool;
 use maskd::json::Value;
 use maskd::wire::JobSpec;
 use maskd::{Client, ClientError, Daemon, DaemonConfig};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// A cheap two-app job (multi-app, so the engine's alone-baseline cache
 /// never interferes with the daemon's store accounting).
@@ -54,24 +53,23 @@ fn temp_store(tag: &str) -> PathBuf {
 
 #[test]
 fn served_results_are_bit_identical_to_local_runs() {
-    let prefix = PrefixCache::in_memory();
-    let pool = JobPool::with_workers(2).with_prefix_cache(Arc::clone(&prefix));
-    let daemon = Daemon::spawn_with_pool(ephemeral_config(), pool).expect("boot");
+    let daemon =
+        Daemon::spawn_with_pool(ephemeral_config(), JobPool::with_workers(2)).expect("boot");
     let client = Client::new(daemon.addr().to_string());
     assert!(client.healthz().expect("healthz"));
 
-    // Three cold jobs, then three that share one warm-up (same seed and
-    // machine, different lengths) but arrive one per batch.
+    // Three cold jobs, then three with one warm-up (same seed and
+    // machine, different lengths), one per batch.
     let cold = [
         spec("oracle", DesignKind::Mask, 101),
         spec("oracle", DesignKind::SharedTlb, 102),
         spec("oracle", DesignKind::Static, 103),
     ];
-    let same_prefix = [2100, 2200, 2300].map(|max_cycles| JobSpec {
+    let same_warmup = [2100, 2200, 2300].map(|max_cycles| JobSpec {
         max_cycles,
         ..spec("oracle", DesignKind::Mask, 104)
     });
-    for spec in cold.iter().chain(&same_prefix) {
+    for spec in cold.iter().chain(&same_warmup) {
         let submitted = client.submit(spec).expect("submit");
         assert_eq!(submitted.status, "queued");
         assert!(!submitted.store_hit);
@@ -83,9 +81,6 @@ fn served_results_are_bit_identical_to_local_runs() {
         let local = spec.to_sim_job().run();
         assert_eq!(served, local, "served result must be bit-identical");
     }
-    // A snapshot lives no longer than its batch: a served job leaves
-    // nothing in the daemon's memory but its result.
-    assert_eq!(prefix.stats().entries, 0);
     daemon.shutdown();
 }
 

@@ -14,7 +14,7 @@
 use mask_common::stats::{AppStats, SimStats};
 
 /// Per-simulation epoch metrics tracker. Held by `GpuSim` and driven from
-/// the epoch-boundary stage of `step`/`fast_forward`.
+/// the epoch-boundary stage of `step`.
 #[derive(Debug, Default)]
 pub struct EpochTracker {
     prev: Vec<AppStats>,
@@ -98,19 +98,15 @@ impl EpochTracker {
     }
 }
 
-/// Emits one `job_pool` frame: pool occupancy plus baseline-/prefix-cache
-/// counters for a completed engine batch. Called by
-/// `mask-core`'s `JobPool` after `run_batch`; no-op unless tracing is
-/// live.
-#[allow(clippy::too_many_arguments)]
+/// Emits one `job_pool` frame: pool occupancy plus baseline-cache
+/// counters for a completed engine batch. Called by `mask-core`'s
+/// `JobPool` after `run_batch`; no-op unless tracing is live.
 pub fn job_pool_frame(
     workers: usize,
     jobs: usize,
     unique_jobs: usize,
     cache_hits: u64,
     cache_misses: u64,
-    prefix_hits: u64,
-    prefix_misses: u64,
     wall_us: u64,
 ) {
     if !crate::tracing_active() {
@@ -119,9 +115,7 @@ pub fn job_pool_frame(
     crate::ring::push_frame(format!(
         "{{\"type\":\"job_pool\",\"workers\":{workers},\"jobs\":{jobs},\
          \"unique_jobs\":{unique_jobs},\"baseline_cache_hits\":{cache_hits},\
-         \"baseline_cache_misses\":{cache_misses},\
-         \"prefix_cache_hits\":{prefix_hits},\
-         \"prefix_cache_misses\":{prefix_misses},\"wall_us\":{wall_us}}}"
+         \"baseline_cache_misses\":{cache_misses},\"wall_us\":{wall_us}}}"
     ));
 }
 

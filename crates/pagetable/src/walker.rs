@@ -118,12 +118,6 @@ impl PageWalker {
         out
     }
 
-    /// Whether a queued walk could move into a slot right now (i.e. the
-    /// next [`PageWalker::activate_into`] call would do work).
-    pub fn can_activate(&self) -> bool {
-        self.active < self.slots.len() && !self.pending.is_empty()
-    }
-
     /// Moves queued walks into free slots, appending their first accesses
     /// to `out` (which is not cleared).
     ///
@@ -528,7 +522,6 @@ mod tests {
         let again = walker.activate(&mut tables);
         let slots: Vec<u32> = again.iter().map(|a| a.walk.0).collect();
         assert_eq!(slots, [3, 70, 129]);
-        assert!(!walker.can_activate());
     }
 
     #[test]

@@ -162,7 +162,7 @@ pub(crate) const HOTPATH_FILES: [&str; 13] = [
 
 /// Designated environment-read entry points (the `env-determinism` rule):
 /// the shared config module (every `MASK_*` knob of the simulator and the
-/// job engine, `MASK_SNAPSHOT_DIR` included), the tracer's gate/exporter,
+/// job engine), the tracer's gate/exporter,
 /// and the daemon's config module (which resolves every `MASKD_*` knob
 /// once at boot — the server/queue/store layers must take a
 /// `DaemonConfig`, never read the environment themselves).

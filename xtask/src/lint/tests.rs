@@ -167,10 +167,10 @@ fn maskd_is_a_parallelism_island_but_not_an_env_free_for_all() {
 }
 
 #[test]
-fn red_env_determinism_engine_takes_snapshot_dir_from_config() {
-    // MASK_SNAPSHOT_DIR is resolved in the shared config module; the job
+fn red_env_determinism_engine_takes_pair_limit_from_config() {
+    // MASK_PAIR_LIMIT is resolved in the shared config module; the job
     // engine, like the rest of mask-core, never reads the environment.
-    let src = "let d = std::env::var_os(\"MASK_SNAPSHOT_DIR\");\n";
+    let src = "let n = std::env::var(\"MASK_PAIR_LIMIT\");\n";
     assert!(lint("crates/common/src/config.rs", src).is_empty());
     for file in [
         "crates/core/src/engine/pool.rs",
