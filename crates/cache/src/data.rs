@@ -81,7 +81,7 @@ impl DataCache {
             split_ranges(self.assoc, n_apps)
                 .into_iter()
                 .map(|(start, len)| (start, start + len))
-                .collect(), // lint: allow(hotpath) -- runs once, at construction
+                .collect(),
         );
     }
 

@@ -311,7 +311,6 @@ impl SharedL2Cache {
     /// Allocating wrapper around [`SharedL2Cache::drain_dram_requests_into`]
     /// for tests and cold paths.
     pub fn take_dram_requests(&mut self) -> Vec<MemRequest> {
-        // lint: allow(hotpath) -- allocating wrapper for tests/cold paths.
         let mut out = Vec::new();
         self.drain_dram_requests_into(&mut out);
         out
@@ -327,7 +326,6 @@ impl SharedL2Cache {
     /// Allocating wrapper around [`SharedL2Cache::drain_responses_into`]
     /// for tests and cold paths.
     pub fn take_responses(&mut self) -> Vec<L2Response> {
-        // lint: allow(hotpath) -- allocating wrapper for tests/cold paths.
         let mut out = Vec::new();
         self.drain_responses_into(&mut out);
         out

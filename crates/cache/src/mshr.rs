@@ -61,13 +61,13 @@ impl<W> MshrTable<W> {
     pub fn labelled(component: &'static str, capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR table needs capacity");
         MshrTable {
-            entries: Vec::new(), // lint: allow(hotpath) -- constructor
+            entries: Vec::new(),
             lines: Vec::new(),
             capacity,
             peak_waiters: 0,
             component,
             san_table: mask_sanitizer::register_table(component, capacity),
-            pool: Vec::new(), // lint: allow(hotpath) -- constructor
+            pool: Vec::new(),
         }
     }
 
@@ -122,7 +122,6 @@ impl<W> MshrTable<W> {
     /// for tests and cold paths; the returned vector is detached from the
     /// table's recycling pool.
     pub fn complete(&mut self, line: LineAddr) -> Vec<W> {
-        // lint: allow(hotpath) -- allocating wrapper for tests/cold paths.
         let mut out = Vec::new();
         self.complete_into(line, &mut out);
         out
@@ -271,14 +270,14 @@ impl<W: Clone> Clone for MshrTable<W> {
     /// into it, so a cloned simulator keeps independent MSHR accounting.
     fn clone(&self) -> Self {
         let mut cloned = MshrTable {
-            entries: self.entries.clone(), // lint: allow(hotpath) -- `Clone` is off-cycle
+            entries: self.entries.clone(),
             lines: self.lines.clone(),
             capacity: self.capacity,
             peak_waiters: self.peak_waiters,
             component: self.component,
             san_table: 0,
             // The pool is a perf cache, not state: clones start empty.
-            pool: Vec::new(), // lint: allow(hotpath) -- `Clone` is off-cycle
+            pool: Vec::new(),
         };
         cloned.replay_san_mirror();
         cloned

@@ -669,6 +669,10 @@ impl JobOptions {
     /// `MASK_JOBS`. `None` means "let the engine pick" (available
     /// parallelism); any request is clamped to at least 1.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the `MASK_JOBS` entry point, read before any worker starts"
+    )]
     pub fn requested(self) -> Option<usize> {
         self.workers
             .or_else(|| std::env::var("MASK_JOBS").ok().and_then(|v| v.parse().ok()))
@@ -682,6 +686,10 @@ impl JobOptions {
 /// suite can be scaled up for higher-fidelity runs (the paper simulates
 /// full benchmarks; we default to 300K cycles = 3 MASK epochs, which is
 /// enough for the epoch-based mechanisms to reach steady state).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the `MASK_SIM_CYCLES` entry point, read when a job is configured"
+)]
 pub fn default_max_cycles() -> u64 {
     std::env::var("MASK_SIM_CYCLES")
         .ok()
@@ -692,6 +700,10 @@ pub fn default_max_cycles() -> u64 {
 /// The `MASK_PAIR_LIMIT` environment variable, when set to a number. This
 /// is the one read site for that variable — experiment and harness code
 /// takes the resolved value, never the environment.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the `MASK_PAIR_LIMIT` entry point, read when an experiment is planned"
+)]
 pub fn pair_limit_override() -> Option<usize> {
     std::env::var("MASK_PAIR_LIMIT")
         .ok()

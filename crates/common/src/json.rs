@@ -1,7 +1,7 @@
 //! The workspace's one JSON module: the value type, parser and canonical
 //! serializer of the daemon's wire protocol, plus the string escaper
 //! ([`escape`]) and number predicate ([`is_number`]) the format-string
-//! emitters (`Table::to_json`, the obs exporter, `xtask`'s reports) share.
+//! emitters (`Table::to_json`, the obs exporter) share.
 //!
 //! Zero-dependency by construction (the repo is offline-vendored) and,
 //! for [`Value`], deliberately narrower than full JSON: **numbers are

@@ -45,7 +45,6 @@ pub mod stats;
 pub mod store;
 
 pub use addr::{LineAddr, PhysAddr, Ppn, VirtAddr, Vpn};
-// lint: allow(design-predicates) -- crate-root re-export, not a policy decision
 pub use config::{DesignKind, DesignSpec, GpuConfig, SimConfig};
 pub use ids::{AppId, Asid, CoreId, WarpId};
 pub use req::{MemRequest, RequestClass, WalkLevel};

@@ -10,6 +10,10 @@
 //! anyone else changed it, a capped `store` must remove the files the listing
 //! would have picked, a reopened store must hold the live one's index, and no
 //! handle may have listed the directory more than the once `open` does.
+#![expect(
+    clippy::disallowed_types,
+    reason = "test cases run on parallel threads and number their directories with an atomic"
+)]
 
 use mask_common::snapshot::{PrefixKey, SnapshotWriter};
 use mask_common::store::EnvelopeStore;

@@ -4,7 +4,9 @@
 use super::job::JobKey;
 use mask_common::stats::SimStats;
 use std::collections::BTreeMap;
+#[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::atomic::{AtomicU64, Ordering};
+#[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Counters describing one [`BaselineCache`]'s effectiveness.
@@ -35,6 +37,10 @@ struct CacheInner {
 /// accounting can attach a private cache via
 /// [`JobPool::with_cache`](super::JobPool::with_cache).
 #[derive(Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "shared by every worker of every pool"
+)]
 pub struct BaselineCache {
     inner: Mutex<CacheInner>,
 }
@@ -107,6 +113,7 @@ pub struct PrefixCacheStats {
 /// [`JobPool::prefix_cache`](super::JobPool::prefix_cache); ROADMAP 8(a)
 /// deletes it with those reads.
 #[derive(Debug, Default)]
+#[expect(clippy::disallowed_types, reason = "counted by every worker of a pool")]
 pub struct PrefixCache {
     simulated: AtomicU64,
 }

@@ -28,8 +28,9 @@
 //! exactly as isolated as serial ones.
 //!
 //! `cache` and `pool` are the only files in the simulator crates allowed to
-//! use thread primitives (`std::thread`, `Mutex`, atomics) — `cargo xtask
-//! lint` enforces the boundary with the `parallelism` rule.
+//! use thread primitives (`thread::scope`, `Mutex`, atomics) — clippy's
+//! `disallowed-types` / `disallowed-methods` enforce the boundary, and each
+//! use carries an item-level `#[expect]`.
 
 mod cache;
 mod job;

@@ -7,6 +7,7 @@ use mask_common::config::JobOptions;
 use mask_common::stats::SimStats;
 use std::collections::BTreeMap;
 use std::fmt;
+#[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -207,6 +208,11 @@ impl JobPool {
     }
 
     /// `run(i, lane)` for every work index `i < n`, over the workers.
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "the one place the job engine spawns workers"
+    )]
     fn execute(&self, n: usize, run: impl Fn(usize, u32) -> SimStats + Sync) -> Vec<SimStats> {
         let n_workers = self.workers.min(n);
         if n_workers <= 1 {

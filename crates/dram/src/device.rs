@@ -311,7 +311,6 @@ impl Dram {
     /// Allocating wrapper around [`Dram::drain_completions_into`] for tests
     /// and cold paths.
     pub fn take_completions(&mut self, now: Cycle) -> Vec<DramCompletion> {
-        // lint: allow(hotpath) -- allocating wrapper for tests/cold paths.
         let mut out = Vec::new();
         self.drain_completions_into(now, &mut out);
         out
@@ -446,7 +445,6 @@ impl mask_common::snapshot::Snapshot for Dram {
                 ChannelQueue::Mask(m) => m.restore(r)?,
             }
             // The per-bank counts are derived from the queues just read.
-            // lint: allow(hotpath) -- restore runs at snapshot points.
             let mut queued_per_bank = vec![0u32; ch.banks.len()];
             let mut banks_queued = 0u64;
             let mut bank_in_range = true;

@@ -581,7 +581,6 @@ impl mask_common::snapshot::Snapshot for TranslationUnit {
         // The MSHR map is keyed-access only (iteration order is
         // unspecified), so entries are serialized in canonical (ASID, VPN)
         // order to keep the encoding a pure function of the state.
-        // lint: allow(hotpath) -- snapshot encoding runs at epoch boundaries.
         let mut keys: Vec<(Asid, Vpn)> = self.mshr.keys().copied().collect();
         keys.sort_unstable_by_key(|&(asid, vpn)| (asid.raw(), vpn.0));
         w.seq(keys.len());

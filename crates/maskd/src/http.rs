@@ -10,8 +10,9 @@
 //!
 //! Parsing failures carry the status code the handler should answer with
 //! ([`HttpError::status`]): malformed syntax → 400, a body above the
-//! configured cap → 413. A truncated chunked body is a 400, not a hang —
-//! every read path is bounded by the same cap.
+//! configured cap → 413, a head or chunk trailer above `MAX_HEAD` → 431.
+//! A truncated chunked body is a 400, not a hang — every read path is
+//! bounded.
 
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -189,11 +190,14 @@ fn read_chunked_body(stream: &mut impl BufRead, max_body: usize) -> Result<Vec<u
         let size = usize::from_str_radix(size_hex, 16)
             .map_err(|_| HttpError::new(400, "invalid chunk size"))?;
         if size == 0 {
-            // Trailer section: read lines until the blank terminator.
+            // Trailer section: lines until the blank terminator, all
+            // charged to one head-sized budget.
+            let mut budget = MAX_HEAD;
             loop {
-                let mut budget = 1024;
-                let line = read_line(stream, &mut budget)
-                    .map_err(|_| HttpError::new(400, "truncated chunk trailer"))?;
+                let line = read_line(stream, &mut budget).map_err(|e| match e.status {
+                    431 => HttpError::new(431, "chunk trailer too large"),
+                    _ => HttpError::new(400, "truncated chunk trailer"),
+                })?;
                 if line.is_empty() {
                     return Ok(body);
                 }
@@ -335,6 +339,17 @@ mod tests {
         // non-empty chunk.
         let wrap = b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n1\r\nx\r\nffffffffffffffff\r\n";
         assert_eq!(parse(wrap).expect_err("wrapping size").status(), 413);
+
+        // Trailer lines that each fit a line but together outgrow the head
+        // budget.
+        let trailer = format!(
+            "POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n{}\r\n",
+            format!("X-Pad: {}\r\n", "p".repeat(1000)).repeat(MAX_HEAD / 1000 + 1)
+        );
+        assert_eq!(
+            parse(trailer.as_bytes()).expect_err("trailer").status(),
+            431
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //!   `examples/sweep_client.rs` and the end-to-end tests).
 //! * [`config`] — every `MASKD_*` environment knob, resolved once at
 //!   startup (the only module of this crate allowed to read the
-//!   environment, enforced by `cargo xtask lint`).
+//!   environment, enforced by clippy's `disallowed-methods`).
 //!
 //! # Determinism contract
 //!
@@ -53,9 +53,10 @@
 //! queueing, and persistence can reorder *when* a job runs, never what it
 //! produces. See DESIGN.md §15.
 //!
-//! This crate is a declared parallelism island of `cargo xtask lint`
-//! (acceptor/dispatcher/connection threads), like the job engine it
-//! wraps.
+//! [`server`] and [`store`] are parallelism islands (acceptor, dispatcher
+//! and connection threads; the shared state and the store's lock), like the
+//! job engine it wraps: their thread primitives carry item-level
+//! `#[expect(clippy::disallowed_types | clippy::disallowed_methods)]`.
 
 pub mod client;
 pub mod config;

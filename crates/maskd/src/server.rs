@@ -17,8 +17,8 @@
 //! state lives in a single `Mutex<DaemonState>` (simulations run *outside*
 //! the lock), with two condvars — `work` wakes the dispatcher on
 //! admissions, `events` wakes event-stream watchers on job progress. This
-//! file is part of the `maskd` parallelism island declared to `cargo
-//! xtask lint`.
+//! file is a parallelism island: its thread primitives carry item-level
+//! `#[expect(clippy::disallowed_types | clippy::disallowed_methods)]`.
 //!
 //! Determinism: the dispatcher is the only place jobs enter the
 //! [`JobPool`], in DRR order, and every result is stored and served by
@@ -36,7 +36,9 @@ use mask_core::JobPool;
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+#[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::atomic::{AtomicBool, Ordering};
+#[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Lifecycle of one submitted job.
@@ -88,6 +90,10 @@ struct DaemonState {
     store_hits: u64,
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "the state every daemon thread shares"
+)]
 struct Shared {
     cfg: DaemonConfig,
     store: ResultStore,
@@ -138,6 +144,11 @@ impl Daemon {
     }
 
     /// Boots a daemon serving jobs through the given pool.
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "starts the acceptor and dispatcher threads"
+    )]
     pub fn spawn_with_pool(cfg: DaemonConfig, pool: JobPool) -> std::io::Result<DaemonHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -211,6 +222,10 @@ impl DaemonHandle {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "one short-lived thread per connection"
+)]
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     for conn in listener.incoming() {
         if shared.stopping() {

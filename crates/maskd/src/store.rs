@@ -23,6 +23,7 @@ use mask_common::store::EnvelopeStore;
 use mask_core::SimJob;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+#[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::Mutex;
 
 /// The content address of a job: FNV-1a over the canonical rendering of
@@ -73,6 +74,10 @@ struct Inner {
 /// A content-addressed map from [`result_key`] to final statistics, with
 /// optional persistence. All methods are `&self`; the store is shared
 /// between the daemon's connection threads and its dispatcher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "shared by connection threads and dispatcher"
+)]
 pub struct ResultStore {
     inner: Mutex<Inner>,
 }
@@ -80,6 +85,7 @@ pub struct ResultStore {
 impl ResultStore {
     /// An in-memory store (results die with the process).
     #[must_use]
+    #[expect(clippy::disallowed_types, reason = "builds the store's one lock")]
     pub fn in_memory() -> Self {
         ResultStore {
             inner: Mutex::default(),
@@ -90,6 +96,7 @@ impl ResultStore {
     /// most `cap` results on disk and in memory (LRU); see
     /// [`EnvelopeStore::open`] for the hygiene sweep construction runs.
     #[must_use]
+    #[expect(clippy::disallowed_types, reason = "builds the store's one lock")]
     pub fn with_dir(dir: PathBuf, cap: Option<usize>) -> Self {
         ResultStore {
             inner: Mutex::new(Inner {

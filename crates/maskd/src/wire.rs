@@ -40,6 +40,12 @@ pub const MAX_APPS: usize = 16;
 /// Upper bound on cores one application may request.
 pub const MAX_CORES: usize = 1024;
 
+/// Upper bound on the `l2_tlb_entries` override: 128× Table 1's 512. The
+/// L2 TLB allocates every entry when it is built, on the dispatcher thread,
+/// so an unbounded request could ask for more memory than the host has and
+/// abort the daemon.
+pub const MAX_L2_TLB_ENTRIES: usize = 65_536;
+
 /// A malformed or out-of-vocabulary wire document.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireError {
@@ -230,10 +236,10 @@ impl JobSpec {
                         let e = usize::try_from(n).map_err(|_| {
                             WireError::new("override `l2_tlb_entries` out of range")
                         })?;
-                        if e == 0 {
-                            return Err(WireError::new(
-                                "override `l2_tlb_entries` must be positive",
-                            ));
+                        if e == 0 || e > MAX_L2_TLB_ENTRIES {
+                            return Err(WireError::new(format!(
+                                "override `l2_tlb_entries` must be 1..={MAX_L2_TLB_ENTRIES}"
+                            )));
                         }
                         overrides.l2_tlb_entries = Some(e);
                     }
@@ -497,6 +503,27 @@ mod tests {
                 JobSpec::from_value(&doc).is_err(),
                 "bad `{what}` must be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn l2_tlb_entries_is_bounded() {
+        let with = |n: u64| {
+            let mut doc = spec().to_value();
+            if let Value::Object(m) = &mut doc {
+                m.insert(
+                    "overrides".into(),
+                    Value::obj([("l2_tlb_entries", Value::Num(n))]),
+                );
+            }
+            JobSpec::from_value(&doc)
+        };
+        for ok in [1, 512, MAX_L2_TLB_ENTRIES as u64] {
+            assert!(with(ok).is_ok(), "{ok} entries must be accepted");
+        }
+        // 2^36 entries would ask the dispatcher for hundreds of GiB.
+        for bad in [0, MAX_L2_TLB_ENTRIES as u64 + 1, 1 << 36] {
+            assert!(with(bad).is_err(), "{bad} entries must be rejected");
         }
     }
 

@@ -55,6 +55,10 @@ pub struct TraceSummary {
 
 /// Trace output directory: `MASK_TRACE_OUT`, default `target/mask-trace`.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the `MASK_TRACE_OUT` entry point; export runs after simulation"
+)]
 pub fn out_dir() -> PathBuf {
     std::env::var_os("MASK_TRACE_OUT")
         .map_or_else(|| PathBuf::from("target/mask-trace"), PathBuf::from)

@@ -8,10 +8,8 @@
 //! caller, `GpuSim::step`, reads it once per cycle and guards them all. Hooks never read back any trace state into the
 //! simulation, so traced and untraced runs are bit-identical.
 //!
-//! This file is covered by the `hotpath` rule of `cargo xtask lint`: the
-//! recording path must not allocate. All storage lives in the per-thread
-//! buffers of [`crate::ring`] (the parallelism-allowlisted module), which
-//! this file only calls into.
+//! All storage lives in the per-thread buffers of [`crate::ring`] (the
+//! crate's parallelism island), which this file only calls into.
 
 use crate::event::{Event, QueueKind, StallKind, TlbLevel};
 use crate::tracing_active;

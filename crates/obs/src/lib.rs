@@ -29,9 +29,10 @@
 //!   on via the `MASK_TRACE` environment variable (any non-empty value
 //!   other than `0`) or [`set_runtime`]. Off, a hook is one relaxed load
 //!   and one test; everything past it is `#[cold]` and out of line.
-//! * The `hotpath` rule of `cargo xtask lint` keeps `hooks.rs` free of
-//!   allocation, and its `parallelism` rule confines thread primitives to
-//!   `ring.rs` (see `HOTPATH_FILES` in `xtask/src/lint/mod.rs`).
+//! * Thread primitives stay in `ring.rs`, the crate's one parallelism
+//!   island (clippy's `disallowed-types` in `crates/clippy.toml`). The
+//!   recording path takes no lock; it pushes into a growable per-thread
+//!   buffer, so it allocates when that buffer grows.
 //! * Hooks never mutate simulator state, so traced runs are bit-identical
 //!   to untraced runs (proven by `tests/obs_trace.rs`).
 

@@ -3,8 +3,8 @@
 //!
 //! This module is the **only** place in `mask-obs` (and, outside the job
 //! engine / `maskd` / bench crate, the only place in the workspace) that
-//! may hold thread primitives — the `parallelism` rule of `cargo xtask
-//! lint` allowlists exactly this file. The hook functions in
+//! may hold thread primitives — each one carries an item-level
+//! `#[expect(clippy::disallowed_types)]`. The hook functions in
 //! [`crate::hooks`] stay lock-free on the recording path: each thread
 //! appends to its own buffer, and only `flush_events` — called at the
 //! end of every traced `GpuSim::step` — takes the sink lock. The sink keeps
@@ -20,7 +20,9 @@ use crate::export::TraceData;
 use crate::profile::Span;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+#[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::atomic::{AtomicU8, Ordering};
+#[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::Mutex;
 
 /// Events the sink holds before it overwrites the oldest (32 MiB of
@@ -32,6 +34,7 @@ const ON: u8 = 1;
 /// `MASK_TRACE` not read yet, or re-armed by `set_runtime(None)`.
 const UNRESOLVED: u8 = 2;
 
+#[expect(clippy::disallowed_types, reason = "one flag every worker reads")]
 static GATE: AtomicU8 = AtomicU8::new(UNRESOLVED);
 
 #[inline(always)]
@@ -44,6 +47,10 @@ pub(crate) fn runtime_enabled() -> bool {
 
 #[cold]
 #[inline(never)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the `MASK_TRACE` entry point; tracing never feeds the simulation"
+)]
 fn resolve_env() -> bool {
     let on = std::env::var("MASK_TRACE").is_ok_and(|v| !v.is_empty() && v != "0");
     // Relaxed ordering: caching an idempotent env probe; every thread that
@@ -163,6 +170,7 @@ impl Sink {
     }
 }
 
+#[expect(clippy::disallowed_types, reason = "the one lock workers flush into")]
 static SINK: Mutex<Sink> = Mutex::new(Sink::new(SINK_CAPACITY));
 
 fn sink() -> std::sync::MutexGuard<'static, Sink> {

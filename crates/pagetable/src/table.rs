@@ -402,7 +402,6 @@ impl mask_common::snapshot::Snapshot for PageTable {
         // A node's level — what its slots are — is its parent's plus one,
         // and a child always follows its parent in `nodes`, so every level
         // is known by the time its node is read. 0 = no parent seen yet.
-        // lint: allow(hotpath) -- restore runs at snapshot points.
         let mut level_of = vec![0u8; n];
         level_of[0] = 1;
         self.nodes.clear();
