@@ -768,7 +768,7 @@ mod tests {
 
     /// Red test for the `l2-head-ready` premise check: a bank whose
     /// head-ready cycle went stale would be skipped with work queued.
-    #[cfg(feature = "sanitize")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "a bank's head-ready cycle must be its queue head's")]
     fn stale_head_ready_cycle_trips_the_sanitizer() {

@@ -277,11 +277,9 @@ impl Dram {
             // subsequent CAS commands to the open row pipeline behind the
             // shared data bus (which `bus_free_at` serializes).
             bank_state.busy_until = data_ready;
-            let in_order = ch.in_flight.back().is_none_or(|c| c.finish < finish);
-            debug_assert!(in_order, "channel finish times must strictly increase");
             if mask_sanitizer::is_enabled() {
                 mask_sanitizer::check(
-                    in_order,
+                    ch.in_flight.back().is_none_or(|c| c.finish < finish),
                     "dram-in-flight-order",
                     "a channel's accesses must finish in the order they issue",
                 );
@@ -796,7 +794,7 @@ mod tests {
 
     /// Red test for the `dram-idle-gate` premise check: a queued count
     /// stuck at zero would leave a request unscheduled forever.
-    #[cfg(feature = "sanitize")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "the queued count and the earliest finish must match the channels")]
     fn stale_idle_gate_trips_the_sanitizer() {

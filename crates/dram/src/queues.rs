@@ -528,7 +528,7 @@ mod tests {
 
     /// Red test for the `dram-queue-keys` premise check: a key that names
     /// another bank would let the scan issue to a busy one.
-    #[cfg(feature = "sanitize")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "every scan key must be its entry's decoded row and bank")]
     fn a_key_that_left_its_entry_trips_the_sanitizer() {

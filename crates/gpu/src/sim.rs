@@ -186,7 +186,8 @@ pub struct GpuSim {
     /// Cores touched by the current `deliver_one`, in first-appearance
     /// order (preserves the legacy wake ordering bit-for-bit).
     bucket_touched: Vec<usize>,
-    /// Sanitizer accounting session (0 when the sanitizer is disabled).
+    /// Sanitizer accounting session (0 in release builds, where the
+    /// sanitizer is compiled out).
     san_session: u64,
     /// Sanitizer instance id for cycle-monotonicity tracking.
     san_id: u64,
@@ -202,6 +203,15 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<GpuSim>();
 };
+
+impl Drop for GpuSim {
+    /// Releases this simulator's sanitizer session: a thread that runs job
+    /// after job (a single-job batch runs on the caller's thread) keeps the
+    /// accounting of none of the finished ones.
+    fn drop(&mut self) {
+        mask_sanitizer::end_session(self.san_session);
+    }
+}
 
 /// Writes `xlat`'s lifetime TLB/walker/token counters into `stats`.
 fn sync_lifetime_counters(xlat: &TranslationUnit, stats: &mut SimStats) {
@@ -1019,7 +1029,7 @@ mod tests {
 
     /// Red test for the `core-wake` premise check: a core with ready warps
     /// marked as parked would count stalls while it should issue.
-    #[cfg(feature = "sanitize")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "a skipped core must be idle (parked)")]
     fn parking_a_core_with_a_ready_warp_trips_the_sanitizer() {

@@ -87,6 +87,13 @@ impl InvariantSanitizer {
         self.session = session;
     }
 
+    pub(crate) fn end_session(&mut self, session: u64) {
+        self.in_flight.retain(|&(s, _, _), _| s != session);
+        self.tables.retain(|_, t| t.session != session);
+        self.cycles.retain(|&(s, _), _| s != session);
+        self.walks.retain(|&(s, _), _| s != session);
+    }
+
     pub(crate) fn register_component(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -335,180 +342,5 @@ impl InvariantSanitizer {
                 walking.join(", ")
             ));
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn san() -> InvariantSanitizer {
-        InvariantSanitizer::new()
-    }
-
-    #[test]
-    fn conservation_happy_path() {
-        let mut s = san();
-        s.issue("dram", 7);
-        s.retire("dram", 7);
-        s.check_quiescent();
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate issue")]
-    fn duplicate_issue_panics() {
-        let mut s = san();
-        s.issue("dram", 7);
-        s.issue("dram", 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "without a matching issue")]
-    fn duplicate_retire_panics() {
-        let mut s = san();
-        s.issue("dram", 7);
-        s.retire("dram", 7);
-        s.retire("dram", 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "never retired")]
-    fn leaked_request_fails_quiescence() {
-        let mut s = san();
-        s.issue("l2-cache", 3);
-        s.check_quiescent();
-    }
-
-    #[test]
-    fn sessions_isolate_request_ids() {
-        let mut s = san();
-        let (one, two) = (s.new_session(), s.new_session());
-        s.enter_session(one);
-        s.issue("dram", 7);
-        s.enter_session(two);
-        s.issue("dram", 7);
-        s.retire("dram", 7);
-        s.check_quiescent(); // session 2 is clean; session 1's leak is not ours
-    }
-
-    #[test]
-    fn sessions_isolate_mshr_mirrors() {
-        let mut s = san();
-        let (one, two) = (s.new_session(), s.new_session());
-        s.enter_session(one);
-        let table = s.register_table("l2-bank", 4);
-        s.mshr_alloc(table, 9, MshrOutcome::Primary, 1, 4);
-        s.enter_session(two);
-        s.check_quiescent(); // session 2 is clean; session 1's pending entry is not ours
-    }
-
-    #[test]
-    #[should_panic(expected = "still holds entries")]
-    fn pending_mshr_entry_fails_quiescence() {
-        let mut s = san();
-        let table = s.register_table("l2-bank", 4);
-        s.mshr_alloc(table, 9, MshrOutcome::Primary, 1, 4);
-        s.check_quiescent();
-    }
-
-    #[test]
-    #[should_panic(expected = "not genuinely full")]
-    fn premature_full_panics() {
-        let mut s = san();
-        let table = s.register_table("l2-bank", 4);
-        s.mshr_alloc(table, 9, MshrOutcome::Full, 1, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "outlived its fill")]
-    fn entry_outliving_fill_panics() {
-        let mut s = san();
-        let table = s.register_table("l2-bank", 4);
-        s.mshr_alloc(table, 9, MshrOutcome::Primary, 1, 4);
-        // Table claims it had no entry for the line it was asked to fill.
-        s.mshr_fill(table, 9, 0, false);
-    }
-
-    #[test]
-    fn mshr_merge_and_fill_roundtrip() {
-        let mut s = san();
-        let table = s.register_table("l2-bank", 4);
-        s.mshr_alloc(table, 9, MshrOutcome::Primary, 1, 4);
-        s.mshr_alloc(table, 9, MshrOutcome::Secondary, 1, 4);
-        s.mshr_fill(table, 9, 2, true);
-        s.check_quiescent();
-    }
-
-    #[test]
-    #[should_panic(expected = "single-use")]
-    fn walker_slot_reuse_panics() {
-        let mut s = san();
-        s.walk_activate(3, 1);
-        s.walk_activate(3, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "double free")]
-    fn walker_double_free_panics() {
-        let mut s = san();
-        s.walk_activate(3, 1);
-        s.walk_retire(3);
-        s.walk_retire(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increase")]
-    fn walker_level_skip_panics() {
-        let mut s = san();
-        s.walk_activate(3, 1);
-        s.walk_advance(3, 3);
-    }
-
-    #[test]
-    fn walker_full_walk_roundtrip() {
-        let mut s = san();
-        s.walk_activate(0, 1);
-        for level in 2..=4 {
-            s.walk_advance(0, level);
-        }
-        s.walk_retire(0);
-        s.check_quiescent();
-    }
-
-    #[test]
-    #[should_panic(expected = "ticked with cycle")]
-    fn backwards_clock_panics() {
-        let mut s = san();
-        s.cycle(1, "dram", 10);
-        s.cycle(1, "dram", 9);
-    }
-
-    #[test]
-    fn distinct_instances_have_independent_clocks() {
-        let mut s = san();
-        s.cycle(1, "dram", 10);
-        s.cycle(2, "dram", 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "token conservation")]
-    fn token_overgrant_panics() {
-        san().token_epoch(0, 65, 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "structure overflow")]
-    fn array_overflow_panics() {
-        san().array_fill("l1-tlb", 65, 64);
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "structural invariant violated in `l2-cache`: bank heads out of order"
-    )]
-    fn failed_check_panics() {
-        let s = san();
-        s.check(true, "l2-cache", "bank heads out of order");
-        s.check(false, "l2-cache", "bank heads out of order");
     }
 }

@@ -22,12 +22,11 @@
 //!
 //! The hook functions ([`issue`], [`retire`], [`mshr_alloc`], [`cycle`], …)
 //! are called by the cache, TLB, page-table-walker, DRAM, and GPU crates at
-//! their state transitions. Without the `sanitize` feature every hook is an
-//! empty `#[inline(always)]` function, so the instrumented simulator is
-//! byte-for-byte as fast as an uninstrumented one. Simulation crates expose
-//! the feature under the same name; turning it on anywhere in the workspace
-//! turns it on everywhere (cargo feature unification), which is exactly the
-//! intended "sanitized build" semantics.
+//! their state transitions. The checker is armed exactly when
+//! `debug_assertions` is on: `cargo test` and every debug build check every
+//! invariant, and nothing needs to be switched on. In a release build each
+//! `#[inline(always)]` hook's body is `if false { … }` and folds away, so
+//! the release simulator is as fast as an uninstrumented one.
 //!
 //! Violations panic immediately with a `[mask-sanitizer]` diagnostic naming
 //! the component, the object, and the state transition that broke the
@@ -41,9 +40,9 @@
 //! alongside this crate's at the simulator's state transitions, but
 //! *records* events instead of checking them. Its hooks are always
 //! compiled in and gated at runtime only (`MASK_TRACE`): tracing is a
-//! switch on any build, while checking stays a build of its own. The two
-//! are independent and compose: a sanitized traced run checks invariants
-//! and collects the trace in one pass.
+//! switch on any build, while checking follows `debug_assertions`. The two
+//! are independent and compose: a debug traced run checks invariants and
+//! collects the trace in one pass.
 //!
 //! # Sessions
 //!
@@ -51,8 +50,11 @@
 //! two simulations built side by side (as the determinism tests do) don't
 //! see each other's requests. [`GpuSim`](../mask_gpu/struct.GpuSim.html)
 //! allocates a session with [`new_session`] and re-enters it with
-//! [`enter_session`] at the top of every cycle; component unit tests that
-//! never create a session run in the ambient session `0`.
+//! [`enter_session`] at the top of every cycle, and drops it with
+//! [`end_session`] when it is dropped, so a long-lived thread that runs
+//! simulation after simulation holds the state of none of the finished
+//! ones. Component unit tests that never create a session run in the
+//! ambient session `0`.
 //!
 //! ## Worker threads
 //!
@@ -69,7 +71,6 @@
 //! engine re-raises on the caller with the original `[mask-sanitizer]`
 //! message intact.
 
-#[cfg(any(feature = "sanitize", test))]
 mod invariant;
 
 /// Outcome of an MSHR allocation, as reported by the instrumented table.
@@ -83,34 +84,30 @@ pub enum MshrOutcome {
     Full,
 }
 
-#[cfg(feature = "sanitize")]
 thread_local! {
     static SANITIZER: std::cell::RefCell<invariant::InvariantSanitizer> =
         const { std::cell::RefCell::new(invariant::InvariantSanitizer::new()) };
 }
 
 /// Runs `f` on this thread's checker.
-#[cfg(feature = "sanitize")]
 fn with<R>(f: impl FnOnce(&mut invariant::InvariantSanitizer) -> R) -> R {
     SANITIZER.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// Whether sanitizer hooks are compiled in (the `sanitize` feature).
+/// Whether the hooks check anything: true exactly in builds with
+/// `debug_assertions` on.
 #[must_use]
 pub const fn is_enabled() -> bool {
-    cfg!(feature = "sanitize")
+    cfg!(debug_assertions)
 }
 
 /// Allocates a fresh accounting session (returns 0 when disabled).
 #[inline(always)]
 #[must_use]
 pub fn new_session() -> u64 {
-    #[cfg(feature = "sanitize")]
-    {
+    if cfg!(debug_assertions) {
         with(invariant::InvariantSanitizer::new_session)
-    }
-    #[cfg(not(feature = "sanitize"))]
-    {
+    } else {
         0
     }
 }
@@ -118,23 +115,28 @@ pub fn new_session() -> u64 {
 /// Makes `id` the current session for subsequent events on this thread.
 #[inline(always)]
 pub fn enter_session(id: u64) {
-    #[cfg(feature = "sanitize")]
-    with(|s| s.enter_session(id));
-    #[cfg(not(feature = "sanitize"))]
-    let _ = id;
+    if cfg!(debug_assertions) {
+        with(|s| s.enter_session(id));
+    }
+}
+
+/// Forgets everything session `id` recorded on this thread: its in-flight
+/// requests, MSHR mirrors, component clocks and active walks. A no-op
+/// during thread teardown, so it is safe to call from `Drop`.
+#[inline(always)]
+pub fn end_session(id: u64) {
+    if cfg!(debug_assertions) {
+        let _ = SANITIZER.try_with(|s| s.borrow_mut().end_session(id));
+    }
 }
 
 /// Registers an MSHR table and returns its sanitizer id (0 when disabled).
 #[inline(always)]
 #[must_use]
 pub fn register_table(component: &'static str, capacity: usize) -> u64 {
-    #[cfg(feature = "sanitize")]
-    {
+    if cfg!(debug_assertions) {
         with(|s| s.register_table(component, capacity))
-    }
-    #[cfg(not(feature = "sanitize"))]
-    {
-        let _ = (component, capacity);
+    } else {
         0
     }
 }
@@ -142,46 +144,41 @@ pub fn register_table(component: &'static str, capacity: usize) -> u64 {
 /// Records a request entering conservation domain `domain`.
 #[inline(always)]
 pub fn issue(domain: &'static str, id: u64) {
-    #[cfg(feature = "sanitize")]
-    with(|s| s.issue(domain, id));
-    #[cfg(not(feature = "sanitize"))]
-    let _ = (domain, id);
+    if cfg!(debug_assertions) {
+        with(|s| s.issue(domain, id));
+    }
 }
 
 /// Records a request leaving conservation domain `domain`.
 #[inline(always)]
 pub fn retire(domain: &'static str, id: u64) {
-    #[cfg(feature = "sanitize")]
-    with(|s| s.retire(domain, id));
-    #[cfg(not(feature = "sanitize"))]
-    let _ = (domain, id);
+    if cfg!(debug_assertions) {
+        with(|s| s.retire(domain, id));
+    }
 }
 
 /// Records an MSHR allocation attempt (call after the table updated).
 #[inline(always)]
 pub fn mshr_alloc(table: u64, line: u64, outcome: MshrOutcome, len: usize, capacity: usize) {
-    #[cfg(feature = "sanitize")]
-    with(|s| s.mshr_alloc(table, line, outcome, len, capacity));
-    #[cfg(not(feature = "sanitize"))]
-    let _ = (table, line, outcome, len, capacity);
+    if cfg!(debug_assertions) {
+        with(|s| s.mshr_alloc(table, line, outcome, len, capacity));
+    }
 }
 
 /// Records an MSHR fill (completion) releasing `waiters` waiters.
 #[inline(always)]
 pub fn mshr_fill(table: u64, line: u64, waiters: usize, found: bool) {
-    #[cfg(feature = "sanitize")]
-    with(|s| s.mshr_fill(table, line, waiters, found));
-    #[cfg(not(feature = "sanitize"))]
-    let _ = (table, line, waiters, found);
+    if cfg!(debug_assertions) {
+        with(|s| s.mshr_fill(table, line, waiters, found));
+    }
 }
 
 /// Records an associative-array fill (TLB level, bypass cache, cache array).
 #[inline(always)]
 pub fn array_fill(component: &'static str, len: usize, capacity: usize) {
-    #[cfg(feature = "sanitize")]
-    with(|s| s.array_fill(component, len, capacity));
-    #[cfg(not(feature = "sanitize"))]
-    let _ = (component, len, capacity);
+    if cfg!(debug_assertions) {
+        with(|s| s.array_fill(component, len, capacity));
+    }
 }
 
 /// Registers a ticking component instance for per-instance cycle tracking.
@@ -190,12 +187,9 @@ pub fn array_fill(component: &'static str, len: usize, capacity: usize) {
 #[must_use]
 pub fn register_component(component: &'static str) -> u64 {
     let _ = component;
-    #[cfg(feature = "sanitize")]
-    {
+    if cfg!(debug_assertions) {
         with(invariant::InvariantSanitizer::register_component)
-    }
-    #[cfg(not(feature = "sanitize"))]
-    {
+    } else {
         0
     }
 }
@@ -203,56 +197,50 @@ pub fn register_component(component: &'static str) -> u64 {
 /// Records a component instance observing cycle `now`.
 #[inline(always)]
 pub fn cycle(instance: u64, component: &'static str, now: u64) {
-    #[cfg(feature = "sanitize")]
-    with(|s| s.cycle(instance, component, now));
-    #[cfg(not(feature = "sanitize"))]
-    let _ = (instance, component, now);
+    if cfg!(debug_assertions) {
+        with(|s| s.cycle(instance, component, now));
+    }
 }
 
 /// Records a walker slot starting a walk at `level`.
 #[inline(always)]
 pub fn walk_activate(slot: u32, level: u8) {
-    #[cfg(feature = "sanitize")]
-    with(|s| s.walk_activate(slot, level));
-    #[cfg(not(feature = "sanitize"))]
-    let _ = (slot, level);
+    if cfg!(debug_assertions) {
+        with(|s| s.walk_activate(slot, level));
+    }
 }
 
 /// Records a walker slot advancing to `level`.
 #[inline(always)]
 pub fn walk_advance(slot: u32, level: u8) {
-    #[cfg(feature = "sanitize")]
-    with(|s| s.walk_advance(slot, level));
-    #[cfg(not(feature = "sanitize"))]
-    let _ = (slot, level);
+    if cfg!(debug_assertions) {
+        with(|s| s.walk_advance(slot, level));
+    }
 }
 
 /// Records a walker slot finishing its walk and being freed.
 #[inline(always)]
 pub fn walk_retire(slot: u32) {
-    #[cfg(feature = "sanitize")]
-    with(|s| s.walk_retire(slot));
-    #[cfg(not(feature = "sanitize"))]
-    let _ = slot;
+    if cfg!(debug_assertions) {
+        with(|s| s.walk_retire(slot));
+    }
 }
 
 /// Reports a structural self-check: `ok == false` is a violation described
 /// by `what`.
 #[inline(always)]
 pub fn check(ok: bool, component: &'static str, what: &'static str) {
-    #[cfg(feature = "sanitize")]
-    with(|s| s.check(ok, component, what));
-    #[cfg(not(feature = "sanitize"))]
-    let _ = (ok, component, what);
+    if cfg!(debug_assertions) {
+        with(|s| s.check(ok, component, what));
+    }
 }
 
 /// Records an epoch-boundary token grant for one address space.
 #[inline(always)]
 pub fn token_epoch(asid: u16, tokens: u64, total_warps: u64) {
-    #[cfg(feature = "sanitize")]
-    with(|s| s.token_epoch(asid, tokens, total_warps));
-    #[cfg(not(feature = "sanitize"))]
-    let _ = (asid, tokens, total_warps);
+    if cfg!(debug_assertions) {
+        with(|s| s.token_epoch(asid, tokens, total_warps));
+    }
 }
 
 /// Panics if anything is still in flight in the current session: un-retired
@@ -260,6 +248,7 @@ pub fn token_epoch(asid: u16, tokens: u64, total_warps: u64) {
 /// test has drained the simulated hierarchy.
 #[inline(always)]
 pub fn assert_quiescent() {
-    #[cfg(feature = "sanitize")]
-    with(|s| s.check_quiescent());
+    if cfg!(debug_assertions) {
+        with(|s| s.check_quiescent());
+    }
 }

@@ -536,7 +536,7 @@ mod tests {
 
     /// Red test for the `assoc-lru-order` premise check: a list whose head
     /// is not the oldest stamp would evict an entry LRU keeps.
-    #[cfg(feature = "sanitize")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "the evicted way must be the first minimum stamp of its set")]
     fn a_list_head_that_is_not_the_oldest_stamp_trips_the_sanitizer() {

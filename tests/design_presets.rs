@@ -12,9 +12,9 @@
 //!    `SharedTlb` in how cores are laid out across applications, so with a
 //!    single application they must produce byte-identical statistics.
 //! 3. **Isolation** — the new `Partitioned` preset colors frames, L2 sets,
-//!    and DRAM banks per application; with `--features sanitize` the
-//!    `l2-set-color` and `dram-bank-color` checks audit every fill and
-//!    enqueue.
+//!    and DRAM banks per application; in a debug build (so under
+//!    `cargo test`) the `l2-set-color` and `dram-bank-color` checks audit
+//!    every fill and enqueue.
 
 use mask_core::prelude::*;
 
@@ -121,7 +121,7 @@ fn all_ten_presets_have_pairwise_distinct_specs() {
     }
 }
 
-/// `Partitioned` isolation end to end. Under `--features sanitize` the
+/// `Partitioned` isolation end to end. In a debug build the
 /// `l2-set-color` and `dram-bank-color` checks audit every L2 fill and
 /// DRAM enqueue; in any build, per-app instruction counts prove all apps
 /// made progress inside their partitions.
@@ -149,7 +149,7 @@ fn partitioned_runs_clean_under_the_sanitizer() {
 }
 
 /// Uneven partitioning: three apps over 16 L2 ways / 8 DRAM banks forces
-/// the remainder-to-last split everywhere. Must not panic (sanitized or
+/// the remainder-to-last split everywhere. Must not panic (checked or
 /// not) and every app must make progress.
 #[test]
 fn partitioned_survives_uneven_three_app_splits() {

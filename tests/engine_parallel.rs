@@ -3,8 +3,9 @@
 //! baseline cache must collapse duplicate alone-baseline simulations to
 //! exactly one run each.
 //!
-//! These tests also run in CI with the `sanitize` feature armed, proving
-//! that the sanitizer's thread-local sessions stay isolated per worker.
+//! Under `cargo test` the sanitizer is armed (it is on in every debug
+//! build), so these tests also prove that its thread-local sessions stay
+//! isolated per worker.
 
 use mask_core::experiments::{self, ExpOptions};
 use mask_core::prelude::*;

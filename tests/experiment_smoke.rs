@@ -53,8 +53,8 @@ fn fig11_15_run() {
 }
 
 /// The presets PR 7 introduced go through the full multiprog harness —
-/// and, in the CI `--features sanitize` leg, under the runtime sanitizer,
-/// so their coloring invariants are audited on every fill and enqueue.
+/// under the runtime sanitizer, which every debug build arms, so their
+/// coloring invariants are audited on every fill and enqueue.
 #[test]
 fn new_presets_run_through_multiprog() {
     let s = multiprog::sweep(&tiny(), &[DesignKind::Partitioned, DesignKind::NoIsolation]);

@@ -6,9 +6,10 @@
 //! Sanitizer state is thread-local and every `#[test]` runs on its own
 //! thread, so the injected corruption cannot leak between tests.
 //!
-//! The whole file only exists under `--features sanitize`; without it the
-//! hooks are no-ops and none of these panics would fire.
-#![cfg(feature = "sanitize")]
+//! The sanitizer is armed exactly when `debug_assertions` is on, so this
+//! file runs under plain `cargo test`; in a release build the hooks are
+//! no-ops and none of these panics would fire.
+#![cfg(debug_assertions)]
 
 use mask_core::prelude::*;
 use mask_sanitizer as san;
@@ -36,11 +37,89 @@ fn leaked_request_detected_at_quiescence() {
 }
 
 #[test]
+#[should_panic(expected = "duplicate issue")]
+fn duplicated_request_detected() {
+    san::issue("fi-domain", 7);
+    san::issue("fi-domain", 7); // same request sent twice
+}
+
+#[test]
 #[should_panic(expected = "without a matching issue")]
 fn duplicated_response_detected() {
     san::issue("fi-domain", 3);
     san::retire("fi-domain", 3);
     san::retire("fi-domain", 3); // response consumed twice
+}
+
+// ---- sessions -------------------------------------------------------------
+
+#[test]
+fn sessions_isolate_request_ids() {
+    let (one, two) = (san::new_session(), san::new_session());
+    san::enter_session(one);
+    san::issue("fi-domain", 7);
+    san::enter_session(two);
+    san::issue("fi-domain", 7); // same id, other session: no duplicate
+    san::retire("fi-domain", 7);
+    san::assert_quiescent(); // session one's leak is not session two's
+}
+
+#[test]
+fn sessions_isolate_mshr_mirrors() {
+    let (one, two) = (san::new_session(), san::new_session());
+    san::enter_session(one);
+    let table = san::register_table("fi-mshr", 4);
+    san::mshr_alloc(table, 0x40, san::MshrOutcome::Primary, 1, 4);
+    san::enter_session(two);
+    san::assert_quiescent(); // session one's pending entry is not ours
+}
+
+#[test]
+fn ended_session_forgets_everything_it_recorded() {
+    let a = san::new_session();
+    san::enter_session(a);
+    san::issue("fi-domain", 1); // leaked request
+    let table = san::register_table("fi-mshr", 4);
+    san::mshr_alloc(table, 0x40, san::MshrOutcome::Primary, 1, 4); // pending entry
+    san::walk_activate(0, 1); // active walk
+    let clock = san::register_component("fi-clock");
+    san::cycle(clock, "fi-clock", 10);
+    san::end_session(a);
+    san::enter_session(a);
+    san::cycle(clock, "fi-clock", 0); // its clock is forgotten too
+    san::assert_quiescent();
+}
+
+#[test]
+#[should_panic(expected = "issued but never retired")]
+fn ending_one_session_keeps_another_sessions_state() {
+    let (a, b) = (san::new_session(), san::new_session());
+    san::enter_session(b);
+    san::issue("fi-domain", 1);
+    san::enter_session(a);
+    san::end_session(a);
+    san::enter_session(b);
+    san::assert_quiescent();
+}
+
+/// Dropping a simulator mid-run frees its session: the requests it still
+/// had in flight are gone from this thread's checker.
+#[test]
+fn dropping_a_simulator_ends_its_session() {
+    let mut cfg = SimConfig::new(DesignKind::Mask).with_max_cycles(1_000);
+    cfg.gpu.n_cores = 2;
+    cfg.gpu.warps_per_core = 8;
+    let specs = [AppSpec {
+        profile: app_by_name("CONS").expect("known app"),
+        n_cores: 2,
+    }];
+    let mut sim = GpuSim::new(&cfg, &specs);
+    sim.run(200);
+    // Stepping left the simulator's session current.
+    let in_flight = std::panic::catch_unwind(san::assert_quiescent).is_err();
+    assert!(in_flight, "the run must stop with requests in flight");
+    drop(sim);
+    san::assert_quiescent();
 }
 
 // ---- MSHR accounting ------------------------------------------------------
@@ -71,6 +150,23 @@ fn unmerged_secondary_miss_detected() {
     san::mshr_alloc(table, 0x40, san::MshrOutcome::Primary, 1, 4);
     // A second Primary for the same line means the table failed to merge.
     san::mshr_alloc(table, 0x40, san::MshrOutcome::Primary, 2, 4);
+}
+
+#[test]
+#[should_panic(expected = "still holds entries")]
+fn pending_mshr_entry_detected_at_quiescence() {
+    let table = san::register_table("fi-mshr", 4);
+    san::mshr_alloc(table, 0x40, san::MshrOutcome::Primary, 1, 4);
+    san::assert_quiescent(); // the fill never came
+}
+
+#[test]
+fn merged_miss_fills_once_and_is_quiescent() {
+    let table = san::register_table("fi-mshr", 4);
+    san::mshr_alloc(table, 0x40, san::MshrOutcome::Primary, 1, 4);
+    san::mshr_alloc(table, 0x40, san::MshrOutcome::Secondary, 1, 4);
+    san::mshr_fill(table, 0x40, 2, true);
+    san::assert_quiescent();
 }
 
 // ---- walker-slot lifecycle ------------------------------------------------
@@ -107,7 +203,27 @@ fn skipped_walk_level_detected() {
     san::walk_advance(2, 3); // level 2 skipped
 }
 
-// ---- token conservation ---------------------------------------------------
+// ---- cycle monotonicity ---------------------------------------------------
+
+#[test]
+#[should_panic(expected = "ticked with cycle 9 after observing 10")]
+fn backwards_clock_detected() {
+    let clock = san::register_component("fi-clock");
+    san::cycle(clock, "fi-clock", 10);
+    san::cycle(clock, "fi-clock", 9);
+}
+
+#[test]
+fn component_instances_keep_independent_clocks() {
+    let (a, b) = (
+        san::register_component("fi-clock"),
+        san::register_component("fi-clock"),
+    );
+    san::cycle(a, "fi-clock", 10);
+    san::cycle(b, "fi-clock", 0);
+}
+
+// ---- token conservation and structural checks -----------------------------
 
 #[test]
 #[should_panic(expected = "token conservation violated")]
@@ -115,47 +231,15 @@ fn token_overgrant_detected() {
     san::token_epoch(0, 65, 64); // more tokens than warps
 }
 
-// ---- whole-simulator property under the sanitizer -------------------------
-
-fn run_pair(seed: u64) -> SimStats {
-    let mut gpu = GpuConfig::maxwell();
-    gpu.warps_per_core = 16;
-    let runner = PairRunner::new(RunOptions {
-        n_cores: 4,
-        max_cycles: 8_000,
-        seed,
-        warmup_cycles: 2_000,
-        gpu,
-        jobs: JobOptions::serial(),
-    });
-    runner.run_apps(
-        DesignKind::Mask,
-        &[
-            AppSpec {
-                profile: app_by_name("MUM").expect("known"),
-                n_cores: 2,
-            },
-            AppSpec {
-                profile: app_by_name("HISTO").expect("known"),
-                n_cores: 2,
-            },
-        ],
-    )
+#[test]
+#[should_panic(expected = "structure overflow in `fi-tlb`")]
+fn array_overflow_detected() {
+    san::array_fill("fi-tlb", 65, 64);
 }
 
-/// A full two-app multiprogrammed run completes under the sanitizer with
-/// zero violations, and per seed the sanitized run is byte-identical to a
-/// repeat of itself — instrumentation must not perturb simulation state.
 #[test]
-fn sanitized_multiprog_is_deterministic_per_seed() {
-    for seed in [0xA55A_2018u64, 0x1234_5678] {
-        let a = run_pair(seed);
-        let b = run_pair(seed);
-        assert_eq!(a, b, "sanitized run not reproducible for seed {seed:#x}");
-        assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "stats differ textually for seed {seed:#x}"
-        );
-    }
+#[should_panic(expected = "structural invariant violated in `fi-cache`: bank heads out of order")]
+fn failed_check_detected() {
+    san::check(true, "fi-cache", "bank heads out of order");
+    san::check(false, "fi-cache", "bank heads out of order");
 }
