@@ -52,6 +52,13 @@ pub use rng::Pcg32;
 pub use snapshot::{PrefixKey, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use stats::{AppStats, DramClassStats, SimStats};
 
+/// Names the simulator model: FNV-1a over the two reference instruction
+/// checksums (`tests/design_presets.rs`) and every whole-machine digest of
+/// `tests/golden_state.rs`, which recomputes it from those tables. A model
+/// change re-pins some of them and so must move this too; `maskd` folds it
+/// into every content key, so results of an older model are never served.
+pub const MODEL_FINGERPRINT: u64 = 0x98e4_63b8_99d1_cabd;
+
 /// Current simulation time, measured in core clock cycles.
 ///
 /// The whole simulated system runs in a single clock domain (the 1020 MHz

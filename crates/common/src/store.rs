@@ -2,34 +2,42 @@
 //!
 //! One directory of `<key>.msnp` files, each a sealed MSNP envelope
 //! ([`crate::snapshot`]: magic, codec version, key echo, length, FNV-1a
-//! checksum), each with a `<key>.lru` recency sidecar. `maskd` keeps job
+//! checksum) whose modification time carries its recency. `maskd` keeps job
 //! results in one (`MASKD_STORE_DIR`). The store is a pure accelerator, so
 //! every operation is best-effort — an I/O failure costs a re-simulation,
 //! never a wrong answer — and nothing here returns an error:
 //!
 //! * writes go to `<key>.msnp.<pid>.tmp` and are atomically renamed in, so
 //!   concurrent processes never observe a torn file;
-//! * every use stamps the sidecar with a sequence number above every
-//!   one the store knows — read from the directory once, at
+//! * every use stamps the envelope's modification time with a sequence
+//!   number above every one the store knows, as whole seconds since
+//!   `UNIX_EPOCH` (so filesystems that keep 1-second timestamps keep it).
+//!   The numbers are read from the directory once, at
 //!   [`EnvelopeStore::open`], and written back on every use, so recency
-//!   survives restarts: a reopened store holds exactly the live one's index;
+//!   survives restarts: a reopened store holds exactly the live one's index.
+//!   A copy that resets modification times (`cp` without `-p`) collapses
+//!   recency to file-stem order — a worse eviction order, never a wrong
+//!   result;
 //! * a cap evicts least-recently-used entries (sequence number, then file
 //!   stem, so the order is fully deterministic);
 //! * a file that fails validation is deleted, never trusted: at
 //!   [`EnvelopeStore::open`] by a sweep of the whole directory, at
-//!   [`EnvelopeStore::load`] for the one file asked for.
+//!   [`EnvelopeStore::load`] for the one file asked for. The sweep also
+//!   deletes the `<key>.lru` recency sidecars of the store's older on-disk
+//!   format, so such a directory migrates on its first open.
 //!
 //! # What an operation costs
 //!
 //! The sweep is the only directory listing. It leaves an in-memory recency
 //! index — key → sequence number, and the `(sequence, key)` order — that
-//! every later operation keeps, so each costs the files it names and nothing
-//! that grows with the store: [`EnvelopeStore::touch`] one `stat` and one
-//! sidecar write, [`EnvelopeStore::load`] one envelope read on top of that,
-//! [`EnvelopeStore::store`] write + rename + stamp + the removal of exactly
-//! the victims the index names, [`EnvelopeStore::len`] a field read.
-//! [`EnvelopeStore::dir_scans`] counts the listings so that tests can hold
-//! it to 1.
+//! every later operation keeps, so each opens the one file it names, once,
+//! and nothing that grows with the store: [`EnvelopeStore::touch`] opens the
+//! envelope and sets its modification time, [`EnvelopeStore::load`] reads
+//! and validates it through the same handle first, [`EnvelopeStore::store`]
+//! writes and stamps a temp file, renames it in (the rename keeps the stamp)
+//! and removes exactly the victims the index names, [`EnvelopeStore::len`]
+//! is a field read. [`EnvelopeStore::dir_scans`] counts the listings so that
+//! tests can hold it to 1.
 //!
 //! # Sharing
 //!
@@ -41,17 +49,21 @@
 //! other writers exist: a second process on the same directory, a
 //! directory filled by one handle and served by another. Every operation
 //! therefore checks the one file it names: a key the index does not hold is
-//! still looked for on disk and adopted at the sequence number its sidecar
-//! carries; a key whose file is gone or fails validation leaves the index
-//! when that is found; evicting a file someone already removed is not an
-//! error. What the index cannot see is what it was never asked about, so
-//! between two handles on one directory the cap bounds the entries *each
-//! handle has seen* (the next `open` sees them all), and two handles may
-//! issue equal sequence numbers — the file stem breaks the tie.
+//! still looked for on disk and adopted at the sequence number its
+//! modification time carries (a plain write's wall-clock time included); a
+//! key whose file is gone or fails validation leaves the index when that is
+//! found; evicting a file someone already removed is not an error. What the
+//! index cannot see is what it was never asked about, so between two
+//! handles on one directory the cap bounds the entries *each handle has
+//! seen* (the next `open` sees them all), and two handles may issue equal
+//! sequence numbers — the file stem breaks the tie.
 
 use crate::snapshot::{validate_envelope, PrefixKey, SnapshotReader};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fs::File;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, UNIX_EPOCH};
 
 /// A directory of sealed envelopes with LRU eviction.
 #[derive(Debug)]
@@ -60,8 +72,7 @@ pub struct EnvelopeStore {
     /// Maximum number of envelopes kept; `None` = unbounded. Enforced
     /// after every successful [`EnvelopeStore::store`], never below one.
     cap: Option<usize>,
-    /// The sequence number each known envelope's sidecar carries (0: no
-    /// sidecar).
+    /// The sequence number each known envelope's modification time carries.
     seqs: BTreeMap<PrefixKey, u64>,
     /// The same pairs, least recently used first.
     order: BTreeSet<(u64, PrefixKey)>,
@@ -73,9 +84,9 @@ impl EnvelopeStore {
     /// Opens the store at `dir` (created if missing), keeping at most
     /// `cap` envelopes. Runs the hygiene sweep: envelopes that fail full
     /// validation (truncated writes, stale codec versions, checksum
-    /// damage) or sit under another key's name, and their sidecars,
-    /// sidecars whose envelope is gone, and temp files left by interrupted
-    /// writes are deleted. What survives is the recency index.
+    /// damage) or sit under another key's name, temp files left by
+    /// interrupted writes and the `.lru` sidecars of the older on-disk
+    /// format are deleted. What survives is the recency index.
     #[must_use]
     pub fn open(dir: PathBuf, cap: Option<usize>) -> Self {
         let _ = std::fs::create_dir_all(&dir);
@@ -93,47 +104,67 @@ impl EnvelopeStore {
 
     /// The sealed bytes stored under `key`, if the file exists and passes
     /// keyed envelope validation (magic, version, key, length, checksum),
-    /// re-stamped as most recently used. An invalid file is deleted
-    /// together with its sidecar, and anything but a valid entry leaves
-    /// the index.
+    /// re-stamped as most recently used. An invalid file is deleted, and
+    /// anything but a valid entry leaves the index.
     #[must_use]
     pub fn load(&mut self, key: PrefixKey) -> Option<Vec<u8>> {
-        let bytes = self.read(key);
-        self.touch(key);
-        bytes
+        let path = self.envelope(key);
+        let Ok(mut file) = File::open(&path) else {
+            self.forget(key);
+            return None;
+        };
+        let mut bytes = Vec::new();
+        if file.read_to_end(&mut bytes).is_err() || SnapshotReader::open_keyed(&bytes, key).is_err()
+        {
+            let _ = std::fs::remove_file(&path);
+            self.forget(key);
+            return None;
+        }
+        self.stamp(key, &file);
+        Some(bytes)
     }
 
     /// Persists `sealed` (the output of
     /// [`SnapshotWriter::seal`](crate::snapshot::SnapshotWriter::seal) for
-    /// `key`); only a completed rename is stamped and counted against the
-    /// cap. Returns the keys eviction removed.
+    /// `key`), stamped as the most recently used entry; only a completed
+    /// rename enters the index and counts against the cap. Returns the keys
+    /// eviction removed.
     pub fn store(&mut self, key: PrefixKey, sealed: &[u8]) -> Vec<PrefixKey> {
-        if !self.write(key, sealed) {
+        let seq = self.newest().saturating_add(1);
+        if !self.write(key, sealed, seq) {
             return Vec::new();
         }
-        self.touch(key);
+        self.place(key, seq);
         self.enforce_cap()
     }
 
     /// Stamps `key` as the most recently used entry, if its envelope is
-    /// there (`true`); one that is not gets no sidecar and leaves the index.
+    /// there (`true`); one that is not leaves the index.
     pub fn touch(&mut self, key: PrefixKey) -> bool {
-        if !self.envelope(key).exists() {
-            self.forget(key);
-            return false;
+        match File::open(self.envelope(key)) {
+            Ok(file) => {
+                self.stamp(key, &file);
+                true
+            }
+            Err(_) => {
+                self.forget(key);
+                false
+            }
         }
-        let sidecar = self.sidecar(key);
+    }
+
+    /// Stamps the envelope of `key`, open as `file`, one above the newest
+    /// sequence number the store knows.
+    fn stamp(&mut self, key: PrefixKey, file: &File) {
         // An entry another writer put there is adopted where its own
-        // sidecar places it.
+        // modification time places it.
         let seen = match self.seqs.get(&key) {
             Some(seq) => *seq,
-            None => read_seq(&sidecar),
+            None => seq_of(file),
         };
-        let newest = self.order.last().map_or(0, |&(seq, _)| seq);
-        let next = newest.max(seen).saturating_add(1);
-        let stamped = std::fs::write(&sidecar, format!("{next}\n")).is_ok();
+        let next = self.newest().max(seen).saturating_add(1);
+        let stamped = set_seq(file, next).is_ok();
         self.place(key, if stamped { next } else { seen });
-        true
     }
 
     /// Evicts least-recently-used entries until the cap holds and returns
@@ -148,7 +179,7 @@ impl EnvelopeStore {
                 break;
             };
             self.seqs.remove(&key);
-            remove_entry(&self.envelope(key));
+            let _ = std::fs::remove_file(self.envelope(key));
             self.evictions += 1;
             evicted.push(key);
         }
@@ -184,29 +215,22 @@ impl EnvelopeStore {
         self.dir.join(format!("{key}.msnp"))
     }
 
-    fn sidecar(&self, key: PrefixKey) -> PathBuf {
-        self.dir.join(format!("{key}.lru"))
+    fn newest(&self) -> u64 {
+        self.order.last().map_or(0, |&(seq, _)| seq)
     }
 
-    /// The bytes under `key` if they pass keyed validation; an invalid
-    /// file is deleted with its sidecar.
-    fn read(&self, key: PrefixKey) -> Option<Vec<u8>> {
-        let path = self.envelope(key);
-        let bytes = std::fs::read(&path).ok()?;
-        if SnapshotReader::open_keyed(&bytes, key).is_err() {
-            remove_entry(&path);
-            return None;
-        }
-        Some(bytes)
-    }
-
-    /// Writes `sealed` via a process-unique temp file and rename; `false`,
-    /// with nothing left behind, when either fails.
-    fn write(&self, key: PrefixKey, sealed: &[u8]) -> bool {
+    /// Writes `sealed` stamped with `seq` via a process-unique temp file
+    /// and rename; `false`, with nothing left behind, when any step fails.
+    fn write(&self, key: PrefixKey, sealed: &[u8], seq: u64) -> bool {
         let tmp = self
             .dir
             .join(format!("{key}.msnp.{}.tmp", std::process::id()));
-        let done = std::fs::write(&tmp, sealed).is_ok()
+        let done = File::create(&tmp)
+            .and_then(|mut file| {
+                file.write_all(sealed)?;
+                set_seq(&file, seq)
+            })
+            .is_ok()
             && std::fs::rename(&tmp, self.envelope(key)).is_ok();
         if !done {
             let _ = std::fs::remove_file(&tmp);
@@ -238,19 +262,21 @@ impl EnvelopeStore {
             match ext.as_deref() {
                 Some("msnp") => {
                     // Kept only under the one name `load` would look for.
-                    let key = std::fs::read(&path)
-                        .ok()
-                        .and_then(|bytes| validate_envelope(&bytes).ok())
-                        .filter(|&key| path == self.envelope(key));
-                    match key {
-                        Some(key) => self.place(key, read_seq(&path.with_extension("lru"))),
-                        None => remove_entry(&path),
+                    let kept = read_stamped(&path).and_then(|(bytes, seq)| {
+                        validate_envelope(&bytes)
+                            .ok()
+                            .filter(|&key| path == self.envelope(key))
+                            .map(|key| (key, seq))
+                    });
+                    match kept {
+                        Some((key, seq)) => self.place(key, seq),
+                        None => {
+                            let _ = std::fs::remove_file(&path);
+                        }
                     }
                 }
-                Some("lru") if !path.with_extension("msnp").exists() => {
-                    let _ = std::fs::remove_file(&path);
-                }
-                Some("tmp") => {
+                // Interrupted writes, and the older format's sidecars.
+                Some("tmp" | "lru") => {
                     let _ = std::fs::remove_file(&path);
                 }
                 _ => {}
@@ -259,18 +285,32 @@ impl EnvelopeStore {
     }
 }
 
-/// The sequence number in the sidecar at `path`, 0 when absent or unreadable.
-fn read_seq(path: &Path) -> u64 {
-    std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
+/// The bytes of the file at `path` and the sequence number its
+/// modification time carries, through one open.
+fn read_stamped(path: &Path) -> Option<(Vec<u8>, u64)> {
+    let mut file = File::open(path).ok()?;
+    let seq = seq_of(&file);
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes).ok()?;
+    Some((bytes, seq))
 }
 
-/// Deletes the envelope at `path` together with its sidecar.
-fn remove_entry(path: &Path) {
-    let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_file(path.with_extension("lru"));
+/// The sequence number `file`'s modification time carries: whole seconds
+/// since `UNIX_EPOCH`, 0 when unreadable or earlier.
+fn seq_of(file: &File) -> u64 {
+    file.metadata()
+        .and_then(|meta| meta.modified())
+        .ok()
+        .and_then(|time| time.duration_since(UNIX_EPOCH).ok())
+        .map_or(0, |age| age.as_secs())
+}
+
+/// Sets `file`'s modification time to `seq` seconds after `UNIX_EPOCH`.
+fn set_seq(file: &File, seq: u64) -> std::io::Result<()> {
+    let time = UNIX_EPOCH
+        .checked_add(Duration::from_secs(seq))
+        .ok_or_else(|| std::io::Error::other("sequence number past the clock's range"))?;
+    file.set_modified(time)
 }
 
 #[cfg(test)]
@@ -303,6 +343,11 @@ mod tests {
         out
     }
 
+    /// The sequence number the file at `path` carries.
+    fn mtime(path: &Path) -> u64 {
+        seq_of(&File::open(path).expect("envelope"))
+    }
+
     #[test]
     fn round_trip_uses_the_documented_file_names() {
         let dir = temp_dir("names");
@@ -311,21 +356,13 @@ mod tests {
         let key = PrefixKey(0xAB);
         assert_eq!(store.load(key), None);
         store.store(key, &sealed(key));
-        assert_eq!(
-            names(&dir),
-            ["00000000000000ab.lru", "00000000000000ab.msnp"]
-        );
-        assert_eq!(
-            std::fs::read_to_string(dir.join("00000000000000ab.lru")).expect("sidecar"),
-            "1\n"
-        );
+        let path = dir.join("00000000000000ab.msnp");
+        assert_eq!(names(&dir), ["00000000000000ab.msnp"], "one file an entry");
+        assert_eq!(mtime(&path), 1, "stamped 1 s after the epoch");
         // A later process finds it; the load re-stamps it.
         let mut reopened = EnvelopeStore::open(dir.clone(), None);
         assert_eq!(reopened.load(key), Some(sealed(key)));
-        assert_eq!(
-            std::fs::read_to_string(dir.join("00000000000000ab.lru")).expect("sidecar"),
-            "2\n"
-        );
+        assert_eq!(mtime(&path), 2);
         assert_eq!(reopened.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -338,9 +375,9 @@ mod tests {
         for k in [1u64, 2, 3] {
             store.store(PrefixKey(k), &sealed(PrefixKey(k)));
         }
-        // Cap 2: storing key 3 evicted key 1 and its sidecar.
+        // Cap 2: storing key 3 evicted key 1.
         assert_eq!(store.len(), 2);
-        assert!(!file(1).exists() && !file(1).with_extension("lru").exists());
+        assert!(!file(1).exists());
         assert!(file(2).exists() && file(3).exists());
         // A load refreshes recency: key 2 survives the next store and the
         // now-least-recently-used key 3 goes instead.
@@ -360,23 +397,75 @@ mod tests {
     }
 
     #[test]
-    fn open_sweeps_invalid_orphaned_and_temporary_files() {
+    fn open_sweeps_invalid_and_temporary_files() {
         let dir = temp_dir("sweep");
         std::fs::create_dir_all(&dir).expect("store dir");
         let key = PrefixKey(7);
         std::fs::write(dir.join(format!("{key}.msnp")), sealed(key)).expect("valid envelope");
-        std::fs::write(dir.join(format!("{key}.lru")), "1\n").expect("its sidecar");
         std::fs::write(dir.join("stale.msnp"), b"not an envelope").expect("stale file");
-        std::fs::write(dir.join("stale.lru"), "9\n").expect("stale sidecar");
-        std::fs::write(dir.join("orphan.lru"), "5\n").expect("orphan sidecar");
         std::fs::write(dir.join("dead.msnp.123.tmp"), b"partial").expect("temp file");
         let store = EnvelopeStore::open(dir.clone(), None);
         assert_eq!(
             names(&dir),
-            [format!("{key}.lru"), format!("{key}.msnp")],
-            "only the valid envelope and its sidecar survive"
+            [format!("{key}.msnp")],
+            "only the valid envelope survives"
         );
         assert_eq!(store.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_legacy_directory_keeps_its_envelopes_and_loses_its_sidecars() {
+        let dir = temp_dir("legacy");
+        std::fs::create_dir_all(&dir).expect("store dir");
+        // The older format: every envelope with a `.lru` sequence-number
+        // sidecar, plus an orphaned sidecar and a damaged envelope's.
+        let keys = [PrefixKey(1), PrefixKey(2), PrefixKey(3)];
+        for (seq, key) in [3, 1, 2].into_iter().zip(keys) {
+            std::fs::write(dir.join(format!("{key}.msnp")), sealed(key)).expect("envelope");
+            std::fs::write(dir.join(format!("{key}.lru")), format!("{seq}\n")).expect("sidecar");
+        }
+        std::fs::write(dir.join("orphan.lru"), "5\n").expect("orphan sidecar");
+        std::fs::write(dir.join("stale.msnp"), b"not an envelope").expect("stale file");
+        std::fs::write(dir.join("stale.lru"), "9\n").expect("stale sidecar");
+        let mut store = EnvelopeStore::open(dir.clone(), None);
+        assert_eq!(
+            names(&dir),
+            keys.map(|key| format!("{key}.msnp")),
+            "every valid envelope stays, no sidecar does"
+        );
+        assert_eq!(store.len(), 3);
+        for key in keys {
+            assert_eq!(store.load(key), Some(sealed(key)));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_another_writer_left_is_adopted_at_its_wall_clock_time() {
+        let dir = temp_dir("adopt");
+        let mut store = EnvelopeStore::open(dir.clone(), None);
+        let [mine, theirs, next] = [PrefixKey(1), PrefixKey(2), PrefixKey(3)];
+        store.store(mine, &sealed(mine));
+        // A plain write: its modification time is the wall clock's.
+        let path = dir.join(format!("{theirs}.msnp"));
+        std::fs::write(&path, sealed(theirs)).expect("foreign envelope");
+        let wall = mtime(&path);
+        assert!(wall > 1, "a wall-clock time is far past any count of uses");
+        // A reopen adopts it at that value ...
+        let reopened = EnvelopeStore::open(dir.clone(), None);
+        assert_eq!(
+            reopened.recency().collect::<Vec<_>>(),
+            [(1, mine), (wall, theirs)]
+        );
+        // ... and so does the live handle's touch, which stamps above it.
+        assert!(store.touch(theirs));
+        assert_eq!(mtime(&path), wall + 1);
+        store.store(next, &sealed(next));
+        assert_eq!(
+            store.recency().collect::<Vec<_>>(),
+            [(1, mine), (wall + 1, theirs), (wall + 2, next)]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -397,14 +486,14 @@ mod tests {
         // sweep and must still be refused.
         let other = PrefixKey(4);
         std::fs::write(dir.join(format!("{other}.msnp")), sealed(key)).expect("misfiled");
-        std::fs::write(dir.join(format!("{other}.lru")), "8\n").expect("its sidecar");
         assert_eq!(store.load(other), None);
-        assert!(names(&dir).is_empty(), "files and sidecars are gone");
+        assert!(names(&dir).is_empty(), "both files are gone");
+        assert_eq!(store.len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_failed_rename_leaves_no_temp_file_and_no_sidecar() {
+    fn a_failed_rename_leaves_no_temp_file_and_no_entry() {
         let dir = temp_dir("rename");
         let mut store = EnvelopeStore::open(dir.clone(), Some(1));
         let key = PrefixKey(9);
@@ -412,11 +501,12 @@ mod tests {
         std::fs::create_dir(dir.join(format!("{key}.msnp"))).expect("blocker");
         store.store(key, &sealed(key));
         assert_eq!(names(&dir), [format!("{key}.msnp")]);
+        assert_eq!(store.len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn touching_an_evicted_key_writes_no_orphan_sidecar() {
+    fn touching_an_evicted_key_writes_nothing() {
         let dir = temp_dir("orphan");
         let mut store = EnvelopeStore::open(dir.clone(), Some(2));
         for k in [1u64, 2, 3] {
@@ -426,12 +516,7 @@ mod tests {
         assert!(!store.touch(PrefixKey(1)));
         assert_eq!(
             names(&dir),
-            [
-                "0000000000000002.lru",
-                "0000000000000002.msnp",
-                "0000000000000003.lru",
-                "0000000000000003.msnp"
-            ]
+            ["0000000000000002.msnp", "0000000000000003.msnp"]
         );
         assert_eq!(
             (store.len(), store.evictions(), store.dir_scans()),

@@ -2,8 +2,8 @@
 //! the directory it caches.
 //!
 //! The oracle is the listing every operation used to make — `read_dir`, read
-//! every `.lru` sidecar, sort by `(sequence number, file stem)` — kept here
-//! and nowhere else. Random sequences of the store's own operations, reopens
+//! every envelope's modification time, sort by `(sequence number, file
+//! stem)` — kept here and nowhere else. Random sequences of the store's own operations, reopens
 //! and a *foreign* writer's (plant a valid envelope, delete one, corrupt one)
 //! run at caps `None`, 1, 3 and 8; after every step the index must say what
 //! the listing says about every key the store has been asked about since
@@ -21,6 +21,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, UNIX_EPOCH};
 
 const CAPS: [Option<usize>; 4] = [None, Some(1), Some(3), Some(8)];
 const KEYS: u64 = 12;
@@ -31,10 +32,10 @@ enum Op {
     Load(PrefixKey),
     Touch(PrefixKey),
     Reopen,
-    /// Another writer renames in a valid envelope, with a sidecar carrying
-    /// this sequence number (0: with none).
+    /// Another writer puts a valid envelope there and sets its modification
+    /// time to this sequence number (0: leaves the write's wall-clock one).
     Plant(PrefixKey, u64),
-    /// Another writer removes the envelope and its sidecar.
+    /// Another writer removes the envelope.
     Delete(PrefixKey),
     /// The envelope's last byte flips under the live store.
     Corrupt(PrefixKey),
@@ -82,23 +83,36 @@ fn temp_dir() -> PathBuf {
     dir
 }
 
+/// The sequence number the file at `path` carries: its modification time
+/// in whole seconds since the epoch.
+fn mtime(path: &Path) -> Option<u64> {
+    let modified = std::fs::metadata(path).ok()?.modified().ok()?;
+    Some(modified.duration_since(UNIX_EPOCH).ok()?.as_secs())
+}
+
 /// The oracle: the envelopes in `dir` as `(recency, file stem)`, least
-/// recently used first; recency is the sidecar's number, 0 when absent.
+/// recently used first; recency is the modification time.
 fn list(dir: &Path) -> Vec<(u64, String)> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir).expect("store dir").flatten() {
         let path = entry.path();
         if path.extension().is_some_and(|e| e == "msnp") {
             let stem = path.file_stem().expect("stem").to_string_lossy();
-            let seq = std::fs::read_to_string(path.with_extension("lru"))
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .unwrap_or(0);
-            out.push((seq, stem.into_owned()));
+            out.push((mtime(&path).expect("mtime"), stem.into_owned()));
         }
     }
     out.sort();
     out
+}
+
+/// The newest sequence number listed, leaving out the stems in `skip`.
+fn newest(listed: &[(u64, String)], skip: &BTreeSet<String>) -> u64 {
+    listed
+        .iter()
+        .filter(|(_, stem)| !skip.contains(stem))
+        .map(|(seq, _)| *seq)
+        .max()
+        .unwrap_or(0)
 }
 
 fn index(store: &EnvelopeStore) -> Vec<(u64, String)> {
@@ -124,15 +138,20 @@ fn run(cap: Option<usize>, ops: &[Op]) -> Result<(), String> {
     // since: all the index may be wrong about.
     let mut stale: BTreeSet<String> = BTreeSet::new();
     for (step, &op) in ops.iter().enumerate() {
-        // The number the listing would stamp next, which the index must
-        // arrive at too when all it has not seen is the key now named.
-        let next_seq = list(&dir).last().map_or(0, |(seq, _)| *seq) + 1;
+        // The number the listing says comes next, which the index must
+        // arrive at too when all it has not seen is the key now named: a
+        // load or touch adopts that key's own modification time first, a
+        // store replaces the file it would have read it from.
+        let listed = list(&dir);
         let exact = |key: PrefixKey| {
             let unseen = store.recency().all(|(_, k)| k != key);
             stale.iter().all(|stem| *stem == key.to_string() && unseen)
         };
         let stamp = match op {
-            Op::Store(key) | Op::Load(key) | Op::Touch(key) if exact(key) => Some(key),
+            Op::Store(key) if exact(key) => Some((key, newest(&listed, &stale) + 1)),
+            Op::Load(key) | Op::Touch(key) if exact(key) => {
+                Some((key, newest(&listed, &BTreeSet::new()) + 1))
+            }
             _ => None,
         };
         match op {
@@ -148,9 +167,8 @@ fn run(cap: Option<usize>, ops: &[Op]) -> Result<(), String> {
                     prop_assert_eq!(&evicted, &expected, "step {step} {op:?}: victims");
                 }
                 for stem in &evicted {
-                    let gone =
-                        ["msnp", "lru"].map(|ext| !dir.join(stem).with_extension(ext).exists());
-                    prop_assert_eq!(gone, [true, true], "step {step} {op:?}: victim files");
+                    let gone = !dir.join(stem).with_extension("msnp").exists();
+                    prop_assert!(gone, "step {step} {op:?}: victim file {stem}");
                     stale.remove(stem);
                 }
             }
@@ -178,17 +196,15 @@ fn run(cap: Option<usize>, ops: &[Op]) -> Result<(), String> {
             }
             Op::Plant(key, seq) => {
                 std::fs::write(file(key), sealed(key)).expect("plant");
-                let sidecar = file(key).with_extension("lru");
-                if seq == 0 {
-                    let _ = std::fs::remove_file(sidecar);
-                } else {
-                    std::fs::write(sidecar, format!("{seq}\n")).expect("plant sidecar");
+                if seq != 0 {
+                    std::fs::File::open(file(key))
+                        .and_then(|f| f.set_modified(UNIX_EPOCH + Duration::from_secs(seq)))
+                        .expect("plant mtime");
                 }
                 stale.insert(key.to_string());
             }
             Op::Delete(key) => {
                 let _ = std::fs::remove_file(file(key));
-                let _ = std::fs::remove_file(file(key).with_extension("lru"));
                 stale.insert(key.to_string());
             }
             Op::Corrupt(key) => {
@@ -199,13 +215,8 @@ fn run(cap: Option<usize>, ops: &[Op]) -> Result<(), String> {
                 }
             }
         }
-        if let Some(key) = stamp.filter(|&key| file(key).exists()) {
-            let sidecar = std::fs::read_to_string(file(key).with_extension("lru"));
-            prop_assert_eq!(
-                sidecar.ok(),
-                Some(format!("{next_seq}\n")),
-                "step {step} {op:?}"
-            );
+        if let Some((key, next_seq)) = stamp.filter(|&(key, _)| file(key).exists()) {
+            prop_assert_eq!(mtime(&file(key)), Some(next_seq), "step {step} {op:?}");
         }
         let fresh = |entries: Vec<(u64, String)>| -> Vec<(u64, String)> {
             entries

@@ -29,8 +29,9 @@
 //! * [`http`] — a minimal HTTP/1.1 request parser and response writer
 //!   (`Content-Length` and chunked bodies) over `std::net`.
 //! * [`store`] — the persistent content-addressed [`ResultStore`]:
-//!   final statistics keyed by the job's canonical dedup key, sealed in
-//!   the versioned MSNP snapshot codec and kept on disk by
+//!   final statistics keyed by the model fingerprint and the job's
+//!   canonical dedup key, sealed in the versioned MSNP snapshot codec and
+//!   kept on disk, one file per result, by
 //!   `mask_common::store::EnvelopeStore`.
 //! * [`queue`] — the admission controller's deficit-round-robin fair
 //!   queue across tenant ids.

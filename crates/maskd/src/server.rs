@@ -29,9 +29,10 @@ use crate::config::DaemonConfig;
 use crate::http::{self, Request};
 use crate::json::{self, Value};
 use crate::queue::{FairQueue, QueuedJob, Rejection};
-use crate::store::{result_checksum, result_key, ResultStore};
+use crate::store::{result_key, ResultStore};
 use crate::wire::{self, JobSpec};
 use mask_common::stats::SimStats;
+use mask_common::MODEL_FINGERPRINT;
 use mask_core::JobPool;
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -264,7 +265,7 @@ fn error_body(msg: &str) -> String {
 fn route(req: &Request, stream: &mut TcpStream, shared: &Arc<Shared>) {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     let reply = match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => (200, Value::obj([("ok", Value::Bool(true))]).serialize()),
+        ("GET", ["healthz"]) => (200, healthz().serialize()),
         ("GET", ["store", "stats"]) => (200, store_stats(shared).serialize()),
         ("POST", ["jobs"]) => match submit(req, shared) {
             Ok((status, body)) => (status, body),
@@ -293,6 +294,19 @@ fn route(req: &Request, stream: &mut TcpStream, shared: &Arc<Shared>) {
         &[]
     };
     let _ = http::write_response(stream, status, retry, &body);
+}
+
+/// `{"fingerprint": <MODEL_FINGERPRINT as 16 hex digits>, "ok": true}`:
+/// two daemons serve each other's stored results only if their
+/// fingerprints match.
+fn healthz() -> Value {
+    Value::obj([
+        ("ok", Value::Bool(true)),
+        (
+            "fingerprint",
+            Value::Str(format!("{MODEL_FINGERPRINT:016x}")),
+        ),
+    ])
 }
 
 fn store_stats(shared: &Arc<Shared>) -> Value {
@@ -349,9 +363,8 @@ fn submit(req: &Request, shared: &Arc<Shared>) -> Result<Reply, Reply> {
     let id = state.next_id;
     state.next_id += 1;
 
-    if let Some(stats) = stored {
+    if let Some((stats, checksum)) = stored {
         state.store_hits += 1;
-        let checksum = result_checksum(key, &stats);
         let mut entry = JobEntry {
             tenant: spec.tenant.clone(),
             key,
@@ -596,13 +609,14 @@ fn run_batch(shared: &Arc<Shared>, batch: &[Dispatched]) {
 
     // Results reach the store before the state lock is taken and before
     // any job reads as done: a client that saw `done` and resubmits hits.
-    for (d, stats) in batch.iter().zip(&results) {
-        shared.store.insert(d.key, stats);
-    }
+    let checksums: Vec<u64> = batch
+        .iter()
+        .zip(&results)
+        .map(|(d, stats)| shared.store.insert(d.key, stats))
+        .collect();
 
     let mut state = shared.lock_state();
-    for (d, stats) in batch.iter().zip(results) {
-        let checksum = result_checksum(d.key, &stats);
+    for ((d, stats), checksum) in batch.iter().zip(results).zip(checksums) {
         state.queue.job_done(&d.tenant);
         if let Some(entry) = state.jobs.get_mut(&d.id) {
             for frame in &frames {

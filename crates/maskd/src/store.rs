@@ -1,39 +1,50 @@
 //! The persistent content-addressed result store.
 //!
-//! Results are keyed by the job's canonical dedup key
-//! ([`SimJob::key`](mask_core::SimJob::key)) folded through FNV-1a — the
-//! one description of a job that also keys the engine's `BaselineCache`,
-//! extended to *every* job shape (not just alone baselines) and to disk.
-//! A repeat submission — same design spec, placement, cycle budget, seed,
-//! and full `GpuConfig` rendering — is answered from the store without
-//! simulating at all, across daemon restarts.
+//! Results are keyed by the simulator's [`MODEL_FINGERPRINT`] and the job's
+//! canonical dedup key ([`SimJob::key`](mask_core::SimJob::key)), folded
+//! through FNV-1a — the one description of a job that also keys the
+//! engine's `BaselineCache`, extended to *every* job shape (not just alone
+//! baselines) and to disk. A repeat submission — same design spec,
+//! placement, cycle budget, seed, and full `GpuConfig` rendering, on the
+//! same model — is answered from the store without simulating at all,
+//! across daemon restarts. A store written by another model is never hit:
+//! its jobs re-simulate once.
 //!
-//! On disk each result is one sealed MSNP envelope in an
-//! [`EnvelopeStore`] (`mask-common`), which brings the atomic writes,
-//! `MASKD_STORE_CAP` LRU eviction and delete-what-fails-validation hygiene
-//! (DESIGN.md §13). This module adds only what is about *results*: the
-//! content address, the `SimStats` payload, the in-memory map and the
-//! counters.
+//! On disk each result is one file, a sealed MSNP envelope in an
+//! [`EnvelopeStore`] (`mask-common`) whose modification time carries its
+//! recency; that store brings the atomic writes, `MASKD_STORE_CAP` LRU
+//! eviction and delete-what-fails-validation hygiene (DESIGN.md §13), and
+//! migrates a directory of the older envelope-plus-`.lru` format on open.
+//! This module adds only what is about *results*: the content address, the
+//! `SimStats` payload, the in-memory map with each result's envelope
+//! checksum (sealed once, on insert or load) and the counters.
 
 use mask_common::snapshot::{
-    Fnv1a, PrefixKey, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
+    envelope_checksum, Fnv1a, PrefixKey, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use mask_common::stats::SimStats;
 use mask_common::store::EnvelopeStore;
+use mask_common::MODEL_FINGERPRINT;
 use mask_core::SimJob;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 #[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::Mutex;
 
-/// The content address of a job: FNV-1a over the canonical rendering of
-/// its dedup key. Everything that distinguishes two simulations —
-/// design *spec* (not preset name), placement, cycle budgets, seed, and
-/// the complete `GpuConfig` — feeds the hash; the submitting tenant does
-/// not, so identical science shares one stored result.
+/// The content address of a job: FNV-1a over the [`MODEL_FINGERPRINT`]
+/// and the canonical rendering of its dedup key. Everything that
+/// distinguishes two simulations — the model, design *spec* (not preset
+/// name), placement, cycle budgets, seed, and the complete `GpuConfig` —
+/// feeds the hash; the submitting tenant does not, so identical science
+/// shares one stored result.
 #[must_use]
 pub fn result_key(job: &SimJob) -> u64 {
+    key_under(MODEL_FINGERPRINT, job)
+}
+
+fn key_under(fingerprint: u64, job: &SimJob) -> u64 {
     let mut h = Fnv1a::new();
+    h.write_u64(fingerprint);
     h.write(format!("{:?}", job.key()).as_bytes());
     h.finish()
 }
@@ -63,7 +74,8 @@ pub struct StoreStats {
 /// the lock costs less than a second lock would.
 #[derive(Default)]
 struct Inner {
-    mem: BTreeMap<u64, SimStats>,
+    /// Each result with the checksum of its sealed envelope.
+    mem: BTreeMap<u64, (SimStats, u64)>,
     disk: Option<EnvelopeStore>,
     hits: u64,
     misses: u64,
@@ -124,14 +136,14 @@ impl ResultStore {
         }
     }
 
-    /// Looks up a result, falling back to disk on a memory miss. A disk
-    /// hit is promoted into memory; either kind of hit re-stamps the
-    /// on-disk entry as most recently used.
+    /// Looks up a result and the checksum of its sealed envelope, falling
+    /// back to disk on a memory miss. A disk hit is promoted into memory;
+    /// either kind of hit re-stamps the on-disk entry as most recently used.
     #[must_use]
-    pub fn get(&self, key: u64) -> Option<SimStats> {
+    pub fn get(&self, key: u64) -> Option<(SimStats, u64)> {
         let mut guard = self.lock();
         let inner = &mut *guard;
-        if let Some(stats) = inner.mem.get(&key).cloned() {
+        if let Some(found) = inner.mem.get(&key).cloned() {
             inner.hits += 1;
             // Memory holds nothing the disk has lost: a result whose file
             // someone removed answers this once more and is then forgotten.
@@ -142,7 +154,7 @@ impl ResultStore {
             {
                 inner.mem.remove(&key);
             }
-            return Some(stats);
+            return Some(found);
         }
         // A sound envelope whose payload is not a `SimStats` is a miss; the
         // re-simulated result's `insert` then replaces the file.
@@ -150,12 +162,15 @@ impl ResultStore {
             .disk
             .as_mut()
             .and_then(|disk| disk.load(PrefixKey(key)))
-            .and_then(|bytes| decode_result(&bytes, key).ok());
+            .and_then(|bytes| {
+                let stats = decode_result(&bytes, key).ok()?;
+                Some((stats, envelope_checksum(&bytes)?))
+            });
         match &loaded {
-            Some(stats) => {
+            Some(found) => {
                 inner.hits += 1;
                 inner.disk_loads += 1;
-                inner.mem.insert(key, stats.clone());
+                inner.mem.insert(key, found.clone());
             }
             None => inner.misses += 1,
         }
@@ -163,18 +178,21 @@ impl ResultStore {
     }
 
     /// Records a freshly simulated result under `key`, persisting it when
-    /// the store is disk-backed; what the LRU cap then evicts from disk
-    /// leaves memory too.
-    pub fn insert(&self, key: u64, stats: &SimStats) {
+    /// the store is disk-backed, and returns the checksum of its sealed
+    /// envelope; what the LRU cap then evicts from disk leaves memory too.
+    pub fn insert(&self, key: u64, stats: &SimStats) -> u64 {
+        let sealed = seal_result(key, stats);
+        let checksum = envelope_checksum(&sealed).unwrap_or(0);
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.inserts += 1;
-        inner.mem.insert(key, stats.clone());
+        inner.mem.insert(key, (stats.clone(), checksum));
         if let Some(disk) = &mut inner.disk {
-            for evicted in disk.store(PrefixKey(key), &seal_result(key, stats)) {
+            for evicted in disk.store(PrefixKey(key), &sealed) {
                 inner.mem.remove(&evicted.0);
             }
         }
+        checksum
     }
 
     /// Current telemetry snapshot.
@@ -220,13 +238,6 @@ fn decode_result(bytes: &[u8], key: u64) -> Result<SimStats, SnapshotError> {
     Ok(stats)
 }
 
-/// The sealed-envelope checksum a stored result would carry — exposed so
-/// job events can report it without re-reading the file.
-#[must_use]
-pub fn result_checksum(key: u64, stats: &SimStats) -> u64 {
-    mask_common::snapshot::envelope_checksum(&seal_result(key, stats)).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,8 +264,13 @@ mod tests {
         let store = ResultStore::in_memory();
         assert_eq!(store.get(42), None);
         let s = sample_stats(3);
-        store.insert(42, &s);
-        assert_eq!(store.get(42), Some(s));
+        let checksum = store.insert(42, &s);
+        assert_eq!(
+            Some(checksum),
+            envelope_checksum(&seal_result(42, &s)),
+            "insert returns the checksum the envelope carries"
+        );
+        assert_eq!(store.get(42), Some((s, checksum)));
         let t = store.stats();
         assert_eq!((t.entries, t.hits, t.misses, t.inserts), (1, 1, 1, 1));
     }
@@ -263,18 +279,17 @@ mod tests {
     fn disk_store_survives_reopen_and_rejects_corruption() {
         let dir = temp_dir("reopen");
         let s = sample_stats(9);
-        {
-            let store = ResultStore::with_dir(dir.clone(), None);
-            store.insert(7, &s);
-        }
-        // Fresh store, fresh memory: the result comes back from disk.
+        let checksum = ResultStore::with_dir(dir.clone(), None).insert(7, &s);
+        // Fresh store, fresh memory: the result comes back from disk, with
+        // the checksum the file carries.
         let store = ResultStore::with_dir(dir.clone(), None);
-        assert_eq!(store.get(7), Some(s));
+        assert_eq!(store.get(7), Some((s, checksum)));
         assert_eq!(store.stats().disk_loads, 1);
 
         // Flip one payload byte: validation must reject and delete it.
         let path = dir.join(format!("{}.msnp", PrefixKey(7)));
         let mut bytes = std::fs::read(&path).expect("stored file");
+        assert_eq!(envelope_checksum(&bytes), Some(checksum));
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).expect("rewrite");
@@ -288,10 +303,11 @@ mod tests {
     fn cap_bounds_memory_and_disk_together() {
         let dir = temp_dir("cap");
         let store = ResultStore::with_dir(dir.clone(), Some(8));
+        let get = |k: u64| store.get(k).map(|(stats, _)| stats);
         for k in 0..100u64 {
             store.insert(k, &sample_stats(k));
             // Keep result 0 the most recently used but one throughout.
-            assert_eq!(store.get(0), Some(sample_stats(0)));
+            assert_eq!(get(0), Some(sample_stats(0)));
         }
         let t = store.stats();
         assert_eq!((t.entries, store.disk_entries()), (8, 8));
@@ -299,15 +315,64 @@ mod tests {
         // The eight most recently used survive, in memory and on disk.
         for k in [0u64, 93, 94, 95, 96, 97, 98, 99] {
             assert!(dir.join(format!("{}.msnp", PrefixKey(k))).exists());
-            assert_eq!(store.get(k), Some(sample_stats(k)));
+            assert_eq!(get(k), Some(sample_stats(k)));
         }
         assert_eq!(store.stats().disk_loads, 0, "all eight came from memory");
         // An evicted key misses, and comes back by being inserted again.
-        assert_eq!(store.get(50), None);
+        assert_eq!(get(50), None);
         assert_eq!(store.stats().misses, 1);
         store.insert(50, &sample_stats(50));
-        assert_eq!(store.get(50), Some(sample_stats(50)));
+        assert_eq!(get(50), Some(sample_stats(50)));
         assert_eq!((store.stats().entries, store.disk_entries()), (8, 8));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_store_written_under_another_model_serves_no_hits() {
+        use crate::json::Value;
+        use crate::wire::{GpuOverrides, JobSpec};
+        use crate::{Client, Daemon, DaemonConfig};
+        use mask_common::config::DesignKind;
+        use mask_core::JobPool;
+
+        let dir = temp_dir("model");
+        let spec = JobSpec {
+            tenant: "model".to_owned(),
+            design: DesignKind::Mask,
+            apps: vec![("HS".to_owned(), 2), ("MUM".to_owned(), 2)],
+            max_cycles: 2000,
+            warmup_cycles: 500,
+            seed: 601,
+            gpu: "maxwell".to_owned(),
+            overrides: GpuOverrides::default(),
+        };
+        let job = spec.to_sim_job();
+        // What another model stored for the same job, under its own key.
+        let older = key_under(!MODEL_FINGERPRINT, &job);
+        ResultStore::with_dir(dir.clone(), None).insert(older, &sample_stats(1));
+
+        let cfg = DaemonConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            store_dir: Some(dir.clone()),
+            ..DaemonConfig::default()
+        };
+        let daemon = Daemon::spawn_with_pool(cfg, JobPool::with_workers(1)).expect("boot");
+        let client = Client::new(daemon.addr().to_string());
+        let submitted = client.submit(&spec).expect("submit");
+        assert!(!submitted.store_hit, "another model's result is not served");
+        let served = client.wait(submitted.id).expect("wait").result;
+        assert_eq!(served, Some(job.run()), "the job was simulated again");
+        let stats = client.store_stats().expect("store stats");
+        let count = |section: &str, name: &str| {
+            stats
+                .get(section)
+                .and_then(|s| s.get(name))
+                .and_then(Value::as_u64)
+        };
+        assert_eq!(count("scheduler", "simulated_jobs"), Some(1));
+        assert_eq!(count("store", "hits"), Some(0));
+        assert_eq!(count("store", "disk_entries"), Some(2));
+        daemon.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

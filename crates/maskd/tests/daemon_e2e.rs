@@ -8,7 +8,10 @@
 //!   dispatched into its pool.
 //! * **A hit costs one file, not the directory** — on a store of 84
 //!   results 200 resubmissions are all hits, the directory is listed once
-//!   (at boot), and a reboot finds the recency order the hits left.
+//!   (at boot), and a reboot finds the recency order the hits left in the
+//!   envelopes' modification times.
+//! * **A result is sealed once** — the checksum a `completed` event reports,
+//!   simulated or served from disk, is the one the stored file carries.
 //! * **Fairness and backpressure** — three tenants under a full queue get
 //!   well-formed 429/503 rejections, and once dispatch resumes, the first
 //!   round of dispatch sequence numbers covers all three tenants.
@@ -143,18 +146,18 @@ fn store_count(client: &Client, name: &str) -> Option<u64> {
     stats.get("store")?.get(name).and_then(Value::as_u64)
 }
 
-/// The store directory's keys, least recently used first, as its sidecars
-/// order them: `(sequence number, file stem)`.
-fn sidecar_order(dir: &std::path::Path) -> Vec<String> {
-    let mut entries: Vec<(u64, String)> = std::fs::read_dir(dir)
+/// The store directory's keys, least recently used first, as the envelopes'
+/// modification times order them: `(mtime, file stem)`.
+fn mtime_order(dir: &std::path::Path) -> Vec<String> {
+    let mut entries: Vec<(std::time::SystemTime, String)> = std::fs::read_dir(dir)
         .expect("store dir")
         .flatten()
         .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "lru"))
+        .filter(|p| p.extension().is_some_and(|e| e == "msnp"))
         .map(|p| {
-            let seq = std::fs::read_to_string(&p).expect("sidecar");
+            let mtime = std::fs::metadata(&p).and_then(|m| m.modified());
             let stem = p.file_stem().expect("stem").to_string_lossy().into_owned();
-            (seq.trim().parse().expect("sequence number"), stem)
+            (mtime.expect("mtime"), stem)
         })
         .collect();
     entries.sort();
@@ -217,18 +220,79 @@ fn a_store_hit_lists_nothing_and_recency_survives_a_reboot() {
     );
     daemon.shutdown();
 
-    // A reboot sweeps the directory and keeps every entry; the sidecars
-    // still order the jobs by their last hit, after every untouched one.
+    // A reboot sweeps the directory and keeps every entry, one file each;
+    // the modification times still order the jobs by their last hit, after
+    // every untouched one.
     let daemon = boot();
     let client = Client::new(daemon.addr().to_string());
     assert_eq!(store_count(&client, "disk_entries"), Some(STORED + JOBS));
     assert_eq!(store_count(&client, "dir_scans"), Some(1));
-    let order = sidecar_order(&dir);
+    let files = std::fs::read_dir(&dir).expect("store dir").count();
+    assert_eq!(files as u64, STORED + JOBS, "one file per stored result");
+    let order = mtime_order(&dir);
     let expected: Vec<String> = last_hit
         .iter()
         .map(|&which| format!("{:016x}", maskd::result_key(&specs[which].to_sim_job())))
         .collect();
     assert_eq!(order[STORED as usize..], expected);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `checksum` of a job's `completed` event.
+fn completed_checksum(client: &Client, id: u64) -> Option<u64> {
+    let events = client.events(id).expect("events");
+    let completed = events
+        .iter()
+        .map(|line| maskd::json::parse(line).expect("event line is JSON"))
+        .find(|event| event.get("event").and_then(Value::as_str) == Some("completed"))?;
+    completed.get("checksum").and_then(Value::as_u64)
+}
+
+#[test]
+fn completed_events_carry_the_stored_envelope_checksum() {
+    let dir = temp_store("checksum");
+    let spec = spec("seal", DesignKind::PwCache, 701);
+    let file = dir.join(format!(
+        "{:016x}.msnp",
+        maskd::result_key(&spec.to_sim_job())
+    ));
+    let boot = || {
+        let cfg = DaemonConfig {
+            store_dir: Some(dir.clone()),
+            ..ephemeral_config()
+        };
+        Daemon::spawn_with_pool(cfg, JobPool::with_workers(1)).expect("boot")
+    };
+
+    let daemon = boot();
+    let client = Client::new(daemon.addr().to_string());
+    let health = client.get_raw("GET", "/healthz").expect("healthz");
+    assert_eq!(
+        health.get("fingerprint").and_then(Value::as_str),
+        Some(format!("{:016x}", mask_common::MODEL_FINGERPRINT).as_str())
+    );
+    let simulated = client.submit(&spec).expect("submit");
+    assert!(!simulated.store_hit);
+    let sealed = completed_checksum(&client, simulated.id);
+    let on_disk = std::fs::read(&file).expect("stored envelope");
+    assert!(sealed.is_some());
+    assert_eq!(
+        sealed,
+        mask_common::snapshot::envelope_checksum(&on_disk),
+        "a simulated job reports the checksum of the file it was stored in"
+    );
+    // Answered from memory, then by a new daemon from disk: the same value.
+    let from_memory = client.submit(&spec).expect("resubmit");
+    assert!(from_memory.store_hit);
+    assert_eq!(completed_checksum(&client, from_memory.id), sealed);
+    daemon.shutdown();
+    let daemon = boot();
+    let client = Client::new(daemon.addr().to_string());
+    let from_disk = client.submit(&spec).expect("resubmit");
+    assert!(from_disk.store_hit);
+    assert_eq!(completed_checksum(&client, from_disk.id), sealed);
+    assert_eq!(store_count(&client, "disk_loads"), Some(1));
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,8 +5,9 @@
 //! through the HTTP client, and byte-compares every served result against
 //! the same `SimJob` run directly in this process — the all-integer
 //! statistics make `==` an exact check. The sweep is then resubmitted in
-//! full: every job must be answered from the content-addressed store with
-//! zero additional simulation.
+//! full to a second daemon booted on the same directory: every job must be
+//! answered from the content-addressed store on disk with zero simulation,
+//! which exercises the on-disk format across a restart.
 //!
 //! ```text
 //! cargo run --release --example sweep_client
@@ -16,7 +17,7 @@ use mask_common::config::DesignKind;
 use mask_core::JobPool;
 use maskd::json::Value;
 use maskd::wire::{GpuOverrides, JobSpec};
-use maskd::{Client, Daemon, DaemonConfig};
+use maskd::{Client, Daemon, DaemonConfig, DaemonHandle};
 
 fn spec(design: DesignKind, seed: u64, l2_tlb_entries: usize) -> JobSpec {
     JobSpec {
@@ -34,25 +35,30 @@ fn spec(design: DesignKind, seed: u64, l2_tlb_entries: usize) -> JobSpec {
     }
 }
 
-fn scheduler_counter(stats: &Value, key: &str) -> u64 {
+fn counter(stats: &Value, section: &str, key: &str) -> u64 {
     stats
-        .get("scheduler")
+        .get(section)
         .and_then(|s| s.get(key))
         .and_then(Value::as_u64)
         .unwrap_or(0)
+}
+
+fn boot(store_dir: &std::path::Path) -> (DaemonHandle, Client) {
+    let cfg = DaemonConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        store_dir: Some(store_dir.to_path_buf()),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::spawn_with_pool(cfg, JobPool::with_workers(4)).expect("boot daemon");
+    let client = Client::new(daemon.addr().to_string());
+    (daemon, client)
 }
 
 fn main() {
     let store_dir = std::env::temp_dir().join(format!("maskd-sweep-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
 
-    let cfg = DaemonConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        store_dir: Some(store_dir.clone()),
-        ..DaemonConfig::default()
-    };
-    let daemon = Daemon::spawn_with_pool(cfg, JobPool::with_workers(4)).expect("boot daemon");
-    let client = Client::new(daemon.addr().to_string());
+    let (daemon, client) = boot(&store_dir);
     println!(
         "daemon listening on {} (store: {})\n",
         daemon.addr(),
@@ -98,10 +104,15 @@ fn main() {
     }
 
     let before = client.store_stats().expect("stats");
-    let simulated = scheduler_counter(&before, "simulated_jobs");
-    println!("\nfirst pass: {simulated} jobs simulated; resubmitting the full sweep...");
+    let simulated = counter(&before, "scheduler", "simulated_jobs");
+    daemon.shutdown();
+    println!(
+        "\nfirst pass: {simulated} jobs simulated; rebooting on the store and resubmitting the full sweep..."
+    );
 
-    // Second pass: every point is already in the store.
+    // Second pass, on a new daemon: every point is already in the store on
+    // disk, and nothing of the first daemon is left in memory.
+    let (daemon, client) = boot(&store_dir);
     let mut hits = 0;
     for point in &points {
         let submitted = client.submit(point).expect("resubmit");
@@ -111,23 +122,22 @@ fn main() {
     }
     let after = client.store_stats().expect("stats");
     assert_eq!(
-        scheduler_counter(&after, "simulated_jobs"),
-        simulated,
+        counter(&after, "scheduler", "simulated_jobs"),
+        0,
         "resubmissions must not simulate anything"
     );
+    let disk_loads = counter(&after, "store", "disk_loads");
+    assert_eq!(
+        disk_loads,
+        points.len() as u64,
+        "every resubmission must be loaded from disk"
+    );
     println!(
-        "second pass: {hits}/{} store hits, 0 new simulations (store: {} entries, {} hits)",
+        "second pass: {hits}/{} store hits, {disk_loads} loaded from disk, 0 new simulations \
+         (store: {} files on disk, {} directory listing)",
         points.len(),
-        after
-            .get("store")
-            .and_then(|s| s.get("entries"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0),
-        after
-            .get("store")
-            .and_then(|s| s.get("hits"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0),
+        counter(&after, "store", "disk_entries"),
+        counter(&after, "store", "dir_scans"),
     );
 
     daemon.shutdown();

@@ -36,6 +36,7 @@ use mask_common::addr::PAGE_SIZE_2M_LOG2;
 use mask_common::config::MemSchedKind;
 use mask_common::ids::Asid;
 use mask_common::snapshot::{Fnv1a, PrefixKey};
+use mask_common::MODEL_FINGERPRINT;
 use mask_core::prelude::*;
 
 const EARLY_CUT: u64 = 1_237;
@@ -286,6 +287,34 @@ const PATHS: [(DesignKind, Tweak, [u64; 3]); 10] = [
         ],
     ),
 ];
+
+/// The reference instruction checksums `tests/design_presets.rs` pins
+/// (`reference_instruction_checksums_hold`).
+const REFERENCE_CHECKSUMS: [u64; 2] = [2_908_786, 5_135_307];
+
+/// `MODEL_FINGERPRINT` names the model these constants were recorded on:
+/// FNV-1a over the reference checksums, then every `GOLDEN` and `PATHS`
+/// digest in table order, each as 8 little-endian bytes. Re-pinning any of
+/// them fails here until the fingerprint moves too, and with it every
+/// content key `maskd` stores results under.
+#[test]
+fn model_fingerprint_names_the_pinned_constants() {
+    let mut h = Fnv1a::new();
+    let designs = GOLDEN.iter().map(|(_, _, digests)| digests);
+    let paths = PATHS.iter().map(|(_, _, digests)| digests);
+    for value in REFERENCE_CHECKSUMS
+        .iter()
+        .chain(designs.chain(paths).flatten())
+    {
+        h.write_u64(*value);
+    }
+    assert_eq!(
+        h.finish(),
+        MODEL_FINGERPRINT,
+        "re-pinned constants need a new fingerprint: {:#018x}",
+        h.finish()
+    );
+}
 
 #[test]
 fn machine_state_matches_the_recording_tree() {
