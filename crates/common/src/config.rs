@@ -684,8 +684,9 @@ impl JobOptions {
 ///
 /// Honors the `MASK_SIM_CYCLES` environment variable so the full experiment
 /// suite can be scaled up for higher-fidelity runs (the paper simulates
-/// full benchmarks; we default to 300K cycles = 3 MASK epochs, which is
-/// enough for the epoch-based mechanisms to reach steady state).
+/// full benchmarks; we default to 300K cycles: a one-epoch warm-up of 100K
+/// cycles, then 200K measured, two MASK epochs in which the epoch-based
+/// mechanisms are active).
 #[expect(
     clippy::disallowed_methods,
     reason = "the `MASK_SIM_CYCLES` entry point, read when a job is configured"

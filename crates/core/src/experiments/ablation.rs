@@ -4,23 +4,23 @@
 //! adjustment rule, the Golden-queue capacity, and the bypass comparison.
 //! These ablations quantify each choice on translation-heavy workloads.
 
-use super::ExpOptions;
+use super::{avg_ws, ExpOptions};
 use crate::engine::SimJob;
-use crate::metrics::mean;
 use crate::runner::PairRunner;
 use crate::table::Table;
 use mask_common::config::{DesignKind, GpuConfig, TokenPolicyKind};
 
-/// One ablation table: a row per `(label, value)` of `rows` (labels under
-/// `column`), holding the average weighted speedup of `design` over the
-/// pressured pairs on Maxwell with `tweak(gpu, value)` applied.
+/// One knob-sweep table: a row per `(label, value)` of `rows` (labels under
+/// `column`), holding the average weighted speedup of each of `designs`
+/// over the pressured pairs on Maxwell with `tweak(gpu, value)` applied.
+/// The §7.3 sensitivity tables are sweeps of the same shape.
 ///
 /// All rows ride one job batch, so they fan out over the workers together.
-fn ablate<L: ToString, T: Copy>(
+pub(super) fn ablate<L: ToString, T: Copy>(
     title: &str,
     column: &str,
     opts: &ExpOptions,
-    design: DesignKind,
+    designs: &[DesignKind],
     rows: &[(L, T)],
     tweak: impl Fn(&mut GpuConfig, T),
 ) -> Table {
@@ -31,16 +31,17 @@ fn ablate<L: ToString, T: Copy>(
         .map(|&(_, value)| {
             let mut run = opts.run_options();
             tweak(&mut run.gpu, value);
-            PairRunner::new(run).plan_batch(&placements, &[design])
+            PairRunner::new(run).plan_batch(&placements, designs)
         })
         .collect();
     let mut stats = base.pool().run_batch(&plans.concat()).into_iter();
-    let mut t = Table::new(title, &[column, design.label()]);
+    let mut headers = vec![column];
+    headers.extend(designs.iter().map(|d| d.label()));
+    let mut t = Table::new(title, &headers);
     for ((label, _), plan) in rows.iter().zip(&plans) {
         let row = stats.by_ref().take(plan.len()).collect();
-        let outcomes = PairRunner::assemble_batch(&placements, &[design], row);
-        let ws = mean(outcomes.iter().map(|o| o.weighted_speedup));
-        t.row_f64(label.to_string(), &[ws]);
+        let outcomes = PairRunner::assemble_batch(&placements, designs, row);
+        t.row_f64(label.to_string(), &avg_ws(&outcomes, designs.len()));
     }
     t
 }
@@ -52,7 +53,7 @@ pub fn token_policy(opts: &ExpOptions) -> Table {
         "Ablation: token adjustment policy (avg weighted speedup, MASK-TLB)",
         "policy",
         opts,
-        DesignKind::MaskTlb,
+        &[DesignKind::MaskTlb],
         &[
             ("literal (Sec. 5.2)", TokenPolicyKind::Literal),
             ("hill-climb (Sec. 7.4)", TokenPolicyKind::HillClimb),
@@ -68,7 +69,7 @@ pub fn bypass_margin(opts: &ExpOptions) -> Table {
         "Ablation: L2-bypass hysteresis margin (avg weighted speedup, MASK-Cache)",
         "margin",
         opts,
-        DesignKind::MaskCache,
+        &[DesignKind::MaskCache],
         &[0.0, 0.05, 0.15].map(|margin| (format!("{margin:.2}"), margin)),
         |g, margin| g.mask.bypass_margin = margin,
     )
@@ -80,7 +81,7 @@ pub fn golden_capacity(opts: &ExpOptions) -> Table {
         "Ablation: Golden queue capacity (avg weighted speedup, MASK-DRAM)",
         "entries",
         opts,
-        DesignKind::MaskDram,
+        &[DesignKind::MaskDram],
         &[4usize, 16, 64].map(|cap| (cap, cap)),
         |g, cap| g.dram.golden_capacity = cap,
     )
@@ -97,31 +98,8 @@ pub fn epoch_length(opts: &ExpOptions) -> Table {
         "Ablation: epoch length (avg weighted speedup, full MASK)",
         "epoch_cycles",
         opts,
-        DesignKind::Mask,
+        &[DesignKind::Mask],
         &epochs,
         |g, epoch| g.mask.epoch_cycles = epoch,
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> ExpOptions {
-        ExpOptions {
-            cycles: 5_000,
-            pair_limit: 1,
-            ..ExpOptions::quick()
-        }
-    }
-
-    #[test]
-    fn ablations_produce_complete_tables() {
-        assert_eq!(token_policy(&tiny()).len(), 2);
-        assert_eq!(bypass_margin(&tiny()).len(), 3);
-        assert_eq!(golden_capacity(&tiny()).len(), 3);
-        // With tiny cycles, epochs longer than half the run are skipped.
-        let e = epoch_length(&tiny());
-        assert!(e.len() <= 3);
-    }
 }

@@ -113,28 +113,3 @@ pub fn fig09(rows: &[DramRow]) -> Table {
     );
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn translation_uses_less_bandwidth_than_data() {
-        let opts = ExpOptions {
-            cycles: 10_000,
-            ..ExpOptions::quick()
-        };
-        let rows = measure(&opts);
-        assert_eq!(rows.len(), opts.pairs().len());
-        let xb: f64 = rows.iter().map(|r| r.xlat_bw).sum();
-        let db: f64 = rows.iter().map(|r| r.data_bw).sum();
-        assert!(
-            xb < db,
-            "translation ({xb:.3}) must consume less bandwidth than data ({db:.3}) (Fig. 8 shape)"
-        );
-        let f8 = fig08(&rows);
-        let f9 = fig09(&rows);
-        assert_eq!(f8.len(), rows.len() + 1);
-        assert_eq!(f9.len(), rows.len() + 1);
-    }
-}

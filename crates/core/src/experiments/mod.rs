@@ -1,18 +1,5 @@
-//! Experiment harnesses: one module per paper table/figure.
-//!
-//! | Module | Paper artefact |
-//! |---|---|
-//! | [`timemux`] | Fig. 1 — time-multiplexing overhead vs process count |
-//! | [`baseline`] | Fig. 3 — `PWCache` / `SharedTLB` vs Ideal |
-//! | [`single_app`] | Figs. 5–6 — concurrent walks, warps stalled per miss |
-//! | [`interference`] | Fig. 7 — shared-L2-TLB miss rate, alone vs shared |
-//! | [`dram_char`] | Figs. 8–9 — DRAM bandwidth and latency by class |
-//! | [`multiprog`] | Figs. 11–15 — multiprogrammed performance + fairness |
-//! | [`components`] | §7.2 — per-mechanism analysis |
-//! | [`scalability`] | Table 3 — 1–5 concurrent applications |
-//! | [`generality`] | Table 4 — Fermi and integrated-GPU architectures |
-//! | [`sensitivity`] | §7.3 — TLB size, page size, schedulers, row policy |
-//! | [`ablation`] | design-choice ablations: token policy, bypass margin, Golden capacity, epoch length |
+//! Experiment harnesses: one module per paper table/figure, and
+//! [`REGISTRY`], the artefact ids `repro` regenerates (DESIGN.md §5).
 //!
 //! All harnesses honor three environment variables so the whole suite can
 //! be scaled: `MASK_SIM_CYCLES` (cycles per run), `MASK_PAIR_LIMIT`
@@ -23,9 +10,9 @@
 //! count.
 
 pub mod ablation;
-pub mod baseline;
 pub mod components;
 pub mod dram_char;
+pub mod fidelity;
 pub mod generality;
 pub mod interference;
 pub mod multiprog;
@@ -34,8 +21,102 @@ pub mod sensitivity;
 pub mod single_app;
 pub mod timemux;
 
-use crate::runner::{PairRunner, RunOptions};
-use mask_common::config::{GpuConfig, JobOptions};
+use crate::metrics::mean;
+use crate::overhead::{AreaPower, StorageCost};
+use crate::runner::{PairOutcome, PairRunner, RunOptions};
+use crate::table::Table;
+use mask_common::config::{DesignKind, GpuConfig, JobOptions};
+use mask_workloads::HmrCategory;
+
+/// One artefact `repro` regenerates: its id, the pairs it simulates unless
+/// `MASK_PAIR_LIMIT` is set (heavy sweeps default to fewer), and the
+/// function producing its tables.
+pub type Artefact = (&'static str, usize, fn(&ExpOptions) -> Vec<Table>);
+
+/// Every artefact of the paper's evaluation, plus the design ablations.
+/// `fig11_15` emits Fig. 3 as well, from the same sweep.
+pub static REGISTRY: [Artefact; 13] = [
+    ("fig01", 35, |o| vec![timemux::run(o)]),
+    ("fig03", 35, |o| {
+        vec![multiprog::sweep(o, &multiprog::FIG03_DESIGNS).fig03()]
+    }),
+    ("fig05_06", 35, fig05_06),
+    ("fig07", 35, |o| vec![interference::run(o)]),
+    ("fig08_09", 35, fig08_09),
+    ("fig11_15", 35, fig11_15),
+    ("tab02", 35, |_| vec![single_app::tab02()]),
+    ("tab03", 35, |o| vec![scalability::run(o)]),
+    ("tab04", 6, |o| vec![generality::run(o)]),
+    ("sec72", 8, |o| vec![components::run(o)]),
+    ("sec73", 2, sec73),
+    ("sec74", 35, sec74),
+    ("ablations", 2, ablations),
+];
+
+/// The registry entry named `id`.
+pub fn artefact(id: &str) -> Option<&'static Artefact> {
+    REGISTRY.iter().find(|a| a.0 == id)
+}
+
+fn fig05_06(o: &ExpOptions) -> Vec<Table> {
+    let rows = single_app::measure(o);
+    vec![single_app::fig05(&rows), single_app::fig06(&rows)]
+}
+
+fn fig08_09(o: &ExpOptions) -> Vec<Table> {
+    let rows = dram_char::measure(o);
+    vec![dram_char::fig08(&rows), dram_char::fig09(&rows)]
+}
+
+fn fig11_15(o: &ExpOptions) -> Vec<Table> {
+    let s = multiprog::sweep(o, &DesignKind::ALL);
+    let mut tables = vec![s.fig03(), s.fig11_weighted_speedup()];
+    tables.extend(HmrCategory::ALL.map(|c| s.fig12_14_per_workload(c)));
+    tables.extend([s.fig15_unfairness(), s.headline()]);
+    tables
+}
+
+fn sec73(o: &ExpOptions) -> Vec<Table> {
+    use sensitivity::{demand_paging, large_pages, memory_policies, tlb_size_sweep, walker_slots};
+    vec![
+        tlb_size_sweep(o),
+        large_pages(o),
+        memory_policies(o),
+        demand_paging(o),
+        walker_slots(o),
+    ]
+}
+
+fn sec74(_: &ExpOptions) -> Vec<Table> {
+    let cfg = GpuConfig::maxwell();
+    vec![
+        StorageCost::compute(&cfg).to_table(),
+        AreaPower::compute(&cfg).to_table(),
+    ]
+}
+
+fn ablations(o: &ExpOptions) -> Vec<Table> {
+    use ablation::{bypass_margin, epoch_length, golden_capacity, token_policy};
+    vec![
+        token_policy(o),
+        bypass_margin(o),
+        golden_capacity(o),
+        epoch_length(o),
+    ]
+}
+
+/// Average weighted speedup per design of `outcomes`, which are
+/// design-minor over `designs` designs.
+fn avg_ws(outcomes: &[PairOutcome], designs: usize) -> Vec<f64> {
+    let ws = |d| {
+        outcomes
+            .iter()
+            .skip(d)
+            .step_by(designs)
+            .map(|o| o.weighted_speedup)
+    };
+    (0..designs).map(|d| mean(ws(d))).collect()
+}
 
 /// Common experiment options.
 #[derive(Clone, Debug)]
@@ -69,6 +150,16 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
+    /// The defaults with at most `pair_cap` pairs, unless `MASK_PAIR_LIMIT`
+    /// is set.
+    pub fn with_pair_cap(pair_cap: usize) -> Self {
+        let mut opts = ExpOptions::default();
+        if mask_common::config::pair_limit_override().is_none() {
+            opts.pair_limit = opts.pair_limit.min(pair_cap);
+        }
+        opts
+    }
+
     /// A fast configuration for unit/integration tests.
     pub fn quick() -> Self {
         ExpOptions {

@@ -1,10 +1,11 @@
-//! Figures 11–15: multiprogrammed performance and fairness across designs.
+//! Figures 3 and 11–15: multiprogrammed performance and fairness across
+//! designs.
 //!
 //! One sweep simulates every workload pair under every design; the tables
-//! of Fig. 11 (weighted speedup by category), Figs. 12–14 (per-workload
-//! weighted speedup split by n-HMR category), and Fig. 15 (unfairness by
-//! category) are all views over that sweep. The §7.2 component analysis
-//! reads the same data.
+//! of Fig. 3 (baselines vs Ideal), Fig. 11 (weighted speedup by category),
+//! Figs. 12–14 (per-workload weighted speedup split by n-HMR category),
+//! Fig. 15 (unfairness by category) and the §7.1 headline are all views
+//! over that sweep.
 
 use super::ExpOptions;
 use crate::metrics::mean;
@@ -14,8 +15,12 @@ use mask_common::config::DesignKind;
 use mask_workloads::{AppPair, HmrCategory};
 use std::collections::BTreeMap;
 
-/// All designs Figures 11–15 compare.
-pub const FIG11_DESIGNS: [DesignKind; 10] = DesignKind::ALL;
+/// The designs Fig. 3 reads: both baselines and Ideal.
+pub const FIG03_DESIGNS: [DesignKind; 3] = [
+    DesignKind::PwCache,
+    DesignKind::SharedTlb,
+    DesignKind::Ideal,
+];
 
 /// The sweep: every (pair, design) outcome.
 #[derive(Clone, Debug)]
@@ -28,7 +33,7 @@ pub struct MultiprogSweep {
     pub designs: Vec<DesignKind>,
 }
 
-/// Runs the sweep over `designs` (use [`FIG11_DESIGNS`] for the full set).
+/// Runs the sweep over `designs` (Figs. 11–15 compare `DesignKind::ALL`).
 /// Every (pair, design) run — shared and alone — is submitted as one job
 /// batch, so the sweep saturates `MASK_JOBS` worker threads.
 pub fn sweep(opts: &ExpOptions, designs: &[DesignKind]) -> MultiprogSweep {
@@ -60,6 +65,34 @@ impl MultiprogSweep {
                 .filter_map(|p| self.outcomes.get(&(p.name(), design)))
                 .map(&metric),
         )
+    }
+
+    /// Fig. 3 (§3): per-pair weighted speedup of `PWCache` and `SharedTLB`
+    /// normalized to Ideal. "Both variants incur a significant performance
+    /// overhead (45.0% and 40.6% on average)." The sweep must cover
+    /// [`FIG03_DESIGNS`].
+    pub fn fig03(&self) -> Table {
+        let mut t = Table::new(
+            "Figure 3: baseline designs vs. ideal performance (normalized weighted speedup)",
+            &["workload", "PWCache", "SharedTLB"],
+        );
+        let ws = |p: &AppPair, d| self.outcomes[&(p.name(), d)].weighted_speedup;
+        let mut ratios = Vec::new();
+        for p in &self.pairs {
+            let ideal = ws(p, DesignKind::Ideal);
+            if ideal > 0.0 {
+                let r = [DesignKind::PwCache, DesignKind::SharedTlb].map(|d| ws(p, d) / ideal);
+                t.row_f64(p.name(), &r);
+                ratios.push(r);
+            }
+        }
+        if !ratios.is_empty() {
+            t.row_f64(
+                "Average",
+                &[0, 1].map(|i| mean(ratios.iter().map(|r| r[i]))),
+            );
+        }
+        t
     }
 
     /// Fig. 11: weighted speedup by workload category and design.

@@ -1,59 +1,29 @@
 //! §7.3 sensitivity studies: shared L2 TLB size, large pages, memory
 //! scheduling policy, and DRAM row policy.
 
+use super::ablation::ablate;
 use super::ExpOptions;
-use crate::metrics::mean;
-use crate::runner::{PairRunner, RunOptions};
 use crate::table::Table;
-use mask_common::addr::PAGE_SIZE_2M_LOG2;
-use mask_common::config::{DesignKind, GpuConfig, MemSchedKind, RowPolicy};
+use mask_common::addr::{PAGE_SIZE_2M_LOG2, PAGE_SIZE_4K_LOG2};
+use mask_common::config::{DesignKind, MemSchedKind, RowPolicy};
 
-fn runner_with(opts: &ExpOptions, tweak: impl FnOnce(&mut GpuConfig)) -> PairRunner {
-    let mut gpu = GpuConfig::maxwell();
-    gpu.warps_per_core = opts.warps_per_core;
-    tweak(&mut gpu);
-    PairRunner::new(RunOptions {
-        n_cores: opts.n_cores,
-        max_cycles: opts.cycles,
-        seed: opts.seed,
-        warmup_cycles: 100_000,
-        gpu,
-        jobs: opts.jobs,
-    })
-}
-
-/// Average weighted speedup per design over the pressured pairs, with the
-/// whole pair × design grid submitted as one job batch.
-fn avg_ws(runner: &PairRunner, opts: &ExpOptions, designs: &[DesignKind]) -> Vec<f64> {
-    let outcomes = runner.run_pairs(&opts.pressured_pairs(), designs);
-    (0..designs.len())
-        .map(|d| {
-            mean(
-                outcomes
-                    .iter()
-                    .skip(d)
-                    .step_by(designs.len())
-                    .map(|o| o.weighted_speedup),
-            )
-        })
-        .collect()
-}
+const SHARED_MASK: [DesignKind; 2] = [DesignKind::SharedTlb, DesignKind::Mask];
+const SHARED_MASK_IDEAL: [DesignKind; 3] =
+    [DesignKind::SharedTlb, DesignKind::Mask, DesignKind::Ideal];
 
 /// Shared-L2-TLB size sweep: `SharedTLB` vs MASK from 64 to 8192 entries.
 ///
 /// The paper: "MASK outperforms `SharedTLB` for all TLB sizes except the
 /// 8192-entry shared L2 TLB", where the working set fits entirely.
 pub fn tlb_size_sweep(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    ablate(
         "Sec. 7.3: sensitivity to shared L2 TLB size (avg weighted speedup)",
-        &["entries", "SharedTLB", "MASK"],
-    );
-    for entries in [64usize, 128, 256, 512, 1024, 2048, 4096, 8192] {
-        let r = runner_with(opts, |g| g.tlb.l2_entries = entries);
-        let ws = avg_ws(&r, opts, &[DesignKind::SharedTlb, DesignKind::Mask]);
-        t.row_f64(entries.to_string(), &ws);
-    }
-    t
+        "entries",
+        opts,
+        &SHARED_MASK,
+        &[64usize, 128, 256, 512, 1024, 2048, 4096, 8192].map(|n| (n, n)),
+        |g, entries| g.tlb.l2_entries = entries,
+    )
 }
 
 /// Large (2 MB) pages: `SharedTLB`, MASK, and Ideal.
@@ -62,133 +32,60 @@ pub fn tlb_size_sweep(opts: &ExpOptions) -> Table {
 /// contention ... 44.5% short of Ideal", while "MASK allows the GPU to
 /// perform within 1.8% of Ideal".
 pub fn large_pages(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    ablate(
         "Sec. 7.3: 2MB large pages (avg weighted speedup)",
-        &["page_size", "SharedTLB", "MASK", "Ideal"],
-    );
-    for (label, log2) in [
-        ("4KB", mask_common::addr::PAGE_SIZE_4K_LOG2),
-        ("2MB", PAGE_SIZE_2M_LOG2),
-    ] {
-        let r = runner_with(opts, |g| g.page_size_log2 = log2);
-        let ws = avg_ws(
-            &r,
-            opts,
-            &[DesignKind::SharedTlb, DesignKind::Mask, DesignKind::Ideal],
-        );
-        t.row_f64(label, &ws);
-    }
-    t
+        "page_size",
+        opts,
+        &SHARED_MASK_IDEAL,
+        &[("4KB", PAGE_SIZE_4K_LOG2), ("2MB", PAGE_SIZE_2M_LOG2)],
+        |g, log2| g.page_size_log2 = log2,
+    )
 }
 
 /// Demand paging: fault service time sweep (extends §5.5, which the paper
 /// leaves as future work — this quantifies how fault cost interacts with
 /// the designs).
 pub fn demand_paging(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    ablate(
         "Extension: demand-paging fault latency (avg weighted speedup)",
-        &["fault_latency", "SharedTLB", "MASK", "Ideal"],
-    );
-    for latency in [0u64, 2_000, 10_000] {
-        let r = runner_with(opts, |g| g.page_fault_latency = latency);
-        let ws = avg_ws(
-            &r,
-            opts,
-            &[DesignKind::SharedTlb, DesignKind::Mask, DesignKind::Ideal],
-        );
-        t.row_f64(latency.to_string(), &ws);
-    }
-    t
+        "fault_latency",
+        opts,
+        &SHARED_MASK_IDEAL,
+        &[0u64, 2_000, 10_000].map(|latency| (latency, latency)),
+        |g, latency| g.page_fault_latency = latency,
+    )
 }
 
 /// Walker concurrency ablation: the shared walker's slot count bounds
 /// translation throughput (DESIGN.md ablation; Table 1 uses 64 slots).
 pub fn walker_slots(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    ablate(
         "Ablation: page-table-walker slots (avg weighted speedup)",
-        &["slots", "SharedTLB", "MASK"],
-    );
-    for slots in [16usize, 32, 64, 128] {
-        let r = runner_with(opts, |g| g.walker_slots = slots);
-        let ws = avg_ws(&r, opts, &[DesignKind::SharedTlb, DesignKind::Mask]);
-        t.row_f64(slots.to_string(), &ws);
-    }
-    t
+        "slots",
+        opts,
+        &SHARED_MASK,
+        &[16usize, 32, 64, 128].map(|slots| (slots, slots)),
+        |g, slots| g.walker_slots = slots,
+    )
 }
 
 /// Alternative memory scheduler and row policies.
 pub fn memory_policies(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    use MemSchedKind::{FrFcfs, GpuBatch};
+    use RowPolicy::{Closed, Open};
+    ablate(
         "Sec. 7.3: sensitivity to memory policies (avg weighted speedup)",
-        &["policy", "SharedTLB", "MASK"],
-    );
-    let combos: [(&str, MemSchedKind, RowPolicy); 3] = [
-        ("FR-FCFS / open-row", MemSchedKind::FrFcfs, RowPolicy::Open),
-        (
-            "FR-FCFS / closed-row",
-            MemSchedKind::FrFcfs,
-            RowPolicy::Closed,
-        ),
-        (
-            "GPU batch / open-row",
-            MemSchedKind::GpuBatch,
-            RowPolicy::Open,
-        ),
-    ];
-    for (label, sched, row) in combos {
-        let r = runner_with(opts, |g| {
+        "policy",
+        opts,
+        &SHARED_MASK,
+        &[
+            ("FR-FCFS / open-row", (FrFcfs, Open)),
+            ("FR-FCFS / closed-row", (FrFcfs, Closed)),
+            ("GPU batch / open-row", (GpuBatch, Open)),
+        ],
+        |g, (sched, row)| {
             g.dram.sched = sched;
             g.dram.row_policy = row;
-        });
-        let ws = avg_ws(&r, opts, &[DesignKind::SharedTlb, DesignKind::Mask]);
-        t.row_f64(label, &ws);
-    }
-    t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> ExpOptions {
-        ExpOptions {
-            cycles: 5_000,
-            pair_limit: 1,
-            ..ExpOptions::quick()
-        }
-    }
-
-    #[test]
-    fn tlb_sweep_has_all_sizes() {
-        let t = tlb_size_sweep(&tiny());
-        assert_eq!(t.len(), 8);
-        assert!(t.value("8192", "MASK").is_some());
-    }
-
-    #[test]
-    fn large_pages_rows_present() {
-        let t = large_pages(&tiny());
-        assert_eq!(t.len(), 2);
-        let ideal_4k = t.value("4KB", "Ideal").expect("cell");
-        assert!(ideal_4k > 0.0);
-    }
-
-    #[test]
-    fn demand_paging_and_walker_ablations_run() {
-        let t1 = demand_paging(&tiny());
-        assert_eq!(t1.len(), 3);
-        let t2 = walker_slots(&tiny());
-        assert_eq!(t2.len(), 4);
-    }
-
-    #[test]
-    fn memory_policies_rows_present() {
-        let t = memory_policies(&tiny());
-        assert_eq!(t.len(), 3);
-        for (_, cells) in &t.rows {
-            assert!(cells
-                .iter()
-                .all(|c| c.parse::<f64>().expect("numeric") > 0.0));
-        }
-    }
+        },
+    )
 }

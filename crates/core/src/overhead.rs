@@ -87,7 +87,7 @@ impl StorageCost {
     }
 
     /// Renders the §7.4 breakdown.
-    pub fn to_table(&self, cfg: &GpuConfig) -> Table {
+    pub fn to_table(&self) -> Table {
         let mut t = Table::new(
             "Sec. 7.4: MASK storage cost breakdown",
             &["structure", "bits", "bytes"],
@@ -127,7 +127,6 @@ impl StorageCost {
             "TOTAL (bytes)",
             vec!["-".into(), self.total_bytes().to_string()],
         );
-        let _ = cfg;
         t
     }
 }
@@ -187,6 +186,40 @@ impl AreaPower {
     pub fn power_fraction_of_board(&self) -> f64 {
         (self.mask_added_mw / 1000.0) / 150.0
     }
+
+    /// Renders the §7.5 estimate.
+    pub fn to_table(&self) -> Table {
+        let mut t = Table::new(
+            "Sec. 7.5: area and power (CACTI-style model)",
+            &["metric", "value"],
+        );
+        let mut row = |metric: &str, v: f64, places: usize| {
+            t.row(metric, vec![format!("{v:.places$}")]);
+        };
+        row(
+            "baseline translation-structure area (mm^2)",
+            self.baseline_mm2,
+            4,
+        );
+        row("MASK added area (mm^2)", self.mask_added_mm2, 4);
+        row(
+            "MASK added area (fraction of ~400mm^2 die)",
+            self.area_fraction_of_die(),
+            6,
+        );
+        row(
+            "baseline translation-structure power (mW)",
+            self.baseline_mw,
+            3,
+        );
+        row("MASK added power (mW)", self.mask_added_mw, 3);
+        row(
+            "MASK added power (fraction of ~150W board)",
+            self.power_fraction_of_board(),
+            8,
+        );
+        t
+    }
 }
 
 #[cfg(test)]
@@ -230,9 +263,10 @@ mod tests {
     #[test]
     fn storage_table_renders() {
         let cfg = GpuConfig::maxwell();
-        let t = StorageCost::compute(&cfg).to_table(&cfg);
+        let t = StorageCost::compute(&cfg).to_table();
         assert!(t.len() >= 6);
         assert!(t.to_string().contains("ASID"));
+        assert_eq!(AreaPower::compute(&cfg).to_table().len(), 6);
     }
 
     #[test]

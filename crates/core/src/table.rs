@@ -1,7 +1,7 @@
 //! Plain-text experiment tables.
 //!
-//! Every experiment harness produces a [`Table`]; `cargo bench` prints them
-//! in the paper's row/column layout and EXPERIMENTS.md archives them.
+//! Every experiment harness produces a [`Table`]; `repro` prints them in the
+//! paper's row/column layout and writes each as JSON.
 
 use mask_common::json;
 use std::fmt;
@@ -60,22 +60,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders as CSV (for downstream plotting).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for (label, cells) in &self.rows {
-            out.push_str(label);
-            for c in cells {
-                out.push(',');
-                out.push_str(c);
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders as a machine-readable JSON object: the title plus one object
     /// per row keyed by the row label, with cells keyed by column header.
     /// Cells that are JSON numbers (RFC 8259 grammar) are emitted bare,
@@ -116,26 +100,6 @@ impl Table {
         out
     }
 
-    /// Writes the CSV rendering to `path`, creating any missing parent
-    /// directories first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from directory creation or the file write.
-    pub fn write_csv(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        write_with_parents(path.as_ref(), &self.to_csv())
-    }
-
-    /// Writes the JSON rendering to `path`, creating any missing parent
-    /// directories first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from directory creation or the file write.
-    pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        write_with_parents(path.as_ref(), &self.to_json())
-    }
-
     /// Looks up a cell by row label and column header.
     pub fn cell(&self, row: &str, col: &str) -> Option<&str> {
         let col_idx = self.headers.iter().position(|h| h == col)?;
@@ -150,16 +114,6 @@ impl Table {
     pub fn value(&self, row: &str, col: &str) -> Option<f64> {
         self.cell(row, col)?.parse().ok()
     }
-}
-
-/// Creates `path`'s parent directories (if any) and writes `contents`.
-fn write_with_parents(path: &std::path::Path, contents: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, contents)
 }
 
 impl fmt::Display for Table {
@@ -223,13 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_rendering() {
-        let csv = sample().to_csv();
-        assert!(csv.starts_with("workload,a,b\n"));
-        assert!(csv.contains("W1,1.000,2.500\n"));
-    }
-
-    #[test]
     fn json_rendering() {
         let j = sample().to_json();
         assert!(j.contains("\"title\": \"Sample\""));
@@ -276,28 +223,6 @@ mod tests {
         assert!(s.contains("## Sample"));
         assert!(s.contains("workload"));
         assert!(s.lines().count() >= 4);
-    }
-
-    #[test]
-    fn writers_create_missing_parent_directories() {
-        let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/tmp")
-            .join(format!("table_writers_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let csv = dir.join("deep/nested/out.csv");
-        let json = dir.join("other/branch/out.json");
-        let t = sample();
-        t.write_csv(&csv).expect("csv write creates parents");
-        t.write_json(&json).expect("json write creates parents");
-        assert_eq!(std::fs::read_to_string(&csv).expect("readable"), t.to_csv());
-        assert_eq!(
-            std::fs::read_to_string(&json).expect("readable"),
-            t.to_json()
-        );
-        // Bare file names (no parent component) also work.
-        let cwd_relative = dir.join("flat.csv");
-        t.write_csv(&cwd_relative).expect("existing dir is fine");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

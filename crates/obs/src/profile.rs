@@ -9,8 +9,8 @@
 //! * [`begin_job`] — times one job execution in the `JobPool`, recorded as
 //!   a named span on the worker's lane for the Perfetto engine timeline.
 //!
-//! Outside `crates/bench`, this module and the batch timer of `mask-core`'s
-//! `JobPool::run_batch` are the only wall-clock readers in `crates/`; each
+//! In `crates/`, this module and the batch timer of `mask-core`'s
+//! `JobPool::run_batch` are the only wall-clock readers; each
 //! read carries an `#[expect(clippy::disallowed_methods)]` because the
 //! timings are exported only — they are never fed back into simulation
 //! state, so traced runs stay bit-identical.

@@ -53,13 +53,13 @@ fn multi_app_batches_are_identical_at_any_worker_count() {
 #[test]
 fn experiment_tables_are_identical_at_any_worker_count() {
     // Whole-harness equivalence: the same experiment at 1 and 8 workers
-    // renders the exact same table text.
+    // produces the exact same table.
     let t1 = experiments::scalability::run(&quick_opts(1));
     let t8 = experiments::scalability::run(&quick_opts(8));
-    assert_eq!(t1.to_csv(), t8.to_csv());
+    assert_eq!(t1, t8);
     let f1 = experiments::interference::run(&quick_opts(1));
     let f8 = experiments::interference::run(&quick_opts(8));
-    assert_eq!(f1.to_csv(), f8.to_csv());
+    assert_eq!(f1, f8);
 }
 
 #[test]

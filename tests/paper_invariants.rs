@@ -96,7 +96,7 @@ fn tlb_misses_stall_multiple_warps_for_sharing_workloads() {
     // §4.1 / Fig. 6: spatial locality makes one translation stall several
     // warps. GUP's small shared page set merges concurrent misses even at
     // this scaled-down test size; full-scale runs show several warps
-    // stalled per miss (see the fig06 bench).
+    // stalled per miss (`repro fig05_06`; FIDELITY.json's `fig06_stalled`).
     let r = runner();
     let stats = r.run_apps(
         DesignKind::SharedTlb,
