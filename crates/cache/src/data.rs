@@ -199,12 +199,12 @@ impl DataCache {
         self.stamps[victim] = stamp;
         self.valid[victim] = true;
         self.owner[victim] = asid.raw();
-        if mask_sanitizer::is_enabled() {
+        if cfg!(debug_assertions) {
             let ways = || base..base + self.assoc;
             let resident = ways()
                 .filter(|&i| self.valid[i] && self.lines[i] == line.0)
                 .count();
-            mask_sanitizer::check(
+            mask_obs::hooks::check(
                 resident == 1,
                 "l2-data-array",
                 "a line must be resident in exactly one way of its set",
@@ -213,7 +213,7 @@ impl DataCache {
                 // Partitioned-design isolation: a colored set only ever
                 // holds lines filled by its owning application.
                 let foreign = ways().any(|i| self.valid[i] && self.owner[i] != asid.raw());
-                mask_sanitizer::check(
+                mask_obs::hooks::check(
                     !foreign,
                     "l2-set-color",
                     "a colored L2 set must hold a single application's lines",

@@ -86,8 +86,8 @@ pub struct SharedL2Cache {
     /// Scratch for `dram_fill`: waiters gathered from the banked and bypass
     /// MSHRs before being turned into responses. Reused across fills.
     scratch_fill: Vec<MemRequest>,
-    /// Sanitizer instance id for cycle-monotonicity tracking.
-    san_id: u64,
+    /// Checker instance id for cycle-monotonicity tracking.
+    san_id: u32,
 }
 
 impl SharedL2Cache {
@@ -135,7 +135,7 @@ impl SharedL2Cache {
             to_dram: Vec::new(),
             responses: Vec::new(),
             scratch_fill: Vec::new(),
-            san_id: mask_sanitizer::register_component("l2-cache"),
+            san_id: mask_obs::hooks::register_component("l2-cache"),
         }
     }
 
@@ -164,7 +164,7 @@ impl SharedL2Cache {
     pub fn enqueue(&mut self, req: MemRequest, now: Cycle) {
         // Conservation: every request accepted here leaves exactly once via
         // `take_responses`.
-        mask_sanitizer::issue("l2-cache", req.id.0);
+        mask_obs::hooks::issue(mask_obs::Domain::L2Cache, req.id.0);
         if self.bypass_enabled {
             if let RequestClass::Translation(level) = req.class {
                 let bypass = self.monitor.should_bypass(req.asid, level);
@@ -211,9 +211,9 @@ impl SharedL2Cache {
     /// to `ports` ready requests, in ascending bank order (the order the
     /// LRU stamps, `responses` and `to_dram` depend on).
     pub fn tick(&mut self, now: Cycle) {
-        mask_sanitizer::cycle(self.san_id, "l2-cache", now);
-        if mask_sanitizer::is_enabled() {
-            mask_sanitizer::check(
+        mask_obs::hooks::cycle(self.san_id, now);
+        if cfg!(debug_assertions) {
+            mask_obs::hooks::check(
                 self.head_ready
                     .iter()
                     .copied()
@@ -231,9 +231,9 @@ impl SharedL2Cache {
                 // clock step, one recorded miss) and an allocation that
                 // finds the table full (nothing).
                 let &(req, _) = self.banks[b].queue.front().expect("stalled head");
-                if mask_sanitizer::is_enabled() {
+                if cfg!(debug_assertions) {
                     let bank = &self.banks[b];
-                    mask_sanitizer::check(
+                    mask_obs::hooks::check(
                         !self.array.peek(req.line, req.asid)
                             && bank.mshr.is_full()
                             && !bank.mshr.contains(req.line),
@@ -332,12 +332,10 @@ impl SharedL2Cache {
     }
 
     /// Moves all completed responses into `out` (not cleared), retiring
-    /// them from the sanitizer's conservation ledger.
+    /// each from the `l2-cache` conservation domain.
     pub fn drain_responses_into(&mut self, out: &mut Vec<L2Response>) {
-        if mask_sanitizer::is_enabled() {
-            for r in &self.responses {
-                mask_sanitizer::retire("l2-cache", r.req.id.0);
-            }
+        for r in &self.responses {
+            mask_obs::hooks::retire(mask_obs::Domain::L2Cache, r.req.id.0);
         }
         out.append(&mut self.responses);
     }
@@ -468,8 +466,10 @@ impl mask_common::snapshot::Snapshot for SharedL2Cache {
         // Re-open the L2's own conservation domain in the current sanitizer
         // session: every request inside the restored structures was issued
         // before the snapshot and has yet to retire.
-        if mask_sanitizer::is_enabled() {
-            self.for_each_in_flight(|req| mask_sanitizer::issue("l2-cache", req.id.0));
+        if cfg!(debug_assertions) {
+            self.for_each_in_flight(|req| {
+                mask_obs::hooks::issue(mask_obs::Domain::L2Cache, req.id.0);
+            });
         }
         Ok(())
     }
@@ -656,7 +656,7 @@ mod tests {
         // A restored cache re-issues what it holds: as in `GpuSim`, every
         // cache gets a sanitizer session of its own.
         let fresh = || {
-            mask_sanitizer::enter_session(mask_sanitizer::new_session());
+            mask_obs::hooks::enter_session(mask_obs::hooks::new_session());
             SharedL2Cache::new(&small, L2Policy::Shared, 1)
         };
         let mut l2 = fresh();
@@ -772,7 +772,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "a bank's head-ready cycle must be its queue head's")]
     fn stale_head_ready_cycle_trips_the_sanitizer() {
-        mask_sanitizer::enter_session(mask_sanitizer::new_session());
+        mask_obs::hooks::enter_session(mask_obs::hooks::new_session());
         let mut l2 = SharedL2Cache::new(&cfg(), L2Policy::Shared, 1);
         l2.enqueue(req(1, 0, RequestClass::Data), 0);
         l2.head_ready[0] = Cycle::MAX;

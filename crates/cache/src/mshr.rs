@@ -8,7 +8,11 @@
 //! entry" (§5.4).
 
 use mask_common::addr::LineAddr;
-use mask_sanitizer::MshrOutcome;
+/// Outcome of allocating into an MSHR table: `Primary` (first miss on the
+/// line: send a request downstream), `Secondary` (merged: no new request)
+/// or `Full` (table full and line not present: stall and retry). The same
+/// type the table reports to `mask_obs::hooks::mshr_alloc`.
+pub use mask_obs::MshrOutcome as MshrAlloc;
 
 /// One MSHR entry: a pending line plus its waiters.
 #[derive(Clone, Debug)]
@@ -17,17 +21,6 @@ pub struct MshrEntry<W> {
     pub line: LineAddr,
     /// Waiters to notify on fill (the primary miss is `waiters[0]`).
     pub waiters: Vec<W>,
-}
-
-/// Outcome of allocating into an MSHR table.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MshrAlloc {
-    /// First miss on this line: a request must be sent downstream.
-    Primary,
-    /// Merged into an existing entry: no new downstream request.
-    Secondary,
-    /// Table full and line not present: caller must stall and retry.
-    Full,
 }
 
 /// A table of MSHR entries keyed by line address.
@@ -41,10 +34,10 @@ pub struct MshrTable<W> {
     capacity: usize,
     /// Largest waiter count ever held by a single entry.
     peak_waiters: usize,
-    /// Component label reported to the sanitizer.
+    /// Component label the checker's diagnostics carry.
     component: &'static str,
-    /// Sanitizer mirror-table id (0 when the sanitizer is disabled).
-    san_table: u64,
+    /// Checker mirror-table id (0 in release builds).
+    san_table: u32,
     /// Recycled waiter vectors: primary allocations pop from here instead of
     /// heap-allocating, and `complete_into` pushes emptied vectors back.
     /// Keeps the steady-state hot path allocation-free.
@@ -66,7 +59,7 @@ impl<W> MshrTable<W> {
             capacity,
             peak_waiters: 0,
             component,
-            san_table: mask_sanitizer::register_table(component, capacity),
+            san_table: mask_obs::hooks::register_table(component, capacity),
             pool: Vec::new(),
         }
     }
@@ -78,42 +71,24 @@ impl<W> MshrTable<W> {
 
     /// Allocates `waiter` against `line`, merging if already pending.
     pub fn allocate(&mut self, line: LineAddr, waiter: W) -> MshrAlloc {
-        if let Some(i) = self.position(line) {
+        let outcome = if let Some(i) = self.position(line) {
             let e = &mut self.entries[i];
             e.waiters.push(waiter);
             self.peak_waiters = self.peak_waiters.max(e.waiters.len());
-            mask_sanitizer::mshr_alloc(
-                self.san_table,
-                line.0,
-                MshrOutcome::Secondary,
-                self.entries.len(),
-                self.capacity,
-            );
-            return MshrAlloc::Secondary;
-        }
-        if self.entries.len() >= self.capacity {
-            mask_sanitizer::mshr_alloc(
-                self.san_table,
-                line.0,
-                MshrOutcome::Full,
-                self.entries.len(),
-                self.capacity,
-            );
-            return MshrAlloc::Full;
-        }
-        let mut waiters = self.pool.pop().unwrap_or_default();
-        waiters.push(waiter);
-        self.entries.push(MshrEntry { line, waiters });
-        self.lines.push(line.0);
-        self.peak_waiters = self.peak_waiters.max(1);
-        mask_sanitizer::mshr_alloc(
-            self.san_table,
-            line.0,
-            MshrOutcome::Primary,
-            self.entries.len(),
-            self.capacity,
-        );
-        MshrAlloc::Primary
+            MshrAlloc::Secondary
+        } else if self.entries.len() >= self.capacity {
+            MshrAlloc::Full
+        } else {
+            let mut waiters = self.pool.pop().unwrap_or_default();
+            waiters.push(waiter);
+            self.entries.push(MshrEntry { line, waiters });
+            self.lines.push(line.0);
+            self.peak_waiters = self.peak_waiters.max(1);
+            MshrAlloc::Primary
+        };
+        let len = self.entries.len();
+        mask_obs::hooks::mshr_alloc(self.san_table, line.0, outcome, len, self.capacity);
+        outcome
     }
 
     /// Completes `line`, returning all its waiters (empty if none pending).
@@ -133,21 +108,16 @@ impl<W> MshrTable<W> {
     /// The entry's internal waiter vector is recycled into the pool, so the
     /// steady-state allocate/complete cycle performs no heap traffic.
     pub fn complete_into(&mut self, line: LineAddr, out: &mut Vec<W>) -> usize {
-        match self.position(line) {
-            Some(i) => {
-                self.lines.swap_remove(i);
-                let mut waiters = self.entries.swap_remove(i).waiters;
-                mask_sanitizer::mshr_fill(self.san_table, line.0, waiters.len(), true);
-                let n = waiters.len();
-                out.append(&mut waiters);
-                self.pool.push(waiters);
-                n
-            }
-            None => {
-                mask_sanitizer::mshr_fill(self.san_table, line.0, 0, false);
-                0
-            }
-        }
+        let n = self.position(line).map_or(0, |i| {
+            self.lines.swap_remove(i);
+            let mut waiters = self.entries.swap_remove(i).waiters;
+            let n = waiters.len();
+            out.append(&mut waiters);
+            self.pool.push(waiters);
+            n
+        });
+        mask_obs::hooks::mshr_fill(self.san_table, line.0, n);
+        n
     }
 
     /// Whether `line` has a pending entry.
@@ -186,34 +156,21 @@ impl<W> MshrTable<W> {
         self.entries.iter()
     }
 
-    /// Re-registers a fresh sanitizer mirror and replays the live entries
+    /// Re-registers a fresh checker mirror and replays the live entries
     /// into it (shared by [`Clone`] and [`Snapshot::restore`], both of which
     /// must leave the mirror consistent with `entries`).
     fn replay_san_mirror(&mut self) {
-        self.san_table = if mask_sanitizer::is_enabled() {
-            let id = mask_sanitizer::register_table(self.component, self.capacity);
+        self.san_table = mask_obs::hooks::register_table(self.component, self.capacity);
+        if cfg!(debug_assertions) {
+            let (id, cap) = (self.san_table, self.capacity);
             for (i, e) in self.entries.iter().enumerate() {
-                mask_sanitizer::mshr_alloc(
-                    id,
-                    e.line.0,
-                    MshrOutcome::Primary,
-                    i + 1,
-                    self.capacity,
-                );
-                for _ in 1..e.waiters.len() {
-                    mask_sanitizer::mshr_alloc(
-                        id,
-                        e.line.0,
-                        MshrOutcome::Secondary,
-                        i + 1,
-                        self.capacity,
-                    );
+                let mut outcome = MshrAlloc::Primary;
+                for _ in &e.waiters {
+                    mask_obs::hooks::mshr_alloc(id, e.line.0, outcome, i + 1, cap);
+                    outcome = MshrAlloc::Secondary;
                 }
             }
-            id
-        } else {
-            0
-        };
+        }
     }
 }
 

@@ -22,11 +22,11 @@
 //! environment variable, else the machine's available parallelism. `1` runs
 //! jobs serially on the calling thread (no threads are spawned).
 //!
-//! The sanitizer (`mask-sanitizer`, armed in every debug build) keeps its
-//! accounting in thread-local sessions; each job builds, runs and drops its
-//! simulator entirely on one worker thread, so checked parallel batches
-//! keep per-simulation accounting exactly as isolated as serial ones, and
-//! dropping the simulator frees its session.
+//! The invariant checker behind `mask-obs`'s hooks (armed in every debug
+//! build) keeps its accounting in thread-local sessions; each job builds,
+//! runs and drops its simulator entirely on one worker thread, so checked
+//! parallel batches keep per-simulation accounting exactly as isolated as
+//! serial ones, and dropping the simulator frees its session.
 //!
 //! `cache` and `pool` are the only files in the simulator crates allowed to
 //! use thread primitives (`thread::scope`, `Mutex`, atomics) — clippy's

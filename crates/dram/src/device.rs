@@ -106,8 +106,8 @@ pub struct Dram {
     /// `restore` and, under the sanitizer, checked against the channels
     /// every cycle (`dram-idle-gate`).
     next_finish: Cycle,
-    /// Sanitizer instance id for cycle-monotonicity tracking.
-    san_id: u64,
+    /// Checker instance id for cycle-monotonicity tracking.
+    san_id: u32,
 }
 
 impl Dram {
@@ -167,7 +167,7 @@ impl Dram {
             n_apps: n_apps.max(1),
             n_queued: 0,
             next_finish: Cycle::MAX,
-            san_id: mask_sanitizer::register_component("dram"),
+            san_id: mask_obs::hooks::register_component("dram"),
         }
     }
 
@@ -175,11 +175,11 @@ impl Dram {
     pub fn enqueue(&mut self, req: MemRequest, now: Cycle) {
         // Conservation: every accepted request must surface again through
         // `take_completions`.
-        mask_sanitizer::issue("dram", req.id.0);
+        mask_obs::hooks::issue(mask_obs::Domain::Dram, req.id.0);
         let decoded = decode(req.line, &self.cfg, &self.partition, req.asid);
-        if mask_sanitizer::is_enabled() {
+        if cfg!(debug_assertions) {
             if let Some((start, n)) = self.partition.bank_range(req.asid) {
-                mask_sanitizer::check(
+                mask_obs::hooks::check(
                     decoded.bank >= start && decoded.bank < start + n,
                     "dram-bank-color",
                     "a bank-colored request must stay inside its application's bank range",
@@ -207,9 +207,9 @@ impl Dram {
     /// without consulting its scheduler: every policy picks only among
     /// entries whose bank is free, and changes no state when it finds none.
     pub fn tick(&mut self, now: Cycle) {
-        mask_sanitizer::cycle(self.san_id, "dram", now);
-        if mask_sanitizer::is_enabled() {
-            mask_sanitizer::check(
+        mask_obs::hooks::cycle(self.san_id, now);
+        if cfg!(debug_assertions) {
+            mask_obs::hooks::check(
                 self.n_queued == self.queued() && self.next_finish == self.earliest_finish(),
                 "dram-idle-gate",
                 "the queued count and the earliest finish must match the channels",
@@ -277,8 +277,8 @@ impl Dram {
             // subsequent CAS commands to the open row pipeline behind the
             // shared data bus (which `bus_free_at` serializes).
             bank_state.busy_until = data_ready;
-            if mask_sanitizer::is_enabled() {
-                mask_sanitizer::check(
+            if cfg!(debug_assertions) {
+                mask_obs::hooks::check(
                     ch.in_flight.back().is_none_or(|c| c.finish < finish),
                     "dram-in-flight-order",
                     "a channel's accesses must finish in the order they issue",
@@ -320,18 +320,13 @@ impl Dram {
         if now < self.next_finish {
             return;
         }
-        let start = out.len();
         for ch in &mut self.channels {
             while let Some(done) = ch.in_flight.pop_front_if(|c| c.finish <= now) {
+                mask_obs::hooks::retire(mask_obs::Domain::Dram, done.req.id.0);
                 out.push(done);
             }
         }
         self.next_finish = self.earliest_finish();
-        if mask_sanitizer::is_enabled() {
-            for c in &out[start..] {
-                mask_sanitizer::retire("dram", c.req.id.0);
-            }
-        }
     }
 
     /// Pushes fresh per-app pressure products (`ConPTW_i * WarpsStalled_i`)
@@ -494,11 +489,11 @@ impl mask_common::snapshot::Snapshot for Dram {
         // Re-open the device's conservation domain: every queued or
         // in-flight request was accepted before the snapshot and has yet to
         // complete. (MaskQueues re-opens its own `dram-queues` domain.)
-        if mask_sanitizer::is_enabled() {
+        if cfg!(debug_assertions) {
             for ch in &self.channels {
-                ch.for_each_queued(|e| mask_sanitizer::issue("dram", e.req.id.0));
+                ch.for_each_queued(|e| mask_obs::hooks::issue(mask_obs::Domain::Dram, e.req.id.0));
                 for c in &ch.in_flight {
-                    mask_sanitizer::issue("dram", c.req.id.0);
+                    mask_obs::hooks::issue(mask_obs::Domain::Dram, c.req.id.0);
                 }
             }
         }
@@ -743,7 +738,7 @@ mod tests {
         use mask_common::snapshot::{Snapshot, SnapshotReader};
         // A restored device re-issues what it holds: as in `GpuSim`, it
         // gets a sanitizer session of its own.
-        mask_sanitizer::enter_session(mask_sanitizer::new_session());
+        mask_obs::hooks::enter_session(mask_obs::hooks::new_session());
         let mut d = Dram::new(&cfg(), 1, DramPolicy::Shared);
         let (mut r, _) = SnapshotReader::open(bytes)?;
         d.restore(&mut r)?;
@@ -798,7 +793,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "the queued count and the earliest finish must match the channels")]
     fn stale_idle_gate_trips_the_sanitizer() {
-        mask_sanitizer::enter_session(mask_sanitizer::new_session());
+        mask_obs::hooks::enter_session(mask_obs::hooks::new_session());
         let mut d = Dram::new(&cfg(), 1, DramPolicy::Shared);
         d.enqueue(req(1, 0, RequestClass::Data), 0);
         d.n_queued = 0;

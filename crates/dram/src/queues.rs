@@ -109,9 +109,9 @@ impl ScanQueue {
         open_row: impl Fn(usize) -> Option<u64>,
         accept: impl Fn(&QueueEntry) -> bool,
     ) -> Option<usize> {
-        if mask_sanitizer::is_enabled() {
+        if cfg!(debug_assertions) {
             let keys = self.entries.iter().map(|e| scan_key(&e.decoded));
-            mask_sanitizer::check(
+            mask_obs::hooks::check(
                 keys.eq(self.keys.iter().map(|&key| Some(key))),
                 "dram-queue-keys",
                 "every scan key must be its entry's decoded row and bank",
@@ -255,7 +255,7 @@ impl MaskQueues {
     pub fn enqueue(&mut self, entry: QueueEntry) {
         // Conservation: everything routed into the three queues must come
         // back out through `pick` — no queue may silently drop a request.
-        mask_sanitizer::issue("dram-queues", entry.req.id.0);
+        mask_obs::hooks::issue(mask_obs::Domain::DramQueues, entry.req.id.0);
         if entry.req.class.is_translation() {
             if self.golden.len() < self.golden_cap {
                 self.golden.push_back(entry);
@@ -297,7 +297,7 @@ impl MaskQueues {
             picked.map(|i| self.normal.remove(i))
         };
         if let Some(e) = &picked {
-            mask_sanitizer::retire("dram-queues", e.req.id.0);
+            mask_obs::hooks::retire(mask_obs::Domain::DramQueues, e.req.id.0);
         }
         picked
     }
@@ -413,8 +413,10 @@ impl mask_common::snapshot::Snapshot for MaskQueues {
                 "silver app index out of range",
             ));
         }
-        if mask_sanitizer::is_enabled() {
-            self.for_each_entry(|e| mask_sanitizer::issue("dram-queues", e.req.id.0));
+        if cfg!(debug_assertions) {
+            self.for_each_entry(|e| {
+                mask_obs::hooks::issue(mask_obs::Domain::DramQueues, e.req.id.0);
+            });
         }
         Ok(())
     }
@@ -532,7 +534,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "every scan key must be its entry's decoded row and bank")]
     fn a_key_that_left_its_entry_trips_the_sanitizer() {
-        mask_sanitizer::enter_session(mask_sanitizer::new_session());
+        mask_obs::hooks::enter_session(mask_obs::hooks::new_session());
         let mut q = scan_queue([entry(1, 0, 0, 10, RequestClass::Data, 0)]);
         q.keys[0] = 10 << 6 | 1;
         q.pick(|_| true, |_| None);

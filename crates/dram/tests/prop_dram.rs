@@ -371,9 +371,9 @@ proptest! {
         };
         // Device and model queue the same request ids (and the device again
         // after its restore): each keeps its own sanitizer session.
-        let model_session = mask_sanitizer::new_session();
-        let mut dram_session = mask_sanitizer::new_session();
-        mask_sanitizer::enter_session(dram_session);
+        let model_session = mask_obs::hooks::new_session();
+        let mut dram_session = mask_obs::hooks::new_session();
+        mask_obs::hooks::enter_session(dram_session);
         let mut dram = Dram::new(&cfg, 2, policy);
         let mut model = scan_everything::ScanEverything::new(&cfg, 2, policy);
         let mut pending = stream.iter().enumerate().peekable();
@@ -396,9 +396,9 @@ proptest! {
                     ReqId(i as u64), LineAddr(line), Asid::new(asid), CoreId::new(0), class, now,
                 );
                 dram.enqueue(req, now);
-                mask_sanitizer::enter_session(model_session);
+                mask_obs::hooks::enter_session(model_session);
                 model.enqueue(req, now);
-                mask_sanitizer::enter_session(dram_session);
+                mask_obs::hooks::enter_session(dram_session);
                 pending.next();
                 if let Some(&(_, &(gap, ..))) = pending.peek() {
                     next_arrival = now + gap;
@@ -407,16 +407,16 @@ proptest! {
             if now.is_multiple_of(97) {
                 let pressure = [now % 5, (now / 97) % 3];
                 dram.update_pressure(&pressure);
-                mask_sanitizer::enter_session(model_session);
+                mask_obs::hooks::enter_session(model_session);
                 model.update_pressure(&pressure);
-                mask_sanitizer::enter_session(dram_session);
+                mask_obs::hooks::enter_session(dram_session);
             }
             if now == cut {
                 let mut w = SnapshotWriter::new();
                 dram.snapshot(&mut w);
                 let bytes = w.seal(PrefixKey(0));
-                dram_session = mask_sanitizer::new_session();
-                mask_sanitizer::enter_session(dram_session);
+                dram_session = mask_obs::hooks::new_session();
+                mask_obs::hooks::enter_session(dram_session);
                 let mut fresh = Dram::new(&cfg, 2, policy);
                 let (mut r, _) = SnapshotReader::open(&bytes).expect("sealed above");
                 fresh.restore(&mut r).expect("own encoding restores");
@@ -428,9 +428,9 @@ proptest! {
             dram.drain_completions_into(now, &mut out);
             let got: Vec<scan_everything::Done> =
                 out.iter().map(|c| (c.req.id.0, c.outcome, c.arrival, c.finish)).collect();
-            mask_sanitizer::enter_session(model_session);
+            mask_obs::hooks::enter_session(model_session);
             let want = model.tick_and_drain(now);
-            mask_sanitizer::enter_session(dram_session);
+            mask_obs::hooks::enter_session(dram_session);
             prop_assert_eq!(&got, &want, "cycle {}", now);
             prop_assert_eq!(dram.queued(), model.queued(), "cycle {}", now);
             prop_assert_eq!(dram.in_flight(), model.in_flight(), "cycle {}", now);

@@ -42,7 +42,7 @@ impl DirectIssue<'_> {
         *self.next_req_id += 1;
         // Conservation: one primary data miss = one L2 request = one
         // response consumed by the simulator's response stage.
-        mask_sanitizer::issue("core-data", id.0);
+        mask_obs::hooks::issue(mask_obs::Domain::CoreData, id.0);
         self.out_l2.push(MemRequest::new(
             id,
             line,

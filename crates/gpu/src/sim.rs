@@ -186,11 +186,11 @@ pub struct GpuSim {
     /// Cores touched by the current `deliver_one`, in first-appearance
     /// order (preserves the legacy wake ordering bit-for-bit).
     bucket_touched: Vec<usize>,
-    /// Sanitizer accounting session (0 in release builds, where the
-    /// sanitizer is compiled out).
+    /// Checker accounting session (0 in release builds, where the
+    /// checker's branch of every hook folds away).
     san_session: u64,
-    /// Sanitizer instance id for cycle-monotonicity tracking.
-    san_id: u64,
+    /// Checker instance id for cycle-monotonicity tracking.
+    san_id: u32,
     /// Per-epoch metrics tracker (inert unless `MASK_TRACE` is live).
     obs: mask_obs::metrics::EpochTracker,
 }
@@ -209,7 +209,7 @@ impl Drop for GpuSim {
     /// after job (a single-job batch runs on the caller's thread) keeps the
     /// accounting of none of the finished ones.
     fn drop(&mut self) {
-        mask_sanitizer::end_session(self.san_session);
+        mask_obs::hooks::end_session(self.san_session);
     }
 }
 
@@ -240,8 +240,8 @@ impl GpuSim {
     pub fn new(cfg: &SimConfig, apps: &[AppSpec]) -> Self {
         // Give each simulator its own sanitizer session so that sims built
         // side by side (determinism tests) keep separate accounting.
-        let san_session = mask_sanitizer::new_session();
-        mask_sanitizer::enter_session(san_session);
+        let san_session = mask_obs::hooks::new_session();
+        mask_obs::hooks::enter_session(san_session);
         assert!(!apps.is_empty(), "at least one application required");
         let total: usize = apps.iter().map(|a| a.n_cores).sum();
         assert_eq!(total, cfg.gpu.n_cores, "core counts must cover the GPU");
@@ -302,7 +302,7 @@ impl GpuSim {
             bucket_warps: vec![Vec::new(); cfg.gpu.n_cores],
             bucket_touched: Vec::new(),
             san_session,
-            san_id: mask_sanitizer::register_component("gpu"),
+            san_id: mask_obs::hooks::register_component("gpu"),
             obs: mask_obs::metrics::EpochTracker::new(),
         }
     }
@@ -393,9 +393,9 @@ impl GpuSim {
 
     /// Advances the simulation one cycle.
     pub fn step(&mut self) {
-        mask_sanitizer::enter_session(self.san_session);
+        mask_obs::hooks::enter_session(self.san_session);
         let now = self.now;
-        mask_sanitizer::cycle(self.san_id, "gpu", now);
+        mask_obs::hooks::cycle(self.san_id, now);
         // One read of the trace gate guards this cycle's stage clock,
         // queue-depth samples and event flush.
         let traced = mask_obs::tracing_active();
@@ -425,10 +425,10 @@ impl GpuSim {
                 stats.instructions += u64::from((own & !(due | parked)).count_ones());
                 stats.stall_cycles += u64::from((own & parked).count_ones());
             }
-            if mask_sanitizer::is_enabled() {
+            if cfg!(debug_assertions) {
                 for (bit, core) in self.cores[word * 64..].iter().take(64).enumerate() {
                     if due >> bit & 1 == 0 {
-                        mask_sanitizer::check(
+                        mask_obs::hooks::check(
                             if parked >> bit & 1 != 0 {
                                 core.is_idle()
                             } else {
@@ -512,7 +512,7 @@ impl GpuSim {
             let app = resp.req.asid.index();
             match resp.req.class {
                 RequestClass::Data => {
-                    mask_sanitizer::retire("core-data", resp.req.id.0);
+                    mask_obs::hooks::retire(mask_obs::Domain::CoreData, resp.req.id.0);
                     self.stats.apps[app]
                         .l2_data
                         .record(resp.outcome == L2Outcome::Hit);
@@ -753,7 +753,7 @@ impl mask_common::snapshot::Snapshot for GpuSim {
         // Bind the structural replays performed by component restores
         // (MSHR mirrors, walker slots, conservation domains) to this
         // simulator's own sanitizer session.
-        mask_sanitizer::enter_session(self.san_session);
+        mask_obs::hooks::enter_session(self.san_session);
         r.section("gpu")?;
         self.now = r.u64()?;
         self.next_epoch = epoch_after(self.now, self.cfg.gpu.mask.epoch_cycles);
@@ -773,10 +773,10 @@ impl mask_common::snapshot::Snapshot for GpuSim {
         // are copies whose originals remain as MSHR waiters); translation
         // requests were already re-issued by the translation unit from its
         // own outstanding-walk table.
-        if mask_sanitizer::is_enabled() {
+        if cfg!(debug_assertions) {
             self.l2.for_each_in_flight(|req| {
                 if req.class == RequestClass::Data {
-                    mask_sanitizer::issue("core-data", req.id.0);
+                    mask_obs::hooks::issue(mask_obs::Domain::CoreData, req.id.0);
                 }
             });
         }

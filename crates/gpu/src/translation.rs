@@ -266,7 +266,7 @@ impl TranslationUnit {
         self.walk_of_req.push((id, access.walk));
         // Conservation: every walker access sent to memory must come back
         // through `memory_response` exactly once.
-        mask_sanitizer::issue("xlat-mem", id.0);
+        mask_obs::hooks::issue(mask_obs::Domain::XlatMem, id.0);
         out_l2.push(MemRequest::new(
             id,
             access.line,
@@ -424,7 +424,7 @@ impl TranslationUnit {
     ) -> Option<ResolvedTranslation> {
         let pos = self.walk_of_req.iter().position(|&(id, _)| id == req.id)?;
         let (_, walk) = self.walk_of_req.swap_remove(pos);
-        mask_sanitizer::retire("xlat-mem", req.id.0);
+        mask_obs::hooks::retire(mask_obs::Domain::XlatMem, req.id.0);
         match self.walker.access_complete(walk, &self.tables, now) {
             WalkOutcome::Next(next) => {
                 self.route_walk_access(next, now, next_req_id, out_l2, pwc_hits);
@@ -742,9 +742,9 @@ impl mask_common::snapshot::Snapshot for TranslationUnit {
         }
         // Conservation: every outstanding walker access was `issue`d into
         // the snapshotted session; re-balance the fresh session's books.
-        if mask_sanitizer::is_enabled() {
+        if cfg!(debug_assertions) {
             for &(id, _) in &self.walk_of_req {
-                mask_sanitizer::issue("xlat-mem", id.0);
+                mask_obs::hooks::issue(mask_obs::Domain::XlatMem, id.0);
             }
         }
         Ok(())

@@ -54,8 +54,8 @@ impl World {
     fn new(cfg: &GpuConfig, design: DesignKind, app: usize, seed: u64, scheduled: bool) -> Self {
         // Both worlds emit the same request ids: each accounts for them in
         // a sanitizer session of its own.
-        let session = mask_sanitizer::new_session();
-        mask_sanitizer::enter_session(session);
+        let session = mask_obs::hooks::new_session();
+        mask_obs::hooks::enter_session(session);
         let spec = design.spec();
         World {
             core: GpuCore::new(
@@ -113,7 +113,7 @@ impl World {
 
     /// One cycle, in `GpuSim::step`'s stage order.
     fn step(&mut self, now: Cycle) {
-        mask_sanitizer::enter_session(self.session);
+        mask_obs::hooks::enter_session(self.session);
         let mut out = Vec::new();
         // 1. Issue: every cycle, or when due with the bulk credit otherwise.
         let due = self.schedule.unwrap_or(now);
@@ -159,7 +159,7 @@ impl World {
             let (_, req) = self.in_memory.remove(i);
             match req.class {
                 RequestClass::Data => {
-                    mask_sanitizer::retire("core-data", req.id.0);
+                    mask_obs::hooks::retire(mask_obs::Domain::CoreData, req.id.0);
                     self.core.line_done(req.line);
                     self.rouse(now);
                 }

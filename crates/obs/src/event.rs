@@ -1,10 +1,12 @@
-//! The trace event vocabulary.
+//! The event vocabulary: one variant per simulator state transition.
 //!
 //! Every variant is plain `Copy` data — recording an event is a couple of
 //! word moves into the thread-local ring, never a heap allocation. The
 //! inventory mirrors the paper's analysis axes (§4, Figs. 4–9): TLB
-//! behaviour, page-walk concurrency, shared-L2 and DRAM pressure, and the
-//! MASK mechanisms' decisions (bypass, tokens).
+//! behaviour, page-walk concurrency, shared-L2 and DRAM pressure, the
+//! MASK mechanisms' decisions (bypass, tokens), and the in-flight
+//! accounting the debug-build checker audits (request conservation, MSHR
+//! allocation and fill).
 
 /// Which TLB structure a probe event refers to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -17,18 +19,6 @@ pub enum TlbLevel {
     BypassCache,
 }
 
-impl TlbLevel {
-    /// Short lowercase name (trace/JSON labels).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TlbLevel::L1 => "l1",
-            TlbLevel::L2 => "l2",
-            TlbLevel::BypassCache => "bypass_cache",
-        }
-    }
-}
-
 /// Why a warp left the ready pool.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StallKind {
@@ -36,17 +26,6 @@ pub enum StallKind {
     Translation,
     /// Waiting on outstanding data-memory requests.
     Data,
-}
-
-impl StallKind {
-    /// Short lowercase name (trace/JSON labels).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            StallKind::Translation => "translation",
-            StallKind::Data => "data",
-        }
-    }
 }
 
 /// Which shared queue a depth sample refers to.
@@ -78,7 +57,34 @@ impl QueueKind {
     }
 }
 
-/// One traced micro-architectural event.
+/// A request-conservation domain: every request [`Event::Issue`]d into one
+/// must [`Event::Retire`] from it exactly once.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum Domain {
+    /// Requests accepted by the shared L2 until their response drains.
+    L2Cache,
+    /// Requests accepted by the DRAM device until they complete.
+    Dram,
+    /// Requests inside MASK's Golden/Silver/Normal DRAM queues.
+    DramQueues,
+    /// Page-walker accesses sent to memory until their response returns.
+    XlatMem,
+    /// Primary L1 data misses until the simulator consumes their response.
+    CoreData,
+}
+
+/// Outcome of an MSHR allocation, as reported by the table.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MshrOutcome {
+    /// First miss on the line: a new entry was created.
+    Primary,
+    /// Merged into an existing entry.
+    Secondary,
+    /// Rejected: the table reported itself full.
+    Full,
+}
+
+/// One simulator state transition.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Event {
     /// A warp left the ready pool.
@@ -152,6 +158,44 @@ pub enum Event {
         asid: u16,
         /// Tokens granted for the next epoch.
         tokens: u64,
+        /// Warps the app runs (grants must stay within `1..=total_warps`).
+        total_warps: u64,
+    },
+    /// A request entered a conservation domain.
+    Issue {
+        /// The domain.
+        domain: Domain,
+        /// Request id.
+        id: u64,
+    },
+    /// A request left a conservation domain.
+    Retire {
+        /// The domain.
+        domain: Domain,
+        /// Request id.
+        id: u64,
+    },
+    /// An MSHR table answered an allocation (reported after it updated).
+    MshrAlloc {
+        /// Table id (from `hooks::register_table`; 0 in release builds).
+        table: u32,
+        /// Line address.
+        line: u64,
+        /// What the table did.
+        outcome: MshrOutcome,
+        /// Entries the table holds afterwards.
+        len: u32,
+        /// The table's capacity.
+        capacity: u32,
+    },
+    /// An MSHR table completed a line.
+    MshrFill {
+        /// Table id (from `hooks::register_table`; 0 in release builds).
+        table: u32,
+        /// Line address.
+        line: u64,
+        /// Waiters the fill released (0: the table held no entry for it).
+        waiters: u32,
     },
 }
 
@@ -170,6 +214,10 @@ impl Event {
             Event::QueueDepth { queue, .. } => queue.name(),
             Event::Bypass { .. } => "l2_bypass",
             Event::TokenEpoch { .. } => "token_epoch",
+            Event::Issue { .. } => "issue",
+            Event::Retire { .. } => "retire",
+            Event::MshrAlloc { .. } => "mshr_alloc",
+            Event::MshrFill { .. } => "mshr_fill",
         }
     }
 
@@ -188,6 +236,12 @@ impl Event {
                 QueueKind::Walker => "walker",
             },
             Event::Bypass { .. } => "l2",
+            Event::Issue { domain, .. } | Event::Retire { domain, .. } => match domain {
+                Domain::L2Cache | Domain::CoreData => "l2",
+                Domain::Dram | Domain::DramQueues => "dram",
+                Domain::XlatMem => "walker",
+            },
+            Event::MshrAlloc { .. } | Event::MshrFill { .. } => "mshr",
         }
     }
 }

@@ -112,8 +112,9 @@ pub fn render(data: &TraceData) -> (String, String, Vec<String>) {
     );
 
     // Walker slot occupancy renders as complete ("X") spans, one track per
-    // (lane, slot); everything else as instants ("i") or counters ("C") on
-    // the sim process.
+    // (lane, slot); queue depths and token grants as counters ("C"); every
+    // other event as an instant ("i") on the lane's track (walker events on
+    // their slot's) whose one argument is the event itself.
     let walker_tid = |lane: u32, slot: u32| 1000 * (u64::from(lane) + 1) + u64::from(slot);
     let mut walk_start: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     for &(lane, rec) in &data.events {
@@ -130,21 +131,11 @@ pub fn render(data: &TraceData) -> (String, String, Vec<String>) {
                      \"pid\":1,\"tid\":{lane},\"args\":{{\"depth\":{depth}}}}}"
                 );
             }
-            Event::WalkerAcquire { slot, .. } => {
-                walk_start.insert((lane, slot), cycle);
+            Event::TokenEpoch { asid, tokens, .. } => {
                 let _ = write!(
                     ev,
-                    "{{\"name\":\"{name}\",\"cat\":\"{fam}\",\"ph\":\"i\",\"ts\":{cycle},\
-                     \"pid\":1,\"tid\":{},\"s\":\"t\"}}",
-                    walker_tid(lane, slot)
-                );
-            }
-            Event::WalkerLevel { slot, level } => {
-                let _ = write!(
-                    ev,
-                    "{{\"name\":\"level {level}\",\"cat\":\"{fam}\",\"ph\":\"i\",\"ts\":{cycle},\
-                     \"pid\":1,\"tid\":{},\"s\":\"t\"}}",
-                    walker_tid(lane, slot)
+                    "{{\"name\":\"tokens app{asid}\",\"cat\":\"{fam}\",\"ph\":\"C\",\
+                     \"ts\":{cycle},\"pid\":1,\"tid\":{lane},\"args\":{{\"tokens\":{tokens}}}}}"
                 );
             }
             Event::WalkerRelease { slot } => {
@@ -163,56 +154,20 @@ pub fn render(data: &TraceData) -> (String, String, Vec<String>) {
                     walker_tid(lane, slot)
                 );
             }
-            Event::WarpStall { core, warp, kind } => {
+            event => {
+                let tid = match event {
+                    Event::WalkerAcquire { slot, .. } => {
+                        walk_start.insert((lane, slot), cycle);
+                        walker_tid(lane, slot)
+                    }
+                    Event::WalkerLevel { slot, .. } => walker_tid(lane, slot),
+                    _ => u64::from(lane),
+                };
                 let _ = write!(
                     ev,
                     "{{\"name\":\"{name}\",\"cat\":\"{fam}\",\"ph\":\"i\",\"ts\":{cycle},\
-                     \"pid\":1,\"tid\":{lane},\"s\":\"t\",\
-                     \"args\":{{\"core\":{core},\"warp\":{warp},\"kind\":\"{}\"}}}}",
-                    kind.name()
-                );
-            }
-            Event::WarpWake { core, warp } => {
-                let _ = write!(
-                    ev,
-                    "{{\"name\":\"{name}\",\"cat\":\"{fam}\",\"ph\":\"i\",\"ts\":{cycle},\
-                     \"pid\":1,\"tid\":{lane},\"s\":\"t\",\
-                     \"args\":{{\"core\":{core},\"warp\":{warp}}}}}"
-                );
-            }
-            Event::TlbProbe { level, asid, hit } => {
-                let _ = write!(
-                    ev,
-                    "{{\"name\":\"{name}\",\"cat\":\"{fam}\",\"ph\":\"i\",\"ts\":{cycle},\
-                     \"pid\":1,\"tid\":{lane},\"s\":\"t\",\
-                     \"args\":{{\"level\":\"{}\",\"asid\":{asid},\"hit\":{hit}}}}}",
-                    level.name()
-                );
-            }
-            Event::MshrMerge { asid } => {
-                let _ = write!(
-                    ev,
-                    "{{\"name\":\"{name}\",\"cat\":\"{fam}\",\"ph\":\"i\",\"ts\":{cycle},\
-                     \"pid\":1,\"tid\":{lane},\"s\":\"t\",\"args\":{{\"asid\":{asid}}}}}"
-                );
-            }
-            Event::Bypass {
-                asid,
-                level,
-                bypassed,
-            } => {
-                let _ = write!(
-                    ev,
-                    "{{\"name\":\"{name}\",\"cat\":\"{fam}\",\"ph\":\"i\",\"ts\":{cycle},\
-                     \"pid\":1,\"tid\":{lane},\"s\":\"t\",\
-                     \"args\":{{\"asid\":{asid},\"level\":{level},\"bypassed\":{bypassed}}}}}"
-                );
-            }
-            Event::TokenEpoch { asid, tokens } => {
-                let _ = write!(
-                    ev,
-                    "{{\"name\":\"tokens app{asid}\",\"cat\":\"{fam}\",\"ph\":\"C\",\
-                     \"ts\":{cycle},\"pid\":1,\"tid\":{lane},\"args\":{{\"tokens\":{tokens}}}}}"
+                     \"pid\":1,\"tid\":{tid},\"s\":\"t\",\"args\":{{\"event\":\"{}\"}}}}",
+                    mask_common::json::escape(&format!("{event:?}"))
                 );
             }
         }
@@ -262,7 +217,7 @@ pub fn render(data: &TraceData) -> (String, String, Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, QueueKind, Record};
+    use crate::event::{Domain, Event, MshrOutcome, QueueKind, Record};
 
     fn rec(cycle: u64, event: Event) -> (u32, Record) {
         (0, Record { cycle, event })
@@ -299,6 +254,31 @@ mod tests {
             ],
             ..TraceData::default()
         };
+        // Checked accounting events render with no code of their own.
+        let accounting = [
+            Event::Issue {
+                domain: Domain::XlatMem,
+                id: 41,
+            },
+            Event::Retire {
+                domain: Domain::DramQueues,
+                id: 42,
+            },
+            Event::MshrAlloc {
+                table: 5,
+                line: 0x40,
+                outcome: MshrOutcome::Secondary,
+                len: 2,
+                capacity: 8,
+            },
+            Event::MshrFill {
+                table: 5,
+                line: 0x40,
+                waiters: 2,
+            },
+        ];
+        data.events
+            .extend((110..).zip(accounting).map(|(cycle, e)| rec(cycle, e)));
         data.frames.push(
             "{\"type\":\"epoch\",\"cycle\":100000,\"app\":0,\"tlb\":{},\"walker\":{},\
              \"l2\":{},\"dram\":{}}"
@@ -329,6 +309,16 @@ mod tests {
             "zero-length spans clamp to 1us"
         );
         assert!(trace.contains("stage_issue_ns"));
+        // Each lands in its domain's family, as an instant carrying the event.
+        mask_common::json::parse(&trace).expect("trace.json is well-formed JSON");
+        let families_at = ["issue\",\"cat\":\"walker", "retire\",\"cat\":\"dram"]
+            .into_iter()
+            .chain(["mshr_alloc\",\"cat\":\"mshr", "mshr_fill\",\"cat\":\"mshr"]);
+        for (cycle, family) in (110..).zip(families_at) {
+            let instant = format!("\"name\":\"{family}\",\"ph\":\"i\",\"ts\":{cycle},");
+            assert!(trace.contains(&instant), "{instant}");
+        }
+        assert!(trace.contains("\"args\":{\"event\":\"Issue { domain: XlatMem, id: 41 }\"}"));
         assert!(jsonl.contains("\"type\":\"stage_profile\""));
         assert_eq!(families, ["tlb", "walker", "l2", "dram", "job_pool"]);
     }

@@ -1,13 +1,14 @@
-//! `mask-obs`: observability for the MASK simulator, switched on at
-//! runtime by `MASK_TRACE`.
+//! `mask-obs`: the MASK simulator's one hook family. Each state transition
+//! is one [`Event`] that the debug-build invariant checker audits and the
+//! tracer records while `MASK_TRACE` is on.
 //!
 //! Three layers:
 //!
-//! 1. **Event tracing** ([`hooks`], [`event`], [`ring`]) — the simulator
-//!    crates call tiny `#[inline(always)]` hook functions at interesting
-//!    micro-architectural moments (warp stall transitions, TLB probes and
-//!    MSHR merges, walker slot lifecycle, L2/DRAM queue depths, bypass
-//!    decisions, token grants). Records land in a **per-thread buffer**,
+//! 1. **Events** ([`hooks`], [`event`], [`ring`]) — the simulator crates
+//!    call one tiny `#[inline(always)]` hook per state transition (warp
+//!    stalls, TLB probes, walker slots, request issue/retire, MSHR
+//!    allocation and fill, queue depths, bypass decisions, token grants).
+//!    While tracing is on, records land in a **per-thread buffer**,
 //!    so `JobPool` workers trace without any cross-thread synchronization
 //!    on the per-cycle path; buffers are drained at the end of every step
 //!    into a process-wide sink that keeps the newest
@@ -25,10 +26,11 @@
 //!
 //! # Off-path contract
 //!
-//! * The hooks are always compiled in and inert until tracing is switched
-//!   on via the `MASK_TRACE` environment variable (any non-empty value
-//!   other than `0`) or [`set_runtime`]. Off, a hook is one relaxed load
-//!   and one test; everything past it is `#[cold]` and out of line.
+//! * The hooks are always compiled in; the checker folds away in a release
+//!   build, and recording is inert until tracing is switched on via the
+//!   `MASK_TRACE` environment variable (any non-empty value other than `0`)
+//!   or [`set_runtime`]. Off, a hook is one relaxed load and one test;
+//!   everything past it is `#[cold]` and out of line.
 //! * Thread primitives stay in `ring.rs`, the crate's one parallelism
 //!   island (clippy's `disallowed-types` in `crates/clippy.toml`). The
 //!   recording path takes no lock; it pushes into a growable per-thread
@@ -36,6 +38,7 @@
 //! * Hooks never mutate simulator state, so traced runs are bit-identical
 //!   to untraced runs (proven by `tests/obs_trace.rs`).
 
+mod check;
 pub mod event;
 pub mod export;
 pub mod hooks;
@@ -43,7 +46,7 @@ pub mod metrics;
 pub mod profile;
 pub mod ring;
 
-pub use event::{Event, QueueKind, Record, StallKind, TlbLevel};
+pub use event::{Domain, Event, MshrOutcome, QueueKind, Record, StallKind, TlbLevel};
 
 /// Whether tracing is live right now.
 ///

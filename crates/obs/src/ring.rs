@@ -25,9 +25,9 @@ use std::sync::atomic::{AtomicU8, Ordering};
 #[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::Mutex;
 
-/// Events the sink holds before it overwrites the oldest (32 MiB of
-/// 32-byte lane-tagged records).
-pub const SINK_CAPACITY: usize = 1 << 20;
+/// Events the sink holds before it overwrites the oldest: as many
+/// lane-tagged records as fit in 32 MiB.
+pub const SINK_CAPACITY: usize = (32 << 20) / std::mem::size_of::<(u32, Record)>();
 
 const OFF: u8 = 0;
 const ON: u8 = 1;
@@ -273,9 +273,10 @@ mod tests {
         assert_eq!(sink.dropped, 2);
         assert_eq!(
             std::mem::size_of::<(u32, Record)>(),
-            32,
-            "SINK_CAPACITY's byte size"
+            40,
+            "the widest events (MSHR, tokens) set the record size"
         );
+        assert_eq!(SINK_CAPACITY, 838_860, "32 MiB of 40-byte records");
         let cycles: Vec<u64> = sink.events.iter().map(|(_, r)| r.cycle).collect();
         assert_eq!(cycles, [2, 3, 4, 5], "oldest two overwritten, order kept");
         assert!(sink.events.iter().all(|&(lane, _)| lane == 3));

@@ -273,8 +273,8 @@ impl<K: Eq + Hash + Copy + Default, V: Copy + Default> AssocArray<K, V> {
         let mut evicted = None;
         if self.lens[set] >= self.assoc {
             let victim = usize::from(self.ends[set].0);
-            if mask_sanitizer::is_enabled() {
-                mask_sanitizer::check(
+            if cfg!(debug_assertions) {
+                mask_obs::hooks::check(
                     victim == self.oldest_by_stamp(set),
                     "assoc-lru-order",
                     "the evicted way must be the first minimum stamp of its set",
@@ -540,7 +540,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "the evicted way must be the first minimum stamp of its set")]
     fn a_list_head_that_is_not_the_oldest_stamp_trips_the_sanitizer() {
-        mask_sanitizer::enter_session(mask_sanitizer::new_session());
+        mask_obs::hooks::enter_session(mask_obs::hooks::new_session());
         let mut a: AssocArray<u64, u64> = AssocArray::new(4, 4);
         for k in 0..4u64 {
             a.fill(k, k);

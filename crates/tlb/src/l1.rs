@@ -29,7 +29,7 @@ impl L1Tlb {
     /// Inserts a translation, evicting LRU if full.
     pub fn fill(&mut self, asid: Asid, vpn: Vpn, ppn: Ppn) {
         self.entries.fill(TlbKey::new(asid, vpn), ppn);
-        mask_sanitizer::array_fill("l1-tlb", self.entries.len(), self.entries.capacity());
+        mask_obs::hooks::array_fill("l1-tlb", self.entries.len(), self.entries.capacity());
     }
 
     /// Flushes all entries of one address space (per-core TLB flush, §5.1:

@@ -95,7 +95,7 @@ impl SharedL2Tlb {
             }
             _ => {
                 self.entries.fill(TlbKey::new(asid, vpn), ppn);
-                mask_sanitizer::array_fill("l2-tlb", self.entries.len(), self.entries.capacity());
+                mask_obs::hooks::array_fill("l2-tlb", self.entries.len(), self.entries.capacity());
                 false
             }
         }

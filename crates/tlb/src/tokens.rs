@@ -165,8 +165,7 @@ impl TokenAllocator {
             app.tokens = ((app.total_warps() as f64 * initial_frac).round() as u64)
                 .clamp(1, app.total_warps());
             app.prev_miss_rate = Some(miss_rate);
-            mask_sanitizer::token_epoch(asid.index() as u16, app.tokens, app.total_warps());
-            mask_obs::hooks::token_epoch(asid.index() as u16, app.tokens);
+            mask_obs::hooks::token_epoch(asid.index() as u16, app.tokens, app.total_warps());
             return;
         }
         if accesses == 0 {
@@ -195,8 +194,7 @@ impl TokenAllocator {
             }
         }
         app.prev_miss_rate = Some(miss_rate);
-        mask_sanitizer::token_epoch(asid.index() as u16, app.tokens, app.total_warps());
-        mask_obs::hooks::token_epoch(asid.index() as u16, app.tokens);
+        mask_obs::hooks::token_epoch(asid.index() as u16, app.tokens, app.total_warps());
     }
 
     /// Whether `asid` is still in its warm-up (first) epoch.
