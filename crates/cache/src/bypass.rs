@@ -147,8 +147,9 @@ impl BypassMonitor {
 
 impl mask_common::snapshot::Snapshot for BypassMonitor {
     /// Serializes every per-app field except the config-derived margin.
-    /// Rates are captured as exact f64 bit patterns so a restored monitor
-    /// latches bit-identical decisions at the next epoch boundary.
+    /// Rates are captured as exact f64 bit patterns, so two monitors that
+    /// could latch different decisions at the next epoch boundary never
+    /// encode alike.
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
         w.seq(self.apps.len());
         for app in &self.apps {
@@ -167,30 +168,6 @@ impl mask_common::snapshot::Snapshot for BypassMonitor {
                 w.u64(c);
             }
         }
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        r.seq_exact(self.apps.len())?;
-        for app in &mut self.apps {
-            for s in &mut app.level_epoch {
-                s.restore(r)?;
-            }
-            app.data_epoch.restore(r)?;
-            for b in &mut app.bypass_level {
-                *b = r.bool()?;
-            }
-            for rate in &mut app.level_rate {
-                *rate = r.f64()?;
-            }
-            app.data_rate = r.f64()?;
-            for c in &mut app.sample_ctr {
-                *c = r.u64()?;
-            }
-        }
-        Ok(())
     }
 }
 

@@ -253,21 +253,6 @@ impl mask_common::snapshot::Snapshot for DataCache {
             w.u16(self.owner[i]);
         }
     }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        self.stamp = r.u64()?;
-        r.seq_exact(self.n_sets)?;
-        for i in 0..self.lines.len() {
-            self.lines[i] = r.u64()?;
-            self.stamps[i] = r.u64()?;
-            self.valid[i] = r.bool()?;
-            self.owner[i] = r.u16()?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -49,8 +49,8 @@ struct Bank {
     /// line. Neither can change before a fill completes an entry of `mshr`
     /// (the line is absent from the table, so only a banked fill can bring
     /// it into the array or free a slot), so until then `tick` replays the
-    /// retry's side effects instead of re-probing. Not snapshot state: a
-    /// restored bank takes the full path once and stalls again.
+    /// retry's side effects instead of re-probing. Not snapshot state: the
+    /// encoding is the same whether the head re-probes or replays.
     head_stalled: bool,
 }
 
@@ -72,8 +72,8 @@ pub struct SharedL2Cache {
     /// with a constant latency, so the head is each bank's earliest entry
     /// and `tick` skips a bank whose value lies in the future. A stalled
     /// head keeps its value (≤ `now`), so it is still visited every cycle.
-    /// Derived state: maintained where a queue is pushed or popped,
-    /// re-derived by `restore`, not encoded.
+    /// Derived state: maintained where a queue is pushed or popped, not
+    /// encoded.
     head_ready: Vec<Cycle>,
     monitor: BypassMonitor,
     bypass_enabled: bool,
@@ -359,50 +359,17 @@ impl SharedL2Cache {
     pub fn flush(&mut self) {
         self.array.flush();
     }
-
-    /// Visits every request currently held inside the L2 — bank queues,
-    /// banked MSHR waiters, bypass MSHR waiters, and undelivered responses.
-    ///
-    /// This set is exactly the requests accepted by [`SharedL2Cache::enqueue`]
-    /// and not yet drained by [`SharedL2Cache::drain_responses_into`], with
-    /// each request visited once (`to_dram` copies are duplicates of MSHR
-    /// primaries and are skipped). [`GpuSim::restore`] uses it to re-open
-    /// client-side conservation domains after restoring into a fresh
-    /// sanitizer session.
-    ///
-    /// [`GpuSim::restore`]: mask_common::snapshot::Snapshot::restore
-    pub fn for_each_in_flight(&self, mut f: impl FnMut(&MemRequest)) {
-        for bank in &self.banks {
-            for (req, _) in &bank.queue {
-                f(req);
-            }
-            for entry in bank.mshr.entries() {
-                for req in &entry.waiters {
-                    f(req);
-                }
-            }
-        }
-        for entry in self.bypass_mshr.entries() {
-            for req in &entry.waiters {
-                f(req);
-            }
-        }
-        for resp in &self.responses {
-            f(&resp.req);
-        }
-    }
 }
 
 impl mask_common::snapshot::Snapshot for SharedL2Cache {
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
-        use mask_common::snapshot::SnapField;
         w.section("l2cache");
         self.array.snapshot(w);
         w.seq(self.banks.len());
         for bank in &self.banks {
             w.seq(bank.queue.len());
             for (req, ready) in &bank.queue {
-                req.write(w);
+                req.snapshot(w);
                 w.u64(*ready);
             }
             bank.mshr.snapshot(w);
@@ -411,67 +378,17 @@ impl mask_common::snapshot::Snapshot for SharedL2Cache {
         self.bypass_mshr.snapshot(w);
         w.seq(self.to_dram.len());
         for req in &self.to_dram {
-            req.write(w);
+            req.snapshot(w);
         }
         w.seq(self.responses.len());
         for resp in &self.responses {
-            resp.req.write(w);
+            resp.req.snapshot(w);
             w.u8(match resp.outcome {
                 L2Outcome::Hit => 0,
                 L2Outcome::Miss => 1,
                 L2Outcome::Bypassed => 2,
             });
         }
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::{SnapField, SnapshotError};
-        r.section("l2cache")?;
-        self.array.restore(r)?;
-        r.seq_exact(self.banks.len())?;
-        for b in 0..self.banks.len() {
-            let n = r.seq()?;
-            self.banks[b].queue.clear();
-            for _ in 0..n {
-                let req = MemRequest::read(r)?;
-                let ready = r.u64()?;
-                self.banks[b].queue.push_back((req, ready));
-            }
-            self.head_ready[b] = self.banks[b].head_ready();
-            self.banks[b].mshr.restore(r)?;
-            self.banks[b].head_stalled = false;
-        }
-        self.monitor.restore(r)?;
-        self.bypass_mshr.restore(r)?;
-        let n = r.seq()?;
-        self.to_dram.clear();
-        for _ in 0..n {
-            self.to_dram.push(MemRequest::read(r)?);
-        }
-        let n = r.seq()?;
-        self.responses.clear();
-        for _ in 0..n {
-            let req = MemRequest::read(r)?;
-            let outcome = match r.u8()? {
-                0 => L2Outcome::Hit,
-                1 => L2Outcome::Miss,
-                2 => L2Outcome::Bypassed,
-                _ => return Err(SnapshotError::Malformed("unknown L2 outcome")),
-            };
-            self.responses.push(L2Response { req, outcome });
-        }
-        // Re-open the L2's own conservation domain in the current sanitizer
-        // session: every request inside the restored structures was issued
-        // before the snapshot and has yet to retire.
-        if cfg!(debug_assertions) {
-            self.for_each_in_flight(|req| {
-                mask_obs::hooks::issue(mask_obs::Domain::L2Cache, req.id.0);
-            });
-        }
-        Ok(())
     }
 }
 
@@ -621,7 +538,6 @@ mod tests {
     enum MidStall {
         Nothing,
         Flush,
-        SnapshotRestore,
     }
 
     fn sealed(l2: &SharedL2Cache) -> Vec<u8> {
@@ -644,7 +560,6 @@ mod tests {
         mid: MidStall,
         reprobe: bool,
     ) -> (Vec<Vec<u8>>, Vec<(u64, L2Outcome)>, SharedL2Cache) {
-        use mask_common::snapshot::{Snapshot, SnapshotReader};
         let small = CacheConfig {
             bytes: 512,
             assoc: 4,
@@ -653,13 +568,9 @@ mod tests {
             ports_per_bank: 2,
             mshrs: 2,
         };
-        // A restored cache re-issues what it holds: as in `GpuSim`, every
-        // cache gets a sanitizer session of its own.
-        let fresh = || {
-            mask_obs::hooks::enter_session(mask_obs::hooks::new_session());
-            SharedL2Cache::new(&small, L2Policy::Shared, 1)
-        };
-        let mut l2 = fresh();
+        // As in `GpuSim`, every cache gets a sanitizer session of its own.
+        mask_obs::hooks::enter_session(mask_obs::hooks::new_session());
+        let mut l2 = SharedL2Cache::new(&small, L2Policy::Shared, 1);
         for line in 1..=5u64 {
             let class = if line == 3 {
                 RequestClass::Translation(WalkLevel::new(2))
@@ -682,15 +593,6 @@ mod tests {
                 match mid {
                     MidStall::Nothing => {}
                     MidStall::Flush => l2.flush(),
-                    MidStall::SnapshotRestore if reprobe => {}
-                    MidStall::SnapshotRestore => {
-                        let bytes = sealed(&l2);
-                        l2 = fresh();
-                        let (mut r, _) = SnapshotReader::open(&bytes).expect("sealed");
-                        l2.restore(&mut r).expect("restores");
-                        r.finish().expect("whole payload");
-                        assert!(!l2.banks[0].head_stalled, "restore clears the flag");
-                    }
                 }
             }
             // Memory answers one line every fourth cycle once the stall
@@ -710,11 +612,7 @@ mod tests {
 
     #[test]
     fn stalled_head_replay_equals_reprobing_every_cycle() {
-        for mid in [
-            MidStall::Nothing,
-            MidStall::Flush,
-            MidStall::SnapshotRestore,
-        ] {
+        for mid in [MidStall::Nothing, MidStall::Flush] {
             for stall in [1, 2, 7, 40] {
                 let (want_states, want_responses, _) = stall_run(stall, mid, true);
                 let (states, responses, _) = stall_run(stall, mid, false);

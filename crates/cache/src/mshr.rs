@@ -155,70 +155,23 @@ impl<W> MshrTable<W> {
     pub fn entries(&self) -> impl Iterator<Item = &MshrEntry<W>> {
         self.entries.iter()
     }
-
-    /// Re-registers a fresh checker mirror and replays the live entries
-    /// into it (shared by [`Clone`] and [`Snapshot::restore`], both of which
-    /// must leave the mirror consistent with `entries`).
-    fn replay_san_mirror(&mut self) {
-        self.san_table = mask_obs::hooks::register_table(self.component, self.capacity);
-        if cfg!(debug_assertions) {
-            let (id, cap) = (self.san_table, self.capacity);
-            for (i, e) in self.entries.iter().enumerate() {
-                let mut outcome = MshrAlloc::Primary;
-                for _ in &e.waiters {
-                    mask_obs::hooks::mshr_alloc(id, e.line.0, outcome, i + 1, cap);
-                    outcome = MshrAlloc::Secondary;
-                }
-            }
-        }
-    }
 }
 
-impl<W: mask_common::snapshot::SnapField> mask_common::snapshot::Snapshot for MshrTable<W> {
+impl<W: mask_common::snapshot::Snapshot> mask_common::snapshot::Snapshot for MshrTable<W> {
     /// Serializes the occupied entries in table order (lookup uses a linear
     /// scan and completion uses `swap_remove`, so order is behaviorally
     /// significant) plus the peak-waiter statistic. Capacity, component
     /// label, and the recycling pool are construction-time/transient.
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
-        use mask_common::snapshot::SnapField;
         w.usize(self.peak_waiters);
         w.seq(self.entries.len());
         for e in &self.entries {
-            e.line.write(w);
+            e.line.snapshot(w);
             w.seq(e.waiters.len());
             for waiter in &e.waiters {
-                waiter.write(w);
+                waiter.snapshot(w);
             }
         }
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::{SnapField, SnapshotError};
-        self.peak_waiters = r.usize()?;
-        let n = r.seq()?;
-        if n > self.capacity {
-            return Err(SnapshotError::Malformed("MSHR entries exceed capacity"));
-        }
-        self.entries.clear();
-        self.lines.clear();
-        for _ in 0..n {
-            let line = mask_common::addr::LineAddr::read(r)?;
-            let n_waiters = r.seq()?;
-            if n_waiters == 0 {
-                return Err(SnapshotError::Malformed("MSHR entry without waiters"));
-            }
-            let mut waiters = self.pool.pop().unwrap_or_default();
-            for _ in 0..n_waiters {
-                waiters.push(W::read(r)?);
-            }
-            self.entries.push(MshrEntry { line, waiters });
-            self.lines.push(line.0);
-        }
-        self.replay_san_mirror();
-        Ok(())
     }
 }
 
@@ -226,18 +179,26 @@ impl<W: Clone> Clone for MshrTable<W> {
     /// Clones register a fresh sanitizer mirror and replay the live entries
     /// into it, so a cloned simulator keeps independent MSHR accounting.
     fn clone(&self) -> Self {
-        let mut cloned = MshrTable {
+        let san_table = mask_obs::hooks::register_table(self.component, self.capacity);
+        if cfg!(debug_assertions) {
+            for (i, e) in self.entries.iter().enumerate() {
+                let mut outcome = MshrAlloc::Primary;
+                for _ in &e.waiters {
+                    mask_obs::hooks::mshr_alloc(san_table, e.line.0, outcome, i + 1, self.capacity);
+                    outcome = MshrAlloc::Secondary;
+                }
+            }
+        }
+        MshrTable {
             entries: self.entries.clone(),
             lines: self.lines.clone(),
             capacity: self.capacity,
             peak_waiters: self.peak_waiters,
             component: self.component,
-            san_table: 0,
+            san_table,
             // The pool is a perf cache, not state: clones start empty.
             pool: Vec::new(),
-        };
-        cloned.replay_san_mirror();
-        cloned
+        }
     }
 }
 

@@ -9,19 +9,13 @@
 use mask_cache::{DataCache, MshrAlloc, MshrTable};
 use mask_common::addr::LineAddr;
 use mask_common::ids::Asid;
-use mask_common::snapshot::{PrefixKey, Snapshot, SnapshotReader, SnapshotWriter};
+use mask_common::snapshot::{PrefixKey, Snapshot, SnapshotWriter};
 use proptest::prelude::*;
 
 fn encode<T: Snapshot>(t: &T) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     t.snapshot(&mut w);
     w.seal(PrefixKey(0))
-}
-
-fn restore_into<T: Snapshot>(fresh: &mut T, bytes: &[u8]) {
-    let (mut r, _) = SnapshotReader::open(bytes).expect("sealed by `encode`");
-    fresh.restore(&mut r).expect("own encoding restores");
-    r.finish().expect("restore consumes the payload");
 }
 
 struct NaiveMshr {
@@ -79,7 +73,6 @@ enum MshrOp {
     Allocate(u64, u64),
     Complete(u64),
     Contains(u64),
-    RoundTrip,
 }
 
 fn mshr_ops() -> impl Strategy<Value = Vec<MshrOp>> {
@@ -89,11 +82,7 @@ fn mshr_ops() -> impl Strategy<Value = Vec<MshrOp>> {
             (0u64..12, any::<u64>()).prop_map(|(l, w)| MshrOp::Allocate(l, w)),
             (0u64..12).prop_map(MshrOp::Complete),
             (0u64..12).prop_map(MshrOp::Contains),
-            (0u8..16).prop_map(|n| if n == 0 {
-                MshrOp::RoundTrip
-            } else {
-                MshrOp::Complete(u64::from(n) % 12)
-            }),
+            (0u8..16).prop_map(|n| MshrOp::Complete(u64::from(n) % 12)),
         ],
         0..300,
     )
@@ -241,7 +230,6 @@ enum CacheOp {
     Peek(u64, u16),
     Fill(u64, u16),
     Flush,
-    RoundTrip,
 }
 
 fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
@@ -261,10 +249,10 @@ fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
             (line(), 0u16..3).prop_map(|(l, a)| CacheOp::Fill(l, a)),
             (line(), 0u16..3).prop_map(|(l, a)| CacheOp::Fill(l, a)),
             (line(), 0u16..3).prop_map(|(l, a)| CacheOp::Fill(l, a)),
-            (0u8..30).prop_map(|n| if n == 0 {
+            (0u8..30, line(), 0u16..3).prop_map(|(n, l, a)| if n == 0 {
                 CacheOp::Flush
             } else {
-                CacheOp::RoundTrip
+                CacheOp::Peek(l, a)
             }),
         ],
         0..400,
@@ -294,11 +282,6 @@ proptest! {
                 MshrOp::Contains(line) => {
                     prop_assert_eq!(table.contains(LineAddr(line)), model.waiters_on(line) > 0);
                     prop_assert_eq!(table.waiters_on(LineAddr(line)), model.waiters_on(line));
-                }
-                MshrOp::RoundTrip => {
-                    let mut fresh: MshrTable<u64> = MshrTable::new(capacity);
-                    restore_into(&mut fresh, &encode(&table));
-                    table = fresh;
                 }
             }
             prop_assert_eq!(table.len(), model.entries.len());
@@ -345,11 +328,6 @@ proptest! {
                 CacheOp::Flush => {
                     c.flush();
                     model.flush();
-                }
-                CacheOp::RoundTrip => {
-                    let mut fresh = cache(bytes, assoc, split);
-                    restore_into(&mut fresh, &encode(&c));
-                    c = fresh;
                 }
             }
             prop_assert_eq!(c.len(), model.sets.iter().flatten().filter(|w| w.valid).count());

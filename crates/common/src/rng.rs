@@ -31,18 +31,10 @@ impl Pcg32 {
         rng
     }
 
-    /// The raw `(state, increment)` pair, for checkpointing.
+    /// The raw `(state, increment)` pair, which a snapshot encodes.
     #[must_use]
     pub fn raw_parts(&self) -> (u64, u64) {
         (self.state, self.inc)
-    }
-
-    /// Rebuilds a generator from [`Pcg32::raw_parts`] output. Returns
-    /// `None` if `inc` is even (never produced by a real generator; a
-    /// corrupt checkpoint must not silently degrade the stream).
-    #[must_use]
-    pub fn from_raw_parts(state: u64, inc: u64) -> Option<Self> {
-        (inc & 1 == 1).then_some(Pcg32 { state, inc })
     }
 
     /// The next 32 uniformly-distributed bits.

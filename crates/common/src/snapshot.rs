@@ -1,17 +1,21 @@
-//! Checkpoint/restore plumbing: a versioned, checksummed binary codec and
-//! the [`Snapshot`] capability implemented by every stateful simulator
-//! structure.
+//! Snapshot encoding: a versioned, checksummed binary codec and the
+//! [`Snapshot`] encoder implemented by every stateful simulator structure.
 //!
 //! # Model
 //!
 //! A snapshot captures the *dynamic* state of a structure — queues, cache
 //! arrays, RNG streams, counters — and deliberately excludes anything
 //! derivable from the configuration (capacities, latencies, policy
-//! objects). Restoring therefore always happens into a freshly constructed,
-//! configuration-identical instance: `restore` overwrites the dynamic
-//! fields and leaves the configured skeleton alone. This keeps `'static`
-//! workload profiles and scratch buffers out of the encoded bytes
-//! entirely.
+//! objects) or from other encoded state (recency lists, queue keys, walk
+//! nodes). This keeps `'static` workload profiles and scratch buffers out
+//! of the encoded bytes entirely.
+//!
+//! The codec is encode-only for simulator state. The simulator is
+//! deterministic, so a snapshot is reproduced, not decoded: `GpuSim`'s
+//! `restore_snapshot` reads the cycle count, simulates a fresh machine that
+//! far and accepts the result only if it re-encodes to the same bytes. The
+//! one decoder is [`SimStats::decode`], for the statistics blocks a result
+//! store reads back from disk.
 //!
 //! Snapshots are only taken at *epoch-safe* points: a cycle that is a
 //! multiple of `epoch_cycles`, or any between-step cycle before the first
@@ -29,7 +33,7 @@
 //! static name) so a reader that drifts out of sync fails loudly at the
 //! next section boundary instead of silently reinterpreting bytes.
 //! Corruption, truncation, and version skew are all hard errors: a
-//! snapshot either restores exactly or not at all.
+//! snapshot is either reproduced exactly or rejected.
 
 use crate::stats::{AppStats, DramClassStats, Field, FieldMut, FieldRef, HitStats, SimStats};
 use std::fmt;
@@ -94,7 +98,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Why a snapshot could not be decoded or restored. Every variant is a
+/// Why a snapshot could not be decoded or reproduced. Every variant is a
 /// hard failure: the caller must fall back to simulating from cycle zero.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
@@ -133,9 +137,10 @@ pub enum SnapshotError {
         /// Section the reader expected next.
         expected: &'static str,
     },
-    /// A field decoded to a value the target structure cannot hold.
+    /// A field decoded to a value the target structure cannot hold, or a
+    /// replay did not reproduce the snapshot.
     Malformed(&'static str),
-    /// Payload bytes were left over after a full restore.
+    /// Payload bytes were left over after a full decode.
     TrailingBytes(usize),
 }
 
@@ -244,8 +249,8 @@ impl SnapshotWriter {
         self.u8(v as u8);
     }
 
-    /// Writes an `f64` by exact bit pattern — restore must be bit-exact,
-    /// so floats never round-trip through decimal.
+    /// Writes an `f64` by exact bit pattern — a replay is checked byte for
+    /// byte, so floats never round-trip through decimal.
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
@@ -373,53 +378,14 @@ impl<'a> SnapshotReader<'a> {
         Ok(())
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `bool`, rejecting anything but 0 or 1.
-    pub fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Malformed("bool out of range")),
-        }
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, SnapshotError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    /// Reads a little-endian `u128`.
-    pub fn u128(&mut self) -> Result<u128, SnapshotError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16")))
-    }
-
     /// Reads a `usize` stored as `u64`.
     pub fn usize(&mut self) -> Result<usize, SnapshotError> {
         usize::try_from(self.u64()?).map_err(|_| SnapshotError::Malformed("usize overflow"))
-    }
-
-    /// Reads an `i8`.
-    pub fn i8(&mut self) -> Result<i8, SnapshotError> {
-        Ok(self.u8()? as i8)
-    }
-
-    /// Reads an `f64` by exact bit pattern.
-    pub fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads a collection length, bounded to keep a corrupt length from
@@ -434,15 +400,6 @@ impl<'a> SnapshotReader<'a> {
         Ok(n)
     }
 
-    /// Reads a collection length that must equal `expected` (used when the
-    /// target structure's shape is fixed by configuration).
-    pub fn seq_exact(&mut self, expected: usize) -> Result<(), SnapshotError> {
-        if self.usize()? != expected {
-            return Err(SnapshotError::Malformed("sequence length mismatch"));
-        }
-        Ok(())
-    }
-
     /// Checks that every payload byte was consumed.
     pub fn finish(self) -> Result<(), SnapshotError> {
         let left = self.buf.len() - self.pos;
@@ -453,25 +410,12 @@ impl<'a> SnapshotReader<'a> {
     }
 }
 
-/// State capture and exact re-injection for one simulator structure.
-///
-/// `restore` always targets a freshly constructed instance built from the
-/// *same configuration*: it overwrites dynamic state only. Implementations
-/// that participate in sanitizer accounting (MSHR tables, conservation
-/// domains, walker slots) must also replay their structural events into
-/// the current sanitizer session during `restore`, mirroring what
-/// `MshrTable::clone` already does.
+/// Appends a structure's dynamic state to a snapshot stream: a whole
+/// simulator structure, or a plain-data key or entry inside a generic
+/// container.
 pub trait Snapshot {
-    /// Appends this structure's dynamic state to `w`.
+    /// Appends this value's dynamic state to `w`.
     fn snapshot(&self, w: &mut SnapshotWriter);
-
-    /// Overwrites this structure's dynamic state from `r`.
-    ///
-    /// # Errors
-    ///
-    /// Any decode failure leaves the structure unusable for simulation;
-    /// callers must discard it and fall back to a cold start.
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError>;
 }
 
 impl Snapshot for crate::rng::Pcg32 {
@@ -479,14 +423,6 @@ impl Snapshot for crate::rng::Pcg32 {
         let (state, inc) = self.raw_parts();
         w.u64(state);
         w.u64(inc);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let state = r.u64()?;
-        let inc = r.u64()?;
-        *self = crate::rng::Pcg32::from_raw_parts(state, inc)
-            .ok_or(SnapshotError::Malformed("Pcg32 increment must be odd"))?;
-        Ok(())
     }
 }
 
@@ -505,7 +441,8 @@ fn write_fields<'a>(
     }
 }
 
-/// Inverse of [`write_fields`].
+/// Inverse of [`write_fields`], rejecting a hit/access pair with more hits
+/// than accesses.
 fn read_fields<'a>(
     fields: impl Iterator<Item = (&'static str, FieldMut<'a>)>,
     r: &mut SnapshotReader<'_>,
@@ -513,10 +450,18 @@ fn read_fields<'a>(
     for (_, field) in fields {
         match field {
             Field::Counter(v) | Field::Level(v) => *v = r.u64()?,
-            Field::Hit(h) => h.restore(r)?,
-            Field::Dram(d) => d.restore(r)?,
-            Field::HitLevels(levels) => levels.iter_mut().try_for_each(|h| h.restore(r))?,
+            Field::Hit(h) => read_hits(h, r)?,
+            Field::Dram(d) => read_fields(d.fields_mut(), r)?,
+            Field::HitLevels(levels) => levels.iter_mut().try_for_each(|h| read_hits(h, r))?,
         }
+    }
+    Ok(())
+}
+
+fn read_hits(h: &mut HitStats, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+    read_fields(h.fields_mut(), r)?;
+    if h.hits > h.accesses {
+        return Err(SnapshotError::Malformed("hits exceed accesses"));
     }
     Ok(())
 }
@@ -525,33 +470,17 @@ impl Snapshot for HitStats {
     fn snapshot(&self, w: &mut SnapshotWriter) {
         write_fields(self.fields(), w);
     }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        read_fields(self.fields_mut(), r)?;
-        if self.hits > self.accesses {
-            return Err(SnapshotError::Malformed("hits exceed accesses"));
-        }
-        Ok(())
-    }
 }
 
 impl Snapshot for DramClassStats {
     fn snapshot(&self, w: &mut SnapshotWriter) {
         write_fields(self.fields(), w);
     }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        read_fields(self.fields_mut(), r)
-    }
 }
 
 impl Snapshot for AppStats {
     fn snapshot(&self, w: &mut SnapshotWriter) {
         write_fields(self.fields(), w);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        read_fields(self.fields_mut(), r)
     }
 }
 
@@ -566,200 +495,116 @@ impl Snapshot for SimStats {
         w.u64(self.dram_bus_busy);
         w.usize(self.dram_channels);
     }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section("stats")?;
-        r.seq_exact(self.apps.len())?;
-        for app in &mut self.apps {
-            app.restore(r)?;
-        }
-        self.cycles = r.u64()?;
-        self.dram_bus_busy = r.u64()?;
-        self.dram_channels = r.usize()?;
-        Ok(())
-    }
 }
 
-/// A plain-data field that can be written to and re-read from a snapshot
-/// stream. Unlike [`Snapshot`] (which overwrites an existing structure in
-/// place), a `SnapField` is reconstructed by value — the right shape for
-/// keys and entries inside generic containers.
-pub trait SnapField: Sized {
-    /// Appends this value to the stream.
-    fn write(&self, w: &mut SnapshotWriter);
-
-    /// Reads a value back from the stream.
+impl SimStats {
+    /// Reads back a statistics block written by its [`Snapshot`] encoder.
     ///
     /// # Errors
     ///
-    /// Propagates stream truncation and rejects encodings that do not
-    /// correspond to a constructible value.
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
-}
-
-impl SnapField for () {
-    fn write(&self, _w: &mut SnapshotWriter) {}
-
-    fn read(_r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(())
+    /// Propagates stream truncation and section mismatches, and rejects a
+    /// hit/access pair with more hits than accesses.
+    pub fn decode(r: &mut SnapshotReader<'_>) -> Result<SimStats, SnapshotError> {
+        r.section("stats")?;
+        let mut apps = vec![AppStats::default(); r.seq()?];
+        for app in &mut apps {
+            read_fields(app.fields_mut(), r)?;
+        }
+        Ok(SimStats {
+            apps,
+            cycles: r.u64()?,
+            dram_bus_busy: r.u64()?,
+            dram_channels: r.usize()?,
+        })
     }
 }
 
-impl SnapField for u64 {
-    fn write(&self, w: &mut SnapshotWriter) {
+impl Snapshot for () {
+    fn snapshot(&self, _w: &mut SnapshotWriter) {}
+}
+
+impl Snapshot for u64 {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
         w.u64(*self);
     }
-
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        r.u64()
-    }
 }
 
-impl SnapField for usize {
-    fn write(&self, w: &mut SnapshotWriter) {
+impl Snapshot for usize {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
         w.usize(*self);
     }
-
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        r.usize()
-    }
 }
 
-impl SnapField for crate::addr::LineAddr {
-    fn write(&self, w: &mut SnapshotWriter) {
+impl Snapshot for crate::addr::LineAddr {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
         w.u64(self.0);
     }
-
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(crate::addr::LineAddr(r.u64()?))
-    }
 }
 
-impl SnapField for crate::addr::VirtAddr {
-    fn write(&self, w: &mut SnapshotWriter) {
+impl Snapshot for crate::addr::VirtAddr {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
         w.u64(self.raw());
     }
-
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let raw = r.u64()?;
-        let va = crate::addr::VirtAddr::new(raw);
-        if va.raw() != raw {
-            return Err(SnapshotError::Malformed("non-canonical virtual address"));
-        }
-        Ok(va)
-    }
 }
 
-impl SnapField for crate::addr::Vpn {
-    fn write(&self, w: &mut SnapshotWriter) {
+impl Snapshot for crate::addr::Vpn {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
         w.u64(self.0);
     }
-
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(crate::addr::Vpn(r.u64()?))
-    }
 }
 
-impl SnapField for crate::addr::Ppn {
-    fn write(&self, w: &mut SnapshotWriter) {
+impl Snapshot for crate::addr::Ppn {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
         w.u64(self.0);
     }
-
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(crate::addr::Ppn(r.u64()?))
-    }
 }
 
-impl SnapField for crate::ids::Asid {
-    fn write(&self, w: &mut SnapshotWriter) {
+impl Snapshot for crate::ids::Asid {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
         w.u16(self.raw());
     }
-
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(crate::ids::Asid::new(r.u16()?))
-    }
 }
 
-impl SnapField for crate::ids::CoreId {
-    fn write(&self, w: &mut SnapshotWriter) {
+impl Snapshot for crate::ids::CoreId {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
         w.u16(self.raw());
     }
-
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(crate::ids::CoreId::new(r.u16()?))
-    }
 }
 
-impl SnapField for crate::ids::WarpId {
-    fn write(&self, w: &mut SnapshotWriter) {
+impl Snapshot for crate::ids::WarpId {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
         w.u16(self.raw());
     }
+}
 
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(crate::ids::WarpId::new(r.u16()?))
+impl Snapshot for crate::ids::GlobalWarpId {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
+        self.core.snapshot(w);
+        self.warp.snapshot(w);
     }
 }
 
-impl SnapField for crate::ids::GlobalWarpId {
-    fn write(&self, w: &mut SnapshotWriter) {
-        self.core.write(w);
-        self.warp.write(w);
-    }
-
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(crate::ids::GlobalWarpId::new(
-            crate::ids::CoreId::read(r)?,
-            crate::ids::WarpId::read(r)?,
-        ))
-    }
-}
-
-impl SnapField for crate::req::ReqId {
-    fn write(&self, w: &mut SnapshotWriter) {
+impl Snapshot for crate::req::ReqId {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
         w.u64(self.0);
     }
-
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(crate::req::ReqId(r.u64()?))
-    }
 }
 
-impl SnapField for crate::req::RequestClass {
-    fn write(&self, w: &mut SnapshotWriter) {
+impl Snapshot for crate::req::RequestClass {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
         // depth_tag is a faithful encoding: 0 = data, 1..=4 = walk level.
         w.u8(self.depth_tag());
     }
-
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.u8()? {
-            0 => Ok(crate::req::RequestClass::Data),
-            l @ 1..=4 => Ok(crate::req::RequestClass::Translation(
-                crate::req::WalkLevel::new(l),
-            )),
-            _ => Err(SnapshotError::Malformed("walk depth tag out of range")),
-        }
-    }
 }
 
-impl SnapField for crate::req::MemRequest {
-    fn write(&self, w: &mut SnapshotWriter) {
-        self.id.write(w);
-        self.line.write(w);
-        self.asid.write(w);
-        self.core.write(w);
-        self.class.write(w);
+impl Snapshot for crate::req::MemRequest {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
+        self.id.snapshot(w);
+        self.line.snapshot(w);
+        self.asid.snapshot(w);
+        self.core.snapshot(w);
+        self.class.snapshot(w);
         w.u64(self.issued_at);
-    }
-
-    fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(crate::req::MemRequest {
-            id: crate::req::ReqId::read(r)?,
-            line: crate::addr::LineAddr::read(r)?,
-            asid: crate::ids::Asid::read(r)?,
-            core: crate::ids::CoreId::read(r)?,
-            class: crate::req::RequestClass::read(r)?,
-            issued_at: r.u64()?,
-        })
     }
 }
 
@@ -804,25 +649,9 @@ mod tests {
         let bytes = w.seal(PrefixKey(0xdead_beef));
 
         let mut r = SnapshotReader::open_keyed(&bytes, PrefixKey(0xdead_beef)).unwrap();
-        let mut out = SimStats::new(2, 8);
-        out.restore(&mut r).unwrap();
+        let out = SimStats::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(out, stats);
-    }
-
-    #[test]
-    fn pcg32_round_trip_preserves_stream() {
-        let mut rng = crate::rng::Pcg32::new(7, 3);
-        for _ in 0..13 {
-            rng.next_u32();
-        }
-        let mut w = SnapshotWriter::new();
-        rng.snapshot(&mut w);
-        let bytes = w.seal(PrefixKey(1));
-        let (mut r, _) = SnapshotReader::open(&bytes).unwrap();
-        let mut other = crate::rng::Pcg32::new(0, 0);
-        other.restore(&mut r).unwrap();
-        assert_eq!(rng.next_u64(), other.next_u64());
     }
 
     #[test]
@@ -904,24 +733,17 @@ mod tests {
     }
 
     #[test]
-    fn malformed_fields_rejected() {
-        // hits > accesses
+    fn hits_above_accesses_are_rejected() {
+        let mut stats = sample_stats();
+        stats.apps[1].l2_translation[2].hits = stats.apps[1].l2_translation[2].accesses + 1;
         let mut w = SnapshotWriter::new();
-        w.u64(1);
-        w.u64(2);
+        stats.snapshot(&mut w);
         let bytes = w.seal(PrefixKey(0));
         let (mut r, _) = SnapshotReader::open(&bytes).unwrap();
-        let mut h = HitStats::default();
-        assert!(h.restore(&mut r).is_err());
-
-        // even PCG increment
-        let mut w = SnapshotWriter::new();
-        w.u64(3);
-        w.u64(4);
-        let bytes = w.seal(PrefixKey(0));
-        let (mut r, _) = SnapshotReader::open(&bytes).unwrap();
-        let mut rng = crate::rng::Pcg32::new(1, 1);
-        assert!(rng.restore(&mut r).is_err());
+        assert_eq!(
+            SimStats::decode(&mut r),
+            Err(SnapshotError::Malformed("hits exceed accesses"))
+        );
     }
 
     #[test]
@@ -945,17 +767,13 @@ mod tests {
     }
 
     #[test]
-    fn app_stats_default_round_trips() {
+    fn default_stats_round_trip() {
+        let stats = SimStats::new(3, 0);
         let mut w = SnapshotWriter::new();
-        AppStats::default().snapshot(&mut w);
+        stats.snapshot(&mut w);
         let bytes = w.seal(PrefixKey(0));
         let (mut r, _) = SnapshotReader::open(&bytes).unwrap();
-        let mut out = AppStats {
-            instructions: 99,
-            ..AppStats::default()
-        };
-        out.restore(&mut r).unwrap();
+        assert_eq!(SimStats::decode(&mut r), Ok(stats));
         r.finish().unwrap();
-        assert_eq!(out, AppStats::default());
     }
 }

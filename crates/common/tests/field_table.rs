@@ -39,7 +39,7 @@ fn the_table_visits_every_byte_of_each_struct() {
 }
 
 proptest! {
-    /// A result with *every* leaf set survives seal → open → restore.
+    /// A result with *every* leaf set survives seal → open → decode.
     #[test]
     fn msnp_round_trip_is_exact_on_every_leaf(seed in any::<u64>()) {
         let mut rng = Pcg32::new(seed, 15);
@@ -49,8 +49,7 @@ proptest! {
         stats.snapshot(&mut w);
         let bytes = w.seal(PrefixKey(seed));
         let mut r = SnapshotReader::open_keyed(&bytes, PrefixKey(seed)).expect("own envelope opens");
-        let mut back = SimStats::new(n_apps, 0);
-        back.restore(&mut r).expect("own payload restores");
+        let back = SimStats::decode(&mut r).expect("own payload decodes");
         r.finish().expect("fully consumed");
         prop_assert_eq!(&back, &stats);
         // Deltas walk the same table: against a zero baseline every field,

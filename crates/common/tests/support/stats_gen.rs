@@ -7,7 +7,7 @@ use mask_common::stats::{Field, FieldMut, HitStats, SimStats};
 
 /// Sets every `u64` leaf under `fields`, in table order, to the next value
 /// `next` yields. With `legal`, each hit/access pair is clamped to
-/// `hits <= accesses`, the one condition restore enforces.
+/// `hits <= accesses`, the one condition the decoder enforces.
 pub(crate) fn fill<'a>(
     fields: impl Iterator<Item = (&'static str, FieldMut<'a>)>,
     next: &mut dyn FnMut() -> u64,

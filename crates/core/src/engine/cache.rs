@@ -110,7 +110,7 @@ pub struct PrefixCacheStats {
 /// The number of jobs a [`JobPool`](super::JobPool) simulated, kept under
 /// the name of the warm-up sharing that is gone. `benchmark/src/sweep.rs`
 /// and `benchmark/src/service.rs` read it through
-/// [`JobPool::prefix_cache`](super::JobPool::prefix_cache); ROADMAP 8(a)
+/// [`JobPool::prefix_cache`](super::JobPool::prefix_cache); ROADMAP item 5
 /// deletes it with those reads.
 #[derive(Debug, Default)]
 #[expect(clippy::disallowed_types, reason = "counted by every worker of a pool")]
@@ -121,7 +121,7 @@ pub struct PrefixCache {
 impl PrefixCache {
     /// A zeroed counter behind the shared handle
     /// [`JobPool`](super::JobPool) expects. Called by
-    /// `benchmark/src/engine.rs`; ROADMAP 8(a) deletes it.
+    /// `benchmark/src/engine.rs`; ROADMAP item 5 deletes it.
     #[must_use]
     pub fn in_memory() -> Arc<Self> {
         Arc::new(PrefixCache::default())
@@ -129,7 +129,7 @@ impl PrefixCache {
 
     /// The counters, `misses` being the jobs simulated. Read by
     /// `benchmark/src/sweep.rs` and `benchmark/src/service.rs`; ROADMAP
-    /// 8(a) deletes it.
+    /// item 5 deletes it.
     #[must_use]
     pub fn stats(&self) -> PrefixCacheStats {
         PrefixCacheStats {

@@ -111,7 +111,7 @@ impl SimJob {
     /// state at the end of warm-up.
     ///
     /// The engine no longer reads it: `benchmark/src/engine.rs` times it
-    /// as `core.prefix_key_us`, and ROADMAP 8(a) deletes it with that row.
+    /// as `core.prefix_key_us`, and ROADMAP item 5 deletes it with that row.
     #[must_use]
     pub fn prefix_key(&self) -> PrefixKey {
         let warmup = self.warmup_eff();

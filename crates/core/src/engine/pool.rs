@@ -90,7 +90,7 @@ impl JobPool {
     }
 
     /// Replaces the counter of jobs simulated. Called by
-    /// `benchmark/src/engine.rs`; ROADMAP 8(a) deletes it.
+    /// `benchmark/src/engine.rs`; ROADMAP item 5 deletes it.
     #[must_use]
     pub fn with_prefix_cache(mut self, simulated: Arc<PrefixCache>) -> Self {
         self.simulated = simulated;
@@ -98,7 +98,7 @@ impl JobPool {
     }
 
     /// Ignores its flag: there is no warm-up sharing left to switch off.
-    /// Called by `benchmark/src/engine.rs`; ROADMAP 8(a) deletes it.
+    /// Called by `benchmark/src/engine.rs`; ROADMAP item 5 deletes it.
     #[must_use]
     pub fn with_prefix_reuse(self, _reuse: bool) -> Self {
         self
@@ -118,7 +118,7 @@ impl JobPool {
 
     /// The counter of jobs this pool simulated. Read by
     /// `benchmark/src/sweep.rs` and `benchmark/src/service.rs`; ROADMAP
-    /// 8(a) deletes it.
+    /// item 5 deletes it.
     #[must_use]
     pub fn prefix_cache(&self) -> &Arc<PrefixCache> {
         &self.simulated

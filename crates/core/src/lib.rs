@@ -6,8 +6,8 @@
 //! crates into a ready-to-use API:
 //!
 //! * [`engine`] — the plan → execute → assemble job engine: deduplicated
-//!   [`SimJob`](engine::SimJob) batches fanned out over `MASK_JOBS` worker
-//!   threads with bit-identical results at any worker count;
+//!   [`SimJob`] batches fanned out over `MASK_JOBS` worker threads with
+//!   bit-identical results at any worker count;
 //! * [`runner`] — one-call simulation of single apps, app pairs, and n-app
 //!   mixes under any of the paper's eight designs;
 //! * [`metrics`] — weighted speedup, IPC throughput, and unfairness

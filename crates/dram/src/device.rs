@@ -70,13 +70,6 @@ impl Channel {
         }
     }
 
-    fn for_each_queued(&self, mut f: impl FnMut(&QueueEntry)) {
-        match &self.queue {
-            ChannelQueue::Baseline(q, _) => q.entries().iter().for_each(f),
-            ChannelQueue::Mask(m) => m.for_each_entry(&mut f),
-        }
-    }
-
     fn note_queued(&mut self, bank: usize) {
         self.queued_per_bank[bank] += 1;
         self.banks_queued |= 1 << bank;
@@ -102,9 +95,9 @@ pub struct Dram {
     n_queued: usize,
     /// Earliest `finish` among all channels' in-flight accesses
     /// (`Cycle::MAX` when none): before it `drain_completions_into` has
-    /// nothing to pop. Both gates are derived state, re-derived by
-    /// `restore` and, under the sanitizer, checked against the channels
-    /// every cycle (`dram-idle-gate`).
+    /// nothing to pop. Both gates are derived state, not encoded, and under
+    /// the sanitizer checked against the channels every cycle
+    /// (`dram-idle-gate`).
     next_finish: Cycle,
     /// Checker instance id for cycle-monotonicity tracking.
     san_id: u32,
@@ -353,18 +346,6 @@ impl Dram {
     pub fn channel_of(&self, line: mask_common::addr::LineAddr, asid: Asid) -> usize {
         decode(line, &self.cfg, &self.partition, asid).channel
     }
-
-    /// Visits every request currently held by the device — queued in a
-    /// channel's request buffer or in flight to a bank. Each accepted,
-    /// uncompleted request is visited exactly once.
-    pub fn for_each_in_flight(&self, mut f: impl FnMut(&MemRequest)) {
-        for ch in &self.channels {
-            ch.for_each_queued(|e| f(&e.req));
-            for c in &ch.in_flight {
-                f(&c.req);
-            }
-        }
-    }
 }
 
 fn row_outcome_tag(outcome: RowOutcome) -> u8 {
@@ -377,7 +358,6 @@ fn row_outcome_tag(outcome: RowOutcome) -> u8 {
 
 impl mask_common::snapshot::Snapshot for Dram {
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
-        use mask_common::snapshot::SnapField;
         w.section("dram");
         w.seq(self.channels.len());
         for ch in &self.channels {
@@ -392,7 +372,7 @@ impl mask_common::snapshot::Snapshot for Dram {
                 ChannelQueue::Baseline(q, batch) => {
                     w.seq(q.entries().len());
                     for e in q.entries() {
-                        e.write(w);
+                        e.snapshot(w);
                     }
                     if let Some(b) = batch {
                         b.snapshot(w);
@@ -403,101 +383,13 @@ impl mask_common::snapshot::Snapshot for Dram {
             w.u64(ch.bus_free_at);
             w.seq(ch.in_flight.len());
             for c in &ch.in_flight {
-                c.req.write(w);
+                c.req.snapshot(w);
                 w.u8(row_outcome_tag(c.outcome));
                 w.u64(c.arrival);
                 w.u64(c.finish);
                 w.u64(c.bus_cycles);
             }
         }
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::{SnapField, SnapshotError};
-        r.section("dram")?;
-        r.seq_exact(self.channels.len())?;
-        for ch in &mut self.channels {
-            r.seq_exact(ch.banks.len())?;
-            for bank in &mut ch.banks {
-                let open = r.bool()?;
-                let row = r.u64()?;
-                bank.open_row = open.then_some(row);
-                bank.busy_until = r.u64()?;
-            }
-            match &mut ch.queue {
-                ChannelQueue::Baseline(q, batch) => {
-                    let n = r.seq()?;
-                    q.restore(r, n)?;
-                    if let Some(b) = batch {
-                        b.restore(r)?;
-                    }
-                }
-                ChannelQueue::Mask(m) => m.restore(r)?,
-            }
-            // The per-bank counts are derived from the queues just read.
-            let mut queued_per_bank = vec![0u32; ch.banks.len()];
-            let mut banks_queued = 0u64;
-            let mut bank_in_range = true;
-            ch.for_each_queued(|e| match queued_per_bank.get_mut(e.decoded.bank) {
-                Some(n) => {
-                    *n += 1;
-                    banks_queued |= 1 << e.decoded.bank;
-                }
-                None => bank_in_range = false,
-            });
-            if !bank_in_range {
-                return Err(SnapshotError::Malformed(
-                    "queued request names unknown bank",
-                ));
-            }
-            ch.queued_per_bank = queued_per_bank;
-            ch.banks_queued = banks_queued;
-            ch.bus_free_at = r.u64()?;
-            let n = r.seq()?;
-            ch.in_flight.clear();
-            for _ in 0..n {
-                let req = MemRequest::read(r)?;
-                let outcome = match r.u8()? {
-                    0 => RowOutcome::Hit,
-                    1 => RowOutcome::Miss,
-                    2 => RowOutcome::Conflict,
-                    _ => return Err(SnapshotError::Malformed("unknown row outcome")),
-                };
-                ch.in_flight.push_back(DramCompletion {
-                    req,
-                    outcome,
-                    arrival: r.u64()?,
-                    finish: r.u64()?,
-                    bus_cycles: r.u64()?,
-                });
-            }
-            // Envelopes written before the in-flight list became a FIFO hold
-            // it in `swap_remove` order; finish order is the FIFO's.
-            let in_flight = ch.in_flight.make_contiguous();
-            in_flight.sort_by_key(|c| c.finish);
-            if in_flight.windows(2).any(|w| w[0].finish == w[1].finish) {
-                return Err(SnapshotError::Malformed(
-                    "two in-flight accesses of one channel finish together",
-                ));
-            }
-        }
-        self.n_queued = self.queued();
-        self.next_finish = self.earliest_finish();
-        // Re-open the device's conservation domain: every queued or
-        // in-flight request was accepted before the snapshot and has yet to
-        // complete. (MaskQueues re-opens its own `dram-queues` domain.)
-        if cfg!(debug_assertions) {
-            for ch in &self.channels {
-                ch.for_each_queued(|e| mask_obs::hooks::issue(mask_obs::Domain::Dram, e.req.id.0));
-                for c in &ch.in_flight {
-                    mask_obs::hooks::issue(mask_obs::Domain::Dram, c.req.id.0);
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -727,41 +619,6 @@ mod tests {
         );
     }
 
-    fn sealed(d: &Dram) -> Vec<u8> {
-        use mask_common::snapshot::{PrefixKey, Snapshot, SnapshotWriter};
-        let mut w = SnapshotWriter::new();
-        d.snapshot(&mut w);
-        w.seal(PrefixKey(0))
-    }
-
-    fn restored(bytes: &[u8]) -> Result<Dram, mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::{Snapshot, SnapshotReader};
-        // A restored device re-issues what it holds: as in `GpuSim`, it
-        // gets a sanitizer session of its own.
-        mask_obs::hooks::enter_session(mask_obs::hooks::new_session());
-        let mut d = Dram::new(&cfg(), 1, DramPolicy::Shared);
-        let (mut r, _) = SnapshotReader::open(bytes)?;
-        d.restore(&mut r)?;
-        r.finish()?;
-        Ok(d)
-    }
-
-    /// Four accesses in flight on channel 0 and two still queued behind
-    /// them, all to one bank.
-    fn busy_channel() -> Dram {
-        let mut d = Dram::new(&cfg(), 1, DramPolicy::Shared);
-        for i in 0..6u64 {
-            d.enqueue(req(i, i, RequestClass::Data), 0);
-        }
-        let mut now = 0;
-        while d.in_flight() < 4 {
-            d.tick(now);
-            now += 1;
-        }
-        assert_eq!(d.queued(), 2);
-        d
-    }
-
     #[test]
     fn idle_gates_follow_the_channels() {
         let mut d = Dram::new(&cfg(), 1, DramPolicy::Shared);
@@ -780,11 +637,6 @@ mod tests {
             now += 1;
         }
         assert_eq!((d.n_queued, d.next_finish), (0, Cycle::MAX));
-        // A restored device re-derives both from what it holds.
-        let busy = busy_channel();
-        let back = restored(&sealed(&busy)).expect("restores");
-        assert_eq!(back.n_queued, 2);
-        assert_eq!(back.next_finish, busy.next_finish);
     }
 
     /// Red test for the `dram-idle-gate` premise check: a queued count
@@ -798,61 +650,6 @@ mod tests {
         d.enqueue(req(1, 0, RequestClass::Data), 0);
         d.n_queued = 0;
         d.tick(0);
-    }
-
-    #[test]
-    fn envelopes_listing_in_flight_accesses_out_of_order_still_restore() {
-        // Before the in-flight list became a FIFO, completions left it by
-        // `swap_remove`, so a stored envelope lists a channel's accesses in
-        // no particular order. Permute one the way two such removals would.
-        let d = busy_channel();
-        let mut written_before = d.clone();
-        let list = &mut written_before.channels[0].in_flight;
-        list.swap(0, 3);
-        list.swap(1, 2);
-        assert_ne!(sealed(&written_before), sealed(&d));
-
-        let mut back = restored(&sealed(&written_before)).expect("restores");
-        assert_eq!(
-            sealed(&back),
-            sealed(&d),
-            "restore puts the list in finish order"
-        );
-        assert_eq!(
-            back.channels[0].queued_per_bank,
-            d.channels[0].queued_per_bank
-        );
-        assert_eq!(back.channels[0].banks_queued, d.channels[0].banks_queued);
-        let done = run(&mut back, 0, 400);
-        let finishes: Vec<Cycle> = done.iter().map(|c| c.finish).collect();
-        assert_eq!(finishes.len(), 6);
-        assert!(finishes.windows(2).all(|w| w[0] < w[1]), "{finishes:?}");
-    }
-
-    #[test]
-    fn two_accesses_of_a_channel_finishing_together_are_malformed() {
-        let mut d = busy_channel();
-        let list = &mut d.channels[0].in_flight;
-        list[2].finish = list[1].finish;
-        assert!(matches!(
-            restored(&sealed(&d)),
-            Err(mask_common::snapshot::SnapshotError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn a_queued_request_naming_an_unknown_bank_is_malformed() {
-        let mut d = busy_channel();
-        let ChannelQueue::Baseline(q, _) = &mut d.channels[0].queue else {
-            panic!("shared policy uses the baseline queue");
-        };
-        let mut entry = q.remove(0);
-        entry.decoded.bank = cfg().banks_per_channel;
-        q.push(entry);
-        assert!(matches!(
-            restored(&sealed(&d)),
-            Err(mask_common::snapshot::SnapshotError::Malformed(_))
-        ));
     }
 
     #[test]

@@ -29,12 +29,18 @@ pub struct QueueEntry {
 const BANK_BITS: u32 = 6;
 
 /// What an FR-FCFS scan reads of a queued entry, `row << 6 | bank`: eight
-/// bytes per entry where a [`QueueEntry`] is 64. `None` when the bank or the
-/// row does not fit, which no decoded line address does — a restored entry
-/// may.
-fn scan_key(decoded: &Decoded) -> Option<u64> {
-    let fits = decoded.bank < 1 << BANK_BITS && decoded.row >> (u64::BITS - BANK_BITS) == 0;
-    fits.then_some(decoded.row << BANK_BITS | decoded.bank as u64)
+/// bytes per entry where a [`QueueEntry`] is 64.
+///
+/// # Panics
+///
+/// Panics when the bank or the row does not fit, which no decoded line
+/// address does.
+fn scan_key(decoded: &Decoded) -> u64 {
+    assert!(
+        decoded.bank < 1 << BANK_BITS && decoded.row >> (u64::BITS - BANK_BITS) == 0,
+        "a decoded line address fits a scan key"
+    );
+    decoded.row << BANK_BITS | decoded.bank as u64
 }
 
 /// A push-ordered request buffer and, in lock-step with its entries, the
@@ -48,18 +54,8 @@ pub(crate) struct ScanQueue {
 
 impl ScanQueue {
     pub(crate) fn push(&mut self, entry: QueueEntry) {
-        self.try_push(entry)
-            .expect("a decoded line address fits a scan key");
-    }
-
-    fn try_push(&mut self, entry: QueueEntry) -> Result<(), mask_common::snapshot::SnapshotError> {
-        let key =
-            scan_key(&entry.decoded).ok_or(mask_common::snapshot::SnapshotError::Malformed(
-                "queued request's bank or row does not fit a scan key",
-            ))?;
-        self.keys.push(key);
+        self.keys.push(scan_key(&entry.decoded));
         self.entries.push(entry);
-        Ok(())
     }
 
     pub(crate) fn remove(&mut self, i: usize) -> QueueEntry {
@@ -69,21 +65,6 @@ impl ScanQueue {
 
     pub(crate) fn entries(&self) -> &[QueueEntry] {
         &self.entries
-    }
-
-    /// Replaces the contents with `n` entries read from `r`.
-    pub(crate) fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-        n: usize,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::SnapField;
-        self.entries.clear();
-        self.keys.clear();
-        for _ in 0..n {
-            self.try_push(QueueEntry::read(r)?)?;
-        }
-        Ok(())
     }
 
     /// Selects the FR-FCFS candidate among the entries whose bank is free.
@@ -112,7 +93,7 @@ impl ScanQueue {
         if cfg!(debug_assertions) {
             let keys = self.entries.iter().map(|e| scan_key(&e.decoded));
             mask_obs::hooks::check(
-                keys.eq(self.keys.iter().map(|&key| Some(key))),
+                keys.eq(self.keys.iter().copied()),
                 "dram-queue-keys",
                 "every scan key must be its entry's decoded row and bank",
             );
@@ -329,27 +310,13 @@ impl MaskQueues {
     }
 }
 
-impl mask_common::snapshot::SnapField for QueueEntry {
-    fn write(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
-        self.req.write(w);
+impl mask_common::snapshot::Snapshot for QueueEntry {
+    fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
+        self.req.snapshot(w);
         w.usize(self.decoded.channel);
         w.usize(self.decoded.bank);
         w.u64(self.decoded.row);
         w.u64(self.arrival);
-    }
-
-    fn read(
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, mask_common::snapshot::SnapshotError> {
-        Ok(QueueEntry {
-            req: MemRequest::read(r)?,
-            decoded: Decoded {
-                channel: r.usize()?,
-                bank: r.usize()?,
-                row: r.u64()?,
-            },
-            arrival: r.u64()?,
-        })
     }
 }
 
@@ -358,67 +325,23 @@ impl mask_common::snapshot::Snapshot for BatchState {
         w.usize(self.current_app);
         w.u32(self.served);
     }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        self.current_app = r.usize()?;
-        self.served = r.u32()?;
-        Ok(())
-    }
 }
 
 impl mask_common::snapshot::Snapshot for MaskQueues {
     /// Serializes queue contents and the Silver rotation state; capacities
-    /// and `thresh_max` are config-derived. Restore re-opens the
-    /// `dram-queues` conservation domain for every queued entry.
+    /// and `thresh_max` are config-derived.
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
-        use mask_common::snapshot::SnapField;
         let (silver, normal) = (self.silver.entries(), self.normal.entries());
         for queue_len in [self.golden.len(), silver.len(), normal.len()] {
             w.seq(queue_len);
         }
-        self.for_each_entry(|e| e.write(w));
+        self.for_each_entry(|e| e.snapshot(w));
         w.usize(self.silver_app);
         w.u64(self.silver_left);
         w.seq(self.quotas.len());
         for &q in &self.quotas {
             w.u64(q);
         }
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::SnapField;
-        let n_golden = r.seq()?;
-        let n_silver = r.seq()?;
-        let n_normal = r.seq()?;
-        self.golden.clear();
-        for _ in 0..n_golden {
-            self.golden.push_back(QueueEntry::read(r)?);
-        }
-        self.silver.restore(r, n_silver)?;
-        self.normal.restore(r, n_normal)?;
-        self.silver_app = r.usize()?;
-        self.silver_left = r.u64()?;
-        r.seq_exact(self.quotas.len())?;
-        for q in &mut self.quotas {
-            *q = r.u64()?;
-        }
-        if self.silver_app >= self.quotas.len() {
-            return Err(mask_common::snapshot::SnapshotError::Malformed(
-                "silver app index out of range",
-            ));
-        }
-        if cfg!(debug_assertions) {
-            self.for_each_entry(|e| {
-                mask_obs::hooks::issue(mask_obs::Domain::DramQueues, e.req.id.0);
-            });
-        }
-        Ok(())
     }
 }
 
@@ -486,9 +409,8 @@ mod tests {
     }
 
     #[test]
-    fn keys_follow_their_entries_through_removal_and_restore() {
-        use mask_common::snapshot::{PrefixKey, SnapField, SnapshotReader, SnapshotWriter};
-        let key = |e: &QueueEntry| scan_key(&e.decoded).expect("fits");
+    fn keys_follow_their_entries_through_removal() {
+        let key = |e: &QueueEntry| scan_key(&e.decoded);
         // Bank 63 and a 58-bit row are the largest a key holds.
         let top_row = (1 << 58) - 1;
         let mut q = scan_queue([
@@ -505,27 +427,14 @@ mod tests {
         q.push(entry(4, 1, 5, 77, RequestClass::Data, 3));
         batch.current_app = 1;
         assert_eq!(batch.pick(&q, 2, |_| true, |_| Some(77)), Some(2));
+    }
 
-        let mut w = SnapshotWriter::new();
-        q.entries().iter().for_each(|e| e.write(&mut w));
-        // A row or a bank a key cannot hold is not a queue this device wrote.
-        let wide_row = entry(5, 0, 0, 1 << 58, RequestClass::Data, 4);
-        let wide_bank = entry(6, 0, 64, 0, RequestClass::Data, 5);
-        assert_eq!(
-            (scan_key(&wide_row.decoded), scan_key(&wide_bank.decoded)),
-            (None, None)
-        );
-        wide_row.write(&mut w);
-        let bytes = w.seal(PrefixKey(0));
-        let mut back = ScanQueue::default();
-        let (mut r, _) = SnapshotReader::open(&bytes).expect("sealed above");
-        back.restore(&mut r, 3).expect("three well-formed entries");
-        assert_eq!(back.keys, q.keys);
-        let (mut r, _) = SnapshotReader::open(&bytes).expect("sealed above");
-        assert!(matches!(
-            back.restore(&mut r, 4),
-            Err(mask_common::snapshot::SnapshotError::Malformed(_))
-        ));
+    /// A row or a bank a key cannot hold is no queue a decoded line
+    /// address fills.
+    #[test]
+    #[should_panic(expected = "a decoded line address fits a scan key")]
+    fn a_row_no_key_holds_is_refused() {
+        scan_queue([entry(5, 0, 0, 1 << 58, RequestClass::Data, 4)]);
     }
 
     /// Red test for the `dram-queue-keys` premise check: a key that names

@@ -344,15 +344,13 @@ proptest! {
     /// Same completions, in the same order, on the same cycle — and the
     /// same occupancy on every cycle — as the device that
     /// scans everything, under every scheduler and partitioning, through
-    /// quota updates and a snapshot round trip.
+    /// quota updates.
     #[test]
     fn gated_device_equals_scanning_every_queue_every_cycle(
         stream in arrivals(),
         variant in 0usize..6,
         closed_row: bool,
-        cut in 0u64..600,
     ) {
-        use mask_common::snapshot::{PrefixKey, Snapshot, SnapshotReader, SnapshotWriter};
         let (policy, sched) = [
             (DramPolicy::Shared, MemSchedKind::FrFcfs),
             (DramPolicy::Shared, MemSchedKind::GpuBatch),
@@ -369,10 +367,10 @@ proptest! {
             silver_capacity: if variant == 5 { 3 } else { 64 },
             ..DramConfig::default()
         };
-        // Device and model queue the same request ids (and the device again
-        // after its restore): each keeps its own sanitizer session.
+        // Device and model queue the same request ids: each keeps its own
+        // sanitizer session.
         let model_session = mask_obs::hooks::new_session();
-        let mut dram_session = mask_obs::hooks::new_session();
+        let dram_session = mask_obs::hooks::new_session();
         mask_obs::hooks::enter_session(dram_session);
         let mut dram = Dram::new(&cfg, 2, policy);
         let mut model = scan_everything::ScanEverything::new(&cfg, 2, policy);
@@ -410,18 +408,6 @@ proptest! {
                 mask_obs::hooks::enter_session(model_session);
                 model.update_pressure(&pressure);
                 mask_obs::hooks::enter_session(dram_session);
-            }
-            if now == cut {
-                let mut w = SnapshotWriter::new();
-                dram.snapshot(&mut w);
-                let bytes = w.seal(PrefixKey(0));
-                dram_session = mask_obs::hooks::new_session();
-                mask_obs::hooks::enter_session(dram_session);
-                let mut fresh = Dram::new(&cfg, 2, policy);
-                let (mut r, _) = SnapshotReader::open(&bytes).expect("sealed above");
-                fresh.restore(&mut r).expect("own encoding restores");
-                r.finish().expect("restore consumes the payload");
-                dram = fresh;
             }
             dram.tick(now);
             out.clear();

@@ -525,22 +525,6 @@ impl WarpState {
             }
         }
     }
-
-    fn restore(
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::SnapshotError;
-        Ok(match r.u8()? {
-            0 => WarpState::NeedOp,
-            1 => WarpState::Compute { left: r.u32()? },
-            2 => WarpState::MemReady,
-            3 => WarpState::XlatWait { pending: r.u32()? },
-            4 => WarpState::DataWait {
-                outstanding: r.u32()?,
-            },
-            _ => return Err(SnapshotError::Malformed("unknown warp state tag")),
-        })
-    }
 }
 
 impl GpuCore {
@@ -549,7 +533,7 @@ impl GpuCore {
     /// every cycle would hold, so the bytes do not depend on who skipped
     /// what; the burst marker itself is derived state and is not encoded.
     pub fn snapshot_at(&self, now: Cycle, w: &mut mask_common::snapshot::SnapshotWriter) {
-        use mask_common::snapshot::{SnapField, Snapshot as _};
+        use mask_common::snapshot::Snapshot as _;
         w.seq(self.warps.len());
         for (i, warp) in self.warps.iter().enumerate() {
             warp.trace.snapshot(w);
@@ -560,12 +544,12 @@ impl GpuCore {
             }
             w.seq(warp.lines.len());
             for va in &warp.lines {
-                va.write(w);
+                va.snapshot(w);
             }
             w.seq(warp.xlat.len());
             for (vpn, ppn) in &warp.xlat {
-                vpn.write(w);
-                ppn.write(w);
+                vpn.snapshot(w);
+                ppn.snapshot(w);
             }
         }
         w.u128(self.ready);
@@ -576,61 +560,8 @@ impl GpuCore {
         w.seq(self.retry.len());
         for &(warp, line) in &self.retry {
             w.usize(warp);
-            line.write(w);
+            line.snapshot(w);
         }
-    }
-
-    /// Restores what [`GpuCore::snapshot_at`] wrote; no burst sleeps in a
-    /// restored core.
-    ///
-    /// # Errors
-    ///
-    /// A payload that is truncated or holds out-of-range warp indices.
-    pub fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::{SnapField, Snapshot as _, SnapshotError};
-        let n_warps = self.warps.len();
-        self.burst_end = NO_BURST;
-        r.seq_exact(n_warps)?;
-        for warp in &mut self.warps {
-            warp.trace.restore(r)?;
-            warp.state = WarpState::restore(r)?;
-            let n_lines = r.seq()?;
-            warp.lines.clear();
-            for _ in 0..n_lines {
-                warp.lines.push(mask_common::addr::VirtAddr::read(r)?);
-            }
-            let n_xlat = r.seq()?;
-            warp.xlat.clear();
-            for _ in 0..n_xlat {
-                let vpn = mask_common::addr::Vpn::read(r)?;
-                let ppn = mask_common::addr::Ppn::read(r)?;
-                warp.xlat.push((vpn, ppn));
-            }
-        }
-        self.ready = r.u128()?;
-        if n_warps < 128 && self.ready >> n_warps != 0 {
-            return Err(SnapshotError::Malformed("ready mask beyond warp count"));
-        }
-        self.last = r.usize()?;
-        if self.last >= n_warps {
-            return Err(SnapshotError::Malformed("last-issued warp out of range"));
-        }
-        self.l1tlb.restore(r)?;
-        self.l1cache.restore(r)?;
-        self.l1mshr.restore(r)?;
-        let n_retry = r.seq()?;
-        self.retry.clear();
-        for _ in 0..n_retry {
-            let warp = r.usize()?;
-            if warp >= n_warps {
-                return Err(SnapshotError::Malformed("retry warp out of range"));
-            }
-            self.retry.push_back((warp, LineAddr::read(r)?));
-        }
-        Ok(())
     }
 }
 

@@ -7,6 +7,7 @@ use mask_cache::SharedL2Cache;
 use mask_common::config::{ComputePolicy, SimConfig, TranslationPath};
 use mask_common::ids::{Asid, CoreId, WarpId};
 use mask_common::req::{MemRequest, RequestClass};
+use mask_common::snapshot::{PrefixKey, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use mask_common::stats::SimStats;
 use mask_common::Cycle;
 use mask_dram::{Dram, DramCompletion, RowOutcome};
@@ -55,13 +56,6 @@ fn core_layout(policy: ComputePolicy, cores_per_app: &[usize]) -> Vec<usize> {
     layout
 }
 
-/// The first multiple of `epoch` after `now`; `Cycle::MAX` when there are
-/// no epochs.
-fn epoch_after(now: Cycle, epoch: u64) -> Cycle {
-    now.checked_div(epoch)
-        .map_or(Cycle::MAX, |done| (done + 1).saturating_mul(epoch))
-}
-
 /// How far ahead the wake schedule's wheel reaches. A burst that ends
 /// later is visited once mid-burst, which [`GpuCore::issue`] allows.
 const WAKE_HORIZON: u64 = 64;
@@ -74,8 +68,7 @@ const WAKE_HORIZON: u64 = 64;
 /// [`GpuSim::rouse`] — after a translation or a data line is delivered —
 /// makes a core due earlier than it asked.
 ///
-/// Derived state: a snapshot does not encode it, and a restored simulator
-/// makes every core due at once (a parked core re-parks on that visit).
+/// Derived state: a snapshot does not encode it.
 #[derive(Debug)]
 struct WakeSchedule {
     /// Per core, the cycle it is due; `Cycle::MAX` while parked.
@@ -128,13 +121,6 @@ impl WakeSchedule {
             self.at[core] = at.min(now + WAKE_HORIZON - 1);
             let slot = self.slot(self.at[core], core);
             self.wheel[slot] |= bit;
-        }
-    }
-
-    /// Makes every core due at cycle `now`.
-    fn all_due(&mut self, now: Cycle) {
-        for core in 0..self.at.len() {
-            self.set(core, now, now);
         }
     }
 
@@ -288,7 +274,12 @@ impl GpuSim {
             dram,
             stats: SimStats::new(n_apps, cfg.gpu.dram.channels),
             now: 0,
-            next_epoch: epoch_after(0, cfg.gpu.mask.epoch_cycles),
+            // The first epoch ends at its length; `Cycle::MAX` when there
+            // are no epochs.
+            next_epoch: match cfg.gpu.mask.epoch_cycles {
+                0 => Cycle::MAX,
+                epoch => epoch,
+            },
             next_req_id: 0,
             n_apps,
             wake: WakeSchedule::new(cfg.gpu.n_cores),
@@ -620,7 +611,7 @@ impl GpuSim {
 
     /// Does nothing. It switched the whole-GPU idle fast-forward, which is
     /// gone; the name stays only because `benchmark/src/gpu_layer.rs`
-    /// still calls it. ROADMAP 8(a) deletes it with that call.
+    /// still calls it. ROADMAP item 5 deletes it with that call.
     pub fn set_cycle_skip(&mut self, _enabled: bool) {}
 
     /// Performs a TLB shootdown for one address space (§5.5): every core
@@ -697,42 +688,58 @@ impl GpuSim {
     /// Panics when called off an epoch-safe point (see
     /// [`GpuSim::at_epoch_safe_point`]) — snapshots between epoch
     /// boundaries would silently invalidate prefix-key sharing.
-    pub fn encode_snapshot(&self, key: mask_common::snapshot::PrefixKey) -> Vec<u8> {
-        use mask_common::snapshot::Snapshot as _;
+    pub fn encode_snapshot(&self, key: PrefixKey) -> Vec<u8> {
         assert!(
             self.at_epoch_safe_point(),
             "snapshot at cycle {} is not epoch-safe (epoch = {})",
             self.now,
             self.cfg.gpu.mask.epoch_cycles
         );
-        let mut w = mask_common::snapshot::SnapshotWriter::new();
+        let mut w = SnapshotWriter::new();
         self.snapshot(&mut w);
         w.seal(key)
     }
 
-    /// Restores the dynamic state encoded in `bytes` into this simulator,
-    /// which must have been freshly constructed from the same
-    /// configuration and applications. Rejects snapshots sealed under a
-    /// different [`mask_common::snapshot::PrefixKey`] than `key`.
+    /// Brings this simulator to the state sealed in `bytes`. It must be
+    /// fresh (cycle 0) and built from the same configuration and
+    /// applications as the simulator that encoded `bytes`.
+    ///
+    /// The simulator is deterministic, so the state is replayed, not
+    /// decoded: after the envelope checks (key, magic, version, length,
+    /// checksum) only the cycle count is read, the simulator runs that
+    /// far, and the result stands only if it encodes to `bytes` exactly.
     ///
     /// # Errors
     ///
-    /// Any envelope or payload failure leaves the simulator unusable;
-    /// discard it and fall back to simulating from cycle zero.
-    pub fn restore_snapshot(
-        &mut self,
-        bytes: &[u8],
-        key: mask_common::snapshot::PrefixKey,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::Snapshot as _;
-        let mut r = mask_common::snapshot::SnapshotReader::open_keyed(bytes, key)?;
-        self.restore(&mut r)?;
-        r.finish()
+    /// Any envelope failure, before anything is simulated.
+    /// [`SnapshotError::Malformed`] for a simulator that has already run or
+    /// a cycle count past `max_cycles` or off an epoch-safe point, also
+    /// before anything is simulated, and for a replay that does not
+    /// reproduce `bytes` (a snapshot of a machine that was not only run,
+    /// or of another configuration). After that last error the simulator
+    /// has run; discard it.
+    pub fn restore_snapshot(&mut self, bytes: &[u8], key: PrefixKey) -> Result<(), SnapshotError> {
+        let mut r = SnapshotReader::open_keyed(bytes, key)?;
+        r.section("gpu")?;
+        let cycle = r.u64()?;
+        if self.now != 0 {
+            return Err(SnapshotError::Malformed("replay needs a fresh simulator"));
+        }
+        if cycle > self.cfg.max_cycles || !self.cfg.gpu.mask.is_epoch_safe(cycle) {
+            return Err(SnapshotError::Malformed("snapshot cycle out of range"));
+        }
+        self.run(cycle);
+        if self.encode_snapshot(key) != bytes {
+            return Err(SnapshotError::Malformed(
+                "replay does not reproduce the snapshot",
+            ));
+        }
+        Ok(())
     }
 }
 
-impl mask_common::snapshot::Snapshot for GpuSim {
-    fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
+impl Snapshot for GpuSim {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
         w.section("gpu");
         w.u64(self.now);
         w.u64(self.next_req_id);
@@ -744,43 +751,6 @@ impl mask_common::snapshot::Snapshot for GpuSim {
         self.xlat.snapshot(w);
         self.l2.snapshot(w);
         self.dram.snapshot(w);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        // Bind the structural replays performed by component restores
-        // (MSHR mirrors, walker slots, conservation domains) to this
-        // simulator's own sanitizer session.
-        mask_obs::hooks::enter_session(self.san_session);
-        r.section("gpu")?;
-        self.now = r.u64()?;
-        self.next_epoch = epoch_after(self.now, self.cfg.gpu.mask.epoch_cycles);
-        self.next_req_id = r.u64()?;
-        self.stats.restore(r)?;
-        r.seq_exact(self.cores.len())?;
-        for core in &mut self.cores {
-            core.restore(r)?;
-        }
-        self.wake.all_due(self.now);
-        self.xlat.restore(r)?;
-        self.l2.restore(r)?;
-        self.dram.restore(r)?;
-        // Conservation: data-class requests below the cores were `issue`d
-        // as "core-data" in the snapshotted session. Every outstanding one
-        // is visible in the L2 exactly once (requests forwarded to DRAM
-        // are copies whose originals remain as MSHR waiters); translation
-        // requests were already re-issued by the translation unit from its
-        // own outstanding-walk table.
-        if cfg!(debug_assertions) {
-            self.l2.for_each_in_flight(|req| {
-                if req.class == RequestClass::Data {
-                    mask_obs::hooks::issue(mask_obs::Domain::CoreData, req.id.0);
-                }
-            });
-        }
-        Ok(())
     }
 }
 
@@ -934,48 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_resumes_bit_identically() {
-        use mask_common::snapshot::PrefixKey;
-        let apps: &[(&str, usize)] = &[("HISTO", 2), ("GUP", 2)];
-        let mut oracle = sim(DesignKind::Mask, apps, 6_000);
-        oracle.run(6_000);
-        oracle.sync_stats();
-
-        let mut prefix = sim(DesignKind::Mask, apps, 6_000);
-        prefix.run(3_000);
-        let bytes = prefix.encode_snapshot(PrefixKey(7));
-
-        let mut resumed = sim(DesignKind::Mask, apps, 6_000);
-        resumed
-            .restore_snapshot(&bytes, PrefixKey(7))
-            .expect("restore");
-        resumed.run(3_000);
-        resumed.sync_stats();
-        assert_eq!(oracle.stats(), resumed.stats(), "resume must be bit-exact");
-
-        // The encoded state at the common end point must be byte-identical
-        // too — stats equality alone could hide architectural divergence.
-        assert_eq!(
-            oracle.encode_snapshot(PrefixKey(7)),
-            resumed.encode_snapshot(PrefixKey(7)),
-        );
-    }
-
-    #[test]
-    fn restore_rejects_wrong_key_and_garbage() {
-        use mask_common::snapshot::PrefixKey;
-        let apps: &[(&str, usize)] = &[("HISTO", 2)];
-        let mut s = sim(DesignKind::SharedTlb, apps, 2_000);
-        s.run(1_000);
-        let bytes = s.encode_snapshot(PrefixKey(1));
-        let mut fresh = sim(DesignKind::SharedTlb, apps, 2_000);
-        assert!(fresh.restore_snapshot(&bytes, PrefixKey(2)).is_err());
-        assert!(fresh
-            .restore_snapshot(&bytes[..bytes.len() / 2], PrefixKey(1))
-            .is_err());
-    }
-
-    #[test]
     fn wake_schedule_moves_a_core_between_its_slots() {
         let mut wake = WakeSchedule::new(70);
         assert_eq!(wake.words, 2);
@@ -1001,9 +929,6 @@ mod tests {
         }
         assert_eq!(wake.parked, [u64::MAX, (1 << 6) - 1]);
         assert!(wake.wheel.iter().all(|&slot| slot == 0));
-        wake.all_due(77);
-        assert_eq!(wake.due(77, 1), (1 << 6) - 1);
-        assert!(wake.at.iter().all(|&at| at == 77));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! translation MSHRs; each entry counts its stalled warps — the Fig. 6
 //! metric and the `WarpsStalled` input of Eq. 1.
 
-use mask_common::addr::{LineAddr, Ppn, Vpn};
+use mask_common::addr::{Ppn, Vpn};
 use mask_common::config::{DesignSpec, GpuConfig, TokenPolicy, TranslationPath};
 use mask_common::ids::{Asid, GlobalWarpId};
 use mask_common::req::{MemRequest, ReqId, RequestClass};
@@ -565,7 +565,6 @@ impl TranslationUnit {
 
 impl mask_common::snapshot::Snapshot for TranslationUnit {
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
-        use mask_common::snapshot::SnapField;
         w.section("xlat");
         if let Some(l2) = &self.l2tlb {
             l2.snapshot(w);
@@ -586,26 +585,26 @@ impl mask_common::snapshot::Snapshot for TranslationUnit {
         w.seq(keys.len());
         for &(asid, vpn) in &keys {
             let entry = &self.mshr[&(asid, vpn)];
-            asid.write(w);
-            vpn.write(w);
+            asid.snapshot(w);
+            vpn.snapshot(w);
             w.seq(entry.waiters.len());
             for gw in &entry.waiters {
-                gw.write(w);
+                gw.snapshot(w);
             }
             w.usize(entry.initiator_core_rank);
             w.usize(entry.initiator_warp);
         }
         w.seq(self.l2tlb_pipe.len());
         for req in &self.l2tlb_pipe {
-            req.asid.write(w);
-            req.vpn.write(w);
+            req.asid.snapshot(w);
+            req.vpn.snapshot(w);
             w.u64(req.ready_at);
         }
         w.seq(self.fault_pipe.len());
         for &(ready, asid, vpn) in &self.fault_pipe {
             w.u64(ready);
-            asid.write(w);
-            vpn.write(w);
+            asid.snapshot(w);
+            vpn.snapshot(w);
         }
         w.seq(self.fault_counts.len());
         for &n in &self.fault_counts {
@@ -615,13 +614,13 @@ impl mask_common::snapshot::Snapshot for TranslationUnit {
         for &(ready, access) in &self.pwc_pipe {
             w.u64(ready);
             w.u32(access.walk.0);
-            access.asid.write(w);
-            access.line.write(w);
+            access.asid.snapshot(w);
+            access.line.snapshot(w);
             w.u8(access.level.raw());
         }
         w.seq(self.walk_of_req.len());
         for &(id, walk) in &self.walk_of_req {
-            id.write(w);
+            id.snapshot(w);
             w.u32(walk.0);
         }
         w.seq(self.epoch.len());
@@ -630,124 +629,6 @@ impl mask_common::snapshot::Snapshot for TranslationUnit {
             w.u64(acc.stalled_sum);
             w.u64(acc.events);
         }
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::{SnapField, SnapshotError};
-        r.section("xlat")?;
-        if let Some(l2) = &mut self.l2tlb {
-            l2.restore(r)?;
-        }
-        if let Some(pwc) = &mut self.pwc {
-            pwc.restore(r)?;
-        }
-        self.walker.restore(r)?;
-        self.tables.restore(r)?;
-        self.walker.bind_nodes(&self.tables)?;
-        if let Some(tokens) = &mut self.tokens {
-            tokens.restore(r)?;
-        }
-        let n_mshr = r.seq()?;
-        self.mshr.clear();
-        for _ in 0..n_mshr {
-            let asid = Asid::read(r)?;
-            let vpn = Vpn::read(r)?;
-            let n_waiters = r.seq()?;
-            if n_waiters == 0 {
-                return Err(SnapshotError::Malformed(
-                    "translation MSHR entry without waiters",
-                ));
-            }
-            let mut waiters = self.waiter_pool.pop().unwrap_or_default();
-            for _ in 0..n_waiters {
-                waiters.push(GlobalWarpId::read(r)?);
-            }
-            let initiator_core_rank = r.usize()?;
-            let initiator_warp = r.usize()?;
-            if self
-                .mshr
-                .insert(
-                    (asid, vpn),
-                    TransEntry {
-                        waiters,
-                        initiator_core_rank,
-                        initiator_warp,
-                    },
-                )
-                .is_some()
-            {
-                return Err(SnapshotError::Malformed("duplicate translation MSHR entry"));
-            }
-        }
-        let n_pipe = r.seq()?;
-        self.l2tlb_pipe.clear();
-        for _ in 0..n_pipe {
-            let asid = Asid::read(r)?;
-            let vpn = Vpn::read(r)?;
-            let ready_at = r.u64()?;
-            self.l2tlb_pipe.push_back(L2TlbReq {
-                asid,
-                vpn,
-                ready_at,
-            });
-        }
-        let n_faults = r.seq()?;
-        self.fault_pipe.clear();
-        for _ in 0..n_faults {
-            let ready = r.u64()?;
-            let asid = Asid::read(r)?;
-            let vpn = Vpn::read(r)?;
-            self.fault_pipe.push((ready, asid, vpn));
-        }
-        r.seq_exact(self.fault_counts.len())?;
-        for n in &mut self.fault_counts {
-            *n = r.u64()?;
-        }
-        let n_pwc = r.seq()?;
-        self.pwc_pipe.clear();
-        for _ in 0..n_pwc {
-            let ready = r.u64()?;
-            let walk = WalkId(r.u32()?);
-            let asid = Asid::read(r)?;
-            let line = LineAddr::read(r)?;
-            let level = r.u8()?;
-            if !(1..=4).contains(&level) {
-                return Err(SnapshotError::Malformed("walk level out of range"));
-            }
-            self.pwc_pipe.push((
-                ready,
-                WalkAccess {
-                    walk,
-                    asid,
-                    line,
-                    level: mask_common::req::WalkLevel::new(level),
-                },
-            ));
-        }
-        let n_walks = r.seq()?;
-        self.walk_of_req.clear();
-        for _ in 0..n_walks {
-            let id = ReqId::read(r)?;
-            let walk = WalkId(r.u32()?);
-            self.walk_of_req.push((id, walk));
-        }
-        r.seq_exact(self.epoch.len())?;
-        for acc in &mut self.epoch {
-            acc.walk_integral = r.u64()?;
-            acc.stalled_sum = r.u64()?;
-            acc.events = r.u64()?;
-        }
-        // Conservation: every outstanding walker access was `issue`d into
-        // the snapshotted session; re-balance the fresh session's books.
-        if cfg!(debug_assertions) {
-            for &(id, _) in &self.walk_of_req {
-                mask_obs::hooks::issue(mask_obs::Domain::XlatMem, id.0);
-            }
-        }
-        Ok(())
     }
 }
 

@@ -8,8 +8,8 @@
 //! other).
 //!
 //! Used by `examples/sweep_client.rs` and `tests/daemon_e2e.rs`, both of
-//! which byte-compare served results against direct [`JobPool`]
-//! (`mask_core::JobPool`) runs.
+//! which byte-compare served results against direct
+//! [`JobPool`](mask_core::JobPool) runs.
 
 use crate::json::{self, Value};
 use crate::wire::{self, JobSpec};

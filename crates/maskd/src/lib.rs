@@ -5,8 +5,9 @@
 //! and die with one process. `maskd` is the long-running farm around them: a
 //! daemon that serves simulation jobs to many concurrent tenants over a
 //! hand-rolled HTTP/1.1 + JSON API (zero new dependencies; the repo is
-//! offline-vendored), fairly multiplexing one warm [`JobPool`] the way
-//! MASK itself fairly multiplexes a shared TLB across address spaces.
+//! offline-vendored), fairly multiplexing one warm
+//! [`JobPool`](mask_core::JobPool) the way MASK itself fairly multiplexes a
+//! shared TLB across address spaces.
 //!
 //! ```text
 //! client ──POST /jobs──▶ acceptor ─▶ admission ─▶ DRR fair queue

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Threading model: one acceptor, one dispatcher, one short-lived thread
-//! per connection. All of them share one [`Shared`] behind `Arc`; mutable
+//! per connection. All of them share one `Shared` behind `Arc`; mutable
 //! state lives in a single `Mutex<DaemonState>` (simulations run *outside*
 //! the lock), with two condvars — `work` wakes the dispatcher on
 //! admissions, `events` wakes event-stream watchers on job progress. This

@@ -225,15 +225,8 @@ fn seal_result(key: u64, stats: &SimStats) -> Vec<u8> {
 }
 
 fn decode_result(bytes: &[u8], key: u64) -> Result<SimStats, SnapshotError> {
-    // Two passes so the canonical `Snapshot for SimStats` impl does the
-    // decoding: a probe reads the app count (restore requires a pre-sized
-    // target), then the real pass restores into it.
-    let mut probe = SnapshotReader::open_keyed(bytes, PrefixKey(key))?;
-    probe.section("stats")?;
-    let n_apps = probe.seq()?;
-    let mut stats = SimStats::new(n_apps, 0);
     let mut r = SnapshotReader::open_keyed(bytes, PrefixKey(key))?;
-    stats.restore(&mut r)?;
+    let stats = SimStats::decode(&mut r)?;
     r.finish()?;
     Ok(stats)
 }

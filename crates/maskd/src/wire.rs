@@ -1,8 +1,8 @@
 //! Wire representation of jobs and results.
 //!
-//! This module is the daemon's single source of truth for how a
-//! [`SimJob`](mask_core::SimJob) and a [`SimStats`] cross the network. Two
-//! properties carry the determinism contract (DESIGN.md §15):
+//! This module is the daemon's single source of truth for how a [`SimJob`]
+//! and a [`SimStats`] cross the network. Two properties carry the
+//! determinism contract (DESIGN.md §15):
 //!
 //! * **Exactness.** Every statistic the engine produces is an integer
 //!   (`u64`/`usize`/nested counter structs), and the [`crate::json`] layer
@@ -138,10 +138,10 @@ impl GpuOverrides {
     }
 }
 
-/// A validated job submission: everything needed to build the
-/// [`SimJob`](mask_core::SimJob), plus the tenant id used for fair
-/// queueing (the tenant is *not* part of the job's content address — two
-/// tenants submitting the same job share one stored result).
+/// A validated job submission: everything needed to build the [`SimJob`],
+/// plus the tenant id used for fair queueing (the tenant is *not* part of
+/// the job's content address — two tenants submitting the same job share
+/// one stored result).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobSpec {
     /// Fair-queueing principal; non-empty.

@@ -128,19 +128,6 @@ impl mask_common::snapshot::Snapshot for FrameAllocator {
         }
         w.u64(self.node_next);
     }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        let n = r.seq()?;
-        self.data_next.clear();
-        for _ in 0..n {
-            self.data_next.push(r.u64()?);
-        }
-        self.node_next = r.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -239,19 +239,6 @@ impl PageTable {
         mask_common::addr::PhysAddr::new(byte).line()
     }
 
-    /// The node a walk of `vpn` reads at `level` (the root is node 0), or
-    /// `None` if the tree does not reach that deep for `vpn`.
-    pub fn walk_node(&self, vpn: Vpn, level: WalkLevel) -> Option<u32> {
-        if level.raw() > self.levels {
-            return None;
-        }
-        let mut node = 0u32;
-        for l in 1..level.raw() {
-            node = self.child(node, vpn, l)?;
-        }
-        Some(node)
-    }
-
     fn child(&self, node: u32, vpn: Vpn, level: u8) -> Option<u32> {
         let idx = vpn.level_index(level, self.page_size_log2) as usize;
         let child = self.nodes.get(node as usize)?.child(idx);
@@ -348,12 +335,6 @@ impl PageTables {
         self.tables[asid.index()].walk_line(vpn, level)
     }
 
-    /// The node a walk of `(asid, vpn)` reads at `level`; see
-    /// [`PageTable::walk_node`].
-    pub fn walk_node(&self, asid: Asid, vpn: Vpn, level: WalkLevel) -> Option<u32> {
-        self.tables.get(asid.index())?.walk_node(vpn, level)
-    }
-
     /// One radix hop of a walk of `(asid, vpn)`; see [`PageTable::walk_hop`].
     pub fn walk_hop(&self, asid: Asid, node: u32, vpn: Vpn, next: WalkLevel) -> (u32, LineAddr) {
         self.tables[asid.index()].walk_hop(node, vpn, next)
@@ -389,61 +370,6 @@ impl mask_common::snapshot::Snapshot for PageTable {
         }
         w.usize(self.mapped);
     }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::SnapshotError::Malformed;
-        let n = r.seq()?;
-        if n == 0 {
-            return Err(Malformed("page table without a root node"));
-        }
-        // A node's level — what its slots are — is its parent's plus one,
-        // and a child always follows its parent in `nodes`, so every level
-        // is known by the time its node is read. 0 = no parent seen yet.
-        let mut level_of = vec![0u8; n];
-        level_of[0] = 1;
-        self.nodes.clear();
-        for i in 0..n {
-            let frame = r.u64()?;
-            let level = level_of[i];
-            if level == 0 {
-                return Err(Malformed("page-table node without a parent"));
-            }
-            let mut node = Node::new(frame, level, self.levels);
-            let is_leaf = matches!(node.slots, Slots::Leaf(_));
-            // Slots arrive in index order, so each lands at the end of the
-            // packed array.
-            for idx in 0..NODE_ENTRIES {
-                let child = r.u32()?;
-                if child == NO_CHILD {
-                    continue;
-                }
-                if is_leaf {
-                    return Err(Malformed("leaf page-table node with a child"));
-                }
-                match level_of.get_mut(child as usize) {
-                    Some(seen) if child as usize > i && *seen == 0 => *seen = level + 1,
-                    _ => return Err(Malformed("page-table child out of order")),
-                }
-                node.set_child(idx, child);
-            }
-            for idx in 0..NODE_ENTRIES {
-                let leaf = r.u64()?;
-                if leaf == NO_LEAF {
-                    continue;
-                }
-                if !is_leaf {
-                    return Err(Malformed("interior page-table node with a translation"));
-                }
-                node.set_leaf(idx, leaf);
-            }
-            self.nodes.push(node);
-        }
-        self.mapped = r.usize()?;
-        Ok(())
-    }
 }
 
 /// Feeds `put` all 512 slots of a node in index order: the next of `packed`
@@ -470,19 +396,6 @@ impl mask_common::snapshot::Snapshot for PageTables {
         for t in &self.tables {
             t.snapshot(w);
         }
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        r.section("pagetables")?;
-        self.alloc.restore(r)?;
-        r.seq_exact(self.tables.len())?;
-        for t in &mut self.tables {
-            t.restore(r)?;
-        }
-        Ok(())
     }
 }
 
@@ -592,22 +505,12 @@ mod tests {
                 pts.ensure_mapped(asid, vpn);
                 let mut node = 0;
                 let mut level = WalkLevel::ROOT;
-                assert_eq!(pts.walk_node(asid, vpn, level), Some(0));
                 while let Some(next) = level.next(pts.levels()) {
                     let (child, line) = pts.walk_hop(asid, node, vpn, next);
                     assert_eq!(line, pts.walk_line(asid, vpn, next));
-                    assert_eq!(pts.walk_node(asid, vpn, next), Some(child));
                     (node, level) = (child, next);
                 }
                 assert_eq!(level.raw(), pts.levels());
-            }
-            // Below an unmapped subtree, and past the leaf, there is no node.
-            assert_eq!(
-                pts.walk_node(Asid::new(0), Vpn(0x7fff_ffff), WalkLevel::new(3)),
-                None
-            );
-            if pts.levels() == 3 {
-                assert_eq!(pts.walk_node(Asid::new(0), Vpn(0), WalkLevel::new(4)), None);
             }
         }
     }
@@ -634,19 +537,6 @@ mod tests {
         }
         w.usize(mapped);
         w.seal(PrefixKey(0))
-    }
-
-    fn restore_table(
-        page_size_log2: u32,
-        bytes: &[u8],
-    ) -> Result<PageTable, mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::{Snapshot, SnapshotReader};
-        let mut alloc = FrameAllocator::new(page_size_log2);
-        let mut table = PageTable::new(Asid::new(0), &mut alloc);
-        let (mut r, _) = SnapshotReader::open(bytes)?;
-        table.restore(&mut r)?;
-        r.finish()?;
-        Ok(table)
     }
 
     #[test]
@@ -728,72 +618,26 @@ mod tests {
             let per_node = 8 + NODE_ENTRIES * 4 + NODE_ENTRIES * 8;
             assert_eq!(bytes.len(), 32 + 8 + table.nodes.len() * per_node + 8);
 
-            let back = restore_table(page_size_log2, &bytes).expect("own encoding restores");
             for (&v, &p) in vpns.iter().zip(&ppns) {
-                assert_eq!(back.translate(v), Some(p));
-                assert_eq!(
-                    back.walk_line(v, WalkLevel::new(table.levels())),
-                    table.walk_line(v, WalkLevel::new(table.levels()))
-                );
+                assert_eq!(table.translate(v), Some(p));
             }
-            let mut w = SnapshotWriter::new();
-            back.snapshot(&mut w);
+            let raw: Vec<RawNode> = table
+                .nodes
+                .iter()
+                .map(|n| {
+                    let children = (0..NODE_ENTRIES).map(|i| (i, n.child(i)));
+                    let leaves = (0..NODE_ENTRIES).map(|i| (i, n.leaf_at(i)));
+                    (
+                        n.frame,
+                        children.filter(|&(_, c)| c != NO_CHILD).collect(),
+                        leaves.filter(|&(_, l)| l != NO_LEAF).collect(),
+                    )
+                })
+                .collect();
             assert!(
-                w.seal(PrefixKey(0)) == bytes,
-                "re-encoding is byte-identical"
+                bytes == dense(&raw, table.mapped),
+                "the packed nodes encode as the dense arrays did"
             );
-        }
-    }
-
-    #[test]
-    fn restore_rejects_nodes_that_are_both_or_out_of_order() {
-        use mask_common::snapshot::SnapshotError::Malformed;
-        // A well-formed three-level chain (2 MB pages): root -> 1 -> 2 (leaf).
-        let chain = |leaf_children: Vec<(usize, u32)>, mid_leaves: Vec<(usize, u64)>| {
-            dense(
-                &[
-                    (10, vec![(0, 1)], vec![]),
-                    (11, vec![(5, 2)], mid_leaves),
-                    (12, leaf_children, vec![(7, 99)]),
-                ],
-                1,
-            )
-        };
-        let good = restore_table(PAGE_SIZE_2M_LOG2, &chain(vec![], vec![])).expect("well formed");
-        assert_eq!(good.translate(Vpn((5 << 9) | 7)), Some(Ppn(99)));
-        for (bytes, why) in [
-            (
-                chain(vec![(3, 1)], vec![]),
-                "leaf page-table node with a child",
-            ),
-            (
-                chain(vec![], vec![(3, 42)]),
-                "interior page-table node with a translation",
-            ),
-            (
-                dense(&[(10, vec![(0, 0)], vec![])], 0),
-                "page-table child out of order",
-            ),
-            (
-                dense(
-                    &[(10, vec![(0, 1), (1, 1)], vec![]), (11, vec![], vec![])],
-                    0,
-                ),
-                "page-table child out of order",
-            ),
-            (
-                dense(&[(10, vec![(0, 7)], vec![])], 0),
-                "page-table child out of order",
-            ),
-            (
-                dense(&[(10, vec![], vec![]), (11, vec![], vec![])], 0),
-                "page-table node without a parent",
-            ),
-        ] {
-            match restore_table(PAGE_SIZE_2M_LOG2, &bytes) {
-                Err(Malformed(got)) => assert_eq!(got, why),
-                other => panic!("expected Malformed({why:?}), got {:?}", other.map(|_| ())),
-            }
         }
     }
 

@@ -61,7 +61,7 @@ struct WalkState {
     level: WalkLevel,
     /// The page-table node read at `level`, so the next level is one hop
     /// away and not a walk from the root. Derived state: a function of
-    /// `(asid, vpn, level)` and the tables, see [`PageWalker::bind_nodes`].
+    /// `(asid, vpn, level)` and the tables, not encoded.
     node: u32,
     /// The frame activation mapped `vpn` to, so completion does not walk
     /// the tree again to find it. Derived state, like `node`.
@@ -91,7 +91,7 @@ impl PageWalker {
         assert!(slots > 0, "walker needs at least one slot");
         PageWalker {
             slots: vec![None; slots],
-            free: free_mask(slots, |_| true),
+            free: free_mask(slots),
             pending: VecDeque::new(),
             active: 0,
             active_per_asid: vec![0; n_asids],
@@ -255,34 +255,12 @@ impl PageWalker {
     pub fn total_walks(&self) -> usize {
         self.active + self.pending.len()
     }
-
-    /// Re-derives every active walk's page-table node and frame from
-    /// `tables`. A snapshot carries neither, so this must follow
-    /// [`Snapshot::restore`](mask_common::snapshot::Snapshot::restore) of
-    /// the walker and of the tables it walks, before the next
-    /// [`PageWalker::access_complete`].
-    pub fn bind_nodes(
-        &mut self,
-        tables: &PageTables,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        for state in self.slots.iter_mut().flatten() {
-            // `walk_node` answers `None` for an address space the tables do
-            // not have; `translate` may only be asked once it has not.
-            let bound = tables
-                .walk_node(state.asid, state.vpn, state.level)
-                .and_then(|node| Some((node, tables.translate(state.asid, state.vpn)?)));
-            (state.node, state.ppn) = bound.ok_or(
-                mask_common::snapshot::SnapshotError::Malformed("active walk of an unmapped page"),
-            )?;
-        }
-        Ok(())
-    }
 }
 
-/// One bit per slot, set where `is_free` says so.
-fn free_mask(slots: usize, is_free: impl Fn(usize) -> bool) -> Vec<u64> {
+/// One set bit per slot: every slot free.
+fn free_mask(slots: usize) -> Vec<u64> {
     let mut mask = vec![0u64; slots.div_ceil(64)];
-    for slot in (0..slots).filter(|&i| is_free(i)) {
+    for slot in 0..slots {
         mask[slot / 64] |= 1 << (slot % 64);
     }
     mask
@@ -290,100 +268,26 @@ fn free_mask(slots: usize, is_free: impl Fn(usize) -> bool) -> Vec<u64> {
 
 impl mask_common::snapshot::Snapshot for PageWalker {
     /// Serializes the occupied slots and the pending queue; the derived
-    /// counters (`active`, per-ASID tallies) are recomputed on restore so
-    /// they can never desynchronize from the authoritative collections.
+    /// counters (`active`, per-ASID tallies) are functions of those two
+    /// collections and are not encoded.
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
-        use mask_common::snapshot::SnapField;
         w.section("walker");
         w.seq(self.slots.len());
         for slot in &self.slots {
             w.bool(slot.is_some());
             if let Some(s) = slot {
-                s.asid.write(w);
-                s.vpn.write(w);
+                s.asid.snapshot(w);
+                s.vpn.snapshot(w);
                 w.u8(s.level.raw());
                 w.u64(s.enqueued_at);
             }
         }
         w.seq(self.pending.len());
         for (asid, vpn, enq) in &self.pending {
-            asid.write(w);
-            vpn.write(w);
+            asid.snapshot(w);
+            vpn.snapshot(w);
             w.u64(*enq);
         }
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        use mask_common::snapshot::{SnapField, SnapshotError};
-        r.section("walker")?;
-        r.seq_exact(self.slots.len())?;
-        for slot in &mut self.slots {
-            *slot = if r.bool()? {
-                let asid = Asid::read(r)?;
-                let vpn = Vpn::read(r)?;
-                let raw = r.u8()?;
-                if !(1..=4).contains(&raw) {
-                    return Err(SnapshotError::Malformed("walk level out of range"));
-                }
-                Some(WalkState {
-                    asid,
-                    vpn,
-                    level: WalkLevel::new(raw),
-                    // No node, no frame: `bind_nodes` must follow.
-                    node: u32::MAX,
-                    ppn: Ppn(u64::MAX),
-                    enqueued_at: r.u64()?,
-                })
-            } else {
-                None
-            };
-        }
-        let n = r.seq()?;
-        self.pending.clear();
-        for _ in 0..n {
-            let asid = Asid::read(r)?;
-            let vpn = Vpn::read(r)?;
-            let enq = r.u64()?;
-            self.pending.push_back((asid, vpn, enq));
-        }
-        // Recompute derived counters.
-        self.free = free_mask(self.slots.len(), |i| self.slots[i].is_none());
-        self.active = self.slots.iter().filter(|s| s.is_some()).count();
-        for c in &mut self.active_per_asid {
-            *c = 0;
-        }
-        for c in &mut self.queued_per_asid {
-            *c = 0;
-        }
-        for s in self.slots.iter().flatten() {
-            let Some(c) = self.active_per_asid.get_mut(s.asid.index()) else {
-                return Err(SnapshotError::Malformed("walk slot names unknown asid"));
-            };
-            *c += 1;
-        }
-        for (asid, _, _) in &self.pending {
-            let Some(c) = self.queued_per_asid.get_mut(asid.index()) else {
-                return Err(SnapshotError::Malformed("pending walk names unknown asid"));
-            };
-            *c += 1;
-        }
-        // Replay slot occupancy into the sanitizer's walker mirror: each
-        // occupied slot was activated at the root and advanced to its
-        // current level before the snapshot.
-        if cfg!(debug_assertions) {
-            for (i, s) in self.slots.iter().enumerate() {
-                if let Some(s) = s {
-                    mask_obs::hooks::walker_acquire(i as u32, WalkLevel::ROOT.raw());
-                    for l in 2..=s.level.raw() {
-                        mask_obs::hooks::walker_level(i as u32, l);
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -517,60 +421,6 @@ mod tests {
         let again = walker.activate(&mut tables);
         let slots: Vec<u32> = again.iter().map(|a| a.walk.0).collect();
         assert_eq!(slots, [3, 70, 129]);
-    }
-
-    #[test]
-    fn restored_walks_continue_from_rebound_nodes() {
-        use mask_common::snapshot::{PrefixKey, Snapshot, SnapshotReader, SnapshotWriter};
-        let (mut walker, mut tables) = setup();
-        for (i, vpn) in [0x1_2345u64, 0xabc_def0, 0x42].into_iter().enumerate() {
-            walker.enqueue(Asid::new(i as u16 % 2), Vpn(vpn), 0);
-        }
-        // Leave the three walks at levels 1, 2 and 3.
-        let accesses = walker.activate(&mut tables);
-        for (hops, access) in accesses.iter().enumerate() {
-            for _ in 0..hops {
-                walker.access_complete(access.walk, &tables, 1);
-            }
-        }
-        let mut w = SnapshotWriter::new();
-        walker.snapshot(&mut w);
-        let bytes = w.seal(PrefixKey(0));
-        let finish = |walker: &mut PageWalker| {
-            let mut outcomes = Vec::new();
-            for access in &accesses {
-                loop {
-                    let outcome = walker.access_complete(access.walk, &tables, 50);
-                    outcomes.push(outcome);
-                    if matches!(outcome, WalkOutcome::Done { .. }) {
-                        break;
-                    }
-                }
-            }
-            outcomes
-        };
-        let want = finish(&mut walker);
-        // A restored walker re-activates its slots: as in `GpuSim`, it gets
-        // a sanitizer session of its own.
-        let restored = || {
-            mask_obs::hooks::enter_session(mask_obs::hooks::new_session());
-            let mut back = PageWalker::new(4, 2);
-            let (mut r, _) = SnapshotReader::open(&bytes).expect("sealed above");
-            back.restore(&mut r).expect("restores");
-            back
-        };
-        let mut back = restored();
-        back.bind_nodes(&tables).expect("every walk is mapped");
-        assert_eq!(finish(&mut back), want);
-        // A walk of a page the tables do not map cannot be bound, whether
-        // nothing of its path is there or all of it but the translation.
-        let empty = PageTables::new(2, PAGE_SIZE_4K_LOG2);
-        assert!(restored().bind_nodes(&empty).is_err());
-        let mut neighbours = PageTables::new(2, PAGE_SIZE_4K_LOG2);
-        for (i, vpn) in [0x1_2345u64, 0xabc_def0, 0x42].into_iter().enumerate() {
-            neighbours.ensure_mapped(Asid::new(i as u16 % 2), Vpn(vpn ^ 1));
-        }
-        assert!(restored().bind_nodes(&neighbours).is_err());
     }
 
     /// Red test for the `walker-frame` premise check: a walk that finished

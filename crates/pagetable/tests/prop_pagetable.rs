@@ -191,21 +191,13 @@ mod dense {
 }
 
 use mask_common::addr::PAGE_SIZE_2M_LOG2;
-use mask_common::snapshot::{PrefixKey, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use mask_common::snapshot::{PrefixKey, Snapshot, SnapshotWriter};
 use mask_pagetable::{FrameAllocator, PageTable};
 
 fn encode(table: &PageTable) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     table.snapshot(&mut w);
     w.seal(PrefixKey(0))
-}
-
-fn restore(page_size_log2: u32, bytes: &[u8]) -> Result<PageTable, SnapshotError> {
-    let mut table = PageTable::new(Asid::new(1), &mut FrameAllocator::new(page_size_log2));
-    let (mut r, _) = SnapshotReader::open(bytes)?;
-    table.restore(&mut r)?;
-    r.finish()?;
-    Ok(table)
 }
 
 /// A stream of pages to map: scattered ones, which open new subtrees and
@@ -231,8 +223,7 @@ proptest! {
 
     /// The same frames, the same translations, the same walk lines and hops
     /// and a byte-identical snapshot after every page mapped, for both page
-    /// sizes and both frame-allocation policies; then a round trip through
-    /// `restore`.
+    /// sizes and both frame-allocation policies.
     #[test]
     fn packed_nodes_equal_the_dense_nodes_they_replaced(
         vpns in vpn_stream(),
@@ -259,7 +250,6 @@ proptest! {
             let mut node = 0;
             for level in 1..=model.levels {
                 let want = model.walk_node(vpn, level).expect("just mapped");
-                prop_assert_eq!(table.walk_node(vpn, WalkLevel::new(level)), Some(want));
                 let line = model.pte_line(want, vpn, level);
                 prop_assert_eq!(table.walk_line(vpn, WalkLevel::new(level)), line);
                 if level > 1 {
@@ -268,67 +258,6 @@ proptest! {
                 node = want;
             }
             prop_assert!(encode(&table) == dense::encode(&model.nodes, model.mapped), "after {vpn:?}");
-        }
-        let back = restore(page_size_log2, &encode(&table)).expect("own encoding restores");
-        prop_assert!(encode(&back) == encode(&table), "re-encoding is byte-identical");
-        for &vpn in &vpns {
-            for probe in [vpn, Vpn(vpn.0 ^ 1)] {
-                prop_assert_eq!(back.translate(probe), model.translate(probe));
-            }
-            let leaf = WalkLevel::new(model.levels);
-            prop_assert_eq!(back.walk_line(vpn, leaf), table.walk_line(vpn, leaf));
-        }
-    }
-}
-
-/// The rejections `restore` has always made, on encodings only the dense
-/// writer above can produce.
-#[test]
-fn restore_still_rejects_what_no_table_encodes() {
-    use dense::Node;
-    let node = |frame: u64, children: &[(usize, u32)], leaves: &[(usize, u64)]| {
-        let mut node = Node::empty(frame);
-        children.iter().for_each(|&(i, c)| node.children[i] = c);
-        leaves.iter().for_each(|&(i, l)| node.leaves[i] = l);
-        node
-    };
-    // Three levels (2 MB pages): root -> 1 -> 2 (leaf).
-    let chain = |leaf_children: &[(usize, u32)], mid_leaves: &[(usize, u64)]| {
-        let nodes = [
-            node(10, &[(0, 1)], &[]),
-            node(11, &[(5, 2)], mid_leaves),
-            node(12, leaf_children, &[(7, 99)]),
-        ];
-        dense::encode(&nodes, 1)
-    };
-    let good = restore(PAGE_SIZE_2M_LOG2, &chain(&[], &[])).expect("well formed");
-    assert_eq!(
-        good.translate(Vpn((5 << 9) | 7)),
-        Some(mask_common::addr::Ppn(99))
-    );
-    for (bytes, why) in [
-        (dense::encode(&[], 0), "page table without a root node"),
-        (chain(&[(3, 1)], &[]), "leaf page-table node with a child"),
-        (
-            chain(&[], &[(3, 42)]),
-            "interior page-table node with a translation",
-        ),
-        (
-            dense::encode(&[node(10, &[(0, 0)], &[])], 0),
-            "page-table child out of order",
-        ),
-        (
-            dense::encode(&[node(10, &[(0, 1), (1, 1)], &[]), node(11, &[], &[])], 0),
-            "page-table child out of order",
-        ),
-        (
-            dense::encode(&[node(10, &[], &[]), node(11, &[], &[])], 0),
-            "page-table node without a parent",
-        ),
-    ] {
-        match restore(PAGE_SIZE_2M_LOG2, &bytes) {
-            Err(SnapshotError::Malformed(got)) => assert_eq!(got, why),
-            other => panic!("expected Malformed({why:?}), got {:?}", other.map(|_| ())),
         }
     }
 }

@@ -6,7 +6,7 @@
 //! top of the same structure.
 
 use mask_common::siphash::SipHasher13;
-use mask_common::snapshot::{SnapField, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use mask_common::snapshot::{Snapshot, SnapshotWriter};
 use std::hash::{Hash, Hasher};
 
 /// A set-associative, true-LRU lookup structure.
@@ -336,16 +336,14 @@ impl<K: Eq + Hash + Copy + Default, V: Copy + Default> AssocArray<K, V> {
     }
 }
 
-impl<K: SnapField + Eq + Hash + Copy + Default, V: SnapField + Copy + Default> Snapshot
+impl<K: Snapshot + Eq + Hash + Copy + Default, V: Snapshot + Copy + Default> Snapshot
     for AssocArray<K, V>
 {
     /// Captures the stamp and every set's entries *in stored order*:
     /// eviction picks the minimum `last_used` and removal uses
     /// `swap_remove`, so both the order and the exact LRU stamps are
-    /// behaviorally significant. Restore rebuilds the recency lists from
-    /// the stamps, and rejects what no sequence of touches leaves behind:
-    /// two entries of a set with one stamp, or a stamp the clock has not
-    /// reached.
+    /// behaviorally significant. The recency lists are not encoded: the
+    /// stamps order each set.
     fn snapshot(&self, w: &mut SnapshotWriter) {
         w.u64(self.stamp);
         w.seq(self.lens.len());
@@ -353,41 +351,11 @@ impl<K: SnapField + Eq + Hash + Copy + Default, V: SnapField + Copy + Default> S
             let base = set * self.assoc;
             w.seq(len);
             for i in base..base + len {
-                self.keys[i].write(w);
-                self.slots[i].0.write(w);
+                self.keys[i].snapshot(w);
+                self.slots[i].0.snapshot(w);
                 w.u64(self.slots[i].1);
             }
         }
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.mru = NO_SLOT;
-        self.stamp = r.u64()?;
-        r.seq_exact(self.lens.len())?;
-        for set in 0..self.lens.len() {
-            let base = set * self.assoc;
-            self.lens[set] = 0;
-            let n = r.seq()?;
-            if n > self.assoc {
-                return Err(SnapshotError::Malformed("set holds more than assoc"));
-            }
-            for i in base..base + n {
-                self.keys[i] = K::read(r)?;
-                self.slots[i] = (V::read(r)?, r.u64()?);
-                if self.slots[i].1 > self.stamp {
-                    return Err(SnapshotError::Malformed(
-                        "entry stamped after the array's clock",
-                    ));
-                }
-            }
-            self.lens[set] = n;
-            if !self.relink(set) {
-                return Err(SnapshotError::Malformed(
-                    "two entries of a set carry one stamp",
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -516,22 +484,6 @@ mod tests {
                 assert_eq!(usize::from(a.ends[set].0), a.oldest_by_stamp(set));
             }
         }
-    }
-
-    #[test]
-    fn restore_rebuilds_the_lists_from_the_stamps() {
-        let mut a: AssocArray<u64, u64> = AssocArray::new(8, 4);
-        for k in 0..40u64 {
-            a.fill(k % 11, k);
-            a.probe(&(k % 7));
-        }
-        let mut w = SnapshotWriter::new();
-        a.snapshot(&mut w);
-        let bytes = w.seal(mask_common::snapshot::PrefixKey(0));
-        let mut back: AssocArray<u64, u64> = AssocArray::new(8, 4);
-        let (mut r, _) = SnapshotReader::open(&bytes).expect("sealed above");
-        back.restore(&mut r).expect("own encoding restores");
-        assert_eq!(orders(&back), orders(&a));
     }
 
     /// Red test for the `assoc-lru-order` premise check: a list whose head

@@ -80,14 +80,6 @@ impl mask_common::snapshot::Snapshot for TlbBypassCache {
         self.entries.snapshot(w);
         self.stats.snapshot(w);
     }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        self.entries.restore(r)?;
-        self.stats.restore(r)
-    }
 }
 
 #[cfg(test)]

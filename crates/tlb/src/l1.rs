@@ -59,13 +59,6 @@ impl mask_common::snapshot::Snapshot for L1Tlb {
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
         self.entries.snapshot(w);
     }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        self.entries.restore(r)
-    }
 }
 
 #[cfg(test)]

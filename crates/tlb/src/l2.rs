@@ -189,26 +189,6 @@ impl mask_common::snapshot::Snapshot for SharedL2Tlb {
             s.snapshot(w);
         }
     }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        r.section("l2tlb")?;
-        self.entries.restore(r)?;
-        if let Some(b) = &mut self.bypass {
-            b.restore(r)?;
-        }
-        r.seq_exact(self.epoch.len())?;
-        for s in &mut self.epoch {
-            s.restore(r)?;
-        }
-        r.seq_exact(self.lifetime.len())?;
-        for s in &mut self.lifetime {
-            s.restore(r)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -69,21 +69,10 @@ impl TlbKey {
     }
 }
 
-use mask_common::snapshot::SnapField;
-
-impl SnapField for TlbKey {
-    fn write(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
-        self.asid.write(w);
-        self.vpn.write(w);
-    }
-
-    fn read(
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, mask_common::snapshot::SnapshotError> {
-        Ok(TlbKey {
-            asid: mask_common::Asid::read(r)?,
-            vpn: mask_common::Vpn::read(r)?,
-        })
+impl mask_common::snapshot::Snapshot for TlbKey {
+    fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
+        self.asid.snapshot(w);
+        self.vpn.snapshot(w);
     }
 }
 

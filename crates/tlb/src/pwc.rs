@@ -67,14 +67,6 @@ impl mask_common::snapshot::Snapshot for PageWalkCache {
         self.lines.snapshot(w);
         self.stats.snapshot(w);
     }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        self.lines.restore(r)?;
-        self.stats.restore(r)
-    }
 }
 
 #[cfg(test)]

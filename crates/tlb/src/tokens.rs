@@ -222,28 +222,6 @@ impl mask_common::snapshot::Snapshot for TokenAllocator {
             w.bool(app.warmup);
         }
     }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        r.section("tokens")?;
-        r.seq_exact(self.apps.len())?;
-        for app in &mut self.apps {
-            app.tokens = r.u64()?;
-            let has_prev = r.bool()?;
-            let prev = r.f64()?;
-            app.prev_miss_rate = has_prev.then_some(prev);
-            app.direction = r.i8()?;
-            app.warmup = r.bool()?;
-            if app.tokens > app.total_warps() {
-                return Err(mask_common::snapshot::SnapshotError::Malformed(
-                    "token count exceeds total warps",
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

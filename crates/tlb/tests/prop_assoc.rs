@@ -1,7 +1,7 @@
 //! Property tests: the set-associative array behaves like a reference
 //! model (per-set LRU map) under arbitrary operation sequences.
 
-use mask_common::snapshot::{SnapField, SnapshotWriter};
+use mask_common::snapshot::SnapshotWriter;
 use mask_common::{Asid, Ppn, Snapshot, Vpn};
 use mask_tlb::{AssocArray, TlbKey};
 use proptest::prelude::*;
@@ -226,8 +226,8 @@ impl VecOfVecs {
         for set in &self.sets {
             w.seq(set.len());
             for e in set {
-                e.key.write(&mut w);
-                e.value.write(&mut w);
+                e.key.snapshot(&mut w);
+                e.value.snapshot(&mut w);
                 w.u64(e.last_used);
             }
         }
@@ -243,8 +243,6 @@ enum TlbOp {
     Invalidate(u16, u64),
     FlushAsid(u16),
     Flush,
-    /// Snapshot, restore into a fresh array, carry on with that one.
-    RoundTrip,
 }
 
 fn tlb_ops() -> impl Strategy<Value = Vec<TlbOp>> {
@@ -259,10 +257,10 @@ fn tlb_ops() -> impl Strategy<Value = Vec<TlbOp>> {
             (key(), any::<u64>()).prop_map(|((a, v), p)| TlbOp::Fill(a, v, p)),
             key().prop_map(|(a, v)| TlbOp::Invalidate(a, v)),
             (0u16..3).prop_map(TlbOp::FlushAsid),
-            (0u8..40).prop_map(|n| if n == 0 {
+            (0u8..40, key()).prop_map(|(n, (a, v))| if n == 0 {
                 TlbOp::Flush
             } else {
-                TlbOp::RoundTrip
+                TlbOp::Peek(a, v)
             }),
         ],
         0..400,
@@ -307,14 +305,6 @@ proptest! {
                     arr.flush();
                     model.flush();
                 }
-                TlbOp::RoundTrip => {
-                    let bytes = encode(&arr);
-                    let mut fresh: AssocArray<TlbKey, Ppn> = AssocArray::new(entries, assoc);
-                    let (mut r, _) = mask_common::SnapshotReader::open(&bytes).expect("sealed above");
-                    fresh.restore(&mut r).expect("own encoding restores");
-                    r.finish().expect("restore consumes the payload");
-                    arr = fresh;
-                }
             }
             prop_assert_eq!(arr.len(), model.len());
             prop_assert_eq!(arr.is_empty(), model.len() == 0);
@@ -329,36 +319,4 @@ proptest! {
             }
         }
     }
-}
-
-/// Every touch takes a fresh stamp, so no array writes a set with two equal
-/// stamps or a stamp ahead of its clock: there is no recency order to
-/// rebuild from either, and restore says so.
-#[test]
-fn restore_rejects_stamps_no_sequence_of_touches_leaves() {
-    let key = |v: u64| TlbKey::new(Asid::new(0), Vpn(v));
-    let restore = |model: &VecOfVecs| {
-        let mut arr: AssocArray<TlbKey, Ppn> = AssocArray::new(8, 8);
-        let bytes = model.encode();
-        let (mut r, _) = mask_common::SnapshotReader::open(&bytes).expect("sealed by encode");
-        arr.restore(&mut r).map(|()| arr)
-    };
-    let mut model = VecOfVecs::new(8, 8);
-    for v in 0..5 {
-        model.fill(key(v), Ppn(v));
-    }
-    let mut arr = restore(&model).expect("a model's encoding restores");
-    // Stamps 1..=5 in stored order: the first entry is the oldest.
-    model.probe(&key(0));
-    arr.probe(&key(0));
-    assert_eq!(encode(&arr), model.encode());
-
-    let malformed = |model: &VecOfVecs, why: &str| match restore(model) {
-        Err(mask_common::SnapshotError::Malformed(got)) => assert_eq!(got, why),
-        other => panic!("expected Malformed({why:?}), got {:?}", other.map(|_| ())),
-    };
-    model.sets[0][3].last_used = model.sets[0][1].last_used;
-    malformed(&model, "two entries of a set carry one stamp");
-    model.sets[0][3].last_used = model.stamp + 1;
-    malformed(&model, "entry stamped after the array's clock");
 }

@@ -271,27 +271,6 @@ impl mask_common::snapshot::Snapshot for WarpTrace {
         w.usize(self.recent_len);
         w.usize(self.recent_next);
     }
-
-    fn restore(
-        &mut self,
-        r: &mut mask_common::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), mask_common::snapshot::SnapshotError> {
-        self.rng.restore(r)?;
-        self.step = r.u64()?;
-        self.burst_left = r.u64()?;
-        for slot in &mut self.recent {
-            *slot = (r.u64()?, r.u64()?);
-        }
-        self.recent_len = r.usize()?;
-        self.recent_next = r.usize()?;
-        let cap = self.recent.len();
-        if self.recent_len > cap || self.recent_next >= cap {
-            return Err(mask_common::snapshot::SnapshotError::Malformed(
-                "trace recency cursor out of range",
-            ));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,19 @@
 //! Checkpoint/restore must be invisible in the results.
 //!
 //! `GpuSim` can seal its full dynamic state into a versioned, checksummed
-//! snapshot at any epoch-safe point and restore it into a freshly
-//! constructed simulator (`mask_common::snapshot`). These properties pin
-//! the contract behind the engine's warm-up `PrefixCache`: for every
-//! design preset, `snapshot → codec round-trip → restore → run(k)` is
-//! **byte-identical** to the straight-through `run(n + k)` — same
-//! `SimStats`, same re-encoded snapshot bytes — with the observability
-//! hooks on or off. Damaged envelopes (corrupted, truncated,
-//! version-bumped, or wrong-keyed bytes) are rejected with an error, never
-//! silently restored.
+//! snapshot at any epoch-safe point (`mask_common::snapshot`), and
+//! `restore_snapshot` brings a freshly constructed simulator to that state
+//! by replaying the snapshot's cycle count and checking the replay against
+//! the sealed bytes. These properties pin that contract: for every design
+//! preset, `snapshot → restore → run(k)` is **byte-identical** to the
+//! straight-through `run(n + k)` — same `SimStats`, same re-encoded
+//! snapshot bytes — with the observability hooks on or off. Damaged
+//! envelopes (corrupted, truncated, version-bumped, or wrong-keyed bytes)
+//! and states a replay cannot reach (a simulator that has already run, a
+//! machine changed by more than `run`, a cycle past `max_cycles`) are
+//! rejected with an error, never silently restored.
 
-use mask_common::snapshot::{PrefixKey, SnapshotError};
+use mask_common::snapshot::{PrefixKey, SnapshotError, SnapshotWriter};
 use mask_core::prelude::*;
 use proptest::prelude::*;
 
@@ -142,6 +144,48 @@ fn damaged_envelopes_are_rejected() {
         fresh.restore_snapshot(&vbump, key),
         Err(SnapshotError::BadVersion { .. })
     ));
+
+    // A replay starts from cycle 0: a simulator that has run is refused
+    // before it runs any further.
+    let mut ran = build(DesignKind::Mask, 5, 2 * EPOCH);
+    ran.run(1);
+    assert!(matches!(
+        ran.restore_snapshot(&bytes, key),
+        Err(SnapshotError::Malformed(_))
+    ));
+    assert_eq!(ran.now(), 1);
+
+    // A machine changed by anything but `run` is no state a replay
+    // reaches: the replay is checked against the bytes and refused, never
+    // left standing as a different machine.
+    let mutations: [fn(&mut GpuSim); 2] = [GpuSim::reset_stats, |sim| {
+        sim.tlb_shootdown(mask_common::Asid::new(0));
+    }];
+    for mutate in mutations {
+        let mut changed = build(DesignKind::Mask, 5, 2 * EPOCH);
+        changed.run(EPOCH);
+        mutate(&mut changed);
+        let changed_bytes = changed.encode_snapshot(key);
+        assert!(changed_bytes != bytes, "the mutation changes the state");
+        let mut fresh = build(DesignKind::Mask, 5, 2 * EPOCH);
+        assert!(matches!(
+            fresh.restore_snapshot(&changed_bytes, key),
+            Err(SnapshotError::Malformed(_))
+        ));
+    }
+
+    // A well-sealed payload whose epoch-aligned cycle lies past the
+    // configured budget is refused without simulating.
+    let mut w = SnapshotWriter::new();
+    w.section("gpu");
+    w.u64(3 * EPOCH);
+    let too_long = w.seal(key);
+    let mut fresh = build(DesignKind::Mask, 5, 2 * EPOCH);
+    assert!(matches!(
+        fresh.restore_snapshot(&too_long, key),
+        Err(SnapshotError::Malformed(_))
+    ));
+    assert_eq!(fresh.now(), 0);
 
     // A scribbled magic is not a snapshot at all.
     let mut garbage = bytes;
