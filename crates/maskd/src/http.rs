@@ -231,6 +231,7 @@ pub fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        410 => "Gone",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
@@ -385,5 +386,13 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Transfer-Encoding: chunked"));
         assert!(text.ends_with("8\r\n{\"e\":1}\n\r\n8\r\n{\"e\":2}\n\r\n0\r\n\r\n"));
+    }
+
+    #[test]
+    fn a_forgotten_job_answers_gone() {
+        let mut out = Vec::new();
+        write_response(&mut out, 410, &[], "{}").expect("write");
+        let text = String::from_utf8(out).expect("utf-8");
+        assert!(text.starts_with("HTTP/1.1 410 Gone\r\n"));
     }
 }

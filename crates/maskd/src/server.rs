@@ -24,6 +24,11 @@
 //! [`JobPool`], in DRR order, and every result is stored and served by
 //! content address — so *when* a job runs (queue order, batch packing,
 //! restarts) can never change *what* it returns (DESIGN.md §15).
+//!
+//! Memory: the registry keeps every queued and running job, and at most
+//! `queue_depth` finished ones, forgetting the oldest first; a forgotten id
+//! answers `410 Gone`, and resubmitting its spec is a store hit. A finished
+//! job's result is the store's own `Arc`, not a copy.
 
 use crate::config::DaemonConfig;
 use crate::http::{self, Request};
@@ -33,8 +38,8 @@ use crate::store::{result_key, ResultStore};
 use crate::wire::{self, JobSpec};
 use mask_common::stats::SimStats;
 use mask_common::MODEL_FINGERPRINT;
-use mask_core::JobPool;
-use std::collections::BTreeMap;
+use mask_core::{JobPool, SimJob};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[expect(clippy::disallowed_types, reason = "parallelism island")]
@@ -64,21 +69,30 @@ impl JobStatus {
 struct JobEntry {
     tenant: String,
     key: u64,
-    cost: u64,
     status: JobStatus,
     store_hit: bool,
     dispatch_seq: Option<u64>,
     /// JSONL event lines: lifecycle records plus attached epoch-metrics
     /// frames from `mask-obs` (batch granularity; see DESIGN.md §15).
     events: Vec<String>,
-    result: Option<SimStats>,
-    spec: JobSpec,
+    /// The job to simulate, built once at submission; the dispatcher
+    /// moves it into the pool's batch.
+    job: Option<SimJob>,
+    /// Shared with the result store's map.
+    result: Option<Arc<SimStats>>,
 }
 
 /// Everything behind the `state` mutex.
 struct DaemonState {
     jobs: BTreeMap<u64, JobEntry>,
+    /// Ids of the finished jobs still in `jobs`, in the order they
+    /// finished; at most `retain` of them.
+    finished: VecDeque<u64>,
+    /// `MASKD_QUEUE_DEPTH`: finished jobs kept beside the unfinished ones.
+    retain: usize,
     queue: FairQueue,
+    /// The next id to issue. Only accepted submissions take one, so an id
+    /// below it that `jobs` lacks was forgotten, not never issued.
     next_id: u64,
     /// Monotonic dispatch counter; each dispatched job records its
     /// position, which is what the fairness test asserts on.
@@ -89,6 +103,30 @@ struct DaemonState {
     simulated_cycles: u64,
     /// Submissions answered from the store without simulating.
     store_hits: u64,
+}
+
+impl DaemonState {
+    /// Marks `id` finished and forgets the oldest finished jobs beyond
+    /// `retain`. Queued and running jobs are never forgotten.
+    fn finish(&mut self, id: u64) {
+        self.finished.push_back(id);
+        while self.finished.len() > self.retain {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.jobs.remove(&oldest);
+            }
+        }
+    }
+
+    /// The answer for an id `jobs` lacks: forgotten (410) or never issued (404).
+    fn missing(&self, id: u64) -> Reply {
+        if (1..self.next_id).contains(&id) {
+            let msg = "job forgotten (the daemon keeps MASKD_QUEUE_DEPTH finished jobs); \
+                       resubmit it: a stored result answers without simulating";
+            (410, error_body(msg))
+        } else {
+            (404, error_body("no such job"))
+        }
+    }
 }
 
 #[expect(
@@ -157,6 +195,8 @@ impl Daemon {
         let shared = Arc::new(Shared {
             state: Mutex::new(DaemonState {
                 jobs: BTreeMap::new(),
+                finished: VecDeque::new(),
+                retain: cfg.queue_depth,
                 queue: FairQueue::new(cfg.queue_depth, cfg.tenant_depth, cfg.quantum),
                 next_id: 1,
                 dispatch_seq: 0,
@@ -314,6 +354,7 @@ fn store_stats(shared: &Arc<Shared>) -> Value {
     let state = shared.lock_state();
     let scheduler = Value::obj([
         ("queued", Value::Num(state.queue.len() as u64)),
+        ("retained_jobs", Value::Num(state.jobs.len() as u64)),
         ("dispatch_seq", Value::Num(state.dispatch_seq)),
         ("simulated_jobs", Value::Num(state.simulated_jobs)),
         ("simulated_cycles", Value::Num(state.simulated_cycles)),
@@ -361,22 +402,22 @@ fn submit(req: &Request, shared: &Arc<Shared>) -> Result<Reply, Reply> {
 
     let mut state = shared.lock_state();
     let id = state.next_id;
-    state.next_id += 1;
-
+    let mut entry = JobEntry {
+        tenant: spec.tenant,
+        key,
+        status: JobStatus::Queued,
+        store_hit: false,
+        dispatch_seq: None,
+        events: vec![event_line(id, "queued", &[])],
+        job: None,
+        result: None,
+    };
+    let hit = stored.is_some();
     if let Some((stats, checksum)) = stored {
         state.store_hits += 1;
-        let mut entry = JobEntry {
-            tenant: spec.tenant.clone(),
-            key,
-            cost: job.max_cycles,
-            status: JobStatus::Done,
-            store_hit: true,
-            dispatch_seq: None,
-            events: Vec::new(),
-            result: Some(stats),
-            spec,
-        };
-        entry.events.push(event_line(id, "queued", &[]));
+        entry.status = JobStatus::Done;
+        entry.store_hit = true;
+        entry.result = Some(stats);
         entry.events.push(event_line(
             id,
             "completed",
@@ -385,63 +426,43 @@ fn submit(req: &Request, shared: &Arc<Shared>) -> Result<Reply, Reply> {
                 ("checksum", Value::Num(checksum)),
             ],
         ));
-        state.jobs.insert(id, entry);
-        drop(state);
-        shared.events.notify_all();
-        return Ok((
-            200,
-            Value::obj([
-                ("id", Value::Num(id)),
-                ("status", Value::Str("done".into())),
-                ("store_hit", Value::Bool(true)),
-            ])
-            .serialize(),
-        ));
-    }
-
-    match state.queue.admit(
-        &spec.tenant,
-        QueuedJob {
+    } else {
+        let queued = QueuedJob {
             id,
             cost: job.max_cycles,
-        },
-    ) {
-        Ok(()) => {}
-        Err(Rejection::QueueFull) => {
-            return Err((
-                503,
-                error_body("queue full (MASKD_QUEUE_DEPTH); retry later"),
-            ));
-        }
-        Err(Rejection::TenantFull) => {
-            return Err((
-                429,
-                error_body("tenant queue full (MASKD_TENANT_DEPTH); retry later"),
-            ));
-        }
+        };
+        state
+            .queue
+            .admit(&entry.tenant, queued)
+            .map_err(|rejection| match rejection {
+                Rejection::QueueFull => (
+                    503,
+                    error_body("queue full (MASKD_QUEUE_DEPTH); retry later"),
+                ),
+                Rejection::TenantFull => (
+                    429,
+                    error_body("tenant queue full (MASKD_TENANT_DEPTH); retry later"),
+                ),
+            })?;
+        entry.job = Some(job);
     }
-    let mut entry = JobEntry {
-        tenant: spec.tenant.clone(),
-        key,
-        cost: job.max_cycles,
-        status: JobStatus::Queued,
-        store_hit: false,
-        dispatch_seq: None,
-        events: Vec::new(),
-        result: None,
-        spec,
-    };
-    entry.events.push(event_line(id, "queued", &[]));
+    state.next_id += 1;
     state.jobs.insert(id, entry);
+    if hit {
+        state.finish(id);
+    }
     drop(state);
-    shared.work.notify_all();
+    if !hit {
+        shared.work.notify_all();
+    }
     shared.events.notify_all();
+    let (status, label) = if hit { (200, "done") } else { (201, "queued") };
     Ok((
-        201,
+        status,
         Value::obj([
             ("id", Value::Num(id)),
-            ("status", Value::Str("queued".into())),
-            ("store_hit", Value::Bool(false)),
+            ("status", Value::Str(label.into())),
+            ("store_hit", Value::Bool(hit)),
         ])
         .serialize(),
     ))
@@ -460,7 +481,7 @@ fn event_line(id: u64, event: &str, extra: &[(&str, Value)]) -> String {
 fn job_status(id: u64, shared: &Arc<Shared>) -> Reply {
     let state = shared.lock_state();
     let Some(entry) = state.jobs.get(&id) else {
-        return (404, error_body("no such job"));
+        return state.missing(id);
     };
     let mut map = std::collections::BTreeMap::new();
     map.insert("id".to_owned(), Value::Num(id));
@@ -486,8 +507,9 @@ fn stream_events(id: u64, stream: &mut TcpStream, shared: &Arc<Shared>) {
     {
         let state = shared.lock_state();
         if !state.jobs.contains_key(&id) {
+            let (status, body) = state.missing(id);
             drop(state);
-            let _ = http::write_response(stream, 404, &[], &error_body("no such job"));
+            let _ = http::write_response(stream, status, &[], &body);
             return;
         }
     }
@@ -558,21 +580,29 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 };
             }
         };
-        run_batch(shared, &batch);
+        run_batch(shared, batch);
     }
 }
 
+/// A dispatched job's registry coordinates; its `SimJob` travels beside
+/// it, in the slice the pool runs.
 struct Dispatched {
     id: u64,
     tenant: String,
     key: u64,
-    job: mask_core::SimJob,
 }
 
-fn prepare_batch(state: &mut DaemonState, selected: Vec<(String, u64)>) -> Vec<Dispatched> {
+fn prepare_batch(
+    state: &mut DaemonState,
+    selected: Vec<(String, u64)>,
+) -> (Vec<Dispatched>, Vec<SimJob>) {
     let mut batch = Vec::with_capacity(selected.len());
+    let mut jobs = Vec::with_capacity(selected.len());
     for (tenant, id) in selected {
         let Some(entry) = state.jobs.get_mut(&id) else {
+            continue;
+        };
+        let Some(job) = entry.job.take() else {
             continue;
         };
         let seq = state.dispatch_seq;
@@ -583,25 +613,29 @@ fn prepare_batch(state: &mut DaemonState, selected: Vec<(String, u64)>) -> Vec<D
             .events
             .push(event_line(id, "dispatched", &[("seq", Value::Num(seq))]));
         state.simulated_jobs += 1;
-        state.simulated_cycles += entry.cost;
+        state.simulated_cycles += job.max_cycles;
         batch.push(Dispatched {
             id,
             tenant,
             key: entry.key,
-            job: entry.spec.to_sim_job(),
         });
+        jobs.push(job);
     }
-    batch
+    (batch, jobs)
 }
 
-fn run_batch(shared: &Arc<Shared>, batch: &[Dispatched]) {
+fn run_batch(shared: &Arc<Shared>, (batch, jobs): (Vec<Dispatched>, Vec<SimJob>)) {
     if batch.is_empty() {
         return;
     }
-    let jobs: Vec<mask_core::SimJob> = batch.iter().map(|d| d.job.clone()).collect();
     // The simulation runs outside the state lock: submissions and status
     // queries stay responsive during a long batch.
-    let results = shared.pool.run_batch(&jobs);
+    let results: Vec<Arc<SimStats>> = shared
+        .pool
+        .run_batch(&jobs)
+        .into_iter()
+        .map(Arc::new)
+        .collect();
     // Epoch-metrics frames collected during this batch (empty unless
     // MASK_TRACE is live). Attached at batch granularity — every job in
     // the batch sees the batch's frames.
@@ -612,7 +646,7 @@ fn run_batch(shared: &Arc<Shared>, batch: &[Dispatched]) {
     let checksums: Vec<u64> = batch
         .iter()
         .zip(&results)
-        .map(|(d, stats)| shared.store.insert(d.key, stats))
+        .map(|(d, stats)| shared.store.insert_shared(d.key, Arc::clone(stats)))
         .collect();
 
     let mut state = shared.lock_state();
@@ -637,6 +671,7 @@ fn run_batch(shared: &Arc<Shared>, batch: &[Dispatched]) {
             ));
             entry.status = JobStatus::Done;
             entry.result = Some(stats);
+            state.finish(d.id);
         }
     }
     drop(state);

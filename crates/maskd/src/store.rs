@@ -17,7 +17,9 @@
 //! migrates a directory of the older envelope-plus-`.lru` format on open.
 //! This module adds only what is about *results*: the content address, the
 //! `SimStats` payload, the in-memory map with each result's envelope
-//! checksum (sealed once, on insert or load) and the counters.
+//! checksum (sealed once, on insert or load) and the counters. A result is
+//! held once, behind an `Arc` the daemon's job registry shares: a hit hands
+//! out a reference, not a copy.
 
 use mask_common::snapshot::{
     envelope_checksum, Fnv1a, PrefixKey, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
@@ -28,6 +30,7 @@ use mask_common::MODEL_FINGERPRINT;
 use mask_core::SimJob;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 #[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::Mutex;
 
@@ -75,7 +78,7 @@ pub struct StoreStats {
 #[derive(Default)]
 struct Inner {
     /// Each result with the checksum of its sealed envelope.
-    mem: BTreeMap<u64, (SimStats, u64)>,
+    mem: BTreeMap<u64, (Arc<SimStats>, u64)>,
     disk: Option<EnvelopeStore>,
     hits: u64,
     misses: u64,
@@ -139,8 +142,9 @@ impl ResultStore {
     /// Looks up a result and the checksum of its sealed envelope, falling
     /// back to disk on a memory miss. A disk hit is promoted into memory;
     /// either kind of hit re-stamps the on-disk entry as most recently used.
+    /// The result is the one the store holds, shared, not a copy.
     #[must_use]
-    pub fn get(&self, key: u64) -> Option<(SimStats, u64)> {
+    pub fn get(&self, key: u64) -> Option<(Arc<SimStats>, u64)> {
         let mut guard = self.lock();
         let inner = &mut *guard;
         if let Some(found) = inner.mem.get(&key).cloned() {
@@ -164,7 +168,7 @@ impl ResultStore {
             .and_then(|disk| disk.load(PrefixKey(key)))
             .and_then(|bytes| {
                 let stats = decode_result(&bytes, key).ok()?;
-                Some((stats, envelope_checksum(&bytes)?))
+                Some((Arc::new(stats), envelope_checksum(&bytes)?))
             });
         match &loaded {
             Some(found) => {
@@ -177,16 +181,23 @@ impl ResultStore {
         loaded
     }
 
-    /// Records a freshly simulated result under `key`, persisting it when
-    /// the store is disk-backed, and returns the checksum of its sealed
-    /// envelope; what the LRU cap then evicts from disk leaves memory too.
+    /// Records a copy of `stats` under `key`, for a caller that keeps its
+    /// own; see [`Self::insert_shared`].
     pub fn insert(&self, key: u64, stats: &SimStats) -> u64 {
-        let sealed = seal_result(key, stats);
+        self.insert_shared(key, Arc::new(stats.clone()))
+    }
+
+    /// Records a freshly simulated result under `key`, keeping `stats`
+    /// itself, persisting it when the store is disk-backed, and returns the
+    /// checksum of its sealed envelope; what the LRU cap then evicts from
+    /// disk leaves memory too.
+    pub fn insert_shared(&self, key: u64, stats: Arc<SimStats>) -> u64 {
+        let sealed = seal_result(key, &stats);
         let checksum = envelope_checksum(&sealed).unwrap_or(0);
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.inserts += 1;
-        inner.mem.insert(key, (stats.clone(), checksum));
+        inner.mem.insert(key, (stats, checksum));
         if let Some(disk) = &mut inner.disk {
             for evicted in disk.store(PrefixKey(key), &sealed) {
                 inner.mem.remove(&evicted.0);
@@ -263,9 +274,32 @@ mod tests {
             envelope_checksum(&seal_result(42, &s)),
             "insert returns the checksum the envelope carries"
         );
-        assert_eq!(store.get(42), Some((s, checksum)));
+        assert_eq!(store.get(42), Some((Arc::new(s), checksum)));
         let t = store.stats();
         assert_eq!((t.entries, t.hits, t.misses, t.inserts), (1, 1, 1, 1));
+    }
+
+    #[test]
+    fn an_insert_and_its_hits_share_one_allocation() {
+        let dir = temp_dir("shared");
+        for store in [
+            ResultStore::in_memory(),
+            ResultStore::with_dir(dir.clone(), None),
+        ] {
+            let inserted = Arc::new(sample_stats(5));
+            store.insert_shared(11, Arc::clone(&inserted));
+            let (first, _) = store.get(11).expect("hit");
+            let (second, _) = store.get(11).expect("hit");
+            assert!(Arc::ptr_eq(&inserted, &first));
+            assert!(Arc::ptr_eq(&first, &second));
+        }
+        // A result loaded from disk is decoded once, then shared the same way.
+        let store = ResultStore::with_dir(dir.clone(), None);
+        let (loaded, _) = store.get(11).expect("disk hit");
+        let (again, _) = store.get(11).expect("memory hit");
+        assert!(Arc::ptr_eq(&loaded, &again));
+        assert_eq!(store.stats().disk_loads, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -276,7 +310,7 @@ mod tests {
         // Fresh store, fresh memory: the result comes back from disk, with
         // the checksum the file carries.
         let store = ResultStore::with_dir(dir.clone(), None);
-        assert_eq!(store.get(7), Some((s, checksum)));
+        assert_eq!(store.get(7), Some((Arc::new(s), checksum)));
         assert_eq!(store.stats().disk_loads, 1);
 
         // Flip one payload byte: validation must reject and delete it.
@@ -296,7 +330,7 @@ mod tests {
     fn cap_bounds_memory_and_disk_together() {
         let dir = temp_dir("cap");
         let store = ResultStore::with_dir(dir.clone(), Some(8));
-        let get = |k: u64| store.get(k).map(|(stats, _)| stats);
+        let get = |k: u64| store.get(k).map(|(stats, _)| SimStats::clone(&stats));
         for k in 0..100u64 {
             store.insert(k, &sample_stats(k));
             // Keep result 0 the most recently used but one throughout.

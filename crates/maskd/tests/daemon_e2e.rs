@@ -15,6 +15,9 @@
 //! * **Fairness and backpressure** — three tenants under a full queue get
 //!   well-formed 429/503 rejections, and once dispatch resumes, the first
 //!   round of dispatch sequence numbers covers all three tenants.
+//! * **Bounded retention** — at most `queue_depth` finished jobs stay
+//!   beside the queued ones; an older id answers 410, one never issued 404,
+//!   and a forgotten job's spec is a store hit with the same checksum.
 //!
 //! No sleeps anywhere: `Client::wait` rides the chunked events stream,
 //! which the daemon holds open until the job completes.
@@ -293,6 +296,134 @@ fn completed_events_carry_the_stored_envelope_checksum() {
     assert!(from_disk.store_hit);
     assert_eq!(completed_checksum(&client, from_disk.id), sealed);
     assert_eq!(store_count(&client, "disk_loads"), Some(1));
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(retained_jobs, queued)` from one `GET /store/stats` document.
+fn retained_and_queued(client: &Client) -> (u64, u64) {
+    let stats = client.store_stats().expect("store stats");
+    let scheduler = stats.get("scheduler").expect("scheduler section");
+    let count = |name: &str| scheduler.get(name).and_then(Value::as_u64);
+    (
+        count("retained_jobs").expect("retained_jobs"),
+        count("queued").expect("queued"),
+    )
+}
+
+/// The HTTP status a failed call answered with (None if it succeeded).
+fn status_of<T>(reply: Result<T, ClientError>) -> Option<u16> {
+    match reply.err()? {
+        ClientError::Http { status, .. } => Some(status),
+        _ => None,
+    }
+}
+
+#[test]
+fn finished_jobs_beyond_the_queue_depth_are_forgotten_oldest_first() {
+    const DEPTH: u64 = 4;
+    let dir = temp_store("retention");
+    let stored = [
+        spec("r", DesignKind::Mask, 801),
+        spec("r", DesignKind::SharedTlb, 802),
+    ];
+    {
+        let store = maskd::ResultStore::with_dir(dir.clone(), None);
+        for s in &stored {
+            let job = s.to_sim_job();
+            store.insert(maskd::result_key(&job), &job.run());
+        }
+    }
+    let cfg = DaemonConfig {
+        store_dir: Some(dir.clone()),
+        queue_depth: DEPTH as usize,
+        start_paused: true,
+        ..ephemeral_config()
+    };
+    let daemon = Daemon::spawn_with_pool(cfg, JobPool::with_workers(2)).expect("boot");
+    let client = Client::new(daemon.addr().to_string());
+    let bounded = |client: &Client| {
+        let (retained, queued) = retained_and_queued(client);
+        assert!(
+            retained <= DEPTH + queued,
+            "{retained} jobs retained with {queued} queued"
+        );
+    };
+    let cold: Vec<JobSpec> = (0..5)
+        .map(|i| spec("r", DesignKind::Mask, 810 + i))
+        .collect();
+
+    // While dispatch is paused: three cold jobs queue, and five store hits
+    // finish at once, so the first hit is forgotten before any job runs.
+    let mut submitted: Vec<(u64, &JobSpec)> = Vec::new();
+    for s in &cold[..3] {
+        let reply = client.submit(s).expect("submit");
+        assert!(!reply.store_hit);
+        submitted.push((reply.id, s));
+        bounded(&client);
+    }
+    for s in stored.iter().cycle().take(5) {
+        let reply = client.submit(s).expect("submit");
+        assert!(reply.store_hit);
+        submitted.push((reply.id, s));
+        bounded(&client);
+    }
+    assert_eq!(retained_and_queued(&client), (DEPTH + 3, 3));
+    daemon.resume_dispatch();
+    let mut first_served = std::collections::BTreeMap::new();
+    let mut checksums = std::collections::BTreeMap::new();
+    for &(id, _) in &submitted[..3] {
+        checksums.insert(id, completed_checksum(&client, id));
+        first_served.insert(id, client.wait(id).expect("wait").result);
+    }
+    bounded(&client);
+
+    // Closed loop: cold, a hit on the first cold job, cold, a hit on the
+    // second.
+    for s in [&cold[3], &cold[0], &cold[4], &cold[1]] {
+        let reply = client.submit(s).expect("submit");
+        submitted.push((reply.id, s));
+        first_served.insert(reply.id, client.wait(reply.id).expect("wait").result);
+        bounded(&client);
+    }
+    assert_eq!(submitted.len(), 12);
+    assert_eq!(retained_and_queued(&client), (DEPTH, 0));
+
+    // The four newest serve what they first served; the eight before them
+    // are gone; an id never issued was never there.
+    let (forgotten, kept) = submitted.split_at(submitted.len() - DEPTH as usize);
+    for &(id, _) in kept {
+        let served = client.job(id).expect("a kept job").result;
+        assert!(served.is_some());
+        assert_eq!(Some(&served), first_served.get(&id));
+    }
+    for &(id, _) in forgotten {
+        assert_eq!(status_of(client.job(id)), Some(410), "job {id}");
+        assert_eq!(
+            status_of(client.events(id)),
+            Some(410),
+            "events of job {id}"
+        );
+    }
+    let never = submitted.iter().map(|&(id, _)| id).max().expect("ids") + 1;
+    for id in [0, never] {
+        assert_eq!(status_of(client.job(id)), Some(404), "job {id}");
+        assert_eq!(
+            status_of(client.events(id)),
+            Some(404),
+            "events of job {id}"
+        );
+    }
+
+    // A forgotten job's spec comes back from the store, sealed as before.
+    let (old_id, old_spec) = submitted[2];
+    let again = client.submit(old_spec).expect("resubmit");
+    assert!(again.store_hit);
+    assert_eq!(completed_checksum(&client, again.id), checksums[&old_id]);
+    assert_eq!(
+        client.job(again.id).expect("job").result,
+        first_served[&old_id]
+    );
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
