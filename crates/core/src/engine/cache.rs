@@ -1,5 +1,6 @@
-//! What outlives one job: alone baselines ([`BaselineCache`], for the
-//! process) and the count of jobs a pool simulated ([`PrefixCache`]).
+//! What outlives one job: every job's result ([`ResultMemo`], one per
+//! process unless a pool is handed its own) and the count of jobs a pool
+//! simulated ([`PrefixCache`]).
 
 use super::job::JobKey;
 use mask_common::stats::SimStats;
@@ -7,92 +8,110 @@ use std::collections::BTreeMap;
 #[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::atomic::{AtomicU64, Ordering};
 #[expect(clippy::disallowed_types, reason = "parallelism island")]
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Counters describing one [`BaselineCache`]'s effectiveness.
+/// Counters describing one [`ResultMemo`]'s effectiveness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Distinct alone-baseline simulations held.
+pub struct MemoStats {
+    /// Distinct results held.
     pub entries: usize,
-    /// Lookups answered from the cache (simulations avoided).
+    /// Lookups answered from the memo (simulations avoided).
     pub hits: u64,
-    /// Lookups that had to simulate (one per distinct entry).
+    /// Lookups that found nothing.
     pub misses: u64,
 }
 
 #[derive(Default)]
-struct CacheInner {
-    map: BTreeMap<JobKey, SimStats>,
+struct MemoInner {
+    map: BTreeMap<JobKey, Arc<SimStats>>,
     hits: u64,
     misses: u64,
 }
 
-/// Process-wide memo of alone-baseline simulations.
-///
-/// `IPC_alone` baselines are design-dependent but pair-independent, and the
-/// oracle scheduler's probe runs re-derive the same baselines again at probe
-/// length — so one cache shared by every experiment (and every probe)
-/// guarantees each unique `(design, placement, cycles, seed, machine)`
-/// alone run is simulated exactly once per process. Tests that need exact
-/// accounting can attach a private cache via
-/// [`JobPool::with_cache`](super::JobPool::with_cache).
+/// Memo of finished simulations: [`JobKey`] → the one shared copy of its
+/// statistics. Equal keys mean bit-identical statistics, so a memo
+/// simulates each job once and hands its result out as an `Arc`. Every
+/// default pool shares the process-wide memo; tests that count simulations
+/// or observe what one emits attach a private one via
+/// [`JobPool::with_cache`](super::JobPool::with_cache), and each `maskd`
+/// daemon owns one (DESIGN.md §13, §15).
 #[derive(Default)]
 #[expect(
     clippy::disallowed_types,
     reason = "shared by every worker of every pool"
 )]
-pub struct BaselineCache {
-    inner: Mutex<CacheInner>,
+pub struct ResultMemo {
+    inner: Mutex<MemoInner>,
 }
 
-impl BaselineCache {
-    /// Creates an empty cache behind the shared handle
+/// The memo under the name it had when it held alone runs only. Named by
+/// `benchmark/src/engine.rs`; ROADMAP item 5 deletes it with that use.
+pub type BaselineCache = ResultMemo;
+
+impl ResultMemo {
+    /// Creates an empty memo behind the shared handle
     /// [`JobPool`](super::JobPool) expects.
     #[must_use]
     pub fn new() -> Arc<Self> {
-        Arc::new(BaselineCache::default())
+        Arc::new(ResultMemo::default())
+    }
+
+    fn lock(&self) -> MutexGuard<'_, MemoInner> {
+        self.inner.lock().expect("result memo lock poisoned")
     }
 
     /// Hit/miss/occupancy counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panicked while holding the cache lock.
     #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("baseline cache lock poisoned");
-        CacheStats {
+    pub fn stats(&self) -> MemoStats {
+        let inner = self.lock();
+        MemoStats {
             entries: inner.map.len(),
             hits: inner.hits,
             misses: inner.misses,
         }
     }
 
-    pub(super) fn lookup(&self, key: &JobKey) -> Option<SimStats> {
-        let mut inner = self.inner.lock().expect("baseline cache lock poisoned");
-        match inner.map.get(key).cloned() {
-            Some(stats) => {
-                inner.hits += 1;
-                Some(stats)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+    /// The result held under `key`, shared, counting a hit or a miss.
+    #[must_use]
+    pub fn lookup(&self, key: &JobKey) -> Option<Arc<SimStats>> {
+        let mut inner = self.lock();
+        let found = inner.map.get(key).cloned();
+        match found {
+            Some(_) => inner.hits += 1,
+            None => inner.misses += 1,
         }
+        found
     }
 
-    pub(super) fn insert(&self, key: JobKey, stats: SimStats) {
-        let mut inner = self.inner.lock().expect("baseline cache lock poisoned");
-        inner.map.insert(key, stats);
+    /// Holds `stats` as the result of `key`.
+    pub fn insert(&self, key: JobKey, stats: Arc<SimStats>) {
+        self.lock().map.insert(key, stats);
+    }
+
+    /// `key` as the memo holds it, sharing its storage, if it is held.
+    #[must_use]
+    pub fn held_key(&self, key: &JobKey) -> Option<JobKey> {
+        self.lock()
+            .map
+            .get_key_value(key)
+            .map(|(held, _)| held.clone())
+    }
+
+    /// Drops the result held under `key`, if any.
+    pub fn remove(&self, key: &JobKey) {
+        self.lock().map.remove(key);
+    }
+
+    /// Drops every result held; the counters keep counting.
+    pub fn clear(&self) {
+        self.lock().map.clear();
     }
 }
 
-/// The process-wide [`BaselineCache`] every default pool shares.
-#[must_use]
-pub fn process_cache() -> Arc<BaselineCache> {
-    static CACHE: OnceLock<Arc<BaselineCache>> = OnceLock::new();
-    Arc::clone(CACHE.get_or_init(BaselineCache::new))
+/// The process-wide [`ResultMemo`] every default pool shares.
+pub(super) fn process_memo() -> Arc<ResultMemo> {
+    static MEMO: OnceLock<Arc<ResultMemo>> = OnceLock::new();
+    Arc::clone(MEMO.get_or_init(ResultMemo::new))
 }
 
 /// Counters of one [`PrefixCache`]; only `misses` moves.
@@ -102,8 +121,8 @@ pub struct PrefixCacheStats {
     pub entries: usize,
     /// Always 0: every job simulates its own warm-up.
     pub hits: u64,
-    /// Jobs simulated: every unique job of a batch that the baseline cache
-    /// did not answer.
+    /// Jobs simulated: every unique job of a batch that the memo did not
+    /// answer.
     pub misses: u64,
 }
 

@@ -1,16 +1,17 @@
 //! Job identity: what one simulation is ([`SimJob`]), when two are the same
-//! ([`JobKey`]), how to run one.
+//! ([`JobKey`], the key every result is memoised under), how to run one.
 
 use mask_common::config::{DesignKind, DesignSpec, GpuConfig, SimConfig};
 use mask_common::snapshot::{Fnv1a, PrefixKey};
 use mask_common::stats::SimStats;
 use mask_gpu::{AppSpec, GpuSim};
+use std::sync::Arc;
 
 /// One self-contained simulation: a design, an application placement, and
 /// a cycle budget. Jobs with equal [`JobKey`]s produce bit-identical
-/// statistics and are simulated at most once per batch (alone-baseline
-/// jobs: at most once per *process*, via the
-/// [`BaselineCache`](super::BaselineCache)).
+/// statistics and are simulated at most once per
+/// [`ResultMemo`](super::ResultMemo): once per process for every pool that
+/// shares the process-wide memo.
 #[derive(Clone, Debug)]
 pub struct SimJob {
     /// The design to simulate.
@@ -45,7 +46,9 @@ pub struct JobKey {
     max_cycles: u64,
     warmup_cycles: u64,
     seed: u64,
-    gpu: String,
+    /// Shared, so a clone of the key (e.g. an index beside the memo) does
+    /// not copy the kilobyte rendering.
+    gpu: Arc<str>,
 }
 
 impl SimJob {
@@ -68,15 +71,8 @@ impl SimJob {
             max_cycles,
             warmup_cycles,
             seed: self.seed,
-            gpu: format!("{gpu:?}"),
+            gpu: format!("{gpu:?}").into(),
         }
-    }
-
-    /// Whether this is an alone-baseline run (a single application), the
-    /// class of jobs memoized process-wide.
-    #[must_use]
-    pub fn is_alone(&self) -> bool {
-        self.specs.len() == 1
     }
 
     /// Runs the simulation to completion and snapshots its statistics,

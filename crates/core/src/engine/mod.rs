@@ -9,14 +9,16 @@
 //!    batch entry points and the experiment harnesses) describe whole
 //!    workload sets as [`SimJob`] lists and submit them in one call. A
 //!    [`JobPool`] deduplicates jobs by their canonical [`JobKey`] and
-//!    resolves alone-baseline jobs from a process-wide [`BaselineCache`];
+//!    answers every job whose result is already known from its
+//!    [`ResultMemo`] (by default the process-wide one);
 //! 2. **execute** — the remaining unique jobs fan out over
 //!    `std::thread::scope` workers, each job built, warmed up and measured
 //!    on the one worker that took it;
-//! 3. **assemble** — results come back indexed by submission order, so
-//!    the output of any batch is **byte-identical at every worker count**
-//!    (each job is a closed deterministic state machine; scheduling can
-//!    only reorder wall-clock execution, never results).
+//! 3. **assemble** — each new result enters the memo, and results come
+//!    back as shared `Arc`s in submission order, so the output of any
+//!    batch is **byte-identical at every worker count** (each job is a
+//!    closed deterministic state machine; scheduling can only reorder
+//!    wall-clock execution, never results).
 //!
 //! Worker count: an explicit `JobOptions` request, else the `MASK_JOBS`
 //! environment variable, else the machine's available parallelism. `1` runs
@@ -37,6 +39,6 @@ mod cache;
 mod job;
 mod pool;
 
-pub use cache::{process_cache, BaselineCache, CacheStats, PrefixCache, PrefixCacheStats};
+pub use cache::{BaselineCache, MemoStats, PrefixCache, PrefixCacheStats, ResultMemo};
 pub use job::{JobKey, SimJob};
 pub use pool::JobPool;

@@ -1,7 +1,7 @@
-//! The pool: plans a batch (dedup, baseline cache), fans the unique jobs
-//! out over workers, scatters results in submission order.
+//! The pool: plans a batch (dedup, result memo), fans the unique jobs out
+//! over workers, scatters results in submission order.
 
-use super::cache::{process_cache, BaselineCache, PrefixCache};
+use super::cache::{process_memo, PrefixCache, ResultMemo};
 use super::job::{JobKey, SimJob};
 use mask_common::config::JobOptions;
 use mask_common::stats::SimStats;
@@ -24,9 +24,9 @@ fn job_label(job: &SimJob) -> String {
 /// Runs one job and counts it in `simulated`, with an engine-timeline span
 /// around it on `lane`, the lane its traced events carry too (`mask-obs`
 /// job profiling; label and timing cost nothing unless tracing is live).
-fn run_one(job: &SimJob, lane: u32, simulated: &PrefixCache) -> SimStats {
+fn run_one(job: &SimJob, lane: u32, simulated: &PrefixCache) -> Arc<SimStats> {
     let timer = mask_obs::profile::begin_job(lane);
-    let out = job.run();
+    let out = Arc::new(job.run());
     simulated.count_simulated();
     if mask_obs::tracing_active() {
         timer.finish(&job_label(job));
@@ -36,11 +36,11 @@ fn run_one(job: &SimJob, lane: u32, simulated: &PrefixCache) -> SimStats {
 
 /// Executes [`SimJob`] batches over a fixed number of worker threads.
 ///
-/// Cheap to clone: clones share the same baseline cache.
+/// Cheap to clone: clones share the same result memo.
 #[derive(Clone)]
 pub struct JobPool {
     workers: usize,
-    cache: Arc<BaselineCache>,
+    cache: Arc<ResultMemo>,
     simulated: Arc<PrefixCache>,
 }
 
@@ -55,7 +55,7 @@ impl fmt::Debug for JobPool {
 
 impl JobPool {
     /// A pool honoring `MASK_JOBS` / available parallelism, sharing the
-    /// process-wide baseline cache.
+    /// process-wide result memo.
     #[must_use]
     pub fn from_env() -> Self {
         Self::with_options(JobOptions::default())
@@ -70,7 +70,7 @@ impl JobPool {
         });
         JobPool {
             workers: workers.max(1),
-            cache: process_cache(),
+            cache: process_memo(),
             simulated: PrefixCache::in_memory(),
         }
     }
@@ -81,10 +81,10 @@ impl JobPool {
         Self::with_options(JobOptions::with_workers(n))
     }
 
-    /// Replaces the baseline cache (e.g. with a private one in tests that
-    /// assert exact simulation counts).
+    /// Replaces the result memo (e.g. with a private one in tests that
+    /// assert exact simulation counts or what a simulation emits).
     #[must_use]
-    pub fn with_cache(mut self, cache: Arc<BaselineCache>) -> Self {
+    pub fn with_cache(mut self, cache: Arc<ResultMemo>) -> Self {
         self.cache = cache;
         self
     }
@@ -110,9 +110,9 @@ impl JobPool {
         self.workers
     }
 
-    /// The alone-baseline cache this pool consults.
+    /// The result memo this pool consults.
     #[must_use]
-    pub fn cache(&self) -> &Arc<BaselineCache> {
+    pub fn cache(&self) -> &Arc<ResultMemo> {
         &self.cache
     }
 
@@ -125,28 +125,28 @@ impl JobPool {
     }
 
     /// One-line human-readable completion summary: worker count plus the
-    /// baseline-cache counters, stating how many whole alone runs the
-    /// cache avoided.
+    /// result-memo counters, stating how many whole runs the memo avoided.
     #[must_use]
     pub fn completion_summary(&self) -> String {
         let b = self.cache.stats();
         format!(
-            "[mask-core] job pool: {} worker(s); baseline cache: {} entries, \
+            "[mask-core] job pool: {} worker(s); result memo: {} entries, \
              {} hit(s) / {} miss(es)",
             self.workers, b.entries, b.hits, b.misses
         )
     }
 
-    /// Runs a batch and returns one [`SimStats`] per job, in submission
-    /// order. Equal-keyed jobs are simulated once; alone-baseline jobs are
-    /// additionally served from (and recorded in) the baseline cache.
+    /// Runs a batch and returns one result per job, in submission order.
+    /// Equal-keyed jobs are simulated once, and only when the memo does not
+    /// already hold their result; every simulated result is recorded in
+    /// the memo. Slots of equal-keyed jobs share one `Arc`.
     ///
     /// # Panics
     ///
     /// Re-raises any panic from a job (e.g. a sanitizer violation) on the
     /// calling thread, payload intact.
     #[must_use]
-    pub fn run_batch(&self, jobs: &[SimJob]) -> Vec<SimStats> {
+    pub fn run_batch(&self, jobs: &[SimJob]) -> Vec<Arc<SimStats>> {
         // Trace bookkeeping for the `job_pool` metrics frame (see
         // `mask-obs`); both values stay `None` unless tracing is live.
         let trace = mask_obs::tracing_active();
@@ -156,39 +156,34 @@ impl JobPool {
         )]
         let batch_start = trace.then(std::time::Instant::now);
         let cache_before = trace.then(|| self.cache.stats());
-        // Plan: collapse equal-keyed jobs, answer alone runs from cache.
-        let mut results: Vec<Option<SimStats>> = vec![None; jobs.len()];
-        let mut unique: BTreeMap<JobKey, Vec<usize>> = BTreeMap::new();
-        for (i, job) in jobs.iter().enumerate() {
-            unique.entry(job.key()).or_default().push(i);
-        }
-        let n_unique = unique.len();
-        let mut work: Vec<(&SimJob, Vec<usize>)> = Vec::new();
-        for (key, idxs) in unique {
-            let job = &jobs[idxs[0]];
-            if job.is_alone() {
-                if let Some(stats) = self.cache.lookup(&key) {
-                    for &i in &idxs {
-                        results[i] = Some(stats.clone());
-                    }
-                    continue;
-                }
+        // Plan: collapse equal-keyed jobs, answer known ones from the memo;
+        // `work` maps every other key to its first submission.
+        let keys: Vec<JobKey> = jobs.iter().map(SimJob::key).collect();
+        let mut results: BTreeMap<&JobKey, Arc<SimStats>> = BTreeMap::new();
+        let mut work: BTreeMap<&JobKey, usize> = BTreeMap::new();
+        for (i, key) in keys.iter().enumerate() {
+            if results.contains_key(key) || work.contains_key(key) {
+                continue;
             }
-            work.push((job, idxs));
+            if let Some(stats) = self.cache.lookup(key) {
+                results.insert(key, stats);
+            } else {
+                work.insert(key, i);
+            }
         }
-        // Execute: fan the unique jobs out; output is keyed by work index,
-        // so worker scheduling cannot affect what callers observe.
-        let outputs = self.execute(work.len(), |i, lane| {
-            run_one(work[i].0, lane, &self.simulated)
+        let n_unique = results.len() + work.len();
+        // Execute: fan the unique jobs out in key order; output is tagged
+        // by work index and filed by key, so worker scheduling cannot affect
+        // what callers observe.
+        let work: Vec<(&JobKey, usize)> = work.into_iter().collect();
+        let outputs = self.execute(work.len(), |w, lane| {
+            run_one(&jobs[work[w].1], lane, &self.simulated)
         });
-        // Assemble: scatter each unique result to every submitting slot.
-        for ((job, idxs), stats) in work.iter().zip(outputs) {
-            if job.is_alone() {
-                self.cache.insert(job.key(), stats.clone());
-            }
-            for &i in idxs {
-                results[i] = Some(stats.clone());
-            }
+        // Assemble: memoise each new result; equal keys share its `Arc`.
+        for (w, stats) in outputs {
+            let key = work[w].0;
+            self.cache.insert(key.clone(), Arc::clone(&stats));
+            results.insert(key, stats);
         }
         if let (Some(start), Some(before)) = (batch_start, cache_before) {
             let after = self.cache.stats();
@@ -201,26 +196,27 @@ impl JobPool {
                 start.elapsed().as_micros() as u64,
             );
         }
-        results
-            .into_iter()
-            .map(|r| r.expect("every planned job resolves to a result"))
-            .collect()
+        keys.iter().map(|key| Arc::clone(&results[key])).collect()
     }
 
-    /// `run(i, lane)` for every work index `i < n`, over the workers.
+    /// `run(i, lane)` for every work index `i < n`, over the workers, each
+    /// result tagged by its `i`, in no particular order.
     #[expect(
         clippy::disallowed_types,
         clippy::disallowed_methods,
         reason = "the one place the job engine spawns workers"
     )]
-    fn execute(&self, n: usize, run: impl Fn(usize, u32) -> SimStats + Sync) -> Vec<SimStats> {
+    fn execute(
+        &self,
+        n: usize,
+        run: impl Fn(usize, u32) -> Arc<SimStats> + Sync,
+    ) -> Vec<(usize, Arc<SimStats>)> {
         let n_workers = self.workers.min(n);
         if n_workers <= 1 {
-            return (0..n).map(|i| run(i, 0)).collect();
+            return (0..n).map(|i| (i, run(i, 0))).collect();
         }
         let next = AtomicUsize::new(0);
-        // One list per worker of its results, tagged by work index.
-        let collected: Vec<Vec<(usize, SimStats)>> = std::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..n_workers)
                 .map(|w| {
                     let (next, run) = (&next, &run);
@@ -242,21 +238,14 @@ impl JobPool {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| match h.join() {
+                .flat_map(|h| match h.join() {
                     Ok(local) => local,
                     // Surface job panics (sanitizer violations, simulator
                     // asserts) on the caller with their original payload.
                     Err(payload) => std::panic::resume_unwind(payload),
                 })
                 .collect()
-        });
-        let mut out: Vec<Option<SimStats>> = vec![None; n];
-        for (i, stats) in collected.into_iter().flatten() {
-            out[i] = Some(stats);
-        }
-        out.into_iter()
-            .map(|o| o.expect("workers drain the whole work list"))
-            .collect()
+        })
     }
 }
 
@@ -270,9 +259,9 @@ mod tests {
     #[test]
     fn run_matches_a_one_job_batch() {
         let j = job(DesignKind::Mask, &[("GUP", 2), ("HISTO", 2)], 11);
-        let pool = JobPool::with_workers(1).with_cache(BaselineCache::new());
+        let pool = JobPool::with_workers(1).with_cache(ResultMemo::new());
         assert_eq!(
-            vec![j.run()],
+            vec![Arc::new(j.run())],
             pool.run_batch(std::slice::from_ref(&j)),
             "the direct and pooled entry points run the same simulation"
         );
@@ -285,40 +274,47 @@ mod tests {
             job(DesignKind::Mask, &[("HISTO", 2), ("GUP", 2)], 7),
             job(DesignKind::SharedTlb, &[("GUP", 2)], 7), // duplicate of #0
         ];
-        let serial = JobPool::with_workers(1).with_cache(BaselineCache::new());
-        let wide_cache = BaselineCache::new();
-        let wide = JobPool::with_workers(8).with_cache(Arc::clone(&wide_cache));
+        let serial = JobPool::with_workers(1).with_cache(ResultMemo::new());
+        let wide_memo = ResultMemo::new();
+        let wide = JobPool::with_workers(8).with_cache(Arc::clone(&wide_memo));
         let a = serial.run_batch(&jobs);
         let b = wide.run_batch(&jobs);
         assert_eq!(a, b, "results must not depend on worker count");
-        assert_eq!(a[0], a[2], "equal keys yield equal results");
-        // The duplicated alone job was simulated once and cached once.
-        let stats = wide_cache.stats();
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.misses, 1);
+        assert!(Arc::ptr_eq(&a[0], &a[2]), "equal keys share one result");
+        // Two unique jobs, each simulated once and memoised once.
+        let stats = wide_memo.stats();
+        assert_eq!(stats.entries, 2);
+        assert_eq!(stats.misses, 2);
     }
 
     #[test]
-    fn alone_baselines_are_served_from_the_cache_across_batches() {
-        let cache = BaselineCache::new();
-        let pool = JobPool::with_workers(2).with_cache(Arc::clone(&cache));
+    fn alone_baselines_are_served_from_the_memo_across_batches() {
+        let memo = ResultMemo::new();
+        let pool = JobPool::with_workers(2).with_cache(Arc::clone(&memo));
         let j = job(DesignKind::SharedTlb, &[("HS", 2)], 3);
         let first = pool.run_batch(std::slice::from_ref(&j));
         let again = pool.run_batch(std::slice::from_ref(&j));
         assert_eq!(first, again);
-        let stats = cache.stats();
+        let stats = memo.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.misses, 1, "simulated exactly once");
-        assert_eq!(stats.hits, 1, "second batch answered from cache");
+        assert_eq!(stats.hits, 1, "second batch answered from the memo");
     }
 
     #[test]
-    fn shared_runs_are_not_cached_process_wide() {
-        let cache = BaselineCache::new();
-        let pool = JobPool::with_workers(1).with_cache(Arc::clone(&cache));
+    fn shared_runs_are_memoised_across_batches() {
         let j = job(DesignKind::SharedTlb, &[("HISTO", 2), ("GUP", 2)], 3);
-        let _ = pool.run_batch(std::slice::from_ref(&j));
-        assert_eq!(cache.stats().entries, 0);
+        for workers in [1, 8] {
+            let memo = ResultMemo::new();
+            let pool = JobPool::with_workers(workers).with_cache(Arc::clone(&memo));
+            let first = pool.run_batch(std::slice::from_ref(&j));
+            let again = pool.run_batch(&[j.clone(), j.clone()]);
+            assert!(Arc::ptr_eq(&first[0], &again[0]), "{workers} worker(s)");
+            assert!(Arc::ptr_eq(&again[0], &again[1]), "{workers} worker(s)");
+            assert_eq!(pool.prefix_cache().stats().misses, 1, "simulated once");
+            let stats = memo.stats();
+            assert_eq!((stats.entries, stats.hits, stats.misses), (1, 1, 1));
+        }
     }
 
     #[test]
@@ -327,13 +323,13 @@ mod tests {
         let mut cold = job(DesignKind::Mask, &[("HS", 2), ("GUP", 2)], 23);
         cold.warmup_cycles = 0;
         // Two sweep jobs that once shared a warm-up, a duplicate of the
-        // first, the cached alone baseline and a job with no warm-up.
+        // first, the memoised alone baseline and a job with no warm-up.
         let mut jobs = token_sweep(2);
         let duplicate = jobs[0].clone();
         jobs.extend([duplicate, alone.clone(), cold]);
-        let oracle: Vec<SimStats> = jobs.iter().map(SimJob::run).collect();
+        let oracle: Vec<Arc<SimStats>> = jobs.iter().map(|j| Arc::new(j.run())).collect();
         for workers in [1, 4] {
-            let pool = JobPool::with_workers(workers).with_cache(BaselineCache::new());
+            let pool = JobPool::with_workers(workers).with_cache(ResultMemo::new());
             let _ = pool.run_batch(std::slice::from_ref(&alone));
             assert_eq!(pool.run_batch(&jobs), oracle);
             assert_eq!(

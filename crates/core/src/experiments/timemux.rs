@@ -39,7 +39,7 @@ pub fn run(opts: &ExpOptions) -> Table {
 
     // Back-to-back execution: steady-state instruction rate. This is an
     // ordinary alone run, so it goes through the job engine (and its
-    // baseline cache) like every other baseline.
+    // result memo) like every other run.
     let runner = opts.runner();
     let alone_stats = runner.pool().run_batch(&[SimJob {
         design: DesignKind::SharedTlb,

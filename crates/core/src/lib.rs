@@ -36,14 +36,14 @@ pub mod table;
 
 pub mod experiments;
 
-pub use engine::{BaselineCache, CacheStats, JobPool, PrefixCache, PrefixCacheStats, SimJob};
+pub use engine::{BaselineCache, JobPool, PrefixCache, PrefixCacheStats, ResultMemo, SimJob};
 pub use metrics::{unfairness, weighted_speedup};
 pub use runner::{PairOutcome, PairRunner, RunOptions};
 pub use table::Table;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::engine::{BaselineCache, CacheStats, JobPool, SimJob};
+    pub use crate::engine::{JobPool, MemoStats, ResultMemo, SimJob};
     pub use crate::metrics::{unfairness, weighted_speedup};
     pub use crate::runner::{PairOutcome, PairRunner, RunOptions};
     pub use crate::table::Table;

@@ -4,12 +4,13 @@
 //! multiprogrammed workload runs once *shared* (both apps concurrently on a
 //! partitioned set of cores) and once *alone* per application ("`IPCalone` is
 //! the IPC of an application that runs on the same number of GPU cores, but
-//! does not share GPU resources with any other application"). Alone runs
-//! are first-class [`SimJob`]s deduplicated in the process-wide
-//! [`BaselineCache`](crate::engine::BaselineCache) — they are
-//! design-dependent but pair-independent, so every experiment (and every
-//! oracle probe) shares one memo and each unique baseline is simulated
-//! exactly once per process.
+//! does not share GPU resources with any other application"). Shared and
+//! alone runs are both plain [`SimJob`]s memoised in the process-wide
+//! [`ResultMemo`](crate::engine::ResultMemo): alone runs are
+//! design-dependent but pair-independent, and the same (pair, design)
+//! shared runs feed several figures, so every experiment (and every oracle
+//! probe) shares one memo and each unique run is simulated exactly once
+//! per process.
 //!
 //! The batch entry points ([`PairRunner::run_pairs`],
 //! [`PairRunner::run_multi_batch`], [`PairRunner::run_batch`]) submit whole
@@ -23,6 +24,7 @@ use mask_common::config::{DesignKind, GpuConfig, JobOptions};
 use mask_common::stats::SimStats;
 use mask_gpu::AppSpec;
 use mask_workloads::{app_by_name, AppPair, AppProfile};
+use std::sync::Arc;
 
 /// Options shared by all runs of one experiment.
 #[derive(Clone, Debug)]
@@ -74,13 +76,13 @@ pub struct PairOutcome {
     pub ipc_throughput: f64,
     /// Maximum slowdown (§6).
     pub unfairness: f64,
-    /// Full statistics of the shared run.
-    pub stats: SimStats,
+    /// Full statistics of the shared run, shared with the memo.
+    pub stats: Arc<SimStats>,
 }
 
 fn assemble_outcome(
     design: DesignKind,
-    stats: SimStats,
+    stats: Arc<SimStats>,
     alone_ipc: Vec<f64>,
     name: String,
 ) -> PairOutcome {
@@ -106,7 +108,7 @@ pub struct PairRunner {
 
 impl PairRunner {
     /// Creates a runner; its [`JobPool`] honours `opts.jobs` and shares the
-    /// process-wide baseline cache.
+    /// process-wide result memo.
     #[must_use]
     pub fn new(opts: RunOptions) -> Self {
         let pool = JobPool::with_options(opts.jobs);
@@ -114,7 +116,7 @@ impl PairRunner {
     }
 
     /// Creates a runner on an explicit pool (e.g. one with a private
-    /// baseline cache, or shared with another runner).
+    /// result memo, or shared with another runner).
     #[must_use]
     pub fn with_pool(opts: RunOptions, pool: JobPool) -> Self {
         PairRunner { opts, pool }
@@ -159,29 +161,15 @@ impl PairRunner {
     }
 
     /// Runs an arbitrary placement and returns its statistics, measured
-    /// after the warm-up window. Single-app placements are served from the
-    /// baseline cache when available.
+    /// after the warm-up window, served from the result memo when it holds
+    /// them.
     #[must_use]
-    pub fn run_apps(&self, design: DesignKind, specs: &[AppSpec]) -> SimStats {
+    pub fn run_apps(&self, design: DesignKind, specs: &[AppSpec]) -> Arc<SimStats> {
         let jobs = [self.job(design, specs.to_vec())];
         self.pool
             .run_batch(&jobs)
             .pop()
             .expect("one job in, one result out")
-    }
-
-    /// IPC of `profile` running alone on `cores` cores under `design`
-    /// (served from the process-wide baseline cache).
-    #[must_use]
-    pub fn alone_ipc(&self, design: DesignKind, profile: &'static AppProfile, cores: usize) -> f64 {
-        let stats = self.run_apps(
-            design,
-            &[AppSpec {
-                profile,
-                n_cores: cores,
-            }],
-        );
-        stats.apps[0].ipc()
     }
 
     /// Plans, executes, and assembles a whole batch: for every placement ×
@@ -232,7 +220,7 @@ impl PairRunner {
     pub(crate) fn assemble_batch(
         placements: &[Vec<AppSpec>],
         designs: &[DesignKind],
-        stats: Vec<SimStats>,
+        stats: Vec<Arc<SimStats>>,
     ) -> Vec<PairOutcome> {
         let mut out = Vec::with_capacity(placements.len() * designs.len());
         let mut cursor = stats.into_iter();
@@ -352,9 +340,9 @@ impl PairRunner {
     /// assigned to the first app) probed at `probe_cycles` each; pass every
     /// value in `1..n_cores` for the paper's exhaustive variant.
     ///
-    /// All candidate probes are submitted as one batch, and their alone
-    /// baselines flow through the same shared cache as everything else —
-    /// identical probe baselines are simulated once, not once per candidate.
+    /// All candidate probes are submitted as one batch, and their runs flow
+    /// through the same memo as everything else — identical probe
+    /// baselines are simulated once, not once per candidate.
     ///
     /// # Panics
     ///
@@ -424,8 +412,7 @@ impl PairRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::BaselineCache;
-    use std::sync::Arc;
+    use crate::engine::ResultMemo;
 
     fn small_opts() -> RunOptions {
         let mut gpu = GpuConfig::maxwell();
@@ -443,7 +430,7 @@ mod tests {
     fn private_runner() -> PairRunner {
         PairRunner::with_pool(
             small_opts(),
-            JobPool::with_workers(1).with_cache(BaselineCache::new()),
+            JobPool::with_workers(1).with_cache(ResultMemo::new()),
         )
     }
 
@@ -462,19 +449,22 @@ mod tests {
 
     #[test]
     fn alone_runs_are_cached_exactly_once() {
-        let cache = BaselineCache::new();
+        let memo = ResultMemo::new();
         let r = PairRunner::with_pool(
             small_opts(),
-            JobPool::with_workers(1).with_cache(Arc::clone(&cache)),
+            JobPool::with_workers(1).with_cache(Arc::clone(&memo)),
         );
-        let p = app_by_name("GUP").expect("exists");
-        let a1 = r.alone_ipc(DesignKind::SharedTlb, p, 2);
-        let a2 = r.alone_ipc(DesignKind::SharedTlb, p, 2);
-        assert_eq!(a1, a2);
-        let cs = cache.stats();
+        let alone = [AppSpec {
+            profile: app_by_name("GUP").expect("exists"),
+            n_cores: 2,
+        }];
+        let a1 = r.run_apps(DesignKind::SharedTlb, &alone);
+        let a2 = r.run_apps(DesignKind::SharedTlb, &alone);
+        assert!(Arc::ptr_eq(&a1, &a2));
+        let cs = memo.stats();
         assert_eq!(cs.entries, 1);
         assert_eq!(cs.misses, 1, "baseline simulated exactly once");
-        assert_eq!(cs.hits, 1, "repeat answered from the cache");
+        assert_eq!(cs.hits, 1, "repeat answered from the memo");
     }
 
     #[test]
@@ -538,22 +528,22 @@ mod tests {
     }
 
     #[test]
-    fn oracle_probe_baselines_land_in_the_shared_cache() {
-        let cache = BaselineCache::new();
+    fn oracle_probe_runs_land_in_the_shared_memo() {
+        let memo = ResultMemo::new();
         let r = PairRunner::with_pool(
             small_opts(),
-            JobPool::with_workers(1).with_cache(Arc::clone(&cache)),
+            JobPool::with_workers(1).with_cache(Arc::clone(&memo)),
         );
         let a = app_by_name("MUM").expect("known");
         let b = app_by_name("LPS").expect("known");
         let _ = r.run_pair_oracle(a, b, DesignKind::SharedTlb, &[1, 2, 3], 3_000);
-        let after_first = cache.stats();
-        // 3 probe splits × 2 apps at probe length (all distinct core
-        // counts) + 2 full-length baselines at the winning split.
+        let after_first = memo.stats();
+        // 3 probe splits × (1 shared + 2 alone runs) at probe length, then
+        // the full-length shared run and its 2 baselines at the winner.
         assert_eq!(after_first.entries as u64, after_first.misses);
         // A second oracle run over the same candidates re-simulates nothing.
         let _ = r.run_pair_oracle(a, b, DesignKind::SharedTlb, &[1, 2, 3], 3_000);
-        let after_second = cache.stats();
+        let after_second = memo.stats();
         assert_eq!(after_second.misses, after_first.misses);
         assert!(after_second.hits > after_first.hits);
     }

@@ -1,8 +1,8 @@
 //! `maskd`: simulation-as-a-service for the MASK engine.
 //!
 //! The job engine made thousands of deterministic simulations cheap — but
-//! the [`JobPool`](mask_core::JobPool) and its baseline cache still live
-//! and die with one process. `maskd` is the long-running farm around them: a
+//! the [`JobPool`](mask_core::JobPool) and its result memo still live and
+//! die with one process. `maskd` is the long-running farm around them: a
 //! daemon that serves simulation jobs to many concurrent tenants over a
 //! hand-rolled HTTP/1.1 + JSON API (zero new dependencies; the repo is
 //! offline-vendored), fairly multiplexing one warm

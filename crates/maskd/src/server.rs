@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! TcpListener ── thread per connection ──▶ route()
-//!                    POST /jobs ─▶ admission (store lookup → DRR queue)
+//!                    POST /jobs ─▶ admission (memo → disk → DRR queue)
 //!                    GET  /jobs/{id} ─▶ registry snapshot
 //!                    GET  /jobs/{id}/events ─▶ chunked JSONL stream
 //!                    GET  /store/stats, /healthz
 //!
-//! dispatcher thread: DRR batch ─▶ JobPool::run_batch ─▶ ResultStore
-//!                                        │
+//! dispatcher thread: DRR batch ─▶ JobPool::run_batch ─▶ ResultStore (disk)
+//!                                   │    (memo)
 //!                             mask-obs epoch frames ─▶ job events
 //! ```
 //!
@@ -28,7 +28,7 @@
 //! Memory: the registry keeps every queued and running job, and at most
 //! `queue_depth` finished ones, forgetting the oldest first; a forgotten id
 //! answers `410 Gone`, and resubmitting its spec is a store hit. A finished
-//! job's result is the store's own `Arc`, not a copy.
+//! job's result is the `Arc` the daemon's own result memo holds, not a copy.
 
 use crate::config::DaemonConfig;
 use crate::http::{self, Request};
@@ -78,7 +78,7 @@ struct JobEntry {
     /// The job to simulate, built once at submission; the dispatcher
     /// moves it into the pool's batch.
     job: Option<SimJob>,
-    /// Shared with the result store's map.
+    /// Shared with the daemon's result memo.
     result: Option<Arc<SimStats>>,
 }
 
@@ -165,7 +165,7 @@ impl Shared {
 }
 
 /// The daemon. Construct with [`Daemon::spawn`] (or
-/// [`Daemon::spawn_with_pool`] to control workers and caches in tests).
+/// [`Daemon::spawn_with_pool`] to control workers in tests).
 pub struct Daemon;
 
 /// A running daemon: the bound address plus shutdown control.
@@ -177,12 +177,13 @@ pub struct DaemonHandle {
 
 impl Daemon {
     /// Boots a daemon for `cfg` with a default [`JobPool`] (honoring
-    /// `MASK_JOBS` and the process-wide caches).
+    /// `MASK_JOBS`).
     pub fn spawn(cfg: DaemonConfig) -> std::io::Result<DaemonHandle> {
         Self::spawn_with_pool(cfg, JobPool::from_env())
     }
 
-    /// Boots a daemon serving jobs through the given pool.
+    /// Boots a daemon serving jobs through the given pool's workers, on the
+    /// daemon's own result memo: two daemons never share results.
     #[expect(
         clippy::disallowed_types,
         clippy::disallowed_methods,
@@ -191,7 +192,11 @@ impl Daemon {
     pub fn spawn_with_pool(cfg: DaemonConfig, pool: JobPool) -> std::io::Result<DaemonHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let store = ResultStore::from_config(&cfg);
+        let store = match &cfg.store_dir {
+            Some(dir) => ResultStore::with_dir(dir.clone(), cfg.store_cap),
+            None => ResultStore::in_memory(),
+        };
+        let pool = pool.with_cache(Arc::clone(store.memo()));
         let shared = Arc::new(Shared {
             state: Mutex::new(DaemonState {
                 jobs: BTreeMap::new(),
@@ -394,11 +399,11 @@ fn submit(req: &Request, shared: &Arc<Shared>) -> Result<Reply, Reply> {
     let job = spec.to_sim_job();
     let key = result_key(&job);
 
-    // Content-address lookup first: a known result never touches the
-    // queue, the pool, or the per-tenant budgets. The store's file I/O
-    // runs before the state lock is taken, so status queries and event
-    // streams never wait on it.
-    let stored = shared.store.get(key);
+    // Memo, then disk: a known result never touches the queue, the pool,
+    // or the per-tenant budgets. The store's file I/O runs before the
+    // state lock is taken, so status queries and event streams never wait
+    // on it.
+    let stored = shared.store.lookup(&job);
 
     let mut state = shared.lock_state();
     let id = state.next_id;
@@ -589,7 +594,6 @@ fn dispatch_loop(shared: &Arc<Shared>) {
 struct Dispatched {
     id: u64,
     tenant: String,
-    key: u64,
 }
 
 fn prepare_batch(
@@ -614,11 +618,7 @@ fn prepare_batch(
             .push(event_line(id, "dispatched", &[("seq", Value::Num(seq))]));
         state.simulated_jobs += 1;
         state.simulated_cycles += job.max_cycles;
-        batch.push(Dispatched {
-            id,
-            tenant,
-            key: entry.key,
-        });
+        batch.push(Dispatched { id, tenant });
         jobs.push(job);
     }
     (batch, jobs)
@@ -629,24 +629,21 @@ fn run_batch(shared: &Arc<Shared>, (batch, jobs): (Vec<Dispatched>, Vec<SimJob>)
         return;
     }
     // The simulation runs outside the state lock: submissions and status
-    // queries stay responsive during a long batch.
-    let results: Vec<Arc<SimStats>> = shared
-        .pool
-        .run_batch(&jobs)
-        .into_iter()
-        .map(Arc::new)
-        .collect();
+    // queries stay responsive during a long batch. The pool records every
+    // result in the memo.
+    let results = shared.pool.run_batch(&jobs);
     // Epoch-metrics frames collected during this batch (empty unless
     // MASK_TRACE is live). Attached at batch granularity — every job in
     // the batch sees the batch's frames.
     let frames = mask_obs::drain_frames();
 
-    // Results reach the store before the state lock is taken and before
-    // any job reads as done: a client that saw `done` and resubmits hits.
-    let checksums: Vec<u64> = batch
+    // Results reach the disk before the state lock is taken and before any
+    // job reads as done: a client that saw `done` and resubmits hits, even
+    // across a restart.
+    let checksums: Vec<u64> = jobs
         .iter()
         .zip(&results)
-        .map(|(d, stats)| shared.store.insert_shared(d.key, Arc::clone(stats)))
+        .map(|(job, stats)| shared.store.persist(job, stats))
         .collect();
 
     let mut state = shared.lock_state();

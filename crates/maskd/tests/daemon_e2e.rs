@@ -11,7 +11,11 @@
 //!   (at boot), and a reboot finds the recency order the hits left in the
 //!   envelopes' modification times.
 //! * **A result is sealed once** — the checksum a `completed` event reports,
-//!   simulated or served from disk, is the one the stored file carries.
+//!   simulated or served from memory or disk, is the one the stored file
+//!   carries.
+//! * **One memo per daemon** — a resubmission is answered from the
+//!   daemon's memo, a disk hit is promoted into it, and two daemons in one
+//!   process never serve each other's results.
 //! * **Fairness and backpressure** — three tenants under a full queue get
 //!   well-formed 429/503 rejections, and once dispatch resumes, the first
 //!   round of dispatch sequence numbers covers all three tenants.
@@ -29,8 +33,7 @@ use maskd::wire::JobSpec;
 use maskd::{Client, ClientError, Daemon, DaemonConfig};
 use std::path::PathBuf;
 
-/// A cheap two-app job (multi-app, so the engine's alone-baseline cache
-/// never interferes with the daemon's store accounting).
+/// A cheap two-app job.
 fn spec(tenant: &str, design: DesignKind, seed: u64) -> JobSpec {
     JobSpec {
         tenant: tenant.to_owned(),
@@ -296,6 +299,13 @@ fn completed_events_carry_the_stored_envelope_checksum() {
     assert!(from_disk.store_hit);
     assert_eq!(completed_checksum(&client, from_disk.id), sealed);
     assert_eq!(store_count(&client, "disk_loads"), Some(1));
+    // The disk hit was promoted into the memo, which answers from now on.
+    let promoted = client.submit(&spec).expect("resubmit");
+    assert!(promoted.store_hit);
+    assert_eq!(completed_checksum(&client, promoted.id), sealed);
+    assert_eq!(store_count(&client, "disk_loads"), Some(1));
+    assert_eq!(store_count(&client, "hits"), Some(2));
+    assert_eq!(store_count(&client, "entries"), Some(1));
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -538,6 +548,11 @@ fn duplicate_submissions_within_one_daemon_hit_the_store() {
     );
     let second_reply = client.wait(second.id).expect("wait");
     assert_eq!(second_reply.result, first_reply.result);
+    assert_eq!(
+        completed_checksum(&client, second.id),
+        completed_checksum(&client, first.id),
+        "a memo hit reports the checksum of the fresh run"
+    );
 
     // A different seed is a different content address: no hit.
     let third = client
@@ -545,7 +560,50 @@ fn duplicate_submissions_within_one_daemon_hit_the_store() {
         .expect("submit");
     assert!(!third.store_hit);
     let _ = client.wait(third.id).expect("wait");
+    let stats = client.store_stats().expect("store stats");
+    let simulated = stats
+        .get("scheduler")
+        .and_then(|s| s.get("simulated_jobs"))
+        .and_then(Value::as_u64);
+    assert_eq!(simulated, Some(2));
+    assert_eq!(
+        store_count(&client, "entries"),
+        Some(2),
+        "the memo holds both"
+    );
     daemon.shutdown();
+}
+
+#[test]
+fn daemons_in_one_process_serve_only_their_own_results() {
+    let dirs = [temp_store("own-a"), temp_store("own-b")];
+    let daemons: Vec<_> = dirs
+        .iter()
+        .map(|dir| {
+            let cfg = DaemonConfig {
+                store_dir: Some(dir.clone()),
+                ..ephemeral_config()
+            };
+            Daemon::spawn_with_pool(cfg, JobPool::with_workers(1)).expect("boot")
+        })
+        .collect();
+    let spec = spec("own", DesignKind::Mask, 451);
+    for daemon in &daemons {
+        let client = Client::new(daemon.addr().to_string());
+        let first = client.submit(&spec).expect("submit");
+        assert!(!first.store_hit, "another daemon's result is not served");
+        let _ = client.wait(first.id).expect("wait");
+        let again = client.submit(&spec).expect("resubmit");
+        assert!(again.store_hit, "a daemon serves its own result");
+        assert_eq!(store_count(&client, "disk_entries"), Some(1));
+        assert_eq!(store_count(&client, "entries"), Some(1));
+    }
+    for daemon in daemons {
+        daemon.shutdown();
+    }
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -98,8 +98,8 @@ impl EpochTracker {
     }
 }
 
-/// Emits one `job_pool` frame: pool occupancy plus baseline-cache
-/// counters for a completed engine batch. Called by `mask-core`'s
+/// Emits one `job_pool` frame: pool occupancy plus result-memo counters
+/// (named `baseline_cache_*`) for a completed engine batch. Called by `mask-core`'s
 /// `JobPool` after `run_batch`; no-op unless tracing is live.
 pub fn job_pool_frame(
     workers: usize,

@@ -22,7 +22,7 @@ fn main() {
         [one] if one == "all" => Some(REGISTRY.iter().collect()),
         ids => ids.iter().map(|id| artefact(id)).collect(),
     };
-    let Some(mut picked) = picked else {
+    let Some(picked) = picked else {
         let ids: Vec<&str> = REGISTRY.iter().map(|a| a.0).collect();
         eprintln!(
             "usage: repro all | fidelity | <id>...\nids: {}",
@@ -30,10 +30,6 @@ fn main() {
         );
         std::process::exit(2);
     };
-    // The Fig. 11 sweep emits Fig. 3 too: do not simulate its designs twice.
-    if picked.iter().any(|a| a.0 == "fig11_15") {
-        picked.retain(|a| a.0 != "fig03");
-    }
     for &(id, pair_cap, run) in picked {
         let opts = ExpOptions::with_pair_cap(pair_cap);
         let jobs = JobPool::with_options(opts.jobs).workers();

@@ -10,7 +10,7 @@ use mask_core::prelude::*;
 fn row_at_a_time(opts: &ExpOptions, design: DesignKind, tweak: impl FnOnce(&mut GpuConfig)) -> f64 {
     let mut run = opts.run_options();
     tweak(&mut run.gpu);
-    let pool = JobPool::with_options(run.jobs).with_cache(BaselineCache::new());
+    let pool = JobPool::with_options(run.jobs).with_cache(ResultMemo::new());
     let outcomes = PairRunner::with_pool(run, pool).run_pairs(&opts.pressured_pairs(), &[design]);
     mean(outcomes.iter().map(|o| o.weighted_speedup))
 }

@@ -1,8 +1,9 @@
 //! End-to-end demand-paging behaviour (the §5.5 extension).
 
 use mask_core::prelude::*;
+use std::sync::Arc;
 
-fn stats_with_fault_latency(latency: u64) -> SimStats {
+fn stats_with_fault_latency(latency: u64) -> Arc<SimStats> {
     let mut gpu = GpuConfig::maxwell();
     gpu.warps_per_core = 16;
     gpu.page_fault_latency = latency;

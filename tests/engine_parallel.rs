@@ -1,7 +1,7 @@
 //! Determinism under parallelism: the job engine must produce
-//! byte-identical results at any worker count, and the process-wide
-//! baseline cache must collapse duplicate alone-baseline simulations to
-//! exactly one run each.
+//! byte-identical results at any worker count, and the result memo must
+//! collapse duplicate simulations, shared or alone, within a batch and
+//! across batches, to exactly one run each.
 //!
 //! Under `cargo test` the sanitizer is armed (it is on in every debug
 //! build), so these tests also prove that its thread-local sessions stay
@@ -22,7 +22,7 @@ fn runner(workers: usize) -> PairRunner {
     let opts = quick_opts(workers).run_options();
     PairRunner::with_pool(
         opts.clone(),
-        JobPool::with_options(opts.jobs).with_cache(BaselineCache::new()),
+        JobPool::with_options(opts.jobs).with_cache(ResultMemo::new()),
     )
 }
 
@@ -53,35 +53,48 @@ fn multi_app_batches_are_identical_at_any_worker_count() {
 #[test]
 fn experiment_tables_are_identical_at_any_worker_count() {
     // Whole-harness equivalence: the same experiment at 1 and 8 workers
-    // produces the exact same table.
-    let t1 = experiments::scalability::run(&quick_opts(1));
-    let t8 = experiments::scalability::run(&quick_opts(8));
-    assert_eq!(t1, t8);
-    let f1 = experiments::interference::run(&quick_opts(1));
-    let f8 = experiments::interference::run(&quick_opts(8));
-    assert_eq!(f1, f8);
+    // produces the exact same table. The harnesses run on the process-wide
+    // memo, which no other test in this binary uses; emptying it before
+    // each pass makes both widths simulate every run.
+    let memo = Arc::clone(JobPool::with_workers(1).cache());
+    let at = |workers: usize, harness: fn(&ExpOptions) -> Table| {
+        memo.clear();
+        let before = memo.stats().misses;
+        let table = harness(&quick_opts(workers));
+        let simulated = memo.stats().misses - before;
+        assert_eq!(simulated, memo.stats().entries as u64);
+        (table, simulated)
+    };
+    for harness in [
+        experiments::scalability::run as fn(&ExpOptions) -> Table,
+        experiments::interference::run,
+    ] {
+        let (serial, simulated) = at(1, harness);
+        assert!(simulated > 0, "the serial pass simulates");
+        assert_eq!(at(8, harness), (serial, simulated));
+    }
 }
 
 #[test]
 fn duplicate_alone_baselines_are_simulated_exactly_once() {
-    let cache = BaselineCache::new();
+    let memo = ResultMemo::new();
     let opts = quick_opts(2).run_options();
     let r = PairRunner::with_pool(
         opts.clone(),
-        JobPool::with_options(opts.jobs).with_cache(Arc::clone(&cache)),
+        JobPool::with_options(opts.jobs).with_cache(Arc::clone(&memo)),
     );
     let pairs = ExpOptions::quick().pairs();
     // Every design over every pair: alone baselines repeat heavily across
     // designs sharing the same pair set.
     let _ = r.run_pairs(&pairs, &DesignKind::ALL);
-    let first = cache.stats();
+    let first = memo.stats();
     assert_eq!(
         first.entries as u64, first.misses,
-        "each unique alone baseline simulated exactly once"
+        "each unique run simulated exactly once"
     );
-    // Re-running the whole sweep simulates zero new baselines.
+    // Re-running the whole sweep simulates nothing new.
     let _ = r.run_pairs(&pairs, &DesignKind::ALL);
-    let second = cache.stats();
+    let second = memo.stats();
     assert_eq!(second.misses, first.misses);
     assert_eq!(second.entries, first.entries);
     assert!(second.hits > first.hits);
@@ -89,12 +102,27 @@ fn duplicate_alone_baselines_are_simulated_exactly_once() {
 
 #[test]
 fn shared_runs_dedup_within_a_batch() {
-    let cache = BaselineCache::new();
-    let pool = JobPool::with_workers(4).with_cache(Arc::clone(&cache));
-    let r = PairRunner::with_pool(quick_opts(4).run_options(), pool);
-    let a = app_by_name("HISTO").expect("known");
-    let b = app_by_name("GUP").expect("known");
-    let one = r.run_pair(a, b, DesignKind::Mask);
-    let two = r.run_pair(a, b, DesignKind::Mask);
-    assert_eq!(one, two, "equal jobs must yield equal outcomes");
+    let (a, b) = (app_by_name("HISTO"), app_by_name("GUP"));
+    let pair = AppPair {
+        a: a.expect("known"),
+        b: b.expect("known"),
+    };
+    for workers in [1, 8] {
+        let memo = ResultMemo::new();
+        let pool = JobPool::with_workers(workers).with_cache(Arc::clone(&memo));
+        let r = PairRunner::with_pool(quick_opts(workers).run_options(), pool);
+        // One batch holding the pair twice, then the pair in a batch of its own.
+        let twice = r.run_pairs(&[pair, pair], &[DesignKind::Mask]);
+        let again = r.run_pair(pair.a, pair.b, DesignKind::Mask);
+        assert_eq!(twice[0], again, "equal jobs must yield equal outcomes");
+        assert!(Arc::ptr_eq(&twice[0].stats, &twice[1].stats));
+        assert!(
+            Arc::ptr_eq(&twice[0].stats, &again.stats),
+            "the second batch is answered from the memo ({workers} workers)"
+        );
+        // The shared run and its two baselines, each simulated once.
+        let stats = memo.stats();
+        assert_eq!((stats.entries, stats.misses, stats.hits), (3, 3, 3));
+        assert_eq!(r.pool().prefix_cache().stats().misses, 3);
+    }
 }

@@ -2,8 +2,9 @@
 
 use mask_common::addr::PAGE_SIZE_2M_LOG2;
 use mask_core::prelude::*;
+use std::sync::Arc;
 
-fn run(page_size_log2: u32) -> SimStats {
+fn run(page_size_log2: u32) -> Arc<SimStats> {
     let mut gpu = GpuConfig::maxwell();
     gpu.warps_per_core = 16;
     gpu.page_size_log2 = page_size_log2;

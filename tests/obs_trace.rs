@@ -11,7 +11,7 @@
 //! untraced batch yields nothing at all.
 
 use std::collections::BTreeSet;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use mask_common::snapshot::PrefixKey;
 use mask_core::prelude::*;
@@ -55,14 +55,15 @@ fn checksum(stats: &SimStats) -> u64 {
     h.finish()
 }
 
-/// Runs `jobs` through the job engine at 1 and 2 workers, then directly.
-fn run_matrix(jobs: &[SimJob]) -> Vec<SimStats> {
+/// Runs `jobs` through the job engine at 1 and 2 workers, each on a
+/// private memo so that every run simulates, then directly.
+fn run_matrix(jobs: &[SimJob]) -> Vec<Arc<SimStats>> {
     let mut out = Vec::new();
     for workers in [1, 2] {
-        let pool = JobPool::with_workers(workers).with_cache(BaselineCache::new());
+        let pool = JobPool::with_workers(workers).with_cache(ResultMemo::new());
         out.extend(pool.run_batch(jobs));
     }
-    out.extend(jobs.iter().map(SimJob::run));
+    out.extend(jobs.iter().map(|j| Arc::new(j.run())));
     out
 }
 
@@ -127,7 +128,7 @@ fn traced_batch_exports_all_counter_families() {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     mask_obs::reset_collected();
     mask_obs::set_runtime(Some(true));
-    let pool = JobPool::with_workers(2).with_cache(BaselineCache::new());
+    let pool = JobPool::with_workers(2).with_cache(ResultMemo::new());
     let jobs = [
         job(11, &[("HISTO", 2), ("GUP", 2)], 8_000),
         job(12, &[("CONS", 2), ("LPS", 2)], 8_000),
@@ -172,7 +173,7 @@ fn traced_events_land_on_their_jobs_lanes() {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     mask_obs::reset_collected();
     mask_obs::set_runtime(Some(true));
-    let pool = JobPool::with_workers(2).with_cache(BaselineCache::new());
+    let pool = JobPool::with_workers(2).with_cache(ResultMemo::new());
     let _ = pool.run_batch(&[
         job(21, &[("HISTO", 2), ("GUP", 2)], 6_000),
         job(22, &[("CONS", 2), ("LPS", 2)], 6_000),
@@ -219,7 +220,7 @@ fn untraced_batch_collects_nothing() {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     mask_obs::reset_collected();
     mask_obs::set_runtime(Some(false));
-    let pool = JobPool::with_workers(2).with_cache(BaselineCache::new());
+    let pool = JobPool::with_workers(2).with_cache(ResultMemo::new());
     let _ = pool.run_batch(&[
         job(31, &[("HISTO", 2), ("GUP", 2)], 4_000),
         job(32, &[("CONS", 2), ("LPS", 2)], 4_000),
