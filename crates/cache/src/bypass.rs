@@ -14,7 +14,8 @@
 //!   deterministic sampling duty cycle (1 in 32 requests still probes the
 //!   cache) keeps the estimate alive and lets a level whose locality
 //!   improves win back cache access;
-//! * the comparison carries a small hysteresis margin ([`BYPASS_MARGIN`]):
+//! * the comparison carries a small hysteresis margin
+//!   ([`MaskParams::bypass_margin`](mask_common::config::MaskParams::bypass_margin)):
 //!   a level must fall clearly below the data hit rate before bypassing.
 //!   The paper observes a "sharp drop-off" at the bypassed levels (68.7%
 //!   -> 1.0%), so its decisions are never marginal; the margin prevents
@@ -31,10 +32,6 @@ use mask_common::stats::HitStats;
 
 /// Fraction of bypassed requests that still probe (1 / `SAMPLE_PERIOD`).
 const SAMPLE_PERIOD: u64 = 32;
-
-/// Default hysteresis margin: a walk level bypasses only when its hit rate
-/// is at least this far below the data hit rate.
-pub const BYPASS_MARGIN: f64 = 0.05;
 
 /// Per-level, per-address-space hit-rate state.
 #[derive(Clone, Debug, Default)]
@@ -64,14 +61,10 @@ pub struct BypassMonitor {
 }
 
 impl BypassMonitor {
-    /// Creates a monitor for `n_asids` address spaces with the default
-    /// hysteresis margin; no level bypasses until the first epoch ends.
-    pub fn new(n_asids: usize) -> Self {
-        Self::with_margin(n_asids, BYPASS_MARGIN)
-    }
-
-    /// Creates a monitor with an explicit hysteresis margin (0.0 = the
-    /// paper's literal `level < data` comparison).
+    /// Creates a monitor for `n_asids` address spaces: a walk level
+    /// bypasses only when its hit rate is at least `margin` below the data
+    /// hit rate (0.0 = the paper's literal `level < data` comparison). No
+    /// level bypasses until the first epoch ends.
     pub fn with_margin(n_asids: usize, margin: f64) -> Self {
         BypassMonitor {
             apps: (0..n_asids.max(1)).map(|_| AppMonitor::new()).collect(),
@@ -174,9 +167,15 @@ impl mask_common::snapshot::Snapshot for BypassMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mask_common::config::MaskParams;
     use mask_common::req::RequestClass;
 
     const A0: Asid = Asid::new(0);
+
+    /// Two address spaces at the default margin.
+    fn monitor() -> BypassMonitor {
+        BypassMonitor::with_margin(2, MaskParams::default().bypass_margin)
+    }
 
     fn feed(m: &mut BypassMonitor, level: u8, hits: u32, misses: u32) {
         let class = RequestClass::Translation(WalkLevel::new(level));
@@ -199,13 +198,13 @@ mod tests {
 
     #[test]
     fn no_bypassing_before_first_epoch() {
-        let mut m = BypassMonitor::new(2);
+        let mut m = monitor();
         assert!(!m.should_bypass(A0, WalkLevel::new(4)));
     }
 
     #[test]
     fn leaf_levels_bypass_when_below_data_hit_rate() {
-        let mut m = BypassMonitor::new(2);
+        let mut m = monitor();
         // Paper's §4.3 shape: L1/L2 hot, L3 warm, L4 cold; data at 70%.
         feed(&mut m, 1, 99, 1);
         feed(&mut m, 2, 98, 2);
@@ -223,7 +222,7 @@ mod tests {
 
         // A level within the hysteresis margin of the data hit rate keeps
         // probing (marginal bypasses lose real hits for no queueing win).
-        let mut m2 = BypassMonitor::new(2);
+        let mut m2 = monitor();
         feed(&mut m2, 3, 68, 32);
         feed_data(&mut m2, 70, 30);
         m2.end_epoch();
@@ -235,7 +234,7 @@ mod tests {
 
     #[test]
     fn bypassed_level_still_samples() {
-        let mut m = BypassMonitor::new(2);
+        let mut m = monitor();
         feed(&mut m, 4, 0, 100);
         feed_data(&mut m, 80, 20);
         m.end_epoch();
@@ -247,7 +246,7 @@ mod tests {
 
     #[test]
     fn level_recovers_when_locality_improves() {
-        let mut m = BypassMonitor::new(2);
+        let mut m = monitor();
         feed(&mut m, 3, 0, 100);
         feed_data(&mut m, 80, 20);
         m.end_epoch();
@@ -261,7 +260,7 @@ mod tests {
 
     #[test]
     fn sparse_levels_keep_previous_estimate() {
-        let mut m = BypassMonitor::new(2);
+        let mut m = monitor();
         feed(&mut m, 2, 100, 0);
         feed_data(&mut m, 50, 50);
         m.end_epoch();

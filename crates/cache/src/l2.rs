@@ -15,7 +15,7 @@ use crate::bypass::BypassMonitor;
 use crate::data::DataCache;
 use crate::mshr::{MshrAlloc, MshrTable};
 use mask_common::addr::LineAddr;
-use mask_common::config::{CacheConfig, L2Policy};
+use mask_common::config::{CacheConfig, L2Policy, MaskParams};
 use mask_common::req::{MemRequest, RequestClass};
 use mask_common::Cycle;
 use std::collections::VecDeque;
@@ -96,13 +96,14 @@ impl SharedL2Cache {
     /// consumes. [`L2Policy::SharedBypass`] activates MASK's
     /// translation-aware bypass (mechanism ❷);
     /// [`L2Policy::WayPartitioned`] / [`L2Policy::SetColored`] split the
-    /// array between address spaces (no-ops for a single app).
+    /// array between address spaces (no-ops for a single app). The bypass
+    /// hysteresis margin is [`MaskParams`]' default.
     pub fn new(cfg: &CacheConfig, policy: L2Policy, n_asids: usize) -> Self {
-        Self::with_bypass_margin(cfg, policy, n_asids, crate::bypass::BYPASS_MARGIN)
+        Self::with_bypass_margin(cfg, policy, n_asids, MaskParams::default().bypass_margin)
     }
 
     /// Like [`SharedL2Cache::new`] with an explicit bypass hysteresis
-    /// margin (ablation studies).
+    /// margin (the simulator passes its `MaskParams::bypass_margin`).
     pub fn with_bypass_margin(
         cfg: &CacheConfig,
         policy: L2Policy,

@@ -53,12 +53,14 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Streaming FNV-1a over arbitrary bytes; used for both the payload
-/// checksum and [`PrefixKey`] derivation.
+/// Streaming FNV-1a over arbitrary bytes; used for the payload checksum,
+/// [`PrefixKey`] derivation and, as a [`Hasher`](std::hash::Hasher), the
+/// translation MSHR's map.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv1a(u64);
 
 impl Default for Fnv1a {
+    #[inline]
     fn default() -> Self {
         Fnv1a(FNV_OFFSET)
     }
@@ -72,6 +74,7 @@ impl Fnv1a {
     }
 
     /// Absorbs raw bytes.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         let mut h = self.0;
         for &b in bytes {
@@ -87,8 +90,42 @@ impl Fnv1a {
 
     /// The current digest.
     #[must_use]
+    #[inline]
     pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+/// `Hasher` integer writers that feed `to_le_bytes`.
+macro_rules! le_writers {
+    ($($name:ident: $t:ty),*) => {$(
+        #[inline]
+        fn $name(&mut self, v: $t) {
+            Fnv1a::write(self, &v.to_le_bytes());
+        }
+    )*};
+}
+
+/// Feeds every integer as little-endian bytes, like the inherent
+/// [`Fnv1a::write_u64`], so `x.hash(&mut h)` and `h.write_u64(x)` agree
+/// and no digest depends on the host's byte order.
+impl std::hash::Hasher for Fnv1a {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv1a::write(self, bytes);
+    }
+
+    le_writers!(
+        write_u16: u16,
+        write_u32: u32,
+        write_u64: u64,
+        write_u128: u128,
+        write_usize: usize
+    );
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        Fnv1a::finish(self)
     }
 }
 
@@ -652,6 +689,20 @@ mod tests {
         let out = SimStats::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(out, stats);
+    }
+
+    /// `Hash` through the `Hasher` impl feeds the same little-endian bytes
+    /// as the inherent writers, on any host.
+    #[test]
+    fn hashing_an_integer_matches_the_inherent_writer() {
+        use std::hash::Hash;
+        let v = 0x0123_4567_89ab_cdef_u64;
+        let mut via_hash = Fnv1a::new();
+        (v as u16, v).hash(&mut via_hash);
+        let mut direct = Fnv1a::new();
+        direct.write(&(v as u16).to_le_bytes());
+        direct.write_u64(v);
+        assert_eq!(std::hash::Hasher::finish(&via_hash), direct.finish());
     }
 
     #[test]

@@ -25,10 +25,6 @@ pub struct SingleAppRow {
     pub avg_warps_stalled: f64,
     /// Fig. 6 error-bar top.
     pub max_warps_stalled: u64,
-    /// Measured L1 TLB miss rate.
-    pub l1_miss: f64,
-    /// Measured L2 TLB miss rate.
-    pub l2_miss: f64,
 }
 
 /// Runs every application alone on the `SharedTLB` baseline, submitting
@@ -48,8 +44,6 @@ pub fn measure(opts: &ExpOptions) -> Vec<SingleAppRow> {
                 max_concurrent_walks: a.walk_concurrency_max,
                 avg_warps_stalled: a.avg_warps_stalled_per_miss(),
                 max_warps_stalled: a.stalled_warps_max,
-                l1_miss: a.l1_tlb.miss_rate(),
-                l2_miss: a.l2_tlb.miss_rate(),
             }
         })
         .collect()

@@ -18,47 +18,23 @@ use mask_common::addr::{Ppn, Vpn};
 use mask_common::config::{DesignSpec, GpuConfig, TokenPolicy, TranslationPath};
 use mask_common::ids::{Asid, GlobalWarpId};
 use mask_common::req::{MemRequest, ReqId, RequestClass};
+use mask_common::snapshot::Fnv1a;
 use mask_common::Cycle;
 use mask_pagetable::{PageTables, PageWalker, WalkAccess, WalkId, WalkOutcome};
-use mask_tlb::{
-    L2TlbProbe, PageWalkCache, SharedL2Tlb, TokenAllocator, TokenPolicy as TlbTokenPolicy,
-};
+use mask_tlb::{L2TlbProbe, PageWalkCache, SharedL2Tlb, TokenAllocator};
 // FastMap below is keyed-access only (never iterated) with a fixed-seed
 // hasher, so iteration-order nondeterminism cannot reach simulation results.
 #[expect(clippy::disallowed_types, reason = "fixed hasher, never iterated")]
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 
-/// FNV-1a: a fixed-seed hasher for the translation MSHR. The map is only
-/// ever probed by key (never iterated), so determinism needs nothing from
-/// the hasher — this one just avoids `SipHash`'s per-lookup setup cost on a
-/// path hit by every L1 TLB miss.
-#[derive(Default)]
-struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
+/// The translation MSHR's map. FNV-1a skips `SipHash`'s per-lookup setup
+/// cost on a path hit by every L1 TLB miss.
 #[expect(
     clippy::disallowed_types,
     reason = "fixed hasher, never iterated; see above"
 )]
-type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv1a>>;
 
 /// A translation that just resolved; the simulator wakes all waiters.
 #[derive(Clone, Debug)]
@@ -155,13 +131,8 @@ impl TranslationUnit {
         });
         let pwc = (design.translation == TranslationPath::PageWalkCache)
             .then(|| PageWalkCache::new(cfg.pwc.bytes, cfg.pwc.assoc));
-        let tokens = tokens_on.then(|| {
-            let policy = match cfg.mask.token_policy {
-                mask_common::config::TokenPolicyKind::Literal => TlbTokenPolicy::Literal,
-                mask_common::config::TokenPolicyKind::HillClimb => TlbTokenPolicy::HillClimb,
-            };
-            TokenAllocator::with_policy(&cfg.mask, cores_per_app, cfg.warps_per_core, policy)
-        });
+        let tokens =
+            tokens_on.then(|| TokenAllocator::new(&cfg.mask, cores_per_app, cfg.warps_per_core));
         TranslationUnit {
             l2tlb,
             pwc,

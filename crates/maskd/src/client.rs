@@ -4,24 +4,27 @@
 //! polling: [`Client::wait`] rides the chunked `/jobs/{id}/events` stream,
 //! which the server holds open until the job completes — so waiting is a
 //! blocking read, not a sleep loop, and the client library stays free of
-//! clocks (the `nondeterminism` lint rule applies to this crate like any
-//! other).
+//! clocks (clippy's `disallowed-methods` ban on `Instant::now` applies to
+//! this crate like any other). Responses are read by
+//! `http::read_response`, with the head and body readers that parse the
+//! server's requests.
 //!
 //! Used by `examples/sweep_client.rs` and `tests/daemon_e2e.rs`, both of
 //! which byte-compare served results against direct
 //! [`JobPool`](mask_core::JobPool) runs.
 
+use crate::http;
 use crate::json::{self, Value};
 use crate::wire::{self, JobSpec};
 use mask_common::stats::SimStats;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 
 /// A failed client call.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Transport failure (connect, read, write).
+    /// Transport failure (connect, write).
     Io(std::io::Error),
     /// The daemon answered with an error status; the body is its JSON
     /// error document (429/503 backpressure lands here).
@@ -31,7 +34,7 @@ pub enum ClientError {
         /// Response body (JSON error document).
         body: String,
     },
-    /// The response was not what the protocol promises.
+    /// The response was unreadable or not what the protocol promises.
     Protocol(String),
 }
 
@@ -103,7 +106,11 @@ impl Client {
             payload.len()
         )?;
         stream.flush()?;
-        read_response(&mut BufReader::new(stream))
+        let (status, body) = http::read_response(&mut BufReader::new(stream))
+            .map_err(|e| ClientError::Protocol(e.message().to_owned()))?;
+        String::from_utf8(body)
+            .map(|text| (status, text))
+            .map_err(|_| ClientError::Protocol("non-UTF-8 response body".into()))
     }
 
     fn call_ok(&self, method: &str, path: &str, body: Option<&str>) -> Result<Value, ClientError> {
@@ -203,60 +210,4 @@ impl Client {
         }
         Ok(reply)
     }
-}
-
-fn read_response(r: &mut impl BufRead) -> Result<(u16, String), ClientError> {
-    let mut status_line = String::new();
-    r.read_line(&mut status_line)?;
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ClientError::Protocol(format!("bad status line {status_line:?}")))?;
-    let mut content_length: Option<usize> = None;
-    let mut chunked = false;
-    loop {
-        let mut line = String::new();
-        r.read_line(&mut line)?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim();
-            if name == "content-length" {
-                content_length = value.parse().ok();
-            } else if name == "transfer-encoding" && value.eq_ignore_ascii_case("chunked") {
-                chunked = true;
-            }
-        }
-    }
-    let mut body = Vec::new();
-    if chunked {
-        loop {
-            let mut size_line = String::new();
-            r.read_line(&mut size_line)?;
-            let size = usize::from_str_radix(size_line.trim(), 16)
-                .map_err(|_| ClientError::Protocol("bad chunk size".into()))?;
-            if size == 0 {
-                let mut trailer = String::new();
-                r.read_line(&mut trailer)?;
-                break;
-            }
-            let start = body.len();
-            body.resize(start + size, 0);
-            r.read_exact(&mut body[start..])?;
-            let mut crlf = [0u8; 2];
-            r.read_exact(&mut crlf)?;
-        }
-    } else if let Some(len) = content_length {
-        body.resize(len, 0);
-        r.read_exact(&mut body)?;
-    } else {
-        r.read_to_end(&mut body)?;
-    }
-    String::from_utf8(body)
-        .map(|text| (status, text))
-        .map_err(|_| ClientError::Protocol("non-UTF-8 response body".into()))
 }

@@ -1,26 +1,29 @@
-//! A minimal HTTP/1.1 layer over `std::io` streams.
+//! A minimal HTTP/1.1 layer over `std::io` streams, both directions.
 //!
-//! Only what the daemon needs, nothing more: request-line + header
-//! parsing, `Content-Length` and `chunked` request bodies with a hard
-//! size cap, and response writing in both fixed-length and chunked
-//! flavours (the events endpoint streams frames as chunks). Connections
-//! are handled one request at a time (`Connection: close` semantics); the
-//! sweep client opens a socket per call, which is plenty for a simulation
-//! farm whose unit of work is measured in simulated megacycles.
+//! Only what the daemon and its client need, nothing more. Reading: one
+//! head reader (start line + headers, bounded by `MAX_HEAD`) and one body
+//! reader (`Content-Length` or `chunked`; a message with neither has no
+//! body) serve [`read_request`], which caps the decoded body, and the
+//! client's `read_response`, which does not. Writing: responses in both
+//! fixed-length and chunked flavours (the events endpoint streams frames
+//! as chunks). Connections are handled one request at a time
+//! (`Connection: close` semantics); the sweep client opens a socket per
+//! call, which is plenty for a simulation farm whose unit of work is
+//! measured in simulated megacycles.
 //!
 //! Parsing failures carry the status code the handler should answer with
 //! ([`HttpError::status`]): malformed syntax → 400, a body above the
 //! configured cap → 413, a head or chunk trailer above `MAX_HEAD` → 431.
 //! A truncated chunked body is a 400, not a hang — every read path is
-//! bounded.
+//! bounded, and a body buffer grows only with the bytes that arrive.
 
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
-/// Hard cap on the request head (request line + headers) in bytes.
+/// Hard cap on a message head (start line + headers) in bytes.
 const MAX_HEAD: usize = 16 * 1024;
 
-/// A parse or I/O failure while reading a request.
+/// A parse or I/O failure while reading a message.
 #[derive(Debug)]
 pub struct HttpError {
     status: u16,
@@ -58,8 +61,15 @@ impl std::error::Error for HttpError {}
 
 impl From<std::io::Error> for HttpError {
     fn from(e: std::io::Error) -> Self {
-        HttpError::new(400, format!("i/o error reading request: {e}"))
+        HttpError::new(400, format!("i/o error: {e}"))
     }
+}
+
+fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v.as_str())
 }
 
 /// One parsed request.
@@ -79,10 +89,7 @@ impl Request {
     /// First value of a header, by lowercase name.
     #[must_use]
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 }
 
@@ -94,7 +101,7 @@ fn read_line(r: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpErr
             0 => return Err(HttpError::new(400, "unexpected end of stream")),
             _ => {
                 if *budget == 0 {
-                    return Err(HttpError::new(431, "request head too large"));
+                    return Err(HttpError::new(431, "message head too large"));
                 }
                 *budget -= 1;
                 if byte[0] == b'\n' {
@@ -102,7 +109,7 @@ fn read_line(r: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpErr
                         line.pop();
                     }
                     return String::from_utf8(line)
-                        .map_err(|_| HttpError::new(400, "non-UTF-8 request head"));
+                        .map_err(|_| HttpError::new(400, "non-UTF-8 message head"));
                 }
                 line.push(byte[0]);
             }
@@ -110,11 +117,69 @@ fn read_line(r: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpErr
     }
 }
 
+/// Reads a message head, at most `MAX_HEAD` bytes: the start line and the
+/// headers.
+fn read_head(stream: &mut impl BufRead) -> Result<(String, Vec<(String, String)>), HttpError> {
+    let mut budget = MAX_HEAD;
+    let start_line = read_line(stream, &mut budget)?;
+    let mut headers = Vec::new();
+    loop {
+        let line = read_line(stream, &mut budget)?;
+        if line.is_empty() {
+            return Ok((start_line, headers));
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| HttpError::new(400, "malformed header line"))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
+    }
+}
+
+/// Appends exactly `n` bytes of `stream` to `body`, or fails with `msg`.
+/// The buffer grows with what arrives, not with what `n` promises.
+fn read_exact_into(
+    stream: &mut impl BufRead,
+    body: &mut Vec<u8>,
+    n: usize,
+    msg: &str,
+) -> Result<(), HttpError> {
+    let want = body.len() + n;
+    match stream.take(n as u64).read_to_end(body) {
+        Ok(_) if body.len() == want => Ok(()),
+        _ => Err(HttpError::new(400, msg)),
+    }
+}
+
+/// Reads the body `headers` frame — chunked, `Content-Length`, or none —
+/// enforcing `max_body` on its decoded size.
+fn read_body(
+    stream: &mut impl BufRead,
+    headers: &[(String, String)],
+    max_body: usize,
+) -> Result<Vec<u8>, HttpError> {
+    let chunked =
+        header(headers, "transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
+    if chunked {
+        return read_chunked_body(stream, max_body);
+    }
+    let Some(len) = header(headers, "content-length") else {
+        return Ok(Vec::new());
+    };
+    let len: usize = len
+        .parse()
+        .map_err(|_| HttpError::new(400, "invalid Content-Length"))?;
+    if len > max_body {
+        return Err(HttpError::new(413, "request body exceeds MASKD_MAX_BODY"));
+    }
+    let mut body = Vec::new();
+    read_exact_into(stream, &mut body, len, "body shorter than Content-Length")?;
+    Ok(body)
+}
+
 /// Reads and decodes one request from `stream`, enforcing `max_body` on
 /// the decoded body size (fixed-length *and* chunked).
 pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Request, HttpError> {
-    let mut budget = MAX_HEAD;
-    let request_line = read_line(stream, &mut budget)?;
+    let (request_line, headers) = read_head(stream)?;
     let mut parts = request_line.split(' ');
     let method = parts
         .next()
@@ -134,48 +199,25 @@ pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Reques
     if !path.starts_with('/') {
         return Err(HttpError::new(400, "request target must be absolute path"));
     }
-
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(stream, &mut budget)?;
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::new(400, "malformed header line"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-    }
-
-    let req = Request {
+    let body = read_body(stream, &headers, max_body)?;
+    Ok(Request {
         method,
         path,
         headers,
-        body: Vec::new(),
-    };
+        body,
+    })
+}
 
-    let chunked = req
-        .header("transfer-encoding")
-        .is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
-    let body = if chunked {
-        read_chunked_body(stream, max_body)?
-    } else if let Some(len) = req.header("content-length") {
-        let len: usize = len
-            .parse()
-            .map_err(|_| HttpError::new(400, "invalid Content-Length"))?;
-        if len > max_body {
-            return Err(HttpError::new(413, "request body exceeds MASKD_MAX_BODY"));
-        }
-        let mut body = vec![0u8; len];
-        stream
-            .read_exact(&mut body)
-            .map_err(|_| HttpError::new(400, "request body shorter than Content-Length"))?;
-        body
-    } else {
-        Vec::new()
-    };
-
-    Ok(Request { body, ..req })
+/// Reads one response from `stream`: its status code and decoded body.
+/// The head is bounded like a request's; the body is not.
+pub(crate) fn read_response(stream: &mut impl BufRead) -> Result<(u16, Vec<u8>), HttpError> {
+    let (status_line, headers) = read_head(stream)?;
+    let status = status_line
+        .strip_prefix("HTTP/1.")
+        .and_then(|rest| rest.split(' ').nth(1))
+        .and_then(|code| code.parse().ok())
+        .ok_or_else(|| HttpError::new(400, format!("bad status line {status_line:?}")))?;
+    Ok((status, read_body(stream, &headers, usize::MAX)?))
 }
 
 fn read_chunked_body(stream: &mut impl BufRead, max_body: usize) -> Result<Vec<u8>, HttpError> {
@@ -207,11 +249,7 @@ fn read_chunked_body(stream: &mut impl BufRead, max_body: usize) -> Result<Vec<u
         if size > max_body - body.len() {
             return Err(HttpError::new(413, "request body exceeds MASKD_MAX_BODY"));
         }
-        let start = body.len();
-        body.resize(start + size, 0);
-        stream
-            .read_exact(&mut body[start..])
-            .map_err(|_| HttpError::new(400, "truncated chunk"))?;
+        read_exact_into(stream, &mut body, size, "truncated chunk")?;
         let mut crlf = [0u8; 2];
         stream
             .read_exact(&mut crlf)
@@ -382,6 +420,8 @@ mod tests {
         write_chunk(&mut out, b"").expect("write");
         write_chunk(&mut out, b"{\"e\":2}\n").expect("write");
         finish_chunked(&mut out).expect("write");
+        let (status, body) = read_response(&mut BufReader::new(&out[..])).expect("read back");
+        assert_eq!((status, &body[..]), (200, &b"{\"e\":1}\n{\"e\":2}\n"[..]));
         let text = String::from_utf8(out).expect("utf-8");
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Transfer-Encoding: chunked"));
@@ -389,9 +429,33 @@ mod tests {
     }
 
     #[test]
+    fn rejects_broken_responses_without_hanging() {
+        let read = |raw: &[u8]| read_response(&mut BufReader::new(raw)).map(|_| ());
+        let chunked = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+        for (what, tail) in [
+            ("truncated chunked body", "8\r\n{\"e\":"),
+            ("no terminating chunk", "2\r\nok\r\n"),
+            ("bad chunk size", "zz\r\nok\r\n0\r\n\r\n"),
+            ("chunk missing its CRLF", "2\r\nokXX0\r\n\r\n"),
+        ] {
+            let err = read(format!("{chunked}{tail}").as_bytes()).expect_err(what);
+            assert_eq!(err.status(), 400, "{what}: {err}");
+        }
+        let short = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort";
+        assert_eq!(read(short).expect_err("short body").status(), 400);
+        let promised = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\nx", usize::MAX);
+        assert_eq!(read(promised.as_bytes()).expect_err("huge").status(), 400);
+        let huge = format!("HTTP/1.1 200 OK\r\nX-Pad: {}\r\n\r\n", "p".repeat(MAX_HEAD));
+        assert_eq!(read(huge.as_bytes()).expect_err("head").status(), 431);
+        assert_eq!(read(b"SPDY 200\r\n\r\n").expect_err("status").status(), 400);
+    }
+
+    #[test]
     fn a_forgotten_job_answers_gone() {
         let mut out = Vec::new();
         write_response(&mut out, 410, &[], "{}").expect("write");
+        let (status, body) = read_response(&mut BufReader::new(&out[..])).expect("read back");
+        assert_eq!((status, &body[..]), (410, &b"{}"[..]));
         let text = String::from_utf8(out).expect("utf-8");
         assert!(text.starts_with("HTTP/1.1 410 Gone\r\n"));
     }

@@ -95,14 +95,12 @@ struct DaemonState {
     /// below it that `jobs` lacks was forgotten, not never issued.
     next_id: u64,
     /// Monotonic dispatch counter; each dispatched job records its
-    /// position, which is what the fairness test asserts on.
+    /// position, which is what the fairness test asserts on. It is also
+    /// the count of jobs handed to the pool (store hits never count),
+    /// served as `scheduler.simulated_jobs`.
     dispatch_seq: u64,
-    /// Jobs actually handed to the pool (store hits never count).
-    simulated_jobs: u64,
     /// Sum of dispatched jobs' `max_cycles`.
     simulated_cycles: u64,
-    /// Submissions answered from the store without simulating.
-    store_hits: u64,
 }
 
 impl DaemonState {
@@ -205,9 +203,7 @@ impl Daemon {
                 queue: FairQueue::new(cfg.queue_depth, cfg.tenant_depth, cfg.quantum),
                 next_id: 1,
                 dispatch_seq: 0,
-                simulated_jobs: 0,
                 simulated_cycles: 0,
-                store_hits: 0,
             }),
             work: Condvar::new(),
             events: Condvar::new(),
@@ -361,9 +357,13 @@ fn store_stats(shared: &Arc<Shared>) -> Value {
         ("queued", Value::Num(state.queue.len() as u64)),
         ("retained_jobs", Value::Num(state.jobs.len() as u64)),
         ("dispatch_seq", Value::Num(state.dispatch_seq)),
-        ("simulated_jobs", Value::Num(state.simulated_jobs)),
+        ("simulated_jobs", Value::Num(state.dispatch_seq)),
         ("simulated_cycles", Value::Num(state.simulated_cycles)),
-        ("store_hits", Value::Num(state.store_hits)),
+        // Only admission looks the store up, so its hits are the
+        // submissions answered without simulating. The lookup runs before
+        // admission takes the state lock, so this may count a hit whose
+        // job is not registered yet.
+        ("store_hits", Value::Num(s.hits)),
     ]);
     drop(state);
     Value::obj([
@@ -419,7 +419,6 @@ fn submit(req: &Request, shared: &Arc<Shared>) -> Result<Reply, Reply> {
     };
     let hit = stored.is_some();
     if let Some((stats, checksum)) = stored {
-        state.store_hits += 1;
         entry.status = JobStatus::Done;
         entry.store_hit = true;
         entry.result = Some(stats);
@@ -616,7 +615,6 @@ fn prepare_batch(
         entry
             .events
             .push(event_line(id, "dispatched", &[("seq", Value::Num(seq))]));
-        state.simulated_jobs += 1;
         state.simulated_cycles += job.max_cycles;
         batch.push(Dispatched { id, tenant });
         jobs.push(job);

@@ -561,11 +561,24 @@ fn duplicate_submissions_within_one_daemon_hit_the_store() {
     assert!(!third.store_hit);
     let _ = client.wait(third.id).expect("wait");
     let stats = client.store_stats().expect("store stats");
-    let simulated = stats
-        .get("scheduler")
-        .and_then(|s| s.get("simulated_jobs"))
-        .and_then(Value::as_u64);
-    assert_eq!(simulated, Some(2));
+    let count = |section: &str, name: &str| {
+        stats
+            .get(section)
+            .and_then(|s| s.get(name))
+            .and_then(Value::as_u64)
+    };
+    assert_eq!(count("scheduler", "simulated_jobs"), Some(2));
+    assert_eq!(
+        count("scheduler", "simulated_jobs"),
+        count("scheduler", "dispatch_seq"),
+        "every dispatched job is simulated"
+    );
+    assert_eq!(count("scheduler", "store_hits"), Some(1));
+    assert_eq!(
+        count("scheduler", "store_hits"),
+        count("store", "hits"),
+        "only admission looks the store up"
+    );
     assert_eq!(
         store_count(&client, "entries"),
         Some(2),

@@ -26,7 +26,7 @@ pub use bypass::TlbBypassCache;
 pub use l1::L1Tlb;
 pub use l2::{L2TlbProbe, SharedL2Tlb};
 pub use pwc::PageWalkCache;
-pub use tokens::{TokenAllocator, TokenPolicy};
+pub use tokens::TokenAllocator;
 
 /// A TLB entry key: (address space, virtual page).
 ///

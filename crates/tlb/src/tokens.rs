@@ -9,10 +9,10 @@
 //!
 //! Two adjustment policies are provided:
 //!
-//! * [`TokenPolicy::Literal`] — §5.2's text verbatim: miss rate up by >2%
+//! * [`TokenPolicyKind::Literal`] — §5.2's text verbatim: miss rate up by >2%
 //!   → fewer tokens; down by >2% → more tokens; otherwise unchanged. In
 //!   steady state (constant miss rate) this controller never moves.
-//! * [`TokenPolicy::HillClimb`] (default) — the controller implied by
+//! * [`TokenPolicyKind::HillClimb`] (default) — the controller implied by
 //!   §7.4's hardware budget, which includes "30 1-bit direction registers
 //!   to record whether the token count increased or decreased during the
 //!   previous epoch": every epoch the count takes a step in the current
@@ -20,19 +20,11 @@
 //!   by more than the 2% threshold. This searches for the token count that
 //!   minimizes the app's shared-TLB miss rate and keeps searching as
 //!   contention changes.
+//!
+//! The policy is [`MaskParams::token_policy`].
 
-use mask_common::config::MaskParams;
+use mask_common::config::{MaskParams, TokenPolicyKind};
 use mask_common::ids::Asid;
-
-/// Token-count adjustment policy (see module docs).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum TokenPolicy {
-    /// §5.2's literal delta rule.
-    Literal,
-    /// Direction-register hill climbing (§7.4).
-    #[default]
-    HillClimb,
-}
 
 #[derive(Clone, Debug)]
 struct AppTokens {
@@ -60,7 +52,7 @@ impl AppTokens {
 #[derive(Clone, Debug)]
 pub struct TokenAllocator {
     apps: Vec<AppTokens>,
-    policy: TokenPolicy,
+    policy: TokenPolicyKind,
     initial_frac: f64,
     delta: f64,
     step_frac: f64,
@@ -68,27 +60,12 @@ pub struct TokenAllocator {
 
 impl TokenAllocator {
     /// Creates a controller for applications with the given core counts,
-    /// using the default [`TokenPolicy::HillClimb`].
+    /// adjusting under `params.token_policy`.
     ///
     /// `cores_per_app[i]` is the number of GPU cores assigned to the
     /// application in address space `i`; every core has `warps_per_core`
     /// warp contexts.
     pub fn new(params: &MaskParams, cores_per_app: &[usize], warps_per_core: usize) -> Self {
-        Self::with_policy(
-            params,
-            cores_per_app,
-            warps_per_core,
-            TokenPolicy::default(),
-        )
-    }
-
-    /// Creates a controller with an explicit adjustment policy.
-    pub fn with_policy(
-        params: &MaskParams,
-        cores_per_app: &[usize],
-        warps_per_core: usize,
-        policy: TokenPolicy,
-    ) -> Self {
         let apps = cores_per_app
             .iter()
             .map(|&c| AppTokens {
@@ -102,7 +79,7 @@ impl TokenAllocator {
             .collect();
         TokenAllocator {
             apps,
-            policy,
+            policy: params.token_policy,
             initial_frac: params.initial_tokens_frac,
             delta: params.miss_rate_delta,
             step_frac: params.token_step_frac,
@@ -115,7 +92,7 @@ impl TokenAllocator {
     }
 
     /// The active adjustment policy.
-    pub fn policy(&self) -> TokenPolicy {
+    pub fn policy(&self) -> TokenPolicyKind {
         self.policy
     }
 
@@ -174,14 +151,14 @@ impl TokenAllocator {
         let prev = app.prev_miss_rate.unwrap_or(miss_rate);
         let step = ((app.total_warps() as f64 * step_frac).round() as u64).max(1);
         match policy {
-            TokenPolicy::Literal => {
+            TokenPolicyKind::Literal => {
                 if miss_rate > prev + delta {
                     app.tokens = app.tokens.saturating_sub(step).max(1);
                 } else if miss_rate + delta < prev {
                     app.tokens = (app.tokens + step).min(app.total_warps());
                 }
             }
-            TokenPolicy::HillClimb => {
+            TokenPolicyKind::HillClimb => {
                 // Reverse direction when the last move made things worse.
                 if miss_rate > prev + delta {
                     app.direction = -app.direction;
@@ -228,17 +205,17 @@ impl mask_common::snapshot::Snapshot for TokenAllocator {
 mod tests {
     use super::*;
 
-    fn params() -> MaskParams {
-        MaskParams::default()
-    }
-
-    fn alloc_with(policy: TokenPolicy) -> TokenAllocator {
+    fn alloc_with(token_policy: TokenPolicyKind) -> TokenAllocator {
+        let params = MaskParams {
+            token_policy,
+            ..MaskParams::default()
+        };
         // Two apps: 2 cores and 3 cores, 8 warps per core.
-        TokenAllocator::with_policy(&params(), &[2, 3], 8, policy)
+        TokenAllocator::new(&params, &[2, 3], 8)
     }
 
     fn alloc() -> TokenAllocator {
-        alloc_with(TokenPolicy::Literal)
+        alloc_with(TokenPolicyKind::Literal)
     }
 
     #[test]
@@ -291,7 +268,7 @@ mod tests {
 
     #[test]
     fn hill_climb_explores_under_stable_miss_rate() {
-        let mut a = alloc_with(TokenPolicy::HillClimb);
+        let mut a = alloc_with(TokenPolicyKind::HillClimb);
         a.end_epoch(Asid::new(0), 0.50, 100);
         let t0 = a.tokens(Asid::new(0));
         a.end_epoch(Asid::new(0), 0.50, 100);
@@ -302,7 +279,7 @@ mod tests {
 
     #[test]
     fn hill_climb_reverses_when_worse() {
-        let mut a = alloc_with(TokenPolicy::HillClimb);
+        let mut a = alloc_with(TokenPolicyKind::HillClimb);
         a.end_epoch(Asid::new(0), 0.50, 100);
         let t0 = a.tokens(Asid::new(0));
         // Shedding made things much worse twice: direction flips to +1.
@@ -315,7 +292,7 @@ mod tests {
 
     #[test]
     fn tokens_bounded_by_one_and_total() {
-        for policy in [TokenPolicy::Literal, TokenPolicy::HillClimb] {
+        for policy in [TokenPolicyKind::Literal, TokenPolicyKind::HillClimb] {
             let mut a = alloc_with(policy);
             a.end_epoch(Asid::new(0), 0.1, 100);
             let mut rate: f64 = 0.1;
@@ -374,7 +351,11 @@ mod tests {
 
     #[test]
     fn default_policy_is_hill_climb() {
-        let a = TokenAllocator::new(&params(), &[1], 8);
-        assert_eq!(a.policy(), TokenPolicy::HillClimb);
+        let a = TokenAllocator::new(&MaskParams::default(), &[1], 8);
+        assert_eq!(a.policy(), TokenPolicyKind::HillClimb);
+        // `new` follows `params.token_policy`, whichever value it holds.
+        for kind in [TokenPolicyKind::Literal, TokenPolicyKind::HillClimb] {
+            assert_eq!(alloc_with(kind).policy(), kind);
+        }
     }
 }

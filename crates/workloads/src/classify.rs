@@ -1,14 +1,15 @@
 //! Functional TLB-miss-rate measurement (regenerates Table 2).
 //!
 //! Runs an application's warp traces through a latency-free model of the
-//! TLB hierarchy (per-core 64-entry L1 TLBs, one shared 512-entry 16-way
-//! L2 TLB) and reports the observed miss rates. This is how the paper's
+//! TLB hierarchy (per-core L1 TLBs and one shared L2 TLB, sized by
+//! Table 1's [`TlbConfig::default`]) and reports the observed miss rates. This is how the paper's
 //! Table 2 classifies benchmarks; the full timed simulator in `mask-gpu`
 //! reproduces the same behaviour with latencies attached.
 
 use crate::profile::AppProfile;
 use crate::trace::WarpTrace;
 use mask_common::addr::{Ppn, PAGE_SIZE_4K_LOG2};
+use mask_common::config::TlbConfig;
 use mask_common::ids::Asid;
 use mask_tlb::{L1Tlb, L2TlbProbe, SharedL2Tlb};
 
@@ -43,12 +44,6 @@ pub struct ClassifyConfig {
     pub n_cores: usize,
     /// Warp contexts per core.
     pub warps_per_core: usize,
-    /// L1 TLB entries per core.
-    pub l1_entries: usize,
-    /// Shared L2 TLB entries.
-    pub l2_entries: usize,
-    /// Shared L2 TLB associativity.
-    pub l2_assoc: usize,
     /// Memory instructions per warp to simulate.
     pub ops_per_warp: usize,
     /// PRNG seed.
@@ -60,9 +55,6 @@ impl Default for ClassifyConfig {
         ClassifyConfig {
             n_cores: 4,
             warps_per_core: 64,
-            l1_entries: 64,
-            l2_entries: 512,
-            l2_assoc: 16,
             ops_per_warp: 200,
             seed: 0x7ab1e2,
         }
@@ -73,10 +65,11 @@ impl Default for ClassifyConfig {
 /// alone on `cfg.n_cores` cores.
 pub fn measure_tlb_rates(profile: &AppProfile, cfg: &ClassifyConfig) -> (f64, f64) {
     let asid = Asid::new(0);
+    let tlb = TlbConfig::default();
     let mut l1s: Vec<L1Tlb> = (0..cfg.n_cores)
-        .map(|_| L1Tlb::new(cfg.l1_entries))
+        .map(|_| L1Tlb::new(tlb.l1_entries))
         .collect();
-    let mut l2 = SharedL2Tlb::new(cfg.l2_entries, cfg.l2_assoc, 1, 0);
+    let mut l2 = SharedL2Tlb::new(tlb.l2_entries, tlb.l2_assoc, 1, 0);
     let mut traces: Vec<WarpTrace> = (0..cfg.n_cores)
         .flat_map(|c| (0..cfg.warps_per_core).map(move |w| (c as u64, w as u64)))
         .map(|(c, w)| WarpTrace::new(profile, cfg.seed, c, w, PAGE_SIZE_4K_LOG2))
