@@ -11,8 +11,7 @@
 //! * a small deterministic PRNG so that every experiment is bit-reproducible
 //!   without external dependencies ([`rng`]),
 //! * the pinned set-index hash of the associative arrays ([`siphash`]),
-//! * the versioned MSNP snapshot codec ([`snapshot`]) and the on-disk
-//!   directory store of sealed envelopes built on it ([`store`]),
+//! * the versioned MSNP snapshot codec ([`snapshot`]),
 //! * the one JSON value type, parser and string escaper every emitter in
 //!   the workspace uses ([`json`]).
 //!
@@ -42,7 +41,6 @@ pub mod rng;
 pub mod siphash;
 pub mod snapshot;
 pub mod stats;
-pub mod store;
 
 pub use addr::{LineAddr, PhysAddr, Ppn, VirtAddr, Vpn};
 pub use config::{DesignKind, DesignSpec, GpuConfig, SimConfig};

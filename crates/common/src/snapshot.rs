@@ -652,7 +652,7 @@ impl Snapshot for crate::req::MemRequest {
 /// derives it (`SimJob::prefix_key` in `mask-core`) as the FNV-1a digest
 /// of the job's canonical key with everything that provably cannot affect
 /// the prefix normalised away; the same newtype addresses every sealed
-/// envelope in an [`EnvelopeStore`](crate::store::EnvelopeStore).
+/// envelope, `maskd`'s stored results included.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PrefixKey(pub u64);
 

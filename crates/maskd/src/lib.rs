@@ -31,9 +31,9 @@
 //!   (`Content-Length` and chunked bodies) over `std::net`.
 //! * [`store`] — the persistent content-addressed [`ResultStore`]:
 //!   final statistics keyed by the model fingerprint and the job's
-//!   canonical dedup key, sealed in the versioned MSNP snapshot codec and
-//!   kept on disk, one file per result, by
-//!   `mask_common::store::EnvelopeStore`.
+//!   canonical dedup key, held in the daemon's result memo and on disk,
+//!   one file per result sealed in the versioned MSNP snapshot codec,
+//!   both described by one index.
 //! * [`queue`] — the admission controller's deficit-round-robin fair
 //!   queue across tenant ids.
 //! * [`server`] — the daemon itself: thread-per-connection acceptor,

@@ -108,16 +108,41 @@ impl FairQueue {
 
     /// Selects up to `max_jobs` jobs for the next dispatch batch, in DRR
     /// order, honoring the per-tenant in-flight cap. Selected jobs are
-    /// counted as in flight until [`FairQueue::job_done`].
+    /// counted as in flight until [`FairQueue::job_done`]. The batch is
+    /// empty only when every tenant with work is at its in-flight cap:
+    /// sweeps that would select nothing are granted at once.
     pub fn select_batch(&mut self, max_jobs: usize, inflight_cap: usize) -> Vec<(String, u64)> {
         let mut batch = Vec::new();
+        let inflight_cap = inflight_cap.max(1);
         if max_jobs == 0 {
             return batch;
         }
-        // One full sweep of the rotation per call: every tenant with work
-        // gets at most one quantum grant, and a tenant that cannot afford
-        // its head job (or is at its in-flight cap) keeps its deficit for
-        // the next sweep.
+        // The fewest sweeps after which some tenant below its cap affords
+        // its head job. The sweeps before that one select nothing and
+        // leave the rotation as it was, so all they do is add a quantum to
+        // every tenant's deficit.
+        let Some(sweeps) = self
+            .rotation
+            .iter()
+            .filter_map(|tenant| self.tenants.get(tenant))
+            .filter(|state| state.inflight < inflight_cap)
+            .filter_map(|state| {
+                let short = state.queue.front()?.cost.saturating_sub(state.deficit);
+                Some(short.div_ceil(self.quantum).max(1))
+            })
+            .min()
+        else {
+            return batch;
+        };
+        for tenant in &self.rotation {
+            if let Some(state) = self.tenants.get_mut(tenant) {
+                state.deficit = state.deficit.saturating_add((sweeps - 1) * self.quantum);
+            }
+        }
+        // Then one full sweep of the rotation: every tenant with work gets
+        // at most one quantum grant, and a tenant that cannot afford its
+        // head job (or is at its in-flight cap) keeps its deficit for the
+        // next call.
         for _ in 0..self.rotation.len() {
             if batch.len() >= max_jobs {
                 break;
@@ -130,7 +155,7 @@ impl FairQueue {
             };
             state.deficit = state.deficit.saturating_add(self.quantum);
             while batch.len() < max_jobs
-                && state.inflight < inflight_cap.max(1)
+                && state.inflight < inflight_cap
                 && state
                     .queue
                     .front()
@@ -217,9 +242,18 @@ mod tests {
             q.select_batch(8, 8),
             [("light".to_owned(), 2), ("light".to_owned(), 3)]
         );
-        // Sweeps 2-3: heavy accumulates 200, then 300 — affordable.
-        assert_eq!(q.select_batch(8, 8), []);
+        // Sweeps 2-3: heavy accumulates 200, then 300 — affordable. The
+        // empty sweep 2 is granted within the same call.
         assert_eq!(q.select_batch(8, 8), [("heavy".to_owned(), 1)]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_job_of_any_cost_is_selected_on_the_first_call() {
+        let mut q = FairQueue::new(64, 8, 300_000);
+        q.admit("a", job(1, 1_000_000_000_000_000_000))
+            .expect("admit");
+        assert_eq!(q.select_batch(8, 8), [("a".to_owned(), 1)]);
     }
 
     #[test]
@@ -240,11 +274,139 @@ mod tests {
     fn emptied_tenant_forfeits_deficit() {
         let mut q = FairQueue::new(64, 8, 100);
         q.admit("a", job(1, 10)).expect("admit");
-        assert_eq!(q.select_batch(8, 8).len(), 1);
+        assert_eq!(q.select_batch(8, 8), [("a".to_owned(), 1)]);
         // Re-admitting later starts from zero deficit: a 150-cost job
-        // needs two fresh quanta, not one plus banked credit.
+        // needs two fresh quanta, not one plus banked credit (90 + 100
+        // would afford it a sweep before b's 200-cost job).
         q.admit("a", job(2, 150)).expect("admit");
-        assert_eq!(q.select_batch(8, 8), []);
-        assert_eq!(q.select_batch(8, 8).len(), 1);
+        q.admit("b", job(3, 200)).expect("admit");
+        assert_eq!(
+            q.select_batch(8, 8),
+            [("a".to_owned(), 2), ("b".to_owned(), 3)]
+        );
+    }
+
+    /// Differential test of [`FairQueue::select_batch`] against the
+    /// textbook loop it shortcuts: a dispatcher that sweeps the rotation,
+    /// one quantum per tenant per sweep, until a sweep selects something.
+    mod against_one_sweep_at_a_time {
+        use super::*;
+        use proptest::prelude::*;
+
+        const QUANTUM: u64 = 100;
+
+        /// The reference: [`FairQueue`] without admission limits, one
+        /// quantum grant per sweep.
+        #[derive(Default)]
+        struct Reference {
+            tenants: BTreeMap<String, TenantState>,
+            rotation: VecDeque<String>,
+        }
+
+        impl Reference {
+            fn admit(&mut self, tenant: &str, job: QueuedJob) {
+                let state = self.tenants.entry(tenant.to_owned()).or_default();
+                if state.queue.is_empty() {
+                    self.rotation.push_back(tenant.to_owned());
+                }
+                state.queue.push_back(job);
+            }
+
+            fn select(&mut self, max_jobs: usize, cap: usize) -> Vec<(String, u64)> {
+                loop {
+                    let ready = self.rotation.iter().any(|t| self.tenants[t].inflight < cap);
+                    if !ready {
+                        return Vec::new();
+                    }
+                    let batch = self.sweep(max_jobs, cap);
+                    if !batch.is_empty() {
+                        return batch;
+                    }
+                }
+            }
+
+            fn sweep(&mut self, max_jobs: usize, cap: usize) -> Vec<(String, u64)> {
+                let mut batch = Vec::new();
+                for _ in 0..self.rotation.len() {
+                    if batch.len() >= max_jobs {
+                        break;
+                    }
+                    let tenant = self.rotation.pop_front().expect("rotation");
+                    let state = self.tenants.get_mut(&tenant).expect("tenant");
+                    state.deficit += QUANTUM;
+                    while batch.len() < max_jobs && state.inflight < cap {
+                        match state.queue.front() {
+                            Some(job) if job.cost <= state.deficit => {
+                                state.deficit -= job.cost;
+                                state.inflight += 1;
+                                batch.push((tenant.clone(), job.id));
+                                state.queue.pop_front();
+                            }
+                            _ => break,
+                        }
+                    }
+                    if state.queue.is_empty() {
+                        state.deficit = 0;
+                    } else {
+                        self.rotation.push_back(tenant);
+                    }
+                }
+                batch
+            }
+        }
+
+        #[derive(Clone, Copy, Debug)]
+        enum Op {
+            Admit(usize, u64),
+            Select(usize),
+            Done(usize),
+        }
+
+        fn op(tenants: usize) -> impl Strategy<Value = Op> {
+            (0u8..8, 0..tenants, 1..=4 * QUANTUM, 1usize..4).prop_map(|(kind, t, cost, max)| {
+                match kind {
+                    0..=3 => Op::Admit(t, cost),
+                    4..=5 => Op::Select(max),
+                    _ => Op::Done(t),
+                }
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Any admissions, selections and completions, at in-flight
+            /// caps 1 and 2, select the same jobs in the same order.
+            #[test]
+            fn selects_what_one_sweep_at_a_time_selects(
+                tenants in 1usize..5,
+                cap in 1usize..3,
+                ops in collection::vec(op(tenants), 1..120),
+            ) {
+                let names = ["t0", "t1", "t2", "t3"];
+                let mut q = FairQueue::new(1024, 1024, QUANTUM);
+                let mut reference = Reference::default();
+                for (id, step) in ops.into_iter().enumerate() {
+                    match step {
+                        Op::Admit(t, cost) => {
+                            let job = QueuedJob { id: id as u64, cost };
+                            prop_assert_eq!(q.admit(names[t], job), Ok(()));
+                            reference.admit(names[t], job);
+                        }
+                        Op::Select(max) => prop_assert_eq!(
+                            q.select_batch(max, cap),
+                            reference.select(max, cap),
+                            "step {id} {step:?}"
+                        ),
+                        Op::Done(t) => {
+                            q.job_done(names[t]);
+                            if let Some(state) = reference.tenants.get_mut(names[t]) {
+                                state.inflight = state.inflight.saturating_sub(1);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -571,12 +571,11 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                     let selected = state
                         .queue
                         .select_batch(shared.pool.workers(), shared.cfg.inflight);
+                    // Empty only while every tenant with work is at its
+                    // in-flight cap: wait for a completion.
                     if !selected.is_empty() {
                         break prepare_batch(&mut state, selected);
                     }
-                    // Deficits accrue per sweep; keep sweeping without
-                    // waiting until some tenant can afford its head job.
-                    continue;
                 }
                 state = match shared.work.wait(state) {
                     Ok(g) => g,

@@ -568,17 +568,7 @@ fn duplicate_submissions_within_one_daemon_hit_the_store() {
             .and_then(Value::as_u64)
     };
     assert_eq!(count("scheduler", "simulated_jobs"), Some(2));
-    assert_eq!(
-        count("scheduler", "simulated_jobs"),
-        count("scheduler", "dispatch_seq"),
-        "every dispatched job is simulated"
-    );
     assert_eq!(count("scheduler", "store_hits"), Some(1));
-    assert_eq!(
-        count("scheduler", "store_hits"),
-        count("store", "hits"),
-        "only admission looks the store up"
-    );
     assert_eq!(
         store_count(&client, "entries"),
         Some(2),
