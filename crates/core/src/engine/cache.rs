@@ -1,6 +1,6 @@
 //! What outlives one job: every job's result ([`ResultMemo`], one per
 //! process unless a pool is handed its own) and the count of jobs a pool
-//! simulated ([`PrefixCache`]).
+//! ran ([`PrefixCache`]).
 
 use super::job::JobKey;
 use mask_common::stats::SimStats;
@@ -114,26 +114,36 @@ pub(super) fn process_memo() -> Arc<ResultMemo> {
     Arc::clone(MEMO.get_or_init(ResultMemo::new))
 }
 
-/// Counters of one [`PrefixCache`]; only `misses` moves.
+/// Counters of one [`PrefixCache`]: every job a pool ran is a hit or a
+/// miss.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PrefixCacheStats {
-    /// Always 0: nothing is kept between jobs.
+    /// Always 0: a held simulator belongs to the engine thread that ran it,
+    /// not to this counter.
     pub entries: usize,
-    /// Always 0: every job simulates its own warm-up.
+    /// Jobs that reused a warm-up: each ran on the simulator its thread
+    /// held from a job of the same pool that it extends, by the cycles it
+    /// adds.
     pub hits: u64,
-    /// Jobs simulated: every unique job of a batch that the memo did not
-    /// answer.
+    /// Jobs simulated from cycle 0: every other unique job of a batch that
+    /// the memo did not answer.
     pub misses: u64,
 }
 
-/// The number of jobs a [`JobPool`](super::JobPool) simulated, kept under
-/// the name of the warm-up sharing that is gone. `benchmark/src/sweep.rs`
-/// and `benchmark/src/service.rs` read it through
+/// The number of jobs a [`JobPool`](super::JobPool) ran, split into jobs
+/// that continued a held simulator and jobs simulated from cycle 0, kept
+/// under the name of the warm-up sharing it counted first. It is also the
+/// pool's identity for held simulators: a thread's held simulator is
+/// continued only by a pool with the same counter (the pool that ran it,
+/// or a clone of it), so two pools run one after the other on one thread
+/// never share one, and each pool's split depends on its own jobs alone.
+/// `benchmark/src/sweep.rs` and `benchmark/src/service.rs` read it through
 /// [`JobPool::prefix_cache`](super::JobPool::prefix_cache); ROADMAP item 5
 /// deletes it with those reads.
 #[derive(Debug, Default)]
 #[expect(clippy::disallowed_types, reason = "counted by every worker of a pool")]
 pub struct PrefixCache {
+    continued: AtomicU64,
     simulated: AtomicU64,
 }
 
@@ -146,20 +156,26 @@ impl PrefixCache {
         Arc::new(PrefixCache::default())
     }
 
-    /// The counters, `misses` being the jobs simulated. Read by
-    /// `benchmark/src/sweep.rs` and `benchmark/src/service.rs`; ROADMAP
-    /// item 5 deletes it.
+    /// The counters: `hits` the jobs continued, `misses` the jobs
+    /// simulated from cycle 0. Read by `benchmark/src/sweep.rs` and
+    /// `benchmark/src/service.rs`; ROADMAP item 5 deletes it.
     #[must_use]
     pub fn stats(&self) -> PrefixCacheStats {
         PrefixCacheStats {
+            entries: 0,
+            hits: self.continued.load(Ordering::Relaxed),
             misses: self.simulated.load(Ordering::Relaxed),
-            ..PrefixCacheStats::default()
         }
     }
 
-    /// Counts one job simulated. Relaxed ordering: readers look after the
-    /// batch's workers have been joined.
-    pub(super) fn count_simulated(&self) {
-        self.simulated.fetch_add(1, Ordering::Relaxed);
+    /// Counts one job run, `continued` or simulated from cycle 0. Relaxed
+    /// ordering: readers look after the batch's workers have been joined.
+    pub(super) fn count(&self, continued: bool) {
+        let counter = if continued {
+            &self.continued
+        } else {
+            &self.simulated
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -51,6 +51,30 @@ pub struct JobKey {
     gpu: Arc<str>,
 }
 
+/// The effective warm-up a job of these budgets simulates before it
+/// zeroes its statistics: clamped to at most half of `max_cycles`, exactly
+/// as the serial runner always did.
+fn warmup_eff(warmup_cycles: u64, max_cycles: u64) -> u64 {
+    warmup_cycles.min(max_cycles / 2)
+}
+
+impl JobKey {
+    /// Whether a simulator that ran the job of `held` to its end can run on
+    /// to this key's end and give this job's result: the same job in every
+    /// ingredient but a larger `max_cycles`, with the same *effective*
+    /// warm-up, so that both zeroed their statistics at the same cycle.
+    /// Compares in place; allocates nothing.
+    pub(super) fn extends(&self, held: &JobKey) -> bool {
+        self.max_cycles > held.max_cycles
+            && warmup_eff(self.warmup_cycles, self.max_cycles)
+                == warmup_eff(held.warmup_cycles, held.max_cycles)
+            && self.seed == held.seed
+            && self.design == held.design
+            && self.apps == held.apps
+            && self.gpu == held.gpu
+    }
+}
+
 impl SimJob {
     /// The job's canonical deduplication key.
     #[must_use]
@@ -76,9 +100,16 @@ impl SimJob {
     }
 
     /// Runs the simulation to completion and snapshots its statistics,
-    /// measured after the warm-up window.
+    /// measured after the warm-up window: the fresh run every other way of
+    /// running a job must match.
     #[must_use]
     pub fn run(&self) -> SimStats {
+        let mut sim = self.warmed_up();
+        self.run_on(&mut sim)
+    }
+
+    /// Builds the simulator, runs the warm-up and zeroes the statistics.
+    pub(super) fn warmed_up(&self) -> GpuSim {
         let cfg = SimConfig {
             gpu: self.sized_gpu(),
             design: self.design.spec(),
@@ -86,10 +117,16 @@ impl SimJob {
             seed: self.seed,
         };
         let mut sim = GpuSim::new(&cfg, &self.specs);
-        let warmup = self.warmup_eff();
-        sim.run(warmup);
+        sim.run(warmup_eff(self.warmup_cycles, self.max_cycles));
         sim.reset_stats();
-        sim.run(self.max_cycles - warmup);
+        sim
+    }
+
+    /// Runs `sim` on to `max_cycles` and snapshots its statistics. `sim` is
+    /// this job's own warmed-up simulator, or the one a job that this job's
+    /// key [extends](JobKey::extends) left at that job's end.
+    pub(super) fn run_on(&self, sim: &mut GpuSim) -> SimStats {
+        sim.run(self.max_cycles - sim.now());
         sim.sync_stats();
         sim.stats().clone()
     }
@@ -110,7 +147,7 @@ impl SimJob {
     /// as `core.prefix_key_us`, and ROADMAP item 5 deletes it with that row.
     #[must_use]
     pub fn prefix_key(&self) -> PrefixKey {
-        let warmup = self.warmup_eff();
+        let warmup = warmup_eff(self.warmup_cycles, self.max_cycles);
         let mut gpu = self.sized_gpu();
         if gpu.mask.epoch_cycles == 0 || warmup < gpu.mask.epoch_cycles {
             gpu.mask.reset_epoch_end_only();
@@ -119,12 +156,6 @@ impl SimJob {
         let mut h = Fnv1a::new();
         h.write(format!("{view:?}").as_bytes());
         PrefixKey(h.finish())
-    }
-
-    /// The effective warm-up length: clamped to at most half of
-    /// `max_cycles`, exactly as the serial runner always did.
-    fn warmup_eff(&self) -> u64 {
-        self.warmup_cycles.min(self.max_cycles / 2)
     }
 
     /// The machine this job simulates: the template with `n_cores`

@@ -5,6 +5,8 @@ use super::cache::{process_memo, PrefixCache, ResultMemo};
 use super::job::{JobKey, SimJob};
 use mask_common::config::JobOptions;
 use mask_common::stats::SimStats;
+use mask_gpu::GpuSim;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 #[expect(clippy::disallowed_types, reason = "parallelism island")]
@@ -21,17 +23,68 @@ fn job_label(job: &SimJob) -> String {
     s
 }
 
-/// Runs one job and counts it in `simulated`, with an engine-timeline span
-/// around it on `lane`, the lane its traced events carry too (`mask-obs`
-/// job profiling; label and timing cost nothing unless tracing is live).
-fn run_one(job: &SimJob, lane: u32, simulated: &PrefixCache) -> Arc<SimStats> {
+/// The simulator a thread ran its last job on, left at that job's end.
+struct Held {
+    /// The counter of the pool that ran it: only that pool (or a clone of
+    /// it) continues it, so a pool's hit/miss split depends on its own jobs
+    /// alone, never on what another pool left on the thread.
+    pool: Arc<PrefixCache>,
+    key: JobKey,
+    sim: GpuSim,
+}
+
+thread_local! {
+    /// This thread's [`Held`] simulator, if any: at most one per thread,
+    /// freed with the thread. It stays on the thread that ran it because
+    /// `mask-obs`'s checker sessions are per thread.
+    static HELD: RefCell<Option<Held>> = const { RefCell::new(None) };
+}
+
+/// Runs one job, keyed `key`, and counts it in `simulated`, with an
+/// engine-timeline span around it on `lane`, the lane its traced events
+/// carry too (`mask-obs` job profiling; label and timing cost nothing
+/// unless tracing is live).
+///
+/// When `key` [extends](JobKey::extends) the key of the simulator this
+/// thread holds for the same pool, the job runs that simulator on by the
+/// difference instead of simulating from cycle 0; otherwise the held
+/// simulator is dropped before the job allocates anything. With `hold`,
+/// the job's simulator is held afterwards for the next job on this thread;
+/// without, it is dropped. A continued job's epoch frames diff against the
+/// frames the held run emitted, so the trace gate must not be toggled
+/// between two jobs of one pool on one thread.
+fn run_one(
+    job: &SimJob,
+    key: &JobKey,
+    lane: u32,
+    hold: bool,
+    simulated: &Arc<PrefixCache>,
+) -> Arc<SimStats> {
     let timer = mask_obs::profile::begin_job(lane);
-    let out = Arc::new(job.run());
-    simulated.count_simulated();
+    let (mut sim, continued) = match HELD.take() {
+        Some(held) if Arc::ptr_eq(&held.pool, simulated) && key.extends(&held.key) => {
+            (held.sim, true)
+        }
+        stale => {
+            drop(stale);
+            (job.warmed_up(), false)
+        }
+    };
+    let stats = job.run_on(&mut sim);
+    simulated.count(continued);
+    if hold {
+        HELD.set(Some(Held {
+            pool: Arc::clone(simulated),
+            key: key.clone(),
+            sim,
+        }));
+    } else {
+        drop(sim);
+    }
     if mask_obs::tracing_active() {
         timer.finish(&job_label(job));
     }
-    out
+    Arc::new(stats)
 }
 
 /// Executes [`SimJob`] batches over a fixed number of worker threads.
@@ -124,15 +177,22 @@ impl JobPool {
         &self.simulated
     }
 
-    /// One-line human-readable completion summary: worker count plus the
-    /// result-memo counters, stating how many whole runs the memo avoided.
+    /// One-line human-readable completion summary: worker count, the
+    /// result-memo counters, stating how many whole runs the memo avoided,
+    /// and how many of the jobs run continued a held simulator.
     #[must_use]
     pub fn completion_summary(&self) -> String {
         let b = self.cache.stats();
+        let p = self.simulated.stats();
         format!(
             "[mask-core] job pool: {} worker(s); result memo: {} entries, \
-             {} hit(s) / {} miss(es)",
-            self.workers, b.entries, b.hits, b.misses
+             {} hit(s) / {} miss(es); {} job(s) run, {} continued",
+            self.workers,
+            b.entries,
+            b.hits,
+            b.misses,
+            p.hits + p.misses,
+            p.hits
         )
     }
 
@@ -176,8 +236,11 @@ impl JobPool {
         // by work index and filed by key, so worker scheduling cannot affect
         // what callers observe.
         let work: Vec<(&JobKey, usize)> = work.into_iter().collect();
-        let outputs = self.execute(work.len(), |w, lane| {
-            run_one(&jobs[work[w].1], lane, &self.simulated)
+        let outputs = self.execute(work.len(), |w, lane, fanned_out| {
+            let (key, i) = work[w];
+            // Only the calling thread holds a simulator, for its next job: a
+            // worker thread ends with its batch.
+            run_one(&jobs[i], key, lane, !fanned_out, &self.simulated)
         });
         // Assemble: memoise each new result; equal keys share its `Arc`.
         for (w, stats) in outputs {
@@ -199,8 +262,9 @@ impl JobPool {
         keys.iter().map(|key| Arc::clone(&results[key])).collect()
     }
 
-    /// `run(i, lane)` for every work index `i < n`, over the workers, each
-    /// result tagged by its `i`, in no particular order.
+    /// `run(i, lane, fanned_out)` for every work index `i < n`, over the
+    /// workers (`fanned_out`) or serially on the calling thread, each result
+    /// tagged by its `i`, in no particular order.
     #[expect(
         clippy::disallowed_types,
         clippy::disallowed_methods,
@@ -209,12 +273,15 @@ impl JobPool {
     fn execute(
         &self,
         n: usize,
-        run: impl Fn(usize, u32) -> Arc<SimStats> + Sync,
+        run: impl Fn(usize, u32, bool) -> Arc<SimStats> + Sync,
     ) -> Vec<(usize, Arc<SimStats>)> {
         let n_workers = self.workers.min(n);
         if n_workers <= 1 {
-            return (0..n).map(|i| (i, run(i, 0))).collect();
+            return (0..n).map(|i| (i, run(i, 0, false))).collect();
         }
+        // No job of this batch runs on the calling thread, so what it holds
+        // would only add to the batch's peak memory.
+        drop(HELD.take());
         let next = AtomicUsize::new(0);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..n_workers)
@@ -230,7 +297,7 @@ impl JobPool {
                             if i >= n {
                                 break;
                             }
-                            local.push((i, run(i, w as u32)));
+                            local.push((i, run(i, w as u32, true)));
                         }
                         local
                     })
@@ -255,6 +322,207 @@ mod tests {
     use super::super::job::tests::{job, token_sweep};
     use super::*;
     use mask_common::config::DesignKind;
+    use proptest::prelude::*;
+
+    /// Applications the chains place, two cores each.
+    const CHAIN_APPS: [&str; 6] = ["HISTO", "GUP", "HS", "CONS", "LPS", "SCAN"];
+
+    /// One link of a random job chain, drawn from `(kind, d)`.
+    #[derive(Clone, Copy, Debug)]
+    enum Link {
+        /// The head, `d` cycles longer, alone in its batch.
+        Extend(u64),
+        /// The head, run on past its next epoch boundary, alone.
+        CrossEpoch(u64),
+        /// Resubmits an earlier link: a memo hit, nothing runs.
+        Revisit(usize),
+        /// The head, `d` cycles longer, in one batch with an unrelated job.
+        WithUnrelated(u64),
+    }
+
+    impl Link {
+        fn draw((kind, d): (u8, u64)) -> Link {
+            match kind {
+                0 => Link::Extend(d),
+                1 => Link::CrossEpoch(d % 200),
+                2 => Link::Revisit(d as usize),
+                _ => Link::WithUnrelated(d),
+            }
+        }
+    }
+
+    /// The batches of one chain: the head, then one batch per link.
+    fn chain_batches(head: &SimJob, links: &[Link]) -> Vec<Vec<SimJob>> {
+        let epoch = head.gpu.mask.epoch_cycles;
+        let mut head = head.clone();
+        let mut batches = vec![vec![head.clone()]];
+        for &link in links {
+            let batch = match link {
+                Link::Extend(d) => {
+                    head.max_cycles += d;
+                    vec![head.clone()]
+                }
+                Link::CrossEpoch(d) => {
+                    head.max_cycles = (head.max_cycles / epoch + 1) * epoch + d;
+                    vec![head.clone()]
+                }
+                Link::Revisit(i) => {
+                    let earlier: Vec<&SimJob> = batches.iter().flatten().collect();
+                    vec![earlier[i % earlier.len()].clone()]
+                }
+                Link::WithUnrelated(d) => {
+                    let mut unrelated = head.clone();
+                    unrelated.seed ^= 1;
+                    head.max_cycles += d;
+                    vec![unrelated, head.clone()]
+                }
+            };
+            batches.push(batch);
+        }
+        batches
+    }
+
+    /// Links that must continue the simulator the calling thread holds: an
+    /// extension alone in its batch right after the head ran or a revisit,
+    /// at any worker count (a one-job batch runs on the calling thread).
+    fn sure_continuations(links: &[Link]) -> u64 {
+        let mut sure = 0;
+        let mut head_held = true;
+        for &link in links {
+            match link {
+                Link::Extend(_) | Link::CrossEpoch(_) => {
+                    sure += u64::from(head_held);
+                    head_held = true;
+                }
+                Link::Revisit(_) => {}
+                Link::WithUnrelated(_) => head_held = false,
+            }
+        }
+        sure
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Every design, at 1 and 4 workers: a chain of extensions (some
+        /// across epoch boundaries) with memo hits and unrelated jobs
+        /// between them gives each job exactly its fresh run's result, and
+        /// the extensions continue the held simulator.
+        #[test]
+        fn continued_chains_match_fresh_runs(
+            seed in 0u64..10_000,
+            apps in collection::vec(0usize..CHAIN_APPS.len(), 1..4),
+            draws in collection::vec((0u8..4, 1u64..1_500), 3..7),
+        ) {
+            // The first two links always extend, so every chain continues.
+            let links: Vec<Link> = [(0, 400), (1, 50)]
+                .into_iter()
+                .chain(draws)
+                .map(Link::draw)
+                .collect();
+            let placement: Vec<(&str, usize)> =
+                apps.iter().map(|&a| (CHAIN_APPS[a], 2)).collect();
+            for design in DesignKind::ALL {
+                let mut head = job(design, &placement, seed);
+                head.gpu.mask.epoch_cycles = 1_000;
+                head.warmup_cycles = 600;
+                head.max_cycles = 1_200;
+                let batches = chain_batches(&head, &links);
+                let fresh: Vec<Vec<SimStats>> = batches
+                    .iter()
+                    .map(|b| b.iter().map(SimJob::run).collect())
+                    .collect();
+                for workers in [1, 4] {
+                    let pool = JobPool::with_workers(workers).with_cache(ResultMemo::new());
+                    for (batch, want) in batches.iter().zip(&fresh) {
+                        let got = pool.run_batch(batch);
+                        for (got, want) in got.iter().zip(want) {
+                            prop_assert_eq!(&**got, want, "{:?}, {} worker(s)", design, workers);
+                        }
+                    }
+                    let counted = pool.prefix_cache().stats();
+                    let memo = pool.cache().stats();
+                    prop_assert_eq!(counted.hits + counted.misses, memo.misses);
+                    prop_assert!(
+                        counted.hits >= sure_continuations(&links),
+                        "{:?}, {} worker(s): {:?} for {:?}", design, workers, counted, links
+                    );
+                }
+            }
+        }
+    }
+
+    /// `warmup_cycles` 1 000 is clamped to `max_cycles / 2` below 2 000
+    /// cycles, so the first three jobs of this chain zero their statistics
+    /// at cycles 995, 998 and 1 000 though all ask for the same raw
+    /// warm-up: only the last job may continue the one before it.
+    #[test]
+    fn continuing_compares_the_effective_warm_up_not_the_raw_one() {
+        let mut j = job(DesignKind::Mask, &[("GUP", 2), ("HISTO", 2)], 5);
+        j.warmup_cycles = 1_000;
+        for workers in [1, 4] {
+            let pool = JobPool::with_workers(workers).with_cache(ResultMemo::new());
+            for max_cycles in [1_990, 1_997, 2_000, 2_010] {
+                j.max_cycles = max_cycles;
+                let got = pool.run_batch(std::slice::from_ref(&j));
+                assert_eq!(*got[0], j.run(), "max_cycles {max_cycles}");
+            }
+            assert_eq!(
+                pool.prefix_cache().stats(),
+                PrefixCacheStats {
+                    entries: 0,
+                    hits: 1,
+                    misses: 3,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn a_fanned_out_batch_frees_the_callers_simulator() {
+        let j = job(DesignKind::SharedTlb, &[("GUP", 2)], 4);
+        let pool = JobPool::with_workers(2).with_cache(ResultMemo::new());
+        let _ = pool.run_batch(std::slice::from_ref(&j));
+        assert!(HELD.with_borrow(Option::is_some), "a one-job batch holds");
+        let mut other = j.clone();
+        other.seed += 1;
+        let mut longer = j.clone();
+        longer.max_cycles += 1_000;
+        let _ = pool.run_batch(&[other, longer]);
+        assert!(
+            HELD.with_borrow(Option::is_none),
+            "no job of a fanned-out batch runs on the calling thread"
+        );
+        assert_eq!(pool.prefix_cache().stats().hits, 0);
+    }
+
+    /// Two pools one after the other on one thread: the second pool's first
+    /// job runs from cycle 0 though it extends the first pool's last one,
+    /// so each pool's counts depend on its own jobs alone.
+    #[test]
+    fn a_pool_never_continues_another_pools_simulator() {
+        let j = job(DesignKind::Mask, &[("GUP", 2)], 6);
+        let mut longer = j.clone();
+        longer.max_cycles += 1_000;
+        let first = JobPool::with_workers(1).with_cache(ResultMemo::new());
+        let _ = first.run_batch(std::slice::from_ref(&j));
+        let second = JobPool::with_workers(1).with_cache(ResultMemo::new());
+        assert_eq!(
+            *second.run_batch(std::slice::from_ref(&longer))[0],
+            longer.run()
+        );
+        assert_eq!(second.prefix_cache().stats().hits, 0);
+        // A clone shares its pool's counter, so it continues what the pool
+        // left on the thread.
+        let mut longest = longer.clone();
+        longest.max_cycles += 1_000;
+        let clone = second.clone();
+        assert_eq!(
+            *clone.run_batch(std::slice::from_ref(&longest))[0],
+            longest.run()
+        );
+        assert_eq!(second.prefix_cache().stats().hits, 1);
+    }
 
     #[test]
     fn run_matches_a_one_job_batch() {

@@ -99,7 +99,10 @@ struct DaemonState {
     /// the count of jobs handed to the pool (store hits never count),
     /// served as `scheduler.simulated_jobs`.
     dispatch_seq: u64,
-    /// Sum of dispatched jobs' `max_cycles`.
+    /// Sum of dispatched jobs' `max_cycles`: the cycles served, not the
+    /// cycles simulated. A job that continues the simulator the dispatcher
+    /// holds simulates only the cycles it adds, and the pool simulates
+    /// equal jobs of one batch once.
     simulated_cycles: u64,
 }
 

@@ -93,6 +93,47 @@ fn served_results_are_bit_identical_to_local_runs() {
     daemon.shutdown();
 }
 
+/// A client extending one run job after job pays only for the cycles it
+/// adds: the dispatcher thread runs the simulator it holds on, and every
+/// served link equals a fresh local run, also when a store hit or an
+/// unrelated job comes between two links.
+#[test]
+fn an_extending_chain_continues_the_held_simulator() {
+    let pool = JobPool::with_workers(2);
+    let runs = std::sync::Arc::clone(pool.prefix_cache());
+    let daemon = Daemon::spawn_with_pool(ephemeral_config(), pool).expect("boot");
+    let client = Client::new(daemon.addr().to_string());
+    let link = |max_cycles| JobSpec {
+        max_cycles,
+        ..spec("chain", DesignKind::Mask, 301)
+    };
+    // (spec, answered from the store)
+    let chain = [
+        (link(2_000), false),
+        (link(2_100), false), // continued
+        (link(2_100), true),
+        (link(2_250), false), // continued: the hit ran nothing
+        (spec("chain", DesignKind::Mask, 302), false),
+        (link(2_400), false), // from cycle 0: the unrelated job ran between
+        (link(2_550), false), // continued
+    ];
+    for (i, (spec, hit)) in chain.iter().enumerate() {
+        let submitted = client.submit(spec).expect("submit");
+        assert_eq!(submitted.store_hit, *hit, "link {i}");
+        let served = client.wait(submitted.id).expect("wait").result;
+        assert_eq!(served, Some(spec.to_sim_job().run()), "link {i}");
+    }
+    let counted = runs.stats();
+    assert_eq!((counted.hits, counted.misses), (3, 3));
+    let stats = client.store_stats().expect("stats");
+    let summary = stats.get("pool_summary").and_then(Value::as_str);
+    assert!(
+        summary.is_some_and(|s| s.ends_with("6 job(s) run, 3 continued")),
+        "{summary:?}"
+    );
+    daemon.shutdown();
+}
+
 #[test]
 fn result_store_survives_restart_with_zero_resimulation() {
     let dir = temp_store("restart");

@@ -7,17 +7,21 @@
 //! statistics make `==` an exact check. The sweep is then resubmitted in
 //! full to a second daemon booted on the same directory: every job must be
 //! answered from the content-addressed store on disk with zero simulation,
-//! which exercises the on-disk format across a restart.
+//! which exercises the on-disk format across a restart. Between the two
+//! passes, a six-link chain of one job, each link longer than the last,
+//! must be served from the simulator the daemon's dispatcher thread holds,
+//! run on by the added cycles, and still equal fresh in-process runs.
 //!
 //! ```text
 //! cargo run --release --example sweep_client
 //! ```
 
 use mask_common::config::DesignKind;
-use mask_core::JobPool;
+use mask_core::{JobPool, PrefixCache};
 use maskd::json::Value;
 use maskd::wire::{GpuOverrides, JobSpec};
 use maskd::{Client, Daemon, DaemonConfig, DaemonHandle};
+use std::sync::Arc;
 
 fn spec(design: DesignKind, seed: u64, l2_tlb_entries: usize) -> JobSpec {
     JobSpec {
@@ -43,22 +47,26 @@ fn counter(stats: &Value, section: &str, key: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn boot(store_dir: &std::path::Path) -> (DaemonHandle, Client) {
+/// A daemon on `store_dir`, its client, and the counter of jobs its pool
+/// ran (`hits`: continued from a held simulator).
+fn boot(store_dir: &std::path::Path) -> (DaemonHandle, Client, Arc<PrefixCache>) {
     let cfg = DaemonConfig {
         addr: "127.0.0.1:0".to_owned(),
         store_dir: Some(store_dir.to_path_buf()),
         ..DaemonConfig::default()
     };
-    let daemon = Daemon::spawn_with_pool(cfg, JobPool::with_workers(4)).expect("boot daemon");
+    let pool = JobPool::with_workers(4);
+    let runs = Arc::clone(pool.prefix_cache());
+    let daemon = Daemon::spawn_with_pool(cfg, pool).expect("boot daemon");
     let client = Client::new(daemon.addr().to_string());
-    (daemon, client)
+    (daemon, client, runs)
 }
 
 fn main() {
     let store_dir = std::env::temp_dir().join(format!("maskd-sweep-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
 
-    let (daemon, client) = boot(&store_dir);
+    let (daemon, client, runs) = boot(&store_dir);
     println!(
         "daemon listening on {} (store: {})\n",
         daemon.addr(),
@@ -103,16 +111,38 @@ fn main() {
         );
     }
 
+    // An extending chain: one job, each link 700 cycles longer than the
+    // one before, submitted after it finished. At a 2 000-cycle epoch two
+    // of the five extensions cross an epoch boundary.
+    let continued_before = runs.stats().hits;
+    for link in 0..6u64 {
+        let mut point = spec(DesignKind::Mask, 9, 512);
+        point.max_cycles += 700 * link;
+        point.overrides.epoch_cycles = Some(2_000);
+        let submitted = client.submit(&point).expect("submit");
+        let served = client.wait(submitted.id).expect("wait").result;
+        assert_eq!(
+            served,
+            Some(point.to_sim_job().run()),
+            "served link {link} must be bit-identical"
+        );
+    }
+    let continued = runs.stats().hits - continued_before;
+    assert_eq!(continued, 5, "every link after the first continues");
+    println!(
+        "\nextending chain: 6 links served, {continued} run on from the held simulator, all exact"
+    );
+
     let before = client.store_stats().expect("stats");
     let simulated = counter(&before, "scheduler", "simulated_jobs");
     daemon.shutdown();
     println!(
-        "\nfirst pass: {simulated} jobs simulated; rebooting on the store and resubmitting the full sweep..."
+        "\nfirst pass: {simulated} jobs dispatched to the pool; rebooting on the store and resubmitting the full sweep..."
     );
 
     // Second pass, on a new daemon: every point is already in the store on
     // disk, and nothing of the first daemon is left in memory.
-    let (daemon, client) = boot(&store_dir);
+    let (daemon, client, _) = boot(&store_dir);
     let mut hits = 0;
     for point in &points {
         let submitted = client.submit(point).expect("resubmit");

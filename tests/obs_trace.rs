@@ -56,34 +56,46 @@ fn checksum(stats: &SimStats) -> u64 {
 }
 
 /// Runs `jobs` through the job engine at 1 and 2 workers, each on a
-/// private memo so that every run simulates, then directly.
-fn run_matrix(jobs: &[SimJob]) -> Vec<Arc<SimStats>> {
+/// private memo so that every run simulates, then directly; also returns
+/// how many jobs the 1-worker pool continued from a held simulator.
+fn run_matrix(jobs: &[SimJob]) -> (Vec<Arc<SimStats>>, u64) {
     let mut out = Vec::new();
+    let mut continued = 0;
     for workers in [1, 2] {
         let pool = JobPool::with_workers(workers).with_cache(ResultMemo::new());
         out.extend(pool.run_batch(jobs));
+        if workers == 1 {
+            continued = pool.prefix_cache().stats().hits;
+        }
     }
     out.extend(jobs.iter().map(|j| Arc::new(j.run())));
-    out
+    (out, continued)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The contract itself: tracing on vs. off, same bits everywhere.
+    /// The contract itself: tracing on vs. off, same bits everywhere,
+    /// for a job the serial pool continues across an epoch boundary from
+    /// the simulator of the job before it as much as for fresh ones.
     #[test]
     fn tracing_is_bit_identical_across_workers(seed in 0u64..500) {
         let _gate = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut longer = job(seed, &[("HISTO", 2), ("GUP", 2)], 5_000);
+        longer.max_cycles = 6_500;
         let jobs = [
             job(seed, &[("HISTO", 2), ("GUP", 2)], 5_000),
             job(seed, &[("CONS", 2), ("LPS", 2)], 5_000),
+            longer,
         ];
         mask_obs::set_runtime(Some(false));
-        let off = run_matrix(&jobs);
+        let (off, continued_off) = run_matrix(&jobs);
         mask_obs::set_runtime(Some(true));
-        let on = run_matrix(&jobs);
+        let (on, continued_on) = run_matrix(&jobs);
         mask_obs::set_runtime(Some(false));
         mask_obs::reset_collected();
+        prop_assert_eq!((continued_off, continued_on), (1, 1));
+        prop_assert_eq!(&on[..jobs.len()], &on[2 * jobs.len()..], "continued != fresh");
         prop_assert_eq!(&off, &on, "tracing changed simulation results");
         for (a, b) in off.iter().zip(&on) {
             prop_assert_eq!(checksum(a), checksum(b));
