@@ -34,7 +34,7 @@ use mask_common::stats::HitStats;
 const SAMPLE_PERIOD: u64 = 32;
 
 /// Per-level, per-address-space hit-rate state.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct AppMonitor {
     level_epoch: [HitStats; 4],
     data_epoch: HitStats,
@@ -54,7 +54,7 @@ impl AppMonitor {
 }
 
 /// Per-level hit-rate monitor driving the L2 bypass decision.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct BypassMonitor {
     apps: Vec<AppMonitor>,
     margin: f64,

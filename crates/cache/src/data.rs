@@ -19,7 +19,7 @@ use mask_common::ids::{split_ranges, Asid};
 /// Way `w` of set `s` lives at index `s * assoc + w` of four parallel
 /// vectors, tags apart from LRU stamps: a probe reads one set's tags and
 /// valid bits and nothing else until it has found its way.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct DataCache {
     /// Line tag per way (stale, not cleared, in an invalid way).
     lines: Vec<u64>,

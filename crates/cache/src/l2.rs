@@ -40,7 +40,7 @@ pub struct L2Response {
     pub outcome: L2Outcome,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Bank {
     /// FIFO of (request, earliest service cycle).
     queue: VecDeque<(MemRequest, Cycle)>,
@@ -63,7 +63,7 @@ impl Bank {
 }
 
 /// The shared L2 cache.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SharedL2Cache {
     array: DataCache,
     banks: Vec<Bank>,

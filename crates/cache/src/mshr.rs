@@ -15,7 +15,7 @@ use mask_common::addr::LineAddr;
 pub use mask_obs::MshrOutcome as MshrAlloc;
 
 /// One MSHR entry: a pending line plus its waiters.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct MshrEntry<W> {
     /// The line being fetched.
     pub line: LineAddr,
@@ -34,8 +34,6 @@ pub struct MshrTable<W> {
     capacity: usize,
     /// Largest waiter count ever held by a single entry.
     peak_waiters: usize,
-    /// Component label the checker's diagnostics carry.
-    component: &'static str,
     /// Checker mirror-table id (0 in release builds).
     san_table: u32,
     /// Recycled waiter vectors: primary allocations pop from here instead of
@@ -58,7 +56,6 @@ impl<W> MshrTable<W> {
             lines: Vec::new(),
             capacity,
             peak_waiters: 0,
-            component,
             san_table: mask_obs::hooks::register_table(component, capacity),
             pool: Vec::new(),
         }
@@ -160,8 +157,8 @@ impl<W> MshrTable<W> {
 impl<W: mask_common::snapshot::Snapshot> mask_common::snapshot::Snapshot for MshrTable<W> {
     /// Serializes the occupied entries in table order (lookup uses a linear
     /// scan and completion uses `swap_remove`, so order is behaviorally
-    /// significant) plus the peak-waiter statistic. Capacity, component
-    /// label, and the recycling pool are construction-time/transient.
+    /// significant) plus the peak-waiter statistic. Capacity, the checker
+    /// table, and the recycling pool are construction-time/transient.
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
         w.usize(self.peak_waiters);
         w.seq(self.entries.len());
@@ -171,33 +168,6 @@ impl<W: mask_common::snapshot::Snapshot> mask_common::snapshot::Snapshot for Msh
             for waiter in &e.waiters {
                 waiter.snapshot(w);
             }
-        }
-    }
-}
-
-impl<W: Clone> Clone for MshrTable<W> {
-    /// Clones register a fresh sanitizer mirror and replay the live entries
-    /// into it, so a cloned simulator keeps independent MSHR accounting.
-    fn clone(&self) -> Self {
-        let san_table = mask_obs::hooks::register_table(self.component, self.capacity);
-        if cfg!(debug_assertions) {
-            for (i, e) in self.entries.iter().enumerate() {
-                let mut outcome = MshrAlloc::Primary;
-                for _ in &e.waiters {
-                    mask_obs::hooks::mshr_alloc(san_table, e.line.0, outcome, i + 1, self.capacity);
-                    outcome = MshrAlloc::Secondary;
-                }
-            }
-        }
-        MshrTable {
-            entries: self.entries.clone(),
-            lines: self.lines.clone(),
-            capacity: self.capacity,
-            peak_waiters: self.peak_waiters,
-            component: self.component,
-            san_table,
-            // The pool is a perf cache, not state: clones start empty.
-            pool: Vec::new(),
         }
     }
 }

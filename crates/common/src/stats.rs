@@ -6,6 +6,7 @@
 //! (Fig. 6), DRAM bandwidth utilization and latency split by request class
 //! (Figs. 8–9), and per-walk-level L2 cache hit rates (§4.3).
 
+use crate::json::Value;
 use crate::req::WalkLevel;
 
 /// One entry of a counter struct's field table, as [`AppStats::fields`]
@@ -14,9 +15,10 @@ use crate::req::WalkLevel;
 /// whose fields are all `Counter`s.
 ///
 /// The table is the single written-down list of the counters: the MSNP
-/// codec, the wire JSON, the epoch deltas and the test generators all walk
-/// it, so a counter added to a struct below is encoded, shipped, diffed
-/// and fuzzed without another edit.
+/// codec, the JSON of the wire and the epoch frames ([`fields_to_value`]),
+/// the epoch deltas and the test generators all walk it, so a counter
+/// added to a struct below is encoded, shipped, diffed, traced and fuzzed
+/// without another edit.
 #[derive(Debug)]
 pub enum Field<U, H, D, L> {
     /// A `u64` that only accumulates; deltas subtract it.
@@ -102,6 +104,27 @@ fn add_counters<'a, 'b>(
         };
         *a += *b;
     }
+}
+
+/// One counter struct as a JSON object: a member per entry of its field
+/// table, nested structs as nested objects, the per-level pairs as an
+/// array. The one serializer of a counter block: `maskd`'s wire JSON and
+/// `mask-obs`'s epoch frames both call it.
+#[must_use]
+pub fn fields_to_value<'a>(fields: impl Iterator<Item = (&'static str, FieldRef<'a>)>) -> Value {
+    let member = |field: FieldRef<'a>| match field {
+        Field::Counter(v) | Field::Level(v) => Value::Num(*v),
+        Field::Hit(h) => fields_to_value(h.fields()),
+        Field::Dram(d) => fields_to_value(d.fields()),
+        Field::HitLevels(levels) => {
+            Value::Array(levels.iter().map(|h| fields_to_value(h.fields())).collect())
+        }
+    };
+    Value::Object(
+        fields
+            .map(|(name, field)| (name.to_owned(), member(field)))
+            .collect(),
+    )
 }
 
 counters! {

@@ -34,13 +34,13 @@ pub struct DramCompletion {
     pub bus_cycles: u64,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct BankState {
     open_row: Option<u64>,
     busy_until: Cycle,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum ChannelQueue {
     /// Single request buffer with FR-FCFS or batch scheduling.
     Baseline(ScanQueue, Option<BatchState>),
@@ -48,7 +48,7 @@ enum ChannelQueue {
     Mask(MaskQueues),
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Channel {
     banks: Vec<BankState>,
     queue: ChannelQueue,
@@ -84,7 +84,7 @@ impl Channel {
 }
 
 /// The DRAM device.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Dram {
     cfg: DramConfig,
     channels: Vec<Channel>,

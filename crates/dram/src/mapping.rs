@@ -25,7 +25,7 @@ pub struct Decoded {
 /// partitions "memory channels ... equally across applications", §7) or to
 /// bank subsets within every channel (the FGPU-style `Partitioned` design,
 /// which colors DRAM banks instead of reserving whole channels).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct ChannelPartition {
     /// `ranges[asid] = (first_channel, n_channels)`; empty = no partition.
     ranges: Vec<(usize, usize)>,

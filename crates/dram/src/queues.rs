@@ -45,7 +45,7 @@ fn scan_key(decoded: &Decoded) -> u64 {
 
 /// A push-ordered request buffer and, in lock-step with its entries, the
 /// keys the FR-FCFS scans read in their place.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct ScanQueue {
     entries: Vec<QueueEntry>,
     /// [`scan_key`] of the entry at the same index. Derived state.
@@ -121,7 +121,7 @@ impl ScanQueue {
 /// Serves one application's requests at a time (row hits first within the
 /// application), switching after `BATCH` consecutive grants or when the
 /// current application has no ready requests.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct BatchState {
     current_app: usize,
     served: u32,
@@ -163,7 +163,7 @@ impl BatchState {
 }
 
 /// MASK's three-queue request buffer for one channel (§5.4).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct MaskQueues {
     golden: VecDeque<QueueEntry>,
     silver: ScanQueue,

@@ -55,7 +55,7 @@ impl DirectIssue<'_> {
 }
 
 /// Execution state of one warp context.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 enum WarpState {
     /// Needs a fresh instruction group from its trace.
     NeedOp,
@@ -69,7 +69,7 @@ enum WarpState {
     DataWait { outstanding: u32 },
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct WarpCtx {
     trace: WarpTrace,
     state: WarpState,
@@ -83,7 +83,7 @@ struct WarpCtx {
 const NO_BURST: Cycle = Cycle::MAX;
 
 /// One GPU shader core.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct GpuCore {
     /// Physical core id (index into the simulator's core array).
     pub id: CoreId,
@@ -677,16 +677,15 @@ mod tests {
         }
         let before = out.len();
         // Drive the translation unit with an instant memory system.
-        let mut pwc_hits = Vec::new();
         let mut resolved = Vec::new();
         for now in 20..100 {
             let mut xl_out = Vec::new();
-            xlat.tick(now, &mut id, &mut xl_out, &mut pwc_hits, &mut resolved);
+            let apps = std::slice::from_mut(&mut stats);
+            xlat.tick(now, &mut id, &mut xl_out, apps, &mut resolved);
             let mut queue: Vec<_> = xl_out;
             while let Some(r) = queue.pop() {
                 let mut more = Vec::new();
-                if let Some(done) = xlat.memory_response(&r, now, &mut id, &mut more, &mut pwc_hits)
-                {
+                if let Some(done) = xlat.memory_response(&r, now, &mut id, &mut more, apps) {
                     resolved.push(done);
                 }
                 queue.extend(more);
@@ -740,14 +739,13 @@ mod tests {
 
     #[test]
     fn gto_prefers_last_issued_warp() {
-        let (core, ..) = setup(DesignKind::Ideal);
+        let (mut core, ..) = setup(DesignKind::Ideal);
         // All warps ready, last = 0 -> warp 0 selected.
         assert_eq!(core.select_warp(), Some(0));
-        let mut c2 = core.clone();
-        c2.last = 5;
-        assert_eq!(c2.select_warp(), Some(5), "greedy on last warp");
-        c2.set_ready(5, false);
-        assert_eq!(c2.select_warp(), Some(0), "oldest ready otherwise");
+        core.last = 5;
+        assert_eq!(core.select_warp(), Some(5), "greedy on last warp");
+        core.set_ready(5, false);
+        assert_eq!(core.select_warp(), Some(0), "oldest ready otherwise");
     }
 
     #[test]

@@ -147,9 +147,8 @@ pub struct GpuSim {
     next_req_id: u64,
     n_apps: usize,
     /// When each core's issue stage is next visited; see [`WakeSchedule`].
-    /// `reset_stats`, `flush_volatile`, `tlb_shootdown` and
-    /// `pte_update_flush` change no warp's readiness and no retry queue,
-    /// so they do not touch it.
+    /// `reset_stats`, `flush_volatile` and `tlb_shootdown` change no warp's
+    /// readiness and no retry queue, so they do not touch it.
     wake: WakeSchedule,
     /// Which cores each application owns, as bit masks over 64-core words:
     /// word `w` of application `a` is `app_cores[a * wake.words + w]`. The
@@ -158,7 +157,6 @@ pub struct GpuSim {
     app_cores: Vec<u64>,
     /// Reusable scratch buffer for L2-bound requests.
     scratch_l2: Vec<MemRequest>,
-    scratch_pwc: Vec<(Asid, bool)>,
     /// Scratch for translations resolved by the translation unit's tick.
     scratch_resolved: Vec<ResolvedTranslation>,
     /// Scratch for L2→DRAM request transfer.
@@ -285,7 +283,6 @@ impl GpuSim {
             wake: WakeSchedule::new(cfg.gpu.n_cores),
             app_cores,
             scratch_l2: Vec::new(),
-            scratch_pwc: Vec::new(),
             scratch_resolved: Vec::new(),
             scratch_dram: Vec::new(),
             scratch_compl: Vec::new(),
@@ -445,13 +442,12 @@ impl GpuSim {
         // 2. Translation unit: L2 TLB pipeline + walker activation. The
         // resolved scratch is taken out of `self` because `deliver_one`
         // needs `&mut self`; it is put back below with its capacity intact.
-        let mut pwc_hits = std::mem::take(&mut self.scratch_pwc);
         let mut resolved = std::mem::take(&mut self.scratch_resolved);
         self.xlat.tick(
             now,
             &mut self.next_req_id,
             &mut self.scratch_l2,
-            &mut pwc_hits,
+            &mut self.stats.apps,
             &mut resolved,
         );
         for r in resolved.drain(..) {
@@ -524,7 +520,7 @@ impl GpuSim {
                         now,
                         &mut self.next_req_id,
                         &mut self.scratch_l2,
-                        &mut pwc_hits,
+                        &mut self.stats.apps,
                     );
                     if let Some(r) = done {
                         self.deliver_one(r);
@@ -539,11 +535,6 @@ impl GpuSim {
             self.l2.enqueue(req, now);
         }
         end_stage(SimStage::Responses);
-        // 7. PWC statistics.
-        for (asid, hit) in pwc_hits.drain(..) {
-            self.stats.apps[asid.index()].pwc.record(hit);
-        }
-        self.scratch_pwc = pwc_hits;
         // Queue-depth sampling (deduplicated per thread inside the hook);
         // the depth computations are skipped entirely when tracing is off.
         if traced {
@@ -552,7 +543,7 @@ impl GpuSim {
             mask_obs::hooks::queue_depth(QueueKind::DramInFlight, self.dram.in_flight() as u32);
             mask_obs::hooks::queue_depth(QueueKind::Walker, self.xlat.walker_demand() as u32);
         }
-        // 8. Per-cycle sampling.
+        // 7. Per-cycle sampling.
         for app in 0..self.n_apps {
             let walks = self.xlat.concurrent_walks(Asid::new(app as u16)) as u64;
             self.stats.apps[app].walk_cycles_integral += walks;
@@ -568,7 +559,7 @@ impl GpuSim {
         }
     }
 
-    /// Stage 9 of `step`: end-of-epoch work, on the cycle `now` reaches a
+    /// Stage 8 of `step`: end-of-epoch work, on the cycle `now` reaches a
     /// multiple of the epoch length.
     fn epoch_boundary(&mut self) {
         if self.now != self.next_epoch {
@@ -626,15 +617,6 @@ impl GpuSim {
             }
         }
         self.xlat.shootdown(asid);
-    }
-
-    /// Flushes *all* translation structures after a page-table-entry
-    /// modification (§5.2).
-    pub fn pte_update_flush(&mut self) {
-        for c in &mut self.cores {
-            c.flush_volatile();
-        }
-        self.xlat.pte_update_flush();
     }
 
     /// Zeroes every statistics counter while leaving all architectural and

@@ -19,6 +19,7 @@ use mask_common::config::{DesignSpec, GpuConfig, TokenPolicy, TranslationPath};
 use mask_common::ids::{Asid, GlobalWarpId};
 use mask_common::req::{MemRequest, ReqId, RequestClass};
 use mask_common::snapshot::Fnv1a;
+use mask_common::stats::AppStats;
 use mask_common::Cycle;
 use mask_pagetable::{PageTables, PageWalker, WalkAccess, WalkId, WalkOutcome};
 use mask_tlb::{L2TlbProbe, PageWalkCache, SharedL2Tlb, TokenAllocator};
@@ -37,7 +38,7 @@ use std::hash::BuildHasherDefault;
 type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv1a>>;
 
 /// A translation that just resolved; the simulator wakes all waiters.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ResolvedTranslation {
     /// Address space translated.
     pub asid: Asid,
@@ -53,7 +54,7 @@ pub struct ResolvedTranslation {
     pub walk_latency: Cycle,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct TransEntry {
     waiters: Vec<GlobalWarpId>,
     /// Warp that initiated the request (holds or lacks the fill token).
@@ -79,7 +80,7 @@ struct EpochAcc {
 }
 
 /// The translation subsystem shared by all cores.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TranslationUnit {
     l2tlb: Option<SharedL2Tlb>,
     pwc: Option<PageWalkCache>,
@@ -222,11 +223,11 @@ impl TranslationUnit {
         now: Cycle,
         next_req_id: &mut u64,
         out_l2: &mut Vec<MemRequest>,
-        pwc_hits: &mut Vec<(Asid, bool)>,
+        stats: &mut [AppStats],
     ) {
         if let Some(pwc) = &mut self.pwc {
             let hit = pwc.access(access.line);
-            pwc_hits.push((access.asid, hit));
+            stats[access.asid.index()].pwc.record(hit);
             if hit {
                 self.pwc_pipe.push((now + self.pwc_latency, access));
                 return;
@@ -283,15 +284,16 @@ impl TranslationUnit {
 
     /// Advances one cycle.
     ///
-    /// Emits walker memory requests into `out_l2` and appends resolved
-    /// translations (shared-L2-TLB hits and PWC-completed walks) to
-    /// `resolved` (not cleared).
+    /// Emits walker memory requests into `out_l2`, records each
+    /// page-walk-cache probe in its application's `stats` (indexed by
+    /// ASID), and appends resolved translations (shared-L2-TLB hits and
+    /// PWC-completed walks) to `resolved` (not cleared).
     pub fn tick(
         &mut self,
         now: Cycle,
         next_req_id: &mut u64,
         out_l2: &mut Vec<MemRequest>,
-        pwc_hits: &mut Vec<(Asid, bool)>,
+        stats: &mut [AppStats],
         resolved: &mut Vec<ResolvedTranslation>,
     ) {
         // 0. Release walks whose demand-paging fault completed.
@@ -340,7 +342,7 @@ impl TranslationUnit {
         walks.clear();
         self.walker.activate_into(&mut self.tables, &mut walks);
         for &access in &walks {
-            self.route_walk_access(access, now, next_req_id, out_l2, pwc_hits);
+            self.route_walk_access(access, now, next_req_id, out_l2, stats);
         }
         self.scratch_walks = walks;
         // 3. Complete PWC-hit walk steps whose latency elapsed.
@@ -350,7 +352,7 @@ impl TranslationUnit {
                 let (_, access) = self.pwc_pipe.swap_remove(i);
                 match self.walker.access_complete(access.walk, &self.tables, now) {
                     WalkOutcome::Next(next) => {
-                        self.route_walk_access(next, now, next_req_id, out_l2, pwc_hits);
+                        self.route_walk_access(next, now, next_req_id, out_l2, stats);
                     }
                     WalkOutcome::Done {
                         asid,
@@ -384,21 +386,22 @@ impl TranslationUnit {
     /// Delivers an L2/DRAM completion for a walker access.
     ///
     /// Returns a resolved translation if this was the final level, and may
-    /// emit the next level's memory request into `out_l2`.
+    /// emit the next level's memory request into `out_l2` (recording its
+    /// page-walk-cache probe in `stats`, as [`TranslationUnit::tick`] does).
     pub fn memory_response(
         &mut self,
         req: &MemRequest,
         now: Cycle,
         next_req_id: &mut u64,
         out_l2: &mut Vec<MemRequest>,
-        pwc_hits: &mut Vec<(Asid, bool)>,
+        stats: &mut [AppStats],
     ) -> Option<ResolvedTranslation> {
         let pos = self.walk_of_req.iter().position(|&(id, _)| id == req.id)?;
         let (_, walk) = self.walk_of_req.swap_remove(pos);
         mask_obs::hooks::retire(mask_obs::Domain::XlatMem, req.id.0);
         match self.walker.access_complete(walk, &self.tables, now) {
             WalkOutcome::Next(next) => {
-                self.route_walk_access(next, now, next_req_id, out_l2, pwc_hits);
+                self.route_walk_access(next, now, next_req_id, out_l2, stats);
                 None
             }
             WalkOutcome::Done {
@@ -506,18 +509,6 @@ impl TranslationUnit {
         }
     }
 
-    /// Full translation-structure flush after a PTE modification (§5.2:
-    /// "MASK flushes all contents of the TLB and the TLB bypass cache when
-    /// a PTE is modified").
-    pub fn pte_update_flush(&mut self) {
-        if let Some(l2) = &mut self.l2tlb {
-            l2.flush();
-        }
-        if let Some(pwc) = &mut self.pwc {
-            pwc.flush();
-        }
-    }
-
     /// Flushes all cached translation state (context-switch experiments).
     pub fn flush_volatile(&mut self) {
         if let Some(l2) = &mut self.l2tlb {
@@ -621,17 +612,17 @@ mod tests {
         let mut resolved = Vec::new();
         let mut reqs = Vec::new();
         let mut next_id = 0u64;
-        let mut pwc_hits = Vec::new();
+        let mut stats = vec![AppStats::default(); unit.n_apps];
         for now in now_start..now_start + cycles {
             let mut out = Vec::new();
-            unit.tick(now, &mut next_id, &mut out, &mut pwc_hits, &mut resolved);
+            unit.tick(now, &mut next_id, &mut out, &mut stats, &mut resolved);
             // Instantly satisfy every memory request (zero-latency L2),
             // including requests generated by responses (worklist loop).
             while let Some(r) = out.pop() {
                 reqs.push(r);
                 let mut more = Vec::new();
                 if let Some(done) =
-                    unit.memory_response(&r, now, &mut next_id, &mut more, &mut pwc_hits)
+                    unit.memory_response(&r, now, &mut next_id, &mut more, &mut stats)
                 {
                     resolved.push(done);
                 }

@@ -137,12 +137,12 @@ impl World {
         }
         self.send(&mut out, now);
         // 2. Translation unit.
-        let (mut pwc, mut resolved) = (Vec::new(), Vec::new());
+        let mut resolved = Vec::new();
         self.xlat.tick(
             now,
             &mut self.next_req_id,
             &mut out,
-            &mut pwc,
+            std::slice::from_mut(&mut self.stats),
             &mut resolved,
         );
         self.send(&mut out, now);
@@ -169,7 +169,7 @@ impl World {
                         now,
                         &mut self.next_req_id,
                         &mut out,
-                        &mut pwc,
+                        std::slice::from_mut(&mut self.stats),
                     );
                     self.send(&mut out, now);
                     if let Some(r) = done {

@@ -178,10 +178,17 @@ impl FairQueue {
         batch
     }
 
-    /// Marks one of `tenant`'s in-flight jobs complete.
+    /// Marks one of `tenant`'s in-flight jobs complete. A tenant left with
+    /// nothing queued and nothing in flight is forgotten: clients choose
+    /// tenant names, so keeping idle ones would grow the map without
+    /// bound. Its deficit is already 0 (an emptied queue forfeits it), so
+    /// a later admission starts where this one would have.
     pub fn job_done(&mut self, tenant: &str) {
         if let Some(state) = self.tenants.get_mut(tenant) {
             state.inflight = state.inflight.saturating_sub(1);
+            if state.inflight == 0 && state.queue.is_empty() {
+                self.tenants.remove(tenant);
+            }
         }
     }
 
@@ -284,6 +291,23 @@ mod tests {
             q.select_batch(8, 8),
             [("a".to_owned(), 2), ("b".to_owned(), 3)]
         );
+    }
+
+    #[test]
+    fn idle_tenants_are_forgotten() {
+        let mut q = FairQueue::new(64, 8, 100);
+        for i in 0..1_000u64 {
+            let tenant = format!("tenant-{i}");
+            q.admit(&tenant, job(i, 10)).expect("admit");
+            assert_eq!(q.select_batch(8, 8), [(tenant.clone(), i)]);
+            q.job_done(&tenant);
+        }
+        assert!(
+            q.tenants.is_empty(),
+            "{} idle tenants kept",
+            q.tenants.len()
+        );
+        assert!(q.rotation.is_empty());
     }
 
     /// Differential test of [`FairQueue::select_batch`] against the

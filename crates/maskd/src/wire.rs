@@ -28,7 +28,7 @@
 
 use crate::json::Value;
 use mask_common::config::{DesignKind, GpuConfig};
-use mask_common::stats::{AppStats, Field, FieldMut, FieldRef, SimStats};
+use mask_common::stats::{fields_to_value, AppStats, Field, FieldMut, SimStats};
 use mask_core::SimJob;
 use mask_workloads::app_by_name;
 use std::fmt;
@@ -330,24 +330,6 @@ impl JobSpec {
             gpu,
         }
     }
-}
-
-/// One counter struct as a wire object: a member per entry of its field
-/// table (`mask_common::stats`), nested structs as nested objects.
-fn fields_to_value<'a>(fields: impl Iterator<Item = (&'static str, FieldRef<'a>)>) -> Value {
-    let member = |field: FieldRef<'a>| match field {
-        Field::Counter(v) | Field::Level(v) => Value::Num(*v),
-        Field::Hit(h) => fields_to_value(h.fields()),
-        Field::Dram(d) => fields_to_value(d.fields()),
-        Field::HitLevels(levels) => {
-            Value::Array(levels.iter().map(|h| fields_to_value(h.fields())).collect())
-        }
-    };
-    Value::Object(
-        fields
-            .map(|(name, field)| (name.to_owned(), member(field)))
-            .collect(),
-    )
 }
 
 /// Inverse of [`fields_to_value`]: fills every field of the table from `v`.

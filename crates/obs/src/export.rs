@@ -49,8 +49,6 @@ pub struct TraceSummary {
     pub spans: usize,
     /// Events the sink overwrote.
     pub dropped: u64,
-    /// Counter families present in the metrics stream.
-    pub families: Vec<String>,
 }
 
 /// Trace output directory: `MASK_TRACE_OUT`, default `target/mask-trace`.
@@ -80,7 +78,7 @@ pub fn write_all() -> std::io::Result<TraceSummary> {
 /// Propagates filesystem errors.
 pub fn write_to(dir: &Path) -> std::io::Result<TraceSummary> {
     let data = crate::ring::take_snapshot();
-    let (trace, jsonl, families) = render(&data);
+    let (trace, jsonl) = render(&data);
     std::fs::create_dir_all(dir)?;
     let trace_path = dir.join("trace.json");
     let metrics_path = dir.join("metrics.jsonl");
@@ -93,14 +91,13 @@ pub fn write_to(dir: &Path) -> std::io::Result<TraceSummary> {
         frames: jsonl.lines().count(),
         spans: data.spans.len(),
         dropped: data.dropped,
-        families,
     })
 }
 
 /// Renders a drained [`TraceData`] into (`trace.json` contents,
-/// `metrics.jsonl` contents, counter families present).
+/// `metrics.jsonl` contents).
 #[must_use]
-pub fn render(data: &TraceData) -> (String, String, Vec<String>) {
+pub fn render(data: &TraceData) -> (String, String) {
     use std::fmt::Write as _;
     let mut ev = String::with_capacity(256 + data.events.len() * 96);
     ev.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
@@ -205,13 +202,7 @@ pub fn render(data: &TraceData) -> (String, String, Vec<String>) {
              \"ns\":{nanos},\"samples\":{samples}}}"
         );
     }
-
-    let families = ["tlb", "walker", "l2", "dram", "job_pool"]
-        .iter()
-        .filter(|fam| jsonl.contains(&format!("\"{fam}\"")))
-        .map(|fam| (*fam).to_owned())
-        .collect();
-    (ev, jsonl, families)
+    (ev, jsonl)
 }
 
 #[cfg(test)]
@@ -224,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn render_pairs_walker_spans_and_counts_families() {
+    fn render_pairs_walker_spans_and_writes_frames() {
         let mut data = TraceData {
             events: vec![
                 rec(10, Event::WalkerAcquire { slot: 3, level: 1 }),
@@ -279,13 +270,11 @@ mod tests {
         ];
         data.events
             .extend((110..).zip(accounting).map(|(cycle, e)| rec(cycle, e)));
-        data.frames.push(
-            "{\"type\":\"epoch\",\"cycle\":100000,\"app\":0,\"tlb\":{},\"walker\":{},\
-             \"l2\":{},\"dram\":{}}"
-                .to_owned(),
-        );
-        data.frames
-            .push("{\"type\":\"job_pool\",\"workers\":1}".to_owned());
+        let frames = [
+            "{\"type\":\"epoch\",\"cycle\":100000,\"app\":0,\"delta\":{}}",
+            "{\"type\":\"job_pool\",\"workers\":1}",
+        ];
+        data.frames.extend(frames.map(str::to_owned));
         data.spans.push(Span {
             name: "CONS+LPS \"quoted\"".to_owned(),
             lane: 2,
@@ -293,7 +282,7 @@ mod tests {
             dur_us: 0,
         });
         data.stages.insert(("issue", 0), (1234, 10));
-        let (trace, jsonl, families) = render(&data);
+        let (trace, jsonl) = render(&data);
         // Each lane's acquire/release pair becomes one complete span on
         // that lane's track for the slot, however the pairs interleave.
         assert!(trace.contains(
@@ -319,13 +308,16 @@ mod tests {
             assert!(trace.contains(&instant), "{instant}");
         }
         assert!(trace.contains("\"args\":{\"event\":\"Issue { domain: XlatMem, id: 41 }\"}"));
-        assert!(jsonl.contains("\"type\":\"stage_profile\""));
-        assert_eq!(families, ["tlb", "walker", "l2", "dram", "job_pool"]);
+        // The frames come first, verbatim and in order, then the stage
+        // profile.
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines[..2], frames);
+        assert!(lines[2].starts_with("{\"type\":\"stage_profile\""));
     }
 
     #[test]
     fn empty_trace_json_is_well_formed() {
-        let (trace, _, _) = render(&TraceData::default());
+        let (trace, _) = render(&TraceData::default());
         let doc = mask_common::json::parse(&trace).expect("Perfetto's parser accepts it");
         assert!(doc.get("traceEvents").is_some());
         assert!(trace.starts_with("{\"displayTimeUnit\""));

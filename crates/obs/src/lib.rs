@@ -15,8 +15,9 @@
 //!    [`ring::SINK_CAPACITY`] events (overwrite-oldest, drop-counted).
 //! 2. **Metrics stream** ([`metrics`]) — per-epoch snapshots of the
 //!    `AppStats` counters, diffed against the previous epoch and emitted as
-//!    JSONL frames (counter families: `tlb`, `walker`, `l2`, `dram`, plus
-//!    engine-side `job_pool` frames).
+//!    JSONL frames whose `delta` is every counter of the field table, as
+//!    `mask_common::stats::fields_to_value` writes it, plus engine-side
+//!    `job_pool` frames.
 //! 3. **Self-profiling** ([`profile`]) — cycle-bucketed wall-clock timings
 //!    of the `GpuSim::step` stages and job engine spans, so `MASK_JOBS`
 //!    tuning is data-driven.

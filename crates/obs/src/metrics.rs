@@ -3,15 +3,17 @@
 //! [`EpochTracker`] snapshots the simulation's `AppStats` at every MASK
 //! epoch boundary, diffs them against the previous epoch
 //! ([`mask_common::stats::AppStats::delta_since`]) and emits one JSONL
-//! frame per application per epoch. Frames carry the counter families the
-//! paper's time-resolved analysis needs: `tlb`, `walker`, `l2`, and `dram`
-//! (Figs. 4–9). The engine side contributes `job_pool` frames
-//! ([`job_pool_frame`]), for five families total.
+//! frame per application per epoch:
+//! `{"type":"epoch","cycle":…,"app":…,"delta":{…}}`, where `delta` is the
+//! whole `AppStats` delta as the shared counter serializer
+//! ([`mask_common::stats::fields_to_value`]) writes it, so a frame carries
+//! every counter of the field table and this module names none. The engine
+//! side contributes `job_pool` frames ([`job_pool_frame`]).
 //!
 //! Everything here is read-only with respect to the simulation and
 //! inert unless tracing is live.
 
-use mask_common::stats::{AppStats, SimStats};
+use mask_common::stats::{fields_to_value, AppStats, SimStats};
 
 /// Per-simulation epoch metrics tracker. Held by `GpuSim` and driven from
 /// the epoch-boundary stage of `step`.
@@ -38,63 +40,30 @@ impl EpochTracker {
         if crate::tracing_active() {
             let mut synced = stats.clone();
             sync(&mut synced);
-            self.emit(now, &synced);
+            for frame in self.frames(now, &synced) {
+                crate::ring::push_frame(frame);
+            }
         }
     }
 
-    fn emit(&mut self, now: u64, stats: &SimStats) {
+    /// The frames of the epoch ending at `now`, one per application; the
+    /// previous-epoch snapshot advances to `stats`.
+    fn frames(&mut self, now: u64, stats: &SimStats) -> Vec<String> {
         if self.prev.len() != stats.apps.len() {
             self.prev = vec![AppStats::default(); stats.apps.len()];
         }
-        for (app, cur) in stats.apps.iter().enumerate() {
-            let d = cur.delta_since(&self.prev[app]);
-            let xlat_acc: u64 = d.l2_translation.iter().map(|h| h.accesses).sum();
-            let xlat_hit: u64 = d.l2_translation.iter().map(|h| h.hits).sum();
-            crate::ring::push_frame(format!(
-                concat!(
-                    "{{\"type\":\"epoch\",\"cycle\":{},\"app\":{},",
-                    "\"ipc\":{{\"instructions\":{},\"mem_instructions\":{},\"cycles\":{},\"stall_cycles\":{}}},",
-                    "\"tlb\":{{\"l1_acc\":{},\"l1_hit\":{},\"l2_acc\":{},\"l2_hit\":{},",
-                    "\"bypass_acc\":{},\"bypass_hit\":{},\"fills_diverted\":{}}},",
-                    "\"walker\":{{\"started\":{},\"completed\":{},\"latency_sum\":{},",
-                    "\"concurrency_integral\":{},\"page_faults\":{}}},",
-                    "\"l2\":{{\"data_acc\":{},\"data_hit\":{},\"xlat_acc\":{},\"xlat_hit\":{},\"bypassed\":{}}},",
-                    "\"dram\":{{\"data_req\":{},\"data_lat_sum\":{},\"data_row_hits\":{},",
-                    "\"xlat_req\":{},\"xlat_lat_sum\":{},\"xlat_row_hits\":{}}}}}"
-                ),
-                now,
-                app,
-                d.instructions,
-                d.mem_instructions,
-                d.cycles,
-                d.stall_cycles,
-                d.l1_tlb.accesses,
-                d.l1_tlb.hits,
-                d.l2_tlb.accesses,
-                d.l2_tlb.hits,
-                d.tlb_bypass_cache.accesses,
-                d.tlb_bypass_cache.hits,
-                d.fills_diverted,
-                d.walks_started,
-                d.walks_completed,
-                d.walk_latency_sum,
-                d.walk_cycles_integral,
-                d.page_faults,
-                d.l2_data.accesses,
-                d.l2_data.hits,
-                xlat_acc,
-                xlat_hit,
-                d.l2_translation_bypassed,
-                d.dram_data.requests,
-                d.dram_data.latency_sum,
-                d.dram_data.row_hits,
-                d.dram_translation.requests,
-                d.dram_translation.latency_sum,
-                d.dram_translation.row_hits,
-            ));
-        }
-        self.prev.clear();
-        self.prev.extend(stats.apps.iter().cloned());
+        let frames = stats
+            .apps
+            .iter()
+            .zip(&self.prev)
+            .enumerate()
+            .map(|(app, (cur, prev))| {
+                let delta = fields_to_value(cur.delta_since(prev).fields()).serialize();
+                format!("{{\"type\":\"epoch\",\"cycle\":{now},\"app\":{app},\"delta\":{delta}}}")
+            })
+            .collect();
+        self.prev.clone_from(&stats.apps);
+        frames
     }
 }
 
@@ -122,18 +91,36 @@ pub fn job_pool_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mask_common::json::{self, Value};
+
+    fn delta_of(frame: &str) -> Value {
+        let doc = json::parse(frame).expect("a frame is JSON");
+        assert_eq!(doc.get("type").and_then(Value::as_str), Some("epoch"));
+        doc.get("delta").expect("a frame carries its delta").clone()
+    }
 
     #[test]
-    fn tracker_diffs_epochs() {
-        // Drive the private emit path directly (no global sink assertions
-        // here — frame content is covered by the export tests).
+    fn a_frame_is_the_serialized_delta_since_the_previous_epoch() {
         let mut t = EpochTracker::new();
         let mut stats = SimStats::new(2, 1);
         stats.apps[0].instructions = 100;
-        t.emit(100_000, &stats);
-        assert_eq!(t.prev[0].instructions, 100);
+        stats.apps[1].l2_translation[3].record(false);
+        stats.apps[1].dram_translation.row_conflicts = 4;
+        let first = t.frames(100_000, &stats);
+        assert_eq!(first.len(), 2);
+        assert_eq!(delta_of(&first[1]), fields_to_value(stats.apps[1].fields()));
+
+        let prev = stats.clone();
         stats.apps[0].instructions = 250;
-        t.emit(200_000, &stats);
-        assert_eq!(t.prev[0].instructions, 250, "snapshot advances");
+        stats.apps[0].pwc.record(true);
+        stats.apps[0].walk_concurrency_max = 7;
+        stats.apps[0].tokens_final = 3;
+        let second = t.frames(200_000, &stats);
+        assert!(second[0].starts_with("{\"type\":\"epoch\",\"cycle\":200000,\"app\":0,"));
+        for (app, frame) in second.iter().enumerate() {
+            let want = stats.apps[app].delta_since(&prev.apps[app]);
+            assert_eq!(delta_of(frame), fields_to_value(want.fields()), "app {app}");
+        }
+        assert_eq!(t.prev, stats.apps, "snapshot advances");
     }
 }

@@ -29,7 +29,7 @@ const NODE_REGION_BASE: u64 = DATA_REGION_FRAMES * 64;
 /// Frames are identified by [`Ppn`]s relative to the configured page size;
 /// page-table nodes are always 4 KB regardless of the data page size, so
 /// node allocation tracks raw byte addresses internally.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FrameAllocator {
     page_size_log2: u32,
     /// Next free data frame per ASID (index = ASID).

@@ -19,7 +19,7 @@ const NODE_WORDS: usize = NODE_ENTRIES / 64;
 /// observation), so a dense 512-slot array is 4 KB of host memory for some
 /// tens of bytes of payload. Its depth fixes what the slots are — at the
 /// deepest level translations, anywhere else children.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Node {
     /// 4 KB frame number holding this node in physical memory.
     frame: u64,
@@ -32,7 +32,7 @@ struct Node {
 }
 
 /// The present slots of a node, packed in slot order.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Slots {
     /// Child node indices (into `PageTable::nodes`).
     Interior(Vec<u32>),
@@ -120,7 +120,7 @@ impl Node {
 ///
 /// Walk depth is determined by the data-page size: 4 levels for 4 KB pages,
 /// 3 for 2 MB pages (§7.3 large-page study).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PageTable {
     asid: Asid,
     page_size_log2: u32,
@@ -266,7 +266,7 @@ impl PageTable {
 }
 
 /// All address spaces' page tables plus the shared frame allocator.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PageTables {
     alloc: FrameAllocator,
     tables: Vec<PageTable>,

@@ -70,7 +70,7 @@ struct WalkState {
 }
 
 /// The shared page-table walker.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PageWalker {
     slots: Vec<Option<WalkState>>,
     /// Bit `i % 64` of word `i / 64` set iff slot `i` is free.

@@ -15,7 +15,7 @@ use mask_common::ids::Asid;
 use mask_common::stats::HitStats;
 
 /// A small fully-associative cache holding PTEs from tokenless warps.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TlbBypassCache {
     entries: AssocArray<TlbKey, Ppn>,
     stats: HitStats,

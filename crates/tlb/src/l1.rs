@@ -8,7 +8,7 @@ use mask_common::addr::{Ppn, Vpn};
 use mask_common::ids::Asid;
 
 /// A private, fully-associative L1 TLB.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct L1Tlb {
     entries: AssocArray<TlbKey, Ppn>,
 }

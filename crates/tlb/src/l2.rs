@@ -35,7 +35,7 @@ impl L2TlbProbe {
 }
 
 /// The shared L2 TLB, ASID-tagged, with optional MASK bypass cache.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SharedL2Tlb {
     entries: AssocArray<TlbKey, Ppn>,
     bypass: Option<TlbBypassCache>,

@@ -12,7 +12,7 @@ use mask_common::addr::{LineAddr, LINE_SIZE};
 use mask_common::stats::HitStats;
 
 /// A shared cache over page-table-node lines.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PageWalkCache {
     lines: AssocArray<LineAddr, ()>,
     stats: HitStats,

@@ -26,7 +26,7 @@
 use mask_common::config::{MaskParams, TokenPolicyKind};
 use mask_common::ids::Asid;
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct AppTokens {
     /// Cores assigned to this application.
     n_cores: u64,
@@ -49,7 +49,7 @@ impl AppTokens {
 }
 
 /// The per-application token controller.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TokenAllocator {
     apps: Vec<AppTokens>,
     policy: TokenPolicyKind,

@@ -23,7 +23,7 @@ pub struct WarpOp {
 }
 
 /// A deterministic per-warp trace generator.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct WarpTrace {
     profile: AppProfile,
     rng: Pcg32,

@@ -52,7 +52,6 @@ fn main() {
         "{} events, {} frames, {} engine spans, {} dropped",
         summary.events, summary.frames, summary.spans, summary.dropped
     );
-    println!("counter families: {}", summary.families.join(", "));
     println!();
     println!("open the trace at https://ui.perfetto.dev (process 1 is the");
     println!("simulated timeline at 1us = 1 cycle; process 2 is engine wall");

@@ -6,14 +6,16 @@
 //! byte-identical to the same run with tracing **off**, across job-engine
 //! worker counts (`MASK_JOBS`) and on the direct `SimJob::run` path. The
 //! others drive batches end-to-end through the exporter: a traced batch
-//! yields a well-formed Perfetto document and a metrics JSONL stream with
-//! every counter family, its events on the lanes its jobs ran on, and an
-//! untraced batch yields nothing at all.
+//! yields a well-formed Perfetto document and a metrics JSONL stream whose
+//! epoch frames carry every counter, its events on the lanes its jobs ran
+//! on, and an untraced batch yields nothing at all.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
+use mask_common::json::Value;
 use mask_common::snapshot::PrefixKey;
+use mask_common::stats::{Field, FieldRef};
 use mask_core::prelude::*;
 use proptest::prelude::*;
 
@@ -131,8 +133,44 @@ fn tracing_leaves_machine_state_untouched() {
     assert!(untraced == traced, "tracing wrote into machine state");
 }
 
+/// Collects into `missing` the path of every entry of a counter field
+/// table that `doc` lacks (or holds with the wrong type), recursing into
+/// the nested structs and the per-level pairs.
+fn missing_fields<'a>(
+    doc: &Value,
+    fields: impl Iterator<Item = (&'static str, FieldRef<'a>)>,
+    path: &str,
+    missing: &mut Vec<String>,
+) {
+    for (name, field) in fields {
+        let path = format!("{path}.{name}");
+        let Some(member) = doc.get(name) else {
+            missing.push(path);
+            continue;
+        };
+        match field {
+            Field::Counter(_) | Field::Level(_) => {
+                if member.as_u64().is_none() {
+                    missing.push(path);
+                }
+            }
+            Field::Hit(h) => missing_fields(member, h.fields(), &path, missing),
+            Field::Dram(d) => missing_fields(member, d.fields(), &path, missing),
+            Field::HitLevels(levels) => match member.as_array() {
+                Some(docs) if docs.len() == levels.len() => {
+                    for (level, (h, doc)) in levels.iter().zip(docs).enumerate() {
+                        missing_fields(doc, h.fields(), &format!("{path}[{level}]"), missing);
+                    }
+                }
+                _ => missing.push(path),
+            },
+        }
+    }
+}
+
 /// End-to-end: a traced batch exports a well-formed Perfetto document plus a
-/// metrics JSONL stream carrying all five counter families.
+/// metrics JSONL stream whose every epoch frame carries every `AppStats`
+/// counter, beside the engine's `job_pool` frames.
 #[test]
 fn traced_batch_exports_all_counter_families() {
     let _gate = GATE
@@ -164,15 +202,23 @@ fn traced_batch_exports_all_counter_families() {
     assert!(doc.get("traceEvents").is_some());
 
     let jsonl = std::fs::read_to_string(&summary.metrics_path).expect("metrics.jsonl written");
-    assert!(jsonl.lines().count() >= 2);
-    for family in ["tlb", "walker", "l2", "dram", "job_pool"] {
-        assert!(
-            summary.families.iter().any(|f| f == family),
-            "family {family} missing; got {:?}\njsonl head:\n{}",
-            summary.families,
-            jsonl.lines().take(4).collect::<Vec<_>>().join("\n")
-        );
+    let (mut epochs, mut job_pools) = (0, 0);
+    for line in jsonl.lines() {
+        let frame = mask_common::json::parse(line).expect("every metrics line is JSON");
+        match frame.get("type").and_then(Value::as_str) {
+            Some("epoch") => {
+                epochs += 1;
+                let delta = frame.get("delta").expect("an epoch frame has a delta");
+                let mut missing = Vec::new();
+                missing_fields(delta, AppStats::default().fields(), "delta", &mut missing);
+                assert!(missing.is_empty(), "frame lacks {missing:?}: {line}");
+            }
+            Some("job_pool") => job_pools += 1,
+            _ => {}
+        }
     }
+    assert!(epochs > 0, "no epoch frames");
+    assert!(job_pools > 0, "no job_pool frame");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -264,7 +310,7 @@ fn control_characters_in_span_names_are_escaped() {
         }],
         ..Default::default()
     };
-    let (trace, _, _) = mask_obs::export::render(&data);
+    let (trace, _) = mask_obs::export::render(&data);
     let doc = mask_common::json::parse(&trace).expect("trace.json is well-formed JSON");
     let events = doc
         .get("traceEvents")
