@@ -5,6 +5,8 @@ use mask_common::config::{DesignKind, DesignSpec, GpuConfig, SimConfig};
 use mask_common::snapshot::{Fnv1a, PrefixKey};
 use mask_common::stats::SimStats;
 use mask_gpu::{AppSpec, GpuSim};
+use mask_workloads::{app_by_name, AppProfile};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// One self-contained simulation: a design, an application placement, and
@@ -35,6 +37,8 @@ pub struct SimJob {
 /// machine on the same placement for the same cycles — the machine
 /// configuration is folded in via its complete `Debug` rendering, so a
 /// sensitivity sweep that tweaks any `GpuConfig` knob gets distinct keys.
+/// A workload is keyed by its parameters: a stock profile as its bare name
+/// (so stored keys stay put), any other profile as its full `Debug`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct JobKey {
     /// The *spec*, not the preset name: two named presets with identical
@@ -42,7 +46,7 @@ pub struct JobKey {
     /// (e.g. `NoIsolation` vs `SharedTlb`, which differ only in compute
     /// partitioning) never collapse.
     design: DesignSpec,
-    apps: Vec<(&'static str, usize)>,
+    apps: Vec<(Cow<'static, str>, usize)>,
     max_cycles: u64,
     warmup_cycles: u64,
     seed: u64,
@@ -56,6 +60,14 @@ pub struct JobKey {
 /// as the serial runner always did.
 fn warmup_eff(warmup_cycles: u64, max_cycles: u64) -> u64 {
     warmup_cycles.min(max_cycles / 2)
+}
+
+/// A profile as [`JobKey`] writes it.
+fn profile_key(p: &AppProfile) -> Cow<'static, str> {
+    match app_by_name(p.name) {
+        Some(stock) if stock == *p => Cow::Borrowed(p.name),
+        _ => Cow::Owned(format!("{p:?}")),
+    }
 }
 
 impl JobKey {
@@ -90,7 +102,7 @@ impl SimJob {
             apps: self
                 .specs
                 .iter()
-                .map(|s| (s.profile.name, s.n_cores))
+                .map(|s| (profile_key(&s.profile), s.n_cores))
                 .collect(),
             max_cycles,
             warmup_cycles,
@@ -170,7 +182,6 @@ impl SimJob {
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
-    use mask_workloads::app_by_name;
 
     pub(in crate::engine) fn job(design: DesignKind, apps: &[(&str, usize)], seed: u64) -> SimJob {
         let mut gpu = GpuConfig::maxwell();
@@ -213,9 +224,19 @@ pub(super) mod tests {
         let seed = job(DesignKind::SharedTlb, &[("GUP", 2)], 2);
         let mut gpu = base.clone();
         gpu.gpu.tlb.l2_entries /= 2;
-        for other in [&design, &apps, &seed, &gpu] {
+        // A copy of the stock profile, same name, one parameter changed.
+        let mut profile = base.clone();
+        profile.specs[0].profile.compute_per_mem += 1;
+        for other in [&design, &apps, &seed, &gpu, &profile] {
             assert_ne!(base.key(), other.key());
         }
+        // ... and a longer run of the variant never continues the stock
+        // job's simulator.
+        profile.max_cycles *= 2;
+        assert!(!profile.key().extends(&base.key()));
+        let mut longer = base.clone();
+        longer.max_cycles *= 2;
+        assert!(longer.key().extends(&base.key()));
     }
 
     #[test]

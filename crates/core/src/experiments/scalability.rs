@@ -14,7 +14,7 @@ use mask_workloads::{app_by_name, AppProfile};
 /// not publish its exact n-app mixes; we grow an all-High/High mix one app
 /// at a time so that shared-TLB/walker contention rises monotonically with
 /// the application count, which is the effect Table 3 demonstrates.
-pub fn mixes() -> Vec<Vec<&'static AppProfile>> {
+pub fn mixes() -> Vec<Vec<AppProfile>> {
     let get = |n: &str| app_by_name(n).expect("known app");
     vec![
         vec![get("CONS")],
@@ -50,7 +50,7 @@ fn normalized(opts: &ExpOptions, title: &str, metric: fn(&PairOutcome) -> f64) -
     let runner = opts.runner();
     let mut t = Table::new(title, &["n_apps", "SharedTLB/Ideal", "MASK/Ideal"]);
     let designs = [DesignKind::Ideal, DesignKind::SharedTlb, DesignKind::Mask];
-    let mixes: Vec<Vec<&'static AppProfile>> = mixes()
+    let mixes: Vec<Vec<AppProfile>> = mixes()
         .into_iter()
         .filter(|mix| mix.len() <= opts.n_cores)
         .collect();

@@ -31,7 +31,7 @@ pub struct SingleAppRow {
 /// the whole set as one job batch.
 pub fn measure(opts: &ExpOptions) -> Vec<SingleAppRow> {
     let runner = opts.runner();
-    let mixes: Vec<Vec<&'static AppProfile>> = all_apps().iter().map(|p| vec![p]).collect();
+    let mixes: Vec<Vec<AppProfile>> = all_apps().iter().map(|&p| vec![p]).collect();
     let outcomes = runner.run_multi_batch(&mixes, &[DesignKind::SharedTlb]);
     all_apps()
         .iter()

@@ -17,6 +17,9 @@
 //! workload sets to the [`JobPool`] at once, so independent simulations fan
 //! out over `MASK_JOBS` worker threads while results stay bit-identical at
 //! any worker count.
+//!
+//! Mixes hold each [`AppProfile`] by value; a job is keyed by its parameters
+//! (a stock profile by its bare name), so a mix may carry a swept copy.
 
 use crate::engine::{JobPool, SimJob};
 use crate::metrics::{unfairness, weighted_speedup};
@@ -257,7 +260,7 @@ impl PairRunner {
     }
 
     /// The even-split placement of each mix.
-    fn even_placements(&self, mixes: &[Vec<&'static AppProfile>]) -> Vec<Vec<AppSpec>> {
+    fn even_placements(&self, mixes: &[Vec<AppProfile>]) -> Vec<Vec<AppSpec>> {
         mixes
             .iter()
             .map(|mix| {
@@ -280,7 +283,7 @@ impl PairRunner {
     #[must_use]
     pub fn run_multi_batch(
         &self,
-        mixes: &[Vec<&'static AppProfile>],
+        mixes: &[Vec<AppProfile>],
         designs: &[DesignKind],
     ) -> Vec<PairOutcome> {
         self.run_batch(&self.even_placements(mixes), designs)
@@ -288,12 +291,7 @@ impl PairRunner {
 
     /// Runs a two-application workload with an even core split.
     #[must_use]
-    pub fn run_pair(
-        &self,
-        a: &'static AppProfile,
-        b: &'static AppProfile,
-        design: DesignKind,
-    ) -> PairOutcome {
+    pub fn run_pair(&self, a: AppProfile, b: AppProfile, design: DesignKind) -> PairOutcome {
         let ca = self.opts.n_cores / 2;
         let cb = self.opts.n_cores - ca;
         self.run_pair_split(a, b, design, ca, cb)
@@ -303,8 +301,8 @@ impl PairRunner {
     #[must_use]
     pub fn run_pair_split(
         &self,
-        a: &'static AppProfile,
-        b: &'static AppProfile,
+        a: AppProfile,
+        b: AppProfile,
         design: DesignKind,
         cores_a: usize,
         cores_b: usize,
@@ -350,8 +348,8 @@ impl PairRunner {
     #[must_use]
     pub fn run_pair_oracle(
         &self,
-        a: &'static AppProfile,
-        b: &'static AppProfile,
+        a: AppProfile,
+        b: AppProfile,
         design: DesignKind,
         candidates: &[usize],
         probe_cycles: u64,
@@ -402,7 +400,7 @@ impl PairRunner {
     ///
     /// Panics if `profiles` is empty.
     #[must_use]
-    pub fn run_multi(&self, profiles: &[&'static AppProfile], design: DesignKind) -> PairOutcome {
+    pub fn run_multi(&self, profiles: &[AppProfile], design: DesignKind) -> PairOutcome {
         self.run_multi_batch(std::slice::from_ref(&profiles.to_vec()), &[design])
             .pop()
             .expect("one mix in, one outcome out")

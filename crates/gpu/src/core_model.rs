@@ -124,7 +124,7 @@ impl GpuCore {
         id: CoreId,
         asid: Asid,
         core_rank: usize,
-        profile: &AppProfile,
+        profile: AppProfile,
         seed: u64,
         ideal_tlb: bool,
     ) -> Self {

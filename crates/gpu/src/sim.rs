@@ -18,8 +18,9 @@ use mask_workloads::AppProfile;
 /// One application's placement in a simulation.
 #[derive(Clone, Copy, Debug)]
 pub struct AppSpec {
-    /// The workload to run.
-    pub profile: &'static AppProfile,
+    /// The workload to run, by value: a job is keyed by these parameters
+    /// (a stock profile by its bare name), not by the name alone.
+    pub profile: AppProfile,
     /// Number of GPU cores assigned to it.
     pub n_cores: usize,
 }

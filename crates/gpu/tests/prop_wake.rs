@@ -63,7 +63,7 @@ impl World {
                 CoreId::new(0),
                 Asid::new(0),
                 0,
-                &all_apps()[app],
+                all_apps()[app],
                 seed,
                 spec.translation == TranslationPath::Ideal,
             ),

@@ -307,6 +307,8 @@ impl JobSpec {
     /// client's local oracle both go through this one function, so the
     /// byte-identity comparison in `examples/sweep_client.rs` exercises
     /// the wire codec, not a second interpretation of it.
+    /// Panics on an app name [`JobSpec::from_value`] would reject, rather
+    /// than run a smaller placement than the spec names.
     #[must_use]
     pub fn to_sim_job(&self) -> SimJob {
         let mut gpu = gpu_by_name(&self.gpu).unwrap_or_else(GpuConfig::maxwell);
@@ -314,11 +316,9 @@ impl JobSpec {
         let specs = self
             .apps
             .iter()
-            .filter_map(|(name, cores)| {
-                app_by_name(name).map(|profile| mask_gpu::AppSpec {
-                    profile,
-                    n_cores: *cores,
-                })
+            .map(|(name, cores)| mask_gpu::AppSpec {
+                profile: app_by_name(name).expect("a JobSpec names only known applications"),
+                n_cores: *cores,
             })
             .collect();
         SimJob {
@@ -437,6 +437,14 @@ mod tests {
         let mut other = spec();
         other.tenant = "t1".to_owned();
         assert_eq!(other.to_sim_job().key(), job.key());
+    }
+
+    #[test]
+    #[should_panic(expected = "a JobSpec names only known applications")]
+    fn to_sim_job_rejects_an_unknown_app_built_in_code() {
+        let mut s = spec();
+        s.apps[1].0 = "nope".to_owned();
+        let _ = s.to_sim_job();
     }
 
     #[test]

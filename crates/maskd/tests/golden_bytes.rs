@@ -70,3 +70,22 @@ fn result_key_of_a_fixed_job_is_pinned() {
         0x83b0_d579_5663_547b
     );
 }
+
+#[test]
+fn result_keys_of_every_stock_profile_are_pinned() {
+    // One 4-core job per stock profile, each `result_key` folded in
+    // `all_apps` order: a change to how a profile is written into the key
+    // would orphan that app's stored results.
+    let mut h = Fnv1a::new();
+    for app in mask_workloads::all_apps() {
+        let doc = format!(
+            r#"{{"tenant":"golden","design":"MASK","gpu":"maxwell","seed":7,
+            "apps":[{{"app":"{}","cores":4}}],"max_cycles":4000,"warmup_cycles":1000}}"#,
+            app.name
+        );
+        let spec = JobSpec::from_value(&maskd::json::parse(&doc).expect("json")).expect("spec");
+        h.write_u64(maskd::store::result_key(&spec.to_sim_job()));
+    }
+    assert_eq!(mask_workloads::all_apps().len(), 30);
+    assert_eq!(h.finish(), 0x9238_f12a_58d0_acd1);
+}

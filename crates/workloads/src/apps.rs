@@ -125,8 +125,8 @@ pub fn all_apps() -> &'static [AppProfile] {
 }
 
 /// Looks up a profile by the paper's benchmark abbreviation.
-pub fn app_by_name(name: &str) -> Option<&'static AppProfile> {
-    APPS.iter().find(|a| a.name == name)
+pub fn app_by_name(name: &str) -> Option<AppProfile> {
+    APPS.iter().find(|a| a.name == name).copied()
 }
 
 #[cfg(test)]

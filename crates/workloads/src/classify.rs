@@ -72,7 +72,7 @@ pub fn measure_tlb_rates(profile: &AppProfile, cfg: &ClassifyConfig) -> (f64, f6
     let mut l2 = SharedL2Tlb::new(tlb.l2_entries, tlb.l2_assoc, 1, 0);
     let mut traces: Vec<WarpTrace> = (0..cfg.n_cores)
         .flat_map(|c| (0..cfg.warps_per_core).map(move |w| (c as u64, w as u64)))
-        .map(|(c, w)| WarpTrace::new(profile, cfg.seed, c, w, PAGE_SIZE_4K_LOG2))
+        .map(|(c, w)| WarpTrace::new(*profile, cfg.seed, c, w, PAGE_SIZE_4K_LOG2))
         .collect();
     let (mut l1_acc, mut l1_miss) = (0u64, 0u64);
     // Round-robin across warps approximates concurrent execution.
@@ -178,7 +178,7 @@ mod tests {
     fn low_low_apps_barely_miss() {
         let cfg = ClassifyConfig::default();
         let lud = crate::apps::app_by_name("LUD").expect("exists");
-        let (l1, _) = measure_tlb_rates(lud, &cfg);
+        let (l1, _) = measure_tlb_rates(&lud, &cfg);
         assert!(
             l1 < 0.10,
             "LUD should have a very low L1 TLB miss rate, got {l1:.3}"
@@ -189,7 +189,7 @@ mod tests {
     fn gup_thrashes_l1_but_fits_l2() {
         let cfg = ClassifyConfig::default();
         let gup = crate::apps::app_by_name("GUP").expect("exists");
-        let (l1, l2) = measure_tlb_rates(gup, &cfg);
+        let (l1, l2) = measure_tlb_rates(&gup, &cfg);
         assert!(
             l1 > 0.5,
             "GUP random scatter thrashes the L1 TLB, got {l1:.3}"

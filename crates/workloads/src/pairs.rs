@@ -13,9 +13,9 @@ use crate::profile::AppProfile;
 #[derive(Clone, Copy, Debug)]
 pub struct AppPair {
     /// First application (also first in the paper's `A_B` name).
-    pub a: &'static AppProfile,
+    pub a: AppProfile,
     /// Second application.
-    pub b: &'static AppProfile,
+    pub b: AppProfile,
 }
 
 impl AppPair {

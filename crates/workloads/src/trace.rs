@@ -51,7 +51,7 @@ impl WarpTrace {
     /// `core` and `warp` are the warp's coordinates *within its
     /// application* (the trace does not depend on where the scheduler
     /// physically places the app's cores).
-    pub fn new(profile: &AppProfile, seed: u64, core: u64, warp: u64, page_size_log2: u32) -> Self {
+    pub fn new(profile: AppProfile, seed: u64, core: u64, warp: u64, page_size_log2: u32) -> Self {
         let global_warp = core * 4096 + warp;
         // Stream id mixes the app name so co-scheduled identical apps
         // still produce distinct streams per address space.
@@ -70,7 +70,7 @@ impl WarpTrace {
         };
         let lines_per_visit = (profile.lines_per_instr / pages_per_instr.max(1)).max(1);
         WarpTrace {
-            profile: *profile,
+            profile,
             rng: Pcg32::new(seed ^ name_hash, global_warp + 1),
             page_size_log2,
             line_mask: (1 << (page_size_log2 - LINE_SIZE_LOG2)) - 1,
@@ -295,8 +295,8 @@ mod tests {
 
     #[test]
     fn deterministic_across_instances() {
-        let mut a = WarpTrace::new(&stream_profile(), 7, 0, 3, PAGE_SIZE_4K_LOG2);
-        let mut b = WarpTrace::new(&stream_profile(), 7, 0, 3, PAGE_SIZE_4K_LOG2);
+        let mut a = WarpTrace::new(stream_profile(), 7, 0, 3, PAGE_SIZE_4K_LOG2);
+        let mut b = WarpTrace::new(stream_profile(), 7, 0, 3, PAGE_SIZE_4K_LOG2);
         for _ in 0..50 {
             assert_eq!(a.next_op(), b.next_op());
         }
@@ -304,8 +304,8 @@ mod tests {
 
     #[test]
     fn different_warps_see_different_streams() {
-        let mut a = WarpTrace::new(&stream_profile(), 7, 0, 0, PAGE_SIZE_4K_LOG2);
-        let mut b = WarpTrace::new(&stream_profile(), 7, 0, 40, PAGE_SIZE_4K_LOG2);
+        let mut a = WarpTrace::new(stream_profile(), 7, 0, 0, PAGE_SIZE_4K_LOG2);
+        let mut b = WarpTrace::new(stream_profile(), 7, 0, 40, PAGE_SIZE_4K_LOG2);
         let same = (0..30).filter(|_| a.next_op() == b.next_op()).count();
         assert!(same < 30, "warps in different groups should diverge");
     }
@@ -313,8 +313,8 @@ mod tests {
     #[test]
     fn warps_in_one_group_share_pages() {
         // Warps 0..3 are one group of 4: their page sequences coincide.
-        let mut a = WarpTrace::new(&stream_profile(), 7, 0, 0, PAGE_SIZE_4K_LOG2);
-        let mut b = WarpTrace::new(&stream_profile(), 7, 0, 1, PAGE_SIZE_4K_LOG2);
+        let mut a = WarpTrace::new(stream_profile(), 7, 0, 0, PAGE_SIZE_4K_LOG2);
+        let mut b = WarpTrace::new(stream_profile(), 7, 0, 1, PAGE_SIZE_4K_LOG2);
         let pages = |t: &mut WarpTrace| -> BTreeSet<u64> {
             (0..100)
                 .flat_map(|_| t.next_op().lines)
@@ -332,7 +332,7 @@ mod tests {
 
     #[test]
     fn stream_burst_amortizes_page_changes() {
-        let mut t = WarpTrace::new(&stream_profile(), 7, 0, 0, PAGE_SIZE_4K_LOG2);
+        let mut t = WarpTrace::new(stream_profile(), 7, 0, 0, PAGE_SIZE_4K_LOG2);
         let mut changes = 0;
         let mut last = u64::MAX;
         for _ in 0..80 {
@@ -359,7 +359,7 @@ mod tests {
             compute_per_mem: 2,
             line_locality: 0.5,
         };
-        let mut t = WarpTrace::new(&p, 1, 2, 3, PAGE_SIZE_4K_LOG2);
+        let mut t = WarpTrace::new(p, 1, 2, 3, PAGE_SIZE_4K_LOG2);
         for _ in 0..200 {
             for va in t.next_op().lines {
                 let page = (va.raw() - 0x10_0000_0000) >> PAGE_SIZE_4K_LOG2;
@@ -383,7 +383,7 @@ mod tests {
             compute_per_mem: 2,
             line_locality: 0.0,
         };
-        let mut t = WarpTrace::new(&p, 1, 0, 0, PAGE_SIZE_4K_LOG2);
+        let mut t = WarpTrace::new(p, 1, 0, 0, PAGE_SIZE_4K_LOG2);
         let mut hot_hits = 0;
         let mut total = 0;
         for _ in 0..500 {
@@ -403,7 +403,7 @@ mod tests {
         for profile in crate::apps::all_apps() {
             for page_size_log2 in [PAGE_SIZE_4K_LOG2, PAGE_SIZE_2M_LOG2] {
                 let (core, warp) = (3, 37);
-                let mut t = WarpTrace::new(profile, 5, core, warp, page_size_log2);
+                let mut t = WarpTrace::new(*profile, 5, core, warp, page_size_log2);
                 let lines_per_page = 1u64 << (page_size_log2 - LINE_SIZE_LOG2);
                 let (pages, burst, group, pages_per_instr) = match profile.pattern {
                     Pattern::Stream {
@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn lines_are_line_aligned_and_compute_bounded() {
-        let mut t = WarpTrace::new(&stream_profile(), 7, 1, 1, PAGE_SIZE_4K_LOG2);
+        let mut t = WarpTrace::new(stream_profile(), 7, 1, 1, PAGE_SIZE_4K_LOG2);
         for _ in 0..100 {
             let op = t.next_op();
             assert!(!op.lines.is_empty());

@@ -10,7 +10,7 @@ proptest! {
     /// Every generated address stays inside the profile's footprint.
     #[test]
     fn addresses_stay_in_footprint(app_idx in 0usize..30, core in 0u64..8, warp in 0u64..64, seed: u64) {
-        let profile = &all_apps()[app_idx];
+        let profile = all_apps()[app_idx];
         let mut t = WarpTrace::new(profile, seed, core, warp, PAGE_SIZE_4K_LOG2);
         let max_pages = profile.footprint_pages();
         for _ in 0..64 {
@@ -28,7 +28,7 @@ proptest! {
     /// eventually diverge.
     #[test]
     fn determinism_and_divergence(app_idx in 0usize..30, seed: u64) {
-        let profile = &all_apps()[app_idx];
+        let profile = all_apps()[app_idx];
         let mut a = WarpTrace::new(profile, seed, 0, 0, PAGE_SIZE_4K_LOG2);
         let mut b = WarpTrace::new(profile, seed, 0, 0, PAGE_SIZE_4K_LOG2);
         for _ in 0..32 {
