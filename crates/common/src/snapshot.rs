@@ -7,8 +7,8 @@
 //! arrays, RNG streams, counters — and deliberately excludes anything
 //! derivable from the configuration (capacities, latencies, policy
 //! objects) or from other encoded state (recency lists, queue keys, walk
-//! nodes). This keeps `'static` workload profiles and scratch buffers out
-//! of the encoded bytes entirely.
+//! nodes). This keeps workload profiles, which are configuration carried
+//! by value, and scratch buffers out of the encoded bytes entirely.
 //!
 //! The codec is encode-only for simulator state. The simulator is
 //! deterministic, so a snapshot is reproduced, not decoded: `GpuSim`'s

@@ -9,7 +9,7 @@
 //!   [`SimJob`] batches fanned out over `MASK_JOBS` worker threads with
 //!   bit-identical results at any worker count;
 //! * [`runner`] — one-call simulation of single apps, app pairs, and n-app
-//!   mixes under any of the paper's eight designs;
+//!   mixes under any of the ten design presets;
 //! * [`metrics`] — weighted speedup, IPC throughput, and unfairness
 //!   (maximum slowdown), the evaluation's three metrics (§6);
 //! * [`experiments`] — a module per paper table/figure that regenerates it;
