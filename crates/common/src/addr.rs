@@ -54,12 +54,6 @@ impl VirtAddr {
     pub const fn page_offset(self, page_size_log2: u32) -> u64 {
         self.0 & ((1 << page_size_log2) - 1)
     }
-
-    /// Aligns the address down to its cache line.
-    #[inline]
-    pub const fn line_aligned(self) -> VirtAddr {
-        VirtAddr(self.0 & !(LINE_SIZE - 1))
-    }
 }
 
 impl fmt::Debug for VirtAddr {
@@ -262,13 +256,6 @@ mod tests {
 
     #[test]
     fn line_alignment() {
-        let va = VirtAddr::new(0x1234);
-        assert_eq!(
-            va.line_aligned().raw(),
-            0x1200 & !(LINE_SIZE - 1) | (0x1234 & !(LINE_SIZE - 1) & 0xff)
-        );
-        // simpler check: aligned address is a multiple of the line size
-        assert_eq!(va.line_aligned().raw() % LINE_SIZE, 0);
         let pa = PhysAddr::new(0x1fff);
         assert_eq!(pa.line().base().raw(), 0x1f80);
     }

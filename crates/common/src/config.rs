@@ -620,7 +620,7 @@ impl SimConfig {
             gpu: GpuConfig::maxwell(),
             design: design.into(),
             max_cycles: default_max_cycles(),
-            seed: 0xA55A_2018,
+            seed: DEFAULT_SEED,
         }
     }
 
@@ -679,6 +679,9 @@ impl JobOptions {
             .map(|n: usize| n.max(1))
     }
 }
+
+/// Default base PRNG seed of a run.
+pub const DEFAULT_SEED: u64 = 0xA55A_2018;
 
 /// Default per-run cycle budget.
 ///

@@ -77,15 +77,6 @@ impl Pcg32 {
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit() < p
     }
-
-    /// A geometrically-distributed value with success probability `p`,
-    /// clamped to `max`. Used to draw reuse distances and burst lengths.
-    pub fn geometric(&mut self, p: f64, max: u64) -> u64 {
-        let p = p.clamp(1e-9, 1.0);
-        let u = self.unit().max(1e-300);
-        let v = (u.ln() / (1.0 - p).max(1e-12).ln()).floor() as u64;
-        v.min(max)
-    }
 }
 
 #[cfg(test)]
@@ -135,16 +126,5 @@ mod tests {
         let mut rng = Pcg32::new(5, 5);
         assert!(!(0..100).any(|_| rng.chance(0.0)));
         assert!((0..100).all(|_| rng.chance(1.0)));
-    }
-
-    #[test]
-    fn geometric_clamped() {
-        let mut rng = Pcg32::new(11, 2);
-        for _ in 0..1000 {
-            assert!(rng.geometric(0.5, 8) <= 8);
-        }
-        // With p close to 1, values should almost always be 0.
-        let zeros = (0..1000).filter(|_| rng.geometric(0.999, 8) == 0).count();
-        assert!(zeros > 950);
     }
 }

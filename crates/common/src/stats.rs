@@ -344,11 +344,6 @@ impl AppStats {
         }
     }
 
-    /// L2 cache hit rate of translation requests at one walk level (§4.3).
-    pub fn l2_translation_hit_rate(&self, level: WalkLevel) -> f64 {
-        self.l2_translation[level.index()].hit_rate()
-    }
-
     /// Records an L2-cache translation probe at `level`.
     pub fn record_l2_translation(&mut self, level: WalkLevel, hit: bool) {
         self.l2_translation[level.index()].record(hit);
@@ -390,14 +385,6 @@ impl SimStats {
             dram_bus_busy: 0,
             dram_channels,
         }
-    }
-
-    /// Fraction of theoretical DRAM data-bus cycles actually used.
-    pub fn dram_bandwidth_utilization(&self) -> f64 {
-        if self.cycles == 0 || self.dram_channels == 0 {
-            return 0.0;
-        }
-        self.dram_bus_busy as f64 / (self.cycles as f64 * self.dram_channels as f64)
     }
 
     /// Fraction of utilized DRAM bandwidth consumed by translation requests
@@ -485,9 +472,6 @@ mod tests {
     #[test]
     fn sim_stats_bandwidth_shares() {
         let mut s = SimStats::new(2, 8);
-        s.cycles = 1000;
-        s.dram_bus_busy = 4000;
-        assert!((s.dram_bandwidth_utilization() - 0.5).abs() < 1e-12);
         s.apps[0].dram_translation.bus_busy_cycles = 100;
         s.apps[0].dram_data.bus_busy_cycles = 300;
         s.apps[1].dram_data.bus_busy_cycles = 600;
@@ -532,16 +516,5 @@ mod tests {
         // Mismatched snapshots saturate instead of panicking.
         let d = prev.delta_since(&cur);
         assert_eq!(d.instructions, 0);
-    }
-
-    #[test]
-    fn per_level_translation_hit_rates() {
-        let mut a = AppStats::default();
-        a.record_l2_translation(WalkLevel::new(1), true);
-        a.record_l2_translation(WalkLevel::new(1), true);
-        a.record_l2_translation(WalkLevel::new(4), false);
-        assert!((a.l2_translation_hit_rate(WalkLevel::new(1)) - 1.0).abs() < 1e-12);
-        assert_eq!(a.l2_translation_hit_rate(WalkLevel::new(4)), 0.0);
-        assert_eq!(a.l2_translation_hit_rate(WalkLevel::new(2)), 0.0);
     }
 }

@@ -25,7 +25,12 @@ pub(super) fn ablate<L: ToString, T: Copy>(
     tweak: impl Fn(&mut GpuConfig, T),
 ) -> Table {
     let base = PairRunner::new(opts.run_options());
-    let placements = base.pair_placements(&opts.pressured_pairs());
+    let mixes: Vec<_> = opts
+        .pressured_pairs()
+        .iter()
+        .map(|p| vec![p.a, p.b])
+        .collect();
+    let placements = base.even_placements(&mixes);
     let plans: Vec<Vec<SimJob>> = rows
         .iter()
         .map(|&(_, value)| {

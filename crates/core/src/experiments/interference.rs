@@ -8,7 +8,6 @@
 use super::ExpOptions;
 use crate::table::Table;
 use mask_common::config::DesignKind;
-use mask_gpu::AppSpec;
 use mask_workloads::app_by_name;
 
 /// The paper's four representative pairs.
@@ -27,24 +26,17 @@ pub fn run(opts: &ExpOptions) -> Table {
         "Figure 7: effect of interference on the shared L2 TLB miss rate",
         &["workload", "app", "alone", "shared"],
     );
-    let half = opts.n_cores / 2;
     // Alone runs use the app's core share, as in the paper's IPCalone
     // methodology; the shared L2 TLB remains full-sized.
+    let mixes: Vec<_> = FIG07_PAIRS
+        .iter()
+        .map(|&(a, b)| [a, b].map(|n| app_by_name(n).expect("known app")).to_vec())
+        .collect();
     let mut placements = Vec::new();
-    for (an, bn) in FIG07_PAIRS {
-        let a = app_by_name(an).expect("known app");
-        let b = app_by_name(bn).expect("known app");
-        let spec_a = AppSpec {
-            profile: a,
-            n_cores: half,
-        };
-        let spec_b = AppSpec {
-            profile: b,
-            n_cores: opts.n_cores - half,
-        };
-        placements.push(vec![spec_a]);
-        placements.push(vec![spec_b]);
-        placements.push(vec![spec_a, spec_b]);
+    for pair in runner.even_placements(&mixes) {
+        placements.push(vec![pair[0]]);
+        placements.push(vec![pair[1]]);
+        placements.push(pair);
     }
     let outcomes = runner.run_batch(&placements, &[DesignKind::SharedTlb]);
     for ((an, bn), chunk) in FIG07_PAIRS.iter().zip(outcomes.chunks(3)) {

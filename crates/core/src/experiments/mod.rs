@@ -138,13 +138,14 @@ pub struct ExpOptions {
 
 impl Default for ExpOptions {
     fn default() -> Self {
+        let run = RunOptions::default();
         ExpOptions {
-            cycles: mask_common::config::default_max_cycles(),
-            n_cores: 30,
-            warps_per_core: 64,
+            cycles: run.max_cycles,
+            n_cores: run.n_cores,
+            warps_per_core: run.gpu.warps_per_core,
             pair_limit: mask_common::config::default_pair_limit(),
-            seed: 0xA55A_2018,
-            jobs: JobOptions::default(),
+            seed: run.seed,
+            jobs: run.jobs,
         }
     }
 }
@@ -179,16 +180,15 @@ impl ExpOptions {
 
     /// Builds [`RunOptions`] honoring these options.
     pub fn run_options(&self) -> RunOptions {
-        let mut gpu = GpuConfig::maxwell();
-        gpu.warps_per_core = self.warps_per_core;
-        RunOptions {
+        let mut run = RunOptions {
             n_cores: self.n_cores,
             max_cycles: self.cycles,
             seed: self.seed,
-            warmup_cycles: 100_000,
-            gpu,
             jobs: self.jobs,
-        }
+            ..RunOptions::default()
+        };
+        run.gpu.warps_per_core = self.warps_per_core;
+        run
     }
 
     /// The paper pairs to simulate, truncated to `pair_limit`.

@@ -23,7 +23,7 @@
 //!
 //! // Run HISTO and GUP concurrently under full MASK for 20K cycles.
 //! let outcome = PairRunner::new(RunOptions { max_cycles: 20_000, n_cores: 8, ..Default::default() })
-//!     .run_named("HISTO", "GUP", DesignKind::Mask)
+//!     .run_named(&["HISTO", "GUP"], DesignKind::Mask)
 //!     .expect("known benchmarks");
 //! assert!(outcome.weighted_speedup > 0.0);
 //! ```

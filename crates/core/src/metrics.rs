@@ -34,23 +34,6 @@ pub fn unfairness(shared_ipc: &[f64], alone_ipc: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Geometric mean (used to aggregate per-workload ratios across a suite).
-pub fn geometric_mean(values: impl IntoIterator<Item = f64>) -> f64 {
-    let mut log_sum = 0.0;
-    let mut n = 0usize;
-    for v in values {
-        if v > 0.0 {
-            log_sum += v.ln();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        (log_sum / n as f64).exp()
-    }
-}
-
 /// Arithmetic mean (0 for an empty iterator).
 pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
     let mut sum = 0.0;
@@ -93,12 +76,6 @@ mod tests {
     #[test]
     fn zero_alone_ipc_contributes_nothing() {
         assert_eq!(weighted_speedup(&[1.0], &[0.0]), 0.0);
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean([4.0, 1.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geometric_mean(std::iter::empty()), 0.0);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! alone runs are both plain [`SimJob`]s memoised in the process-wide
 //! [`ResultMemo`](crate::engine::ResultMemo): alone runs are
 //! design-dependent but pair-independent, and the same (pair, design)
-//! shared runs feed several figures, so every experiment (and every oracle
-//! probe) shares one memo and each unique run is simulated exactly once
-//! per process.
+//! shared runs feed several figures, so every experiment shares one memo
+//! and each unique run is simulated exactly once per process.
 //!
 //! The batch entry points ([`PairRunner::run_pairs`],
 //! [`PairRunner::run_multi_batch`], [`PairRunner::run_batch`]) submit whole
@@ -51,12 +50,13 @@ pub struct RunOptions {
 
 impl Default for RunOptions {
     fn default() -> Self {
+        let gpu = GpuConfig::maxwell();
         RunOptions {
-            n_cores: 30,
+            n_cores: gpu.n_cores,
             max_cycles: mask_common::config::default_max_cycles(),
-            seed: 0xA55A_2018,
+            seed: mask_common::config::DEFAULT_SEED,
             warmup_cycles: 100_000,
-            gpu: GpuConfig::maxwell(),
+            gpu,
             jobs: JobOptions::default(),
         }
     }
@@ -149,20 +149,6 @@ impl PairRunner {
         }
     }
 
-    /// Splits `n_cores` evenly over `n` apps (remainder to the last app).
-    fn even_split(&self, n: usize) -> Vec<usize> {
-        let base = self.opts.n_cores / n;
-        (0..n)
-            .map(|i| {
-                if i == n - 1 {
-                    self.opts.n_cores - base * (n - 1)
-                } else {
-                    base
-                }
-            })
-            .collect()
-    }
-
     /// Runs an arbitrary placement and returns its statistics, measured
     /// after the warm-up window, served from the result memo when it holds
     /// them.
@@ -250,28 +236,8 @@ impl PairRunner {
     /// `designs.len()` to group per pair).
     #[must_use]
     pub fn run_pairs(&self, pairs: &[AppPair], designs: &[DesignKind]) -> Vec<PairOutcome> {
-        self.run_batch(&self.pair_placements(pairs), designs)
-    }
-
-    /// The even-split placement of each pair.
-    pub(crate) fn pair_placements(&self, pairs: &[AppPair]) -> Vec<Vec<AppSpec>> {
         let mixes: Vec<_> = pairs.iter().map(|p| vec![p.a, p.b]).collect();
-        self.even_placements(&mixes)
-    }
-
-    /// The even-split placement of each mix.
-    fn even_placements(&self, mixes: &[Vec<AppProfile>]) -> Vec<Vec<AppSpec>> {
-        mixes
-            .iter()
-            .map(|mix| {
-                assert!(!mix.is_empty(), "need at least one application");
-                let split = self.even_split(mix.len());
-                mix.iter()
-                    .zip(split)
-                    .map(|(&profile, n_cores)| AppSpec { profile, n_cores })
-                    .collect()
-            })
-            .collect()
+        self.run_multi_batch(&mixes, designs)
     }
 
     /// Runs every mix × design combination with even core splits in one
@@ -279,7 +245,7 @@ impl PairRunner {
     ///
     /// # Panics
     ///
-    /// Panics if any mix is empty.
+    /// Panics if any mix is empty or has more apps than the runner has cores.
     #[must_use]
     pub fn run_multi_batch(
         &self,
@@ -289,121 +255,50 @@ impl PairRunner {
         self.run_batch(&self.even_placements(mixes), designs)
     }
 
-    /// Runs a two-application workload with an even core split.
-    #[must_use]
-    pub fn run_pair(&self, a: AppProfile, b: AppProfile, design: DesignKind) -> PairOutcome {
-        let ca = self.opts.n_cores / 2;
-        let cb = self.opts.n_cores - ca;
-        self.run_pair_split(a, b, design, ca, cb)
-    }
-
-    /// Runs a two-application workload with an explicit core split.
-    #[must_use]
-    pub fn run_pair_split(
-        &self,
-        a: AppProfile,
-        b: AppProfile,
-        design: DesignKind,
-        cores_a: usize,
-        cores_b: usize,
-    ) -> PairOutcome {
-        let placement = vec![
-            AppSpec {
-                profile: a,
-                n_cores: cores_a,
-            },
-            AppSpec {
-                profile: b,
-                n_cores: cores_b,
-            },
-        ];
-        self.run_batch(std::slice::from_ref(&placement), &[design])
-            .pop()
-            .expect("one placement in, one outcome out")
-    }
-
-    /// Runs a pair looked up by benchmark names.
-    #[must_use]
-    pub fn run_named(&self, a: &str, b: &str, design: DesignKind) -> Option<PairOutcome> {
-        Some(self.run_pair(app_by_name(a)?, app_by_name(b)?, design))
-    }
-
-    /// Finds the best core split for a pair by probing candidate splits
-    /// with short runs, then runs the full-length simulation at the winner.
-    ///
-    /// This implements the paper's oracle scheduler (§6): "the scheduler
-    /// partitions the cores according to the best weighted speedup for that
-    /// pair found by an exhaustive search over all possible static core
-    /// partitionings". We bound the search to `candidates` splits (cores
-    /// assigned to the first app) probed at `probe_cycles` each; pass every
-    /// value in `1..n_cores` for the paper's exhaustive variant.
-    ///
-    /// All candidate probes are submitted as one batch, and their runs flow
-    /// through the same memo as everything else — identical probe
-    /// baselines are simulated once, not once per candidate.
+    /// Runs one mix, looked up by benchmark names, with an even core split
+    /// under one design; `None` if a name is unknown.
     ///
     /// # Panics
     ///
-    /// Panics if `candidates` is empty.
+    /// Panics if `names` is empty or longer than the runner's core count.
     #[must_use]
-    pub fn run_pair_oracle(
-        &self,
-        a: AppProfile,
-        b: AppProfile,
-        design: DesignKind,
-        candidates: &[usize],
-        probe_cycles: u64,
-    ) -> PairOutcome {
-        assert!(!candidates.is_empty(), "need at least one candidate split");
-        let probe_runner = PairRunner::with_pool(
-            RunOptions {
-                max_cycles: probe_cycles.max(2),
-                warmup_cycles: probe_cycles / 4,
-                ..self.opts.clone()
-            },
-            self.pool.clone(),
-        );
-        let valid: Vec<usize> = candidates
+    pub fn run_named(&self, names: &[&str], design: DesignKind) -> Option<PairOutcome> {
+        let mix = names
             .iter()
             .copied()
-            .filter(|&ca| ca != 0 && ca < self.opts.n_cores)
-            .collect();
-        let placements: Vec<Vec<AppSpec>> = valid
-            .iter()
-            .map(|&ca| {
-                vec![
-                    AppSpec {
-                        profile: a,
-                        n_cores: ca,
-                    },
-                    AppSpec {
-                        profile: b,
-                        n_cores: self.opts.n_cores - ca,
-                    },
-                ]
-            })
-            .collect();
-        let probes = probe_runner.run_batch(&placements, &[design]);
-        let mut best = (f64::MIN, self.opts.n_cores / 2);
-        for (&ca, o) in valid.iter().zip(&probes) {
-            if o.weighted_speedup > best.0 {
-                best = (o.weighted_speedup, ca);
-            }
-        }
-        self.run_pair_split(a, b, design, best.1, self.opts.n_cores - best.1)
+            .map(app_by_name)
+            .collect::<Option<_>>()?;
+        self.run_multi_batch(&[mix], &[design]).pop()
     }
 
-    /// Runs `n` applications with an even core split, returning the shared
-    /// stats plus per-app weighted-speedup inputs.
+    /// The even-split placement of each mix: `n_cores / n` cores per app,
+    /// the remainder to the last. Every harness splits cores this way.
     ///
     /// # Panics
     ///
-    /// Panics if `profiles` is empty.
-    #[must_use]
-    pub fn run_multi(&self, profiles: &[AppProfile], design: DesignKind) -> PairOutcome {
-        self.run_multi_batch(std::slice::from_ref(&profiles.to_vec()), &[design])
-            .pop()
-            .expect("one mix in, one outcome out")
+    /// Panics if a mix is empty or has more apps than the runner has cores,
+    /// which would leave an app with none.
+    pub(crate) fn even_placements(&self, mixes: &[Vec<AppProfile>]) -> Vec<Vec<AppSpec>> {
+        let total = self.opts.n_cores;
+        mixes
+            .iter()
+            .map(|mix| {
+                let n = mix.len();
+                assert!(n > 0, "need at least one application");
+                assert!(
+                    n <= total,
+                    "{n} apps cannot share {total} cores: an app would get none"
+                );
+                let base = total / n;
+                mix.iter()
+                    .enumerate()
+                    .map(|(i, &profile)| AppSpec {
+                        profile,
+                        n_cores: base + if i + 1 == n { total % n } else { 0 },
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -436,7 +331,7 @@ mod tests {
     fn pair_outcome_has_consistent_metrics() {
         let r = PairRunner::new(small_opts());
         let o = r
-            .run_named("HISTO", "GUP", DesignKind::SharedTlb)
+            .run_named(&["HISTO", "GUP"], DesignKind::SharedTlb)
             .expect("known apps");
         assert_eq!(o.shared_ipc.len(), 2);
         assert_eq!(o.name, "HISTO_GUP");
@@ -468,18 +363,25 @@ mod tests {
     #[test]
     fn unknown_app_yields_none() {
         let r = private_runner();
-        assert!(r.run_named("NOPE", "GUP", DesignKind::Ideal).is_none());
+        assert!(r.run_named(&["NOPE", "GUP"], DesignKind::Ideal).is_none());
     }
 
     #[test]
     fn multi_run_splits_cores() {
         let r = private_runner();
-        let apps = ["GUP", "HS", "BP"].map(|n| app_by_name(n).expect("known"));
-        let o = r.run_multi(&apps, DesignKind::SharedTlb);
+        let o = r
+            .run_named(&["GUP", "HS", "BP"], DesignKind::SharedTlb)
+            .expect("known apps");
         assert_eq!(o.shared_ipc.len(), 3);
         assert_eq!(o.name, "GUP_HS_BP");
         // Cores split 1/1/2 over 4 cores: all apps make progress.
         assert!(o.shared_ipc.iter().all(|&i| i > 0.0));
+        let mix = ["GUP", "HS", "BP"].map(|n| app_by_name(n).expect("known"));
+        let split = &r.even_placements(&[mix.to_vec()])[0];
+        assert_eq!(
+            split.iter().map(|s| s.n_cores).collect::<Vec<_>>(),
+            [1, 1, 2]
+        );
     }
 
     #[test]
@@ -497,53 +399,25 @@ mod tests {
         ];
         let designs = [DesignKind::SharedTlb, DesignKind::Mask];
         let batch = r.run_pairs(&pairs, &designs);
+        let mixes: Vec<_> = pairs.iter().map(|p| vec![p.a, p.b]).collect();
+        assert_eq!(r.run_multi_batch(&mixes, &designs), batch);
         assert_eq!(batch.len(), 4);
         for (i, pair) in pairs.iter().enumerate() {
             for (j, &design) in designs.iter().enumerate() {
                 let got = &batch[i * designs.len() + j];
                 assert_eq!(got.name, pair.name());
                 assert_eq!(got.design, design);
-                assert_eq!(*got, r.run_pair(pair.a, pair.b, design));
+                let names = [pair.a.name, pair.b.name];
+                assert_eq!(Some(got), r.run_named(&names, design).as_ref());
             }
         }
     }
 
     #[test]
-    fn oracle_split_is_at_least_as_good_as_even() {
-        let r = private_runner();
-        let a = app_by_name("MUM").expect("known");
-        let b = app_by_name("LPS").expect("known");
-        let even = r.run_pair(a, b, DesignKind::SharedTlb);
-        let oracle = r.run_pair_oracle(a, b, DesignKind::SharedTlb, &[1, 2, 3], 3_000);
-        // The oracle probes include the even split, so modulo probe noise
-        // it should not be substantially worse.
-        assert!(
-            oracle.weighted_speedup >= even.weighted_speedup * 0.9,
-            "oracle ({:.3}) much worse than even split ({:.3})",
-            oracle.weighted_speedup,
-            even.weighted_speedup
-        );
-    }
-
-    #[test]
-    fn oracle_probe_runs_land_in_the_shared_memo() {
-        let memo = ResultMemo::new();
-        let r = PairRunner::with_pool(
-            small_opts(),
-            JobPool::with_workers(1).with_cache(Arc::clone(&memo)),
-        );
-        let a = app_by_name("MUM").expect("known");
-        let b = app_by_name("LPS").expect("known");
-        let _ = r.run_pair_oracle(a, b, DesignKind::SharedTlb, &[1, 2, 3], 3_000);
-        let after_first = memo.stats();
-        // 3 probe splits × (1 shared + 2 alone runs) at probe length, then
-        // the full-length shared run and its 2 baselines at the winner.
-        assert_eq!(after_first.entries as u64, after_first.misses);
-        // A second oracle run over the same candidates re-simulates nothing.
-        let _ = r.run_pair_oracle(a, b, DesignKind::SharedTlb, &[1, 2, 3], 3_000);
-        let after_second = memo.stats();
-        assert_eq!(after_second.misses, after_first.misses);
-        assert!(after_second.hits > after_first.hits);
+    #[should_panic(expected = "5 apps cannot share 4 cores")]
+    fn a_mix_with_more_apps_than_cores_is_refused() {
+        let gup = app_by_name("GUP").expect("known");
+        let _ = private_runner().even_placements(&[vec![gup; 5]]);
     }
 
     #[test]
@@ -555,9 +429,11 @@ mod tests {
             ..small_opts()
         });
         let base = r
-            .run_named("MUM", "RED", DesignKind::SharedTlb)
+            .run_named(&["MUM", "RED"], DesignKind::SharedTlb)
             .expect("known");
-        let ideal = r.run_named("MUM", "RED", DesignKind::Ideal).expect("known");
+        let ideal = r
+            .run_named(&["MUM", "RED"], DesignKind::Ideal)
+            .expect("known");
         assert!(
             ideal.ipc_throughput > base.ipc_throughput,
             "ideal {:.3} vs base {:.3}",

@@ -462,11 +462,15 @@ mod tests {
 
     #[test]
     fn lines_are_line_aligned_and_compute_bounded() {
-        let mut t = WarpTrace::new(stream_profile(), 7, 1, 1, PAGE_SIZE_4K_LOG2);
+        let profile = stream_profile();
+        let mut t = WarpTrace::new(profile, 7, 1, 1, PAGE_SIZE_4K_LOG2);
         for _ in 0..100 {
             let op = t.next_op();
             assert!(!op.lines.is_empty());
-            assert!(op.compute <= 16, "geometric clamp respected");
+            assert!(
+                op.compute <= profile.compute_per_mem + 2,
+                "compute_per_mem plus at most 2 of jitter"
+            );
             for va in &op.lines {
                 assert_eq!(va.raw() % LINE_SIZE, 0);
             }

@@ -32,13 +32,16 @@ fn main() {
         "{:<10} {:>8} {:>9} {:>9}   per-tenant slowdown vs alone",
         "design", "WS", "IPC(sum)", "unfair"
     );
-    for design in [
+    let designs = [
         DesignKind::Static,
         DesignKind::SharedTlb,
         DesignKind::Mask,
         DesignKind::Ideal,
-    ] {
-        let o = runner.run_multi(&profiles, design);
+    ];
+    for (design, o) in designs
+        .iter()
+        .zip(runner.run_multi_batch(&[profiles], &designs))
+    {
         let slowdowns: Vec<String> = o
             .shared_ipc
             .iter()

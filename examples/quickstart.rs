@@ -19,16 +19,18 @@ fn main() {
         ..Default::default()
     };
     let runner = PairRunner::new(opts);
+    let pair = AppPair {
+        a: app_by_name("CONS").expect("benchmark exists"),
+        b: app_by_name("LPS").expect("benchmark exists"),
+    };
+    let designs = [DesignKind::SharedTlb, DesignKind::Mask, DesignKind::Ideal];
 
     println!("CONS + LPS sharing a 30-core GPU (15 cores each)\n");
     println!(
         "{:<10} {:>9} {:>9} {:>9} {:>10} {:>10}",
         "design", "WS", "IPC(sum)", "unfair", "IPC(CONS)", "IPC(LPS)"
     );
-    for design in [DesignKind::SharedTlb, DesignKind::Mask, DesignKind::Ideal] {
-        let o = runner
-            .run_named("CONS", "LPS", design)
-            .expect("benchmarks exist");
+    for (design, o) in designs.iter().zip(runner.run_pairs(&[pair], &designs)) {
         println!(
             "{:<10} {:>9.3} {:>9.2} {:>9.2} {:>10.2} {:>10.2}",
             design.label(),

@@ -13,6 +13,10 @@
 use mask_core::prelude::*;
 
 fn main() {
+    let pair = AppPair {
+        a: app_by_name("CONS").expect("known"),
+        b: app_by_name("LPS").expect("known"),
+    };
     println!("Shared L2 TLB size sweep, CONS_LPS on 30 cores\n");
     println!(
         "{:>8} {:>12} {:>9} {:>12}",
@@ -26,12 +30,8 @@ fn main() {
             gpu,
             ..Default::default()
         });
-        let base = runner
-            .run_named("CONS", "LPS", DesignKind::SharedTlb)
-            .expect("known");
-        let mask = runner
-            .run_named("CONS", "LPS", DesignKind::Mask)
-            .expect("known");
+        let o = runner.run_pairs(&[pair], &[DesignKind::SharedTlb, DesignKind::Mask]);
+        let (base, mask) = (&o[0], &o[1]);
         println!(
             "{:>8} {:>12.3} {:>9.3} {:>11.1}%",
             entries,

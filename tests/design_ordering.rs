@@ -24,7 +24,7 @@ fn sweep(cycles: u64) -> Vec<(DesignKind, PairOutcome)> {
     let runner = PairRunner::new(opts(cycles));
     DesignKind::ALL
         .into_iter()
-        .map(|d| (d, runner.run_named("MUM", "LPS", d).expect("known pair")))
+        .map(|d| (d, runner.run_named(&["MUM", "LPS"], d).expect("known pair")))
         .collect()
 }
 

@@ -113,7 +113,7 @@ fn shared_runs_dedup_within_a_batch() {
         let r = PairRunner::with_pool(quick_opts(workers).run_options(), pool);
         // One batch holding the pair twice, then the pair in a batch of its own.
         let twice = r.run_pairs(&[pair, pair], &[DesignKind::Mask]);
-        let again = r.run_pair(pair.a, pair.b, DesignKind::Mask);
+        let again = r.run_pairs(&[pair], &[DesignKind::Mask]).remove(0);
         assert_eq!(twice[0], again, "equal jobs must yield equal outcomes");
         assert!(Arc::ptr_eq(&twice[0].stats, &twice[1].stats));
         assert!(

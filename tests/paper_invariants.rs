@@ -81,7 +81,7 @@ fn translation_bandwidth_is_the_minority_share() {
     // Fig. 8: translation is a small fraction of utilized bandwidth.
     let r = runner();
     let o = r
-        .run_named("CONS", "LPS", DesignKind::SharedTlb)
+        .run_named(&["CONS", "LPS"], DesignKind::SharedTlb)
         .expect("known");
     let share = o.stats.translation_bandwidth_share();
     assert!(
@@ -120,10 +120,10 @@ fn mask_reduces_translation_dram_latency() {
     // §7.2: the Golden queue cuts DRAM latency for translations.
     let r = runner();
     let base = r
-        .run_named("CONS", "RED", DesignKind::SharedTlb)
+        .run_named(&["CONS", "RED"], DesignKind::SharedTlb)
         .expect("known");
     let mask = r
-        .run_named("CONS", "RED", DesignKind::MaskDram)
+        .run_named(&["CONS", "RED"], DesignKind::MaskDram)
         .expect("known");
     let lat = |o: &PairOutcome| {
         let mut t = mask_common::stats::DramClassStats::default();
