@@ -44,7 +44,9 @@ pub static REGISTRY: [Artefact; 13] = [
     ("fig07", 35, |o| vec![interference::run(o)]),
     ("fig08_09", 35, fig08_09),
     ("fig11_15", 35, fig11_15),
-    ("tab02", 35, |_| vec![single_app::tab02()]),
+    ("tab02", 35, |o| {
+        vec![single_app::tab02(&single_app::measure(o))]
+    }),
     ("tab03", 35, |o| vec![scalability::run(o)]),
     ("tab04", 6, |o| vec![generality::run(o)]),
     ("sec72", 8, |o| vec![components::run(o)]),

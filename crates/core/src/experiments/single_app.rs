@@ -4,13 +4,15 @@
 //! * Fig. 5 — "average number of concurrent page table walks (sampled
 //!   every 10K cycles)";
 //! * Fig. 6 — "average number of stalled warps per active TLB miss";
+//! * Table 2 — each application's L1/L2 TLB miss-rate quadrant;
 //!
-//! both on the `SharedTLB` baseline with each application running alone.
+//! all three from one batch: the `SharedTLB` baseline with each
+//! application running alone.
 
 use super::ExpOptions;
 use crate::table::Table;
 use mask_common::config::DesignKind;
-use mask_workloads::{all_apps, expected_class, AppProfile, ClassifyConfig, TlbClass};
+use mask_workloads::{all_apps, expected_class, AppProfile, TlbClass};
 
 /// Per-application single-run measurements.
 #[derive(Clone, Debug)]
@@ -25,6 +27,10 @@ pub struct SingleAppRow {
     pub avg_warps_stalled: f64,
     /// Fig. 6 error-bar top.
     pub max_warps_stalled: u64,
+    /// Table 2: L1 TLB miss rate over every core's L1 TLB.
+    pub l1_miss_rate: f64,
+    /// Table 2: shared L2 TLB miss rate.
+    pub l2_miss_rate: f64,
 }
 
 /// Runs every application alone on the `SharedTLB` baseline, submitting
@@ -44,6 +50,8 @@ pub fn measure(opts: &ExpOptions) -> Vec<SingleAppRow> {
                 max_concurrent_walks: a.walk_concurrency_max,
                 avg_warps_stalled: a.avg_warps_stalled_per_miss(),
                 max_warps_stalled: a.stalled_warps_max,
+                l1_miss_rate: a.l1_tlb.miss_rate(),
+                l2_miss_rate: a.l2_tlb.miss_rate(),
             }
         })
         .collect()
@@ -85,21 +93,17 @@ pub fn fig06(rows: &[SingleAppRow]) -> Table {
     t
 }
 
-/// Table 2: measured L1/L2 TLB miss-rate classification (functional model,
-/// same procedure the paper uses for workload selection).
-pub fn tab02() -> Table {
-    let cfg = ClassifyConfig {
-        ops_per_warp: 250,
-        ..ClassifyConfig::default()
-    };
+/// Table 2: measured L1/L2 TLB miss-rate classification, the procedure the
+/// paper uses for workload selection (§6), on the timed simulator.
+pub fn tab02(rows: &[SingleAppRow]) -> Table {
     let mut t = Table::new(
         "Table 2: workload categorization by L1/L2 TLB miss rates",
         &["app", "l1_miss", "l2_miss", "class", "paper_class", "match"],
     );
-    for app in all_apps() {
-        let (l1, l2) = mask_workloads::measure_tlb_rates(app, &cfg);
+    for r in rows {
+        let (l1, l2) = (r.l1_miss_rate, r.l2_miss_rate);
         let got = TlbClass::from_rates(l1, l2);
-        let want = expected_class(app.name).expect("all apps classified");
+        let want = expected_class(r.name).expect("all apps classified");
         let fmt = |c: TlbClass| {
             format!(
                 "{}-{}",
@@ -108,7 +112,7 @@ pub fn tab02() -> Table {
             )
         };
         t.row(
-            app.name,
+            r.name,
             vec![
                 format!("{l1:.3}"),
                 format!("{l2:.3}"),
@@ -147,12 +151,32 @@ mod tests {
         assert_eq!(f6.len(), rows.len());
     }
 
+    /// Every app lands in its paper quadrant on the timed model. At 60 000
+    /// cycles the largest Low-L2 rate over seeds 1–8 is 0.124; at 5 000,
+    /// cold misses push LUD, NN, BP, HS and LPS over the 20 % line, and FFT
+    /// and SCP make no L2 TLB access at all.
     #[test]
     fn tab02_classification_matches_everywhere() {
-        let t = tab02();
+        let opts = ExpOptions {
+            cycles: 60_000,
+            warps_per_core: 64,
+            ..ExpOptions::quick()
+        };
+        let rows = measure(&opts);
+        let t = tab02(&rows);
         assert_eq!(t.len(), all_apps().len());
-        for (label, cells) in &t.rows {
-            assert_eq!(cells[4], "yes", "{label} misclassified: {cells:?}");
-        }
+        let wrong: Vec<String> = t
+            .rows
+            .iter()
+            .filter(|(_, cells)| cells[4] != "yes")
+            .map(|(label, cells)| format!("{label}: {cells:?}"))
+            .collect();
+        assert!(wrong.is_empty(), "misclassified:\n{}", wrong.join("\n"));
+        let lud = rows.iter().find(|r| r.name == "LUD").expect("LUD present");
+        assert!(
+            lud.l1_miss_rate < 0.10,
+            "LUD should have a very low L1 TLB miss rate, got {:.3}",
+            lud.l1_miss_rate
+        );
     }
 }

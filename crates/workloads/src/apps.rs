@@ -5,11 +5,36 @@
 //! random scatter over a set that fits the shared L2 TLB but thrashes the
 //! 64-entry L1 TLBs (High L1 / Low L2), `SCAN` streams an enormous array
 //! with almost no page reuse (High/High), and `LUD`/`NN` work on hot tiles
-//! (Low/Low). The [`crate::classify`] module *measures* the resulting miss
-//! rates; tests assert every profile lands in its Table 2 quadrant.
+//! (Low/Low). This crate only states each app's quadrant
+//! ([`expected_class`]); the rates are measured on the timed simulator's
+//! single-app runs (`mask_core::experiments::single_app`), whose tests
+//! assert every profile lands in its quadrant.
 
-use crate::classify::TlbClass;
 use crate::profile::{AppProfile, Pattern};
+
+/// A measured or expected TLB behaviour class (Table 2 quadrant).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TlbClass {
+    /// L1 TLB miss rate is "High" (≥ 20%).
+    pub l1_high: bool,
+    /// L2 TLB miss rate is "High" (≥ 20%).
+    pub l2_high: bool,
+}
+
+/// The paper's Low/High boundary: workload pairs are excluded when both
+/// apps have "low L1 TLB miss rate (i.e., <20%) and low L2 TLB miss rate
+/// (i.e., <20%)" (§6).
+pub const HIGH_THRESHOLD: f64 = 0.20;
+
+impl TlbClass {
+    /// Classifies a measured `(l1_miss_rate, l2_miss_rate)` pair.
+    pub fn from_rates(l1: f64, l2: f64) -> Self {
+        TlbClass {
+            l1_high: l1 >= HIGH_THRESHOLD,
+            l2_high: l2 >= HIGH_THRESHOLD,
+        }
+    }
+}
 
 /// Expected Table 2 quadrant for each benchmark.
 ///
@@ -133,6 +158,31 @@ pub fn app_by_name(name: &str) -> Option<AppProfile> {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    #[test]
+    fn class_threshold_boundaries() {
+        assert_eq!(
+            TlbClass::from_rates(0.19, 0.19),
+            TlbClass {
+                l1_high: false,
+                l2_high: false
+            }
+        );
+        assert_eq!(
+            TlbClass::from_rates(0.20, 0.19),
+            TlbClass {
+                l1_high: true,
+                l2_high: false
+            }
+        );
+        assert_eq!(
+            TlbClass::from_rates(0.05, 0.9),
+            TlbClass {
+                l1_high: false,
+                l2_high: true
+            }
+        );
+    }
 
     #[test]
     fn thirty_unique_apps() {

@@ -11,21 +11,21 @@
 //!
 //! * [`profile`] — the parameter space ([`AppProfile`], [`Pattern`]).
 //! * [`apps`] — the 30 named application profiles plus Table 2's expected
-//!   classification.
+//!   classification ([`TlbClass`]).
 //! * [`trace`] — per-warp stateful generators producing [`trace::WarpOp`]s.
 //! * [`pairs`] — the 35 two-application workloads of Figs. 8–15 with their
 //!   n-HMR categories.
-//! * [`classify`] — a fast functional TLB simulation that *measures* L1/L2
-//!   TLB miss rates (regenerates Table 2).
+//!
+//! The crate models no TLB: Table 2's rates are measured on the timed
+//! simulator (`mask_core::experiments::single_app`, whose tests assert the
+//! quadrants).
 
 pub mod apps;
-pub mod classify;
 pub mod pairs;
 pub mod profile;
 pub mod trace;
 
-pub use apps::{all_apps, app_by_name, expected_class};
-pub use classify::{measure_tlb_rates, ClassifyConfig, TlbClass};
+pub use apps::{all_apps, app_by_name, expected_class, TlbClass};
 pub use pairs::{paper_pairs, AppPair, HmrCategory};
 pub use profile::{AppProfile, Pattern};
 pub use trace::{WarpOp, WarpTrace};

@@ -158,7 +158,7 @@ mod tests {
         for p in paper_pairs() {
             let ca = expected_class(p.a.name).expect("classified");
             let cb = expected_class(p.b.name).expect("classified");
-            let low = |c: &crate::classify::TlbClass| !c.l1_high && !c.l2_high;
+            let low = |c: &crate::apps::TlbClass| !c.l1_high && !c.l2_high;
             assert!(!(low(&ca) && low(&cb)), "{} is insensitive", p.name());
         }
     }
