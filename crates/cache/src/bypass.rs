@@ -33,6 +33,14 @@ use mask_common::stats::HitStats;
 /// Fraction of bypassed requests that still probe (1 / `SAMPLE_PERIOD`).
 const SAMPLE_PERIOD: u64 = 32;
 
+/// Probes an epoch needs before its hit rate replaces the estimate.
+const MIN_SAMPLES: u64 = 16;
+
+/// The epoch's hit rate, if it rests on at least [`MIN_SAMPLES`] probes.
+fn sampled_rate(epoch: &HitStats) -> Option<f64> {
+    epoch.hit_rate().filter(|_| epoch.accesses >= MIN_SAMPLES)
+}
+
 /// Per-level, per-address-space hit-rate state.
 #[derive(Debug, Default)]
 struct AppMonitor {
@@ -110,12 +118,12 @@ impl BypassMonitor {
     pub fn end_epoch(&mut self) {
         let margin = self.margin;
         for app in &mut self.apps {
-            if app.data_epoch.accesses >= 16 {
-                app.data_rate = app.data_epoch.hit_rate();
+            if let Some(rate) = sampled_rate(&app.data_epoch) {
+                app.data_rate = rate;
             }
             for i in 0..4 {
-                if app.level_epoch[i].accesses >= 16 {
-                    app.level_rate[i] = app.level_epoch[i].hit_rate();
+                if let Some(rate) = sampled_rate(&app.level_epoch[i]) {
+                    app.level_rate[i] = rate;
                 }
                 // "if (Level Hit Rate < L2 Hit Rate)" -> bypass (Fig. 10),
                 // with a hysteresis margin (see module docs).
@@ -124,17 +132,6 @@ impl BypassMonitor {
             }
             app.data_epoch = HitStats::default();
         }
-    }
-
-    /// The latched decision for `(asid, level)` (ignoring the sampling
-    /// duty cycle).
-    pub fn is_bypassing(&self, asid: Asid, level: WalkLevel) -> bool {
-        self.apps[asid.index().min(self.apps.len() - 1)].bypass_level[level.index()]
-    }
-
-    /// The latched hit-rate estimate for `(asid, level)`.
-    pub fn level_hit_rate(&self, asid: Asid, level: WalkLevel) -> f64 {
-        self.apps[asid.index().min(self.apps.len() - 1)].level_rate[level.index()]
     }
 }
 
@@ -212,13 +209,13 @@ mod tests {
         feed(&mut m, 4, 1, 99);
         feed_data(&mut m, 70, 30);
         m.end_epoch();
-        assert!(!m.is_bypassing(A0, WalkLevel::new(1)));
-        assert!(!m.is_bypassing(A0, WalkLevel::new(2)));
+        assert!(!m.should_bypass(A0, WalkLevel::new(1)));
+        assert!(!m.should_bypass(A0, WalkLevel::new(2)));
         assert!(
-            m.is_bypassing(A0, WalkLevel::new(3)),
+            m.should_bypass(A0, WalkLevel::new(3)),
             "60% is clearly below the 70% data hit rate"
         );
-        assert!(m.is_bypassing(A0, WalkLevel::new(4)));
+        assert!(m.should_bypass(A0, WalkLevel::new(4)));
 
         // A level within the hysteresis margin of the data hit rate keeps
         // probing (marginal bypasses lose real hits for no queueing win).
@@ -227,7 +224,7 @@ mod tests {
         feed_data(&mut m2, 70, 30);
         m2.end_epoch();
         assert!(
-            !m2.is_bypassing(A0, WalkLevel::new(3)),
+            !m2.should_bypass(A0, WalkLevel::new(3)),
             "68% vs 70% is marginal"
         );
     }
@@ -250,12 +247,12 @@ mod tests {
         feed(&mut m, 3, 0, 100);
         feed_data(&mut m, 80, 20);
         m.end_epoch();
-        assert!(m.is_bypassing(A0, WalkLevel::new(3)));
+        assert!(m.should_bypass(A0, WalkLevel::new(3)));
         // Next epoch the sampled probes all hit.
         feed(&mut m, 3, 100, 0);
         feed_data(&mut m, 80, 20);
         m.end_epoch();
-        assert!(!m.is_bypassing(A0, WalkLevel::new(3)));
+        assert!(!m.should_bypass(A0, WalkLevel::new(3)));
     }
 
     #[test]
@@ -264,13 +261,12 @@ mod tests {
         feed(&mut m, 2, 100, 0);
         feed_data(&mut m, 50, 50);
         m.end_epoch();
-        assert!(!m.is_bypassing(A0, WalkLevel::new(2)));
+        assert!(!m.should_bypass(A0, WalkLevel::new(2)));
         // Only 3 samples this epoch (below the 16-sample floor): estimate
         // and decision are unchanged even though all 3 missed.
         feed(&mut m, 2, 0, 3);
         feed_data(&mut m, 50, 50);
         m.end_epoch();
-        assert!(!m.is_bypassing(A0, WalkLevel::new(2)));
-        assert!((m.level_hit_rate(A0, WalkLevel::new(2)) - 1.0).abs() < 1e-12);
+        assert!(!m.should_bypass(A0, WalkLevel::new(2)));
     }
 }

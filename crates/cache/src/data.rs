@@ -103,18 +103,6 @@ impl DataCache {
         self.set_colors = Some(split_ranges(n_sets, n_apps));
     }
 
-    /// The colored set range `(start, len)` an ASID indexes into, when set
-    /// coloring is active.
-    pub fn set_color_range(&self, asid: Asid) -> Option<(usize, usize)> {
-        let colors = self.set_colors.as_ref()?;
-        Some(colors[asid.index() % colors.len()])
-    }
-
-    /// Total line capacity.
-    pub fn capacity_lines(&self) -> usize {
-        self.lines.len()
-    }
-
     /// Number of sets.
     pub fn n_sets(&self) -> usize {
         self.n_sets
@@ -334,14 +322,12 @@ mod tests {
         let mut c = DataCache::new(16 * 1024, 4); // 32 sets
         c.partition_sets(3);
         // 32 sets / 3 apps = 10, 10, 12 deterministically.
-        assert_eq!(c.set_color_range(Asid::new(0)), Some((0, 10)));
-        assert_eq!(c.set_color_range(Asid::new(1)), Some((10, 10)));
-        assert_eq!(c.set_color_range(Asid::new(2)), Some((20, 12)));
+        let colors = split_ranges(32, 3);
+        assert_eq!(colors, [(0, 10), (10, 10), (20, 12)]);
         // The same line indexes into different sets per ASID, each within
         // the owner's range — so cross-app conflict misses cannot happen.
         for line in 0..200u64 {
-            for asid in 0..3u16 {
-                let (start, len) = c.set_color_range(Asid::new(asid)).unwrap();
+            for (asid, &(start, len)) in (0u16..).zip(&colors) {
                 let set = c.set_index(LineAddr(line), Asid::new(asid));
                 assert!(set >= start && set < start + len);
             }
@@ -377,8 +363,8 @@ mod tests {
     #[test]
     fn capacity_matches_geometry() {
         let c = DataCache::new(2 * 1024 * 1024, 16);
-        assert_eq!(c.capacity_lines(), 16384); // 2 MB / 128 B
-        assert_eq!(c.n_sets(), 1024);
+        assert_eq!(c.n_sets(), 1024); // 2 MB / 128 B / 16 ways
+        assert_eq!(c.lines.len(), 16384);
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl SharedL2Cache {
     /// straight toward DRAM (merged through the bypass MSHRs).
     pub fn enqueue(&mut self, req: MemRequest, now: Cycle) {
         // Conservation: every request accepted here leaves exactly once via
-        // `take_responses`.
+        // `drain_responses_into`.
         mask_obs::hooks::issue(mask_obs::Domain::L2Cache, req.id.0);
         if self.bypass_enabled {
             if let RequestClass::Translation(level) = req.class {
@@ -307,33 +307,14 @@ impl SharedL2Cache {
         self.scratch_fill = gathered;
     }
 
-    /// Drains requests destined for DRAM (call every cycle).
-    ///
-    /// Allocating wrapper around [`SharedL2Cache::drain_dram_requests_into`]
-    /// for tests and cold paths.
-    pub fn take_dram_requests(&mut self) -> Vec<MemRequest> {
-        let mut out = Vec::new();
-        self.drain_dram_requests_into(&mut out);
-        out
-    }
-
-    /// Moves all pending DRAM-bound requests into `out` (not cleared).
+    /// Moves all pending DRAM-bound requests into `out` (not cleared; call
+    /// every cycle).
     pub fn drain_dram_requests_into(&mut self, out: &mut Vec<MemRequest>) {
         out.append(&mut self.to_dram);
     }
 
-    /// Drains completed responses (call every cycle).
-    ///
-    /// Allocating wrapper around [`SharedL2Cache::drain_responses_into`]
-    /// for tests and cold paths.
-    pub fn take_responses(&mut self) -> Vec<L2Response> {
-        let mut out = Vec::new();
-        self.drain_responses_into(&mut out);
-        out
-    }
-
-    /// Moves all completed responses into `out` (not cleared), retiring
-    /// each from the `l2-cache` conservation domain.
+    /// Moves all completed responses into `out` (not cleared; call every
+    /// cycle), retiring each from the `l2-cache` conservation domain.
     pub fn drain_responses_into(&mut self, out: &mut Vec<L2Response>) {
         for r in &self.responses {
             mask_obs::hooks::retire(mask_obs::Domain::L2Cache, r.req.id.0);
@@ -344,11 +325,6 @@ impl SharedL2Cache {
     /// Ends a monitoring epoch (latches new bypass decisions).
     pub fn end_epoch(&mut self) {
         self.monitor.end_epoch();
-    }
-
-    /// Read access to the bypass monitor (for experiment reporting).
-    pub fn monitor(&self) -> &BypassMonitor {
-        &self.monitor
     }
 
     /// Total queued requests across banks (queueing-pressure metric).
@@ -421,6 +397,20 @@ mod tests {
         )
     }
 
+    /// Drains the requests bound for DRAM.
+    fn dram_requests(l2: &mut SharedL2Cache) -> Vec<MemRequest> {
+        let mut out = Vec::new();
+        l2.drain_dram_requests_into(&mut out);
+        out
+    }
+
+    /// Drains the completed responses.
+    fn l2_responses(l2: &mut SharedL2Cache) -> Vec<L2Response> {
+        let mut out = Vec::new();
+        l2.drain_responses_into(&mut out);
+        out
+    }
+
     fn run_until_responses(
         l2: &mut SharedL2Cache,
         start: Cycle,
@@ -429,12 +419,10 @@ mod tests {
         let mut out = Vec::new();
         for now in start..start + max {
             l2.tick(now);
-            // Simulate a 20-cycle DRAM for any outgoing requests.
-            for r in l2.take_dram_requests() {
-                // Immediate fill for test simplicity (latency covered elsewhere).
-                let _ = r;
-            }
-            out.extend(l2.take_responses());
+            // Outgoing requests are dropped: no fill returns (latency is
+            // covered elsewhere).
+            dram_requests(l2);
+            l2.drain_responses_into(&mut out);
             if !out.is_empty() {
                 return (out, now);
             }
@@ -449,14 +437,17 @@ mod tests {
         // Nothing served before the pipeline latency elapses.
         for now in 0..10 {
             l2.tick(now);
-            assert!(l2.take_responses().is_empty(), "no response before latency");
+            assert!(
+                l2_responses(&mut l2).is_empty(),
+                "no response before latency"
+            );
         }
         l2.tick(10);
-        let dram = l2.take_dram_requests();
+        let dram = dram_requests(&mut l2);
         assert_eq!(dram.len(), 1);
         assert_eq!(dram[0].line, LineAddr(42));
         l2.dram_fill(LineAddr(42), 50);
-        let resp = l2.take_responses();
+        let resp = l2_responses(&mut l2);
         assert_eq!(resp.len(), 1);
         assert_eq!(resp[0].outcome, L2Outcome::Miss);
         // Second access to the same line now hits.
@@ -475,9 +466,9 @@ mod tests {
         for now in 0..=12 {
             l2.tick(now);
         }
-        assert_eq!(l2.take_dram_requests().len(), 1, "one primary miss only");
+        assert_eq!(dram_requests(&mut l2).len(), 1, "one primary miss only");
         l2.dram_fill(LineAddr(7), 100);
-        assert_eq!(l2.take_responses().len(), 3, "all three waiters wake");
+        assert_eq!(l2_responses(&mut l2).len(), 3, "all three waiters wake");
     }
 
     #[test]
@@ -488,7 +479,7 @@ mod tests {
             l2.enqueue(req(i, i * 64, RequestClass::Data), 0);
         }
         l2.tick(10);
-        let first_wave = l2.take_dram_requests().len();
+        let first_wave = dram_requests(&mut l2).len();
         // 4 banks x 2 ports = at most 8 per cycle.
         assert!(first_wave <= 8, "served {first_wave} in one cycle");
         assert!(l2.queued() >= 32);
@@ -505,20 +496,20 @@ mod tests {
         }
         for now in 0..200 {
             l2.tick(now);
-            for r in l2.take_dram_requests() {
+            for r in dram_requests(&mut l2) {
                 l2.dram_fill(r.line, now);
             }
-            l2.take_responses();
+            l2_responses(&mut l2);
         }
         l2.end_epoch();
-        assert!(l2.monitor().is_bypassing(Asid::new(0), WalkLevel::new(4)));
+        assert!(l2.monitor.should_bypass(Asid::new(0), WalkLevel::new(4)));
         // A bypassing leaf translation is forwarded to DRAM immediately,
         // without waiting the 10-cycle pipeline.
         l2.enqueue(req(999, 555_000, leaf), 1000);
-        let dram = l2.take_dram_requests();
+        let dram = dram_requests(&mut l2);
         assert_eq!(dram.len(), 1, "bypass forwards without tick");
         l2.dram_fill(dram[0].line, 1001);
-        let resp = l2.take_responses();
+        let resp = l2_responses(&mut l2);
         assert_eq!(resp.len(), 1);
         assert_eq!(resp[0].outcome, L2Outcome::Bypassed);
     }
@@ -527,10 +518,7 @@ mod tests {
     fn data_requests_never_bypass() {
         let mut l2 = SharedL2Cache::new(&cfg(), L2Policy::SharedBypass, 1);
         l2.enqueue(req(1, 42, RequestClass::Data), 0);
-        assert!(
-            l2.take_dram_requests().is_empty(),
-            "data goes through banks"
-        );
+        assert!(dram_requests(&mut l2).is_empty(), "data goes through banks");
         assert_eq!(l2.queued(), 1);
     }
 
@@ -588,7 +576,7 @@ mod tests {
                 l2.banks[0].head_stalled = false;
             }
             l2.tick(now);
-            to_fill.extend(l2.take_dram_requests().iter().map(|r| r.line));
+            to_fill.extend(dram_requests(&mut l2).iter().map(|r| r.line));
             if now == 2 + stall / 2 {
                 assert!(reprobe || l2.banks[0].head_stalled, "line 3 is stalled");
                 match mid {
@@ -603,7 +591,11 @@ mod tests {
                     l2.dram_fill(line, now);
                 }
             }
-            responses.extend(l2.take_responses().iter().map(|r| (r.req.id.0, r.outcome)));
+            responses.extend(
+                l2_responses(&mut l2)
+                    .iter()
+                    .map(|r| (r.req.id.0, r.outcome)),
+            );
             states.push(sealed(&l2));
         }
         assert_eq!(responses.len(), 5, "every request answered");
@@ -636,12 +628,20 @@ mod tests {
         // The monitor latches a level's rate from 16 samples on. One walk
         // access to level 2, stalled for 40 cycles, is 41 recorded misses:
         // the level reads 0 % on the strength of a single request. (Kept,
-        // not fixed: see the fidelity notes in DESIGN.md.)
+        // not fixed: see the fidelity notes in DESIGN.md.) Shown through
+        // the decision: after an epoch of data hits, the level bypasses
+        // only if its latched rate fell.
         let level = WalkLevel::new(2);
-        let (.., long) = stall_run(40, MidStall::Nothing, false);
-        assert_eq!(long.monitor().level_hit_rate(Asid::new(0), level), 0.0);
-        let (.., short) = stall_run(2, MidStall::Nothing, false);
-        assert_eq!(short.monitor().level_hit_rate(Asid::new(0), level), 1.0);
+        let bypasses = |stall| {
+            let (.., mut l2) = stall_run(stall, MidStall::Nothing, false);
+            for _ in 0..16 {
+                l2.monitor.record(Asid::new(0), RequestClass::Data, true);
+            }
+            l2.monitor.end_epoch();
+            l2.monitor.should_bypass(Asid::new(0), level)
+        };
+        assert!(bypasses(40), "41 misses latch a 0 % hit rate");
+        assert!(!bypasses(2), "3 samples keep the initial estimate");
     }
 
     #[test]
@@ -661,7 +661,7 @@ mod tests {
         l2.tick(15);
         assert_eq!(l2.head_ready, [Cycle::MAX, 17, Cycle::MAX, Cycle::MAX]);
         l2.tick(17);
-        assert_eq!(l2.take_dram_requests().len(), 3, "three misses go to DRAM");
+        assert_eq!(dram_requests(&mut l2).len(), 3, "three misses go to DRAM");
         assert_eq!(l2.queued(), 0);
     }
 
@@ -690,7 +690,7 @@ mod tests {
             l2.tick(now);
         }
         // Only 2 primaries can be outstanding.
-        assert_eq!(l2.take_dram_requests().len(), 2);
+        assert_eq!(dram_requests(&mut l2).len(), 2);
         assert!(l2.queued() >= 4);
         // Draining the MSHRs lets the rest proceed.
         l2.dram_fill(LineAddr(0), 31);
@@ -698,6 +698,6 @@ mod tests {
         for now in 31..60 {
             l2.tick(now);
         }
-        assert_eq!(l2.take_dram_requests().len(), 2);
+        assert_eq!(dram_requests(&mut l2).len(), 2);
     }
 }

@@ -29,7 +29,7 @@ proptest! {
         for &l in &lines {
             c.fill(LineAddr(u64::from(l)), Asid::new(0));
         }
-        prop_assert!(c.len() <= c.capacity_lines());
+        prop_assert!(c.len() <= 128);
     }
 
     /// Every MSHR waiter is returned exactly once across completes.
@@ -75,13 +75,16 @@ proptest! {
             ids.insert(ReqId(i as u64));
         }
         let mut seen = BTreeSet::new();
+        let (mut to_dram, mut responses) = (Vec::new(), Vec::new());
         for now in 0..10_000u64 {
             l2.tick(now);
-            for r in l2.take_dram_requests() {
+            l2.drain_dram_requests_into(&mut to_dram);
+            for r in to_dram.drain(..) {
                 // Instant DRAM.
                 l2.dram_fill(r.line, now);
             }
-            for resp in l2.take_responses() {
+            l2.drain_responses_into(&mut responses);
+            for resp in responses.drain(..) {
                 prop_assert!(seen.insert(resp.req.id), "duplicate response {:?}", resp.req.id);
             }
             if seen.len() == ids.len() {

@@ -9,6 +9,14 @@
 use crate::json::Value;
 use crate::req::WalkLevel;
 
+/// `num / den`, or `None` when `den` is 0: a rate over nothing is "no
+/// data", not 0. Every derived rate and average below goes through it.
+#[inline]
+#[must_use]
+pub fn ratio(num: u64, den: u64) -> Option<f64> {
+    (den != 0).then(|| num as f64 / den as f64)
+}
+
 /// One entry of a counter struct's field table, as [`AppStats::fields`]
 /// (`U = &u64`, ...) and [`AppStats::fields_mut`] (`U = &mut u64`, ...)
 /// hand it out — and likewise for [`HitStats`] and [`DramClassStats`],
@@ -147,23 +155,17 @@ counters! {
 }
 
 impl DramClassStats {
-    /// Average service latency in cycles (0 if nothing was serviced).
-    pub fn avg_latency(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.latency_sum as f64 / self.requests as f64
-        }
+    /// Average service latency in cycles (`None` if nothing was serviced).
+    pub fn avg_latency(&self) -> Option<f64> {
+        ratio(self.latency_sum, self.requests)
     }
 
     /// Row-buffer hit rate over all serviced requests.
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.row_hits + self.row_misses + self.row_conflicts;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / total as f64
-        }
+    pub fn row_hit_rate(&self) -> Option<f64> {
+        ratio(
+            self.row_hits,
+            self.row_hits + self.row_misses + self.row_conflicts,
+        )
     }
 
     /// Component-wise difference `self - prev` (counters are monotonic;
@@ -206,24 +208,17 @@ impl HitStats {
         self.accesses - self.hits
     }
 
-    /// Hit rate in `[0, 1]` (0 when never accessed).
+    /// Hit rate in `[0, 1]` (`None` when never accessed).
     #[inline]
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
+    pub fn hit_rate(&self) -> Option<f64> {
+        ratio(self.hits, self.accesses)
     }
 
-    /// Miss rate in `[0, 1]` (0 when never accessed).
+    /// Miss rate in `[0, 1]` (`None` when never accessed), computed as
+    /// `1 - hit_rate` so that its digits match the hit rate's.
     #[inline]
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            1.0 - self.hit_rate()
-        }
+    pub fn miss_rate(&self) -> Option<f64> {
+        self.hit_rate().map(|h| 1.0 - h)
     }
 
     /// Accumulates another counter pair into this one.
@@ -309,39 +304,23 @@ counters! {
 
 impl AppStats {
     /// Instructions per cycle over the whole run.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.cycles as f64
-        }
+    pub fn ipc(&self) -> Option<f64> {
+        ratio(self.instructions, self.cycles)
     }
 
     /// Average latency of completed page walks.
-    pub fn avg_walk_latency(&self) -> f64 {
-        if self.walks_completed == 0 {
-            0.0
-        } else {
-            self.walk_latency_sum as f64 / self.walks_completed as f64
-        }
+    pub fn avg_walk_latency(&self) -> Option<f64> {
+        ratio(self.walk_latency_sum, self.walks_completed)
     }
 
     /// Average number of concurrent page walks (Fig. 5).
-    pub fn avg_concurrent_walks(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.walk_cycles_integral as f64 / self.cycles as f64
-        }
+    pub fn avg_concurrent_walks(&self) -> Option<f64> {
+        ratio(self.walk_cycles_integral, self.cycles)
     }
 
     /// Average warps stalled per L2 TLB miss (Fig. 6).
-    pub fn avg_warps_stalled_per_miss(&self) -> f64 {
-        if self.stalled_warps_events == 0 {
-            0.0
-        } else {
-            self.stalled_warps_sum as f64 / self.stalled_warps_events as f64
-        }
+    pub fn avg_warps_stalled_per_miss(&self) -> Option<f64> {
+        ratio(self.stalled_warps_sum, self.stalled_warps_events)
     }
 
     /// Records an L2-cache translation probe at `level`.
@@ -389,7 +368,7 @@ impl SimStats {
 
     /// Fraction of utilized DRAM bandwidth consumed by translation requests
     /// (Fig. 8's comparison).
-    pub fn translation_bandwidth_share(&self) -> f64 {
+    pub fn translation_bandwidth_share(&self) -> Option<f64> {
         let x = self
             .apps
             .iter()
@@ -400,11 +379,7 @@ impl SimStats {
             .iter()
             .map(|a| a.dram_data.bus_busy_cycles)
             .sum::<u64>();
-        if x + d == 0 {
-            0.0
-        } else {
-            x as f64 / (x + d) as f64
-        }
+        ratio(x, x + d)
     }
 }
 
@@ -415,7 +390,8 @@ mod tests {
     #[test]
     fn hit_stats_rates() {
         let mut h = HitStats::default();
-        assert_eq!(h.hit_rate(), 0.0);
+        assert_eq!(h.hit_rate(), None, "never accessed: no data, not 0");
+        assert_eq!(h.miss_rate(), None);
         h.record(true);
         h.record(true);
         h.record(false);
@@ -423,30 +399,48 @@ mod tests {
         assert_eq!(h.accesses, 4);
         assert_eq!(h.hits, 2);
         assert_eq!(h.misses(), 2);
-        assert!((h.hit_rate() - 0.5).abs() < 1e-12);
-        assert!((h.miss_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(h.hit_rate(), Some(0.5));
+        assert_eq!(h.miss_rate(), Some(0.5));
     }
 
     #[test]
     fn app_stats_derived_metrics() {
+        let idle = AppStats::default();
+        assert_eq!(idle.ipc(), None);
+        assert_eq!(idle.avg_walk_latency(), None);
+        assert_eq!(idle.avg_concurrent_walks(), None);
+        assert_eq!(idle.avg_warps_stalled_per_miss(), None);
         let mut a = AppStats {
             instructions: 500,
             cycles: 1000,
             ..Default::default()
         };
-        assert!((a.ipc() - 0.5).abs() < 1e-12);
+        assert_eq!(a.ipc(), Some(0.5));
+        // Cycles without walks are a measured 0, not missing data.
+        assert_eq!(a.avg_concurrent_walks(), Some(0.0));
         a.walks_completed = 10;
         a.walk_latency_sum = 2000;
-        assert!((a.avg_walk_latency() - 200.0).abs() < 1e-12);
+        assert_eq!(a.avg_walk_latency(), Some(200.0));
         a.walk_cycles_integral = 3000;
-        assert!((a.avg_concurrent_walks() - 3.0).abs() < 1e-12);
+        assert_eq!(a.avg_concurrent_walks(), Some(3.0));
         a.stalled_warps_sum = 60;
         a.stalled_warps_events = 3;
-        assert!((a.avg_warps_stalled_per_miss() - 20.0).abs() < 1e-12);
+        assert_eq!(a.avg_warps_stalled_per_miss(), Some(20.0));
+    }
+
+    #[test]
+    fn ratio_is_none_only_without_a_denominator() {
+        assert_eq!(ratio(0, 0), None);
+        assert_eq!(ratio(7, 0), None);
+        assert_eq!(ratio(0, 4), Some(0.0));
+        assert_eq!(ratio(1, 4), Some(0.25));
     }
 
     #[test]
     fn dram_class_stats_merge_and_rates() {
+        let idle = DramClassStats::default();
+        assert_eq!(idle.avg_latency(), None);
+        assert_eq!(idle.row_hit_rate(), None);
         let mut a = DramClassStats {
             requests: 2,
             latency_sum: 100,
@@ -465,17 +459,18 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(a.requests, 4);
-        assert!((a.avg_latency() - 100.0).abs() < 1e-12);
-        assert!((a.row_hit_rate() - 0.25).abs() < 1e-12);
+        assert_eq!(a.avg_latency(), Some(100.0));
+        assert_eq!(a.row_hit_rate(), Some(0.25));
     }
 
     #[test]
     fn sim_stats_bandwidth_shares() {
         let mut s = SimStats::new(2, 8);
+        assert_eq!(s.translation_bandwidth_share(), None);
         s.apps[0].dram_translation.bus_busy_cycles = 100;
         s.apps[0].dram_data.bus_busy_cycles = 300;
         s.apps[1].dram_data.bus_busy_cycles = 600;
-        assert!((s.translation_bandwidth_share() - 0.1).abs() < 1e-12);
+        assert!((s.translation_bandwidth_share().expect("bus busy") - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -34,7 +34,8 @@ proptest! {
         }
     }
 
-    /// Hit-rate bookkeeping: hits + misses == accesses and rates in [0,1].
+    /// Hit-rate bookkeeping: hits + misses == accesses, rates in [0,1], and
+    /// no rate at all without an access.
     #[test]
     fn hit_stats_invariants(outcomes in proptest::collection::vec(any::<bool>(), 0..200)) {
         let mut h = HitStats::default();
@@ -43,8 +44,12 @@ proptest! {
         }
         prop_assert_eq!(h.accesses, outcomes.len() as u64);
         prop_assert_eq!(h.hits + h.misses(), h.accesses);
-        prop_assert!((0.0..=1.0).contains(&h.hit_rate()));
-        prop_assert!((h.hit_rate() + h.miss_rate() - 1.0).abs() < 1e-9 || h.accesses == 0);
+        prop_assert_eq!(h.hit_rate().is_none(), h.accesses == 0);
+        prop_assert_eq!(h.miss_rate().is_none(), h.accesses == 0);
+        if let (Some(hit), Some(miss)) = (h.hit_rate(), h.miss_rate()) {
+            prop_assert!((0.0..=1.0).contains(&hit));
+            prop_assert!((hit + miss - 1.0).abs() < 1e-9);
+        }
     }
 
     /// Merging DRAM class stats is associative on the counted fields.

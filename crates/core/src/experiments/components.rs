@@ -13,7 +13,7 @@
 
 use super::{avg_ws, ExpOptions};
 use crate::metrics::mean;
-use crate::table::Table;
+use crate::table::{num, Table};
 use mask_common::config::DesignKind;
 use mask_common::stats::HitStats;
 
@@ -41,43 +41,43 @@ pub fn run(opts: &ExpOptions) -> Table {
     for chunk in outcomes.chunks(COMPONENT_DESIGNS.len()) {
         let (base, tlb, cache, dram) = (&chunk[0], &chunk[1], &chunk[2], &chunk[3]);
         for i in 0..2 {
-            base_hit.push(base.stats.apps[i].l2_tlb.hit_rate());
-            tlb_hit.push(tlb.stats.apps[i].l2_tlb.hit_rate());
-            base_xlat_lat.push(base.stats.apps[i].dram_translation.avg_latency());
-            dram_xlat_lat.push(dram.stats.apps[i].dram_translation.avg_latency());
+            base_hit.extend(base.stats.apps[i].l2_tlb.hit_rate());
+            tlb_hit.extend(tlb.stats.apps[i].l2_tlb.hit_rate());
+            base_xlat_lat.extend(base.stats.apps[i].dram_translation.avg_latency());
+            dram_xlat_lat.extend(dram.stats.apps[i].dram_translation.avg_latency());
             cache_bypassed.push(cache.stats.apps[i].l2_translation_bypassed as f64);
             for (level, hits) in walk_levels.iter_mut().enumerate() {
                 hits.merge(&base.stats.apps[i].l2_translation[level]);
             }
         }
-        bypass_hits.push(tlb.stats.apps[0].tlb_bypass_cache.hit_rate());
+        bypass_hits.extend(tlb.stats.apps[0].tlb_bypass_cache.hit_rate());
     }
     let mut t = Table::new("Sec. 7.2: MASK component analysis", &["metric", "value"]);
-    let base_avg = mean(base_hit.iter().copied());
-    let tlb_avg = mean(tlb_hit.iter().copied());
+    let base_avg = mean(base_hit);
+    let tlb_avg = mean(tlb_hit);
     t.row_f64("SharedTLB avg L2 TLB hit rate", &[base_avg]);
     t.row_f64("MASK-TLB avg L2 TLB hit rate", &[tlb_avg]);
-    if base_avg > 0.0 {
-        t.row(
-            "L2 TLB hit-rate improvement (%)",
-            vec![format!("{:.1}", (tlb_avg / base_avg - 1.0) * 100.0)],
-        );
+    match (base_avg, tlb_avg) {
+        (Some(base), Some(tlb)) if base > 0.0 => {
+            t.row(
+                "L2 TLB hit-rate improvement (%)",
+                vec![format!("{:.1}", (tlb / base - 1.0) * 100.0)],
+            );
+        }
+        _ => {}
     }
-    t.row(
-        "TLB bypass cache hit rate",
-        vec![format!("{:.3}", mean(bypass_hits.iter().copied()))],
-    );
+    t.row("TLB bypass cache hit rate", vec![num(mean(bypass_hits), 3)]);
     t.row(
         "Avg translation requests bypassing L2 (MASK-Cache)",
-        vec![format!("{:.0}", mean(cache_bypassed.iter().copied()))],
+        vec![num(mean(cache_bypassed), 0)],
     );
     t.row(
         "Baseline DRAM translation latency (cycles)",
-        vec![format!("{:.0}", mean(base_xlat_lat.iter().copied()))],
+        vec![num(mean(base_xlat_lat), 0)],
     );
     t.row(
         "MASK-DRAM translation latency (cycles)",
-        vec![format!("{:.0}", mean(dram_xlat_lat.iter().copied()))],
+        vec![num(mean(dram_xlat_lat), 0)],
     );
     let ws = avg_ws(&outcomes, COMPONENT_DESIGNS.len());
     for (design, ws) in COMPONENT_DESIGNS.iter().zip(ws) {
@@ -86,7 +86,7 @@ pub fn run(opts: &ExpOptions) -> Table {
     for (level, hits) in walk_levels.iter().enumerate() {
         t.row(
             format!("SharedTLB L2 hit rate, walk level {}", level + 1),
-            vec![format!("{:.3}", hits.hit_rate())],
+            vec![num(hits.hit_rate(), 3)],
         );
     }
     t

@@ -13,7 +13,8 @@
 //! low-row-locality translation stream.
 
 use super::ExpOptions;
-use crate::table::Table;
+use crate::metrics::mean;
+use crate::table::{num, Table};
 use mask_common::config::DesignKind;
 use mask_common::stats::SimStats;
 
@@ -26,10 +27,12 @@ pub struct DramRow {
     pub xlat_bw: f64,
     /// Data share of the maximum DRAM bandwidth.
     pub data_bw: f64,
-    /// Average DRAM latency of translation requests (cycles).
-    pub xlat_latency: f64,
-    /// Average DRAM latency of data requests (cycles).
-    pub data_latency: f64,
+    /// Average DRAM latency of translation requests (cycles; `None` if
+    /// none reached DRAM).
+    pub xlat_latency: Option<f64>,
+    /// Average DRAM latency of data requests (cycles; `None` if none
+    /// reached DRAM).
+    pub data_latency: Option<f64>,
 }
 
 fn characterize(name: String, stats: &SimStats) -> DramRow {
@@ -71,12 +74,11 @@ pub fn fig08(rows: &[DramRow]) -> Table {
     for r in rows {
         t.row_f64(r.name.clone(), &[r.xlat_bw, r.data_bw]);
     }
-    let n = rows.len().max(1) as f64;
     t.row_f64(
         "Average",
         &[
-            rows.iter().map(|r| r.xlat_bw).sum::<f64>() / n,
-            rows.iter().map(|r| r.data_bw).sum::<f64>() / n,
+            mean(rows.iter().map(|r| r.xlat_bw)),
+            mean(rows.iter().map(|r| r.data_bw)),
         ],
     );
     t
@@ -91,24 +93,14 @@ pub fn fig09(rows: &[DramRow]) -> Table {
     for r in rows {
         t.row(
             r.name.clone(),
-            vec![
-                format!("{:.0}", r.xlat_latency),
-                format!("{:.0}", r.data_latency),
-            ],
+            vec![num(r.xlat_latency, 0), num(r.data_latency, 0)],
         );
     }
-    let n = rows.len().max(1) as f64;
     t.row(
         "Average",
         vec![
-            format!(
-                "{:.0}",
-                rows.iter().map(|r| r.xlat_latency).sum::<f64>() / n
-            ),
-            format!(
-                "{:.0}",
-                rows.iter().map(|r| r.data_latency).sum::<f64>() / n
-            ),
+            num(mean(rows.iter().filter_map(|r| r.xlat_latency)), 0),
+            num(mean(rows.iter().filter_map(|r| r.data_latency)), 0),
         ],
     );
     t

@@ -6,7 +6,7 @@
 //! TLB."
 
 use super::ExpOptions;
-use crate::table::Table;
+use crate::table::{num, Table};
 use mask_common::config::DesignKind;
 use mask_workloads::app_by_name;
 
@@ -46,16 +46,16 @@ pub fn run(opts: &ExpOptions) -> Table {
             name.clone(),
             vec![
                 format!("App1 ({an})"),
-                format!("{:.3}", alone_a.apps[0].l2_tlb.miss_rate()),
-                format!("{:.3}", shared.apps[0].l2_tlb.miss_rate()),
+                num(alone_a.apps[0].l2_tlb.miss_rate(), 3),
+                num(shared.apps[0].l2_tlb.miss_rate(), 3),
             ],
         );
         t.row(
             name,
             vec![
                 format!("App2 ({bn})"),
-                format!("{:.3}", alone_b.apps[0].l2_tlb.miss_rate()),
-                format!("{:.3}", shared.apps[1].l2_tlb.miss_rate()),
+                num(alone_b.apps[0].l2_tlb.miss_rate(), 3),
+                num(shared.apps[1].l2_tlb.miss_rate(), 3),
             ],
         );
     }

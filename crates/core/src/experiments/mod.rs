@@ -108,8 +108,9 @@ fn ablations(o: &ExpOptions) -> Vec<Table> {
 }
 
 /// Average weighted speedup per design of `outcomes`, which are
-/// design-minor over `designs` designs.
-fn avg_ws(outcomes: &[PairOutcome], designs: usize) -> Vec<f64> {
+/// design-minor over `designs` designs (`None` for a design with no
+/// outcome).
+fn avg_ws(outcomes: &[PairOutcome], designs: usize) -> Vec<Option<f64>> {
     let ws = |d| {
         outcomes
             .iter()

@@ -51,13 +51,14 @@ pub fn sweep(opts: &ExpOptions, designs: &[DesignKind]) -> MultiprogSweep {
 }
 
 impl MultiprogSweep {
-    /// Average of `metric` over pairs in `cat` (or all pairs if `None`).
+    /// Average of `metric` over pairs in `cat` (or all pairs if `None`);
+    /// `None` if no such pair ran under `design`.
     fn avg(
         &self,
         design: DesignKind,
         cat: Option<HmrCategory>,
         metric: impl Fn(&PairOutcome) -> f64,
-    ) -> f64 {
+    ) -> Option<f64> {
         mean(
             self.pairs
                 .iter()
@@ -107,14 +108,14 @@ impl MultiprogSweep {
             if !self.pairs.iter().any(|p| p.category() == cat) {
                 continue;
             }
-            let cells: Vec<f64> = self
+            let cells: Vec<_> = self
                 .designs
                 .iter()
                 .map(|&d| self.avg(d, Some(cat), |o| o.weighted_speedup))
                 .collect();
             t.row_f64(cat.label(), &cells);
         }
-        let avg: Vec<f64> = self
+        let avg: Vec<_> = self
             .designs
             .iter()
             .map(|&d| self.avg(d, None, |o| o.weighted_speedup))
@@ -176,13 +177,13 @@ impl MultiprogSweep {
             if !self.pairs.iter().any(|p| p.category() == cat) {
                 continue;
             }
-            let cells: Vec<f64> = designs
+            let cells: Vec<_> = designs
                 .iter()
                 .map(|&d| self.avg(d, Some(cat), |o| o.unfairness))
                 .collect();
             t.row_f64(cat.label(), &cells);
         }
-        let avg: Vec<f64> = designs
+        let avg: Vec<_> = designs
             .iter()
             .map(|&d| self.avg(d, None, |o| o.unfairness))
             .collect();
@@ -196,43 +197,37 @@ impl MultiprogSweep {
             "Headline: MASK vs baselines (averages over simulated pairs)",
             &["metric", "value"],
         );
-        let ws = |d| self.avg(d, None, |o| o.weighted_speedup);
-        let ipc = |d| self.avg(d, None, |o| o.ipc_throughput);
-        let unf = |d| self.avg(d, None, |o| o.unfairness);
-        let base = ws(DesignKind::SharedTlb);
-        let mask = ws(DesignKind::Mask);
-        let ideal = ws(DesignKind::Ideal);
-        if base > 0.0 {
-            t.row(
+        // MASK's average of `metric` over `baseline`'s, when both ran and
+        // `baseline`'s is positive.
+        let rel = |baseline, metric: fn(&PairOutcome) -> f64| match (
+            self.avg(DesignKind::Mask, None, metric),
+            self.avg(baseline, None, metric),
+        ) {
+            (Some(mask), Some(base)) if base > 0.0 => Some(mask / base),
+            _ => None,
+        };
+        let rows: [(&str, Option<f64>); 4] = [
+            (
                 "WS improvement over SharedTLB (%)",
-                vec![format!("{:.1}", (mask / base - 1.0) * 100.0)],
-            );
-        }
-        if ideal > 0.0 {
-            t.row(
+                rel(DesignKind::SharedTlb, |o| o.weighted_speedup).map(|r| r - 1.0),
+            ),
+            (
                 "WS shortfall vs Ideal (%)",
-                vec![format!("{:.1}", (1.0 - mask / ideal) * 100.0)],
-            );
-        }
-        let base_ipc = ipc(DesignKind::SharedTlb);
-        if base_ipc > 0.0 {
-            t.row(
+                rel(DesignKind::Ideal, |o| o.weighted_speedup).map(|r| 1.0 - r),
+            ),
+            (
                 "IPC throughput improvement over SharedTLB (%)",
-                vec![format!(
-                    "{:.1}",
-                    (ipc(DesignKind::Mask) / base_ipc - 1.0) * 100.0
-                )],
-            );
-        }
-        let base_unf = unf(DesignKind::SharedTlb);
-        if base_unf > 0.0 {
-            t.row(
+                rel(DesignKind::SharedTlb, |o| o.ipc_throughput).map(|r| r - 1.0),
+            ),
+            (
                 "Unfairness reduction vs SharedTLB (%)",
-                vec![format!(
-                    "{:.1}",
-                    (1.0 - unf(DesignKind::Mask) / base_unf) * 100.0
-                )],
-            );
+                rel(DesignKind::SharedTlb, |o| o.unfairness).map(|r| 1.0 - r),
+            ),
+        ];
+        for (label, change) in rows {
+            if let Some(change) = change {
+                t.row(label, vec![format!("{:.1}", change * 100.0)]);
+            }
         }
         t
     }

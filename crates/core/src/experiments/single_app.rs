@@ -10,27 +10,28 @@
 //! application running alone.
 
 use super::ExpOptions;
-use crate::table::Table;
+use crate::table::{num, Table};
 use mask_common::config::DesignKind;
 use mask_workloads::{all_apps, expected_class, AppProfile, TlbClass};
 
-/// Per-application single-run measurements.
+/// Per-application single-run measurements; a `None` rate had nothing to
+/// count (no cycle, no resolved miss, no TLB probe).
 #[derive(Clone, Debug)]
 pub struct SingleAppRow {
     /// Benchmark name.
     pub name: &'static str,
     /// Fig. 5 metric.
-    pub avg_concurrent_walks: f64,
+    pub avg_concurrent_walks: Option<f64>,
     /// Fig. 5 error-bar top (max observed).
     pub max_concurrent_walks: u64,
     /// Fig. 6 metric.
-    pub avg_warps_stalled: f64,
+    pub avg_warps_stalled: Option<f64>,
     /// Fig. 6 error-bar top.
     pub max_warps_stalled: u64,
     /// Table 2: L1 TLB miss rate over every core's L1 TLB.
-    pub l1_miss_rate: f64,
+    pub l1_miss_rate: Option<f64>,
     /// Table 2: shared L2 TLB miss rate.
-    pub l2_miss_rate: f64,
+    pub l2_miss_rate: Option<f64>,
 }
 
 /// Runs every application alone on the `SharedTLB` baseline, submitting
@@ -67,7 +68,7 @@ pub fn fig05(rows: &[SingleAppRow]) -> Table {
         t.row(
             r.name,
             vec![
-                format!("{:.1}", r.avg_concurrent_walks),
+                num(r.avg_concurrent_walks, 1),
                 r.max_concurrent_walks.to_string(),
             ],
         );
@@ -84,17 +85,16 @@ pub fn fig06(rows: &[SingleAppRow]) -> Table {
     for r in rows {
         t.row(
             r.name,
-            vec![
-                format!("{:.1}", r.avg_warps_stalled),
-                r.max_warps_stalled.to_string(),
-            ],
+            vec![num(r.avg_warps_stalled, 1), r.max_warps_stalled.to_string()],
         );
     }
     t
 }
 
 /// Table 2: measured L1/L2 TLB miss-rate classification, the procedure the
-/// paper uses for workload selection (§6), on the timed simulator.
+/// paper uses for workload selection (§6), on the timed simulator. An app
+/// with no probe of either TLB has no class: its `class` and `match` cells
+/// read `-`.
 pub fn tab02(rows: &[SingleAppRow]) -> Table {
     let mut t = Table::new(
         "Table 2: workload categorization by L1/L2 TLB miss rates",
@@ -102,7 +102,7 @@ pub fn tab02(rows: &[SingleAppRow]) -> Table {
     );
     for r in rows {
         let (l1, l2) = (r.l1_miss_rate, r.l2_miss_rate);
-        let got = TlbClass::from_rates(l1, l2);
+        let got = l1.zip(l2).map(|(l1, l2)| TlbClass::from_rates(l1, l2));
         let want = expected_class(r.name).expect("all apps classified");
         let fmt = |c: TlbClass| {
             format!(
@@ -111,18 +111,19 @@ pub fn tab02(rows: &[SingleAppRow]) -> Table {
                 if c.l2_high { "HighL2" } else { "LowL2" }
             )
         };
+        let verdict = match got {
+            None => "-",
+            Some(c) if c == want => "yes",
+            Some(_) => "NO",
+        };
         t.row(
             r.name,
             vec![
-                format!("{l1:.3}"),
-                format!("{l2:.3}"),
-                fmt(got),
+                num(l1, 3),
+                num(l2, 3),
+                got.map_or_else(|| "-".to_owned(), fmt),
                 fmt(want),
-                if got == want {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
+                verdict.to_owned(),
             ],
         );
     }
@@ -144,7 +145,7 @@ mod tests {
             .iter()
             .find(|r| r.name == "CONS")
             .expect("CONS present");
-        assert!(cons.avg_concurrent_walks > 0.0);
+        assert!(cons.avg_concurrent_walks > Some(0.0));
         let f5 = fig05(&rows);
         let f6 = fig06(&rows);
         assert_eq!(f5.len(), rows.len());
@@ -173,10 +174,29 @@ mod tests {
             .collect();
         assert!(wrong.is_empty(), "misclassified:\n{}", wrong.join("\n"));
         let lud = rows.iter().find(|r| r.name == "LUD").expect("LUD present");
+        let lud_l1 = lud.l1_miss_rate.expect("LUD probes its L1 TLB");
         assert!(
-            lud.l1_miss_rate < 0.10,
-            "LUD should have a very low L1 TLB miss rate, got {:.3}",
-            lud.l1_miss_rate
+            lud_l1 < 0.10,
+            "LUD should have a very low L1 TLB miss rate, got {lud_l1:.3}"
         );
+    }
+
+    /// At 5 000 cycles FFT and SCP make no L2 TLB access in the measured
+    /// window: their L2 miss rate and class are "no data", not a Low-L2
+    /// rate of 0, and their `match` cell is not `yes`, so the test above
+    /// would count them as misclassified.
+    #[test]
+    fn tab02_says_no_data_for_an_unprobed_l2_tlb() {
+        let opts = ExpOptions {
+            cycles: 5_000,
+            warps_per_core: 64,
+            ..ExpOptions::quick()
+        };
+        let t = tab02(&measure(&opts));
+        for app in ["FFT", "SCP"] {
+            assert_eq!(t.cell(app, "l2_miss"), Some("-"), "{app}");
+            assert_eq!(t.cell(app, "class"), Some("-"), "{app}");
+            assert_ne!(t.cell(app, "match"), Some("yes"), "{app}");
+        }
     }
 }

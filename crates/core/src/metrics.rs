@@ -34,19 +34,15 @@ pub fn unfairness(shared_ipc: &[f64], alone_ipc: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Arithmetic mean (0 for an empty iterator).
-pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
+/// Arithmetic mean (`None` for an empty iterator).
+pub fn mean(values: impl IntoIterator<Item = f64>) -> Option<f64> {
     let mut sum = 0.0;
-    let mut n = 0usize;
+    let mut n = 0u64;
     for v in values {
         sum += v;
         n += 1;
     }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
+    (n != 0).then(|| sum / n as f64)
 }
 
 #[cfg(test)]
@@ -80,8 +76,8 @@ mod tests {
 
     #[test]
     fn mean_basics() {
-        assert!((mean([1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(mean(std::iter::empty()), 0.0);
+        assert_eq!(mean([1.0, 2.0, 3.0]), Some(2.0));
+        assert_eq!(mean(std::iter::empty()), None);
     }
 
     #[test]

@@ -32,13 +32,16 @@ pub struct StorageCost {
 /// overheads as fractions. 48-bit VA / 4 KB pages: 36-bit VPN + 28-bit PPN.
 const L2_TLB_ENTRY_BITS: u64 = 64;
 
+/// §7.4's ASID width.
+const ASID_BITS: u64 = 9;
+
 impl StorageCost {
     /// Computes MASK's storage additions for `cfg` (defaults reproduce the
     /// paper's numbers).
     pub fn compute(cfg: &GpuConfig) -> Self {
         let n_cores = cfg.n_cores as u64;
         // §7.4: 9-bit ASID per L2 TLB entry.
-        let asid_bits_total = 9 * cfg.tlb.l2_entries as u64;
+        let asid_bits_total = ASID_BITS * cfg.tlb.l2_entries as u64;
         // Per core: two 16-bit hit/miss counters, a 256-bit warp bit
         // vector, an 8-bit unique-warp incrementer.
         let per_core_bits = 2 * 16 + 256 + 8;
@@ -46,7 +49,7 @@ impl StorageCost {
         // Shared: 32-entry fully-associative CAM for the bypass cache
         // (entry = L2 TLB entry + 9-bit ASID), 30 15-bit token counters,
         // 30 1-bit direction registers.
-        let bypass_cam_bits = cfg.tlb.bypass_cache_entries as u64 * (L2_TLB_ENTRY_BITS + 9);
+        let bypass_cam_bits = cfg.tlb.bypass_cache_entries as u64 * (L2_TLB_ENTRY_BITS + ASID_BITS);
         let shared_bits_total = bypass_cam_bits + 30 * 15 + 30;
         // §7.4: ten 8-byte counters per *hit-rate monitor* — per-level hit
         // and access counts (4 levels x 2) plus data hit/access.
@@ -81,9 +84,9 @@ impl StorageCost {
     }
 
     /// ASID overhead as a fraction of the L2 TLB payload (§7.4 reports 7%).
-    pub fn asid_fraction_of_l2_tlb(&self, cfg: &GpuConfig) -> f64 {
-        self.asid_bits_total as f64
-            / (cfg.tlb.l2_entries as u64 * (L2_TLB_ENTRY_BITS + 9 + 64)) as f64
+    /// Every entry carries one ASID, so the entry count cancels.
+    pub fn asid_fraction_of_l2_tlb() -> f64 {
+        ASID_BITS as f64 / (L2_TLB_ENTRY_BITS + ASID_BITS + 64) as f64
     }
 
     /// Renders the §7.4 breakdown.
@@ -126,6 +129,13 @@ impl StorageCost {
         t.row(
             "TOTAL (bytes)",
             vec!["-".into(), self.total_bytes().to_string()],
+        );
+        t.row(
+            "ASID tags, % of shared L2 TLB bits",
+            vec![
+                format!("{:.1}", 100.0 * Self::asid_fraction_of_l2_tlb()),
+                "-".into(),
+            ],
         );
         t
     }
@@ -283,10 +293,15 @@ mod tests {
     fn asid_fraction_near_paper_seven_percent() {
         let cfg = GpuConfig::maxwell();
         let c = StorageCost::compute(&cfg);
-        let f = c.asid_fraction_of_l2_tlb(&cfg);
+        let f = StorageCost::asid_fraction_of_l2_tlb();
         assert!(
             (0.04..0.10).contains(&f),
             "ASID fraction {f:.3} should be ~7%"
+        );
+        assert_eq!(
+            c.to_table()
+                .cell("ASID tags, % of shared L2 TLB bits", "bits"),
+            Some("6.6")
         );
     }
 }

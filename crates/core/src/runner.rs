@@ -23,7 +23,7 @@
 use crate::engine::{JobPool, SimJob};
 use crate::metrics::{unfairness, weighted_speedup};
 use mask_common::config::{DesignKind, GpuConfig, JobOptions};
-use mask_common::stats::SimStats;
+use mask_common::stats::{AppStats, SimStats};
 use mask_gpu::AppSpec;
 use mask_workloads::{app_by_name, AppPair, AppProfile};
 use std::sync::Arc;
@@ -83,13 +83,19 @@ pub struct PairOutcome {
     pub stats: Arc<SimStats>,
 }
 
+/// Per-app IPCs, an app that ran no cycle at 0: the zero-IPC convention
+/// [`weighted_speedup`] and [`unfairness`] document.
+fn ipcs<'a>(apps: impl IntoIterator<Item = &'a AppStats>) -> Vec<f64> {
+    apps.into_iter().map(|a| a.ipc().unwrap_or(0.0)).collect()
+}
+
 fn assemble_outcome(
     design: DesignKind,
     stats: Arc<SimStats>,
     alone_ipc: Vec<f64>,
     name: String,
 ) -> PairOutcome {
-    let shared_ipc: Vec<f64> = stats.apps.iter().map(mask_common::AppStats::ipc).collect();
+    let shared_ipc = ipcs(&stats.apps);
     PairOutcome {
         name,
         design,
@@ -221,10 +227,11 @@ impl PairRunner {
                 .join("_");
             for &design in designs {
                 let shared = cursor.next().expect("one result per planned job");
-                let alone_ipc: Vec<f64> = placement
+                let alone: Vec<_> = placement
                     .iter()
-                    .map(|_| cursor.next().expect("one result per planned job").apps[0].ipc())
+                    .map(|_| cursor.next().expect("one result per planned job"))
                     .collect();
+                let alone_ipc = ipcs(alone.iter().map(|s| &s.apps[0]));
                 out.push(assemble_outcome(design, shared, alone_ipc, name.clone()));
             }
         }

@@ -6,6 +6,13 @@
 use mask_common::json;
 use std::fmt;
 
+/// One numeric cell with `decimals` decimals, or `-` for `None` (a rate or
+/// average over nothing), which [`Table::value`] does not parse.
+pub fn num(v: impl Into<Option<f64>>, decimals: usize) -> String {
+    v.into()
+        .map_or_else(|| "-".to_owned(), |v| format!("{v:.decimals$}"))
+}
+
 /// A labelled table of numeric or textual cells.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Table {
@@ -45,9 +52,14 @@ impl Table {
         self
     }
 
-    /// Appends a row of `f64` cells formatted with 3 decimals.
-    pub fn row_f64(&mut self, label: impl Into<String>, cells: &[f64]) -> &mut Self {
-        self.row(label, cells.iter().map(|v| format!("{v:.3}")).collect())
+    /// Appends a row of `f64` (or `Option<f64>`) cells formatted with 3
+    /// decimals; see [`num`].
+    pub fn row_f64<V: Into<Option<f64>> + Copy>(
+        &mut self,
+        label: impl Into<String>,
+        cells: &[V],
+    ) -> &mut Self {
+        self.row(label, cells.iter().map(|&v| num(v, 3)).collect())
     }
 
     /// Number of data rows.
@@ -162,6 +174,17 @@ mod tests {
         t.row_f64("W1", &[1.0, 2.5]);
         t.row("W2", vec!["x".into(), "y".into()]);
         t
+    }
+
+    #[test]
+    fn missing_values_print_a_dash_that_does_not_parse() {
+        let mut t = Table::new("Sample", &["workload", "a", "b"]);
+        t.row_f64("W1", &[Some(0.25), None]);
+        assert_eq!(t.cell("W1", "a"), Some("0.250"));
+        assert_eq!(t.cell("W1", "b"), Some("-"));
+        assert_eq!(t.value("W1", "b"), None);
+        assert_eq!(num(None, 0), "-");
+        assert_eq!(num(12.4, 0), "12");
     }
 
     #[test]

@@ -499,11 +499,6 @@ impl GpuCore {
     pub fn flush_tlb_asid(&mut self, asid: Asid) {
         self.l1tlb.flush_asid(asid);
     }
-
-    /// Number of warps currently stalled (not issuable).
-    pub fn stalled_warps(&self) -> u32 {
-        self.warps.len() as u32 - self.ready.count_ones()
-    }
 }
 
 impl WarpState {
@@ -571,6 +566,11 @@ mod tests {
     use mask_common::config::{DesignKind, GpuConfig};
     use mask_workloads::app_by_name;
 
+    /// Warps that cannot issue.
+    fn stalled(core: &GpuCore) -> u32 {
+        core.warps.len() as u32 - core.ready.count_ones()
+    }
+
     fn small_cfg() -> GpuConfig {
         let mut cfg = GpuConfig::maxwell();
         cfg.warps_per_core = 8;
@@ -609,7 +609,7 @@ mod tests {
             };
             core.issue(now, &mut sink, &mut stats);
         }
-        assert_eq!(core.stalled_warps(), 8, "all warps stall on data only");
+        assert_eq!(stalled(&core), 8, "all warps stall on data only");
         assert_eq!(stats.l1_tlb.misses(), 0, "ideal TLB never misses");
         assert!(stats.mem_instructions >= 8);
         assert!(
@@ -657,7 +657,7 @@ mod tests {
             xlat.outstanding() > 0,
             "warps must be waiting on translations"
         );
-        assert!(core.stalled_warps() > 0);
+        assert!(stalled(&core) > 0);
     }
 
     #[test]
@@ -725,16 +725,16 @@ mod tests {
                 next_req_id: &mut id,
             };
             core.issue(now, &mut sink, &mut stats);
-            if core.stalled_warps() > 0 {
+            if stalled(&core) > 0 {
                 break;
             }
         }
-        assert!(core.stalled_warps() > 0);
-        let stalled_before = core.stalled_warps();
+        assert!(stalled(&core) > 0);
+        let stalled_before = stalled(&core);
         for r in out.clone() {
             core.line_done(r.line);
         }
-        assert!(core.stalled_warps() < stalled_before);
+        assert!(stalled(&core) < stalled_before);
     }
 
     #[test]

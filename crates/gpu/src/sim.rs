@@ -593,14 +593,6 @@ impl GpuSim {
         }
     }
 
-    /// Runs to the configured cycle budget.
-    pub fn run_to_completion(&mut self) {
-        let end = self.cfg.max_cycles;
-        if self.now < end {
-            self.run(end - self.now);
-        }
-    }
-
     /// Does nothing. It switched the whole-GPU idle fast-forward, which is
     /// gone; the name stays only because `benchmark/src/gpu_layer.rs`
     /// still calls it. ROADMAP item 5 deletes it with that call.
@@ -760,7 +752,7 @@ mod tests {
     #[test]
     fn single_app_makes_progress() {
         let mut s = sim(DesignKind::SharedTlb, &[("HISTO", 4)], 5_000);
-        s.run_to_completion();
+        s.run(5_000);
         s.sync_stats();
         let stats = s.stats();
         assert!(
@@ -779,12 +771,12 @@ mod tests {
     fn ideal_beats_shared_tlb() {
         let mut ideal = sim(DesignKind::Ideal, &[("CONS", 4)], 10_000);
         let mut base = sim(DesignKind::SharedTlb, &[("CONS", 4)], 10_000);
-        ideal.run_to_completion();
-        base.run_to_completion();
+        ideal.run(10_000);
+        base.run(10_000);
         ideal.sync_stats();
         base.sync_stats();
-        let i = ideal.stats().apps[0].ipc();
-        let b = base.stats().apps[0].ipc();
+        let i = ideal.stats().apps[0].ipc().expect("cycles ran");
+        let b = base.stats().apps[0].ipc().expect("cycles ran");
         assert!(
             i > b,
             "ideal TLB ({i:.3} IPC) must outperform SharedTLB ({b:.3} IPC)"
@@ -794,7 +786,7 @@ mod tests {
     #[test]
     fn two_apps_share_the_gpu() {
         let mut s = sim(DesignKind::SharedTlb, &[("HISTO", 2), ("GUP", 2)], 8_000);
-        s.run_to_completion();
+        s.run(8_000);
         s.sync_stats();
         let st = s.stats();
         assert!(st.apps[0].instructions > 0);
@@ -807,7 +799,7 @@ mod tests {
     #[test]
     fn translation_requests_traverse_memory_hierarchy() {
         let mut s = sim(DesignKind::SharedTlb, &[("SCAN", 4)], 8_000);
-        s.run_to_completion();
+        s.run(8_000);
         s.sync_stats();
         let st = s.stats();
         let xlat_probes: u64 = (0..4).map(|l| st.apps[0].l2_translation[l].accesses).sum();
@@ -818,11 +810,15 @@ mod tests {
     #[test]
     fn upper_walk_levels_hit_more_than_leaves() {
         let mut s = sim(DesignKind::SharedTlb, &[("CONS", 4)], 20_000);
-        s.run_to_completion();
+        s.run(20_000);
         s.sync_stats();
         let st = s.stats();
-        let root = st.apps[0].l2_translation[0].hit_rate();
-        let leaf = st.apps[0].l2_translation[3].hit_rate();
+        let root = st.apps[0].l2_translation[0]
+            .hit_rate()
+            .expect("root probed");
+        let leaf = st.apps[0].l2_translation[3]
+            .hit_rate()
+            .expect("leaf probed");
         assert!(
             root > leaf,
             "root PTE lines are shared (hit {root:.2}); leaf lines are not (hit {leaf:.2})"
@@ -833,8 +829,8 @@ mod tests {
     fn deterministic_across_runs() {
         let mut a = sim(DesignKind::Mask, &[("HISTO", 2), ("GUP", 2)], 3_000);
         let mut b = sim(DesignKind::Mask, &[("HISTO", 2), ("GUP", 2)], 3_000);
-        a.run_to_completion();
-        b.run_to_completion();
+        a.run(3_000);
+        b.run(3_000);
         a.sync_stats();
         b.sync_stats();
         assert_eq!(a.stats(), b.stats(), "simulation must be bit-reproducible");
@@ -843,7 +839,7 @@ mod tests {
     #[test]
     fn mask_design_reports_tokens() {
         let mut s = sim(DesignKind::Mask, &[("CONS", 2), ("RED", 2)], 4_000);
-        s.run_to_completion();
+        s.run(4_000);
         s.sync_stats();
         let st = s.stats();
         assert!(st.apps[0].tokens_final > 0);
@@ -867,14 +863,14 @@ mod tests {
         let mut s = sim(DesignKind::SharedTlb, &[("GUP", 2), ("HS", 2)], 30_000);
         s.run(10_000);
         s.sync_stats();
-        let miss_before = s.stats().apps[0].l1_tlb.miss_rate();
+        let miss_before = s.stats().apps[0].l1_tlb.miss_rate().expect("probed");
         // Shoot down app 0's translations; its miss rate must spike while
         // app 1 is unaffected structurally.
         s.tlb_shootdown(Asid::new(0));
         s.reset_stats();
         s.run(2_000);
         s.sync_stats();
-        let miss_after = s.stats().apps[0].l1_tlb.miss_rate();
+        let miss_after = s.stats().apps[0].l1_tlb.miss_rate().expect("probed");
         assert!(
             miss_after > miss_before,
             "shootdown must cause a refill burst ({miss_before:.3} -> {miss_after:.3})"

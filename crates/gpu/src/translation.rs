@@ -421,7 +421,7 @@ impl TranslationUnit {
         if let (Some(tokens), Some(l2)) = (&mut self.tokens, &self.l2tlb) {
             for app in 0..self.n_apps {
                 let asid = Asid::new(app as u16);
-                tokens.end_epoch(asid, l2.epoch_miss_rate(asid), l2.epoch_accesses(asid));
+                tokens.end_epoch(asid, l2.epoch_miss_rate(asid));
             }
         }
         if let Some(l2) = &mut self.l2tlb {

@@ -218,11 +218,6 @@ impl PageWalker {
         }
     }
 
-    /// Number of walks currently occupying slots.
-    pub fn active_walks(&self) -> usize {
-        self.active
-    }
-
     /// Number of active walks for one address space (`ConPTW_i`, Eq. 1),
     /// saturated at 6 bits as in the paper's hardware budget (§5.4).
     pub fn active_walks_for(&self, asid: Asid) -> u32 {
@@ -231,11 +226,6 @@ impl PageWalker {
             .copied()
             .unwrap_or(0)
             .min(63)
-    }
-
-    /// Number of walks waiting for a free slot.
-    pub fn queued_walks(&self) -> usize {
-        self.pending.len()
     }
 
     /// Queued (not yet active) walks for one address space. O(1): reads a
@@ -339,7 +329,7 @@ mod tests {
         assert_eq!(wvpn, vpn);
         assert_eq!(tables.translate(Asid::new(0), vpn), Some(ppn));
         assert_eq!(latency, 250);
-        assert_eq!(walker.active_walks(), 0);
+        assert_eq!(walker.active_walks_for(Asid::new(0)), 0);
     }
 
     #[test]
@@ -350,15 +340,15 @@ mod tests {
         }
         let accesses = walker.activate(&mut tables);
         assert_eq!(accesses.len(), 4, "only 4 slots");
-        assert_eq!(walker.active_walks(), 4);
-        assert_eq!(walker.queued_walks(), 6);
+        assert_eq!(walker.active_walks_for(Asid::new(0)), 4);
+        assert_eq!(walker.queued_for(Asid::new(0)), 6);
         assert_eq!(walker.total_walks(), 10);
         // Finish one walk; the queue should backfill on next activate.
         let (..) = drive_to_completion(&mut walker, &mut tables, accesses[0], 50);
         let more = walker.activate(&mut tables);
         assert_eq!(more.len(), 1);
-        assert_eq!(walker.active_walks(), 4);
-        assert_eq!(walker.queued_walks(), 5);
+        assert_eq!(walker.active_walks_for(Asid::new(0)), 4);
+        assert_eq!(walker.queued_for(Asid::new(0)), 5);
     }
 
     #[test]

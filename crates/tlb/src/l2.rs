@@ -101,16 +101,10 @@ impl SharedL2Tlb {
         }
     }
 
-    /// Per-ASID miss rate over the current epoch.
-    pub fn epoch_miss_rate(&self, asid: Asid) -> f64 {
-        self.epoch
-            .get(asid.index())
-            .map_or(0.0, HitStats::miss_rate)
-    }
-
-    /// Per-ASID probes this epoch (to ignore idle apps during adaptation).
-    pub fn epoch_accesses(&self, asid: Asid) -> u64 {
-        self.epoch.get(asid.index()).map_or(0, |s| s.accesses)
+    /// Per-ASID miss rate over the current epoch (`None` if `asid` made
+    /// no probe).
+    pub fn epoch_miss_rate(&self, asid: Asid) -> Option<f64> {
+        self.epoch.get(asid.index()).and_then(HitStats::miss_rate)
     }
 
     /// Clears the per-epoch counters (called at each epoch boundary).
@@ -235,11 +229,11 @@ mod tests {
         t.probe(Asid::new(0), Vpn(9));
         t.probe(Asid::new(1), Vpn(1));
         t.probe(Asid::new(1), Vpn(2));
-        assert!((t.epoch_miss_rate(Asid::new(0)) - 0.5).abs() < 1e-12);
-        assert!((t.epoch_miss_rate(Asid::new(1)) - 1.0).abs() < 1e-12);
-        assert_eq!(t.epoch_accesses(Asid::new(1)), 2);
+        assert_eq!(t.epoch_miss_rate(Asid::new(0)), Some(0.5));
+        assert_eq!(t.epoch_miss_rate(Asid::new(1)), Some(1.0));
+        assert_eq!(t.epoch_miss_rate(Asid::new(2)), None, "no such ASID");
         t.reset_epoch();
-        assert_eq!(t.epoch_accesses(Asid::new(0)), 0);
+        assert_eq!(t.epoch_miss_rate(Asid::new(0)), None, "no probe yet");
         // Lifetime counters survive epoch resets.
         assert_eq!(t.lifetime_stats(Asid::new(0)).accesses, 2);
     }
@@ -283,7 +277,7 @@ mod tests {
             }
         }
         // 128 distinct keys compete for 64 entries: miss rates stay high.
-        assert!(t.epoch_miss_rate(Asid::new(0)) > 0.3);
-        assert!(t.epoch_miss_rate(Asid::new(1)) > 0.3);
+        assert!(t.epoch_miss_rate(Asid::new(0)) > Some(0.3));
+        assert!(t.epoch_miss_rate(Asid::new(1)) > Some(0.3));
     }
 }

@@ -51,11 +51,6 @@ impl PageWalkCache {
         self.stats = HitStats::default();
     }
 
-    /// Number of line slots.
-    pub fn capacity_lines(&self) -> usize {
-        self.lines.capacity()
-    }
-
     /// Flushes the cache (page-table update).
     pub fn flush(&mut self) {
         self.lines.flush();
@@ -76,7 +71,7 @@ mod tests {
     #[test]
     fn sized_from_bytes() {
         let pwc = PageWalkCache::new(8 * 1024, 16);
-        assert_eq!(pwc.capacity_lines(), 64); // 8 KB / 128 B
+        assert_eq!(pwc.lines.capacity(), 64); // 8 KB / 128 B
     }
 
     #[test]

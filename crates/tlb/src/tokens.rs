@@ -124,9 +124,9 @@ impl TokenAllocator {
     /// Advances one application across an epoch boundary.
     ///
     /// `miss_rate` is the app's shared-L2-TLB miss rate over the ending
-    /// epoch; `accesses` its probe count (apps that did not probe the TLB
-    /// keep their allocation unchanged).
-    pub fn end_epoch(&mut self, asid: Asid, miss_rate: f64, accesses: u64) {
+    /// epoch, `None` if it did not probe the TLB; such an app keeps its
+    /// allocation unchanged.
+    pub fn end_epoch(&mut self, asid: Asid, miss_rate: Option<f64>) {
         let delta = self.delta;
         let initial_frac = self.initial_frac;
         let step_frac = self.step_frac;
@@ -141,13 +141,14 @@ impl TokenAllocator {
             app.warmup = false;
             app.tokens = ((app.total_warps() as f64 * initial_frac).round() as u64)
                 .clamp(1, app.total_warps());
-            app.prev_miss_rate = Some(miss_rate);
+            // An idle warm-up epoch is remembered as a miss rate of 0.
+            app.prev_miss_rate = Some(miss_rate.unwrap_or(0.0));
             mask_obs::hooks::token_epoch(asid.index() as u16, app.tokens, app.total_warps());
             return;
         }
-        if accesses == 0 {
+        let Some(miss_rate) = miss_rate else {
             return;
-        }
+        };
         let prev = app.prev_miss_rate.unwrap_or(miss_rate);
         let step = ((app.total_warps() as f64 * step_frac).round() as u64).max(1);
         match policy {
@@ -172,11 +173,6 @@ impl TokenAllocator {
         }
         app.prev_miss_rate = Some(miss_rate);
         mask_obs::hooks::token_epoch(asid.index() as u16, app.tokens, app.total_warps());
-    }
-
-    /// Whether `asid` is still in its warm-up (first) epoch.
-    pub fn in_warmup(&self, asid: Asid) -> bool {
-        self.apps.get(asid.index()).is_none_or(|a| a.warmup)
     }
 
     /// Number of managed applications.
@@ -221,7 +217,6 @@ mod tests {
     #[test]
     fn warmup_grants_all_tokens() {
         let a = alloc();
-        assert!(a.in_warmup(Asid::new(0)));
         for core in 0..2 {
             for w in 0..8 {
                 assert!(a.warp_has_token(Asid::new(0), core, w));
@@ -233,45 +228,46 @@ mod tests {
     #[test]
     fn first_epoch_sets_initial_fraction() {
         let mut a = alloc();
-        a.end_epoch(Asid::new(0), 0.5, 100);
-        assert!(!a.in_warmup(Asid::new(0)));
-        // 80% of 16 warps = 13 tokens (rounded).
+        a.end_epoch(Asid::new(0), Some(0.5));
+        // 80% of 16 warps = 13 tokens (rounded): 7 on core 0, 6 on core 1.
         assert_eq!(a.tokens(Asid::new(0)), 13);
+        assert!(a.warp_has_token(Asid::new(0), 1, 5));
+        assert!(!a.warp_has_token(Asid::new(0), 1, 6), "warm-up is over");
     }
 
     #[test]
     fn literal_rising_miss_rate_shrinks_tokens() {
         let mut a = alloc();
-        a.end_epoch(Asid::new(0), 0.50, 100);
+        a.end_epoch(Asid::new(0), Some(0.50));
         let t0 = a.tokens(Asid::new(0));
-        a.end_epoch(Asid::new(0), 0.60, 100); // +10% > 2% delta
+        a.end_epoch(Asid::new(0), Some(0.60)); // +10% > 2% delta
         assert!(a.tokens(Asid::new(0)) < t0);
     }
 
     #[test]
     fn literal_falling_miss_rate_grows_tokens() {
         let mut a = alloc();
-        a.end_epoch(Asid::new(0), 0.50, 100);
+        a.end_epoch(Asid::new(0), Some(0.50));
         let t0 = a.tokens(Asid::new(0));
-        a.end_epoch(Asid::new(0), 0.30, 100); // -20% < -2% delta
+        a.end_epoch(Asid::new(0), Some(0.30)); // -20% < -2% delta
         assert!(a.tokens(Asid::new(0)) > t0);
     }
 
     #[test]
     fn literal_stable_miss_rate_keeps_tokens() {
         let mut a = alloc();
-        a.end_epoch(Asid::new(0), 0.50, 100);
+        a.end_epoch(Asid::new(0), Some(0.50));
         let t0 = a.tokens(Asid::new(0));
-        a.end_epoch(Asid::new(0), 0.51, 100); // within ±2%
+        a.end_epoch(Asid::new(0), Some(0.51)); // within ±2%
         assert_eq!(a.tokens(Asid::new(0)), t0);
     }
 
     #[test]
     fn hill_climb_explores_under_stable_miss_rate() {
         let mut a = alloc_with(TokenPolicyKind::HillClimb);
-        a.end_epoch(Asid::new(0), 0.50, 100);
+        a.end_epoch(Asid::new(0), Some(0.50));
         let t0 = a.tokens(Asid::new(0));
-        a.end_epoch(Asid::new(0), 0.50, 100);
+        a.end_epoch(Asid::new(0), Some(0.50));
         assert_ne!(a.tokens(Asid::new(0)), t0, "hill climber must keep probing");
         // Initial direction sheds tokens (contention assumption).
         assert!(a.tokens(Asid::new(0)) < t0);
@@ -280,13 +276,13 @@ mod tests {
     #[test]
     fn hill_climb_reverses_when_worse() {
         let mut a = alloc_with(TokenPolicyKind::HillClimb);
-        a.end_epoch(Asid::new(0), 0.50, 100);
+        a.end_epoch(Asid::new(0), Some(0.50));
         let t0 = a.tokens(Asid::new(0));
         // Shedding made things much worse twice: direction flips to +1.
-        a.end_epoch(Asid::new(0), 0.60, 100);
+        a.end_epoch(Asid::new(0), Some(0.60));
         let t1 = a.tokens(Asid::new(0));
         assert!(t1 > t0 - 3, "after reversal the count climbs back");
-        a.end_epoch(Asid::new(0), 0.58, 100); // improved: keep climbing
+        a.end_epoch(Asid::new(0), Some(0.58)); // improved: keep climbing
         assert!(a.tokens(Asid::new(0)) >= t1);
     }
 
@@ -294,16 +290,16 @@ mod tests {
     fn tokens_bounded_by_one_and_total() {
         for policy in [TokenPolicyKind::Literal, TokenPolicyKind::HillClimb] {
             let mut a = alloc_with(policy);
-            a.end_epoch(Asid::new(0), 0.1, 100);
+            a.end_epoch(Asid::new(0), Some(0.1));
             let mut rate: f64 = 0.1;
             for _ in 0..50 {
                 rate += 0.05;
-                a.end_epoch(Asid::new(0), rate.min(1.0), 100);
+                a.end_epoch(Asid::new(0), Some(rate.min(1.0)));
             }
             assert!(a.tokens(Asid::new(0)) >= 1, "{policy:?}");
             for _ in 0..50 {
                 rate -= 0.05;
-                a.end_epoch(Asid::new(0), rate.max(0.0), 100);
+                a.end_epoch(Asid::new(0), Some(rate.max(0.0)));
             }
             assert!(a.tokens(Asid::new(0)) <= 16, "{policy:?}");
         }
@@ -312,7 +308,7 @@ mod tests {
     #[test]
     fn tokens_assigned_to_lowest_warp_ids() {
         let mut a = alloc();
-        a.end_epoch(Asid::new(1), 0.5, 100); // 80% of 24 = 19 tokens over 3 cores
+        a.end_epoch(Asid::new(1), Some(0.5)); // 80% of 24 = 19 tokens over 3 cores
         let tokens = a.tokens(Asid::new(1));
         assert_eq!(tokens, 19);
         let mut granted = 0;
@@ -336,10 +332,18 @@ mod tests {
     #[test]
     fn idle_app_allocation_unchanged() {
         let mut a = alloc();
-        a.end_epoch(Asid::new(0), 0.5, 100);
+        a.end_epoch(Asid::new(0), Some(0.5));
         let t0 = a.tokens(Asid::new(0));
-        a.end_epoch(Asid::new(0), 0.9, 0); // zero accesses: ignore
+        a.end_epoch(Asid::new(0), None); // no L2 TLB probe: no miss rate
         assert_eq!(a.tokens(Asid::new(0)), t0);
+
+        // An idle warm-up epoch still ends warm-up, and counts as a miss
+        // rate of 0: the first measured rate above 2 % sheds tokens.
+        let mut b = alloc();
+        b.end_epoch(Asid::new(0), None);
+        assert_eq!(b.tokens(Asid::new(0)), 13);
+        b.end_epoch(Asid::new(0), Some(0.05));
+        assert!(b.tokens(Asid::new(0)) < 13);
     }
 
     #[test]

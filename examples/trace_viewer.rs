@@ -40,7 +40,7 @@ fn main() {
     let pool = JobPool::with_workers(2).with_cache(ResultMemo::new());
     let stats = pool.run_batch(&[job(1, "CONS", "LPS"), job(2, "HISTO", "GUP")]);
     for (s, name) in stats.iter().zip(["CONS_LPS", "HISTO_GUP"]) {
-        let ipc: f64 = s.apps.iter().map(mask_common::AppStats::ipc).sum();
+        let ipc: f64 = s.apps.iter().filter_map(mask_common::AppStats::ipc).sum();
         println!("  {name}: aggregate IPC {ipc:.2}");
     }
 

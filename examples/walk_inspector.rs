@@ -11,6 +11,7 @@
 //! ```
 
 use mask_core::prelude::*;
+use mask_core::table::num;
 
 fn main() {
     let name = std::env::args()
@@ -41,58 +42,58 @@ fn main() {
         "=== {} alone on 30 cores (SharedTLB baseline) ===\n",
         profile.name
     );
-    println!("IPC                          {:>10.3}", a.ipc());
+    println!("IPC                          {:>10}", num(a.ipc(), 3));
     println!("memory instructions          {:>10}", a.mem_instructions);
     println!(
-        "L1 TLB miss rate             {:>10.3}",
-        a.l1_tlb.miss_rate()
+        "L1 TLB miss rate             {:>10}",
+        num(a.l1_tlb.miss_rate(), 3)
     );
     println!(
-        "L2 TLB miss rate             {:>10.3}",
-        a.l2_tlb.miss_rate()
+        "L2 TLB miss rate             {:>10}",
+        num(a.l2_tlb.miss_rate(), 3)
     );
     println!("page walks completed         {:>10}", a.walks_completed);
     println!(
-        "avg page-walk latency        {:>10.0} cycles",
-        a.avg_walk_latency()
+        "avg page-walk latency        {:>10} cycles",
+        num(a.avg_walk_latency(), 0)
     );
     println!(
-        "avg concurrent walks (Fig.5) {:>10.1}",
-        a.avg_concurrent_walks()
+        "avg concurrent walks (Fig.5) {:>10}",
+        num(a.avg_concurrent_walks(), 1)
     );
     println!(
         "max concurrent walks         {:>10}",
         a.walk_concurrency_max
     );
     println!(
-        "warps stalled/miss (Fig.6)   {:>10.1}",
-        a.avg_warps_stalled_per_miss()
+        "warps stalled/miss (Fig.6)   {:>10}",
+        num(a.avg_warps_stalled_per_miss(), 1)
     );
     println!("max warps stalled on a miss  {:>10}", a.stalled_warps_max);
     println!();
     println!(
-        "L2 cache hit rate, data      {:>10.3}",
-        a.l2_data.hit_rate()
+        "L2 cache hit rate, data      {:>10}",
+        num(a.l2_data.hit_rate(), 3)
     );
     for level in 1..=4u8 {
         let l = mask_common::req::WalkLevel::new(level);
         println!(
-            "L2 cache hit rate, walk L{}   {:>10.3}  ({} probes)",
+            "L2 cache hit rate, walk L{}   {:>10}  ({} probes)",
             level,
-            a.l2_translation[l.index()].hit_rate(),
+            num(a.l2_translation[l.index()].hit_rate(), 3),
             a.l2_translation[l.index()].accesses
         );
     }
     println!();
     println!(
-        "DRAM latency: data {:.0} cy / translation {:.0} cy;  row-hit rates {:.2} / {:.2}",
-        a.dram_data.avg_latency(),
-        a.dram_translation.avg_latency(),
-        a.dram_data.row_hit_rate(),
-        a.dram_translation.row_hit_rate()
+        "DRAM latency: data {} cy / translation {} cy;  row-hit rates {} / {}",
+        num(a.dram_data.avg_latency(), 0),
+        num(a.dram_translation.avg_latency(), 0),
+        num(a.dram_data.row_hit_rate(), 2),
+        num(a.dram_translation.row_hit_rate(), 2)
     );
     println!(
-        "DRAM bandwidth share: translation {:.1}% of utilized",
-        stats.translation_bandwidth_share() * 100.0
+        "DRAM bandwidth share: translation {}% of utilized",
+        num(stats.translation_bandwidth_share().map(|s| s * 100.0), 1)
     );
 }

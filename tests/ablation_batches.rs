@@ -7,7 +7,11 @@ use mask_core::prelude::*;
 
 /// What the harness reported before it batched its rows: every row through
 /// a runner and pool of its own, sharing nothing.
-fn row_at_a_time(opts: &ExpOptions, design: DesignKind, tweak: impl FnOnce(&mut GpuConfig)) -> f64 {
+fn row_at_a_time(
+    opts: &ExpOptions,
+    design: DesignKind,
+    tweak: impl FnOnce(&mut GpuConfig),
+) -> Option<f64> {
     let mut run = opts.run_options();
     tweak(&mut run.gpu);
     let pool = JobPool::with_options(run.jobs).with_cache(ResultMemo::new());

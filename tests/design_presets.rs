@@ -41,7 +41,7 @@ fn oracle_config(design: DesignKind) -> (SimConfig, Vec<AppSpec>) {
 fn checksum(design: DesignKind) -> u64 {
     let (cfg, specs) = oracle_config(design);
     let mut sim = GpuSim::new(&cfg, &specs);
-    sim.run_to_completion();
+    sim.run(cfg.max_cycles);
     sim.sync_stats();
     // FNV-1a over the canonical `Debug` rendering of the final statistics:
     // sensitive to any field changing anywhere.
@@ -92,7 +92,7 @@ fn no_isolation_degenerates_to_shared_tlb_for_a_single_app() {
             n_cores: 4,
         }];
         let mut sim = GpuSim::new(&cfg, &specs);
-        sim.run_to_completion();
+        sim.run(cfg.max_cycles);
         sim.sync_stats();
         sim.stats().clone()
     };
@@ -137,7 +137,7 @@ fn partitioned_runs_clean_under_the_sanitizer() {
             n_cores: 2,
         });
         let mut sim = GpuSim::new(&cfg, &specs);
-        sim.run_to_completion();
+        sim.run(cfg.max_cycles);
         sim.sync_stats();
         for (app, stats) in sim.stats().apps.iter().enumerate() {
             assert!(
@@ -162,7 +162,7 @@ fn partitioned_survives_uneven_three_app_splits() {
         n_cores: 2,
     });
     let mut sim = GpuSim::new(&cfg, &specs);
-    sim.run_to_completion();
+    sim.run(cfg.max_cycles);
     sim.sync_stats();
     for (app, stats) in sim.stats().apps.iter().enumerate() {
         assert!(stats.instructions > 0, "app {app} starved");
@@ -180,7 +180,7 @@ fn reference_instruction_checksums_hold() {
     ] {
         let cfg = SimConfig::new(DesignKind::Mask).with_max_cycles(200_000);
         let mut sim = GpuSim::new(&cfg, &placement(apps));
-        sim.run_to_completion();
+        sim.run(cfg.max_cycles);
         sim.sync_stats();
         let got: u64 = sim.stats().apps.iter().map(|a| a.instructions).sum();
         assert_eq!(

@@ -29,7 +29,7 @@ const ROWS: [(&str, &[usize]); 13] = [
     ("tab04", &[3]),
     ("sec72", &[15]),
     ("sec73", &[8, 2, 3, 3, 4]),
-    ("sec74", &[7, 6]),
+    ("sec74", &[8, 6]),
     ("ablations", &[2, 3, 3, 0]),
 ];
 

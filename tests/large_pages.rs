@@ -43,11 +43,12 @@ fn large_pages_increase_tlb_reach() {
     let small = run(mask_common::addr::PAGE_SIZE_4K_LOG2);
     let large = run(PAGE_SIZE_2M_LOG2);
     // CONS's footprint in pages shrinks 512x: L1 TLB misses must drop.
+    let miss = |s: &SimStats| s.apps[0].l1_tlb.miss_rate().expect("L1 TLB probed");
     assert!(
-        large.apps[0].l1_tlb.miss_rate() < small.apps[0].l1_tlb.miss_rate(),
+        miss(&large) < miss(&small),
         "2MB pages must raise TLB reach (miss {:.3} -> {:.3})",
-        small.apps[0].l1_tlb.miss_rate(),
-        large.apps[0].l1_tlb.miss_rate()
+        miss(&small),
+        miss(&large)
     );
 }
 

@@ -30,7 +30,9 @@ fn walk_levels_hit_monotonically_less_toward_leaves() {
         }],
     );
     let a = &stats.apps[0];
-    let rates: Vec<f64> = (0..4).map(|i| a.l2_translation[i].hit_rate()).collect();
+    let rates: Vec<f64> = (0..4)
+        .map(|i| a.l2_translation[i].hit_rate().expect("every level probed"))
+        .collect();
     assert!(
         rates[0] >= rates[2] && rates[0] >= rates[3],
         "root must cache best: {rates:?}"
@@ -67,8 +69,8 @@ fn interference_raises_shared_tlb_miss_rate() {
             },
         ],
     );
-    let miss_alone = alone.apps[0].l2_tlb.miss_rate();
-    let miss_shared = shared.apps[0].l2_tlb.miss_rate();
+    let miss_alone = alone.apps[0].l2_tlb.miss_rate().expect("GUP probes");
+    let miss_shared = shared.apps[0].l2_tlb.miss_rate().expect("GUP probes");
     assert!(
         miss_shared > miss_alone + 0.05,
         "co-running CONS must thrash GUP's shared L2 TLB entries \
@@ -83,7 +85,7 @@ fn translation_bandwidth_is_the_minority_share() {
     let o = r
         .run_named(&["CONS", "LPS"], DesignKind::SharedTlb)
         .expect("known");
-    let share = o.stats.translation_bandwidth_share();
+    let share = o.stats.translation_bandwidth_share().expect("DRAM busy");
     assert!(
         share < 0.5,
         "translation bandwidth share {share:.3} should be the minority"
@@ -106,7 +108,7 @@ fn tlb_misses_stall_multiple_warps_for_sharing_workloads() {
         }],
     );
     assert!(
-        stats.apps[0].avg_warps_stalled_per_miss() >= 1.0,
+        stats.apps[0].avg_warps_stalled_per_miss() >= Some(1.0),
         "every miss stalls at least its requester"
     );
     assert!(
@@ -130,7 +132,7 @@ fn mask_reduces_translation_dram_latency() {
         for a in &o.stats.apps {
             t.merge(&a.dram_translation);
         }
-        t.avg_latency()
+        t.avg_latency().expect("translations reach DRAM")
     };
     assert!(
         lat(&mask) < lat(&base),
