@@ -122,12 +122,6 @@ impl<W> MshrTable<W> {
         self.position(line).is_some()
     }
 
-    /// Number of waiters currently attached to `line` (0 if absent).
-    pub fn waiters_on(&self, line: LineAddr) -> usize {
-        self.position(line)
-            .map_or(0, |i| self.entries[i].waiters.len())
-    }
-
     /// Number of occupied entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -182,7 +176,6 @@ mod tests {
         assert_eq!(m.allocate(LineAddr(1), 10), MshrAlloc::Primary);
         assert_eq!(m.allocate(LineAddr(1), 11), MshrAlloc::Secondary);
         assert_eq!(m.allocate(LineAddr(2), 12), MshrAlloc::Primary);
-        assert_eq!(m.waiters_on(LineAddr(1)), 2);
         let w = m.complete(LineAddr(1));
         assert_eq!(w, vec![10, 11]);
         assert!(!m.contains(LineAddr(1)));

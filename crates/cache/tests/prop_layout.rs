@@ -281,7 +281,6 @@ proptest! {
                 }
                 MshrOp::Contains(line) => {
                     prop_assert_eq!(table.contains(LineAddr(line)), model.waiters_on(line) > 0);
-                    prop_assert_eq!(table.waiters_on(LineAddr(line)), model.waiters_on(line));
                 }
             }
             prop_assert_eq!(table.len(), model.entries.len());

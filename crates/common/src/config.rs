@@ -432,10 +432,13 @@ pub enum TokenPolicyKind {
     HillClimb,
 }
 
+/// MASK's default epoch length in cycles (100K cycles, §5.2).
+pub const DEFAULT_EPOCH_CYCLES: u64 = 100_000;
+
 /// MASK mechanism tuning knobs (§5, §6 "Design Parameters").
 #[derive(Clone, Debug, PartialEq)]
 pub struct MaskParams {
-    /// Epoch length in cycles (100K cycles, §5.2).
+    /// Epoch length in cycles ([`DEFAULT_EPOCH_CYCLES`] by default).
     pub epoch_cycles: u64,
     /// `InitialTokens`: fraction of each app's total warps receiving tokens
     /// after the first epoch (80%, §6).
@@ -492,7 +495,7 @@ impl MaskParams {
 impl Default for MaskParams {
     fn default() -> Self {
         MaskParams {
-            epoch_cycles: 100_000,
+            epoch_cycles: DEFAULT_EPOCH_CYCLES,
             initial_tokens_frac: 0.8,
             miss_rate_delta: 0.02,
             token_step_frac: 0.25,

@@ -9,8 +9,9 @@
 //! and says what each claim measures. `mask_common::json` numbers are
 //! integers, so every non-integer is a fixed-decimal string.
 
-use super::{artefact, scalability, ExpOptions};
+use super::{artefact, multiprog, ExpOptions};
 use crate::table::Table;
+use mask_common::config::DesignKind;
 use mask_common::json::Value;
 
 /// Seeds each claim is measured at: the default seed and the next four.
@@ -48,10 +49,22 @@ pub const CLAIMS: [(&str, Option<f64>); 23] = [
     ("fig11_mask_dram", None),
 ];
 
+/// The designs the claims read off the pair sweep: both baselines, the
+/// three MASK components, MASK and Ideal; `Static`, `Partitioned` and
+/// `NoIsolation` run only in `repro fig11_15`.
+pub const SWEEP_DESIGNS: [DesignKind; 7] = [
+    DesignKind::PwCache,
+    DesignKind::SharedTlb,
+    DesignKind::MaskTlb,
+    DesignKind::MaskCache,
+    DesignKind::MaskDram,
+    DesignKind::Mask,
+    DesignKind::Ideal,
+];
+
 /// The tables the claims read, each artefact run at `opts(pair cap)` for
-/// its registry pair cap. The Table 3 claims read
-/// [`scalability::throughput`] in place of `tab03`'s table, whose 1-app
-/// row is 1 by construction.
+/// its registry pair cap; `fig11_15`'s tables come from a sweep over
+/// [`SWEEP_DESIGNS`] only.
 pub fn measure(opts: impl Fn(usize) -> ExpOptions) -> Vec<Table> {
     [
         "fig05_06", "fig08_09", "fig11_15", "sec72", "tab03", "tab04",
@@ -61,7 +74,7 @@ pub fn measure(opts: impl Fn(usize) -> ExpOptions) -> Vec<Table> {
         let (_, pair_cap, run) = artefact(id).expect("registered artefact");
         let opts = opts(*pair_cap);
         match *id {
-            "tab03" => vec![scalability::throughput(&opts)],
+            "fig11_15" => multiprog::sweep(&opts, &SWEEP_DESIGNS).tables(),
             _ => run(&opts),
         }
     })
@@ -156,9 +169,16 @@ fn score(id: &str, t: &[Table]) -> (f64, bool) {
     }
 }
 
-/// `FIDELITY.json` for one table set per seed: the run's scale, wall-clock
-/// and host, then one row per claim, each on a line of its own.
-pub fn document(seeds: &[Vec<Table>], wall_ms: u64, cpu: &str, parallelism: u64) -> String {
+/// `FIDELITY.json` for one table set per seed: the run's scale, its
+/// wall-clock in all and per seed (`seed_wall_ms`, in seed order) and
+/// host, then one row per claim, each on a line of its own.
+pub fn document(
+    seeds: &[Vec<Table>],
+    wall_ms: u64,
+    seed_wall_ms: &[u64],
+    cpu: &str,
+    parallelism: u64,
+) -> String {
     let fixed = |v: f64, places: usize| Value::Str(format!("{v:.places$}"));
     let rows: Vec<String> = CLAIMS
         .iter()
@@ -189,12 +209,14 @@ pub fn document(seeds: &[Vec<Table>], wall_ms: u64, cpu: &str, parallelism: u64)
         ("cpu", Value::Str(cpu.to_owned())),
         ("parallelism", Value::Num(parallelism)),
     ]);
+    let seed_wall_ms = Value::Array(seed_wall_ms.iter().map(|&ms| Value::Num(ms)).collect());
     format!(
         "{{\n  \"cycles\": {},\n  \"pairs\": {},\n  \"seeds\": {},\n  \"wall_ms\": {wall_ms},\n  \
-         \"host\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+         \"seed_wall_ms\": {},\n  \"host\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
         opts.cycles,
         opts.pair_limit,
         seeds.len(),
+        seed_wall_ms.serialize(),
         host.serialize(),
         rows.join(",\n")
     )

@@ -26,7 +26,6 @@ use crate::overhead::{AreaPower, StorageCost};
 use crate::runner::{PairOutcome, PairRunner, RunOptions};
 use crate::table::Table;
 use mask_common::config::{DesignKind, GpuConfig, JobOptions};
-use mask_workloads::HmrCategory;
 
 /// One artefact `repro` regenerates: its id, the pairs it simulates unless
 /// `MASK_PAIR_LIMIT` is set (heavy sweeps default to fewer), and the
@@ -43,11 +42,13 @@ pub static REGISTRY: [Artefact; 13] = [
     ("fig05_06", 35, fig05_06),
     ("fig07", 35, |o| vec![interference::run(o)]),
     ("fig08_09", 35, fig08_09),
-    ("fig11_15", 35, fig11_15),
+    ("fig11_15", 35, |o| {
+        multiprog::sweep(o, &DesignKind::ALL).tables()
+    }),
     ("tab02", 35, |o| {
         vec![single_app::tab02(&single_app::measure(o))]
     }),
-    ("tab03", 35, |o| vec![scalability::run(o)]),
+    ("tab03", 35, |o| vec![scalability::throughput(o)]),
     ("tab04", 6, |o| vec![generality::run(o)]),
     ("sec72", 8, |o| vec![components::run(o)]),
     ("sec73", 2, sec73),
@@ -68,14 +69,6 @@ fn fig05_06(o: &ExpOptions) -> Vec<Table> {
 fn fig08_09(o: &ExpOptions) -> Vec<Table> {
     let rows = dram_char::measure(o);
     vec![dram_char::fig08(&rows), dram_char::fig09(&rows)]
-}
-
-fn fig11_15(o: &ExpOptions) -> Vec<Table> {
-    let s = multiprog::sweep(o, &DesignKind::ALL);
-    let mut tables = vec![s.fig03(), s.fig11_weighted_speedup()];
-    tables.extend(HmrCategory::ALL.map(|c| s.fig12_14_per_workload(c)));
-    tables.extend([s.fig15_unfairness(), s.headline()]);
-    tables
 }
 
 fn sec73(o: &ExpOptions) -> Vec<Table> {

@@ -51,6 +51,16 @@ pub fn sweep(opts: &ExpOptions, designs: &[DesignKind]) -> MultiprogSweep {
 }
 
 impl MultiprogSweep {
+    /// Every table of the sweep, in `repro fig11_15` order: Fig. 3,
+    /// Fig. 11, Figs. 12–14, Fig. 15 and the §7.1 headline. The sweep must
+    /// cover [`FIG03_DESIGNS`].
+    pub fn tables(&self) -> Vec<Table> {
+        let mut tables = vec![self.fig03(), self.fig11_weighted_speedup()];
+        tables.extend(HmrCategory::ALL.map(|c| self.fig12_14_per_workload(c)));
+        tables.extend([self.fig15_unfairness(), self.headline()]);
+        tables
+    }
+
     /// Average of `metric` over pairs in `cat` (or all pairs if `None`);
     /// `None` if no such pair ran under `design`.
     fn avg(

@@ -5,7 +5,6 @@
 //! increases from one to five."
 
 use super::ExpOptions;
-use crate::runner::PairOutcome;
 use crate::table::Table;
 use mask_common::config::DesignKind;
 use mask_workloads::{app_by_name, AppProfile};
@@ -25,30 +24,14 @@ pub fn mixes() -> Vec<Vec<AppProfile>> {
     ]
 }
 
-/// Runs Table 3 on weighted speedup; all mix × design runs go out as one
-/// job batch.
-pub fn run(opts: &ExpOptions) -> Table {
-    normalized(
-        opts,
-        "Table 3: performance normalized to Ideal as application count grows",
-        |o| o.weighted_speedup,
-    )
-}
-
-/// Table 3 on the mix's aggregate IPC instead: the raw performance the
-/// paper normalizes. Weighted speedup scores a lone app 1 under every
-/// design, so [`run`]'s 1-app row is 1 by construction; this one is not.
+/// Table 3 on the mix's aggregate IPC, the raw performance the paper
+/// normalizes; all mix × design runs go out as one job batch.
 pub fn throughput(opts: &ExpOptions) -> Table {
-    normalized(
-        opts,
-        "Table 3: IPC throughput normalized to Ideal as application count grows",
-        |o| o.ipc_throughput,
-    )
-}
-
-fn normalized(opts: &ExpOptions, title: &str, metric: fn(&PairOutcome) -> f64) -> Table {
     let runner = opts.runner();
-    let mut t = Table::new(title, &["n_apps", "SharedTLB/Ideal", "MASK/Ideal"]);
+    let mut t = Table::new(
+        "Table 3: IPC throughput normalized to Ideal as application count grows",
+        &["n_apps", "SharedTLB/Ideal", "MASK/Ideal"],
+    );
     let designs = [DesignKind::Ideal, DesignKind::SharedTlb, DesignKind::Mask];
     let mixes: Vec<Vec<AppProfile>> = mixes()
         .into_iter()
@@ -56,7 +39,7 @@ fn normalized(opts: &ExpOptions, title: &str, metric: fn(&PairOutcome) -> f64) -
         .collect();
     let outcomes = runner.run_multi_batch(&mixes, &designs);
     for (mix, chunk) in mixes.iter().zip(outcomes.chunks(designs.len())) {
-        let [ideal, shared, mask] = [&chunk[0], &chunk[1], &chunk[2]].map(metric);
+        let [ideal, shared, mask] = [&chunk[0], &chunk[1], &chunk[2]].map(|o| o.ipc_throughput);
         let norm = |v: f64| if ideal > 0.0 { v / ideal } else { 0.0 };
         t.row_f64(mix.len().to_string(), &[norm(shared), norm(mask)]);
     }

@@ -39,7 +39,7 @@ pub struct RunOptions {
     pub seed: u64,
     /// Warm-up cycles excluded from measurement (clamped to at most half
     /// of `max_cycles`). MASK's epoch mechanisms engage after the first
-    /// 100K-cycle epoch, so the default warm-up is one epoch.
+    /// epoch, so the default warm-up is one default epoch.
     pub warmup_cycles: u64,
     /// Machine template (its `n_cores` is overridden per run).
     pub gpu: GpuConfig,
@@ -55,7 +55,7 @@ impl Default for RunOptions {
             n_cores: gpu.n_cores,
             max_cycles: mask_common::config::default_max_cycles(),
             seed: mask_common::config::DEFAULT_SEED,
-            warmup_cycles: 100_000,
+            warmup_cycles: mask_common::config::DEFAULT_EPOCH_CYCLES,
             gpu,
             jobs: JobOptions::default(),
         }

@@ -3,7 +3,6 @@
 use crate::mapping::{decode, ChannelPartition, Decoded};
 use crate::queues::{BatchState, MaskQueues, QueueEntry, ScanQueue};
 use mask_common::config::{DramConfig, DramPolicy, MemSchedKind, RowPolicy};
-use mask_common::ids::Asid;
 use mask_common::req::MemRequest;
 use mask_common::Cycle;
 use std::collections::VecDeque;
@@ -341,11 +340,6 @@ impl Dram {
     pub fn in_flight(&self) -> usize {
         self.channels.iter().map(|c| c.in_flight.len()).sum()
     }
-
-    /// The channel an address-space's line maps to (telemetry/tests).
-    pub fn channel_of(&self, line: mask_common::addr::LineAddr, asid: Asid) -> usize {
-        decode(line, &self.cfg, &self.partition, asid).channel
-    }
 }
 
 fn row_outcome_tag(outcome: RowOutcome) -> u8 {
@@ -397,7 +391,7 @@ impl mask_common::snapshot::Snapshot for Dram {
 mod tests {
     use super::*;
     use mask_common::addr::LineAddr;
-    use mask_common::ids::CoreId;
+    use mask_common::ids::{Asid, CoreId};
     use mask_common::req::{ReqId, RequestClass, WalkLevel};
 
     fn cfg() -> DramConfig {
@@ -413,6 +407,12 @@ mod tests {
             class,
             0,
         )
+    }
+
+    /// Where `line` of address space 0 lands in a shared (unpartitioned)
+    /// device, as every device these tests build is.
+    fn at(line: LineAddr) -> Decoded {
+        decode(line, &cfg(), &ChannelPartition::shared(), Asid::new(0))
     }
 
     fn run(dram: &mut Dram, from: Cycle, to: Cycle) -> Vec<DramCompletion> {
@@ -456,29 +456,11 @@ mod tests {
         // XOR-fold may move banks; pick rows far apart mapping to the same
         // channel+bank by brute force.
         let base = 0u64;
-        let d0 = d.channel_of(LineAddr(base), Asid::new(0));
-        let mut other = None;
-        for k in 1..4096u64 {
-            let line = base + k * 16;
-            if d.channel_of(LineAddr(line), Asid::new(0)) == d0 {
-                let a = decode(
-                    LineAddr(base),
-                    &cfg(),
-                    &ChannelPartition::shared(),
-                    Asid::new(0),
-                );
-                let b = decode(
-                    LineAddr(line),
-                    &cfg(),
-                    &ChannelPartition::shared(),
-                    Asid::new(0),
-                );
-                if a.bank == b.bank && a.row != b.row {
-                    other = Some(line);
-                    break;
-                }
-            }
-        }
+        let a = at(LineAddr(base));
+        let other = (1..4096u64).map(|k| base + k * 16).find(|&line| {
+            let b = at(LineAddr(line));
+            b.channel == a.channel && b.bank == a.bank && b.row != a.row
+        });
         let other = other.expect("found a conflicting row");
         d.enqueue(req(1, base, RequestClass::Data), 0);
         d.enqueue(req(2, other, RequestClass::Data), 0);
@@ -574,9 +556,7 @@ mod tests {
         let same_ch: Vec<_> = done
             .iter()
             .filter(|c| c.req.id != ReqId(999))
-            .filter(|c| {
-                d.channel_of(c.req.line, Asid::new(0)) == d.channel_of(xlat.req.line, Asid::new(0))
-            })
+            .filter(|c| at(c.req.line).channel == at(xlat.req.line).channel)
             .collect();
         if same_ch.len() >= 4 {
             let served_before = same_ch.iter().filter(|c| c.finish < xlat.finish).count();

@@ -4,7 +4,8 @@ use mask_common::addr::LineAddr;
 use mask_common::config::{DramConfig, DramPolicy, MemSchedKind, RowPolicy};
 use mask_common::ids::{Asid, CoreId};
 use mask_common::req::{MemRequest, ReqId, RequestClass, WalkLevel};
-use mask_dram::Dram;
+use mask_dram::mapping::decode;
+use mask_dram::{ChannelPartition, Dram};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -78,7 +79,7 @@ proptest! {
         for ch in 0..cfg.channels {
             let mut finishes: Vec<u64> = done
                 .iter()
-                .filter(|c| dram.channel_of(c.req.line, c.req.asid) == ch)
+                .filter(|c| decode(c.req.line, &cfg, &ChannelPartition::shared(), c.req.asid).channel == ch)
                 .map(|c| c.finish)
                 .collect();
             finishes.sort_unstable();
@@ -88,14 +89,17 @@ proptest! {
         }
     }
 
-    /// Static channel partitioning confines each ASID to its channels.
+    /// Static channel partitioning (the split `Dram::new` builds for
+    /// `DramPolicy::ChannelPartitioned` and two apps) confines each ASID to
+    /// its channels.
     #[test]
     fn partition_isolation(lines in proptest::collection::vec(0u64..100_000, 1..60)) {
         let cfg = DramConfig::default();
-        let dram = Dram::new(&cfg, 2, DramPolicy::ChannelPartitioned);
+        let split = ChannelPartition::split(cfg.channels, 2);
+        let channel = |l, asid| decode(LineAddr(l), &cfg, &split, Asid::new(asid)).channel;
         for &l in &lines {
-            prop_assert!(dram.channel_of(LineAddr(l), Asid::new(0)) < 4);
-            prop_assert!(dram.channel_of(LineAddr(l), Asid::new(1)) >= 4);
+            prop_assert!(channel(l, 0) < 4);
+            prop_assert!(channel(l, 1) >= 4);
         }
     }
 

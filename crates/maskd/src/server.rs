@@ -359,7 +359,6 @@ fn store_stats(shared: &Arc<Shared>) -> Value {
     let scheduler = Value::obj([
         ("queued", Value::Num(state.queue.len() as u64)),
         ("retained_jobs", Value::Num(state.jobs.len() as u64)),
-        ("dispatch_seq", Value::Num(state.dispatch_seq)),
         ("simulated_jobs", Value::Num(state.dispatch_seq)),
         ("simulated_cycles", Value::Num(state.simulated_cycles)),
         // Only admission looks the store up, so its hits are the

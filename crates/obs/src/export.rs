@@ -185,7 +185,7 @@ pub fn render(data: &TraceData) -> (String, String) {
             ev,
             ",\n{{\"name\":\"stage_{stage}_ns\",\"cat\":\"profile\",\"ph\":\"C\",\"ts\":{},\
              \"pid\":1,\"tid\":0,\"args\":{{\"ns\":{nanos}}}}}",
-            bucket * crate::profile::STAGE_BUCKET_CYCLES
+            bucket * mask_common::config::DEFAULT_EPOCH_CYCLES
         );
     }
     ev.push_str("\n]}\n");

@@ -5,7 +5,7 @@
 //!
 //! * [`begin_cycle`] / [`end_stage`] — a per-thread lap clock over the
 //!   `GpuSim::step` stages, accumulated into (stage, cycle-bucket) cells of
-//!   [`STAGE_BUCKET_CYCLES`] cycles.
+//!   one default MASK epoch ([`DEFAULT_EPOCH_CYCLES`]).
 //! * [`begin_job`] — times one job execution in the `JobPool`, recorded as
 //!   a named span on the worker's lane for the Perfetto engine timeline.
 //!
@@ -15,11 +15,9 @@
 //! timings are exported only — they are never fed back into simulation
 //! state, so traced runs stay bit-identical.
 
+use mask_common::config::DEFAULT_EPOCH_CYCLES;
 use std::cell::Cell;
 use std::time::Instant;
-
-/// Cycle-bucket width for stage timings (matches the default MASK epoch).
-pub const STAGE_BUCKET_CYCLES: u64 = 100_000;
 
 /// The `GpuSim::step` stages measured by [`end_stage`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -87,7 +85,7 @@ thread_local! {
 pub fn begin_cycle(now: u64) {
     #[expect(clippy::disallowed_methods, reason = "profiling only")]
     let start = Instant::now();
-    LAP.set(Some((start, now / STAGE_BUCKET_CYCLES)));
+    LAP.set(Some((start, now / DEFAULT_EPOCH_CYCLES)));
 }
 
 /// Charges the wall time since the previous stage ended (or the cycle

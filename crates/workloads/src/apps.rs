@@ -219,24 +219,4 @@ mod tests {
         assert_eq!(app_by_name("GUP").map(|a| a.name), Some("GUP"));
         assert!(app_by_name("XXX").is_none());
     }
-
-    #[test]
-    fn footprints_exceed_tlb_reach_where_expected() {
-        for a in all_apps() {
-            let c = expected_class(a.name).expect("classified");
-            if c.l2_high {
-                assert!(
-                    a.footprint_pages() > 2048,
-                    "{}: high-L2 apps need footprints above TLB reach",
-                    a.name
-                );
-            } else {
-                assert!(
-                    a.footprint_pages() <= 512,
-                    "{}: low-L2 apps must fit the shared L2 TLB",
-                    a.name
-                );
-            }
-        }
-    }
 }

@@ -75,57 +75,3 @@ pub struct AppProfile {
     /// (drives the L1 *data* cache hit rate).
     pub line_locality: f64,
 }
-
-impl AppProfile {
-    /// Total pages the application can touch (footprint).
-    pub fn footprint_pages(&self) -> u64 {
-        match self.pattern {
-            Pattern::Stream { pages, .. } => pages,
-            Pattern::Random { pages, .. } => pages,
-            Pattern::TiledHot {
-                hot, stream_pages, ..
-            } => hot + stream_pages,
-            Pattern::HotCold { hot, cold, .. } => hot + cold,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn footprint_covers_all_regions() {
-        let p = AppProfile {
-            name: "X",
-            pattern: Pattern::TiledHot {
-                hot: 10,
-                p_hot: 0.9,
-                stream_pages: 90,
-                burst: 4,
-                group: 8,
-            },
-            lines_per_instr: 4,
-            compute_per_mem: 5,
-            line_locality: 0.3,
-        };
-        assert_eq!(p.footprint_pages(), 100);
-        let s = AppProfile {
-            pattern: Pattern::Stream {
-                pages: 512,
-                burst: 16,
-                group: 8,
-            },
-            ..p
-        };
-        assert_eq!(s.footprint_pages(), 512);
-        let r = AppProfile {
-            pattern: Pattern::Random {
-                pages: 64,
-                pages_per_instr: 2,
-            },
-            ..p
-        };
-        assert_eq!(r.footprint_pages(), 64);
-    }
-}

@@ -1,8 +1,39 @@
 //! Property tests for the synthetic trace generators.
 
 use mask_common::addr::PAGE_SIZE_4K_LOG2;
-use mask_workloads::{all_apps, WarpTrace};
+use mask_workloads::{all_apps, expected_class, AppProfile, Pattern, WarpTrace};
 use proptest::prelude::*;
+
+/// Total pages `profile` can touch: the sum of its pattern's regions.
+fn footprint_pages(profile: &AppProfile) -> u64 {
+    match profile.pattern {
+        Pattern::Stream { pages, .. } | Pattern::Random { pages, .. } => pages,
+        Pattern::TiledHot {
+            hot, stream_pages, ..
+        } => hot + stream_pages,
+        Pattern::HotCold { hot, cold, .. } => hot + cold,
+    }
+}
+
+#[test]
+fn footprints_exceed_tlb_reach_where_expected() {
+    for a in all_apps() {
+        let c = expected_class(a.name).expect("classified");
+        if c.l2_high {
+            assert!(
+                footprint_pages(a) > 2048,
+                "{}: high-L2 apps need footprints above TLB reach",
+                a.name
+            );
+        } else {
+            assert!(
+                footprint_pages(a) <= 512,
+                "{}: low-L2 apps must fit the shared L2 TLB",
+                a.name
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -12,7 +43,7 @@ proptest! {
     fn addresses_stay_in_footprint(app_idx in 0usize..30, core in 0u64..8, warp in 0u64..64, seed: u64) {
         let profile = all_apps()[app_idx];
         let mut t = WarpTrace::new(profile, seed, core, warp, PAGE_SIZE_4K_LOG2);
-        let max_pages = profile.footprint_pages();
+        let max_pages = footprint_pages(&profile);
         for _ in 0..64 {
             let op = t.next_op();
             prop_assert!(!op.lines.is_empty());

@@ -65,19 +65,21 @@ fn emit(table: &Table) {
 /// Scores the claims over `fidelity::SEEDS` seeds into `FIDELITY.json` and
 /// re-renders EXPERIMENTS.md's claim table from that file.
 fn run_fidelity() {
+    let ms = |t: Instant| u64::try_from(t.elapsed().as_millis()).unwrap_or(u64::MAX);
     let t0 = Instant::now();
-    let seeds: Vec<Vec<Table>> = (0..fidelity::SEEDS)
+    let (seeds, seed_wall_ms): (Vec<Vec<Table>>, Vec<u64>) = (0..fidelity::SEEDS)
         .map(|i| {
+            let seed_t0 = Instant::now();
             let tables = fidelity::measure(|pair_cap| {
                 let mut opts = ExpOptions::with_pair_cap(pair_cap);
                 opts.seed += i;
                 opts
             });
             println!("[seed {} done at {:?}]", i + 1, t0.elapsed());
-            tables
+            (tables, ms(seed_t0))
         })
-        .collect();
-    let wall_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
+        .unzip();
+    let wall_ms = ms(t0);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
@@ -86,7 +88,7 @@ fn run_fidelity() {
             Some(line.split_once(':')?.1.trim().to_owned())
         })
         .unwrap_or_else(|| "unknown CPU".to_owned());
-    let doc = fidelity::document(&seeds, wall_ms, &cpu, threads);
+    let doc = fidelity::document(&seeds, wall_ms, &seed_wall_ms, &cpu, threads);
     let parsed = mask_common::json::parse(&doc).expect("FIDELITY.json parses");
     let table = fidelity::render(&parsed);
     let md_path = Path::new(ROOT).join("EXPERIMENTS.md");

@@ -66,7 +66,7 @@ fn experiment_tables_are_identical_at_any_worker_count() {
         (table, simulated)
     };
     for harness in [
-        experiments::scalability::run as fn(&ExpOptions) -> Table,
+        experiments::scalability::throughput as fn(&ExpOptions) -> Table,
         experiments::interference::run,
     ] {
         let (serial, simulated) = at(1, harness);

@@ -152,7 +152,7 @@ fn every_claim_reads_a_measured_cell() {
         n_cores: 5,
         ..tiny()
     });
-    let doc = json::parse(&fidelity::document(&[tables], 0, "", 1)).expect("parses");
+    let doc = json::parse(&fidelity::document(&[tables], 0, &[0], "", 1)).expect("parses");
     for row in doc.get("rows").and_then(Value::as_array).expect("rows") {
         let median = row.get("median").and_then(Value::as_str).expect("median");
         assert!(median.parse::<f64>().is_ok_and(f64::is_finite), "{row:?}");

@@ -40,6 +40,21 @@ fn records_the_default_scale() {
 }
 
 #[test]
+fn records_each_seeds_wall_time() {
+    let d = doc();
+    let wall_ms = d.get("wall_ms").and_then(Value::as_u64).expect("wall_ms");
+    let per_seed: Vec<u64> = d
+        .get("seed_wall_ms")
+        .and_then(Value::as_array)
+        .expect("seed_wall_ms")
+        .iter()
+        .map(|ms| ms.as_u64().expect("milliseconds"))
+        .collect();
+    assert_eq!(per_seed.len() as u64, SEEDS, "one entry per seed");
+    assert!(per_seed.iter().sum::<u64>() <= wall_ms);
+}
+
+#[test]
 fn experiments_md_shows_the_rendering() {
     let md = read("EXPERIMENTS.md");
     let [begin, end] = MARKERS;
