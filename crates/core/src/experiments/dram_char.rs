@@ -17,6 +17,7 @@ use crate::metrics::mean;
 use crate::table::{num, Table};
 use mask_common::config::DesignKind;
 use mask_common::stats::SimStats;
+use mask_workloads::AppPair;
 
 /// Per-pair DRAM characterization.
 #[derive(Clone, Debug)]
@@ -58,11 +59,11 @@ fn characterize(name: String, stats: &SimStats) -> DramRow {
 /// Runs the Fig. 8/9 sweep on the `SharedTLB` baseline as one job batch.
 pub fn measure(opts: &ExpOptions) -> Vec<DramRow> {
     let runner = opts.runner();
-    runner
-        .run_pairs(&opts.pairs(), &[DesignKind::SharedTlb])
-        .into_iter()
-        .map(|o| characterize(o.name.clone(), &o.stats))
-        .collect()
+    let pairs = opts.pairs();
+    let mixes: Vec<_> = pairs.iter().map(|p| vec![p.a, p.b]).collect();
+    let runs = runner.run_apps(&runner.even_placements(&mixes), &[DesignKind::SharedTlb]);
+    let names = pairs.iter().map(AppPair::name);
+    names.zip(runs).map(|(n, s)| characterize(n, &s)).collect()
 }
 
 /// Fig. 8 table: normalized DRAM bandwidth by request class.

@@ -32,32 +32,24 @@ pub fn run(opts: &ExpOptions) -> Table {
         .iter()
         .map(|&(a, b)| [a, b].map(|n| app_by_name(n).expect("known app")).to_vec())
         .collect();
-    let mut placements = Vec::new();
-    for pair in runner.even_placements(&mixes) {
-        placements.push(vec![pair[0]]);
-        placements.push(vec![pair[1]]);
-        placements.push(pair);
-    }
-    let outcomes = runner.run_batch(&placements, &[DesignKind::SharedTlb]);
-    for ((an, bn), chunk) in FIG07_PAIRS.iter().zip(outcomes.chunks(3)) {
-        let (alone_a, alone_b, shared) = (&chunk[0].stats, &chunk[1].stats, &chunk[2].stats);
-        let name = format!("{an}_{bn}");
-        t.row(
-            name.clone(),
-            vec![
-                format!("App1 ({an})"),
-                num(alone_a.apps[0].l2_tlb.miss_rate(), 3),
-                num(shared.apps[0].l2_tlb.miss_rate(), 3),
-            ],
-        );
-        t.row(
-            name,
-            vec![
-                format!("App2 ({bn})"),
-                num(alone_b.apps[0].l2_tlb.miss_rate(), 3),
-                num(shared.apps[1].l2_tlb.miss_rate(), 3),
-            ],
-        );
+    let placements: Vec<_> = runner
+        .even_placements(&mixes)
+        .into_iter()
+        .flat_map(|pair| [vec![pair[0]], vec![pair[1]], pair])
+        .collect();
+    let stats = runner.run_apps(&placements, &[DesignKind::SharedTlb]);
+    // Per pair: App1 alone, App2 alone, then both shared.
+    for ((an, bn), runs) in FIG07_PAIRS.iter().zip(stats.chunks(3)) {
+        for (i, app) in [an, bn].into_iter().enumerate() {
+            let miss_rate =
+                |run: usize, slot: usize| num(runs[run].apps[slot].l2_tlb.miss_rate(), 3);
+            let cells = vec![
+                format!("App{} ({app})", i + 1),
+                miss_rate(i, 0),
+                miss_rate(2, i),
+            ];
+            t.row(format!("{an}_{bn}"), cells);
+        }
     }
     t
 }

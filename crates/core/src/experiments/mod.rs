@@ -4,10 +4,11 @@
 //! All harnesses honor three environment variables so the whole suite can
 //! be scaled: `MASK_SIM_CYCLES` (cycles per run), `MASK_PAIR_LIMIT`
 //! (number of two-app workloads simulated), and `MASK_JOBS` (worker
-//! threads the job engine fans simulations over; `1` = serial). Every
-//! harness submits its runs as one job batch, so independent simulations
-//! execute concurrently while results stay bit-identical at any worker
-//! count.
+//! threads the job engine fans simulations over; `1` = serial). A harness
+//! submits its runs as one job batch ([`generality`] one per architecture;
+//! [`timemux`] one engine job, then steps a `GpuSim` directly), so
+//! simulations run concurrently and bit-identically at any worker count. One
+//! that reads no alone baseline simulates none (`PairRunner::run_apps`).
 
 pub mod ablation;
 pub mod components;

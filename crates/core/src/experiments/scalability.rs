@@ -7,6 +7,7 @@
 use super::ExpOptions;
 use crate::table::Table;
 use mask_common::config::DesignKind;
+use mask_common::stats::SimStats;
 use mask_workloads::{app_by_name, AppProfile};
 
 /// Representative application mixes per concurrency level. The paper does
@@ -25,7 +26,7 @@ pub fn mixes() -> Vec<Vec<AppProfile>> {
 }
 
 /// Table 3 on the mix's aggregate IPC, the raw performance the paper
-/// normalizes; all mix × design runs go out as one job batch.
+/// normalizes; all mix × design shared runs go out as one job batch.
 pub fn throughput(opts: &ExpOptions) -> Table {
     let runner = opts.runner();
     let mut t = Table::new(
@@ -37,13 +38,21 @@ pub fn throughput(opts: &ExpOptions) -> Table {
         .into_iter()
         .filter(|mix| mix.len() <= opts.n_cores)
         .collect();
-    let outcomes = runner.run_multi_batch(&mixes, &designs);
-    for (mix, chunk) in mixes.iter().zip(outcomes.chunks(designs.len())) {
-        let [ideal, shared, mask] = [&chunk[0], &chunk[1], &chunk[2]].map(|o| o.ipc_throughput);
-        let norm = |v: f64| if ideal > 0.0 { v / ideal } else { 0.0 };
-        t.row_f64(mix.len().to_string(), &[norm(shared), norm(mask)]);
+    let stats = runner.run_apps(&runner.even_placements(&mixes), &designs);
+    let ipc = |s: &SimStats| s.apps.iter().map(|a| a.ipc().unwrap_or(0.0)).sum::<f64>();
+    for (mix, chunk) in mixes.iter().zip(stats.chunks(designs.len())) {
+        let [ideal, shared, mask] = [0, 1, 2].map(|d| ipc(&chunk[d]));
+        t.row_f64(
+            mix.len().to_string(),
+            &[shared, mask].map(|v| norm(v, ideal)),
+        );
     }
     t
+}
+
+/// `v` over Ideal's throughput; `None` (no data, not 0) if Ideal ran nothing.
+fn norm(v: f64, ideal: f64) -> Option<f64> {
+    (ideal > 0.0).then(|| v / ideal)
 }
 
 #[cfg(test)]
@@ -57,5 +66,12 @@ mod tests {
         for (i, mix) in m.iter().enumerate() {
             assert_eq!(mix.len(), i + 1);
         }
+    }
+
+    #[test]
+    fn a_zero_ideal_throughput_normalises_to_no_data() {
+        assert_eq!(norm(0.5, 0.0), None);
+        assert_eq!(norm(0.0, 0.0), None);
+        assert_eq!(norm(0.5, 2.0), Some(0.25));
     }
 }

@@ -39,12 +39,12 @@ pub struct SingleAppRow {
 pub fn measure(opts: &ExpOptions) -> Vec<SingleAppRow> {
     let runner = opts.runner();
     let mixes: Vec<Vec<AppProfile>> = all_apps().iter().map(|&p| vec![p]).collect();
-    let outcomes = runner.run_multi_batch(&mixes, &[DesignKind::SharedTlb]);
+    let stats = runner.run_apps(&runner.even_placements(&mixes), &[DesignKind::SharedTlb]);
     all_apps()
         .iter()
-        .zip(outcomes)
-        .map(|(profile, o)| {
-            let a = &o.stats.apps[0];
+        .zip(stats)
+        .map(|(profile, s)| {
+            let a = &s.apps[0];
             SingleAppRow {
                 name: profile.name,
                 avg_concurrent_walks: a.avg_concurrent_walks(),

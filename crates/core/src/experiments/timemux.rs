@@ -14,7 +14,7 @@
 //! demonstrates and what motivates spatial multiplexing.
 
 use super::ExpOptions;
-use crate::engine::SimJob;
+use crate::runner::{PairRunner, RunOptions};
 use crate::table::Table;
 use mask_common::config::{DesignKind, SimConfig};
 use mask_gpu::{AppSpec, GpuSim};
@@ -38,17 +38,13 @@ pub fn run(opts: &ExpOptions) -> Table {
     }];
 
     // Back-to-back execution: steady-state instruction rate. This is an
-    // ordinary alone run, so it goes through the job engine (and its
-    // result memo) like every other run.
-    let runner = opts.runner();
-    let alone_stats = runner.pool().run_batch(&[SimJob {
-        design: DesignKind::SharedTlb,
-        specs: spec.to_vec(),
-        max_cycles: opts.cycles,
+    // ordinary alone run with no warm-up, so it goes through the job engine
+    // (and its result memo) like every other run.
+    let runner = PairRunner::new(RunOptions {
         warmup_cycles: 0,
-        seed: ropts.seed,
-        gpu: ropts.gpu.clone(),
-    }]);
+        ..ropts.clone()
+    });
+    let alone_stats = runner.run_apps(&[spec.to_vec()], &[DesignKind::SharedTlb]);
     let alone_instr = alone_stats[0].apps[0].instructions.max(1);
 
     // Time-multiplexed execution cannot be a batch job: the quantum loop

@@ -11,11 +11,12 @@
 //! shared runs feed several figures, so every experiment shares one memo
 //! and each unique run is simulated exactly once per process.
 //!
-//! The batch entry points ([`PairRunner::run_pairs`],
-//! [`PairRunner::run_multi_batch`], [`PairRunner::run_batch`]) submit whole
-//! workload sets to the [`JobPool`] at once, so independent simulations fan
-//! out over `MASK_JOBS` worker threads while results stay bit-identical at
-//! any worker count.
+//! [`PairRunner::run_apps`] submits shared runs only; [`PairRunner::run_batch`]
+//! adds the alone baselines that weighted speedup and unfairness read, and
+//! [`PairRunner::run_pairs`] and [`PairRunner::run_named`] call it on even
+//! core splits. Each submits one [`JobPool`] batch, so independent
+//! simulations fan out over `MASK_JOBS` worker threads while results stay
+//! bit-identical at any count.
 //!
 //! Mixes hold each [`AppProfile`] by value; a job is keyed by its parameters
 //! (a stock profile by its bare name), so a mix may carry a swept copy.
@@ -155,16 +156,20 @@ impl PairRunner {
         }
     }
 
-    /// Runs an arbitrary placement and returns its statistics, measured
-    /// after the warm-up window, served from the result memo when it holds
-    /// them.
+    /// Runs every placement × design as one shared run, with no alone
+    /// baseline, in one [`JobPool::run_batch`] call: the statistics of
+    /// `placements[p]` under `designs[d]`, measured after the warm-up window,
+    /// are at index `p * designs.len() + d`.
     #[must_use]
-    pub fn run_apps(&self, design: DesignKind, specs: &[AppSpec]) -> Arc<SimStats> {
-        let jobs = [self.job(design, specs.to_vec())];
-        self.pool
-            .run_batch(&jobs)
-            .pop()
-            .expect("one job in, one result out")
+    pub fn run_apps(
+        &self,
+        placements: &[Vec<AppSpec>],
+        designs: &[DesignKind],
+    ) -> Vec<Arc<SimStats>> {
+        let jobs = placements
+            .iter()
+            .flat_map(|p| designs.iter().map(|&d| self.job(d, p.clone())));
+        self.pool.run_batch(&jobs.collect::<Vec<_>>())
     }
 
     /// Plans, executes, and assembles a whole batch: for every placement ×
@@ -244,22 +249,7 @@ impl PairRunner {
     #[must_use]
     pub fn run_pairs(&self, pairs: &[AppPair], designs: &[DesignKind]) -> Vec<PairOutcome> {
         let mixes: Vec<_> = pairs.iter().map(|p| vec![p.a, p.b]).collect();
-        self.run_multi_batch(&mixes, designs)
-    }
-
-    /// Runs every mix × design combination with even core splits in one
-    /// batch. Outcomes are mix-major, design-minor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any mix is empty or has more apps than the runner has cores.
-    #[must_use]
-    pub fn run_multi_batch(
-        &self,
-        mixes: &[Vec<AppProfile>],
-        designs: &[DesignKind],
-    ) -> Vec<PairOutcome> {
-        self.run_batch(&self.even_placements(mixes), designs)
+        self.run_batch(&self.even_placements(&mixes), designs)
     }
 
     /// Runs one mix, looked up by benchmark names, with an even core split
@@ -275,7 +265,8 @@ impl PairRunner {
             .copied()
             .map(app_by_name)
             .collect::<Option<_>>()?;
-        self.run_multi_batch(&[mix], &[design]).pop()
+        self.run_batch(&self.even_placements(&[mix]), &[design])
+            .pop()
     }
 
     /// The even-split placement of each mix: `n_cores / n` cores per app,
@@ -358,13 +349,37 @@ mod tests {
             profile: app_by_name("GUP").expect("exists"),
             n_cores: 2,
         }];
-        let a1 = r.run_apps(DesignKind::SharedTlb, &alone);
-        let a2 = r.run_apps(DesignKind::SharedTlb, &alone);
-        assert!(Arc::ptr_eq(&a1, &a2));
+        let a1 = r.run_apps(&[alone.to_vec()], &[DesignKind::SharedTlb]);
+        let a2 = r.run_apps(&[alone.to_vec()], &[DesignKind::SharedTlb]);
+        assert!(Arc::ptr_eq(&a1[0], &a2[0]));
         let cs = memo.stats();
         assert_eq!(cs.entries, 1);
         assert_eq!(cs.misses, 1, "baseline simulated exactly once");
         assert_eq!(cs.hits, 1, "repeat answered from the memo");
+    }
+
+    #[test]
+    fn run_apps_simulates_only_the_shared_runs() {
+        let memo = ResultMemo::new();
+        let r = PairRunner::with_pool(
+            small_opts(),
+            JobPool::with_workers(2).with_cache(Arc::clone(&memo)),
+        );
+        let spec = |name, n_cores| AppSpec {
+            profile: app_by_name(name).expect("known"),
+            n_cores,
+        };
+        let placements = [vec![spec("HISTO", 2), spec("GUP", 2)], vec![spec("MUM", 4)]];
+        let designs = [DesignKind::SharedTlb, DesignKind::Mask];
+        let got = r.run_apps(&placements, &designs);
+        assert_eq!(memo.stats().misses, 4, "no alone baseline is simulated");
+        assert_eq!(got.len(), 4);
+        for (p, placement) in placements.iter().enumerate() {
+            for (d, &design) in designs.iter().enumerate() {
+                let want = r.job(design, placement.clone()).run();
+                assert_eq!(*got[p * designs.len() + d], want, "{p} {design:?}");
+            }
+        }
     }
 
     #[test]
@@ -406,8 +421,6 @@ mod tests {
         ];
         let designs = [DesignKind::SharedTlb, DesignKind::Mask];
         let batch = r.run_pairs(&pairs, &designs);
-        let mixes: Vec<_> = pairs.iter().map(|p| vec![p.a, p.b]).collect();
-        assert_eq!(r.run_multi_batch(&mixes, &designs), batch);
         assert_eq!(batch.len(), 4);
         for (i, pair) in pairs.iter().enumerate() {
             for (j, &design) in designs.iter().enumerate() {

@@ -16,10 +16,6 @@ use mask_core::prelude::*;
 
 fn main() {
     let tenants = ["MUM", "RED", "HS", "HISTO"];
-    let profiles: Vec<_> = tenants
-        .iter()
-        .map(|n| app_by_name(n).expect("known benchmark"))
-        .collect();
     let opts = RunOptions {
         max_cycles: 250_000,
         n_cores: 28,
@@ -38,10 +34,10 @@ fn main() {
         DesignKind::Mask,
         DesignKind::Ideal,
     ];
-    for (design, o) in designs
-        .iter()
-        .zip(runner.run_multi_batch(&[profiles], &designs))
-    {
+    for design in designs {
+        let o = runner
+            .run_named(&tenants, design)
+            .expect("known benchmarks");
         let slowdowns: Vec<String> = o
             .shared_ipc
             .iter()

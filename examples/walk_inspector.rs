@@ -29,13 +29,15 @@ fn main() {
         max_cycles: 250_000,
         ..Default::default()
     });
-    let stats = runner.run_apps(
-        DesignKind::SharedTlb,
-        &[AppSpec {
-            profile,
-            n_cores: 30,
-        }],
-    );
+    let stats = runner
+        .run_apps(
+            &[vec![AppSpec {
+                profile,
+                n_cores: 30,
+            }]],
+            &[DesignKind::SharedTlb],
+        )
+        .remove(0);
     let a = &stats.apps[0];
 
     println!(

@@ -35,12 +35,18 @@ fn main() {
         let jobs = JobPool::with_options(opts.jobs).workers();
         let (cycles, pairs) = (opts.cycles, opts.pair_limit);
         println!("=== {id} — cycles/run={cycles} pairs={pairs} jobs={jobs} ===\n");
-        let t0 = Instant::now();
+        let (t0, sims) = (Instant::now(), simulations());
         for table in run(&opts) {
             emit(&table);
         }
-        println!("[{id} done in {:?}]", t0.elapsed());
+        let (elapsed, sims) = (t0.elapsed(), simulations() - sims);
+        println!("[{id} done in {elapsed:?}; {sims} simulation(s)]");
     }
+}
+
+/// Jobs this process has simulated: the process-wide result memo's misses.
+fn simulations() -> u64 {
+    JobPool::from_env().cache().stats().misses
 }
 
 /// Prints `table` and writes it to `target/mask-results/<slug>.json`, the
@@ -69,13 +75,14 @@ fn run_fidelity() {
     let t0 = Instant::now();
     let (seeds, seed_wall_ms): (Vec<Vec<Table>>, Vec<u64>) = (0..fidelity::SEEDS)
         .map(|i| {
-            let seed_t0 = Instant::now();
+            let (seed_t0, sims) = (Instant::now(), simulations());
             let tables = fidelity::measure(|pair_cap| {
                 let mut opts = ExpOptions::with_pair_cap(pair_cap);
                 opts.seed += i;
                 opts
             });
-            println!("[seed {} done at {:?}]", i + 1, t0.elapsed());
+            let (at, sims) = (t0.elapsed(), simulations() - sims);
+            println!("[seed {} done at {at:?}; {sims} simulation(s)]", i + 1);
             (tables, ms(seed_t0))
         })
         .unzip();

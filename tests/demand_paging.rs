@@ -15,13 +15,15 @@ fn stats_with_fault_latency(latency: u64) -> Arc<SimStats> {
         gpu,
         jobs: JobOptions::serial(),
     });
-    runner.run_apps(
-        DesignKind::SharedTlb,
-        &[AppSpec {
-            profile: app_by_name("SCAN").expect("known"),
-            n_cores: 4,
-        }],
-    )
+    runner
+        .run_apps(
+            &[vec![AppSpec {
+                profile: app_by_name("SCAN").expect("known"),
+                n_cores: 4,
+            }]],
+            &[DesignKind::SharedTlb],
+        )
+        .remove(0)
 }
 
 #[test]

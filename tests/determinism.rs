@@ -17,19 +17,21 @@ fn run(seed: u64, design: DesignKind) -> Arc<SimStats> {
     };
     let pool = JobPool::with_options(opts.jobs).with_cache(ResultMemo::new());
     let runner = PairRunner::with_pool(opts, pool);
-    runner.run_apps(
-        design,
-        &[
-            AppSpec {
-                profile: app_by_name("MUM").expect("known"),
-                n_cores: 2,
-            },
-            AppSpec {
-                profile: app_by_name("HISTO").expect("known"),
-                n_cores: 2,
-            },
-        ],
-    )
+    runner
+        .run_apps(
+            &[vec![
+                AppSpec {
+                    profile: app_by_name("MUM").expect("known"),
+                    n_cores: 2,
+                },
+                AppSpec {
+                    profile: app_by_name("HISTO").expect("known"),
+                    n_cores: 2,
+                },
+            ]],
+            &[design],
+        )
+        .remove(0)
 }
 
 #[test]

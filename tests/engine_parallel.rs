@@ -43,11 +43,20 @@ fn pair_batches_are_identical_at_any_worker_count() {
 #[test]
 fn multi_app_batches_are_identical_at_any_worker_count() {
     let mixes = experiments::scalability::mixes();
-    let mixes: Vec<_> = mixes.into_iter().filter(|m| m.len() <= 4).collect();
+    let names: Vec<Vec<&str>> = mixes
+        .iter()
+        .filter(|m| m.len() <= 4)
+        .map(|m| m.iter().map(|p| p.name).collect())
+        .collect();
     let designs = [DesignKind::SharedTlb, DesignKind::Mask];
-    let serial = runner(1).run_multi_batch(&mixes, &designs);
-    let wide = runner(8).run_multi_batch(&mixes, &designs);
-    assert_eq!(serial, wide);
+    let outcomes = |workers| {
+        let r = runner(workers);
+        let each = names
+            .iter()
+            .flat_map(|n| designs.map(|d| r.run_named(n, d)));
+        each.collect::<Vec<_>>()
+    };
+    assert_eq!(outcomes(1), outcomes(8));
 }
 
 #[test]
@@ -65,12 +74,19 @@ fn experiment_tables_are_identical_at_any_worker_count() {
         assert_eq!(simulated, memo.stats().entries as u64);
         (table, simulated)
     };
-    for harness in [
-        experiments::scalability::throughput as fn(&ExpOptions) -> Table,
-        experiments::interference::run,
+    // Each harness simulates only the runs its table reads: Table 3 one
+    // shared run per (mix, design), with no alone baseline (4 mixes fit 4
+    // cores, 3 designs); Fig. 7 its 12 placements, of which the two HISTO
+    // alone runs are one job.
+    for (harness, runs) in [
+        (
+            experiments::scalability::throughput as fn(&ExpOptions) -> Table,
+            4 * 3,
+        ),
+        (experiments::interference::run, 4 * 3 - 1),
     ] {
         let (serial, simulated) = at(1, harness);
-        assert!(simulated > 0, "the serial pass simulates");
+        assert_eq!(simulated, runs, "one simulation per run the table reads");
         assert_eq!(at(8, harness), (serial, simulated));
     }
 }

@@ -16,13 +16,15 @@ fn run(page_size_log2: u32) -> Arc<SimStats> {
         gpu,
         jobs: JobOptions::serial(),
     });
-    runner.run_apps(
-        DesignKind::SharedTlb,
-        &[AppSpec {
-            profile: app_by_name("CONS").expect("known"),
-            n_cores: 4,
-        }],
-    )
+    runner
+        .run_apps(
+            &[vec![AppSpec {
+                profile: app_by_name("CONS").expect("known"),
+                n_cores: 4,
+            }]],
+            &[DesignKind::SharedTlb],
+        )
+        .remove(0)
 }
 
 #[test]

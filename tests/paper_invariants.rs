@@ -22,13 +22,15 @@ fn walk_levels_hit_monotonically_less_toward_leaves() {
     // 99.8%, 98.8%, 68.7%, and 1.0% for the first (root), second, third,
     // and fourth levels".
     let r = runner();
-    let stats = r.run_apps(
-        DesignKind::SharedTlb,
-        &[AppSpec {
-            profile: app_by_name("CONS").expect("known"),
-            n_cores: 8,
-        }],
-    );
+    let stats = r
+        .run_apps(
+            &[vec![AppSpec {
+                profile: app_by_name("CONS").expect("known"),
+                n_cores: 8,
+            }]],
+            &[DesignKind::SharedTlb],
+        )
+        .remove(0);
     let a = &stats.apps[0];
     let rates: Vec<f64> = (0..4)
         .map(|i| a.l2_translation[i].hit_rate().expect("every level probed"))
@@ -47,28 +49,12 @@ fn walk_levels_hit_monotonically_less_toward_leaves() {
 fn interference_raises_shared_tlb_miss_rate() {
     // §4.2 / Fig. 7.
     let r = runner();
-    let gup = app_by_name("GUP").expect("known");
-    let cons = app_by_name("CONS").expect("known");
-    let alone = r.run_apps(
-        DesignKind::SharedTlb,
-        &[AppSpec {
-            profile: gup,
-            n_cores: 4,
-        }],
-    );
-    let shared = r.run_apps(
-        DesignKind::SharedTlb,
-        &[
-            AppSpec {
-                profile: gup,
-                n_cores: 4,
-            },
-            AppSpec {
-                profile: cons,
-                n_cores: 4,
-            },
-        ],
-    );
+    let [gup, cons] = ["GUP", "CONS"].map(|name| AppSpec {
+        profile: app_by_name(name).expect("known"),
+        n_cores: 4,
+    });
+    let runs = r.run_apps(&[vec![gup], vec![gup, cons]], &[DesignKind::SharedTlb]);
+    let (alone, shared) = (&runs[0], &runs[1]);
     let miss_alone = alone.apps[0].l2_tlb.miss_rate().expect("GUP probes");
     let miss_shared = shared.apps[0].l2_tlb.miss_rate().expect("GUP probes");
     assert!(
@@ -100,13 +86,15 @@ fn tlb_misses_stall_multiple_warps_for_sharing_workloads() {
     // this scaled-down test size; full-scale runs show several warps
     // stalled per miss (`repro fig05_06`; FIDELITY.json's `fig06_stalled`).
     let r = runner();
-    let stats = r.run_apps(
-        DesignKind::SharedTlb,
-        &[AppSpec {
-            profile: app_by_name("GUP").expect("known"),
-            n_cores: 8,
-        }],
-    );
+    let stats = r
+        .run_apps(
+            &[vec![AppSpec {
+                profile: app_by_name("GUP").expect("known"),
+                n_cores: 8,
+            }]],
+            &[DesignKind::SharedTlb],
+        )
+        .remove(0);
     assert!(
         stats.apps[0].avg_warps_stalled_per_miss() >= Some(1.0),
         "every miss stalls at least its requester"
