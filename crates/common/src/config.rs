@@ -252,8 +252,6 @@ impl core::fmt::Display for DesignKind {
 pub struct TlbConfig {
     /// Entries in each per-core, fully-associative L1 TLB.
     pub l1_entries: usize,
-    /// L1 TLB lookup latency in cycles.
-    pub l1_latency: u64,
     /// Total entries in the shared L2 TLB.
     pub l2_entries: usize,
     /// Associativity of the shared L2 TLB.
@@ -270,7 +268,6 @@ impl Default for TlbConfig {
     fn default() -> Self {
         TlbConfig {
             l1_entries: 64,
-            l1_latency: 1,
             l2_entries: 512,
             l2_assoc: 16,
             l2_latency: 10,
@@ -512,8 +509,6 @@ pub struct GpuConfig {
     pub n_cores: usize,
     /// Warp contexts per core.
     pub warps_per_core: usize,
-    /// Threads per warp.
-    pub warp_size: usize,
     /// log2 of the page size (12 for 4 KB, 21 for the §7.3 2 MB study).
     pub page_size_log2: u32,
     /// TLB hierarchy parameters.
@@ -546,7 +541,6 @@ impl GpuConfig {
         GpuConfig {
             n_cores: 30,
             warps_per_core: 64,
-            warp_size: 64,
             page_size_log2: PAGE_SIZE_4K_LOG2,
             tlb: TlbConfig::default(),
             pwc: PwcConfig::default(),

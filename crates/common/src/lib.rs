@@ -55,7 +55,7 @@ pub use stats::{AppStats, DramClassStats, SimStats};
 /// `tests/golden_state.rs`, which recomputes it from those tables. A model
 /// change re-pins some of them and so must move this too; `maskd` folds it
 /// into every content key, so results of an older model are never served.
-pub const MODEL_FINGERPRINT: u64 = 0x98e4_63b8_99d1_cabd;
+pub const MODEL_FINGERPRINT: u64 = 0x53b4_595a_374d_4a77;
 
 /// Current simulation time, measured in core clock cycles.
 ///

@@ -337,7 +337,8 @@ impl GpuCore {
                     stats.l1_tlb.record(false);
                     mask_obs::hooks::tlb_probe(mask_obs::TlbLevel::L1, self.asid.raw(), false);
                     let gw = GlobalWarpId::new(self.id, WarpId::new(w as u16));
-                    sink.xlat.request(self.asid, vpn, gw, self.core_rank, now);
+                    sink.xlat
+                        .request(self.asid, vpn, gw, self.core_rank, now, stats);
                     pending += 1;
                 }
             }

@@ -198,20 +198,14 @@ impl Drop for GpuSim {
     }
 }
 
-/// Writes `xlat`'s lifetime TLB/walker/token counters into `stats`.
-fn sync_lifetime_counters(xlat: &TranslationUnit, stats: &mut SimStats) {
+/// Writes the two gauges read off `xlat`'s current state into `stats`:
+/// each app's tokens held and walks started (completed plus in flight).
+/// Every counter is counted where its event happens, not here.
+fn sync_gauges(xlat: &TranslationUnit, stats: &mut SimStats) {
     for (app, s) in stats.apps.iter_mut().enumerate() {
         let asid = Asid::new(app as u16);
-        s.l2_tlb = xlat.l2_tlb_stats(asid);
         s.tokens_final = xlat.tokens_for(asid);
-        s.page_faults = xlat.fault_count(asid);
         s.walks_started = s.walks_completed + xlat.concurrent_walks(asid) as u64;
-        if let Some(b) = xlat.bypass_cache_stats() {
-            s.tlb_bypass_cache = b;
-        }
-        if let Some(p) = xlat.pwc_stats() {
-            s.pwc = p;
-        }
     }
 }
 
@@ -301,17 +295,18 @@ impl GpuSim {
         self.now
     }
 
-    /// Synchronizes lifetime TLB/walker/token counters into the statistics
-    /// block. Call after running (and before [`GpuSim::stats`]) so the
-    /// snapshot reflects the structures' current state.
+    /// Writes the two gauges derived from current state, `tokens_final` and
+    /// `walks_started`, into the statistics block. Call after running (and
+    /// before [`GpuSim::stats`]) so they reflect the machine's current
+    /// state.
     pub fn sync_stats(&mut self) {
-        sync_lifetime_counters(&self.xlat, &mut self.stats);
+        sync_gauges(&self.xlat, &mut self.stats);
     }
 
-    /// Simulation statistics collected so far. Per-cycle counters are always
-    /// current; lifetime TLB/walker/token counters are only as fresh as the
-    /// last [`GpuSim::sync_stats`] call. The split lets the job engine (and
-    /// any other reader) snapshot results without mutable access.
+    /// Simulation statistics collected so far. Every counter is current;
+    /// the gauges `tokens_final` and `walks_started` are only as fresh as
+    /// the last [`GpuSim::sync_stats`] call. The split lets the job engine
+    /// (and any other reader) snapshot results without mutable access.
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }
@@ -575,13 +570,13 @@ impl GpuSim {
     }
 
     /// Emits the per-epoch metrics frames when tracing is live, from a
-    /// copy of the statistics block with the lifetime counters synced. The
+    /// copy of the statistics block with the gauges synced. The
     /// live block stays as an untraced run leaves it, so traced machine
     /// state, snapshots included, is bit-identical to untraced.
     fn emit_epoch_metrics(&mut self) {
         let xlat = &self.xlat;
         self.obs.on_epoch(self.now, &self.stats, |stats| {
-            sync_lifetime_counters(xlat, stats);
+            sync_gauges(xlat, stats);
         });
     }
 
@@ -621,7 +616,6 @@ impl GpuSim {
     /// 100K-cycle epoch.
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::new(self.n_apps, self.cfg.gpu.dram.channels);
-        self.xlat.reset_stats();
     }
 
     /// Flushes all cached state (TLBs, caches) — the cost of a context

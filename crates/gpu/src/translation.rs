@@ -13,6 +13,11 @@
 //! Duplicate in-flight translations of the same `(ASID, VPN)` merge in the
 //! translation MSHRs; each entry counts its stalled warps — the Fig. 6
 //! metric and the `WarpsStalled` input of Eq. 1.
+//!
+//! The unit keeps no statistics of its own: each shared-L2-TLB and
+//! bypass-cache probe, page-walk-cache probe, demand-paging fault and
+//! diverted fill is counted, as it happens, in the `AppStats` of the
+//! application it belongs to.
 
 use mask_common::addr::{Ppn, Vpn};
 use mask_common::config::{DesignSpec, GpuConfig, TokenPolicy, TranslationPath};
@@ -92,8 +97,6 @@ pub struct TranslationUnit {
     /// Walks blocked on a demand-paging fault (first touch).
     fault_pipe: Vec<(Cycle, Asid, Vpn)>,
     fault_latency: u64,
-    /// Demand-paging faults taken, per app.
-    fault_counts: Vec<u64>,
     /// Page-walk-cache hits completing after the PWC latency.
     pwc_pipe: Vec<(Cycle, WalkAccess)>,
     /// Outstanding walker accesses in the L2/DRAM, by request id. At most
@@ -144,7 +147,6 @@ impl TranslationUnit {
             l2tlb_pipe: VecDeque::new(),
             fault_pipe: Vec::new(),
             fault_latency: cfg.page_fault_latency,
-            fault_counts: vec![0; n_apps],
             pwc_pipe: Vec::new(),
             walk_of_req: Vec::new(),
             l2_ports: cfg.tlb.l2_ports,
@@ -166,7 +168,9 @@ impl TranslationUnit {
     /// Registers a warp's translation request after an L1 TLB miss.
     ///
     /// Duplicate requests merge; the merged warp count feeds the Fig. 6
-    /// statistic. Returns `true` if this was a new (primary) request.
+    /// statistic. A demand-paging fault is counted in `stats`, the
+    /// requesting application's. Returns `true` if this was a new (primary)
+    /// request.
     pub fn request(
         &mut self,
         asid: Asid,
@@ -174,6 +178,7 @@ impl TranslationUnit {
         requester: GlobalWarpId,
         core_rank: usize,
         now: Cycle,
+        stats: &mut AppStats,
     ) -> bool {
         if let Some(entry) = self.mshr.get_mut(&(asid, vpn)) {
             entry.waiters.push(requester);
@@ -195,7 +200,7 @@ impl TranslationUnit {
         if self.fault_latency > 0 {
             let (_, faulted) = self.tables.ensure_mapped_report(asid, vpn);
             if faulted {
-                self.fault_counts[asid.index().min(self.n_apps - 1)] += 1;
+                stats.page_faults += 1;
                 self.fault_pipe.push((now + self.fault_latency, asid, vpn));
                 return true;
             }
@@ -249,6 +254,9 @@ impl TranslationUnit {
         ));
     }
 
+    /// Wakes the translation's waiters; a walked one fills the shared L2
+    /// TLB, and a fill diverted to the bypass cache is counted in the
+    /// application's `stats`.
     fn resolve(
         &mut self,
         asid: Asid,
@@ -256,6 +264,7 @@ impl TranslationUnit {
         ppn: Ppn,
         walked: bool,
         walk_latency: Cycle,
+        stats: &mut [AppStats],
     ) -> Option<ResolvedTranslation> {
         let entry = self.mshr.remove(&(asid, vpn))?;
         if walked {
@@ -266,7 +275,9 @@ impl TranslationUnit {
                     }
                     None => true,
                 };
-                l2.fill(asid, vpn, ppn, has_token);
+                if l2.fill(asid, vpn, ppn, has_token) {
+                    stats[asid.index()].fills_diverted += 1;
+                }
             }
         }
         let acc = &mut self.epoch[asid.index().min(self.n_apps - 1)];
@@ -285,9 +296,10 @@ impl TranslationUnit {
     /// Advances one cycle.
     ///
     /// Emits walker memory requests into `out_l2`, records each
-    /// page-walk-cache probe in its application's `stats` (indexed by
-    /// ASID), and appends resolved translations (shared-L2-TLB hits and
-    /// PWC-completed walks) to `resolved` (not cleared).
+    /// shared-L2-TLB, bypass-cache and page-walk-cache probe and each
+    /// diverted fill in its application's `stats` (indexed by ASID), and
+    /// appends resolved translations (shared-L2-TLB hits and PWC-completed
+    /// walks) to `resolved` (not cleared).
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -316,7 +328,15 @@ impl TranslationUnit {
             }
             let req = self.l2tlb_pipe.pop_front().expect("non-empty");
             let l2 = self.l2tlb.as_mut().expect("pipe implies shared L2 TLB");
-            match l2.probe(req.asid, req.vpn) {
+            let outcome = l2.probe(req.asid, req.vpn);
+            let app = &mut stats[req.asid.index()];
+            app.l2_tlb.record(outcome.ppn().is_some());
+            // The bypass cache is probed exactly when the main array misses.
+            if l2.has_bypass_cache() && !matches!(outcome, L2TlbProbe::HitMain(_)) {
+                app.tlb_bypass_cache
+                    .record(matches!(outcome, L2TlbProbe::HitBypassCache(_)));
+            }
+            match outcome {
                 L2TlbProbe::Miss => {
                     mask_obs::hooks::tlb_probe(mask_obs::TlbLevel::L2, req.asid.raw(), false);
                     self.walker.enqueue(req.asid, req.vpn, now);
@@ -329,7 +349,7 @@ impl TranslationUnit {
                     };
                     mask_obs::hooks::tlb_probe(whence, req.asid.raw(), true);
                     let ppn = hit.ppn().expect("hit carries translation");
-                    if let Some(r) = self.resolve(req.asid, req.vpn, ppn, false, 0) {
+                    if let Some(r) = self.resolve(req.asid, req.vpn, ppn, false, 0, stats) {
                         resolved.push(r);
                     }
                 }
@@ -360,7 +380,7 @@ impl TranslationUnit {
                         ppn,
                         latency,
                     } => {
-                        if let Some(r) = self.resolve(asid, vpn, ppn, true, latency) {
+                        if let Some(r) = self.resolve(asid, vpn, ppn, true, latency, stats) {
                             resolved.push(r);
                         }
                     }
@@ -387,7 +407,8 @@ impl TranslationUnit {
     ///
     /// Returns a resolved translation if this was the final level, and may
     /// emit the next level's memory request into `out_l2` (recording its
-    /// page-walk-cache probe in `stats`, as [`TranslationUnit::tick`] does).
+    /// page-walk-cache probe, or the final level's diverted fill, in
+    /// `stats`, as [`TranslationUnit::tick`] does).
     pub fn memory_response(
         &mut self,
         req: &MemRequest,
@@ -409,7 +430,7 @@ impl TranslationUnit {
                 vpn,
                 ppn,
                 latency,
-            } => self.resolve(asid, vpn, ppn, true, latency),
+            } => self.resolve(asid, vpn, ppn, true, latency, stats),
         }
     }
 
@@ -460,44 +481,9 @@ impl TranslationUnit {
         self.tokens.as_ref().map_or(0, |t| t.tokens(asid))
     }
 
-    /// Lifetime shared-L2-TLB statistics for an app.
-    pub fn l2_tlb_stats(&self, asid: Asid) -> mask_common::stats::HitStats {
-        self.l2tlb
-            .as_ref()
-            .map_or_else(Default::default, |l| l.lifetime_stats(asid))
-    }
-
-    /// Lifetime TLB-bypass-cache statistics (MASK designs).
-    pub fn bypass_cache_stats(&self) -> Option<mask_common::stats::HitStats> {
-        self.l2tlb
-            .as_ref()
-            .and_then(SharedL2Tlb::bypass_cache_stats)
-    }
-
-    /// Lifetime page-walk-cache statistics (`PWCache` design).
-    pub fn pwc_stats(&self) -> Option<mask_common::stats::HitStats> {
-        self.pwc.as_ref().map(PageWalkCache::stats)
-    }
-
     /// Walks currently outstanding anywhere in the unit.
     pub fn outstanding(&self) -> usize {
         self.mshr.len()
-    }
-
-    /// Demand-paging faults taken by one app so far.
-    pub fn fault_count(&self, asid: Asid) -> u64 {
-        self.fault_counts.get(asid.index()).copied().unwrap_or(0)
-    }
-
-    /// Zeroes lifetime statistics (measurement-window reset); cached
-    /// translations, tokens, and epoch state are untouched.
-    pub fn reset_stats(&mut self) {
-        if let Some(l2) = &mut self.l2tlb {
-            l2.reset_lifetime();
-        }
-        if let Some(pwc) = &mut self.pwc {
-            pwc.reset_stats();
-        }
     }
 
     /// TLB shootdown for one address space (§5.5): drops the ASID's
@@ -568,10 +554,6 @@ impl mask_common::snapshot::Snapshot for TranslationUnit {
             asid.snapshot(w);
             vpn.snapshot(w);
         }
-        w.seq(self.fault_counts.len());
-        for &n in &self.fault_counts {
-            w.u64(n);
-        }
         w.seq(self.pwc_pipe.len());
         for &(ready, access) in &self.pwc_pipe {
             w.u64(ready);
@@ -604,26 +586,26 @@ mod tests {
         GlobalWarpId::new(CoreId::new(core), WarpId::new(warp))
     }
 
+    /// Runs `unit` for `cycles` cycles, counting into `stats` (one entry
+    /// per application).
     fn drive(
         unit: &mut TranslationUnit,
+        stats: &mut [AppStats],
         now_start: Cycle,
         cycles: u64,
     ) -> (Vec<ResolvedTranslation>, Vec<MemRequest>) {
         let mut resolved = Vec::new();
         let mut reqs = Vec::new();
         let mut next_id = 0u64;
-        let mut stats = vec![AppStats::default(); unit.n_apps];
         for now in now_start..now_start + cycles {
             let mut out = Vec::new();
-            unit.tick(now, &mut next_id, &mut out, &mut stats, &mut resolved);
+            unit.tick(now, &mut next_id, &mut out, stats, &mut resolved);
             // Instantly satisfy every memory request (zero-latency L2),
             // including requests generated by responses (worklist loop).
             while let Some(r) = out.pop() {
                 reqs.push(r);
                 let mut more = Vec::new();
-                if let Some(done) =
-                    unit.memory_response(&r, now, &mut next_id, &mut more, &mut stats)
-                {
+                if let Some(done) = unit.memory_response(&r, now, &mut next_id, &mut more, stats) {
                     resolved.push(done);
                 }
                 out.extend(more);
@@ -636,8 +618,9 @@ mod tests {
     fn shared_tlb_miss_walks_four_levels() {
         let cfg = GpuConfig::maxwell();
         let mut unit = TranslationUnit::new(&cfg, DesignKind::SharedTlb.spec(), &[2]);
-        assert!(unit.request(Asid::new(0), Vpn(42), warp(0, 0), 0, 0));
-        let (resolved, reqs) = drive(&mut unit, 0, 40);
+        let mut stats = vec![AppStats::default(); 2];
+        assert!(unit.request(Asid::new(0), Vpn(42), warp(0, 0), 0, 0, &mut stats[0]));
+        let (resolved, reqs) = drive(&mut unit, &mut stats, 0, 40);
         assert_eq!(resolved.len(), 1);
         assert!(resolved[0].walked);
         assert_eq!(reqs.len(), 4, "one memory request per page-table level");
@@ -649,11 +632,12 @@ mod tests {
     fn second_request_hits_shared_l2_tlb() {
         let cfg = GpuConfig::maxwell();
         let mut unit = TranslationUnit::new(&cfg, DesignKind::SharedTlb.spec(), &[2]);
-        unit.request(Asid::new(0), Vpn(42), warp(0, 0), 0, 0);
-        let (r1, _) = drive(&mut unit, 0, 40);
+        let mut stats = vec![AppStats::default(); 2];
+        unit.request(Asid::new(0), Vpn(42), warp(0, 0), 0, 0, &mut stats[0]);
+        let (r1, _) = drive(&mut unit, &mut stats, 0, 40);
         assert!(r1[0].walked);
-        unit.request(Asid::new(0), Vpn(42), warp(0, 1), 0, 100);
-        let (r2, reqs2) = drive(&mut unit, 100, 40);
+        unit.request(Asid::new(0), Vpn(42), warp(0, 1), 0, 100, &mut stats[0]);
+        let (r2, reqs2) = drive(&mut unit, &mut stats, 100, 40);
         assert_eq!(r2.len(), 1);
         assert!(!r2[0].walked, "L2 TLB hit, no walk");
         assert!(reqs2.is_empty());
@@ -663,10 +647,11 @@ mod tests {
     fn duplicate_requests_merge_and_wake_together() {
         let cfg = GpuConfig::maxwell();
         let mut unit = TranslationUnit::new(&cfg, DesignKind::SharedTlb.spec(), &[2]);
-        assert!(unit.request(Asid::new(0), Vpn(7), warp(0, 0), 0, 0));
-        assert!(!unit.request(Asid::new(0), Vpn(7), warp(0, 1), 0, 1));
-        assert!(!unit.request(Asid::new(0), Vpn(7), warp(1, 5), 1, 2));
-        let (resolved, reqs) = drive(&mut unit, 0, 40);
+        let mut stats = vec![AppStats::default(); 2];
+        assert!(unit.request(Asid::new(0), Vpn(7), warp(0, 0), 0, 0, &mut stats[0]));
+        assert!(!unit.request(Asid::new(0), Vpn(7), warp(0, 1), 0, 1, &mut stats[0]));
+        assert!(!unit.request(Asid::new(0), Vpn(7), warp(1, 5), 1, 2, &mut stats[0]));
+        let (resolved, reqs) = drive(&mut unit, &mut stats, 0, 40);
         assert_eq!(resolved.len(), 1);
         assert_eq!(resolved[0].waiters.len(), 3);
         assert_eq!(reqs.len(), 4, "merged: only one walk");
@@ -676,31 +661,79 @@ mod tests {
     fn pwcache_design_skips_l2_tlb_and_uses_pwc() {
         let cfg = GpuConfig::maxwell();
         let mut unit = TranslationUnit::new(&cfg, DesignKind::PwCache.spec(), &[2]);
-        unit.request(Asid::new(0), Vpn(1), warp(0, 0), 0, 0);
-        let (r1, reqs1) = drive(&mut unit, 0, 60);
+        let mut stats = vec![AppStats::default(); 2];
+        unit.request(Asid::new(0), Vpn(1), warp(0, 0), 0, 0, &mut stats[0]);
+        let (r1, reqs1) = drive(&mut unit, &mut stats, 0, 60);
         assert_eq!(r1.len(), 1);
         assert_eq!(reqs1.len(), 4, "cold walk: all levels miss the PWC");
         // A nearby page shares upper-level PTE lines: the PWC now hits.
-        unit.request(Asid::new(0), Vpn(2), warp(0, 1), 0, 100);
-        let (r2, reqs2) = drive(&mut unit, 100, 120);
+        unit.request(Asid::new(0), Vpn(2), warp(0, 1), 0, 100, &mut stats[0]);
+        let (r2, reqs2) = drive(&mut unit, &mut stats, 100, 120);
         assert_eq!(r2.len(), 1);
         assert!(
             reqs2.len() < 4,
             "PWC hits cut memory requests, got {}",
             reqs2.len()
         );
-        let stats = unit.pwc_stats().expect("PWC attached");
-        assert!(stats.hits > 0);
+        // Every walk level probed the PWC once; each miss went to memory.
+        let pwc = stats[0].pwc;
+        assert_eq!(pwc.accesses, 8);
+        assert_eq!(pwc.misses(), (reqs1.len() + reqs2.len()) as u64);
+        assert!(pwc.hits > 0);
+        assert_eq!(stats[1].pwc.accesses, 0, "only the walking app counts");
+    }
+
+    #[test]
+    fn shared_tlb_probes_count_in_the_probing_apps_stats() {
+        let cfg = GpuConfig::maxwell();
+        let mut unit = TranslationUnit::new(&cfg, DesignKind::SharedTlb.spec(), &[1, 1]);
+        let mut stats = vec![AppStats::default(); 2];
+        unit.request(Asid::new(1), Vpn(42), warp(1, 0), 0, 0, &mut stats[1]);
+        drive(&mut unit, &mut stats, 0, 40);
+        unit.request(Asid::new(1), Vpn(42), warp(1, 1), 0, 100, &mut stats[1]);
+        drive(&mut unit, &mut stats, 100, 40);
+        assert_eq!((stats[1].l2_tlb.accesses, stats[1].l2_tlb.hits), (2, 1));
+        assert_eq!(stats[0].l2_tlb.accesses, 0);
+        assert_eq!(stats[1].tlb_bypass_cache.accesses, 0, "no bypass cache");
+        assert_eq!(stats[1].fills_diverted, 0);
+    }
+
+    #[test]
+    fn tokenless_walk_fills_the_bypass_cache_and_counts_its_probes() {
+        let cfg = GpuConfig::maxwell();
+        let mut unit = TranslationUnit::new(&cfg, DesignKind::MaskTlb.spec(), &[2]);
+        let mut stats = vec![AppStats::default(); 2];
+        // After the warm-up epoch each core holds 80 % of its warps'
+        // tokens, so the core's last warp has none.
+        unit.end_epoch(100_000);
+        let last = cfg.warps_per_core as u16 - 1;
+        unit.request(Asid::new(0), Vpn(5), warp(0, last), 0, 0, &mut stats[0]);
+        let (r1, _) = drive(&mut unit, &mut stats, 0, 40);
+        assert!(r1[0].walked);
+        assert_eq!(stats[0].fills_diverted, 1);
+        unit.request(Asid::new(0), Vpn(5), warp(0, 0), 0, 100, &mut stats[0]);
+        let (r2, reqs) = drive(&mut unit, &mut stats, 100, 40);
+        assert!(!r2[0].walked && reqs.is_empty(), "bypass-cache hit");
+        // Main array: two misses; the bypass cache, probed on each, one
+        // miss then one hit, which is also an L2 TLB hit.
+        let s = &stats[0];
+        assert_eq!((s.l2_tlb.accesses, s.l2_tlb.hits), (2, 1));
+        assert_eq!(
+            (s.tlb_bypass_cache.accesses, s.tlb_bypass_cache.hits),
+            (2, 1)
+        );
+        assert_eq!(s.fills_diverted, 1, "a hit fills nothing");
     }
 
     #[test]
     fn different_asids_do_not_share_translations() {
         let cfg = GpuConfig::maxwell();
         let mut unit = TranslationUnit::new(&cfg, DesignKind::SharedTlb.spec(), &[1, 1]);
-        unit.request(Asid::new(0), Vpn(42), warp(0, 0), 0, 0);
-        let (r1, _) = drive(&mut unit, 0, 40);
-        unit.request(Asid::new(1), Vpn(42), warp(1, 0), 0, 100);
-        let (r2, _) = drive(&mut unit, 100, 40);
+        let mut stats = vec![AppStats::default(); 2];
+        unit.request(Asid::new(0), Vpn(42), warp(0, 0), 0, 0, &mut stats[0]);
+        let (r1, _) = drive(&mut unit, &mut stats, 0, 40);
+        unit.request(Asid::new(1), Vpn(42), warp(1, 0), 0, 100, &mut stats[1]);
+        let (r2, _) = drive(&mut unit, &mut stats, 100, 40);
         assert!(r2[0].walked, "same VPN in another ASID must walk");
         assert_ne!(r1[0].ppn, r2[0].ppn);
     }
@@ -709,10 +742,11 @@ mod tests {
     fn epoch_pressure_reflects_stalled_warps() {
         let cfg = GpuConfig::maxwell();
         let mut unit = TranslationUnit::new(&cfg, DesignKind::Mask.spec(), &[2]);
+        let mut stats = vec![AppStats::default(); 2];
         for w in 0..8 {
-            unit.request(Asid::new(0), Vpn(9), warp(0, w), 0, 0);
+            unit.request(Asid::new(0), Vpn(9), warp(0, w), 0, 0, &mut stats[0]);
         }
-        let (resolved, _) = drive(&mut unit, 0, 40);
+        let (resolved, _) = drive(&mut unit, &mut stats, 0, 40);
         assert_eq!(resolved[0].waiters.len(), 8);
         let pressure = unit.end_epoch(40);
         assert_eq!(pressure.len(), 1);
@@ -734,16 +768,17 @@ mod tests {
         let mut cfg = GpuConfig::maxwell();
         cfg.page_fault_latency = 500;
         let mut unit = TranslationUnit::new(&cfg, DesignKind::SharedTlb.spec(), &[1]);
-        unit.request(Asid::new(0), Vpn(1), warp(0, 0), 0, 0);
+        let mut stats = vec![AppStats::default(); 2];
+        unit.request(Asid::new(0), Vpn(1), warp(0, 0), 0, 0, &mut stats[0]);
         // Nothing resolves before the fault service time.
-        let (early, _) = drive(&mut unit, 0, 400);
+        let (early, _) = drive(&mut unit, &mut stats, 0, 400);
         assert!(early.is_empty(), "walk must wait for the fault");
-        assert_eq!(unit.fault_count(Asid::new(0)), 1);
-        let (late, _) = drive(&mut unit, 400, 400);
+        assert_eq!(stats[0].page_faults, 1);
+        let (late, _) = drive(&mut unit, &mut stats, 400, 400);
         assert_eq!(late.len(), 1, "walk completes after the fault");
         // A second touch of the same page faults no more.
-        unit.request(Asid::new(0), Vpn(1), warp(0, 1), 0, 1000);
-        assert_eq!(unit.fault_count(Asid::new(0)), 1);
+        unit.request(Asid::new(0), Vpn(1), warp(0, 1), 0, 1000, &mut stats[0]);
+        assert_eq!(stats[0].page_faults, 1);
     }
 
     #[test]

@@ -5,9 +5,17 @@
 //! to the small TLB bypass cache, and "the GPU probes tags for both the
 //! shared L2 TLB and the TLB bypass cache in parallel. A hit in either ...
 //! yields a TLB hit" (§5.2).
+//!
+//! The bypass cache itself: "a small 32-entry fully-associative cache.
+//! Only warps without tokens can fill the TLB bypass cache ... Like the L1
+//! and L2 TLBs, the TLB bypass cache uses the LRU replacement policy"
+//! (§5.2).
+//!
+//! Neither structure counts its probes over the run: the caller records
+//! each [`L2TlbProbe`] outcome in its application's statistics. The bypass
+//! cache is probed exactly when the main array misses.
 
 use crate::assoc::AssocArray;
-use crate::bypass::TlbBypassCache;
 use crate::TlbKey;
 use mask_common::addr::{Ppn, Vpn};
 use mask_common::ids::Asid;
@@ -38,26 +46,31 @@ impl L2TlbProbe {
 #[derive(Debug)]
 pub struct SharedL2Tlb {
     entries: AssocArray<TlbKey, Ppn>,
-    bypass: Option<TlbBypassCache>,
+    /// The fully-associative TLB bypass cache (MASK designs only).
+    bypass: Option<AssocArray<TlbKey, Ppn>>,
     /// Per-ASID probe statistics for the current epoch (drives token
     /// adaptation, §5.2).
     epoch: Vec<HitStats>,
-    /// Per-ASID lifetime statistics.
-    lifetime: Vec<HitStats>,
 }
 
 impl SharedL2Tlb {
     /// Creates a shared L2 TLB.
     ///
-    /// `bypass_entries` > 0 attaches a TLB bypass cache (MASK designs);
-    /// 0 disables it (baselines).
+    /// `bypass_entries` > 0 attaches a fully-associative TLB bypass cache
+    /// of that many entries (32 in the paper; MASK designs); 0 disables it
+    /// (baselines).
     pub fn new(entries: usize, assoc: usize, n_asids: usize, bypass_entries: usize) -> Self {
         SharedL2Tlb {
             entries: AssocArray::new(entries, assoc),
-            bypass: (bypass_entries > 0).then(|| TlbBypassCache::new(bypass_entries)),
+            bypass: (bypass_entries > 0).then(|| AssocArray::new(bypass_entries, bypass_entries)),
             epoch: vec![HitStats::default(); n_asids],
-            lifetime: vec![HitStats::default(); n_asids],
         }
+    }
+
+    /// Whether a TLB bypass cache is attached, so that every main-array
+    /// miss also probes it.
+    pub fn has_bypass_cache(&self) -> bool {
+        self.bypass.is_some()
     }
 
     /// Probes main array and bypass cache in parallel (§5.2).
@@ -66,16 +79,13 @@ impl SharedL2Tlb {
         let main = self.entries.probe(&key);
         let outcome = if let Some(ppn) = main {
             L2TlbProbe::HitMain(ppn)
-        } else if let Some(ppn) = self.bypass.as_mut().and_then(|b| b.probe(asid, vpn)) {
+        } else if let Some(ppn) = self.bypass.as_mut().and_then(|b| b.probe(&key)) {
             L2TlbProbe::HitBypassCache(ppn)
         } else {
             L2TlbProbe::Miss
         };
         let hit = !matches!(outcome, L2TlbProbe::Miss);
         if let Some(s) = self.epoch.get_mut(asid.index()) {
-            s.record(hit);
-        }
-        if let Some(s) = self.lifetime.get_mut(asid.index()) {
             s.record(hit);
         }
         outcome
@@ -90,7 +100,7 @@ impl SharedL2Tlb {
     pub fn fill(&mut self, asid: Asid, vpn: Vpn, ppn: Ppn, has_token: bool) -> bool {
         match &mut self.bypass {
             Some(bypass) if !has_token => {
-                bypass.fill(asid, vpn, ppn);
+                bypass.fill(TlbKey::new(asid, vpn), ppn);
                 true
             }
             _ => {
@@ -114,33 +124,12 @@ impl SharedL2Tlb {
         }
     }
 
-    /// Zeroes the lifetime counters (measurement-window reset; epoch and
-    /// resident entries are untouched).
-    pub fn reset_lifetime(&mut self) {
-        for s in &mut self.lifetime {
-            *s = HitStats::default();
-        }
-        if let Some(b) = &mut self.bypass {
-            b.reset_stats();
-        }
-    }
-
-    /// Lifetime hit statistics for `asid`.
-    pub fn lifetime_stats(&self, asid: Asid) -> HitStats {
-        self.lifetime.get(asid.index()).copied().unwrap_or_default()
-    }
-
-    /// Lifetime hit statistics of the attached bypass cache, if any.
-    pub fn bypass_cache_stats(&self) -> Option<HitStats> {
-        self.bypass.as_ref().map(TlbBypassCache::stats)
-    }
-
     /// Flushes all entries belonging to `asid` from the main array and the
     /// bypass cache (§5.1: L2 flushes match the ASID).
     pub fn flush_asid(&mut self, asid: Asid) {
         self.entries.retain(|k, _| k.asid != asid);
         if let Some(b) = &mut self.bypass {
-            b.flush_asid(asid);
+            b.retain(|k, _| k.asid != asid);
         }
     }
 
@@ -178,10 +167,6 @@ impl mask_common::snapshot::Snapshot for SharedL2Tlb {
         for s in &self.epoch {
             s.snapshot(w);
         }
-        w.seq(self.lifetime.len());
-        for s in &self.lifetime {
-            s.snapshot(w);
-        }
     }
 }
 
@@ -213,6 +198,48 @@ mod tests {
     }
 
     #[test]
+    fn bypass_cache_probe_misses_then_hits_after_a_tokenless_fill() {
+        let mut t = tlb(4);
+        let (a, v) = (Asid::new(0), Vpn(1));
+        assert_eq!(t.probe(a, v), L2TlbProbe::Miss);
+        assert!(t.fill(a, v, Ppn(7), false));
+        assert_eq!(t.probe(a, v), L2TlbProbe::HitBypassCache(Ppn(7)));
+    }
+
+    #[test]
+    fn bypass_cache_is_fully_associative() {
+        let mut t = tlb(32);
+        let asid = Asid::new(0);
+        for i in 0..32u64 {
+            t.fill(asid, Vpn(i), Ppn(i), false);
+        }
+        let resident = |t: &mut SharedL2Tlb| {
+            (0..32u64)
+                .filter(|&i| t.probe(asid, Vpn(i)) == L2TlbProbe::HitBypassCache(Ppn(i)))
+                .count()
+        };
+        assert_eq!(resident(&mut t), 32, "32 pages fill 32 entries");
+        // One more evicts exactly one entry.
+        t.fill(asid, Vpn(99), Ppn(99), false);
+        assert_eq!(t.probe(asid, Vpn(99)), L2TlbProbe::HitBypassCache(Ppn(99)));
+        assert_eq!(resident(&mut t), 31);
+        assert!(t.is_empty(), "main array untouched");
+    }
+
+    #[test]
+    fn bypass_cache_flush_asid_only_hits_that_asid() {
+        let mut t = tlb(8);
+        t.fill(Asid::new(0), Vpn(1), Ppn(1), false);
+        t.fill(Asid::new(1), Vpn(1), Ppn(2), false);
+        t.flush_asid(Asid::new(0));
+        assert_eq!(t.probe(Asid::new(0), Vpn(1)), L2TlbProbe::Miss);
+        assert_eq!(
+            t.probe(Asid::new(1), Vpn(1)),
+            L2TlbProbe::HitBypassCache(Ppn(2))
+        );
+    }
+
+    #[test]
     fn tokenless_fill_without_bypass_cache_fills_main() {
         // Baselines have no bypass cache; every fill goes to the main array.
         let mut t = tlb(0);
@@ -234,8 +261,6 @@ mod tests {
         assert_eq!(t.epoch_miss_rate(Asid::new(2)), None, "no such ASID");
         t.reset_epoch();
         assert_eq!(t.epoch_miss_rate(Asid::new(0)), None, "no probe yet");
-        // Lifetime counters survive epoch resets.
-        assert_eq!(t.lifetime_stats(Asid::new(0)).accesses, 2);
     }
 
     #[test]

@@ -5,24 +5,26 @@
 //!
 //! * per-core, fully-associative **L1 TLBs** ([`l1::L1Tlb`]),
 //! * the **shared L2 TLB** with ASID-tagged entries ([`l2::SharedL2Tlb`]),
+//!   which holds MASK's **TLB bypass cache** beside its main array,
 //! * the **page-walk cache** of the `PWCache` baseline variant
 //!   ([`pwc::PageWalkCache`]),
-//! * MASK's **TLB bypass cache** ([`bypass::TlbBypassCache`]) and the
-//!   epoch-based **TLB-Fill Tokens** controller ([`tokens::TokenAllocator`])
-//!   — mechanism ❶ of Fig. 10 (§5.2).
+//! * the epoch-based **TLB-Fill Tokens** controller
+//!   ([`tokens::TokenAllocator`]) — with the bypass cache, mechanism ❶ of
+//!   Fig. 10 (§5.2).
+//!
+//! None of them counts its probes over the run: the caller records each
+//! outcome in the application's `AppStats`.
 //!
 //! All replacement is LRU, matching Table 1 ("L1 and L2 TLBs use the LRU
 //! replacement policy").
 
 pub mod assoc;
-pub mod bypass;
 pub mod l1;
 pub mod l2;
 pub mod pwc;
 pub mod tokens;
 
 pub use assoc::AssocArray;
-pub use bypass::TlbBypassCache;
 pub use l1::L1Tlb;
 pub use l2::{L2TlbProbe, SharedL2Tlb};
 pub use pwc::PageWalkCache;

@@ -9,13 +9,12 @@
 
 use crate::assoc::AssocArray;
 use mask_common::addr::{LineAddr, LINE_SIZE};
-use mask_common::stats::HitStats;
 
-/// A shared cache over page-table-node lines.
+/// A shared cache over page-table-node lines. It keeps no statistics: the
+/// caller records each probe's outcome in the application's `AppStats`.
 #[derive(Debug)]
 pub struct PageWalkCache {
     lines: AssocArray<LineAddr, ()>,
-    stats: HitStats,
 }
 
 impl PageWalkCache {
@@ -25,7 +24,6 @@ impl PageWalkCache {
         let entries = (bytes as u64 / LINE_SIZE).max(1) as usize;
         PageWalkCache {
             lines: AssocArray::new(entries, assoc),
-            stats: HitStats::default(),
         }
     }
 
@@ -34,21 +32,10 @@ impl PageWalkCache {
     /// concern).
     pub fn access(&mut self, line: LineAddr) -> bool {
         let hit = self.lines.probe(&line).is_some();
-        self.stats.record(hit);
         if !hit {
             self.lines.fill(line, ());
         }
         hit
-    }
-
-    /// Lifetime hit statistics.
-    pub fn stats(&self) -> HitStats {
-        self.stats
-    }
-
-    /// Zeroes the hit statistics (measurement-window reset).
-    pub fn reset_stats(&mut self) {
-        self.stats = HitStats::default();
     }
 
     /// Flushes the cache (page-table update).
@@ -60,7 +47,6 @@ impl PageWalkCache {
 impl mask_common::snapshot::Snapshot for PageWalkCache {
     fn snapshot(&self, w: &mut mask_common::snapshot::SnapshotWriter) {
         self.lines.snapshot(w);
-        self.stats.snapshot(w);
     }
 }
 
@@ -79,8 +65,6 @@ mod tests {
         let mut pwc = PageWalkCache::new(8 * 1024, 16);
         assert!(!pwc.access(LineAddr(42)));
         assert!(pwc.access(LineAddr(42)));
-        assert_eq!(pwc.stats().accesses, 2);
-        assert_eq!(pwc.stats().hits, 1);
     }
 
     #[test]
@@ -89,7 +73,6 @@ mod tests {
         for i in 0..1000u64 {
             assert!(!pwc.access(LineAddr(i * 17)));
         }
-        assert_eq!(pwc.stats().hits, 0);
     }
 
     #[test]

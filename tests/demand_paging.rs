@@ -4,14 +4,20 @@ use mask_core::prelude::*;
 use std::sync::Arc;
 
 fn stats_with_fault_latency(latency: u64) -> Arc<SimStats> {
+    scan_window(latency, 20_000, 0)
+}
+
+/// SCAN alone on four cores, measured from `warmup_cycles` to
+/// `max_cycles`.
+fn scan_window(latency: u64, max_cycles: u64, warmup_cycles: u64) -> Arc<SimStats> {
     let mut gpu = GpuConfig::maxwell();
     gpu.warps_per_core = 16;
     gpu.page_fault_latency = latency;
     let runner = PairRunner::new(RunOptions {
         n_cores: 4,
-        max_cycles: 20_000,
+        max_cycles,
         seed: 5,
-        warmup_cycles: 0,
+        warmup_cycles,
         gpu,
         jobs: JobOptions::serial(),
     });
@@ -62,4 +68,24 @@ fn each_page_faults_at_most_once() {
         with.apps[0].l1_tlb.misses()
     );
     assert!(with.apps[0].page_faults > 0);
+}
+
+#[test]
+fn faults_are_counted_in_the_measured_window_only() {
+    // The simulation never reads `max_cycles` or its statistics, so the
+    // faults taken after a warm-up of `W` cycles are exactly those of a
+    // whole run less those of a run that stops at `W`.
+    const W: u64 = 5_000;
+    let whole = scan_window(2_000, 20_000, 0).apps[0].page_faults;
+    let warmup = scan_window(2_000, W, 0).apps[0].page_faults;
+    let window = scan_window(2_000, 20_000, W).apps[0].page_faults;
+    assert!(
+        warmup > 0,
+        "the warm-up must fault for this to test anything"
+    );
+    assert_eq!(
+        window,
+        whole - warmup,
+        "warm-up faults leaked into the measured window"
+    );
 }

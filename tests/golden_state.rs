@@ -15,8 +15,12 @@
 //! * the sealed snapshot at cycle 100 000 (the first epoch boundary).
 //!
 //! The constants were recorded on the tree before the wake schedule existed
-//! (every core, every L2 bank, every cycle). A change that claims to be
-//! bit-identical may not edit them.
+//! (every core, every L2 bank, every cycle), and re-recorded once when the
+//! TLB structures, the page-walk cache and the translation unit stopped
+//! keeping counts of their own (the snapshot lost those sections, and the
+//! statistics block counts as events happen), with the reference checksums
+//! and the `design_presets` oracles those counters do not reach unchanged.
+//! A change that claims to be bit-identical may not edit them.
 //!
 //! `PATHS` adds, all on SCAN+CONS, the configurations whose code the eight
 //! design rows do not reach: channel- and bank-partitioned baseline DRAM
@@ -125,72 +129,72 @@ const GOLDEN: [(DesignKind, [&str; 2], [u64; 3]); 8] = [
         DesignKind::Mask,
         NW_HS,
         [
-            0xfe88_3ae3_7660_68ce,
-            0xecbc_aacb_57e8_62cb,
-            0x46d4_614c_cf24_d3d1,
+            0xe447_dc74_87e6_8987,
+            0xd4e1_96d8_4036_e15e,
+            0x3816_073f_98ed_dde9,
         ],
     ),
     (
         DesignKind::Mask,
         SCAN_CONS,
         [
-            0x5799_85b3_0f25_6159,
-            0x2ee9_0703_0035_5692,
-            0xc38d_1ed0_4a1a_acc6,
+            0x602d_3907_fd73_aea2,
+            0x8c0b_5f97_5277_11d2,
+            0x4c49_d39d_7b36_a437,
         ],
     ),
     (
         DesignKind::SharedTlb,
         NW_HS,
         [
-            0x37ea_c5e8_686f_daa0,
-            0xecbc_aacb_57e8_62cb,
-            0xfc8e_0e84_dffe_a146,
+            0x0293_3785_1d3b_dc2a,
+            0x545c_6a60_6396_dcb9,
+            0xc844_68c1_0055_b122,
         ],
     ),
     (
         DesignKind::SharedTlb,
         SCAN_CONS,
         [
-            0x9233_21fe_9517_be53,
-            0xb09e_eeb4_9e80_d041,
-            0xcfa2_927c_bcb1_82b7,
+            0xe633_d1c7_f2db_c18b,
+            0x172b_f8f9_5c9e_9380,
+            0x3ddd_763f_ed73_4ef1,
         ],
     ),
     (
         DesignKind::PwCache,
         NW_HS,
         [
-            0x1cb5_f0a0_4cd2_e58a,
+            0x970d_2b68_2b03_6526,
             0x904b_81d5_21fe_d2e2,
-            0xaf9a_2395_b172_075f,
+            0x6c87_4a18_8eb6_21f4,
         ],
     ),
     (
         DesignKind::PwCache,
         SCAN_CONS,
         [
-            0x38b1_4702_d305_3b54,
+            0x133d_74f8_1234_c825,
             0x2613_bf1b_4699_0312,
-            0xbd6a_83b2_bfb4_72e8,
+            0xca41_c843_efd9_53f4,
         ],
     ),
     (
         DesignKind::Ideal,
         NW_HS,
         [
-            0x26dd_bdb0_302c_501a,
+            0x9627_f2af_e936_0cc1,
             0x8bcd_f5e8_7189_21fd,
-            0xc177_0e5e_a22d_4cc6,
+            0xd0cc_9adf_431c_acdb,
         ],
     ),
     (
         DesignKind::Ideal,
         SCAN_CONS,
         [
-            0xf203_d45f_9e1b_15e2,
+            0x697e_d436_cefc_9f1a,
             0xdfec_5a6d_519c_c786,
-            0x48b2_d2b3_25b9_7d8d,
+            0xaa68_ae88_7422_db81,
         ],
     ),
 ];
@@ -200,90 +204,90 @@ const PATHS: [(DesignKind, Tweak, [u64; 3]); 10] = [
         DesignKind::Static,
         Tweak::None,
         [
-            0x89d3_9bd4_f9b1_1274,
-            0x9276_bcff_8748_3556,
-            0x8f82_52f5_f905_fb2d,
+            0x00fb_07e6_04df_e78b,
+            0x664e_1b9f_ac24_5517,
+            0x68b4_afc8_75b8_9838,
         ],
     ),
     (
         DesignKind::Partitioned,
         Tweak::None,
         [
-            0x3d90_8d43_0490_f36b,
-            0xe42e_5097_4e50_d510,
-            0xf0c5_65cf_1776_2aa6,
+            0xfdb1_3849_d85f_95e3,
+            0xfe80_d2d6_0c10_ffec,
+            0x6324_700b_829c_ed6b,
         ],
     ),
     (
         DesignKind::SharedTlb,
         Tweak::BatchSched,
         [
-            0x070c_b08d_72c5_700b,
-            0x4733_6718_b6d4_94ff,
-            0xa5f0_c292_4115_4980,
+            0x6644_2b50_56a5_d455,
+            0xaf00_aa6a_1571_c1de,
+            0xf6cf_dc85_bb40_c07f,
         ],
     ),
     (
         DesignKind::Mask,
         Tweak::LargePages,
         [
-            0xd268_f422_59f7_76d3,
-            0x1b14_8d5d_89e0_3a30,
-            0xd834_b611_fc5f_d599,
+            0xb318_6557_5a15_f8eb,
+            0x2052_8dc3_980c_8408,
+            0xd831_6aa7_899b_dc21,
         ],
     ),
     (
         DesignKind::PwCache,
         Tweak::LargePages,
         [
-            0xcce7_54fb_de71_361f,
+            0x693f_b126_79c9_3206,
             0x4dae_bed0_a376_e7e7,
-            0x93f4_20d0_b621_4cfb,
+            0x6b34_c174_57a6_911b,
         ],
     ),
     (
         DesignKind::SharedTlb,
         Tweak::FaultLatency(400),
         [
-            0x322e_947c_cbac_b251,
-            0x1b41_4998_8e0c_5dbd,
-            0xe3f8_115f_3254_35bd,
+            0x85e6_aaba_6f5d_c9de,
+            0x080d_2f8d_9951_69a4,
+            0x0065_09ae_6e96_203e,
         ],
     ),
     (
         DesignKind::Mask,
         Tweak::Flushes,
         [
-            0x5799_85b3_0f25_6159,
-            0x5c67_3b39_d710_3687,
-            0xedd6_040f_2ad0_91d9,
+            0x602d_3907_fd73_aea2,
+            0x70be_09e8_77d7_dc27,
+            0xc6f3_8ab7_8c2e_2c60,
         ],
     ),
     (
         DesignKind::SharedTlb,
         Tweak::RedAlone,
         [
-            0x372e_9d62_0604_783a,
-            0xc63c_bc50_0fc6_bf09,
-            0x68b3_5786_345c_d002,
+            0x2c56_9fab_23ff_1b87,
+            0x6175_13dd_ea3b_94bf,
+            0xac30_119a_5676_e57a,
         ],
     ),
     (
         DesignKind::PwCache,
         Tweak::RedAlone,
         [
-            0x0131_c759_c742_f4b8,
+            0xb79d_2860_aa33_1a18,
             0x12f7_8679_c8a1_52df,
-            0x4fc9_8028_c35f_177c,
+            0x6717_72bb_4269_7f77,
         ],
     ),
     (
         DesignKind::Mask,
         Tweak::RedAlone,
         [
-            0x83ec_3d8b_1071_c399,
-            0x3937_28de_cf53_ff3e,
-            0x36d7_f987_980b_7f38,
+            0x43d3_7e65_0612_2947,
+            0x254b_b7ed_3ad2_1cda,
+            0x6937_e935_5db5_6304,
         ],
     ),
 ];

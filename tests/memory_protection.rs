@@ -4,6 +4,7 @@
 use mask_common::addr::{Vpn, PAGE_SIZE_4K_LOG2};
 use mask_common::config::{DesignKind, GpuConfig};
 use mask_common::ids::{Asid, CoreId, GlobalWarpId, WarpId};
+use mask_common::stats::AppStats;
 use mask_gpu::TranslationUnit;
 use mask_pagetable::PageTables;
 use mask_tlb::{L2TlbProbe, SharedL2Tlb};
@@ -64,8 +65,9 @@ fn translation_unit_isolates_walks() {
     let mut unit = TranslationUnit::new(&cfg, DesignKind::SharedTlb.spec(), &[1, 1]);
     let w0 = GlobalWarpId::new(CoreId::new(0), WarpId::new(0));
     let w1 = GlobalWarpId::new(CoreId::new(1), WarpId::new(0));
-    unit.request(Asid::new(0), Vpn(42), w0, 0, 0);
-    unit.request(Asid::new(1), Vpn(42), w1, 0, 0);
+    let mut stats = [AppStats::default(), AppStats::default()];
+    unit.request(Asid::new(0), Vpn(42), w0, 0, 0, &mut stats[0]);
+    unit.request(Asid::new(1), Vpn(42), w1, 0, 0, &mut stats[1]);
     assert_eq!(
         unit.outstanding(),
         2,

@@ -129,3 +129,48 @@ fn mask_reduces_translation_dram_latency() {
         lat(&mask)
     );
 }
+
+#[test]
+fn bypass_cache_is_probed_once_per_main_array_miss_of_its_own_app() {
+    // §5.2: the TLB bypass cache is probed beside the shared L2 TLB; a hit
+    // in either is an L2 TLB hit. So each app's bypass-cache probes are its
+    // main-array misses: its L2 TLB misses plus its bypass-cache hits.
+    let o = runner()
+        .run_named(&["MUM", "LPS"], DesignKind::MaskTlb)
+        .expect("known");
+    for (app, a) in o.stats.apps.iter().enumerate() {
+        let bypass = a.tlb_bypass_cache;
+        assert!(
+            bypass.accesses > 0,
+            "app {app} never probed the bypass cache"
+        );
+        assert_eq!(
+            bypass.accesses,
+            a.l2_tlb.misses() + bypass.hits,
+            "app {app}: bypass cache {bypass:?}, L2 TLB {:?}",
+            a.l2_tlb
+        );
+    }
+}
+
+#[test]
+fn page_walk_cache_misses_are_their_own_apps_l2_accesses() {
+    // Under PWCache every walk access that misses the page-walk cache goes
+    // to the shared L2 cache. Over the measured window the two counts of an
+    // app differ only by the accesses in flight at its ends: at most one
+    // per walker slot.
+    let r = runner();
+    let slots = r.options().gpu.walker_slots as u64;
+    let o = r
+        .run_named(&["MUM", "LPS"], DesignKind::PwCache)
+        .expect("known");
+    for (app, a) in o.stats.apps.iter().enumerate() {
+        let l2: u64 = a.l2_translation.iter().map(|l| l.accesses).sum();
+        assert!(a.pwc.misses() > 0, "app {app} never missed the PWC");
+        assert!(
+            a.pwc.misses().abs_diff(l2) <= slots,
+            "app {app}: {} PWC misses, {l2} L2 translation accesses",
+            a.pwc.misses()
+        );
+    }
+}
