@@ -140,12 +140,6 @@ impl SharedL2Cache {
         }
     }
 
-    /// Statically partitions the array's ways among `n_apps` (the `Static`
-    /// baseline design).
-    pub fn partition_ways(&mut self, n_apps: usize) {
-        self.array.partition_ways(n_apps);
-    }
-
     fn bank_index(&self, line: LineAddr) -> usize {
         // Bank counts are powers of two in every shipped geometry; the mask
         // is the same residue as `%` without a per-request 64-bit divide.

@@ -298,7 +298,31 @@ impl Default for PwcConfig {
     }
 }
 
-/// Data-cache parameters.
+/// Private L1 data-cache parameters: what a core reads. A hit completes in
+/// the cycle its instruction issues (Table 1's 1-cycle L1), so there is no
+/// latency, bank or port knob.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct L1CacheConfig {
+    /// Total capacity in bytes.
+    pub bytes: usize,
+    /// Associativity.
+    pub assoc: usize,
+    /// MSHR entries.
+    pub mshrs: usize,
+}
+
+impl Default for L1CacheConfig {
+    /// Table 1's private L1 data cache: 16 KB, 4-way, 32 MSHRs.
+    fn default() -> Self {
+        L1CacheConfig {
+            bytes: 16 * 1024,
+            assoc: 4,
+            mshrs: 32,
+        }
+    }
+}
+
+/// Shared L2 data-cache parameters.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -307,7 +331,7 @@ pub struct CacheConfig {
     pub assoc: usize,
     /// Access latency in cycles (pipeline depth, excluding queueing).
     pub latency: u64,
-    /// Number of banks (1 for private L1s).
+    /// Number of banks.
     pub banks: usize,
     /// Ports per bank (requests each bank accepts per cycle).
     pub ports_per_bank: usize,
@@ -316,18 +340,6 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Table 1 private L1 data cache: 16 KB, 4-way, 1-cycle.
-    pub fn maxwell_l1() -> Self {
-        CacheConfig {
-            bytes: 16 * 1024,
-            assoc: 4,
-            latency: 1,
-            banks: 1,
-            ports_per_bank: 2,
-            mshrs: 32,
-        }
-    }
-
     /// Table 1 shared L2: 2 MB, 16-way, 16 banks, 2 ports/bank, 10-cycle.
     /// MSHR depth follows GPGPU-Sim's default of 32 per bank.
     pub fn maxwell_l2() -> Self {
@@ -476,17 +488,6 @@ impl MaskParams {
         self.token_policy = default.token_policy;
         self.bypass_margin = default.bypass_margin;
     }
-
-    /// Whether `cycle` is a safe snapshot point: an epoch boundary, or any
-    /// cycle before the first one (where no end-of-epoch bookkeeping has
-    /// run yet). Only there is the simulator's state independent of the
-    /// knobs [`MaskParams::reset_epoch_end_only`] drops from the warm-up
-    /// prefix key.
-    pub fn is_epoch_safe(&self, cycle: u64) -> bool {
-        self.epoch_cycles == 0
-            || cycle < self.epoch_cycles
-            || cycle.is_multiple_of(self.epoch_cycles)
-    }
 }
 
 impl Default for MaskParams {
@@ -516,7 +517,7 @@ pub struct GpuConfig {
     /// Page-walk-cache parameters (used only by [`DesignKind::PwCache`]).
     pub pwc: PwcConfig,
     /// Private L1 data cache parameters.
-    pub l1_cache: CacheConfig,
+    pub l1_cache: L1CacheConfig,
     /// Shared L2 cache parameters.
     pub l2_cache: CacheConfig,
     /// DRAM parameters.
@@ -544,7 +545,7 @@ impl GpuConfig {
             page_size_log2: PAGE_SIZE_4K_LOG2,
             tlb: TlbConfig::default(),
             pwc: PwcConfig::default(),
-            l1_cache: CacheConfig::maxwell_l1(),
+            l1_cache: L1CacheConfig::default(),
             l2_cache: CacheConfig::maxwell_l2(),
             dram: DramConfig::default(),
             walker_slots: 64,
@@ -616,7 +617,7 @@ impl SimConfig {
         SimConfig {
             gpu: GpuConfig::maxwell(),
             design: design.into(),
-            max_cycles: default_max_cycles(),
+            max_cycles: DEFAULT_MAX_CYCLES,
             seed: DEFAULT_SEED,
         }
     }
@@ -680,43 +681,11 @@ impl JobOptions {
 /// Default base PRNG seed of a run.
 pub const DEFAULT_SEED: u64 = 0xA55A_2018;
 
-/// Default per-run cycle budget.
-///
-/// Honors the `MASK_SIM_CYCLES` environment variable so the full experiment
-/// suite can be scaled up for higher-fidelity runs (the paper simulates
-/// full benchmarks; we default to 300K cycles: a one-epoch warm-up of 100K
-/// cycles, then 200K measured, two MASK epochs in which the epoch-based
-/// mechanisms are active).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the `MASK_SIM_CYCLES` entry point, read when a job is configured"
-)]
-pub fn default_max_cycles() -> u64 {
-    std::env::var("MASK_SIM_CYCLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300_000)
-}
-
-/// The `MASK_PAIR_LIMIT` environment variable, when set to a number. This
-/// is the one read site for that variable — experiment and harness code
-/// takes the resolved value, never the environment.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the `MASK_PAIR_LIMIT` entry point, read when an experiment is planned"
-)]
-pub fn pair_limit_override() -> Option<usize> {
-    std::env::var("MASK_PAIR_LIMIT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-}
-
-/// Default number of paper workload pairs an experiment simulates: the
-/// [`pair_limit_override`] when present (capping the count keeps smoke
-/// runs fast), else all 35 two-app pairs the paper evaluates.
-pub fn default_pair_limit() -> usize {
-    pair_limit_override().unwrap_or(35)
-}
+/// Default per-run cycle budget. The paper simulates full benchmarks; a
+/// run here is 300K cycles: a one-epoch warm-up of 100K cycles, then 200K
+/// measured, two MASK epochs in which the epoch-based mechanisms are
+/// active. `repro` scales it with `MASK_SIM_CYCLES`.
+pub const DEFAULT_MAX_CYCLES: u64 = 300_000;
 
 #[cfg(test)]
 mod tests {

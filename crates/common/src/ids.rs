@@ -1,4 +1,4 @@
-//! Identifier newtypes for cores, warps, applications, and address spaces.
+//! Identifier newtypes for cores, warps and address spaces.
 //!
 //! The paper's key abstraction is the *address space* (§1, footnote 1): a
 //! distinct memory-protection domain. Each concurrently-executing application
@@ -39,53 +39,6 @@ impl fmt::Debug for Asid {
 }
 
 impl fmt::Display for Asid {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// An application index within one simulated workload (0-based).
-///
-/// In this reproduction applications map 1:1 onto address spaces, so
-/// `AppId(i)` always corresponds to `Asid(i)`; the two types are kept
-/// distinct because the hardware structures only ever see ASIDs while the
-/// workload/metrics layers reason about applications.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct AppId(u8);
-
-impl AppId {
-    /// Creates an application id.
-    #[inline]
-    pub const fn new(id: u8) -> Self {
-        AppId(id)
-    }
-
-    /// The raw id.
-    #[inline]
-    pub const fn raw(self) -> u8 {
-        self.0
-    }
-
-    /// The id as a `usize` index.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// The address space this application runs in.
-    #[inline]
-    pub const fn asid(self) -> Asid {
-        Asid(self.0 as u16)
-    }
-}
-
-impl fmt::Debug for AppId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "App({})", self.0)
-    }
-}
-
-impl fmt::Display for AppId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
     }
@@ -221,13 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn app_maps_to_matching_asid() {
-        for i in 0..5u8 {
-            assert_eq!(AppId::new(i).asid(), Asid::new(u16::from(i)));
-        }
-    }
-
-    #[test]
     fn ids_order_by_raw_value() {
         assert!(WarpId::new(3) < WarpId::new(7));
         assert!(CoreId::new(0) < CoreId::new(29));
@@ -237,6 +183,5 @@ mod tests {
     #[test]
     fn display_is_raw_number() {
         assert_eq!(CoreId::new(12).to_string(), "12");
-        assert_eq!(AppId::new(1).to_string(), "1");
     }
 }

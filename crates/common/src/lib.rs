@@ -44,7 +44,7 @@ pub mod stats;
 
 pub use addr::{LineAddr, PhysAddr, Ppn, VirtAddr, Vpn};
 pub use config::{DesignKind, DesignSpec, GpuConfig, SimConfig};
-pub use ids::{AppId, Asid, CoreId, WarpId};
+pub use ids::{Asid, CoreId, WarpId};
 pub use req::{MemRequest, RequestClass, WalkLevel};
 pub use rng::Pcg32;
 pub use snapshot::{PrefixKey, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};

@@ -17,9 +17,8 @@
 //! one decoder is [`SimStats::decode`], for the statistics blocks a result
 //! store reads back from disk.
 //!
-//! Snapshots are only taken at *epoch-safe* points: a cycle that is a
-//! multiple of `epoch_cycles`, or any between-step cycle before the first
-//! epoch boundary. At such points every per-step scratch vector is empty.
+//! A snapshot may be taken at any cycle between two steps: every per-step
+//! scratch vector is empty there, and a replay reaches any cycle.
 //!
 //! # Wire format
 //!
@@ -214,8 +213,8 @@ impl std::error::Error for SnapshotError {}
 
 /// Serializes dynamic state into a flat little-endian byte stream.
 ///
-/// Allocation here is deliberate and fine: snapshots are taken at epoch
-/// boundaries, far off the per-cycle hot path.
+/// Allocation here is deliberate and fine: snapshots are taken far off the
+/// per-cycle hot path.
 #[derive(Debug, Default)]
 pub struct SnapshotWriter {
     buf: Vec<u8>,

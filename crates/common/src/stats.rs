@@ -344,7 +344,8 @@ impl AppStats {
 /// Whole-simulation statistics: per-app counters plus global state.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimStats {
-    /// Per-application counters, indexed by [`crate::ids::AppId`].
+    /// Per-application counters, indexed by the application's address
+    /// space ([`crate::ids::Asid::index`]).
     pub apps: Vec<AppStats>,
     /// Total simulated cycles.
     pub cycles: u64,

@@ -5,8 +5,6 @@ use mask_common::config::{DesignKind, DesignSpec, GpuConfig, SimConfig};
 use mask_common::snapshot::{Fnv1a, PrefixKey};
 use mask_common::stats::SimStats;
 use mask_gpu::{AppSpec, GpuSim};
-use mask_workloads::{app_by_name, AppProfile};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// One self-contained simulation: a design, an application placement, and
@@ -31,14 +29,15 @@ pub struct SimJob {
     pub gpu: GpuConfig,
 }
 
-/// Canonical deduplication key of a [`SimJob`].
+/// Canonical deduplication key of a [`SimJob`]: the job that runs.
 ///
 /// Two jobs compare equal exactly when they would simulate the same
-/// machine on the same placement for the same cycles — the machine
-/// configuration is folded in via its complete `Debug` rendering, so a
-/// sensitivity sweep that tweaks any `GpuConfig` knob gets distinct keys.
-/// A workload is keyed by its parameters: a stock profile as its bare name
-/// (so stored keys stay put), any other profile as its full `Debug`.
+/// machine on the same placement for the same cycles. The key holds what
+/// the simulator is given, not what the job states: the machine sized by
+/// the placement, as its complete `Debug` rendering (so a sensitivity
+/// sweep that tweaks any `GpuConfig` knob gets distinct keys), the
+/// effective warm-up, and each workload by its parameters (its profile's
+/// `Debug`).
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct JobKey {
     /// The *spec*, not the preset name: two named presets with identical
@@ -46,8 +45,9 @@ pub struct JobKey {
     /// (e.g. `NoIsolation` vs `SharedTlb`, which differ only in compute
     /// partitioning) never collapse.
     design: DesignSpec,
-    apps: Vec<(Cow<'static, str>, usize)>,
+    apps: Vec<(String, usize)>,
     max_cycles: u64,
+    /// The effective warm-up, `min(warmup_cycles, max_cycles / 2)`.
     warmup_cycles: u64,
     seed: u64,
     /// Shared, so a clone of the key (e.g. an index beside the memo) does
@@ -55,31 +55,14 @@ pub struct JobKey {
     gpu: Arc<str>,
 }
 
-/// The effective warm-up a job of these budgets simulates before it
-/// zeroes its statistics: clamped to at most half of `max_cycles`, exactly
-/// as the serial runner always did.
-fn warmup_eff(warmup_cycles: u64, max_cycles: u64) -> u64 {
-    warmup_cycles.min(max_cycles / 2)
-}
-
-/// A profile as [`JobKey`] writes it.
-fn profile_key(p: &AppProfile) -> Cow<'static, str> {
-    match app_by_name(p.name) {
-        Some(stock) if stock == *p => Cow::Borrowed(p.name),
-        _ => Cow::Owned(format!("{p:?}")),
-    }
-}
-
 impl JobKey {
     /// Whether a simulator that ran the job of `held` to its end can run on
     /// to this key's end and give this job's result: the same job in every
-    /// ingredient but a larger `max_cycles`, with the same *effective*
-    /// warm-up, so that both zeroed their statistics at the same cycle.
-    /// Compares in place; allocates nothing.
+    /// ingredient but a larger `max_cycles`, so that both zeroed their
+    /// statistics at the same cycle. Compares in place; allocates nothing.
     pub(super) fn extends(&self, held: &JobKey) -> bool {
         self.max_cycles > held.max_cycles
-            && warmup_eff(self.warmup_cycles, self.max_cycles)
-                == warmup_eff(held.warmup_cycles, held.max_cycles)
+            && self.warmup_cycles == held.warmup_cycles
             && self.seed == held.seed
             && self.design == held.design
             && self.apps == held.apps
@@ -91,7 +74,7 @@ impl SimJob {
     /// The job's canonical deduplication key.
     #[must_use]
     pub fn key(&self) -> JobKey {
-        self.key_with(self.max_cycles, self.warmup_cycles, &self.gpu)
+        self.key_with(self.max_cycles, self.warmup(), &self.sized_gpu())
     }
 
     /// The key of this design, placement and seed under the given cycle
@@ -102,7 +85,7 @@ impl SimJob {
             apps: self
                 .specs
                 .iter()
-                .map(|s| (profile_key(&s.profile), s.n_cores))
+                .map(|s| (format!("{:?}", s.profile), s.n_cores))
                 .collect(),
             max_cycles,
             warmup_cycles,
@@ -129,7 +112,7 @@ impl SimJob {
             seed: self.seed,
         };
         let mut sim = GpuSim::new(&cfg, &self.specs);
-        sim.run(warmup_eff(self.warmup_cycles, self.max_cycles));
+        sim.run(self.warmup());
         sim.reset_stats();
         sim
     }
@@ -145,11 +128,10 @@ impl SimJob {
 
     /// The warm-up prefix key: FNV-1a over the `Debug` rendering of the
     /// *warm-up view* of [`SimJob::key`] — the same canonical description
-    /// of the job, with everything that provably cannot influence the first
-    /// `warmup` cycles normalised away: `max_cycles` is dropped, the warm-up
-    /// length is the effective one, the machine is sized by the placement
-    /// as the simulator is, and, when the warm-up ends before the first
-    /// epoch boundary, the epoch-end-only MASK knobs are reset
+    /// of the job, with everything that provably cannot influence the
+    /// warm-up normalised away: `max_cycles` is dropped and, when the
+    /// warm-up ends before the first epoch boundary, the epoch-end-only
+    /// MASK knobs are reset
     /// ([`MaskParams::reset_epoch_end_only`](mask_common::config::MaskParams::reset_epoch_end_only)).
     /// Everything else — any field `GpuConfig` has or gains — is in the key
     /// by construction. Jobs with equal keys reach bit-identical machine
@@ -159,15 +141,20 @@ impl SimJob {
     /// as `core.prefix_key_us`, and ROADMAP item 5 deletes it with that row.
     #[must_use]
     pub fn prefix_key(&self) -> PrefixKey {
-        let warmup = warmup_eff(self.warmup_cycles, self.max_cycles);
         let mut gpu = self.sized_gpu();
-        if gpu.mask.epoch_cycles == 0 || warmup < gpu.mask.epoch_cycles {
+        if gpu.mask.epoch_cycles == 0 || self.warmup() < gpu.mask.epoch_cycles {
             gpu.mask.reset_epoch_end_only();
         }
-        let view = self.key_with(0, warmup, &gpu);
+        let view = self.key_with(0, self.warmup(), &gpu);
         let mut h = Fnv1a::new();
         h.write(format!("{view:?}").as_bytes());
         PrefixKey(h.finish())
+    }
+
+    /// The effective warm-up this job simulates before it zeroes its
+    /// statistics: `warmup_cycles` clamped to at most half of `max_cycles`.
+    fn warmup(&self) -> u64 {
+        self.warmup_cycles.min(self.max_cycles / 2)
     }
 
     /// The machine this job simulates: the template with `n_cores`
@@ -182,6 +169,7 @@ impl SimJob {
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
+    use mask_workloads::app_by_name;
 
     pub(in crate::engine) fn job(design: DesignKind, apps: &[(&str, usize)], seed: u64) -> SimJob {
         let mut gpu = GpuConfig::maxwell();
@@ -287,10 +275,10 @@ pub(super) mod tests {
             assert_ne!(base.prefix_key(), other.prefix_key(), "tweak {i}");
         }
         // The placement sizes the machine: the template's own `n_cores`
-        // never reaches the simulator, so it is not in the prefix key.
+        // never reaches the simulator, so it is in neither key.
         let mut resized = base.clone();
         resized.gpu.n_cores += 7;
         assert_eq!(base.prefix_key(), resized.prefix_key());
-        assert_ne!(base.key(), resized.key());
+        assert_eq!(base.key(), resized.key());
     }
 }

@@ -478,6 +478,29 @@ mod tests {
         }
     }
 
+    /// A job is the machine and warm-up it runs: a template core count
+    /// that the placement overrides, or a raw warm-up clamped to the same
+    /// cycle, gives the same key and one simulation.
+    #[test]
+    fn what_never_reaches_the_simulator_makes_no_second_job() {
+        let j = job(DesignKind::Mask, &[("GUP", 2), ("HISTO", 2)], 12);
+        let mut resized = j.clone();
+        resized.gpu.n_cores += 7;
+        let mut half = j.clone();
+        half.warmup_cycles = j.max_cycles / 2;
+        let mut over = j.clone();
+        over.warmup_cycles = j.max_cycles;
+        for (a, b) in [(&j, &resized), (&half, &over)] {
+            assert_eq!(a.key(), b.key());
+            let memo = ResultMemo::new();
+            let pool = JobPool::with_workers(1).with_cache(Arc::clone(&memo));
+            let got = pool.run_batch(&[a.clone(), b.clone()]);
+            assert!(Arc::ptr_eq(&got[0], &got[1]), "one result for both");
+            assert_eq!(*got[1], b.run());
+            assert_eq!(memo.stats().misses, 1, "simulated once");
+        }
+    }
+
     #[test]
     fn a_fanned_out_batch_frees_the_callers_simulator() {
         let j = job(DesignKind::SharedTlb, &[("GUP", 2)], 4);

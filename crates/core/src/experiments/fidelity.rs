@@ -169,11 +169,13 @@ fn score(id: &str, t: &[Table]) -> (f64, bool) {
     }
 }
 
-/// `FIDELITY.json` for one table set per seed: the run's scale, its
-/// wall-clock in all and per seed (`seed_wall_ms`, in seed order) and
-/// host, then one row per claim, each on a line of its own.
+/// `FIDELITY.json` for one table set per seed: the run's scale (`opts`'
+/// cycles and pair limit), its wall-clock in all and per seed
+/// (`seed_wall_ms`, in seed order) and host, then one row per claim, each
+/// on a line of its own.
 pub fn document(
     seeds: &[Vec<Table>],
+    opts: &ExpOptions,
     wall_ms: u64,
     seed_wall_ms: &[u64],
     cpu: &str,
@@ -204,7 +206,6 @@ pub fn document(
             format!("    {}", row.serialize())
         })
         .collect();
-    let opts = ExpOptions::default();
     let host = Value::obj([
         ("cpu", Value::Str(cpu.to_owned())),
         ("parallelism", Value::Num(parallelism)),

@@ -1,10 +1,11 @@
 //! Experiment harnesses: one module per paper table/figure, and
 //! [`REGISTRY`], the artefact ids `repro` regenerates (DESIGN.md §5).
 //!
-//! All harnesses honor three environment variables so the whole suite can
-//! be scaled: `MASK_SIM_CYCLES` (cycles per run), `MASK_PAIR_LIMIT`
-//! (number of two-app workloads simulated), and `MASK_JOBS` (worker
-//! threads the job engine fans simulations over; `1` = serial). A harness
+//! A harness runs at the [`ExpOptions`] it is given and reads no
+//! environment variable of its own: `repro` reads `MASK_SIM_CYCLES` (cycles
+//! per run) and `MASK_PAIR_LIMIT` (number of two-app workloads simulated)
+//! into the options it passes, and the job engine reads `MASK_JOBS` (worker
+//! threads it fans simulations over; `1` = serial). A harness
 //! submits its runs as one job batch ([`generality`] one per architecture;
 //! [`timemux`] one engine job, then steps a `GpuSim` directly), so
 //! simulations run concurrently and bit-identically at any worker count. One
@@ -29,8 +30,8 @@ use crate::table::Table;
 use mask_common::config::{DesignKind, GpuConfig, JobOptions};
 
 /// One artefact `repro` regenerates: its id, the pairs it simulates unless
-/// `MASK_PAIR_LIMIT` is set (heavy sweeps default to fewer), and the
-/// function producing its tables.
+/// `repro` is given another pair count (heavy sweeps default to fewer), and
+/// the function producing its tables.
 pub type Artefact = (&'static str, usize, fn(&ExpOptions) -> Vec<Table>);
 
 /// Every artefact of the paper's evaluation, plus the design ablations.
@@ -115,6 +116,10 @@ fn avg_ws(outcomes: &[PairOutcome], designs: usize) -> Vec<Option<f64>> {
     (0..designs).map(|d| mean(ws(d))).collect()
 }
 
+/// Default number of paper workload pairs an experiment simulates: all 35
+/// two-app pairs the paper evaluates.
+pub const DEFAULT_PAIR_LIMIT: usize = 35;
+
 /// Common experiment options.
 #[derive(Clone, Debug)]
 pub struct ExpOptions {
@@ -140,7 +145,7 @@ impl Default for ExpOptions {
             cycles: run.max_cycles,
             n_cores: run.n_cores,
             warps_per_core: run.gpu.warps_per_core,
-            pair_limit: mask_common::config::default_pair_limit(),
+            pair_limit: DEFAULT_PAIR_LIMIT,
             seed: run.seed,
             jobs: run.jobs,
         }
@@ -148,16 +153,6 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
-    /// The defaults with at most `pair_cap` pairs, unless `MASK_PAIR_LIMIT`
-    /// is set.
-    pub fn with_pair_cap(pair_cap: usize) -> Self {
-        let mut opts = ExpOptions::default();
-        if mask_common::config::pair_limit_override().is_none() {
-            opts.pair_limit = opts.pair_limit.min(pair_cap);
-        }
-        opts
-    }
-
     /// A fast configuration for unit/integration tests.
     pub fn quick() -> Self {
         ExpOptions {
@@ -213,10 +208,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_honors_env_shape() {
+    fn default_is_the_paper_scale() {
         let o = ExpOptions::default();
-        assert_eq!(o.n_cores, 30);
-        assert!(o.pair_limit >= 1 && o.pair_limit <= 35);
+        assert_eq!(o.cycles, 300_000);
+        assert_eq!(o.pair_limit, 35);
+        assert_eq!(o.pairs().len(), 35);
+        assert_eq!((o.n_cores, o.warps_per_core), (30, 64));
     }
 
     #[test]

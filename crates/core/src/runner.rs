@@ -54,7 +54,7 @@ impl Default for RunOptions {
         let gpu = GpuConfig::maxwell();
         RunOptions {
             n_cores: gpu.n_cores,
-            max_cycles: mask_common::config::default_max_cycles(),
+            max_cycles: mask_common::config::DEFAULT_MAX_CYCLES,
             seed: mask_common::config::DEFAULT_SEED,
             warmup_cycles: mask_common::config::DEFAULT_EPOCH_CYCLES,
             gpu,

@@ -79,6 +79,9 @@ struct WarpCtx {
     xlat: Vec<(Vpn, Ppn)>,
 }
 
+/// The most warp contexts a core holds: its ready mask is one `u128`.
+pub const MAX_WARPS_PER_CORE: usize = u128::BITS as usize;
+
 /// [`GpuCore::burst_end`] when no compute burst is sleeping.
 const NO_BURST: Cycle = Cycle::MAX;
 
@@ -129,8 +132,8 @@ impl GpuCore {
         ideal_tlb: bool,
     ) -> Self {
         assert!(
-            cfg.warps_per_core <= 128,
-            "ready mask holds at most 128 warps"
+            cfg.warps_per_core <= MAX_WARPS_PER_CORE,
+            "ready mask holds at most {MAX_WARPS_PER_CORE} warps"
         );
         let warps = (0..cfg.warps_per_core)
             .map(|w| WarpCtx {
@@ -146,7 +149,7 @@ impl GpuCore {
                 xlat: Vec::new(),
             })
             .collect::<Vec<_>>();
-        let ready = if cfg.warps_per_core == 128 {
+        let ready = if cfg.warps_per_core == MAX_WARPS_PER_CORE {
             u128::MAX
         } else {
             (1u128 << cfg.warps_per_core) - 1

@@ -1,10 +1,12 @@
 //! The top-level cycle loop: cores + translation + shared L2 + DRAM.
 
-use crate::core_model::{DirectIssue, GpuCore};
+use crate::core_model::{DirectIssue, GpuCore, MAX_WARPS_PER_CORE};
 use crate::translation::{ResolvedTranslation, TranslationUnit};
 use mask_cache::l2::{L2Outcome, L2Response};
 use mask_cache::SharedL2Cache;
-use mask_common::config::{ComputePolicy, SimConfig, TranslationPath};
+use mask_common::config::{
+    ComputePolicy, DesignSpec, DramPolicy, GpuConfig, SimConfig, TranslationPath,
+};
 use mask_common::ids::{Asid, CoreId, WarpId};
 use mask_common::req::{MemRequest, RequestClass};
 use mask_common::snapshot::{PrefixKey, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -198,6 +200,35 @@ impl Drop for GpuSim {
     }
 }
 
+/// Whether `gpu` can run `n_apps` applications under `design`, and if not,
+/// why: every core holds 1..=[`MAX_WARPS_PER_CORE`] warps, and a design
+/// that splits the DRAM channels, or each channel's banks, among two or
+/// more applications has one per application. [`GpuSim::new`] asserts it;
+/// a service checks it before it admits a job.
+///
+/// # Errors
+///
+/// The first limit the machine breaks, as a sentence.
+pub fn check_machine(gpu: &GpuConfig, design: DesignSpec, n_apps: usize) -> Result<(), String> {
+    let warps = gpu.warps_per_core;
+    if !(1..=MAX_WARPS_PER_CORE).contains(&warps) {
+        return Err(format!(
+            "a core holds 1..={MAX_WARPS_PER_CORE} warps, not {warps}"
+        ));
+    }
+    let split = match design.dram {
+        DramPolicy::ChannelPartitioned => Some(("DRAM channels", gpu.dram.channels)),
+        DramPolicy::BankColored => Some(("DRAM banks per channel", gpu.dram.banks_per_channel)),
+        DramPolicy::Shared | DramPolicy::MaskQueues => None,
+    };
+    match split {
+        Some((what, have)) if n_apps > 1 && n_apps > have => Err(format!(
+            "the design splits {have} {what} among the applications, fewer than {n_apps}"
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Writes the two gauges read off `xlat`'s current state into `stats`:
 /// each app's tokens held and walks started (completed plus in flight).
 /// Every counter is counted where its event happens, not here.
@@ -215,7 +246,7 @@ impl GpuSim {
     /// # Panics
     ///
     /// Panics if the core counts do not sum to the configured core count,
-    /// or if `apps` is empty.
+    /// if `apps` is empty, or if [`check_machine`] refuses the machine.
     pub fn new(cfg: &SimConfig, apps: &[AppSpec]) -> Self {
         // Give each simulator its own sanitizer session so that sims built
         // side by side (determinism tests) keep separate accounting.
@@ -225,6 +256,7 @@ impl GpuSim {
         let total: usize = apps.iter().map(|a| a.n_cores).sum();
         assert_eq!(total, cfg.gpu.n_cores, "core counts must cover the GPU");
         let n_apps = apps.len();
+        check_machine(&cfg.gpu, cfg.design, n_apps).expect("the machine runs the mix");
         let cores_per_app: Vec<usize> = apps.iter().map(|a| a.n_cores).collect();
         let design = cfg.design;
         let ideal_xlat = design.translation == TranslationPath::Ideal;
@@ -633,37 +665,15 @@ impl GpuSim {
         self.stats.apps[app].instructions
     }
 
-    /// Number of applications.
-    pub fn n_apps(&self) -> usize {
-        self.n_apps
-    }
-
     /// The simulation configuration.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
     }
 
-    /// Whether the current cycle is a safe snapshot point
-    /// ([`MaskParams::is_epoch_safe`](mask_common::config::MaskParams::is_epoch_safe)).
-    pub fn at_epoch_safe_point(&self) -> bool {
-        self.cfg.gpu.mask.is_epoch_safe(self.now)
-    }
-
     /// Encodes the full dynamic simulator state into a sealed snapshot
-    /// carrying `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called off an epoch-safe point (see
-    /// [`GpuSim::at_epoch_safe_point`]) — snapshots between epoch
-    /// boundaries would silently invalidate prefix-key sharing.
+    /// carrying `key`. Any cycle between two steps will do: every per-step
+    /// scratch vector is empty there.
     pub fn encode_snapshot(&self, key: PrefixKey) -> Vec<u8> {
-        assert!(
-            self.at_epoch_safe_point(),
-            "snapshot at cycle {} is not epoch-safe (epoch = {})",
-            self.now,
-            self.cfg.gpu.mask.epoch_cycles
-        );
         let mut w = SnapshotWriter::new();
         self.snapshot(&mut w);
         w.seal(key)
@@ -682,10 +692,9 @@ impl GpuSim {
     ///
     /// Any envelope failure, before anything is simulated.
     /// [`SnapshotError::Malformed`] for a simulator that has already run or
-    /// a cycle count past `max_cycles` or off an epoch-safe point, also
-    /// before anything is simulated, and for a replay that does not
-    /// reproduce `bytes` (a snapshot of a machine that was not only run,
-    /// or of another configuration). After that last error the simulator
+    /// a cycle count past `max_cycles`, also before anything is simulated,
+    /// and for a replay that does not reproduce `bytes` (a snapshot of a
+    /// machine that was not only run, or of another configuration). After that last error the simulator
     /// has run; discard it.
     pub fn restore_snapshot(&mut self, bytes: &[u8], key: PrefixKey) -> Result<(), SnapshotError> {
         let mut r = SnapshotReader::open_keyed(bytes, key)?;
@@ -694,7 +703,7 @@ impl GpuSim {
         if self.now != 0 {
             return Err(SnapshotError::Malformed("replay needs a fresh simulator"));
         }
-        if cycle > self.cfg.max_cycles || !self.cfg.gpu.mask.is_epoch_safe(cycle) {
+        if cycle > self.cfg.max_cycles {
             return Err(SnapshotError::Malformed("snapshot cycle out of range"));
         }
         self.run(cycle);

@@ -204,11 +204,11 @@ impl JobSpec {
         let warmup_cycles = req_u64(v, "warmup_cycles")?;
         let seed = req_u64(v, "seed")?;
         let gpu = req_str(v, "gpu")?;
-        if gpu_by_name(gpu).is_none() {
+        let Some(mut machine) = gpu_by_name(gpu) else {
             return Err(WireError::new(format!(
                 "unknown gpu preset `{gpu}` (maxwell, fermi, integrated)"
             )));
-        }
+        };
         let mut overrides = GpuOverrides::default();
         if let Some(o) = v.get("overrides") {
             let map = match o {
@@ -225,11 +225,6 @@ impl JobSpec {
                         let w = usize::try_from(n).map_err(|_| {
                             WireError::new("override `warps_per_core` out of range")
                         })?;
-                        if w == 0 || w > 256 {
-                            return Err(WireError::new(
-                                "override `warps_per_core` must be 1..=256",
-                            ));
-                        }
                         overrides.warps_per_core = Some(w);
                     }
                     "l2_tlb_entries" => {
@@ -249,6 +244,8 @@ impl JobSpec {
                 }
             }
         }
+        overrides.apply(&mut machine);
+        mask_gpu::check_machine(&machine, design.spec(), apps.len()).map_err(WireError::new)?;
         Ok(JobSpec {
             tenant: tenant.to_owned(),
             design,
@@ -514,6 +511,49 @@ mod tests {
         // 2^36 entries would ask the dispatcher for hundreds of GiB.
         for bad in [0, MAX_L2_TLB_ENTRIES as u64 + 1, 1 << 36] {
             assert!(with(bad).is_err(), "{bad} entries must be rejected");
+        }
+    }
+
+    /// A spec the simulator would refuse by panicking on the dispatcher
+    /// thread is refused at admission; the largest machine of each kind is
+    /// admitted and runs.
+    #[test]
+    fn admits_only_machines_the_simulator_runs() {
+        let with = |design, gpu: &str, n_apps, warps| {
+            let mut s = spec();
+            s.design = design;
+            s.gpu = gpu.to_owned();
+            s.apps = vec![("HS".to_owned(), 1); n_apps];
+            s.max_cycles = 2;
+            s.overrides = GpuOverrides {
+                warps_per_core: Some(warps),
+                ..GpuOverrides::default()
+            };
+            JobSpec::from_value(&s.to_value())
+        };
+        use DesignKind::{Mask, Partitioned, Static};
+        let admitted = [
+            (Mask, "maxwell", 2, 128),
+            (Static, "maxwell", 8, 64),
+            (Static, "fermi", 6, 48),
+            (Static, "integrated", 2, 48),
+            (Partitioned, "maxwell", 8, 64),
+        ];
+        for (design, gpu, apps, warps) in admitted {
+            let spec = with(design, gpu, apps, warps).expect("admitted");
+            let _ = spec.to_sim_job().run();
+        }
+        let refused = [
+            (Mask, "maxwell", 2, 129, "warps"),
+            (Mask, "maxwell", 2, 0, "warps"),
+            (Static, "maxwell", 9, 64, "DRAM channels"),
+            (Static, "fermi", 7, 48, "DRAM channels"),
+            (Static, "integrated", 3, 48, "DRAM channels"),
+            (Partitioned, "maxwell", 9, 64, "DRAM banks"),
+        ];
+        for (design, gpu, apps, warps, what) in refused {
+            let err = with(design, gpu, apps, warps).expect_err("refused").msg;
+            assert!(err.contains(what), "{design} on {gpu}: {err}");
         }
     }
 

@@ -680,6 +680,39 @@ fn malformed_submissions_are_rejected_not_crashed() {
     daemon.shutdown();
 }
 
+/// A job the simulator cannot run is refused with a 400 before it reaches
+/// the dispatcher, which then serves the next valid job.
+#[test]
+fn a_job_the_simulator_cannot_run_is_refused_and_the_next_is_served() {
+    let daemon =
+        Daemon::spawn_with_pool(ephemeral_config(), JobPool::with_workers(1)).expect("boot");
+    let client = Client::new(daemon.addr().to_string());
+    let nine_apps = |design| JobSpec {
+        apps: vec![("HS".to_owned(), 1); 9],
+        ..spec("bad", design, 701)
+    };
+    let mut wide = spec("bad", DesignKind::Mask, 702);
+    wide.overrides.warps_per_core = Some(129);
+    for bad in [
+        nine_apps(DesignKind::Static),
+        nine_apps(DesignKind::Partitioned),
+        wide,
+    ] {
+        assert!(
+            matches!(
+                client.submit(&bad),
+                Err(ClientError::Http { status: 400, .. })
+            ),
+            "{bad:?} must be refused"
+        );
+    }
+    let good = spec("bad", DesignKind::Mask, 703);
+    let submitted = client.submit(&good).expect("submit");
+    let reply = client.wait(submitted.id).expect("wait");
+    assert_eq!(reply.result, Some(good.to_sim_job().run()));
+    daemon.shutdown();
+}
+
 /// Issues a raw request through the public client surface, returning the
 /// error status (None if it unexpectedly succeeded).
 fn raw_call(client: &Client, method: &str, path: &str, body: Option<&str>) -> Option<u16> {

@@ -174,11 +174,6 @@ impl TokenAllocator {
         app.prev_miss_rate = Some(miss_rate);
         mask_obs::hooks::token_epoch(asid.index() as u16, app.tokens, app.total_warps());
     }
-
-    /// Number of managed applications.
-    pub fn n_apps(&self) -> usize {
-        self.apps.len()
-    }
 }
 
 impl mask_common::snapshot::Snapshot for TokenAllocator {

@@ -4,21 +4,45 @@
 //! §5); its tables are printed and written to
 //! `target/mask-results/<slug>.json`. `fidelity` scores the paper's claims
 //! into `FIDELITY.json` and EXPERIMENTS.md's claim table.
-//! `MASK_SIM_CYCLES`, `MASK_PAIR_LIMIT` and `MASK_JOBS` scale every run.
+//! `MASK_SIM_CYCLES` and `MASK_PAIR_LIMIT` scale every run: this binary
+//! reads them, once, into the options it runs each artefact at. `MASK_JOBS`
+//! sets the job engine's worker threads.
 
 use mask_core::engine::JobPool;
-use mask_core::experiments::{artefact, fidelity, Artefact, ExpOptions, REGISTRY};
+use mask_core::experiments::{
+    artefact, fidelity, Artefact, ExpOptions, DEFAULT_PAIR_LIMIT, REGISTRY,
+};
 use mask_core::table::Table;
 use std::path::Path;
 use std::time::Instant;
 
 const ROOT: &str = env!("CARGO_MANIFEST_DIR");
 
+/// The options an artefact whose registry pair cap is `pair_cap` runs at,
+/// given the values of `MASK_SIM_CYCLES` and `MASK_PAIR_LIMIT`: a number
+/// replaces the default cycles per run, or the pair cap; an unset or
+/// non-numeric value leaves it.
+fn options(sim_cycles: Option<&str>, pair_limit: Option<&str>, pair_cap: usize) -> ExpOptions {
+    let defaults = ExpOptions::default();
+    ExpOptions {
+        cycles: sim_cycles
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(defaults.cycles),
+        pair_limit: pair_limit
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| pair_cap.min(defaults.pair_limit)),
+        ..defaults
+    }
+}
+
 fn main() {
+    let env = |name| std::env::var(name).ok();
+    let (sim_cycles, pair_limit) = (env("MASK_SIM_CYCLES"), env("MASK_PAIR_LIMIT"));
+    let scaled = |pair_cap| options(sim_cycles.as_deref(), pair_limit.as_deref(), pair_cap);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let picked: Option<Vec<&Artefact>> = match args.as_slice() {
         [] => None,
-        [one] if one == "fidelity" => return run_fidelity(),
+        [one] if one == "fidelity" => return run_fidelity(scaled),
         [one] if one == "all" => Some(REGISTRY.iter().collect()),
         ids => ids.iter().map(|id| artefact(id)).collect(),
     };
@@ -31,7 +55,7 @@ fn main() {
         std::process::exit(2);
     };
     for &(id, pair_cap, run) in picked {
-        let opts = ExpOptions::with_pair_cap(pair_cap);
+        let opts = scaled(pair_cap);
         let jobs = JobPool::with_options(opts.jobs).workers();
         let (cycles, pairs) = (opts.cycles, opts.pair_limit);
         println!("=== {id} — cycles/run={cycles} pairs={pairs} jobs={jobs} ===\n");
@@ -68,16 +92,17 @@ fn emit(table: &Table) {
     }
 }
 
-/// Scores the claims over `fidelity::SEEDS` seeds into `FIDELITY.json` and
-/// re-renders EXPERIMENTS.md's claim table from that file.
-fn run_fidelity() {
+/// Scores the claims over `fidelity::SEEDS` seeds, each artefact at
+/// `scaled(its pair cap)`, into `FIDELITY.json` and re-renders
+/// EXPERIMENTS.md's claim table from that file.
+fn run_fidelity(scaled: impl Fn(usize) -> ExpOptions) {
     let ms = |t: Instant| u64::try_from(t.elapsed().as_millis()).unwrap_or(u64::MAX);
     let t0 = Instant::now();
     let (seeds, seed_wall_ms): (Vec<Vec<Table>>, Vec<u64>) = (0..fidelity::SEEDS)
         .map(|i| {
             let (seed_t0, sims) = (Instant::now(), simulations());
             let tables = fidelity::measure(|pair_cap| {
-                let mut opts = ExpOptions::with_pair_cap(pair_cap);
+                let mut opts = scaled(pair_cap);
                 opts.seed += i;
                 opts
             });
@@ -95,7 +120,8 @@ fn run_fidelity() {
             Some(line.split_once(':')?.1.trim().to_owned())
         })
         .unwrap_or_else(|| "unknown CPU".to_owned());
-    let doc = fidelity::document(&seeds, wall_ms, &seed_wall_ms, &cpu, threads);
+    let scale = scaled(DEFAULT_PAIR_LIMIT);
+    let doc = fidelity::document(&seeds, &scale, wall_ms, &seed_wall_ms, &cpu, threads);
     let parsed = mask_common::json::parse(&doc).expect("FIDELITY.json parses");
     let table = fidelity::render(&parsed);
     let md_path = Path::new(ROOT).join("EXPERIMENTS.md");
@@ -111,4 +137,21 @@ fn run_fidelity() {
     std::fs::write(&md_path, format!("{head}{begin}{table}{end}{tail}"))
         .expect("write EXPERIMENTS.md");
     print!("{table}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::options;
+
+    #[test]
+    fn scale_knobs_map_to_options() {
+        let unset = options(None, None, 8);
+        assert_eq!((unset.cycles, unset.pair_limit), (300_000, 8));
+        let set = options(Some("20000"), Some("3"), 8);
+        assert_eq!((set.cycles, set.pair_limit), (20_000, 3));
+        // A pair count replaces the cap, upwards too.
+        assert_eq!(options(None, Some("12"), 8).pair_limit, 12);
+        let junk = options(Some("lots"), Some("3x"), 8);
+        assert_eq!((junk.cycles, junk.pair_limit), (300_000, 8));
+    }
 }

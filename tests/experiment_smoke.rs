@@ -148,11 +148,12 @@ fn every_registry_artefact_runs() {
 /// table would score `NaN`. Five cores fit Table 3's five-app mix.
 #[test]
 fn every_claim_reads_a_measured_cell() {
-    let tables = fidelity::measure(|_| ExpOptions {
+    let opts = ExpOptions {
         n_cores: 5,
         ..tiny()
-    });
-    let doc = json::parse(&fidelity::document(&[tables], 0, &[0], "", 1)).expect("parses");
+    };
+    let tables = fidelity::measure(|_| opts.clone());
+    let doc = json::parse(&fidelity::document(&[tables], &opts, 0, &[0], "", 1)).expect("parses");
     for row in doc.get("rows").and_then(Value::as_array).expect("rows") {
         let median = row.get("median").and_then(Value::as_str).expect("median");
         assert!(median.parse::<f64>().is_ok_and(f64::is_finite), "{row:?}");
