@@ -25,7 +25,8 @@ pub struct SimJob {
     pub warmup_cycles: u64,
     /// Base PRNG seed.
     pub seed: u64,
-    /// Machine template (its `n_cores` is overridden by the placement).
+    /// The machine. The placement sizes it: the simulator and the
+    /// [`JobKey`] read the placement's core total, not this `n_cores`.
     pub gpu: GpuConfig,
 }
 
@@ -104,7 +105,7 @@ impl SimJob {
     }
 
     /// Builds the simulator, runs the warm-up and zeroes the statistics.
-    pub(super) fn warmed_up(&self) -> GpuSim {
+    pub(crate) fn warmed_up(&self) -> GpuSim {
         let cfg = SimConfig {
             gpu: self.sized_gpu(),
             design: self.design.spec(),

@@ -5,8 +5,6 @@
 //! These ablations quantify each choice on translation-heavy workloads.
 
 use super::{avg_ws, ExpOptions};
-use crate::engine::SimJob;
-use crate::runner::PairRunner;
 use crate::table::Table;
 use mask_common::config::{DesignKind, GpuConfig, TokenPolicyKind};
 
@@ -15,7 +13,8 @@ use mask_common::config::{DesignKind, GpuConfig, TokenPolicyKind};
 /// over the pressured pairs on Maxwell with `tweak(gpu, value)` applied.
 /// The §7.3 sensitivity tables are sweeps of the same shape.
 ///
-/// All rows ride one job batch, so they fan out over the workers together.
+/// Each row is a machine of one plan, so all rows ride one job batch and
+/// fan out over the workers together.
 pub(super) fn ablate<L: ToString, T: Copy>(
     title: &str,
     column: &str,
@@ -24,29 +23,29 @@ pub(super) fn ablate<L: ToString, T: Copy>(
     rows: &[(L, T)],
     tweak: impl Fn(&mut GpuConfig, T),
 ) -> Table {
-    let base = PairRunner::new(opts.run_options());
+    let runner = opts.runner();
+    let machines: Vec<_> = rows
+        .iter()
+        .map(|&(_, value)| {
+            let mut gpu = runner.options().gpu.clone();
+            tweak(&mut gpu, value);
+            gpu
+        })
+        .collect();
     let mixes: Vec<_> = opts
         .pressured_pairs()
         .iter()
         .map(|p| vec![p.a, p.b])
         .collect();
-    let placements = base.even_placements(&mixes);
-    let plans: Vec<Vec<SimJob>> = rows
-        .iter()
-        .map(|&(_, value)| {
-            let mut run = opts.run_options();
-            tweak(&mut run.gpu, value);
-            PairRunner::new(run).plan_batch(&placements, designs)
-        })
-        .collect();
-    let mut stats = base.pool().run_batch(&plans.concat()).into_iter();
+    let outcomes = runner.run_grid(&machines, &mixes, designs);
     let mut headers = vec![column];
     headers.extend(designs.iter().map(|d| d.label()));
     let mut t = Table::new(title, &headers);
-    for ((label, _), plan) in rows.iter().zip(&plans) {
-        let row = stats.by_ref().take(plan.len()).collect();
-        let outcomes = PairRunner::assemble_batch(&placements, designs, row);
-        t.row_f64(label.to_string(), &avg_ws(&outcomes, designs.len()));
+    for ((label, _), row) in rows
+        .iter()
+        .zip(outcomes.chunks(mixes.len() * designs.len()))
+    {
+        t.row_f64(label.to_string(), &avg_ws(row, designs.len()));
     }
     t
 }

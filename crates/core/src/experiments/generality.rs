@@ -7,7 +7,6 @@
 
 use super::ExpOptions;
 use crate::metrics::mean;
-use crate::runner::PairRunner;
 use crate::table::Table;
 use mask_common::config::{DesignKind, GpuConfig};
 
@@ -20,7 +19,7 @@ pub fn architectures() -> Vec<(&'static str, GpuConfig)> {
     ]
 }
 
-/// Runs Table 4; each architecture's pair × design grid goes out as one
+/// Runs Table 4: every architecture's pair × design grid goes out as one
 /// job batch.
 pub fn run(opts: &ExpOptions) -> Table {
     let mut t = Table::new(
@@ -33,15 +32,26 @@ pub fn run(opts: &ExpOptions) -> Table {
         DesignKind::SharedTlb,
         DesignKind::Mask,
     ];
-    for (name, mut gpu) in architectures() {
-        gpu.warps_per_core = gpu.warps_per_core.min(opts.warps_per_core.max(8));
-        gpu.n_cores = gpu.n_cores.min(opts.n_cores.max(2));
-        let mut run = opts.run_options();
-        run.n_cores = gpu.n_cores;
-        run.gpu = gpu;
-        let outcomes = PairRunner::new(run).run_pairs(&opts.pressured_pairs(), &designs);
+    let (names, machines): (Vec<_>, Vec<_>) = architectures()
+        .into_iter()
+        .map(|(name, mut gpu)| {
+            gpu.warps_per_core = gpu.warps_per_core.min(opts.warps_per_core.max(8));
+            gpu.n_cores = gpu.n_cores.min(opts.n_cores.max(2));
+            (name, gpu)
+        })
+        .unzip();
+    let mixes: Vec<_> = opts
+        .pressured_pairs()
+        .iter()
+        .map(|p| vec![p.a, p.b])
+        .collect();
+    let outcomes = opts.runner().run_grid(&machines, &mixes, &designs);
+    for (name, arch) in names
+        .into_iter()
+        .zip(outcomes.chunks(mixes.len() * designs.len()))
+    {
         let mut norm = [Vec::new(), Vec::new(), Vec::new()];
-        for chunk in outcomes.chunks(designs.len()) {
+        for chunk in arch.chunks(designs.len()) {
             let ideal = chunk[0].weighted_speedup;
             if ideal <= 0.0 {
                 continue;

@@ -6,10 +6,10 @@
 //! per run) and `MASK_PAIR_LIMIT` (number of two-app workloads simulated)
 //! into the options it passes, and the job engine reads `MASK_JOBS` (worker
 //! threads it fans simulations over; `1` = serial). A harness
-//! submits its runs as one job batch ([`generality`] one per architecture;
-//! [`timemux`] one engine job, then steps a `GpuSim` directly), so
-//! simulations run concurrently and bit-identically at any worker count. One
-//! that reads no alone baseline simulates none (`PairRunner::run_apps`).
+//! submits its runs as one job batch ([`timemux`] one engine job, then
+//! steps that job's `GpuSim` directly), so simulations run concurrently and
+//! bit-identically at any worker count. One that reads no alone baseline
+//! simulates none (`PairRunner::run_apps`).
 
 pub mod ablation;
 pub mod components;
@@ -23,6 +23,7 @@ pub mod sensitivity;
 pub mod single_app;
 pub mod timemux;
 
+use crate::engine::JobPool;
 use crate::metrics::mean;
 use crate::overhead::{AreaPower, StorageCost};
 use crate::runner::{PairOutcome, PairRunner, RunOptions};
@@ -143,11 +144,11 @@ impl Default for ExpOptions {
         let run = RunOptions::default();
         ExpOptions {
             cycles: run.max_cycles,
-            n_cores: run.n_cores,
+            n_cores: run.gpu.n_cores,
             warps_per_core: run.gpu.warps_per_core,
             pair_limit: DEFAULT_PAIR_LIMIT,
             seed: run.seed,
-            jobs: run.jobs,
+            jobs: JobOptions::default(),
         }
     }
 }
@@ -165,20 +166,21 @@ impl ExpOptions {
         }
     }
 
-    /// Builds a [`PairRunner`] honoring these options.
+    /// Builds a [`PairRunner`] honoring these options, on a pool with
+    /// their worker policy.
     pub fn runner(&self) -> PairRunner {
-        PairRunner::new(self.run_options())
+        PairRunner::with_pool(self.run_options(), JobPool::with_options(self.jobs))
     }
 
-    /// Builds [`RunOptions`] honoring these options.
+    /// Builds [`RunOptions`] honoring these options: the Table 1 machine
+    /// with these core and warp counts.
     pub fn run_options(&self) -> RunOptions {
         let mut run = RunOptions {
-            n_cores: self.n_cores,
             max_cycles: self.cycles,
             seed: self.seed,
-            jobs: self.jobs,
             ..RunOptions::default()
         };
+        run.gpu.n_cores = self.n_cores;
         run.gpu.warps_per_core = self.warps_per_core;
         run
     }
@@ -214,6 +216,7 @@ mod tests {
         assert_eq!(o.pair_limit, 35);
         assert_eq!(o.pairs().len(), 35);
         assert_eq!((o.n_cores, o.warps_per_core), (30, 64));
+        assert_eq!(o.run_options().gpu.n_cores, o.n_cores);
     }
 
     #[test]
@@ -221,5 +224,6 @@ mod tests {
         let o = ExpOptions::quick();
         assert!(o.cycles <= 10_000);
         assert_eq!(o.pairs().len(), 2);
+        assert_eq!(o.run_options().gpu.n_cores, o.n_cores);
     }
 }

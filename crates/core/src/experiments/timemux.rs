@@ -14,10 +14,10 @@
 //! demonstrates and what motivates spatial multiplexing.
 
 use super::ExpOptions;
-use crate::runner::{PairRunner, RunOptions};
+use crate::engine::{JobPool, SimJob};
 use crate::table::Table;
-use mask_common::config::{DesignKind, SimConfig};
-use mask_gpu::{AppSpec, GpuSim};
+use mask_common::config::DesignKind;
+use mask_gpu::AppSpec;
 use mask_workloads::app_by_name;
 
 /// Pipeline drain + kernel relaunch cost per context switch, in cycles.
@@ -30,39 +30,30 @@ const QUANTUM: u64 = 10_000;
 /// Runs the Fig. 1 experiment: per-process work `work_instructions`,
 /// process counts 2..=10.
 pub fn run(opts: &ExpOptions) -> Table {
-    let profile = app_by_name("MM").expect("MM exists");
-    let ropts = opts.run_options();
-    let spec = [AppSpec {
-        profile,
-        n_cores: opts.n_cores,
-    }];
-
+    let run = opts.run_options();
     // Back-to-back execution: steady-state instruction rate. This is an
     // ordinary alone run with no warm-up, so it goes through the job engine
     // (and its result memo) like every other run.
-    let runner = PairRunner::new(RunOptions {
+    let alone = SimJob {
+        design: DesignKind::SharedTlb,
+        specs: vec![AppSpec {
+            profile: app_by_name("MM").expect("MM exists"),
+            n_cores: run.gpu.n_cores,
+        }],
+        max_cycles: run.max_cycles,
         warmup_cycles: 0,
-        ..ropts.clone()
-    });
-    let alone_stats = runner.run_apps(&[spec.to_vec()], &[DesignKind::SharedTlb]);
+        seed: run.seed,
+        gpu: run.gpu,
+    };
+    let alone_stats = JobPool::with_options(opts.jobs).run_batch(std::slice::from_ref(&alone));
     let alone_instr = alone_stats[0].apps[0].instructions.max(1);
 
     // Time-multiplexed execution cannot be a batch job: the quantum loop
-    // flushes volatile state interactively between run() calls.
-    let cfg = {
-        let mut gpu = ropts.gpu.clone();
-        gpu.n_cores = opts.n_cores;
-        SimConfig {
-            gpu,
-            design: DesignKind::SharedTlb.spec(),
-            max_cycles: opts.cycles,
-            seed: ropts.seed,
-        }
-    };
-
-    // Time-multiplexed execution: measure the per-quantum instruction rate
-    // when every quantum starts from cold TLBs and caches.
-    let mut tm = GpuSim::new(&cfg, &spec);
+    // flushes volatile state interactively between run() calls. It measures
+    // the per-quantum instruction rate when every quantum starts from cold
+    // TLBs and caches, on the alone run's machine (with no warm-up, a fresh
+    // simulator).
+    let mut tm = alone.warmed_up();
     let quanta = (opts.cycles / QUANTUM).max(1);
     let mut tm_instr = 0u64;
     for _ in 0..quanta {

@@ -22,7 +22,9 @@
 //! use mask_core::prelude::*;
 //!
 //! // Run HISTO and GUP concurrently under full MASK for 20K cycles.
-//! let outcome = PairRunner::new(RunOptions { max_cycles: 20_000, n_cores: 8, ..Default::default() })
+//! let mut gpu = GpuConfig::maxwell();
+//! gpu.n_cores = 8;
+//! let outcome = PairRunner::new(RunOptions { max_cycles: 20_000, gpu, ..Default::default() })
 //!     .run_named(&["HISTO", "GUP"], DesignKind::Mask)
 //!     .expect("known benchmarks");
 //! assert!(outcome.weighted_speedup > 0.0);

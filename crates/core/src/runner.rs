@@ -11,29 +11,30 @@
 //! shared runs feed several figures, so every experiment shares one memo
 //! and each unique run is simulated exactly once per process.
 //!
-//! [`PairRunner::run_apps`] submits shared runs only; [`PairRunner::run_batch`]
-//! adds the alone baselines that weighted speedup and unfairness read, and
-//! [`PairRunner::run_pairs`] and [`PairRunner::run_named`] call it on even
-//! core splits. Each submits one [`JobPool`] batch, so independent
-//! simulations fan out over `MASK_JOBS` worker threads while results stay
-//! bit-identical at any count.
+//! [`PairRunner::run_apps`] submits shared runs only. Every run with alone
+//! baselines, which weighted speedup and unfairness read, goes through one
+//! planner: [`PairRunner::run_pairs`] and [`PairRunner::run_named`] plan on
+//! the runner's machine, and the harnesses whose rows or columns differ by
+//! machine plan on several. Each call submits one [`JobPool`] batch, so
+//! independent simulations fan out over the pool's worker threads while
+//! results stay bit-identical at any count.
 //!
-//! Mixes hold each [`AppProfile`] by value; a job is keyed by its parameters
-//! (a stock profile by its bare name), so a mix may carry a swept copy.
+//! Mixes hold each [`AppProfile`] by value; a job is keyed by its
+//! parameters (every profile by its `Debug` rendering), so a mix may carry
+//! a swept copy.
 
 use crate::engine::{JobPool, SimJob};
 use crate::metrics::{unfairness, weighted_speedup};
-use mask_common::config::{DesignKind, GpuConfig, JobOptions};
+use mask_common::config::{DesignKind, GpuConfig};
 use mask_common::stats::{AppStats, SimStats};
 use mask_gpu::AppSpec;
 use mask_workloads::{app_by_name, AppPair, AppProfile};
 use std::sync::Arc;
 
-/// Options shared by all runs of one experiment.
+/// The job template a [`PairRunner`] plans: everything of a run but its
+/// design and placement.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
-    /// Total GPU cores (Table 1: 30).
-    pub n_cores: usize,
     /// Cycles per run.
     pub max_cycles: u64,
     /// Base PRNG seed.
@@ -42,23 +43,18 @@ pub struct RunOptions {
     /// of `max_cycles`). MASK's epoch mechanisms engage after the first
     /// epoch, so the default warm-up is one default epoch.
     pub warmup_cycles: u64,
-    /// Machine template (its `n_cores` is overridden per run).
+    /// The machine. Its `n_cores` (Table 1: 30) is what each mix is split
+    /// over; an alone run keeps its app's share of them.
     pub gpu: GpuConfig,
-    /// Worker policy for the job engine (default: `MASK_JOBS`, else the
-    /// machine's available parallelism).
-    pub jobs: JobOptions,
 }
 
 impl Default for RunOptions {
     fn default() -> Self {
-        let gpu = GpuConfig::maxwell();
         RunOptions {
-            n_cores: gpu.n_cores,
             max_cycles: mask_common::config::DEFAULT_MAX_CYCLES,
             seed: mask_common::config::DEFAULT_SEED,
             warmup_cycles: mask_common::config::DEFAULT_EPOCH_CYCLES,
-            gpu,
-            jobs: JobOptions::default(),
+            gpu: GpuConfig::maxwell(),
         }
     }
 }
@@ -90,23 +86,34 @@ fn ipcs<'a>(apps: impl IntoIterator<Item = &'a AppStats>) -> Vec<f64> {
     apps.into_iter().map(|a| a.ipc().unwrap_or(0.0)).collect()
 }
 
-fn assemble_outcome(
-    design: DesignKind,
-    stats: Arc<SimStats>,
-    alone_ipc: Vec<f64>,
-    name: String,
-) -> PairOutcome {
-    let shared_ipc = ipcs(&stats.apps);
-    PairOutcome {
-        name,
-        design,
-        weighted_speedup: weighted_speedup(&shared_ipc, &alone_ipc),
-        ipc_throughput: shared_ipc.iter().sum(),
-        unfairness: unfairness(&shared_ipc, &alone_ipc),
-        shared_ipc,
-        alone_ipc,
-        stats,
-    }
+/// The even-split placement of each mix over `total` cores: `total / n`
+/// cores per app, the remainder to the last. Every harness splits cores
+/// this way.
+///
+/// # Panics
+///
+/// Panics if a mix is empty or has more apps than `total`, which would
+/// leave an app with none.
+fn even_split(total: usize, mixes: &[Vec<AppProfile>]) -> Vec<Vec<AppSpec>> {
+    mixes
+        .iter()
+        .map(|mix| {
+            let n = mix.len();
+            assert!(n > 0, "need at least one application");
+            assert!(
+                n <= total,
+                "{n} apps cannot share {total} cores: an app would get none"
+            );
+            let base = total / n;
+            mix.iter()
+                .enumerate()
+                .map(|(i, &profile)| AppSpec {
+                    profile,
+                    n_cores: base + if i + 1 == n { total % n } else { 0 },
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Runs single apps, pairs, and n-app mixes through the job engine.
@@ -117,16 +124,15 @@ pub struct PairRunner {
 }
 
 impl PairRunner {
-    /// Creates a runner; its [`JobPool`] honours `opts.jobs` and shares the
-    /// process-wide result memo.
+    /// Creates a runner on the default pool ([`JobPool::from_env`]), which
+    /// shares the process-wide result memo.
     #[must_use]
     pub fn new(opts: RunOptions) -> Self {
-        let pool = JobPool::with_options(opts.jobs);
-        PairRunner { opts, pool }
+        Self::with_pool(opts, JobPool::from_env())
     }
 
-    /// Creates a runner on an explicit pool (e.g. one with a private
-    /// result memo, or shared with another runner).
+    /// Creates a runner on an explicit pool (e.g. one with a set worker
+    /// count or a private result memo, or shared with another runner).
     #[must_use]
     pub fn with_pool(opts: RunOptions, pool: JobPool) -> Self {
         PairRunner { opts, pool }
@@ -144,15 +150,16 @@ impl PairRunner {
         &self.pool
     }
 
-    /// Builds the [`SimJob`] for one placement under this runner's options.
-    fn job(&self, design: DesignKind, specs: Vec<AppSpec>) -> SimJob {
+    /// The [`SimJob`] of one placement on `gpu` under this runner's
+    /// budgets and seed.
+    fn job(&self, gpu: &GpuConfig, design: DesignKind, specs: Vec<AppSpec>) -> SimJob {
         SimJob {
             design,
             specs,
             max_cycles: self.opts.max_cycles,
             warmup_cycles: self.opts.warmup_cycles,
             seed: self.opts.seed,
-            gpu: self.opts.gpu.clone(),
+            gpu: gpu.clone(),
         }
     }
 
@@ -166,81 +173,71 @@ impl PairRunner {
         placements: &[Vec<AppSpec>],
         designs: &[DesignKind],
     ) -> Vec<Arc<SimStats>> {
-        let jobs = placements
-            .iter()
-            .flat_map(|p| designs.iter().map(|&d| self.job(d, p.clone())));
+        let jobs = placements.iter().flat_map(|p| {
+            designs
+                .iter()
+                .map(|&d| self.job(&self.opts.gpu, d, p.clone()))
+        });
         self.pool.run_batch(&jobs.collect::<Vec<_>>())
     }
 
-    /// Plans, executes, and assembles a whole batch: for every placement ×
-    /// design, the shared run plus one alone baseline per member app are
-    /// submitted as jobs in a single [`JobPool::run_batch`] call.
+    /// The one planner of runs with alone baselines. On each of `machines`,
+    /// each mix is split evenly over the machine's cores and runs shared
+    /// under each design, and each member app runs alone on its share; all
+    /// of it goes out as one [`JobPool::run_batch`] call.
     ///
-    /// Returns outcomes placement-major, design-minor: the outcome of
-    /// `placements[p]` under `designs[d]` is at index `p * designs.len() + d`.
+    /// Returns outcomes machine-major, then mix, then design: chunk by
+    /// `mixes.len() * designs.len()` to group per machine.
     ///
     /// # Panics
     ///
-    /// Panics if any placement is empty.
-    #[must_use]
-    pub fn run_batch(
+    /// Panics if a mix is empty or has more apps than its machine has
+    /// cores.
+    pub(crate) fn run_grid(
         &self,
-        placements: &[Vec<AppSpec>],
+        machines: &[GpuConfig],
+        mixes: &[Vec<AppProfile>],
         designs: &[DesignKind],
     ) -> Vec<PairOutcome> {
-        // Execute: the pool dedups equal jobs and fans out over workers.
-        let stats = self.pool.run_batch(&self.plan_batch(placements, designs));
-        Self::assemble_batch(placements, designs, stats)
-    }
-
-    /// The plan half of [`PairRunner::run_batch`]: one shared job plus
-    /// per-app alone jobs per placement × design. Harnesses whose rows
-    /// differ in machine configuration concatenate several runners' plans
-    /// into one [`JobPool::run_batch`] call.
-    pub(crate) fn plan_batch(
-        &self,
-        placements: &[Vec<AppSpec>],
-        designs: &[DesignKind],
-    ) -> Vec<SimJob> {
-        let mut jobs = Vec::new();
-        for placement in placements {
-            assert!(!placement.is_empty(), "need at least one application");
-            for &design in designs {
-                jobs.push(self.job(design, placement.clone()));
-                for spec in placement {
-                    jobs.push(self.job(design, vec![*spec]));
-                }
-            }
-        }
-        jobs
-    }
-
-    /// The assemble half of [`PairRunner::run_batch`]: walks `stats` in the
-    /// exact order [`PairRunner::plan_batch`] planned the jobs.
-    pub(crate) fn assemble_batch(
-        placements: &[Vec<AppSpec>],
-        designs: &[DesignKind],
-        stats: Vec<Arc<SimStats>>,
-    ) -> Vec<PairOutcome> {
-        let mut out = Vec::with_capacity(placements.len() * designs.len());
-        let mut cursor = stats.into_iter();
-        for placement in placements {
-            let name = placement
-                .iter()
-                .map(|s| s.profile.name)
-                .collect::<Vec<_>>()
-                .join("_");
-            for &design in designs {
-                let shared = cursor.next().expect("one result per planned job");
-                let alone: Vec<_> = placement
-                    .iter()
-                    .map(|_| cursor.next().expect("one result per planned job"))
-                    .collect();
+        let grid: Vec<_> = machines
+            .iter()
+            .flat_map(|gpu| {
+                even_split(gpu.n_cores, mixes)
+                    .into_iter()
+                    .flat_map(move |p| designs.iter().map(move |&d| (gpu, p.clone(), d)))
+            })
+            .collect();
+        let jobs: Vec<_> = grid
+            .iter()
+            .flat_map(|(gpu, placement, design)| {
+                let alone = placement.iter().map(|spec| vec![*spec]);
+                std::iter::once(placement.clone())
+                    .chain(alone)
+                    .map(|specs| self.job(gpu, *design, specs))
+            })
+            .collect();
+        // The pool dedups equal jobs and fans out over workers; the results
+        // come back in plan order.
+        let mut stats = self.pool.run_batch(&jobs).into_iter();
+        grid.into_iter()
+            .map(|(_, placement, design)| {
+                let shared = stats.next().expect("one result per planned job");
+                let alone: Vec<_> = stats.by_ref().take(placement.len()).collect();
                 let alone_ipc = ipcs(alone.iter().map(|s| &s.apps[0]));
-                out.push(assemble_outcome(design, shared, alone_ipc, name.clone()));
-            }
-        }
-        out
+                let shared_ipc = ipcs(&shared.apps);
+                let names: Vec<_> = placement.iter().map(|s| s.profile.name).collect();
+                PairOutcome {
+                    name: names.join("_"),
+                    design,
+                    weighted_speedup: weighted_speedup(&shared_ipc, &alone_ipc),
+                    ipc_throughput: shared_ipc.iter().sum(),
+                    unfairness: unfairness(&shared_ipc, &alone_ipc),
+                    shared_ipc,
+                    alone_ipc,
+                    stats: shared,
+                }
+            })
+            .collect()
     }
 
     /// Runs every pair × design combination with even core splits in one
@@ -249,7 +246,7 @@ impl PairRunner {
     #[must_use]
     pub fn run_pairs(&self, pairs: &[AppPair], designs: &[DesignKind]) -> Vec<PairOutcome> {
         let mixes: Vec<_> = pairs.iter().map(|p| vec![p.a, p.b]).collect();
-        self.run_batch(&self.even_placements(&mixes), designs)
+        self.run_grid(std::slice::from_ref(&self.opts.gpu), &mixes, designs)
     }
 
     /// Runs one mix, looked up by benchmark names, with an even core split
@@ -257,7 +254,7 @@ impl PairRunner {
     ///
     /// # Panics
     ///
-    /// Panics if `names` is empty or longer than the runner's core count.
+    /// Panics if `names` is empty or longer than the machine's core count.
     #[must_use]
     pub fn run_named(&self, names: &[&str], design: DesignKind) -> Option<PairOutcome> {
         let mix = names
@@ -265,38 +262,19 @@ impl PairRunner {
             .copied()
             .map(app_by_name)
             .collect::<Option<_>>()?;
-        self.run_batch(&self.even_placements(&[mix]), &[design])
+        self.run_grid(std::slice::from_ref(&self.opts.gpu), &[mix], &[design])
             .pop()
     }
 
-    /// The even-split placement of each mix: `n_cores / n` cores per app,
-    /// the remainder to the last. Every harness splits cores this way.
+    /// The even-split placement of each mix over the machine's cores (see
+    /// [`PairRunner::run_grid`]).
     ///
     /// # Panics
     ///
-    /// Panics if a mix is empty or has more apps than the runner has cores,
-    /// which would leave an app with none.
+    /// Panics if a mix is empty or has more apps than the machine has
+    /// cores.
     pub(crate) fn even_placements(&self, mixes: &[Vec<AppProfile>]) -> Vec<Vec<AppSpec>> {
-        let total = self.opts.n_cores;
-        mixes
-            .iter()
-            .map(|mix| {
-                let n = mix.len();
-                assert!(n > 0, "need at least one application");
-                assert!(
-                    n <= total,
-                    "{n} apps cannot share {total} cores: an app would get none"
-                );
-                let base = total / n;
-                mix.iter()
-                    .enumerate()
-                    .map(|(i, &profile)| AppSpec {
-                        profile,
-                        n_cores: base + if i + 1 == n { total % n } else { 0 },
-                    })
-                    .collect()
-            })
-            .collect()
+        even_split(self.opts.gpu.n_cores, mixes)
     }
 }
 
@@ -307,14 +285,13 @@ mod tests {
 
     fn small_opts() -> RunOptions {
         let mut gpu = GpuConfig::maxwell();
+        gpu.n_cores = 4;
         gpu.warps_per_core = 16;
         RunOptions {
-            n_cores: 4,
             max_cycles: 6_000,
             seed: 1,
             warmup_cycles: 1_000,
             gpu,
-            jobs: JobOptions::serial(),
         }
     }
 
@@ -376,7 +353,7 @@ mod tests {
         assert_eq!(got.len(), 4);
         for (p, placement) in placements.iter().enumerate() {
             for (d, &design) in designs.iter().enumerate() {
-                let want = r.job(design, placement.clone()).run();
+                let want = r.job(&r.opts.gpu, design, placement.clone()).run();
                 assert_eq!(*got[p * designs.len() + d], want, "{p} {design:?}");
             }
         }
@@ -431,6 +408,38 @@ mod tests {
                 assert_eq!(Some(got), r.run_named(&names, design).as_ref());
             }
         }
+    }
+
+    #[test]
+    fn one_plan_over_two_machines_equals_each_machines_own() {
+        let memo = ResultMemo::new();
+        let pool = JobPool::with_workers(2).with_cache(Arc::clone(&memo));
+        let mut narrow = small_opts().gpu;
+        narrow.n_cores = 2;
+        narrow.tlb.l2_entries /= 2;
+        let machines = [small_opts().gpu, narrow];
+        let pair = |a, b| AppPair {
+            a: app_by_name(a).expect("known"),
+            b: app_by_name(b).expect("known"),
+        };
+        // The second pair reverses the first: new shared runs, but the
+        // same alone runs.
+        let pairs = [pair("HISTO", "GUP"), pair("GUP", "HISTO")];
+        let mixes: Vec<_> = pairs.iter().map(|p| vec![p.a, p.b]).collect();
+        let designs = [DesignKind::SharedTlb, DesignKind::Mask];
+        let r = PairRunner::with_pool(small_opts(), pool.clone());
+        let got = r.run_grid(&machines, &mixes, &designs);
+        let mut want = Vec::new();
+        for gpu in &machines {
+            let opts = RunOptions {
+                gpu: gpu.clone(),
+                ..small_opts()
+            };
+            want.extend(PairRunner::with_pool(opts, pool.clone()).run_pairs(&pairs, &designs));
+        }
+        assert_eq!(got, want);
+        // Per machine and design: 2 shared runs and 2 distinct alone runs.
+        assert_eq!(memo.stats().misses, 2 * 2 * 4, "each unique job once");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use mask_workloads::AppProfile;
 #[derive(Clone, Copy, Debug)]
 pub struct AppSpec {
     /// The workload to run, by value: a job is keyed by these parameters
-    /// (a stock profile by its bare name), not by the name alone.
+    /// (every profile by its `Debug` rendering), not by the name alone.
     pub profile: AppProfile,
     /// Number of GPU cores assigned to it.
     pub n_cores: usize,

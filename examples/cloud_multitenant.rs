@@ -16,9 +16,11 @@ use mask_core::prelude::*;
 
 fn main() {
     let tenants = ["MUM", "RED", "HS", "HISTO"];
+    let mut gpu = GpuConfig::maxwell();
+    gpu.n_cores = 28;
     let opts = RunOptions {
         max_cycles: 250_000,
-        n_cores: 28,
+        gpu,
         ..Default::default()
     };
     let runner = PairRunner::new(opts);

@@ -20,8 +20,9 @@ const ROOT: &str = env!("CARGO_MANIFEST_DIR");
 
 /// The options an artefact whose registry pair cap is `pair_cap` runs at,
 /// given the values of `MASK_SIM_CYCLES` and `MASK_PAIR_LIMIT`: a number
-/// replaces the default cycles per run, or the pair cap; an unset or
-/// non-numeric value leaves it.
+/// replaces the default cycles per run, or the pair cap (clamped to the
+/// `1..=DEFAULT_PAIR_LIMIT` pairs there are); an unset or non-numeric value
+/// leaves it.
 fn options(sim_cycles: Option<&str>, pair_limit: Option<&str>, pair_cap: usize) -> ExpOptions {
     let defaults = ExpOptions::default();
     ExpOptions {
@@ -30,7 +31,9 @@ fn options(sim_cycles: Option<&str>, pair_limit: Option<&str>, pair_cap: usize) 
             .unwrap_or(defaults.cycles),
         pair_limit: pair_limit
             .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| pair_cap.min(defaults.pair_limit)),
+            .map_or(pair_cap.min(defaults.pair_limit), |n: usize| {
+                n.clamp(1, DEFAULT_PAIR_LIMIT)
+            }),
         ..defaults
     }
 }
@@ -151,6 +154,10 @@ mod tests {
         assert_eq!((set.cycles, set.pair_limit), (20_000, 3));
         // A pair count replaces the cap, upwards too.
         assert_eq!(options(None, Some("12"), 8).pair_limit, 12);
+        // ... but never past the pairs there are, nor below one: the count
+        // printed is the count run.
+        assert_eq!(options(None, Some("0"), 8).pair_limit, 1);
+        assert_eq!(options(None, Some("100"), 8).pair_limit, 35);
         let junk = options(Some("lots"), Some("3x"), 8);
         assert_eq!((junk.cycles, junk.pair_limit), (300_000, 8));
     }

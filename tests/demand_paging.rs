@@ -11,15 +11,14 @@ fn stats_with_fault_latency(latency: u64) -> Arc<SimStats> {
 /// `max_cycles`.
 fn scan_window(latency: u64, max_cycles: u64, warmup_cycles: u64) -> Arc<SimStats> {
     let mut gpu = GpuConfig::maxwell();
+    gpu.n_cores = 4;
     gpu.warps_per_core = 16;
     gpu.page_fault_latency = latency;
     let runner = PairRunner::new(RunOptions {
-        n_cores: 4,
         max_cycles,
         seed: 5,
         warmup_cycles,
         gpu,
-        jobs: JobOptions::serial(),
     });
     runner
         .run_apps(

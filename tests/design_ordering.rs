@@ -8,14 +8,13 @@ use mask_core::prelude::*;
 
 fn opts(cycles: u64) -> RunOptions {
     let mut gpu = GpuConfig::maxwell();
+    gpu.n_cores = 8;
     gpu.warps_per_core = 32;
     RunOptions {
-        n_cores: 8,
         max_cycles: cycles,
         seed: 3,
         warmup_cycles: cycles / 4,
         gpu,
-        jobs: JobOptions::serial(),
     }
 }
 

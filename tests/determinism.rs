@@ -6,16 +6,15 @@ use std::sync::Arc;
 /// One simulation on a private memo, so that a repeat really re-runs.
 fn run(seed: u64, design: DesignKind) -> Arc<SimStats> {
     let mut gpu = GpuConfig::maxwell();
+    gpu.n_cores = 4;
     gpu.warps_per_core = 16;
     let opts = RunOptions {
-        n_cores: 4,
         max_cycles: 8_000,
         seed,
         warmup_cycles: 2_000,
         gpu,
-        jobs: JobOptions::serial(),
     };
-    let pool = JobPool::with_options(opts.jobs).with_cache(ResultMemo::new());
+    let pool = JobPool::with_workers(1).with_cache(ResultMemo::new());
     let runner = PairRunner::with_pool(opts, pool);
     runner
         .run_apps(

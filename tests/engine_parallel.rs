@@ -19,10 +19,9 @@ fn quick_opts(workers: usize) -> ExpOptions {
 }
 
 fn runner(workers: usize) -> PairRunner {
-    let opts = quick_opts(workers).run_options();
     PairRunner::with_pool(
-        opts.clone(),
-        JobPool::with_options(opts.jobs).with_cache(ResultMemo::new()),
+        quick_opts(workers).run_options(),
+        JobPool::with_workers(workers).with_cache(ResultMemo::new()),
     )
 }
 
@@ -94,10 +93,9 @@ fn experiment_tables_are_identical_at_any_worker_count() {
 #[test]
 fn duplicate_alone_baselines_are_simulated_exactly_once() {
     let memo = ResultMemo::new();
-    let opts = quick_opts(2).run_options();
     let r = PairRunner::with_pool(
-        opts.clone(),
-        JobPool::with_options(opts.jobs).with_cache(Arc::clone(&memo)),
+        quick_opts(2).run_options(),
+        JobPool::with_workers(2).with_cache(Arc::clone(&memo)),
     );
     let pairs = ExpOptions::quick().pairs();
     // Every design over every pair: alone baselines repeat heavily across

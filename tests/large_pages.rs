@@ -6,15 +6,14 @@ use std::sync::Arc;
 
 fn run(page_size_log2: u32) -> Arc<SimStats> {
     let mut gpu = GpuConfig::maxwell();
+    gpu.n_cores = 4;
     gpu.warps_per_core = 16;
     gpu.page_size_log2 = page_size_log2;
     let runner = PairRunner::new(RunOptions {
-        n_cores: 4,
         max_cycles: 20_000,
         seed: 9,
         warmup_cycles: 5_000,
         gpu,
-        jobs: JobOptions::serial(),
     });
     runner
         .run_apps(

@@ -5,14 +5,13 @@ use mask_core::prelude::*;
 
 fn runner() -> PairRunner {
     let mut gpu = GpuConfig::maxwell();
+    gpu.n_cores = 8;
     gpu.warps_per_core = 32;
     PairRunner::new(RunOptions {
-        n_cores: 8,
         max_cycles: 40_000,
         seed: 11,
         warmup_cycles: 10_000,
         gpu,
-        jobs: JobOptions::serial(),
     })
 }
 
