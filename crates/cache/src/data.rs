@@ -103,11 +103,6 @@ impl DataCache {
         self.set_colors = Some(split_ranges(n_sets, n_apps));
     }
 
-    /// Number of sets.
-    pub fn n_sets(&self) -> usize {
-        self.n_sets
-    }
-
     fn set_index(&self, line: LineAddr, asid: Asid) -> usize {
         // Low line bits index the set (plus a simple hash fold of higher
         // bits to avoid pathological power-of-two strides). Set counts are
@@ -264,7 +259,7 @@ mod tests {
     #[test]
     fn lru_eviction_within_set() {
         let mut c = DataCache::new(512, 4); // a single set of 4 ways
-        assert_eq!(c.n_sets(), 1);
+        assert_eq!(c.n_sets, 1);
         for i in 0..4u64 {
             c.fill(LineAddr(i), Asid::new(0));
         }
@@ -302,7 +297,7 @@ mod tests {
     #[test]
     fn uneven_way_partition_gives_remainder_to_last_app() {
         let mut c = DataCache::new(2048, 16); // one set of 16 ways
-        assert_eq!(c.n_sets(), 1);
+        assert_eq!(c.n_sets, 1);
         c.partition_ways(3);
         // 16 ways / 3 apps = 5, 5, 6 deterministically.
         for (asid, count) in [(0u16, 5u64), (1, 5), (2, 6)] {
@@ -363,7 +358,7 @@ mod tests {
     #[test]
     fn capacity_matches_geometry() {
         let c = DataCache::new(2 * 1024 * 1024, 16);
-        assert_eq!(c.n_sets(), 1024); // 2 MB / 128 B / 16 ways
+        assert_eq!(c.n_sets, 1024); // 2 MB / 128 B / 16 ways
         assert_eq!(c.lines.len(), 16384);
     }
 

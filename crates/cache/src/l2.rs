@@ -123,7 +123,7 @@ impl SharedL2Cache {
             banks: (0..cfg.banks)
                 .map(|_| Bank {
                     queue: VecDeque::new(),
-                    mshr: MshrTable::labelled("l2-bank-mshr", cfg.mshrs),
+                    mshr: MshrTable::new("l2-bank-mshr", cfg.mshrs),
                     head_stalled: false,
                 })
                 .collect(),
@@ -132,7 +132,7 @@ impl SharedL2Cache {
             bypass_enabled: matches!(policy, L2Policy::SharedBypass),
             latency: cfg.latency,
             ports: cfg.ports_per_bank,
-            bypass_mshr: MshrTable::labelled("l2-bypass-mshr", cfg.mshrs * cfg.banks),
+            bypass_mshr: MshrTable::new("l2-bypass-mshr", cfg.mshrs * cfg.banks),
             to_dram: Vec::new(),
             responses: Vec::new(),
             scratch_fill: Vec::new(),

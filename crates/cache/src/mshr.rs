@@ -43,13 +43,9 @@ pub struct MshrTable<W> {
 }
 
 impl<W> MshrTable<W> {
-    /// Creates a table with room for `capacity` distinct lines.
-    pub fn new(capacity: usize) -> Self {
-        Self::labelled("mshr", capacity)
-    }
-
-    /// Creates a table whose sanitizer diagnostics carry `component`.
-    pub fn labelled(component: &'static str, capacity: usize) -> Self {
+    /// Creates a table with room for `capacity` distinct lines, whose
+    /// checker diagnostics carry `component`.
+    pub fn new(component: &'static str, capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR table needs capacity");
         MshrTable {
             entries: Vec::new(),
@@ -86,17 +82,6 @@ impl<W> MshrTable<W> {
         let len = self.entries.len();
         mask_obs::hooks::mshr_alloc(self.san_table, line.0, outcome, len, self.capacity);
         outcome
-    }
-
-    /// Completes `line`, returning all its waiters (empty if none pending).
-    ///
-    /// Allocating convenience wrapper around [`MshrTable::complete_into`]
-    /// for tests and cold paths; the returned vector is detached from the
-    /// table's recycling pool.
-    pub fn complete(&mut self, line: LineAddr) -> Vec<W> {
-        let mut out = Vec::new();
-        self.complete_into(line, &mut out);
-        out
     }
 
     /// Completes `line`, appending its waiters to `out` (not cleared) and
@@ -172,11 +157,12 @@ mod tests {
 
     #[test]
     fn primary_then_secondary_then_complete() {
-        let mut m: MshrTable<u32> = MshrTable::new(4);
+        let mut m: MshrTable<u32> = MshrTable::new("mshr", 4);
         assert_eq!(m.allocate(LineAddr(1), 10), MshrAlloc::Primary);
         assert_eq!(m.allocate(LineAddr(1), 11), MshrAlloc::Secondary);
         assert_eq!(m.allocate(LineAddr(2), 12), MshrAlloc::Primary);
-        let w = m.complete(LineAddr(1));
+        let mut w = Vec::new();
+        assert_eq!(m.complete_into(LineAddr(1), &mut w), 2);
         assert_eq!(w, vec![10, 11]);
         assert!(!m.contains(LineAddr(1)));
         assert_eq!(m.len(), 1);
@@ -184,7 +170,7 @@ mod tests {
 
     #[test]
     fn full_table_rejects_new_lines_but_merges_existing() {
-        let mut m: MshrTable<u32> = MshrTable::new(2);
+        let mut m: MshrTable<u32> = MshrTable::new("mshr", 2);
         assert_eq!(m.allocate(LineAddr(1), 1), MshrAlloc::Primary);
         assert_eq!(m.allocate(LineAddr(2), 2), MshrAlloc::Primary);
         assert!(m.is_full());
@@ -195,18 +181,20 @@ mod tests {
 
     #[test]
     fn complete_absent_line_returns_empty() {
-        let mut m: MshrTable<u32> = MshrTable::new(2);
-        assert!(m.complete(LineAddr(9)).is_empty());
+        let mut m: MshrTable<u32> = MshrTable::new("mshr", 2);
+        let mut w = Vec::new();
+        assert_eq!(m.complete_into(LineAddr(9), &mut w), 0);
+        assert!(w.is_empty());
         assert!(m.is_empty());
     }
 
     #[test]
     fn peak_waiters_tracks_maximum() {
-        let mut m: MshrTable<u32> = MshrTable::new(2);
+        let mut m: MshrTable<u32> = MshrTable::new("mshr", 2);
         for i in 0..7 {
             m.allocate(LineAddr(1), i);
         }
-        m.complete(LineAddr(1));
+        m.complete_into(LineAddr(1), &mut Vec::new());
         m.allocate(LineAddr(2), 0);
         assert_eq!(m.peak_waiters(), 7);
     }

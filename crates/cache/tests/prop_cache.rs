@@ -35,7 +35,7 @@ proptest! {
     /// Every MSHR waiter is returned exactly once across completes.
     #[test]
     fn mshr_conserves_waiters(reqs in proptest::collection::vec((0u64..16, any::<u32>()), 0..100)) {
-        let mut m: MshrTable<u32> = MshrTable::new(64);
+        let mut m: MshrTable<u32> = MshrTable::new("mshr", 64);
         let mut expected: Vec<(u64, u32)> = Vec::new();
         for &(line, w) in &reqs {
             match m.allocate(LineAddr(line), w) {
@@ -44,10 +44,11 @@ proptest! {
             }
         }
         let mut returned: Vec<(u64, u32)> = Vec::new();
+        let mut waiters = Vec::new();
         for line in 0u64..16 {
-            for w in m.complete(LineAddr(line)) {
-                returned.push((line, w));
-            }
+            waiters.clear();
+            m.complete_into(LineAddr(line), &mut waiters);
+            returned.extend(waiters.iter().map(|&w| (line, w)));
         }
         expected.sort_unstable();
         returned.sort_unstable();

@@ -264,7 +264,7 @@ proptest! {
 
     #[test]
     fn mshr_table_equals_the_entry_scan_it_replaced(ops in mshr_ops(), capacity in 1usize..9) {
-        let mut table: MshrTable<u64> = MshrTable::new(capacity);
+        let mut table: MshrTable<u64> = MshrTable::new("mshr", capacity);
         let mut model = NaiveMshr { entries: Vec::new(), capacity, peak_waiters: 0 };
         let mut out = vec![u64::MAX]; // `complete_into` appends, never clears
         for op in ops {

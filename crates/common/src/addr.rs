@@ -141,12 +141,6 @@ impl Vpn {
         let shift = BITS_PER_LEVEL * (u32::from(levels) - u32::from(level));
         (self.0 >> shift) & ((1 << BITS_PER_LEVEL) - 1)
     }
-
-    /// Reconstructs the base virtual address of this page.
-    #[inline]
-    pub const fn base(self, page_size_log2: u32) -> VirtAddr {
-        VirtAddr::new(self.0 << page_size_log2)
-    }
 }
 
 impl fmt::Debug for Vpn {
@@ -173,12 +167,6 @@ pub fn levels_for_page_size(page_size_log2: u32) -> u8 {
 pub struct Ppn(pub u64);
 
 impl Ppn {
-    /// The base physical address of this frame.
-    #[inline]
-    pub const fn base(self, page_size_log2: u32) -> PhysAddr {
-        PhysAddr(self.0 << page_size_log2)
-    }
-
     /// Translates a virtual address that maps to this frame.
     #[inline]
     pub const fn translate(self, va: VirtAddr, page_size_log2: u32) -> PhysAddr {
@@ -195,14 +183,6 @@ impl fmt::Debug for Ppn {
 /// A physical cache-line address (physical address shifted by the line size).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(pub u64);
-
-impl LineAddr {
-    /// The base physical byte address of this line.
-    #[inline]
-    pub const fn base(self) -> PhysAddr {
-        PhysAddr(self.0 << LINE_SIZE_LOG2)
-    }
-}
 
 impl fmt::Debug for LineAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -225,7 +205,7 @@ mod tests {
         let va = VirtAddr::new(0x1234_5678_9abc);
         let vpn = va.vpn(PAGE_SIZE_4K_LOG2);
         let off = va.page_offset(PAGE_SIZE_4K_LOG2);
-        assert_eq!(vpn.base(PAGE_SIZE_4K_LOG2).raw() + off, va.raw());
+        assert_eq!((vpn.0 << PAGE_SIZE_4K_LOG2) + off, va.raw());
     }
 
     #[test]
@@ -257,6 +237,6 @@ mod tests {
     #[test]
     fn line_alignment() {
         let pa = PhysAddr::new(0x1fff);
-        assert_eq!(pa.line().base().raw(), 0x1f80);
+        assert_eq!(pa.line(), LineAddr(0x1f80 >> LINE_SIZE_LOG2));
     }
 }

@@ -583,11 +583,6 @@ impl GpuConfig {
         cfg.walker_slots = 16; // walker scales with the core count
         cfg
     }
-
-    /// Maximum number of radix levels a page walk traverses for this config.
-    pub fn walk_levels(&self) -> u8 {
-        crate::addr::levels_for_page_size(self.page_size_log2)
-    }
 }
 
 impl Default for GpuConfig {
@@ -651,12 +646,6 @@ pub struct JobOptions {
 }
 
 impl JobOptions {
-    /// Run every job serially on the calling thread.
-    #[must_use]
-    pub const fn serial() -> Self {
-        JobOptions { workers: Some(1) }
-    }
-
     /// Request exactly `n` worker threads.
     #[must_use]
     pub const fn with_workers(n: usize) -> Self {
@@ -693,7 +682,6 @@ mod tests {
 
     #[test]
     fn explicit_job_options_win_over_environment() {
-        assert_eq!(JobOptions::serial().requested(), Some(1));
         assert_eq!(JobOptions::with_workers(6).requested(), Some(6));
         // A nonsensical explicit request clamps to the serial minimum.
         assert_eq!(JobOptions::with_workers(0).requested(), Some(1));
@@ -802,14 +790,14 @@ mod tests {
         assert_eq!(cfg.dram.channels, 8);
         assert_eq!(cfg.dram.banks_per_channel, 8);
         assert_eq!(cfg.walker_slots, 64);
-        assert_eq!(cfg.walk_levels(), 4);
+        assert_eq!(crate::addr::levels_for_page_size(cfg.page_size_log2), 4);
     }
 
     #[test]
     fn large_pages_reduce_walk_depth() {
         let mut cfg = GpuConfig::maxwell();
         cfg.page_size_log2 = crate::addr::PAGE_SIZE_2M_LOG2;
-        assert_eq!(cfg.walk_levels(), 3);
+        assert_eq!(crate::addr::levels_for_page_size(cfg.page_size_log2), 3);
     }
 
     #[test]

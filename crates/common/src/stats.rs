@@ -273,12 +273,15 @@ counters! {
         pub walk_cycles_integral: u64 = Counter,
         /// Maximum concurrent walks observed.
         pub walk_concurrency_max: u64 = Level,
-        /// Sum over resolved L2-TLB misses of the number of warps that were
-        /// stalled waiting for that miss (Fig. 6 numerator).
+        /// Sum over resolved translations of the number of warps that were
+        /// stalled waiting for each (Fig. 6 numerator). A resolved
+        /// translation is one translation-MSHR entry, opened by an L1-TLB
+        /// miss and closed by a shared-L2-TLB hit or a finished walk alike.
         pub stalled_warps_sum: u64 = Counter,
-        /// Number of resolved L2-TLB misses (Fig. 6 denominator).
+        /// Number of resolved translations, L2-TLB hits included (Fig. 6
+        /// denominator; `walks_completed` counts the walked ones alone).
         pub stalled_warps_events: u64 = Counter,
-        /// Maximum warps stalled behind one miss.
+        /// Maximum warps stalled behind one resolved translation.
         pub stalled_warps_max: u64 = Level,
 
         /// L1 data-cache probes.
@@ -318,7 +321,9 @@ impl AppStats {
         ratio(self.walk_cycles_integral, self.cycles)
     }
 
-    /// Average warps stalled per L2 TLB miss (Fig. 6).
+    /// Average warps stalled per resolved translation (Fig. 6): per L1-TLB
+    /// miss that left the translation MSHRs, whether the shared L2 TLB hit
+    /// or a walk ran.
     pub fn avg_warps_stalled_per_miss(&self) -> Option<f64> {
         ratio(self.stalled_warps_sum, self.stalled_warps_events)
     }

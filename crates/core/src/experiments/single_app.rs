@@ -24,7 +24,8 @@ pub struct SingleAppRow {
     pub avg_concurrent_walks: Option<f64>,
     /// Fig. 5 error-bar top (max observed).
     pub max_concurrent_walks: u64,
-    /// Fig. 6 metric.
+    /// Fig. 6 metric: warps stalled per resolved translation, shared-L2-TLB
+    /// hits included ([`mask_common::stats::AppStats::avg_warps_stalled_per_miss`]).
     pub avg_warps_stalled: Option<f64>,
     /// Fig. 6 error-bar top.
     pub max_warps_stalled: u64,

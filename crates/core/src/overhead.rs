@@ -172,11 +172,10 @@ impl AreaPower {
         let l2_bits = (cfg.tlb.l2_entries as u64 * L2_TLB_ENTRY_BITS) as f64;
         let baseline_bits = l1_bits + l2_bits;
         let cost = StorageCost::compute(cfg);
-        let cam_bits =
-            (cfg.tlb.bypass_cache_entries as u64 * (L2_TLB_ENTRY_BITS + 9)) as f64 * CAM_FACTOR;
-        let plain_bits = (cost.total_bytes() * 8) as f64
-            - cfg.tlb.bypass_cache_entries as f64 * (L2_TLB_ENTRY_BITS + 9) as f64;
-        let added_bits = cam_bits + plain_bits;
+        // The bypass cache is a CAM; the rest of the added storage is plain.
+        let bypass_bits =
+            (cfg.tlb.bypass_cache_entries as u64 * (L2_TLB_ENTRY_BITS + ASID_BITS)) as f64;
+        let added_bits = bypass_bits * CAM_FACTOR + (cost.total_bytes() * 8) as f64 - bypass_bits;
         AreaPower {
             baseline_mm2: baseline_bits * MM2_PER_BIT,
             mask_added_mm2: added_bits * MM2_PER_BIT,

@@ -166,7 +166,7 @@ impl Dram {
     /// Accepts a request at cycle `now`.
     pub fn enqueue(&mut self, req: MemRequest, now: Cycle) {
         // Conservation: every accepted request must surface again through
-        // `take_completions`.
+        // `drain_completions_into`.
         mask_obs::hooks::issue(mask_obs::Domain::Dram, req.id.0);
         let decoded = decode(req.line, &self.cfg, &self.partition, req.asid);
         if cfg!(debug_assertions) {
@@ -296,16 +296,6 @@ impl Dram {
             .unwrap_or(Cycle::MAX)
     }
 
-    /// Drains accesses whose data transfer has finished by `now`.
-    ///
-    /// Allocating wrapper around [`Dram::drain_completions_into`] for tests
-    /// and cold paths.
-    pub fn take_completions(&mut self, now: Cycle) -> Vec<DramCompletion> {
-        let mut out = Vec::new();
-        self.drain_completions_into(now, &mut out);
-        out
-    }
-
     /// Moves accesses whose data transfer has finished by `now` into `out`
     /// (not cleared).
     pub fn drain_completions_into(&mut self, now: Cycle, out: &mut Vec<DramCompletion>) {
@@ -419,7 +409,7 @@ mod tests {
         let mut out = Vec::new();
         for now in from..to {
             dram.tick(now);
-            out.extend(dram.take_completions(now));
+            dram.drain_completions_into(now, &mut out);
         }
         out
     }
@@ -508,7 +498,7 @@ mod tests {
         for now in 0..30 {
             d.tick(now);
         }
-        d.take_completions(30);
+        d.drain_completions_into(30, &mut Vec::new());
         // Translation arrives, then a burst of row-hitting data behind it.
         d.enqueue(
             req(999, xlat_line, RequestClass::Translation(WalkLevel::new(4))),

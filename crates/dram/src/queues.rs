@@ -293,16 +293,6 @@ impl MaskQueues {
         self.len() == 0
     }
 
-    /// Current Silver-queue application (for tests/telemetry).
-    pub fn silver_app(&self) -> usize {
-        self.silver_app
-    }
-
-    /// Current quota table (for tests/telemetry).
-    pub fn quotas(&self) -> &[u64] {
-        &self.quotas
-    }
-
     /// Visits every queued entry across the three queues.
     pub fn for_each_entry(&self, f: impl FnMut(&QueueEntry)) {
         let (silver, normal) = (self.silver.entries(), self.normal.entries());
@@ -493,21 +483,21 @@ mod tests {
         let mut q = MaskQueues::new(16, 64, 100, 2);
         // Pressure 3:1 -> quotas 75 and 25.
         q.update_pressure(&[3, 1]);
-        assert_eq!(q.quotas(), &[75, 25]);
-        let start_app = q.silver_app();
+        assert_eq!(q.quotas, &[75, 25]);
+        let start_app = q.silver_app;
         // Exhaust the current app's quota.
-        let quota = q.quotas()[start_app];
+        let quota = q.quotas[start_app];
         for i in 0..quota {
             q.enqueue(entry(i, start_app as u16, 0, 0, RequestClass::Data, i));
         }
-        assert_ne!(q.silver_app(), start_app, "turn advances after quota used");
+        assert_ne!(q.silver_app, start_app, "turn advances after quota used");
     }
 
     #[test]
     fn non_silver_app_goes_to_normal() {
         let mut q = mq();
         q.update_pressure(&[1, 1]);
-        let other = 1 - q.silver_app();
+        let other = 1 - q.silver_app;
         q.enqueue(entry(7, other as u16, 0, 0, RequestClass::Data, 0));
         // Pick ignores open rows; the only entry must come from normal.
         let picked = q.pick(|_| true, |_| None).expect("entry present");
@@ -518,7 +508,7 @@ mod tests {
     fn silver_beats_normal() {
         let mut q = mq();
         q.update_pressure(&[1, 1]);
-        let silver_app = q.silver_app() as u16;
+        let silver_app = q.silver_app as u16;
         let normal_app = 1 - silver_app;
         q.enqueue(entry(1, normal_app, 0, 5, RequestClass::Data, 0));
         q.enqueue(entry(2, silver_app, 1, 6, RequestClass::Data, 1));
@@ -536,7 +526,7 @@ mod tests {
     fn zero_pressure_splits_quota_evenly() {
         let mut q = MaskQueues::new(16, 64, 500, 2);
         q.update_pressure(&[0, 0]);
-        assert_eq!(q.quotas(), &[250, 250]);
+        assert_eq!(q.quotas, &[250, 250]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn drain(dram: &mut Dram, expected: usize) -> Vec<mask_dram::DramCompletion> {
     let mut done = Vec::new();
     for now in 0..200_000u64 {
         dram.tick(now);
-        done.extend(dram.take_completions(now));
+        dram.drain_completions_into(now, &mut done);
         if done.len() == expected {
             break;
         }

@@ -164,7 +164,7 @@ impl GpuCore {
             burst_end: NO_BURST,
             l1tlb: L1Tlb::new(cfg.tlb.l1_entries),
             l1cache: DataCache::new(cfg.l1_cache.bytes, cfg.l1_cache.assoc),
-            l1mshr: MshrTable::new(cfg.l1_cache.mshrs),
+            l1mshr: MshrTable::new("mshr", cfg.l1_cache.mshrs),
             retry: VecDeque::new(),
             page_size_log2: cfg.page_size_log2,
             ideal_tlb,
@@ -658,7 +658,9 @@ mod tests {
         }
         assert!(stats.l1_tlb.misses() > 0);
         assert!(
-            xlat.outstanding() > 0,
+            core.warps
+                .iter()
+                .any(|w| matches!(w.state, WarpState::XlatWait { .. })),
             "warps must be waiting on translations"
         );
         assert!(stalled(&core) > 0);

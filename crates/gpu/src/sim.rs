@@ -665,11 +665,6 @@ impl GpuSim {
         self.stats.apps[app].instructions
     }
 
-    /// The simulation configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// Encodes the full dynamic simulator state into a sealed snapshot
     /// carrying `key`. Any cycle between two steps will do: every per-step
     /// scratch vector is empty there.

@@ -79,7 +79,8 @@ struct L2TlbReq {
 struct EpochAcc {
     /// Integral of concurrent walks over the epoch.
     walk_integral: u64,
-    /// Resolved misses and their total stalled-warp count.
+    /// Resolved translations (L2-TLB hits and walks alike) and their total
+    /// stalled-warp count.
     stalled_sum: u64,
     events: u64,
 }
@@ -479,11 +480,6 @@ impl TranslationUnit {
     /// Current fill-token count for an app (0 when tokens are disabled).
     pub fn tokens_for(&self, asid: Asid) -> u64 {
         self.tokens.as_ref().map_or(0, |t| t.tokens(asid))
-    }
-
-    /// Walks currently outstanding anywhere in the unit.
-    pub fn outstanding(&self) -> usize {
-        self.mshr.len()
     }
 
     /// TLB shootdown for one address space (§5.5): drops the ASID's

@@ -191,12 +191,6 @@ impl FairQueue {
             }
         }
     }
-
-    /// Jobs `tenant` currently has queued (0 for unknown tenants).
-    #[must_use]
-    pub fn tenant_depth(&self, tenant: &str) -> usize {
-        self.tenants.get(tenant).map_or(0, |s| s.queue.len())
-    }
 }
 
 #[cfg(test)]

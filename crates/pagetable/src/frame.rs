@@ -221,6 +221,10 @@ mod tests {
         let f1 = a.alloc_data(Asid::new(1));
         assert_eq!(f1.0, f0.0 + 1);
         // 2 MB frames: byte addresses differ by 2 MB.
-        assert_eq!(f1.base(21).raw() - f0.base(21).raw(), 1 << 21);
+        let page = mask_common::addr::VirtAddr::new(0);
+        assert_eq!(
+            f1.translate(page, 21).raw() - f0.translate(page, 21).raw(),
+            1 << 21
+        );
     }
 }

@@ -145,11 +145,6 @@ impl PageTable {
         }
     }
 
-    /// The owning address space.
-    pub fn asid(&self) -> Asid {
-        self.asid
-    }
-
     /// Number of radix levels a full walk traverses.
     pub fn levels(&self) -> u8 {
         self.levels

@@ -100,21 +100,10 @@ impl PageWalker {
     }
 
     /// Queues a walk request. Requests are admitted into free slots in FIFO
-    /// order by [`PageWalker::activate`].
+    /// order by [`PageWalker::activate_into`].
     pub fn enqueue(&mut self, asid: Asid, vpn: Vpn, now: Cycle) {
         self.queued_per_asid[asid.index()] += 1;
         self.pending.push_back((asid, vpn, now));
-    }
-
-    /// Moves queued walks into free slots and returns their first accesses.
-    ///
-    /// Allocating convenience wrapper around
-    /// [`PageWalker::activate_into`] for tests and drivers outside the
-    /// per-cycle hot path.
-    pub fn activate(&mut self, tables: &mut PageTables) -> Vec<WalkAccess> {
-        let mut out = Vec::new();
-        self.activate_into(tables, &mut out);
-        out
     }
 
     /// Moves queued walks into free slots, appending their first accesses
@@ -323,7 +312,8 @@ mod tests {
         let (mut walker, mut tables) = setup();
         let vpn = Vpn(0xabcdef);
         walker.enqueue(Asid::new(0), vpn, 100);
-        let accesses = walker.activate(&mut tables);
+        let mut accesses = Vec::new();
+        walker.activate_into(&mut tables, &mut accesses);
         assert_eq!(accesses.len(), 1);
         let (wvpn, ppn, latency) = drive_to_completion(&mut walker, &mut tables, accesses[0], 350);
         assert_eq!(wvpn, vpn);
@@ -338,14 +328,16 @@ mod tests {
         for i in 0..10u64 {
             walker.enqueue(Asid::new(0), Vpn(i * 1000), 0);
         }
-        let accesses = walker.activate(&mut tables);
+        let mut accesses = Vec::new();
+        walker.activate_into(&mut tables, &mut accesses);
         assert_eq!(accesses.len(), 4, "only 4 slots");
         assert_eq!(walker.active_walks_for(Asid::new(0)), 4);
         assert_eq!(walker.queued_for(Asid::new(0)), 6);
         assert_eq!(walker.total_walks(), 10);
         // Finish one walk; the queue should backfill on next activate.
         let (..) = drive_to_completion(&mut walker, &mut tables, accesses[0], 50);
-        let more = walker.activate(&mut tables);
+        let mut more = Vec::new();
+        walker.activate_into(&mut tables, &mut more);
         assert_eq!(more.len(), 1);
         assert_eq!(walker.active_walks_for(Asid::new(0)), 4);
         assert_eq!(walker.queued_for(Asid::new(0)), 5);
@@ -357,7 +349,8 @@ mod tests {
         walker.enqueue(Asid::new(0), Vpn(1), 0);
         walker.enqueue(Asid::new(1), Vpn(2), 0);
         walker.enqueue(Asid::new(1), Vpn(3), 0);
-        let accesses = walker.activate(&mut tables);
+        let mut accesses = Vec::new();
+        walker.activate_into(&mut tables, &mut accesses);
         assert_eq!(walker.active_walks_for(Asid::new(0)), 1);
         assert_eq!(walker.active_walks_for(Asid::new(1)), 2);
         for a in accesses {
@@ -374,7 +367,8 @@ mod tests {
         let (mut walker, mut tables) = setup();
         let vpn = Vpn(0x42);
         walker.enqueue(Asid::new(0), vpn, 0);
-        let a = walker.activate(&mut tables);
+        let mut a = Vec::new();
+        walker.activate_into(&mut tables, &mut a);
         assert_eq!(
             a[0].line,
             tables.walk_line(Asid::new(0), vpn, WalkLevel::ROOT)
@@ -398,7 +392,8 @@ mod tests {
         for i in 0..130u64 {
             walker.enqueue(Asid::new(0), Vpn(i * 600), 0);
         }
-        let first = walker.activate(&mut tables);
+        let mut first = Vec::new();
+        walker.activate_into(&mut tables, &mut first);
         let slots: Vec<u32> = first.iter().map(|a| a.walk.0).collect();
         assert_eq!(slots, (0..130).collect::<Vec<u32>>());
         // Free 70, 3 and 129; the next three walks take 3, 70, 129.
@@ -408,7 +403,8 @@ mod tests {
         for i in 0..3u64 {
             walker.enqueue(Asid::new(0), Vpn(7 + i), 10);
         }
-        let again = walker.activate(&mut tables);
+        let mut again = Vec::new();
+        walker.activate_into(&mut tables, &mut again);
         let slots: Vec<u32> = again.iter().map(|a| a.walk.0).collect();
         assert_eq!(slots, [3, 70, 129]);
     }
@@ -423,7 +419,9 @@ mod tests {
         let (mut walker, mut tables) = setup();
         let other = tables.ensure_mapped(Asid::new(0), Vpn(0x43));
         walker.enqueue(Asid::new(0), Vpn(0x42), 0);
-        let access = walker.activate(&mut tables)[0];
+        let mut accesses = Vec::new();
+        walker.activate_into(&mut tables, &mut accesses);
+        let access = accesses[0];
         walker.slots[0].as_mut().expect("just activated").ppn = other;
         drive_to_completion(&mut walker, &mut tables, access, 9);
     }

@@ -58,7 +58,7 @@ proptest! {
         let mut pending = Vec::new();
         let mut resolved = 0usize;
         for now in 0..100_000u64 {
-            pending.extend(walker.activate(&mut pts));
+            walker.activate_into(&mut pts, &mut pending);
             if pending.is_empty() {
                 if walker.total_walks() == 0 {
                     break;

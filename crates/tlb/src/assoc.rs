@@ -87,16 +87,6 @@ impl<K: Eq + Hash + Copy + Default, V: Copy + Default> AssocArray<K, V> {
         self.keys.len()
     }
 
-    /// Number of ways per set.
-    pub fn assoc(&self) -> usize {
-        self.assoc
-    }
-
-    /// Number of sets.
-    pub fn n_sets(&self) -> usize {
-        self.lens.len()
-    }
-
     /// Number of valid entries currently resident.
     pub fn len(&self) -> usize {
         self.lens.iter().sum()
@@ -291,12 +281,6 @@ impl<K: Eq + Hash + Copy + Default, V: Copy + Default> AssocArray<K, V> {
         evicted
     }
 
-    /// Removes `key` if present, returning its value.
-    pub fn invalidate(&mut self, key: &K) -> Option<V> {
-        let slot = self.find(key)?;
-        Some(self.remove_slot(slot / self.assoc, slot).1)
-    }
-
     /// Removes all entries matching a predicate (e.g. per-ASID flush),
     /// keeping the survivors of each set in order.
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
@@ -398,7 +382,7 @@ mod tests {
     #[test]
     fn set_mapping_partitions_keys() {
         let mut a = AssocArray::new(64, 4);
-        assert_eq!(a.n_sets(), 16);
+        assert_eq!(a.lens.len(), 16);
         for k in 0..64u64 {
             a.fill(k, k);
         }
@@ -426,18 +410,9 @@ mod tests {
         assert_eq!(a.len(), 0);
     }
 
-    #[test]
-    fn invalidate_removes_single_key() {
-        let mut a = AssocArray::new(4, 4);
-        a.fill(7u64, 7u64);
-        assert_eq!(a.invalidate(&7), Some(7));
-        assert_eq!(a.invalidate(&7), None);
-        assert_eq!(a.probe(&7), None);
-    }
-
     /// Every set's recency list, oldest first, read off its links.
     fn orders(a: &AssocArray<u64, u64>) -> Vec<Vec<usize>> {
-        (0..a.n_sets())
+        (0..a.lens.len())
             .map(|set| {
                 let mut ways = Vec::new();
                 let mut way = a.ends[set].0;
@@ -454,7 +429,7 @@ mod tests {
 
     /// The same, derived from the stamps alone.
     fn orders_by_stamp(a: &AssocArray<u64, u64>) -> Vec<Vec<usize>> {
-        (0..a.n_sets())
+        (0..a.lens.len())
             .map(|set| {
                 let mut ways: Vec<usize> = (0..a.lens[set]).collect();
                 ways.sort_by_key(|&way| a.slots[set * a.assoc + way].1);
@@ -474,13 +449,12 @@ mod tests {
             let key = x % 24;
             match (x >> 32) % 16 {
                 0..=5 => drop(a.probe(&key)),
-                6..=12 => drop(a.fill(key, step)),
-                13..=14 => drop(a.invalidate(&key)),
+                6..=14 => drop(a.fill(key, step)),
                 _ if step % 5 == 0 => a.flush(),
                 _ => a.retain(|k, _| k % 3 != key % 3),
             }
             assert_eq!(orders(&a), orders_by_stamp(&a), "after step {step}");
-            for set in (0..a.n_sets()).filter(|&s| a.lens[s] == a.assoc) {
+            for set in (0..a.lens.len()).filter(|&s| a.lens[s] == a.assoc) {
                 assert_eq!(usize::from(a.ends[set].0), a.oldest_by_stamp(set));
             }
         }
@@ -506,11 +480,11 @@ mod tests {
         let a: AssocArray<u64, u64> = AssocArray::new(100, 16);
         // Set count rounds UP: 7 sets of 16 ways — never below the
         // requested 100 entries.
-        assert_eq!(a.n_sets(), 7);
+        assert_eq!(a.lens.len(), 7);
         assert_eq!(a.capacity(), 112);
         // Exact multiples are untouched.
         let b: AssocArray<u64, u64> = AssocArray::new(128, 16);
-        assert_eq!(b.n_sets(), 8);
+        assert_eq!(b.lens.len(), 8);
         assert_eq!(b.capacity(), 128);
     }
 }

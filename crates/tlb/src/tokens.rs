@@ -91,11 +91,6 @@ impl TokenAllocator {
         self.apps.get(asid.index()).map_or(0, |a| a.tokens)
     }
 
-    /// The active adjustment policy.
-    pub fn policy(&self) -> TokenPolicyKind {
-        self.policy
-    }
-
     /// Whether the warp in slot `warp_id` on the app's `core_rank`-th core
     /// currently holds a fill token.
     ///
@@ -351,10 +346,10 @@ mod tests {
     #[test]
     fn default_policy_is_hill_climb() {
         let a = TokenAllocator::new(&MaskParams::default(), &[1], 8);
-        assert_eq!(a.policy(), TokenPolicyKind::HillClimb);
+        assert_eq!(a.policy, TokenPolicyKind::HillClimb);
         // `new` follows `params.token_policy`, whichever value it holds.
         for kind in [TokenPolicyKind::Literal, TokenPolicyKind::HillClimb] {
-            assert_eq!(alloc_with(kind).policy(), kind);
+            assert_eq!(alloc_with(kind).policy, kind);
         }
     }
 }

@@ -15,7 +15,6 @@ use std::hash::{Hash, Hasher};
 enum Op {
     Fill(u8, u8),
     Probe(u8),
-    Invalidate(u8),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -23,7 +22,6 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![
             (any::<u8>(), any::<u8>()).prop_map(|(k, v)| Op::Fill(k, v)),
             any::<u8>().prop_map(Op::Probe),
-            any::<u8>().prop_map(Op::Invalidate),
         ],
         0..300,
     )
@@ -45,10 +43,6 @@ proptest! {
                     if let Some(v) = arr.probe(&k) {
                         prop_assert_eq!(Some(&v), latest.get(&k), "stale value for {}", k);
                     }
-                }
-                Op::Invalidate(k) => {
-                    arr.invalidate(&k);
-                    latest.remove(&k);
                 }
             }
             prop_assert!(arr.len() <= arr.capacity());
@@ -175,12 +169,6 @@ impl VecOfVecs {
         evicted
     }
 
-    fn invalidate(&mut self, key: &TlbKey) -> Option<Ppn> {
-        let set = self.set_index(key);
-        let pos = self.sets[set].iter().position(|e| e.key == *key)?;
-        Some(self.sets[set].swap_remove(pos).value)
-    }
-
     fn retain(&mut self, keep: impl Fn(&TlbKey) -> bool) {
         for set in &mut self.sets {
             set.retain(|e| keep(&e.key));
@@ -240,7 +228,6 @@ enum TlbOp {
     Probe(u16, u64),
     Peek(u16, u64),
     Fill(u16, u64, u64),
-    Invalidate(u16, u64),
     FlushAsid(u16),
     Flush,
 }
@@ -255,7 +242,6 @@ fn tlb_ops() -> impl Strategy<Value = Vec<TlbOp>> {
             (key(), any::<u64>()).prop_map(|((a, v), p)| TlbOp::Fill(a, v, p)),
             (key(), any::<u64>()).prop_map(|((a, v), p)| TlbOp::Fill(a, v, p)),
             (key(), any::<u64>()).prop_map(|((a, v), p)| TlbOp::Fill(a, v, p)),
-            key().prop_map(|(a, v)| TlbOp::Invalidate(a, v)),
             (0u16..3).prop_map(TlbOp::FlushAsid),
             (0u8..40, key()).prop_map(|(n, (a, v))| if n == 0 {
                 TlbOp::Flush
@@ -293,9 +279,6 @@ proptest! {
                 TlbOp::Peek(a, v) => prop_assert_eq!(arr.peek(&key(a, v)), model.peek(&key(a, v))),
                 TlbOp::Fill(a, v, p) => {
                     prop_assert_eq!(arr.fill(key(a, v), Ppn(p)), model.fill(key(a, v), Ppn(p)));
-                }
-                TlbOp::Invalidate(a, v) => {
-                    prop_assert_eq!(arr.invalidate(&key(a, v)), model.invalidate(&key(a, v)));
                 }
                 TlbOp::FlushAsid(a) => {
                     arr.retain(|k, _| k.asid != Asid::new(a));

@@ -12,7 +12,7 @@
 //! * [`profile`] — the parameter space ([`AppProfile`], [`Pattern`]).
 //! * [`apps`] — the 30 named application profiles plus Table 2's expected
 //!   classification ([`TlbClass`]).
-//! * [`trace`] — per-warp stateful generators producing [`trace::WarpOp`]s.
+//! * [`trace`] — per-warp stateful generators of instruction groups.
 //! * [`pairs`] — the 35 two-application workloads of Figs. 8–15 with their
 //!   n-HMR categories.
 //!
@@ -28,4 +28,4 @@ pub mod trace;
 pub use apps::{all_apps, app_by_name, expected_class, TlbClass};
 pub use pairs::{paper_pairs, AppPair, HmrCategory};
 pub use profile::{AppProfile, Pattern};
-pub use trace::{WarpOp, WarpTrace};
+pub use trace::WarpTrace;

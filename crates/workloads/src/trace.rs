@@ -1,6 +1,6 @@
 //! Per-warp stateful trace generation.
 //!
-//! Each warp owns a [`WarpTrace`]; calling [`WarpTrace::next_op`] yields the
+//! Each warp owns a [`WarpTrace`]; calling [`WarpTrace::next_op_into`] yields the
 //! warp's next instruction group: some compute cycles followed by one
 //! memory instruction that touches a small set of line-aligned virtual
 //! addresses. Generation is deterministic in `(seed, app, core, warp)`.
@@ -11,16 +11,6 @@ use mask_common::rng::Pcg32;
 
 /// Base virtual address of every application's data region.
 const DATA_BASE: u64 = 0x10_0000_0000;
-
-/// One warp-level instruction group.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WarpOp {
-    /// Compute instructions to issue before the memory instruction.
-    pub compute: u32,
-    /// Line-aligned virtual addresses the memory instruction touches
-    /// (post-coalescing).
-    pub lines: Vec<VirtAddr>,
-}
 
 /// A deterministic per-warp trace generator.
 #[derive(Debug)]
@@ -141,16 +131,6 @@ impl WarpTrace {
         }
     }
 
-    /// Generates the warp's next instruction group.
-    ///
-    /// Allocating wrapper around [`WarpTrace::next_op_into`] for tests and
-    /// callers outside the per-cycle hot path.
-    pub fn next_op(&mut self) -> WarpOp {
-        let mut lines = Vec::with_capacity(self.profile.lines_per_instr as usize);
-        let compute = self.next_op_into(&mut lines);
-        WarpOp { compute, lines }
-    }
-
     /// Generates the warp's next instruction group, writing the memory
     /// instruction's line addresses into `lines` (cleared first) and
     /// returning the compute-instruction count. Lets the core reuse one
@@ -250,11 +230,6 @@ impl WarpTrace {
         lines.dedup();
         compute
     }
-
-    /// The profile driving this trace.
-    pub fn profile(&self) -> &AppProfile {
-        &self.profile
-    }
 }
 
 impl mask_common::snapshot::Snapshot for WarpTrace {
@@ -279,6 +254,14 @@ mod tests {
     use mask_common::addr::PAGE_SIZE_4K_LOG2;
     use std::collections::BTreeSet;
 
+    /// The warp's next instruction group through the core's drain: its
+    /// compute count and the lines its memory instruction touches.
+    fn next_op(t: &mut WarpTrace) -> (u32, Vec<VirtAddr>) {
+        let mut lines = Vec::new();
+        let compute = t.next_op_into(&mut lines);
+        (compute, lines)
+    }
+
     fn stream_profile() -> AppProfile {
         AppProfile {
             name: "T",
@@ -298,7 +281,7 @@ mod tests {
         let mut a = WarpTrace::new(stream_profile(), 7, 0, 3, PAGE_SIZE_4K_LOG2);
         let mut b = WarpTrace::new(stream_profile(), 7, 0, 3, PAGE_SIZE_4K_LOG2);
         for _ in 0..50 {
-            assert_eq!(a.next_op(), b.next_op());
+            assert_eq!(next_op(&mut a), next_op(&mut b));
         }
     }
 
@@ -306,7 +289,9 @@ mod tests {
     fn different_warps_see_different_streams() {
         let mut a = WarpTrace::new(stream_profile(), 7, 0, 0, PAGE_SIZE_4K_LOG2);
         let mut b = WarpTrace::new(stream_profile(), 7, 0, 40, PAGE_SIZE_4K_LOG2);
-        let same = (0..30).filter(|_| a.next_op() == b.next_op()).count();
+        let same = (0..30)
+            .filter(|_| next_op(&mut a) == next_op(&mut b))
+            .count();
         assert!(same < 30, "warps in different groups should diverge");
     }
 
@@ -317,7 +302,7 @@ mod tests {
         let mut b = WarpTrace::new(stream_profile(), 7, 0, 1, PAGE_SIZE_4K_LOG2);
         let pages = |t: &mut WarpTrace| -> BTreeSet<u64> {
             (0..100)
-                .flat_map(|_| t.next_op().lines)
+                .flat_map(|_| next_op(t).1)
                 .map(|va| va.vpn(PAGE_SIZE_4K_LOG2).0)
                 .collect()
         };
@@ -336,8 +321,8 @@ mod tests {
         let mut changes = 0;
         let mut last = u64::MAX;
         for _ in 0..80 {
-            let op = t.next_op();
-            let page = op.lines[0].vpn(PAGE_SIZE_4K_LOG2).0;
+            let (_, lines) = next_op(&mut t);
+            let page = lines[0].vpn(PAGE_SIZE_4K_LOG2).0;
             if page != last {
                 changes += 1;
                 last = page;
@@ -361,7 +346,7 @@ mod tests {
         };
         let mut t = WarpTrace::new(p, 1, 2, 3, PAGE_SIZE_4K_LOG2);
         for _ in 0..200 {
-            for va in t.next_op().lines {
+            for va in next_op(&mut t).1 {
                 let page = (va.raw() - 0x10_0000_0000) >> PAGE_SIZE_4K_LOG2;
                 assert!(page < 32);
             }
@@ -387,7 +372,7 @@ mod tests {
         let mut hot_hits = 0;
         let mut total = 0;
         for _ in 0..500 {
-            for va in t.next_op().lines {
+            for va in next_op(&mut t).1 {
                 let page = (va.raw() - 0x10_0000_0000) >> PAGE_SIZE_4K_LOG2;
                 hot_hits += u64::from(page < 16);
                 total += 1;
@@ -465,13 +450,13 @@ mod tests {
         let profile = stream_profile();
         let mut t = WarpTrace::new(profile, 7, 1, 1, PAGE_SIZE_4K_LOG2);
         for _ in 0..100 {
-            let op = t.next_op();
-            assert!(!op.lines.is_empty());
+            let (compute, lines) = next_op(&mut t);
+            assert!(!lines.is_empty());
             assert!(
-                op.compute <= profile.compute_per_mem + 2,
+                compute <= profile.compute_per_mem + 2,
                 "compute_per_mem plus at most 2 of jitter"
             );
-            for va in &op.lines {
+            for va in &lines {
                 assert_eq!(va.raw() % LINE_SIZE, 0);
             }
         }

@@ -44,10 +44,11 @@ proptest! {
         let profile = all_apps()[app_idx];
         let mut t = WarpTrace::new(profile, seed, core, warp, PAGE_SIZE_4K_LOG2);
         let max_pages = footprint_pages(&profile);
+        let mut lines = Vec::new();
         for _ in 0..64 {
-            let op = t.next_op();
-            prop_assert!(!op.lines.is_empty());
-            for va in &op.lines {
+            t.next_op_into(&mut lines);
+            prop_assert!(!lines.is_empty());
+            for va in &lines {
                 let page = (va.raw() - 0x10_0000_0000) >> PAGE_SIZE_4K_LOG2;
                 prop_assert!(page < max_pages, "{}: page {page} outside footprint {max_pages}", profile.name);
                 prop_assert_eq!(va.raw() % mask_common::addr::LINE_SIZE, 0);
@@ -62,14 +63,16 @@ proptest! {
         let profile = all_apps()[app_idx];
         let mut a = WarpTrace::new(profile, seed, 0, 0, PAGE_SIZE_4K_LOG2);
         let mut b = WarpTrace::new(profile, seed, 0, 0, PAGE_SIZE_4K_LOG2);
+        let (mut la, mut lb) = (Vec::new(), Vec::new());
         for _ in 0..32 {
-            prop_assert_eq!(a.next_op(), b.next_op());
+            prop_assert_eq!(a.next_op_into(&mut la), b.next_op_into(&mut lb));
+            prop_assert_eq!(&la, &lb);
         }
         let mut c = WarpTrace::new(profile, seed, 5, 63, PAGE_SIZE_4K_LOG2);
         let mut same = 0;
         let mut a2 = WarpTrace::new(profile, seed, 0, 0, PAGE_SIZE_4K_LOG2);
         for _ in 0..32 {
-            if a2.next_op() == c.next_op() {
+            if a2.next_op_into(&mut la) == c.next_op_into(&mut lb) && la == lb {
                 same += 1;
             }
         }

@@ -13,6 +13,8 @@ use mask_core::experiments::{
     artefact, fidelity, Artefact, ExpOptions, DEFAULT_PAIR_LIMIT, REGISTRY,
 };
 use mask_core::table::Table;
+use std::fmt;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::time::Instant;
 
@@ -57,17 +59,38 @@ fn main() {
         );
         std::process::exit(2);
     };
-    for &(id, pair_cap, run) in picked {
+    // Stops at the first write to a closed stdout: nobody reads the rest.
+    picked.into_iter().try_for_each(|&(id, pair_cap, run)| {
         let opts = scaled(pair_cap);
         let jobs = JobPool::with_options(opts.jobs).workers();
         let (cycles, pairs) = (opts.cycles, opts.pair_limit);
-        println!("=== {id} — cycles/run={cycles} pairs={pairs} jobs={jobs} ===\n");
+        say(format_args!(
+            "=== {id} — cycles/run={cycles} pairs={pairs} jobs={jobs} ===\n\n"
+        ))?;
         let (t0, sims) = (Instant::now(), simulations());
         for table in run(&opts) {
-            emit(&table);
+            emit(&table)?;
         }
         let (elapsed, sims) = (t0.elapsed(), simulations() - sims);
-        println!("[{id} done in {elapsed:?}; {sims} simulation(s)]");
+        say(format_args!(
+            "[{id} done in {elapsed:?}; {sims} simulation(s)]\n"
+        ))
+    });
+}
+
+/// Writes `text` to stdout, the one way this binary prints. `None` means
+/// stdout is closed (the reader of a pipe went away, as in `repro all |
+/// head -1`): the caller ends the run quietly, with status 0. Any other
+/// write error is reported and ends the process with status 1.
+fn say(text: fmt::Arguments) -> Option<()> {
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(text).and_then(|()| out.flush()) {
+        Ok(()) => Some(()),
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => None,
+        Err(e) => {
+            eprintln!("repro: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -78,9 +101,9 @@ fn simulations() -> u64 {
 
 /// Prints `table` and writes it to `target/mask-results/<slug>.json`, the
 /// slug being its lower-cased title with each run of other characters
-/// replaced by one `_`.
-fn emit(table: &Table) {
-    println!("{table}\n");
+/// replaced by one `_`. `None` once stdout is closed ([`say`]).
+fn emit(table: &Table) -> Option<()> {
+    let open = say(format_args!("{table}\n\n"));
     let title = table.title.to_ascii_lowercase();
     let words: Vec<&str> = title
         .split(|c: char| !c.is_ascii_alphanumeric())
@@ -93,11 +116,13 @@ fn emit(table: &Table) {
     {
         eprintln!("cannot write {}: {e}", path.display());
     }
+    open
 }
 
 /// Scores the claims over `fidelity::SEEDS` seeds, each artefact at
 /// `scaled(its pair cap)`, into `FIDELITY.json` and re-renders
-/// EXPERIMENTS.md's claim table from that file.
+/// EXPERIMENTS.md's claim table from that file. Those files are the
+/// product, so a closed stdout does not stop the run.
 fn run_fidelity(scaled: impl Fn(usize) -> ExpOptions) {
     let ms = |t: Instant| u64::try_from(t.elapsed().as_millis()).unwrap_or(u64::MAX);
     let t0 = Instant::now();
@@ -110,7 +135,10 @@ fn run_fidelity(scaled: impl Fn(usize) -> ExpOptions) {
                 opts
             });
             let (at, sims) = (t0.elapsed(), simulations() - sims);
-            println!("[seed {} done at {at:?}; {sims} simulation(s)]", i + 1);
+            say(format_args!(
+                "[seed {} done at {at:?}; {sims} simulation(s)]\n",
+                i + 1
+            ));
             (tables, ms(seed_t0))
         })
         .unzip();
@@ -139,7 +167,7 @@ fn run_fidelity(scaled: impl Fn(usize) -> ExpOptions) {
     std::fs::write(Path::new(ROOT).join("FIDELITY.json"), &doc).expect("write FIDELITY.json");
     std::fs::write(&md_path, format!("{head}{begin}{table}{end}{tail}"))
         .expect("write EXPERIMENTS.md");
-    print!("{table}");
+    say(format_args!("{table}"));
 }
 
 #[cfg(test)]

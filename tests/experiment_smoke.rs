@@ -159,3 +159,21 @@ fn every_claim_reads_a_measured_cell() {
         assert!(median.parse::<f64>().is_ok_and(f64::is_finite), "{row:?}");
     }
 }
+
+/// `repro` whose reader has gone (`repro sec74 | head -1`) ends quietly
+/// with status 0 instead of panicking on its next `println!`. The read end
+/// of the pipe is closed before the child starts, so its first write fails;
+/// `sec74` simulates nothing.
+#[test]
+fn repro_ends_quietly_on_a_closed_stdout() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("sec74")
+        .stdout(writer)
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}

@@ -66,11 +66,11 @@ fn translation_unit_isolates_walks() {
     let w0 = GlobalWarpId::new(CoreId::new(0), WarpId::new(0));
     let w1 = GlobalWarpId::new(CoreId::new(1), WarpId::new(0));
     let mut stats = [AppStats::default(), AppStats::default()];
-    unit.request(Asid::new(0), Vpn(42), w0, 0, 0, &mut stats[0]);
-    unit.request(Asid::new(1), Vpn(42), w1, 0, 0, &mut stats[1]);
-    assert_eq!(
-        unit.outstanding(),
-        2,
+    // `request` returns `true` for a new primary walk request and `false`
+    // for a merge into a pending one.
+    assert!(unit.request(Asid::new(0), Vpn(42), w0, 0, 0, &mut stats[0]));
+    assert!(
+        unit.request(Asid::new(1), Vpn(42), w1, 0, 0, &mut stats[1]),
         "same VPN in two address spaces must not merge"
     );
 }
