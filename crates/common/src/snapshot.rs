@@ -45,7 +45,9 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MSNP";
 /// migration path, because a stale prefix is always recomputable.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8;
+/// Bytes of an envelope before its payload: the whole of an envelope
+/// sealed with no payload.
+pub const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8;
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -320,11 +322,20 @@ pub fn envelope_checksum(bytes: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(field.try_into().expect("8 bytes")))
 }
 
+/// Reads the length of a sealed envelope, header included, out of its
+/// header without validating it. Returns `None` when `bytes` is too short
+/// to hold a header or the length overflows.
+#[must_use]
+pub fn envelope_len(bytes: &[u8]) -> Option<u64> {
+    let field = bytes.get(16..24)?;
+    u64::from_le_bytes(field.try_into().expect("8 bytes")).checked_add(HEADER_LEN as u64)
+}
+
 /// Validates an envelope end to end — magic, version, length, checksum —
 /// without decoding any payload field.
 ///
-/// The disk-store startup sweep uses this to drop stale or truncated
-/// `.msnp` files cheaply; it accepts exactly the byte strings
+/// The result store's open scan uses this to find where a torn or damaged
+/// log ends cheaply; it accepts exactly the byte strings
 /// [`SnapshotReader::open`] would accept.
 pub fn validate_envelope(bytes: &[u8]) -> Result<PrefixKey, SnapshotError> {
     SnapshotReader::open(bytes).map(|(_, key)| key)
@@ -803,8 +814,12 @@ mod tests {
         let bytes = w.seal(PrefixKey(0xBEEF));
         assert_eq!(envelope_checksum(&bytes), Some(fnv1a(&bytes[HEADER_LEN..])));
         assert_eq!(validate_envelope(&bytes), Ok(PrefixKey(0xBEEF)));
+        assert_eq!(envelope_len(&bytes[..HEADER_LEN]), Some(bytes.len() as u64));
+        let empty = SnapshotWriter::new().seal(PrefixKey(1));
+        assert_eq!(envelope_len(&empty), Some(HEADER_LEN as u64));
         // Peeks refuse sub-header inputs instead of panicking.
         assert_eq!(envelope_checksum(&bytes[..31]), None);
+        assert_eq!(envelope_len(&bytes[..23]), None);
         assert!(validate_envelope(&bytes[..31]).is_err());
         // validate_envelope rejects exactly what open rejects.
         let mut bad = bytes.clone();

@@ -383,6 +383,8 @@ fn store_stats(shared: &Arc<Shared>) -> Value {
                 ),
                 ("dir_scans", Value::Num(s.dir_scans)),
                 ("disk_evictions", Value::Num(s.disk_evictions)),
+                ("log_bytes", Value::Num(s.log_bytes)),
+                ("live_bytes", Value::Num(s.live_bytes)),
             ]),
         ),
         ("scheduler", scheduler),

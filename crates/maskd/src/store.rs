@@ -2,87 +2,64 @@
 //!
 //! Results are keyed by the job's canonical dedup key
 //! ([`SimJob::key`](mask_core::SimJob::key)). In memory the store *is* the
-//! daemon's [`ResultMemo`], the one `JobKey → Arc<SimStats>` map that the
-//! daemon's [`JobPool`](mask_core::JobPool) also consults and fills. On
-//! disk the key is folded with the simulator's [`MODEL_FINGERPRINT`]
-//! through FNV-1a into [`result_key`], so a store written by another model
-//! is never hit: its jobs re-simulate once. A repeat submission — same
-//! design spec, placement, cycle budget, seed, and full `GpuConfig`
-//! rendering, on the same model — is answered without simulating, from
-//! memory or, across daemon restarts, from disk. A result is held once,
-//! behind an `Arc` the memo and the daemon's job registry share: a hit
-//! hands out a reference, not a copy.
+//! daemon's [`ResultMemo`], which its [`JobPool`](mask_core::JobPool) also
+//! consults and fills; on disk the key is folded with the simulator's
+//! [`MODEL_FINGERPRINT`] into [`result_key`], so a store another model wrote
+//! is never hit. A repeat submission is answered without simulating, from
+//! memory or, across daemon restarts, from disk, as the one `Arc` the memo
+//! and the daemon's job registry share.
 //!
 //! # On disk
 //!
-//! One directory (`MASKD_STORE_DIR`) of `<result_key>.msnp` files (16 hex
-//! digits), each a result's `SimStats` in a sealed MSNP envelope
-//! ([`mask_common::snapshot`]: magic, codec version, key echo, length,
-//! FNV-1a checksum) whose modification time carries its recency. The store
-//! is a pure accelerator, so every file operation is best-effort — an I/O
-//! failure costs a re-simulation, never a wrong answer:
+//! One append-only log, `results.log` in `MASKD_STORE_DIR`, of sealed MSNP
+//! envelopes ([`mask_common::snapshot`]: magic, codec version, key echo,
+//! length, FNV-1a checksum) under [`result_key`]s: a result's `SimStats`,
+//! or, header-only, a *use* of the result under that key. A result's
+//! recency is the offset of the last record naming it, so the record order
+//! is the LRU order, across restarts and copies. The store is a pure
+//! accelerator, so every file operation is best-effort — an I/O failure
+//! costs a re-simulation, never a wrong answer:
 //!
-//! * writes go to `<key>.msnp.<pid>.tmp` and are atomically renamed in, so
-//!   concurrent processes never observe a torn file;
-//! * every use stamps the file's modification time with a sequence number
-//!   above every one the store knows, as whole seconds since `UNIX_EPOCH`
-//!   (so filesystems that keep 1-second timestamps keep it). The numbers
-//!   are read from the directory once, at [`ResultStore::with_dir`], and
-//!   written back on every use, so recency survives restarts: a reopened
-//!   store holds exactly the live one's index. A copy that resets
-//!   modification times (`cp` without `-p`) collapses recency to file-stem
-//!   order — a worse eviction order, never a wrong result;
-//! * `MASKD_STORE_CAP` evicts least-recently-used results (sequence number,
-//!   then file stem, so the order is fully deterministic), never below one,
-//!   from disk and memo at once;
-//! * a file that fails validation is deleted, never trusted: at open by a
-//!   sweep of the whole directory, which also deletes envelopes under
-//!   another key's name and the temp files of interrupted writes, and at a
-//!   load for the one file asked for.
+//! * a persist appends the result, a memo hit or a disk load a use, through
+//!   the one handle the store opened; a load reads the one record the index
+//!   names and validates it keyed, and one that fails leaves the index;
+//! * opening streams the log once and truncates it at the first record that
+//!   fails validation: after a crash mid-write the store is a subset of what
+//!   was written;
+//! * `MASKD_STORE_CAP` evicts least-recently-used results, never below one,
+//!   from the index and the memo at once. An eviction writes nothing: its
+//!   records stay the oldest, so a reopen at the same cap evicts them again.
+//!   Once the log's dead bytes (uses, superseded and evicted results) exceed
+//!   its live ones, its live records are rewritten in recency order to
+//!   `results.log.<pid>.tmp`, which is renamed over it.
 //!
 //! # One index
 //!
-//! The open sweep is the only directory listing. It leaves the index that
-//! every later operation keeps: by result address, what this handle knows —
-//! the sequence number of its file and, once it has sealed or loaded the
-//! result, the key of its memo entry and the checksum of its envelope —
-//! beside the `(sequence, address)` order. Each operation therefore opens
-//! the one file it names, once: a memo hit opens the file and sets its
-//! modification time (and reports the checksum without re-encoding), a load
-//! reads and validates it through the same handle first, a write writes and
-//! stamps a temp file, renames it in (the rename keeps the stamp) and
-//! removes exactly the victims the order names, with their memo entries.
-//! `store.dir_scans` counts the listings so that tests can hold it to 1.
-//!
-//! The directory stays the truth and the index a cache of it, because other
-//! writers exist: a second process on the same directory, a directory
-//! filled by one handle and served by another. A result address the index
-//! does not hold is still looked for on disk and adopted at the sequence
-//! number its modification time carries (a plain write's wall-clock time
-//! included); one whose file is gone or fails validation leaves the index
-//! when that is found, and a result whose file has vanished answers once
-//! more from memory and is then forgotten; evicting a file someone already
-//! removed is not an error. What the index cannot see is what it was never
-//! asked about, so between two handles on one directory the cap bounds the
-//! entries *each handle has seen* (the next open sees them all), and two
-//! handles may issue equal sequence numbers — the file stem breaks the tie.
+//! The open scan leaves the index every later operation keeps: by address,
+//! the newest copy of a result, its last use and, once this handle sealed
+//! or loaded it, its memo key and checksum. The log stays the truth, since a
+//! second process may write it: a miss, or an append that lands past what
+//! this handle has read, first reads the tail; if the path names another
+//! file (another handle compacted), the store rescans it and its memo
+//! forgets what it loaded. An append to the old file during a compaction is
+//! lost: one re-simulation, never a wrong answer.
 
 use mask_common::snapshot::{
-    envelope_checksum, validate_envelope, Fnv1a, PrefixKey, Snapshot, SnapshotReader,
-    SnapshotWriter,
+    envelope_checksum, envelope_len, validate_envelope, Fnv1a, PrefixKey, Snapshot, SnapshotReader,
+    SnapshotWriter, HEADER_LEN,
 };
 use mask_common::stats::SimStats;
 use mask_common::MODEL_FINGERPRINT;
 use mask_core::engine::JobKey;
 use mask_core::{ResultMemo, SimJob};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::File;
-use std::io::{Read, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 #[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::Mutex;
-use std::time::{Duration, UNIX_EPOCH};
 
 /// The content address of a job: FNV-1a over the [`MODEL_FINGERPRINT`]
 /// and the canonical rendering of its dedup key. Everything that
@@ -115,39 +92,58 @@ pub struct StoreStats {
     pub inserts: u64,
     /// Results loaded from disk this process (subset of `hits`).
     pub disk_loads: u64,
-    /// Times the store listed its directory: 1, at open (0 for an
-    /// in-memory store).
+    /// Times the store read its whole log: once at open (never in memory),
+    /// and again after another handle's compaction.
     pub dir_scans: u64,
     /// Results `MASKD_STORE_CAP` evicted from disk (and memory) this process.
     pub disk_evictions: u64,
+    /// Bytes of the log, as far as this handle has seen it.
+    pub log_bytes: u64,
+    /// Bytes of the records a compaction would keep.
+    pub live_bytes: u64,
+}
+
+/// Where a result sits in the log: offset and length of its newest copy,
+/// and the offset of the last record naming it, its recency.
+#[derive(Clone, Copy)]
+struct Record {
+    at: u64,
+    len: u64,
+    used: u64,
 }
 
 /// What the store knows of one result address.
 #[derive(Default)]
 struct Entry {
-    /// The sequence number its file's modification time carries; `None`
-    /// while no file of it is known (an in-memory store, a failed write).
-    seq: Option<u64>,
+    /// `None` while the log holds none of it.
+    record: Option<Record>,
     /// Once this store sealed or loaded the result: the key its memo entry
     /// sits under and the checksum of its envelope.
     result: Option<(JobKey, u64)>,
 }
 
-/// Everything behind the store's one lock, the index of its directory
-/// included: results are a few kilobytes, so a file operation under the
-/// lock costs less than a second lock would.
+/// Everything behind the store's one lock, the index of its log included:
+/// results are a few kilobytes, so a file operation under the lock costs
+/// less than a second lock would.
 #[derive(Default)]
 struct Inner {
-    /// The store directory; `None` for an in-memory store.
-    dir: Option<PathBuf>,
+    /// The log's path; `None` for an in-memory store.
+    path: Option<PathBuf>,
+    /// The log, opened once to read and append; `None` when it cannot be.
+    log: Option<File>,
     /// Most results kept, on disk and in memory; `None` = unbounded.
-    /// Enforced after every write, never below one.
+    /// Enforced after every write and scan, never below one.
     cap: Option<usize>,
     /// Every result address the store knows of.
     index: BTreeMap<u64, Entry>,
-    /// `(sequence number, address)` of every file in the index, least
-    /// recently used first: the order eviction takes them in.
+    /// `(recency, address)` of every result in the log, least recently
+    /// used first: the order eviction takes them in.
     order: BTreeSet<(u64, u64)>,
+    // Every record before `scanned` is indexed, `end` is the log's length
+    // as far as this handle has seen it, `live` the bytes of `order`'s.
+    scanned: u64,
+    end: u64,
+    live: u64,
     hits: u64,
     misses: u64,
     inserts: u64,
@@ -181,16 +177,19 @@ impl ResultStore {
         }
     }
 
-    /// A store persisting under `dir` (created if missing), keeping at
-    /// most `cap` results on disk and in memory (LRU). Construction lists
-    /// the directory, the one time the store does: envelopes that fail
-    /// validation (truncated writes, stale codec versions, checksum damage)
-    /// or sit under another key's name and the temp files of interrupted
-    /// writes are deleted; what survives is the index.
+    /// A store persisting in the log under `dir` (both created if
+    /// missing), keeping at most `cap` results on disk and in memory (LRU).
+    /// Opening scans the log and truncates it at the first record that
+    /// fails validation (a torn write, a stale codec, checksum damage).
     #[must_use]
-    pub fn with_dir(dir: PathBuf, cap: Option<usize>) -> Self {
+    pub fn with_dir(mut dir: PathBuf, cap: Option<usize>) -> Self {
+        let _ = std::fs::create_dir_all(&dir);
+        dir.push("results.log");
         let store = Self::in_memory();
-        store.lock().open(dir, cap);
+        let mut inner = store.lock();
+        (inner.path, inner.cap) = (Some(dir), cap);
+        inner.reopen(&store.memo);
+        drop(inner);
         store
     }
 
@@ -212,8 +211,8 @@ impl ResultStore {
 
     /// Looks up `job`'s result and the checksum of its sealed envelope: in
     /// the memo first, then on disk. A disk hit is promoted into the memo;
-    /// either kind of hit re-stamps the file as most recently used. The
-    /// result is the one the memo holds, shared, not a copy.
+    /// either kind of hit appends a use. The result is the one the memo
+    /// holds, shared, not a copy.
     #[must_use]
     pub fn lookup(&self, job: &SimJob) -> Option<(Arc<SimStats>, u64)> {
         let key = job.key();
@@ -221,7 +220,7 @@ impl ResultStore {
         let remembered = self.memo.lookup(&key);
         let mut inner = self.lock();
         let Some(stats) = remembered else {
-            let found = inner.load(addr)?;
+            let found = inner.load(addr, &self.memo)?;
             inner.index.entry(addr).or_default().result = Some((key.clone(), found.1));
             self.memo.insert(key, Arc::clone(&found.0));
             return Some(found);
@@ -233,12 +232,9 @@ impl ResultStore {
             let checksum = seal_result(addr, &stats).1;
             return Some((stats, checksum));
         };
-        // Memory holds nothing the disk has lost: a result whose file
-        // someone removed answers this once more and is then forgotten.
-        if !inner.touch(addr) {
-            inner.index.remove(&addr);
-            self.memo.remove(&key);
-        }
+        // A use: a header-only envelope under the address.
+        let used = SnapshotWriter::new().seal(PrefixKey(addr));
+        inner.append(addr, &used, &self.memo);
         Some((stats, checksum))
     }
 
@@ -252,12 +248,12 @@ impl ResultStore {
     }
 
     /// The disk layer alone: loads the result filed under `key` (a
-    /// [`result_key`]) with its envelope checksum, re-stamping it as most
-    /// recently used. The memo is neither consulted nor filled, so an
-    /// in-memory store always misses; the daemon calls [`Self::lookup`].
+    /// [`result_key`]) with its envelope checksum, appending a use. The
+    /// memo is neither consulted nor filled, so an in-memory store always
+    /// misses; the daemon calls [`Self::lookup`].
     #[must_use]
     pub fn get(&self, key: u64) -> Option<(Arc<SimStats>, u64)> {
-        self.lock().load(key)
+        self.lock().load(key, &self.memo)
     }
 
     /// The disk layer alone: files `stats` under `key` (a [`result_key`])
@@ -267,16 +263,16 @@ impl ResultStore {
         self.write(key, None, stats)
     }
 
-    /// Seals `stats` and files it under `addr`, remembering the memo key it
-    /// sits under, if given, for [`Self::lookup`] and eviction.
+    /// Seals `stats` and appends it under `addr`, remembering the memo key
+    /// it sits under, if given, for [`Self::lookup`] and eviction.
     fn write(&self, addr: u64, key: Option<JobKey>, stats: &SimStats) -> u64 {
         let (sealed, checksum) = seal_result(addr, stats);
         let mut inner = self.lock();
         inner.inserts += 1;
+        inner.append(addr, &sealed, &self.memo);
         if let Some(key) = key {
             inner.index.entry(addr).or_default().result = Some((key, checksum));
         }
-        inner.save(addr, &sealed, &self.memo);
         checksum
     }
 
@@ -292,6 +288,8 @@ impl ResultStore {
             disk_loads: inner.disk_loads,
             dir_scans: inner.dir_scans,
             disk_evictions: inner.evictions,
+            log_bytes: inner.end,
+            live_bytes: inner.live,
         }
     }
 
@@ -303,224 +301,226 @@ impl ResultStore {
 }
 
 impl Inner {
-    /// Makes this an on-disk store at `dir` (created if missing) and runs
-    /// the hygiene sweep, the store's one directory listing.
-    fn open(&mut self, dir: PathBuf, cap: Option<usize>) {
-        let _ = std::fs::create_dir_all(&dir);
-        self.dir_scans += 1;
-        self.cap = cap;
-        for entry in std::fs::read_dir(&dir).into_iter().flatten().flatten() {
-            let path = entry.path();
-            let ext = path.extension().map(|e| e.to_string_lossy().into_owned());
-            match ext.as_deref() {
-                Some("msnp") => {
-                    // Kept only under the one name a load would look for.
-                    let kept = read_stamped(&path).and_then(|(bytes, seq)| {
-                        let addr = validate_envelope(&bytes).ok()?.0;
-                        (path == envelope_path(&dir, addr)).then_some((addr, seq))
-                    });
-                    match kept {
-                        Some((addr, seq)) => self.place(addr, seq),
-                        None => {
-                            let _ = std::fs::remove_file(&path);
-                        }
-                    }
-                }
-                // An interrupted write.
-                Some("tmp") => {
-                    let _ = std::fs::remove_file(&path);
-                }
-                _ => {}
-            }
+    /// Opens the log afresh and indexes it from its start, truncating it at
+    /// the first record that fails validation. The memo forgets what the old
+    /// index held: a lookup loads it again.
+    fn reopen(&mut self, memo: &ResultMemo) {
+        let old = std::mem::take(&mut self.index);
+        self.order.clear();
+        (self.scanned, self.end, self.live) = (0, 0, 0);
+        self.log = self.path.as_deref().and_then(|path| open_log(path).ok());
+        self.dir_scans += u64::from(self.log.is_some());
+        self.scan_tail();
+        let torn = self.log.as_ref().filter(|_| self.end > self.scanned);
+        if torn.is_some_and(|log| log.set_len(self.scanned).is_ok()) {
+            self.end = self.scanned;
         }
-        self.dir = Some(dir);
+        for (key, _) in old.into_values().filter_map(|e| e.result) {
+            memo.remove(&key);
+        }
+        self.settle(memo);
     }
 
-    /// Loads and decodes the result filed under `addr`, counting a hit or
-    /// a miss.
-    fn load(&mut self, addr: u64) -> Option<(Arc<SimStats>, u64)> {
-        let loaded = self.read(addr);
-        match loaded {
-            Some(_) => {
-                self.hits += 1;
-                self.disk_loads += 1;
+    /// Indexes the log's records past `scanned`, up to the first that fails
+    /// validation: a torn write, or one another writer is still making.
+    fn scan_tail(&mut self) {
+        let Some(log) = self.log.take() else { return };
+        let len = log.metadata().map_or(0, |meta| meta.len());
+        self.end = self.end.max(len);
+        let (mut reader, mut record) = (BufReader::new(&log), Vec::new());
+        if reader.seek(SeekFrom::Start(self.scanned)).is_ok() {
+            while let Some(addr) = next_record(&mut reader, &mut record, len) {
+                self.note(addr, self.scanned, record.len() as u64);
+                self.scanned += record.len() as u64;
             }
-            None => self.misses += 1,
+        }
+        drop(reader);
+        self.log = Some(log);
+    }
+
+    /// Indexes the valid record of `len` bytes at `at` under `addr`: a result
+    /// becomes its newest copy, and any record a use of a result the log
+    /// holds. A record older than the last use known changes nothing.
+    fn note(&mut self, addr: u64, at: u64, len: u64) {
+        let record = match self.index.get(&addr).and_then(|e| e.record) {
+            Some(known) if known.used >= at => return,
+            _ if len > HEADER_LEN as u64 => Record { at, len, used: at },
+            Some(known) => Record { used: at, ..known },
+            None => return,
+        };
+        let entry = self.index.entry(addr).or_default();
+        if let Some(old) = entry.record.replace(record) {
+            self.order.remove(&(old.used, addr));
+            self.live -= old.len;
+        }
+        self.order.insert((record.used, addr));
+        self.live += record.len;
+    }
+
+    /// Appends envelope `bytes` under `addr` to the file the path names;
+    /// unless the write fails, indexes it, then evicts and compacts as due.
+    fn append(&mut self, addr: u64, bytes: &[u8], memo: &ResultMemo) {
+        self.follow(false, memo);
+        let Some(log) = self.log.as_mut() else { return };
+        let Ok(end) = log.write_all(bytes).and_then(|()| log.stream_position()) else {
+            return;
+        };
+        let at = end - bytes.len() as u64;
+        // Another writer appended since the last read: index that first.
+        if at > self.scanned {
+            self.scan_tail();
+        }
+        if at == self.scanned {
+            self.scanned = end;
+        }
+        self.end = self.end.max(end);
+        self.note(addr, at, bytes.len() as u64);
+        self.settle(memo);
+    }
+
+    /// Loads the result filed under `addr`, counting a hit (and appending a
+    /// use) or a miss; an address the index lacks is looked for first.
+    fn load(&mut self, addr: u64, memo: &ResultMemo) -> Option<(Arc<SimStats>, u64)> {
+        if self.index.get(&addr).and_then(|e| e.record).is_none() {
+            self.follow(true, memo);
+        }
+        let loaded = self.read(addr);
+        if loaded.is_some() {
+            self.hits += 1;
+            self.disk_loads += 1;
+            self.append(addr, &SnapshotWriter::new().seal(PrefixKey(addr)), memo);
+        } else {
+            self.misses += 1;
+            if self.index.get(&addr).is_some_and(|e| e.record.is_some()) {
+                self.forget(addr, memo);
+            }
         }
         loaded
     }
 
-    /// The result filed under `addr`, if its file passes keyed envelope
-    /// validation (magic, version, key, length, checksum), re-stamped as
-    /// most recently used. An invalid file is deleted, and a missing or
-    /// invalid one leaves the index. A sound envelope whose payload is not
-    /// a `SimStats` is a miss; the re-simulated result's write then
-    /// replaces the file.
-    fn read(&mut self, addr: u64) -> Option<(Arc<SimStats>, u64)> {
-        let path = self.path(addr)?;
-        let Ok(mut file) = File::open(&path) else {
-            self.unfile(addr);
-            return None;
-        };
-        let mut bytes = Vec::new();
-        let envelope = match file.read_to_end(&mut bytes) {
-            Ok(_) => SnapshotReader::open_keyed(&bytes, PrefixKey(addr)).ok(),
-            Err(_) => None,
-        };
-        let Some(mut reader) = envelope else {
-            let _ = std::fs::remove_file(&path);
-            self.unfile(addr);
-            return None;
-        };
-        self.stamp(addr, &file);
+    /// The result filed under `addr`, if its record passes keyed validation
+    /// and decodes.
+    fn read(&self, addr: u64) -> Option<(Arc<SimStats>, u64)> {
+        let record = self.index.get(&addr)?.record?;
+        let log = self.log.as_ref()?;
+        let mut bytes = vec![0; usize::try_from(record.len).ok()?];
+        log.read_exact_at(&mut bytes, record.at).ok()?;
+        let mut reader = SnapshotReader::open_keyed(&bytes, PrefixKey(addr)).ok()?;
         let stats = SimStats::decode(&mut reader).ok()?;
         reader.finish().ok()?;
         Some((Arc::new(stats), envelope_checksum(&bytes)?))
     }
 
-    /// Re-stamps the file of `addr` as most recently used, if it is there
-    /// (`true`, as for an in-memory store); one that is not leaves the
-    /// index's order.
-    fn touch(&mut self, addr: u64) -> bool {
-        let Some(path) = self.path(addr) else {
-            return true;
-        };
-        match File::open(path) {
-            Ok(file) => {
-                self.stamp(addr, &file);
-                true
+    /// Follows the log's path: if it names another file than the handle
+    /// (another handle compacted), reopens and rescans it; else, if `tail`,
+    /// indexes what other writers appended.
+    fn follow(&mut self, tail: bool, memo: &ResultMemo) -> Option<()> {
+        let held = identity(self.log.as_ref()?.metadata());
+        if identity(std::fs::metadata(self.path.as_ref()?)) != held {
+            self.reopen(memo);
+        } else if tail {
+            self.scan_tail();
+            self.settle(memo);
+        }
+        Some(())
+    }
+
+    /// Evicts down to the cap, least recently used first, then compacts the
+    /// log if its dead bytes exceed its live ones, after indexing (and
+    /// capping) the tail other writers appended, so that it keeps theirs.
+    fn settle(&mut self, memo: &ResultMemo) {
+        let cap = self.cap.unwrap_or(usize::MAX).max(1);
+        for round in 0..2 {
+            while let Some(&(_, victim)) = self.order.first().filter(|_| self.order.len() > cap) {
+                self.forget(victim, memo);
+                self.evictions += 1;
             }
-            Err(_) => {
-                self.unfile(addr);
-                false
+            if self.end.saturating_sub(self.live) <= self.live {
+                return;
             }
+            if round == 0 {
+                self.scan_tail();
+            }
+        }
+        self.compact();
+    }
+
+    /// Drops `addr` from the index and the memo.
+    fn forget(&mut self, addr: u64, memo: &ResultMemo) {
+        let entry = self.index.remove(&addr).unwrap_or_default();
+        if let Some(old) = entry.record {
+            self.order.remove(&(old.used, addr));
+            self.live -= old.len;
+        }
+        if let Some((key, _)) = entry.result {
+            memo.remove(&key);
         }
     }
 
-    /// Files `sealed` under `addr` as the most recently used entry, then
-    /// evicts down to the cap; only a completed rename enters the order.
-    fn save(&mut self, addr: u64, sealed: &[u8], memo: &ResultMemo) {
-        let Some(path) = self.path(addr) else {
+    /// Rewrites the log as its live records, least recently used first, in a
+    /// temp file renamed over it: a crash leaves one whole log or the other.
+    fn compact(&mut self) {
+        let (Some(path), Some(log)) = (&self.path, &self.log) else {
             return;
         };
-        let seq = self.newest().saturating_add(1);
-        if !write_stamped(&path, sealed, seq) {
-            return;
-        }
-        self.place(addr, seq);
-        let Some(cap) = self.cap else {
-            return;
-        };
-        while self.order.len() > cap.max(1) {
-            let Some((_, victim)) = self.order.pop_first() else {
-                break;
-            };
-            if let Some(Entry {
-                result: Some((key, _)),
-                ..
-            }) = self.index.remove(&victim)
-            {
-                memo.remove(&key);
+        let records: Vec<(u64, Record)> = self
+            .order
+            .iter()
+            .filter_map(|&(_, addr)| Some((addr, self.index.get(&addr)?.record?)))
+            .collect();
+        let tmp = path.with_extension(format!("log.{}.tmp", std::process::id()));
+        let mut bytes = Vec::new();
+        let written = File::create(&tmp).and_then(|file| {
+            let mut out = BufWriter::new(file);
+            for (_, record) in &records {
+                bytes.resize(record.len as usize, 0);
+                log.read_exact_at(&mut bytes, record.at)?;
+                out.write_all(&bytes)?;
             }
-            if let Some(path) = self.path(victim) {
-                let _ = std::fs::remove_file(path);
-            }
-            self.evictions += 1;
-        }
-    }
-
-    /// Stamps the file of `addr`, open as `file`, one above the newest
-    /// sequence number the store knows.
-    fn stamp(&mut self, addr: u64, file: &File) {
-        // A file another writer put there is adopted where its own
-        // modification time places it.
-        let seen = match self.index.get(&addr).and_then(|e| e.seq) {
-            Some(seq) => seq,
-            None => seq_of(file),
-        };
-        let next = self.newest().max(seen).saturating_add(1);
-        let stamped = set_seq(file, next).is_ok();
-        self.place(addr, if stamped { next } else { seen });
-    }
-
-    fn place(&mut self, addr: u64, seq: u64) {
-        if let Some(old) = self.index.entry(addr).or_default().seq.replace(seq) {
-            self.order.remove(&(old, addr));
-        }
-        self.order.insert((seq, addr));
-    }
-
-    /// The file of `addr` is gone: it leaves the order, and the index too
-    /// unless the memo holds its result.
-    fn unfile(&mut self, addr: u64) {
-        let Some(entry) = self.index.get_mut(&addr) else {
+            out.flush()
+        });
+        let renamed = written.and_then(|()| std::fs::rename(&tmp, path));
+        let Ok(compacted) = renamed.and_then(|()| open_log(path)) else {
+            let _ = std::fs::remove_file(&tmp);
             return;
         };
-        if let Some(old) = entry.seq.take() {
-            self.order.remove(&(old, addr));
+        self.log = Some(compacted);
+        self.order.clear();
+        let mut at = 0;
+        for (addr, Record { len, .. }) in records {
+            if let Some(entry) = self.index.get_mut(&addr) {
+                entry.record = Some(Record { at, len, used: at });
+            }
+            self.order.insert((at, addr));
+            at += len;
         }
-        if entry.result.is_none() {
-            self.index.remove(&addr);
-        }
-    }
-
-    fn newest(&self) -> u64 {
-        self.order.last().map_or(0, |&(seq, _)| seq)
-    }
-
-    fn path(&self, addr: u64) -> Option<PathBuf> {
-        Some(envelope_path(self.dir.as_deref()?, addr))
+        (self.scanned, self.end) = (at, at);
     }
 }
 
-/// Where the result filed under `addr` lives in `dir`.
-fn envelope_path(dir: &Path, addr: u64) -> PathBuf {
-    dir.join(format!("{addr:016x}.msnp"))
+/// The log at `path`, opened to read and append, created if missing.
+fn open_log(path: &Path) -> std::io::Result<File> {
+    OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(path)
 }
 
-/// Writes `sealed` to `path` stamped with `seq`, via a process-unique temp
-/// file and rename; `false`, with nothing left behind, when any step fails.
-fn write_stamped(path: &Path, sealed: &[u8], seq: u64) -> bool {
-    let tmp = path.with_extension(format!("msnp.{}.tmp", std::process::id()));
-    let done = File::create(&tmp)
-        .and_then(|mut file| {
-            file.write_all(sealed)?;
-            set_seq(&file, seq)
-        })
-        .is_ok()
-        && std::fs::rename(&tmp, path).is_ok();
-    if !done {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    done
+/// Which file `meta` describes.
+fn identity(meta: std::io::Result<std::fs::Metadata>) -> Option<(u64, u64)> {
+    meta.ok().map(|meta| (meta.dev(), meta.ino()))
 }
 
-/// The bytes of the file at `path` and the sequence number its
-/// modification time carries, through one open.
-fn read_stamped(path: &Path) -> Option<(Vec<u8>, u64)> {
-    let mut file = File::open(path).ok()?;
-    let seq = seq_of(&file);
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes).ok()?;
-    Some((bytes, seq))
-}
-
-/// The sequence number `file`'s modification time carries: whole seconds
-/// since `UNIX_EPOCH`, 0 when unreadable or earlier.
-fn seq_of(file: &File) -> u64 {
-    file.metadata()
-        .and_then(|meta| meta.modified())
-        .ok()
-        .and_then(|time| time.duration_since(UNIX_EPOCH).ok())
-        .map_or(0, |age| age.as_secs())
-}
-
-/// Sets `file`'s modification time to `seq` seconds after `UNIX_EPOCH`.
-fn set_seq(file: &File, seq: u64) -> std::io::Result<()> {
-    let time = UNIX_EPOCH
-        .checked_add(Duration::from_secs(seq))
-        .ok_or_else(|| std::io::Error::other("sequence number past the clock's range"))?;
-    file.set_modified(time)
+/// Reads the next record of a log of `size` bytes into `record` and returns
+/// the address it is under, if it is whole and valid.
+fn next_record(log: &mut impl Read, record: &mut Vec<u8>, size: u64) -> Option<u64> {
+    record.resize(HEADER_LEN, 0);
+    log.read_exact(record).ok()?;
+    let len = envelope_len(record).filter(|&len| len <= size)?;
+    record.resize(usize::try_from(len).ok()?, 0);
+    log.read_exact(&mut record[HEADER_LEN..]).ok()?;
+    Some(validate_envelope(record).ok()?.0)
 }
 
 /// The sealed envelope `stats` is stored as under `key`, with its checksum.
@@ -574,6 +574,14 @@ mod tests {
         store.persist(job, stats)
     }
 
+    fn log_path(dir: &Path) -> PathBuf {
+        dir.join("results.log")
+    }
+
+    fn log_len(dir: &Path) -> u64 {
+        std::fs::metadata(log_path(dir)).map_or(0, |meta| meta.len())
+    }
+
     /// The directory's file names, sorted.
     fn names(dir: &Path) -> Vec<String> {
         let mut out: Vec<String> = std::fs::read_dir(dir)
@@ -585,15 +593,46 @@ mod tests {
         out
     }
 
-    /// The sequence number the file at `path` carries.
-    fn mtime(path: &Path) -> u64 {
-        seq_of(&File::open(path).expect("envelope"))
+    /// The log's valid records as `(address, offset, length)`, up to the
+    /// first invalid one: read from the file, not through a store.
+    fn records(dir: &Path) -> Vec<(u64, u64, u64)> {
+        let bytes = std::fs::read(log_path(dir)).unwrap_or_default();
+        let mut out = Vec::new();
+        let mut at = 0;
+        while let Some(len) = bytes.get(at..).and_then(envelope_len) {
+            let Some(record) = bytes.get(at..at.saturating_add(len as usize)) else {
+                break;
+            };
+            let Ok(PrefixKey(addr)) = validate_envelope(record) else {
+                break;
+            };
+            out.push((addr, at as u64, len));
+            at += record.len();
+        }
+        out
     }
 
-    /// The store's order: `(sequence number, address)`, least recently
-    /// used first.
+    /// The store's order: `(recency, address)`, least recently used first.
     fn recency(store: &ResultStore) -> Vec<(u64, u64)> {
         store.lock().order.iter().copied().collect()
+    }
+
+    /// The addresses of the store's order.
+    fn lru(store: &ResultStore) -> Vec<u64> {
+        recency(store).into_iter().map(|(_, addr)| addr).collect()
+    }
+
+    /// The log is at most twice its live bytes plus one record, and the
+    /// store's telemetry says how long it is.
+    fn assert_compact(store: &ResultStore, dir: &Path, record: u64) {
+        let t = store.stats();
+        assert_eq!(t.log_bytes, log_len(dir));
+        assert!(
+            t.log_bytes <= 2 * t.live_bytes + record,
+            "{} log bytes for {} live",
+            t.log_bytes,
+            t.live_bytes
+        );
     }
 
     #[test]
@@ -601,25 +640,26 @@ mod tests {
         let dir = temp_dir("window");
         let store = ResultStore::with_dir(dir.clone(), None);
         let j = job(4);
+        let addr = result_key(&j);
         let s = Arc::new(sample_stats(4));
-        let expected = Some(seal_result(result_key(&j), &s).1);
+        let expected = Some(seal_result(addr, &s).1);
         // The pool has memoised the result; the dispatcher has not written it.
         store.memo().insert(j.key(), Arc::clone(&s));
         let (early, early_checksum) = store.lookup(&j).expect("memo hit");
         assert!(Arc::ptr_eq(&early, &s));
         assert_eq!(Some(early_checksum), expected);
         assert_eq!(store.memo().stats().entries, 1, "not forgotten");
+        assert_eq!(log_len(&dir), 0, "nothing to mark a use of yet");
         assert_eq!(Some(store.persist(&j, &s)), expected);
         let (late, late_checksum) = store.lookup(&j).expect("memo hit");
         assert!(Arc::ptr_eq(&late, &s));
         assert_eq!(Some(late_checksum), expected);
-        // A file someone removed answers once more from memory, then not.
-        std::fs::remove_file(envelope_path(&dir, result_key(&j))).expect("stored file");
-        assert!(store.lookup(&j).is_some());
-        assert_eq!(store.lookup(&j), None);
         let t = store.stats();
-        assert_eq!((t.entries, t.hits, t.misses, t.disk_loads), (0, 3, 1, 0));
-        assert!(store.lock().index.is_empty(), "the index forgot it too");
+        assert_eq!((t.entries, t.hits, t.misses, t.disk_loads), (1, 2, 0, 0));
+        // The result, then a header-only use of it.
+        let kinds: Vec<(u64, u64)> = records(&dir).iter().map(|r| (r.0, r.2)).collect();
+        let len = seal_result(addr, &s).0.len() as u64;
+        assert_eq!(kinds, [(addr, len), (addr, HEADER_LEN as u64)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -641,7 +681,7 @@ mod tests {
         assert_eq!(store.get(result_key(&j)), None, "there is no disk layer");
         let t = store.stats();
         assert_eq!((t.entries, t.hits, t.misses, t.inserts), (1, 1, 2, 1));
-        assert_eq!((t.dir_scans, store.disk_entries()), (0, 0));
+        assert_eq!((t.dir_scans, t.log_bytes, store.disk_entries()), (0, 0, 0));
     }
 
     #[test]
@@ -678,21 +718,67 @@ mod tests {
         let s = sample_stats(9);
         let checksum = ResultStore::with_dir(dir.clone(), None).insert(7, &s);
         // Fresh store, fresh memory: the result comes back from disk, with
-        // the checksum the file carries.
+        // the checksum the record carries.
         let store = ResultStore::with_dir(dir.clone(), None);
         assert_eq!(store.get(7), Some((Arc::new(s), checksum)));
         assert_eq!(store.stats().disk_loads, 1);
+        drop(store);
 
-        // Flip one payload byte: validation must reject and delete it.
-        let path = envelope_path(&dir, 7);
-        let mut bytes = std::fs::read(&path).expect("stored file");
+        // Flip the result's last payload byte: the open scan must stop
+        // there, and cut off it and the use after it.
+        let [(7, 0, len), (7, _, _)] = records(&dir)[..] else {
+            panic!("a result and a use: {:?}", records(&dir));
+        };
+        let mut bytes = std::fs::read(log_path(&dir)).expect("log");
         assert_eq!(envelope_checksum(&bytes), Some(checksum));
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(&path, &bytes).expect("rewrite");
+        bytes[len as usize - 1] ^= 0xff;
+        std::fs::write(log_path(&dir), &bytes).expect("rewrite");
         let store = ResultStore::with_dir(dir.clone(), None);
+        assert_eq!(log_len(&dir), 0, "truncated at the damaged record");
         assert_eq!(store.get(7), None);
-        assert!(!path.exists());
+        assert_eq!(log_len(&dir), 0, "a miss writes nothing");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A kill in the middle of a write leaves the log cut anywhere inside
+    /// its last record.
+    #[test]
+    fn a_write_cut_at_any_byte_loses_that_record_alone() {
+        let dir = temp_dir("torn");
+        let jobs: Vec<SimJob> = (0..3).map(job).collect();
+        let stats: Vec<Arc<SimStats>> = (0..3).map(|k| Arc::new(sample_stats(k))).collect();
+        let served = |k: usize| {
+            Some((
+                Arc::clone(&stats[k]),
+                seal_result(result_key(&jobs[k]), &stats[k]).1,
+            ))
+        };
+        let store = ResultStore::with_dir(dir.clone(), None);
+        for (j, s) in jobs.iter().zip(&stats) {
+            finish(&store, j, s);
+        }
+        drop(store);
+        let whole = std::fs::read(log_path(&dir)).expect("log");
+        let &(_, last, len) = records(&dir).last().expect("three records");
+        for cut in last..last + len {
+            std::fs::write(log_path(&dir), &whole[..cut as usize]).expect("cut");
+            let store = ResultStore::with_dir(dir.clone(), None);
+            assert_eq!(log_len(&dir), last, "cut at {cut}: the torn tail goes");
+            assert_eq!(store.disk_entries(), 2, "cut at {cut}");
+            for (k, j) in jobs.iter().enumerate() {
+                let expected = if k < 2 { served(k) } else { None };
+                assert_eq!(store.lookup(j), expected, "cut at {cut}: job {k}");
+            }
+        }
+        // A persist after the truncation reads back after one more reopen.
+        let store = ResultStore::with_dir(dir.clone(), None);
+        finish(&store, &jobs[2], &stats[2]);
+        drop(store);
+        let store = ResultStore::with_dir(dir.clone(), None);
+        for (k, j) in jobs.iter().enumerate() {
+            assert_eq!(store.lookup(j), served(k), "job {k} after the reopen");
+        }
+        assert_eq!(store.stats().disk_loads, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -701,6 +787,7 @@ mod tests {
         let dir = temp_dir("cap");
         let store = ResultStore::with_dir(dir.clone(), Some(8));
         let jobs: Vec<SimJob> = (0..100).map(job).collect();
+        let record = seal_result(0, &sample_stats(0)).0.len() as u64;
         let run = |k: usize| finish(&store, &jobs[k], &Arc::new(sample_stats(k as u64)));
         let get = |k: usize| {
             store
@@ -711,6 +798,7 @@ mod tests {
             run(k);
             // Keep result 0 the most recently used but one throughout.
             assert_eq!(get(0), Some(sample_stats(0)));
+            assert_compact(&store, &dir, record);
         }
         let t = store.stats();
         assert_eq!((t.entries, store.disk_entries()), (8, 8));
@@ -718,8 +806,10 @@ mod tests {
         assert_eq!(store.lock().index.len(), 8, "one index entry a result");
         assert_eq!((t.dir_scans, t.disk_evictions), (1, 92));
         // The eight most recently used survive, in memory and on disk.
-        for k in [0, 93, 94, 95, 96, 97, 98, 99] {
-            assert!(envelope_path(&dir, result_key(&jobs[k])).exists());
+        let survivors = [93, 94, 95, 96, 97, 98, 99, 0];
+        let addrs: Vec<u64> = survivors.iter().map(|&k| result_key(&jobs[k])).collect();
+        assert_eq!(lru(&store), addrs);
+        for k in survivors {
             assert_eq!(get(k), Some(sample_stats(k as u64)));
         }
         assert_eq!(store.stats().disk_loads, 0, "all eight came from memory");
@@ -739,28 +829,29 @@ mod tests {
         for key in [1, 2] {
             store.insert(key, &sample_stats(key));
         }
-        assert_eq!(names(&dir), ["0000000000000002.msnp"]);
+        assert_eq!(lru(&store), [2]);
         assert_eq!((store.disk_entries(), store.stats().disk_evictions), (1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn round_trip_uses_the_documented_file_names() {
+    fn a_store_is_one_log_of_sealed_envelopes() {
         let dir = temp_dir("names");
         let store = ResultStore::with_dir(dir.clone(), None);
-        assert!(dir.is_dir(), "open creates the directory");
+        assert_eq!(names(&dir), ["results.log"], "open creates the log");
         let s = sample_stats(1);
         assert_eq!(store.get(0xAB), None);
         let checksum = store.insert(0xAB, &s);
-        let path = dir.join("00000000000000ab.msnp");
-        assert_eq!(names(&dir), ["00000000000000ab.msnp"], "one file a result");
-        assert_eq!(mtime(&path), 1, "stamped 1 s after the epoch");
-        assert_eq!(std::fs::read(&path).ok(), Some(seal_result(0xAB, &s).0));
-        // A later process finds it; the load re-stamps it.
+        let mut expected = seal_result(0xAB, &s).0;
+        assert_eq!(std::fs::read(log_path(&dir)).ok().as_ref(), Some(&expected));
+        // A later process finds it; the load appends a use.
         let reopened = ResultStore::with_dir(dir.clone(), None);
         assert_eq!(reopened.get(0xAB), Some((Arc::new(s), checksum)));
-        assert_eq!(mtime(&path), 2);
-        assert_eq!(reopened.disk_entries(), 1);
+        let used = expected.len() as u64;
+        expected.extend(SnapshotWriter::new().seal(PrefixKey(0xAB)));
+        assert_eq!(std::fs::read(log_path(&dir)).ok(), Some(expected));
+        assert_eq!(recency(&reopened), [(used, 0xAB)]);
+        assert_eq!(names(&dir), ["results.log"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -769,114 +860,112 @@ mod tests {
         let dir = temp_dir("lru");
         let store = ResultStore::with_dir(dir.clone(), Some(2));
         let jobs: Vec<SimJob> = (0..7).map(job).collect();
-        let file = |k: usize| envelope_path(&dir, result_key(&jobs[k]));
-        let run = |k: usize| finish(&store, &jobs[k], &Arc::new(sample_stats(k as u64)));
+        let addr = |k: usize| result_key(&jobs[k]);
+        let run = |store: &ResultStore, k: usize| {
+            finish(store, &jobs[k], &Arc::new(sample_stats(k as u64)))
+        };
         for k in [1, 2, 3] {
-            run(k);
+            run(&store, k);
         }
         // Cap 2: storing result 3 evicted result 1, from disk and memo.
-        assert_eq!(store.disk_entries(), 2);
-        assert!(!file(1).exists());
-        assert!(file(2).exists() && file(3).exists());
+        assert_eq!(lru(&store), [addr(2), addr(3)]);
         assert!(store.memo().lookup(&jobs[1].key()).is_none());
         // A load refreshes recency: result 2 survives the next store and
         // the now-least-recently-used result 3 goes instead.
-        assert!(store.get(result_key(&jobs[2])).is_some());
-        run(4);
-        assert!(file(2).exists() && !file(3).exists() && file(4).exists());
+        assert!(store.get(addr(2)).is_some());
+        run(&store, 4);
+        assert_eq!(lru(&store), [addr(2), addr(4)]);
         // So does a memo hit.
         assert!(store.lookup(&jobs[2]).is_some());
-        run(5);
-        assert!(file(2).exists() && !file(4).exists() && file(5).exists());
-        // Recency is read from the directory, so it survives a reopen.
+        run(&store, 5);
+        assert_eq!(lru(&store), [addr(2), addr(5)]);
+        // Recency is the log's record order, so it survives a reopen, which
+        // evicts again what the live store evicted.
         let reopened = ResultStore::with_dir(dir.clone(), Some(2));
-        assert_eq!(reopened.get(result_key(&jobs[1])), None);
-        let _ = finish(&reopened, &jobs[6], &Arc::new(sample_stats(6)));
-        assert!(!file(2).exists() && file(5).exists() && file(6).exists());
+        assert_eq!(recency(&reopened), recency(&store));
+        assert_eq!(reopened.get(addr(1)), None);
+        run(&reopened, 6);
+        assert_eq!(lru(&reopened), [addr(5), addr(6)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn open_sweeps_invalid_and_temporary_files() {
-        let dir = temp_dir("sweep");
-        std::fs::create_dir_all(&dir).expect("store dir");
-        let valid = envelope_path(&dir, 7);
-        std::fs::write(&valid, seal_result(7, &sample_stats(7)).0).expect("valid envelope");
-        std::fs::write(dir.join("stale.msnp"), b"not an envelope").expect("stale file");
-        // A sound envelope under another key's name.
-        std::fs::write(envelope_path(&dir, 8), seal_result(7, &sample_stats(7)).0)
-            .expect("misfiled envelope");
-        std::fs::write(dir.join("dead.msnp.123.tmp"), b"partial").expect("temp file");
-        let store = ResultStore::with_dir(dir.clone(), None);
+    fn a_second_handles_appends_are_found_through_its_compactions() {
+        let dir = temp_dir("second");
+        let jobs: Vec<SimJob> = (0..3).map(job).collect();
+        let stats: Vec<Arc<SimStats>> = (0..3).map(|k| Arc::new(sample_stats(k))).collect();
+        let mine = ResultStore::with_dir(dir.clone(), None);
+        let theirs = ResultStore::with_dir(dir.clone(), None);
+        finish(&mine, &jobs[0], &stats[0]);
+        // An append the other handle made is found in the log's tail.
+        finish(&theirs, &jobs[1], &stats[1]);
         assert_eq!(
-            names(&dir),
-            ["0000000000000007.msnp"],
-            "only the valid envelope survives"
+            mine.lookup(&jobs[1]).map(|(s, _)| s),
+            Some(Arc::clone(&stats[1]))
         );
-        assert_eq!(store.disk_entries(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn an_entry_another_writer_left_is_adopted_at_its_wall_clock_time() {
-        let dir = temp_dir("adopt");
-        let store = ResultStore::with_dir(dir.clone(), None);
-        let [mine, theirs, next] = [1u64, 2, 3];
-        store.insert(mine, &sample_stats(mine));
-        // A plain write: its modification time is the wall clock's.
-        let path = envelope_path(&dir, theirs);
-        std::fs::write(&path, seal_result(theirs, &sample_stats(theirs)).0)
-            .expect("foreign envelope");
-        let wall = mtime(&path);
-        assert!(wall > 1, "a wall-clock time is far past any count of uses");
-        // A reopen adopts it at that value ...
-        let reopened = ResultStore::with_dir(dir.clone(), None);
-        assert_eq!(recency(&reopened), [(1, mine), (wall, theirs)]);
-        // ... and so does the live handle's load, which stamps above it.
-        assert!(store.get(theirs).is_some());
-        assert_eq!(mtime(&path), wall + 1);
-        store.insert(next, &sample_stats(next));
+        assert_eq!((mine.stats().disk_loads, mine.stats().dir_scans), (1, 1));
+        // Their uses outgrow the live bytes, so they compact: the path now
+        // names another file, which this handle rescans on its next miss.
+        let before = log_len(&dir);
+        let compacted = (0..10_000).any(|_| {
+            let _ = theirs.lookup(&jobs[1]);
+            log_len(&dir) < before
+        });
+        assert!(compacted, "their uses never compacted the log");
+        finish(&theirs, &jobs[2], &stats[2]);
         assert_eq!(
-            recency(&store),
-            [(1, mine), (wall + 1, theirs), (wall + 2, next)]
+            mine.lookup(&jobs[2]).map(|(s, _)| s),
+            Some(Arc::clone(&stats[2]))
         );
+        assert_eq!(mine.stats().dir_scans, 2);
+        // The rescan forgot what the memo held; the log still has it.
+        assert_eq!(
+            mine.lookup(&jobs[0]).map(|(s, _)| s),
+            Some(Arc::clone(&stats[0]))
+        );
+        assert_eq!(mine.stats().disk_loads, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn load_deletes_an_envelope_that_fails_keyed_validation() {
+    fn a_record_damaged_after_open_is_refused_and_forgotten() {
         let dir = temp_dir("corrupt");
         let store = ResultStore::with_dir(dir.clone(), None);
-        // Damaged after open, so the sweep cannot have caught it.
+        // Damaged after open, so the scan cannot have caught it.
         store.insert(3, &sample_stats(3));
-        let path = envelope_path(&dir, 3);
-        let mut bytes = std::fs::read(&path).expect("stored file");
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&path, &bytes).expect("rewrite");
+        let [(3, 0, len)] = records(&dir)[..] else {
+            panic!("one record: {:?}", records(&dir));
+        };
+        let file = OpenOptions::new()
+            .write(true)
+            .open(log_path(&dir))
+            .expect("log");
+        file.write_all_at(&[0xFF], len - 1).expect("damage");
         assert_eq!(store.get(3), None);
-        // A sound envelope under another key's name passes the unkeyed
-        // sweep and must still be refused.
-        std::fs::write(envelope_path(&dir, 4), seal_result(3, &sample_stats(3)).0)
-            .expect("misfiled");
-        assert_eq!(store.get(4), None);
-        assert!(names(&dir).is_empty(), "both files are gone");
         assert_eq!(store.disk_entries(), 0);
         assert!(store.lock().index.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_failed_rename_leaves_no_temp_file_and_no_entry() {
-        let dir = temp_dir("rename");
-        let store = ResultStore::with_dir(dir.clone(), Some(1));
-        // A directory in the file's place makes the rename fail.
-        std::fs::create_dir(envelope_path(&dir, 9)).expect("blocker");
-        store.insert(9, &sample_stats(9));
-        assert_eq!(names(&dir), ["0000000000000009.msnp"]);
-        assert_eq!(store.disk_entries(), 0);
-        assert!(store.lock().index.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
+    fn a_store_that_cannot_be_created_serves_from_memory() {
+        let base = temp_dir("unwritable");
+        std::fs::write(&base, b"a file, not a directory").expect("blocker");
+        // Below a regular file nothing can be created: `ENOTDIR`, for root
+        // too.
+        let store = ResultStore::with_dir(base.join("store"), Some(1));
+        let jobs: Vec<SimJob> = (0..3).map(job).collect();
+        for (k, j) in jobs.iter().enumerate() {
+            finish(&store, j, &Arc::new(sample_stats(k as u64)));
+        }
+        for (k, j) in jobs.iter().enumerate() {
+            let (hit, _) = store.lookup(j).expect("memo hit");
+            assert_eq!(*hit, sample_stats(k as u64));
+        }
+        let t = store.stats();
+        assert_eq!((store.disk_entries(), t.entries, t.dir_scans), (0, 3, 0));
+        assert_eq!((t.log_bytes, t.disk_evictions), (0, 0));
+        let _ = std::fs::remove_file(&base);
     }
 
     #[test]
@@ -889,13 +978,9 @@ mod tests {
         }
         // The first result was evicted; a client that still remembers it
         // asks again.
+        let before = std::fs::read(log_path(&dir)).expect("log");
         assert_eq!(store.lookup(&jobs[0]), None);
-        let mut expected: Vec<String> = jobs[1..]
-            .iter()
-            .map(|j| format!("{:016x}.msnp", result_key(j)))
-            .collect();
-        expected.sort();
-        assert_eq!(names(&dir), expected);
+        assert_eq!(std::fs::read(log_path(&dir)).ok(), Some(before));
         let t = store.stats();
         assert_eq!(
             (store.disk_entries(), t.disk_evictions, t.dir_scans),
@@ -953,21 +1038,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Differential test of the store's index against the directory it
-    /// caches.
+    /// Differential test of the store against an LRU list, and of its
+    /// index against the log it caches.
     ///
-    /// The oracle is the listing every operation would otherwise make —
-    /// `read_dir`, read every file's modification time, sort by `(sequence
-    /// number, file stem)` — kept here and nowhere else. Random sequences
-    /// of the store's own operations (persist, disk-layer get, daemon
-    /// lookup), reopens and a *foreign* writer's (plant a valid envelope,
-    /// delete one, corrupt one) run at caps `None`, 1, 3 and 8; after every
-    /// step the order must say what the listing says about every result the
-    /// store has been asked about since anyone else changed it, a capped
-    /// persist must remove the files the listing would have picked, the
-    /// memo must hold exactly the results the index keeps a memo key for, a
-    /// reopened store must hold the live one's order, and no handle may
-    /// have listed the directory more than the once opening does.
+    /// The oracles are a list of results kept here, least recently used
+    /// first, and the log's own record order, read from the file. Random
+    /// sequences of the store's own operations (persist, disk-layer get,
+    /// daemon lookup), reopens and a second handle's persists run at caps
+    /// `None`, 1, 3 and 8. After every step the store's order must be the
+    /// list, so eviction took exactly the least recently used results and a
+    /// second handle's append was found; the last record naming each result
+    /// must sort as the list does, so a reopen keeps the same set in the
+    /// same order (checked at every reopen, exactly); the log must stay
+    /// within twice its live bytes plus one record; and the memo must hold
+    /// exactly the results the index keeps a memo key for.
     mod differential {
         use super::*;
         use proptest::prelude::*;
@@ -981,22 +1065,17 @@ mod tests {
             Persist(u64),
             /// The disk layer loads job `k`'s result.
             Get(u64),
-            /// The daemon looks job `k` up: a memo hit re-stamps the file
-            /// without reading it, a miss loads it.
+            /// The daemon looks job `k` up: a memo hit or a disk load.
             Lookup(u64),
             Reopen,
-            /// Another writer puts a valid envelope there and sets its
-            /// modification time to this sequence number (0: leaves the
-            /// write's wall-clock one).
-            Plant(u64, u64),
-            /// Another writer removes the file.
-            Delete(u64),
-            /// The file's last byte flips under the live store.
-            Corrupt(u64),
+            /// A second handle opens the directory, loads the most recently
+            /// used result `n` times (so that it may compact the log) and
+            /// persists job `k`; the store then looks job `k` up.
+            Second(u64, u64),
         }
 
-        /// The store's own operations only, then with reopens and the
-        /// foreign ones.
+        /// The store's own operations only, then with reopens and a second
+        /// handle's.
         fn own_op() -> impl Strategy<Value = Op> {
             (0u8..10, 0..JOBS).prop_map(|(kind, k)| match kind {
                 0..=4 => Op::Persist(k),
@@ -1009,73 +1088,29 @@ mod tests {
             prop_oneof![
                 own_op(),
                 own_op(),
-                (0u8..6, 0..JOBS, 0u64..40).prop_map(|(kind, k, seq)| match kind {
+                (0u8..3, 0..JOBS, 0u64..100).prop_map(|(kind, k, n)| match kind {
                     0 => Op::Reopen,
-                    1 | 2 => Op::Plant(k, seq),
-                    3 | 4 => Op::Delete(k),
-                    _ => Op::Corrupt(k),
+                    _ => Op::Second(k, n),
                 }),
             ]
         }
 
-        fn stem(addr: u64) -> String {
-            format!("{addr:016x}")
-        }
-
-        /// The file stored for job `k`, and the checksum it carries.
+        /// What job `k` is stored as, and the checksum it carries.
         fn sealed(k: u64) -> (Vec<u8>, u64) {
             seal_result(result_key(&job(k)), &sample_stats(k))
         }
 
-        /// The sequence number the file at `path` carries.
-        fn stamp_of(path: &Path) -> Option<u64> {
-            let modified = std::fs::metadata(path).ok()?.modified().ok()?;
-            Some(modified.duration_since(UNIX_EPOCH).ok()?.as_secs())
-        }
-
-        /// The oracle: the files in `dir` as `(recency, file stem)`, least
-        /// recently used first; recency is the modification time.
-        fn list(dir: &Path) -> Vec<(u64, String)> {
-            let mut out = Vec::new();
-            for entry in std::fs::read_dir(dir).expect("store dir").flatten() {
-                let path = entry.path();
-                if path.extension().is_some_and(|e| e == "msnp") {
-                    let stem = path.file_stem().expect("stem").to_string_lossy();
-                    out.push((stamp_of(&path).expect("mtime"), stem.into_owned()));
-                }
+        /// The addresses whose results the store holds, ordered by the last
+        /// record naming each in the log.
+        fn log_order(dir: &Path, held: &[u64]) -> Vec<u64> {
+            let mut last = BTreeMap::new();
+            for (addr, at, _) in records(dir) {
+                last.insert(addr, at);
             }
-            out.sort();
-            out
-        }
-
-        /// The newest sequence number listed, leaving out the stems in
-        /// `skip`.
-        fn newest(listed: &[(u64, String)], skip: &BTreeSet<String>) -> u64 {
-            listed
-                .iter()
-                .filter(|(_, stem)| !skip.contains(stem))
-                .map(|(seq, _)| *seq)
-                .max()
-                .unwrap_or(0)
-        }
-
-        fn index(store: &ResultStore) -> Vec<(u64, String)> {
-            recency(store)
-                .into_iter()
-                .map(|(seq, addr)| (seq, stem(addr)))
-                .collect()
-        }
-
-        /// The stems a capped persist of `addr` removes when it works from
-        /// the listing: stamp `addr` above everything listed, drop from the
-        /// front down to the cap.
-        fn listing_victims(dir: &Path, addr: u64, cap: Option<usize>) -> Vec<String> {
-            let mut listed = list(dir);
-            let newest = listed.iter().map(|(seq, _)| *seq).max().unwrap_or(0);
-            listed.retain(|(_, s)| *s != stem(addr));
-            listed.push((newest + 1, stem(addr)));
-            let excess = cap.map_or(0, |cap| listed.len().saturating_sub(cap.max(1)));
-            listed.into_iter().take(excess).map(|(_, s)| s).collect()
+            let mut order: Vec<(Option<u64>, u64)> =
+                held.iter().map(|a| (last.get(a).copied(), *a)).collect();
+            order.sort_unstable();
+            order.into_iter().map(|(_, a)| a).collect()
         }
 
         /// The memo holds a result exactly when the index keeps its memo
@@ -1098,138 +1133,94 @@ mod tests {
             let dir = temp_dir(&format!("prop-{tag}-{cap:?}"));
             let jobs: Vec<SimJob> = (0..JOBS).map(job).collect();
             let addr = |k: u64| result_key(&jobs[k as usize]);
-            let file = |k: u64| envelope_path(&dir, addr(k));
+            let served = |k: u64| Some((Arc::new(sample_stats(k)), sealed(k).1));
+            let record = (0..JOBS)
+                .map(|k| sealed(k).0.len() as u64)
+                .max()
+                .unwrap_or(0);
             let mut store = ResultStore::with_dir(dir.clone(), cap);
-            // Stems another writer changed that the store has not been
-            // asked about since: all the index may be wrong about.
-            let mut stale: BTreeSet<String> = BTreeSet::new();
+            // The oracle: job numbers, least recently used first.
+            let mut oracle: Vec<u64> = Vec::new();
+            let use_of = |oracle: &mut Vec<u64>, k: u64| {
+                oracle.retain(|&x| x != k);
+                oracle.push(k);
+                let excess = oracle
+                    .len()
+                    .saturating_sub(cap.unwrap_or(usize::MAX).max(1));
+                oracle.drain(..excess);
+            };
             for (step, &op) in ops.iter().enumerate() {
-                // The number the listing says comes next, which the index
-                // must arrive at too when all it has not seen is the file
-                // now named: a load or memo hit adopts that file's own
-                // modification time first, a persist replaces the file it
-                // would have read it from.
-                let listed = list(&dir);
-                let exact = |k: u64| {
-                    let unseen = recency(&store).iter().all(|&(_, a)| a != addr(k));
-                    stale.iter().all(|s| *s == stem(addr(k)) && unseen)
-                };
-                let stamp = match op {
-                    Op::Persist(k) if exact(k) => Some((k, newest(&listed, &stale) + 1)),
-                    Op::Get(k) | Op::Lookup(k) if exact(k) => {
-                        Some((k, newest(&listed, &BTreeSet::new()) + 1))
-                    }
-                    _ => None,
-                };
+                let held = oracle.contains(&match op {
+                    Op::Persist(k) | Op::Get(k) | Op::Lookup(k) | Op::Second(k, _) => k,
+                    Op::Reopen => JOBS,
+                });
                 match op {
                     Op::Persist(k) => {
-                        stale.remove(&stem(addr(k)));
-                        let expected = listing_victims(&dir, addr(k), cap);
-                        let before = index(&store);
-                        let stats = Arc::new(sample_stats(k));
-                        let checksum = finish(&store, &jobs[k as usize], &stats);
+                        let checksum =
+                            finish(&store, &jobs[k as usize], &Arc::new(sample_stats(k)));
                         prop_assert_eq!(checksum, sealed(k).1, "step {step} {op:?}");
-                        let after = index(&store);
-                        let evicted: Vec<String> = before
-                            .into_iter()
-                            .map(|(_, s)| s)
-                            .filter(|s| after.iter().all(|(_, a)| a != s))
-                            .collect();
-                        if stale.is_empty() {
-                            prop_assert_eq!(&evicted, &expected, "step {step} {op:?}: victims");
-                        }
-                        for s in &evicted {
-                            let gone = !dir.join(s).with_extension("msnp").exists();
-                            prop_assert!(gone, "step {step} {op:?}: victim file {s}");
-                            stale.remove(s);
-                        }
+                        use_of(&mut oracle, k);
                     }
                     Op::Get(k) => {
-                        stale.remove(&stem(addr(k)));
-                        let on_disk = std::fs::read(file(k))
-                            .ok()
-                            .filter(|b| *b == sealed(k).0)
-                            .map(|_| (Arc::new(sample_stats(k)), sealed(k).1));
-                        prop_assert_eq!(store.get(addr(k)), on_disk, "step {step} {op:?}");
+                        let expected = if held { served(k) } else { None };
+                        prop_assert_eq!(store.get(addr(k)), expected, "step {step} {op:?}");
+                        if held {
+                            use_of(&mut oracle, k);
+                        }
                     }
                     Op::Lookup(k) => {
-                        let j = &jobs[k as usize];
-                        let held = store.memo().held_key(&j.key()).is_some();
-                        let on_disk = std::fs::read(file(k)).ok();
-                        let valid = on_disk.as_ref().is_some_and(|b| *b == sealed(k).0);
-                        let expected =
-                            (held || valid).then(|| (Arc::new(sample_stats(k)), sealed(k).1));
-                        prop_assert_eq!(store.lookup(j), expected, "step {step} {op:?}");
-                        // A memo hit does not read the file, so it cannot
-                        // notice damage; it keeps the result while the file
-                        // is there.
-                        if !held || valid || on_disk.is_none() {
-                            stale.remove(&stem(addr(k)));
-                        }
+                        let expected = if held { served(k) } else { None };
+                        prop_assert_eq!(
+                            store.lookup(&jobs[k as usize]),
+                            expected,
+                            "step {step} {op:?}"
+                        );
                         if held {
-                            let kept = store.memo().held_key(&j.key()).is_some();
-                            prop_assert_eq!(kept, file(k).exists(), "step {step} {op:?}: kept");
+                            use_of(&mut oracle, k);
                         }
                     }
                     Op::Reopen => {
-                        let live = index(&store);
+                        let live = recency(&store);
                         store = ResultStore::with_dir(dir.clone(), cap);
-                        if stale.is_empty() {
-                            prop_assert_eq!(index(&store), live, "step {step}: reopened index");
-                        }
-                        stale.clear();
+                        prop_assert_eq!(recency(&store), live, "step {step}: reopened order");
                     }
-                    Op::Plant(k, seq) => {
-                        std::fs::write(file(k), sealed(k).0).expect("plant");
-                        if seq != 0 {
-                            File::open(file(k))
-                                .and_then(|f| f.set_modified(UNIX_EPOCH + Duration::from_secs(seq)))
-                                .expect("plant mtime");
+                    Op::Second(k, n) => {
+                        let second = ResultStore::with_dir(dir.clone(), cap);
+                        if let Some(&newest) = oracle.last() {
+                            for _ in 0..n {
+                                let _ = second.get(addr(newest));
+                            }
                         }
-                        stale.insert(stem(addr(k)));
-                    }
-                    Op::Delete(k) => {
-                        let _ = std::fs::remove_file(file(k));
-                        stale.insert(stem(addr(k)));
-                    }
-                    Op::Corrupt(k) => {
-                        if let Ok(mut bytes) = std::fs::read(file(k)) {
-                            *bytes.last_mut().expect("non-empty envelope") ^= 0xFF;
-                            std::fs::write(file(k), bytes).expect("corrupt");
-                            stale.insert(stem(addr(k)));
-                        }
+                        second.insert(addr(k), &sample_stats(k));
+                        drop(second);
+                        use_of(&mut oracle, k);
+                        let found = store.lookup(&jobs[k as usize]);
+                        prop_assert_eq!(found, served(k), "step {step} {op:?}: found");
                     }
                 }
-                if let Some((k, next_seq)) = stamp.filter(|&(k, _)| file(k).exists()) {
-                    prop_assert_eq!(stamp_of(&file(k)), Some(next_seq), "step {step} {op:?}");
-                }
-                let fresh = |entries: Vec<(u64, String)>| -> Vec<(u64, String)> {
-                    entries
-                        .into_iter()
-                        .filter(|(_, s)| !stale.contains(s))
-                        .collect()
-                };
+                let expected: Vec<u64> = oracle.iter().map(|&k| addr(k)).collect();
+                prop_assert_eq!(lru(&store), expected.clone(), "step {step} {op:?}: order");
                 prop_assert_eq!(
-                    fresh(index(&store)),
-                    fresh(list(&dir)),
-                    "step {step} {op:?}: index (left) against listing (right)"
+                    log_order(&dir, &expected),
+                    expected,
+                    "step {step} {op:?}: log"
                 );
-                if stale.is_empty() {
-                    let files = list(&dir).len();
-                    prop_assert_eq!(store.disk_entries(), files, "step {step} {op:?}: entries");
-                }
+                let t = store.stats();
+                prop_assert_eq!(t.log_bytes, log_len(&dir), "step {step} {op:?}: log bytes");
+                let live: u64 = oracle.iter().map(|&k| sealed(k).0.len() as u64).sum();
+                prop_assert_eq!(t.live_bytes, live, "step {step} {op:?}: live bytes");
+                prop_assert!(
+                    t.log_bytes <= 2 * live + record,
+                    "step {step} {op:?}: {t:?}"
+                );
                 memo_matches_index(&store).map_err(|e| format!("step {step} {op:?}: {e}"))?;
-                prop_assert_eq!(
-                    store.stats().dir_scans,
-                    1,
-                    "step {step} {op:?}: listed again"
-                );
+                if tag == "own" {
+                    prop_assert_eq!(t.dir_scans, 1, "step {step} {op:?}: scanned again");
+                }
             }
             // A later process reads back exactly what this one knew.
-            if stale.is_empty() {
-                let reopened = ResultStore::with_dir(dir.clone(), cap);
-                prop_assert_eq!(index(&reopened), index(&store), "final reopen");
-            }
+            let reopened = ResultStore::with_dir(dir.clone(), cap);
+            prop_assert_eq!(recency(&reopened), recency(&store), "final reopen");
             let _ = std::fs::remove_dir_all(&dir);
             Ok(())
         }
@@ -1237,11 +1228,11 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
-            /// On a directory nobody else writes, the index *is* the listing
-            /// after every operation, and the one listing opening made stays
-            /// the only one.
+            /// On a log nobody else writes, the store is the LRU list after
+            /// every operation, and the scan opening made stays the only
+            /// one.
             #[test]
-            fn own_operations_keep_the_index_equal_to_the_listing(
+            fn own_operations_keep_the_lru_order_in_the_log(
                 ops in collection::vec(own_op(), 1..80),
             ) {
                 for cap in CAPS {
@@ -1249,14 +1240,14 @@ mod tests {
                 }
             }
 
-            /// With reopens and another writer in the directory, the index
-            /// is right about every result it has been asked about since.
+            /// With reopens and a second handle appending, and compacting,
+            /// in the same log, the store is still the LRU list.
             #[test]
-            fn foreign_changes_are_found_by_the_operation_that_names_them(
+            fn a_second_handles_appends_are_found(
                 ops in collection::vec(any_op(), 1..80),
             ) {
                 for cap in CAPS {
-                    run("foreign", cap, &ops)?;
+                    run("second", cap, &ops)?;
                 }
             }
         }

@@ -6,13 +6,16 @@
 //! * **Persistence across restarts** — a second daemon over the same
 //!   store directory answers a resubmission from disk with *zero* jobs
 //!   dispatched into its pool.
-//! * **A hit costs one file, not the directory** — on a store of 84
-//!   results 200 resubmissions are all hits, the directory is listed once
-//!   (at boot), and a reboot finds the recency order the hits left in the
-//!   envelopes' modification times.
+//! * **A store at cap keeps the most recently used** — on a store capped
+//!   below the 84 results it is given, 200 resubmissions are all hits, the
+//!   log is scanned once (at boot), eviction takes the least recently used,
+//!   the log stays within twice its live bytes, and a reboot finds the
+//!   recency order the hits left in the log's record order.
 //! * **A result is sealed once** — the checksum a `completed` event reports,
-//!   simulated or served from memory or disk, is the one the stored file
+//!   simulated or served from memory or disk, is the one the stored record
 //!   carries.
+//! * **An unwritable store costs persistence, not service** — every job
+//!   still reaches `done`, and resubmissions are served from memory.
 //! * **One memo per daemon** — a resubmission is answered from the
 //!   daemon's memo, a disk hit is promoted into it, and two daemons in one
 //!   process never serve each other's results.
@@ -193,22 +196,32 @@ fn store_count(client: &Client, name: &str) -> Option<u64> {
     stats.get("store")?.get(name).and_then(Value::as_u64)
 }
 
-/// The store directory's keys, least recently used first, as the envelopes'
-/// modification times order them: `(mtime, file stem)`.
-fn mtime_order(dir: &std::path::Path) -> Vec<String> {
-    let mut entries: Vec<(std::time::SystemTime, String)> = std::fs::read_dir(dir)
-        .expect("store dir")
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "msnp"))
-        .map(|p| {
-            let mtime = std::fs::metadata(&p).and_then(|m| m.modified());
-            let stem = p.file_stem().expect("stem").to_string_lossy().into_owned();
-            (mtime.expect("mtime"), stem)
-        })
-        .collect();
-    entries.sort();
-    entries.into_iter().map(|(_, stem)| stem).collect()
+/// The store log's records, in order, as `(address, envelope)`.
+fn log_records(dir: &std::path::Path) -> Vec<(u64, Vec<u8>)> {
+    use mask_common::snapshot::{envelope_len, validate_envelope};
+    let bytes = std::fs::read(dir.join("results.log")).expect("store log");
+    let mut out = Vec::new();
+    let mut rest = &bytes[..];
+    while let Some(len) = envelope_len(rest) {
+        let (record, tail) = rest.split_at(usize::try_from(len).expect("length"));
+        let key = validate_envelope(record).expect("a valid record");
+        out.push((key.0, record.to_vec()));
+        rest = tail;
+    }
+    assert!(rest.is_empty(), "the log ends on a record boundary");
+    out
+}
+
+/// The addresses in the store's log, least recently used first: ordered
+/// by the last record naming each.
+fn log_order(dir: &std::path::Path) -> Vec<u64> {
+    let mut last = std::collections::BTreeMap::new();
+    for (at, (addr, _)) in log_records(dir).into_iter().enumerate() {
+        last.insert(addr, at);
+    }
+    let mut order: Vec<(usize, u64)> = last.into_iter().map(|(addr, at)| (at, addr)).collect();
+    order.sort_unstable();
+    order.into_iter().map(|(_, addr)| addr).collect()
 }
 
 #[test]
@@ -216,10 +229,12 @@ fn a_store_hit_lists_nothing_and_recency_survives_a_reboot() {
     const STORED: u64 = 64;
     const JOBS: u64 = 20;
     const HITS: u64 = 200;
+    const CAP: u64 = 74;
     let dir = temp_store("index");
     let boot = || {
         let cfg = DaemonConfig {
             store_dir: Some(dir.clone()),
+            store_cap: Some(CAP as usize),
             ..ephemeral_config()
         };
         Daemon::spawn_with_pool(cfg, JobPool::with_workers(2)).expect("boot")
@@ -258,30 +273,50 @@ fn a_store_hit_lists_nothing_and_recency_survives_a_reboot() {
         }
     }
     assert_eq!(store_count(&client, "hits"), Some(HITS));
-    assert_eq!(store_count(&client, "disk_entries"), Some(STORED + JOBS));
-    assert_eq!(store_count(&client, "disk_evictions"), Some(0));
+    assert_eq!(store_count(&client, "disk_entries"), Some(CAP));
+    // The cold jobs pushed out the filler inserted first, and nothing else.
+    let evicted = STORED + JOBS - CAP;
+    assert_eq!(store_count(&client, "disk_evictions"), Some(evicted));
     assert_eq!(
         store_count(&client, "dir_scans"),
         Some(1),
-        "the sweep at open is the only directory listing"
+        "the scan at open is the only full read of the log"
     );
+    let bounded = |client: &Client| {
+        let log = store_count(client, "log_bytes").expect("log_bytes");
+        let live = store_count(client, "live_bytes").expect("live_bytes");
+        let record = live / CAP;
+        assert!(log <= 2 * live + record, "{log} log bytes for {live} live");
+        let on_disk = std::fs::metadata(dir.join("results.log"))
+            .expect("log")
+            .len();
+        assert_eq!(log, on_disk);
+    };
+    bounded(&client);
     daemon.shutdown();
 
-    // A reboot sweeps the directory and keeps every entry, one file each;
-    // the modification times still order the jobs by their last hit, after
-    // every untouched one.
+    // A reboot at the same cap keeps the same results, in the same order:
+    // the filler that survived, untouched, then the jobs by their last hit.
     let daemon = boot();
     let client = Client::new(daemon.addr().to_string());
-    assert_eq!(store_count(&client, "disk_entries"), Some(STORED + JOBS));
+    assert_eq!(store_count(&client, "disk_entries"), Some(CAP));
     assert_eq!(store_count(&client, "dir_scans"), Some(1));
-    let files = std::fs::read_dir(&dir).expect("store dir").count();
-    assert_eq!(files as u64, STORED + JOBS, "one file per stored result");
-    let order = mtime_order(&dir);
-    let expected: Vec<String> = last_hit
-        .iter()
-        .map(|&which| format!("{:016x}", maskd::result_key(&specs[which].to_sim_job())))
+    bounded(&client);
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .expect("store dir")
+        .flatten()
         .collect();
-    assert_eq!(order[STORED as usize..], expected);
+    assert_eq!(names.len(), 1, "one log holds every stored result");
+    let order = log_order(&dir);
+    let survivors = order.len() - CAP as usize;
+    let expected: Vec<u64> = (evicted..STORED)
+        .chain(
+            last_hit
+                .iter()
+                .map(|&which| maskd::result_key(&specs[which].to_sim_job())),
+        )
+        .collect();
+    assert_eq!(order[survivors..], expected);
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -300,10 +335,7 @@ fn completed_checksum(client: &Client, id: u64) -> Option<u64> {
 fn completed_events_carry_the_stored_envelope_checksum() {
     let dir = temp_store("checksum");
     let spec = spec("seal", DesignKind::PwCache, 701);
-    let file = dir.join(format!(
-        "{:016x}.msnp",
-        maskd::result_key(&spec.to_sim_job())
-    ));
+    let addr = maskd::result_key(&spec.to_sim_job());
     let boot = || {
         let cfg = DaemonConfig {
             store_dir: Some(dir.clone()),
@@ -322,12 +354,16 @@ fn completed_events_carry_the_stored_envelope_checksum() {
     let simulated = client.submit(&spec).expect("submit");
     assert!(!simulated.store_hit);
     let sealed = completed_checksum(&client, simulated.id);
-    let on_disk = std::fs::read(&file).expect("stored envelope");
+    let records = log_records(&dir);
+    let [(stored, on_disk)] = &records[..] else {
+        panic!("one record: {records:?}");
+    };
     assert!(sealed.is_some());
+    assert_eq!(*stored, addr);
     assert_eq!(
         sealed,
-        mask_common::snapshot::envelope_checksum(&on_disk),
-        "a simulated job reports the checksum of the file it was stored in"
+        mask_common::snapshot::envelope_checksum(on_disk),
+        "a simulated job reports the checksum of the record it was stored in"
     );
     // Answered from memory, then by a new daemon from disk: the same value.
     let from_memory = client.submit(&spec).expect("resubmit");
@@ -648,6 +684,40 @@ fn daemons_in_one_process_serve_only_their_own_results() {
     for dir in dirs {
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A store directory that cannot be created — its path runs through a
+/// regular file, `ENOTDIR`, which stops root too — costs persistence, never
+/// service: every job reaches `done` and resubmissions are memo hits.
+#[test]
+fn an_unwritable_store_serves_every_job_from_memory() {
+    let base = temp_store("unwritable");
+    let _ = std::fs::remove_file(&base);
+    std::fs::write(&base, b"a file, not a directory").expect("blocker");
+    let cfg = DaemonConfig {
+        store_dir: Some(base.join("store")),
+        ..ephemeral_config()
+    };
+    let daemon = Daemon::spawn_with_pool(cfg, JobPool::with_workers(1)).expect("boot");
+    let client = Client::new(daemon.addr().to_string());
+    let specs: Vec<JobSpec> = (0..3)
+        .map(|i| spec("ro", DesignKind::Mask, 901 + i))
+        .collect();
+    for (round, hit) in [(0, false), (1, true)] {
+        for spec in &specs {
+            let submitted = client.submit(spec).expect("submit");
+            assert_eq!(submitted.store_hit, hit, "round {round}");
+            let reply = client.wait(submitted.id).expect("wait");
+            assert_eq!(reply.status, "done", "round {round}");
+            assert_eq!(reply.result, Some(spec.to_sim_job().run()), "round {round}");
+        }
+    }
+    assert_eq!(store_count(&client, "disk_entries"), Some(0));
+    assert_eq!(store_count(&client, "entries"), Some(3));
+    assert_eq!(store_count(&client, "hits"), Some(3));
+    assert_eq!(store_count(&client, "log_bytes"), Some(0));
+    daemon.shutdown();
+    let _ = std::fs::remove_file(&base);
 }
 
 #[test]

@@ -164,7 +164,7 @@ fn main() {
     );
     println!(
         "second pass: {hits}/{} store hits, {disk_loads} loaded from disk, 0 new simulations \
-         (store: {} files on disk, {} directory listing)",
+         (store: {} results in one log, {} full scan)",
         points.len(),
         counter(&after, "store", "disk_entries"),
         counter(&after, "store", "dir_scans"),
