@@ -34,8 +34,9 @@ pub const DEFAULT_MAX_BODY: usize = 1 << 20;
 pub struct DaemonConfig {
     /// Listen address, e.g. `127.0.0.1:7870` (`MASKD_ADDR`).
     pub addr: String,
-    /// Directory for the persistent result store (`MASKD_STORE_DIR`);
-    /// `None` keeps results in memory only (they die with the process).
+    /// Directory for the persistent result store (`MASKD_STORE_DIR`), one
+    /// live writer per directory: a second serves from memory. `None` keeps
+    /// results in memory only (they die with the process).
     pub store_dir: Option<PathBuf>,
     /// Maximum results kept, on disk and in memory, LRU-evicted
     /// (`MASKD_STORE_CAP`); `None` = unbounded.

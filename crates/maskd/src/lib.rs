@@ -32,8 +32,8 @@
 //! * [`store`] — the persistent content-addressed [`ResultStore`]:
 //!   final statistics keyed by the model fingerprint and the job's
 //!   canonical dedup key, held in the daemon's result memo and on disk,
-//!   one file per result sealed in the versioned MSNP snapshot codec,
-//!   both described by one index.
+//!   in one append-only log of envelopes sealed in the versioned MSNP
+//!   snapshot codec, with one live writer per directory and one index.
 //! * [`queue`] — the admission controller's deficit-round-robin fair
 //!   queue across tenant ids.
 //! * [`server`] — the daemon itself: thread-per-connection acceptor,

@@ -251,8 +251,9 @@ impl DaemonHandle {
         self.shared.work.notify_all();
     }
 
-    /// Stops accepting, drains nothing (queued jobs stay queued), and
-    /// joins the acceptor and dispatcher. Idempotent.
+    /// Stops accepting, drains nothing (queued jobs stay queued), joins the
+    /// acceptor and dispatcher, and closes the store, so that a daemon
+    /// booted next on its directory opens it from disk.
     pub fn shutdown(mut self) {
         // Relaxed ordering: lone shutdown latch; the dummy connection and
         // condvar broadcasts below deliver the actual wakeups.
@@ -264,6 +265,8 @@ impl DaemonHandle {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        // A connection thread may still hold `shared` for a moment.
+        self.shared.store.close();
     }
 }
 

@@ -11,38 +11,42 @@
 //!
 //! # On disk
 //!
-//! One append-only log, `results.log` in `MASKD_STORE_DIR`, of sealed MSNP
-//! envelopes ([`mask_common::snapshot`]: magic, codec version, key echo,
-//! length, FNV-1a checksum) under [`result_key`]s: a result's `SimStats`,
-//! or, header-only, a *use* of the result under that key. A result's
-//! recency is the offset of the last record naming it, so the record order
-//! is the LRU order, across restarts and copies. The store is a pure
-//! accelerator, so every file operation is best-effort — an I/O failure
-//! costs a re-simulation, never a wrong answer:
+//! One live writer per directory; a second serves from memory. Opening
+//! takes an exclusive lock on the file `lock` in `MASKD_STORE_DIR`, which is
+//! never renamed, so a compaction cannot move it; a store that cannot take
+//! the lock, or create the directory, keeps nothing on disk, like
+//! [`ResultStore::in_memory`]. The lock holder keeps one append-only log,
+//! `results.log`, of sealed MSNP envelopes ([`mask_common::snapshot`]: magic,
+//! codec version, key echo, length, FNV-1a checksum). Its first record is a
+//! header-only envelope under the [`MODEL_FINGERPRINT`] whose results it
+//! holds; each later one is, under a [`result_key`], a result's `SimStats`
+//! or, header-only, a *use* of it. A result's recency is the offset of the
+//! last record naming it, so the record order is the LRU order, across
+//! restarts and copies. The store is a pure accelerator, so every file
+//! operation is best-effort — an I/O failure costs a re-simulation, never a
+//! wrong answer:
 //!
-//! * a persist appends the result, a memo hit or a disk load a use, through
-//!   the one handle the store opened; a load reads the one record the index
-//!   names and validates it keyed, and one that fails leaves the index;
+//! * a persist appends the result, a memo hit or a disk load a use; a load
+//!   reads the one record the index names and validates it keyed, and one
+//!   that fails leaves the index;
 //! * opening streams the log once and truncates it at the first record that
-//!   fails validation: after a crash mid-write the store is a subset of what
-//!   was written;
+//!   fails validation, and to nothing if its first record does not name this
+//!   model: after a crash mid-write the store is a subset of what was
+//!   written, and it never keeps another model's results;
 //! * `MASKD_STORE_CAP` evicts least-recently-used results, never below one,
 //!   from the index and the memo at once. An eviction writes nothing: its
 //!   records stay the oldest, so a reopen at the same cap evicts them again.
 //!   Once the log's dead bytes (uses, superseded and evicted results) exceed
-//!   its live ones, its live records are rewritten in recency order to
-//!   `results.log.<pid>.tmp`, which is renamed over it.
+//!   its live ones, the model record and the live records in recency order
+//!   are written to `results.log.tmp`, which is renamed over it.
 //!
 //! # One index
 //!
 //! The open scan leaves the index every later operation keeps: by address,
 //! the newest copy of a result, its last use and, once this handle sealed
-//! or loaded it, its memo key and checksum. The log stays the truth, since a
-//! second process may write it: a miss, or an append that lands past what
-//! this handle has read, first reads the tail; if the path names another
-//! file (another handle compacted), the store rescans it and its memo
-//! forgets what it loaded. An append to the old file during a compaction is
-//! lost: one re-simulation, never a wrong answer.
+//! or loaded it, its memo key and checksum. With one writer the index is
+//! the truth: after the open scan the log is read only where the index
+//! points, to load a result or compact.
 
 use mask_common::snapshot::{
     envelope_checksum, envelope_len, validate_envelope, Fnv1a, PrefixKey, Snapshot, SnapshotReader,
@@ -54,8 +58,8 @@ use mask_core::engine::JobKey;
 use mask_core::{ResultMemo, SimJob};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::os::unix::fs::{FileExt, MetadataExt};
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 #[expect(clippy::disallowed_types, reason = "parallelism island")]
@@ -92,14 +96,14 @@ pub struct StoreStats {
     pub inserts: u64,
     /// Results loaded from disk this process (subset of `hits`).
     pub disk_loads: u64,
-    /// Times the store read its whole log: once at open (never in memory),
-    /// and again after another handle's compaction.
+    /// Times the store read its whole log: 1, at open, for its directory's
+    /// one live writer; 0 for a store that serves from memory.
     pub dir_scans: u64,
     /// Results `MASKD_STORE_CAP` evicted from disk (and memory) this process.
     pub disk_evictions: u64,
-    /// Bytes of the log, as far as this handle has seen it.
+    /// Bytes of the log.
     pub log_bytes: u64,
-    /// Bytes of the records a compaction would keep.
+    /// Bytes of the results a compaction would keep (not the model record).
     pub live_bytes: u64,
 }
 
@@ -122,14 +126,16 @@ struct Entry {
     result: Option<(JobKey, u64)>,
 }
 
-/// Everything behind the store's one lock, the index of its log included:
-/// results are a few kilobytes, so a file operation under the lock costs
-/// less than a second lock would.
+/// Everything behind the store's one mutex, the index of its log included:
+/// results are a few kilobytes, so a file operation under the mutex costs
+/// less than a second mutex would.
 #[derive(Default)]
 struct Inner {
-    /// The log's path; `None` for an in-memory store.
+    /// The log's path; `None` for a store that serves from memory.
     path: Option<PathBuf>,
-    /// The log, opened once to read and append; `None` when it cannot be.
+    /// The directory's `lock` file, locked while this store writes there.
+    held: Option<File>,
+    /// The log, opened once to read and append.
     log: Option<File>,
     /// Most results kept, on disk and in memory; `None` = unbounded.
     /// Enforced after every write and scan, never below one.
@@ -139,9 +145,7 @@ struct Inner {
     /// `(recency, address)` of every result in the log, least recently
     /// used first: the order eviction takes them in.
     order: BTreeSet<(u64, u64)>,
-    // Every record before `scanned` is indexed, `end` is the log's length
-    // as far as this handle has seen it, `live` the bytes of `order`'s.
-    scanned: u64,
+    // The log's length, and the bytes of `order`'s records.
     end: u64,
     live: u64,
     hits: u64,
@@ -179,18 +183,33 @@ impl ResultStore {
 
     /// A store persisting in the log under `dir` (both created if
     /// missing), keeping at most `cap` results on disk and in memory (LRU).
-    /// Opening scans the log and truncates it at the first record that
-    /// fails validation (a torn write, a stale codec, checksum damage).
+    /// Opening locks the directory and scans the log, truncating it at the
+    /// first record that fails validation (a torn write, a stale codec,
+    /// checksum damage). While another store holds the directory, this one
+    /// serves from memory.
     #[must_use]
-    pub fn with_dir(mut dir: PathBuf, cap: Option<usize>) -> Self {
-        let _ = std::fs::create_dir_all(&dir);
-        dir.push("results.log");
+    pub fn with_dir(dir: PathBuf, cap: Option<usize>) -> Self {
         let store = Self::in_memory();
         let mut inner = store.lock();
-        (inner.path, inner.cap) = (Some(dir), cap);
-        inner.reopen(&store.memo);
+        inner.cap = cap;
+        if inner.open(dir).is_none() {
+            *inner = Inner {
+                cap,
+                ..Inner::default()
+            };
+        }
+        inner.settle(&store.memo);
         drop(inner);
         store
+    }
+
+    /// Closes the log and releases the directory, which the next store
+    /// opened on it then writes; this one serves from memory. The daemon
+    /// closes its store at shutdown, since a connection thread may outlive
+    /// the handle.
+    pub(crate) fn close(&self) {
+        let mut inner = self.lock();
+        (inner.log, inner.held) = (None, None);
     }
 
     /// The memo holding this store's results in memory, for the daemon's
@@ -232,9 +251,7 @@ impl ResultStore {
             let checksum = seal_result(addr, &stats).1;
             return Some((stats, checksum));
         };
-        // A use: a header-only envelope under the address.
-        let used = SnapshotWriter::new().seal(PrefixKey(addr));
-        inner.append(addr, &used, &self.memo);
+        inner.append(addr, &header_only(addr), &self.memo);
         Some((stats, checksum))
     }
 
@@ -301,49 +318,45 @@ impl ResultStore {
 }
 
 impl Inner {
-    /// Opens the log afresh and indexes it from its start, truncating it at
-    /// the first record that fails validation. The memo forgets what the old
-    /// index held: a lookup loads it again.
-    fn reopen(&mut self, memo: &ResultMemo) {
-        let old = std::mem::take(&mut self.index);
-        self.order.clear();
-        (self.scanned, self.end, self.live) = (0, 0, 0);
-        self.log = self.path.as_deref().and_then(|path| open_log(path).ok());
-        self.dir_scans += u64::from(self.log.is_some());
-        self.scan_tail();
-        let torn = self.log.as_ref().filter(|_| self.end > self.scanned);
-        if torn.is_some_and(|log| log.set_len(self.scanned).is_ok()) {
-            self.end = self.scanned;
-        }
-        for (key, _) in old.into_values().filter_map(|e| e.result) {
-            memo.remove(&key);
-        }
-        self.settle(memo);
-    }
-
-    /// Indexes the log's records past `scanned`, up to the first that fails
-    /// validation: a torn write, or one another writer is still making.
-    fn scan_tail(&mut self) {
-        let Some(log) = self.log.take() else { return };
-        let len = log.metadata().map_or(0, |meta| meta.len());
-        self.end = self.end.max(len);
+    /// Locks the directory, opens its log and indexes it, truncating it at
+    /// the first record that fails validation, or to nothing if it does not
+    /// start with this model's record, which then starts it. `None` if
+    /// another store holds the directory or a file operation fails.
+    fn open(&mut self, mut path: PathBuf) -> Option<()> {
+        let _ = std::fs::create_dir_all(&path);
+        path.push("lock");
+        // The lock file stays empty: creating it anew truncates nothing.
+        let held = File::create(&path).ok()?;
+        held.try_lock().ok()?;
+        path.set_file_name("results.log");
+        let mut log = open_log(&path).ok()?;
+        let size = log.metadata().ok()?.len();
         let (mut reader, mut record) = (BufReader::new(&log), Vec::new());
-        if reader.seek(SeekFrom::Start(self.scanned)).is_ok() {
-            while let Some(addr) = next_record(&mut reader, &mut record, len) {
-                self.note(addr, self.scanned, record.len() as u64);
-                self.scanned += record.len() as u64;
+        let ours = next_record(&mut reader, &mut record, size) == Some(MODEL_FINGERPRINT)
+            && record.len() == HEADER_LEN;
+        if ours {
+            self.end = HEADER_LEN as u64;
+            while let Some(addr) = next_record(&mut reader, &mut record, size) {
+                self.note(addr, self.end, record.len() as u64);
+                self.end += record.len() as u64;
             }
         }
         drop(reader);
-        self.log = Some(log);
+        log.set_len(self.end).ok()?;
+        if !ours {
+            log.write_all(&header_only(MODEL_FINGERPRINT)).ok()?;
+            self.end = HEADER_LEN as u64;
+        }
+        (self.path, self.held, self.log) = (Some(path), Some(held), Some(log));
+        self.dir_scans = 1;
+        Some(())
     }
 
     /// Indexes the valid record of `len` bytes at `at` under `addr`: a result
     /// becomes its newest copy, and any record a use of a result the log
-    /// holds. A record older than the last use known changes nothing.
+    /// holds.
     fn note(&mut self, addr: u64, at: u64, len: u64) {
         let record = match self.index.get(&addr).and_then(|e| e.record) {
-            Some(known) if known.used >= at => return,
             _ if len > HEADER_LEN as u64 => Record { at, len, used: at },
             Some(known) => Record { used: at, ..known },
             None => return,
@@ -357,38 +370,28 @@ impl Inner {
         self.live += record.len;
     }
 
-    /// Appends envelope `bytes` under `addr` to the file the path names;
-    /// unless the write fails, indexes it, then evicts and compacts as due.
+    /// Appends envelope `bytes` under `addr` and indexes it, then evicts and
+    /// compacts as due. A write that fails is cut off again.
     fn append(&mut self, addr: u64, bytes: &[u8], memo: &ResultMemo) {
-        self.follow(false, memo);
         let Some(log) = self.log.as_mut() else { return };
-        let Ok(end) = log.write_all(bytes).and_then(|()| log.stream_position()) else {
+        if log.write_all(bytes).is_err() {
+            let _ = log.set_len(self.end);
             return;
-        };
-        let at = end - bytes.len() as u64;
-        // Another writer appended since the last read: index that first.
-        if at > self.scanned {
-            self.scan_tail();
         }
-        if at == self.scanned {
-            self.scanned = end;
-        }
-        self.end = self.end.max(end);
+        let at = self.end;
+        self.end += bytes.len() as u64;
         self.note(addr, at, bytes.len() as u64);
         self.settle(memo);
     }
 
     /// Loads the result filed under `addr`, counting a hit (and appending a
-    /// use) or a miss; an address the index lacks is looked for first.
+    /// use) or a miss.
     fn load(&mut self, addr: u64, memo: &ResultMemo) -> Option<(Arc<SimStats>, u64)> {
-        if self.index.get(&addr).and_then(|e| e.record).is_none() {
-            self.follow(true, memo);
-        }
         let loaded = self.read(addr);
         if loaded.is_some() {
             self.hits += 1;
             self.disk_loads += 1;
-            self.append(addr, &SnapshotWriter::new().seal(PrefixKey(addr)), memo);
+            self.append(addr, &header_only(addr), memo);
         } else {
             self.misses += 1;
             if self.index.get(&addr).is_some_and(|e| e.record.is_some()) {
@@ -411,38 +414,17 @@ impl Inner {
         Some((Arc::new(stats), envelope_checksum(&bytes)?))
     }
 
-    /// Follows the log's path: if it names another file than the handle
-    /// (another handle compacted), reopens and rescans it; else, if `tail`,
-    /// indexes what other writers appended.
-    fn follow(&mut self, tail: bool, memo: &ResultMemo) -> Option<()> {
-        let held = identity(self.log.as_ref()?.metadata());
-        if identity(std::fs::metadata(self.path.as_ref()?)) != held {
-            self.reopen(memo);
-        } else if tail {
-            self.scan_tail();
-            self.settle(memo);
-        }
-        Some(())
-    }
-
     /// Evicts down to the cap, least recently used first, then compacts the
-    /// log if its dead bytes exceed its live ones, after indexing (and
-    /// capping) the tail other writers appended, so that it keeps theirs.
+    /// log if its dead bytes exceed its live ones.
     fn settle(&mut self, memo: &ResultMemo) {
         let cap = self.cap.unwrap_or(usize::MAX).max(1);
-        for round in 0..2 {
-            while let Some(&(_, victim)) = self.order.first().filter(|_| self.order.len() > cap) {
-                self.forget(victim, memo);
-                self.evictions += 1;
-            }
-            if self.end.saturating_sub(self.live) <= self.live {
-                return;
-            }
-            if round == 0 {
-                self.scan_tail();
-            }
+        while let Some(&(_, victim)) = self.order.first().filter(|_| self.order.len() > cap) {
+            self.forget(victim, memo);
+            self.evictions += 1;
         }
-        self.compact();
+        if self.end.saturating_sub(HEADER_LEN as u64 + self.live) > self.live {
+            self.compact();
+        }
     }
 
     /// Drops `addr` from the index and the memo.
@@ -457,8 +439,9 @@ impl Inner {
         }
     }
 
-    /// Rewrites the log as its live records, least recently used first, in a
-    /// temp file renamed over it: a crash leaves one whole log or the other.
+    /// Rewrites the log as the model record and its live records, least
+    /// recently used first, in a temp file renamed over it: a crash leaves
+    /// one whole log or the other.
     fn compact(&mut self) {
         let (Some(path), Some(log)) = (&self.path, &self.log) else {
             return;
@@ -468,10 +451,11 @@ impl Inner {
             .iter()
             .filter_map(|&(_, addr)| Some((addr, self.index.get(&addr)?.record?)))
             .collect();
-        let tmp = path.with_extension(format!("log.{}.tmp", std::process::id()));
+        let tmp = path.with_extension("log.tmp");
         let mut bytes = Vec::new();
         let written = File::create(&tmp).and_then(|file| {
             let mut out = BufWriter::new(file);
+            out.write_all(&header_only(MODEL_FINGERPRINT))?;
             for (_, record) in &records {
                 bytes.resize(record.len as usize, 0);
                 log.read_exact_at(&mut bytes, record.at)?;
@@ -486,7 +470,7 @@ impl Inner {
         };
         self.log = Some(compacted);
         self.order.clear();
-        let mut at = 0;
+        let mut at = HEADER_LEN as u64;
         for (addr, Record { len, .. }) in records {
             if let Some(entry) = self.index.get_mut(&addr) {
                 entry.record = Some(Record { at, len, used: at });
@@ -494,7 +478,7 @@ impl Inner {
             self.order.insert((at, addr));
             at += len;
         }
-        (self.scanned, self.end) = (at, at);
+        self.end = at;
     }
 }
 
@@ -507,11 +491,6 @@ fn open_log(path: &Path) -> std::io::Result<File> {
         .open(path)
 }
 
-/// Which file `meta` describes.
-fn identity(meta: std::io::Result<std::fs::Metadata>) -> Option<(u64, u64)> {
-    meta.ok().map(|meta| (meta.dev(), meta.ino()))
-}
-
 /// Reads the next record of a log of `size` bytes into `record` and returns
 /// the address it is under, if it is whole and valid.
 fn next_record(log: &mut impl Read, record: &mut Vec<u8>, size: u64) -> Option<u64> {
@@ -521,6 +500,12 @@ fn next_record(log: &mut impl Read, record: &mut Vec<u8>, size: u64) -> Option<u
     record.resize(usize::try_from(len).ok()?, 0);
     log.read_exact(&mut record[HEADER_LEN..]).ok()?;
     Some(validate_envelope(record).ok()?.0)
+}
+
+/// A header-only envelope under `key`: the log's model record, or a use of
+/// the result under that address.
+fn header_only(key: u64) -> Vec<u8> {
+    SnapshotWriter::new().seal(PrefixKey(key))
 }
 
 /// The sealed envelope `stats` is stored as under `key`, with its checksum.
@@ -573,6 +558,9 @@ mod tests {
         store.memo().insert(job.key(), Arc::clone(stats));
         store.persist(job, stats)
     }
+
+    /// The length of a header-only record: the model record, or a use.
+    const HEADER: u64 = HEADER_LEN as u64;
 
     fn log_path(dir: &Path) -> PathBuf {
         dir.join("results.log")
@@ -649,17 +637,20 @@ mod tests {
         assert!(Arc::ptr_eq(&early, &s));
         assert_eq!(Some(early_checksum), expected);
         assert_eq!(store.memo().stats().entries, 1, "not forgotten");
-        assert_eq!(log_len(&dir), 0, "nothing to mark a use of yet");
+        assert_eq!(log_len(&dir), HEADER, "nothing to mark a use of yet");
         assert_eq!(Some(store.persist(&j, &s)), expected);
         let (late, late_checksum) = store.lookup(&j).expect("memo hit");
         assert!(Arc::ptr_eq(&late, &s));
         assert_eq!(Some(late_checksum), expected);
         let t = store.stats();
         assert_eq!((t.entries, t.hits, t.misses, t.disk_loads), (1, 2, 0, 0));
-        // The result, then a header-only use of it.
+        // The model record, the result, then a header-only use of it.
         let kinds: Vec<(u64, u64)> = records(&dir).iter().map(|r| (r.0, r.2)).collect();
         let len = seal_result(addr, &s).0.len() as u64;
-        assert_eq!(kinds, [(addr, len), (addr, HEADER_LEN as u64)]);
+        assert_eq!(
+            kinds,
+            [(MODEL_FINGERPRINT, HEADER), (addr, len), (addr, HEADER)]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -726,17 +717,17 @@ mod tests {
 
         // Flip the result's last payload byte: the open scan must stop
         // there, and cut off it and the use after it.
-        let [(7, 0, len), (7, _, _)] = records(&dir)[..] else {
-            panic!("a result and a use: {:?}", records(&dir));
+        let [(MODEL_FINGERPRINT, 0, HEADER), (7, at, len), (7, _, _)] = records(&dir)[..] else {
+            panic!("the model, a result and a use: {:?}", records(&dir));
         };
         let mut bytes = std::fs::read(log_path(&dir)).expect("log");
-        assert_eq!(envelope_checksum(&bytes), Some(checksum));
-        bytes[len as usize - 1] ^= 0xff;
+        assert_eq!(envelope_checksum(&bytes[at as usize..]), Some(checksum));
+        bytes[(at + len) as usize - 1] ^= 0xff;
         std::fs::write(log_path(&dir), &bytes).expect("rewrite");
         let store = ResultStore::with_dir(dir.clone(), None);
-        assert_eq!(log_len(&dir), 0, "truncated at the damaged record");
+        assert_eq!(log_len(&dir), at, "truncated at the damaged record");
         assert_eq!(store.get(7), None);
-        assert_eq!(log_len(&dir), 0, "a miss writes nothing");
+        assert_eq!(log_len(&dir), at, "a miss writes nothing");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -835,23 +826,56 @@ mod tests {
     }
 
     #[test]
-    fn a_store_is_one_log_of_sealed_envelopes() {
+    fn a_store_is_a_lock_and_one_log_of_sealed_envelopes() {
         let dir = temp_dir("names");
         let store = ResultStore::with_dir(dir.clone(), None);
-        assert_eq!(names(&dir), ["results.log"], "open creates the log");
+        assert_eq!(names(&dir), ["lock", "results.log"], "open creates both");
+        let mut expected = header_only(MODEL_FINGERPRINT);
+        assert_eq!(std::fs::read(log_path(&dir)).ok().as_ref(), Some(&expected));
         let s = sample_stats(1);
         assert_eq!(store.get(0xAB), None);
         let checksum = store.insert(0xAB, &s);
-        let mut expected = seal_result(0xAB, &s).0;
+        expected.extend(seal_result(0xAB, &s).0);
         assert_eq!(std::fs::read(log_path(&dir)).ok().as_ref(), Some(&expected));
         // A later process finds it; the load appends a use.
+        drop(store);
         let reopened = ResultStore::with_dir(dir.clone(), None);
         assert_eq!(reopened.get(0xAB), Some((Arc::new(s), checksum)));
         let used = expected.len() as u64;
-        expected.extend(SnapshotWriter::new().seal(PrefixKey(0xAB)));
+        expected.extend(header_only(0xAB));
         assert_eq!(std::fs::read(log_path(&dir)).ok(), Some(expected));
         assert_eq!(recency(&reopened), [(used, 0xAB)]);
-        assert_eq!(names(&dir), ["results.log"]);
+        assert_eq!(names(&dir), ["lock", "results.log"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_second_handle_on_a_held_directory_serves_from_memory() {
+        let dir = temp_dir("held");
+        let jobs: Vec<SimJob> = (0..2).map(job).collect();
+        let stats: Vec<Arc<SimStats>> = (0..2).map(|k| Arc::new(sample_stats(k))).collect();
+        let first = ResultStore::with_dir(dir.clone(), None);
+        let stored = finish(&first, &jobs[0], &stats[0]);
+        let log = std::fs::read(log_path(&dir)).expect("log");
+        let second = ResultStore::with_dir(dir.clone(), None);
+        let checksum = finish(&second, &jobs[1], &stats[1]);
+        let (hit, hit_checksum) = second.lookup(&jobs[1]).expect("memo hit");
+        assert!(Arc::ptr_eq(&hit, &stats[1]));
+        assert_eq!(hit_checksum, checksum);
+        assert_eq!(second.lookup(&jobs[0]), None, "the first handle's disk");
+        let t = second.stats();
+        assert_eq!((second.disk_entries(), t.log_bytes, t.dir_scans), (0, 0, 0));
+        assert_eq!(std::fs::read(log_path(&dir)).ok(), Some(log));
+        // Once the first is dropped, the next handle opened sees the disk.
+        drop(first);
+        let third = ResultStore::with_dir(dir.clone(), None);
+        assert_eq!(
+            third.lookup(&jobs[0]),
+            Some((Arc::clone(&stats[0]), stored))
+        );
+        assert_eq!(third.lookup(&jobs[1]), None, "the second kept nothing");
+        let t = third.stats();
+        assert_eq!((third.disk_entries(), t.disk_loads, t.dir_scans), (1, 1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -881,49 +905,13 @@ mod tests {
         assert_eq!(lru(&store), [addr(2), addr(5)]);
         // Recency is the log's record order, so it survives a reopen, which
         // evicts again what the live store evicted.
+        let live = recency(&store);
+        drop(store);
         let reopened = ResultStore::with_dir(dir.clone(), Some(2));
-        assert_eq!(recency(&reopened), recency(&store));
+        assert_eq!(recency(&reopened), live);
         assert_eq!(reopened.get(addr(1)), None);
         run(&reopened, 6);
         assert_eq!(lru(&reopened), [addr(5), addr(6)]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_second_handles_appends_are_found_through_its_compactions() {
-        let dir = temp_dir("second");
-        let jobs: Vec<SimJob> = (0..3).map(job).collect();
-        let stats: Vec<Arc<SimStats>> = (0..3).map(|k| Arc::new(sample_stats(k))).collect();
-        let mine = ResultStore::with_dir(dir.clone(), None);
-        let theirs = ResultStore::with_dir(dir.clone(), None);
-        finish(&mine, &jobs[0], &stats[0]);
-        // An append the other handle made is found in the log's tail.
-        finish(&theirs, &jobs[1], &stats[1]);
-        assert_eq!(
-            mine.lookup(&jobs[1]).map(|(s, _)| s),
-            Some(Arc::clone(&stats[1]))
-        );
-        assert_eq!((mine.stats().disk_loads, mine.stats().dir_scans), (1, 1));
-        // Their uses outgrow the live bytes, so they compact: the path now
-        // names another file, which this handle rescans on its next miss.
-        let before = log_len(&dir);
-        let compacted = (0..10_000).any(|_| {
-            let _ = theirs.lookup(&jobs[1]);
-            log_len(&dir) < before
-        });
-        assert!(compacted, "their uses never compacted the log");
-        finish(&theirs, &jobs[2], &stats[2]);
-        assert_eq!(
-            mine.lookup(&jobs[2]).map(|(s, _)| s),
-            Some(Arc::clone(&stats[2]))
-        );
-        assert_eq!(mine.stats().dir_scans, 2);
-        // The rescan forgot what the memo held; the log still has it.
-        assert_eq!(
-            mine.lookup(&jobs[0]).map(|(s, _)| s),
-            Some(Arc::clone(&stats[0]))
-        );
-        assert_eq!(mine.stats().disk_loads, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -933,14 +921,14 @@ mod tests {
         let store = ResultStore::with_dir(dir.clone(), None);
         // Damaged after open, so the scan cannot have caught it.
         store.insert(3, &sample_stats(3));
-        let [(3, 0, len)] = records(&dir)[..] else {
-            panic!("one record: {:?}", records(&dir));
+        let [_, (3, at, len)] = records(&dir)[..] else {
+            panic!("the model and one record: {:?}", records(&dir));
         };
         let file = OpenOptions::new()
             .write(true)
             .open(log_path(&dir))
             .expect("log");
-        file.write_all_at(&[0xFF], len - 1).expect("damage");
+        file.write_all_at(&[0xFF], at + len - 1).expect("damage");
         assert_eq!(store.get(3), None);
         assert_eq!(store.disk_entries(), 0);
         assert!(store.lock().index.is_empty());
@@ -1009,9 +997,13 @@ mod tests {
             overrides: GpuOverrides::default(),
         };
         let job = spec.to_sim_job();
-        // What another model stored for the same job, under its own key.
-        let older = address(!MODEL_FINGERPRINT, &job.key());
-        ResultStore::with_dir(dir.clone(), None).insert(older, &sample_stats(1));
+        // The log another model wrote: its model record, then its result
+        // for the same job, under its own key.
+        let older = !MODEL_FINGERPRINT;
+        let mut log = header_only(older);
+        log.extend(seal_result(address(older, &job.key()), &sample_stats(1)).0);
+        std::fs::create_dir_all(&dir).expect("store dir");
+        std::fs::write(log_path(&dir), log).expect("older log");
 
         let cfg = DaemonConfig {
             addr: "127.0.0.1:0".to_owned(),
@@ -1033,7 +1025,11 @@ mod tests {
         };
         assert_eq!(count("scheduler", "simulated_jobs"), Some(1));
         assert_eq!(count("store", "hits"), Some(0));
-        assert_eq!(count("store", "disk_entries"), Some(2));
+        assert_eq!(
+            count("store", "disk_entries"),
+            Some(1),
+            "the old log is cut"
+        );
         daemon.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1044,14 +1040,14 @@ mod tests {
     /// The oracles are a list of results kept here, least recently used
     /// first, and the log's own record order, read from the file. Random
     /// sequences of the store's own operations (persist, disk-layer get,
-    /// daemon lookup), reopens and a second handle's persists run at caps
-    /// `None`, 1, 3 and 8. After every step the store's order must be the
-    /// list, so eviction took exactly the least recently used results and a
-    /// second handle's append was found; the last record naming each result
-    /// must sort as the list does, so a reopen keeps the same set in the
-    /// same order (checked at every reopen, exactly); the log must stay
-    /// within twice its live bytes plus one record; and the memo must hold
-    /// exactly the results the index keeps a memo key for.
+    /// daemon lookup) and reopens run at caps `None`, 1, 3 and 8. After
+    /// every step the store's order must be the list, so eviction took
+    /// exactly the least recently used results; the last record naming each
+    /// result must sort as the list does, so a reopen keeps the same set in
+    /// the same order (checked at every reopen, exactly); the log must stay
+    /// within twice its live bytes plus one record; the open scan must be
+    /// the only one; and the memo must hold exactly the results the index
+    /// keeps a memo key for.
     mod differential {
         use super::*;
         use proptest::prelude::*;
@@ -1067,15 +1063,11 @@ mod tests {
             Get(u64),
             /// The daemon looks job `k` up: a memo hit or a disk load.
             Lookup(u64),
+            /// The store is dropped, and the directory opened again.
             Reopen,
-            /// A second handle opens the directory, loads the most recently
-            /// used result `n` times (so that it may compact the log) and
-            /// persists job `k`; the store then looks job `k` up.
-            Second(u64, u64),
         }
 
-        /// The store's own operations only, then with reopens and a second
-        /// handle's.
+        /// The store's own operations only, then with reopens.
         fn own_op() -> impl Strategy<Value = Op> {
             (0u8..10, 0..JOBS).prop_map(|(kind, k)| match kind {
                 0..=4 => Op::Persist(k),
@@ -1085,14 +1077,7 @@ mod tests {
         }
 
         fn any_op() -> impl Strategy<Value = Op> {
-            prop_oneof![
-                own_op(),
-                own_op(),
-                (0u8..3, 0..JOBS, 0u64..100).prop_map(|(kind, k, n)| match kind {
-                    0 => Op::Reopen,
-                    _ => Op::Second(k, n),
-                }),
-            ]
+            prop_oneof![own_op(), own_op(), own_op(), Just(Op::Reopen)]
         }
 
         /// What job `k` is stored as, and the checksum it carries.
@@ -1151,7 +1136,7 @@ mod tests {
             };
             for (step, &op) in ops.iter().enumerate() {
                 let held = oracle.contains(&match op {
-                    Op::Persist(k) | Op::Get(k) | Op::Lookup(k) | Op::Second(k, _) => k,
+                    Op::Persist(k) | Op::Get(k) | Op::Lookup(k) => k,
                     Op::Reopen => JOBS,
                 });
                 match op {
@@ -1181,21 +1166,9 @@ mod tests {
                     }
                     Op::Reopen => {
                         let live = recency(&store);
+                        drop(store);
                         store = ResultStore::with_dir(dir.clone(), cap);
                         prop_assert_eq!(recency(&store), live, "step {step}: reopened order");
-                    }
-                    Op::Second(k, n) => {
-                        let second = ResultStore::with_dir(dir.clone(), cap);
-                        if let Some(&newest) = oracle.last() {
-                            for _ in 0..n {
-                                let _ = second.get(addr(newest));
-                            }
-                        }
-                        second.insert(addr(k), &sample_stats(k));
-                        drop(second);
-                        use_of(&mut oracle, k);
-                        let found = store.lookup(&jobs[k as usize]);
-                        prop_assert_eq!(found, served(k), "step {step} {op:?}: found");
                     }
                 }
                 let expected: Vec<u64> = oracle.iter().map(|&k| addr(k)).collect();
@@ -1214,13 +1187,13 @@ mod tests {
                     "step {step} {op:?}: {t:?}"
                 );
                 memo_matches_index(&store).map_err(|e| format!("step {step} {op:?}: {e}"))?;
-                if tag == "own" {
-                    prop_assert_eq!(t.dir_scans, 1, "step {step} {op:?}: scanned again");
-                }
+                prop_assert_eq!(t.dir_scans, 1, "step {step} {op:?}: scanned again");
             }
             // A later process reads back exactly what this one knew.
+            let live = recency(&store);
+            drop(store);
             let reopened = ResultStore::with_dir(dir.clone(), cap);
-            prop_assert_eq!(recency(&reopened), recency(&store), "final reopen");
+            prop_assert_eq!(recency(&reopened), live, "final reopen");
             let _ = std::fs::remove_dir_all(&dir);
             Ok(())
         }
@@ -1240,14 +1213,13 @@ mod tests {
                 }
             }
 
-            /// With reopens and a second handle appending, and compacting,
-            /// in the same log, the store is still the LRU list.
+            /// With reopens between them, the store is still the LRU list.
             #[test]
-            fn a_second_handles_appends_are_found(
+            fn reopens_keep_the_lru_order_in_the_log(
                 ops in collection::vec(any_op(), 1..80),
             ) {
                 for cap in CAPS {
-                    run("second", cap, &ops)?;
+                    run("reopen", cap, &ops)?;
                 }
             }
         }

@@ -6,6 +6,10 @@
 //! * **Persistence across restarts** — a second daemon over the same
 //!   store directory answers a resubmission from disk with *zero* jobs
 //!   dispatched into its pool.
+//! * **A shutdown releases the store** — twenty daemons booted one after
+//!   another on one directory each answer the last job that ran from disk,
+//!   also while connections of the daemon before, an events stream and a
+//!   request still arriving, are open.
 //! * **A store at cap keeps the most recently used** — on a store capped
 //!   below the 84 results it is given, 200 resubmissions are all hits, the
 //!   log is scanned once (at boot), eviction takes the least recently used,
@@ -34,6 +38,8 @@ use mask_core::JobPool;
 use maskd::json::Value;
 use maskd::wire::JobSpec;
 use maskd::{Client, ClientError, Daemon, DaemonConfig};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 
 /// A cheap two-app job.
@@ -190,6 +196,70 @@ fn result_store_survives_restart_with_zero_resimulation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Opens job `id`'s events stream and reads it up to its `queued` event,
+/// so that the daemon's thread serving it is waiting for the next one.
+fn open_events(addr: SocketAddr, id: u64) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write!(
+        stream,
+        "GET /jobs/{id}/events HTTP/1.1\r\nHost: maskd\r\nConnection: close\r\n\r\n"
+    )
+    .expect("request");
+    let mut seen = Vec::new();
+    while !seen.ends_with(b"\"queued\"") {
+        let mut byte = [0];
+        stream.read_exact(&mut byte).expect("the queued event");
+        seen.push(byte[0]);
+    }
+    stream
+}
+
+#[test]
+fn every_reboot_opens_the_store_its_predecessor_shut() {
+    let dir = temp_store("reboots");
+    let mut last: Option<JobSpec> = None;
+    // Connections of the daemon before, still open at this boot.
+    let mut lingering: Option<[TcpStream; 2]> = None;
+    for boot in 0..20 {
+        // Every fourth daemon never dispatches: its job stays queued, and
+        // the job's events stream open, through the shutdown.
+        let streaming = boot % 4 == 3;
+        let cfg = DaemonConfig {
+            store_dir: Some(dir.clone()),
+            start_paused: streaming,
+            ..ephemeral_config()
+        };
+        let daemon = Daemon::spawn_with_pool(cfg, JobPool::with_workers(1)).expect("boot");
+        let client = Client::new(daemon.addr().to_string());
+        if let Some(last) = &last {
+            let again = client.submit(last).expect("resubmit");
+            assert!(again.store_hit, "boot {boot}: the last job is a store hit");
+            assert_eq!(store_count(&client, "disk_loads"), Some(1), "boot {boot}");
+        }
+        if let Some([mut events, _]) = lingering.take() {
+            let mut rest = Vec::new();
+            events.read_to_end(&mut rest).expect("the stream ended");
+        }
+        let next = spec("reboot", DesignKind::Mask, 1000 + boot);
+        let submitted = client.submit(&next).expect("submit");
+        assert!(!submitted.store_hit, "boot {boot}");
+        if streaming {
+            // Half a request, so its connection thread holds the daemon's
+            // state until the next boot; accepted before the stream is.
+            let mut partial = TcpStream::connect(daemon.addr()).expect("connect");
+            partial.write_all(b"GET /healthz").expect("half a request");
+            let events = open_events(daemon.addr(), submitted.id);
+            daemon.shutdown();
+            lingering = Some([events, partial]);
+        } else {
+            client.wait(submitted.id).expect("wait");
+            daemon.shutdown();
+            last = Some(next);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The named `store` counter of `GET /store/stats`.
 fn store_count(client: &Client, name: &str) -> Option<u64> {
     let stats = client.store_stats().expect("store stats");
@@ -302,11 +372,13 @@ fn a_store_hit_lists_nothing_and_recency_survives_a_reboot() {
     assert_eq!(store_count(&client, "disk_entries"), Some(CAP));
     assert_eq!(store_count(&client, "dir_scans"), Some(1));
     bounded(&client);
-    let names: Vec<_> = std::fs::read_dir(&dir)
+    let mut names: Vec<_> = std::fs::read_dir(&dir)
         .expect("store dir")
         .flatten()
+        .map(|e| e.file_name())
         .collect();
-    assert_eq!(names.len(), 1, "one log holds every stored result");
+    names.sort();
+    assert_eq!(names, ["lock", "results.log"], "one log holds every result");
     let order = log_order(&dir);
     let survivors = order.len() - CAP as usize;
     let expected: Vec<u64> = (evicted..STORED)
@@ -355,9 +427,10 @@ fn completed_events_carry_the_stored_envelope_checksum() {
     assert!(!simulated.store_hit);
     let sealed = completed_checksum(&client, simulated.id);
     let records = log_records(&dir);
-    let [(stored, on_disk)] = &records[..] else {
-        panic!("one record: {records:?}");
+    let [(model, _), (stored, on_disk)] = &records[..] else {
+        panic!("the model and one record: {records:?}");
     };
+    assert_eq!(*model, mask_common::MODEL_FINGERPRINT);
     assert!(sealed.is_some());
     assert_eq!(*stored, addr);
     assert_eq!(
