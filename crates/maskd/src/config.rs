@@ -1,13 +1,16 @@
 //! Daemon configuration, resolved from `MASKD_*` environment variables.
 //!
 //! This module is the **only** place in `crates/maskd` allowed to read the
-//! environment (clippy bans `std::env::var` elsewhere; its three readers
-//! carry the `#[expect]`s): every knob is resolved once into a
+//! environment (clippy bans `std::env::var` elsewhere; its one reader
+//! carries the `#[expect]`): every knob is resolved once into a
 //! [`DaemonConfig`] at startup, so no request handler or scheduling
-//! decision can silently fork behavior on ambient process state. See README.md's environment
-//! variable reference for the full `MASK_*`/`MASKD_*` table.
+//! decision can silently fork behavior on ambient process state. A numeric
+//! knob that does not parse stops the boot rather than falling back to its
+//! default. See README.md's environment variable reference for the full
+//! `MASK_*`/`MASKD_*` table.
 
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Default listen address (`MASKD_ADDR` overrides). Port 0 asks the OS for
 /// an ephemeral port; the daemon prints the bound address on startup.
@@ -38,8 +41,11 @@ pub struct DaemonConfig {
     /// live writer per directory: a second serves from memory. `None` keeps
     /// results in memory only (they die with the process).
     pub store_dir: Option<PathBuf>,
-    /// Maximum results kept, on disk and in memory, LRU-evicted
-    /// (`MASKD_STORE_CAP`); `None` = unbounded.
+    /// Maximum results kept, LRU-evicted, on disk and in memory alike
+    /// (`MASKD_STORE_CAP`): a store that serves from memory, with no
+    /// directory or on one another daemon holds, is bounded too. Recency is
+    /// the store's counter, which the log's record order mirrors. `None` =
+    /// unbounded.
     pub store_cap: Option<usize>,
     /// Bound on jobs queued across all tenants; submissions beyond it get
     /// `503 Service Unavailable` (`MASKD_QUEUE_DEPTH`).
@@ -78,53 +84,63 @@ impl Default for DaemonConfig {
     }
 }
 
-#[expect(clippy::disallowed_methods, reason = "a `MASKD_*` entry point")]
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
-#[expect(clippy::disallowed_methods, reason = "a `MASKD_*` entry point")]
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
 impl DaemonConfig {
     /// Resolves every `MASKD_*` knob from the environment, falling back to
-    /// the documented defaults. Called once at daemon startup.
-    #[must_use]
+    /// the documented defaults for an unset or empty variable. Called once
+    /// at daemon startup.
+    ///
+    /// # Errors
+    ///
+    /// A numeric variable whose value does not parse as a non-negative
+    /// integer: the message names the variable and its value.
     #[expect(
         clippy::disallowed_methods,
         reason = "the `MASKD_*` entry point, read at boot"
     )]
-    pub fn from_env() -> Self {
-        let mut cfg = DaemonConfig::default();
-        if let Ok(addr) = std::env::var("MASKD_ADDR") {
-            if !addr.is_empty() {
-                cfg.addr = addr;
-            }
-        }
-        cfg.store_dir = std::env::var("MASKD_STORE_DIR")
-            .ok()
-            .filter(|d| !d.is_empty())
-            .map(PathBuf::from);
-        cfg.store_cap = env_usize("MASKD_STORE_CAP");
-        if let Some(v) = env_usize("MASKD_QUEUE_DEPTH") {
-            cfg.queue_depth = v.max(1);
-        }
-        if let Some(v) = env_usize("MASKD_TENANT_DEPTH") {
-            cfg.tenant_depth = v.max(1);
-        }
-        if let Some(v) = env_usize("MASKD_INFLIGHT") {
-            cfg.inflight = v.max(1);
-        }
-        if let Some(v) = env_u64("MASKD_QUANTUM") {
-            cfg.quantum = v.max(1);
-        }
-        if let Some(v) = env_usize("MASKD_MAX_BODY") {
-            cfg.max_body = v.max(1024);
-        }
-        cfg
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_vars(|name| std::env::var(name).ok())
     }
+
+    /// [`Self::from_env`] on the variables `var` returns by name.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let var = |name: &str| var(name).filter(|v| !v.is_empty());
+        let defaults = DaemonConfig::default();
+        Ok(DaemonConfig {
+            addr: var("MASKD_ADDR").unwrap_or(defaults.addr),
+            store_dir: var("MASKD_STORE_DIR").map(PathBuf::from),
+            store_cap: number(var, "MASKD_STORE_CAP")?,
+            queue_depth: number(var, "MASKD_QUEUE_DEPTH")?
+                .unwrap_or(defaults.queue_depth)
+                .max(1),
+            tenant_depth: number(var, "MASKD_TENANT_DEPTH")?
+                .unwrap_or(defaults.tenant_depth)
+                .max(1),
+            inflight: number(var, "MASKD_INFLIGHT")?
+                .unwrap_or(defaults.inflight)
+                .max(1),
+            quantum: number(var, "MASKD_QUANTUM")?
+                .unwrap_or(defaults.quantum)
+                .max(1),
+            max_body: number(var, "MASKD_MAX_BODY")?
+                .unwrap_or(defaults.max_body)
+                .max(1024),
+            start_paused: defaults.start_paused,
+        })
+    }
+}
+
+/// The value of the numeric variable `name`, if `var` has one: a value that
+/// does not parse is an error naming the variable and the value.
+fn number<T: FromStr>(
+    var: impl Fn(&str) -> Option<String>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    var(name)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("{name}={v:?} is not a non-negative integer"))
+        })
+        .transpose()
 }
 
 #[cfg(test)]
@@ -138,5 +154,48 @@ mod tests {
         assert!(cfg.store_dir.is_none());
         assert!(cfg.queue_depth >= cfg.tenant_depth);
         assert!(!cfg.start_paused);
+    }
+
+    /// The numeric `MASKD_*` variables, each with a value it takes.
+    const NUMERIC: [(&str, &str); 6] = [
+        ("MASKD_STORE_CAP", "7"),
+        ("MASKD_QUEUE_DEPTH", "9"),
+        ("MASKD_TENANT_DEPTH", "5"),
+        ("MASKD_INFLIGHT", "3"),
+        ("MASKD_QUANTUM", "4000"),
+        ("MASKD_MAX_BODY", "4096"),
+    ];
+
+    fn from_pairs(pairs: &[(&str, &str)]) -> Result<DaemonConfig, String> {
+        DaemonConfig::from_vars(|name| {
+            let value = pairs.iter().find(|(n, _)| *n == name)?.1;
+            Some(value.to_owned())
+        })
+    }
+
+    #[test]
+    fn every_numeric_variable_is_read() {
+        let cfg = from_pairs(&NUMERIC).expect("all parse");
+        assert_eq!(cfg.store_cap, Some(7));
+        assert_eq!((cfg.queue_depth, cfg.tenant_depth), (9, 5));
+        assert_eq!((cfg.inflight, cfg.quantum, cfg.max_body), (3, 4000, 4096));
+        let unset = from_pairs(&[("MASKD_STORE_CAP", ""), ("MASKD_ADDR", "")]).expect("empty");
+        assert_eq!((unset.store_cap, unset.addr.as_str()), (None, DEFAULT_ADDR));
+    }
+
+    #[test]
+    fn a_numeric_variable_that_does_not_parse_is_refused() {
+        for (name, _) in NUMERIC {
+            for bad in ["10k", "-1", "1.5", " 3", "many"] {
+                let mut pairs = NUMERIC.to_vec();
+                pairs.retain(|(n, _)| *n != name);
+                pairs.push((name, bad));
+                let err = from_pairs(&pairs).expect_err(name);
+                assert!(
+                    err.contains(name) && err.contains(bad),
+                    "{name}={bad}: {err}"
+                );
+            }
+        }
     }
 }

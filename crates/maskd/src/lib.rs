@@ -33,7 +33,8 @@
 //!   final statistics keyed by the model fingerprint and the job's
 //!   canonical dedup key, held in the daemon's result memo and on disk,
 //!   in one append-only log of envelopes sealed in the versioned MSNP
-//!   snapshot codec, with one live writer per directory and one index.
+//!   snapshot codec, with one live writer per directory and one index,
+//!   whose recency order `MASKD_STORE_CAP` bounds with or without a log.
 //! * [`queue`] — the admission controller's deficit-round-robin fair
 //!   queue across tenant ids.
 //! * [`server`] — the daemon itself: thread-per-connection acceptor,

@@ -195,7 +195,7 @@ impl Daemon {
         let addr = listener.local_addr()?;
         let store = match &cfg.store_dir {
             Some(dir) => ResultStore::with_dir(dir.clone(), cfg.store_cap),
-            None => ResultStore::in_memory(),
+            None => ResultStore::in_memory(cfg.store_cap),
         };
         let pool = pool.with_cache(Arc::clone(store.memo()));
         let shared = Arc::new(Shared {

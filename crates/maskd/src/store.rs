@@ -7,24 +7,27 @@
 //! [`MODEL_FINGERPRINT`] into [`result_key`], so a store another model wrote
 //! is never hit. A repeat submission is answered without simulating, from
 //! memory or, across daemon restarts, from disk, as the one `Arc` the memo
-//! and the daemon's job registry share.
+//! and the daemon's job registry share. A result's recency is a counter the
+//! store stamps on every persist, memo hit and disk load; `MASKD_STORE_CAP`
+//! evicts least-recently-used results, never below one, from the index and
+//! the memo at once, whether or not the store has a log.
 //!
 //! # On disk
 //!
 //! One live writer per directory; a second serves from memory. Opening
 //! takes an exclusive lock on the file `lock` in `MASKD_STORE_DIR`, which is
 //! never renamed, so a compaction cannot move it; a store that cannot take
-//! the lock, or create the directory, keeps nothing on disk, like
+//! the lock, or create the directory, serves from memory like
 //! [`ResultStore::in_memory`]. The lock holder keeps one append-only log,
 //! `results.log`, of sealed MSNP envelopes ([`mask_common::snapshot`]: magic,
 //! codec version, key echo, length, FNV-1a checksum). Its first record is a
 //! header-only envelope under the [`MODEL_FINGERPRINT`] whose results it
 //! holds; each later one is, under a [`result_key`], a result's `SimStats`
-//! or, header-only, a *use* of it. A result's recency is the offset of the
-//! last record naming it, so the record order is the LRU order, across
-//! restarts and copies. The store is a pure accelerator, so every file
-//! operation is best-effort — an I/O failure costs a re-simulation, never a
-//! wrong answer:
+//! or, header-only, a *use* of it. Every stamp appends one, and opening
+//! stamps the records in log order, so the record order mirrors recency: it
+//! is the LRU order, across restarts and copies. The store is a pure
+//! accelerator, so every file operation is best-effort — an I/O failure
+//! costs a re-simulation, never a wrong answer:
 //!
 //! * a persist appends the result, a memo hit or a disk load a use; a load
 //!   reads the one record the index names and validates it keyed, and one
@@ -33,20 +36,19 @@
 //!   fails validation, and to nothing if its first record does not name this
 //!   model: after a crash mid-write the store is a subset of what was
 //!   written, and it never keeps another model's results;
-//! * `MASKD_STORE_CAP` evicts least-recently-used results, never below one,
-//!   from the index and the memo at once. An eviction writes nothing: its
-//!   records stay the oldest, so a reopen at the same cap evicts them again.
-//!   Once the log's dead bytes (uses, superseded and evicted results) exceed
-//!   its live ones, the model record and the live records in recency order
-//!   are written to `results.log.tmp`, which is renamed over it.
+//! * an eviction writes nothing: its records stay the oldest, so a reopen at
+//!   the same cap evicts them again. Once the log's dead bytes (uses,
+//!   superseded and evicted results) exceed its live ones, the model record
+//!   and the live records in recency order are written to
+//!   `results.log.tmp`, which is renamed over it.
 //!
 //! # One index
 //!
 //! The open scan leaves the index every later operation keeps: by address,
-//! the newest copy of a result, its last use and, once this handle sealed
-//! or loaded it, its memo key and checksum. With one writer the index is
-//! the truth: after the open scan the log is read only where the index
-//! points, to load a result or compact.
+//! every result the store holds, its recency, its newest copy in the log
+//! and, once this handle sealed or loaded it, its memo key and checksum.
+//! With one writer the index is the truth: after the open scan the log is
+//! read only where the index points, to load a result or compact.
 
 use mask_common::snapshot::{
     envelope_checksum, envelope_len, validate_envelope, Fnv1a, PrefixKey, Snapshot, SnapshotReader,
@@ -61,9 +63,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 #[expect(clippy::disallowed_types, reason = "parallelism island")]
 use std::sync::Mutex;
+use std::sync::{Arc, PoisonError};
 
 /// The content address of a job: FNV-1a over the [`MODEL_FINGERPRINT`]
 /// and the canonical rendering of its dedup key. Everything that
@@ -99,7 +101,7 @@ pub struct StoreStats {
     /// Times the store read its whole log: 1, at open, for its directory's
     /// one live writer; 0 for a store that serves from memory.
     pub dir_scans: u64,
-    /// Results `MASKD_STORE_CAP` evicted from disk (and memory) this process.
+    /// Results `MASKD_STORE_CAP` evicted this process, from memory and disk.
     pub disk_evictions: u64,
     /// Bytes of the log.
     pub log_bytes: u64,
@@ -107,18 +109,18 @@ pub struct StoreStats {
     pub live_bytes: u64,
 }
 
-/// Where a result sits in the log: offset and length of its newest copy,
-/// and the offset of the last record naming it, its recency.
+/// Where the newest copy of a result sits in the log: offset and length.
 #[derive(Clone, Copy)]
 struct Record {
     at: u64,
     len: u64,
-    used: u64,
 }
 
-/// What the store knows of one result address.
+/// What the store knows of one result it holds.
 #[derive(Default)]
 struct Entry {
+    /// Its recency: the store's clock at its last persist, use or load.
+    used: u64,
     /// `None` while the log holds none of it.
     record: Option<Record>,
     /// Once this store sealed or loaded the result: the key its memo entry
@@ -137,15 +139,16 @@ struct Inner {
     held: Option<File>,
     /// The log, opened once to read and append.
     log: Option<File>,
-    /// Most results kept, on disk and in memory; `None` = unbounded.
-    /// Enforced after every write and scan, never below one.
+    /// Most results kept (`None` = unbounded), never below one.
     cap: Option<usize>,
-    /// Every result address the store knows of.
+    /// Every result the store holds, in memory or in the log.
     index: BTreeMap<u64, Entry>,
-    /// `(recency, address)` of every result in the log, least recently
-    /// used first: the order eviction takes them in.
+    /// `(recency, address)` of every result in `index`, least recently
+    /// used first: the order eviction takes them in and compaction writes.
     order: BTreeSet<(u64, u64)>,
-    // The log's length, and the bytes of `order`'s records.
+    // The last recency stamped, the log's length, and the bytes of the
+    // records `index` names.
+    clock: u64,
     end: u64,
     live: u64,
     hits: u64,
@@ -170,14 +173,17 @@ pub struct ResultStore {
 }
 
 impl ResultStore {
-    /// An in-memory store (results die with the process), on a memo of
-    /// its own, never the process-wide one.
+    /// A store that serves from memory, on a memo of its own (never the
+    /// process-wide one), keeping at most `cap` results (LRU).
     #[must_use]
     #[expect(clippy::disallowed_types, reason = "builds the store's one lock")]
-    pub fn in_memory() -> Self {
+    pub fn in_memory(cap: Option<usize>) -> Self {
         ResultStore {
             memo: ResultMemo::new(),
-            inner: Mutex::default(),
+            inner: Mutex::new(Inner {
+                cap,
+                ..Inner::default()
+            }),
         }
     }
 
@@ -186,20 +192,14 @@ impl ResultStore {
     /// Opening locks the directory and scans the log, truncating it at the
     /// first record that fails validation (a torn write, a stale codec,
     /// checksum damage). While another store holds the directory, this one
-    /// serves from memory.
+    /// serves from memory, at the same cap.
     #[must_use]
     pub fn with_dir(dir: PathBuf, cap: Option<usize>) -> Self {
-        let store = Self::in_memory();
-        let mut inner = store.lock();
-        inner.cap = cap;
-        if inner.open(dir).is_none() {
-            *inner = Inner {
-                cap,
-                ..Inner::default()
-            };
+        let store = Self::in_memory(cap);
+        if store.lock().open(dir).is_none() {
+            return Self::in_memory(cap);
         }
-        inner.settle(&store.memo);
-        drop(inner);
+        store.lock().settle(&store.memo);
         store
     }
 
@@ -219,13 +219,10 @@ impl ResultStore {
         &self.memo
     }
 
+    /// A poisoned store mutex means a panic mid-bookkeeping; the index
+    /// itself is always structurally valid, so keep serving.
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A poisoned store mutex means a panic mid-bookkeeping; the index
-        // itself is always structurally valid, so keep serving.
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks up `job`'s result and the checksum of its sealed envelope: in
@@ -286,10 +283,10 @@ impl ResultStore {
         let (sealed, checksum) = seal_result(addr, stats);
         let mut inner = self.lock();
         inner.inserts += 1;
-        inner.append(addr, &sealed, &self.memo);
         if let Some(key) = key {
             inner.index.entry(addr).or_default().result = Some((key, checksum));
         }
+        inner.append(addr, &sealed, &self.memo);
         checksum
     }
 
@@ -310,10 +307,12 @@ impl ResultStore {
         }
     }
 
-    /// Results currently on disk (0 for in-memory stores).
+    /// Results whose record the log holds: 0 for a store that serves from
+    /// memory, which `MASKD_STORE_CAP` bounds all the same.
     #[must_use]
     pub fn disk_entries(&self) -> usize {
-        self.lock().order.len()
+        let inner = self.lock();
+        inner.index.values().filter(|e| e.record.is_some()).count()
     }
 }
 
@@ -337,8 +336,9 @@ impl Inner {
         if ours {
             self.end = HEADER_LEN as u64;
             while let Some(addr) = next_record(&mut reader, &mut record, size) {
-                self.note(addr, self.end, record.len() as u64);
-                self.end += record.len() as u64;
+                let len = record.len() as u64;
+                self.note(addr, Some(Record { at: self.end, len }));
+                self.end += len;
             }
         }
         drop(reader);
@@ -352,35 +352,37 @@ impl Inner {
         Some(())
     }
 
-    /// Indexes the valid record of `len` bytes at `at` under `addr`: a result
-    /// becomes its newest copy, and any record a use of a result the log
-    /// holds.
-    fn note(&mut self, addr: u64, at: u64, len: u64) {
-        let record = match self.index.get(&addr).and_then(|e| e.record) {
-            _ if len > HEADER_LEN as u64 => Record { at, len, used: at },
-            Some(known) => Record { used: at, ..known },
-            None => return,
-        };
-        let entry = self.index.entry(addr).or_default();
-        if let Some(old) = entry.record.replace(record) {
-            self.order.remove(&(old.used, addr));
-            self.live -= old.len;
+    /// Notes a use of the result under `addr`: `written`, the valid record
+    /// read or appended for it, becomes its newest copy if it holds the
+    /// result itself, and the result, if the store holds it, is stamped.
+    fn note(&mut self, addr: u64, written: Option<Record>) {
+        if let Some(record) = written.filter(|r| r.len > HEADER_LEN as u64) {
+            let old = self.index.entry(addr).or_default().record.replace(record);
+            self.live = self.live + record.len - old.map_or(0, |old| old.len);
         }
-        self.order.insert((record.used, addr));
-        self.live += record.len;
+        if let Some(entry) = self.index.get_mut(&addr) {
+            self.order.remove(&(entry.used, addr));
+            self.clock += 1;
+            entry.used = self.clock;
+            self.order.insert((self.clock, addr));
+        }
     }
 
-    /// Appends envelope `bytes` under `addr` and indexes it, then evicts and
-    /// compacts as due. A write that fails is cut off again.
+    /// Appends envelope `bytes` under `addr`, a result or a use of it, and
+    /// notes it, then evicts and compacts as due. A write that fails is cut
+    /// off again; a store without a log only stamps.
     fn append(&mut self, addr: u64, bytes: &[u8], memo: &ResultMemo) {
-        let Some(log) = self.log.as_mut() else { return };
-        if log.write_all(bytes).is_err() {
-            let _ = log.set_len(self.end);
-            return;
+        let (at, len) = (self.end, bytes.len() as u64);
+        let mut written = None;
+        if let Some(log) = self.log.as_mut() {
+            if log.write_all(bytes).is_ok() {
+                self.end += len;
+                written = Some(Record { at, len });
+            } else {
+                let _ = log.set_len(at);
+            }
         }
-        let at = self.end;
-        self.end += bytes.len() as u64;
-        self.note(addr, at, bytes.len() as u64);
+        self.note(addr, written);
         self.settle(memo);
     }
 
@@ -430,8 +432,8 @@ impl Inner {
     /// Drops `addr` from the index and the memo.
     fn forget(&mut self, addr: u64, memo: &ResultMemo) {
         let entry = self.index.remove(&addr).unwrap_or_default();
+        self.order.remove(&(entry.used, addr));
         if let Some(old) = entry.record {
-            self.order.remove(&(old.used, addr));
             self.live -= old.len;
         }
         if let Some((key, _)) = entry.result {
@@ -439,9 +441,9 @@ impl Inner {
         }
     }
 
-    /// Rewrites the log as the model record and its live records, least
-    /// recently used first, in a temp file renamed over it: a crash leaves
-    /// one whole log or the other.
+    /// Rewrites the log as the model record and its live records in recency
+    /// order, least recently used first, in a temp file renamed over it: a
+    /// crash leaves one whole log or the other.
     fn compact(&mut self) {
         let (Some(path), Some(log)) = (&self.path, &self.log) else {
             return;
@@ -469,16 +471,14 @@ impl Inner {
             return;
         };
         self.log = Some(compacted);
-        self.order.clear();
-        let mut at = HEADER_LEN as u64;
+        self.end = HEADER_LEN as u64;
         for (addr, Record { len, .. }) in records {
+            let at = self.end;
             if let Some(entry) = self.index.get_mut(&addr) {
-                entry.record = Some(Record { at, len, used: at });
+                entry.record = Some(Record { at, len });
             }
-            self.order.insert((at, addr));
-            at += len;
+            self.end += len;
         }
-        self.end = at;
     }
 }
 
@@ -600,14 +600,10 @@ mod tests {
         out
     }
 
-    /// The store's order: `(recency, address)`, least recently used first.
-    fn recency(store: &ResultStore) -> Vec<(u64, u64)> {
-        store.lock().order.iter().copied().collect()
-    }
-
-    /// The addresses of the store's order.
+    /// The addresses of the store's recency order, least recently used
+    /// first.
     fn lru(store: &ResultStore) -> Vec<u64> {
-        recency(store).into_iter().map(|(_, addr)| addr).collect()
+        store.lock().order.iter().map(|&(_, addr)| addr).collect()
     }
 
     /// The log is at most twice its live bytes plus one record, and the
@@ -656,7 +652,7 @@ mod tests {
 
     #[test]
     fn an_in_memory_store_answers_from_its_memo() {
-        let store = ResultStore::in_memory();
+        let store = ResultStore::in_memory(None);
         let j = job(3);
         assert_eq!(store.lookup(&j), None);
         let s = Arc::new(sample_stats(3));
@@ -680,7 +676,7 @@ mod tests {
         let dir = temp_dir("shared");
         let j = job(5);
         for store in [
-            ResultStore::in_memory(),
+            ResultStore::in_memory(None),
             ResultStore::with_dir(dir.clone(), None),
         ] {
             let inserted = Arc::new(sample_stats(5));
@@ -841,10 +837,9 @@ mod tests {
         drop(store);
         let reopened = ResultStore::with_dir(dir.clone(), None);
         assert_eq!(reopened.get(0xAB), Some((Arc::new(s), checksum)));
-        let used = expected.len() as u64;
         expected.extend(header_only(0xAB));
         assert_eq!(std::fs::read(log_path(&dir)).ok(), Some(expected));
-        assert_eq!(recency(&reopened), [(used, 0xAB)]);
+        assert_eq!(lru(&reopened), [0xAB]);
         assert_eq!(names(&dir), ["lock", "results.log"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -905,10 +900,10 @@ mod tests {
         assert_eq!(lru(&store), [addr(2), addr(5)]);
         // Recency is the log's record order, so it survives a reopen, which
         // evicts again what the live store evicted.
-        let live = recency(&store);
+        let live = lru(&store);
         drop(store);
         let reopened = ResultStore::with_dir(dir.clone(), Some(2));
-        assert_eq!(recency(&reopened), live);
+        assert_eq!(lru(&reopened), live);
         assert_eq!(reopened.get(addr(1)), None);
         run(&reopened, 6);
         assert_eq!(lru(&reopened), [addr(5), addr(6)]);
@@ -935,25 +930,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A store that serves from memory, for each way of getting one: no
+    /// directory, a directory another handle holds, and one that cannot be
+    /// created (below a regular file: `ENOTDIR`, for root too). It writes
+    /// nothing and keeps its cap.
     #[test]
-    fn a_store_that_cannot_be_created_serves_from_memory() {
-        let base = temp_dir("unwritable");
-        std::fs::write(&base, b"a file, not a directory").expect("blocker");
-        // Below a regular file nothing can be created: `ENOTDIR`, for root
-        // too.
-        let store = ResultStore::with_dir(base.join("store"), Some(1));
+    fn the_cap_binds_a_store_that_serves_from_memory() {
+        let held = temp_dir("held-cap");
+        let holder = ResultStore::with_dir(held.clone(), None);
+        let blocker = temp_dir("blocked-cap");
+        std::fs::write(&blocker, b"a file, not a directory").expect("blocker");
         let jobs: Vec<SimJob> = (0..3).map(job).collect();
-        for (k, j) in jobs.iter().enumerate() {
-            finish(&store, j, &Arc::new(sample_stats(k as u64)));
+        for store in [
+            ResultStore::in_memory(Some(1)),
+            ResultStore::with_dir(held.clone(), Some(1)),
+            ResultStore::with_dir(blocker.join("store"), Some(1)),
+        ] {
+            for (k, j) in jobs.iter().enumerate() {
+                finish(&store, j, &Arc::new(sample_stats(k as u64)));
+            }
+            assert_eq!(store.lookup(&jobs[0]), None, "evicted");
+            let (hit, _) = store.lookup(&jobs[2]).expect("the newest is held");
+            assert_eq!(*hit, sample_stats(2));
+            let t = store.stats();
+            assert_eq!((t.entries, t.disk_evictions), (1, 2));
+            assert_eq!((t.log_bytes, t.dir_scans), (0, 0));
+            assert_eq!(lru(&store), [result_key(&jobs[2])]);
+            assert_eq!(store.disk_entries(), 0);
         }
-        for (k, j) in jobs.iter().enumerate() {
-            let (hit, _) = store.lookup(j).expect("memo hit");
-            assert_eq!(*hit, sample_stats(k as u64));
-        }
-        let t = store.stats();
-        assert_eq!((store.disk_entries(), t.entries, t.dir_scans), (0, 3, 0));
-        assert_eq!((t.log_bytes, t.disk_evictions), (0, 0));
-        let _ = std::fs::remove_file(&base);
+        assert_eq!(log_len(&held), HEADER, "the holder's log is untouched");
+        drop(holder);
+        let _ = std::fs::remove_dir_all(&held);
+        let _ = std::fs::remove_file(&blocker);
     }
 
     #[test]
@@ -1040,9 +1048,10 @@ mod tests {
     /// The oracles are a list of results kept here, least recently used
     /// first, and the log's own record order, read from the file. Random
     /// sequences of the store's own operations (persist, disk-layer get,
-    /// daemon lookup) and reopens run at caps `None`, 1, 3 and 8. After
-    /// every step the store's order must be the list, so eviction took
-    /// exactly the least recently used results; the last record naming each
+    /// daemon lookup) and reopens run at caps `None`, 1, 3 and 8, on a
+    /// directory and, with no log to check, from memory. After every step
+    /// the store's order must be the list, so eviction took exactly the
+    /// least recently used results; the last record naming each
     /// result must sort as the list does, so a reopen keeps the same set in
     /// the same order (checked at every reopen, exactly); the log must stay
     /// within twice its live bytes plus one record; the open scan must be
@@ -1114,8 +1123,15 @@ mod tests {
             Ok(())
         }
 
-        fn run(tag: &str, cap: Option<usize>, ops: &[Op]) -> Result<(), String> {
+        /// Runs `ops` on a store at `cap`, with a directory or, if not
+        /// `on_disk`, serving from memory, where a reopen starts empty and
+        /// the disk layer always misses.
+        fn run(tag: &str, cap: Option<usize>, on_disk: bool, ops: &[Op]) -> Result<(), String> {
             let dir = temp_dir(&format!("prop-{tag}-{cap:?}"));
+            let open = || match on_disk {
+                true => ResultStore::with_dir(dir.clone(), cap),
+                false => ResultStore::in_memory(cap),
+            };
             let jobs: Vec<SimJob> = (0..JOBS).map(job).collect();
             let addr = |k: u64| result_key(&jobs[k as usize]);
             let served = |k: u64| Some((Arc::new(sample_stats(k)), sealed(k).1));
@@ -1123,7 +1139,7 @@ mod tests {
                 .map(|k| sealed(k).0.len() as u64)
                 .max()
                 .unwrap_or(0);
-            let mut store = ResultStore::with_dir(dir.clone(), cap);
+            let mut store = open();
             // The oracle: job numbers, least recently used first.
             let mut oracle: Vec<u64> = Vec::new();
             let use_of = |oracle: &mut Vec<u64>, k: u64| {
@@ -1147,9 +1163,10 @@ mod tests {
                         use_of(&mut oracle, k);
                     }
                     Op::Get(k) => {
-                        let expected = if held { served(k) } else { None };
+                        let found = held && on_disk;
+                        let expected = if found { served(k) } else { None };
                         prop_assert_eq!(store.get(addr(k)), expected, "step {step} {op:?}");
-                        if held {
+                        if found {
                             use_of(&mut oracle, k);
                         }
                     }
@@ -1165,20 +1182,30 @@ mod tests {
                         }
                     }
                     Op::Reopen => {
-                        let live = recency(&store);
+                        let live = lru(&store);
                         drop(store);
-                        store = ResultStore::with_dir(dir.clone(), cap);
-                        prop_assert_eq!(recency(&store), live, "step {step}: reopened order");
+                        store = open();
+                        if on_disk {
+                            prop_assert_eq!(lru(&store), live, "step {step}: reopened order");
+                        } else {
+                            oracle.clear();
+                        }
                     }
                 }
                 let expected: Vec<u64> = oracle.iter().map(|&k| addr(k)).collect();
                 prop_assert_eq!(lru(&store), expected.clone(), "step {step} {op:?}: order");
+                memo_matches_index(&store).map_err(|e| format!("step {step} {op:?}: {e}"))?;
+                let t = store.stats();
+                if !on_disk {
+                    let disk = (t.log_bytes, t.live_bytes, t.dir_scans);
+                    prop_assert_eq!(disk, (0, 0, 0), "step {step} {op:?}: {t:?}");
+                    continue;
+                }
                 prop_assert_eq!(
                     log_order(&dir, &expected),
                     expected,
                     "step {step} {op:?}: log"
                 );
-                let t = store.stats();
                 prop_assert_eq!(t.log_bytes, log_len(&dir), "step {step} {op:?}: log bytes");
                 let live: u64 = oracle.iter().map(|&k| sealed(k).0.len() as u64).sum();
                 prop_assert_eq!(t.live_bytes, live, "step {step} {op:?}: live bytes");
@@ -1186,14 +1213,14 @@ mod tests {
                     t.log_bytes <= 2 * live + record,
                     "step {step} {op:?}: {t:?}"
                 );
-                memo_matches_index(&store).map_err(|e| format!("step {step} {op:?}: {e}"))?;
                 prop_assert_eq!(t.dir_scans, 1, "step {step} {op:?}: scanned again");
             }
             // A later process reads back exactly what this one knew.
-            let live = recency(&store);
-            drop(store);
-            let reopened = ResultStore::with_dir(dir.clone(), cap);
-            prop_assert_eq!(recency(&reopened), live, "final reopen");
+            if on_disk {
+                let live = lru(&store);
+                drop(store);
+                prop_assert_eq!(lru(&open()), live, "final reopen");
+            }
             let _ = std::fs::remove_dir_all(&dir);
             Ok(())
         }
@@ -1209,7 +1236,7 @@ mod tests {
                 ops in collection::vec(own_op(), 1..80),
             ) {
                 for cap in CAPS {
-                    run("own", cap, &ops)?;
+                    run("own", cap, true, &ops)?;
                 }
             }
 
@@ -1219,7 +1246,18 @@ mod tests {
                 ops in collection::vec(any_op(), 1..80),
             ) {
                 for cap in CAPS {
-                    run("reopen", cap, &ops)?;
+                    run("reopen", cap, true, &ops)?;
+                }
+            }
+
+            /// A store that serves from memory is the LRU list too, at
+            /// every cap.
+            #[test]
+            fn a_store_in_memory_keeps_the_lru_order(
+                ops in collection::vec(any_op(), 1..80),
+            ) {
+                for cap in CAPS {
+                    run("memory", cap, false, &ops)?;
                 }
             }
         }

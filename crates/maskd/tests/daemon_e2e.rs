@@ -20,6 +20,8 @@
 //!   carries.
 //! * **An unwritable store costs persistence, not service** — every job
 //!   still reaches `done`, and resubmissions are served from memory.
+//! * **The cap binds a daemon without a directory** — at cap 1 a job the
+//!   next one pushed out is simulated again.
 //! * **One memo per daemon** — a resubmission is answered from the
 //!   daemon's memo, a disk hit is promoted into it, and two daemons in one
 //!   process never serve each other's results.
@@ -791,6 +793,38 @@ fn an_unwritable_store_serves_every_job_from_memory() {
     assert_eq!(store_count(&client, "log_bytes"), Some(0));
     daemon.shutdown();
     let _ = std::fs::remove_file(&base);
+}
+
+/// `MASKD_STORE_CAP` binds a daemon with no store directory: at cap 1 the
+/// second job pushes the first out of its memo, so the first, submitted
+/// again, is simulated again.
+#[test]
+fn a_daemon_without_a_store_directory_keeps_its_cap() {
+    let cfg = DaemonConfig {
+        store_dir: None,
+        store_cap: Some(1),
+        ..ephemeral_config()
+    };
+    let daemon = Daemon::spawn_with_pool(cfg, JobPool::with_workers(1)).expect("boot");
+    let client = Client::new(daemon.addr().to_string());
+    let a = spec("capped", DesignKind::Mask, 951);
+    let b = spec("capped", DesignKind::Mask, 952);
+    for (round, spec) in [&a, &b, &a].into_iter().enumerate() {
+        let submitted = client.submit(spec).expect("submit");
+        assert!(!submitted.store_hit, "submission {round} is simulated");
+        let reply = client.wait(submitted.id).expect("wait");
+        assert_eq!(reply.result, Some(spec.to_sim_job().run()), "{round}");
+    }
+    let stats = client.store_stats().expect("store stats");
+    let simulated = stats
+        .get("scheduler")
+        .and_then(|s| s.get("simulated_jobs"))
+        .and_then(Value::as_u64);
+    assert_eq!(simulated, Some(3));
+    assert_eq!(store_count(&client, "entries"), Some(1));
+    assert_eq!(store_count(&client, "disk_evictions"), Some(2));
+    assert_eq!(store_count(&client, "log_bytes"), Some(0));
+    daemon.shutdown();
 }
 
 #[test]
